@@ -62,14 +62,25 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// `HEAD`'s short hash, with `-dirty` appended when tracked files differ
+/// from it — an entry recorded before its change is committed must not
+/// read as a measurement of the parent.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".into();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => rev + "-dirty",
+        _ => rev,
+    }
 }
 
 fn unix_now() -> u64 {

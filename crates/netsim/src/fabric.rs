@@ -14,12 +14,17 @@
 //! later rewire — matching the physical behavior the guard bands of §3.5
 //! protect.
 //!
+//! A packet is written once, into the [`PacketArena`] by [`Fabric::send`],
+//! and read once, by [`Fabric::deliver`] when its [`NetEvent::Arrive`]
+//! fires; queues and events carry its 4-byte [`PacketRef`] in between, and
+//! a packet lost on the wire frees its slot at transmission.
+//!
 //! What happens when a packet meets a full (or filling) queue is the
 //! port's [`SwitchPolicy`] — trim, drop, mark, or pause upstream; see
 //! [`crate::policy`].
 
-use crate::packet::{Packet, PacketArena, PacketRef, Priority, PRIORITY_LEVELS};
-use crate::policy::{QueueView, SwitchPolicyKind, Verdict};
+use crate::packet::{Packet, PacketArena, PacketRef, Priority, HEADER_SIZE, MTU, PRIORITY_LEVELS};
+use crate::policy::{QueueView, SwitchPolicy, SwitchPolicyKind, Verdict};
 use crate::trace::{PacketMeta, TraceEvent, TraceRecord, TraceSink};
 use simkit::engine::EventContext;
 use simkit::time::serialization_ns;
@@ -144,11 +149,14 @@ pub enum SendOutcome {
 #[derive(Debug)]
 struct Port {
     /// Slab handles into [`Fabric::arena`]; the packet bodies stay put
-    /// until transmission, so queue churn moves 4-byte refs.
+    /// until delivery, so queue churn moves 4-byte refs.
     queues: [VecDeque<PacketRef>; PRIORITY_LEVELS],
     queued_bytes: [u64; PRIORITY_LEVELS],
     cfg: QueueConfig,
     link: LinkSpec,
+    /// `link.serialize` of the two sizes nearly every packet has.
+    ser_mtu: SimTime,
+    ser_header: SimTime,
     peer: Option<(NodeId, PortId)>,
     busy: bool,
     failed: bool,
@@ -166,6 +174,8 @@ impl Port {
             queued_bytes: [0; PRIORITY_LEVELS],
             cfg,
             link,
+            ser_mtu: link.serialize(MTU),
+            ser_header: link.serialize(HEADER_SIZE),
             peer: None,
             busy: false,
             failed: false,
@@ -176,6 +186,16 @@ impl Port {
 
     fn total_queued(&self) -> u64 {
         self.queued_bytes.iter().sum()
+    }
+
+    /// [`LinkSpec::serialize`] on this port's link, bit for bit.
+    #[inline]
+    fn serialize(&self, bytes: u32) -> SimTime {
+        match bytes {
+            MTU => self.ser_mtu,
+            HEADER_SIZE => self.ser_header,
+            _ => self.link.serialize(bytes),
+        }
     }
 
     fn view(&self) -> QueueView<'_> {
@@ -208,32 +228,36 @@ pub struct FabricCounters {
 }
 
 /// Events routed through the simulator for the fabric/logic pair.
+///
+/// Sixteen bytes: node and port ids travel as `u32` (the fabric refuses
+/// to grow past that) and an arriving packet as its [`PacketRef`].
 #[derive(Debug, Clone, Copy)]
 pub enum NetEvent {
     /// Packet fully received at `node` via its `port`.
     Arrive {
         /// Receiving node.
-        node: NodeId,
+        node: u32,
         /// Ingress port at the receiving node.
-        port: PortId,
-        /// The packet.
-        packet: Packet,
+        port: u32,
+        /// The packet, parked in the fabric until [`Fabric::deliver`]
+        /// takes it out.
+        packet: PacketRef,
     },
     /// `node`'s `port` finished serializing; it may start the next packet.
     PortFree {
         /// Transmitting node.
-        node: NodeId,
+        node: u32,
         /// The now-idle port.
-        port: PortId,
+        port: u32,
     },
     /// A PFC pause or resume frame reached `node`'s `port` (sent by the
     /// port's downstream peer; modeled out-of-band so pause frames cannot
     /// be stuck behind the very queues they exist to relieve).
     PauseChange {
         /// Node whose port is being paused/resumed.
-        node: NodeId,
+        node: u32,
         /// The paused/resumed port.
-        port: PortId,
+        port: u32,
         /// True to pause, false to resume.
         paused: bool,
     },
@@ -251,9 +275,13 @@ pub struct Fabric {
     /// Per-node count of ports currently above their pause threshold;
     /// pause frames go out on 0→1, resumes on 1→0.
     congested: Vec<u32>,
-    /// Slab backing every queued packet; slots recycle through a free
-    /// list, so steady-state forwarding allocates nothing per packet.
+    /// Slab backing every queued and in-flight packet; slots recycle
+    /// through a free list, so steady-state forwarding allocates nothing
+    /// per packet.
     arena: PacketArena,
+    /// Packets sitting in port queues now, and the most there ever were.
+    queued_now: usize,
+    queued_peak: usize,
     /// Aggregate counters.
     pub counters: FabricCounters,
     /// Random per-packet loss: `(probability, rng)`. Applied to every
@@ -274,25 +302,14 @@ impl Fabric {
     /// Add a node with `ports` identical ports; returns its id.
     pub fn add_node(&mut self, ports: usize, cfg: QueueConfig, link: LinkSpec) -> NodeId {
         let id = self.nodes.len();
+        assert!(
+            u32::try_from(id.max(ports)).is_ok(),
+            "node and port ids must fit NetEvent's u32 fields"
+        );
         self.nodes
             .push((0..ports).map(|_| Port::new(cfg, link)).collect());
         self.congested.push(0);
         id
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the fabric has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Ports on `node`.
-    pub fn port_count(&self, node: NodeId) -> usize {
-        self.nodes[node].len()
     }
 
     /// Connect `a.pa ↔ b.pb` (both directions). Panics if either port is
@@ -362,11 +379,6 @@ impl Fabric {
         self.trace.take()
     }
 
-    /// True when a trace sink is installed.
-    pub fn has_trace(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Record an event against link `(node, port)` at `now`. No-op
     /// without a sink. Used internally by the fabric hot paths and by
     /// transports for host-level events (ACK receipt, timer firings)
@@ -401,19 +413,9 @@ impl Fabric {
         self.nodes[node][port].queued_bytes[prio as usize]
     }
 
-    /// True while the port is serializing a packet.
-    pub fn is_busy(&self, node: NodeId, port: PortId) -> bool {
-        self.nodes[node][port].busy
-    }
-
     /// True while the port is paused by a downstream PFC pause frame.
     pub fn is_paused(&self, node: NodeId, port: PortId) -> bool {
         self.nodes[node][port].paused
-    }
-
-    /// The link spec of a port.
-    pub fn link(&self, node: NodeId, port: PortId) -> LinkSpec {
-        self.nodes[node][port].link
     }
 
     /// Enqueue `packet` for transmission out of `node.port`, starting
@@ -429,7 +431,7 @@ impl Fabric {
         packet: Packet,
     ) -> SendOutcome {
         let p = &self.nodes[node][port];
-        let (packet, outcome, ev) = match p.cfg.policy.as_dyn().admit(p.view(), &packet) {
+        let (packet, outcome, ev) = match p.cfg.policy.admit(p.view(), &packet) {
             Verdict::Enqueue => (packet, SendOutcome::Queued, TraceEvent::Enqueue),
             Verdict::Mark => {
                 let mut marked = packet;
@@ -449,6 +451,8 @@ impl Fabric {
         let lvl = packet.prio as usize;
         let size = packet.size as u64;
         let r = self.arena.alloc(packet);
+        self.queued_now += 1;
+        self.queued_peak = self.queued_peak.max(self.queued_now);
         let p = &mut self.nodes[node][port];
         p.queues[lvl].push_back(r);
         p.queued_bytes[lvl] += size;
@@ -464,13 +468,16 @@ impl Fabric {
         outcome
     }
 
-    /// Dequeue the highest-priority packet and put it on the wire.
+    /// Dequeue the highest-priority packet, if any, and put it on the wire:
+    /// its arena slot rides the [`NetEvent::Arrive`] to the peer, or is
+    /// freed here when the wire loses the packet.
     fn start_tx(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
         let Fabric {
             nodes,
             arena,
             loss,
             trace,
+            counters,
             ..
         } = self;
         let p = &mut nodes[node][port];
@@ -479,70 +486,79 @@ impl Fabric {
             return;
         };
         let r = p.queues[lvl].pop_front().expect("non-empty");
-        let packet = arena.take(r);
+        let packet = arena.get(r);
         if let Some(sink) = trace {
             sink.record(&TraceRecord {
                 t_ns: ctx.now().as_ns(),
                 node,
                 port,
                 event: TraceEvent::Tx,
-                packet: Some(PacketMeta::of(&packet)),
+                packet: Some(PacketMeta::of(packet)),
             });
         }
         p.queued_bytes[lvl] -= packet.size as u64;
         p.busy = true;
-        let ser = p.link.serialize(packet.size);
-        let delay = p.link.delay;
-        let peer = p.peer;
-        let failed = p.failed;
-        ctx.schedule_in(ser, NetEvent::PortFree { node, port });
+        let ser = p.serialize(packet.size);
+        let free = NetEvent::PortFree {
+            node: node as u32,
+            port: port as u32,
+        };
+        ctx.schedule_in(ser, free);
         let corrupted = match loss {
             Some((p, rng)) => rng.chance(*p),
             None => false,
         };
-        match peer {
-            Some(_) if corrupted => self.counters.failed_drops += 1,
-            Some((pn, pp)) if !failed => {
-                self.counters.delivered += 1;
-                ctx.schedule_in(
-                    ser + delay,
-                    NetEvent::Arrive {
-                        node: pn,
-                        port: pp,
-                        packet,
-                    },
-                );
+        match p.peer {
+            Some((pn, pp)) if !corrupted && !p.failed => {
+                counters.delivered += 1;
+                let arrive = NetEvent::Arrive {
+                    node: pn as u32,
+                    port: pp as u32,
+                    packet: r,
+                };
+                ctx.schedule_in(ser + p.link.delay, arrive);
             }
-            Some(_) => self.counters.failed_drops += 1,
-            None => self.counters.dark_drops += 1,
+            peer => {
+                arena.take(r);
+                match peer {
+                    Some(_) => counters.failed_drops += 1,
+                    None => counters.dark_drops += 1,
+                }
+            }
         }
+        self.queued_now -= 1;
         self.check_resume(ctx, node, port);
     }
 
-    /// Handle a [`NetEvent::PortFree`]: mark idle and continue draining.
-    pub fn on_port_free(
-        &mut self,
-        ctx: &mut EventContext<'_, NetEvent>,
-        node: NodeId,
-        port: PortId,
-    ) {
+    /// Take delivery of the packet behind a [`NetEvent::Arrive`], freeing
+    /// its arena slot. Every `Arrive` must be delivered exactly once.
+    #[inline]
+    pub fn deliver(&mut self, packet: PacketRef) -> Packet {
+        self.arena.take(packet)
+    }
+
+    /// Handle a [`NetEvent::PortFree`] (ids as the event carries them):
+    /// mark idle and continue draining.
+    pub fn on_port_free(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: u32, port: u32) {
+        let (node, port) = (node as usize, port as usize);
         let p = &mut self.nodes[node][port];
         debug_assert!(p.busy);
         p.busy = false;
-        if !p.paused && p.queues.iter().any(|q| !q.is_empty()) {
+        if !p.paused {
             self.start_tx(ctx, node, port);
         }
     }
 
-    /// Handle a [`NetEvent::PauseChange`]: a downstream PFC pause/resume
-    /// frame arrived at `node.port`.
+    /// Handle a [`NetEvent::PauseChange`] (ids as the event carries
+    /// them): a downstream PFC pause/resume frame arrived at `node.port`.
     pub fn on_pause_change(
         &mut self,
         ctx: &mut EventContext<'_, NetEvent>,
-        node: NodeId,
-        port: PortId,
+        node: u32,
+        port: u32,
         paused: bool,
     ) {
+        let (node, port) = (node as usize, port as usize);
         let ev = if paused {
             TraceEvent::Pause
         } else {
@@ -551,7 +567,7 @@ impl Fabric {
         self.trace_event(ctx.now(), node, port, ev, None);
         let p = &mut self.nodes[node][port];
         p.paused = paused;
-        if !paused && !p.busy && p.queues.iter().any(|q| !q.is_empty()) {
+        if !paused && !p.busy {
             self.start_tx(ctx, node, port);
         }
     }
@@ -561,7 +577,7 @@ impl Fabric {
     /// congested port (frames arrive after one propagation delay).
     fn check_pause(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
         let p = &self.nodes[node][port];
-        if p.congesting || !p.cfg.policy.as_dyn().should_pause(p.view()) {
+        if p.congesting || !p.cfg.policy.should_pause(p.view()) {
             return;
         }
         self.nodes[node][port].congesting = true;
@@ -576,7 +592,7 @@ impl Fabric {
     /// congested port clears.
     fn check_resume(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
         let p = &self.nodes[node][port];
-        if !p.congesting || !p.cfg.policy.as_dyn().should_resume(p.view()) {
+        if !p.congesting || !p.cfg.policy.should_resume(p.view()) {
             return;
         }
         self.nodes[node][port].congesting = false;
@@ -597,8 +613,8 @@ impl Fabric {
                 ctx.schedule_in(
                     q.link.delay,
                     NetEvent::PauseChange {
-                        node: pn,
-                        port: pp,
+                        node: pn as u32,
+                        port: pp as u32,
                         paused,
                     },
                 );
@@ -617,13 +633,21 @@ impl Fabric {
         let p = &mut nodes[node][port];
         let lvl = Priority::Bulk as usize;
         p.queued_bytes[lvl] = 0;
+        self.queued_now -= p.queues[lvl].len();
         p.queues[lvl].drain(..).map(|r| arena.take(r)).collect()
     }
 
     /// High-water mark of simultaneously queued packets across the whole
-    /// fabric (the arena's slab never shrinks below this).
+    /// fabric (in-flight packets, though still parked in the arena, do
+    /// not count).
     pub fn arena_peak_live(&self) -> usize {
-        self.arena.peak_live()
+        self.queued_peak
+    }
+
+    /// Packets parked in the arena now: queued at a port or in flight
+    /// toward a pending [`NetEvent::Arrive`]. Zero once a run has drained.
+    pub fn parked_packets(&self) -> usize {
+        self.arena.live()
     }
 }
 
@@ -645,7 +669,9 @@ mod tests {
         fn handle_event(&mut self, ev: NetEvent, ctx: &mut EventContext<'_, NetEvent>) {
             match ev {
                 NetEvent::Arrive { node, packet, .. } => {
-                    self.arrivals.push((ctx.now().as_ns(), node, packet));
+                    let packet = self.fabric.deliver(packet);
+                    self.arrivals
+                        .push((ctx.now().as_ns(), node as usize, packet));
                 }
                 NetEvent::PortFree { node, port } => {
                     self.fabric.on_port_free(ctx, node, port);
@@ -669,6 +695,13 @@ mod tests {
         }
     }
 
+    /// An event is 16 bytes, so an engine node carrying one is 40.
+    #[test]
+    fn net_event_size_is_pinned() {
+        assert!(std::mem::size_of::<NetEvent>() <= 16);
+        assert!(std::mem::align_of::<NetEvent>() <= 8);
+    }
+
     #[test]
     fn single_packet_timing() {
         let sim = run_burst(
@@ -684,16 +717,19 @@ mod tests {
         assert_eq!(sim.world.inner.fabric.counters.delivered, 1);
     }
 
-    // Shared world that sends a burst at t=0.
+    // Shared world that sends the next `per_tick` packets of a burst out
+    // of node 0 on every timer.
     struct BurstWorld {
         inner: TestWorld,
         burst: Vec<Packet>,
+        per_tick: usize,
     }
     impl EventHandler for BurstWorld {
         type Event = NetEvent;
         fn handle_event(&mut self, ev: NetEvent, ctx: &mut EventContext<'_, NetEvent>) {
             if let NetEvent::Timer { .. } = ev {
-                for pkt in self.burst.drain(..) {
+                let n = self.per_tick.min(self.burst.len());
+                for pkt in self.burst.drain(..n) {
                     self.inner.fabric.send(ctx, 0, 0, pkt);
                 }
             } else {
@@ -706,6 +742,7 @@ mod tests {
         let mut sim = Simulator::new(BurstWorld {
             inner: two_nodes(cfg),
             burst,
+            per_tick: usize::MAX,
         });
         sim.schedule_at(SimTime::ZERO, NetEvent::Timer { token: 0 });
         sim.run();
@@ -837,6 +874,7 @@ mod tests {
                         }
                     }
                     NetEvent::Arrive { node, packet, .. } => {
+                        let packet = self.fabric.deliver(packet);
                         if node == 1 {
                             // Switch: forward to the sink out the slow port.
                             self.fabric.send(ctx, 1, 1, packet);
@@ -870,33 +908,6 @@ mod tests {
         assert!(w.host_paused_seen, "backpressure never reached the host");
         assert!(w.fabric.counters.pause_frames > 0);
         assert!(!w.fabric.is_paused(0, 0), "resume frees the host at drain");
-    }
-
-    #[test]
-    fn dark_port_drops() {
-        struct DarkWorld {
-            fabric: Fabric,
-        }
-        impl EventHandler for DarkWorld {
-            type Event = NetEvent;
-            fn handle_event(&mut self, ev: NetEvent, ctx: &mut EventContext<'_, NetEvent>) {
-                match ev {
-                    NetEvent::Timer { .. } => {
-                        let pkt = Packet::data(0, 0, 1, 0, MTU);
-                        self.fabric.send(ctx, 0, 0, pkt);
-                    }
-                    NetEvent::PortFree { node, port } => self.fabric.on_port_free(ctx, node, port),
-                    NetEvent::Arrive { .. } => panic!("nothing should arrive"),
-                    NetEvent::PauseChange { .. } => {}
-                }
-            }
-        }
-        let mut fabric = Fabric::new();
-        fabric.add_node(1, QueueConfig::builder().build(), LinkSpec::paper_default());
-        let mut sim = Simulator::new(DarkWorld { fabric });
-        sim.schedule_at(SimTime::ZERO, NetEvent::Timer { token: 0 });
-        sim.run();
-        assert_eq!(sim.world.fabric.counters.dark_drops, 1);
     }
 
     #[test]
@@ -944,29 +955,60 @@ mod tests {
         assert_eq!(sim.world.inner.fabric.peer(1, 0), None);
     }
 
+    /// A packet lost on the wire frees its arena slot at transmission,
+    /// whichever way it is lost: sustained sending into a dark port, a
+    /// failed link or a fully corrupting one never grows the slab past
+    /// what one tick queues (the first of its four goes straight onto
+    /// the wire), and parks nothing once drained.
     #[test]
-    fn failed_link_loses_packets() {
-        let mut w = two_nodes(QueueConfig::builder().build());
-        w.fabric.set_failed(0, 0, true);
-        struct FailWorld {
-            inner: TestWorld,
-        }
-        impl EventHandler for FailWorld {
-            type Event = NetEvent;
-            fn handle_event(&mut self, ev: NetEvent, ctx: &mut EventContext<'_, NetEvent>) {
-                if let NetEvent::Timer { .. } = ev {
-                    let pkt = Packet::data(0, 0, 1, 0, MTU);
-                    self.inner.fabric.send(ctx, 0, 0, pkt);
-                } else {
-                    self.inner.handle_event(ev, ctx);
-                }
+    fn lost_on_the_wire_frees_slots() {
+        let cfg = QueueConfig::builder().build();
+        let dark = || {
+            let mut fabric = Fabric::new();
+            fabric.add_node(1, cfg, LinkSpec::paper_default());
+            TestWorld {
+                fabric,
+                arrivals: vec![],
             }
+        };
+        let failed = || {
+            let mut w = two_nodes(cfg);
+            w.fabric.set_failed(0, 0, true);
+            w
+        };
+        let corrupting = || {
+            let mut w = two_nodes(cfg);
+            w.fabric.set_random_loss(1.0, 7);
+            w
+        };
+        let worlds: [(&str, &dyn Fn() -> TestWorld); 3] = [
+            ("dark", &dark),
+            ("failed", &failed),
+            ("corrupting", &corrupting),
+        ];
+        for (name, world) in worlds {
+            let mut sim = Simulator::new(BurstWorld {
+                inner: world(),
+                burst: (0..64).map(|s| Packet::data(0, 0, 1, s, MTU)).collect(),
+                per_tick: 4,
+            });
+            for tick in 0..16 {
+                sim.schedule_at(SimTime::from_us(10 * tick), NetEvent::Timer { token: 0 });
+            }
+            sim.run();
+            let w = &sim.world.inner;
+            assert!(w.arrivals.is_empty(), "{name}: nothing should arrive");
+            let c = w.fabric.counters;
+            let lost = if name == "dark" {
+                c.dark_drops
+            } else {
+                c.failed_drops
+            };
+            assert_eq!((lost, c.delivered, c.queued), (64, 0, 64), "{name}");
+            assert_eq!(w.fabric.parked_packets(), 0, "{name}");
+            assert_eq!(w.fabric.arena.slab_len(), 3, "{name}: slots freed at tx");
+            assert_eq!(w.fabric.arena_peak_live(), 3, "{name}");
         }
-        let mut sim = Simulator::new(FailWorld { inner: w });
-        sim.schedule_at(SimTime::ZERO, NetEvent::Timer { token: 0 });
-        sim.run();
-        assert!(sim.world.inner.arrivals.is_empty());
-        assert_eq!(sim.world.inner.fabric.counters.failed_drops, 1);
     }
 
     #[test]
@@ -1035,6 +1077,7 @@ mod tests {
         let mut world = BurstWorld {
             inner: two_nodes(QueueConfig::builder().build()),
             burst,
+            per_tick: usize::MAX,
         };
         world
             .inner
@@ -1086,10 +1129,16 @@ mod tests {
                         for s in 0..5 {
                             self.fabric.send(ctx, 0, 0, Packet::bulk(0, 0, 1, s, MTU));
                         }
-                        // One is serializing; four are queued. Drain them.
+                        // One is serializing; four are queued. Drain them:
+                        // their slots are freed, the one on the wire stays
+                        // parked until it is delivered.
                         self.drained = self.fabric.drain_bulk(0, 0).len();
+                        assert_eq!(self.fabric.parked_packets(), 1);
                     }
                     NetEvent::PortFree { node, port } => self.fabric.on_port_free(ctx, node, port),
+                    NetEvent::Arrive { packet, .. } => {
+                        self.fabric.deliver(packet);
+                    }
                     _ => {}
                 }
             }
@@ -1099,5 +1148,7 @@ mod tests {
         sim.run();
         assert_eq!(sim.world.drained, 4);
         assert_eq!(sim.world.fabric.queued_bytes(0, 0), 0);
+        assert_eq!(sim.world.fabric.parked_packets(), 0);
+        assert_eq!(sim.world.fabric.arena_peak_live(), 4);
     }
 }

@@ -55,8 +55,9 @@ impl<L: NetLogic> EventHandler for NetWorld<L> {
     fn handle_event(&mut self, ev: NetEvent, ctx: &mut EventContext<'_, NetEvent>) {
         match ev {
             NetEvent::Arrive { node, port, packet } => {
+                let packet = self.fabric.deliver(packet);
                 self.logic
-                    .on_arrive(&mut self.fabric, ctx, node, port, packet);
+                    .on_arrive(&mut self.fabric, ctx, node as usize, port as usize, packet);
             }
             NetEvent::PortFree { node, port } => {
                 self.fabric.on_port_free(ctx, node, port);

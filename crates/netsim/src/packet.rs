@@ -74,25 +74,25 @@ pub enum PacketKind {
 
 /// A slab handle to a [`Packet`] parked in a [`PacketArena`].
 ///
-/// Four bytes instead of the ~40-byte packet itself: port queues store
-/// these, so queue churn moves `u32`s and the packet bodies stay put in
-/// the arena until transmission.
+/// Four bytes instead of the 48-byte packet itself: port queues and
+/// in-flight [`NetEvent::Arrive`](crate::NetEvent::Arrive) events store
+/// these, and the packet body stays put from enqueue to delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacketRef(u32);
 
-/// Slab storage for queued packets with a free list.
+/// Slab storage for queued and in-flight packets with a free list.
 ///
 /// The hot path of the simulation parks every enqueued packet here and
-/// reclaims the slot at dequeue, so steady-state forwarding performs no
-/// per-packet allocation: slots are recycled through the free list and
-/// the slab only grows to the high-water mark of simultaneously queued
-/// packets (see [`PacketArena::peak_live`], recorded by `bench_record`).
+/// reclaims the slot when the packet is delivered (or lost on the wire),
+/// so steady-state forwarding performs no per-packet allocation: slots
+/// recycle through the free list and the slab only grows to the
+/// high-water mark of simultaneously parked packets. A free slot holds
+/// `None`, so a stale [`PacketRef`] — a double release, a read after
+/// release — panics instead of yielding whichever packet reused the slot.
 #[derive(Debug, Default)]
 pub struct PacketArena {
-    slots: Vec<Packet>,
+    slots: Vec<Option<Packet>>,
     free: Vec<u32>,
-    live: usize,
-    peak: usize,
 }
 
 impl PacketArena {
@@ -103,42 +103,45 @@ impl PacketArena {
 
     /// Park a packet, returning its slab handle.
     pub fn alloc(&mut self, packet: Packet) -> PacketRef {
-        self.live += 1;
-        self.peak = self.peak.max(self.live);
         match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = packet;
+                self.slots[i as usize] = Some(packet);
                 PacketRef(i)
             }
             None => {
-                let i = u32::try_from(self.slots.len()).expect("over 4G packets queued");
-                self.slots.push(packet);
+                let i = u32::try_from(self.slots.len()).expect("over 4G packets parked");
+                self.slots.push(Some(packet));
                 PacketRef(i)
             }
         }
     }
 
-    /// Read a parked packet.
+    /// Read a parked packet. Panics when `r`'s slot has been released.
     pub fn get(&self, r: PacketRef) -> &Packet {
-        &self.slots[r.0 as usize]
+        self.slots[r.0 as usize]
+            .as_ref()
+            .expect("stale PacketRef: slot already released")
     }
 
-    /// Remove a parked packet, recycling its slot.
+    /// Remove a parked packet, recycling its slot. Panics when `r`'s slot
+    /// has already been released.
     pub fn take(&mut self, r: PacketRef) -> Packet {
-        debug_assert!(!self.free.contains(&r.0), "double take of {r:?}");
-        self.live -= 1;
+        let packet = self.slots[r.0 as usize]
+            .take()
+            .expect("stale PacketRef: slot already released");
         self.free.push(r.0);
-        self.slots[r.0 as usize]
+        packet
     }
 
     /// Packets currently parked.
     pub fn live(&self) -> usize {
-        self.live
+        self.slots.len() - self.free.len()
     }
 
-    /// High-water mark of simultaneously parked packets.
-    pub fn peak_live(&self) -> usize {
-        self.peak
+    /// Slots ever created: the high-water mark of simultaneously parked
+    /// packets.
+    pub fn slab_len(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -307,11 +310,33 @@ mod tests {
         assert_eq!(arena.live(), 1);
         // The freed slot is reused: no slab growth.
         let c = arena.alloc(Packet::data(3, 0, 1, 2, MTU));
-        assert_eq!(arena.slots.len(), 2);
+        assert_eq!(arena.slab_len(), 2);
         assert_eq!(arena.get(c).flow, 3);
         assert_eq!(arena.take(b).flow, 2);
         assert_eq!(arena.take(c).flow, 3);
         assert_eq!(arena.live(), 0);
-        assert_eq!(arena.peak_live(), 2);
+        // The occupied flag is the packet's own niche: no bytes added.
+        assert_eq!(
+            std::mem::size_of::<Option<Packet>>(),
+            std::mem::size_of::<Packet>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stale PacketRef")]
+    fn arena_double_release_panics() {
+        let mut arena = PacketArena::new();
+        let a = arena.alloc(Packet::data(1, 0, 1, 0, MTU));
+        arena.take(a);
+        arena.take(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale PacketRef")]
+    fn arena_get_after_release_panics() {
+        let mut arena = PacketArena::new();
+        let a = arena.alloc(Packet::data(1, 0, 1, 0, MTU));
+        arena.take(a);
+        arena.get(a);
     }
 }

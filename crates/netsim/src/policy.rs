@@ -23,7 +23,8 @@
 //!
 //! To add a policy: implement [`SwitchPolicy`] on a small `Copy` struct,
 //! add a [`SwitchPolicyKind`] variant wrapping it (ports store configs by
-//! value), and wire the variant into `SwitchPolicyKind::as_dyn`.
+//! value), and give the variant an arm in the `dispatch!` macro behind
+//! `impl SwitchPolicy for SwitchPolicyKind`.
 
 use crate::packet::{Packet, Priority, HEADER_SIZE, PRIORITY_LEVELS};
 
@@ -195,8 +196,9 @@ impl SwitchPolicy for EcnMark {
 ///
 /// Ports store their [`crate::QueueConfig`] inline (configs are `Copy` and
 /// replicated across hundreds of ports), so the policy is an enum of the
-/// concrete implementations rather than a boxed trait object; dispatch
-/// still goes through `dyn SwitchPolicy` via [`SwitchPolicyKind::as_dyn`].
+/// concrete implementations rather than a boxed trait object, and the
+/// enum's own [`SwitchPolicy`] impl dispatches by `match`: the three
+/// per-hop policy questions compile to direct, inlinable calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchPolicyKind {
     /// [`DropTail`].
@@ -209,15 +211,32 @@ pub enum SwitchPolicyKind {
     EcnMark(EcnMark),
 }
 
-impl SwitchPolicyKind {
-    /// The policy as a trait object.
-    pub fn as_dyn(&self) -> &dyn SwitchPolicy {
-        match self {
-            SwitchPolicyKind::DropTail(p) => p,
-            SwitchPolicyKind::NdpTrim(p) => p,
-            SwitchPolicyKind::Pfc(p) => p,
-            SwitchPolicyKind::EcnMark(p) => p,
+/// Forward one [`SwitchPolicy`] method to the wrapped policy.
+macro_rules! dispatch {
+    ($kind:expr, $p:ident => $call:expr) => {
+        match $kind {
+            SwitchPolicyKind::DropTail($p) => $call,
+            SwitchPolicyKind::NdpTrim($p) => $call,
+            SwitchPolicyKind::Pfc($p) => $call,
+            SwitchPolicyKind::EcnMark($p) => $call,
         }
+    };
+}
+
+impl SwitchPolicy for SwitchPolicyKind {
+    #[inline]
+    fn admit(&self, q: QueueView<'_>, packet: &Packet) -> Verdict {
+        dispatch!(self, p => p.admit(q, packet))
+    }
+
+    #[inline]
+    fn should_pause(&self, q: QueueView<'_>) -> bool {
+        dispatch!(self, p => p.should_pause(q))
+    }
+
+    #[inline]
+    fn should_resume(&self, q: QueueView<'_>) -> bool {
+        dispatch!(self, p => p.should_resume(q))
     }
 }
 

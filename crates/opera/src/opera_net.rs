@@ -152,6 +152,8 @@ struct Feeder {
 /// The Opera network logic (see module docs).
 pub struct OperaLogic {
     cfg: OperaNetConfig,
+    /// `cfg.hosts()`: hosts are fabric nodes `0..hosts_total`, ToRs follow.
+    hosts_total: usize,
     topo: OperaTopology,
     ll_tables: LowLatencyTables,
     bulk_tables: BulkTables,
@@ -188,20 +190,17 @@ pub const HELLO_BURST: usize = 3;
 pub type OperaNet = Simulator<NetWorld<OperaLogic>>;
 
 impl OperaLogic {
-    fn hosts_total(&self) -> usize {
-        self.cfg.hosts()
-    }
     fn rack_of(&self, host: usize) -> usize {
         host / self.cfg.params.hosts_per_rack
     }
     fn tor_node(&self, rack: usize) -> usize {
-        self.hosts_total() + rack
+        self.hosts_total + rack
     }
     fn core_node(&self) -> usize {
-        self.hosts_total() + self.cfg.params.racks
+        self.hosts_total + self.cfg.params.racks
     }
     fn is_tor(&self, node: usize) -> bool {
-        node >= self.hosts_total() && node < self.hosts_total() + self.cfg.params.racks
+        node >= self.hosts_total && node < self.hosts_total + self.cfg.params.racks
     }
     fn is_core(&self, node: usize) -> bool {
         self.cfg.mode == RotorMode::RotorHybrid && node == self.core_node()
@@ -596,10 +595,10 @@ impl OperaLogic {
         node: usize,
         packet: Packet,
     ) {
-        if node < self.hosts_total() {
+        if node < self.hosts_total {
             self.on_host_arrive(fabric, ctx, node, packet);
         } else if self.is_tor(node) {
-            let rack = node - self.hosts_total();
+            let rack = node - self.hosts_total;
             self.on_tor_arrive(fabric, ctx, rack, packet);
         } else if self.is_core(node) {
             // Ideal packet core: one port per rack.
@@ -640,7 +639,7 @@ impl OperaLogic {
         if let PacketKind::Hello = packet.kind {
             // Addressed ToR-to-ToR over one circuit; recover the uplink
             // from the sender's matching home.
-            let peer_rack = packet.src - self.hosts_total();
+            let peer_rack = packet.src - self.hosts_total;
             if let Some((sw, _)) = self.topo.locate_pair(rack, peer_rack) {
                 self.on_hello(rack, sw);
             }
@@ -914,6 +913,7 @@ pub fn build(cfg: OperaNetConfig, mut flows: Vec<FlowSpec>) -> OperaNet {
         bad_links: Vec::new(),
         hello_pending: vec![false; cfg.params.racks * topo.switches()],
         hello_enabled: true,
+        hosts_total,
         cfg,
         topo,
         ll_tables,

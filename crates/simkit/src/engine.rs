@@ -1,93 +1,110 @@
 //! The discrete-event engine.
 //!
-//! The scheduler is a **hierarchical timing wheel** (Varghese & Lauck)
-//! rather than the classic binary-heap calendar queue: 11 levels of 64
-//! slots each, level *k* bucketing times by their *k*-th 6-bit digit, so
-//! the levels together cover every `u64` nanosecond timestamp with no
-//! separate overflow structure. The workload this engine exists for —
-//! packet simulation of rotor networks — schedules almost everything on
-//! a small set of known slot boundaries (rotor reconfigurations,
-//! timeslot edges, back-to-back serialization times), which a wheel
-//! turns into O(1) bucket appends and bulk drains where a heap pays a
-//! `log n` sift per event.
+//! The scheduler is an **intrusive slab timing wheel**: a hierarchical
+//! timing wheel (Varghese & Lauck) whose buckets are linked lists threaded
+//! through one slab of nodes, so an event is written once (into its node,
+//! at `push`) and read once (out of it, at `pop`); everything in between
+//! moves 4-byte indices.
 //!
-//! Determinism is unchanged from the heap engine: every entry carries a
-//! monotonically increasing sequence number, buckets only ever receive
-//! appends in sequence order (direct inserts happen strictly after any
-//! cascade into the same bucket), and a drained level-0 bucket holds
-//! exactly one timestamp — so simultaneous events fire in *exactly* the
-//! FIFO order the heap produced, and whole simulations stay reproducible
-//! bit-for-bit from a seed. The `goldens/` CSVs are the proof: they were
-//! recorded under the heap engine and must stay byte-identical.
+//! **Geometry.** Level 0 is 4096 one-nanosecond slots under a two-level
+//! occupancy bitmap, so a packet fabric's 52–1700 ns delays file directly
+//! into the slot they fire from. Above it nine 64-slot levels bucket
+//! times by the 6-bit digit at bit `12 + 6k`, covering every `u64`
+//! timestamp with no overflow list. A time files at the level of the
+//! highest digit in which it differs from the cursor, which makes slots
+//! unambiguous without modular wraparound: a digit *behind* the cursor's
+//! implies a difference higher up. The fixed tables are under 40 KB.
 //!
-//! Components do not hold references to each other. Instead, a single
-//! *world* type (e.g. `netsim::Network`) owns all components and dispatches
-//! events to them, scheduling follow-up events through [`EventContext`].
-//! This keeps the design free of `Rc<RefCell<..>>` aliasing while remaining
-//! fast: a couple of bit operations per event and no dynamic dispatch on
-//! the hot path.
+//! **Nodes.** All pending events live in one `Vec<Node<E>>`; a slot is a
+//! `(head, tail)` pair of node indices and freed nodes form an intrusive
+//! free list, so steady-state scheduling allocates nothing and reuses the
+//! node just popped. `push` is one node write plus a tail link, a cascade
+//! relinks a slot's list one or more levels down without touching the
+//! events, and `pop` unlinks the head of the level-0 slot under the
+//! cursor. Events are `Copy` and the engine never looks inside one:
+//! `push` is inlined so the caller's fields are stored straight into the
+//! node, and `pop` copies the payload out as one block (with an
+//! `Option<E>` in the node the compiler splits each event into tag and
+//! body, and reassembling the two stalls every pop).
+//!
+//! **FIFO among simultaneous events.** Lists only ever grow at the tail.
+//! A slot receives one cascade batch, in list order, when the cursor
+//! enters the window above it, and direct inserts only once the cursor is
+//! inside that window — after the batch, with later sequence numbers. So
+//! by induction every list is in push order; a level-0 slot holds one
+//! timestamp; and an event scheduled for `now` from inside a handler
+//! appends to the very list being drained. Simultaneous events therefore
+//! fire in the order they were scheduled, exactly as a
+//! `BinaryHeap<(time, seq)>` would pop them
+//! (`timing_wheel_matches_heap_order`; the `goldens/` depend on it).
+//!
+//! **Tokens.** An [`EventToken`] names a node and the sequence number it
+//! held, so [`Simulator::cancel`] clears a flag on the node (reaped when
+//! the wheel reaches it) and a stale token — fired, already cancelled, or
+//! its node reused — is recognised and refused.
+//!
+//! Components do not hold references to each other: a single *world* type
+//! (e.g. `netsim::NetWorld`) owns them all and dispatches events to them,
+//! scheduling follow-ups through [`EventContext`] — no `Rc<RefCell<..>>`
+//! aliasing, a few bit operations per event, no dynamic dispatch.
 
 use crate::time::SimTime;
-use std::collections::HashSet;
 
-/// Identifies a logical component within a world. Worlds assign these
-/// themselves; the engine treats them as opaque.
-pub type HandlerId = u32;
-
-/// Name of the scheduler implementation behind [`EventQueue`], recorded
+/// Name of the scheduler implementation behind [`Simulator`], recorded
 /// into `BENCH_hot_paths.json` entries so the perf trajectory says which
 /// engine produced each number.
-pub const ENGINE_NAME: &str = "timing_wheel";
+pub const ENGINE_NAME: &str = "slab_wheel";
 
-/// Bits per wheel digit: 64 slots per level.
+/// Bits of the level-0 digit: 4096 one-nanosecond slots.
+const L0_BITS: u32 = 12;
+/// Level-0 slots.
+const L0_SLOTS: usize = 1 << L0_BITS;
+/// Occupancy words covering level 0.
+const L0_WORDS: usize = L0_SLOTS / 64;
+/// Bits per upper-level digit: 64 slots, one occupancy word, per level.
 const BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << BITS;
-/// Levels: ⌈64 / 6⌉ = 11 six-bit digits cover every `u64` timestamp, so
-/// arbitrarily far-future events land in a top-level slot instead of a
-/// separate overflow queue.
-const LEVELS: usize = 11;
+/// Upper levels: ⌈(64 − 12) / 6⌉ = 9 six-bit digits cover the rest of a
+/// `u64` timestamp, so arbitrarily far-future events land in a top-level
+/// slot instead of a separate overflow queue.
+const UPPER: usize = 9;
+/// End of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A handle for cancelling a scheduled event, returned by the
 /// `*_cancellable` scheduling methods.
 ///
-/// Cancellation is lazy (tombstoned): the entry stays in its bucket until
-/// the wheel reaches it, then is skipped. Cancelling a token whose event
-/// has already fired is a caller bug — the engine cannot detect it, and
-/// it corrupts [`EventQueue::len`] accounting — so hold tokens only for
-/// events known to be pending.
+/// It names the slab node the event was written into and the sequence
+/// number it was given, so it can cancel nothing but that one event:
+/// after the event fired, after a first cancel, or after the node was
+/// reused by a newer event, cancelling returns `false` and changes
+/// nothing. A cancelled event stops counting as pending at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken(u64);
+pub struct EventToken {
+    index: u32,
+    seq: u64,
+}
 
+/// One slab node: a pending event, a cancelled one still linked into its
+/// slot, or a free node.
 #[derive(Debug)]
-struct Entry<E> {
+struct Node<E> {
     time: SimTime,
     seq: u64,
+    /// Next node in this slot's list (meaningless in the tail node), or
+    /// in the free list.
+    next: u32,
+    /// Still to fire: cleared by `pop` and by `cancel`, so it is what
+    /// tells a live token from a stale one.
+    pending: bool,
     event: E,
 }
 
-/// One wheel level: 64 buckets plus an occupancy bitmap so the scheduler
-/// skips empty slots with a `trailing_zeros` instead of ticking through
-/// them.
-#[derive(Debug)]
-struct Level<E> {
-    slots: [Vec<Entry<E>>; SLOTS],
-    occupied: u64,
-}
-
-impl<E> Level<E> {
-    fn new() -> Self {
-        Level {
-            slots: std::array::from_fn(|_| Vec::new()),
-            occupied: 0,
-        }
-    }
-}
-
-/// The digit of `t` at wheel level `k`.
-#[inline]
-fn digit(t: u64, level: usize) -> usize {
-    ((t >> (BITS as usize * level)) & (SLOTS as u64 - 1)) as usize
+/// A wheel slot: first and last node of its list. Only meaningful while
+/// the slot's occupancy bit is set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
 /// Scheduling interface handed to event handlers while they run.
@@ -99,7 +116,7 @@ pub struct EventContext<'a, E> {
     queue: &'a mut EventQueue<E>,
 }
 
-impl<'a, E> EventContext<'a, E> {
+impl<'a, E: Copy> EventContext<'a, E> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -116,13 +133,7 @@ impl<'a, E> EventContext<'a, E> {
     /// Panics if `at` is in the past — time travel indicates a logic error
     /// in the caller and must never be silently reordered.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "scheduling into the past: now={} at={}",
-            self.now,
-            at
-        );
-        self.queue.push(at, event);
+        self.schedule_at_cancellable(at, event);
     }
 
     /// Like [`EventContext::schedule_in`], returning a token that can
@@ -142,218 +153,225 @@ impl<'a, E> EventContext<'a, E> {
         self.queue.push(at, event)
     }
 
-    /// Cancel a pending event. Returns `true` if this call newly marked
-    /// the event cancelled. See [`EventToken`] for the pending-only
-    /// contract.
+    /// Cancel a pending event. Returns `true` if `token`'s event was
+    /// still pending and is now cancelled; see [`EventToken`].
     pub fn cancel(&mut self, token: EventToken) -> bool {
         self.queue.cancel(token)
     }
 }
 
-/// The pending-event queue: the hierarchical timing wheel.
-pub struct EventQueue<E> {
-    levels: Vec<Level<E>>,
-    /// Wheel position: the tick (ns) of the bucket currently being
-    /// drained — all pending events are at `time >= cursor`.
+/// The pending-event queue: the intrusive slab timing wheel.
+struct EventQueue<E> {
+    /// Every pending event, plus the free nodes.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list threaded through [`Node::next`].
+    free: u32,
+    /// Level 0's slots, then each upper level's 64.
+    slots: Vec<Slot>,
+    /// One bit per slot, in `slots` order: word `w` covers slots
+    /// `64 w ..`, so upper level `k` is word `L0_WORDS + k`.
+    occupied: [u64; L0_WORDS + UPPER],
+    /// One bit per non-zero level-0 word of `occupied`.
+    l0_summary: u64,
+    /// Wheel position (ns): every linked node is at `time >= cursor`, and
+    /// the cursor never passes the simulator's clock.
     cursor: u64,
-    /// The earliest bucket, detached from its slot and reversed so FIFO
-    /// pops come off the end (keeping the allocation recyclable).
-    active: Vec<Entry<E>>,
-    /// Recycled bucket allocations, so steady-state scheduling never
-    /// allocates.
-    spare: Vec<Vec<Entry<E>>>,
-    /// Tombstoned sequence numbers awaiting lazy removal.
-    cancelled: HashSet<u64>,
     /// Pending (non-cancelled) events.
     live: usize,
     next_seq: u64,
     peak: usize,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Cap on the recycled-allocation pool; beyond this, exhausted buckets
-/// are simply dropped.
-const SPARE_CAP: usize = 256;
-
-impl<E> EventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
+impl<E: Copy> EventQueue<E> {
+    fn new() -> Self {
         EventQueue {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: vec![Slot::default(); L0_SLOTS + (UPPER << BITS)],
+            occupied: [0; L0_WORDS + UPPER],
+            l0_summary: 0,
             cursor: 0,
-            active: Vec::new(),
-            spare: Vec::new(),
-            cancelled: HashSet::new(),
             live: 0,
             next_seq: 0,
             peak: 0,
         }
     }
 
+    /// Write `event` into a node (a recycled one when any is free) and
+    /// link it into the wheel. Inlined so the caller builds the event in
+    /// place instead of copying it in.
+    #[inline(always)]
     fn push(&mut self, time: SimTime, event: E) -> EventToken {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(Entry { time, seq, event });
+        let node = Node {
+            time,
+            seq,
+            next: NIL,
+            pending: true,
+            event,
+        };
+        let index = self.free;
+        // `NIL` is past any slab length, so an empty free list reads as
+        // out of range.
+        let index = if let Some(reused) = self.nodes.get_mut(index as usize) {
+            self.free = reused.next;
+            *reused = node;
+            index
+        } else {
+            let fresh = u32::try_from(self.nodes.len()).ok().filter(|&i| i != NIL);
+            self.nodes.push(node);
+            fresh.expect("over 4G pending events")
+        };
+        self.link(index, time.as_ns());
         self.live += 1;
         self.peak = self.peak.max(self.live);
-        EventToken(seq)
+        EventToken { index, seq }
     }
 
-    /// File an entry into the wheel. The level is the position of the
-    /// highest digit where the entry's time differs from the cursor —
-    /// which is what makes slots unambiguous without modular wraparound:
-    /// a time whose level-`k` digit is *behind* the cursor's must differ
-    /// at some higher digit, so it files above, never into a stale slot.
-    fn insert(&mut self, entry: Entry<E>) {
-        let t = entry.time.as_ns();
+    /// Append node `index`, due at `t`, to the list of the slot `t` files
+    /// under: level 0 when `t` is within the cursor's 4096 ns window, else
+    /// the upper level of the highest digit where `t` and the cursor
+    /// differ.
+    fn link(&mut self, index: u32, t: u64) {
         debug_assert!(t >= self.cursor, "insert before wheel cursor");
         let x = t ^ self.cursor;
-        let level = if x == 0 {
-            0
+        let slot = if x < L0_SLOTS as u64 {
+            let slot = (t & (L0_SLOTS as u64 - 1)) as usize;
+            self.l0_summary |= 1 << (slot >> 6);
+            slot
         } else {
-            ((63 - x.leading_zeros()) / BITS) as usize
+            let level = (63 - x.leading_zeros() - L0_BITS) / BITS;
+            let digit = (t >> (L0_BITS + BITS * level)) & 63;
+            L0_SLOTS + ((level as usize) << BITS) + digit as usize
         };
-        let slot = digit(t, level);
-        let lv = &mut self.levels[level];
-        let bucket = &mut lv.slots[slot];
-        if bucket.capacity() == 0 {
-            if let Some(recycled) = self.spare.pop() {
-                *bucket = recycled;
-            }
-        }
-        bucket.push(entry);
-        lv.occupied |= 1 << slot;
-    }
-
-    /// Make `active` hold the earliest pending entry at its tail (reaping
-    /// cancelled entries on the way). Returns `false` when no live event
-    /// remains.
-    fn ensure_front(&mut self) -> bool {
-        loop {
-            // Drain the detached bucket first: its entries carry the
-            // smallest (time, seq) keys in the whole wheel.
-            while let Some(e) = self.active.last() {
-                if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                    self.active.pop();
-                    continue;
-                }
-                return true;
-            }
-            if let Some(recycled) = {
-                let a = &mut self.active;
-                (a.capacity() > 0 && self.spare.len() < SPARE_CAP).then(|| std::mem::take(a))
-            } {
-                self.spare.push(recycled);
-            }
-            if self.live == 0 {
-                return false;
-            }
-            // Scan levels bottom-up for the next occupied slot at or
-            // beyond the cursor's digit. Lower levels always hold earlier
-            // times (a higher-level occupied slot exceeds the cursor's
-            // digit there, putting its whole window later).
-            let mut level = 0;
-            loop {
-                debug_assert!(level < LEVELS, "live events but an empty wheel");
-                let from = digit(self.cursor, level);
-                let hits = self.levels[level].occupied & (!0u64 << from);
-                if hits == 0 {
-                    level += 1;
-                    continue;
-                }
-                let slot = hits.trailing_zeros() as usize;
-                let lv = &mut self.levels[level];
-                let mut bucket = std::mem::take(&mut lv.slots[slot]);
-                lv.occupied &= !(1 << slot);
-                if level == 0 {
-                    // A level-0 bucket holds exactly one timestamp; move
-                    // the cursor there and drain it FIFO (reversed, pops
-                    // off the end).
-                    self.cursor = bucket[0].time.as_ns();
-                    bucket.reverse();
-                    self.active = bucket;
-                } else {
-                    // Cascade: advance the cursor to the window start and
-                    // re-file the bucket's entries one level (or more)
-                    // down. Entries are re-filed in stored order, which
-                    // is sequence order, so FIFO survives the cascade.
-                    let shift = BITS as usize * level;
-                    let hi = if shift + BITS as usize >= 64 {
-                        0
-                    } else {
-                        (self.cursor >> (shift + BITS as usize)) << (shift + BITS as usize)
-                    };
-                    self.cursor = hi | ((slot as u64) << shift);
-                    for e in bucket.drain(..) {
-                        self.insert(e);
-                    }
-                    if self.spare.len() < SPARE_CAP {
-                        self.spare.push(bucket);
-                    }
-                }
-                break;
-            }
-        }
-    }
-
-    /// Remove and return the earliest event `(time, event)`; `None` when
-    /// no live events remain.
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.ensure_front() {
-            return None;
-        }
-        let e = self.active.pop().expect("ensure_front guarantees a tail");
-        self.live -= 1;
-        Some((e.time, e.event))
-    }
-
-    /// Time of the earliest pending event, without removing it.
-    fn next_time(&mut self) -> Option<SimTime> {
-        if !self.ensure_front() {
-            return None;
-        }
-        Some(self.active.last().expect("non-empty").time)
-    }
-
-    /// Cancel the pending event behind `token`; `true` when this call
-    /// newly tombstoned it.
-    fn cancel(&mut self, token: EventToken) -> bool {
-        if token.0 >= self.next_seq {
-            return false;
-        }
-        if self.cancelled.insert(token.0) {
-            self.live -= 1;
-            true
+        let (word, bit) = (&mut self.occupied[slot >> 6], 1u64 << (slot & 63));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.slots[slot] = Slot {
+                head: index,
+                tail: index,
+            };
         } else {
-            false
+            let tail = std::mem::replace(&mut self.slots[slot].tail, index);
+            self.nodes[tail as usize].next = index;
         }
     }
 
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.live
+    /// The first occupied level-0 slot at or after the cursor's.
+    #[inline]
+    fn next_l0_slot(&self) -> Option<usize> {
+        let from = (self.cursor & (L0_SLOTS as u64 - 1)) as usize;
+        let word = from >> 6;
+        let hits = self.occupied[word] & (!0u64 << (from & 63));
+        if hits != 0 {
+            return Some((word << 6) | hits.trailing_zeros() as usize);
+        }
+        let later = self.l0_summary & ((!0u64 << word) << 1);
+        if later == 0 {
+            return None;
+        }
+        let word = later.trailing_zeros() as usize;
+        Some((word << 6) | self.occupied[word].trailing_zeros() as usize)
     }
 
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
+    /// Remove and return the earliest event `(time, event)` if it is due
+    /// at or before `limit`; `None` when there is none. The cursor never
+    /// moves past `limit`, so after `run_until` the clock may run ahead of
+    /// the cursor but never behind it.
+    fn pop_until(&mut self, limit: u64) -> Option<(SimTime, E)> {
+        'scan: while self.live > 0 {
+            if let Some(slot) = self.next_l0_slot() {
+                let t = (self.cursor & !(L0_SLOTS as u64 - 1)) | slot as u64;
+                if t > limit {
+                    return None;
+                }
+                self.cursor = t;
+                let Slot { head, tail } = self.slots[slot];
+                let node = &mut self.nodes[head as usize];
+                debug_assert_eq!(node.time.as_ns(), t, "level-0 slot holds one timestamp");
+                let event = node.event;
+                let pending = std::mem::replace(&mut node.pending, false);
+                let next = std::mem::replace(&mut node.next, self.free);
+                self.free = head;
+                if head != tail {
+                    self.slots[slot].head = next;
+                } else {
+                    let word = &mut self.occupied[slot >> 6];
+                    *word &= !(1u64 << (slot & 63));
+                    if *word == 0 {
+                        self.l0_summary &= !(1u64 << (slot >> 6));
+                    }
+                }
+                if pending {
+                    self.live -= 1;
+                    return Some((SimTime::from_ns(t), event));
+                }
+                // Cancelled: reaped, look again.
+                continue 'scan;
+            }
+            // Level 0 is empty from the cursor on: cascade the next
+            // occupied upper slot. Lower levels always hold earlier times
+            // (an occupied upper slot is past the cursor's digit there,
+            // which puts its whole window later).
+            for level in 0..UPPER {
+                let shift = L0_BITS + BITS * level as u32;
+                let from = (self.cursor >> shift) & 63;
+                let hits = self.occupied[L0_WORDS + level] & (!0u64 << from);
+                if hits == 0 {
+                    continue;
+                }
+                let digit = hits.trailing_zeros() as u64;
+                let above = shift + BITS;
+                let window = if above >= 64 {
+                    0
+                } else {
+                    (self.cursor >> above) << above
+                };
+                let start = window | (digit << shift);
+                if start > limit {
+                    return None;
+                }
+                // Move the cursor to the window start and relink the
+                // slot's nodes, in list order, one level (or more) down.
+                self.cursor = start;
+                self.occupied[L0_WORDS + level] &= !(1u64 << digit);
+                let Slot { head, tail } = self.slots[L0_SLOTS + (level << BITS) + digit as usize];
+                let mut index = head;
+                loop {
+                    let node = &self.nodes[index as usize];
+                    let next = node.next;
+                    self.link(index, node.time.as_ns());
+                    if index == tail {
+                        continue 'scan;
+                    }
+                    index = next;
+                }
+            }
+            unreachable!("live events but an empty wheel");
+        }
+        None
     }
 
-    /// Largest number of simultaneously pending events seen so far.
-    pub fn peak(&self) -> usize {
-        self.peak
+    /// Cancel the pending event behind `token`; `false` when it already
+    /// fired, was already cancelled, or its node now holds another event.
+    fn cancel(&mut self, token: EventToken) -> bool {
+        match self.nodes.get_mut(token.index as usize) {
+            Some(node) if node.seq == token.seq && node.pending => {
+                node.pending = false;
+                self.live -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 }
 
 /// A world owns every simulated component and dispatches events to them.
 pub trait EventHandler {
-    /// The event payload type routed through the queue.
-    type Event;
+    /// The event payload type routed through the queue: a small `Copy`
+    /// message, stored in and copied out of a slab node.
+    type Event: Copy;
 
     /// Handle one event. `ctx` exposes the current time and scheduling.
     fn handle_event(&mut self, event: Self::Event, ctx: &mut EventContext<'_, Self::Event>);
@@ -392,19 +410,18 @@ impl<W: EventHandler> Simulator<W> {
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.live
     }
 
     /// Largest number of simultaneously pending events seen so far — the
     /// queue-pressure figure the perf trajectory records per scenario.
     pub fn peak_pending(&self) -> usize {
-        self.queue.peak()
+        self.queue.peak
     }
 
     /// Schedule an event at absolute time `at` (must be ≥ now).
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
-        assert!(at >= self.now, "scheduling into the past");
-        self.queue.push(at, event);
+        self.schedule_at_cancellable(at, event);
     }
 
     /// Schedule an event `delay` after the current time.
@@ -423,16 +440,21 @@ impl<W: EventHandler> Simulator<W> {
         self.queue.push(self.now + delay, event)
     }
 
-    /// Cancel a pending event. Returns `true` if this call newly marked
-    /// the event cancelled. See [`EventToken`] for the pending-only
-    /// contract.
+    /// Cancel a pending event. Returns `true` if `token`'s event was
+    /// still pending and is now cancelled; see [`EventToken`].
     pub fn cancel(&mut self, token: EventToken) -> bool {
         self.queue.cancel(token)
     }
 
     /// Process a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        let Some((time, event)) = self.queue.pop() else {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Process the earliest event if it is due at or before `limit`.
+    #[inline]
+    fn step_until(&mut self, limit: SimTime) -> bool {
+        let Some((time, event)) = self.queue.pop_until(limit.as_ns()) else {
             return false;
         };
         debug_assert!(time >= self.now, "event from the past in queue");
@@ -455,12 +477,7 @@ impl<W: EventHandler> Simulator<W> {
     /// Events at exactly `until` are processed. The clock is left at
     /// `max(now, until)` so subsequent scheduling is relative to `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(t) = self.queue.next_time() {
-            if t > until {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(until) {}
         if self.now < until {
             self.now = until;
         }
@@ -568,8 +585,7 @@ mod tests {
     fn empty_queue_step_false() {
         let mut sim = Simulator::new(Recorder { log: vec![] });
         assert!(!sim.step());
-        assert!(sim.queue.is_empty());
-        assert_eq!(EventQueue::<u32>::default().len(), 0);
+        assert_eq!(sim.pending(), 0);
     }
 
     /// The cascade-order trap: an event filed far ahead (level > 0, low
@@ -636,12 +652,113 @@ mod tests {
         let mut sim = Simulator::new(Recorder { log: vec![] });
         let tok = sim.schedule_at_cancellable(SimTime::from_ns(10), 1);
         sim.cancel(tok);
-        assert!(sim.queue.is_empty());
+        assert_eq!(sim.pending(), 0);
         sim.run();
         assert!(sim.world.log.is_empty());
         sim.schedule_at(SimTime::from_ns(40), 2);
         sim.run();
         assert_eq!(sim.world.log, vec![(40, 2)]);
+    }
+
+    /// A token outlives its event harmlessly: once the event has fired,
+    /// been cancelled, or had its node reused, `cancel` refuses and the
+    /// pending count stays right.
+    #[test]
+    fn stale_tokens_are_refused() {
+        let mut sim = Simulator::new(Recorder { log: vec![] });
+        // After fire.
+        let fired = sim.schedule_at_cancellable(SimTime::from_ns(10), 101);
+        sim.schedule_at(SimTime::from_ns(20), 102);
+        sim.run_until(SimTime::from_ns(15));
+        assert!(!sim.cancel(fired), "already fired");
+        assert_eq!(sim.pending(), 1, "a refused cancel must not touch len");
+        // After the node was reused: 101's node is the only free one, so
+        // the next event lands in it.
+        let reuser = sim.schedule_at_cancellable(SimTime::from_ns(30), 103);
+        assert_eq!(reuser.index, fired.index, "slab node recycled");
+        assert!(!sim.cancel(fired), "node now holds a newer event");
+        assert_eq!(sim.pending(), 2);
+        // Double cancel.
+        assert!(sim.cancel(reuser));
+        assert!(!sim.cancel(reuser), "already cancelled");
+        assert_eq!(sim.pending(), 1);
+        sim.run();
+        assert_eq!(sim.world.log, vec![(10, 101), (20, 102)]);
+        assert!(!sim.cancel(reuser), "cancelled, then reaped");
+        // Cancel the sole remaining event, then reschedule.
+        let sole = sim.schedule_at_cancellable(SimTime::from_ns(40), 104);
+        assert!(sim.cancel(sole));
+        assert_eq!(sim.pending(), 0);
+        assert!(!sim.step(), "only a tombstone is left");
+        sim.schedule_at(SimTime::from_ns(35), 105);
+        sim.run();
+        assert_eq!(sim.world.log.last(), Some(&(35, 105)));
+        assert_eq!(sim.events_processed(), 3);
+        // A token from another, longer queue names no node here.
+        assert!(!sim.cancel(EventToken { index: 99, seq: 0 }));
+    }
+
+    /// A batch filed three levels up is relinked three times on its way
+    /// down (its timestamps have a non-zero digit at every level), with
+    /// same-time rivals appended behind it at each stage: everything still
+    /// fires in (time, scheduling) order.
+    #[test]
+    fn cascade_preserves_order_across_levels() {
+        let mut sim = Simulator::new(Recorder { log: vec![] });
+        let at = |t: u64| SimTime::from_ns(t);
+        let (l3, l2, l1) = (1u64 << 24, 1u64 << 18, 1u64 << 12);
+        let base = l3 + 2 * l2 + 2 * l1;
+        for (i, t) in [base + 5, base + 5, base + 4101, base]
+            .into_iter()
+            .enumerate()
+        {
+            sim.schedule_at(at(t), 100 + i as u32);
+        }
+        // Still outside the batch's level-3 window.
+        sim.schedule_at(at(l3 - l2), 50);
+        sim.run_until(at(l3 - l2));
+        sim.schedule_at(at(base + 5), 200);
+        // Inside it, outside its level-2 window.
+        sim.schedule_at(at(l3 + 7), 51);
+        sim.run_until(at(l3 + 7));
+        sim.schedule_at(at(base + 5), 201);
+        // Inside that, outside its level-1 window.
+        sim.schedule_at(at(l3 + 2 * l2 + 9), 52);
+        sim.run_until(at(l3 + 2 * l2 + 9));
+        sim.schedule_at(at(base), 202);
+        sim.schedule_at(at(base + 5), 203);
+        sim.run();
+        let order: Vec<u32> = sim.world.log.iter().map(|&(_, e)| e).collect();
+        assert_eq!(
+            order,
+            vec![50, 51, 52, 103, 202, 100, 101, 200, 201, 203, 102]
+        );
+    }
+
+    /// `run_until` must not let the wheel run ahead of the clock: an event
+    /// scheduled between two calls, earlier than the one `run_until`
+    /// stopped short of, still fires first.
+    #[test]
+    fn schedule_between_run_until_calls() {
+        let mut sim = Simulator::new(Recorder { log: vec![] });
+        sim.schedule_at(SimTime::from_ns(10), 101);
+        sim.schedule_at(SimTime::from_ns(100), 103);
+        sim.schedule_at(SimTime::from_ns(70_000), 104);
+        sim.run_until(SimTime::from_ns(50));
+        sim.schedule_at(SimTime::from_ns(60), 102);
+        sim.run_until(SimTime::from_ns(5_000));
+        sim.schedule_at(SimTime::from_ns(5_000), 105);
+        sim.run();
+        assert_eq!(
+            sim.world.log,
+            vec![
+                (10, 101),
+                (60, 102),
+                (100, 103),
+                (5_000, 105),
+                (70_000, 104)
+            ]
+        );
     }
 
     #[test]
@@ -684,5 +801,32 @@ mod tests {
         sim.run();
         assert_eq!(sim.pending(), 0);
         assert_eq!(sim.peak_pending(), 50, "peak survives the drain");
+    }
+
+    /// Churn through far more events than are ever pending at once: the
+    /// slab stays at the high-water mark and `peak_pending` counts events,
+    /// not nodes touched.
+    #[test]
+    fn slab_reuse_leaves_peak_pending_alone() {
+        let mut sim = Simulator::new(Recorder { log: vec![] });
+        for round in 0..200u64 {
+            for i in 0..5 {
+                sim.schedule_in(SimTime::from_ns(1 + i * 977), (100 + round * 5 + i) as u32);
+            }
+            sim.run_events(5);
+        }
+        assert_eq!(sim.events_processed(), 1000);
+        assert_eq!(sim.peak_pending(), 5);
+        assert_eq!(sim.queue.nodes.len(), 5, "nodes recycled, not appended");
+    }
+
+    /// What the packet simulator pays per pending event: a 16-byte,
+    /// 8-aligned event (`netsim::NetEvent`'s shape) makes a 40-byte node.
+    #[test]
+    fn node_size_is_pinned() {
+        assert!(std::mem::size_of::<Node<[u64; 2]>>() <= 40);
+        let fixed = std::mem::size_of::<EventQueue<[u64; 2]>>()
+            + std::mem::size_of::<Slot>() * (L0_SLOTS + (UPPER << BITS));
+        assert!(fixed < 40 * 1024, "fixed tables are {fixed} B");
     }
 }

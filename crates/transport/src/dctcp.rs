@@ -484,7 +484,9 @@ mod tests {
                         self.host
                             .on_packet(&mut self.fabric, ctx, &mut self.tracker, clean);
                     }
-                    NetEvent::Arrive { packet, .. } => self.probe.host_acks.push(packet),
+                    NetEvent::Arrive { packet, .. } => {
+                        self.probe.host_acks.push(self.fabric.deliver(packet))
+                    }
                     NetEvent::PortFree { node, port } => self.fabric.on_port_free(ctx, node, port),
                     NetEvent::PauseChange { node, port, paused } => {
                         self.fabric.on_pause_change(ctx, node, port, paused)

@@ -404,7 +404,7 @@ mod tests {
                         }
                     }
                     NetEvent::Arrive { packet, .. } => {
-                        if let PacketKind::Ack { seq } = packet.kind {
+                        if let PacketKind::Ack { seq } = self.fabric.deliver(packet).kind {
                             self.acks.push(seq);
                         }
                     }

@@ -5,7 +5,8 @@
 //! * packet-level (`netsim`/`transport` via `opera::opera_net`): FCTs
 //!   are non-negative, finite, and no faster than line rate; received
 //!   bytes are conserved (never exceed the flow size, exactly reach it
-//!   on completion);
+//!   on completion); a drained run leaves no packet parked and no
+//!   event pending but the rotor clock;
 //! * fluid-level (`flowsim`): allocated rates are non-negative, never
 //!   exceed the offered demand, and aggregate throughput never exceeds
 //!   what the line rate admits.
@@ -59,6 +60,58 @@ fn packet_sim_fcts_are_physical() {
             None => assert!(f.finish.is_none()),
         }
     }
+}
+
+/// The `at_sim_end` check: once every flow has completed and the wires
+/// have drained, no packet is left parked in the fabric's arena (a leak
+/// there would be an `Arrive` nobody delivered, or a loss path that kept
+/// its slot) and the event queue holds nothing but the rotor clock.
+#[test]
+fn drained_runs_leave_nothing_parked() {
+    let flows = |hosts: usize| -> Vec<workloads::FlowSpec> {
+        (0..24)
+            .map(|i| workloads::FlowSpec {
+                src: i % hosts,
+                dst: (i + hosts / 2 + i / hosts) % hosts,
+                // The largest cross Opera's bulk threshold.
+                size: 3_000 + 47_000 * i as u64,
+                // Far enough apart that flows rarely collide: a trimmed NDP
+                // flow can leave its sender re-arming an idle RTO for ever
+                // (ROADMAP, correctness), one more pending event each.
+                start: SimTime::from_ms(i as u64),
+            })
+            .collect()
+    };
+    // Mid-slice, after the hello exchange and before the switches go
+    // dark: the only events left are the periodic pair that is the rotor
+    // clock (this slice's go-dark timer and the next slice boundary).
+    let mid_slice = SimTime::from_ms(300) + SimTime::from_us(5);
+
+    let cfg = opera::OperaNetConfig::small_test();
+    let mut sim = opera::opera_net::build(cfg, flows(cfg.hosts()));
+    sim.run_until(mid_slice);
+    assert!(
+        sim.world.logic.tracker().all_done(),
+        "opera run not drained"
+    );
+    assert!(sim.world.fabric.arena_peak_live() > 0);
+    assert_eq!(sim.world.fabric.parked_packets(), 0, "opera leaked packets");
+    assert_eq!(sim.pending(), 2, "opera: non-periodic events left over");
+
+    let cfg = opera::StaticNetConfig::small_expander();
+    let mut sim = opera::static_net::build(cfg, flows(32));
+    sim.run_until(mid_slice);
+    assert!(
+        sim.world.logic.tracker().all_done(),
+        "static run not drained"
+    );
+    assert!(sim.world.fabric.arena_peak_live() > 0);
+    assert_eq!(
+        sim.world.fabric.parked_packets(),
+        0,
+        "static leaked packets"
+    );
+    assert_eq!(sim.pending(), 0, "static: events left over");
 }
 
 proptest! {

@@ -380,8 +380,9 @@ proptest! {
 
 /// World for the timing-wheel ordering property: logs every pop and,
 /// when a spawn-tagged event fires, schedules the next follow-up —
-/// exercising direct inserts into already-cascaded windows, the one
-/// place a wheel can break FIFO order.
+/// exercising direct inserts into already-cascaded windows (the one
+/// place a wheel can break FIFO order), appends to the very slot being
+/// drained (a follow-up due `now`), and reuse of the node just popped.
 struct PopLog {
     log: Vec<(u64, u32)>,
     followups: Vec<(u32, u64)>,
@@ -399,79 +400,148 @@ impl simkit::EventHandler for PopLog {
     }
 }
 
+/// The oracle for [`PopLog`]: the old engine's semantics, literally a
+/// `BinaryHeap` keyed by `(time, seq)`. Sequence numbers are consumed per
+/// schedule call, cancelled or not, exactly as the engine consumes them.
+#[derive(Default)]
+struct HeapModel {
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
+    seq: u64,
+    /// Sequence numbers no longer pending: cancelled or fired.
+    gone: std::collections::HashSet<u64>,
+    followups: Vec<(u32, u64)>,
+    log: Vec<(u64, u32)>,
+    now: u64,
+}
+
+impl HeapModel {
+    fn schedule(&mut self, t: u64, id: u32) -> u64 {
+        self.heap.push(std::cmp::Reverse((t, self.seq, id)));
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// True exactly when `seq` was still pending.
+    fn cancel(&mut self, seq: u64) -> bool {
+        self.gone.insert(seq)
+    }
+
+    fn pending(&self) -> usize {
+        self.seq as usize - self.gone.len()
+    }
+
+    fn run_until(&mut self, until: u64) {
+        while let Some(&std::cmp::Reverse((t, seq, id))) = self.heap.peek() {
+            if t > until {
+                break;
+            }
+            self.heap.pop();
+            if !self.gone.insert(seq) {
+                continue; // cancelled
+            }
+            self.log.push((t, id));
+            if id.is_multiple_of(4) {
+                if let Some((nid, delta)) = self.followups.pop() {
+                    self.schedule(t + delta, nid);
+                }
+            }
+        }
+        self.now = self.now.max(until);
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The timing-wheel scheduler pops events in exactly the order the
     /// old binary-heap engine did: ascending `(time, seq)`, FIFO for
     /// equal timestamps. The schedule mixes near and far-future
-    /// timestamps (crossing every wheel level), forced equal-time ties,
-    /// cancellations, and in-handler follow-up scheduling; the oracle
-    /// is a literal `BinaryHeap` over `(time, seq)` keys fed the same
+    /// timestamps (crossing every wheel level), timestamps clustered
+    /// within ± 4096 ns of window edges at every level, forced equal-time
+    /// ties, in-handler follow-ups (a third of them due `now`, all of
+    /// them recycling the node just popped), `run_until` checkpoints with
+    /// scheduling in between (clock ahead of the wheel's cursor), and
+    /// cancellations both at once and later — of events by then cascaded
+    /// into other slots, sitting in upper levels, or already fired (which
+    /// must be refused). The oracle is [`HeapModel`] fed the same
     /// operation stream.
     #[test]
     fn timing_wheel_matches_heap_order(
         raw in prop::collection::vec(0u64..(1u64 << 62), 1..48),
         seed in 0u64..10_000,
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
         let mut rng = SimRng::new(seed);
-        // Force equal-time ties so FIFO tie-breaking is actually hit.
         let mut times = raw.clone();
-        for i in 1..times.len() {
-            if rng.chance(0.3) {
+        for i in 0..times.len() {
+            if i > 0 && rng.chance(0.3) {
+                // Force equal-time ties so FIFO tie-breaking is hit.
                 times[i] = times[rng.index(i)];
+            } else if rng.chance(0.4) {
+                // Cluster around a window edge of a random level.
+                let grain = 1u64 << (12 + 6 * rng.index(9));
+                let edge = (times[i] / grain).max(1) * grain;
+                times[i] = (edge - 4096 + rng.below(8193)).min((1 << 62) - 1);
             }
         }
-        let cancels: Vec<bool> = times.iter().map(|_| rng.chance(0.25)).collect();
-        let followups: Vec<(u32, u64)> = (0..times.len())
-            .map(|j| (1000 + j as u32, rng.next_u64() % (1 << 20)))
+        // 0 = keep, 1 = cancel at once, 2 = cancel at a later checkpoint.
+        let fate: Vec<u64> = times.iter().map(|_| rng.below(8).min(2)).collect();
+        let followups: Vec<(u32, u64)> = (0..4 * times.len())
+            .map(|j| {
+                let delta = match rng.below(3) {
+                    0 => 0,
+                    1 => rng.below(8192),
+                    _ => rng.next_u64() % (1 << 20),
+                };
+                (1000 + j as u32, delta)
+            })
             .collect();
+        let mut checkpoints: Vec<u64> = (0..rng.index(5))
+            .map(|_| (times[rng.index(times.len())] + rng.below(3)).saturating_sub(1))
+            .collect();
+        checkpoints.sort_unstable();
 
-        // Reference: the old engine's semantics, literally a heap keyed
-        // by (time, seq). Sequence numbers are consumed per schedule
-        // call, cancelled or not, exactly as the engine consumes them.
-        let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (i, (&t, &c)) in times.iter().zip(&cancels).enumerate() {
-            if !c {
-                heap.push(Reverse((t, seq, i as u32)));
-            }
-            seq += 1;
-        }
-        let mut model_followups = followups.clone();
-        let mut expected: Vec<(u64, u32)> = Vec::new();
-        while let Some(Reverse((t, _, id))) = heap.pop() {
-            expected.push((t, id));
-            if id.is_multiple_of(4) {
-                if let Some((nid, delta)) = model_followups.pop() {
-                    heap.push(Reverse((t + delta, seq, nid)));
-                    seq += 1;
-                }
+        let mut model = HeapModel { followups: followups.clone(), ..Default::default() };
+        let mut sim = simkit::Simulator::new(PopLog { log: Vec::new(), followups });
+        let mut deferred = Vec::new();
+        for (i, (&t, &fate)) in times.iter().zip(&fate).enumerate() {
+            let seq = model.schedule(t, i as u32);
+            let tok = sim.schedule_at_cancellable(simkit::SimTime::from_ns(t), i as u32);
+            match fate {
+                0 => {}
+                1 => prop_assert_eq!(sim.cancel(tok), model.cancel(seq)),
+                _ => deferred.push((tok, seq)),
             }
         }
-
-        // Real engine, same stream.
-        let mut sim = simkit::Simulator::new(PopLog {
-            log: Vec::new(),
-            followups,
-        });
-        for (i, (&t, &c)) in times.iter().zip(&cancels).enumerate() {
-            let at = simkit::SimTime::from_ns(t);
-            if c {
-                let tok = sim.schedule_at_cancellable(at, i as u32);
-                prop_assert!(sim.cancel(tok));
-            } else {
-                sim.schedule_at(at, i as u32);
+        let mut next_id = 5000;
+        for until in checkpoints {
+            model.run_until(until);
+            sim.run_until(simkit::SimTime::from_ns(until));
+            prop_assert_eq!(sim.now().as_ns(), model.now);
+            prop_assert_eq!(sim.pending(), model.pending());
+            // Between calls the clock may be ahead of the wheel's cursor.
+            for _ in 0..rng.index(4) {
+                let at = model.now + [0, rng.below(8192), rng.below(1 << 30)][rng.index(3)];
+                model.schedule(at, next_id);
+                sim.schedule_at(simkit::SimTime::from_ns(at), next_id);
+                next_id += 1;
+            }
+            // Cancel half of what was set aside: still pending (wherever
+            // the cascades have put it by now) or already fired.
+            for _ in 0..deferred.len().div_ceil(2) {
+                let (tok, seq) = deferred.swap_remove(rng.index(deferred.len()));
+                prop_assert_eq!(sim.cancel(tok), model.cancel(seq));
+                prop_assert!(!sim.cancel(tok), "second cancel must be refused");
             }
         }
+        model.run_until(u64::MAX);
         sim.run();
 
-        prop_assert_eq!(&sim.world.log, &expected);
+        prop_assert_eq!(&sim.world.log, &model.log);
         prop_assert_eq!(sim.pending(), 0);
-        prop_assert_eq!(sim.events_processed(), expected.len() as u64);
+        prop_assert_eq!(sim.events_processed(), model.log.len() as u64);
+        for (tok, _) in deferred {
+            prop_assert!(!sim.cancel(tok), "everything has fired");
+        }
     }
 }
 
