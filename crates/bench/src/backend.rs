@@ -2,23 +2,24 @@
 //! child processes ([`SubprocessBackend`]).
 //!
 //! The [`Backend`] trait is the seam where execution substrates slot
-//! in: anything that can run `"<driver> --shard i/n"` somewhere and
-//! ship back the JSON table documents is a valid implementation.
-//! `LocalBackend` calls the driver registry directly on the worker
-//! thread — cheapest, but a crashing driver shares the orchestrator's
-//! address space. `SubprocessBackend` spawns the driver *binary* per
-//! job, so a segfaulting or aborting driver is just a non-zero exit
-//! status consuming retry budget — the process-isolation robustness win
-//! — and the same spawn recipe extends to a remote (ssh / job queue)
-//! runner later. Both backends pin drivers to `--threads 1` and pass
-//! identical flags, so their merged output is byte-identical.
+//! in: anything that can run `"opera run <driver> --shard i/n"`
+//! somewhere and ship back the JSON table documents is a valid
+//! implementation. `LocalBackend` calls the driver registry directly on
+//! the worker thread — cheapest, but a crashing driver shares the
+//! orchestrator's address space. `SubprocessBackend` re-executes the
+//! `opera` binary per job, so a segfaulting or aborting driver is just
+//! a non-zero exit status consuming retry budget — the
+//! process-isolation robustness win — and the same spawn recipe extends
+//! to a remote (ssh / job queue) runner later. Both backends pin
+//! drivers to `--threads 1` and pass identical flags, so their merged
+//! output is byte-identical.
 
 use crate::figures;
 use expt::orchestrate::{Backend, ShardJob};
 use expt::output::{table_json, RunMeta};
 use expt::{Ctx, ExptArgs, Scale};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 /// Runs shard jobs in-process through the [`crate::figures`] registry.
@@ -45,10 +46,8 @@ impl LocalBackend {
 
 impl Backend for LocalBackend {
     fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
-        let (exp, build) = figures::all()
-            .into_iter()
-            .find(|(e, _)| e.name == job.driver)
-            .ok_or_else(|| format!("unknown driver {:?}", job.driver))?;
+        let (exp, build) =
+            figures::find(&job.driver).ok_or_else(|| format!("unknown driver {:?}", job.driver))?;
         let mut args = self.args.clone();
         args.shard = Some(job.shard);
         args.threads = 1;
@@ -69,8 +68,9 @@ impl Backend for LocalBackend {
 }
 
 /// Runs each shard job as a child process: spawns
-/// `<bin_dir>/<driver> --quick/--full --threads 1 --seed S --shard i/n
-/// --out <scratch>` and collects the shard documents the child wrote.
+/// `<program> run <driver> --quick/--full --threads 1 --seed S
+/// --shard i/n --out <scratch>` and collects the shard documents the
+/// child wrote.
 ///
 /// Failure mapping — all per-job `Err`s, so the orchestrator's retry
 /// budget applies and a dying child never takes the sweep down:
@@ -80,30 +80,26 @@ impl Backend for LocalBackend {
 /// * a child that exits 0 without writing documents → named error
 ///   (the orchestrator separately validates that documents parse and
 ///   match the job).
-///
-/// The child's environment is pinned: `OPERA_SCALE` is removed and the
-/// scale passed explicitly, so a subprocess run reproduces the local
-/// run bit-for-bit regardless of the orchestrator's own environment.
 #[derive(Debug, Clone)]
 pub struct SubprocessBackend {
     /// Run configuration (scale / seed / replicates / k); shard and
     /// threads are set per job.
     pub args: ExptArgs,
-    /// Directory holding the driver binaries (normally
-    /// `target/release`).
-    pub bin_dir: PathBuf,
+    /// The `opera` executable to spawn (the CLI passes its own
+    /// `current_exe()`).
+    pub program: PathBuf,
     /// Scratch root for per-job `--out` directories; each job cleans
     /// its own subdirectory up after collecting the documents.
     scratch: PathBuf,
 }
 
 impl SubprocessBackend {
-    /// Backend spawning `<bin_dir>/<driver>` per job under `args`.
-    pub fn new(args: ExptArgs, bin_dir: PathBuf) -> Self {
+    /// Backend spawning `<program> run <driver>` per job under `args`.
+    pub fn new(args: ExptArgs, program: PathBuf) -> Self {
         let scratch = std::env::temp_dir().join(format!("opera-orch-{}", std::process::id()));
         SubprocessBackend {
             args,
-            bin_dir,
+            program,
             scratch,
         }
     }
@@ -117,9 +113,6 @@ impl SubprocessBackend {
 
 impl Backend for SubprocessBackend {
     fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
-        let exe = self
-            .bin_dir
-            .join(format!("{}{}", job.driver, std::env::consts::EXE_SUFFIX));
         let jobdir = self.scratch.join(format!(
             "{}.shard{}of{}",
             job.driver, job.shard.0, job.shard.1
@@ -129,7 +122,8 @@ impl Backend for SubprocessBackend {
         let _ = fs::remove_dir_all(&jobdir);
         fs::create_dir_all(&jobdir).map_err(|e| format!("{}: {e}", jobdir.display()))?;
 
-        let mut cmd = Command::new(&exe);
+        let mut cmd = Command::new(&self.program);
+        cmd.arg("run").arg(&job.driver);
         match self.args.scale {
             Scale::Quick => {
                 cmd.arg("--quick");
@@ -152,15 +146,14 @@ impl Backend for SubprocessBackend {
         if let Some(k) = self.args.k {
             cmd.arg("--k").arg(k.to_string());
         }
-        cmd.env_remove("OPERA_SCALE")
-            .stdin(Stdio::null())
+        cmd.stdin(Stdio::null())
             // The child prints its whole CSV to stdout; discard it —
             // the shard documents on disk are the channel.
             .stdout(Stdio::null())
             .stderr(Stdio::piped());
         let output = cmd
             .output()
-            .map_err(|e| format!("failed to spawn {}: {e}", exe.display()))?;
+            .map_err(|e| format!("failed to spawn {}: {e}", self.program.display()))?;
         if !output.status.success() {
             return Err(exit_error(&job.driver, &output.status, &output.stderr));
         }
@@ -227,38 +220,21 @@ pub enum AnyBackend {
 }
 
 impl AnyBackend {
-    /// Build a backend by name (`local` / `subprocess`). `bin_dir`
-    /// overrides where the subprocess backend looks for driver
-    /// binaries; by default it is the running binary's own directory
-    /// (the driver binaries are its siblings under `target/release`).
-    pub fn from_name(
-        name: &str,
-        args: ExptArgs,
-        bin_dir: Option<PathBuf>,
-    ) -> Result<AnyBackend, String> {
+    /// Build a backend by name (`local` / `subprocess`); the
+    /// subprocess backend re-executes the running binary.
+    pub fn from_name(name: &str, args: ExptArgs) -> Result<AnyBackend, String> {
         match name {
             "local" => Ok(AnyBackend::Local(LocalBackend::new(args))),
             "subprocess" => {
-                let bin_dir = match bin_dir {
-                    Some(d) => d,
-                    None => default_bin_dir()?,
-                };
+                let program = std::env::current_exe()
+                    .map_err(|e| format!("cannot locate the running binary: {e}"))?;
                 Ok(AnyBackend::Subprocess(SubprocessBackend::new(
-                    args, bin_dir,
+                    args, program,
                 )))
             }
             other => Err(format!(
                 "unknown backend {other:?} (want local or subprocess)"
             )),
-        }
-    }
-
-    /// The name [`AnyBackend::from_name`] resolves — what the run
-    /// manifest records so `resume` re-runs with the same substrate.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AnyBackend::Local(_) => "local",
-            AnyBackend::Subprocess(_) => "subprocess",
         }
     }
 }
@@ -270,14 +246,6 @@ impl Backend for AnyBackend {
             AnyBackend::Subprocess(b) => b.run_shard(job),
         }
     }
-}
-
-/// The directory of the currently running binary.
-fn default_bin_dir() -> Result<PathBuf, String> {
-    std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(Path::to_path_buf))
-        .ok_or_else(|| "cannot determine the running binary's directory; pass --bin-dir".into())
 }
 
 #[cfg(test)]
@@ -296,23 +264,18 @@ mod tests {
 
     #[test]
     fn backend_registry_resolves_names() {
-        let b = AnyBackend::from_name("local", quick_args(), None).unwrap();
-        assert_eq!(b.name(), "local");
-        let b = AnyBackend::from_name(
-            "subprocess",
-            quick_args(),
-            Some(PathBuf::from("/nonexistent")),
-        )
-        .unwrap();
-        assert_eq!(b.name(), "subprocess");
-        assert!(AnyBackend::from_name("ssh", quick_args(), None)
+        let b = AnyBackend::from_name("local", quick_args()).unwrap();
+        assert!(matches!(b, AnyBackend::Local(_)));
+        let b = AnyBackend::from_name("subprocess", quick_args()).unwrap();
+        assert!(matches!(b, AnyBackend::Subprocess(_)));
+        assert!(AnyBackend::from_name("ssh", quick_args())
             .unwrap_err()
             .contains("unknown backend"));
     }
 
     #[test]
     fn missing_binary_is_a_spawn_error() {
-        let b = SubprocessBackend::new(quick_args(), PathBuf::from("/nonexistent-bin-dir"))
+        let b = SubprocessBackend::new(quick_args(), PathBuf::from("/nonexistent/opera"))
             .with_scratch(
                 std::env::temp_dir().join(format!("orch-missing-{}", std::process::id())),
             );

@@ -1,0 +1,661 @@
+//! `opera` — the one command-line front-end of the reproduction; every
+//! subcommand is listed in [`USAGE`].
+//!
+//! * `list` / `run` — the driver registry ([`bench::figures::all`]):
+//!   `run <driver>` builds that driver's tables, prints them as CSV and
+//!   (unless `--no-write`) writes `<out>/<driver>/<table>.{csv,json}`.
+//! * `orchestrate` — schedule `driver × shard` jobs over a worker pool
+//!   (in-process threads, or with `--backend subprocess` one
+//!   `opera run <driver> --shard i/n` child per job, so a crashing
+//!   driver is a retryable job failure), write a `run.json` manifest up
+//!   front, persist each job's shard documents under
+//!   `<out>/<driver>/shards/` the moment the job completes (atomic
+//!   tmp-file + rename), and finally the validated merged tables —
+//!   byte-identical to an unsharded `--threads 1` run (asserted by
+//!   `tests/orchestrate.rs`). A `--plan` file is JSON overriding the
+//!   defaults; explicit flags win over the plan:
+//!
+//!   ```json
+//!   {"drivers": ["fig08_shuffle_throughput"], "shards": 4, "retries": 1,
+//!    "workers": 2, "scale": "quick", "seed": 0, "replicates": 3,
+//!    "backend": "subprocess"}
+//!   ```
+//! * `resume` — re-read the manifest of a killed or failed run, reuse
+//!   every surviving valid shard document, re-run only the missing,
+//!   corrupt or failed jobs, and re-merge.
+//! * `validate` — re-merge the shard documents on disk and fail, naming
+//!   the invariant, on a missing or duplicated point index, mismatched
+//!   schema/flags, or a merged CSV that no longer matches its shards.
+//! * `run-scenario` — run one declarative scenario file
+//!   ([`expt::scenario`]) through [`bench::scenario::run_scenario`],
+//!   with trace capture and jsonl ↔ pcapng reconciliation when the
+//!   scenario requests traces.
+//! * `golden` — run every driver in the canonical quick mode and diff
+//!   its tables against `goldens/<driver>/`; `--bless` re-records them
+//!   (byte-idempotent on an unmodified tree).
+//! * `spot` — the nightly paper-scale [`bench::spot`] suite against
+//!   `goldens/full/`.
+//! * `bench-record` — measure the hot-path scenarios and append an
+//!   entry to the append-only `BENCH_hot_paths.json`; `--check` gates
+//!   against the latest committed entry instead and never writes it.
+//!
+//! Exit codes: 0 on success and for `--help`; 2 for a command line that
+//! cannot be run (unknown subcommand, flag, driver, point or scenario
+//! name — the message names the known set); 1 when the work itself
+//! failed (drift, a failed job, I/O).
+
+use bench::backend::AnyBackend;
+use bench::{figures, record, spot};
+use expt::golden::{bless_driver, compare_driver, GoldenSpec};
+use expt::orchestrate::{validate_dir, Orchestrator, Plan, PlanFile, RunReport};
+use expt::runfile::{resume_run, RunManifest, RunWriter, RUN_FILE};
+use expt::scenario::Scenario;
+use expt::{Args, Ctx, ExptArgs, RunMeta, Scale, TableDoc};
+use std::fmt::Display;
+use std::path::PathBuf;
+use std::process::ExitCode;
+
+const USAGE: &str = "\
+usage: opera list
+       opera run <driver> [--quick|--full] [--threads N] [--seed S] [--replicates R]
+                 [--shard I/N] [--out DIR] [--no-write] [--k K]
+       opera orchestrate [--drivers all|A,B,...] [--shards N] [--workers W] [--retries K]
+                 [--quick|--full] [--seed S] [--replicates R]
+                 [--backend local|subprocess] [--out DIR] [--plan FILE] [--no-write]
+       opera resume [DIR] [--backend local|subprocess] [--workers W]
+       opera validate [--out DIR]
+       opera run-scenario FILE [--out DIR]
+       opera golden [--bless] [--threads N] [--driver NAME]...
+       opera spot [--bless] [--point NAME]...
+       opera bench-record [--quick|--full] [--check] [--out PATH] [--fresh-out PATH]
+                 [--threshold FRACTION]
+";
+
+/// Why a subcommand did not succeed.
+enum Exit {
+    /// Malformed command line: message and usage, exit 2.
+    Usage(String),
+    /// A well-formed command line naming something unknown or
+    /// unreadable; the message names the known set. Exit 2.
+    Invalid(String),
+    /// The work itself failed. Exit 1.
+    Failed(String),
+}
+
+/// What the [`Args`] cursor and the flag parsers report is a usage error.
+impl From<String> for Exit {
+    fn from(msg: String) -> Exit {
+        Exit::Usage(msg)
+    }
+}
+
+fn failed(e: impl Display) -> Exit {
+    Exit::Failed(e.to_string())
+}
+
+fn unknown(arg: &str) -> Exit {
+    Exit::Usage(format!("unknown argument: {arg}"))
+}
+
+/// Store the positional argument `arg` in `slot`: anything
+/// dash-prefixed is an unknown flag, a second positional is unexpected.
+fn positional(slot: &mut Option<PathBuf>, arg: String) -> Result<(), Exit> {
+    if arg.starts_with('-') {
+        return Err(unknown(&arg));
+    }
+    if slot.is_some() {
+        return Err(Exit::Usage(format!("unexpected argument: {arg}")));
+    }
+    *slot = Some(PathBuf::from(arg));
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let mut args = Args::new(argv);
+    let result = match args.next().as_deref() {
+        Some("list") => list(args),
+        Some("run") => run(args),
+        Some("orchestrate") => orchestrate(args),
+        Some("resume") => resume(args),
+        Some("validate") => validate(args),
+        Some("run-scenario") => run_scenario(args),
+        Some("golden") => golden(args),
+        Some("spot") => spot_suite(args),
+        Some("bench-record") => bench_record(args),
+        Some(other) => Err(Exit::Usage(format!("unknown subcommand: {other}"))),
+        None => Err(Exit::Usage("a subcommand is required".into())),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Exit::Usage(msg)) => {
+            eprint!("error: {msg}\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Exit::Invalid(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+        Err(Exit::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn driver_names() -> Vec<&'static str> {
+    figures::all().iter().map(|(e, _)| e.name).collect()
+}
+
+/// Every name must be one of `known`. A typo must never let a check
+/// pass vacuously or a run exit 0 having scheduled nothing, so this
+/// runs before any work does.
+fn require_known(what: &str, names: &[String], known: &[&str]) -> Result<(), Exit> {
+    match names.iter().find(|n| !known.contains(&n.as_str())) {
+        Some(n) => Err(unknown_name(what, n, known)),
+        None => Ok(()),
+    }
+}
+
+fn unknown_name(what: &str, name: &str, known: &[&str]) -> Exit {
+    Exit::Invalid(format!(
+        "no {what} named {name:?}; known {what}s: {known:?}"
+    ))
+}
+
+fn list(mut args: Args) -> Result<(), Exit> {
+    if let Some(a) = args.next() {
+        return Err(unknown(&a));
+    }
+    for name in driver_names() {
+        println!("{name}");
+    }
+    Ok(())
+}
+
+fn run(mut args: Args) -> Result<(), Exit> {
+    let name = args
+        .next()
+        .ok_or_else(|| Exit::Usage("run requires a driver name".into()))?;
+    let (exp, build) =
+        figures::find(&name).ok_or_else(|| unknown_name("driver", &name, &driver_names()))?;
+    let ctx = Ctx::new(ExptArgs::parse_from(args)?);
+    expt::emit(&exp, &ctx, &build(&ctx)).map_err(|e| {
+        let dir = ctx.args.out.join(exp.name);
+        Exit::Failed(format!("writing results under {}: {e}", dir.display()))
+    })
+}
+
+fn orchestrate(mut args: Args) -> Result<(), Exit> {
+    let mut drivers_arg: Option<String> = None;
+    let mut shards: Option<usize> = None;
+    let mut workers: Option<usize> = None;
+    let mut retries: Option<usize> = None;
+    let mut scale: Option<Scale> = None;
+    let mut seed: Option<u64> = None;
+    let mut replicates: Option<usize> = None;
+    let mut backend_arg: Option<String> = None;
+    let mut out = PathBuf::from("results");
+    let mut no_write = false;
+    let mut plan_file = PlanFile::default();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--drivers" => drivers_arg = Some(args.value(&a)?),
+            "--shards" => shards = Some(args.parsed(&a)?),
+            "--workers" => workers = Some(args.parsed(&a)?),
+            "--retries" => retries = Some(args.parsed(&a)?),
+            "--quick" => scale = Some(Scale::Quick),
+            "--full" => scale = Some(Scale::Full),
+            "--seed" => seed = Some(args.parsed(&a)?),
+            "--replicates" => replicates = Some(args.parsed(&a)?),
+            "--backend" => backend_arg = Some(args.value(&a)?),
+            "--out" => out = PathBuf::from(args.value(&a)?),
+            "--no-write" => no_write = true,
+            "--plan" => {
+                let path = args.value(&a)?;
+                let text =
+                    std::fs::read_to_string(&path).map_err(|e| format!("--plan {path}: {e}"))?;
+                plan_file = PlanFile::parse(&text)?;
+            }
+            other => return Err(unknown(other)),
+        }
+    }
+
+    // Resolution order: defaults < plan file < explicit flags.
+    let known = driver_names();
+    let drivers: Vec<String> = match (drivers_arg.as_deref(), plan_file.drivers) {
+        (Some("all"), _) | (None, None) => known.iter().map(|s| s.to_string()).collect(),
+        (Some(s), _) => s.split(',').map(|d| d.trim().to_string()).collect(),
+        (None, Some(list)) => list,
+    };
+    if drivers.is_empty() {
+        return Err(Exit::Invalid(format!(
+            "empty driver list (from --drivers or the plan file); known drivers: {known:?}"
+        )));
+    }
+    require_known("driver", &drivers, &known)?;
+    let plan = Plan {
+        drivers,
+        shards: shards.or(plan_file.shards).unwrap_or(2).max(1),
+        retries: retries.or(plan_file.retries).unwrap_or(1),
+    };
+    let expt_args = ExptArgs {
+        scale: scale.or(plan_file.scale).unwrap_or(Scale::Default),
+        seed: seed.or(plan_file.seed).unwrap_or(0),
+        replicates: replicates.or(plan_file.replicates).unwrap_or(3),
+        ..ExptArgs::default()
+    };
+    let backend_name = backend_arg
+        .or(plan_file.backend)
+        .unwrap_or_else(|| "local".to_string());
+    let backend = AnyBackend::from_name(&backend_name, expt_args.clone())?;
+    println!(
+        "# orchestrating {} driver(s) x {} shard(s), backend={backend_name}, scale={}, seed={}, \
+         replicates={}, retries={}",
+        plan.drivers.len(),
+        plan.shards,
+        expt_args.scale,
+        expt_args.seed,
+        expt_args.replicates,
+        plan.retries
+    );
+    let orch = Orchestrator::new(backend, workers.or(plan_file.workers).unwrap_or(0));
+
+    if no_write {
+        print_report(&orch.run(&plan).map_err(failed)?);
+        return Ok(());
+    }
+
+    // Durable run: manifest first, every shard persisted as its job
+    // completes, merged CSVs at the end.
+    let manifest = RunManifest::new(&plan, &backend_name, &expt_args);
+    let writer = RunWriter::create(&out, manifest).map_err(failed)?;
+    let report = orch.run_observed(&plan, &writer).map_err(|e| {
+        Exit::Failed(format!(
+            "{e}\n# completed shards are persisted under {0}; after fixing the cause, \
+             re-run only the rest with: opera resume {0}",
+            out.display()
+        ))
+    })?;
+    print_report(&report);
+    let merged: Vec<(String, Vec<TableDoc>)> = report
+        .drivers
+        .into_iter()
+        .map(|r| (r.driver, r.merged))
+        .collect();
+    for p in writer.finish(&merged).map_err(failed)? {
+        println!("# wrote {}", p.display());
+    }
+    Ok(())
+}
+
+fn print_report(report: &RunReport) {
+    for run in &report.drivers {
+        let retried = if run.retried > 0 {
+            format!(" ({} retried attempt(s))", run.retried)
+        } else {
+            String::new()
+        };
+        println!(
+            "ok  {} [{} shard(s), {} table(s)]{retried}",
+            run.driver,
+            report.shards,
+            run.merged.len()
+        );
+    }
+    println!(
+        "# {} job attempt(s) across {} driver(s); every merge validated",
+        report.attempts,
+        report.drivers.len()
+    );
+}
+
+fn resume(mut args: Args) -> Result<(), Exit> {
+    let mut dir: Option<PathBuf> = None;
+    let mut backend_arg: Option<String> = None;
+    let mut workers: usize = 0;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--backend" => backend_arg = Some(args.value(&a)?),
+            "--workers" => workers = args.parsed(&a)?,
+            _ => positional(&mut dir, a)?,
+        }
+    }
+    let dir = dir.unwrap_or_else(|| PathBuf::from("results"));
+    let path = dir.join(RUN_FILE);
+    let manifest = RunManifest::read(&path).map_err(failed)?;
+    // A manifest naming no or unknown drivers (hand-edited, or written
+    // by a newer binary) must fail by name here, not schedule jobs that
+    // all error out — or "resume" to a green zero-job run.
+    if manifest.drivers.is_empty() {
+        return Err(Exit::Invalid(format!(
+            "manifest {} lists no drivers; nothing to resume",
+            path.display()
+        )));
+    }
+    require_known("driver", &manifest.drivers, &driver_names())?;
+    // Default to the backend the original run used.
+    let backend_name = backend_arg.unwrap_or_else(|| manifest.backend.clone());
+    let backend = AnyBackend::from_name(&backend_name, manifest.expt_args())?;
+    println!(
+        "# resuming {} ({} driver(s) x {} shard(s), backend={backend_name}, scale={}, seed={})",
+        dir.display(),
+        manifest.drivers.len(),
+        manifest.shards,
+        manifest.scale,
+        manifest.seed
+    );
+    let report = resume_run(&dir, backend, workers).map_err(|e| {
+        Exit::Failed(format!(
+            "{e}\n# run state under {} is preserved; resume again once the cause is fixed",
+            dir.display()
+        ))
+    })?;
+    for r in &report.rerun {
+        println!(
+            "rerun  {} shard {}/{}: {}",
+            r.job.driver, r.job.shard.0, r.job.shard.1, r.reason
+        );
+    }
+    println!(
+        "# {} job(s) reused, {} re-run ({} attempt(s)); every merge validated",
+        report.reused,
+        report.rerun.len(),
+        report.attempts
+    );
+    for p in &report.csvs {
+        println!("# wrote {}", p.display());
+    }
+    Ok(())
+}
+
+fn validate(mut args: Args) -> Result<(), Exit> {
+    let mut out = PathBuf::from("results");
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out = PathBuf::from(args.value(&a)?),
+            other => return Err(unknown(other)),
+        }
+    }
+    let tables = validate_dir(&out).map_err(failed)?;
+    if tables.is_empty() {
+        return Err(Exit::Failed(format!(
+            "no shard documents under {} (nothing to validate)",
+            out.display()
+        )));
+    }
+    for t in &tables {
+        println!(
+            "ok  {}/{} [{} shard(s), {} row(s)]",
+            t.driver, t.table, t.shards, t.rows
+        );
+    }
+    println!("# {} merged table(s) validated", tables.len());
+    Ok(())
+}
+
+fn run_scenario(mut args: Args) -> Result<(), Exit> {
+    let mut file: Option<PathBuf> = None;
+    let mut out = PathBuf::from("results/scenarios");
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out = PathBuf::from(args.value(&a)?),
+            _ => positional(&mut file, a)?,
+        }
+    }
+    let file = file.ok_or_else(|| Exit::Usage("run-scenario requires a scenario file".into()))?;
+    // Unreadable files and unknown keys or topology / policy /
+    // transport names are exit 2, before any simulation starts.
+    let sc = Scenario::load(&file).map_err(Exit::Invalid)?;
+    bench::scenario::check_names(&sc)
+        .map_err(|e| Exit::Invalid(format!("{}: {e}", file.display())))?;
+    let report = bench::scenario::run_scenario(&sc, &out.join(&sc.name)).map_err(failed)?;
+    println!(
+        "# scenario {} ({} point(s))",
+        report.name,
+        report.rows.len()
+    );
+    for (pt, m) in &report.rows {
+        println!(
+            "{}/{} senders={}: {}/{} flows, avg_fct={:.1}us p99={:.1}us \
+             dropped={} trimmed={} marked={}",
+            pt.policy,
+            pt.transport,
+            pt.senders,
+            m.completed,
+            m.offered,
+            m.avg_fct_us,
+            m.p99_fct_us,
+            m.dropped,
+            m.trimmed,
+            m.marked
+        );
+    }
+    let written = [
+        Some(&report.csv),
+        report.trace_jsonl.as_ref(),
+        report.trace_pcapng.as_ref(),
+    ];
+    for p in written.into_iter().flatten() {
+        println!("# wrote {}", p.display());
+    }
+    if let Some(v) = &report.validation {
+        println!(
+            "# traces reconciled: {} packet(s) on {} link(s), {} jsonl record(s)",
+            v.pcapng_packets, v.links, v.jsonl_records
+        );
+    }
+    Ok(())
+}
+
+fn golden(mut args: Args) -> Result<(), Exit> {
+    let mut bless = false;
+    let mut threads = 0usize;
+    let mut only: Vec<String> = Vec::new();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--bless" => bless = true,
+            "--threads" => threads = args.parsed(&a)?,
+            "--driver" => only.push(args.value(&a)?),
+            other => return Err(unknown(other)),
+        }
+    }
+    require_known("driver", &only, &driver_names())?;
+    let root = figures::golden_root();
+    let ctx = figures::golden_ctx(threads);
+    let mut total = 0usize;
+    for (exp, build) in figures::all() {
+        if !only.is_empty() && !only.iter().any(|n| n == exp.name) {
+            continue;
+        }
+        let drifts = figures::golden_run(&exp, build, &ctx, &root, bless)
+            .map_err(|e| Exit::Failed(format!("{}: {e}", exp.name)))?;
+        if bless {
+            println!("blessed {}", exp.name);
+        } else if drifts.is_empty() {
+            println!("ok      {}", exp.name);
+        } else {
+            println!("DRIFT   {} ({} difference(s))", exp.name, drifts.len());
+            for d in &drifts {
+                println!("  {d}");
+            }
+            total += drifts.len();
+        }
+    }
+    if total > 0 {
+        return Err(Exit::Failed(format!(
+            "{total} drift(s) from committed goldens; if intended, re-record with \
+             `cargo run --release -p bench --bin opera -- golden --bless`"
+        )));
+    }
+    Ok(())
+}
+
+fn spot_suite(mut args: Args) -> Result<(), Exit> {
+    let mut bless = false;
+    let mut only: Vec<String> = Vec::new();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--bless" => bless = true,
+            "--point" => only.push(args.value(&a)?),
+            other => return Err(unknown(other)),
+        }
+    }
+    let known: Vec<&str> = spot::all().iter().map(|&(n, _)| n).collect();
+    require_known("spot point", &only, &known)?;
+    if bless && !only.is_empty() {
+        // A partial bless would delete the other points' goldens.
+        return Err(Exit::Usage(
+            "--bless records the whole suite; drop --point".into(),
+        ));
+    }
+
+    // The spot provenance: full scale, seed 0, one observation per
+    // point (the spot tables are raw measurements, not replicate
+    // means).
+    let meta = RunMeta {
+        driver: spot::DRIVER.to_string(),
+        scale: "full".to_string(),
+        seed: 0,
+        replicates: 1,
+        k: None,
+        shard: None,
+    };
+    let root = figures::golden_root();
+    let mut tables = Vec::new();
+    for (name, build) in spot::all() {
+        if !only.is_empty() && !only.iter().any(|n| n == name) {
+            continue;
+        }
+        eprintln!("# running spot point {name} (paper scale; minutes, not seconds)");
+        let t = build();
+        println!("table,{}", t.name);
+        print!("{}", t.to_csv());
+        tables.push(t);
+    }
+
+    if bless {
+        let written = bless_driver(spot::DRIVER, &tables, &root, &meta)
+            .map_err(|e| Exit::Failed(format!("bless: {e}")))?;
+        for p in written {
+            println!("# blessed {}", p.display());
+        }
+        return Ok(());
+    }
+
+    // Partial runs still compare cell-for-cell; skip the whole-suite
+    // manifest/stale checks only when --point restricted the run.
+    let drifts = compare_driver(spot::DRIVER, &tables, &root, &GoldenSpec::strict(), &meta)
+        .map_err(|e| Exit::Failed(format!("compare: {e}")))?;
+    let drifts: Vec<_> = drifts
+        .into_iter()
+        .filter(|d| only.is_empty() || tables.iter().any(|t| t.name == d.table) || d.table == "*")
+        .collect();
+    if drifts.is_empty() {
+        println!("# ok: spot baselines match goldens/{}/", spot::DRIVER);
+        return Ok(());
+    }
+    for d in &drifts {
+        eprintln!("DRIFT {d}");
+    }
+    Err(Exit::Failed(format!(
+        "{} drift(s) from goldens/{}/; if intended, re-record with \
+         `cargo run --release -p bench --bin opera -- spot --bless`",
+        drifts.len(),
+        spot::DRIVER
+    )))
+}
+
+/// `HEAD`'s short hash, with `-dirty` appended when tracked files differ
+/// from it — an entry recorded before its change is committed must not
+/// read as a measurement of the parent.
+fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".into();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => rev + "-dirty",
+        _ => rev,
+    }
+}
+
+fn bench_record(mut args: Args) -> Result<(), Exit> {
+    let mut full = false;
+    let mut check = false;
+    let mut out = PathBuf::from(record::DEFAULT_PATH);
+    let mut fresh_out: Option<PathBuf> = None;
+    let mut threshold = record::DEFAULT_THRESHOLD;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--full" => full = true,
+            "--quick" => full = false,
+            "--check" => check = true,
+            "--out" => out = PathBuf::from(args.value(&a)?),
+            "--fresh-out" => fresh_out = Some(PathBuf::from(args.value(&a)?)),
+            "--threshold" => threshold = args.parsed(&a)?,
+            other => return Err(unknown(other)),
+        }
+    }
+    let mode = if full { "full" } else { "quick" };
+    eprintln!(
+        "bench-record: engine={} mode={mode}",
+        simkit::engine::ENGINE_NAME
+    );
+    let results = record::run_all(full);
+    for r in &results {
+        println!(
+            "{:<24} {:>12.0} events/sec  ({} events, wall median {:.3} ms, σ {:.3} ms, \
+             peak pending {})",
+            r.name,
+            r.events_per_sec,
+            r.events,
+            r.wall.median.as_secs_f64() * 1e3,
+            r.wall.stddev.as_secs_f64() * 1e3,
+            r.peak_pending,
+        );
+    }
+
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let entry = record::entry(&results, mode, now, &git_rev());
+    if let Some(fresh) = &fresh_out {
+        std::fs::write(fresh, entry.render() + "\n")
+            .map_err(|e| Exit::Failed(format!("writing {}: {e}", fresh.display())))?;
+    }
+
+    if check {
+        let doc = record::load(&out)
+            .map_err(|e| Exit::Failed(format!("loading {}: {e}", out.display())))?;
+        let failures = record::check(&doc, &results, mode, threshold);
+        if !failures.is_empty() {
+            return Err(Exit::Failed(format!(
+                "bench-record gate FAILED:\n  {}",
+                failures.join("\n  ")
+            )));
+        }
+        println!(
+            "bench-record: gate PASSED against {} (threshold {:.0}%)",
+            out.display(),
+            threshold * 100.0
+        );
+        return Ok(());
+    }
+
+    record::append(&out, entry)
+        .map_err(|e| Exit::Failed(format!("appending to {}: {e}", out.display())))?;
+    println!("bench-record: appended {mode} entry to {}", out.display());
+    Ok(())
+}

@@ -1,10 +1,10 @@
 //! Declarative figure/table definitions on top of the [`expt`] harness.
 //!
-//! Each module exports an [`expt::Experiment`] (whose `name` matches the
-//! binary name and the `results/<name>/` output directory) and a
-//! `tables(&Ctx) -> Vec<Table>` builder. The binaries in `src/bin/` are
-//! one-line `expt::run_main` calls; [`all`] is the registry CI and tests
-//! iterate.
+//! Each module exports an [`expt::Experiment`] (whose `name` is what
+//! `opera run` takes and the `results/<name>/` output directory) and a
+//! `tables(&Ctx) -> Vec<Table>` builder. [`all`] is the registry: the
+//! one place the set of drivers is written down, which `opera list`
+//! prints and the CLI, CI and tests iterate.
 
 pub mod ablate_design;
 pub mod ablate_queue;
@@ -63,6 +63,11 @@ pub fn all() -> Vec<(Experiment, BuildFn)> {
     ]
 }
 
+/// The driver named `name`, if the registry has one.
+pub fn find(name: &str) -> Option<(Experiment, BuildFn)> {
+    all().into_iter().find(|(e, _)| e.name == name)
+}
+
 /// The per-driver golden comparison spec ([`expt::golden`]). Every
 /// driver is near-exact today; loosen a column here (not by re-blessing)
 /// when a legitimate cross-platform difference shows up.
@@ -103,7 +108,7 @@ pub fn golden_ctx(threads: usize) -> Ctx {
 /// Build one driver's tables under `ctx` and diff them against its
 /// committed goldens (or re-record them when `bless` is set; a bless
 /// returns no drifts). This is the shared engine behind the tier-1
-/// `golden_figures` test and the `golden_check` binary.
+/// `golden_figures` test and `opera golden`.
 pub fn golden_run(
     exp: &Experiment,
     build: BuildFn,

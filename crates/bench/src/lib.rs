@@ -1,11 +1,13 @@
 //! Shared configuration and figure definitions for the reproduction
 //! drivers.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper through the [`expt`] harness: a declarative definition in
-//! [`figures`] plus a one-line `main`. All drivers accept the shared
-//! `--quick` / `--full` / `--threads` / `--seed` / `--out` flags
-//! (`OPERA_SCALE=full` still selects paper scale, as before):
+//! Every driver regenerates one table or figure from the paper through
+//! the [`expt`] harness: a declarative definition in [`figures`],
+//! registered in [`figures::all`] and run by the one binary,
+//! `opera run <driver>` (`src/bin/opera.rs`, which also fronts
+//! [`backend`], [`scenario`], [`spot`] and [`record`]). All drivers
+//! accept the shared `--quick` / `--full` / `--threads` / `--seed` /
+//! `--out` flags:
 //!
 //! * **quick** — tiny grids and networks, the CI smoke configuration,
 //! * **default** — laptop-friendly mini networks, minutes for the suite,

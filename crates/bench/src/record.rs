@@ -1,4 +1,4 @@
-//! The committed performance trajectory: `bench_record`.
+//! The committed performance trajectory behind `opera bench-record`.
 //!
 //! The ROADMAP asks for engine speed "proven with a committed perf
 //! trajectory". This module is that proof: a fixed scenario set — a raw

@@ -13,8 +13,8 @@
 //! the quick baselines, manifest included:
 //!
 //! ```text
-//! spot_check            # compare against goldens/full/
-//! spot_check --bless    # re-record (commit the goldens/full/ diff)
+//! opera spot            # compare against goldens/full/
+//! opera spot --bless    # re-record (commit the goldens/full/ diff)
 //! ```
 
 use crate::PaperTrio;

@@ -1,34 +1,36 @@
-//! CLI acceptance tests for `opera_orchestrate`'s name validation and
-//! the `run-scenario` subcommand, driving the real binary.
+//! CLI acceptance tests driving the real `opera` binary: the exit-code
+//! convention, the registry-driven `list` / `run`, name validation in
+//! `orchestrate` / `resume`, and the `run-scenario` subcommand.
 //!
 //! The regression of record: an empty or unknown driver list must be a
 //! hard named error *before any job is scheduled* — never an exit-0 run
 //! of zero jobs that CI reads as green. Same rule for `resume` against
 //! a corrupted manifest and for `run-scenario` with unknown names.
 
+use bench::figures;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-fn orchestrate() -> &'static str {
-    env!("CARGO_BIN_EXE_opera_orchestrate")
-}
-
 fn scratch(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("scenario-cli-{tag}-{}", std::process::id()));
+    let d = std::env::temp_dir().join(format!("opera-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
 }
 
 fn run(args: &[&str]) -> Output {
-    Command::new(orchestrate())
+    Command::new(env!("CARGO_BIN_EXE_opera"))
         .args(args)
         .output()
-        .expect("spawn opera_orchestrate")
+        .expect("spawn opera")
 }
 
 fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn stdout_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 /// The repo-root `scenarios/` directory (tests run with the crate as
@@ -38,8 +40,91 @@ fn scenarios_dir() -> PathBuf {
 }
 
 #[test]
+fn help_is_exit_0_and_bad_command_lines_are_exit_2() {
+    for args in [
+        &["--help"][..],
+        &["run-scenario", "--help"],
+        &["golden", "-h"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(stdout_of(&out).starts_with("usage: opera list"), "{args:?}");
+    }
+    for args in [
+        &[][..],
+        &["frobnicate"],
+        &["list", "extra"],
+        &["run"],
+        &["run", "fig14_cycle_time_scaling", "--bogus"],
+        &["orchestrate", "--shards"],
+        &["validate", "--bogus"],
+        &["golden", "--threads", "many"],
+        &["spot", "--bogus"],
+        &["bench-record", "--bogus"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr_of(&out).contains("usage: opera list"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+}
+
+#[test]
+fn list_is_the_registry_in_order() {
+    let out = run(&["list"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let names: Vec<&str> = figures::all().iter().map(|(e, _)| e.name).collect();
+    assert_eq!(stdout_of(&out), names.join("\n") + "\n");
+}
+
+#[test]
+fn run_unknown_driver_is_exit_2_listing_the_drivers() {
+    for args in [
+        &["run", "nope"][..],
+        &["golden", "--driver", "nope"],
+        &["spot", "--point", "nope"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+        assert!(stderr_of(&out).contains("\"nope\""), "{args:?}");
+    }
+    let err = stderr_of(&run(&["run", "nope"]));
+    for (exp, _) in figures::all() {
+        assert!(err.contains(exp.name), "{} missing from: {err}", exp.name);
+    }
+}
+
+/// `opera run <driver>` is the registry's builder under `emit`'s
+/// headers: byte-for-byte the tables the golden check builds in process.
+#[test]
+fn run_prints_the_registry_drivers_tables() {
+    let out = run(&[
+        "run",
+        "fig14_cycle_time_scaling",
+        "--quick",
+        "--threads",
+        "1",
+        "--no-write",
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let mut want = format!(
+        "# {}\n# mode=quick threads=1 seed=0 replicates=3\n",
+        figures::fig14::EXPERIMENT.title
+    );
+    for t in figures::fig14::tables(&figures::golden_ctx(1)) {
+        want += &format!("table,{}\n{}\n", t.name, t.to_csv());
+    }
+    assert_eq!(stdout_of(&out), want);
+}
+
+#[test]
 fn unknown_driver_is_exit_2_with_known_list() {
-    let out = run(&["--drivers", "fig99_nonexistent", "--no-write"]);
+    let out = run(&[
+        "orchestrate",
+        "--drivers",
+        "fig99_nonexistent",
+        "--no-write",
+    ]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
     let err = stderr_of(&out);
     assert!(err.contains("fig99_nonexistent"), "{err}");
@@ -51,7 +136,12 @@ fn empty_plan_driver_list_is_a_hard_error() {
     let dir = scratch("empty-plan");
     let plan = dir.join("plan.json");
     std::fs::write(&plan, r#"{"drivers": [], "shards": 1}"#).unwrap();
-    let out = run(&["--plan", plan.to_str().unwrap(), "--no-write"]);
+    let out = run(&[
+        "orchestrate",
+        "--plan",
+        plan.to_str().unwrap(),
+        "--no-write",
+    ]);
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -71,6 +161,7 @@ fn resume_rejects_manifest_with_unknown_driver() {
     let dir = scratch("resume-unknown");
     // A quick real run writes a valid manifest...
     let out = run(&[
+        "orchestrate",
         "--drivers",
         "fig14_cycle_time_scaling",
         "--shards",
@@ -172,8 +263,10 @@ fn run_scenario_tiny_incast_end_to_end() {
         dir.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stdout = stdout_of(&out);
     assert!(stdout.contains("traces reconciled"), "{stdout}");
+    // One summary line per sweep point.
+    assert!(stdout.contains("flows, avg_fct="), "{stdout}");
     let base = dir.join("tiny_incast");
     assert!(base.join("tiny_incast.csv").exists());
     assert!(base.join("trace.jsonl").exists());

@@ -5,8 +5,8 @@
 //! error rather than taking the sweep down.
 //!
 //! These live in the bench crate (not the root tests/) because cargo
-//! only guarantees driver binaries are built — and exposes their paths
-//! via `CARGO_BIN_EXE_<name>` — for the crate that defines them.
+//! only guarantees the `opera` binary is built — and exposes its path
+//! via `CARGO_BIN_EXE_opera` — for the crate that defines it.
 
 use bench::backend::{LocalBackend, SubprocessBackend};
 use expt::orchestrate::{Backend, OrchestrateError, Orchestrator, Plan, ShardJob};
@@ -27,16 +27,8 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("orch-subproc-{tag}-{}", std::process::id()))
 }
 
-/// The directory holding the real driver binaries for this test build.
-fn bin_dir() -> PathBuf {
-    Path::new(env!("CARGO_BIN_EXE_fig14_cycle_time_scaling"))
-        .parent()
-        .unwrap()
-        .to_path_buf()
-}
-
-/// The headline guarantee: spawning the real driver binary per shard
-/// job merges to output byte-identical to the in-process backend (which
+/// The headline guarantee: re-executing the real `opera` binary per
+/// shard job merges to output byte-identical to the in-process backend (which
 /// the tier-1 suite separately proves identical to unsharded
 /// `--threads 1`).
 #[test]
@@ -47,7 +39,8 @@ fn subprocess_run_is_byte_identical_to_local() {
         retries: 0,
     };
     let sub = Orchestrator::new(
-        SubprocessBackend::new(quick_args(), bin_dir()).with_scratch(scratch("ident")),
+        SubprocessBackend::new(quick_args(), PathBuf::from(env!("CARGO_BIN_EXE_opera")))
+            .with_scratch(scratch("ident")),
         2,
     );
     let sub_report = sub.run(&plan).expect("subprocess run succeeds");
@@ -76,23 +69,30 @@ fn subprocess_run_is_byte_identical_to_local() {
     }
 }
 
-/// Install a fake driver shell script so the failure-mapping tests can
-/// exercise exits the real drivers never produce.
+/// Install a fake `opera` shell script so the failure-mapping tests can
+/// exercise exits the real binary never produces. Every fake first
+/// checks it was invoked as `run <driver>` (exit 64 otherwise), then
+/// runs `body`.
 #[cfg(unix)]
-fn fake_driver(dir: &Path, name: &str, body: &str) {
+fn fake_program(dir: &Path, driver: &str, body: &str) -> PathBuf {
     use std::os::unix::fs::PermissionsExt;
     std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join(name);
-    std::fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
+    let path = dir.join("opera");
+    let script = format!(
+        "#!/bin/sh\nif [ \"$1\" != run ] || [ \"$2\" != {driver} ]; then\n  \
+         echo \"expected: run {driver}, got: $1 $2\" >&2\n  exit 64\nfi\n{body}\n"
+    );
+    std::fs::write(&path, script).unwrap();
     std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
+    path
 }
 
 #[cfg(unix)]
 fn run_fake(name: &str, body: &str) -> Result<Vec<String>, String> {
     let dir = scratch(&format!("bin-{name}"));
-    fake_driver(&dir, name, body);
-    let b = SubprocessBackend::new(quick_args(), dir.clone())
-        .with_scratch(scratch(&format!("job-{name}")));
+    let program = fake_program(&dir, name, body);
+    let b =
+        SubprocessBackend::new(quick_args(), program).with_scratch(scratch(&format!("job-{name}")));
     let res = b.run_shard(&ShardJob {
         driver: name.to_string(),
         shard: (0, 1),
@@ -135,7 +135,7 @@ fn silent_success_without_documents_is_an_error() {
 #[test]
 fn garbage_documents_are_a_job_failure() {
     let dir = scratch("bin-garbage");
-    fake_driver(
+    let program = fake_program(
         &dir,
         "fake_garbage",
         r#"out=""
@@ -147,7 +147,7 @@ mkdir -p "$out/fake_garbage/shards"
 printf '{ not json' > "$out/fake_garbage/shards/t.shard0of1.json""#,
     );
     let orch = Orchestrator::new(
-        SubprocessBackend::new(quick_args(), dir.clone()).with_scratch(scratch("job-garbage")),
+        SubprocessBackend::new(quick_args(), program).with_scratch(scratch("job-garbage")),
         1,
     );
     let err = orch
@@ -162,6 +162,7 @@ printf '{ not json' > "$out/fake_garbage/shards/t.shard0of1.json""#,
         OrchestrateError::Job { job, error, .. } => {
             assert_eq!(job.driver, "fake_garbage");
             assert!(!error.is_empty());
+            assert!(!error.contains("exit status: 64"), "{error}");
         }
         other => panic!("expected a job error, got: {other}"),
     }

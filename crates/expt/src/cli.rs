@@ -1,10 +1,12 @@
-//! Command-line arguments shared by every figure driver.
+//! Command-line arguments shared by every figure driver, and the
+//! argument cursor ([`Args`]) every `opera` subcommand reads its flags
+//! through.
 //!
-//! All 19 binaries accept the same flags so CI and laptops exercise the
-//! same code paths:
+//! `opera run <driver>` accepts the same flags for all 20 drivers so CI
+//! and laptops exercise the same code paths:
 //!
 //! * `--quick` — tiny grids + fixed seed (CI smoke mode),
-//! * `--full` — paper-scale configurations (also `OPERA_SCALE=full`),
+//! * `--full` — paper-scale configurations,
 //! * `--threads N` — worker threads (`0` = all cores, the default),
 //! * `--seed S` — base seed for per-point seed derivation,
 //! * `--replicates R` — replicate seeds per sweep point (default 3);
@@ -13,13 +15,60 @@
 //!   fanning a sweep out across machines; sharded runs write JSON table
 //!   documents under `results/<driver>/shards/`, merged back (with
 //!   point-index validation) by [`crate::output::merge_shard_docs`] or
-//!   the `opera_orchestrate` binary,
+//!   `opera orchestrate`,
 //! * `--out DIR` — results root (default `results/`),
 //! * `--no-write` — print CSV to stdout only,
 //! * `--k K` — ToR radix override where the driver supports it.
 
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
+
+/// Cursor over the arguments left on a command line: iterate for the
+/// next flag, then pull that flag's value with a uniform error.
+#[derive(Debug)]
+pub struct Args(std::vec::IntoIter<String>);
+
+impl Args {
+    /// Cursor over `args` (the program name already skipped).
+    pub fn new<I, S>(args: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        Args(
+            args.into_iter()
+                .map(Into::into)
+                .collect::<Vec<_>>()
+                .into_iter(),
+        )
+    }
+
+    /// The value that must follow `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.0
+            .next()
+            .ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The value that must follow `flag`, parsed.
+    pub fn parsed<T>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T: FromStr,
+        T::Err: fmt::Display,
+    {
+        let v = self.value(flag)?;
+        v.parse()
+            .map_err(|e| format!("{flag}: invalid value {v:?}: {e}"))
+    }
+}
+
+impl Iterator for Args {
+    type Item = String;
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+}
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,53 +141,33 @@ impl Default for ExptArgs {
 }
 
 impl ExptArgs {
-    /// Parse from an explicit iterator (testable core of
-    /// [`ExptArgs::parse_or_exit`]). `env_scale` is the value of the
-    /// `OPERA_SCALE` environment variable, if any.
-    pub fn parse_from<I, S>(args: I, env_scale: Option<&str>) -> Result<Self, String>
+    /// Parse the flags shared by every driver. `--help` is not handled
+    /// here: the `opera` front-end answers it before any subcommand
+    /// parses.
+    pub fn parse_from<I, S>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let mut out = ExptArgs::default();
-        if matches!(env_scale, Some("full") | Some("FULL")) {
-            out.scale = Scale::Full;
-        }
         let mut quick = false;
-        let mut it = args.into_iter().map(Into::into);
+        let mut it = Args::new(args);
         while let Some(a) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
             match a.as_str() {
                 "--quick" => quick = true,
                 "--full" => out.scale = Scale::Full,
-                "--threads" => {
-                    out.threads = value_for("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--seed" => {
-                    out.seed = value_for("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
+                "--threads" => out.threads = it.parsed(&a)?,
+                "--seed" => out.seed = it.parsed(&a)?,
                 "--replicates" => {
-                    out.replicates = value_for("--replicates")?
-                        .parse()
-                        .map_err(|e| format!("--replicates: {e}"))?;
+                    out.replicates = it.parsed(&a)?;
                     if out.replicates == 0 {
                         return Err("--replicates must be at least 1".into());
                     }
                 }
-                "--shard" => {
-                    out.shard = Some(parse_shard(&value_for("--shard")?)?);
-                }
-                "--out" => out.out = PathBuf::from(value_for("--out")?),
+                "--shard" => out.shard = Some(parse_shard(&it.value(&a)?)?),
+                "--out" => out.out = PathBuf::from(it.value(&a)?),
                 "--no-write" => out.no_write = true,
-                "--k" => {
-                    out.k = Some(value_for("--k")?.parse().map_err(|e| format!("--k: {e}"))?);
-                }
-                "--help" | "-h" => return Err(String::new()),
+                "--k" => out.k = Some(it.parsed(&a)?),
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
@@ -147,26 +176,6 @@ impl ExptArgs {
             out.scale = Scale::Quick;
         }
         Ok(out)
-    }
-
-    /// Parse `std::env::args`, printing usage and exiting on error or
-    /// `--help`.
-    pub fn parse_or_exit(name: &str, title: &str) -> Self {
-        let env_scale = std::env::var("OPERA_SCALE").ok();
-        match Self::parse_from(std::env::args().skip(1), env_scale.as_deref()) {
-            Ok(a) => a,
-            Err(msg) => {
-                if !msg.is_empty() {
-                    eprintln!("error: {msg}");
-                }
-                eprintln!("{title}");
-                eprintln!(
-                    "usage: {name} [--quick] [--full] [--threads N] [--seed S] \
-                     [--replicates R] [--shard I/N] [--out DIR] [--no-write] [--k K]"
-                );
-                std::process::exit(if msg.is_empty() { 0 } else { 2 });
-            }
-        }
     }
 }
 
@@ -188,7 +197,7 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let a = ExptArgs::parse_from(Vec::<String>::new(), None).unwrap();
+        let a = ExptArgs::parse_from(Vec::<String>::new()).unwrap();
         assert_eq!(a.scale, Scale::Default);
         assert_eq!(a.threads, 0);
         assert_eq!(a.seed, 0);
@@ -201,25 +210,22 @@ mod tests {
 
     #[test]
     fn all_flags() {
-        let a = ExptArgs::parse_from(
-            [
-                "--quick",
-                "--threads",
-                "8",
-                "--seed",
-                "42",
-                "--replicates",
-                "5",
-                "--shard",
-                "1/4",
-                "--out",
-                "tmp/r",
-                "--no-write",
-                "--k",
-                "12",
-            ],
-            None,
-        )
+        let a = ExptArgs::parse_from([
+            "--quick",
+            "--threads",
+            "8",
+            "--seed",
+            "42",
+            "--replicates",
+            "5",
+            "--shard",
+            "1/4",
+            "--out",
+            "tmp/r",
+            "--no-write",
+            "--k",
+            "12",
+        ])
         .unwrap();
         assert_eq!(a.scale, Scale::Quick);
         assert_eq!(a.threads, 8);
@@ -232,19 +238,19 @@ mod tests {
     }
 
     #[test]
-    fn quick_beats_full_and_env() {
-        let a = ExptArgs::parse_from(["--quick", "--full"], Some("full")).unwrap();
+    fn quick_beats_full() {
+        let a = ExptArgs::parse_from(["--quick", "--full"]).unwrap();
         assert_eq!(a.scale, Scale::Quick);
-        let a = ExptArgs::parse_from(Vec::<String>::new(), Some("full")).unwrap();
+        let a = ExptArgs::parse_from(["--full"]).unwrap();
         assert_eq!(a.scale, Scale::Full);
     }
 
     #[test]
     fn errors() {
-        assert!(ExptArgs::parse_from(["--threads"], None).is_err());
-        assert!(ExptArgs::parse_from(["--threads", "x"], None).is_err());
-        assert!(ExptArgs::parse_from(["--bogus"], None).is_err());
-        assert!(ExptArgs::parse_from(["--replicates", "0"], None).is_err());
+        assert!(ExptArgs::parse_from(["--threads"]).is_err());
+        assert!(ExptArgs::parse_from(["--threads", "x"]).is_err());
+        assert!(ExptArgs::parse_from(["--bogus"]).is_err());
+        assert!(ExptArgs::parse_from(["--replicates", "0"]).is_err());
     }
 
     #[test]

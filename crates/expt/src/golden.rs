@@ -18,9 +18,8 @@
 //! shortest-round-trip floats.
 //!
 //! Regenerate goldens by running the comparison path with blessing
-//! enabled (`OPERA_BLESS=1` for the tier-1 test, `--bless` for the
-//! `golden_check` binary); on an unmodified tree a bless is
-//! byte-idempotent.
+//! enabled (`OPERA_BLESS=1` for the tier-1 test, `--bless` for
+//! `opera golden`); on an unmodified tree a bless is byte-idempotent.
 
 use crate::json::{self, Json};
 use crate::output::RunMeta;

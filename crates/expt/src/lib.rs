@@ -25,7 +25,7 @@
 //!   `results/<figure>/`, plus the self-validating shard merge
 //!   ([`output::merge_shard_docs`]),
 //! * [`orchestrate`] — the driver-level scheduler behind
-//!   `opera_orchestrate`: fans `driver × shard` jobs over a worker pool
+//!   `opera orchestrate`: fans `driver × shard` jobs over a worker pool
 //!   (pluggable [`orchestrate::Backend`]), retries failures, and merges
 //!   shard documents with point-index validation,
 //! * [`runfile`] — durable run state: the `run.json` manifest, the
@@ -37,13 +37,15 @@
 //!   share,
 //! * [`cli::ExptArgs`] — the `--quick` / `--threads` / `--out` /
 //!   `--full` / `--seed` / `--replicates` / `--shard` flags shared by
-//!   all drivers,
+//!   all drivers, read through the [`cli::Args`] cursor every `opera`
+//!   subcommand uses,
 //! * [`summary`] — percentile/CI summaries computed once here instead of
 //!   per-binary.
 //!
-//! A figure driver is now a declarative definition: an [`Experiment`]
-//! (name + title) and a function `fn(&Ctx) -> Vec<Table>`; its `main` is
-//! one call to [`run_main`].
+//! A figure driver is a declarative definition: an [`Experiment`]
+//! (name + title) and a function `fn(&Ctx) -> Vec<Table>`, registered
+//! in `bench::figures::all()`; `opera run <name>` parses [`ExptArgs`],
+//! builds the tables and hands them to [`emit`].
 
 pub mod cli;
 pub mod golden;
@@ -58,7 +60,7 @@ pub mod summary;
 pub mod sweep;
 pub mod table;
 
-pub use cli::{ExptArgs, Scale};
+pub use cli::{Args, ExptArgs, Scale};
 pub use output::{merge_shard_docs, MergeError, RunMeta, TableDoc};
 pub use replicate::{replicate_seed, MetricFmt, RepCtx, RepTableBuilder};
 pub use runner::{derive_seed, PointCtx, Runner};
@@ -69,7 +71,7 @@ pub use table::{f, f0, f2, f3, Cell, Table};
 /// Static description of one figure/table driver.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
-    /// Directory name under `results/` — by convention the binary name.
+    /// The name `opera run` takes and the directory under `results/`.
     pub name: &'static str,
     /// One-line human title printed at the top of the output.
     pub title: &'static str,
@@ -97,7 +99,7 @@ impl Ctx {
         self.args.scale == Scale::Quick
     }
 
-    /// True at paper scale (`--full` or `OPERA_SCALE=full`).
+    /// True at paper scale (`--full`).
     pub fn full(&self) -> bool {
         self.args.scale == Scale::Full
     }
@@ -151,23 +153,9 @@ impl Ctx {
     }
 }
 
-/// Entry point shared by every figure binary: parse the CLI, build the
-/// tables, print them as CSV to stdout, and (unless `--no-write`) write
-/// CSV + JSON files under `<out>/<experiment name>/`.
-pub fn run_main<F>(exp: Experiment, build: F)
-where
-    F: FnOnce(&Ctx) -> Vec<Table>,
-{
-    let args = ExptArgs::parse_or_exit(exp.name, exp.title);
-    let ctx = Ctx::new(args);
-    let tables = build(&ctx);
-    emit(&exp, &ctx, &tables);
-}
-
-/// Print tables to stdout and write result files.
-///
-/// Split from [`run_main`] so tests can drive it with synthetic args.
-pub fn emit(exp: &Experiment, ctx: &Ctx, tables: &[Table]) {
+/// Print tables as CSV to stdout and (unless `--no-write`) write CSV +
+/// JSON files under `<out>/<experiment name>/`.
+pub fn emit(exp: &Experiment, ctx: &Ctx, tables: &[Table]) -> std::io::Result<()> {
     println!("# {}", exp.title);
     let shard = match ctx.runner.shard() {
         Some((i, n)) => format!(" shard={i}/{n}"),
@@ -188,16 +176,9 @@ pub fn emit(exp: &Experiment, ctx: &Ctx, tables: &[Table]) {
     if !ctx.args.no_write {
         let dir = ctx.args.out.join(exp.name);
         let meta = RunMeta::new(exp.name, &ctx.args);
-        match output::write_tables(&dir, tables, &meta) {
-            Ok(paths) => {
-                for p in paths {
-                    println!("# wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing results under {}: {e}", dir.display());
-                std::process::exit(1);
-            }
+        for p in output::write_tables(&dir, tables, &meta)? {
+            println!("# wrote {}", p.display());
         }
     }
+    Ok(())
 }

@@ -58,47 +58,6 @@ impl<P> Sweep<P> {
         Sweep { points }
     }
 
-    /// Three-axis cartesian sweep; `zs` varies fastest.
-    pub fn grid3<A, B, C, F>(xs: &[A], ys: &[B], zs: &[C], mut f: F) -> Self
-    where
-        A: Clone,
-        B: Clone,
-        C: Clone,
-        F: FnMut(A, B, C) -> P,
-    {
-        let mut points = Vec::with_capacity(xs.len() * ys.len() * zs.len());
-        for x in xs {
-            for y in ys {
-                for z in zs {
-                    points.push(f(x.clone(), y.clone(), z.clone()));
-                }
-            }
-        }
-        Sweep { points }
-    }
-
-    /// Four-axis cartesian sweep; `ws` varies fastest.
-    pub fn grid4<A, B, C, D, F>(xs: &[A], ys: &[B], zs: &[C], ws: &[D], mut f: F) -> Self
-    where
-        A: Clone,
-        B: Clone,
-        C: Clone,
-        D: Clone,
-        F: FnMut(A, B, C, D) -> P,
-    {
-        let mut points = Vec::with_capacity(xs.len() * ys.len() * zs.len() * ws.len());
-        for x in xs {
-            for y in ys {
-                for z in zs {
-                    for w in ws {
-                        points.push(f(x.clone(), y.clone(), z.clone(), w.clone()));
-                    }
-                }
-            }
-        }
-        Sweep { points }
-    }
-
     /// Append one point.
     pub fn push(&mut self, p: P) {
         self.points.push(p);
@@ -137,26 +96,6 @@ mod tests {
             s.points(),
             &[(1, "a"), (1, "b"), (1, "c"), (2, "a"), (2, "b"), (2, "c")]
         );
-    }
-
-    #[test]
-    fn grid3_last_axis_fastest() {
-        let s = Sweep::grid3(&[0, 1], &[0, 1], &[0, 1], |a, b, c| a * 4 + b * 2 + c);
-        assert_eq!(s.points(), &[0, 1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn grid4_count_and_order() {
-        let s = Sweep::grid4(
-            &[0u32, 1],
-            &[0u32, 1, 2],
-            &[0u32, 1],
-            &[0u32, 1, 2, 3],
-            |a, b, c, d| ((a * 3 + b) * 2 + c) * 4 + d,
-        );
-        assert_eq!(s.len(), 2 * 3 * 2 * 4);
-        let expect: Vec<u32> = (0..48).collect();
-        assert_eq!(s.points(), &expect[..]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! After an *intended* behavioral change, re-record the baselines with
 //! `OPERA_BLESS=1 cargo test -q golden` (or `cargo run -p bench --bin
-//! golden_check -- --bless`) and commit the `goldens/` diff alongside
+//! opera -- golden --bless`) and commit the `goldens/` diff alongside
 //! the change. Blessing an unmodified tree is byte-idempotent.
 
 use bench::figures;

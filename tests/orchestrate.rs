@@ -23,7 +23,7 @@ fn quick_args() -> ExptArgs {
     }
 }
 
-/// The acceptance bar from the issue: `opera_orchestrate --drivers all
+/// The acceptance bar from the issue: `opera orchestrate --drivers all
 /// --shards 4 --quick` produces CSVs byte-identical to unsharded
 /// `--threads 1` runs for all 20 drivers.
 #[test]
