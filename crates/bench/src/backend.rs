@@ -15,9 +15,9 @@
 //! output is byte-identical.
 
 use crate::figures;
-use expt::orchestrate::{Backend, ShardJob};
+use expt::orchestrate::{panic_message, Backend, ShardJob};
 use expt::output::{table_json, RunMeta};
-use expt::{Ctx, ExptArgs, Scale};
+use expt::{Ctx, ExptArgs, RunFlags, Scale};
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -32,15 +32,15 @@ use std::process::{Command, Stdio};
 /// and error paths see them like any remote failure.
 #[derive(Debug, Clone)]
 pub struct LocalBackend {
-    /// Run configuration shared by every job (scale / seed /
-    /// replicates; shard and threads are set per job).
-    pub args: ExptArgs,
+    /// The run's identity, shared by every job (shard and threads are
+    /// set per job).
+    pub flags: RunFlags,
 }
 
 impl LocalBackend {
-    /// Backend running every job under `args`.
-    pub fn new(args: ExptArgs) -> Self {
-        LocalBackend { args }
+    /// Backend running every job under `flags`.
+    pub fn new(flags: RunFlags) -> Self {
+        LocalBackend { flags }
     }
 }
 
@@ -48,20 +48,14 @@ impl Backend for LocalBackend {
     fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
         let (exp, build) =
             figures::find(&job.driver).ok_or_else(|| format!("unknown driver {:?}", job.driver))?;
-        let mut args = self.args.clone();
-        args.shard = Some(job.shard);
-        args.threads = 1;
-        args.no_write = true;
-        let ctx = Ctx::new(args);
+        let ctx = Ctx::new(ExptArgs {
+            shard: Some(job.shard),
+            threads: 1,
+            no_write: true,
+            ..self.flags.expt_args()
+        });
         let tables = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(&ctx)))
-            .map_err(|payload| {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("driver panicked");
-                format!("{} panicked: {msg}", exp.name)
-            })?;
+            .map_err(|payload| format!("{} panicked: {}", exp.name, panic_message(&*payload)))?;
         let meta = RunMeta::new(exp.name, &ctx.args);
         Ok(tables.iter().map(|t| table_json(t, &meta)).collect())
     }
@@ -82,9 +76,8 @@ impl Backend for LocalBackend {
 ///   match the job).
 #[derive(Debug, Clone)]
 pub struct SubprocessBackend {
-    /// Run configuration (scale / seed / replicates / k); shard and
-    /// threads are set per job.
-    pub args: ExptArgs,
+    /// The run's identity; shard and threads are set per job.
+    pub flags: RunFlags,
     /// The `opera` executable to spawn (the CLI passes its own
     /// `current_exe()`).
     pub program: PathBuf,
@@ -94,11 +87,11 @@ pub struct SubprocessBackend {
 }
 
 impl SubprocessBackend {
-    /// Backend spawning `<program> run <driver>` per job under `args`.
-    pub fn new(args: ExptArgs, program: PathBuf) -> Self {
+    /// Backend spawning `<program> run <driver>` per job under `flags`.
+    pub fn new(flags: RunFlags, program: PathBuf) -> Self {
         let scratch = std::env::temp_dir().join(format!("opera-orch-{}", std::process::id()));
         SubprocessBackend {
-            args,
+            flags,
             program,
             scratch,
         }
@@ -124,7 +117,7 @@ impl Backend for SubprocessBackend {
 
         let mut cmd = Command::new(&self.program);
         cmd.arg("run").arg(&job.driver);
-        match self.args.scale {
+        match self.flags.scale {
             Scale::Quick => {
                 cmd.arg("--quick");
             }
@@ -136,14 +129,14 @@ impl Backend for SubprocessBackend {
         cmd.arg("--threads")
             .arg("1")
             .arg("--seed")
-            .arg(self.args.seed.to_string())
+            .arg(self.flags.seed.to_string())
             .arg("--replicates")
-            .arg(self.args.replicates.to_string())
+            .arg(self.flags.replicates.to_string())
             .arg("--shard")
             .arg(format!("{}/{}", job.shard.0, job.shard.1))
             .arg("--out")
             .arg(&jobdir);
-        if let Some(k) = self.args.k {
+        if let Some(k) = self.flags.k {
             cmd.arg("--k").arg(k.to_string());
         }
         cmd.stdin(Stdio::null())
@@ -222,14 +215,14 @@ pub enum AnyBackend {
 impl AnyBackend {
     /// Build a backend by name (`local` / `subprocess`); the
     /// subprocess backend re-executes the running binary.
-    pub fn from_name(name: &str, args: ExptArgs) -> Result<AnyBackend, String> {
+    pub fn from_name(name: &str, flags: RunFlags) -> Result<AnyBackend, String> {
         match name {
-            "local" => Ok(AnyBackend::Local(LocalBackend::new(args))),
+            "local" => Ok(AnyBackend::Local(LocalBackend::new(flags))),
             "subprocess" => {
                 let program = std::env::current_exe()
                     .map_err(|e| format!("cannot locate the running binary: {e}"))?;
                 Ok(AnyBackend::Subprocess(SubprocessBackend::new(
-                    args, program,
+                    flags, program,
                 )))
             }
             other => Err(format!(
@@ -251,31 +244,24 @@ impl Backend for AnyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::GOLDEN_FLAGS;
     use expt::orchestrate::{merge_driver_docs, Orchestrator, Plan};
-    use expt::{Scale, TableDoc};
-
-    fn quick_args() -> ExptArgs {
-        ExptArgs {
-            scale: Scale::Quick,
-            no_write: true,
-            ..ExptArgs::default()
-        }
-    }
+    use expt::TableDoc;
 
     #[test]
     fn backend_registry_resolves_names() {
-        let b = AnyBackend::from_name("local", quick_args()).unwrap();
+        let b = AnyBackend::from_name("local", GOLDEN_FLAGS).unwrap();
         assert!(matches!(b, AnyBackend::Local(_)));
-        let b = AnyBackend::from_name("subprocess", quick_args()).unwrap();
+        let b = AnyBackend::from_name("subprocess", GOLDEN_FLAGS).unwrap();
         assert!(matches!(b, AnyBackend::Subprocess(_)));
-        assert!(AnyBackend::from_name("ssh", quick_args())
+        assert!(AnyBackend::from_name("ssh", GOLDEN_FLAGS)
             .unwrap_err()
             .contains("unknown backend"));
     }
 
     #[test]
     fn missing_binary_is_a_spawn_error() {
-        let b = SubprocessBackend::new(quick_args(), PathBuf::from("/nonexistent/opera"))
+        let b = SubprocessBackend::new(GOLDEN_FLAGS, PathBuf::from("/nonexistent/opera"))
             .with_scratch(
                 std::env::temp_dir().join(format!("orch-missing-{}", std::process::id())),
             );
@@ -290,7 +276,7 @@ mod tests {
 
     #[test]
     fn unknown_driver_is_an_error() {
-        let b = LocalBackend::new(quick_args());
+        let b = LocalBackend::new(GOLDEN_FLAGS);
         let err = b
             .run_shard(&ShardJob {
                 driver: "fig99_missing".into(),
@@ -304,7 +290,7 @@ mod tests {
     fn sharded_fig14_merges_to_the_unsharded_tables() {
         // fig14 is cheap and has both a sweep table and a constant
         // table — a one-driver end-to-end of backend + merge.
-        let b = LocalBackend::new(quick_args());
+        let b = LocalBackend::new(GOLDEN_FLAGS);
         let unsharded: Vec<TableDoc> = b
             .run_shard(&ShardJob {
                 driver: "fig14_cycle_time_scaling".into(),

@@ -13,7 +13,8 @@
 //!   tmp-file + rename), and finally the validated merged tables —
 //!   byte-identical to an unsharded `--threads 1` run (asserted by
 //!   `tests/orchestrate.rs`). A `--plan` file is JSON overriding the
-//!   defaults; explicit flags win over the plan:
+//!   defaults (any subset of these keys, and no others); explicit flags
+//!   win over the plan:
 //!
 //!   ```json
 //!   {"drivers": ["fig08_shuffle_throughput"], "shards": 4, "retries": 1,
@@ -41,16 +42,17 @@
 //!
 //! Exit codes: 0 on success and for `--help`; 2 for a command line that
 //! cannot be run (unknown subcommand, flag, driver, point or scenario
-//! name — the message names the known set); 1 when the work itself
-//! failed (drift, a failed job, I/O).
+//! name, a plan or scenario file that does not decode — the message
+//! names the file and the known set); 1 when the work itself failed
+//! (drift, a failed job, I/O).
 
 use bench::backend::AnyBackend;
 use bench::{figures, record, spot};
 use expt::golden::{bless_driver, compare_driver, GoldenSpec};
-use expt::orchestrate::{validate_dir, Orchestrator, Plan, PlanFile, RunReport};
-use expt::runfile::{resume_run, RunManifest, RunWriter, RUN_FILE};
+use expt::orchestrate::{validate_dir, OrchestrateError, Orchestrator, Plan, PlanFile, RunReport};
+use expt::runfile::{resume_run, start_run, RunManifest, RUN_FILE};
 use expt::scenario::Scenario;
-use expt::{Args, Ctx, ExptArgs, RunMeta, Scale, TableDoc};
+use expt::{Args, Ctx, ExptArgs, RunFlags, RunMeta, Scale};
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -216,10 +218,13 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
             "--out" => out = PathBuf::from(args.value(&a)?),
             "--no-write" => no_write = true,
             "--plan" => {
+                // Like a scenario, a plan that cannot be read or decoded
+                // is exit 2 naming the file, not a usage error.
                 let path = args.value(&a)?;
-                let text =
-                    std::fs::read_to_string(&path).map_err(|e| format!("--plan {path}: {e}"))?;
-                plan_file = PlanFile::parse(&text)?;
+                plan_file = std::fs::read_to_string(&path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| PlanFile::parse(&text))
+                    .map_err(|e| Exit::Invalid(format!("{path}: {e}")))?;
             }
             other => return Err(unknown(other)),
         }
@@ -243,51 +248,47 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
         shards: shards.or(plan_file.shards).unwrap_or(2).max(1),
         retries: retries.or(plan_file.retries).unwrap_or(1),
     };
-    let expt_args = ExptArgs {
+    let flags = RunFlags {
         scale: scale.or(plan_file.scale).unwrap_or(Scale::Default),
         seed: seed.or(plan_file.seed).unwrap_or(0),
         replicates: replicates.or(plan_file.replicates).unwrap_or(3),
-        ..ExptArgs::default()
+        k: None,
     };
     let backend_name = backend_arg
         .or(plan_file.backend)
         .unwrap_or_else(|| "local".to_string());
-    let backend = AnyBackend::from_name(&backend_name, expt_args.clone())?;
+    let backend = AnyBackend::from_name(&backend_name, flags)?;
     println!(
         "# orchestrating {} driver(s) x {} shard(s), backend={backend_name}, scale={}, seed={}, \
          replicates={}, retries={}",
         plan.drivers.len(),
         plan.shards,
-        expt_args.scale,
-        expt_args.seed,
-        expt_args.replicates,
+        flags.scale,
+        flags.seed,
+        flags.replicates,
         plan.retries
     );
-    let orch = Orchestrator::new(backend, workers.or(plan_file.workers).unwrap_or(0));
+    let workers = workers.or(plan_file.workers).unwrap_or(0);
 
     if no_write {
+        let orch = Orchestrator::new(backend, workers);
         print_report(&orch.run(&plan).map_err(failed)?);
         return Ok(());
     }
 
     // Durable run: manifest first, every shard persisted as its job
     // completes, merged CSVs at the end.
-    let manifest = RunManifest::new(&plan, &backend_name, &expt_args);
-    let writer = RunWriter::create(&out, manifest).map_err(failed)?;
-    let report = orch.run_observed(&plan, &writer).map_err(|e| {
-        Exit::Failed(format!(
+    let run = start_run(&out, &plan, &backend_name, flags, backend, workers);
+    let (report, csvs) = run.map_err(|e| match e {
+        OrchestrateError::Job { .. } | OrchestrateError::Merge { .. } => Exit::Failed(format!(
             "{e}\n# completed shards are persisted under {0}; after fixing the cause, \
              re-run only the rest with: opera resume {0}",
             out.display()
-        ))
+        )),
+        other => failed(other),
     })?;
     print_report(&report);
-    let merged: Vec<(String, Vec<TableDoc>)> = report
-        .drivers
-        .into_iter()
-        .map(|r| (r.driver, r.merged))
-        .collect();
-    for p in writer.finish(&merged).map_err(failed)? {
+    for p in csvs {
         println!("# wrote {}", p.display());
     }
     Ok(())
@@ -331,23 +332,23 @@ fn resume(mut args: Args) -> Result<(), Exit> {
     // A manifest naming no or unknown drivers (hand-edited, or written
     // by a newer binary) must fail by name here, not schedule jobs that
     // all error out — or "resume" to a green zero-job run.
-    if manifest.drivers.is_empty() {
+    if manifest.plan.drivers.is_empty() {
         return Err(Exit::Invalid(format!(
             "manifest {} lists no drivers; nothing to resume",
             path.display()
         )));
     }
-    require_known("driver", &manifest.drivers, &driver_names())?;
+    require_known("driver", &manifest.plan.drivers, &driver_names())?;
     // Default to the backend the original run used.
     let backend_name = backend_arg.unwrap_or_else(|| manifest.backend.clone());
-    let backend = AnyBackend::from_name(&backend_name, manifest.expt_args())?;
+    let backend = AnyBackend::from_name(&backend_name, manifest.flags)?;
     println!(
         "# resuming {} ({} driver(s) x {} shard(s), backend={backend_name}, scale={}, seed={})",
         dir.display(),
-        manifest.drivers.len(),
-        manifest.shards,
-        manifest.scale,
-        manifest.seed
+        manifest.plan.drivers.len(),
+        manifest.plan.shards,
+        manifest.flags.scale,
+        manifest.flags.seed
     );
     let report = resume_run(&dir, backend, workers).map_err(|e| {
         Exit::Failed(format!(
@@ -519,10 +520,12 @@ fn spot_suite(mut args: Args) -> Result<(), Exit> {
     // means).
     let meta = RunMeta {
         driver: spot::DRIVER.to_string(),
-        scale: "full".to_string(),
-        seed: 0,
-        replicates: 1,
-        k: None,
+        flags: RunFlags {
+            scale: Scale::Full,
+            seed: 0,
+            replicates: 1,
+            k: None,
+        },
         shard: None,
     };
     let root = figures::golden_root();

@@ -28,7 +28,7 @@ pub mod table1;
 pub mod table2;
 
 use expt::golden::{bless_driver, compare_driver, Drift, GoldenSpec};
-use expt::{Cell, Ctx, Experiment, ExptArgs, MetricFmt, RunMeta, Scale, Table};
+use expt::{Cell, Ctx, Experiment, ExptArgs, MetricFmt, RunFlags, RunMeta, Scale, Table};
 use netsim::FlowTracker;
 use opera::harness::FctStats;
 use std::io;
@@ -93,15 +93,23 @@ pub fn golden_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens")
 }
 
-/// The canonical context goldens are recorded and checked under: quick
-/// scale, base seed 0, 3 replicates, no result files. Thread count is
-/// free — the harness guarantees it cannot affect output.
+/// The run identity goldens are recorded and checked under: quick
+/// scale, base seed 0, 3 replicates.
+pub const GOLDEN_FLAGS: RunFlags = RunFlags {
+    scale: Scale::Quick,
+    seed: 0,
+    replicates: 3,
+    k: None,
+};
+
+/// The canonical context of a golden run: [`GOLDEN_FLAGS`], no result
+/// files. Thread count is free — the harness guarantees it cannot
+/// affect output.
 pub fn golden_ctx(threads: usize) -> Ctx {
     Ctx::new(ExptArgs {
-        scale: Scale::Quick,
         threads,
         no_write: true,
-        ..ExptArgs::default()
+        ..GOLDEN_FLAGS.expt_args()
     })
 }
 
@@ -191,16 +199,6 @@ pub(crate) fn completion_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expt::{ExptArgs, Scale};
-
-    fn quick_ctx(threads: usize) -> Ctx {
-        Ctx::new(ExptArgs {
-            scale: Scale::Quick,
-            threads,
-            no_write: true,
-            ..ExptArgs::default()
-        })
-    }
 
     #[test]
     fn registry_names_are_unique_and_nonempty() {
@@ -217,7 +215,7 @@ mod tests {
 
     #[test]
     fn cheap_figures_produce_rows_in_quick_mode() {
-        let ctx = quick_ctx(2);
+        let ctx = golden_ctx(2);
         for build in [
             fig01::tables as BuildFn,
             fig14::tables,
@@ -235,8 +233,8 @@ mod tests {
         // The acceptance bar for the harness: --threads 8 output equals
         // --threads 1, byte for byte. fig11 exercises per-point RNG use.
         for build in [fig11::tables as BuildFn, fig14::tables] {
-            let serial: Vec<String> = build(&quick_ctx(1)).iter().map(Table::to_csv).collect();
-            let parallel: Vec<String> = build(&quick_ctx(8)).iter().map(Table::to_csv).collect();
+            let serial: Vec<String> = build(&golden_ctx(1)).iter().map(Table::to_csv).collect();
+            let parallel: Vec<String> = build(&golden_ctx(8)).iter().map(Table::to_csv).collect();
             assert_eq!(serial, parallel);
         }
     }

@@ -26,7 +26,6 @@ use criterion::{sample_batched, Summary};
 use expt::json::Json;
 use simkit::engine::{EventContext, EventHandler, Simulator};
 use simkit::{SimRng, SimTime};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use topo::cost::{expander_racks, expander_uplinks};
@@ -327,67 +326,51 @@ fn finish(
     }
 }
 
-fn num(text: String) -> Json {
-    Json::Num(text)
-}
-
 /// Build the JSON object for one trajectory entry.
 pub fn entry(results: &[ScenarioResult], mode: &str, recorded_at_unix: u64, git_rev: &str) -> Json {
-    let mut scenarios = BTreeMap::new();
-    for r in results {
-        let mut s = BTreeMap::new();
-        s.insert("events".into(), num(r.events.to_string()));
-        s.insert(
-            "events_per_sec".into(),
-            num(format!("{:.1}", r.events_per_sec)),
-        );
-        s.insert("peak_pending".into(), num(r.peak_pending.to_string()));
-        s.insert(
-            "wall_ms_median".into(),
-            num(format!("{:.3}", r.wall.median.as_secs_f64() * 1e3)),
-        );
-        s.insert(
-            "wall_ms_stddev".into(),
-            num(format!("{:.3}", r.wall.stddev.as_secs_f64() * 1e3)),
-        );
-        scenarios.insert(r.name.to_string(), Json::Obj(s));
-    }
-    let mut e = BTreeMap::new();
-    e.insert(
-        "engine".into(),
-        Json::Str(simkit::engine::ENGINE_NAME.into()),
-    );
-    e.insert("git_rev".into(), Json::Str(git_rev.into()));
-    e.insert(
-        "host".into(),
-        Json::Str(format!(
-            "{}-{}",
-            std::env::consts::OS,
-            std::env::consts::ARCH
-        )),
-    );
-    e.insert("mode".into(), Json::Str(mode.into()));
-    e.insert("recorded_at_unix".into(), num(recorded_at_unix.to_string()));
-    e.insert("scenarios".into(), Json::Obj(scenarios));
-    Json::Obj(e)
+    let ms = |d: std::time::Duration| Json::Num(format!("{:.3}", d.as_secs_f64() * 1e3));
+    let scenario = |r: &ScenarioResult| {
+        Json::obj([
+            ("events", Json::Num(r.events.to_string())),
+            (
+                "events_per_sec",
+                Json::Num(format!("{:.1}", r.events_per_sec)),
+            ),
+            ("peak_pending", Json::Num(r.peak_pending.to_string())),
+            ("wall_ms_median", ms(r.wall.median)),
+            ("wall_ms_stddev", ms(r.wall.stddev)),
+        ])
+    };
+    let host = format!("{}-{}", std::env::consts::OS, std::env::consts::ARCH);
+    Json::obj([
+        ("engine", Json::Str(simkit::engine::ENGINE_NAME.into())),
+        ("git_rev", Json::Str(git_rev.into())),
+        ("host", Json::Str(host)),
+        ("mode", Json::Str(mode.into())),
+        ("recorded_at_unix", Json::Num(recorded_at_unix.to_string())),
+        (
+            "scenarios",
+            Json::Obj(
+                results
+                    .iter()
+                    .map(|r| (r.name.to_string(), scenario(r)))
+                    .collect(),
+            ),
+        ),
+    ])
 }
 
 /// Load a trajectory document, or the empty skeleton if `path` does not
 /// exist yet.
 pub fn load(path: &Path) -> io::Result<Json> {
     if !path.exists() {
-        let mut doc = BTreeMap::new();
-        doc.insert("entries".into(), Json::Arr(vec![]));
-        doc.insert("schema".into(), Json::Num("1".into()));
-        doc.insert(
-            "unit".into(),
-            Json::Str(
-                "events_per_sec = simulator events per wall-clock second, \
-                 median over samples; see README \"Performance trajectory\""
-                    .into(),
-            ),
-        );
-        return Ok(Json::Obj(doc));
+        let unit = "events_per_sec = simulator events per wall-clock second, \
+                    median over samples; see README \"Performance trajectory\"";
+        return Ok(Json::obj([
+            ("entries", Json::Arr(vec![])),
+            ("schema", Json::Num("1".into())),
+            ("unit", Json::Str(unit.into())),
+        ]));
     }
     let text = std::fs::read_to_string(path)?;
     Json::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
@@ -478,9 +461,7 @@ mod tests {
 
     fn doc_with(eps: f64) -> Json {
         let e = entry(&[result("engine_churn", eps)], "quick", 123, "abc");
-        let mut doc = BTreeMap::new();
-        doc.insert("entries".into(), Json::Arr(vec![e]));
-        Json::Obj(doc)
+        Json::obj([("entries", Json::Arr(vec![e]))])
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! per-link packet counts must equal the JSON-lines `tx` record counts,
 //! link for link.
 
+use expt::output::write_atomic;
 use expt::scenario::{Scenario, ScenarioPoint};
+use expt::{f2, Cell, Table};
 use netsim::fabric::QueueConfig;
 use netsim::policy::{DropTail, EcnMark, NdpTrim, Pfc};
 use netsim::trace::{JsonlSink, MultiSink, TraceSink};
@@ -22,7 +24,6 @@ use opera::{opera_net, static_net, OperaNetConfig};
 use simkit::stats::Samples;
 use simkit::{SimRng, SimTime};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use topo::clos::ClosParams;
 use transport::{DctcpParams, GoBackNParams, NdpParams, TransportKind};
@@ -329,29 +330,24 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
 }
 
 fn write_csv(path: &Path, rows: &[(ScenarioPoint, PointMetrics)]) -> Result<(), String> {
-    let mut f = std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut out = String::from(
-        "policy,transport,senders,completed,offered,avg_fct_us,p99_fct_us,dropped,trimmed,marked\n",
-    );
+    let header =
+        "policy,transport,senders,completed,offered,avg_fct_us,p99_fct_us,dropped,trimmed,marked";
+    let mut t = Table::new("scenario", &header.split(',').collect::<Vec<_>>());
     for (pt, m) in rows {
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{:.2},{:.2},{},{},{}",
-            pt.policy,
-            pt.transport,
-            pt.senders,
-            m.completed,
-            m.offered,
-            m.avg_fct_us,
-            m.p99_fct_us,
-            m.dropped,
-            m.trimmed,
-            m.marked
-        );
+        t.push(vec![
+            Cell::from(pt.policy.as_str()),
+            Cell::from(pt.transport.as_str()),
+            Cell::from(pt.senders),
+            Cell::from(m.completed),
+            Cell::from(m.offered),
+            f2(m.avg_fct_us),
+            f2(m.p99_fct_us),
+            Cell::from(m.dropped),
+            Cell::from(m.trimmed),
+            Cell::from(m.marked),
+        ]);
     }
-    f.write_all(out.as_bytes())
-        .map_err(|e| format!("{}: {e}", path.display()))
+    write_atomic(path, &t.to_csv()).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Per-link `tx` counts keyed by `(node, port)`.

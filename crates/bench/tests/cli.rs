@@ -156,6 +156,123 @@ fn empty_plan_driver_list_is_a_hard_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A plan that cannot be read or decoded is an invalid input like a bad
+/// scenario: exit 2 naming the file and what is wrong with it, no usage
+/// dump, nothing run. The first row used to run 2 shards and exit 0, the
+/// second 3.
+#[test]
+fn undecodable_plan_is_exit_2_naming_the_file() {
+    let dir = scratch("bad-plan");
+    let plan = dir.join("plan.json");
+    for (text, want) in [
+        (
+            r#"{"drivers": ["fig14_cycle_time_scaling"], "shard": 4}"#,
+            "plan: unknown key \"shard\" (known: backend, drivers, replicates, retries, scale, \
+             seed, shards, workers)",
+        ),
+        (
+            r#"{"shards": 2, "shards": 3}"#,
+            "plan: duplicate key \"shards\" at byte 14",
+        ),
+        (
+            r#"{"scale": "huge"}"#,
+            "plan: scale: unknown scale \"huge\" (want quick/default/full)",
+        ),
+        (
+            r#"["fig14_cycle_time_scaling"]"#,
+            "plan: expected an object",
+        ),
+    ] {
+        std::fs::write(&plan, text).unwrap();
+        let out = run(&[
+            "orchestrate",
+            "--plan",
+            plan.to_str().unwrap(),
+            "--quick",
+            "--no-write",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{text}: {}", stderr_of(&out));
+        assert_eq!(
+            stderr_of(&out),
+            format!("error: {}: {want}\n", plan.display()),
+            "{text}"
+        );
+        assert!(out.stdout.is_empty(), "{text} ran something");
+    }
+    let out = run(&["orchestrate", "--plan", "/nonexistent/plan.json"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).starts_with("error: /nonexistent/plan.json: "));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two megabytes of `[` used to overflow the stack of every subcommand
+/// that reads a document (exit 134). Now it is a parse error: `resume`
+/// re-runs exactly the job whose shard document it replaced, the others
+/// report the file.
+#[test]
+fn deeply_nested_documents_are_errors_not_aborts() {
+    let dir = scratch("deep");
+    let deep = "[".repeat(2_000_000);
+    let too_deep = "nesting deeper than 64 at byte 64";
+
+    for (name, args) in [
+        ("plan.json", &["orchestrate", "--no-write", "--plan"][..]),
+        ("scenario.json", &["run-scenario"]),
+    ] {
+        let file = dir.join(name);
+        std::fs::write(&file, &deep).unwrap();
+        let out = run(&[args, &[file.to_str().unwrap()]].concat());
+        assert_eq!(out.status.code(), Some(2), "{name}: {}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(err.contains(name) && err.contains(too_deep), "{err}");
+    }
+
+    let results = dir.join("results");
+    let orchestrated = run(&[
+        "orchestrate",
+        "--drivers",
+        "fig14_cycle_time_scaling",
+        "--shards",
+        "2",
+        "--quick",
+        "--out",
+        results.to_str().unwrap(),
+    ]);
+    assert!(
+        orchestrated.status.success(),
+        "{}",
+        stderr_of(&orchestrated)
+    );
+    let merged = results.join("fig14_cycle_time_scaling/cycle_time.csv");
+    let reference = std::fs::read_to_string(&merged).unwrap();
+    let victim = "fig14_cycle_time_scaling/shards/bulk_threshold_mb.shard1of2.json";
+    std::fs::write(results.join(victim), &deep).unwrap();
+
+    let out = run(&["validate", "--out", results.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains(too_deep), "{}", stderr_of(&out));
+
+    let out = run(&["resume", results.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let reruns: Vec<String> = stdout_of(&out)
+        .lines()
+        .filter(|l| l.starts_with("rerun"))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(reruns.len(), 1, "{reruns:?}");
+    assert!(
+        reruns[0].starts_with("rerun  fig14_cycle_time_scaling shard 1/2: corrupt shard document")
+            && reruns[0].contains(victim)
+            && reruns[0].ends_with(too_deep),
+        "{}",
+        reruns[0]
+    );
+    assert_eq!(std::fs::read_to_string(&merged).unwrap(), reference);
+    let out = run(&["validate", "--out", results.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_rejects_manifest_with_unknown_driver() {
     let dir = scratch("resume-unknown");

@@ -9,19 +9,11 @@
 //! via `CARGO_BIN_EXE_opera` — for the crate that defines it.
 
 use bench::backend::{LocalBackend, SubprocessBackend};
+use bench::figures::GOLDEN_FLAGS;
 use expt::orchestrate::{Backend, OrchestrateError, Orchestrator, Plan, ShardJob};
-use expt::{ExptArgs, Scale};
 use std::path::{Path, PathBuf};
 
 const DRIVER: &str = "fig14_cycle_time_scaling";
-
-fn quick_args() -> ExptArgs {
-    ExptArgs {
-        scale: Scale::Quick,
-        no_write: true,
-        ..ExptArgs::default()
-    }
-}
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("orch-subproc-{tag}-{}", std::process::id()))
@@ -39,13 +31,13 @@ fn subprocess_run_is_byte_identical_to_local() {
         retries: 0,
     };
     let sub = Orchestrator::new(
-        SubprocessBackend::new(quick_args(), PathBuf::from(env!("CARGO_BIN_EXE_opera")))
+        SubprocessBackend::new(GOLDEN_FLAGS, PathBuf::from(env!("CARGO_BIN_EXE_opera")))
             .with_scratch(scratch("ident")),
         2,
     );
     let sub_report = sub.run(&plan).expect("subprocess run succeeds");
 
-    let local = Orchestrator::new(LocalBackend::new(quick_args()), 2);
+    let local = Orchestrator::new(LocalBackend::new(GOLDEN_FLAGS), 2);
     let local_report = local.run(&plan).unwrap();
 
     let (s, l) = (&sub_report.drivers[0], &local_report.drivers[0]);
@@ -92,7 +84,7 @@ fn run_fake(name: &str, body: &str) -> Result<Vec<String>, String> {
     let dir = scratch(&format!("bin-{name}"));
     let program = fake_program(&dir, name, body);
     let b =
-        SubprocessBackend::new(quick_args(), program).with_scratch(scratch(&format!("job-{name}")));
+        SubprocessBackend::new(GOLDEN_FLAGS, program).with_scratch(scratch(&format!("job-{name}")));
     let res = b.run_shard(&ShardJob {
         driver: name.to_string(),
         shard: (0, 1),
@@ -147,7 +139,7 @@ mkdir -p "$out/fake_garbage/shards"
 printf '{ not json' > "$out/fake_garbage/shards/t.shard0of1.json""#,
     );
     let orch = Orchestrator::new(
-        SubprocessBackend::new(quick_args(), program).with_scratch(scratch("job-garbage")),
+        SubprocessBackend::new(GOLDEN_FLAGS, program).with_scratch(scratch("job-garbage")),
         1,
     );
     let err = orch

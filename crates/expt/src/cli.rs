@@ -20,6 +20,7 @@
 //! * `--no-write` — print CSV to stdout only,
 //! * `--k K` — ToR radix override where the driver supports it.
 
+use crate::json::{Bad, FromJson, Json};
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -101,6 +102,12 @@ impl Scale {
             "full" => Ok(Scale::Full),
             other => Err(format!("unknown scale {other:?} (want quick/default/full)")),
         }
+    }
+}
+
+impl FromJson for Scale {
+    fn from_json(j: &Json) -> Result<Self, Bad> {
+        Scale::from_name(&String::from_json(j)?).map_err(Bad::new)
     }
 }
 

@@ -21,8 +21,8 @@
 //! enabled (`OPERA_BLESS=1` for the tier-1 test, `--bless` for
 //! `opera golden`); on an unmodified tree a bless is byte-idempotent.
 
-use crate::json::{self, Json};
-use crate::output::RunMeta;
+use crate::json::{self, quoted};
+use crate::output::{list, RunFlags, RunMeta};
 use crate::table::Table;
 use std::fmt;
 use std::fs;
@@ -41,12 +41,9 @@ pub struct GoldenManifest {
     /// `git rev-parse --short HEAD` of the tree the bless ran on
     /// (`unknown` outside a git checkout).
     pub commit: String,
-    /// Scale the bless ran at.
-    pub scale: String,
-    /// Base seed.
-    pub seed: u64,
-    /// Replicates per sweep point.
-    pub replicates: usize,
+    /// The identity of the blessing run (`"k"` is written only when
+    /// set; no committed golden sets it).
+    pub flags: RunFlags,
     /// Blessed table names, sorted.
     pub tables: Vec<String>,
 }
@@ -64,9 +61,7 @@ impl GoldenManifest {
         names.sort_unstable();
         GoldenManifest {
             commit: String::new(),
-            scale: meta.scale.clone(),
-            seed: meta.seed,
-            replicates: meta.replicates,
+            flags: meta.flags,
             tables: names,
         }
     }
@@ -80,54 +75,30 @@ impl GoldenManifest {
 
     /// Render as JSON.
     pub fn render(&self) -> String {
-        let mut s = String::from("{\n  \"commit\": ");
-        json::write_string(&mut s, &self.commit);
-        s.push_str(",\n  \"scale\": ");
-        json::write_string(&mut s, &self.scale);
-        s.push_str(&format!(",\n  \"seed\": {}", self.seed));
-        s.push_str(&format!(",\n  \"replicates\": {}", self.replicates));
-        s.push_str(",\n  \"tables\": [");
-        for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            json::write_string(&mut s, t);
-        }
-        s.push_str("]\n}\n");
-        s
+        let RunFlags {
+            scale,
+            seed,
+            replicates,
+            k,
+        } = self.flags;
+        let k = k.map_or(String::new(), |k| format!(",\n  \"k\": {k}"));
+        format!(
+            "{{\n  \"commit\": {},\n  \"scale\": {},\n  \"seed\": {seed},\n  \
+             \"replicates\": {replicates}{k},\n  \"tables\": [{}]\n}}\n",
+            quoted(&self.commit),
+            quoted(&scale.to_string()),
+            list(&self.tables, |t| quoted(t)),
+        )
     }
 
     /// Parse from JSON text.
     pub fn parse(text: &str) -> Result<GoldenManifest, String> {
-        let j = Json::parse(text)?;
-        let str_field = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("manifest: missing field {k:?}"))
-        };
-        Ok(GoldenManifest {
-            commit: str_field("commit")?,
-            scale: str_field("scale")?,
-            seed: j
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("manifest: missing field \"seed\"")?,
-            replicates: j
-                .get("replicates")
-                .and_then(Json::as_usize)
-                .ok_or("manifest: missing field \"replicates\"")?,
-            tables: j
-                .get("tables")
-                .and_then(Json::as_arr)
-                .ok_or("manifest: missing field \"tables\"")?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "manifest: bad table name".to_string())
-                })
-                .collect::<Result<_, _>>()?,
+        json::decode("golden manifest", text, |f| {
+            Ok(GoldenManifest {
+                commit: f.req("commit")?,
+                flags: RunFlags::read(f)?,
+                tables: f.req("tables")?,
+            })
         })
     }
 }
@@ -355,11 +326,6 @@ fn cells_within_ci(got: &str, want: &str, ci: Option<&String>, factor: f64) -> b
     ci.is_finite() && (g - w).abs() <= factor * ci
 }
 
-/// The golden directory of one driver under `golden_root`.
-pub fn golden_dir(golden_root: &Path, driver: &str) -> PathBuf {
-    golden_root.join(driver)
-}
-
 /// Compare a driver's freshly built tables against its committed
 /// goldens. Returns every drift found (empty = clean). IO errors other
 /// than "golden missing" (which is reported as a drift) are returned as
@@ -371,7 +337,7 @@ pub fn compare_driver(
     spec: &GoldenSpec,
     meta: &RunMeta,
 ) -> io::Result<Vec<Drift>> {
-    let dir = golden_dir(golden_root, driver);
+    let dir = golden_root.join(driver);
     let drift = |table: &str, note: &str, got: String, want: String| Drift {
         driver: driver.to_string(),
         table: table.to_string(),
@@ -517,34 +483,27 @@ pub fn compare_driver(
         }
         Err(e) => return Err(e),
         Ok(text) => {
-            let got = GoldenManifest::parse(&text).map_err(|e| {
+            // `want` is what this run would stamp (the fresh side of
+            // the drift), `committed` what the bless recorded.
+            let committed = GoldenManifest::parse(&text).map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("{}: {e}", mpath.display()),
                 )
             })?;
-            // `want` holds what this run would stamp (the fresh side of
-            // the drift), `committed` what the on-disk manifest
-            // recorded (the golden side).
-            let committed = got;
-            for (field, run_v, manifest_v) in [
-                ("scale", want.scale.clone(), committed.scale.clone()),
-                ("seed", want.seed.to_string(), committed.seed.to_string()),
-                (
-                    "replicates",
-                    want.replicates.to_string(),
-                    committed.replicates.to_string(),
-                ),
-                ("tables", want.tables.join(","), committed.tables.join(",")),
-            ] {
-                if run_v != manifest_v {
-                    drifts.push(drift(
-                        GoldenManifest::FILE,
-                        &format!("stale bless: manifest {field} disagrees with this run"),
-                        run_v,
-                        manifest_v,
-                    ));
-                }
+            let mut stale = |field: &str, run_v: String, manifest_v: String| {
+                drifts.push(drift(
+                    GoldenManifest::FILE,
+                    &format!("stale bless: manifest {field} disagrees with this run"),
+                    run_v,
+                    manifest_v,
+                ));
+            };
+            if let Some(d) = want.flags.first_difference(&committed.flags) {
+                stale(d.flag, d.got, d.want);
+            }
+            if want.tables != committed.tables {
+                stale("tables", want.tables.join(","), committed.tables.join(","));
             }
         }
     }
@@ -560,7 +519,7 @@ pub fn bless_driver(
     golden_root: &Path,
     meta: &RunMeta,
 ) -> io::Result<Vec<PathBuf>> {
-    let dir = golden_dir(golden_root, driver);
+    let dir = golden_root.join(driver);
     fs::create_dir_all(&dir)?;
     let mut written = Vec::with_capacity(tables.len());
     for t in tables {
@@ -588,21 +547,10 @@ mod tests {
     use super::*;
     use crate::table::Cell;
 
-    fn tmp_root(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("golden-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
-    }
+    use crate::testutil::{tmp_dir as tmp_root, QUICK};
 
     fn meta() -> RunMeta {
-        RunMeta {
-            driver: "drv".into(),
-            scale: "quick".into(),
-            seed: 0,
-            replicates: 3,
-            k: None,
-            shard: None,
-        }
+        crate::testutil::meta("drv", None)
     }
 
     fn demo_table() -> Table {
@@ -833,15 +781,13 @@ mod tests {
         bless_driver("drv", &[demo_table()], &root, &meta()).unwrap();
         let text = fs::read_to_string(root.join("drv").join(GoldenManifest::FILE)).unwrap();
         let m = GoldenManifest::parse(&text).unwrap();
-        assert_eq!((m.scale.as_str(), m.seed, m.replicates), ("quick", 0, 3));
+        assert_eq!(m.flags, QUICK);
         assert_eq!(m.tables, ["series"]);
         assert!(!m.commit.is_empty());
 
         // Same tables compared under different flags: stale bless.
-        let other = RunMeta {
-            replicates: 5,
-            ..meta()
-        };
+        let mut other = meta();
+        other.flags.replicates = 5;
         let drifts =
             compare_driver("drv", &[demo_table()], &root, &GoldenSpec::strict(), &other).unwrap();
         assert_eq!(drifts.len(), 1);
@@ -849,6 +795,24 @@ mod tests {
         assert_eq!(
             (drifts[0].got.as_str(), drifts[0].want.as_str()),
             ("5", "3")
+        );
+
+        // A manifest that does not decode is an error naming the file
+        // and the field, not a pass and not a drift.
+        let mpath = root.join("drv").join(GoldenManifest::FILE);
+        fs::write(&mpath, text.replace("\"quick\"", "\"huge\"")).unwrap();
+        let err = compare_driver(
+            "drv",
+            &[demo_table()],
+            &root,
+            &GoldenSpec::strict(),
+            &meta(),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("manifest.json: golden manifest: scale: unknown scale \"huge\""),
+            "{err}"
         );
 
         // Deleting the manifest is detectable drift, not a pass.

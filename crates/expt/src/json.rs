@@ -1,14 +1,30 @@
-//! Minimal JSON reader for the shard-merge path.
+//! Minimal JSON reader, and the one strict decoder every document of
+//! this crate is read through.
 //!
-//! The workspace builds offline (no serde), and the only JSON this
-//! crate must *read back* is the JSON it wrote itself: table shard
-//! documents ([`crate::output::table_json`]) and orchestrator plan
-//! files. This parser covers full JSON syntax with one deliberate
-//! twist: numbers keep their **raw literal text** ([`Json::Num`])
-//! instead of being eagerly converted to `f64`, so 64-bit seeds and
-//! rendered cell values round-trip byte-exactly.
+//! The workspace builds offline (no serde). [`Json::parse`] covers full
+//! JSON syntax with one twist: numbers keep their **raw literal text**
+//! ([`Json::Num`]), so 64-bit seeds and rendered cell values round-trip
+//! byte-exactly. It is safe on hostile text: a repeated object key is an
+//! error (not last-one-wins) and nesting is bounded by [`MAX_DEPTH`].
+//!
+//! [`Fields`] is the decoder on top of it. Table documents, `run.json`,
+//! plan files, golden manifests and scenarios (TOML is first adapted to
+//! a [`Json`] tree) are each a list of typed field reads against one
+//! `Fields`, closed by [`Fields::finish`], which rejects any key never
+//! asked for. Every error has one shape, `<document>: <path>: <what>`:
+//!
+//! ```text
+//! plan: unknown key "shard" (known: backend, drivers, replicates, ...)
+//! run manifest: jobs[3].shard: expected an [i, n] pair
+//! scenario: workload.kind: missing (keys present: flow_kb, senders)
+//! ```
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`Json::parse`] accepts (documents nest
+/// three deep): a file of two million `[` is an error, not a stack
+/// overflow.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,8 +39,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Key order is not preserved (documents written by this
-    /// crate never repeat keys).
+    /// An object. Key order is not preserved; a repeated key is a
+    /// parse error.
     Obj(BTreeMap<String, Json>),
 }
 
@@ -34,6 +50,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -42,6 +59,11 @@ impl Json {
             return Err(format!("trailing characters at byte {}", p.pos));
         }
         Ok(v)
+    }
+
+    /// An object of the given members.
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
     }
 
     /// Object member lookup.
@@ -76,28 +98,26 @@ impl Json {
         }
     }
 
-    /// The number as `u64`, if this is an integral number in range.
-    pub fn as_u64(&self) -> Option<u64> {
+    fn num<T: std::str::FromStr>(&self) -> Option<T> {
         match self {
             Json::Num(n) => n.parse().ok(),
             _ => None,
         }
+    }
+
+    /// The number as `u64`, if this is an integral number in range.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.num()
     }
 
     /// The number as `usize`, if this is an integral number in range.
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(n) => n.parse().ok(),
-            _ => None,
-        }
+        self.num()
     }
 
     /// The number as `f64`, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => n.parse().ok(),
-            _ => None,
-        }
+        self.num()
     }
 
     /// True when the value is `null`.
@@ -121,7 +141,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(n),
-            Json::Str(s) => write_string(out, s),
+            Json::Str(s) => out.push_str(&quoted(s)),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -152,7 +172,7 @@ impl Json {
                     }
                     out.push('\n');
                     out.push_str(&"  ".repeat(indent + 1));
-                    write_string(out, k);
+                    out.push_str(&quoted(k));
                     out.push_str(": ");
                     v.render_into(out, indent + 1);
                 }
@@ -167,6 +187,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -209,8 +231,27 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => {
+                let mut m = BTreeMap::new();
+                self.items(b'}', |p| {
+                    let key_at = p.pos;
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.expect(b':')?;
+                    p.skip_ws();
+                    if m.contains_key(&key) {
+                        return Err(format!("duplicate key {key:?} at byte {key_at}"));
+                    }
+                    m.insert(key, p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Obj(m))
+            }
+            Some(b'[') => {
+                let mut v = Vec::new();
+                self.items(b']', |p| p.value().map(|item| v.push(item)))?;
+                Ok(Json::Arr(v))
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -224,55 +265,44 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(m));
+    /// An array or object body: the opening bracket (already peeked),
+    /// then comma-separated items, each consumed by `item`, up to
+    /// `close`. The one place nesting deepens, so the one place it is
+    /// bounded.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            m.insert(key, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(m));
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => {
+                        return Err(format!(
+                            "expected ',' or '{}' at byte {}",
+                            close as char, self.pos
+                        ))
+                    }
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            self.skip_ws();
-            v.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -382,9 +412,9 @@ impl Parser<'_> {
     }
 }
 
-/// Escape and quote `s` as a JSON string into `out`.
-pub fn write_string(out: &mut String, s: &str) {
-    out.push('"');
+/// `s` escaped and quoted as a JSON string.
+pub fn quoted(s: &str) -> String {
+    let mut out = String::from('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -397,6 +427,252 @@ pub fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+    out
+}
+
+/// Why a value did not decode as the type asked for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Bad {
+    /// Where below the value the problem is (`[3][1]`); empty at the
+    /// value itself.
+    pub at: String,
+    /// What was expected or wrong.
+    pub what: String,
+}
+
+impl Bad {
+    /// A problem at the value itself.
+    pub fn new(what: impl Into<String>) -> Bad {
+        Bad {
+            at: String::new(),
+            what: what.into(),
+        }
+    }
+}
+
+/// A type [`Fields`] can decode from one JSON value.
+pub trait FromJson: Sized {
+    /// Decode `j`, or say what it should have been.
+    fn from_json(j: &Json) -> Result<Self, Bad>;
+}
+
+macro_rules! from_json_scalar {
+    ($($t:ty: $accessor:ident, $what:literal;)+) => {$(
+        impl FromJson for $t {
+            fn from_json(j: &Json) -> Result<Self, Bad> {
+                j.$accessor().map(Into::into).ok_or_else(|| Bad::new($what))
+            }
+        }
+    )+};
+}
+
+from_json_scalar! {
+    String: as_str, "expected a string";
+    u64: as_u64, "expected a non-negative integer";
+    usize: as_usize, "expected a non-negative integer";
+    bool: as_bool, "expected a boolean";
+}
+
+/// `null` or a `T`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(j: &Json) -> Result<Self, Bad> {
+        if j.is_null() {
+            Ok(None)
+        } else {
+            T::from_json(j).map(Some)
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(j: &Json) -> Result<Self, Bad> {
+        j.as_arr()
+            .ok_or_else(|| Bad::new("expected an array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                T::from_json(v).map_err(|b| Bad {
+                    at: format!("[{i}]{}", b.at),
+                    what: b.what,
+                })
+            })
+            .collect()
+    }
+}
+
+/// An `[i, n]` pair (a shard).
+impl FromJson for (usize, usize) {
+    fn from_json(j: &Json) -> Result<Self, Bad> {
+        match Vec::<usize>::from_json(j).as_deref() {
+            Ok(&[i, n]) => Ok((i, n)),
+            _ => Err(Bad::new("expected an [i, n] pair of non-negative integers")),
+        }
+    }
+}
+
+/// One `T` or a non-empty array of them: a scenario sweep axis.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OneOrMany<T>(pub Vec<T>);
+
+impl<T: FromJson> FromJson for OneOrMany<T> {
+    fn from_json(j: &Json) -> Result<Self, Bad> {
+        match j {
+            Json::Arr(xs) if xs.is_empty() => Err(Bad::new("empty array")),
+            Json::Arr(_) => Vec::from_json(j).map(OneOrMany),
+            _ => T::from_json(j).map(|x| OneOrMany(vec![x])),
+        }
+    }
+}
+
+/// Decode the JSON text of a `doc` document: parse it, hand the root
+/// object to `read`, then reject every root key `read` never asked for.
+pub fn decode<T>(
+    doc: &str,
+    text: &str,
+    read: impl FnOnce(&mut Fields<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let j = Json::parse(text).map_err(|e| format!("{doc}: {e}"))?;
+    let mut f = Fields::new(doc, &j)?;
+    let value = read(&mut f)?;
+    f.finish()?;
+    Ok(value)
+}
+
+/// Strict reader over one JSON object: typed reads by key, then
+/// [`Fields::finish`] to reject every key nothing asked for. Every
+/// error starts with the document kind and the object's path in it.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    doc: &'a str,
+    path: String,
+    members: &'a BTreeMap<String, Json>,
+    asked: Vec<&'static str>,
+}
+
+impl<'a> Fields<'a> {
+    /// Reader over the root object `j` of a `doc` document.
+    pub fn new(doc: &'a str, j: &'a Json) -> Result<Fields<'a>, String> {
+        Fields::at(doc, String::new(), j)
+    }
+
+    fn at(doc: &'a str, path: String, j: &'a Json) -> Result<Fields<'a>, String> {
+        match j {
+            Json::Obj(members) => Ok(Fields {
+                doc,
+                path,
+                members,
+                asked: Vec::new(),
+            }),
+            _ => Err(format!("{}: expected an object", located(doc, &path))),
+        }
+    }
+
+    fn child_path(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
+        }
+    }
+
+    /// An error about field `key` of this object, in the shared shape.
+    pub fn bad(&self, key: &str, what: impl std::fmt::Display) -> String {
+        format!("{}: {what}", located(self.doc, &self.child_path(key)))
+    }
+
+    /// The error for a required `key` that is absent. It lists the keys
+    /// that are present, so a misspelt key is still named.
+    fn missing(&self, key: &str) -> String {
+        let present: Vec<&str> = self.members.keys().map(String::as_str).collect();
+        self.bad(
+            key,
+            format!("missing (keys present: {})", present.join(", ")),
+        )
+    }
+
+    fn lookup(&mut self, key: &'static str) -> Option<&'a Json> {
+        self.asked.push(key);
+        self.members.get(key)
+    }
+
+    /// Field `key`, which may be absent.
+    pub fn opt<T: FromJson>(&mut self, key: &'static str) -> Result<Option<T>, String> {
+        self.lookup(key)
+            .map(|j| T::from_json(j).map_err(|b| self.bad(&format!("{key}{}", b.at), b.what)))
+            .transpose()
+    }
+
+    /// Field `key`, which must be present.
+    pub fn req<T: FromJson>(&mut self, key: &'static str) -> Result<T, String> {
+        self.opt(key)?.ok_or_else(|| self.missing(key))
+    }
+
+    /// The nested object at `key`, which may be absent.
+    pub fn opt_obj(&mut self, key: &'static str) -> Result<Option<Fields<'a>>, String> {
+        let path = self.child_path(key);
+        self.lookup(key)
+            .map(|j| Fields::at(self.doc, path, j))
+            .transpose()
+    }
+
+    /// The nested object at `key`, which must be present.
+    pub fn req_obj(&mut self, key: &'static str) -> Result<Fields<'a>, String> {
+        self.opt_obj(key)?.ok_or_else(|| self.missing(key))
+    }
+
+    /// The array of objects at `key`, one reader per element.
+    pub fn req_objs(&mut self, key: &'static str) -> Result<Vec<Fields<'a>>, String> {
+        let path = self.child_path(key);
+        self.lookup(key)
+            .ok_or_else(|| self.missing(key))?
+            .as_arr()
+            .ok_or_else(|| self.bad(key, "expected an array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, j)| Fields::at(self.doc, format!("{path}[{i}]"), j))
+            .collect()
+    }
+
+    /// The document's `"format"` tag, which must be `supported`.
+    pub fn format(&mut self, supported: u64) -> Result<(), String> {
+        match self.req::<u64>("format")? {
+            tag if tag == supported => Ok(()),
+            tag => Err(self.bad(
+                "format",
+                format!("unsupported format {tag} (this build reads format {supported})"),
+            )),
+        }
+    }
+
+    /// Once every read is made: any key none of them asked for is an
+    /// error naming it, its place and the keys that are known.
+    pub fn finish(&self) -> Result<(), String> {
+        let Some(stray) = self
+            .members
+            .keys()
+            .find(|k| !self.asked.contains(&k.as_str()))
+        else {
+            return Ok(());
+        };
+        let mut known = self.asked.clone();
+        known.sort_unstable();
+        known.dedup();
+        Err(format!(
+            "{}: unknown key {stray:?} (known: {})",
+            located(self.doc, &self.path),
+            known.join(", ")
+        ))
+    }
+}
+
+/// `<doc>` for the root object, `<doc>: <path>` below it: how every
+/// error of a [`Fields`] starts.
+fn located(doc: &str, path: &str) -> String {
+    if path.is_empty() {
+        doc.to_string()
+    } else {
+        format!("{doc}: {path}")
+    }
 }
 
 #[cfg(test)]
@@ -429,9 +705,10 @@ mod tests {
     #[test]
     fn string_escapes_round_trip() {
         let original = "a\"b\\c\nd\te\u{1f}µ→";
-        let mut doc = String::new();
-        write_string(&mut doc, original);
-        assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(original));
+        assert_eq!(
+            Json::parse(&quoted(original)).unwrap().as_str(),
+            Some(original)
+        );
     }
 
     #[test]
@@ -449,6 +726,102 @@ mod tests {
         assert!(Json::parse(r#""\ud800\u0041""#).is_err());
         // A well-formed pair still decodes.
         assert_eq!(Json::parse(r#""😀""#).unwrap().as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn duplicate_keys_and_deep_nesting_are_errors() {
+        assert_eq!(
+            Json::parse(r#"{"a": 1, "b": {"c": 2, "c": 3}}"#).unwrap_err(),
+            "duplicate key \"c\" at byte 23"
+        );
+        // Exactly MAX_DEPTH levels parse; one more is an error, and two
+        // million more are the same error rather than a stack overflow.
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let too_deep = "nesting deeper than 64 at byte 64";
+        assert_eq!(Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err(), too_deep);
+        assert_eq!(Json::parse(&"[".repeat(2_000_000)).unwrap_err(), too_deep);
+        assert_eq!(
+            Json::parse(&"{\"k\":".repeat(2_000_000)).unwrap_err(),
+            "nesting deeper than 64 at byte 320"
+        );
+        // Siblings do not accumulate depth.
+        assert!(Json::parse(&format!("[{}]", vec!["[[]]"; 200].join(","))).is_ok());
+    }
+
+    #[test]
+    fn fields_read_typed_values_and_reject_the_rest() {
+        let j = Json::parse(
+            r#"{"s": "x", "n": 7, "b": true, "nul": null, "pair": [1, 4],
+                "rows": [["a"], ["b", "c"]], "axis": 3, "axes": ["p", "q"],
+                "inner": {"v": 1}, "list": [{"v": 1}, {"v": 2}]}"#,
+        )
+        .unwrap();
+        let mut f = Fields::new("doc", &j).unwrap();
+        assert_eq!(f.req::<String>("s").unwrap(), "x");
+        assert_eq!(f.req::<u64>("n").unwrap(), 7);
+        assert!(f.req::<bool>("b").unwrap());
+        assert_eq!(f.req::<Option<usize>>("nul").unwrap(), None);
+        assert_eq!(f.opt::<Option<usize>>("absent").unwrap().flatten(), None);
+        assert_eq!(f.req::<(usize, usize)>("pair").unwrap(), (1, 4));
+        assert_eq!(f.req::<Vec<Vec<String>>>("rows").unwrap()[1], ["b", "c"]);
+        assert_eq!(f.req::<OneOrMany<usize>>("axis").unwrap().0, [3]);
+        assert_eq!(f.req::<OneOrMany<String>>("axes").unwrap().0, ["p", "q"]);
+        let mut inner = f.req_obj("inner").unwrap();
+        assert_eq!(inner.req::<usize>("v").unwrap(), 1);
+        inner.finish().unwrap();
+        let list = f.req_objs("list").unwrap();
+        assert_eq!(list.len(), 2);
+        f.finish().unwrap();
+
+        // One error shape: <document>: <path>: <what>.
+        for (got, want) in [
+            (f.req::<String>("n").map(drop), "doc: n: expected a string"),
+            (
+                f.req::<u64>("s").map(drop),
+                "doc: s: expected a non-negative integer",
+            ),
+            (
+                f.req::<u64>("gone").map(drop),
+                "doc: gone: missing (keys present: axes, axis, b, inner, list, n, nul, pair, rows, s)",
+            ),
+            (
+                f.req::<Vec<Vec<u64>>>("rows").map(drop),
+                "doc: rows[0][0]: expected a non-negative integer",
+            ),
+            (
+                f.req::<(usize, usize)>("rows").map(drop),
+                "doc: rows: expected an [i, n] pair of non-negative integers",
+            ),
+            (f.req_obj("s").map(drop), "doc: s: expected an object"),
+            (
+                f.req_objs("pair").map(drop),
+                "doc: pair[0]: expected an object",
+            ),
+            (inner.format(1), "doc: inner.format: missing (keys present: v)"),
+        ] {
+            assert_eq!(got.unwrap_err(), want);
+        }
+        assert_eq!(
+            Fields::new("doc", &Json::Null).unwrap_err(),
+            "doc: expected an object"
+        );
+
+        // A key nothing asked for is named with its place and the known set.
+        let mut f = Fields::new("doc", &j).unwrap();
+        let mut one = f.req_objs("list").unwrap().remove(1);
+        assert_eq!(
+            one.finish().unwrap_err(),
+            "doc: list[1]: unknown key \"v\" (known: )"
+        );
+        one.req::<usize>("v").unwrap();
+        one.finish().unwrap();
+        f.req::<String>("s").unwrap();
+        f.req::<String>("s").unwrap();
+        assert_eq!(
+            f.finish().unwrap_err(),
+            "doc: unknown key \"axes\" (known: list, s)"
+        );
     }
 
     #[test]

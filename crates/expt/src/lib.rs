@@ -22,19 +22,24 @@
 //! * [`table::Table`] — the uniform result model (named columns × typed
 //!   cells, per-row sweep-point provenance),
 //! * [`output`] — CSV and JSON table-document writers into
-//!   `results/<figure>/`, plus the self-validating shard merge
-//!   ([`output::merge_shard_docs`]),
+//!   `results/<figure>/`, the run identity ([`RunFlags`]: the one
+//!   declaration of `(scale, seed, replicates, k)`, embedded in every
+//!   document and compared by one function), plus the self-validating
+//!   shard merge ([`output::merge_shard_docs`]),
 //! * [`orchestrate`] — the driver-level scheduler behind
 //!   `opera orchestrate`: fans `driver × shard` jobs over a worker pool
 //!   (pluggable [`orchestrate::Backend`]), retries failures, and merges
 //!   shard documents with point-index validation,
-//! * [`runfile`] — durable run state: the `run.json` manifest, the
-//!   incremental [`runfile::RunWriter`] that persists each shard
-//!   document the moment its job completes (atomic tmp-file + rename),
-//!   and [`runfile::resume_run`], which re-runs only the missing or
-//!   corrupt shards of an interrupted run,
-//! * [`json`] — the minimal offline JSON reader the two modules above
-//!   share,
+//! * [`runfile`] — durable run state: the `run.json` manifest,
+//!   [`runfile::start_run`], which persists each shard document the
+//!   moment its job completes (atomic tmp-file + rename), and
+//!   [`runfile::resume_run`], which re-runs only the missing or corrupt
+//!   shards of an interrupted run,
+//! * [`scenario`] — declarative TOML/JSON scenario files,
+//! * [`json`] — the offline JSON parser (duplicate keys rejected,
+//!   nesting bounded) and [`json::Fields`], the one strict decoder the
+//!   five documents above are read through: typed field reads, unknown
+//!   keys rejected, every error `<document>: <path>: <what>`,
 //! * [`cli::ExptArgs`] — the `--quick` / `--threads` / `--out` /
 //!   `--full` / `--seed` / `--replicates` / `--shard` flags shared by
 //!   all drivers, read through the [`cli::Args`] cursor every `opera`
@@ -61,7 +66,7 @@ pub mod sweep;
 pub mod table;
 
 pub use cli::{Args, ExptArgs, Scale};
-pub use output::{merge_shard_docs, MergeError, RunMeta, TableDoc};
+pub use output::{merge_shard_docs, MergeError, RunFlags, RunMeta, TableDoc};
 pub use replicate::{replicate_seed, MetricFmt, RepCtx, RepTableBuilder};
 pub use runner::{derive_seed, PointCtx, Runner};
 pub use summary::{summarize, Summary};
@@ -181,4 +186,94 @@ pub fn emit(exp: &Experiment, ctx: &Ctx, tables: &[Table]) -> std::io::Result<()
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    //! Fixtures the unit tests of [`crate::output`],
+    //! [`crate::orchestrate`] and [`crate::runfile`] share.
+
+    use crate::orchestrate::{Backend, ShardJob};
+    use crate::{Cell, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc};
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
+    use std::sync::Mutex;
+
+    /// The identity every fixture runs under.
+    pub(crate) const QUICK: RunFlags = RunFlags {
+        scale: Scale::Quick,
+        seed: 0,
+        replicates: 3,
+        k: None,
+    };
+
+    /// A fresh (removed if present, not created) per-process scratch
+    /// directory.
+    pub(crate) fn tmp_dir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("expt-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    pub(crate) fn meta(driver: &str, shard: Option<(usize, usize)>) -> RunMeta {
+        RunMeta {
+            driver: driver.to_string(),
+            flags: QUICK,
+            shard,
+        }
+    }
+
+    /// A deterministic fake driver's one table, `data`: a 6-point
+    /// sweep, 2 rows per point, one constant row.
+    pub(crate) fn fake_docs(driver: &str, shard: (usize, usize)) -> Vec<TableDoc> {
+        let points = 6usize;
+        let sweep = SweepRef {
+            points,
+            owned: (0..points).filter(|p| p % shard.1 == shard.0).collect(),
+        };
+        let mut t = Table::new("data", &["point", "sub"]).for_sweep(&sweep);
+        t.push(vec![Cell::from("const"), Cell::from(0u64)]);
+        for &p in &sweep.owned {
+            for sub in 0..2usize {
+                t.push_indexed(p, vec![Cell::from(p), Cell::from(sub)]);
+            }
+        }
+        vec![TableDoc::from_table(&t, &meta(driver, Some(shard)))]
+    }
+
+    /// Backend producing [`fake_docs`]: every job fails its first
+    /// `fail_first` attempts, and the driver `always-broken` every one.
+    #[derive(Default)]
+    pub(crate) struct FakeBackend {
+        fail_first: usize,
+        calls: Mutex<BTreeMap<String, usize>>,
+    }
+
+    impl FakeBackend {
+        pub(crate) fn failing_first(fail_first: usize) -> Self {
+            FakeBackend {
+                fail_first,
+                calls: Mutex::default(),
+            }
+        }
+    }
+
+    impl Backend for FakeBackend {
+        fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+            let key = format!("{}:{}", job.driver, job.shard.0);
+            let mut calls = self.calls.lock().unwrap();
+            let n = calls.entry(key).or_insert(0);
+            *n += 1;
+            if *n <= self.fail_first {
+                return Err(format!("transient failure {n}"));
+            }
+            if job.driver == "always-broken" {
+                return Err("permanent failure".into());
+            }
+            Ok(fake_docs(&job.driver, job.shard)
+                .iter()
+                .map(TableDoc::render)
+                .collect())
+        }
+    }
 }

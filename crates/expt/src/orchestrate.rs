@@ -23,16 +23,15 @@
 //!   budget, never a dead worker thread taking the sweep down,
 //! * a [`RunObserver`] hears each job's final outcome as it completes,
 //!   from the worker thread that ran it — the seam
-//!   [`crate::runfile::RunWriter`] uses to persist every shard document
+//!   [`crate::runfile::start_run`] uses to persist every shard document
 //!   the moment its job finishes instead of once at the end of the run,
-//! * [`write_run`] persists a run under `results/` (shard documents
-//!   under `shards/`, merged CSV + JSON beside them, plus the
-//!   [`crate::runfile::RunManifest`]), and [`validate_dir`]
-//!   re-validates such a directory from disk — the CI merge-validation
-//!   step, and the hook tests use to prove a dropped shard fails with a
-//!   named [`MergeError::MissingPointIndex`].
+//! * [`validate_dir`] re-validates a directory such a run wrote (shard
+//!   documents under `shards/`, merged CSV + JSON beside them) from
+//!   disk — the CI merge-validation step, and the hook tests use to
+//!   prove a dropped shard fails with a named
+//!   [`MergeError::MissingPointIndex`].
 
-use crate::json::Json;
+use crate::json;
 use crate::output::{self, merge_shard_docs, MergeError, TableDoc};
 use crate::Scale;
 use std::collections::BTreeMap;
@@ -67,7 +66,7 @@ impl<B: Backend + ?Sized> Backend for &B {
 }
 
 /// What to run: the resolved driver list plus sharding and retry knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     /// Drivers to run, in order.
     pub drivers: Vec<String>,
@@ -107,61 +106,26 @@ pub struct PlanFile {
 impl PlanFile {
     /// Parse a plan file.
     pub fn parse(text: &str) -> Result<PlanFile, String> {
-        let j = Json::parse(text).map_err(|e| format!("plan: {e}"))?;
-        if !matches!(j, Json::Obj(_)) {
-            return Err("plan: expected a JSON object".into());
-        }
-        let uint = |k: &str| -> Result<Option<usize>, String> {
-            match j.get(k) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_usize()
-                    .map(Some)
-                    .ok_or_else(|| format!("plan: {k:?} must be a non-negative integer")),
-            }
-        };
-        let drivers = match j.get("drivers") {
-            None => None,
-            Some(Json::Str(s)) if s == "all" => None,
-            Some(Json::Arr(a)) => Some(
-                a.iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "plan: \"drivers\" entries must be strings".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            Some(_) => return Err("plan: \"drivers\" must be an array or \"all\"".into()),
-        };
-        let scale = match j.get("scale").map(|v| v.as_str()) {
-            None => None,
-            Some(Some(name)) => Some(Scale::from_name(name).map_err(|e| format!("plan: {e}"))?),
-            Some(None) => return Err("plan: \"scale\" must be quick/default/full".into()),
-        };
-        Ok(PlanFile {
-            drivers,
-            shards: uint("shards")?,
-            retries: uint("retries")?,
-            workers: uint("workers")?,
-            scale,
-            seed: match j.get("seed") {
-                None => None,
-                Some(v) => {
-                    Some(v.as_u64().ok_or_else(|| {
-                        "plan: \"seed\" must be a non-negative integer".to_string()
-                    })?)
-                }
-            },
-            replicates: uint("replicates")?,
-            backend: match j.get("backend") {
-                None => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "plan: \"backend\" must be a string".to_string())?,
+        json::decode("plan", text, |f| {
+            // `"all"` is the one string accepted in place of the array.
+            let drivers = match f.opt::<String>("drivers") {
+                Ok(None) => None,
+                Ok(Some(all)) if all == "all" => None,
+                _ => Some(
+                    f.req::<Vec<String>>("drivers")
+                        .map_err(|e| format!("{e} of driver names, or \"all\""))?,
                 ),
-            },
+            };
+            Ok(PlanFile {
+                drivers,
+                shards: f.opt("shards")?,
+                retries: f.opt("retries")?,
+                workers: f.opt("workers")?,
+                scale: f.opt("scale")?,
+                seed: f.opt("seed")?,
+                replicates: f.opt("replicates")?,
+                backend: f.opt("backend")?,
+            })
         })
     }
 }
@@ -262,10 +226,21 @@ impl fmt::Display for OrchestrateError {
 
 impl std::error::Error for OrchestrateError {}
 
+impl OrchestrateError {
+    /// A filesystem failure at `path`.
+    pub(crate) fn io(path: &Path, e: std::io::Error) -> OrchestrateError {
+        OrchestrateError::Io {
+            path: path.to_path_buf(),
+            error: e.to_string(),
+        }
+    }
+}
+
 /// Hears each job's final outcome the moment it completes, from the
 /// worker thread that ran it. Implementations persist state
-/// incrementally — [`crate::runfile::RunWriter`] writes the shard
-/// documents and updates `run.json` per completion — or do nothing
+/// incrementally — the writer behind [`crate::runfile::start_run`]
+/// writes the shard documents and updates `run.json` per completion —
+/// or do nothing
 /// ([`NoObserver`]). Completion order is scheduling-dependent; anything
 /// derived from it must be keyed by job, not by arrival order.
 pub trait RunObserver: Sync {
@@ -289,6 +264,40 @@ pub struct JobOutcome {
     pub attempts: usize,
     /// Parsed table documents on success, the last error otherwise.
     pub result: Result<Vec<TableDoc>, String>,
+}
+
+impl JobOutcome {
+    /// The documents of a job that succeeded, or the error naming the
+    /// `job` that did not.
+    pub fn into_docs(self, job: &ShardJob) -> Result<Vec<TableDoc>, OrchestrateError> {
+        self.result.map_err(|error| OrchestrateError::Job {
+            job: job.clone(),
+            attempts: self.attempts,
+            error,
+        })
+    }
+}
+
+/// `Err` unless `doc` is a document of `job`: a backend, or a results
+/// directory, handing back some other job's document must fail that
+/// job, not poison the merge.
+pub(crate) fn check_owner(doc: &TableDoc, job: &ShardJob) -> Result<(), String> {
+    if doc.meta.driver == job.driver && doc.meta.shard == Some(job.shard) {
+        return Ok(());
+    }
+    Err(format!(
+        "document of driver {:?} shard {:?} where driver {:?} shard {:?} was expected",
+        doc.meta.driver, doc.meta.shard, job.driver, job.shard
+    ))
+}
+
+/// What a caught panic said, for reporting it as a job error.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("no panic message")
 }
 
 /// The `driver × shard` job list of a plan, driver-major in plan order.
@@ -338,7 +347,7 @@ impl<B: Backend> Orchestrator<B> {
     /// [`Orchestrator::run`] with a per-job completion observer: every
     /// job's final outcome is delivered to `observer` as it completes,
     /// before the end-of-run merge — the hook that lets
-    /// [`crate::runfile::RunWriter`] persist each shard document the
+    /// [`crate::runfile::start_run`] persist each shard document the
     /// moment it exists, so a killed run keeps everything that
     /// finished.
     pub fn run_observed(
@@ -355,27 +364,14 @@ impl<B: Backend> Orchestrator<B> {
             shards: plan.shards,
             attempts: 0,
         };
-        let mut outcomes = outcomes.into_iter();
-        for (di, driver) in plan.drivers.iter().enumerate() {
+        let mut outcomes = jobs.iter().zip(outcomes);
+        for driver in &plan.drivers {
             let mut shard_docs: Vec<Vec<TableDoc>> = Vec::with_capacity(plan.shards);
             let mut retried = 0usize;
-            for shard in 0..plan.shards {
-                let job = &jobs[di * plan.shards + shard];
-                let outcome = outcomes.next().expect("one outcome per job");
+            for (job, outcome) in outcomes.by_ref().take(plan.shards) {
                 report.attempts += outcome.attempts;
-                match outcome.result {
-                    Ok(docs) => {
-                        retried += outcome.attempts - 1;
-                        shard_docs.push(docs);
-                    }
-                    Err(error) => {
-                        return Err(OrchestrateError::Job {
-                            job: job.clone(),
-                            attempts: outcome.attempts,
-                            error,
-                        });
-                    }
-                }
+                retried += outcome.attempts - 1;
+                shard_docs.push(outcome.into_docs(job)?);
             }
             let merged = merge_driver_docs(driver, &shard_docs)?;
             report.drivers.push(DriverRun {
@@ -452,30 +448,12 @@ impl<B: Backend> Orchestrator<B> {
     fn attempt(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
         let raw =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.backend.run_shard(job)))
-                .map_err(|payload| {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("no panic message");
-                    format!("backend panicked: {msg}")
-                })??;
+                .map_err(|payload| format!("backend panicked: {}", panic_message(&*payload)))??;
         let mut docs = Vec::with_capacity(raw.len());
         for text in &raw {
             let doc =
                 TableDoc::parse(text).map_err(|e| format!("unparseable table document: {e}"))?;
-            if doc.driver != job.driver {
-                return Err(format!(
-                    "document for driver {:?} returned for a {:?} job",
-                    doc.driver, job.driver
-                ));
-            }
-            if doc.shard != Some(job.shard) {
-                return Err(format!(
-                    "document for shard {:?} returned for shard ({}, {})",
-                    doc.shard, job.shard.0, job.shard.1
-                ));
-            }
+            check_owner(&doc, job)?;
             docs.push(doc);
         }
         // Canonicalize table order. The in-process backend sees the
@@ -546,40 +524,6 @@ pub fn merge_driver_docs(
     Ok(merged)
 }
 
-/// Persist a completed run under `out`: each driver's shard documents
-/// under `<out>/<driver>/shards/`, the validated merged tables as
-/// `<out>/<driver>/<table>.csv` + `.json`, and a
-/// [`crate::runfile::RunManifest`] (`run.json`) recording the plan and
-/// per-job status. Each driver directory is pruned first — stale shard
-/// documents from a previous run with a different shard count, and
-/// merged files of tables the driver no longer produces, would
-/// otherwise poison a later [`validate_dir`] (or resurrect dropped
-/// tables as "ok"). All writes are atomic (tmp file + rename). Returns
-/// the merged CSV paths.
-///
-/// This is the end-of-run convenience over [`crate::runfile::RunWriter`],
-/// which the orchestrate CLI uses directly to persist each shard as its
-/// job completes.
-pub fn write_run(out: &Path, report: &RunReport) -> Result<Vec<PathBuf>, OrchestrateError> {
-    let manifest = crate::runfile::RunManifest::from_report(report);
-    let writer = crate::runfile::RunWriter::create(out, manifest)?;
-    for run in &report.drivers {
-        for (shard, docs) in run.shard_docs.iter().enumerate() {
-            let job = ShardJob {
-                driver: run.driver.clone(),
-                shard: (shard, report.shards),
-            };
-            writer.job_done(&job, 1, &Ok(docs.clone()));
-        }
-    }
-    let merged: Vec<(String, Vec<TableDoc>)> = report
-        .drivers
-        .iter()
-        .map(|r| (r.driver.clone(), r.merged.clone()))
-        .collect();
-    writer.finish(&merged)
-}
-
 /// One validated `(driver, table)` pair from [`validate_dir`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidatedTable {
@@ -599,13 +543,9 @@ pub struct ValidatedTable {
 /// check the committed merged CSV matches the re-merge byte-for-byte.
 /// Returns the validated tables, or the first failure.
 pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError> {
-    let io_err = |path: &Path, e: std::io::Error| OrchestrateError::Io {
-        path: path.to_path_buf(),
-        error: e.to_string(),
-    };
     let mut validated = Vec::new();
     let mut driver_dirs: Vec<PathBuf> = fs::read_dir(out)
-        .map_err(|e| io_err(out, e))?
+        .map_err(|e| OrchestrateError::io(out, e))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.join(output::SHARD_DIR).is_dir())
         .collect();
@@ -615,29 +555,31 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
+        let merr = |error| OrchestrateError::Merge {
+            driver: driver.clone(),
+            error,
+        };
         let sdir = dir.join(output::SHARD_DIR);
         let mut groups: BTreeMap<String, Vec<TableDoc>> = BTreeMap::new();
         let mut files: Vec<PathBuf> = fs::read_dir(&sdir)
-            .map_err(|e| io_err(&sdir, e))?
+            .map_err(|e| OrchestrateError::io(&sdir, e))?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|x| x == "json"))
             .collect();
         files.sort();
         for path in files {
-            let text = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-            let doc = TableDoc::parse(&text).map_err(|error| OrchestrateError::Merge {
-                driver: driver.clone(),
-                error,
+            let text = fs::read_to_string(&path).map_err(|e| OrchestrateError::io(&path, e))?;
+            let doc = TableDoc::parse(&text).map_err(|e| {
+                let context = format!("{}: {e}", path.display());
+                merr(MergeError::Parse { context })
             })?;
             groups.entry(doc.table.clone()).or_default().push(doc);
         }
         for (table, docs) in groups {
-            let merged = merge_shard_docs(&docs).map_err(|error| OrchestrateError::Merge {
-                driver: driver.clone(),
-                error,
-            })?;
+            let merged = merge_shard_docs(&docs).map_err(merr)?;
             let csv_path = dir.join(format!("{table}.csv"));
-            let committed = fs::read_to_string(&csv_path).map_err(|e| io_err(&csv_path, e))?;
+            let committed =
+                fs::read_to_string(&csv_path).map_err(|e| OrchestrateError::io(&csv_path, e))?;
             if committed != merged.to_csv() {
                 return Err(OrchestrateError::Stale {
                     path: csv_path,
@@ -659,57 +601,15 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output::RunMeta;
-    use crate::sweep::SweepRef;
-    use crate::table::{Cell, Table};
+    use crate::runfile::start_run;
+    use crate::testutil::{tmp_dir, FakeBackend, QUICK};
 
-    /// A deterministic fake driver: 6-point sweep, 2 rows per point,
-    /// one constant row.
-    fn fake_docs(driver: &str, shard: (usize, usize), seed: u64) -> Vec<String> {
-        let points = 6usize;
-        let owned: Vec<usize> = (0..points).filter(|p| p % shard.1 == shard.0).collect();
-        let sweep = SweepRef {
-            points,
-            owned: owned.clone(),
-        };
-        let mut t = Table::new("data", &["point", "sub"]).for_sweep(&sweep);
-        t.push(vec![Cell::from("const"), Cell::from(seed)]);
-        for &p in &owned {
-            for sub in 0..2usize {
-                t.push_indexed(p, vec![Cell::from(p), Cell::from(sub)]);
-            }
-        }
-        let meta = RunMeta {
-            driver: driver.to_string(),
-            scale: "quick".into(),
-            seed,
-            replicates: 1,
-            k: None,
-            shard: Some(shard),
-        };
-        vec![crate::output::table_json(&t, &meta)]
-    }
-
-    struct FakeBackend {
-        /// Jobs that fail on their first `fail_first` attempts.
-        fail_first: usize,
-        calls: std::sync::Mutex<std::collections::HashMap<String, usize>>,
-    }
-
-    impl Backend for FakeBackend {
-        fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
-            let key = format!("{}:{}", job.driver, job.shard.0);
-            let mut calls = self.calls.lock().unwrap();
-            let n = calls.entry(key).or_insert(0);
-            *n += 1;
-            if *n <= self.fail_first {
-                return Err(format!("transient failure {n}"));
-            }
-            if job.driver == "always-broken" {
-                return Err("permanent failure".into());
-            }
-            Ok(fake_docs(&job.driver, job.shard, 0))
-        }
+    /// [`crate::testutil::fake_docs`] as a backend returns them.
+    fn fake_docs(driver: &str, shard: (usize, usize)) -> Vec<String> {
+        crate::testutil::fake_docs(driver, shard)
+            .iter()
+            .map(TableDoc::render)
+            .collect()
     }
 
     fn plan(drivers: &[&str], shards: usize, retries: usize) -> Plan {
@@ -722,13 +622,7 @@ mod tests {
 
     #[test]
     fn orchestrates_and_merges_across_workers() {
-        let orch = Orchestrator::new(
-            FakeBackend {
-                fail_first: 0,
-                calls: Default::default(),
-            },
-            3,
-        );
+        let orch = Orchestrator::new(FakeBackend::default(), 3);
         let report = orch.run(&plan(&["a", "b"], 3, 0)).unwrap();
         assert_eq!(report.attempts, 6);
         assert_eq!(report.drivers.len(), 2);
@@ -736,20 +630,14 @@ mod tests {
             assert_eq!(run.retried, 0);
             assert_eq!(run.merged.len(), 1);
             // Merged equals what an unsharded run would render.
-            let unsharded = TableDoc::parse(&fake_docs(&run.driver, (0, 1), 0)[0]).unwrap();
+            let unsharded = TableDoc::parse(&fake_docs(&run.driver, (0, 1))[0]).unwrap();
             assert_eq!(run.merged[0].to_csv(), unsharded.to_csv());
         }
     }
 
     #[test]
     fn retries_recover_transient_failures() {
-        let orch = Orchestrator::new(
-            FakeBackend {
-                fail_first: 1,
-                calls: Default::default(),
-            },
-            2,
-        );
+        let orch = Orchestrator::new(FakeBackend::failing_first(1), 2);
         let report = orch.run(&plan(&["a"], 2, 2)).unwrap();
         // Each of the 2 jobs failed once, then succeeded.
         assert_eq!(report.attempts, 4);
@@ -758,13 +646,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_fail_with_the_job_named() {
-        let orch = Orchestrator::new(
-            FakeBackend {
-                fail_first: 0,
-                calls: Default::default(),
-            },
-            2,
-        );
+        let orch = Orchestrator::new(FakeBackend::default(), 2);
         let err = orch.run(&plan(&["a", "always-broken"], 2, 1)).unwrap_err();
         match err {
             OrchestrateError::Job { job, attempts, .. } => {
@@ -777,17 +659,9 @@ mod tests {
 
     #[test]
     fn write_then_validate_round_trips_and_detects_drops() {
-        let out = std::env::temp_dir().join(format!("orch-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&out);
-        let orch = Orchestrator::new(
-            FakeBackend {
-                fail_first: 0,
-                calls: Default::default(),
-            },
-            2,
-        );
-        let report = orch.run(&plan(&["a"], 3, 0)).unwrap();
-        let csvs = write_run(&out, &report).unwrap();
+        let out = tmp_dir("orch-validate");
+        let p = plan(&["a"], 3, 0);
+        let (_, csvs) = start_run(&out, &p, "local", QUICK, FakeBackend::default(), 2).unwrap();
         assert_eq!(csvs.len(), 1);
         let validated = validate_dir(&out).unwrap();
         assert_eq!(validated.len(), 1);
@@ -821,22 +695,14 @@ mod tests {
 
     #[test]
     fn rewriting_a_run_prunes_stale_shard_docs() {
-        let out = std::env::temp_dir().join(format!("orch-prune-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&out);
-        let orch = Orchestrator::new(
-            FakeBackend {
-                fail_first: 0,
-                calls: Default::default(),
-            },
-            2,
-        );
+        let out = tmp_dir("orch-prune");
         // A 3-shard run followed by a 2-shard run into the same out dir:
         // without pruning, the leftover *of3 documents would make
         // validate_dir fail with a shard-count mismatch.
-        let report = orch.run(&plan(&["a"], 3, 0)).unwrap();
-        write_run(&out, &report).unwrap();
-        let report = orch.run(&plan(&["a"], 2, 0)).unwrap();
-        write_run(&out, &report).unwrap();
+        for shards in [3, 2] {
+            let p = plan(&["a"], shards, 0);
+            start_run(&out, &p, "local", QUICK, FakeBackend::default(), 2).unwrap();
+        }
         let validated = validate_dir(&out).unwrap();
         assert_eq!(validated.len(), 1);
         assert_eq!(validated[0].shards, 2);
@@ -845,11 +711,11 @@ mod tests {
 
     #[test]
     fn duplicate_table_within_a_shard_is_rejected() {
-        let docs0: Vec<TableDoc> = fake_docs("a", (0, 2), 0)
+        let docs0: Vec<TableDoc> = fake_docs("a", (0, 2))
             .iter()
             .map(|d| TableDoc::parse(d).unwrap())
             .collect();
-        let docs1: Vec<TableDoc> = fake_docs("a", (1, 2), 0)
+        let docs1: Vec<TableDoc> = fake_docs("a", (1, 2))
             .iter()
             .map(|d| TableDoc::parse(d).unwrap())
             .collect();
@@ -866,17 +732,9 @@ mod tests {
 
     #[test]
     fn tampered_merged_csv_is_stale() {
-        let out = std::env::temp_dir().join(format!("orch-stale-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&out);
-        let orch = Orchestrator::new(
-            FakeBackend {
-                fail_first: 0,
-                calls: Default::default(),
-            },
-            1,
-        );
-        let report = orch.run(&plan(&["a"], 2, 0)).unwrap();
-        let csvs = write_run(&out, &report).unwrap();
+        let out = tmp_dir("orch-stale");
+        let p = plan(&["a"], 2, 0);
+        let (_, csvs) = start_run(&out, &p, "local", QUICK, FakeBackend::default(), 1).unwrap();
         fs::write(&csvs[0], "point,sub\n9,9\n").unwrap();
         assert!(matches!(
             validate_dir(&out).unwrap_err(),
@@ -908,7 +766,7 @@ mod tests {
             if job.driver == "panicky" && n <= self.panic_first {
                 panic!("deliberate panic on attempt {n}");
             }
-            Ok(fake_docs(&job.driver, job.shard, 0))
+            Ok(fake_docs(&job.driver, job.shard))
         }
     }
 
@@ -987,7 +845,7 @@ mod tests {
         struct WrongDriver;
         impl Backend for WrongDriver {
             fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
-                Ok(fake_docs("impostor", job.shard, 0))
+                Ok(fake_docs("impostor", job.shard))
             }
         }
         let orch = Orchestrator::new(WrongDriver, 1);
@@ -999,7 +857,7 @@ mod tests {
         struct WrongShard;
         impl Backend for WrongShard {
             fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
-                Ok(fake_docs(&job.driver, (job.shard.0, job.shard.1 + 1), 0))
+                Ok(fake_docs(&job.driver, (job.shard.0, job.shard.1 + 1)))
             }
         }
         let orch = Orchestrator::new(WrongShard, 1);
@@ -1028,13 +886,7 @@ mod tests {
                 ));
             }
         }
-        let orch = Orchestrator::new(
-            FakeBackend {
-                fail_first: 1,
-                calls: Default::default(),
-            },
-            2,
-        );
+        let orch = Orchestrator::new(FakeBackend::failing_first(1), 2);
         let collect = Collect(Mutex::new(Vec::new()));
         let report = orch
             .run_observed(&plan(&["a"], 3, 1), &collect)
@@ -1073,8 +925,38 @@ mod tests {
             None
         );
         assert_eq!(PlanFile::parse("{}").unwrap(), PlanFile::default());
-        assert!(PlanFile::parse(r#"{"scale": "huge"}"#).is_err());
-        assert!(PlanFile::parse("[1]").is_err());
-        assert!(PlanFile::parse("{").is_err());
+        for (text, want) in [
+            (
+                r#"{"scale": "huge"}"#,
+                "plan: scale: unknown scale \"huge\"",
+            ),
+            (
+                r#"{"drivers": "fig08"}"#,
+                "plan: drivers: expected an array of driver names",
+            ),
+            (
+                r#"{"drivers": ["fig08", 3]}"#,
+                "plan: drivers[1]: expected a string",
+            ),
+            (
+                r#"{"shards": -1}"#,
+                "plan: shards: expected a non-negative integer",
+            ),
+            (
+                r#"{"shards": 2, "shards": 3}"#,
+                "plan: duplicate key \"shards\" at byte 14",
+            ),
+            ("[1]", "plan: expected an object"),
+            ("{", "plan: expected '\"'"),
+        ] {
+            let err = PlanFile::parse(text).unwrap_err();
+            assert!(err.starts_with(want), "{text}: {err}");
+        }
+        // The typo that used to run 2 shards and exit 0.
+        assert_eq!(
+            PlanFile::parse(r#"{"drivers": ["fig08"], "shard": 4}"#).unwrap_err(),
+            "plan: unknown key \"shard\" (known: backend, drivers, replicates, retries, \
+             scale, seed, shards, workers)"
+        );
     }
 }

@@ -1,11 +1,19 @@
-//! Result-file writers and the self-validating shard merge.
+//! Result-file writers, the run identity, and the self-validating shard
+//! merge.
 //!
 //! Unsharded runs write `results/<figure>/<table>.csv` and a JSON
 //! *table document* (`<table>.json`) carrying the same rows plus
-//! provenance: the run's flags (scale / seed / replicates), the shard,
-//! the sweep's total point count, the point indices this run executed,
-//! and each row's point index. Sharded runs (`--shard i/n`) write only
+//! provenance: the [`RunMeta`] (driver, [`RunFlags`], shard), the
+//! sweep's total point count, the point indices this run executed, and
+//! each row's point index. Sharded runs (`--shard i/n`) write only
 //! their table documents, under `results/<figure>/shards/`.
+//!
+//! [`RunFlags`] is the one declaration of a run's identity, `(scale,
+//! seed, replicates, k)`. Table documents, `run.json` and golden
+//! manifests embed it and read it through [`RunFlags::read`] (so
+//! `"scale": "huge"` is a parse error), and shard merge, resume and
+//! stale-bless detection all compare it with
+//! [`RunFlags::first_difference`].
 //!
 //! [`merge_shard_docs`] reassembles the unsharded table from shard
 //! documents and *validates* what used to be a caller contract: every
@@ -15,9 +23,9 @@
 //! variant, so a dropped or duplicated shard is named, not scrambled
 //! into the output.
 
-use crate::json::{self, Json};
+use crate::json::{self, quoted, Fields};
 use crate::table::{Cell, Table};
-use crate::ExptArgs;
+use crate::{ExptArgs, Scale};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -30,22 +38,90 @@ pub const SHARD_DIR: &str = "shards";
 /// Format tag written into every table document.
 const DOC_FORMAT: u64 = 1;
 
+/// The identity of a run: the flags that decide *what* it computes.
+/// Two documents belong to the same run exactly when these agree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunFlags {
+    /// Scale the run used.
+    pub scale: Scale,
+    /// Base seed.
+    pub seed: u64,
+    /// Replicates per sweep point.
+    pub replicates: usize,
+    /// The `--k` ToR-radix override, where the driver supports one
+    /// (different `k` means a different topology).
+    pub k: Option<usize>,
+}
+
+/// One flag on which two [`RunFlags`] disagree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlagDiff {
+    /// Which flag.
+    pub flag: &'static str,
+    /// Its rendered value on the side being checked.
+    pub got: String,
+    /// Its rendered value on the reference side.
+    pub want: String,
+}
+
+impl RunFlags {
+    /// The identity of a run started with `args`.
+    pub fn of(args: &ExptArgs) -> RunFlags {
+        RunFlags {
+            scale: args.scale,
+            seed: args.seed,
+            replicates: args.replicates,
+            k: args.k,
+        }
+    }
+
+    /// Driver arguments that reproduce this run bit-for-bit (everything
+    /// outside the identity keeps its default).
+    pub fn expt_args(&self) -> ExptArgs {
+        ExptArgs {
+            scale: self.scale,
+            seed: self.seed,
+            replicates: self.replicates,
+            k: self.k,
+            ..ExptArgs::default()
+        }
+    }
+
+    /// Read the four flag fields of a document (`k` may be `null` or
+    /// absent).
+    pub(crate) fn read(f: &mut Fields<'_>) -> Result<RunFlags, String> {
+        Ok(RunFlags {
+            scale: f.req("scale")?,
+            seed: f.req("seed")?,
+            replicates: f.req("replicates")?,
+            k: f.opt::<Option<usize>>("k")?.flatten(),
+        })
+    }
+
+    /// The first flag on which `self` differs from `want`, if any.
+    pub fn first_difference(&self, want: &RunFlags) -> Option<FlagDiff> {
+        let shown = |f: &RunFlags| {
+            [
+                ("scale", f.scale.to_string()),
+                ("seed", f.seed.to_string()),
+                ("replicates", f.replicates.to_string()),
+                ("k", format!("{:?}", f.k)),
+            ]
+        };
+        std::iter::zip(shown(self), shown(want))
+            .find(|(got, want)| got != want)
+            .map(|((flag, got), (_, want))| FlagDiff { flag, got, want })
+    }
+}
+
 /// Run provenance stamped into every table document: which driver
 /// produced it, under which flags, and which shard it is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
     /// Driver (experiment) name.
     pub driver: String,
-    /// Scale the run used (`quick` / `default` / `full`).
-    pub scale: String,
-    /// Base seed.
-    pub seed: u64,
-    /// Replicates per sweep point.
-    pub replicates: usize,
-    /// The `--k` ToR-radix override, where the driver supports one —
-    /// part of the flag set shards must agree on (different `k` means a
-    /// different topology).
-    pub k: Option<usize>,
+    /// The run's identity — the flag set shards must agree on.
+    pub flags: RunFlags,
     /// The `(i, n)` shard, if the run was sharded.
     pub shard: Option<(usize, usize)>,
 }
@@ -55,10 +131,7 @@ impl RunMeta {
     pub fn new(driver: &str, args: &ExptArgs) -> Self {
         RunMeta {
             driver: driver.to_string(),
-            scale: args.scale.to_string(),
-            seed: args.seed,
-            replicates: args.replicates,
-            k: args.k,
+            flags: RunFlags::of(args),
             shard: args.shard,
         }
     }
@@ -71,91 +144,56 @@ impl RunMeta {
 /// CSV byte-for-byte (typed JSON numbers would lose `NaN` cells and
 /// 64-bit integer precision).
 pub fn table_json(t: &Table, meta: &RunMeta) -> String {
-    let mut s = String::from("{\n  \"format\": ");
-    s.push_str(&DOC_FORMAT.to_string());
-    s.push_str(",\n  \"driver\": ");
-    json::write_string(&mut s, &meta.driver);
-    s.push_str(",\n  \"table\": ");
-    json::write_string(&mut s, &t.name);
-    s.push_str(",\n  \"scale\": ");
-    json::write_string(&mut s, &meta.scale);
-    s.push_str(&format!(",\n  \"seed\": {}", meta.seed));
-    s.push_str(&format!(",\n  \"replicates\": {}", meta.replicates));
-    match meta.k {
-        Some(k) => s.push_str(&format!(",\n  \"k\": {k}")),
-        None => s.push_str(",\n  \"k\": null"),
-    }
+    let opt = |n: Option<usize>| n.map_or("null".to_string(), |n| n.to_string());
+    let mut s = format!("{{\n  \"format\": {DOC_FORMAT}");
+    s += &format!(",\n  \"driver\": {}", quoted(&meta.driver));
+    s += &format!(",\n  \"table\": {}", quoted(&t.name));
+    s += &format!(",\n  \"scale\": {}", quoted(&meta.flags.scale.to_string()));
+    s += &format!(",\n  \"seed\": {}", meta.flags.seed);
+    s += &format!(",\n  \"replicates\": {}", meta.flags.replicates);
+    s += &format!(",\n  \"k\": {}", opt(meta.flags.k));
     match meta.shard {
-        Some((i, n)) => s.push_str(&format!(",\n  \"shard\": [{i}, {n}]")),
-        None => s.push_str(",\n  \"shard\": null"),
+        Some((i, n)) => s += &format!(",\n  \"shard\": [{i}, {n}]"),
+        None => s += ",\n  \"shard\": null",
     }
-    match t.sweep_points {
-        Some(n) => s.push_str(&format!(",\n  \"sweep_points\": {n}")),
-        None => s.push_str(",\n  \"sweep_points\": null"),
-    }
-    s.push_str(",\n  \"points_run\": [");
-    for (i, p) in t.points_run.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&p.to_string());
-    }
-    s.push_str("],\n  \"columns\": [");
-    for (i, c) in t.columns.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        json::write_string(&mut s, c);
-    }
-    s.push_str("],\n  \"row_points\": [");
-    for (i, p) in t.row_points.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        match p {
-            Some(p) => s.push_str(&p.to_string()),
-            None => s.push_str("null"),
-        }
-    }
-    s.push_str("],\n  \"rows\": [");
+    s += &format!(",\n  \"sweep_points\": {}", opt(t.sweep_points));
+    s += &format!(
+        ",\n  \"points_run\": [{}]",
+        list(&t.points_run, usize::to_string)
+    );
+    s += &format!(",\n  \"columns\": [{}]", list(&t.columns, |c| quoted(c)));
+    s += &format!(
+        ",\n  \"row_points\": [{}]",
+        list(&t.row_points, |&p| opt(p))
+    );
+    s += ",\n  \"rows\": [";
     for (ri, row) in t.rows.iter().enumerate() {
-        if ri > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    [");
-        for (ci, cell) in row.iter().enumerate() {
-            if ci > 0 {
-                s.push_str(", ");
-            }
-            json::write_string(&mut s, &cell.to_string());
-        }
-        s.push(']');
+        let sep = if ri > 0 { "," } else { "" };
+        s += &format!(
+            "{sep}\n    [{}]",
+            list(row, |cell| quoted(&cell.to_string()))
+        );
     }
     if !t.rows.is_empty() {
-        s.push_str("\n  ");
+        s += "\n  ";
     }
-    s.push_str("]\n}\n");
-    s
+    s + "]\n}\n"
+}
+
+/// `items`, each rendered by `show`, joined as the inside of an inline
+/// JSON array.
+pub(crate) fn list<T>(items: &[T], show: impl Fn(&T) -> String) -> String {
+    items.iter().map(show).collect::<Vec<_>>().join(", ")
 }
 
 /// A parsed table document: one table as one (possibly sharded) run
 /// produced it, with full provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDoc {
-    /// Driver name.
-    pub driver: String,
+    /// Driver, run flags and shard.
+    pub meta: RunMeta,
     /// Table name.
     pub table: String,
-    /// Run scale.
-    pub scale: String,
-    /// Base seed.
-    pub seed: u64,
-    /// Replicates per sweep point.
-    pub replicates: usize,
-    /// The `--k` ToR-radix override, if one was set.
-    pub k: Option<usize>,
-    /// The `(i, n)` shard, if sharded.
-    pub shard: Option<(usize, usize)>,
     /// Total sweep point count, if the table has sweep rows.
     pub sweep_points: Option<usize>,
     /// Point indices this run executed.
@@ -171,137 +209,43 @@ pub struct TableDoc {
 impl TableDoc {
     /// Parse a table document from its JSON text.
     pub fn parse(text: &str) -> Result<TableDoc, MergeError> {
-        let bad = |what: &str| MergeError::Parse {
-            context: what.to_string(),
-        };
-        let j = Json::parse(text).map_err(|e| MergeError::Parse { context: e })?;
-        match j.get("format").and_then(Json::as_u64) {
-            Some(DOC_FORMAT) => {}
-            Some(other) => {
-                return Err(bad(&format!(
-                    "unsupported document format {other} (this build reads format {DOC_FORMAT})"
-                )))
+        json::decode("table document", text, |f| {
+            f.format(DOC_FORMAT)?;
+            let doc = TableDoc {
+                meta: RunMeta {
+                    driver: f.req("driver")?,
+                    flags: RunFlags::read(f)?,
+                    shard: f.req("shard")?,
+                },
+                table: f.req("table")?,
+                sweep_points: f.req("sweep_points")?,
+                points_run: f.req("points_run")?,
+                columns: f.req("columns")?,
+                row_points: f.req("row_points")?,
+                rows: f.req("rows")?,
+            };
+            let (rows, points, cols) = (doc.rows.len(), doc.row_points.len(), doc.columns.len());
+            if rows != points {
+                return Err(f.bad("rows", format!("{rows} row(s) but {points} \"row_points\"")));
             }
-            None => return Err(bad("missing or non-integer field \"format\"")),
-        }
-        let str_field = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| bad(&format!("missing or non-string field {k:?}")))
-        };
-        let opt_pair = |k: &str| -> Result<Option<(usize, usize)>, MergeError> {
-            match j.get(k) {
-                None => Err(bad(&format!("missing field {k:?}"))),
-                Some(Json::Null) => Ok(None),
-                Some(v) => {
-                    let a = v.as_arr().ok_or_else(|| bad(&format!("bad {k:?}")))?;
-                    match a {
-                        [i, n] => Ok(Some((
-                            i.as_usize().ok_or_else(|| bad(&format!("bad {k:?}")))?,
-                            n.as_usize().ok_or_else(|| bad(&format!("bad {k:?}")))?,
-                        ))),
-                        _ => Err(bad(&format!("bad {k:?}"))),
-                    }
-                }
+            if let Some(i) = doc.rows.iter().position(|r| r.len() != cols) {
+                let cells = doc.rows[i].len();
+                return Err(f.bad(
+                    &format!("rows[{i}]"),
+                    format!("{cells} cell(s), expected {cols}"),
+                ));
             }
-        };
-        let doc = TableDoc {
-            driver: str_field("driver")?,
-            table: str_field("table")?,
-            scale: str_field("scale")?,
-            seed: j
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing or non-integer field \"seed\""))?,
-            replicates: j
-                .get("replicates")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| bad("missing or non-integer field \"replicates\""))?,
-            k: match j.get("k") {
-                Some(Json::Null) => None,
-                Some(v) => Some(v.as_usize().ok_or_else(|| bad("bad \"k\""))?),
-                None => return Err(bad("missing field \"k\"")),
-            },
-            shard: opt_pair("shard")?,
-            sweep_points: match j.get("sweep_points") {
-                Some(Json::Null) => None,
-                Some(v) => Some(v.as_usize().ok_or_else(|| bad("bad \"sweep_points\""))?),
-                None => return Err(bad("missing field \"sweep_points\"")),
-            },
-            points_run: j
-                .get("points_run")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("missing field \"points_run\""))?
-                .iter()
-                .map(|v| v.as_usize().ok_or_else(|| bad("bad \"points_run\" entry")))
-                .collect::<Result<_, _>>()?,
-            columns: j
-                .get("columns")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("missing field \"columns\""))?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| bad("bad column name"))
-                })
-                .collect::<Result<_, _>>()?,
-            row_points: j
-                .get("row_points")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("missing field \"row_points\""))?
-                .iter()
-                .map(|v| match v {
-                    Json::Null => Ok(None),
-                    v => v
-                        .as_usize()
-                        .map(Some)
-                        .ok_or_else(|| bad("bad \"row_points\" entry")),
-                })
-                .collect::<Result<_, _>>()?,
-            rows: j
-                .get("rows")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("missing field \"rows\""))?
-                .iter()
-                .map(|row| {
-                    row.as_arr()
-                        .ok_or_else(|| bad("bad row"))?
-                        .iter()
-                        .map(|c| {
-                            c.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| bad("bad cell (expected string)"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        if doc.rows.len() != doc.row_points.len() {
-            return Err(bad("\"rows\" and \"row_points\" lengths disagree"));
-        }
-        if let Some(bad_row) = doc.rows.iter().find(|r| r.len() != doc.columns.len()) {
-            return Err(bad(&format!(
-                "row has {} cells, expected {}",
-                bad_row.len(),
-                doc.columns.len()
-            )));
-        }
-        Ok(doc)
+            Ok(doc)
+        })
+        .map_err(|context| MergeError::Parse { context })
     }
 
     /// Build a document directly from a table (what [`table_json`]
     /// renders).
     pub fn from_table(t: &Table, meta: &RunMeta) -> TableDoc {
         TableDoc {
-            driver: meta.driver.clone(),
+            meta: meta.clone(),
             table: t.name.clone(),
-            scale: meta.scale.clone(),
-            seed: meta.seed,
-            replicates: meta.replicates,
-            k: meta.k,
-            shard: meta.shard,
             sweep_points: t.sweep_points,
             points_run: t.points_run.clone(),
             columns: t.columns.clone(),
@@ -339,15 +283,7 @@ impl TableDoc {
 
     /// Render as JSON text.
     pub fn render(&self) -> String {
-        let meta = RunMeta {
-            driver: self.driver.clone(),
-            scale: self.scale.clone(),
-            seed: self.seed,
-            replicates: self.replicates,
-            k: self.k,
-            shard: self.shard,
-        };
-        table_json(&self.to_table(), &meta)
+        table_json(&self.to_table(), &self.meta)
     }
 }
 
@@ -459,7 +395,7 @@ impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MergeError::NoShards => write!(f, "no shard documents to merge"),
-            MergeError::Parse { context } => write!(f, "malformed table document: {context}"),
+            MergeError::Parse { context } => write!(f, "{context}"),
             MergeError::SchemaMismatch {
                 table,
                 field,
@@ -557,8 +493,8 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
             got: got.to_string(),
             want: want.to_string(),
         };
-        if d.driver != first.driver {
-            return Err(schema("driver", &d.driver, &first.driver));
+        if d.meta.driver != first.meta.driver {
+            return Err(schema("driver", &d.meta.driver, &first.meta.driver));
         }
         if d.table != first.table {
             return Err(schema("table", &d.table, &first.table));
@@ -576,21 +512,8 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
             got,
             want,
         };
-        if d.scale != first.scale {
-            return Err(flag("scale", d.scale.clone(), first.scale.clone()));
-        }
-        if d.seed != first.seed {
-            return Err(flag("seed", d.seed.to_string(), first.seed.to_string()));
-        }
-        if d.replicates != first.replicates {
-            return Err(flag(
-                "replicates",
-                d.replicates.to_string(),
-                first.replicates.to_string(),
-            ));
-        }
-        if d.k != first.k {
-            return Err(flag("k", format!("{:?}", d.k), format!("{:?}", first.k)));
+        if let Some(d) = d.meta.flags.first_difference(&first.meta.flags) {
+            return Err(flag(d.flag, d.got, d.want));
         }
         if d.sweep_points != first.sweep_points {
             return Err(flag(
@@ -602,16 +525,16 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
     }
 
     // Single unsharded document: nothing to reassemble.
-    if docs.len() == 1 && first.shard.is_none() {
+    if docs.len() == 1 && first.meta.shard.is_none() {
         return Ok(first.clone());
     }
 
     // Shard consistency.
-    let (_, n) = first.shard.ok_or(MergeError::NotSharded {
+    let (_, n) = first.meta.shard.ok_or(MergeError::NotSharded {
         table: table.clone(),
     })?;
     for d in docs {
-        let (i, dn) = d.shard.ok_or(MergeError::NotSharded {
+        let (i, dn) = d.meta.shard.ok_or(MergeError::NotSharded {
             table: table.clone(),
         })?;
         if dn != n {
@@ -643,7 +566,7 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
             }
             check_constants(&table, docs)?;
             let mut merged = first.clone();
-            merged.shard = None;
+            merged.meta.shard = None;
             return Ok(merged);
         }
     };
@@ -653,7 +576,7 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
     // ran. `owner[p]` is the doc index that executed point `p`.
     let mut owner: Vec<Option<usize>> = vec![None; sweep_points];
     for (di, d) in docs.iter().enumerate() {
-        let shard_i = d.shard.expect("checked above").0;
+        let shard_i = d.meta.shard.expect("checked above").0;
         for &p in &d.points_run {
             if p >= sweep_points || p % n != shard_i {
                 return Err(MergeError::ShardAssignment {
@@ -691,12 +614,12 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
     // Reassemble: constants (validated identical) first, then points in
     // ascending global order, each in its owning shard's emission order.
     let mut merged = TableDoc {
-        shard: None,
         points_run: (0..sweep_points).collect(),
         row_points: Vec::new(),
         rows: Vec::new(),
         ..first.clone()
     };
+    merged.meta.shard = None;
     for (row, p) in first.rows.iter().zip(&first.row_points) {
         if p.is_none() {
             merged.rows.push(row.clone());
@@ -810,22 +733,10 @@ mod tests {
     use super::*;
     use crate::sweep::SweepRef;
     use crate::table::Cell;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("expt-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
-    }
+    use crate::testutil::{tmp_dir, QUICK};
 
     fn meta(shard: Option<(usize, usize)>) -> RunMeta {
-        RunMeta {
-            driver: "drv".into(),
-            scale: "quick".into(),
-            seed: 0,
-            replicates: 3,
-            k: None,
-            shard,
-        }
+        crate::testutil::meta("drv", shard)
     }
 
     /// A 5-point sweep sharded 2 ways, with one constant row and two
@@ -888,7 +799,7 @@ mod tests {
     fn merge_restores_unsharded_order_with_multirow_points() {
         let merged = merge_shard_docs(&sharded_docs()).unwrap();
         assert_eq!(merged.to_csv(), unsharded_csv());
-        assert_eq!(merged.shard, None);
+        assert_eq!(merged.meta.shard, None);
         assert_eq!(merged.points_run, (0..5).collect::<Vec<_>>());
     }
 
@@ -932,22 +843,31 @@ mod tests {
                 ..
             }
         ));
+        // Shards of different runs must not merge; which flags count is
+        // `flag_differences_are_named_first_to_last`.
         let mut docs = sharded_docs();
-        docs[1].seed = 7;
+        docs[1].meta.flags.seed = 7;
+        assert_eq!(
+            merge_shard_docs(&docs).unwrap_err(),
+            MergeError::FlagMismatch {
+                table: "series".into(),
+                flag: "seed",
+                got: "7".into(),
+                want: "0".into(),
+            }
+        );
+        let mut docs = sharded_docs();
+        docs[1].sweep_points = Some(9);
         assert!(matches!(
             merge_shard_docs(&docs).unwrap_err(),
-            MergeError::FlagMismatch { flag: "seed", .. }
-        ));
-        // Shards run under different --k topologies must not merge.
-        let mut docs = sharded_docs();
-        docs[1].k = Some(24);
-        assert!(matches!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::FlagMismatch { flag: "k", .. }
+            MergeError::FlagMismatch {
+                flag: "sweep_points",
+                ..
+            }
         ));
         // An out-of-range shard index is named as such.
         let mut docs = sharded_docs();
-        docs[1].shard = Some((5, 2));
+        docs[1].meta.shard = Some((5, 2));
         docs[1].points_run.clear();
         docs[1].rows.truncate(1);
         docs[1].row_points.truncate(1);
@@ -960,13 +880,13 @@ mod tests {
             }
         ));
         let mut docs = sharded_docs();
-        docs[1].shard = None;
+        docs[1].meta.shard = None;
         assert!(matches!(
             merge_shard_docs(&docs).unwrap_err(),
             MergeError::NotSharded { .. }
         ));
         let mut docs = sharded_docs();
-        docs[1].shard = Some((1, 3));
+        docs[1].meta.shard = Some((1, 3));
         assert!(matches!(
             merge_shard_docs(&docs).unwrap_err(),
             MergeError::ShardCountMismatch {
@@ -1026,6 +946,83 @@ mod tests {
         // Single unsharded doc passes through.
         let solo = TableDoc::from_table(&t, &meta(None));
         assert_eq!(merge_shard_docs(std::slice::from_ref(&solo)).unwrap(), solo);
+    }
+
+    /// The one comparison behind the shard merge's `FlagMismatch`, the
+    /// resume identity check and the golden stale-bless drift.
+    #[test]
+    fn flag_differences_are_named_first_to_last() {
+        let with = |edit: fn(&mut RunFlags)| {
+            let mut f = QUICK;
+            edit(&mut f);
+            f
+        };
+        assert_eq!(QUICK.first_difference(&QUICK), None);
+        for (got, flag, got_v, want_v) in [
+            (with(|f| f.scale = Scale::Full), "scale", "full", "quick"),
+            (
+                with(|f| f.seed = u64::MAX),
+                "seed",
+                "18446744073709551615",
+                "0",
+            ),
+            (with(|f| f.replicates = 5), "replicates", "5", "3"),
+            (with(|f| f.k = Some(24)), "k", "Some(24)", "None"),
+            // Several differ: the first in (scale, seed, replicates, k)
+            // order is the one named.
+            (
+                with(|f| {
+                    f.seed = 7;
+                    f.k = Some(12);
+                }),
+                "seed",
+                "7",
+                "0",
+            ),
+        ] {
+            let d = got.first_difference(&QUICK).expect(flag);
+            assert_eq!(
+                (d.flag, d.got.as_str(), d.want.as_str()),
+                (flag, got_v, want_v)
+            );
+        }
+        // The round trip through the CLI type is lossless.
+        let odd = with(|f| {
+            f.scale = Scale::Default;
+            f.k = Some(8);
+        });
+        assert_eq!(RunFlags::of(&odd.expt_args()), odd);
+    }
+
+    #[test]
+    fn parse_errors_name_document_path_and_problem() {
+        let good = sharded_docs()[0].render();
+        let err = |text: String| match TableDoc::parse(&text).unwrap_err() {
+            MergeError::Parse { context } => context,
+            other => panic!("expected Parse, got {other}"),
+        };
+        assert_eq!(
+            err(good.replace("\"quick\"", "\"huge\"")),
+            "table document: scale: unknown scale \"huge\" (want quick/default/full)"
+        );
+        assert_eq!(
+            err(good.replace("\"format\": 1", "\"format\": 2")),
+            "table document: format: unsupported format 2 (this build reads format 1)"
+        );
+        assert_eq!(
+            err(good.replace("[\"0\", \"1\"]", "[\"0\", 1]")),
+            "table document: rows[2][1]: expected a string"
+        );
+        assert_eq!(
+            err(good.replace("[\"0\", \"1\"]", "[\"0\"]")),
+            "table document: rows[2]: 1 cell(s), expected 2"
+        );
+        assert_eq!(
+            err(good.replace("\"seed\": 0,", "")),
+            "table document: seed: missing (keys present: columns, driver, format, k, \
+             points_run, replicates, row_points, rows, scale, shard, sweep_points, table)"
+        );
+        assert_eq!(err("[]".into()), "table document: expected an object");
     }
 
     #[test]

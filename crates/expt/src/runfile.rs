@@ -5,30 +5,32 @@
 //! run — a killed `--full` sweep (paper-scale points take minutes each)
 //! lost every completed shard. This module closes that gap:
 //!
-//! * [`RunManifest`] — the plan, run flags, and per-job status
-//!   (pending / ok / failed, attempts, persisted tables), serialized as
-//!   `run.json` in the run directory and rewritten atomically after
-//!   every job completion,
-//! * [`RunWriter`] — a [`RunObserver`] that persists each job's shard
-//!   documents to `<out>/<driver>/shards/` *the moment the job
-//!   completes*, via [`crate::output::write_atomic`] (tmp file +
-//!   rename), then updates the manifest — so at any kill point the disk
-//!   holds only complete documents plus an accurate account of what
-//!   finished,
+//! * [`RunManifest`] — the plan, the run's identity
+//!   ([`RunFlags`]), and per-job status (pending / ok / failed,
+//!   attempts, persisted tables), serialized as `run.json` in the run
+//!   directory and rewritten atomically after every job completion;
+//!   read back, like every document, through [`crate::json::Fields`],
+//! * [`start_run`] — the one way a run reaches disk (the
+//!   `opera orchestrate` body, and what the tests call): manifest
+//!   first, then each job's shard documents written to
+//!   `<out>/<driver>/shards/` *the moment the job completes*, via
+//!   [`crate::output::write_atomic`] (tmp file + rename) followed by a
+//!   manifest update — so at any kill point the disk holds only
+//!   complete documents plus an accurate account of what finished —
+//!   and finally the merged tables,
 //! * [`resume_run`] — reloads a manifest, re-validates every surviving
-//!   shard document (parse + provenance against the manifest), and
+//!   shard document (parse + run identity against the manifest), and
 //!   re-runs *only* the missing, corrupt, or never-completed jobs
 //!   before re-merging. Because per-point seeds derive from the plan
 //!   and not the attempt, the resumed merge is byte-identical to an
 //!   uninterrupted run.
 
-use crate::json::Json;
+use crate::json::{self, Bad, Fields, FromJson, Json};
 use crate::orchestrate::{
-    merge_driver_docs, plan_jobs, Backend, OrchestrateError, Orchestrator, Plan, RunObserver,
-    RunReport, ShardJob,
+    check_owner, merge_driver_docs, plan_jobs, Backend, OrchestrateError, Orchestrator, Plan,
+    RunObserver, RunReport, ShardJob,
 };
-use crate::output::{self, TableDoc};
-use crate::{ExptArgs, Scale};
+use crate::output::{self, RunFlags, TableDoc};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -59,15 +61,17 @@ impl JobStatus {
             JobStatus::Failed => "failed",
         }
     }
+}
 
-    fn from_name(name: &str) -> Result<JobStatus, String> {
-        match name {
+impl FromJson for JobStatus {
+    fn from_json(j: &Json) -> Result<Self, Bad> {
+        match String::from_json(j)?.as_str() {
             "pending" => Ok(JobStatus::Pending),
             "ok" => Ok(JobStatus::Ok),
             "failed" => Ok(JobStatus::Failed),
-            other => Err(format!(
+            other => Err(Bad::new(format!(
                 "unknown job status {other:?} (want pending/ok/failed)"
-            )),
+            ))),
         }
     }
 }
@@ -75,10 +79,8 @@ impl JobStatus {
 /// One shard job's entry in the manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobEntry {
-    /// Driver name.
-    pub driver: String,
-    /// The `(i, n)` shard.
-    pub shard: (usize, usize),
+    /// The job: driver and `(i, n)` shard.
+    pub job: ShardJob,
     /// Lifecycle state.
     pub status: JobStatus,
     /// Attempts made so far (0 while pending).
@@ -91,37 +93,20 @@ pub struct JobEntry {
     pub tables: Vec<String>,
 }
 
-impl JobEntry {
-    /// The job this entry describes.
-    pub fn job(&self) -> ShardJob {
-        ShardJob {
-            driver: self.driver.clone(),
-            shard: self.shard,
-        }
-    }
-}
-
-/// The durable description of one orchestrated run: plan, run flags,
-/// backend, and per-job status. Serialized as `run.json`.
+/// The durable description of one orchestrated run: plan, run
+/// identity, backend, and per-job status. Serialized as `run.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
-    /// Drivers in plan order.
-    pub drivers: Vec<String>,
-    /// Shards per driver.
-    pub shards: usize,
-    /// Retry budget per shard job.
-    pub retries: usize,
+    /// What was planned: drivers in order, shards per driver, retry
+    /// budget per shard job.
+    pub plan: Plan,
     /// Backend name the run used (`local` / `subprocess` / ...) — what
     /// `resume` re-runs with unless overridden.
     pub backend: String,
-    /// Run scale.
-    pub scale: Scale,
-    /// Base seed.
-    pub seed: u64,
-    /// Replicates per sweep point.
-    pub replicates: usize,
-    /// Optional `--k` ToR-radix override.
-    pub k: Option<usize>,
+    /// The run's identity: what every shard document must carry, and
+    /// what a resuming backend must run under to reproduce the run
+    /// bit-for-bit.
+    pub flags: RunFlags,
     /// True once the run merged and wrote final CSVs.
     pub complete: bool,
     /// One entry per `driver × shard` job.
@@ -129,24 +114,18 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// A fresh manifest for `plan` run under `backend` with `args`:
+    /// A fresh manifest for `plan` run under `backend` with `flags`:
     /// every job pending.
-    pub fn new(plan: &Plan, backend: &str, args: &ExptArgs) -> RunManifest {
+    pub fn new(plan: &Plan, backend: &str, flags: RunFlags) -> RunManifest {
         RunManifest {
-            drivers: plan.drivers.clone(),
-            shards: plan.shards,
-            retries: plan.retries,
+            plan: plan.clone(),
             backend: backend.to_string(),
-            scale: args.scale,
-            seed: args.seed,
-            replicates: args.replicates,
-            k: args.k,
+            flags,
             complete: false,
             jobs: plan_jobs(plan)
                 .into_iter()
-                .map(|j| JobEntry {
-                    driver: j.driver,
-                    shard: j.shard,
+                .map(|job| JobEntry {
+                    job,
                     status: JobStatus::Pending,
                     attempts: 0,
                     error: None,
@@ -156,292 +135,96 @@ impl RunManifest {
         }
     }
 
-    /// A manifest describing an already-completed in-memory report
-    /// (the [`crate::orchestrate::write_run`] path). Run flags are
-    /// recovered from the report's own documents; the backend is
-    /// recorded as `local` since the report was produced in-process.
-    pub fn from_report(report: &RunReport) -> RunManifest {
-        let probe = report.drivers.iter().flat_map(|d| d.merged.first()).next();
-        let (scale, seed, replicates, k) = match probe {
-            Some(doc) => (
-                Scale::from_name(&doc.scale).unwrap_or(Scale::Default),
-                doc.seed,
-                doc.replicates,
-                doc.k,
-            ),
-            None => (Scale::Default, 0, 1, None),
-        };
-        let plan = Plan {
-            drivers: report.drivers.iter().map(|d| d.driver.clone()).collect(),
-            shards: report.shards,
-            retries: 0,
-        };
-        RunManifest::new(
-            &plan,
-            "local",
-            &ExptArgs {
-                scale,
-                seed,
-                replicates,
-                k,
-                ..ExptArgs::default()
-            },
-        )
-    }
-
-    /// The plan this manifest records.
-    pub fn plan(&self) -> Plan {
-        Plan {
-            drivers: self.drivers.clone(),
-            shards: self.shards,
-            retries: self.retries,
-        }
-    }
-
-    /// The driver flags this run used, as [`ExptArgs`] — what a
-    /// resuming backend must pass to reproduce the run bit-for-bit
-    /// (scale / seed / replicates / k; everything else keeps its
-    /// default).
-    pub fn expt_args(&self) -> ExptArgs {
-        ExptArgs {
-            scale: self.scale,
-            seed: self.seed,
-            replicates: self.replicates,
-            k: self.k,
-            ..ExptArgs::default()
-        }
-    }
-
-    /// Update (or add) the entry for `job`.
-    fn set_job(
-        &mut self,
-        job: &ShardJob,
-        status: JobStatus,
-        attempts: usize,
-        error: Option<String>,
-        tables: Vec<String>,
-    ) {
-        match self
-            .jobs
-            .iter_mut()
-            .find(|e| e.driver == job.driver && e.shard == job.shard)
-        {
-            Some(e) => {
-                e.status = status;
-                e.attempts = attempts;
-                e.error = error;
-                e.tables = tables;
-            }
-            None => self.jobs.push(JobEntry {
-                driver: job.driver.clone(),
-                shard: job.shard,
-                status,
-                attempts,
-                error,
-                tables,
-            }),
-        }
-    }
-
     /// Render as `run.json` text.
     pub fn render(&self) -> String {
         let num = |n: usize| Json::Num(n.to_string());
-        let mut m = BTreeMap::new();
-        m.insert("format".to_string(), Json::Num(MANIFEST_FORMAT.to_string()));
-        m.insert("backend".to_string(), Json::Str(self.backend.clone()));
-        m.insert(
-            "drivers".to_string(),
-            Json::Arr(self.drivers.iter().cloned().map(Json::Str).collect()),
-        );
-        m.insert("shards".to_string(), num(self.shards));
-        m.insert("retries".to_string(), num(self.retries));
-        m.insert("scale".to_string(), Json::Str(self.scale.to_string()));
-        m.insert("seed".to_string(), Json::Num(self.seed.to_string()));
-        m.insert("replicates".to_string(), num(self.replicates));
-        m.insert(
-            "k".to_string(),
-            match self.k {
-                Some(k) => num(k),
-                None => Json::Null,
-            },
-        );
-        m.insert("complete".to_string(), Json::Bool(self.complete));
-        m.insert(
-            "jobs".to_string(),
-            Json::Arr(
-                self.jobs
-                    .iter()
-                    .map(|e| {
-                        let mut j = BTreeMap::new();
-                        j.insert("driver".to_string(), Json::Str(e.driver.clone()));
-                        j.insert(
-                            "shard".to_string(),
-                            Json::Arr(vec![num(e.shard.0), num(e.shard.1)]),
-                        );
-                        j.insert("status".to_string(), Json::Str(e.status.name().to_string()));
-                        j.insert("attempts".to_string(), num(e.attempts));
-                        j.insert(
-                            "error".to_string(),
-                            match &e.error {
-                                Some(err) => Json::Str(err.clone()),
-                                None => Json::Null,
-                            },
-                        );
-                        j.insert(
-                            "tables".to_string(),
-                            Json::Arr(e.tables.iter().cloned().map(Json::Str).collect()),
-                        );
-                        Json::Obj(j)
-                    })
-                    .collect(),
-            ),
-        );
-        let mut s = Json::Obj(m).render();
-        s.push('\n');
-        s
+        let strs = |v: &[String]| Json::Arr(v.iter().cloned().map(Json::Str).collect());
+        let job = |e: &JobEntry| {
+            Json::obj([
+                ("driver", Json::Str(e.job.driver.clone())),
+                (
+                    "shard",
+                    Json::Arr(vec![num(e.job.shard.0), num(e.job.shard.1)]),
+                ),
+                ("status", Json::Str(e.status.name().to_string())),
+                ("attempts", num(e.attempts)),
+                ("error", e.error.clone().map_or(Json::Null, Json::Str)),
+                ("tables", strs(&e.tables)),
+            ])
+        };
+        let doc = Json::obj([
+            ("format", Json::Num(MANIFEST_FORMAT.to_string())),
+            ("backend", Json::Str(self.backend.clone())),
+            ("drivers", strs(&self.plan.drivers)),
+            ("shards", num(self.plan.shards)),
+            ("retries", num(self.plan.retries)),
+            ("scale", Json::Str(self.flags.scale.to_string())),
+            ("seed", Json::Num(self.flags.seed.to_string())),
+            ("replicates", num(self.flags.replicates)),
+            ("k", self.flags.k.map_or(Json::Null, num)),
+            ("complete", Json::Bool(self.complete)),
+            ("jobs", Json::Arr(self.jobs.iter().map(job).collect())),
+        ]);
+        doc.render() + "\n"
     }
 
     /// Parse and validate `run.json` text. Beyond shape, this checks
     /// the job list covers exactly `drivers × shards` — a manifest
     /// whose jobs disagree with its own plan cannot be resumed.
     pub fn parse(text: &str) -> Result<RunManifest, String> {
-        let j = Json::parse(text).map_err(|e| format!("run manifest: {e}"))?;
-        if !matches!(j, Json::Obj(_)) {
-            return Err("run manifest: expected a JSON object".into());
-        }
-        match j.get("format").and_then(Json::as_u64) {
-            Some(MANIFEST_FORMAT) => {}
-            Some(other) => {
-                return Err(format!(
-                    "run manifest: unsupported format {other} \
-                     (this build reads format {MANIFEST_FORMAT})"
-                ))
-            }
-            None => return Err("run manifest: missing or non-integer \"format\"".into()),
-        }
-        let str_field = |v: &Json, what: &str| -> Result<String, String> {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("run manifest: bad {what}"))
+        json::decode("run manifest", text, RunManifest::read_fields)
+    }
+
+    fn read_fields(f: &mut Fields<'_>) -> Result<RunManifest, String> {
+        f.format(MANIFEST_FORMAT)?;
+        let plan = Plan {
+            drivers: f.req("drivers")?,
+            shards: f.req("shards")?,
+            retries: f.req("retries")?,
         };
-        let uint = |k: &str| -> Result<usize, String> {
-            j.get(k)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| format!("run manifest: missing or non-integer {k:?}"))
-        };
-        let drivers = j
-            .get("drivers")
-            .and_then(Json::as_arr)
-            .ok_or("run manifest: missing \"drivers\" array")?
-            .iter()
-            .map(|v| str_field(v, "\"drivers\" entry"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let shards = uint("shards")?;
+        let shards = plan.shards;
         if shards == 0 {
-            return Err("run manifest: \"shards\" must be at least 1".into());
+            return Err(f.bad("shards", "must be at least 1"));
         }
-        let scale = Scale::from_name(
-            j.get("scale")
-                .and_then(Json::as_str)
-                .ok_or("run manifest: missing \"scale\"")?,
-        )
-        .map_err(|e| format!("run manifest: {e}"))?;
-        let jobs = j
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .ok_or("run manifest: missing \"jobs\" array")?
-            .iter()
-            .map(|v| -> Result<JobEntry, String> {
-                let shard = match v.get("shard").and_then(Json::as_arr) {
-                    Some([i, n]) => (
-                        i.as_usize().ok_or("run manifest: bad job \"shard\"")?,
-                        n.as_usize().ok_or("run manifest: bad job \"shard\"")?,
-                    ),
-                    _ => return Err("run manifest: bad job \"shard\"".into()),
-                };
-                Ok(JobEntry {
-                    driver: str_field(
-                        v.get("driver")
-                            .ok_or("run manifest: job missing \"driver\"")?,
-                        "job \"driver\"",
-                    )?,
-                    shard,
-                    status: JobStatus::from_name(
-                        v.get("status")
-                            .and_then(Json::as_str)
-                            .ok_or("run manifest: job missing \"status\"")?,
-                    )
-                    .map_err(|e| format!("run manifest: {e}"))?,
-                    attempts: v
-                        .get("attempts")
-                        .and_then(Json::as_usize)
-                        .ok_or("run manifest: job missing \"attempts\"")?,
-                    error: match v.get("error") {
-                        None | Some(Json::Null) => None,
-                        Some(e) => Some(str_field(e, "job \"error\"")?),
-                    },
-                    tables: v
-                        .get("tables")
-                        .and_then(Json::as_arr)
-                        .ok_or("run manifest: job missing \"tables\"")?
-                        .iter()
-                        .map(|t| str_field(t, "job \"tables\" entry"))
-                        .collect::<Result<Vec<_>, _>>()?,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut jobs = Vec::new();
+        for mut e in f.req_objs("jobs")? {
+            jobs.push(JobEntry {
+                job: ShardJob {
+                    driver: e.req("driver")?,
+                    shard: e.req("shard")?,
+                },
+                status: e.req("status")?,
+                attempts: e.req("attempts")?,
+                error: e.opt::<Option<String>>("error")?.flatten(),
+                tables: e.req("tables")?,
+            });
+            e.finish()?;
+        }
         // The job list must cover exactly drivers × shards.
-        let mut seen: BTreeSet<(String, usize)> = BTreeSet::new();
-        for e in &jobs {
-            if !drivers.contains(&e.driver) {
-                return Err(format!(
-                    "run manifest: job for unplanned driver {:?}",
-                    e.driver
-                ));
-            }
-            if e.shard.1 != shards || e.shard.0 >= shards {
-                return Err(format!(
-                    "run manifest: job shard ({}, {}) inconsistent with {shards}-way plan",
-                    e.shard.0, e.shard.1
-                ));
-            }
-            if !seen.insert((e.driver.clone(), e.shard.0)) {
-                return Err(format!(
-                    "run manifest: duplicate job for driver {:?} shard {}",
-                    e.driver, e.shard.0
-                ));
-            }
+        let mut seen: BTreeSet<(&str, usize)> = BTreeSet::new();
+        for (i, ShardJob { driver, shard }) in jobs.iter().map(|e| &e.job).enumerate() {
+            let what = if !plan.drivers.contains(driver) {
+                format!("unplanned driver {driver:?}")
+            } else if shard.1 != shards || shard.0 >= shards {
+                format!("shard {shard:?} inconsistent with the {shards}-way plan")
+            } else if !seen.insert((driver, shard.0)) {
+                format!("duplicate job for driver {driver:?} shard {}", shard.0)
+            } else {
+                continue;
+            };
+            return Err(f.bad(&format!("jobs[{i}]"), what));
         }
-        if seen.len() != drivers.len() * shards {
-            return Err(format!(
-                "run manifest: {} job(s) do not cover {} driver(s) × {shards} shard(s)",
-                jobs.len(),
-                drivers.len()
-            ));
+        if Some(seen.len()) != plan.drivers.len().checked_mul(shards) {
+            let (have, drivers) = (jobs.len(), plan.drivers.len());
+            let what =
+                format!("{have} job(s) do not cover {drivers} driver(s) × {shards} shard(s)");
+            return Err(f.bad("jobs", what));
         }
         Ok(RunManifest {
-            drivers,
-            shards,
-            retries: uint("retries")?,
-            backend: str_field(
-                j.get("backend")
-                    .ok_or("run manifest: missing \"backend\"")?,
-                "\"backend\"",
-            )?,
-            scale,
-            seed: j
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("run manifest: missing or non-integer \"seed\"")?,
-            replicates: uint("replicates")?,
-            k: match j.get("k") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_usize().ok_or("run manifest: bad \"k\"")?),
-            },
-            complete: j
-                .get("complete")
-                .and_then(Json::as_bool)
-                .ok_or("run manifest: missing or non-boolean \"complete\"")?,
+            plan,
+            backend: f.req("backend")?,
+            flags: RunFlags::read(f)?,
+            complete: f.req("complete")?,
             jobs,
         })
     }
@@ -463,7 +246,7 @@ impl RunManifest {
 /// CSVs and marks the run complete. Safe to share across the
 /// orchestrator's worker threads.
 #[derive(Debug)]
-pub struct RunWriter {
+struct RunWriter {
     out: PathBuf,
     state: Mutex<WriterState>,
 }
@@ -476,65 +259,40 @@ struct WriterState {
     error: Option<OrchestrateError>,
 }
 
+/// [`output::write_atomic`] with the path in the error.
+fn write(path: &Path, text: &str) -> Result<(), OrchestrateError> {
+    output::write_atomic(path, text).map_err(|e| OrchestrateError::io(path, e))
+}
+
 impl RunWriter {
-    /// Start a *fresh* run under `out`: every planned driver directory
-    /// is pruned (stale shard documents from a previous run with a
-    /// different shard count would poison a later validation), shard
-    /// directories are created, and the all-pending manifest is
-    /// written.
-    pub fn create(out: &Path, manifest: RunManifest) -> Result<RunWriter, OrchestrateError> {
-        let io_err = |path: &Path, e: std::io::Error| OrchestrateError::Io {
-            path: path.to_path_buf(),
-            error: e.to_string(),
-        };
-        fs::create_dir_all(out).map_err(|e| io_err(out, e))?;
-        for driver in &manifest.drivers {
+    /// Open `out` for `manifest`'s run and write the manifest. A `fresh`
+    /// run first prunes every planned driver directory (stale shard
+    /// documents from a previous run with a different shard count would
+    /// poison a later validation); a resumed one keeps what is there —
+    /// the surviving shard documents are the whole point — and only
+    /// resets `complete`, since the merge must re-run.
+    fn open(
+        out: &Path,
+        mut manifest: RunManifest,
+        fresh: bool,
+    ) -> Result<RunWriter, OrchestrateError> {
+        fs::create_dir_all(out).map_err(|e| OrchestrateError::io(out, e))?;
+        for driver in &manifest.plan.drivers {
             let dir = out.join(driver);
-            if dir.exists() {
-                fs::remove_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
+            if fresh && dir.exists() {
+                fs::remove_dir_all(&dir).map_err(|e| OrchestrateError::io(&dir, e))?;
             }
             let sdir = dir.join(output::SHARD_DIR);
-            fs::create_dir_all(&sdir).map_err(|e| io_err(&sdir, e))?;
-        }
-        RunWriter::init(out, manifest)
-    }
-
-    /// Continue an *existing* run under `out`: nothing is pruned — the
-    /// surviving shard documents are the whole point — and the manifest
-    /// (with `complete` reset, since the merge must re-run) is written
-    /// back.
-    pub fn resume(out: &Path, mut manifest: RunManifest) -> Result<RunWriter, OrchestrateError> {
-        let io_err = |path: &Path, e: std::io::Error| OrchestrateError::Io {
-            path: path.to_path_buf(),
-            error: e.to_string(),
-        };
-        for driver in &manifest.drivers {
-            let sdir = out.join(driver).join(output::SHARD_DIR);
-            fs::create_dir_all(&sdir).map_err(|e| io_err(&sdir, e))?;
+            fs::create_dir_all(&sdir).map_err(|e| OrchestrateError::io(&sdir, e))?;
         }
         manifest.complete = false;
-        RunWriter::init(out, manifest)
-    }
-
-    fn init(out: &Path, manifest: RunManifest) -> Result<RunWriter, OrchestrateError> {
-        let writer = RunWriter {
+        write(&out.join(RUN_FILE), &manifest.render())?;
+        Ok(RunWriter {
             out: out.to_path_buf(),
             state: Mutex::new(WriterState {
                 manifest,
                 error: None,
             }),
-        };
-        let st = writer.state.lock().unwrap();
-        writer.flush_manifest(&st.manifest)?;
-        drop(st);
-        Ok(writer)
-    }
-
-    fn flush_manifest(&self, manifest: &RunManifest) -> Result<(), OrchestrateError> {
-        let path = self.out.join(RUN_FILE);
-        output::write_atomic(&path, &manifest.render()).map_err(|e| OrchestrateError::Io {
-            path,
-            error: e.to_string(),
         })
     }
 
@@ -548,28 +306,29 @@ impl RunWriter {
         attempts: usize,
         outcome: &Result<Vec<TableDoc>, String>,
     ) -> Result<(), OrchestrateError> {
-        let (status, error, tables) = match outcome {
-            Ok(docs) => {
-                let sdir = self.out.join(&job.driver).join(output::SHARD_DIR);
-                for doc in docs {
-                    let path = sdir.join(output::shard_file_name(&doc.table, job.shard));
-                    output::write_atomic(&path, &doc.render()).map_err(|e| {
-                        OrchestrateError::Io {
-                            path: path.clone(),
-                            error: e.to_string(),
-                        }
-                    })?;
-                }
-                (
-                    JobStatus::Ok,
-                    None,
-                    docs.iter().map(|d| d.table.clone()).collect(),
-                )
+        let entry = st
+            .manifest
+            .jobs
+            .iter_mut()
+            .find(|e| e.job == *job)
+            .expect("a writer only hears jobs of the plan its manifest was made from");
+        if let Ok(docs) = outcome {
+            let sdir = self.out.join(&job.driver).join(output::SHARD_DIR);
+            for doc in docs {
+                let name = output::shard_file_name(&doc.table, job.shard);
+                write(&sdir.join(name), &doc.render())?;
             }
+        }
+        entry.attempts = attempts;
+        (entry.status, entry.error, entry.tables) = match outcome {
+            Ok(docs) => (
+                JobStatus::Ok,
+                None,
+                docs.iter().map(|d| d.table.clone()).collect(),
+            ),
             Err(e) => (JobStatus::Failed, Some(e.clone()), Vec::new()),
         };
-        st.manifest.set_job(job, status, attempts, error, tables);
-        self.flush_manifest(&st.manifest)
+        write(&self.out.join(RUN_FILE), &st.manifest.render())
     }
 
     /// Finish the run: write each driver's merged tables
@@ -577,9 +336,9 @@ impl RunWriter {
     /// manifest complete, and return the merged CSV paths. Surfaces the
     /// first persistence error any earlier [`RunObserver::job_done`]
     /// call swallowed.
-    pub fn finish(
+    fn finish<'a>(
         &self,
-        merged: &[(String, Vec<TableDoc>)],
+        merged: impl IntoIterator<Item = (&'a str, &'a [TableDoc])>,
     ) -> Result<Vec<PathBuf>, OrchestrateError> {
         let mut st = self.state.lock().unwrap();
         if let Some(e) = st.error.take() {
@@ -589,19 +348,14 @@ impl RunWriter {
         for (driver, docs) in merged {
             let dir = self.out.join(driver);
             for doc in docs {
-                let io_err = |path: PathBuf, e: std::io::Error| OrchestrateError::Io {
-                    path,
-                    error: e.to_string(),
-                };
                 let csv = dir.join(format!("{}.csv", doc.table));
-                output::write_atomic(&csv, &doc.to_csv()).map_err(|e| io_err(csv.clone(), e))?;
-                let json = dir.join(format!("{}.json", doc.table));
-                output::write_atomic(&json, &doc.render()).map_err(|e| io_err(json, e))?;
+                write(&csv, &doc.to_csv())?;
+                write(&dir.join(format!("{}.json", doc.table)), &doc.render())?;
                 csvs.push(csv);
             }
         }
         st.manifest.complete = true;
-        self.flush_manifest(&st.manifest)?;
+        write(&self.out.join(RUN_FILE), &st.manifest.render())?;
         Ok(csvs)
     }
 }
@@ -616,13 +370,40 @@ impl RunObserver for RunWriter {
     }
 }
 
+/// Run `plan` durably under `dir` — what `opera orchestrate` does: write
+/// the all-pending `run.json` (pruning each planned driver's directory
+/// of an earlier run's files), persist every job's shard documents as
+/// the job completes, then write the validated merged tables and mark
+/// the manifest complete. `backend_name` is recorded for
+/// [`resume_run`]'s default. Returns the report and the merged CSV
+/// paths; on a job failure everything that completed stays on disk for
+/// `resume`.
+pub fn start_run<B: Backend>(
+    dir: &Path,
+    plan: &Plan,
+    backend_name: &str,
+    flags: RunFlags,
+    backend: B,
+    workers: usize,
+) -> Result<(RunReport, Vec<PathBuf>), OrchestrateError> {
+    let writer = RunWriter::open(dir, RunManifest::new(plan, backend_name, flags), true)?;
+    let report = Orchestrator::new(backend, workers).run_observed(plan, &writer)?;
+    let merged = report
+        .drivers
+        .iter()
+        .map(|r| (&r.driver[..], &r.merged[..]));
+    let csvs = writer.finish(merged)?;
+    Ok((report, csvs))
+}
+
 /// Why [`resume_run`] decided to re-run one job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResumedJob {
     /// The job being re-run.
     pub job: ShardJob,
     /// Human-readable reason (never completed / failed / missing or
-    /// corrupt shard document / provenance mismatch).
+    /// corrupt shard document / a document of a different run, naming
+    /// the flag that differs).
     pub reason: String,
 }
 
@@ -642,7 +423,7 @@ pub struct ResumeReport {
 /// Resume an interrupted (or failed) run in `dir`: read `run.json`,
 /// re-validate every completed job's shard documents on disk (a
 /// half-written file fails to parse; a document from a different run
-/// configuration fails the provenance check), re-run only the jobs that
+/// fails the identity check), re-run only the jobs that
 /// cannot be reused, then re-merge and re-write the final CSVs.
 /// Determinism makes this safe: a re-run job produces byte-identical
 /// documents to the ones the interrupted run lost.
@@ -658,7 +439,7 @@ pub fn resume_run<B: Backend>(
         let reason = match entry.status {
             JobStatus::Ok => match load_job_docs(dir, &manifest, entry) {
                 Ok(docs) => {
-                    docs_by_job.insert((entry.driver.clone(), entry.shard.0), docs);
+                    docs_by_job.insert((entry.job.driver.clone(), entry.job.shard.0), docs);
                     continue;
                 }
                 Err(reason) => reason,
@@ -670,45 +451,35 @@ pub fn resume_run<B: Backend>(
             ),
         };
         rerun.push(ResumedJob {
-            job: entry.job(),
+            job: entry.job.clone(),
             reason,
         });
     }
     let reused = docs_by_job.len();
 
-    let writer = RunWriter::resume(dir, manifest.clone())?;
+    let writer = RunWriter::open(dir, manifest.clone(), false)?;
     let jobs: Vec<ShardJob> = rerun.iter().map(|r| r.job.clone()).collect();
     let orch = Orchestrator::new(backend, workers);
-    let outcomes = orch.execute_jobs(&jobs, manifest.retries, &writer);
+    let outcomes = orch.execute_jobs(&jobs, manifest.plan.retries, &writer);
     let mut attempts = 0;
     for (r, outcome) in rerun.iter().zip(outcomes) {
         attempts += outcome.attempts;
-        match outcome.result {
-            Ok(docs) => {
-                docs_by_job.insert((r.job.driver.clone(), r.job.shard.0), docs);
-            }
-            Err(error) => {
-                return Err(OrchestrateError::Job {
-                    job: r.job.clone(),
-                    attempts: outcome.attempts,
-                    error,
-                });
-            }
-        }
+        let key = (r.job.driver.clone(), r.job.shard.0);
+        docs_by_job.insert(key, outcome.into_docs(&r.job)?);
     }
 
-    let mut merged = Vec::with_capacity(manifest.drivers.len());
-    for driver in &manifest.drivers {
-        let shard_docs: Vec<Vec<TableDoc>> = (0..manifest.shards)
+    let mut merged = Vec::with_capacity(manifest.plan.drivers.len());
+    for driver in &manifest.plan.drivers {
+        let shard_docs: Vec<Vec<TableDoc>> = (0..manifest.plan.shards)
             .map(|i| {
                 docs_by_job
                     .remove(&(driver.clone(), i))
                     .expect("manifest job coverage validated on read")
             })
             .collect();
-        merged.push((driver.clone(), merge_driver_docs(driver, &shard_docs)?));
+        merged.push((driver, merge_driver_docs(driver, &shard_docs)?));
     }
-    let csvs = writer.finish(&merged)?;
+    let csvs = writer.finish(merged.iter().map(|(d, docs)| (&d[..], &docs[..])))?;
     Ok(ResumeReport {
         reused,
         rerun,
@@ -718,8 +489,8 @@ pub fn resume_run<B: Backend>(
 }
 
 /// Load and re-validate one completed job's persisted shard documents.
-/// Any failure (missing file, parse error, provenance drift against
-/// the manifest) is a reason to re-run the job, not a fatal error —
+/// Any failure (missing file, parse error, a run identity other than
+/// the manifest's) is a reason to re-run the job, not a fatal error —
 /// determinism makes re-running always safe.
 fn load_job_docs(
     dir: &Path,
@@ -729,25 +500,31 @@ fn load_job_docs(
     if entry.tables.is_empty() {
         return Err("no tables recorded for the job".to_string());
     }
-    let sdir = dir.join(&entry.driver).join(output::SHARD_DIR);
+    let sdir = dir.join(&entry.job.driver).join(output::SHARD_DIR);
     let mut docs = Vec::with_capacity(entry.tables.len());
     for table in &entry.tables {
-        let path = sdir.join(output::shard_file_name(table, entry.shard));
+        let path = sdir.join(output::shard_file_name(table, entry.job.shard));
         let text = fs::read_to_string(&path)
             .map_err(|e| format!("missing shard document {}: {e}", path.display()))?;
         let doc = TableDoc::parse(&text)
             .map_err(|e| format!("corrupt shard document {}: {e}", path.display()))?;
-        let provenance_ok = doc.driver == entry.driver
-            && doc.shard == Some(entry.shard)
-            && doc.table == *table
-            && doc.scale == manifest.scale.to_string()
-            && doc.seed == manifest.seed
-            && doc.replicates == manifest.replicates
-            && doc.k == manifest.k;
-        if !provenance_ok {
-            return Err(format!(
-                "shard document {} does not match the run manifest's configuration",
+        check_owner(&doc, &entry.job).map_err(|e| {
+            format!(
+                "shard document {} belongs to another job: {e}",
                 path.display()
+            )
+        })?;
+        if doc.table != *table {
+            let (path, other) = (path.display(), &doc.table);
+            return Err(format!("shard document {path} holds table {other:?}"));
+        }
+        if let Some(d) = doc.meta.flags.first_difference(&manifest.flags) {
+            return Err(format!(
+                "shard document {} was written under {} `{}`, the run manifest records `{}`",
+                path.display(),
+                d.flag,
+                d.got,
+                d.want
             ));
         }
         docs.push(doc);
@@ -759,80 +536,8 @@ fn load_job_docs(
 mod tests {
     use super::*;
     use crate::orchestrate::validate_dir;
-    use crate::output::RunMeta;
-    use crate::sweep::SweepRef;
-    use crate::table::{Cell, Table};
+    use crate::testutil::{fake_docs, tmp_dir, FakeBackend, QUICK};
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("runfile-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
-    }
-
-    /// Same deterministic fake driver the orchestrate tests use: a
-    /// 6-point sweep, 2 rows per point, one constant row.
-    fn fake_docs(driver: &str, shard: (usize, usize)) -> Vec<TableDoc> {
-        let points = 6usize;
-        let owned: Vec<usize> = (0..points).filter(|p| p % shard.1 == shard.0).collect();
-        let sweep = SweepRef {
-            points,
-            owned: owned.clone(),
-        };
-        let mut t = Table::new("data", &["point", "sub"]).for_sweep(&sweep);
-        t.push(vec![Cell::from("const"), Cell::from(0u64)]);
-        for &p in &owned {
-            for sub in 0..2usize {
-                t.push_indexed(p, vec![Cell::from(p), Cell::from(sub)]);
-            }
-        }
-        let meta = RunMeta {
-            driver: driver.to_string(),
-            scale: "quick".into(),
-            seed: 0,
-            replicates: 1,
-            k: None,
-            shard: Some(shard),
-        };
-        vec![TableDoc::from_table(&t, &meta)]
-    }
-
-    /// Backend producing [`fake_docs`], counting calls per job.
-    struct CountingBackend {
-        calls: Mutex<BTreeMap<String, usize>>,
-    }
-
-    impl CountingBackend {
-        fn new() -> Self {
-            CountingBackend {
-                calls: Mutex::new(BTreeMap::new()),
-            }
-        }
-    }
-
-    impl Backend for CountingBackend {
-        fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
-            *self
-                .calls
-                .lock()
-                .unwrap()
-                .entry(format!("{}:{}", job.driver, job.shard.0))
-                .or_insert(0) += 1;
-            Ok(fake_docs(&job.driver, job.shard)
-                .iter()
-                .map(TableDoc::render)
-                .collect())
-        }
-    }
-
-    fn quick_args() -> ExptArgs {
-        ExptArgs {
-            scale: Scale::Quick,
-            seed: 0,
-            replicates: 1,
-            ..ExptArgs::default()
-        }
-    }
 
     fn two_shard_plan(drivers: &[&str]) -> Plan {
         Plan {
@@ -844,35 +549,32 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_and_validates() {
-        let mut m = RunManifest::new(&two_shard_plan(&["a", "b"]), "subprocess", &quick_args());
-        m.set_job(
-            &ShardJob {
-                driver: "a".into(),
-                shard: (1, 2),
-            },
-            JobStatus::Ok,
-            2,
-            None,
-            vec!["data".into()],
-        );
-        m.set_job(
-            &ShardJob {
-                driver: "b".into(),
-                shard: (0, 2),
-            },
-            JobStatus::Failed,
-            3,
-            Some("exit status 1".into()),
-            Vec::new(),
-        );
+        let mut m = RunManifest::new(&two_shard_plan(&["a", "b"]), "subprocess", QUICK);
+        (m.jobs[1].status, m.jobs[1].attempts) = (JobStatus::Ok, 2);
+        m.jobs[1].tables = vec!["data".into()];
+        (m.jobs[2].status, m.jobs[2].attempts) = (JobStatus::Failed, 3);
+        m.jobs[2].error = Some("exit status 1".into());
         let parsed = RunManifest::parse(&m.render()).unwrap();
         assert_eq!(parsed, m);
-        assert_eq!(parsed.plan().drivers, vec!["a", "b"]);
-        assert_eq!(parsed.expt_args().scale, Scale::Quick);
+        assert_eq!(parsed.plan.drivers, vec!["a", "b"]);
+        assert_eq!(parsed.flags, QUICK);
 
         // Named rejections.
         assert!(RunManifest::parse("{").is_err());
-        assert!(RunManifest::parse("{}").is_err());
+        assert_eq!(
+            RunManifest::parse("{}").unwrap_err(),
+            "run manifest: format: missing (keys present: )"
+        );
+        let huge = m.render().replace("\"quick\"", "\"huge\"");
+        assert!(RunManifest::parse(&huge)
+            .unwrap_err()
+            .starts_with("run manifest: scale: unknown scale \"huge\""));
+        let bad_job = m
+            .render()
+            .replace("\"status\": \"failed\"", "\"status\": \"lost\"");
+        assert!(RunManifest::parse(&bad_job)
+            .unwrap_err()
+            .starts_with("run manifest: jobs[2].status: unknown job status \"lost\""));
         let garbage = m.render().replace("\"format\": 1", "\"format\": 99");
         assert!(RunManifest::parse(&garbage)
             .unwrap_err()
@@ -896,8 +598,8 @@ mod tests {
     fn writer_persists_each_job_as_it_completes() {
         let out = tmp_dir("incremental");
         let plan = two_shard_plan(&["a"]);
-        let manifest = RunManifest::new(&plan, "local", &quick_args());
-        let writer = RunWriter::create(&out, manifest).unwrap();
+        let manifest = RunManifest::new(&plan, "local", QUICK);
+        let writer = RunWriter::open(&out, manifest, true).unwrap();
 
         // Before any job completes: manifest on disk, all pending.
         let m = RunManifest::read(&out.join(RUN_FILE)).unwrap();
@@ -934,28 +636,18 @@ mod tests {
         writer.job_done(&job1, 3, &Ok(fake_docs("a", (1, 2))));
         let shard_docs = vec![fake_docs("a", (0, 2)), fake_docs("a", (1, 2))];
         let merged = merge_driver_docs("a", &shard_docs).unwrap();
-        let csvs = writer.finish(&[("a".into(), merged)]).unwrap();
+        let csvs = writer.finish([("a", &merged[..])]).unwrap();
         assert_eq!(csvs.len(), 1);
         assert!(RunManifest::read(&out.join(RUN_FILE)).unwrap().complete);
         assert_eq!(validate_dir(&out).unwrap().len(), 1);
         fs::remove_dir_all(&out).unwrap();
     }
 
-    /// Run `drivers` through a [`CountingBackend`]-style full run,
-    /// returning the run dir.
+    /// A complete 2-shard run of `drivers`, returning the run dir.
     fn full_run(tag: &str, drivers: &[&str]) -> PathBuf {
         let out = tmp_dir(tag);
         let plan = two_shard_plan(drivers);
-        let writer =
-            RunWriter::create(&out, RunManifest::new(&plan, "local", &quick_args())).unwrap();
-        let orch = Orchestrator::new(CountingBackend::new(), 2);
-        let report = orch.run_observed(&plan, &writer).unwrap();
-        let merged: Vec<(String, Vec<TableDoc>)> = report
-            .drivers
-            .iter()
-            .map(|d| (d.driver.clone(), d.merged.clone()))
-            .collect();
-        writer.finish(&merged).unwrap();
+        start_run(&out, &plan, "local", QUICK, FakeBackend::default(), 2).unwrap();
         out
     }
 
@@ -970,7 +662,7 @@ mod tests {
         let text = fs::read_to_string(&corrupt).unwrap();
         fs::write(&corrupt, &text[..text.len() / 2]).unwrap();
 
-        let backend = CountingBackend::new();
+        let backend = FakeBackend::default();
         let report = resume_run(&out, backend, 2).unwrap();
         assert_eq!(report.reused, 2);
         let rerun: Vec<String> = report
@@ -992,7 +684,7 @@ mod tests {
         assert!(RunManifest::read(&out.join(RUN_FILE)).unwrap().complete);
 
         // Nothing left to do: a second resume reuses everything.
-        let report = resume_run(&out, CountingBackend::new(), 2).unwrap();
+        let report = resume_run(&out, FakeBackend::default(), 2).unwrap();
         assert_eq!(report.reused, 4);
         assert!(report.rerun.is_empty());
         assert_eq!(report.attempts, 0);
@@ -1005,8 +697,7 @@ mod tests {
         // job 1 pending.
         let out = tmp_dir("killed");
         let plan = two_shard_plan(&["a"]);
-        let writer =
-            RunWriter::create(&out, RunManifest::new(&plan, "local", &quick_args())).unwrap();
+        let writer = RunWriter::open(&out, RunManifest::new(&plan, "local", QUICK), true).unwrap();
         writer.job_done(
             &ShardJob {
                 driver: "a".into(),
@@ -1017,7 +708,7 @@ mod tests {
         );
         drop(writer); // the "kill": no finish, no job 1
 
-        let backend = CountingBackend::new();
+        let backend = FakeBackend::default();
         let report = resume_run(&out, backend, 1).unwrap();
         assert_eq!(report.reused, 1);
         assert_eq!(report.rerun.len(), 1);
@@ -1032,27 +723,26 @@ mod tests {
         // Overwrite shard 0's document with one from a different seed:
         // parses fine, but provenance disagrees with the manifest.
         let path = out.join("a/shards/data.shard0of2.json");
-        let meta = RunMeta {
-            driver: "a".into(),
-            scale: "quick".into(),
-            seed: 999,
-            replicates: 1,
-            k: None,
-            shard: Some((0, 2)),
-        };
-        let sweep = SweepRef {
-            points: 6,
-            owned: vec![0, 2, 4],
-        };
-        let mut t = Table::new("data", &["point", "sub"]).for_sweep(&sweep);
-        t.push(vec![Cell::from("const"), Cell::from(0u64)]);
-        fs::write(&path, TableDoc::from_table(&t, &meta).render()).unwrap();
+        let mut other = fake_docs("a", (0, 2)).remove(0);
+        other.meta.flags.seed = 999;
+        fs::write(&path, other.render()).unwrap();
 
-        let report = resume_run(&out, CountingBackend::new(), 1).unwrap();
+        let report = resume_run(&out, FakeBackend::default(), 1).unwrap();
         assert_eq!(report.rerun.len(), 1);
-        assert!(report.rerun[0]
-            .reason
-            .contains("does not match the run manifest"));
+        let reason = &report.rerun[0].reason;
+        assert!(
+            reason.ends_with("was written under seed `999`, the run manifest records `0`"),
+            "{reason}"
+        );
+
+        // A document of the right run but the wrong job is named as such.
+        fs::write(&path, fake_docs("a", (1, 2))[0].render()).unwrap();
+        let report = resume_run(&out, FakeBackend::default(), 1).unwrap();
+        assert!(
+            report.rerun[0].reason.contains("belongs to another job"),
+            "{}",
+            report.rerun[0].reason
+        );
         assert_eq!(validate_dir(&out).unwrap().len(), 1);
         fs::remove_dir_all(&out).unwrap();
     }
@@ -1082,7 +772,7 @@ mod tests {
         let e = m
             .jobs
             .iter()
-            .find(|e| e.shard == (1, 2))
+            .find(|e| e.job.shard == (1, 2))
             .expect("job entry");
         assert_eq!(e.status, JobStatus::Failed);
         assert_eq!(e.error.as_deref(), Some("still broken"));

@@ -2,13 +2,15 @@
 //!
 //! A scenario file describes one simulation setup — topology, workload,
 //! switch policy, transport, run length, and trace options — in TOML or
-//! JSON. Parsing is strict: unknown tables or keys are named errors, so
+//! JSON. Both forms become one [`Json`] tree ([`parse_toml`] is the
+//! format adapter) and are decoded by the crate's one strict reader,
+//! [`crate::json::Fields`]: unknown tables or keys are named errors, so
 //! a typo'd `policiy` cannot silently select a default. The axis fields
 //! (`switch.policy`, `transport.kind`, `workload.senders`) accept a
 //! scalar *or* an array; arrays become sweep axes and
-//! [`Scenario::sweep`] expands their cartesian product into an ordered
-//! [`Sweep`](crate::Sweep) of [`ScenarioPoint`]s, exactly like the
-//! hand-written figure drivers.
+//! [`Scenario::points`] expands their cartesian product into an ordered
+//! list of [`ScenarioPoint`]s, exactly like the hand-written figure
+//! drivers.
 //!
 //! This module is deliberately *name-generic*: it validates structure
 //! and types but treats topology/policy/transport names as opaque
@@ -44,8 +46,7 @@
 //! pcapng = "trace.pcapng"
 //! ```
 
-use crate::json::Json;
-use crate::sweep::Sweep;
+use crate::json::{Fields, Json, OneOrMany};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -92,6 +93,9 @@ pub struct Scenario {
     pub trace: TraceSpec,
 }
 
+/// The document kind every scenario error starts with.
+const DOC: &str = "scenario";
+
 /// One point of a scenario's sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioPoint {
@@ -107,148 +111,70 @@ impl Scenario {
     /// Load a scenario from `path`, dispatching on the `.toml` / `.json`
     /// extension.
     pub fn load(path: &Path) -> Result<Scenario, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("scenario {}: {e}", path.display()))?;
+        let named = |e: String| format!("{}: {e}", path.display());
+        let text = std::fs::read_to_string(path).map_err(|e| named(e.to_string()))?;
         let stem = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "scenario".into());
         let doc = match path.extension().and_then(|e| e.to_str()) {
-            Some("toml") => {
-                parse_toml(&text).map_err(|e| format!("scenario {}: {e}", path.display()))?
-            }
-            Some("json") => {
-                Json::parse(&text).map_err(|e| format!("scenario {}: {e}", path.display()))?
-            }
-            other => {
-                return Err(format!(
-                    "scenario {}: unsupported extension {other:?} (want .toml or .json)",
-                    path.display()
-                ))
-            }
-        };
-        Scenario::from_doc(&doc, &stem).map_err(|e| format!("scenario {}: {e}", path.display()))
+            Some("toml") => parse_toml(&text),
+            Some("json") => Json::parse(&text),
+            other => Err(format!(
+                "unsupported extension {other:?} (want .toml or .json)"
+            )),
+        }
+        .map_err(|e| named(format!("{DOC}: {e}")))?;
+        Scenario::from_doc(&doc, &stem).map_err(named)
     }
 
     /// Build a scenario from a parsed document tree (the common TOML/JSON
     /// path). `default_name` is used when the file has no `name` key.
     pub fn from_doc(doc: &Json, default_name: &str) -> Result<Scenario, String> {
-        let Json::Obj(top) = doc else {
-            return Err("top level must be a table/object".into());
-        };
-        check_keys(
-            top,
-            &[
-                "name",
-                "topology",
-                "workload",
-                "switch",
-                "transport",
-                "run",
-                "trace",
-            ],
-            "top level",
-        )?;
-        let name = match top.get("name") {
-            Some(v) => req_str(v, "name")?,
-            None => default_name.to_string(),
-        };
-
-        let topo = section(top, "topology")?;
-        check_keys(topo, &["kind", "racks"], "[topology]")?;
-        let topology = req_str(
-            topo.get("kind").ok_or("[topology] missing `kind`")?,
-            "topology.kind",
-        )?;
-        let racks = topo
-            .get("racks")
-            .map(|v| req_usize(v, "topology.racks"))
-            .transpose()?;
-
-        let wl = section(top, "workload")?;
-        check_keys(
-            wl,
-            &["kind", "senders", "flow_kb", "flow_bytes"],
-            "[workload]",
-        )?;
-        let workload = req_str(
-            wl.get("kind").ok_or("[workload] missing `kind`")?,
-            "workload.kind",
-        )?;
-        let senders = usize_axis(
-            wl.get("senders").ok_or("[workload] missing `senders`")?,
-            "workload.senders",
-        )?;
-        let flow_bytes = match (wl.get("flow_kb"), wl.get("flow_bytes")) {
+        let mut top = Fields::new(DOC, doc)?;
+        let mut topo = top.req_obj("topology")?;
+        let mut wl = top.req_obj("workload")?;
+        let mut sw = top.req_obj("switch")?;
+        let mut tr = top.req_obj("transport")?;
+        let mut run = top.req_obj("run")?;
+        let mut trace = top.opt_obj("trace")?;
+        let flow_bytes = match (wl.opt::<u64>("flow_kb")?, wl.opt::<u64>("flow_bytes")?) {
             (Some(_), Some(_)) => {
-                return Err("[workload]: give `flow_kb` or `flow_bytes`, not both".into())
+                return Err(wl.bad("flow_kb", "give `flow_kb` or `flow_bytes`, not both"))
             }
-            (Some(kb), None) => 1000 * req_u64(kb, "workload.flow_kb")?,
-            (None, Some(b)) => req_u64(b, "workload.flow_bytes")?,
-            (None, None) => return Err("[workload] missing `flow_kb` (or `flow_bytes`)".into()),
+            (Some(kb), None) => kb
+                .checked_mul(1000)
+                .ok_or_else(|| wl.bad("flow_kb", "too large"))?,
+            (None, Some(b)) => b,
+            (None, None) => return Err(wl.bad("flow_kb", "missing (or give `flow_bytes`)")),
         };
-
-        let sw = section(top, "switch")?;
-        check_keys(sw, &["policy"], "[switch]")?;
-        let policies = str_axis(
-            sw.get("policy").ok_or("[switch] missing `policy`")?,
-            "switch.policy",
-        )?;
-
-        let tr = section(top, "transport")?;
-        check_keys(tr, &["kind"], "[transport]")?;
-        let transports = str_axis(
-            tr.get("kind").ok_or("[transport] missing `kind`")?,
-            "transport.kind",
-        )?;
-
-        let run = section(top, "run")?;
-        check_keys(run, &["duration_ms", "seed"], "[run]")?;
-        let duration_ms = req_u64(
-            run.get("duration_ms")
-                .ok_or("[run] missing `duration_ms`")?,
-            "run.duration_ms",
-        )?;
-        let seed = match run.get("seed") {
-            Some(v) => req_u64(v, "run.seed")?,
-            None => 0,
-        };
-
-        let trace = match top.get("trace") {
-            None => TraceSpec::default(),
-            Some(Json::Obj(t)) => {
-                check_keys(t, &["jsonl", "pcapng"], "[trace]")?;
-                TraceSpec {
-                    jsonl: t
-                        .get("jsonl")
-                        .map(|v| req_str(v, "trace.jsonl"))
-                        .transpose()?,
-                    pcapng: t
-                        .get("pcapng")
-                        .map(|v| req_str(v, "trace.pcapng"))
-                        .transpose()?,
-                }
-            }
-            Some(_) => return Err("[trace] must be a table/object".into()),
-        };
-
         let sc = Scenario {
-            name,
-            topology,
-            racks,
-            workload,
-            senders,
+            name: top.opt("name")?.unwrap_or_else(|| default_name.to_string()),
+            topology: topo.req("kind")?,
+            racks: topo.opt("racks")?,
+            workload: wl.req("kind")?,
+            senders: wl.req::<OneOrMany<usize>>("senders")?.0,
             flow_bytes,
-            policies,
-            transports,
-            duration_ms,
-            seed,
-            trace,
+            policies: sw.req::<OneOrMany<String>>("policy")?.0,
+            transports: tr.req::<OneOrMany<String>>("kind")?.0,
+            duration_ms: run.req("duration_ms")?,
+            seed: run.opt("seed")?.unwrap_or(0),
+            trace: match &mut trace {
+                None => TraceSpec::default(),
+                Some(t) => TraceSpec {
+                    jsonl: t.opt("jsonl")?,
+                    pcapng: t.opt("pcapng")?,
+                },
+            },
         };
+        for table in [top, topo, wl, sw, tr, run].iter().chain(&trace) {
+            table.finish()?;
+        }
         if sc.trace.enabled() && sc.point_count() != 1 {
             return Err(format!(
-                "tracing requires a single-point scenario, but the axes expand to {} points \
-                 (make `switch.policy`, `transport.kind`, and `workload.senders` scalars)",
+                "{DOC}: trace: tracing requires a single-point scenario, but the axes expand \
+                 to {} points (make `switch.policy`, `transport.kind`, and \
+                 `workload.senders` scalars)",
                 sc.point_count()
             ));
         }
@@ -276,65 +202,6 @@ impl Scenario {
             }
         }
         pts
-    }
-
-    /// The scenario's sweep, for the `Ctx`/`Runner` machinery.
-    pub fn sweep(&self) -> Sweep<ScenarioPoint> {
-        Sweep::from_points(self.points())
-    }
-}
-
-fn section<'a>(
-    top: &'a BTreeMap<String, Json>,
-    key: &str,
-) -> Result<&'a BTreeMap<String, Json>, String> {
-    match top.get(key) {
-        Some(Json::Obj(m)) => Ok(m),
-        Some(_) => Err(format!("[{key}] must be a table/object")),
-        None => Err(format!("missing required table [{key}]")),
-    }
-}
-
-fn check_keys(map: &BTreeMap<String, Json>, known: &[&str], what: &str) -> Result<(), String> {
-    for k in map.keys() {
-        if !known.contains(&k.as_str()) {
-            return Err(format!("{what}: unknown key {k:?} (known: {known:?})"));
-        }
-    }
-    Ok(())
-}
-
-fn req_str(v: &Json, what: &str) -> Result<String, String> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what} must be a string"))
-}
-
-fn req_u64(v: &Json, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("{what} must be a non-negative integer"))
-}
-
-fn req_usize(v: &Json, what: &str) -> Result<usize, String> {
-    v.as_usize()
-        .ok_or_else(|| format!("{what} must be a non-negative integer"))
-}
-
-/// Scalar-or-array of strings.
-fn str_axis(v: &Json, what: &str) -> Result<Vec<String>, String> {
-    match v {
-        Json::Arr(xs) if xs.is_empty() => Err(format!("{what}: empty array")),
-        Json::Arr(xs) => xs.iter().map(|x| req_str(x, what)).collect(),
-        _ => Ok(vec![req_str(v, what)?]),
-    }
-}
-
-/// Scalar-or-array of integers.
-fn usize_axis(v: &Json, what: &str) -> Result<Vec<usize>, String> {
-    match v {
-        Json::Arr(xs) if xs.is_empty() => Err(format!("{what}: empty array")),
-        Json::Arr(xs) => xs.iter().map(|x| req_usize(x, what)).collect(),
-        _ => Ok(vec![req_usize(v, what)?]),
     }
 }
 
@@ -509,7 +376,6 @@ seed = 3
         assert_eq!(sc.seed, 3);
         assert_eq!(sc.point_count(), 4);
         let pts = sc.points();
-        assert_eq!(pts.len(), sc.sweep().len());
         assert_eq!((pts[0].policy.as_str(), pts[0].senders), ("ndp_trim", 4));
         assert_eq!((pts[3].policy.as_str(), pts[3].senders), ("droptail", 8));
         assert!(!sc.trace.enabled());
@@ -550,7 +416,10 @@ seed = 3
     fn missing_required_fields_are_errors() {
         let doc = parse_toml(EXAMPLE.replace("kind = \"incast\"", "").as_str()).unwrap();
         let err = Scenario::from_doc(&doc, "x").unwrap_err();
-        assert!(err.contains("[workload] missing `kind`"), "{err}");
+        assert_eq!(
+            err,
+            "scenario: workload.kind: missing (keys present: flow_kb, senders)"
+        );
     }
 
     #[test]

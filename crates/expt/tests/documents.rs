@@ -1,0 +1,412 @@
+//! Hostile input and round trips for the five documents `expt` reads
+//! back: table documents (sharded and not), `run.json`, plan files,
+//! golden manifests, and scenarios in TOML and JSON form.
+//!
+//! * No input panics a decoder: every truncation and every
+//!   single-character substitution of a valid document is `Ok` or `Err`.
+//! * `parse(render(x)) == x` over generated values.
+//! * Every decoder rejects an unknown key, at top level and in each
+//!   nested object, naming the key and where it is.
+
+use expt::golden::{parse_csv, GoldenManifest};
+use expt::json::Json;
+use expt::orchestrate::{Plan, PlanFile};
+use expt::runfile::{JobStatus, RunManifest};
+use expt::scenario::{parse_toml, Scenario};
+use expt::{Cell, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc};
+use proptest::prelude::*;
+
+const FLAGS: RunFlags = RunFlags {
+    scale: Scale::Quick,
+    seed: 18_446_744_073_709_551_557,
+    replicates: 3,
+    k: Some(12),
+};
+
+/// A table document with constant and sweep rows, awkward cells, and
+/// (so that truncation meets multi-byte characters) non-ASCII text.
+fn table_doc(shard: Option<(usize, usize)>) -> String {
+    let sweep = SweepRef {
+        points: 4,
+        owned: match shard {
+            Some((i, n)) => (0..4).filter(|p| p % n == i).collect(),
+            None => (0..4).collect(),
+        },
+    };
+    let mut t = Table::new("séries", &["label", "µs"]).for_sweep(&sweep);
+    t.push(vec![Cell::from("a\"b,c\nd"), Cell::F64(f64::NAN)]);
+    for &p in &sweep.owned {
+        t.push_indexed(p, vec![Cell::from("→"), Cell::from(u64::MAX - p as u64)]);
+    }
+    let meta = RunMeta {
+        driver: "drv".into(),
+        flags: FLAGS,
+        shard,
+    };
+    TableDoc::from_table(&t, &meta).render()
+}
+
+fn run_manifest() -> RunManifest {
+    let plan = Plan {
+        drivers: vec!["a".into(), "b".into()],
+        shards: 2,
+        retries: 1,
+    };
+    let mut m = RunManifest::new(&plan, "subprocess", FLAGS);
+    m.jobs[0].status = JobStatus::Ok;
+    m.jobs[0].attempts = 2;
+    m.jobs[0].tables = vec!["séries".into()];
+    m.jobs[3].status = JobStatus::Failed;
+    m.jobs[3].error = Some("exit status: 1 | \"quoted\"".into());
+    m
+}
+
+fn golden_manifest() -> GoldenManifest {
+    GoldenManifest {
+        commit: "ab3e1af".into(),
+        flags: RunFlags { k: None, ..FLAGS },
+        tables: vec!["bulk_threshold_mb".into(), "cycle_time".into()],
+    }
+}
+
+const PLAN: &str = r#"{"drivers": ["fig08_shuffle_throughput"], "shards": 4, "retries": 1,
+ "workers": 2, "scale": "quick", "seed": 7, "replicates": 3, "backend": "subprocess"}"#;
+
+const SCENARIO_TOML: &str = r#"# every section, one axis
+name = "démo"
+
+[topology]
+kind = "opera"
+racks = 8
+
+[workload]
+kind = "incast"
+senders = [4, 8]
+flow_kb = 15
+
+[switch]
+policy = "ndp_trim"
+
+[transport]
+kind = "ndp"
+
+[run]
+duration_ms = 40
+seed = 3
+"#;
+
+const SCENARIO_JSON: &str = r#"{
+  "name": "démo",
+  "topology": {"kind": "expander"},
+  "workload": {"kind": "victim", "senders": 8, "flow_bytes": 30000},
+  "switch": {"policy": ["pfc", "ecn"]},
+  "transport": {"kind": "gbn"},
+  "run": {"duration_ms": 10, "seed": 1},
+  "trace": {}
+}"#;
+
+type Decode = fn(&str) -> Result<(), String>;
+
+/// Every document kind: a name, one valid instance, its decoder, and
+/// whether it is JSON (an object that must be closed to be valid).
+fn documents() -> Vec<(&'static str, String, Decode, bool)> {
+    let table: Decode = |t| TableDoc::parse(t).map(drop).map_err(|e| e.to_string());
+    vec![
+        (
+            "sharded table document",
+            table_doc(Some((1, 2))),
+            table,
+            true,
+        ),
+        ("unsharded table document", table_doc(None), table, true),
+        (
+            "run.json",
+            run_manifest().render(),
+            |t| RunManifest::parse(t).map(drop),
+            true,
+        ),
+        ("plan", PLAN.into(), |t| PlanFile::parse(t).map(drop), true),
+        (
+            "golden manifest",
+            golden_manifest().render(),
+            |t| GoldenManifest::parse(t).map(drop),
+            true,
+        ),
+        (
+            "scenario (JSON)",
+            SCENARIO_JSON.into(),
+            |t| Scenario::from_doc(&Json::parse(t)?, "x").map(drop),
+            true,
+        ),
+        (
+            "scenario (TOML)",
+            SCENARIO_TOML.into(),
+            |t| Scenario::from_doc(&parse_toml(t)?, "x").map(drop),
+            false,
+        ),
+    ]
+}
+
+#[test]
+fn valid_instances_decode() {
+    for (name, text, decode, _) in documents() {
+        decode(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
+
+#[test]
+fn no_truncation_panics_and_an_unclosed_document_is_an_error() {
+    for (name, text, decode, json) in documents() {
+        let closing = text.rfind('}').unwrap_or(0);
+        for (i, _) in text.char_indices() {
+            let result = decode(&text[..i]);
+            // A TOML prefix can be a complete scenario; a JSON object
+            // without its closing brace cannot be anything.
+            assert!(
+                !(json && i <= closing && result.is_ok()),
+                "{name}: accepted when cut at byte {i}"
+            );
+        }
+    }
+}
+
+#[test]
+fn no_single_character_substitution_panics() {
+    for (_, text, decode, _) in documents() {
+        for (i, original) in text.char_indices() {
+            for sub in ['{', '}', '[', ']', '"', ',', ':', '0', '\\', 'é'] {
+                if sub != original {
+                    let mut hostile = text.clone();
+                    hostile.replace_range(i..i + original.len_utf8(), sub.encode_utf8(&mut [0; 4]));
+                    let _ = decode(&hostile);
+                }
+            }
+        }
+    }
+}
+
+/// `text` with `"zzz": 1` inserted as the first member of the `nth`
+/// object opened in it (0 = the root).
+fn with_stray_key(text: &str, nth: usize) -> String {
+    let at = text.match_indices('{').nth(nth).expect("object exists").0 + 1;
+    let comma = if text[at..].trim_start().starts_with('}') {
+        ""
+    } else {
+        ","
+    };
+    format!("{}\"zzz\": 1{comma}{}", &text[..at], &text[at..])
+}
+
+#[test]
+fn unknown_and_duplicate_keys_are_rejected_at_every_level() {
+    // (document, nth object, how the message must start)
+    let cases = [
+        (
+            "unsharded table document",
+            0,
+            "table document: unknown key \"zzz\" (known: columns, ",
+        ),
+        (
+            "run.json",
+            0,
+            "run manifest: unknown key \"zzz\" (known: backend, complete, ",
+        ),
+        (
+            "run.json",
+            1,
+            "run manifest: jobs[0]: unknown key \"zzz\" (known: attempts, ",
+        ),
+        (
+            "run.json",
+            4,
+            "run manifest: jobs[3]: unknown key \"zzz\" (known: attempts, ",
+        ),
+        (
+            "plan",
+            0,
+            "plan: unknown key \"zzz\" (known: backend, drivers, ",
+        ),
+        (
+            "golden manifest",
+            0,
+            "golden manifest: unknown key \"zzz\" (known: commit, k, ",
+        ),
+        (
+            "scenario (JSON)",
+            0,
+            "scenario: unknown key \"zzz\" (known: name, run, switch, ",
+        ),
+        (
+            "scenario (JSON)",
+            1,
+            "scenario: topology: unknown key \"zzz\" (known: kind, racks)",
+        ),
+        (
+            "scenario (JSON)",
+            2,
+            "scenario: workload: unknown key \"zzz\" (known: flow_bytes, flow_kb, kind, senders)",
+        ),
+        (
+            "scenario (JSON)",
+            3,
+            "scenario: switch: unknown key \"zzz\" (known: policy)",
+        ),
+        (
+            "scenario (JSON)",
+            4,
+            "scenario: transport: unknown key \"zzz\" (known: kind)",
+        ),
+        (
+            "scenario (JSON)",
+            5,
+            "scenario: run: unknown key \"zzz\" (known: duration_ms, seed)",
+        ),
+        (
+            "scenario (JSON)",
+            6,
+            "scenario: trace: unknown key \"zzz\" (known: jsonl, pcapng)",
+        ),
+        (
+            "scenario (TOML)",
+            0,
+            "scenario: topology: unknown key \"zzz\" (known: kind, racks)",
+        ),
+    ];
+    let docs = documents();
+    for (name, nth, want) in cases {
+        let (_, text, decode, json) = docs.iter().find(|d| d.0 == name).expect(name);
+        let hostile = if *json {
+            with_stray_key(text, nth)
+        } else {
+            text.replace("racks = 8", "racks = 8\nzzz = 1")
+        };
+        let err = decode(&hostile).expect_err(name);
+        assert!(err.starts_with(want), "{name} object {nth}: {err}");
+    }
+    // A second copy of a key that *is* known never reaches a decoder.
+    for (name, text, decode, _) in docs.iter().filter(|d| d.3) {
+        let start = text.find('"').expect("has a key");
+        let end = start + 1 + text[start + 1..].find('"').expect("key closes");
+        let key = &text[start..=end];
+        let twice = format!("{}{key}: 1, {}", &text[..start], &text[start..]);
+        let err = decode(&twice).expect_err(name);
+        assert!(
+            err.contains(&format!("duplicate key {key}")),
+            "{name}: {err}"
+        );
+    }
+}
+
+/// Strings a renderer has to escape, a CSV writer has to quote, or a
+/// typed decoder could mistake for something else.
+const AWKWARD: [&str; 12] = [
+    "",
+    "plain",
+    "a\"b",
+    "x,y",
+    "line\nbreak",
+    "tab\there",
+    "back\\slash",
+    "NaN",
+    "18446744073709551615",
+    "-0.5000",
+    "µ→é",
+    "\u{1f}null",
+];
+
+fn awkward(i: usize) -> String {
+    AWKWARD[i % AWKWARD.len()].to_string()
+}
+
+/// Flags from four draws; `k == 0` stands for "not set".
+fn flags_of((scale, seed, replicates, k): (usize, u64, usize, usize)) -> RunFlags {
+    RunFlags {
+        scale: [Scale::Quick, Scale::Default, Scale::Full][scale],
+        seed,
+        replicates,
+        k: k.checked_sub(1),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn table_documents_round_trip(
+        flags in (0usize..3, 0u64..u64::MAX, 1usize..9, 0usize..40),
+        shard in (0usize..4, 0usize..5),
+        names in prop::collection::vec(0usize..AWKWARD.len(), 3..6),
+        cells in prop::collection::vec(0usize..AWKWARD.len(), 0..30),
+        points_run in prop::collection::vec(0usize..1000, 0..8),
+        sweep_points in 0usize..50,
+    ) {
+        let columns: Vec<String> = names[2..].iter().map(|&i| awkward(i)).collect();
+        let rows: Vec<Vec<String>> = cells
+            .chunks_exact(columns.len())
+            .map(|r| r.iter().map(|&i| awkward(i)).collect())
+            .collect();
+        let doc = TableDoc {
+            meta: RunMeta {
+                driver: awkward(names[0]),
+                flags: flags_of(flags),
+                // n == 0 stands for an unsharded document.
+                shard: (shard.1 > 0).then_some(shard),
+            },
+            table: awkward(names[1]),
+            sweep_points: sweep_points.checked_sub(1),
+            points_run,
+            columns,
+            // Whether a row is a constant row hangs on its first cell.
+            row_points: rows
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (!r[0].is_empty()).then_some(i * 7))
+                .collect(),
+            rows,
+        };
+        prop_assert_eq!(TableDoc::parse(&doc.render()).as_ref(), Ok(&doc));
+        // Rows (not the header, which `Table::to_csv` leaves unquoted:
+        // column names are identifiers in every driver) survive the CSV
+        // written beside the document too.
+        let plain = TableDoc { columns: vec!["c".to_string(); doc.columns.len()], ..doc.clone() };
+        prop_assert_eq!(&parse_csv(&plain.to_csv()).unwrap()[1..], &doc.rows[..]);
+    }
+
+    #[test]
+    fn run_manifests_round_trip(
+        flags in (0usize..3, 0u64..u64::MAX, 1usize..9, 0usize..40),
+        drivers in 0usize..4,
+        shards in 1usize..4,
+        retries in 0usize..3,
+        jobs in prop::collection::vec((0usize..3, 0usize..5, 0usize..AWKWARD.len()), 9..10),
+    ) {
+        let plan = Plan {
+            drivers: (0..drivers).map(|d| format!("{}{d}", awkward(d + 1))).collect(),
+            shards,
+            retries,
+        };
+        let mut m = RunManifest::new(&plan, &awkward(shards + retries), flags_of(flags));
+        m.complete = retries == 1;
+        for (e, &(status, attempts, text)) in m.jobs.iter_mut().zip(&jobs) {
+            e.status = [JobStatus::Pending, JobStatus::Ok, JobStatus::Failed][status];
+            e.attempts = attempts;
+            e.error = (status == 2).then(|| awkward(text));
+            e.tables = (0..attempts).map(|t| awkward(text + t)).collect();
+        }
+        prop_assert_eq!(RunManifest::parse(&m.render()), Ok(m));
+    }
+
+    #[test]
+    fn golden_manifests_round_trip(
+        flags in (0usize..3, 0u64..u64::MAX, 1usize..9, 0usize..40),
+        commit in 0usize..AWKWARD.len(),
+        tables in prop::collection::vec(0usize..AWKWARD.len(), 0..6),
+    ) {
+        let m = GoldenManifest {
+            commit: awkward(commit),
+            flags: flags_of(flags),
+            tables: tables.iter().map(|&i| awkward(i)).collect(),
+        };
+        prop_assert_eq!(GoldenManifest::parse(&m.render()), Ok(m));
+    }
+}

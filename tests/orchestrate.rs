@@ -6,22 +6,14 @@
 //! byte-identical final merge without re-running completed shards.
 
 use bench::backend::LocalBackend;
-use bench::figures;
+use bench::figures::{self, GOLDEN_FLAGS};
 use expt::orchestrate::{validate_dir, Backend, OrchestrateError, Orchestrator, Plan, ShardJob};
 use expt::output::MergeError;
-use expt::runfile::{resume_run, RunManifest, RunWriter, RUN_FILE};
-use expt::{Ctx, ExptArgs, Scale, Table};
+use expt::runfile::{resume_run, start_run, RunManifest, RUN_FILE};
+use expt::Table;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-fn quick_args() -> ExptArgs {
-    ExptArgs {
-        scale: Scale::Quick,
-        no_write: true,
-        ..ExptArgs::default()
-    }
-}
 
 /// The acceptance bar from the issue: `opera orchestrate --drivers all
 /// --shards 4 --quick` produces CSVs byte-identical to unsharded
@@ -32,7 +24,7 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
         .iter()
         .map(|(e, _)| e.name.to_string())
         .collect();
-    let orch = Orchestrator::new(LocalBackend::new(quick_args()), 2);
+    let orch = Orchestrator::new(LocalBackend::new(GOLDEN_FLAGS), 2);
     let report = orch
         .run(&Plan {
             drivers: drivers.clone(),
@@ -42,10 +34,7 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
         .expect("orchestrated quick run succeeds");
     assert_eq!(report.drivers.len(), 20);
 
-    let serial = Ctx::new(ExptArgs {
-        threads: 1,
-        ..quick_args()
-    });
+    let serial = figures::golden_ctx(1);
     for ((exp, build), run) in figures::all().into_iter().zip(&report.drivers) {
         assert_eq!(exp.name, run.driver);
         let unsharded: Vec<Table> = build(&serial);
@@ -81,15 +70,13 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
 fn dropped_shard_fails_with_missing_point_index() {
     let out = std::env::temp_dir().join(format!("orch-accept-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
-    let orch = Orchestrator::new(LocalBackend::new(quick_args()), 2);
-    let report = orch
-        .run(&Plan {
-            drivers: vec!["fig11_fault_tolerance".to_string()],
-            shards: 3,
-            retries: 0,
-        })
-        .unwrap();
-    expt::orchestrate::write_run(&out, &report).unwrap();
+    let plan = Plan {
+        drivers: vec!["fig11_fault_tolerance".to_string()],
+        shards: 3,
+        retries: 0,
+    };
+    let backend = LocalBackend::new(GOLDEN_FLAGS);
+    start_run(&out, &plan, "local", GOLDEN_FLAGS, backend, 2).unwrap();
     assert!(!validate_dir(&out).unwrap().is_empty());
 
     // Injected dropped shard.
@@ -145,7 +132,7 @@ fn retried_jobs_are_bit_deterministic() {
     };
     let flaky = Orchestrator::new(
         FlakyOnce {
-            inner: LocalBackend::new(quick_args()),
+            inner: LocalBackend::new(GOLDEN_FLAGS),
             failed: Mutex::new(HashSet::new()),
         },
         2,
@@ -155,7 +142,7 @@ fn retried_jobs_are_bit_deterministic() {
         .expect("retry budget absorbs one failure per job");
     assert_eq!(retried.drivers[0].retried, 2, "both jobs failed once");
 
-    let clean = Orchestrator::new(LocalBackend::new(quick_args()), 2)
+    let clean = Orchestrator::new(LocalBackend::new(GOLDEN_FLAGS), 2)
         .run(&plan)
         .unwrap();
     for (shard, (a, b)) in retried.drivers[0]
@@ -205,7 +192,7 @@ struct CountingLocal {
 impl CountingLocal {
     fn new() -> Self {
         CountingLocal {
-            inner: LocalBackend::new(quick_args()),
+            inner: LocalBackend::new(GOLDEN_FLAGS),
             ran: Mutex::new(Vec::new()),
         }
     }
@@ -238,10 +225,7 @@ fn interrupted_run_resumes_to_byte_identical_merge() {
 
     // The reference: what an uninterrupted unsharded --threads 1 run
     // renders.
-    let serial = Ctx::new(ExptArgs {
-        threads: 1,
-        ..quick_args()
-    });
+    let serial = figures::golden_ctx(1);
     let (_, build) = figures::all()
         .into_iter()
         .find(|(e, _)| e.name == DRIVER)
@@ -250,18 +234,13 @@ fn interrupted_run_resumes_to_byte_identical_merge() {
 
     // Interrupted run: one worker, jobs in plan order, killed after 2
     // of 3 shards.
-    let writer = RunWriter::create(&out, RunManifest::new(&plan, "local", &quick_args())).unwrap();
-    let orch = Orchestrator::new(
-        FailAfter {
-            inner: LocalBackend::new(quick_args()),
-            successes: 2,
-            started: AtomicUsize::new(0),
-        },
-        1,
-    );
-    let err = orch.run_observed(&plan, &writer).unwrap_err();
+    let killed = FailAfter {
+        inner: LocalBackend::new(GOLDEN_FLAGS),
+        successes: 2,
+        started: AtomicUsize::new(0),
+    };
+    let err = start_run(&out, &plan, "local", GOLDEN_FLAGS, killed, 1).unwrap_err();
     assert!(matches!(err, OrchestrateError::Job { .. }));
-    drop(writer);
 
     // The two completed shards are already durable.
     for table in ["cycle_time", "bulk_threshold_mb"] {

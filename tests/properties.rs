@@ -358,10 +358,12 @@ proptest! {
             }
             let meta = expt::RunMeta {
                 driver: "prop".into(),
-                scale: "quick".into(),
-                seed,
-                replicates: 1,
-                k: None,
+                flags: expt::RunFlags {
+                    scale: expt::Scale::Quick,
+                    seed,
+                    replicates: 1,
+                    k: None,
+                },
                 shard,
             };
             (t.to_csv(), expt::output::table_json(&t, &meta))
