@@ -20,17 +20,18 @@
 //! marks, NDP over PFC never trims. The `completed`/`dropped`/`trimmed`/
 //! `marked` columns make each mechanism's fingerprint visible.
 
+use crate::scenario::{
+    self, policy_of, transport_of, workload_flows, KNOWN_POLICIES, KNOWN_TRANSPORTS,
+};
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
-use netsim::fabric::QueueConfig;
-use netsim::policy::{DropTail, EcnMark, NdpTrim, Pfc};
+use netsim::fabric::{FabricCounters, QueueConfig};
 use netsim::{FlowTracker, SwitchPolicyKind};
-use opera::static_net::{StaticNetConfig, StaticTopologyKind};
-use opera::{opera_net, static_net, OperaNetConfig};
-use simkit::stats::Samples;
+use opera::opera_net::OperaLogic;
+use opera::static_net::{StaticLogic, StaticNetConfig, StaticTopologyKind};
+use opera::{OperaNetConfig, PacketNet};
 use simkit::{SimRng, SimTime};
 use topo::clos::ClosParams;
-use transport::{DctcpParams, GoBackNParams, NdpParams, TransportKind};
-use workloads::FlowSpec;
+use transport::TransportKind;
 
 /// Driver identity.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -47,72 +48,20 @@ type Combo = (
     &'static str,
 );
 
+/// Every switch policy and every transport the scenario registry names.
 fn policies() -> [(&'static str, SwitchPolicyKind); 4] {
-    [
-        ("droptail", SwitchPolicyKind::from(DropTail)),
-        ("ndp_trim", SwitchPolicyKind::from(NdpTrim)),
-        ("pfc", SwitchPolicyKind::from(Pfc::paper_default())),
-        ("ecn", SwitchPolicyKind::from(EcnMark::paper_default())),
-    ]
+    KNOWN_POLICIES.map(|name| (name, policy_of(name).expect("a known policy")))
 }
 
 fn transports() -> [(&'static str, TransportKind); 3] {
-    [
-        ("ndp", TransportKind::Ndp(NdpParams::paper_default())),
-        ("dctcp", TransportKind::Dctcp(DctcpParams::paper_default())),
-        (
-            "gbn",
-            TransportKind::GoBackN(GoBackNParams::paper_default()),
-        ),
-    ]
+    KNOWN_TRANSPORTS.map(|name| (name, transport_of(name).expect("a known transport")))
 }
 
 const TOPOLOGIES: [&str; 3] = ["opera", "expander", "clos"];
 
-/// Flow list for one scenario. The victim (when present) starts at t=0,
-/// strictly before every jittered background flow, so after the sorted
-/// injection it is always flow id 0.
-fn scenario_flows(
-    scenario: &str,
-    hosts: usize,
-    senders: usize,
-    size: u64,
-    rng: &mut SimRng,
-) -> Vec<FlowSpec> {
-    let mut flows = Vec::new();
-    if scenario == "victim" {
-        flows.push(FlowSpec {
-            src: hosts / 2,
-            dst: 1, // same edge switch as the incast target
-            size: 2 * size,
-            start: SimTime::ZERO,
-        });
-    }
-    for _ in 0..senders {
-        // Senders from the upper three quarters of hosts: never the
-        // incast target's rack, on any of the three topologies.
-        flows.push(FlowSpec {
-            src: hosts / 4 + rng.index(hosts - hosts / 4),
-            dst: 0,
-            size,
-            start: SimTime::from_us(1 + rng.below(20)),
-        });
-    }
-    flows
-}
-
 /// Metrics of one simulated point, aligned with [`METRICS`].
-fn metrics_of(
-    tracker: &FlowTracker,
-    counters: &netsim::fabric::FabricCounters,
-    victim: bool,
-) -> Vec<f64> {
-    let mut fcts = Samples::new();
-    for f in tracker.flows() {
-        if let Some(t) = f.fct() {
-            fcts.push(t.as_us_f64());
-        }
-    }
+fn metrics_of(tracker: &FlowTracker, counters: &FabricCounters, victim: bool) -> Vec<f64> {
+    let m = scenario::metrics_of(tracker, counters);
     let victim_fct = if victim {
         tracker.get(0).fct().map(|t| t.as_us_f64())
     } else {
@@ -121,15 +70,35 @@ fn metrics_of(
     // Absent values (no completions; victim column on incast rows) are 0,
     // not NaN: the replicate summarizer rejects NaN samples.
     vec![
-        tracker.completed() as f64,
-        tracker.len() as f64,
-        fcts.mean().unwrap_or(0.0),
-        fcts.quantile(0.99).unwrap_or(0.0),
+        m.completed as f64,
+        m.offered as f64,
+        m.avg_fct_us,
+        m.p99_fct_us,
         victim_fct.unwrap_or(0.0),
-        counters.dropped as f64,
-        counters.trimmed as f64,
-        counters.ecn_marked as f64,
+        m.dropped as f64,
+        m.trimmed as f64,
+        m.marked as f64,
     ]
+}
+
+/// One scenario on the network `N` that `cfg` describes, `quiet` adjusting
+/// the built network: the [`metrics_of`] its 40 ms run.
+fn run_scenario<N: PacketNet>(
+    cfg: N::Config,
+    quiet: impl FnOnce(&mut N),
+    scenario: &str,
+    (senders, size): (usize, u64),
+    rng: &mut SimRng,
+) -> Vec<f64> {
+    let flows = workload_flows(scenario, N::hosts(&cfg), senders, size, rng);
+    let mut sim = N::build(cfg, flows);
+    quiet(&mut sim.world.logic);
+    sim.run_until(SimTime::from_ms(40));
+    metrics_of(
+        sim.world.logic.tracker(),
+        &sim.world.fabric.counters,
+        scenario == "victim",
+    )
 }
 
 /// Metric columns of the matrix table.
@@ -169,61 +138,35 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
                 "incast" => 5,
                 _ => 6,
             });
-            let victim = scenario == "victim";
             let key = vec![
                 Cell::from(pl),
                 Cell::from(tl),
                 Cell::from(topo),
                 Cell::from(scenario),
             ];
+            let queues = QueueConfig::builder().policy(pk).build();
+            let load = (senders, size);
             let metrics = match topo {
                 "opera" => {
                     let mut cfg = OperaNetConfig::small_test();
                     cfg.params.racks = racks;
                     cfg.bulk_threshold = u64::MAX; // everything low-latency
-                    cfg.queues = QueueConfig::builder().policy(pk).build();
+                    cfg.queues = queues;
                     cfg.transport = tk;
-                    let flows = scenario_flows(scenario, cfg.hosts(), senders, size, &mut rng);
-                    let mut sim = opera_net::build(cfg, flows);
-                    sim.world.logic.set_hello_enabled(false);
-                    sim.run_until(SimTime::from_ms(40));
-                    metrics_of(
-                        sim.world.logic.tracker(),
-                        &sim.world.fabric.counters,
-                        victim,
-                    )
-                }
-                "expander" => {
-                    let mut cfg = StaticNetConfig::small_expander();
-                    cfg.queues = QueueConfig::builder().policy(pk).build();
-                    cfg.transport = tk;
-                    let flows = scenario_flows(scenario, 32, senders, size, &mut rng);
-                    let mut sim = static_net::build(cfg, flows);
-                    sim.run_until(SimTime::from_ms(40));
-                    metrics_of(
-                        sim.world.logic.tracker(),
-                        &sim.world.fabric.counters,
-                        victim,
-                    )
+                    let no_hellos = |net: &mut OperaLogic| net.set_hello_enabled(false);
+                    run_scenario(cfg, no_hellos, scenario, load, &mut rng)
                 }
                 _ => {
-                    let params = ClosParams {
-                        radix: 4,
-                        oversubscription: 1,
-                    };
-                    let hosts = params.hosts();
                     let mut cfg = StaticNetConfig::small_expander();
-                    cfg.kind = StaticTopologyKind::FoldedClos(params);
-                    cfg.queues = QueueConfig::builder().policy(pk).build();
+                    if topo == "clos" {
+                        cfg.kind = StaticTopologyKind::FoldedClos(ClosParams {
+                            radix: 4,
+                            oversubscription: 1,
+                        });
+                    }
+                    cfg.queues = queues;
                     cfg.transport = tk;
-                    let flows = scenario_flows(scenario, hosts, senders, size, &mut rng);
-                    let mut sim = static_net::build(cfg, flows);
-                    sim.run_until(SimTime::from_ms(40));
-                    metrics_of(
-                        sim.world.logic.tracker(),
-                        &sim.world.fabric.counters,
-                        victim,
-                    )
+                    run_scenario(cfg, |_: &mut StaticLogic| {}, scenario, load, &mut rng)
                 }
             };
             rows.push((key, metrics));

@@ -2,14 +2,14 @@
 //! trio (Opera / u-expander / 3:1 Clos) plus non-hybrid and hybrid
 //! RotorNet, across offered loads.
 
-use crate::figures::{completion_row, fct_rows, COMPLETION_METRICS, FCT_KEY_COLUMNS, FCT_METRICS};
-use crate::{clos_cfg, expander_cfg, opera_cfg, static_hosts};
-use expt::{Ctx, Experiment, RepTableBuilder, Sweep, Table};
-use opera::{opera_net, static_net, RotorMode};
+use crate::figures::{fct_point, fct_tables};
+use crate::{clos_cfg, expander_cfg, opera_cfg};
+use expt::{Ctx, Experiment, Sweep, Table};
+use opera::opera_net::OperaLogic;
+use opera::static_net::StaticLogic;
+use opera::RotorMode;
 use simkit::SimTime;
-use workloads::dists::{FlowSizeDist, Workload};
-use workloads::gen::PoissonGen;
-use workloads::FlowSpec;
+use workloads::dists::Workload;
 
 /// Driver identity.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -26,21 +26,10 @@ const SYSTEMS: [&str; 5] = [
     "folded-clos",
 ];
 
-fn gen_flows(hosts: usize, load: f64, window: SimTime, seed: u64) -> Vec<FlowSpec> {
-    let mut g = PoissonGen::new(
-        FlowSizeDist::of(Workload::Datamining),
-        hosts,
-        10.0,
-        load,
-        seed,
-    );
-    g.flows_until(window)
-}
-
 /// Build the figure's tables.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let scale = ctx.args.scale;
-    let (window, run_until) = ctx.by_scale(
+    let times = ctx.by_scale(
         (SimTime::from_ms(4), SimTime::from_ms(120)),
         (SimTime::from_ms(40), SimTime::from_ms(600)),
         (SimTime::from_ms(50), SimTime::from_ms(800)),
@@ -57,53 +46,22 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             expt::derive_seed(ctx.runner.base_seed() ^ 42, load_idx as u64),
             rc.rep,
         );
+        let point = (system, load, seed);
+        let rotor = |mode| {
+            let mut cfg = opera_cfg(scale);
+            cfg.mode = mode;
+            fct_point::<OperaLogic>(cfg, Workload::Datamining, point, times)
+        };
         match system {
-            "opera" | "rotornet-nonhybrid" | "rotornet-hybrid" => {
-                let mut cfg = opera_cfg(scale);
-                cfg.mode = match system {
-                    "rotornet-nonhybrid" => RotorMode::RotorNonHybrid,
-                    "rotornet-hybrid" => RotorMode::RotorHybrid,
-                    _ => RotorMode::Opera,
-                };
-                let flows = gen_flows(cfg.hosts(), load, window, seed);
-                let n = flows.len();
-                let mut sim = opera_net::build(cfg, flows);
-                sim.run_until(run_until);
-                let t = sim.world.logic.tracker();
-                (
-                    fct_rows(system, load, t),
-                    completion_row(system, load, t, n),
-                )
+            "opera" => rotor(RotorMode::Opera),
+            "rotornet-nonhybrid" => rotor(RotorMode::RotorNonHybrid),
+            "rotornet-hybrid" => rotor(RotorMode::RotorHybrid),
+            "expander" => {
+                fct_point::<StaticLogic>(expander_cfg(scale), Workload::Datamining, point, times)
             }
-            _ => {
-                let cfg = if system == "expander" {
-                    expander_cfg(scale)
-                } else {
-                    clos_cfg(scale)
-                };
-                let flows = gen_flows(static_hosts(&cfg), load, window, seed);
-                let n = flows.len();
-                let mut sim = static_net::build(cfg, flows);
-                sim.run_until(run_until);
-                let t = sim.world.logic.tracker();
-                (
-                    fct_rows(system, load, t),
-                    completion_row(system, load, t, n),
-                )
-            }
+            _ => fct_point::<StaticLogic>(clos_cfg(scale), Workload::Datamining, point, times),
         }
     });
 
-    let mut fct =
-        RepTableBuilder::new("fct_by_size", &FCT_KEY_COLUMNS, &FCT_METRICS).for_sweep(&sref);
-    let mut completion =
-        RepTableBuilder::new("completion", &["system", "load"], &COMPLETION_METRICS)
-            .for_sweep(&sref);
-    for (point, &p) in results.into_iter().zip(&sref.owned) {
-        for (rows, (ckey, cmetrics)) in point {
-            fct.extend_at(p, rows);
-            completion.push_at(p, ckey, &cmetrics);
-        }
-    }
-    vec![fct.build(), completion.build()]
+    fct_tables(&sref, results)
 }

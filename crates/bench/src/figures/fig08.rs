@@ -2,12 +2,16 @@
 //! Opera carries every flow over direct circuits (application bulk
 //! tagging, §3.4); the static networks run NDP with staggered starts.
 
-use crate::{clos_cfg, expander_cfg, opera_cfg, static_hosts};
+use crate::figures::Row;
+use crate::{clos_cfg, expander_cfg, opera_cfg};
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
 use netsim::FlowTracker;
-use opera::{opera_net, static_net};
+use opera::opera_net::OperaLogic;
+use opera::static_net::StaticLogic;
+use opera::PacketNet;
 use simkit::SimTime;
 use workloads::gen::ScenarioGen;
+use workloads::FlowSpec;
 
 /// Driver identity.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -17,7 +21,7 @@ pub const EXPERIMENT: Experiment = Experiment {
 
 const STATIC_SYSTEMS: [&str; 2] = ["expander", "folded-clos"];
 
-fn series_rows(label: &str, series: &[(SimTime, f64)], hosts: usize) -> Vec<(Vec<Cell>, Vec<f64>)> {
+fn series_rows(label: &str, series: &[(SimTime, f64)], hosts: usize) -> Vec<Row> {
     // Normalize to aggregate host capacity (hosts × 10G).
     let cap = hosts as f64 * 10e9;
     series
@@ -34,7 +38,7 @@ fn series_rows(label: &str, series: &[(SimTime, f64)], hosts: usize) -> Vec<(Vec
         .collect()
 }
 
-fn summary_row(label: &str, tracker: &FlowTracker, offered: usize) -> (Vec<Cell>, Vec<f64>) {
+fn summary_row(label: &str, tracker: &FlowTracker, offered: usize) -> Row {
     let fcts = tracker
         .flows()
         .iter()
@@ -47,11 +51,33 @@ fn summary_row(label: &str, tracker: &FlowTracker, offered: usize) -> (Vec<Cell>
     )
 }
 
+/// One shuffle on any network, delivered bytes binned by the millisecond:
+/// the throughput series (bytes/s per bin), the host count and the
+/// [`summary_row`].
+fn shuffle_run<N: PacketNet>(
+    label: &str,
+    cfg: N::Config,
+    shuffle: impl FnOnce(usize) -> Vec<FlowSpec>,
+    horizon: SimTime,
+) -> (Vec<(SimTime, f64)>, usize, Row) {
+    let hosts = N::hosts(&cfg);
+    let flows = shuffle(hosts);
+    let total = flows.len();
+    let mut sim = N::build(cfg, flows);
+    sim.world
+        .logic
+        .ends_mut()
+        .record_throughput(SimTime::from_ms(1));
+    sim.run_until(horizon);
+    let t = sim.world.logic.tracker();
+    let series = t.throughput().expect("recording is on").rate_per_sec();
+    (series, hosts, summary_row(label, t, total))
+}
+
 /// Build the figure's tables.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let scale = ctx.args.scale;
     let flow_size: u64 = ctx.by_scale(30_000, 100_000, 100_000);
-    let bin = SimTime::from_ms(1);
     let horizon = SimTime::from_ms(ctx.by_scale(60, 150, 300));
     let reps = ctx.replicates();
 
@@ -80,16 +106,12 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     {
         let mut cfg = opera_cfg(scale);
         cfg.bulk_threshold = 0;
-        let hosts = cfg.hosts();
-        let flows = ScenarioGen::shuffle(hosts, flow_size, SimTime::ZERO);
-        let total = flows.len();
-        let mut sim = opera_net::build_with_throughput(cfg, flows, bin);
-        sim.run_until(horizon);
-        let t = sim.world.logic.tracker();
-        for (key, metrics) in series_rows("opera", &t.throughput().unwrap().rate_per_sec(), hosts) {
+        let together = |hosts| ScenarioGen::shuffle(hosts, flow_size, SimTime::ZERO);
+        let (rates, hosts, (skey, smetrics)) =
+            shuffle_run::<OperaLogic>("opera", cfg, together, horizon);
+        for (key, metrics) in series_rows("opera", &rates, hosts) {
             series.push_constant(key, &metrics, reps);
         }
-        let (skey, smetrics) = summary_row("opera", t, total);
         summary.push_constant(skey, &smetrics, reps);
     }
 
@@ -100,19 +122,11 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         } else {
             clos_cfg(scale)
         };
-        let hosts = static_hosts(&cfg);
         let mut rng = rc.rng();
-        let flows =
-            ScenarioGen::shuffle_staggered(hosts, flow_size, SimTime::from_ms(10), &mut rng);
-        let total = flows.len();
-        let mut sim = static_net::build_with_throughput(cfg, flows, bin);
-        sim.run_until(horizon);
-        let t = sim.world.logic.tracker();
-        (
-            t.throughput().unwrap().rate_per_sec(),
-            hosts,
-            summary_row(system, t, total),
-        )
+        let staggered = |hosts| {
+            ScenarioGen::shuffle_staggered(hosts, flow_size, SimTime::from_ms(10), &mut rng)
+        };
+        shuffle_run::<StaticLogic>(system, cfg, staggered, horizon)
     });
 
     // Zip owned results with their *global* point index — under

@@ -28,11 +28,18 @@ pub mod table1;
 pub mod table2;
 
 use expt::golden::{bless_driver, compare_driver, Drift, GoldenSpec};
-use expt::{Cell, Ctx, Experiment, ExptArgs, MetricFmt, RunFlags, RunMeta, Scale, Table};
+use expt::{
+    Cell, Ctx, Experiment, ExptArgs, MetricFmt, RepTableBuilder, RunFlags, RunMeta, Scale,
+    SweepRef, Table,
+};
 use netsim::FlowTracker;
 use opera::harness::FctStats;
+use opera::PacketNet;
+use simkit::SimTime;
 use std::io;
 use std::path::{Path, PathBuf};
+use workloads::dists::{FlowSizeDist, Workload};
+use workloads::gen::PoissonGen;
 
 /// A figure's table builder.
 pub type BuildFn = fn(&Ctx) -> Vec<Table>;
@@ -133,12 +140,15 @@ pub fn golden_run(
     compare_driver(exp.name, &tables, root, &golden_spec(exp.name), &meta)
 }
 
+/// One replicate's observation of a table row: key cells, metric values.
+pub(crate) type Row = (Vec<Cell>, Vec<f64>);
+
 /// Key columns of the per-size-bin FCT tables (Figures 7 and 9).
-pub(crate) const FCT_KEY_COLUMNS: [&str; 4] = ["system", "load", "size_lo", "size_hi"];
+const FCT_KEY_COLUMNS: [&str; 4] = ["system", "load", "size_lo", "size_hi"];
 
 /// Metric columns of the per-size-bin FCT tables, aggregated over
 /// replicate seeds.
-pub(crate) const FCT_METRICS: [(&str, MetricFmt); 5] = [
+const FCT_METRICS: [(&str, MetricFmt); 5] = [
     ("flows", expt::f2),
     ("unfinished", expt::f2),
     ("avg_us", expt::f2),
@@ -147,17 +157,12 @@ pub(crate) const FCT_METRICS: [(&str, MetricFmt); 5] = [
 ];
 
 /// Metric columns of the completion-summary tables.
-pub(crate) const COMPLETION_METRICS: [(&str, MetricFmt); 2] =
-    [("completed", expt::f2), ("offered", expt::f2)];
+const COMPLETION_METRICS: [(&str, MetricFmt); 2] = [("completed", expt::f2), ("offered", expt::f2)];
 
 /// Per-size-bin FCT observations for one `(system, load)` replicate:
 /// `(key cells, metric values)` aligned with [`FCT_KEY_COLUMNS`] and
 /// [`FCT_METRICS`].
-pub(crate) fn fct_rows(
-    system: &str,
-    load: f64,
-    tracker: &FlowTracker,
-) -> Vec<(Vec<Cell>, Vec<f64>)> {
+fn fct_rows(system: &str, load: f64, tracker: &FlowTracker) -> Vec<Row> {
     let stats = FctStats::from_tracker(tracker, &FctStats::default_edges());
     stats
         .bins
@@ -184,16 +189,52 @@ pub(crate) fn fct_rows(
 }
 
 /// Completion-summary observation for one `(system, load)` replicate.
-pub(crate) fn completion_row(
-    system: &str,
-    load: f64,
-    tracker: &FlowTracker,
-    offered: usize,
-) -> (Vec<Cell>, Vec<f64>) {
+fn completion_row(system: &str, load: f64, tracker: &FlowTracker, offered: usize) -> Row {
     (
         vec![Cell::from(system), Cell::F64(load)],
         vec![tracker.completed() as f64, offered as f64],
     )
+}
+
+/// One replicate's [`fct_rows`] and [`completion_row`].
+pub(crate) type FctPoint = (Vec<Row>, Row);
+
+/// One `(system, load)` replicate of Figures 7 and 9 on any network:
+/// Poisson arrivals of `workload` at `load` for `window` over the hosts
+/// `cfg` describes, run to `run_until`.
+pub(crate) fn fct_point<N: PacketNet>(
+    cfg: N::Config,
+    workload: Workload,
+    (system, load, seed): (&str, f64, u64),
+    (window, run_until): (SimTime, SimTime),
+) -> FctPoint {
+    let flows = PoissonGen::new(FlowSizeDist::of(workload), N::hosts(&cfg), 10.0, load, seed)
+        .flows_until(window);
+    let offered = flows.len();
+    let mut sim = N::build(cfg, flows);
+    sim.run_until(run_until);
+    let t = sim.world.logic.tracker();
+    (
+        fct_rows(system, load, t),
+        completion_row(system, load, t, offered),
+    )
+}
+
+/// The `fct_by_size` and `completion` tables of Figures 7 and 9 from
+/// `results[owned point][replicate]`.
+pub(crate) fn fct_tables(sref: &SweepRef, results: Vec<Vec<FctPoint>>) -> Vec<Table> {
+    let mut fct =
+        RepTableBuilder::new("fct_by_size", &FCT_KEY_COLUMNS, &FCT_METRICS).for_sweep(sref);
+    let mut completion =
+        RepTableBuilder::new("completion", &["system", "load"], &COMPLETION_METRICS)
+            .for_sweep(sref);
+    for (point, &p) in results.into_iter().zip(&sref.owned) {
+        for (rows, (ckey, cmetrics)) in point {
+            fct.extend_at(p, rows);
+            completion.push_at(p, ckey, &cmetrics);
+        }
+    }
+    vec![fct.build(), completion.build()]
 }
 
 #[cfg(test)]

@@ -21,9 +21,10 @@
 //! [`check`]; the threshold is generous — shared runners are noisy — so
 //! only real cliffs fail the build).
 
-use crate::{MiniTrio, QuickTrio};
+use crate::opera_cfg;
 use criterion::{sample_batched, Summary};
 use expt::json::Json;
+use expt::Scale;
 use simkit::engine::{EventContext, EventHandler, Simulator};
 use simkit::{SimRng, SimTime};
 use std::io;
@@ -128,9 +129,9 @@ fn engine_churn(full: bool) -> ScenarioResult {
 /// flow over direct circuits (RotorLB + circuit scheduling hot paths).
 fn fig08_shuffle_slice(full: bool) -> ScenarioResult {
     let (mut cfg, peers, horizon, samples) = if full {
-        (MiniTrio::opera(), 8, SimTime::from_ms(40), 5)
+        (opera_cfg(Scale::Default), 8, SimTime::from_ms(40), 5)
     } else {
-        (QuickTrio::opera(), 4, SimTime::from_ms(20), 3)
+        (opera_cfg(Scale::Quick), 4, SimTime::from_ms(20), 3)
     };
     cfg.bulk_threshold = 0; // application tags everything bulk (§3.4)
     let hosts = cfg.hosts();
@@ -155,14 +156,14 @@ fn fig08_shuffle_slice(full: bool) -> ScenarioResult {
 fn fig09_websearch_slice(full: bool) -> ScenarioResult {
     let (mut cfg, window, horizon, samples) = if full {
         (
-            MiniTrio::opera(),
+            opera_cfg(Scale::Default),
             SimTime::from_ms(10),
             SimTime::from_ms(40),
             5,
         )
     } else {
         (
-            QuickTrio::opera(),
+            opera_cfg(Scale::Quick),
             SimTime::from_ms(2),
             SimTime::from_ms(10),
             3,

@@ -15,12 +15,13 @@
 use expt::output::write_atomic;
 use expt::scenario::{Scenario, ScenarioPoint};
 use expt::{f2, Cell, Table};
-use netsim::fabric::QueueConfig;
+use netsim::fabric::{FabricCounters, QueueConfig};
 use netsim::policy::{DropTail, EcnMark, NdpTrim, Pfc};
 use netsim::trace::{JsonlSink, MultiSink, TraceSink};
 use netsim::{FlowTracker, PcapngSink, SwitchPolicyKind};
-use opera::static_net::{StaticNetConfig, StaticTopologyKind};
-use opera::{opera_net, static_net, OperaNetConfig};
+use opera::opera_net::OperaLogic;
+use opera::static_net::{StaticLogic, StaticNetConfig, StaticTopologyKind};
+use opera::{OperaNetConfig, PacketNet};
 use simkit::stats::Samples;
 use simkit::{SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -45,7 +46,7 @@ pub const KNOWN_TOPOLOGIES: [&str; 6] = [
 /// Workload names the scenario runner accepts.
 pub const KNOWN_WORKLOADS: [&str; 2] = ["incast", "victim"];
 
-fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
+pub(crate) fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
     Ok(match name {
         "droptail" => SwitchPolicyKind::from(DropTail),
         "ndp_trim" => SwitchPolicyKind::from(NdpTrim),
@@ -59,7 +60,7 @@ fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
     })
 }
 
-fn transport_of(name: &str) -> Result<TransportKind, String> {
+pub(crate) fn transport_of(name: &str) -> Result<TransportKind, String> {
     Ok(match name {
         "ndp" => TransportKind::Ndp(NdpParams::paper_default()),
         "dctcp" => TransportKind::Dctcp(DctcpParams::paper_default()),
@@ -72,14 +73,60 @@ fn transport_of(name: &str) -> Result<TransportKind, String> {
     })
 }
 
-/// Validate every name a scenario references against the registries,
-/// before anything is built or scheduled.
+fn unknown_topology(name: &str) -> String {
+    format!("unknown topology {name:?}; known topologies: {KNOWN_TOPOLOGIES:?}")
+}
+
+/// The rotor network an Opera topology name stands for (`None` for the
+/// static topologies); `topology.racks` resizes it.
+fn opera_base(topology: &str) -> Option<OperaNetConfig> {
+    match topology {
+        "opera" => Some(OperaNetConfig::small_test()),
+        "opera_paper" => Some(OperaNetConfig::paper_648()),
+        _ => None,
+    }
+}
+
+/// The fixed-size network a static topology name stands for.
+fn static_base(topology: &str) -> Option<StaticNetConfig> {
+    match topology {
+        "expander" => Some(StaticNetConfig::small_expander()),
+        "expander_paper" => Some(StaticNetConfig::paper_expander_650()),
+        "clos" => Some(StaticNetConfig {
+            kind: StaticTopologyKind::FoldedClos(ClosParams {
+                radix: 4,
+                oversubscription: 1,
+            }),
+            ..StaticNetConfig::small_expander()
+        }),
+        "clos_paper" => Some(StaticNetConfig::paper_clos_648()),
+        _ => None,
+    }
+}
+
+/// Validate every name a scenario references against the registries, and
+/// `topology.racks` against the topology it resizes, before anything is
+/// built or scheduled.
 pub fn check_names(sc: &Scenario) -> Result<(), String> {
     if !KNOWN_TOPOLOGIES.contains(&sc.topology.as_str()) {
-        return Err(format!(
-            "unknown topology {:?}; known topologies: {KNOWN_TOPOLOGIES:?}",
-            sc.topology
-        ));
+        return Err(unknown_topology(&sc.topology));
+    }
+    if let Some(racks) = sc.racks {
+        let Some(base) = opera_base(&sc.topology) else {
+            return Err(format!(
+                "topology.racks is accepted only by topologies \"opera\" and \"opera_paper\"; \
+                 {:?} has a fixed size",
+                sc.topology
+            ));
+        };
+        let uplinks = base.params.uplinks;
+        if racks == 0 || racks % uplinks != 0 {
+            return Err(format!(
+                "topology.racks = {racks}: must be a positive multiple of the {uplinks} uplinks \
+                 of topology {:?}",
+                sc.topology
+            ));
+        }
     }
     if !KNOWN_WORKLOADS.contains(&sc.workload.as_str()) {
         return Err(format!(
@@ -96,11 +143,12 @@ pub fn check_names(sc: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Flow list for a workload (the `ablate_transport` construction): an
-/// incast of `senders` flows onto host 0 from the upper three quarters
-/// of hosts, plus — for `victim` — one moderate flow into the target's
-/// edge switch, started strictly first so it is always flow id 0.
-fn workload_flows(
+/// Flow list for a workload (shared with `ablate_transport`): an incast
+/// of `senders` flows onto host 0 from the upper three quarters of hosts
+/// (never the target's rack, on any topology), plus — for `victim` — one
+/// moderate flow into the target's edge switch, started strictly first
+/// so that after the sorted injection it is always flow id 0.
+pub(crate) fn workload_flows(
     workload: &str,
     hosts: usize,
     senders: usize,
@@ -146,7 +194,7 @@ pub struct PointMetrics {
     pub marked: u64,
 }
 
-fn metrics_of(tracker: &FlowTracker, counters: &netsim::fabric::FabricCounters) -> PointMetrics {
+pub(crate) fn metrics_of(tracker: &FlowTracker, counters: &FabricCounters) -> PointMetrics {
     let mut fcts = Samples::new();
     for f in tracker.flows() {
         if let Some(t) = f.fct() {
@@ -194,89 +242,60 @@ pub struct ScenarioReport {
     pub validation: Option<TraceValidation>,
 }
 
-/// Run one sweep point, returning metrics (and the finished sink, for
-/// error reporting).
-fn run_point(
+/// Run one sweep point on the network `N` that `cfg` describes; `quiet`
+/// adjusts the built network before the trace sink is attached.
+fn run_point<N: PacketNet>(
+    cfg: N::Config,
+    quiet: impl FnOnce(&mut N),
     sc: &Scenario,
     pt: &ScenarioPoint,
     idx: usize,
     trace: Option<Box<dyn TraceSink>>,
 ) -> Result<PointMetrics, String> {
-    let pk = policy_of(&pt.policy)?;
-    let tk = transport_of(&pt.transport)?;
-    let queues = QueueConfig::builder().policy(pk).build();
-    let horizon = SimTime::from_ms(sc.duration_ms);
     let mut rng = SimRng::new(sc.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-
-    let (tracker_metrics, sink) = match sc.topology.as_str() {
-        "opera" | "opera_paper" => {
-            let mut cfg = if sc.topology == "opera" {
-                OperaNetConfig::small_test()
-            } else {
-                OperaNetConfig::paper_648()
-            };
-            if let Some(racks) = sc.racks {
-                cfg.params.racks = racks;
-            }
-            cfg.bulk_threshold = u64::MAX; // everything low-latency
-            cfg.queues = queues;
-            cfg.transport = tk;
-            let flows = workload_flows(
-                &sc.workload,
-                cfg.hosts(),
-                pt.senders,
-                sc.flow_bytes,
-                &mut rng,
-            );
-            let mut sim = opera_net::build(cfg, flows);
-            sim.world.logic.set_hello_enabled(false);
-            if let Some(sink) = trace {
-                sim.world.fabric.set_trace(sink);
-            }
-            sim.run_until(horizon);
-            (
-                metrics_of(sim.world.logic.tracker(), &sim.world.fabric.counters),
-                sim.world.fabric.take_trace(),
-            )
-        }
-        topo => {
-            let mut cfg = match topo {
-                "expander" => StaticNetConfig::small_expander(),
-                "expander_paper" => StaticNetConfig::paper_expander_650(),
-                "clos" => {
-                    let mut c = StaticNetConfig::small_expander();
-                    c.kind = StaticTopologyKind::FoldedClos(ClosParams {
-                        radix: 4,
-                        oversubscription: 1,
-                    });
-                    c
-                }
-                "clos_paper" => StaticNetConfig::paper_clos_648(),
-                other => {
-                    return Err(format!(
-                        "unknown topology {other:?}; known topologies: {KNOWN_TOPOLOGIES:?}"
-                    ))
-                }
-            };
-            let hosts = crate::static_hosts(&cfg);
-            cfg.queues = queues;
-            cfg.transport = tk;
-            let flows = workload_flows(&sc.workload, hosts, pt.senders, sc.flow_bytes, &mut rng);
-            let mut sim = static_net::build(cfg, flows);
-            if let Some(sink) = trace {
-                sim.world.fabric.set_trace(sink);
-            }
-            sim.run_until(horizon);
-            (
-                metrics_of(sim.world.logic.tracker(), &sim.world.fabric.counters),
-                sim.world.fabric.take_trace(),
-            )
-        }
-    };
-    if let Some(mut sink) = sink {
+    let hosts = N::hosts(&cfg);
+    let flows = workload_flows(&sc.workload, hosts, pt.senders, sc.flow_bytes, &mut rng);
+    let mut sim = N::build(cfg, flows);
+    quiet(&mut sim.world.logic);
+    if let Some(sink) = trace {
+        sim.world.fabric.set_trace(sink);
+    }
+    sim.run_until(SimTime::from_ms(sc.duration_ms));
+    let metrics = metrics_of(sim.world.logic.tracker(), &sim.world.fabric.counters);
+    if let Some(mut sink) = sim.world.fabric.take_trace() {
         sink.finish()?;
     }
-    Ok(tracker_metrics)
+    Ok(metrics)
+}
+
+/// Resolve a sweep point's names to a network and run it.
+fn run_named_point(
+    sc: &Scenario,
+    pt: &ScenarioPoint,
+    idx: usize,
+    trace: Option<Box<dyn TraceSink>>,
+) -> Result<PointMetrics, String> {
+    let queues = QueueConfig::builder()
+        .policy(policy_of(&pt.policy)?)
+        .build();
+    let transport = transport_of(&pt.transport)?;
+    if let Some(mut cfg) = opera_base(&sc.topology) {
+        if let Some(racks) = sc.racks {
+            cfg.params.racks = racks;
+        }
+        cfg.bulk_threshold = u64::MAX; // everything low-latency
+        cfg.queues = queues;
+        cfg.transport = transport;
+        let no_hellos = |net: &mut OperaLogic| net.set_hello_enabled(false);
+        return run_point(cfg, no_hellos, sc, pt, idx, trace);
+    }
+    let base = static_base(&sc.topology).ok_or_else(|| unknown_topology(&sc.topology))?;
+    let cfg = StaticNetConfig {
+        queues,
+        transport,
+        ..base
+    };
+    run_point(cfg, |_: &mut StaticLogic| {}, sc, pt, idx, trace)
 }
 
 /// Run every point of `sc`, writing outputs under `out_dir` (created if
@@ -308,7 +327,7 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
         } else {
             None
         };
-        let metrics = run_point(sc, pt, idx, sink)?;
+        let metrics = run_named_point(sc, pt, idx, sink)?;
         rows.push((pt.clone(), metrics));
     }
 

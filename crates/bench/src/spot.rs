@@ -5,7 +5,7 @@
 //! the figures' *full* sweeps (fig08's all-to-all shuffle, fig09's
 //! Websearch loads) are hours of packet simulation — too slow even for
 //! a nightly job. The spot suite is the tractable middle: the **exact
-//! paper-scale networks** (`PaperTrio`, 648 hosts, 90 µs slices) under
+//! paper-scale networks** (`Scale::Full`, 648 hosts, 90 µs slices) under
 //! a **bounded spot workload** — a partial shuffle and a short
 //! Websearch window — sized so the whole suite fits a nightly CI
 //! budget. The headline metrics (shuffle completion time, Websearch
@@ -17,11 +17,13 @@
 //! opera spot --bless    # re-record (commit the goldens/full/ diff)
 //! ```
 
-use crate::PaperTrio;
-use expt::{f, f2, Cell, Table};
+use crate::{clos_cfg, opera_cfg};
+use expt::{f, f2, Cell, Scale, Table};
 use flowsim::{clos_throughput, opera_model, McfSolver};
 use netsim::FlowTracker;
-use opera::{opera_net, static_net};
+use opera::opera_net::{self, OperaLogic};
+use opera::static_net::StaticLogic;
+use opera::PacketNet;
 use simkit::SimTime;
 use topo::cost::{expander_racks, expander_uplinks};
 use topo::expander::{ExpanderParams, ExpanderTopology};
@@ -65,7 +67,7 @@ fn fct_summary(tracker: &FlowTracker) -> (f64, f64, f64) {
 fn shuffle_648() -> Table {
     const SHUFFLE_PEERS: usize = 16;
     const FLOW_SIZE: u64 = 100_000;
-    let mut cfg = PaperTrio::opera();
+    let mut cfg = opera_cfg(Scale::Full);
     cfg.bulk_threshold = 0; // application tags everything bulk (§3.4)
     let hosts = cfg.hosts();
     let mut flows = Vec::with_capacity(hosts * SHUFFLE_PEERS);
@@ -170,8 +172,24 @@ fn fig12_k24() -> Table {
 /// spot workload is one short Poisson window at 10% load.
 fn websearch_648() -> Table {
     const LOAD: f64 = 0.10;
-    let window = SimTime::from_ms(10);
-    let horizon = SimTime::from_ms(60);
+    fn row<N: PacketNet>(network: &str, cfg: N::Config) -> Vec<Cell> {
+        let dist = FlowSizeDist::of(Workload::Websearch);
+        let flows =
+            PoissonGen::new(dist, N::hosts(&cfg), 10.0, LOAD, 0).flows_until(SimTime::from_ms(10));
+        let offered = flows.len();
+        let mut sim = N::build(cfg, flows);
+        sim.run_until(SimTime::from_ms(60));
+        let tracker = sim.world.logic.tracker();
+        let (mean, p99, _) = fct_summary(tracker);
+        vec![
+            Cell::from(network),
+            Cell::F64(LOAD),
+            Cell::from(offered),
+            Cell::from(tracker.completed()),
+            f2(p99),
+            f2(mean),
+        ]
+    }
     let mut out = Table::new(
         "websearch_648",
         &[
@@ -183,39 +201,9 @@ fn websearch_648() -> Table {
             "mean_fct_ms",
         ],
     );
-    let mut push = |network: &str, offered: usize, tracker: &FlowTracker| {
-        let (mean, p99, _) = fct_summary(tracker);
-        out.push(vec![
-            Cell::from(network),
-            Cell::F64(LOAD),
-            Cell::from(offered),
-            Cell::from(tracker.completed()),
-            f2(p99),
-            f2(mean),
-        ]);
-    };
-
-    let gen_flows = |hosts: usize| -> Vec<FlowSpec> {
-        PoissonGen::new(FlowSizeDist::of(Workload::Websearch), hosts, 10.0, LOAD, 0)
-            .flows_until(window)
-    };
-
-    {
-        let mut cfg = PaperTrio::opera();
-        cfg.bulk_threshold = 20_000_000; // fig09's premise: all low-latency
-        let flows = gen_flows(cfg.hosts());
-        let offered = flows.len();
-        let mut sim = opera_net::build(cfg, flows);
-        sim.run_until(horizon);
-        push("opera-648", offered, sim.world.logic.tracker());
-    }
-    {
-        let cfg = PaperTrio::clos();
-        let flows = gen_flows(crate::static_hosts(&cfg));
-        let offered = flows.len();
-        let mut sim = static_net::build(cfg, flows);
-        sim.run_until(horizon);
-        push("folded-clos-648", offered, sim.world.logic.tracker());
-    }
+    let mut opera = opera_cfg(Scale::Full);
+    opera.bulk_threshold = 20_000_000; // fig09's premise: all low-latency
+    out.push(row::<OperaLogic>("opera-648", opera));
+    out.push(row::<StaticLogic>("folded-clos-648", clos_cfg(Scale::Full)));
     out
 }

@@ -369,6 +369,55 @@ fn run_scenario_unknown_key_is_exit_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `topology.racks` is checked where names are, before anything is
+/// built: a count the rotor topology cannot be generated for (it used to
+/// panic in the generator), and the key on a topology that ignores it
+/// (it used to run the 8-rack expander and exit 0), are exit-2 errors.
+#[test]
+fn run_scenario_bad_racks_is_exit_2_before_running() {
+    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.toml")).unwrap();
+    let dir = scratch("bad-racks");
+    for (tag, from, to, explains) in [
+        (
+            "seven",
+            "racks = 8",
+            "racks = 7",
+            "multiple of the 4 uplinks",
+        ),
+        (
+            "zero",
+            "racks = 8",
+            "racks = 0",
+            "multiple of the 4 uplinks",
+        ),
+        (
+            "fixed",
+            "kind = \"opera\"\nracks = 8",
+            "kind = \"expander\"\nracks = 16",
+            "\"opera\" and \"opera_paper\"",
+        ),
+    ] {
+        assert!(smoke.contains(from), "incast_smoke.toml changed shape");
+        let sc = dir.join(format!("{tag}.toml"));
+        std::fs::write(&sc, smoke.replace(from, to)).unwrap();
+        let out = run(&[
+            "run-scenario",
+            sc.to_str().unwrap(),
+            "--out",
+            dir.to_str().unwrap(),
+        ]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{tag}: {err}");
+        assert!(
+            err.contains("topology.racks") && err.contains(explains),
+            "{tag}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{tag}: not one line: {err}");
+        assert!(!dir.join("incast_smoke").exists(), "{tag}: something ran");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn run_scenario_tiny_incast_end_to_end() {
     let dir = scratch("tiny");

@@ -10,7 +10,7 @@
 //!
 //! [`RunFlags`] is the one declaration of a run's identity, `(scale,
 //! seed, replicates, k)`. Table documents, `run.json` and golden
-//! manifests embed it and read it through [`RunFlags::read`] (so
+//! manifests embed it and read it through `RunFlags::read` (so
 //! `"scale": "huge"` is a parse error), and shard merge, resume and
 //! stale-bless detection all compare it with
 //! [`RunFlags::first_difference`].

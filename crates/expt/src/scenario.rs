@@ -24,7 +24,7 @@
 //!
 //! [topology]
 //! kind = "opera"        # opera | opera_paper | expander | expander_paper | clos
-//! racks = 8             # optional, opera only
+//! racks = 8             # optional; opera / opera_paper only (runner-checked)
 //!
 //! [workload]
 //! kind = "incast"       # incast | victim
@@ -73,7 +73,9 @@ pub struct Scenario {
     pub name: String,
     /// Topology kind (opaque here; resolved by the runner).
     pub topology: String,
-    /// Rack-count override for sized topologies (optional).
+    /// Rack-count override (optional). Opaque here; the runner accepts it
+    /// only on the Opera topologies, as a positive multiple of their
+    /// uplink count, and rejects it on any other.
     pub racks: Option<usize>,
     /// Workload kind (`incast` / `victim`; opaque here).
     pub workload: String,

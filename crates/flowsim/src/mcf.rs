@@ -24,7 +24,7 @@
 //! snapshot keeps lower-bounding later queries — see
 //! [`McfSolver::hsnap`](McfSolver)), with margin-padded filter/trust
 //! thresholds that keep the
-//! result exact under floating-point rounding (see [`FILTER_MARGIN`]);
+//! result exact under floating-point rounding (see `FILTER_MARGIN`);
 //! a target-bound prune seeded from the *previous phase's* routed path
 //! for the same demand, re-priced at current costs (the phase plan
 //! repeats, so last phase's path is a valid upper bound from the first
@@ -35,10 +35,10 @@
 //! order-independent (each is a min over root-to-node path sums, summed
 //! in the same association order), and the reference's predecessor
 //! choice is itself a pure function of those distances (see
-//! [`McfSolver::walk_path`]), so the routed path is reconstructed
+//! `McfSolver::walk_path`), so the routed path is reconstructed
 //! afterwards instead of recorded during the run. That admits a flat
 //! struct-of-arrays indexed d-ary heap on bare `f64`-bit keys with
-//! true decrease-key ([`HeapSoa`]).
+//! true decrease-key (`HeapSoa`).
 //! These are *exact* optimizations — the λ bits match the original
 //! implementation, which survives as the property-test oracle in
 //! `tests/properties.rs`. On top of that, [`McfSolver::solve_warm`]

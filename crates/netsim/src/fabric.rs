@@ -70,7 +70,7 @@ impl QueueConfig {
 }
 
 /// Builder for [`QueueConfig`] — capacities compose with a
-/// [`SwitchPolicy`](crate::policy::SwitchPolicy) implementation.
+/// [`SwitchPolicy`] implementation.
 #[derive(Debug, Clone, Copy)]
 pub struct QueueConfigBuilder {
     cfg: QueueConfig,
@@ -420,7 +420,7 @@ impl Fabric {
 
     /// Enqueue `packet` for transmission out of `node.port`, starting
     /// transmission immediately if the port is idle and unpaused. The
-    /// port's [`SwitchPolicy`](crate::policy::SwitchPolicy) decides the
+    /// port's [`SwitchPolicy`] decides the
     /// packet's fate (enqueue / mark / trim / drop) and whether upstream
     /// peers must be paused.
     pub fn send(

@@ -52,7 +52,7 @@ pub struct FlowTracker {
     flows: Vec<FlowRecord>,
     completed: usize,
     /// Payload bytes delivered over time (for throughput plots); enabled
-    /// by [`FlowTracker::with_throughput_bins`].
+    /// by [`FlowTracker::record_throughput`].
     throughput: Option<TimeSeries>,
 }
 
@@ -63,9 +63,8 @@ impl FlowTracker {
     }
 
     /// Enable binned delivered-throughput recording.
-    pub fn with_throughput_bins(mut self, bin: SimTime) -> Self {
+    pub fn record_throughput(&mut self, bin: SimTime) {
         self.throughput = Some(TimeSeries::new(bin));
-        self
     }
 
     /// Register a flow; returns its id.
@@ -186,7 +185,8 @@ mod tests {
 
     #[test]
     fn throughput_series() {
-        let mut t = FlowTracker::new().with_throughput_bins(SimTime::from_ms(1));
+        let mut t = FlowTracker::new();
+        t.record_throughput(SimTime::from_ms(1));
         let id = t.register(0, 1, 5000, FlowClass::Bulk, SimTime::ZERO);
         t.deliver(id, 2000, SimTime::from_us(100));
         t.deliver(id, 3000, SimTime::from_us(1200));

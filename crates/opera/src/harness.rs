@@ -129,24 +129,6 @@ impl ExperimentResult {
     }
 }
 
-/// Print an FCT table in the layout of Figures 7/9 (one row per size bin).
-pub fn print_fct_table(label: &str, stats: &FctStats) {
-    println!("# {label}");
-    println!(
-        "{:>12} {:>12} {:>8} {:>12} {:>12} {:>12}",
-        "size_lo", "size_hi", "flows", "avg_us", "p50_us", "p99_us"
-    );
-    for b in &stats.bins {
-        if b.count == 0 && b.unfinished == 0 {
-            continue;
-        }
-        println!(
-            "{:>12} {:>12} {:>8} {:>12.1} {:>12.1} {:>12.1}",
-            b.lo, b.hi, b.count, b.avg_us, b.p50_us, b.p99_us
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

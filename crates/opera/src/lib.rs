@@ -13,12 +13,17 @@
 //!
 //! * [`timing`] — topology-slice time constants (§4.1, Figure 6/14),
 //! * [`tables`] — per-slice low-latency and bulk forwarding tables (§4.3),
-//! * [`opera_net`] — the packet-level Opera network (and, by
-//!   configuration, non-hybrid/hybrid RotorNet),
-//! * [`static_net`] — cost-equivalent folded-Clos and static-expander
-//!   baselines running NDP,
-//! * [`harness`] — experiment drivers: flow injection, FCT collection,
-//!   throughput accounting,
+//! * [`net`] — what every packet-level network shares: [`Endpoints`]
+//!   (a transport per host, flow arrivals, the flow tracker, the
+//!   host ↔ ToR links) and [`PacketNet`], the seam a driver builds and
+//!   runs any of them through,
+//! * [`opera_net`] — what differs in Opera (and, by configuration,
+//!   non-hybrid/hybrid RotorNet): rotor slices, feeders, hellos, RotorLB
+//!   and per-slice routing between the ToRs,
+//! * [`static_net`] — what differs in the cost-equivalent folded-Clos and
+//!   static-expander baselines: the switch graph and shortest-path
+//!   spraying over it,
+//! * [`harness`] — FCT and throughput statistics over a finished run,
 //! * [`ruleset`] — the routing-state model behind Table 1,
 //! * [`prototype`] — the queueing model of the Tofino prototype (Figure
 //!   13, §6.1).
@@ -38,8 +43,26 @@
 //! let fct = sim.world.logic.tracker().get(0).fct().expect("flow completed");
 //! assert!(fct < SimTime::from_us(100));
 //! ```
+//!
+//! A driver that compares networks is one body over [`PacketNet`]:
+//!
+//! ```
+//! use opera::{opera_net::OperaLogic, static_net::StaticLogic, PacketNet};
+//! use simkit::SimTime;
+//!
+//! fn events<N: PacketNet>(cfg: N::Config) -> u64 {
+//!     let shuffle = workloads::gen::ScenarioGen::shuffle(N::hosts(&cfg), 9_000, SimTime::ZERO);
+//!     let mut sim = N::build(cfg, shuffle);
+//!     sim.run_until(SimTime::from_ms(20));
+//!     assert!(sim.world.logic.tracker().all_done());
+//!     sim.events_processed()
+//! }
+//! events::<OperaLogic>(opera::OperaNetConfig::small_test());
+//! events::<StaticLogic>(opera::StaticNetConfig::small_expander());
+//! ```
 
 pub mod harness;
+pub mod net;
 pub mod opera_net;
 pub mod prototype;
 pub mod ruleset;
@@ -49,6 +72,7 @@ pub mod timing;
 mod tokens;
 
 pub use harness::{ExperimentResult, FctStats};
+pub use net::{Endpoints, PacketNet};
 pub use opera_net::{OperaNet, OperaNetConfig, RotorMode};
 pub use ruleset::{ruleset_for, RulesetReport};
 pub use static_net::{StaticNet, StaticNetConfig, StaticTopologyKind};

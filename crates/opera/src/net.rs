@@ -1,0 +1,171 @@
+//! What every packet-level network shares: the hosts, and the seam the
+//! harness drives a network through.
+//!
+//! §5 compares Opera with a static expander and a folded Clos by what sits
+//! *between* the ToRs. Everything at the edge is therefore one piece of
+//! code, [`Endpoints`]: a transport per host, the flow list and its
+//! arrival timer, the flow tracker, and the host ↔ ToR links. A network
+//! model ([`crate::opera_net::OperaLogic`],
+//! [`crate::static_net::StaticLogic`]) holds one and adds only its own
+//! switching; [`PacketNet`] is what lets a driver run either through one
+//! body.
+//!
+//! Node layout, shared: hosts are fabric nodes `0..H`, the ToR of rack `r`
+//! is node `H + r`, and host `h` hangs off down port `h % d` of the ToR of
+//! rack `h / d` (`d` hosts per rack).
+
+use crate::tokens::{schedule_actions, timer, Token};
+use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig};
+use netsim::{FlowClass, FlowId, FlowTracker, NetLogic, NetWorld, Packet, PacketKind};
+use simkit::engine::EventContext;
+use simkit::{SimTime, Simulator};
+use transport::{Transport, TransportKind};
+use workloads::FlowSpec;
+
+/// The host layer of a network: transports, flow arrivals and results.
+pub struct Endpoints {
+    hosts: Vec<Box<dyn Transport>>,
+    tracker: FlowTracker,
+    /// Flows in start order (ties keep the caller's order), and the next
+    /// one to inject.
+    flows: Vec<FlowSpec>,
+    next_flow: usize,
+}
+
+impl Endpoints {
+    /// Add `hosts` single-port nodes to the (empty) `fabric`, one transport
+    /// each, and queue `flows` for injection.
+    pub(crate) fn new(
+        fabric: &mut Fabric,
+        hosts: usize,
+        transport: TransportKind,
+        queues: QueueConfig,
+        link: LinkSpec,
+        mut flows: Vec<FlowSpec>,
+    ) -> Self {
+        flows.sort_by_key(|f| f.start);
+        for h in 0..hosts {
+            let node = fabric.add_node(1, queues, link);
+            assert_eq!(node, h, "hosts must be the fabric's first nodes");
+        }
+        Endpoints {
+            hosts: (0..hosts).map(|h| transport.make(h, 0)).collect(),
+            tracker: FlowTracker::new(),
+            flows,
+            next_flow: 0,
+        }
+    }
+
+    /// Connect every host to its ToR (added by now), `per_tor` hosts each.
+    pub(crate) fn wire(&self, fabric: &mut Fabric, per_tor: usize) {
+        for h in 0..self.hosts() {
+            fabric.connect(h, 0, self.hosts() + h / per_tor, h % per_tor);
+        }
+    }
+
+    /// Number of hosts, which is also the fabric node of the first ToR.
+    pub(crate) fn hosts(&self) -> usize {
+        self.hosts.len()
+    }
+
+    /// Per-flow results.
+    pub fn tracker(&self) -> &FlowTracker {
+        &self.tracker
+    }
+
+    /// Record delivered payload in bins of `bin` from now on (Figure 8).
+    pub fn record_throughput(&mut self, bin: SimTime) {
+        self.tracker.record_throughput(bin);
+    }
+
+    /// The next flow whose start time has come; `None` once there is no
+    /// such flow, after arming [`Token::FlowArrival`] for the first that
+    /// is still to come. Call until `None`.
+    pub(crate) fn next_due(&mut self, ctx: &mut EventContext<'_, NetEvent>) -> Option<FlowSpec> {
+        let spec = *self.flows.get(self.next_flow)?;
+        if spec.start <= ctx.now() {
+            self.next_flow += 1;
+            return Some(spec);
+        }
+        ctx.schedule_at(spec.start, timer(Token::FlowArrival));
+        None
+    }
+
+    /// Enter `spec` in the tracker as starting now.
+    pub(crate) fn register(&mut self, spec: FlowSpec, class: FlowClass, now: SimTime) -> FlowId {
+        self.tracker
+            .register(spec.src, spec.dst, spec.size, class, now)
+    }
+
+    /// Register `spec` and hand it to its source host's transport.
+    pub(crate) fn start_flow(
+        &mut self,
+        fabric: &mut Fabric,
+        ctx: &mut EventContext<'_, NetEvent>,
+        spec: FlowSpec,
+        class: FlowClass,
+    ) {
+        let id = self.register(spec, class, ctx.now());
+        let actions = self.hosts[spec.src].start_flow(fabric, ctx, id, spec.dst, spec.size);
+        schedule_actions(ctx, spec.src, actions);
+    }
+
+    /// A packet reached `host`: RotorLB bulk data is counted as delivered,
+    /// anything else belongs to the host's transport.
+    pub(crate) fn on_packet(
+        &mut self,
+        fabric: &mut Fabric,
+        ctx: &mut EventContext<'_, NetEvent>,
+        host: usize,
+        packet: Packet,
+    ) {
+        if let PacketKind::BulkData { .. } = packet.kind {
+            debug_assert_eq!(packet.dst, host);
+            self.tracker
+                .deliver(packet.flow, packet.payload() as u64, ctx.now());
+        } else {
+            let actions = self.hosts[host].on_packet(fabric, ctx, &mut self.tracker, packet);
+            schedule_actions(ctx, host, actions);
+        }
+    }
+
+    /// A timer the switching layer did not claim: a host's transport timer.
+    pub(crate) fn on_timer(
+        &mut self,
+        fabric: &mut Fabric,
+        ctx: &mut EventContext<'_, NetEvent>,
+        token: Token,
+    ) {
+        let Token::Transport(host, which) = token else {
+            panic!("unexpected timer {token:?}");
+        };
+        let actions = self.hosts[host].on_timer(fabric, ctx, which);
+        schedule_actions(ctx, host, actions);
+    }
+}
+
+/// A packet-level network a driver can build and run without knowing
+/// which one it is: same hosts, transport and flow arrivals
+/// ([`Endpoints`]), different switching.
+pub trait PacketNet: NetLogic + Sized {
+    /// Everything [`PacketNet::build`] needs besides the flows.
+    type Config;
+
+    /// Number of hosts `cfg` describes; flows address hosts `0..hosts`.
+    fn hosts(cfg: &Self::Config) -> usize;
+
+    /// A ready-to-run simulation that injects `flows` at their start
+    /// times, in start order (ties in the order given).
+    fn build(cfg: Self::Config, flows: Vec<FlowSpec>) -> Simulator<NetWorld<Self>>;
+
+    /// The host layer.
+    fn ends(&self) -> &Endpoints;
+
+    /// The host layer, to switch on [`Endpoints::record_throughput`].
+    fn ends_mut(&mut self) -> &mut Endpoints;
+
+    /// Per-flow results.
+    fn tracker(&self) -> &FlowTracker {
+        self.ends().tracker()
+    }
+}

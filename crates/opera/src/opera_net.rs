@@ -1,4 +1,6 @@
-//! The packet-level Opera network (and RotorNet variants).
+//! The packet-level Opera network (and RotorNet variants): what happens
+//! between the ToRs. Hosts, transport and flow arrivals are the shared
+//! [`crate::net::Endpoints`].
 //!
 //! Node layout: hosts `0..H`, then one ToR node per rack; in hybrid
 //! RotorNet mode, one additional ideal packet-core node. Rotor circuit
@@ -25,15 +27,16 @@
 //! latency); [`RotorMode::RotorHybrid`] sends low-latency flows through a
 //! separate ideal packet core attached to one uplink per ToR (+33% cost).
 
+use crate::net::{Endpoints, PacketNet};
 use crate::tables::{BulkTables, LowLatencyTables};
 use crate::timing::SliceTiming;
-use crate::tokens::{decode, encode, schedule_actions, Token};
+use crate::tokens::{decode, timer, Token};
 use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig, SendOutcome};
 use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet, PacketKind, Priority, MTU};
 use simkit::engine::EventContext;
 use simkit::{SimRng, SimTime, Simulator};
 use topo::opera::{OperaParams, OperaTopology};
-use transport::{RackBulk, RotorLbParams, Transport, TransportKind};
+use transport::{RackBulk, RotorLbParams, TransportKind};
 use workloads::FlowSpec;
 
 /// Which system the rotor fabric emulates.
@@ -103,14 +106,8 @@ impl OperaNetConfig {
         OperaNetConfig {
             params: OperaParams::example_648(),
             timing: SliceTiming::paper_default(),
-            link: LinkSpec::paper_default(),
-            queues: QueueConfig::builder().build(),
-            transport: TransportKind::paper_default(),
-            rotorlb: RotorLbParams::paper_default(),
             bulk_threshold: 15_000_000,
-            mode: RotorMode::Opera,
-            allow_vlb: true,
-            seed: 1,
+            ..Self::small_test()
         }
     }
 
@@ -152,27 +149,19 @@ struct Feeder {
 /// The Opera network logic (see module docs).
 pub struct OperaLogic {
     cfg: OperaNetConfig,
-    /// `cfg.hosts()`: hosts are fabric nodes `0..hosts_total`, ToRs follow.
-    hosts_total: usize,
+    ends: Endpoints,
     topo: OperaTopology,
     ll_tables: LowLatencyTables,
     bulk_tables: BulkTables,
-    hosts: Vec<Box<dyn Transport>>,
     bulk: Vec<RackBulk>,
-    tracker: FlowTracker,
     rng: SimRng,
     /// Current slice (monotone; take mod slices_per_cycle for tables).
     slice: usize,
     feeders: Vec<Feeder>,
-    /// Flows sorted by start time, next index to inject.
-    pending: Vec<FlowSpec>,
-    next_flow: usize,
     /// Counters.
     pub counters: OperaCounters,
     /// Maximum ToR-to-ToR hops before a packet is declared looping.
     hop_limit: u8,
-    /// Stop injecting/rescheduling after this time (0 = no limit).
-    horizon: SimTime,
     /// `(rack, uplink)` transceivers marked bad by the hello protocol
     /// (§3.6.2); routing tables exclude their circuits.
     bad_links: Vec<(usize, usize)>,
@@ -194,31 +183,28 @@ impl OperaLogic {
         host / self.cfg.params.hosts_per_rack
     }
     fn tor_node(&self, rack: usize) -> usize {
-        self.hosts_total + rack
+        self.ends.hosts() + rack
     }
     fn core_node(&self) -> usize {
-        self.hosts_total + self.cfg.params.racks
+        self.tor_node(self.cfg.params.racks)
     }
     fn is_tor(&self, node: usize) -> bool {
-        node >= self.hosts_total && node < self.hosts_total + self.cfg.params.racks
+        (self.tor_node(0)..self.core_node()).contains(&node)
     }
     fn is_core(&self, node: usize) -> bool {
         self.cfg.mode == RotorMode::RotorHybrid && node == self.core_node()
-    }
-    fn down_ports(&self) -> usize {
-        self.cfg.params.hosts_per_rack
     }
     /// Rotor uplinks (excludes the hybrid packet-core uplink).
     fn rotor_uplinks(&self) -> usize {
         self.topo.switches()
     }
-    /// Fabric port of rotor uplink `j` at a ToR.
+    /// Fabric port of rotor uplink `j` at a ToR: after the host ports.
     fn up_port(&self, j: usize) -> usize {
-        self.down_ports() + j
+        self.cfg.params.hosts_per_rack + j
     }
     /// Fabric port of the hybrid packet-core uplink.
     fn core_port(&self) -> usize {
-        self.down_ports() + self.rotor_uplinks()
+        self.up_port(self.rotor_uplinks())
     }
     fn feeder_idx(&self, rack: usize, uplink: usize) -> usize {
         rack * self.rotor_uplinks() + uplink
@@ -234,18 +220,12 @@ impl OperaLogic {
     /// Classify a flow by mode and size.
     fn classify(&self, size: u64) -> FlowClass {
         match self.cfg.mode {
-            RotorMode::Opera => {
-                if size >= self.cfg.bulk_threshold {
-                    FlowClass::Bulk
-                } else {
-                    FlowClass::LowLatency
-                }
-            }
-            // RotorNet: every flow is bulk from the transport's point of
-            // view (non-hybrid), or split like Opera but with low-latency
-            // riding the packet core (hybrid).
+            // Non-hybrid RotorNet: every flow is bulk from the transport's
+            // point of view.
             RotorMode::RotorNonHybrid => FlowClass::Bulk,
-            RotorMode::RotorHybrid => {
+            // Hybrid RotorNet splits like Opera; its low-latency class
+            // rides the packet core.
+            RotorMode::Opera | RotorMode::RotorHybrid => {
                 if size >= self.cfg.bulk_threshold {
                     FlowClass::Bulk
                 } else {
@@ -257,12 +237,7 @@ impl OperaLogic {
 
     /// Access the flow tracker (results).
     pub fn tracker(&self) -> &FlowTracker {
-        &self.tracker
-    }
-
-    /// Mutable access (used by harnesses to attach throughput bins).
-    pub fn tracker_mut(&mut self) -> &mut FlowTracker {
-        &mut self.tracker
+        self.ends.tracker()
     }
 
     /// The generated topology (for analysis alongside the simulation).
@@ -313,27 +288,15 @@ impl OperaLogic {
         }
         // This slice's reconfiguring group goes dark ε from now (r before
         // the next boundary).
-        ctx.schedule_in(
-            self.cfg.timing.epsilon,
-            NetEvent::Timer {
-                token: encode(Token::Dark),
-            },
-        );
-        self.start_feeders(fabric, ctx);
-        if self.horizon == SimTime::ZERO || ctx.now() < self.horizon {
-            ctx.schedule_in(
-                self.cfg.timing.slice(),
-                NetEvent::Timer {
-                    token: encode(Token::SliceBoundary),
-                },
-            );
-        }
+        ctx.schedule_in(self.cfg.timing.epsilon, timer(Token::Dark));
+        self.start_feeders(ctx);
+        ctx.schedule_in(self.cfg.timing.slice(), timer(Token::SliceBoundary));
     }
 
     /// ε into the slice: the impending switches stop carrying traffic and
     /// begin reconfiguring. Bulk still staged at their uplinks missed the
     /// window — the §4.2.2 NACK path returns it to the RotorLB queues.
-    fn on_dark(&mut self, fabric: &mut Fabric, _ctx: &mut EventContext<'_, NetEvent>) {
+    fn on_dark(&mut self, fabric: &mut Fabric) {
         for &j in &self.topo.reconfiguring(self.slice) {
             for rack in 0..self.cfg.params.racks {
                 let drained = fabric.drain_bulk(self.tor_node(rack), self.up_port(j));
@@ -376,12 +339,18 @@ impl OperaLogic {
                 self.hello_pending[fi] = true;
                 ctx.schedule_at(
                     ctx.now() + self.hello_timeout(),
-                    NetEvent::Timer {
-                        token: encode(Token::HelloCheck(peer, j)),
-                    },
+                    timer(Token::HelloCheck(peer, j)),
                 );
             }
         }
+    }
+
+    /// The rack at the far end of `rack`'s circuit through `uplink` this
+    /// slice (`rack` itself when it is self-paired).
+    fn partner(&self, rack: usize, uplink: usize) -> usize {
+        self.topo
+            .matching(uplink, self.topo.position_at(uplink, self.slice))
+            .partner(rack)
     }
 
     /// Hello timeout: a few circuit RTTs, far below ε.
@@ -397,10 +366,7 @@ impl OperaLogic {
         // A hello from a link previously marked bad proves it healthy
         // again (e.g. a false positive from corrupted hello frames, or a
         // repaired transceiver): restore it.
-        let m = self
-            .topo
-            .matching(uplink, self.topo.position_at(uplink, self.slice));
-        let partner = m.partner(rack);
+        let partner = self.partner(rack, uplink);
         if let Some(pos) = self.bad_links.iter().position(|&b| b == (partner, uplink)) {
             self.bad_links.swap_remove(pos);
             self.recompute_tables();
@@ -418,10 +384,7 @@ impl OperaLogic {
         }
         self.hello_pending[fi] = false;
         // Identify the partner whose hello went missing.
-        let m = self
-            .topo
-            .matching(uplink, self.topo.position_at(uplink, self.slice));
-        let partner = m.partner(rack);
+        let partner = self.partner(rack, uplink);
         let bad = (partner, uplink);
         if partner == rack || self.bad_links.contains(&bad) {
             return;
@@ -465,8 +428,24 @@ impl OperaLogic {
             && self.bulk[rack].total_direct_backlog() > self.cfg.rotorlb.vlb_threshold
     }
 
+    /// Start the `(rack, uplink)` feeder, whose circuit reaches `dst`, if it
+    /// is idle and has something to send there.
+    fn arm_feeder(
+        &mut self,
+        ctx: &mut EventContext<'_, NetEvent>,
+        rack: usize,
+        uplink: usize,
+        dst: usize,
+    ) {
+        let fi = self.feeder_idx(rack, uplink);
+        if !self.feeders[fi].running && self.has_bulk_work(rack, dst) {
+            self.feeders[fi].running = true;
+            ctx.schedule_in(SimTime::ZERO, timer(Token::Feeder(rack, uplink)));
+        }
+    }
+
     /// (Re)arm feeders for every active circuit of the current slice.
-    fn start_feeders(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>) {
+    fn start_feeders(&mut self, ctx: &mut EventContext<'_, NetEvent>) {
         let slice = self.slice;
         let stride = self.rotor_uplinks() / self.cfg.params.groups;
         let boundary_in = self.cfg.timing.slice();
@@ -485,18 +464,9 @@ impl OperaLogic {
                 };
                 self.feeders[fi].deadline = deadline;
                 self.feeders[fi].circuit_dst = dst;
-                if !self.feeders[fi].running && self.has_bulk_work(rack, dst) {
-                    self.feeders[fi].running = true;
-                    ctx.schedule_in(
-                        SimTime::ZERO,
-                        NetEvent::Timer {
-                            token: encode(Token::Feeder(rack, uplink)),
-                        },
-                    );
-                }
+                self.arm_feeder(ctx, rack, uplink, dst);
             }
         }
-        let _ = fabric;
     }
 
     fn on_feeder(
@@ -544,42 +514,19 @@ impl OperaLogic {
                 return;
             }
         }
-        ctx.schedule_in(
-            tick,
-            NetEvent::Timer {
-                token: encode(Token::Feeder(rack, uplink)),
-            },
-        );
+        ctx.schedule_in(tick, timer(Token::Feeder(rack, uplink)));
     }
 
-    /// Kick the feeder serving `dst_rack` from `rack`, if a circuit is up.
+    /// Bytes for `dst_rack` were just queued at `rack`: kick the feeder
+    /// that can move them, if a circuit is up.
     fn kick_feeder(&mut self, ctx: &mut EventContext<'_, NetEvent>, rack: usize, dst_rack: usize) {
-        // Direct circuit.
         if let Some(uplink) = self.bulk_tables.direct_uplink(self.slice, rack, dst_rack) {
-            let fi = self.feeder_idx(rack, uplink);
-            if !self.feeders[fi].running {
-                self.feeders[fi].running = true;
-                ctx.schedule_in(
-                    SimTime::ZERO,
-                    NetEvent::Timer {
-                        token: encode(Token::Feeder(rack, uplink)),
-                    },
-                );
-            }
+            self.arm_feeder(ctx, rack, uplink, dst_rack);
         } else if self.cfg.allow_vlb {
             // No direct circuit this slice: VLB can still move the bytes
             // over any active circuit once the backlog is large enough.
             for (dst, uplink) in self.bulk_tables.circuits_of(self.slice, rack) {
-                let fi = self.feeder_idx(rack, uplink);
-                if !self.feeders[fi].running && self.has_bulk_work(rack, dst) {
-                    self.feeders[fi].running = true;
-                    ctx.schedule_in(
-                        SimTime::ZERO,
-                        NetEvent::Timer {
-                            token: encode(Token::Feeder(rack, uplink)),
-                        },
-                    );
-                }
+                self.arm_feeder(ctx, rack, uplink, dst);
             }
         }
     }
@@ -587,47 +534,6 @@ impl OperaLogic {
     // ------------------------------------------------------------------
     // Packet handling
     // ------------------------------------------------------------------
-
-    fn route_arrival(
-        &mut self,
-        fabric: &mut Fabric,
-        ctx: &mut EventContext<'_, NetEvent>,
-        node: usize,
-        packet: Packet,
-    ) {
-        if node < self.hosts_total {
-            self.on_host_arrive(fabric, ctx, node, packet);
-        } else if self.is_tor(node) {
-            let rack = node - self.hosts_total;
-            self.on_tor_arrive(fabric, ctx, rack, packet);
-        } else if self.is_core(node) {
-            // Ideal packet core: one port per rack.
-            let dst_rack = self.rack_of(packet.dst);
-            fabric.send(ctx, node, dst_rack, packet);
-        } else {
-            unreachable!("packet at unknown node {node}");
-        }
-    }
-
-    fn on_host_arrive(
-        &mut self,
-        fabric: &mut Fabric,
-        ctx: &mut EventContext<'_, NetEvent>,
-        host: usize,
-        packet: Packet,
-    ) {
-        match packet.kind {
-            PacketKind::BulkData { .. } => {
-                debug_assert_eq!(packet.dst, host);
-                self.tracker
-                    .deliver(packet.flow, packet.payload() as u64, ctx.now());
-            }
-            _ => {
-                let actions = self.hosts[host].on_packet(fabric, ctx, &mut self.tracker, packet);
-                schedule_actions(ctx, host, actions);
-            }
-        }
-    }
 
     fn on_tor_arrive(
         &mut self,
@@ -639,49 +545,41 @@ impl OperaLogic {
         if let PacketKind::Hello = packet.kind {
             // Addressed ToR-to-ToR over one circuit; recover the uplink
             // from the sender's matching home.
-            let peer_rack = packet.src - self.hosts_total;
+            let peer_rack = packet.src - self.tor_node(0);
             if let Some((sw, _)) = self.topo.locate_pair(rack, peer_rack) {
                 self.on_hello(rack, sw);
             }
             return;
         }
         let dst_rack = self.rack_of(packet.dst);
+        if dst_rack == rack {
+            // Deliver down.
+            let down = packet.dst % self.cfg.params.hosts_per_rack;
+            fabric.send(ctx, self.tor_node(rack), down, packet);
+            return;
+        }
         match packet.kind {
-            PacketKind::BulkData { relay, .. } => {
-                if dst_rack == rack {
-                    // Deliver down.
-                    let down = packet.dst % self.cfg.params.hosts_per_rack;
-                    fabric.send(ctx, self.tor_node(rack), down, packet);
-                } else if let Some(final_rack) = relay.map(|r| r as usize) {
-                    if self.rack_of(packet.src) == rack {
-                        // First hop of a VLB packet originating here: put
-                        // it on the wire toward its intermediate.
-                        self.forward_bulk_at_tor(fabric, ctx, rack, packet);
-                    } else {
-                        // We are the intermediate: store for later relay.
-                        let stripped = Packet {
-                            kind: PacketKind::BulkData {
-                                seq: 0,
-                                relay: None,
-                            },
-                            ..packet
-                        };
-                        if !self.bulk[rack].store_relay(&stripped, final_rack) {
-                            self.counters.relay_overflow += 1;
-                        }
-                    }
-                } else {
-                    // Direct bulk packet transiting its source ToR.
-                    self.forward_bulk_at_tor(fabric, ctx, rack, packet);
+            PacketKind::BulkData {
+                relay: Some(final_rack),
+                ..
+            } if self.rack_of(packet.src) != rack => {
+                // We are a VLB packet's intermediate: store for later relay.
+                let stripped = Packet {
+                    kind: PacketKind::BulkData {
+                        seq: 0,
+                        relay: None,
+                    },
+                    ..packet
+                };
+                if !self.bulk[rack].store_relay(&stripped, final_rack as usize) {
+                    self.counters.relay_overflow += 1;
                 }
             }
+            // A bulk packet transiting its source ToR: direct, or the first
+            // hop of a VLB packet on its way to its intermediate.
+            PacketKind::BulkData { .. } => self.forward_bulk_at_tor(fabric, ctx, rack, packet),
             _ => {
                 // Low-latency / control.
-                if dst_rack == rack {
-                    let down = packet.dst % self.cfg.params.hosts_per_rack;
-                    fabric.send(ctx, self.tor_node(rack), down, packet);
-                    return;
-                }
                 if self.cfg.mode == RotorMode::RotorHybrid {
                     fabric.send(ctx, self.tor_node(rack), self.core_port(), packet);
                     return;
@@ -703,9 +601,11 @@ impl OperaLogic {
     }
 
     /// Send a bulk packet out the ToR uplink with a direct circuit to its
-    /// next rack (the VLB intermediate for first-hop relay packets, the
-    /// destination rack otherwise). If no circuit is currently up, the
-    /// packet missed its window: requeue locally.
+    /// next rack (the VLB intermediate for first-hop relay packets — the
+    /// feeder picked it as the far end of the circuit it was feeding — and
+    /// the destination rack otherwise). If the slice advanced underneath
+    /// the packet and that circuit is gone, or its port refuses the packet,
+    /// the packet missed its window: requeue locally.
     fn forward_bulk_at_tor(
         &mut self,
         fabric: &mut Fabric,
@@ -719,36 +619,17 @@ impl OperaLogic {
             }
             _ => self.rack_of(packet.dst),
         };
-        // VLB first-hop packets ride whichever circuit the feeder chose;
-        // recover it from the bulk table: the circuit to `next_rack`...
-        // For relay first-hops the "next rack" is the intermediate the
-        // feeder selected, which is the circuit destination. We find the
-        // uplink via the bulk table; when the slice advanced underneath
-        // the packet, there may be none.
-        let uplink = match packet.kind {
-            PacketKind::BulkData { relay: Some(_), .. } if self.rack_of(packet.src) == rack => {
-                // The feeder emitted this packet for the circuit that was
-                // up; if the intermediate's circuit is gone, fall through
-                // to straggler handling. The intermediate *is* the circuit
-                // dst, so look it up like a direct packet to `next_rack`.
-                self.bulk_tables.direct_uplink(self.slice, rack, next_rack)
-            }
-            _ => self.bulk_tables.direct_uplink(self.slice, rack, next_rack),
-        };
-        match uplink {
-            Some(u) => {
-                let out = fabric.send(ctx, self.tor_node(rack), self.up_port(u), packet);
-                if out == SendOutcome::Dropped {
-                    let dst_rack = self.rack_of(packet.dst);
-                    self.bulk[rack].requeue_with_rack(&packet, dst_rack);
-                    self.counters.bulk_stragglers += 1;
-                }
-            }
-            None => {
-                let dst_rack = self.rack_of(packet.dst);
-                self.bulk[rack].requeue_with_rack(&packet, dst_rack);
-                self.counters.bulk_stragglers += 1;
-            }
+        let sent = self
+            .bulk_tables
+            .direct_uplink(self.slice, rack, next_rack)
+            .is_some_and(|u| {
+                fabric.send(ctx, self.tor_node(rack), self.up_port(u), packet)
+                    != SendOutcome::Dropped
+            });
+        if !sent {
+            let dst_rack = self.rack_of(packet.dst);
+            self.bulk[rack].requeue_with_rack(&packet, dst_rack);
+            self.counters.bulk_stragglers += 1;
         }
     }
 
@@ -756,52 +637,27 @@ impl OperaLogic {
     // Flow injection
     // ------------------------------------------------------------------
 
-    fn inject_due_flows(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>) {
-        while self.next_flow < self.pending.len() && self.pending[self.next_flow].start <= ctx.now()
-        {
-            let spec = self.pending[self.next_flow];
-            self.next_flow += 1;
+    /// Admit every flow that is due: low-latency flows, and rack-local
+    /// bulk (one hop through the ToR, no circuit involved), start on the
+    /// host transport; the rest queues at its rack for a circuit.
+    fn admit_due_flows(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>) {
+        while let Some(spec) = self.ends.next_due(ctx) {
             let class = self.classify(spec.size);
-            let id = self
-                .tracker
-                .register(spec.src, spec.dst, spec.size, class, ctx.now());
-            match class {
-                FlowClass::LowLatency => {
-                    let actions =
-                        self.hosts[spec.src].start_flow(fabric, ctx, id, spec.dst, spec.size);
-                    schedule_actions(ctx, spec.src, actions);
-                }
-                FlowClass::Bulk => {
-                    let rack = self.rack_of(spec.src);
-                    let dst_rack = self.rack_of(spec.dst);
-                    if dst_rack == rack {
-                        // Rack-local bulk: hand straight to the low-latency
-                        // transport (one hop through the ToR, no circuits
-                        // involved).
-                        let actions =
-                            self.hosts[spec.src].start_flow(fabric, ctx, id, spec.dst, spec.size);
-                        schedule_actions(ctx, spec.src, actions);
-                    } else {
-                        self.bulk[rack].enqueue(transport::BulkChunk {
-                            flow: id,
-                            src_host: spec.src,
-                            dst_host: spec.dst,
-                            dst_rack,
-                            bytes: spec.size,
-                            next_seq: 0,
-                        });
-                        self.kick_feeder(ctx, rack, dst_rack);
-                    }
-                }
+            let (rack, dst_rack) = (self.rack_of(spec.src), self.rack_of(spec.dst));
+            if class == FlowClass::LowLatency || dst_rack == rack {
+                self.ends.start_flow(fabric, ctx, spec, class);
+            } else {
+                let flow = self.ends.register(spec, class, ctx.now());
+                self.bulk[rack].enqueue(transport::BulkChunk {
+                    flow,
+                    src_host: spec.src,
+                    dst_host: spec.dst,
+                    dst_rack,
+                    bytes: spec.size,
+                    next_seq: 0,
+                });
+                self.kick_feeder(ctx, rack, dst_rack);
             }
-        }
-        if self.next_flow < self.pending.len() {
-            ctx.schedule_at(
-                self.pending[self.next_flow].start,
-                NetEvent::Timer {
-                    token: encode(Token::FlowArrival),
-                },
-            );
         }
     }
 }
@@ -815,40 +671,58 @@ impl NetLogic for OperaLogic {
         _port: usize,
         packet: Packet,
     ) {
-        self.route_arrival(fabric, ctx, node, packet);
+        if node < self.ends.hosts() {
+            self.ends.on_packet(fabric, ctx, node, packet);
+        } else if self.is_tor(node) {
+            let rack = node - self.tor_node(0);
+            self.on_tor_arrive(fabric, ctx, rack, packet);
+        } else if self.is_core(node) {
+            // Ideal packet core: one port per rack.
+            let dst_rack = self.rack_of(packet.dst);
+            fabric.send(ctx, node, dst_rack, packet);
+        } else {
+            unreachable!("packet at unknown node {node}");
+        }
     }
 
     fn on_timer(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>, token: u64) {
         if token == 0 {
             // Bootstrap: initial wiring happened in build; start clocks.
-            ctx.schedule_in(
-                self.cfg.timing.slice(),
-                NetEvent::Timer {
-                    token: encode(Token::SliceBoundary),
-                },
-            );
-            self.start_feeders(fabric, ctx);
-            self.inject_due_flows(fabric, ctx);
+            ctx.schedule_in(self.cfg.timing.slice(), timer(Token::SliceBoundary));
+            self.start_feeders(ctx);
+            self.admit_due_flows(fabric, ctx);
             return;
         }
         match decode(token) {
-            Token::FlowArrival => self.inject_due_flows(fabric, ctx),
-            Token::Transport(host, which) => {
-                let actions = self.hosts[host].on_timer(fabric, ctx, which);
-                schedule_actions(ctx, host, actions);
-            }
+            Token::FlowArrival => self.admit_due_flows(fabric, ctx),
             Token::SliceBoundary => self.on_slice_boundary(fabric, ctx),
-            Token::Dark => self.on_dark(fabric, ctx),
+            Token::Dark => self.on_dark(fabric),
             Token::Feeder(rack, uplink) => self.on_feeder(fabric, ctx, rack, uplink),
             Token::HelloCheck(rack, uplink) => self.on_hello_check(rack, uplink),
-            Token::WindowClose(..) | Token::Stats => {}
+            host_timer => self.ends.on_timer(fabric, ctx, host_timer),
         }
     }
 }
 
+impl PacketNet for OperaLogic {
+    type Config = OperaNetConfig;
+
+    fn hosts(cfg: &OperaNetConfig) -> usize {
+        cfg.hosts()
+    }
+    fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
+        build(cfg, flows)
+    }
+    fn ends(&self) -> &Endpoints {
+        &self.ends
+    }
+    fn ends_mut(&mut self) -> &mut Endpoints {
+        &mut self.ends
+    }
+}
+
 /// Build a ready-to-run Opera/RotorNet simulation with `flows` to inject.
-pub fn build(cfg: OperaNetConfig, mut flows: Vec<FlowSpec>) -> OperaNet {
-    flows.sort_by_key(|f| f.start);
+pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
     let topo_params = match cfg.mode {
         RotorMode::RotorHybrid => OperaParams {
             uplinks: cfg.params.uplinks - 1,
@@ -867,10 +741,14 @@ pub fn build(cfg: OperaNetConfig, mut flows: Vec<FlowSpec>) -> OperaNet {
 
     let mut fabric = Fabric::new();
     let hosts_total = cfg.hosts();
-    // Hosts.
-    for _ in 0..hosts_total {
-        fabric.add_node(1, cfg.queues, cfg.link);
-    }
+    let ends = Endpoints::new(
+        &mut fabric,
+        hosts_total,
+        cfg.transport,
+        cfg.queues,
+        cfg.link,
+        flows,
+    );
     // ToRs: d down + u rotor ports (+ 1 core port in hybrid mode).
     let tor_ports = cfg.params.hosts_per_rack
         + topo.switches()
@@ -890,30 +768,21 @@ pub fn build(cfg: OperaNetConfig, mut flows: Vec<FlowSpec>) -> OperaNet {
             );
         }
     }
-    // Host ↔ ToR wiring.
-    for h in 0..hosts_total {
-        let rack = h / cfg.params.hosts_per_rack;
-        fabric.connect(h, 0, hosts_total + rack, h % cfg.params.hosts_per_rack);
-    }
+    ends.wire(&mut fabric, cfg.params.hosts_per_rack);
 
     let logic = OperaLogic {
-        hosts: (0..hosts_total).map(|h| cfg.transport.make(h, 0)).collect(),
+        ends,
         bulk: (0..cfg.params.racks)
             .map(|r| RackBulk::new(r, cfg.params.racks, cfg.rotorlb))
             .collect(),
-        tracker: FlowTracker::new(),
         rng: SimRng::new(cfg.seed + 1),
         slice: 0,
         feeders: vec![Feeder::default(); cfg.params.racks * topo.switches()],
-        pending: flows,
-        next_flow: 0,
         counters: OperaCounters::default(),
         hop_limit: 32,
-        horizon: SimTime::ZERO,
         bad_links: Vec::new(),
         hello_pending: vec![false; cfg.params.racks * topo.switches()],
         hello_enabled: true,
-        hosts_total,
         cfg,
         topo,
         ll_tables,
@@ -924,15 +793,6 @@ pub fn build(cfg: OperaNetConfig, mut flows: Vec<FlowSpec>) -> OperaNet {
         logic.wire_switch(&mut fabric, j, logic.topo.position_at(j, 0));
     }
     NetWorld::new(fabric, logic).into_sim()
-}
-
-/// Like [`build`], but with a binned throughput time-series attached to
-/// the flow tracker (Figure 8's delivered-throughput-vs-time runs).
-pub fn build_with_throughput(cfg: OperaNetConfig, flows: Vec<FlowSpec>, bin: SimTime) -> OperaNet {
-    let mut sim = build(cfg, flows);
-    let t = std::mem::take(sim.world.logic.tracker_mut());
-    *sim.world.logic.tracker_mut() = t.with_throughput_bins(bin);
-    sim
 }
 
 #[cfg(test)]

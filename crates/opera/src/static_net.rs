@@ -1,21 +1,24 @@
 //! Packet-level static baselines: folded Clos and static expander, both
 //! running NDP with per-packet multipath spraying and (optionally ideal)
-//! priority queuing — the comparison networks of §5.
+//! priority queuing — the comparison networks of §5. Hosts, transport and
+//! flow arrivals are the shared [`crate::net::Endpoints`]; this module is
+//! the switch graph and the shortest-path spraying over it.
 //!
 //! Node layout: hosts `0..H`, then one node per switch-graph vertex
 //! (expander: one per rack; Clos: ToRs, aggs, cores). Fabric port `p` of a
 //! switch node with `d` attached hosts maps to adjacency-list entry
 //! `p − d` of its graph vertex, so routing tables store adjacency indices.
 
-use crate::tokens::{decode, encode, schedule_actions, Token};
+use crate::net::{Endpoints, PacketNet};
+use crate::tokens::{decode, Token};
 use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig};
-use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet, PacketKind};
+use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet};
 use simkit::engine::EventContext;
 use simkit::{SimRng, Simulator};
 use topo::clos::{ClosParams, ClosTopology};
 use topo::expander::{ExpanderParams, ExpanderTopology};
 use topo::graph::Graph;
-use transport::{Transport, TransportKind};
+use transport::TransportKind;
 use workloads::FlowSpec;
 
 /// Which static topology to build.
@@ -62,10 +65,7 @@ impl StaticNetConfig {
     pub fn paper_expander_650() -> Self {
         StaticNetConfig {
             kind: StaticTopologyKind::Expander(ExpanderParams::example_650()),
-            link: LinkSpec::paper_default(),
-            queues: QueueConfig::builder().build(),
-            transport: TransportKind::paper_default(),
-            seed: 1,
+            ..Self::small_expander()
         }
     }
 
@@ -73,32 +73,32 @@ impl StaticNetConfig {
     pub fn paper_clos_648() -> Self {
         StaticNetConfig {
             kind: StaticTopologyKind::FoldedClos(ClosParams::example_648()),
-            link: LinkSpec::paper_default(),
-            queues: QueueConfig::builder().build(),
-            transport: TransportKind::paper_default(),
-            seed: 1,
+            ..Self::small_expander()
+        }
+    }
+
+    /// Total hosts.
+    pub fn hosts(&self) -> usize {
+        match &self.kind {
+            StaticTopologyKind::Expander(p) => p.hosts(),
+            StaticTopologyKind::FoldedClos(p) => p.hosts(),
         }
     }
 }
 
-/// Static-network logic: NDP hosts + per-packet random shortest-path
-/// forwarding on the switch graph.
+/// Static-network logic: per-packet random shortest-path forwarding on
+/// the switch graph.
 pub struct StaticLogic {
-    /// Configuration (kept for introspection by harnesses).
-    pub cfg: StaticNetConfig,
+    ends: Endpoints,
     /// Switch graph.
     graph: Graph,
     /// Hosts per ToR and ToR count (ToRs are graph nodes `0..tors`).
     hosts_per_tor: usize,
     tors: usize,
-    hosts: Vec<Box<dyn Transport>>,
-    tracker: FlowTracker,
     rng: SimRng,
     /// `next_hop[dst_tor * graph.len() + node]` → adjacency indices on
     /// shortest paths.
     next_hops: Vec<Vec<u8>>,
-    pending: Vec<FlowSpec>,
-    next_flow: usize,
     /// Packets dropped with no route (should stay zero).
     pub routing_drops: u64,
 }
@@ -107,15 +107,8 @@ pub struct StaticLogic {
 pub type StaticNet = Simulator<NetWorld<StaticLogic>>;
 
 impl StaticLogic {
-    fn hosts_total(&self) -> usize {
-        self.tors * self.hosts_per_tor
-    }
     fn tor_of_host(&self, host: usize) -> usize {
         host / self.hosts_per_tor
-    }
-    /// Fabric node id of graph vertex `vertex`.
-    pub fn switch_node(&self, vertex: usize) -> usize {
-        self.hosts_total() + vertex
     }
     /// Fabric port at a switch for adjacency entry `i`: ToRs reserve the
     /// first `hosts_per_tor` ports for hosts.
@@ -129,37 +122,7 @@ impl StaticLogic {
 
     /// Results.
     pub fn tracker(&self) -> &FlowTracker {
-        &self.tracker
-    }
-
-    /// Mutable tracker access (throughput bins).
-    pub fn tracker_mut(&mut self) -> &mut FlowTracker {
-        &mut self.tracker
-    }
-
-    fn inject_due_flows(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>) {
-        while self.next_flow < self.pending.len() && self.pending[self.next_flow].start <= ctx.now()
-        {
-            let spec = self.pending[self.next_flow];
-            self.next_flow += 1;
-            let id = self.tracker.register(
-                spec.src,
-                spec.dst,
-                spec.size,
-                FlowClass::LowLatency,
-                ctx.now(),
-            );
-            let actions = self.hosts[spec.src].start_flow(fabric, ctx, id, spec.dst, spec.size);
-            schedule_actions(ctx, spec.src, actions);
-        }
-        if self.next_flow < self.pending.len() {
-            ctx.schedule_at(
-                self.pending[self.next_flow].start,
-                NetEvent::Timer {
-                    token: encode(Token::FlowArrival),
-                },
-            );
-        }
+        self.ends.tracker()
     }
 }
 
@@ -172,14 +135,11 @@ impl NetLogic for StaticLogic {
         _port: usize,
         packet: Packet,
     ) {
-        if node < self.hosts_total() {
-            // Host: hand to the transport (bulk data never exists here).
-            debug_assert!(!matches!(packet.kind, PacketKind::BulkData { .. }));
-            let actions = self.hosts[node].on_packet(fabric, ctx, &mut self.tracker, packet);
-            schedule_actions(ctx, node, actions);
+        if node < self.ends.hosts() {
+            self.ends.on_packet(fabric, ctx, node, packet);
             return;
         }
-        let vertex = node - self.hosts_total();
+        let vertex = node - self.ends.hosts();
         let dst_tor = self.tor_of_host(packet.dst);
         if vertex == dst_tor {
             let down = packet.dst % self.hosts_per_tor;
@@ -197,24 +157,44 @@ impl NetLogic for StaticLogic {
     }
 
     fn on_timer(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>, token: u64) {
-        if token == 0 {
-            self.inject_due_flows(fabric, ctx);
-            return;
-        }
-        match decode(token) {
-            Token::FlowArrival => self.inject_due_flows(fabric, ctx),
-            Token::Transport(host, which) => {
-                let actions = self.hosts[host].on_timer(fabric, ctx, which);
-                schedule_actions(ctx, host, actions);
+        // Token 0 is the bootstrap, which here only admits the first flows.
+        let timer = if token == 0 {
+            Token::FlowArrival
+        } else {
+            decode(token)
+        };
+        match timer {
+            // Every flow is low-latency: there is no bulk plane.
+            Token::FlowArrival => {
+                while let Some(spec) = self.ends.next_due(ctx) {
+                    self.ends
+                        .start_flow(fabric, ctx, spec, FlowClass::LowLatency);
+                }
             }
-            other => panic!("unexpected timer {other:?} in static network"),
+            host_timer => self.ends.on_timer(fabric, ctx, host_timer),
         }
     }
 }
 
+impl PacketNet for StaticLogic {
+    type Config = StaticNetConfig;
+
+    fn hosts(cfg: &StaticNetConfig) -> usize {
+        cfg.hosts()
+    }
+    fn build(cfg: StaticNetConfig, flows: Vec<FlowSpec>) -> StaticNet {
+        build(cfg, flows)
+    }
+    fn ends(&self) -> &Endpoints {
+        &self.ends
+    }
+    fn ends_mut(&mut self) -> &mut Endpoints {
+        &mut self.ends
+    }
+}
+
 /// Build a static network simulation with `flows` to inject.
-pub fn build(cfg: StaticNetConfig, mut flows: Vec<FlowSpec>) -> StaticNet {
-    flows.sort_by_key(|f| f.start);
+pub fn build(cfg: StaticNetConfig, flows: Vec<FlowSpec>) -> StaticNet {
     let (graph, tors, hosts_per_tor) = match &cfg.kind {
         StaticTopologyKind::Expander(p) => {
             let t = ExpanderTopology::generate(*p, cfg.seed);
@@ -247,17 +227,19 @@ pub fn build(cfg: StaticNetConfig, mut flows: Vec<FlowSpec>) -> StaticNet {
     }
 
     let mut fabric = Fabric::new();
-    for _ in 0..hosts_total {
-        fabric.add_node(1, cfg.queues, cfg.link);
-    }
+    let ends = Endpoints::new(
+        &mut fabric,
+        hosts_total,
+        cfg.transport,
+        cfg.queues,
+        cfg.link,
+        flows,
+    );
     for v in 0..n {
         let host_ports = if v < tors { hosts_per_tor } else { 0 };
         fabric.add_node(host_ports + graph.degree(v), cfg.queues, cfg.link);
     }
-    // Hosts ↔ ToRs.
-    for h in 0..hosts_total {
-        fabric.connect(h, 0, hosts_total + h / hosts_per_tor, h % hosts_per_tor);
-    }
+    ends.wire(&mut fabric, hosts_per_tor);
     // Switch graph edges: connect each undirected pair once, using the
     // adjacency index on each side as the port.
     for v in 0..n {
@@ -287,32 +269,15 @@ pub fn build(cfg: StaticNetConfig, mut flows: Vec<FlowSpec>) -> StaticNet {
     }
 
     let logic = StaticLogic {
-        hosts: (0..hosts_total).map(|h| cfg.transport.make(h, 0)).collect(),
-        tracker: FlowTracker::new(),
+        ends,
         rng: SimRng::new(cfg.seed.wrapping_add(77)),
         graph,
         hosts_per_tor,
         tors,
         next_hops,
-        pending: flows,
-        next_flow: 0,
         routing_drops: 0,
-        cfg,
     };
     NetWorld::new(fabric, logic).into_sim()
-}
-
-/// Like [`build`], but with a binned throughput time-series attached to
-/// the flow tracker (Figure 8's delivered-throughput-vs-time runs).
-pub fn build_with_throughput(
-    cfg: StaticNetConfig,
-    flows: Vec<FlowSpec>,
-    bin: simkit::SimTime,
-) -> StaticNet {
-    let mut sim = build(cfg, flows);
-    let t = std::mem::take(sim.world.logic.tracker_mut());
-    *sim.world.logic.tracker_mut() = t.with_throughput_bins(bin);
-    sim
 }
 
 #[cfg(test)]

@@ -22,11 +22,6 @@ pub enum Token {
     Dark,
     /// Bulk feeder tick for `(rack, uplink)`.
     Feeder(usize, usize),
-    /// Close the bulk transmission window of `(rack, uplink)` ahead of its
-    /// reconfiguration.
-    WindowClose(usize, usize),
-    /// Periodic statistics / progress hook.
-    Stats,
     /// Hello timeout check for `(rack, uplink)` (§3.6.2 fault detection).
     HelloCheck(usize, usize),
 }
@@ -37,8 +32,6 @@ const K_RTO: u64 = 3;
 const K_SLICE: u64 = 4;
 const K_RECONNECT: u64 = 5;
 const K_FEEDER: u64 = 6;
-const K_WINDOW: u64 = 7;
-const K_STATS: u64 = 8;
 const K_HELLO: u64 = 9;
 
 /// Encode a token.
@@ -52,12 +45,13 @@ pub fn encode(t: Token) -> u64 {
         Token::SliceBoundary => K_SLICE << 56,
         Token::Dark => K_RECONNECT << 56,
         Token::Feeder(rack, uplink) => (K_FEEDER << 56) | ((rack as u64) << 16) | uplink as u64,
-        Token::WindowClose(rack, uplink) => {
-            (K_WINDOW << 56) | ((rack as u64) << 16) | uplink as u64
-        }
-        Token::Stats => K_STATS << 56,
         Token::HelloCheck(rack, uplink) => (K_HELLO << 56) | ((rack as u64) << 16) | uplink as u64,
     }
+}
+
+/// The fabric timer event that carries `t`.
+pub fn timer(t: Token) -> NetEvent {
+    NetEvent::Timer { token: encode(t) }
 }
 
 /// Decode a token. Unknown kinds panic: they indicate corruption.
@@ -74,8 +68,6 @@ pub fn decode(raw: u64) -> Token {
         K_SLICE => Token::SliceBoundary,
         K_RECONNECT => Token::Dark,
         K_FEEDER => Token::Feeder((low >> 16) as usize, (low & 0xFFFF) as usize),
-        K_WINDOW => Token::WindowClose((low >> 16) as usize, (low & 0xFFFF) as usize),
-        K_STATS => Token::Stats,
         K_HELLO => Token::HelloCheck((low >> 16) as usize, (low & 0xFFFF) as usize),
         other => panic!("unknown timer token kind {other}"),
     }
@@ -83,15 +75,10 @@ pub fn decode(raw: u64) -> Token {
 
 /// Schedule every timer a transport host asked for, encoded for `host`.
 /// The single dispatch point between [`transport::Transport`] hosts and
-/// the timer wheel — all network models route through here.
+/// the timer wheel ([`crate::net::Endpoints`] is the only caller).
 pub fn schedule_actions(ctx: &mut EventContext<'_, NetEvent>, host: usize, actions: Actions) {
     for (at, which) in actions.timers {
-        ctx.schedule_at(
-            at,
-            NetEvent::Timer {
-                token: encode(Token::Transport(host, which)),
-            },
-        );
+        ctx.schedule_at(at, timer(Token::Transport(host, which)));
     }
 }
 
@@ -108,8 +95,6 @@ mod tests {
             Token::SliceBoundary,
             Token::Dark,
             Token::Feeder(1023, 11),
-            Token::WindowClose(0, 0),
-            Token::Stats,
             Token::HelloCheck(44, 3),
         ];
         for t in tokens {
@@ -120,7 +105,7 @@ mod tests {
     #[test]
     fn distinct_encodings() {
         let a = encode(Token::Feeder(1, 2));
-        let b = encode(Token::WindowClose(1, 2));
+        let b = encode(Token::HelloCheck(1, 2));
         assert_ne!(a, b);
     }
 

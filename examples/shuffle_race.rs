@@ -5,33 +5,40 @@
 //!
 //! Run with: `cargo run --release --example shuffle_race`
 
-use opera::{opera_net, static_net, OperaNetConfig, StaticNetConfig, StaticTopologyKind};
+use opera::opera_net::OperaLogic;
+use opera::static_net::StaticLogic;
+use opera::{OperaNetConfig, PacketNet, StaticNetConfig, StaticTopologyKind};
 use simkit::{SimRng, SimTime};
 use topo::expander::ExpanderParams;
 use workloads::gen::ScenarioGen;
+use workloads::FlowSpec;
+
+const FLOW_SIZE: u64 = 100_000; // 100 KB, Facebook Hadoop's median inter-rack flow
+
+/// Run one shuffle over the hosts of `cfg` for 200 ms and report it.
+fn race<N: PacketNet>(label: &str, cfg: N::Config, shuffle: impl FnOnce(usize) -> Vec<FlowSpec>) {
+    let flows = shuffle(N::hosts(&cfg));
+    let mut sim = N::build(cfg, flows);
+    sim.run_until(SimTime::from_ms(200));
+    report(label, sim.world.logic.tracker());
+}
 
 fn main() {
-    let flow_size = 100_000; // 100 KB, Facebook Hadoop's median inter-rack flow
-    let horizon = SimTime::from_ms(200);
-
     // --- Opera: 48 racks x 4 hosts. The application tags shuffle flows
     // as bulk (threshold 0), so everything takes direct circuits.
     let mut cfg = OperaNetConfig::small_test();
     cfg.params.racks = 48;
     cfg.bulk_threshold = 0;
     let hosts = cfg.hosts();
-    let flows = ScenarioGen::shuffle(hosts, flow_size, SimTime::ZERO);
     println!(
         "shuffle: {} hosts, {} flows x {} KB",
         hosts,
-        flows.len(),
-        flow_size / 1000
+        hosts * (hosts - 1),
+        FLOW_SIZE / 1000
     );
-
-    let mut sim = opera_net::build(cfg, flows);
-    sim.run_until(horizon);
-    let t = sim.world.logic.tracker();
-    report("opera (direct circuits)", t);
+    race::<OperaLogic>("opera (direct circuits)", cfg, |hosts| {
+        ScenarioGen::shuffle(hosts, FLOW_SIZE, SimTime::ZERO)
+    });
 
     // --- Cost-equivalent static expander: 64 racks x 3 hosts, u = 5.
     let cfg = StaticNetConfig {
@@ -43,10 +50,9 @@ fn main() {
         ..StaticNetConfig::small_expander()
     };
     let mut rng = SimRng::new(1);
-    let flows = ScenarioGen::shuffle_staggered(192, flow_size, SimTime::from_ms(10), &mut rng);
-    let mut sim = static_net::build(cfg, flows);
-    sim.run_until(horizon);
-    report("expander (multi-hop, taxed)", sim.world.logic.tracker());
+    race::<StaticLogic>("expander (multi-hop, taxed)", cfg, |hosts| {
+        ScenarioGen::shuffle_staggered(hosts, FLOW_SIZE, SimTime::from_ms(10), &mut rng)
+    });
 }
 
 fn report(label: &str, tracker: &netsim::FlowTracker) {

@@ -1,40 +1,43 @@
 //! Cross-crate integration tests: whole-system behaviours spanning the
 //! topology generator, packet fabric, transports, and network models.
 
-use opera::{opera_net, static_net, OperaNetConfig, RotorMode, StaticNetConfig};
+use opera::opera_net::{self, OperaLogic};
+use opera::static_net::StaticLogic;
+use opera::{OperaNetConfig, PacketNet, RotorMode, StaticNetConfig};
 use simkit::{SimRng, SimTime};
 use workloads::dists::{FlowSizeDist, Workload};
 use workloads::gen::{PoissonGen, ScenarioGen};
 use workloads::FlowSpec;
 
+/// Mean FCT, µs, of a Hadoop mix at 5% load on any network, every flow
+/// of which must complete.
+fn light_load_avg_fct_us<N: PacketNet>(name: &str, cfg: N::Config) -> f64 {
+    let mut g = PoissonGen::new(
+        FlowSizeDist::of(Workload::Hadoop),
+        N::hosts(&cfg),
+        10.0,
+        0.05,
+        5,
+    );
+    let flows = g
+        .flows_until(SimTime::from_ms(2))
+        .into_iter()
+        .filter(|f| f.size < 400_000)
+        .collect();
+    let mut sim = N::build(cfg, flows);
+    sim.run_until(SimTime::from_ms(120));
+    let t = sim.world.logic.tracker();
+    assert!(t.all_done(), "{name}: {}/{}", t.completed(), t.len());
+    avg_fct_us(t)
+}
+
 /// At light load every flow on every network completes, and Opera's
 /// low-latency FCTs are in the same range as the static networks'.
 #[test]
 fn light_load_equivalence() {
-    let window = SimTime::from_ms(2);
-    let horizon = SimTime::from_ms(120);
-
-    // Hadoop mix at 5% load on 32 hosts.
-    let flows = |hosts: usize| {
-        let mut g = PoissonGen::new(FlowSizeDist::of(Workload::Hadoop), hosts, 10.0, 0.05, 5);
-        g.flows_until(window)
-            .into_iter()
-            .filter(|f| f.size < 400_000)
-            .collect::<Vec<_>>()
-    };
-
-    let mut sim = opera_net::build(OperaNetConfig::small_test(), flows(32));
-    sim.run_until(horizon);
-    let t = sim.world.logic.tracker();
-    assert!(t.all_done(), "opera: {}/{}", t.completed(), t.len());
-    let opera_avg = avg_fct_us(t);
-
-    let mut sim = static_net::build(StaticNetConfig::small_expander(), flows(32));
-    sim.run_until(horizon);
-    let t = sim.world.logic.tracker();
-    assert!(t.all_done(), "expander: {}/{}", t.completed(), t.len());
-    let exp_avg = avg_fct_us(t);
-
+    let opera_avg = light_load_avg_fct_us::<OperaLogic>("opera", OperaNetConfig::small_test());
+    let exp_avg =
+        light_load_avg_fct_us::<StaticLogic>("expander", StaticNetConfig::small_expander());
     // Same order of magnitude (paper: equivalent FCTs at low load).
     assert!(
         opera_avg < 5.0 * exp_avg && exp_avg < 5.0 * opera_avg,
@@ -139,36 +142,31 @@ fn rotornet_shares_bulk_plane() {
     }
 }
 
+/// A Websearch-style flow mix among the first 64 hosts of any network
+/// completes, and `unrouted` (the network's own count of packets it had
+/// no route for) stays zero.
+fn delivers_websearch<N: PacketNet>(cfg: N::Config, unrouted: impl FnOnce(&N) -> u64) {
+    let hosts = N::hosts(&cfg).min(64);
+    let mut g = PoissonGen::new(FlowSizeDist::of(Workload::Websearch), hosts, 10.0, 0.03, 9);
+    let mut sim = N::build(cfg, g.flows_until(SimTime::from_ms(1)));
+    sim.run_until(SimTime::from_ms(150));
+    let t = sim.world.logic.tracker();
+    assert!(t.all_done(), "{}/{}", t.completed(), t.len());
+    assert_eq!(unrouted(&sim.world.logic), 0);
+}
+
 /// Clos, expander, and Opera all deliver a Websearch-style flow mix with
 /// zero unexplained packet loss.
 #[test]
 fn no_unexplained_loss_across_networks() {
-    let mk_flows = |hosts: usize| {
-        let mut g = PoissonGen::new(FlowSizeDist::of(Workload::Websearch), hosts, 10.0, 0.03, 9);
-        g.flows_until(SimTime::from_ms(1))
-    };
-    // Opera
     let mut cfg = OperaNetConfig::small_test();
     cfg.bulk_threshold = u64::MAX;
-    let mut sim = opera_net::build(cfg, mk_flows(32));
-    sim.run_until(SimTime::from_ms(150));
-    assert!(sim.world.logic.tracker().all_done());
-    assert_eq!(sim.world.logic.counters.hop_limit_drops, 0);
-
-    // Static nets
+    delivers_websearch(cfg, |net: &OperaLogic| net.counters.hop_limit_drops);
     for cfg in [
         StaticNetConfig::small_expander(),
         StaticNetConfig::paper_clos_648(),
     ] {
-        let hosts = match &cfg.kind {
-            opera::StaticTopologyKind::Expander(p) => p.racks * p.hosts_per_rack,
-            opera::StaticTopologyKind::FoldedClos(p) => p.hosts(),
-        };
-        let mut sim = static_net::build(cfg, mk_flows(hosts.min(64)));
-        sim.run_until(SimTime::from_ms(150));
-        let t = sim.world.logic.tracker();
-        assert!(t.all_done(), "{}/{}", t.completed(), t.len());
-        assert_eq!(sim.world.logic.routing_drops, 0);
+        delivers_websearch(cfg, |net: &StaticLogic| net.routing_drops);
     }
 }
 

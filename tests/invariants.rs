@@ -11,11 +11,16 @@
 //!   exceed the offered demand, and aggregate throughput never exceeds
 //!   what the line rate admits.
 
+use opera::opera_net::OperaLogic;
+use opera::static_net::StaticLogic;
+use opera::{OperaNetConfig, PacketNet, RotorMode, StaticNetConfig, StaticTopologyKind};
 use proptest::prelude::*;
 use simkit::SimTime;
+use topo::clos::ClosParams;
 use topo::opera::{OperaParams, OperaTopology};
 use workloads::dists::{FlowSizeDist, Workload};
 use workloads::gen::PoissonGen;
+use workloads::FlowSpec;
 
 /// Line rate of every simulated link (Gb/s = bits/ns).
 const GBPS: f64 = 10.0;
@@ -62,56 +67,116 @@ fn packet_sim_fcts_are_physical() {
     }
 }
 
+/// The four packet networks: Opera, hybrid RotorNet (whose three rotor
+/// uplinks must divide the rack count), the static expander and the
+/// folded Clos.
+fn opera() -> OperaNetConfig {
+    OperaNetConfig::small_test()
+}
+fn hybrid() -> OperaNetConfig {
+    let mut cfg = OperaNetConfig::small_test();
+    cfg.params.racks = 24;
+    cfg.mode = RotorMode::RotorHybrid;
+    cfg
+}
+fn expander() -> StaticNetConfig {
+    StaticNetConfig::small_expander()
+}
+fn clos() -> StaticNetConfig {
+    StaticNetConfig {
+        kind: StaticTopologyKind::FoldedClos(ClosParams {
+            radix: 4,
+            oversubscription: 3,
+        }),
+        ..StaticNetConfig::small_expander()
+    }
+}
+
 /// The `at_sim_end` check: once every flow has completed and the wires
 /// have drained, no packet is left parked in the fabric's arena (a leak
 /// there would be an `Arrive` nobody delivered, or a loss path that kept
-/// its slot) and the event queue holds nothing but the rotor clock.
+/// its slot) and the event queue holds nothing but `clock` periodic
+/// events.
+fn drained<N: PacketNet>(name: &str, cfg: N::Config, clock: usize) {
+    let hosts = N::hosts(&cfg);
+    let flows = (0..24)
+        .map(|i| FlowSpec {
+            src: i % hosts,
+            dst: (i + hosts / 2 + i / hosts) % hosts,
+            // The largest cross Opera's bulk threshold.
+            size: 3_000 + 47_000 * i as u64,
+            // Far enough apart that flows rarely collide: a trimmed NDP
+            // flow can leave its sender re-arming an idle RTO for ever
+            // (ROADMAP, correctness), one more pending event each.
+            start: SimTime::from_ms(i as u64),
+        })
+        .collect();
+    let mut sim = N::build(cfg, flows);
+    // Mid-slice, after the hello exchange and before the switches go
+    // dark: the only events a rotor network has left are the periodic
+    // pair that is its clock (this slice's go-dark timer and the next
+    // slice boundary).
+    sim.run_until(SimTime::from_ms(300) + SimTime::from_us(5));
+    assert!(sim.world.logic.tracker().all_done(), "{name}: not drained");
+    assert!(sim.world.fabric.arena_peak_live() > 0);
+    assert_eq!(sim.world.fabric.parked_packets(), 0, "{name}: leaked");
+    assert_eq!(sim.pending(), clock, "{name}: non-periodic events left");
+}
+
 #[test]
 fn drained_runs_leave_nothing_parked() {
-    let flows = |hosts: usize| -> Vec<workloads::FlowSpec> {
-        (0..24)
-            .map(|i| workloads::FlowSpec {
-                src: i % hosts,
-                dst: (i + hosts / 2 + i / hosts) % hosts,
-                // The largest cross Opera's bulk threshold.
-                size: 3_000 + 47_000 * i as u64,
-                // Far enough apart that flows rarely collide: a trimmed NDP
-                // flow can leave its sender re-arming an idle RTO for ever
-                // (ROADMAP, correctness), one more pending event each.
-                start: SimTime::from_ms(i as u64),
-            })
-            .collect()
-    };
-    // Mid-slice, after the hello exchange and before the switches go
-    // dark: the only events left are the periodic pair that is the rotor
-    // clock (this slice's go-dark timer and the next slice boundary).
-    let mid_slice = SimTime::from_ms(300) + SimTime::from_us(5);
+    drained::<OperaLogic>("opera", opera(), 2);
+    drained::<OperaLogic>("hybrid rotornet", hybrid(), 2);
+    drained::<StaticLogic>("expander", expander(), 0);
+    drained::<StaticLogic>("folded clos", clos(), 0);
+}
 
-    let cfg = opera::OperaNetConfig::small_test();
-    let mut sim = opera::opera_net::build(cfg, flows(cfg.hosts()));
-    sim.run_until(mid_slice);
-    assert!(
-        sim.world.logic.tracker().all_done(),
-        "opera run not drained"
+/// Flows handed to `build` in any order are injected, and so numbered, in
+/// start order, flows with equal starts in the order given: flow ids are
+/// dense and `get(i)` is the `i`-th arrival.
+fn registered_in_start_order<N: PacketNet>(name: &str, cfg: N::Config) {
+    let hosts = N::hosts(&cfg);
+    let mut flows: Vec<FlowSpec> = (0..20)
+        .map(|i| FlowSpec {
+            src: i % hosts,
+            dst: (i + hosts / 2) % hosts,
+            size: 5_000 + 100 * i as u64,
+            // Pairs of flows share a start.
+            start: SimTime::from_us(10 * (i as u64 / 2)),
+        })
+        .collect();
+    let mut rng = simkit::SimRng::new(11);
+    for i in (1..flows.len()).rev() {
+        flows.swap(i, rng.index(i + 1));
+    }
+    let mut expected = flows.clone();
+    expected.sort_by_key(|f| f.start);
+    assert_ne!(
+        flows.iter().map(|f| f.size).collect::<Vec<_>>(),
+        expected.iter().map(|f| f.size).collect::<Vec<_>>(),
+        "the shuffle left the flows sorted"
     );
-    assert!(sim.world.fabric.arena_peak_live() > 0);
-    assert_eq!(sim.world.fabric.parked_packets(), 0, "opera leaked packets");
-    assert_eq!(sim.pending(), 2, "opera: non-periodic events left over");
 
-    let cfg = opera::StaticNetConfig::small_expander();
-    let mut sim = opera::static_net::build(cfg, flows(32));
-    sim.run_until(mid_slice);
-    assert!(
-        sim.world.logic.tracker().all_done(),
-        "static run not drained"
-    );
-    assert!(sim.world.fabric.arena_peak_live() > 0);
-    assert_eq!(
-        sim.world.fabric.parked_packets(),
-        0,
-        "static leaked packets"
-    );
-    assert_eq!(sim.pending(), 0, "static: events left over");
+    let mut sim = N::build(cfg, flows);
+    sim.run_until(SimTime::from_ms(20));
+    let t = sim.world.logic.tracker();
+    assert_eq!(t.len(), expected.len(), "{name}");
+    for (id, want) in expected.iter().enumerate() {
+        let got = t.get(id as u32);
+        assert_eq!(
+            (got.src, got.dst, got.size, got.start),
+            (want.src, want.dst, want.size, want.start),
+            "{name}: flow {id}"
+        );
+    }
+}
+
+#[test]
+fn shuffled_flows_are_registered_in_start_order() {
+    registered_in_start_order::<OperaLogic>("opera", opera());
+    registered_in_start_order::<OperaLogic>("hybrid rotornet", hybrid());
+    registered_in_start_order::<StaticLogic>("expander", expander());
+    registered_in_start_order::<StaticLogic>("folded clos", clos());
 }
 
 proptest! {
