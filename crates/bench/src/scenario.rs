@@ -25,6 +25,8 @@ use opera::{OperaNetConfig, PacketNet};
 use simkit::stats::Samples;
 use simkit::{SimRng, SimTime};
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use topo::clos::ClosParams;
 use transport::{DctcpParams, GoBackNParams, NdpParams, TransportKind};
@@ -372,13 +374,15 @@ fn write_csv(path: &Path, rows: &[(ScenarioPoint, PointMetrics)]) -> Result<(), 
 /// Per-link `tx` counts keyed by `(node, port)`.
 type LinkCounts = BTreeMap<(usize, usize), u64>;
 
-/// Count `tx` records per `(node, port)` link in a JSON-lines trace.
+/// Count `tx` records per `(node, port)` link in a JSON-lines trace,
+/// holding one line at a time (a paper-scale trace is gigabytes).
 fn jsonl_tx_counts(path: &Path) -> Result<(u64, LinkCounts), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut total = 0u64;
     let mut tx = LinkCounts::new();
-    for (i, line) in text.lines().enumerate() {
-        let rec = expt::json::Json::parse(line)
+    for (i, line) in BufReader::new(file).lines().enumerate() {
+        let line = line.map_err(|e| format!("{} line {}: {e}", path.display(), i + 1))?;
+        let rec = expt::json::Json::parse(&line)
             .map_err(|e| format!("{} line {}: {e}", path.display(), i + 1))?;
         let event = rec
             .get("event")
@@ -543,6 +547,32 @@ mod tests {
         std::fs::write(&jsonl, filtered.join("\n") + "\n").unwrap();
         let err = reconcile_traces(&jsonl, &traced.trace_pcapng.unwrap()).unwrap_err();
         assert!(err.contains("reconciliation failed at link"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_jsonl_lines_are_named_by_number() {
+        let dir = tmp("lines");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.jsonl");
+        let good = "{\"t\":1,\"event\":\"tx\",\"node\":2,\"port\":0}\n";
+        let at_line_3 = |third: &[u8]| {
+            let mut bytes = good.repeat(2).into_bytes();
+            bytes.extend_from_slice(third);
+            bytes.extend_from_slice(good.as_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            jsonl_tx_counts(&path).unwrap_err()
+        };
+        let prefix = format!("{} line 3: ", path.display());
+        let err = at_line_3(b"{\"t\":1,\"event\":\"t\xFFx\"}\n");
+        assert!(err.starts_with(&prefix) && err.contains("UTF-8"), "{err}");
+        let err = at_line_3(b"{\"t\":\n");
+        assert!(err.starts_with(&prefix), "{err}");
+        assert_eq!(at_line_3(b"{\"t\":1}\n"), format!("{prefix}missing event"));
+
+        std::fs::write(&path, good.repeat(3)).unwrap();
+        let (records, tx) = jsonl_tx_counts(&path).unwrap();
+        assert_eq!((records, tx.get(&(2, 0))), (3, Some(&3)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,4 +38,6 @@ pub use logic::{NetLogic, NetWorld};
 pub use packet::{Packet, PacketArena, PacketKind, PacketRef, Priority, HEADER_SIZE, MTU};
 pub use pcapng::{PcapngFile, PcapngSink, PcapngWriter};
 pub use policy::{DropTail, EcnMark, NdpTrim, Pfc, SwitchPolicy, SwitchPolicyKind};
-pub use trace::{JsonlSink, MemorySink, MultiSink, PacketMeta, TraceEvent, TraceRecord, TraceSink};
+pub use trace::{
+    JsonlSink, KindTag, MemorySink, MultiSink, PacketMeta, TraceEvent, TraceRecord, TraceSink,
+};

@@ -15,6 +15,12 @@
 //! transmissions only, as a pcapng capture openable in Wireshark).
 //! [`MultiSink`] fans one stream out to several sinks, and
 //! [`MemorySink`] buffers records in memory for tests.
+//!
+//! Cost model: [`JsonlSink`] encodes each record into one reused buffer
+//! and hands it, newline included, to its writer in a single `write_all`
+//! — no allocation and no `core::fmt` per record — so give it a `File`
+//! through a `BufWriter` (as [`JsonlSink::create`] does), not bare.
+//! [`jsonl_line`] is that same encoder returning a `String`.
 
 use crate::fabric::{NodeId, PortId};
 use crate::packet::{Packet, PacketKind, Priority};
@@ -63,6 +69,46 @@ impl TraceEvent {
     }
 }
 
+/// Which [`PacketKind`] a traced packet is, without the variant's fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum KindTag {
+    /// NDP / window data.
+    Data = 1,
+    /// Cumulative acknowledgment.
+    Ack = 2,
+    /// NDP negative acknowledgment of a trimmed packet.
+    Nack = 3,
+    /// NDP pull.
+    Pull = 4,
+    /// RotorLB bulk data.
+    Bulk = 5,
+    /// RotorLB bulk negative acknowledgment.
+    BulkNack = 6,
+    /// Opera per-circuit hello.
+    Hello = 7,
+}
+
+impl KindTag {
+    /// Stable lowercase name used in the JSON-lines encoding.
+    pub fn name(self) -> &'static str {
+        match self {
+            KindTag::Data => "data",
+            KindTag::Ack => "ack",
+            KindTag::Nack => "nack",
+            KindTag::Pull => "pull",
+            KindTag::Bulk => "bulk",
+            KindTag::BulkNack => "bulk_nack",
+            KindTag::Hello => "hello",
+        }
+    }
+
+    /// Stable one-byte code used in the pcapng metadata capsule.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+}
+
 /// Packet fields captured in a trace record (a flat, owned projection of
 /// [`Packet`], so records outlive the arena slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +125,8 @@ pub struct PacketMeta {
     pub size: u32,
     /// Queueing priority class.
     pub prio: Priority,
-    /// Packet kind, as its stable lowercase name.
-    pub kind: &'static str,
+    /// Packet kind.
+    pub kind: KindTag,
     /// The payload was trimmed at an overloaded queue.
     pub trimmed: bool,
     /// ECN congestion-experienced bit.
@@ -91,13 +137,13 @@ impl PacketMeta {
     /// Capture the traced fields of `p`.
     pub fn of(p: &Packet) -> Self {
         let (kind, seq, trimmed) = match p.kind {
-            PacketKind::Data { seq, trimmed } => ("data", seq, trimmed),
-            PacketKind::Ack { seq } => ("ack", seq, false),
-            PacketKind::Nack { seq } => ("nack", seq, false),
-            PacketKind::Pull { count } => ("pull", count, false),
-            PacketKind::BulkData { seq, .. } => ("bulk", seq, false),
-            PacketKind::BulkNack { seq } => ("bulk_nack", seq, false),
-            PacketKind::Hello => ("hello", 0, false),
+            PacketKind::Data { seq, trimmed } => (KindTag::Data, seq, trimmed),
+            PacketKind::Ack { seq } => (KindTag::Ack, seq, false),
+            PacketKind::Nack { seq } => (KindTag::Nack, seq, false),
+            PacketKind::Pull { count } => (KindTag::Pull, count, false),
+            PacketKind::BulkData { seq, .. } => (KindTag::Bulk, seq, false),
+            PacketKind::BulkNack { seq } => (KindTag::BulkNack, seq, false),
+            PacketKind::Hello => (KindTag::Hello, 0, false),
         };
         PacketMeta {
             flow: p.flow,
@@ -201,11 +247,19 @@ impl TraceSink for MultiSink {
         }
     }
 
+    /// Finishes every sink, whatever the earlier ones returned, and
+    /// reports the first failure (with the count of further ones).
     fn finish(&mut self) -> Result<(), String> {
+        let mut errors = Vec::new();
         for s in &mut self.sinks {
-            s.finish()?;
+            errors.extend(s.finish().err());
         }
-        Ok(())
+        let more = errors.len().saturating_sub(1);
+        match errors.into_iter().next() {
+            None => Ok(()),
+            Some(first) if more == 0 => Err(first),
+            Some(first) => Err(format!("{first} (and {more} more sink(s) failed)")),
+        }
     }
 }
 
@@ -213,6 +267,8 @@ impl TraceSink for MultiSink {
 /// external dependencies. The full event stream (every [`TraceEvent`]).
 pub struct JsonlSink<W: Write> {
     out: W,
+    /// The current line, reused from record to record.
+    buf: Vec<u8>,
     lines: u64,
     error: Option<String>,
 }
@@ -239,6 +295,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         JsonlSink {
             out,
+            buf: Vec::new(),
             lines: 0,
             error: None,
         }
@@ -255,29 +312,69 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
+/// Append `v` in decimal.
+fn push_uint(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
+fn push_bool(buf: &mut Vec<u8>, v: bool) {
+    buf.extend_from_slice(if v { b"true" } else { b"false" });
+}
+
+/// Append one record's JSON-lines object (no trailing newline): the one
+/// encoder behind [`JsonlSink`] and [`jsonl_line`]. Every value is an
+/// unsigned integer, a boolean or a fixed ASCII name, so nothing needs
+/// escaping.
+fn push_jsonl(buf: &mut Vec<u8>, rec: &TraceRecord) {
+    buf.extend_from_slice(b"{\"t\":");
+    push_uint(buf, rec.t_ns);
+    buf.extend_from_slice(b",\"event\":\"");
+    buf.extend_from_slice(rec.event.name().as_bytes());
+    buf.extend_from_slice(b"\",\"node\":");
+    push_uint(buf, rec.node as u64);
+    buf.extend_from_slice(b",\"port\":");
+    push_uint(buf, rec.port as u64);
+    if let Some(m) = &rec.packet {
+        buf.extend_from_slice(b",\"flow\":");
+        push_uint(buf, u64::from(m.flow));
+        buf.extend_from_slice(b",\"src\":");
+        push_uint(buf, m.src as u64);
+        buf.extend_from_slice(b",\"dst\":");
+        push_uint(buf, m.dst as u64);
+        buf.extend_from_slice(b",\"seq\":");
+        push_uint(buf, u64::from(m.seq));
+        buf.extend_from_slice(b",\"size\":");
+        push_uint(buf, u64::from(m.size));
+        buf.extend_from_slice(b",\"prio\":");
+        push_uint(buf, m.prio as u64);
+        buf.extend_from_slice(b",\"kind\":\"");
+        buf.extend_from_slice(m.kind.name().as_bytes());
+        buf.extend_from_slice(b"\",\"trimmed\":");
+        push_bool(buf, m.trimmed);
+        buf.extend_from_slice(b",\"ce\":");
+        push_bool(buf, m.ce);
+    }
+    buf.push(b'}');
+}
+
 /// Render one record as its JSON-lines object (no trailing newline).
 /// Key order is part of the format: `t`, `event`, `node`, `port`, then —
 /// for packet events — `flow`, `src`, `dst`, `seq`, `size`, `prio`,
 /// `kind`, `trimmed`, `ce`.
 pub fn jsonl_line(rec: &TraceRecord) -> String {
-    let mut s = format!(
-        "{{\"t\":{},\"event\":\"{}\",\"node\":{},\"port\":{}",
-        rec.t_ns,
-        rec.event.name(),
-        rec.node,
-        rec.port
-    );
-    if let Some(m) = &rec.packet {
-        use std::fmt::Write as _;
-        let _ = write!(
-            s,
-            ",\"flow\":{},\"src\":{},\"dst\":{},\"seq\":{},\"size\":{},\"prio\":{},\
-             \"kind\":\"{}\",\"trimmed\":{},\"ce\":{}",
-            m.flow, m.src, m.dst, m.seq, m.size, m.prio as u8, m.kind, m.trimmed, m.ce
-        );
-    }
-    s.push('}');
-    s
+    let mut buf = Vec::new();
+    push_jsonl(&mut buf, rec);
+    String::from_utf8(buf).expect("the encoder emits ASCII only")
 }
 
 impl<W: Write> TraceSink for JsonlSink<W> {
@@ -285,8 +382,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = jsonl_line(rec);
-        if let Err(e) = writeln!(self.out, "{line}") {
+        self.buf.clear();
+        push_jsonl(&mut self.buf, rec);
+        self.buf.push(b'\n');
+        if let Err(e) = self.out.write_all(&self.buf) {
             self.error = Some(format!("trace jsonl write: {e}"));
             return;
         }
@@ -304,8 +403,218 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// The `format!`-based encoder this module shipped before the
+    /// allocation-free one: the reference [`push_jsonl`] must match.
+    fn jsonl_line_oracle(rec: &TraceRecord) -> String {
+        let mut s = format!(
+            "{{\"t\":{},\"event\":\"{}\",\"node\":{},\"port\":{}",
+            rec.t_ns,
+            rec.event.name(),
+            rec.node,
+            rec.port
+        );
+        if let Some(m) = &rec.packet {
+            use std::fmt::Write as _;
+            let _ = write!(
+                s,
+                ",\"flow\":{},\"src\":{},\"dst\":{},\"seq\":{},\"size\":{},\"prio\":{},\
+                 \"kind\":\"{}\",\"trimmed\":{},\"ce\":{}",
+                m.flow,
+                m.src,
+                m.dst,
+                m.seq,
+                m.size,
+                m.prio as u8,
+                m.kind.name(),
+                m.trimmed,
+                m.ce
+            );
+        }
+        s.push('}');
+        s
+    }
+
+    /// A value at a digit-count or integer-width boundary (0, 9 / 10,
+    /// 99 / 100, the flow-less `u32::MAX`, one past it, `u64::MAX`), or
+    /// `raw` itself, chosen by `sel`.
+    fn edge(sel: u64, raw: u64) -> u64 {
+        match sel % 10 {
+            0 => 0,
+            1 => 9,
+            2 => 10,
+            3 => 99,
+            4 => 100,
+            5 => u64::from(u32::MAX),
+            6 => u64::from(u32::MAX) + 1,
+            7 => u64::MAX,
+            8 => raw & 0xFFFF,
+            _ => raw,
+        }
+    }
+
+    /// Bit-slice three random words into a record: `sel` picks the event,
+    /// kind, priority, flags and which fields sit on an [`edge`].
+    pub(crate) fn record_of(sel: u64, a: u64, b: u64) -> TraceRecord {
+        use TraceEvent::*;
+        let event = [Enqueue, Mark, Trim, Drop, Tx, Pause, Resume, Ack, Timer][(sel % 9) as usize];
+        let kind = match (sel >> 4) % 7 {
+            0 => KindTag::Data,
+            1 => KindTag::Ack,
+            2 => KindTag::Nack,
+            3 => KindTag::Pull,
+            4 => KindTag::Bulk,
+            5 => KindTag::BulkNack,
+            _ => KindTag::Hello,
+        };
+        let prio = match (sel >> 8) % 3 {
+            0 => Priority::Control,
+            1 => Priority::LowLatency,
+            _ => Priority::Bulk,
+        };
+        let meta = PacketMeta {
+            flow: edge(sel >> 16, a >> 32) as u32,
+            src: edge(sel >> 20, a) as usize,
+            dst: edge(sel >> 24, b) as usize,
+            seq: edge(sel >> 28, b >> 32) as u32,
+            size: edge(sel >> 32, a >> 16) as u32,
+            prio,
+            kind,
+            trimmed: (sel >> 10) & 1 == 1,
+            ce: (sel >> 11) & 1 == 1,
+        };
+        TraceRecord {
+            t_ns: edge(sel >> 36, a ^ b),
+            node: edge(sel >> 40, a.rotate_left(17)) as usize,
+            port: edge(sel >> 44, b.rotate_left(29)) as usize,
+            event,
+            // One record in four is port-only, whatever its event.
+            packet: ((sel >> 12) & 3 != 0).then_some(meta),
+        }
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The reused-buffer encoder emits exactly the bytes the
+        /// `format!` encoder did, from the sink and from `jsonl_line`.
+        #[test]
+        fn jsonl_encoder_matches_format_oracle(
+            words in prop::collection::vec(0u64..u64::MAX, 3..150),
+        ) {
+            let mut sink = JsonlSink::new(Vec::new());
+            let mut expect = String::new();
+            for w in words.chunks_exact(3) {
+                let rec = record_of(w[0], w[1], w[2]);
+                let line = jsonl_line_oracle(&rec);
+                prop_assert_eq!(&jsonl_line(&rec), &line);
+                sink.record(&rec);
+                expect.push_str(&line);
+                expect.push('\n');
+            }
+            sink.finish().unwrap();
+            prop_assert_eq!(sink.lines(), (words.len() / 3) as u64);
+            prop_assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), expect);
+        }
+    }
+
+    #[test]
+    fn uint_writer_covers_every_digit_count() {
+        let mut v = 1u64;
+        let mut cases = vec![0, u64::MAX];
+        while let Some(next) = v.checked_mul(10) {
+            cases.extend([v - 1, v, v + 1]);
+            v = next;
+        }
+        cases.extend([v - 1, v, v + 1]); // 10^19
+        for n in cases {
+            let mut buf = Vec::new();
+            push_uint(&mut buf, n);
+            assert_eq!(String::from_utf8(buf).unwrap(), n.to_string());
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_issues_one_write_per_record() {
+        let mut sink = JsonlSink::new(CountingWriter::default());
+        let n = 300u64;
+        for i in 0..n {
+            sink.record(&record_of(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i, !i));
+        }
+        sink.finish().unwrap();
+        let writes = sink.into_inner().writes;
+        assert_eq!(writes.len() as u64, n);
+        for w in &writes {
+            assert_eq!(w.iter().position(|&b| b == b'\n'), Some(w.len() - 1));
+        }
+    }
+
+    /// Counts `finish` calls and fails them when `fail` is set.
+    #[derive(Debug)]
+    struct FinishProbe {
+        fail: Option<&'static str>,
+        finished: Rc<Cell<u32>>,
+    }
+
+    impl TraceSink for FinishProbe {
+        fn record(&mut self, _: &TraceRecord) {}
+
+        fn finish(&mut self) -> Result<(), String> {
+            self.finished.set(self.finished.get() + 1);
+            self.fail.map_or(Ok(()), |e| Err(e.to_string()))
+        }
+    }
+
+    #[test]
+    fn multi_sink_finishes_every_sink_after_a_failure() {
+        let finished = Rc::new(Cell::new(0));
+        let probe = |fail| {
+            Box::new(FinishProbe {
+                fail,
+                finished: finished.clone(),
+            })
+        };
+        let mut multi = MultiSink::new()
+            .with(probe(Some("disk full")))
+            .with(probe(None));
+        assert_eq!(multi.finish().unwrap_err(), "disk full");
+        assert_eq!(
+            finished.get(),
+            2,
+            "the sink after the failing one was not finished"
+        );
+
+        let mut multi = MultiSink::new()
+            .with(probe(Some("disk full")))
+            .with(probe(None))
+            .with(probe(Some("closed pipe")))
+            .with(probe(Some("closed pipe")));
+        let err = multi.finish().unwrap_err();
+        assert_eq!(err, "disk full (and 2 more sink(s) failed)");
+        assert_eq!(finished.get(), 6);
+    }
 
     fn rec(event: TraceEvent, packet: Option<PacketMeta>) -> TraceRecord {
         TraceRecord {
@@ -387,7 +696,7 @@ mod tests {
             let mut p = Packet::data(1, 0, 1, 0, 64);
             p.kind = kind;
             let m = PacketMeta::of(&p);
-            assert_eq!((m.kind, m.seq, m.trimmed), (name, seq, trimmed));
+            assert_eq!((m.kind.name(), m.seq, m.trimmed), (name, seq, trimmed));
         }
     }
 }

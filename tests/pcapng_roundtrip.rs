@@ -1,16 +1,42 @@
-//! Property test: the pcapng writer and the validating reader are exact
-//! inverses over random event streams — every interface (including
-//! links that never carry a packet), every packet's timestamp, link,
-//! and capsule metadata survive the round trip byte-exactly.
+//! Property tests of the two trace encoders against their readers.
+//!
+//! The pcapng writer and the validating reader are exact inverses over
+//! random event streams — every interface (including links that never
+//! carry a packet), every packet's timestamp, link, and capsule metadata
+//! survive the round trip byte-exactly — and the reader answers hostile
+//! bytes with a named error, never a panic. A JSON-lines record parses
+//! back, through the harness's own JSON reader, to the fields it was
+//! written from.
 //!
 //! Timestamps are drawn near the `2^32` nanosecond boundary on purpose:
 //! pcapng splits the 64-bit timestamp into high/low 32-bit words, so an
 //! off-by-one in the split shows up exactly there.
 
+use expt::json::Json;
 use netsim::pcapng::{self, PcapngWriter};
-use netsim::trace::PacketMeta;
+use netsim::trace::{jsonl_line, KindTag, PacketMeta, TraceEvent, TraceRecord};
 use netsim::Priority;
 use proptest::prelude::*;
+
+fn kind_of(bits: u64) -> KindTag {
+    match bits % 7 {
+        0 => KindTag::Data,
+        1 => KindTag::Ack,
+        2 => KindTag::Nack,
+        3 => KindTag::Pull,
+        4 => KindTag::Bulk,
+        5 => KindTag::BulkNack,
+        _ => KindTag::Hello,
+    }
+}
+
+fn prio_of(bits: u64) -> Priority {
+    match bits % 3 {
+        0 => Priority::Control,
+        1 => Priority::LowLatency,
+        _ => Priority::Bulk,
+    }
+}
 
 /// Decode one random `u64` into a packet description: link index,
 /// timestamp increment, and capsule fields, all bit-sliced so a single
@@ -18,20 +44,8 @@ use proptest::prelude::*;
 fn packet_of(bits: u64, links: usize) -> (usize, u64, PacketMeta) {
     let link = (bits & 0xF) as usize % links;
     let dt = (bits >> 4) & 0xFFFF; // 0..65536 ns between packets
-    let kind = match (bits >> 20) & 0x7 {
-        0 => "data",
-        1 => "ack",
-        2 => "nack",
-        3 => "pull",
-        4 => "bulk",
-        5 => "bulk_nack",
-        _ => "hello",
-    };
-    let prio = match (bits >> 23) & 0x3 {
-        0 => Priority::Control,
-        1 => Priority::LowLatency,
-        _ => Priority::Bulk,
-    };
+    let kind = kind_of((bits >> 20) & 0x7);
+    let prio = prio_of((bits >> 23) & 0x3);
     let meta = PacketMeta {
         flow: (bits >> 25) as u32 & 0xFFFF,
         src: ((bits >> 41) & 0xFF) as usize,
@@ -128,12 +142,142 @@ proptest! {
         w.register_link(0, 0).unwrap();
         let meta = PacketMeta {
             flow: 1, src: 0, dst: 1, seq: 0, size: 100,
-            prio: Priority::LowLatency, kind: "data", trimmed: false, ce: false,
+            prio: Priority::LowLatency, kind: KindTag::Data, trimmed: false, ce: false,
         };
         w.packet(5, 0, 0, &meta).unwrap();
         w.finish().unwrap();
         let mut bytes = w.into_inner();
         bytes[offset] = bytes[offset].wrapping_add(delta as u8);
         prop_assert!(pcapng::read(&bytes).is_err());
+    }
+}
+
+/// `read` must answer with a capture or a named error.
+fn assert_named(result: Result<pcapng::PcapngFile, String>, what: &str) {
+    if let Err(e) = result {
+        assert!(e.starts_with("pcapng:"), "{what}: unnamed error {e:?}");
+    }
+}
+
+/// A valid capture: three links, one of them idle, six packets.
+fn three_link_capture() -> Vec<u8> {
+    let mut w = PcapngWriter::new(Vec::new()).unwrap();
+    w.register_link(12, 3).unwrap();
+    for i in 0..6u64 {
+        let (_, _, meta) = packet_of(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 2);
+        w.packet(1_000 * i, (i % 2) as usize, 1, &meta).unwrap();
+    }
+    w.finish().unwrap();
+    w.into_inner()
+}
+
+/// Every truncation of a valid capture, and every byte of it replaced in
+/// turn by 0x00, 0xFF, its neighbours in value and a seeded random byte,
+/// is a capture or a named error — never a panic.
+#[test]
+fn reader_never_panics_on_a_damaged_capture() {
+    let good = three_link_capture();
+    assert_eq!(pcapng::read(&good).unwrap().ifaces.len(), 3);
+    for n in 0..good.len() {
+        assert_named(pcapng::read(&good[..n]), &format!("truncated to {n}"));
+    }
+    let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+    let mut bad = good.clone();
+    for at in 0..good.len() {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let b = good[at];
+        for sub in [0x00, 0xFF, b.wrapping_add(1), b ^ 0x80, (lcg >> 56) as u8] {
+            bad[at] = sub;
+            assert_named(pcapng::read(&bad), &format!("byte {at} = {sub:#04x}"));
+        }
+        bad[at] = b;
+    }
+}
+
+/// A value at a digit-count or integer-width boundary, or `raw` itself.
+fn edge(sel: u64, raw: u64) -> u64 {
+    match sel % 10 {
+        0 => 0,
+        1 => 9,
+        2 => 10,
+        3 => 99,
+        4 => 100,
+        5 => u64::from(u32::MAX),
+        6 => u64::from(u32::MAX) + 1,
+        7 => u64::MAX,
+        8 => raw & 0xFFFF,
+        _ => raw,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes — bare, and behind a valid section header so the
+    /// block walk is reached — are a capture or a named error.
+    #[test]
+    fn reader_never_panics_on_arbitrary_bytes(
+        words in prop::collection::vec(0u64..u64::MAX, 0..64),
+        cut in 0usize..8,
+    ) {
+        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes.truncate(bytes.len().saturating_sub(cut));
+        assert_named(pcapng::read(&bytes), "arbitrary bytes");
+        let mut framed = PcapngWriter::new(Vec::new()).unwrap().into_inner();
+        framed.extend_from_slice(&bytes);
+        assert_named(pcapng::read(&framed), "arbitrary bytes after a section header");
+    }
+
+    /// A JSON-lines record is valid JSON holding exactly the fields it
+    /// was written from, for every event, kind, priority and flag, with
+    /// ids and times on digit-count and integer-width boundaries.
+    #[test]
+    fn jsonl_line_parses_back_to_its_record(
+        sel in 0u64..u64::MAX,
+        a in 0u64..u64::MAX,
+        b in 0u64..u64::MAX,
+    ) {
+        use TraceEvent::*;
+        let event = [Enqueue, Mark, Trim, Drop, Tx, Pause, Resume, Ack, Timer][(sel % 9) as usize];
+        let meta = PacketMeta {
+            flow: edge(sel >> 16, a >> 32) as u32,
+            src: edge(sel >> 20, a) as usize,
+            dst: edge(sel >> 24, b) as usize,
+            seq: edge(sel >> 28, b >> 32) as u32,
+            size: edge(sel >> 32, a >> 16) as u32,
+            prio: prio_of(sel >> 8),
+            kind: kind_of(sel >> 4),
+            trimmed: (sel >> 10) & 1 == 1,
+            ce: (sel >> 11) & 1 == 1,
+        };
+        let rec = TraceRecord {
+            t_ns: edge(sel >> 36, a ^ b),
+            node: edge(sel >> 40, a.rotate_left(17)) as usize,
+            port: edge(sel >> 44, b.rotate_left(29)) as usize,
+            event,
+            packet: ((sel >> 12) & 3 != 0).then_some(meta),
+        };
+        let line = jsonl_line(&rec);
+        let doc = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let uint = |key: &str| doc.get(key).and_then(Json::as_u64);
+        prop_assert_eq!(uint("t"), Some(rec.t_ns));
+        prop_assert_eq!(doc.get("event").and_then(Json::as_str), Some(event.name()));
+        prop_assert_eq!(uint("node"), Some(rec.node as u64));
+        prop_assert_eq!(uint("port"), Some(rec.port as u64));
+        let Json::Obj(members) = &doc else { panic!("{line}: not an object") };
+        prop_assert_eq!(members.len(), if rec.packet.is_some() { 13 } else { 4 });
+        if let Some(m) = rec.packet {
+            prop_assert_eq!(uint("flow"), Some(u64::from(m.flow)));
+            prop_assert_eq!(uint("src"), Some(m.src as u64));
+            prop_assert_eq!(uint("dst"), Some(m.dst as u64));
+            prop_assert_eq!(uint("seq"), Some(u64::from(m.seq)));
+            prop_assert_eq!(uint("size"), Some(u64::from(m.size)));
+            prop_assert_eq!(uint("prio"), Some(m.prio as u64));
+            prop_assert_eq!(doc.get("kind").and_then(Json::as_str), Some(m.kind.name()));
+            prop_assert_eq!(doc.get("trimmed").and_then(Json::as_bool), Some(m.trimmed));
+            prop_assert_eq!(doc.get("ce").and_then(Json::as_bool), Some(m.ce));
+        }
     }
 }

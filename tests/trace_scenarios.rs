@@ -1,6 +1,6 @@
-//! Golden trace regression: the JSON-lines trace of the committed
-//! `scenarios/tiny_incast.toml` scenario must match the blessed file
-//! under `goldens/traces/tiny_incast/` byte-for-byte.
+//! Golden trace regression: the JSON-lines trace and the pcapng capture
+//! of the committed `scenarios/tiny_incast.toml` scenario must match the
+//! blessed files under `goldens/traces/tiny_incast/` byte-for-byte.
 //!
 //! The trace is a total ordering of every per-link event in the run —
 //! enqueues, transmissions, trims, ACKs, timers, with timestamps — so
@@ -38,10 +38,13 @@ fn tiny_incast_trace_matches_golden() {
 
     let fresh_path = report.trace_jsonl.expect("jsonl sink enabled");
     let fresh = std::fs::read_to_string(&fresh_path).unwrap();
+    let fresh_cap = std::fs::read(report.trace_pcapng.expect("pcapng sink enabled")).unwrap();
     let golden_path = repo_root().join("goldens/traces/tiny_incast/trace.jsonl");
+    let golden_cap_path = golden_path.with_extension("pcapng");
     if bless() {
         std::fs::create_dir_all(golden_path.parent().unwrap()).unwrap();
         std::fs::write(&golden_path, &fresh).unwrap();
+        std::fs::write(&golden_cap_path, &fresh_cap).unwrap();
         return;
     }
     let committed = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
@@ -68,6 +71,42 @@ fn tiny_incast_trace_matches_golden() {
             committed.lines().count()
         );
     }
+
+    let committed_cap = std::fs::read(&golden_cap_path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}\nbless with `OPERA_BLESS=1 cargo test -q --test trace_scenarios`",
+            golden_cap_path.display()
+        )
+    });
+    if fresh_cap != committed_cap {
+        let at = fresh_cap
+            .iter()
+            .zip(&committed_cap)
+            .position(|(f, c)| f != c)
+            .unwrap_or(fresh_cap.len().min(committed_cap.len()));
+        panic!(
+            "capture diverges from golden at byte {at}, in the block at byte {} (fresh {} \
+             bytes, golden {}) — if intended, re-bless with OPERA_BLESS=1 and commit the \
+             goldens/traces diff",
+            block_start(&committed_cap, at),
+            fresh_cap.len(),
+            committed_cap.len()
+        );
+    }
+}
+
+/// Offset of the pcapng block of `capture` that holds byte `at`, walking
+/// the `type:u32 len:u32` block headers from the start.
+fn block_start(capture: &[u8], at: usize) -> usize {
+    let mut off = 0;
+    while let Some(len) = capture.get(off + 4..off + 8) {
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        if len < 12 || off + len > at {
+            break;
+        }
+        off += len;
+    }
+    off
 }
 
 /// Tracing must be pure observation: running the same scenario with the
