@@ -1,5 +1,5 @@
-//! Ablations of Opera's key design choices (DESIGN.md §"Key design
-//! decisions"):
+//! Ablations of Opera's key design choices, each the paper section named
+//! with it (README.md's opening paragraph states them in one sentence):
 //!
 //! 1. **Offset vs simultaneous reconfiguration** (§3.1.1, Figure 3):
 //!    fraction of time with full rack-to-rack reachability.

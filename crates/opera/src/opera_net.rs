@@ -28,7 +28,7 @@
 //! separate ideal packet core attached to one uplink per ToR (+33% cost).
 
 use crate::net::{Endpoints, PacketNet};
-use crate::tables::{BulkTables, LowLatencyTables};
+use crate::tables::{BulkTables, LowLatencyTables, NO_PORT};
 use crate::timing::SliceTiming;
 use crate::tokens::{decode, timer, Token};
 use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig, SendOutcome};
@@ -155,8 +155,21 @@ pub struct OperaLogic {
     bulk_tables: BulkTables,
     bulk: Vec<RackBulk>,
     rng: SimRng,
-    /// Current slice (monotone; take mod slices_per_cycle for tables).
+    /// Current slice (monotone).
     slice: usize,
+    /// `slice` within the cycle, stepped at each boundary: what the tables
+    /// are indexed by, so no packet-hop takes a remainder.
+    cycle_slice: usize,
+    /// Host → rack.
+    host_rack: Vec<u16>,
+    /// `[a * racks + b]` → the switch whose matchings hold the circuit
+    /// `a ↔ b` (`NO_PORT` on the diagonal): which uplink a hello came in on.
+    pair_switch: Vec<u8>,
+    /// Feeder polling period: one MTU at line rate.
+    feeder_tick: SimTime,
+    /// Window-close guard before a reconfiguration: long enough to drain
+    /// the bulk queue and the host→ToR leg.
+    window_guard: SimTime,
     feeders: Vec<Feeder>,
     /// Counters.
     pub counters: OperaCounters,
@@ -180,7 +193,7 @@ pub type OperaNet = Simulator<NetWorld<OperaLogic>>;
 
 impl OperaLogic {
     fn rack_of(&self, host: usize) -> usize {
-        host / self.cfg.params.hosts_per_rack
+        self.host_rack[host] as usize
     }
     fn tor_node(&self, rack: usize) -> usize {
         self.ends.hosts() + rack
@@ -208,13 +221,6 @@ impl OperaLogic {
     }
     fn feeder_idx(&self, rack: usize, uplink: usize) -> usize {
         rack * self.rotor_uplinks() + uplink
-    }
-
-    /// Window-close guard before a reconfiguration: long enough to drain
-    /// the bulk queue and the host→ToR leg.
-    fn window_guard(&self) -> SimTime {
-        let drain = self.cfg.link.serialize(MTU).as_ns() * 4;
-        SimTime::from_ns(drain + 2 * self.cfg.link.delay.as_ns())
     }
 
     /// Classify a flow by mode and size.
@@ -280,7 +286,11 @@ impl OperaLogic {
     fn on_slice_boundary(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>) {
         let ending = self.slice;
         self.slice += 1;
-        for &j in &self.topo.reconfiguring(ending) {
+        self.cycle_slice += 1;
+        if self.cycle_slice == self.topo.slices_per_cycle() {
+            self.cycle_slice = 0;
+        }
+        for j in self.topo.reconfiguring(ending) {
             self.wire_switch(fabric, j, self.topo.position_at(j, self.slice));
             if self.hello_enabled {
                 self.send_hellos(fabric, ctx, j);
@@ -297,7 +307,7 @@ impl OperaLogic {
     /// begin reconfiguring. Bulk still staged at their uplinks missed the
     /// window — the §4.2.2 NACK path returns it to the RotorLB queues.
     fn on_dark(&mut self, fabric: &mut Fabric) {
-        for &j in &self.topo.reconfiguring(self.slice) {
+        for j in self.topo.reconfiguring(self.slice) {
             for rack in 0..self.cfg.params.racks {
                 let drained = fabric.drain_bulk(self.tor_node(rack), self.up_port(j));
                 for pkt in &drained {
@@ -319,9 +329,10 @@ impl OperaLogic {
     /// the hello timeout, else marks the partner's transceiver bad and
     /// recomputes routes around it.
     fn send_hellos(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>, j: usize) {
+        let timeout = ctx.now() + self.hello_timeout();
+        let (tor0, port) = (self.tor_node(0), self.up_port(j));
         let m = self.topo.matching(j, self.topo.position_at(j, self.slice));
-        let pairs: Vec<(usize, usize)> = m.pairs().collect();
-        for (a, b) in pairs {
+        for (a, b) in m.pairs() {
             for (me, peer) in [(a, b), (b, a)] {
                 // "A short sequence of hello messages" (§3.6.2): several
                 // copies so one corrupted frame cannot condemn a healthy
@@ -329,18 +340,15 @@ impl OperaLogic {
                 for _ in 0..HELLO_BURST {
                     let pkt = Packet::control(
                         netsim::FlowId::MAX,
-                        self.tor_node(me),
-                        self.tor_node(peer),
+                        tor0 + me,
+                        tor0 + peer,
                         PacketKind::Hello,
                     );
-                    fabric.send(ctx, self.tor_node(me), self.up_port(j), pkt);
+                    fabric.send(ctx, tor0 + me, port, pkt);
                 }
                 let fi = self.feeder_idx(peer, j);
                 self.hello_pending[fi] = true;
-                ctx.schedule_at(
-                    ctx.now() + self.hello_timeout(),
-                    timer(Token::HelloCheck(peer, j)),
-                );
+                ctx.schedule_at(timeout, timer(Token::HelloCheck(peer, j)));
             }
         }
     }
@@ -363,6 +371,9 @@ impl OperaLogic {
     fn on_hello(&mut self, rack: usize, uplink: usize) {
         let fi = self.feeder_idx(rack, uplink);
         self.hello_pending[fi] = false;
+        if self.bad_links.is_empty() {
+            return;
+        }
         // A hello from a link previously marked bad proves it healthy
         // again (e.g. a false positive from corrupted hello frames, or a
         // repaired transceiver): restore it.
@@ -394,7 +405,9 @@ impl OperaLogic {
         self.recompute_tables();
     }
 
-    /// Rebuild both forwarding tables around the known-bad transceivers.
+    /// Rebuild both forwarding tables (the bulk table's circuit rows with
+    /// it) around the known-bad transceivers. Nothing else derived from the
+    /// topology depends on them.
     fn recompute_tables(&mut self) {
         self.ll_tables = LowLatencyTables::build_with_failures(&self.topo, &self.bad_links);
         self.bulk_tables = BulkTables::build_with_failures(&self.topo, &self.bad_links);
@@ -444,25 +457,36 @@ impl OperaLogic {
         }
     }
 
+    /// The `i`-th direct circuit of `rack` this slice as `(dst, uplink)`,
+    /// in the bulk table's row order (by value, so the caller can arm
+    /// feeders while it walks the row).
+    fn circuit(&self, rack: usize, i: usize) -> Option<(usize, usize)> {
+        let &(dst, uplink) = self
+            .bulk_tables
+            .circuits_of(self.cycle_slice, rack)
+            .get(i)?;
+        Some((dst as usize, uplink as usize))
+    }
+
     /// (Re)arm feeders for every active circuit of the current slice.
     fn start_feeders(&mut self, ctx: &mut EventContext<'_, NetEvent>) {
-        let slice = self.slice;
         let stride = self.rotor_uplinks() / self.cfg.params.groups;
-        let boundary_in = self.cfg.timing.slice();
+        let phase = self.cycle_slice % stride;
+        // Window: circuits of switch j close early only in the slice right
+        // before j reconfigures — early enough that staged bulk drains
+        // before the circuit goes dark at ε.
+        let closes_early = ctx.now() + self.cfg.timing.epsilon.saturating_sub(self.window_guard);
+        let closes_at_boundary = ctx.now() + self.cfg.timing.slice();
         for rack in 0..self.cfg.params.racks {
-            for (dst, uplink) in self.bulk_tables.circuits_of(slice, rack) {
+            let mut i = 0;
+            while let Some((dst, uplink)) = self.circuit(rack, i) {
+                i += 1;
                 let fi = self.feeder_idx(rack, uplink);
-                // Window: circuits of switch j close early only in the
-                // slice right before j reconfigures.
-                let reconfigures_now = uplink % stride == slice % stride;
-                let deadline = if reconfigures_now {
-                    // Stop early enough that staged bulk drains before the
-                    // circuit goes dark at ε.
-                    ctx.now() + self.cfg.timing.epsilon.saturating_sub(self.window_guard())
+                self.feeders[fi].deadline = if uplink % stride == phase {
+                    closes_early
                 } else {
-                    ctx.now() + boundary_in
+                    closes_at_boundary
                 };
-                self.feeders[fi].deadline = deadline;
                 self.feeders[fi].circuit_dst = dst;
                 self.arm_feeder(ctx, rack, uplink, dst);
             }
@@ -483,7 +507,6 @@ impl OperaLogic {
             return;
         }
         let tor = self.tor_node(rack);
-        let tick = self.cfg.link.serialize(MTU);
         // Flow control: keep at most ~2 MTUs staged in the uplink's bulk
         // queue and don't overrun the host NIC.
         let uplink_space = fabric.queued_bytes_at(tor, self.up_port(uplink), Priority::Bulk)
@@ -514,18 +537,23 @@ impl OperaLogic {
                 return;
             }
         }
-        ctx.schedule_in(tick, timer(Token::Feeder(rack, uplink)));
+        ctx.schedule_in(self.feeder_tick, timer(Token::Feeder(rack, uplink)));
     }
 
     /// Bytes for `dst_rack` were just queued at `rack`: kick the feeder
     /// that can move them, if a circuit is up.
     fn kick_feeder(&mut self, ctx: &mut EventContext<'_, NetEvent>, rack: usize, dst_rack: usize) {
-        if let Some(uplink) = self.bulk_tables.direct_uplink(self.slice, rack, dst_rack) {
+        let direct = self
+            .bulk_tables
+            .direct_uplink(self.cycle_slice, rack, dst_rack);
+        if let Some(uplink) = direct {
             self.arm_feeder(ctx, rack, uplink, dst_rack);
         } else if self.cfg.allow_vlb {
             // No direct circuit this slice: VLB can still move the bytes
             // over any active circuit once the backlog is large enough.
-            for (dst, uplink) in self.bulk_tables.circuits_of(self.slice, rack) {
+            let mut i = 0;
+            while let Some((dst, uplink)) = self.circuit(rack, i) {
+                i += 1;
                 self.arm_feeder(ctx, rack, uplink, dst);
             }
         }
@@ -546,15 +574,16 @@ impl OperaLogic {
             // Addressed ToR-to-ToR over one circuit; recover the uplink
             // from the sender's matching home.
             let peer_rack = packet.src - self.tor_node(0);
-            if let Some((sw, _)) = self.topo.locate_pair(rack, peer_rack) {
-                self.on_hello(rack, sw);
+            let sw = self.pair_switch[rack * self.cfg.params.racks + peer_rack];
+            if sw != NO_PORT {
+                self.on_hello(rack, sw as usize);
             }
             return;
         }
         let dst_rack = self.rack_of(packet.dst);
         if dst_rack == rack {
             // Deliver down.
-            let down = packet.dst % self.cfg.params.hosts_per_rack;
+            let down = packet.dst - rack * self.cfg.params.hosts_per_rack;
             fabric.send(ctx, self.tor_node(rack), down, packet);
             return;
         }
@@ -589,7 +618,7 @@ impl OperaLogic {
                     self.counters.hop_limit_drops += 1;
                     return;
                 }
-                let hops = self.ll_tables.next_hops(self.slice, rack, dst_rack);
+                let hops = self.ll_tables.next_hops(self.cycle_slice, rack, dst_rack);
                 if hops.is_empty() {
                     self.counters.hop_limit_drops += 1;
                     return;
@@ -621,7 +650,7 @@ impl OperaLogic {
         };
         let sent = self
             .bulk_tables
-            .direct_uplink(self.slice, rack, next_rack)
+            .direct_uplink(self.cycle_slice, rack, next_rack)
             .is_some_and(|u| {
                 fabric.send(ctx, self.tor_node(rack), self.up_port(u), packet)
                     != SendOutcome::Dropped
@@ -721,7 +750,32 @@ impl PacketNet for OperaLogic {
     }
 }
 
+/// `[a * racks + b]` → the switch whose matchings hold the circuit between
+/// racks `a` and `b`, [`NO_PORT`] for `a == b`: `locate_pair` for every
+/// pair at once, filled from the matchings themselves.
+fn pair_switch_table(topo: &OperaTopology) -> Vec<u8> {
+    let racks = topo.racks();
+    let mut table = vec![NO_PORT; racks * racks];
+    for sw in 0..topo.switches() {
+        let sw8 = u8::try_from(sw)
+            .ok()
+            .filter(|&sw8| sw8 != NO_PORT)
+            .expect("switch index must fit u8 below NO_PORT");
+        for pos in 0..topo.matchings_per_switch() {
+            for (a, b) in topo.matching(sw, pos).pairs() {
+                table[a * racks + b] = sw8;
+                table[b * racks + a] = sw8;
+            }
+        }
+    }
+    table
+}
+
 /// Build a ready-to-run Opera/RotorNet simulation with `flows` to inject.
+///
+/// # Panics
+/// Panics if the topology does not fit the compact tables: more than 255
+/// rotor switches or more than 65 536 racks.
 pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
     let topo_params = match cfg.mode {
         RotorMode::RotorHybrid => OperaParams {
@@ -738,6 +792,10 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
     };
     let ll_tables = LowLatencyTables::build(&topo);
     let bulk_tables = BulkTables::build(&topo);
+    let host_rack = (0..cfg.hosts())
+        .map(|h| u16::try_from(h / cfg.params.hosts_per_rack).expect("rack index must fit u16"))
+        .collect();
+    let mtu_ns = cfg.link.serialize(MTU).as_ns();
 
     let mut fabric = Fabric::new();
     let hosts_total = cfg.hosts();
@@ -777,6 +835,11 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
             .collect(),
         rng: SimRng::new(cfg.seed + 1),
         slice: 0,
+        cycle_slice: 0,
+        host_rack,
+        pair_switch: pair_switch_table(&topo),
+        feeder_tick: SimTime::from_ns(mtu_ns),
+        window_guard: SimTime::from_ns(4 * mtu_ns + 2 * cfg.link.delay.as_ns()),
         feeders: vec![Feeder::default(); cfg.params.racks * topo.switches()],
         counters: OperaCounters::default(),
         hop_limit: 32,
@@ -942,6 +1005,22 @@ mod tests {
             "failure undetected: {:?}",
             sim.world.logic.bad_links()
         );
+        // The live circuit rows were rebuilt with the tables: no feeder
+        // will be armed on the bad transceiver's circuits (which a healthy
+        // network does have).
+        let uses_bad = |logic: &OperaLogic| {
+            let cycle = logic.topo.slices_per_cycle();
+            (0..cycle * logic.cfg.params.racks).any(|i| {
+                let (s, cur) = (i / logic.cfg.params.racks, i % logic.cfg.params.racks);
+                logic
+                    .bulk_tables
+                    .circuits_of(s, cur)
+                    .iter()
+                    .any(|&(dst, u)| u == 1 && (cur == 2 || dst == 2))
+            })
+        };
+        assert!(!uses_bad(&sim.world.logic));
+        assert!(uses_bad(&build(cfg, vec![]).world.logic));
         // The network still delivers traffic from/to rack 2.
         drop(sim);
         let mut sim = build(
@@ -961,6 +1040,30 @@ mod tests {
             "flow stuck after failure: {:?}",
             sim.world.logic.tracker().get(0)
         );
+    }
+
+    #[test]
+    fn pair_switch_table_equals_locate_pair() {
+        for groups in [1, 2] {
+            let params = OperaParams {
+                racks: 24,
+                uplinks: 4,
+                hosts_per_rack: 4,
+                groups,
+            };
+            let topo = OperaTopology::generate(params, 11);
+            let table = pair_switch_table(&topo);
+            for a in 0..topo.racks() {
+                for b in 0..topo.racks() {
+                    let sw = table[a * topo.racks() + b];
+                    assert_eq!(
+                        (sw != NO_PORT).then_some(sw as usize),
+                        topo.locate_pair(a, b).map(|(sw, _)| sw),
+                        "pair ({a},{b})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

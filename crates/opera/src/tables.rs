@@ -8,6 +8,15 @@
 //! Tables are precomputed at build time (Opera fixes its schedule at
 //! design time; §3.3) and stored flat: up to [`MAX_ECMP`] uplink choices
 //! per `(slice, dst rack, current rack)` entry.
+//!
+//! Cost model: everything the slice clock asks is answered by an index —
+//! the bulk table is laid down at build as one row of `(dst, uplink)`
+//! circuits per `(slice, rack)`, so [`BulkTables::circuits_of`] is a
+//! borrowed slice, [`BulkTables::direct_uplink`] a search of at most
+//! `u − 1` adjacent entries, and a slice boundary allocates nothing. Rows
+//! are in ascending `dst`, and that order is load-bearing: feeders are
+//! armed in row order, so it is the order of same-instant feeder events
+//! and hence of every packet they emit.
 
 use topo::opera::OperaTopology;
 
@@ -16,6 +25,14 @@ pub const MAX_ECMP: usize = 8;
 
 /// Sentinel: no uplink.
 pub const NO_PORT: u8 = u8::MAX;
+
+/// Uplinks are stored as `u8` beside the [`NO_PORT`] sentinel. Checked
+/// once, where the topology enters a table builder: with at most 255
+/// switches every uplink index is at most 254, so the `as u8` casts below
+/// neither wrap nor collide with the sentinel.
+fn check_uplinks_fit(topo: &OperaTopology) {
+    u8::try_from(topo.switches()).expect("switch count must fit u8 (uplinks are stored as u8)");
+}
 
 /// Flat low-latency next-hop table for every slice of a cycle.
 #[derive(Debug, Clone)]
@@ -30,9 +47,9 @@ pub struct LowLatencyTables {
 
 /// Remove circuits using the failed `(rack, uplink)` transceivers from a
 /// slice graph (§3.6.2: route around components marked bad).
-fn prune_failed(g: &topo::graph::Graph, bad: &[(usize, usize)]) -> topo::graph::Graph {
+fn prune_failed(g: topo::graph::Graph, bad: &[(usize, usize)]) -> topo::graph::Graph {
     if bad.is_empty() {
-        return g.clone();
+        return g;
     }
     let mut out = topo::graph::Graph::new(g.len());
     for v in 0..g.len() {
@@ -46,6 +63,17 @@ fn prune_failed(g: &topo::graph::Graph, bad: &[(usize, usize)]) -> topo::graph::
     out
 }
 
+/// A monotone slice counter taken into the cycle. The slice clock already
+/// passes an in-cycle slice, for which this is a compare, not a division.
+#[inline]
+fn in_cycle(slice: usize, slices: usize) -> usize {
+    if slice < slices {
+        slice
+    } else {
+        slice % slices
+    }
+}
+
 impl LowLatencyTables {
     /// Build tables for all slices of `topo` from per-slice BFS.
     pub fn build(topo: &OperaTopology) -> Self {
@@ -53,22 +81,33 @@ impl LowLatencyTables {
     }
 
     /// Build tables routing around failed `(rack, uplink)` transceivers.
+    ///
+    /// # Panics
+    /// Panics if `topo` has more than 255 switches (uplinks are stored as
+    /// `u8`).
     pub fn build_with_failures(topo: &OperaTopology, bad: &[(usize, usize)]) -> Self {
+        check_uplinks_fit(topo);
         let racks = topo.racks();
         let slices = topo.slices_per_cycle();
         let mut entries = vec![[NO_PORT; MAX_ECMP]; slices * racks * racks];
         let mut counts = vec![0u8; slices * racks * racks];
         for s in 0..slices {
-            let g = prune_failed(&topo.slice(s).graph(), bad);
+            let g = prune_failed(topo.slice(s).graph(), bad);
             for dst in 0..racks {
-                let table = g.next_hops_to(dst);
-                for (cur, hops) in table.iter().enumerate() {
-                    if cur == dst {
+                // Distances *to* `dst` equal distances *from* it: slice
+                // graphs are symmetric. An out-edge of `cur` is a next hop
+                // when it lies on a shortest path, i.e. steps one closer.
+                let dist = g.bfs_distances(dst);
+                for cur in 0..racks {
+                    if cur == dst || dist[cur] == usize::MAX {
                         continue;
                     }
                     let idx = (s * racks + dst) * racks + cur;
                     let mut n = 0;
-                    for e in hops {
+                    for e in g.edges(cur) {
+                        if dist[e.to] == usize::MAX || dist[e.to] + 1 != dist[cur] {
+                            continue;
+                        }
                         if n == MAX_ECMP {
                             break;
                         }
@@ -89,8 +128,9 @@ impl LowLatencyTables {
 
     /// ECMP uplink choices at `cur` toward `dst` during `slice`.
     /// Empty when `cur == dst` or `dst` is unreachable this slice.
+    #[inline]
     pub fn next_hops(&self, slice: usize, cur: usize, dst: usize) -> &[u8] {
-        let idx = ((slice % self.slices) * self.racks + dst) * self.racks + cur;
+        let idx = (in_cycle(slice, self.slices) * self.racks + dst) * self.racks + cur;
         &self.entries[idx][..self.counts[idx] as usize]
     }
 
@@ -121,13 +161,18 @@ impl LowLatencyTables {
     }
 }
 
-/// Bulk (direct-circuit) table: `uplink[(slice * racks + cur) * racks +
-/// dst]`, `NO_PORT` when no direct circuit exists in that slice.
+/// Bulk (direct-circuit) table: per `(slice, cur)`, the `(dst, uplink)`
+/// of every direct circuit `cur → dst` up in that slice.
 #[derive(Debug, Clone)]
 pub struct BulkTables {
     racks: usize,
     slices: usize,
-    uplink: Vec<u8>,
+    /// Every circuit as `(dst, uplink)`, grouped by `(slice, cur)` and
+    /// ascending in `dst` within a group: 4 bytes a circuit.
+    rows: Vec<(u16, u8)>,
+    /// `rows[row_start[slice * racks + cur]..row_start[slice * racks + cur + 1]]`
+    /// is the row of `(slice, cur)`.
+    row_start: Vec<u32>,
 }
 
 impl BulkTables {
@@ -137,43 +182,58 @@ impl BulkTables {
     }
 
     /// Build, excluding circuits using failed `(rack, uplink)` ports.
+    ///
+    /// # Panics
+    /// Panics if `topo` has more than 255 switches or more than 65 536
+    /// racks (uplinks are stored as `u8`, row destinations as `u16`).
     pub fn build_with_failures(topo: &OperaTopology, bad: &[(usize, usize)]) -> Self {
+        check_uplinks_fit(topo);
         let racks = topo.racks();
+        u16::try_from(racks.saturating_sub(1)).expect("rack index must fit u16");
         let slices = topo.slices_per_cycle();
-        let mut uplink = vec![NO_PORT; slices * racks * racks];
+        u32::try_from(slices * racks * topo.switches()).expect("circuit count must fit u32");
+        let mut rows = Vec::new();
+        let mut row_start = Vec::with_capacity(slices * racks + 1);
+        row_start.push(0);
         for s in 0..slices {
             let view = topo.slice(s);
             for cur in 0..racks {
+                let row = rows.len();
                 for (dst, sw) in view.direct_destinations(cur) {
                     if bad.contains(&(cur, sw)) || bad.contains(&(dst, sw)) {
                         continue;
                     }
-                    uplink[(s * racks + cur) * racks + dst] = sw as u8;
+                    rows.push((dst as u16, sw as u8));
                 }
+                // A rack pair has one home matching, so destinations are
+                // distinct and the order is total.
+                rows[row..].sort_unstable_by_key(|&(dst, _)| dst);
+                row_start.push(rows.len() as u32);
             }
         }
         BulkTables {
             racks,
             slices,
-            uplink,
+            rows,
+            row_start,
         }
     }
 
     /// Uplink with a direct circuit `cur → dst` during `slice`, if any.
+    #[inline]
     pub fn direct_uplink(&self, slice: usize, cur: usize, dst: usize) -> Option<usize> {
-        let v = self.uplink[((slice % self.slices) * self.racks + cur) * self.racks + dst];
-        if v == NO_PORT {
-            None
-        } else {
-            Some(v as usize)
-        }
+        self.circuits_of(slice, cur)
+            .iter()
+            .find(|&&(d, _)| d as usize == dst)
+            .map(|&(_, uplink)| uplink as usize)
     }
 
-    /// All `(dst, uplink)` direct circuits of `cur` during `slice`.
-    pub fn circuits_of(&self, slice: usize, cur: usize) -> Vec<(usize, usize)> {
-        (0..self.racks)
-            .filter_map(|dst| self.direct_uplink(slice, cur, dst).map(|u| (dst, u)))
-            .collect()
+    /// All `(dst, uplink)` direct circuits of `cur` during `slice`, in
+    /// ascending `dst`.
+    #[inline]
+    pub fn circuits_of(&self, slice: usize, cur: usize) -> &[(u16, u8)] {
+        let i = in_cycle(slice, self.slices) * self.racks + cur;
+        &self.rows[self.row_start[i] as usize..self.row_start[i + 1] as usize]
     }
 }
 
@@ -219,7 +279,7 @@ mod tests {
         let t = topo();
         let tables = LowLatencyTables::build(&t);
         for s in 0..t.slices_per_cycle() {
-            let bad = t.reconfiguring(s);
+            let bad: Vec<usize> = t.reconfiguring(s).collect();
             for cur in 0..t.racks() {
                 for dst in 0..t.racks() {
                     for &p in tables.next_hops(s, cur, dst) {
@@ -292,5 +352,122 @@ mod tests {
         let tables = LowLatencyTables::build(&t);
         // 24 slices × 23 destinations = 552 low-latency rules.
         assert_eq!(tables.rules_per_tor(), 24 * 23);
+    }
+
+    /// The test topology with two switches reconfiguring at a time.
+    fn topo_two_groups() -> OperaTopology {
+        OperaTopology::generate(
+            OperaParams {
+                groups: 2,
+                ..*topo().params()
+            },
+            11,
+        )
+    }
+
+    /// Both topologies, each healthy and with rack 2's uplink 1 marked bad.
+    fn cases() -> Vec<(OperaTopology, Vec<(usize, usize)>)> {
+        [topo(), topo_two_groups()]
+            .into_iter()
+            .flat_map(|t| [(t.clone(), vec![]), (t, vec![(2, 1)])])
+            .collect()
+    }
+
+    /// `LowLatencyTables` as it was built before: through
+    /// `Graph::next_hops_to`'s per-destination `Vec<Vec<Edge>>`.
+    fn low_latency_by_next_hops_to(t: &OperaTopology, bad: &[(usize, usize)]) -> LowLatencyTables {
+        let racks = t.racks();
+        let slices = t.slices_per_cycle();
+        let mut entries = vec![[NO_PORT; MAX_ECMP]; slices * racks * racks];
+        let mut counts = vec![0u8; slices * racks * racks];
+        for s in 0..slices {
+            let g = prune_failed(t.slice(s).graph(), bad);
+            for dst in 0..racks {
+                for (cur, hops) in g.next_hops_to(dst).iter().enumerate() {
+                    let idx = (s * racks + dst) * racks + cur;
+                    for (n, e) in hops.iter().take(MAX_ECMP).enumerate() {
+                        entries[idx][n] = u8::try_from(e.port).unwrap();
+                        counts[idx] = n as u8 + 1;
+                    }
+                }
+            }
+        }
+        LowLatencyTables {
+            racks,
+            slices,
+            entries,
+            counts,
+        }
+    }
+
+    #[test]
+    fn low_latency_tables_equal_the_next_hops_to_build() {
+        for (t, bad) in cases() {
+            let new = LowLatencyTables::build_with_failures(&t, &bad);
+            let old = low_latency_by_next_hops_to(&t, &bad);
+            assert_eq!(new.entries, old.entries, "bad {bad:?}");
+            assert_eq!(new.counts, old.counts, "bad {bad:?}");
+        }
+    }
+
+    #[test]
+    fn circuit_rows_equal_their_definition() {
+        for (t, bad) in cases() {
+            let tables = BulkTables::build_with_failures(&t, &bad);
+            let mut circuits = 0;
+            // Past the end of the cycle too: a monotone slice is accepted.
+            for s in 0..2 * t.slices_per_cycle() + 1 {
+                for cur in 0..t.racks() {
+                    let row = tables.circuits_of(s, cur);
+                    // The topology's own answer, less the bad transceivers,
+                    // in ascending destination.
+                    let mut by_topo: Vec<(u16, u8)> = t
+                        .slice(s)
+                        .direct_destinations(cur)
+                        .into_iter()
+                        .filter(|&(dst, sw)| !bad.contains(&(cur, sw)) && !bad.contains(&(dst, sw)))
+                        .map(|(dst, sw)| (dst as u16, sw as u8))
+                        .collect();
+                    by_topo.sort_unstable();
+                    assert_eq!(row, by_topo, "slice {s} rack {cur}");
+                    // The per-destination lookup, scanned in the order
+                    // feeders are armed.
+                    let by_lookup: Vec<(u16, u8)> = (0..t.racks())
+                        .filter_map(|dst| {
+                            let u = tables.direct_uplink(s, cur, dst)?;
+                            Some((dst as u16, u as u8))
+                        })
+                        .collect();
+                    assert_eq!(row, by_lookup, "slice {s} rack {cur}");
+                    circuits += row.len();
+                }
+            }
+            assert!(circuits > 0);
+        }
+    }
+
+    /// 256 switches: uplink 255 would read as `NO_PORT`, uplink 256 as 0.
+    fn topo_256_switches() -> OperaTopology {
+        OperaTopology::generate(
+            OperaParams {
+                racks: 256,
+                uplinks: 256,
+                hosts_per_rack: 1,
+                groups: 1,
+            },
+            11,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "switch count must fit u8")]
+    fn low_latency_tables_refuse_256_switches() {
+        LowLatencyTables::build(&topo_256_switches());
+    }
+
+    #[test]
+    #[should_panic(expected = "switch count must fit u8")]
+    fn bulk_tables_refuse_256_switches() {
+        BulkTables::build(&topo_256_switches());
     }
 }

@@ -34,8 +34,13 @@ const K_RECONNECT: u64 = 5;
 const K_FEEDER: u64 = 6;
 const K_HELLO: u64 = 9;
 
-/// Encode a token.
+/// Encode a token. The `(rack, uplink)` kinds pack the uplink into 16 bits
+/// and the rack above it; the network builders guarantee the fit (at most
+/// 255 uplinks, 65 536 racks — see `tables`), so it is only asserted here.
 pub fn encode(t: Token) -> u64 {
+    if let Token::Feeder(rack, uplink) | Token::HelloCheck(rack, uplink) = t {
+        debug_assert!(uplink < 1 << 16 && rack < 1 << 40, "({rack}, {uplink})");
+    }
     match t {
         Token::FlowArrival => K_ARRIVAL << 56,
         Token::Transport(host, TransportTimer::PullPacer) => (K_PACER << 56) | (host as u64),

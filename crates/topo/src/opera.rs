@@ -201,18 +201,18 @@ impl OperaTopology {
     }
 
     /// Switches with an *impending reconfiguration* during slice `s` — the
-    /// ones routing must avoid (§3.1.1, §4.1). Exactly `groups` switches.
-    pub fn reconfiguring(&self, slice: usize) -> Vec<usize> {
+    /// ones routing must avoid (§3.1.1, §4.1). Exactly `groups` switches,
+    /// ascending: every `j` with `j % stride == s % stride`. The iterator
+    /// borrows nothing, so the slice clock can walk it while it rewires.
+    pub fn reconfiguring(&self, slice: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
         let s = slice % self.slices_per_cycle;
-        (0..self.params.uplinks)
-            .filter(|&j| j % self.stride == s % self.stride)
-            .collect()
+        (s % self.stride..self.params.uplinks).step_by(self.stride)
     }
 
     /// The routable view of slice `s`.
     pub fn slice(&self, slice: usize) -> SliceView<'_> {
         let s = slice % self.slices_per_cycle;
-        let reconf = self.reconfiguring(s);
+        let reconf = self.reconfiguring(s).collect();
         let mut current = Vec::with_capacity(self.params.uplinks);
         for j in 0..self.params.uplinks {
             current.push(self.position_at(j, s));
@@ -236,7 +236,7 @@ impl OperaTopology {
             .locate_pair(a, b)
             .expect("every pair appears in exactly one matching");
         (0..self.slices_per_cycle)
-            .filter(|&s| self.position_at(sw, s) == pos && !self.reconfiguring(s).contains(&sw))
+            .filter(|&s| self.position_at(sw, s) == pos && self.reconfiguring(s).all(|j| j != sw))
             .collect()
     }
 
@@ -354,7 +354,7 @@ mod tests {
                 );
             }
             // End of slice s: the reconfiguring switches advance.
-            for &j in &t.reconfiguring(s) {
+            for j in t.reconfiguring(s) {
                 pos[j] = (pos[j] + 1) % t.matchings_per_switch();
             }
         }
@@ -376,11 +376,33 @@ mod tests {
     fn exactly_one_switch_reconfigures_per_slice() {
         let t = small();
         for s in 0..t.slices_per_cycle() {
-            assert_eq!(t.reconfiguring(s).len(), 1);
+            assert_eq!(t.reconfiguring(s).count(), 1);
         }
         // Round-robin across switches.
-        let seq: Vec<usize> = (0..8).map(|s| t.reconfiguring(s)[0]).collect();
+        let seq: Vec<usize> = (0..8).flat_map(|s| t.reconfiguring(s)).collect();
         assert_eq!(seq, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    /// The stepping iterator against its definition (the filter it
+    /// replaced), for one and two groups, past the end of the cycle.
+    #[test]
+    fn reconfiguring_matches_its_definition() {
+        for groups in [1, 2] {
+            let t = OperaTopology::generate(
+                OperaParams {
+                    groups,
+                    ..*small().params()
+                },
+                42,
+            );
+            for slice in 0..3 * t.slices_per_cycle() {
+                let s = slice % t.slices_per_cycle();
+                let by_filter: Vec<usize> = (0..t.switches())
+                    .filter(|&j| j % t.stride == s % t.stride)
+                    .collect();
+                assert_eq!(t.reconfiguring(slice).collect::<Vec<_>>(), by_filter);
+            }
+        }
     }
 
     #[test]
@@ -396,7 +418,7 @@ mod tests {
         );
         assert_eq!(t.slices_per_cycle(), 12);
         for s in 0..t.slices_per_cycle() {
-            assert_eq!(t.reconfiguring(s).len(), 2);
+            assert_eq!(t.reconfiguring(s).count(), 2);
         }
         // Each switch still visits all its matchings.
         for j in 0..t.switches() {

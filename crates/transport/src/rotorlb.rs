@@ -16,13 +16,24 @@
 //! paper's ToR NACK path — we shortcut the NACK's wire round-trip, which
 //! only shifts retried bytes by microseconds).
 //!
-//! One simplification, recorded in DESIGN.md: the paper buffers bulk bytes
-//! in end hosts and has ToRs poll them (§3.5); we keep the per-rack queues
-//! in one `RackBulk` object per rack and charge the host→ToR hop in the
-//! data plane. The queueing discipline and admission times are the same;
-//! only the identity of the RAM holding the bytes differs.
+//! One simplification, recorded here and nowhere else: the paper buffers
+//! bulk bytes in end hosts and has ToRs poll them (§3.5); we keep the
+//! per-rack queues in one `RackBulk` object per rack and charge the
+//! host→ToR hop in the data plane. The queueing discipline and admission
+//! times are the same; only the identity of the RAM holding the bytes
+//! differs.
+//!
+//! Cost model: every backlog the slice clock reads — bytes per
+//! destination (direct and relay), total direct bytes, total relay bytes —
+//! is a running sum kept at the five places a queue changes (`enqueue`,
+//! `pop_from_relay`, `pop_direct_at`, `store_relay`, `prepend_direct`), so
+//! [`RackBulk::pending_to`] and [`RackBulk::total_direct_backlog`] are
+//! loads and a feeder tick never walks a queue. The queues are `VecDeque`s
+//! of 24-byte chunks, so returning a packet to the front (the NACK path,
+//! millions of times in a shuffle) moves nothing.
 
 use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE, MTU};
+use std::collections::VecDeque;
 
 /// RotorLB tuning.
 #[derive(Debug, Clone, Copy)]
@@ -71,16 +82,46 @@ pub struct BulkChunk {
     pub next_seq: u32,
 }
 
+/// A queued [`BulkChunk`]: the destination rack is the queue's index and
+/// host ids are stored as `u32` (checked where they enter), so a chunk is
+/// 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    bytes: u64,
+    flow: FlowId,
+    src: u32,
+    dst: u32,
+    next_seq: u32,
+}
+
+impl Chunk {
+    fn new(flow: FlowId, src_host: usize, dst_host: usize, bytes: u64, next_seq: u32) -> Self {
+        Chunk {
+            bytes,
+            flow,
+            src: u32::try_from(src_host).expect("source host id must fit u32"),
+            dst: u32::try_from(dst_host).expect("destination host id must fit u32"),
+            next_seq,
+        }
+    }
+}
+
 /// Per-rack RotorLB state: direct and relay queues.
 #[derive(Debug)]
 pub struct RackBulk {
     rack: usize,
     params: RotorLbParams,
     /// `direct[r]`: chunks originating here, destined to rack `r`.
-    direct: Vec<Vec<BulkChunk>>,
+    direct: Vec<VecDeque<Chunk>>,
     /// `relay[r]`: chunks stored here mid-Valiant, final destination `r`.
-    relay: Vec<Vec<BulkChunk>>,
-    /// Bytes currently stored across all relay queues.
+    relay: Vec<VecDeque<Chunk>>,
+    /// `direct_bytes[r]`: payload bytes queued in `direct[r]`.
+    direct_bytes: Vec<u64>,
+    /// `relay_bytes_to[r]`: payload bytes queued in `relay[r]`.
+    relay_bytes_to: Vec<u64>,
+    /// Sum of `direct_bytes`.
+    total_direct: u64,
+    /// Sum of `relay_bytes_to`.
     relay_bytes: u64,
     /// Round-robin cursor so concurrent flows to one rack share the
     /// circuit fairly.
@@ -90,11 +131,16 @@ pub struct RackBulk {
 impl RackBulk {
     /// Fresh state for `rack` in a network of `racks` racks.
     pub fn new(rack: usize, racks: usize, params: RotorLbParams) -> Self {
+        // A VLB packet names its final rack in a `u32` header field.
+        u32::try_from(racks).expect("rack count must fit u32");
         RackBulk {
             rack,
             params,
-            direct: vec![Vec::new(); racks],
-            relay: vec![Vec::new(); racks],
+            direct: vec![VecDeque::new(); racks],
+            relay: vec![VecDeque::new(); racks],
+            direct_bytes: vec![0; racks],
+            relay_bytes_to: vec![0; racks],
+            total_direct: 0,
             relay_bytes: 0,
             rr_cursor: 0,
         }
@@ -108,21 +154,25 @@ impl RackBulk {
     /// Queue a new bulk flow (or flow fragment) for transmission.
     pub fn enqueue(&mut self, chunk: BulkChunk) {
         debug_assert_ne!(chunk.dst_rack, self.rack, "bulk to own rack");
-        self.direct[chunk.dst_rack].push(chunk);
+        self.direct[chunk.dst_rack].push_back(Chunk::new(
+            chunk.flow,
+            chunk.src_host,
+            chunk.dst_host,
+            chunk.bytes,
+            chunk.next_seq,
+        ));
+        self.direct_bytes[chunk.dst_rack] += chunk.bytes;
+        self.total_direct += chunk.bytes;
     }
 
     /// Payload bytes queued for rack `r` (direct + stored relay).
     pub fn pending_to(&self, r: usize) -> u64 {
-        self.direct[r].iter().map(|c| c.bytes).sum::<u64>()
-            + self.relay[r].iter().map(|c| c.bytes).sum::<u64>()
+        self.direct_bytes[r] + self.relay_bytes_to[r]
     }
 
     /// Total direct backlog across all destinations.
     pub fn total_direct_backlog(&self) -> u64 {
-        self.direct
-            .iter()
-            .flat_map(|q| q.iter().map(|c| c.bytes))
-            .sum()
+        self.total_direct
     }
 
     /// Bytes stored for relay.
@@ -151,15 +201,15 @@ impl RackBulk {
         None
     }
 
-    fn emit(params: &RotorLbParams, chunk: &mut BulkChunk, relay: Option<u32>) -> Packet {
+    fn emit(params: &RotorLbParams, chunk: &mut Chunk, relay: Option<u32>) -> Packet {
         let payload = chunk.bytes.min(params.payload_per_packet() as u64) as u32;
         let seq = chunk.next_seq;
         chunk.next_seq += 1;
         chunk.bytes -= payload as u64;
         Packet {
             flow: chunk.flow,
-            src: chunk.src_host,
-            dst: chunk.dst_host,
+            src: chunk.src as usize,
+            dst: chunk.dst as usize,
             size: HEADER_SIZE + payload,
             prio: netsim::Priority::Bulk,
             kind: PacketKind::BulkData { seq, relay },
@@ -170,51 +220,58 @@ impl RackBulk {
 
     fn pop_from_relay(&mut self, dst: usize) -> Option<Packet> {
         let q = &mut self.relay[dst];
-        let chunk = q.first_mut()?;
+        let chunk = q.front_mut()?;
         let pkt = Self::emit(&self.params, chunk, None);
-        self.relay_bytes -= pkt.payload() as u64;
         if chunk.bytes == 0 {
-            q.remove(0);
+            q.pop_front();
         }
+        self.relay_bytes_to[dst] -= pkt.payload() as u64;
+        self.relay_bytes -= pkt.payload() as u64;
+        Some(pkt)
+    }
+
+    /// Emit one packet from chunk `idx` of `direct[dst]`, dropping the
+    /// chunk once it is empty.
+    fn pop_direct_at(&mut self, dst: usize, idx: usize, relay: Option<u32>) -> Option<Packet> {
+        let q = &mut self.direct[dst];
+        let chunk = q.get_mut(idx)?;
+        let pkt = Self::emit(&self.params, chunk, relay);
+        if chunk.bytes == 0 {
+            q.remove(idx);
+        }
+        self.direct_bytes[dst] -= pkt.payload() as u64;
+        self.total_direct -= pkt.payload() as u64;
         Some(pkt)
     }
 
     fn pop_from_direct(&mut self, dst: usize) -> Option<Packet> {
-        let q = &mut self.direct[dst];
-        if q.is_empty() {
+        let len = self.direct[dst].len();
+        if len == 0 {
             return None;
         }
         // Round-robin across chunks (flows) sharing this circuit.
-        let idx = self.rr_cursor % q.len();
+        let idx = self.rr_cursor % len;
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        let chunk = &mut q[idx];
-        let pkt = Self::emit(&self.params, chunk, None);
-        if chunk.bytes == 0 {
-            q.remove(idx);
-        }
-        Some(pkt)
+        self.pop_direct_at(dst, idx, None)
     }
 
     /// Pick the most-backlogged other destination over the VLB threshold
     /// and send one of its packets via `via` (first Valiant hop).
     fn pop_for_vlb(&mut self, via: usize) -> Option<Packet> {
-        let (dst, backlog) = self
-            .direct
+        // No single destination can exceed the threshold unless the sum does.
+        if self.total_direct <= self.params.vlb_threshold {
+            return None;
+        }
+        let (dst, &backlog) = self
+            .direct_bytes
             .iter()
             .enumerate()
             .filter(|&(r, _)| r != via && r != self.rack)
-            .map(|(r, q)| (r, q.iter().map(|c| c.bytes).sum::<u64>()))
-            .max_by_key(|&(_, b)| b)?;
+            .max_by_key(|&(_, &b)| b)?;
         if backlog <= self.params.vlb_threshold {
             return None;
         }
-        let q = &mut self.direct[dst];
-        let chunk = q.first_mut()?;
-        let pkt = Self::emit(&self.params, chunk, Some(dst as u32));
-        if chunk.bytes == 0 {
-            q.remove(0);
-        }
-        Some(pkt)
+        self.pop_direct_at(dst, 0, Some(dst as u32))
     }
 
     /// Accept a Valiant packet stored at this rack for later relay to its
@@ -228,21 +285,13 @@ impl RackBulk {
             return false;
         }
         self.relay_bytes += payload;
+        self.relay_bytes_to[final_dst_rack] += payload;
         // Coalesce consecutive packets of one flow into a chunk.
-        if let Some(last) = self.relay[final_dst_rack].last_mut() {
-            if last.flow == pkt.flow {
-                last.bytes += payload;
-                return true;
-            }
+        let q = &mut self.relay[final_dst_rack];
+        match q.back_mut() {
+            Some(last) if last.flow == pkt.flow => last.bytes += payload,
+            _ => q.push_back(Chunk::new(pkt.flow, pkt.src, pkt.dst, payload, 0)),
         }
-        self.relay[final_dst_rack].push(BulkChunk {
-            flow: pkt.flow,
-            src_host: pkt.src,
-            dst_host: pkt.dst,
-            dst_rack: final_dst_rack,
-            bytes: payload,
-            next_seq: 0,
-        });
         true
     }
 
@@ -264,29 +313,237 @@ impl RackBulk {
     }
 
     fn prepend_direct(&mut self, dst_rack: usize, pkt: &Packet, payload: u64) {
-        if let Some(first) = self.direct[dst_rack].first_mut() {
-            if first.flow == pkt.flow {
-                first.bytes += payload;
-                return;
+        self.direct_bytes[dst_rack] += payload;
+        self.total_direct += payload;
+        let q = &mut self.direct[dst_rack];
+        match q.front_mut() {
+            Some(first) if first.flow == pkt.flow => first.bytes += payload,
+            _ => q.push_front(Chunk::new(pkt.flow, pkt.src, pkt.dst, payload, 0)),
+        }
+    }
+}
+
+/// The pre-running-sum implementation, kept as the test oracle.
+#[cfg(test)]
+mod oracle {
+    use super::{BulkChunk, RotorLbParams};
+    use netsim::{Packet, PacketKind, HEADER_SIZE};
+
+    /// `RackBulk` as it was before the running sums: `Vec` queues of public
+    /// chunks, every backlog a scan. The reference the property test holds the
+    /// live implementation to.
+    #[derive(Debug)]
+    pub struct RackBulk {
+        rack: usize,
+        params: RotorLbParams,
+        /// `direct[r]`: chunks originating here, destined to rack `r`.
+        direct: Vec<Vec<BulkChunk>>,
+        /// `relay[r]`: chunks stored here mid-Valiant, final destination `r`.
+        relay: Vec<Vec<BulkChunk>>,
+        /// Bytes currently stored across all relay queues.
+        relay_bytes: u64,
+        /// Round-robin cursor so concurrent flows to one rack share the
+        /// circuit fairly.
+        rr_cursor: usize,
+    }
+
+    impl RackBulk {
+        /// Fresh state for `rack` in a network of `racks` racks.
+        pub fn new(rack: usize, racks: usize, params: RotorLbParams) -> Self {
+            RackBulk {
+                rack,
+                params,
+                direct: vec![Vec::new(); racks],
+                relay: vec![Vec::new(); racks],
+                relay_bytes: 0,
+                rr_cursor: 0,
             }
         }
-        self.direct[dst_rack].insert(
-            0,
-            BulkChunk {
+
+        /// Queue a new bulk flow (or flow fragment) for transmission.
+        pub fn enqueue(&mut self, chunk: BulkChunk) {
+            debug_assert_ne!(chunk.dst_rack, self.rack, "bulk to own rack");
+            self.direct[chunk.dst_rack].push(chunk);
+        }
+
+        /// Payload bytes queued for rack `r` (direct + stored relay).
+        pub fn pending_to(&self, r: usize) -> u64 {
+            self.direct[r].iter().map(|c| c.bytes).sum::<u64>()
+                + self.relay[r].iter().map(|c| c.bytes).sum::<u64>()
+        }
+
+        /// Total direct backlog across all destinations.
+        pub fn total_direct_backlog(&self) -> u64 {
+            self.direct
+                .iter()
+                .flat_map(|q| q.iter().map(|c| c.bytes))
+                .sum()
+        }
+
+        /// Bytes stored for relay.
+        pub fn relay_bytes(&self) -> u64 {
+            self.relay_bytes
+        }
+
+        /// Produce the next bulk packet to send on the active circuit to
+        /// `circuit_dst`. Priority: stored relay traffic (it has already paid
+        /// one hop), then direct traffic, then — if `allow_vlb` — new Valiant
+        /// traffic for a congested *other* destination, relayed via
+        /// `circuit_dst`.
+        ///
+        /// Returns `None` when nothing useful can ride this circuit.
+        pub fn next_packet(&mut self, circuit_dst: usize, allow_vlb: bool) -> Option<Packet> {
+            debug_assert_ne!(circuit_dst, self.rack);
+            if let Some(pkt) = self.pop_from_relay(circuit_dst) {
+                return Some(pkt);
+            }
+            if let Some(pkt) = self.pop_from_direct(circuit_dst) {
+                return Some(pkt);
+            }
+            if allow_vlb {
+                return self.pop_for_vlb(circuit_dst);
+            }
+            None
+        }
+
+        fn emit(params: &RotorLbParams, chunk: &mut BulkChunk, relay: Option<u32>) -> Packet {
+            let payload = chunk.bytes.min(params.payload_per_packet() as u64) as u32;
+            let seq = chunk.next_seq;
+            chunk.next_seq += 1;
+            chunk.bytes -= payload as u64;
+            Packet {
+                flow: chunk.flow,
+                src: chunk.src_host,
+                dst: chunk.dst_host,
+                size: HEADER_SIZE + payload,
+                prio: netsim::Priority::Bulk,
+                kind: PacketKind::BulkData { seq, relay },
+                hops: 0,
+                ecn_ce: false,
+            }
+        }
+
+        fn pop_from_relay(&mut self, dst: usize) -> Option<Packet> {
+            let q = &mut self.relay[dst];
+            let chunk = q.first_mut()?;
+            let pkt = Self::emit(&self.params, chunk, None);
+            self.relay_bytes -= pkt.payload() as u64;
+            if chunk.bytes == 0 {
+                q.remove(0);
+            }
+            Some(pkt)
+        }
+
+        fn pop_from_direct(&mut self, dst: usize) -> Option<Packet> {
+            let q = &mut self.direct[dst];
+            if q.is_empty() {
+                return None;
+            }
+            // Round-robin across chunks (flows) sharing this circuit.
+            let idx = self.rr_cursor % q.len();
+            self.rr_cursor = self.rr_cursor.wrapping_add(1);
+            let chunk = &mut q[idx];
+            let pkt = Self::emit(&self.params, chunk, None);
+            if chunk.bytes == 0 {
+                q.remove(idx);
+            }
+            Some(pkt)
+        }
+
+        /// Pick the most-backlogged other destination over the VLB threshold
+        /// and send one of its packets via `via` (first Valiant hop).
+        fn pop_for_vlb(&mut self, via: usize) -> Option<Packet> {
+            let (dst, backlog) = self
+                .direct
+                .iter()
+                .enumerate()
+                .filter(|&(r, _)| r != via && r != self.rack)
+                .map(|(r, q)| (r, q.iter().map(|c| c.bytes).sum::<u64>()))
+                .max_by_key(|&(_, b)| b)?;
+            if backlog <= self.params.vlb_threshold {
+                return None;
+            }
+            let q = &mut self.direct[dst];
+            let chunk = q.first_mut()?;
+            let pkt = Self::emit(&self.params, chunk, Some(dst as u32));
+            if chunk.bytes == 0 {
+                q.remove(0);
+            }
+            Some(pkt)
+        }
+
+        /// Accept a Valiant packet stored at this rack for later relay to its
+        /// final destination. Returns `false` (and discards nothing — caller
+        /// keeps the packet conceptually in flight) when the relay store is
+        /// full; the enclosing model then treats it like a missed window and
+        /// requeues at the *source*.
+        pub fn store_relay(&mut self, pkt: &Packet, final_dst_rack: usize) -> bool {
+            let payload = pkt.payload() as u64;
+            if self.relay_bytes + payload > self.params.relay_capacity {
+                return false;
+            }
+            self.relay_bytes += payload;
+            // Coalesce consecutive packets of one flow into a chunk.
+            if let Some(last) = self.relay[final_dst_rack].last_mut() {
+                if last.flow == pkt.flow {
+                    last.bytes += payload;
+                    return true;
+                }
+            }
+            self.relay[final_dst_rack].push(BulkChunk {
                 flow: pkt.flow,
                 src_host: pkt.src,
                 dst_host: pkt.dst,
-                dst_rack,
+                dst_rack: final_dst_rack,
                 bytes: payload,
                 next_seq: 0,
-            },
-        );
+            });
+            true
+        }
+
+        /// Return a packet that missed its transmission window (the ToR
+        /// drained its bulk queue at a reconfiguration, §4.2.2) to the front
+        /// of the appropriate queue. `dst_rack` is the rack of `pkt.dst`
+        /// (known to the caller, which owns the host→rack mapping).
+        pub fn requeue_with_rack(&mut self, pkt: &Packet, dst_rack: usize) {
+            let payload = pkt.payload() as u64;
+            if payload == 0 {
+                return;
+            }
+            let final_rack = match pkt.kind {
+                PacketKind::BulkData { relay: Some(r), .. } => r as usize,
+                PacketKind::BulkData { relay: None, .. } => dst_rack,
+                _ => return,
+            };
+            self.prepend_direct(final_rack, pkt, payload);
+        }
+
+        fn prepend_direct(&mut self, dst_rack: usize, pkt: &Packet, payload: u64) {
+            if let Some(first) = self.direct[dst_rack].first_mut() {
+                if first.flow == pkt.flow {
+                    first.bytes += payload;
+                    return;
+                }
+            }
+            self.direct[dst_rack].insert(
+                0,
+                BulkChunk {
+                    flow: pkt.flow,
+                    src_host: pkt.src,
+                    dst_host: pkt.dst,
+                    dst_rack,
+                    bytes: payload,
+                    next_seq: 0,
+                },
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn chunk(flow: FlowId, dst_rack: usize, bytes: u64) -> BulkChunk {
         BulkChunk {
@@ -425,5 +682,110 @@ mod tests {
         assert!(rb.store_relay(&vlb_pkt, 3));
         let first = rb.next_packet(3, false).unwrap();
         assert_eq!(first.flow, 6, "stored relay bytes drain before direct");
+    }
+
+    #[test]
+    fn queued_chunk_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Chunk>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "host id must fit u32")]
+    fn oversized_host_id_is_refused_at_the_door() {
+        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        rb.enqueue(BulkChunk {
+            src_host: u32::MAX as usize + 1,
+            ..chunk(1, 2, 1000)
+        });
+    }
+
+    /// A rack other than `rack`, chosen by `bits`.
+    fn other_rack(rack: usize, racks: usize, bits: u64) -> usize {
+        (rack + 1 + bits as usize % (racks - 1)) % racks
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random traffic through the live `RackBulk` and the scanning
+        /// oracle side by side: every emitted packet, every refusal and
+        /// every backlog reading agree after every step. The VLB threshold
+        /// is two packets and most sizes are whole packets, so VLB fires
+        /// and its arg-max sees ties; the relay store holds six packets,
+        /// so it overflows.
+        #[test]
+        fn matches_the_scanning_oracle(
+            ops in prop::collection::vec(0u64..u64::MAX, 0..300),
+            racks in 2usize..7,
+            rack_bits in 0u64..6,
+        ) {
+            let params = RotorLbParams {
+                relay_capacity: 6 * 1436,
+                vlb_threshold: 2 * 1436,
+                ..RotorLbParams::paper_default()
+            };
+            let rack = rack_bits as usize % racks;
+            let mut live = RackBulk::new(rack, racks, params);
+            let mut old = oracle::RackBulk::new(rack, racks, params);
+            // Packets emitted so far and not yet returned (the realistic
+            // requeue: a packet that missed its window comes back).
+            let mut in_flight: Vec<Packet> = Vec::new();
+            for bits in ops {
+                let flow = ((bits >> 8) & 0x7) as FlowId;
+                let to = other_rack(rack, racks, bits >> 11);
+                // Whole packets seven times in eight, so per-destination
+                // backlogs stay multiples of 1436 and tie often.
+                let packets = 1 + ((bits >> 16) % 3) as u32;
+                let payload = match (bits >> 18) & 0x7 {
+                    0 => 1 + ((bits >> 24) % 2000) as u32,
+                    _ => 1436 * packets,
+                };
+                match bits % 4 {
+                    0 => {
+                        // New flows go to at most three hot racks and pops
+                        // ask for any rack, so circuits to cold racks
+                        // carry VLB and level the hot backlogs into ties.
+                        let to = other_rack(rack, racks, (bits >> 11) % 3);
+                        let c = chunk(flow, to, payload as u64);
+                        live.enqueue(c);
+                        old.enqueue(c);
+                    }
+                    1 => {
+                        let vlb = (bits >> 20) & 1 == 1;
+                        let got = live.next_packet(to, vlb);
+                        prop_assert_eq!(got, old.next_packet(to, vlb));
+                        in_flight.extend(got);
+                    }
+                    2 => {
+                        let pkt = Packet::bulk(flow, 100, 200, 0, HEADER_SIZE + payload.min(1436));
+                        prop_assert_eq!(live.store_relay(&pkt, to), old.store_relay(&pkt, to));
+                    }
+                    _ => {
+                        // Either a packet that was really emitted (same
+                        // flow as the queue front: the coalesce case) or
+                        // a foreign one (a new front chunk), direct or
+                        // first-hop VLB (`relay: Some`).
+                        let pkt = match in_flight.pop() {
+                            Some(p) if (bits >> 20) & 1 == 1 => p,
+                            _ => Packet {
+                                kind: PacketKind::BulkData {
+                                    seq: 0,
+                                    relay: ((bits >> 21) & 1 == 1)
+                                        .then(|| other_rack(rack, racks, bits >> 22) as u32),
+                                },
+                                ..Packet::bulk(flow, 100, 200, 0, HEADER_SIZE + payload.min(1436))
+                            },
+                        };
+                        live.requeue_with_rack(&pkt, to);
+                        old.requeue_with_rack(&pkt, to);
+                    }
+                }
+                for r in 0..racks {
+                    prop_assert_eq!(live.pending_to(r), old.pending_to(r), "pending_to({})", r);
+                }
+                prop_assert_eq!(live.total_direct_backlog(), old.total_direct_backlog());
+                prop_assert_eq!(live.relay_bytes(), old.relay_bytes());
+            }
+        }
     }
 }
