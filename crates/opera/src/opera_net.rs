@@ -623,7 +623,7 @@ impl OperaLogic {
                     self.counters.hop_limit_drops += 1;
                     return;
                 }
-                let choice = hops[self.rng.index(hops.len())] as usize;
+                let choice = hops.nth(self.rng.index(hops.len()));
                 fabric.send(ctx, self.tor_node(rack), self.up_port(choice), packet);
             }
         }
@@ -774,7 +774,7 @@ fn pair_switch_table(topo: &OperaTopology) -> Vec<u8> {
 /// Build a ready-to-run Opera/RotorNet simulation with `flows` to inject.
 ///
 /// # Panics
-/// Panics if the topology does not fit the compact tables: more than 255
+/// Panics if the topology does not fit the compact tables: more than 16
 /// rotor switches or more than 65 536 racks.
 pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
     let topo_params = match cfg.mode {

@@ -6,8 +6,13 @@
 //!
 //! Node layout: hosts `0..H`, then one node per switch-graph vertex
 //! (expander: one per rack; Clos: ToRs, aggs, cores). Fabric port `p` of a
-//! switch node with `d` attached hosts maps to adjacency-list entry
-//! `p − d` of its graph vertex, so routing tables store adjacency indices.
+//! switch node with `d` attached hosts is adjacency-list entry `p − d` of
+//! its graph vertex (`PortLayout::fabric_port` is the one place that
+//! says so), and the routing table stores fabric ports.
+//!
+//! Cost model: a packet-hop is two indexed loads and one RNG draw — the
+//! destination host's `(ToR, down port)`, then the row of shortest-path
+//! fabric ports for `(destination ToR, this switch)` in one flat array.
 
 use crate::net::{Endpoints, PacketNet};
 use crate::tokens::{decode, Token};
@@ -15,6 +20,7 @@ use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig};
 use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet};
 use simkit::engine::EventContext;
 use simkit::{SimRng, Simulator};
+use std::collections::BTreeMap;
 use topo::clos::{ClosParams, ClosTopology};
 use topo::expander::{ExpanderParams, ExpanderTopology};
 use topo::graph::Graph;
@@ -86,19 +92,88 @@ impl StaticNetConfig {
     }
 }
 
+/// Where a switch's ports go: ToRs are graph vertices `0..tors` and
+/// reserve their first `hosts_per_tor` ports for hosts.
+#[derive(Debug, Clone, Copy)]
+struct PortLayout {
+    tors: usize,
+    hosts_per_tor: usize,
+}
+
+impl PortLayout {
+    /// Fabric port of adjacency entry `i` at switch `vertex` (with `i` the
+    /// vertex's degree: its port count).
+    fn fabric_port(self, vertex: usize, i: usize) -> usize {
+        if vertex < self.tors {
+            self.hosts_per_tor + i
+        } else {
+            i
+        }
+    }
+}
+
+/// Shortest-path next hops toward every ToR, as fabric ports, rows end to
+/// end in one array.
+#[derive(Debug)]
+struct Routes {
+    /// Switch-graph vertices.
+    vertices: usize,
+    /// Row `dst_tor * vertices + vertex` is
+    /// `ports[row_start[row]..row_start[row + 1]]`, in adjacency order.
+    ports: Vec<u8>,
+    row_start: Vec<u32>,
+}
+
+impl Routes {
+    /// The routes of `graph` toward its ToRs, one BFS per ToR.
+    ///
+    /// # Panics
+    /// Panics if a fabric port does not fit `u8`, or the table `u32` rows.
+    fn build(graph: &Graph, layout: PortLayout) -> Self {
+        let n = graph.len();
+        let mut ports = Vec::new();
+        let mut row_start = Vec::with_capacity(layout.tors * n + 1);
+        row_start.push(0);
+        for dst_tor in 0..layout.tors {
+            let dist = graph.bfs_distances(dst_tor);
+            for v in 0..n {
+                // Unreachable from the destination: an empty row, as the
+                // destination's own is (nothing is one step closer than 0).
+                if dist[v] != usize::MAX {
+                    for (i, e) in graph.edges(v).iter().enumerate() {
+                        if dist[e.to] + 1 == dist[v] {
+                            let port = layout.fabric_port(v, i);
+                            ports.push(u8::try_from(port).expect("fabric port must fit u8"));
+                        }
+                    }
+                }
+                row_start.push(u32::try_from(ports.len()).expect("route table must fit u32"));
+            }
+        }
+        Routes {
+            vertices: n,
+            ports,
+            row_start,
+        }
+    }
+
+    /// Fabric ports at `vertex` on shortest paths toward `dst_tor`; empty
+    /// when there is none.
+    #[inline]
+    fn toward(&self, dst_tor: usize, vertex: usize) -> &[u8] {
+        let row = dst_tor * self.vertices + vertex;
+        &self.ports[self.row_start[row] as usize..self.row_start[row + 1] as usize]
+    }
+}
+
 /// Static-network logic: per-packet random shortest-path forwarding on
 /// the switch graph.
 pub struct StaticLogic {
     ends: Endpoints,
-    /// Switch graph.
-    graph: Graph,
-    /// Hosts per ToR and ToR count (ToRs are graph nodes `0..tors`).
-    hosts_per_tor: usize,
-    tors: usize,
+    /// Host → (graph vertex of its ToR, that ToR's down port to it).
+    host_tor: Vec<(u16, u16)>,
+    routes: Routes,
     rng: SimRng,
-    /// `next_hop[dst_tor * graph.len() + node]` → adjacency indices on
-    /// shortest paths.
-    next_hops: Vec<Vec<u8>>,
     /// Packets dropped with no route (should stay zero).
     pub routing_drops: u64,
 }
@@ -107,19 +182,6 @@ pub struct StaticLogic {
 pub type StaticNet = Simulator<NetWorld<StaticLogic>>;
 
 impl StaticLogic {
-    fn tor_of_host(&self, host: usize) -> usize {
-        host / self.hosts_per_tor
-    }
-    /// Fabric port at a switch for adjacency entry `i`: ToRs reserve the
-    /// first `hosts_per_tor` ports for hosts.
-    fn adj_port(&self, vertex: usize, i: usize) -> usize {
-        if vertex < self.tors {
-            self.hosts_per_tor + i
-        } else {
-            i
-        }
-    }
-
     /// Results.
     pub fn tracker(&self) -> &FlowTracker {
         self.ends.tracker()
@@ -140,19 +202,17 @@ impl NetLogic for StaticLogic {
             return;
         }
         let vertex = node - self.ends.hosts();
-        let dst_tor = self.tor_of_host(packet.dst);
-        if vertex == dst_tor {
-            let down = packet.dst % self.hosts_per_tor;
-            fabric.send(ctx, node, down, packet);
+        let (dst_tor, down) = self.host_tor[packet.dst];
+        if vertex == dst_tor as usize {
+            fabric.send(ctx, node, down as usize, packet);
             return;
         }
-        let hops = &self.next_hops[dst_tor * self.graph.len() + vertex];
-        if hops.is_empty() {
+        let ports = self.routes.toward(dst_tor as usize, vertex);
+        if ports.is_empty() {
             self.routing_drops += 1;
             return;
         }
-        let i = hops[self.rng.index(hops.len())] as usize;
-        let port = self.adj_port(vertex, i);
+        let port = ports[self.rng.index(ports.len())] as usize;
         fabric.send(ctx, node, port, packet);
     }
 
@@ -206,25 +266,18 @@ pub fn build(cfg: StaticNetConfig, flows: Vec<FlowSpec>) -> StaticNet {
         }
     };
     let hosts_total = tors * hosts_per_tor;
-
-    // Routing tables: adjacency indices on shortest paths toward each ToR.
-    let n = graph.len();
-    let mut next_hops = vec![Vec::new(); tors * n];
-    for dst_tor in 0..tors {
-        let dist = graph.bfs_distances(dst_tor);
-        for v in 0..n {
-            if v == dst_tor || dist[v] == usize::MAX {
-                continue;
-            }
-            let mut choices = Vec::new();
-            for (i, e) in graph.edges(v).iter().enumerate() {
-                if dist[e.to] + 1 == dist[v] {
-                    choices.push(i as u8);
-                }
-            }
-            next_hops[dst_tor * n + v] = choices;
-        }
-    }
+    let layout = PortLayout {
+        tors,
+        hosts_per_tor,
+    };
+    let host_tor = (0..hosts_total)
+        .map(|h| {
+            let tor = u16::try_from(h / hosts_per_tor).expect("ToR index must fit u16");
+            let down = u16::try_from(h % hosts_per_tor).expect("down port must fit u16");
+            (tor, down)
+        })
+        .collect();
+    let routes = Routes::build(&graph, layout);
 
     let mut fabric = Fabric::new();
     let ends = Endpoints::new(
@@ -235,46 +288,34 @@ pub fn build(cfg: StaticNetConfig, flows: Vec<FlowSpec>) -> StaticNet {
         cfg.link,
         flows,
     );
+    let n = graph.len();
     for v in 0..n {
-        let host_ports = if v < tors { hosts_per_tor } else { 0 };
-        fabric.add_node(host_ports + graph.degree(v), cfg.queues, cfg.link);
+        fabric.add_node(layout.fabric_port(v, graph.degree(v)), cfg.queues, cfg.link);
     }
     ends.wire(&mut fabric, hosts_per_tor);
-    // Switch graph edges: connect each undirected pair once, using the
-    // adjacency index on each side as the port.
+    // Switch graph edges: the k-th edge `v → to` and the k-th edge `to → v`
+    // are the two ends of one link. One pass lists, per ordered pair, the
+    // adjacency indices of its edges in order.
+    let mut edges_of: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
     for v in 0..n {
         for (i, e) in graph.edges(v).iter().enumerate() {
-            if v < e.to {
-                // Find the reverse adjacency index.
-                let j = graph
-                    .edges(e.to)
-                    .iter()
-                    .enumerate()
-                    .position(|(jj, back)| {
-                        back.to == v && {
-                            // Match multiplicity: count how many (v->to)
-                            // edges precede index i, pick the matching
-                            // reverse occurrence.
-                            let occ = graph.edges(v)[..i].iter().filter(|x| x.to == e.to).count();
-                            let rocc = graph.edges(e.to)[..jj].iter().filter(|x| x.to == v).count();
-                            occ == rocc
-                        }
-                    })
-                    .expect("symmetric graph");
-                let pa = if v < tors { hosts_per_tor + i } else { i };
-                let pb = if e.to < tors { hosts_per_tor + j } else { j };
-                fabric.connect(hosts_total + v, pa, hosts_total + e.to, pb);
-            }
+            edges_of.entry((v, e.to)).or_default().push(i);
+        }
+    }
+    for (&(v, to), forward) in edges_of.iter().filter(|((v, to), _)| v < to) {
+        let back = edges_of.get(&(to, v)).map_or(&[][..], Vec::as_slice);
+        assert_eq!(forward.len(), back.len(), "symmetric graph");
+        for (&i, &j) in forward.iter().zip(back) {
+            let (pa, pb) = (layout.fabric_port(v, i), layout.fabric_port(to, j));
+            fabric.connect(hosts_total + v, pa, hosts_total + to, pb);
         }
     }
 
     let logic = StaticLogic {
         ends,
+        host_tor,
+        routes,
         rng: SimRng::new(cfg.seed.wrapping_add(77)),
-        graph,
-        hosts_per_tor,
-        tors,
-        next_hops,
         routing_drops: 0,
     };
     NetWorld::new(fabric, logic).into_sim()
@@ -362,5 +403,88 @@ mod tests {
         sim.run_until(SimTime::from_ms(20));
         let t = sim.world.logic.tracker();
         assert_eq!(t.completed(), 50);
+    }
+
+    /// The routing table as it was built before: adjacency indices, one
+    /// `Vec` per `(dst_tor, vertex)`.
+    fn routes_by_adjacency_index(graph: &Graph, tors: usize) -> Vec<Vec<u8>> {
+        let n = graph.len();
+        let mut next_hops = vec![Vec::new(); tors * n];
+        for dst_tor in 0..tors {
+            let dist = graph.bfs_distances(dst_tor);
+            for v in 0..n {
+                if v == dst_tor || dist[v] == usize::MAX {
+                    continue;
+                }
+                for (i, e) in graph.edges(v).iter().enumerate() {
+                    if dist[e.to] + 1 == dist[v] {
+                        next_hops[dst_tor * n + v].push(u8::try_from(i).unwrap());
+                    }
+                }
+            }
+        }
+        next_hops
+    }
+
+    #[test]
+    fn flat_routes_equal_the_per_row_build() {
+        let expander = ExpanderParams {
+            racks: 64,
+            uplinks: 5,
+            hosts_per_rack: 3,
+        };
+        let clos = ClosTopology::generate(ClosParams::example_648());
+        let cases = [
+            (
+                ExpanderTopology::generate(expander, 1).graph().clone(),
+                expander.racks,
+                expander.hosts_per_rack,
+            ),
+            (
+                clos.graph().clone(),
+                clos.tors(),
+                ClosParams::example_648().hosts_per_tor(),
+            ),
+        ];
+        for (graph, tors, hosts_per_tor) in cases {
+            let layout = PortLayout {
+                tors,
+                hosts_per_tor,
+            };
+            let routes = Routes::build(&graph, layout);
+            let old = routes_by_adjacency_index(&graph, tors);
+            let mut hops = 0;
+            for dst_tor in 0..tors {
+                for v in 0..graph.len() {
+                    let by_index: Vec<u8> = old[dst_tor * graph.len() + v]
+                        .iter()
+                        .map(|&i| u8::try_from(layout.fabric_port(v, i as usize)).unwrap())
+                        .collect();
+                    assert_eq!(routes.toward(dst_tor, v), by_index, "{v} → ToR {dst_tor}");
+                    hops += by_index.len();
+                }
+            }
+            assert_eq!(hops, routes.ports.len());
+            assert!(hops > 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fabric port must fit u8")]
+    fn routes_refuse_a_port_past_u8() {
+        // A hub with 256 spokes: the route from the hub to the last spoke
+        // leaves by adjacency entry 255, fabric port 256 at a ToR with one
+        // host.
+        let mut star = Graph::new(257);
+        for spoke in 1..=256 {
+            star.add_link(0, spoke, 0);
+        }
+        Routes::build(
+            &star,
+            PortLayout {
+                tors: 257,
+                hosts_per_tor: 1,
+            },
+        );
     }
 }

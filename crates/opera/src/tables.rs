@@ -6,32 +6,80 @@
 //! reaches the destination rack directly this slice.
 //!
 //! Tables are precomputed at build time (Opera fixes its schedule at
-//! design time; §3.3) and stored flat: up to [`MAX_ECMP`] uplink choices
-//! per `(slice, dst rack, current rack)` entry.
+//! design time; §3.3) and stored flat.
 //!
-//! Cost model: everything the slice clock asks is answered by an index —
-//! the bulk table is laid down at build as one row of `(dst, uplink)`
-//! circuits per `(slice, rack)`, so [`BulkTables::circuits_of`] is a
-//! borrowed slice, [`BulkTables::direct_uplink`] a search of at most
-//! `u − 1` adjacent entries, and a slice boundary allocates nothing. Rows
-//! are in ascending `dst`, and that order is load-bearing: feeders are
-//! armed in row order, so it is the order of same-instant feeder events
-//! and hence of every packet they emit.
+//! Cost model: a low-latency entry is one 16-bit word per `(slice, dst
+//! rack, current rack)` — 2 bytes where an uplink list took 9, 2.5 MB for
+//! the paper's 108 × 108 racks × 108 slices — with bit `j` set when rotor
+//! uplink `j` lies on a shortest path ([`UplinkSet`]). A ToR draws its
+//! ECMP choice as "the k-th member, k uniform", so the order of members
+//! decides which uplink a given RNG draw picks: ascending uplink is the
+//! order the entries always had (a slice graph gives each rack at most
+//! one edge per rotor switch, added in ascending switch order), and it is
+//! what keeps every packet where it was.
+//!
+//! Everything the slice clock asks is answered by an index too — the bulk
+//! table is laid down at build as one row of `(dst, uplink)` circuits per
+//! `(slice, rack)`, so [`BulkTables::circuits_of`] is a borrowed slice,
+//! [`BulkTables::direct_uplink`] a search of at most `u − 1` adjacent
+//! entries, and a slice boundary allocates nothing. Rows are in ascending
+//! `dst`, and that order is load-bearing: feeders are armed in row order,
+//! so it is the order of same-instant feeder events and hence of every
+//! packet they emit.
 
 use topo::opera::OperaTopology;
-
-/// Maximum ECMP fanout stored per entry.
-pub const MAX_ECMP: usize = 8;
 
 /// Sentinel: no uplink.
 pub const NO_PORT: u8 = u8::MAX;
 
-/// Uplinks are stored as `u8` beside the [`NO_PORT`] sentinel. Checked
-/// once, where the topology enters a table builder: with at most 255
+/// The bulk table stores uplinks as `u8` beside the [`NO_PORT`] sentinel.
+/// Checked once, where the topology enters its builder: with at most 255
 /// switches every uplink index is at most 254, so the `as u8` casts below
 /// neither wrap nor collide with the sentinel.
 fn check_uplinks_fit(topo: &OperaTopology) {
     u8::try_from(topo.switches()).expect("switch count must fit u8 (uplinks are stored as u8)");
+}
+
+/// The rotor uplinks of one low-latency entry: a subset of uplinks
+/// `0..16`, iterated in ascending order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UplinkSet(u16);
+
+impl UplinkSet {
+    /// True with no uplink: the ToR is the destination, or cannot reach it
+    /// this slice.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Number of uplinks.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// The `k`-th smallest uplink.
+    ///
+    /// # Panics
+    /// Panics if `k >= self.len()`.
+    #[inline]
+    pub fn nth(self, k: usize) -> usize {
+        self.iter().nth(k).expect("k is below the set's length")
+    }
+
+    /// The uplinks, ascending.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let uplink = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                uplink
+            })
+        })
+    }
 }
 
 /// Flat low-latency next-hop table for every slice of a cycle.
@@ -39,10 +87,8 @@ fn check_uplinks_fit(topo: &OperaTopology) {
 pub struct LowLatencyTables {
     racks: usize,
     slices: usize,
-    /// `[(slice * racks + dst) * racks + cur]` → up to MAX_ECMP uplinks.
-    entries: Vec<[u8; MAX_ECMP]>,
-    /// Number of valid choices per entry (parallel to `entries`).
-    counts: Vec<u8>,
+    /// `[(slice * racks + dst) * racks + cur]` → the entry's uplinks.
+    entries: Vec<UplinkSet>,
 }
 
 /// Remove circuits using the failed `(rack, uplink)` transceivers from a
@@ -83,14 +129,17 @@ impl LowLatencyTables {
     /// Build tables routing around failed `(rack, uplink)` transceivers.
     ///
     /// # Panics
-    /// Panics if `topo` has more than 255 switches (uplinks are stored as
-    /// `u8`).
+    /// Panics if `topo` has more than 16 rotor switches (an entry is a
+    /// 16-bit set of uplinks; the paper's largest point, k = 24, has 12).
     pub fn build_with_failures(topo: &OperaTopology, bad: &[(usize, usize)]) -> Self {
-        check_uplinks_fit(topo);
+        assert!(
+            topo.switches() <= u16::BITS as usize,
+            "low-latency entries hold 16 uplinks, not {}",
+            topo.switches()
+        );
         let racks = topo.racks();
         let slices = topo.slices_per_cycle();
-        let mut entries = vec![[NO_PORT; MAX_ECMP]; slices * racks * racks];
-        let mut counts = vec![0u8; slices * racks * racks];
+        let mut entries = vec![UplinkSet::default(); slices * racks * racks];
         for s in 0..slices {
             let g = prune_failed(topo.slice(s).graph(), bad);
             for dst in 0..racks {
@@ -102,19 +151,13 @@ impl LowLatencyTables {
                     if cur == dst || dist[cur] == usize::MAX {
                         continue;
                     }
-                    let idx = (s * racks + dst) * racks + cur;
-                    let mut n = 0;
+                    let entry = &mut entries[(s * racks + dst) * racks + cur];
                     for e in g.edges(cur) {
-                        if dist[e.to] == usize::MAX || dist[e.to] + 1 != dist[cur] {
-                            continue;
+                        if dist[e.to] != usize::MAX && dist[e.to] + 1 == dist[cur] {
+                            // Below 16, checked above.
+                            entry.0 |= 1 << e.port;
                         }
-                        if n == MAX_ECMP {
-                            break;
-                        }
-                        entries[idx][n] = e.port as u8;
-                        n += 1;
                     }
-                    counts[idx] = n as u8;
                 }
             }
         }
@@ -122,16 +165,14 @@ impl LowLatencyTables {
             racks,
             slices,
             entries,
-            counts,
         }
     }
 
     /// ECMP uplink choices at `cur` toward `dst` during `slice`.
     /// Empty when `cur == dst` or `dst` is unreachable this slice.
     #[inline]
-    pub fn next_hops(&self, slice: usize, cur: usize, dst: usize) -> &[u8] {
-        let idx = (in_cycle(slice, self.slices) * self.racks + dst) * self.racks + cur;
-        &self.entries[idx][..self.counts[idx] as usize]
+    pub fn next_hops(&self, slice: usize, cur: usize, dst: usize) -> UplinkSet {
+        self.entries[(in_cycle(slice, self.slices) * self.racks + dst) * self.racks + cur]
     }
 
     /// Number of racks.
@@ -282,9 +323,9 @@ mod tests {
             let bad: Vec<usize> = t.reconfiguring(s).collect();
             for cur in 0..t.racks() {
                 for dst in 0..t.racks() {
-                    for &p in tables.next_hops(s, cur, dst) {
+                    for p in tables.next_hops(s, cur, dst).iter() {
                         assert!(
-                            !bad.contains(&(p as usize)),
+                            !bad.contains(&p),
                             "slice {s} routes via reconfiguring switch {p}"
                         );
                     }
@@ -306,8 +347,8 @@ mod tests {
                 if cur == dst {
                     continue;
                 }
-                for &p in tables.next_hops(s, cur, dst) {
-                    let m = t.slice(s).matching_of(p as usize);
+                for p in tables.next_hops(s, cur, dst).iter() {
+                    let m = t.slice(s).matching_of(p);
                     let nxt = m.partner(cur);
                     assert_eq!(dist[nxt] + 1, dist[cur], "not a shortest-path hop");
                 }
@@ -373,41 +414,74 @@ mod tests {
             .collect()
     }
 
-    /// `LowLatencyTables` as it was built before: through
-    /// `Graph::next_hops_to`'s per-destination `Vec<Vec<Edge>>`.
-    fn low_latency_by_next_hops_to(t: &OperaTopology, bad: &[(usize, usize)]) -> LowLatencyTables {
+    /// The low-latency table as it was stored before: up to 8 uplinks and
+    /// a count per entry, filled through `Graph::next_hops_to`'s
+    /// per-destination `Vec<Vec<Edge>>`.
+    fn rows_by_next_hops_to(t: &OperaTopology, bad: &[(usize, usize)]) -> Vec<([u8; 8], u8)> {
         let racks = t.racks();
         let slices = t.slices_per_cycle();
-        let mut entries = vec![[NO_PORT; MAX_ECMP]; slices * racks * racks];
-        let mut counts = vec![0u8; slices * racks * racks];
+        let mut rows = vec![([NO_PORT; 8], 0u8); slices * racks * racks];
         for s in 0..slices {
             let g = prune_failed(t.slice(s).graph(), bad);
             for dst in 0..racks {
                 for (cur, hops) in g.next_hops_to(dst).iter().enumerate() {
-                    let idx = (s * racks + dst) * racks + cur;
-                    for (n, e) in hops.iter().take(MAX_ECMP).enumerate() {
-                        entries[idx][n] = u8::try_from(e.port).unwrap();
-                        counts[idx] = n as u8 + 1;
+                    let (row, count) = &mut rows[(s * racks + dst) * racks + cur];
+                    for (n, e) in hops.iter().take(8).enumerate() {
+                        row[n] = u8::try_from(e.port).unwrap();
+                        *count = n as u8 + 1;
                     }
                 }
             }
         }
-        LowLatencyTables {
-            racks,
-            slices,
-            entries,
-            counts,
-        }
+        rows
     }
 
     #[test]
     fn low_latency_tables_equal_the_next_hops_to_build() {
         for (t, bad) in cases() {
             let new = LowLatencyTables::build_with_failures(&t, &bad);
-            let old = low_latency_by_next_hops_to(&t, &bad);
-            assert_eq!(new.entries, old.entries, "bad {bad:?}");
-            assert_eq!(new.counts, old.counts, "bad {bad:?}");
+            let old = rows_by_next_hops_to(&t, &bad);
+            let racks = t.racks();
+            // Past the end of the cycle too: a monotone slice is accepted.
+            for s in 0..t.slices_per_cycle() + 2 {
+                for dst in 0..racks {
+                    for cur in 0..racks {
+                        let (row, count) =
+                            old[((s % t.slices_per_cycle()) * racks + dst) * racks + cur];
+                        let row = &row[..count as usize];
+                        let set = new.next_hops(s, cur, dst);
+                        let at = format!("bad {bad:?} slice {s} {cur} → {dst}");
+                        assert_eq!(set.len(), row.len(), "{at}");
+                        assert_eq!(set.is_empty(), row.is_empty(), "{at}");
+                        assert!(set.iter().eq(row.iter().map(|&p| p as usize)), "{at}");
+                        // What the ToR's draw reads: the k-th choice.
+                        for (k, &p) in row.iter().enumerate() {
+                            assert_eq!(set.nth(k), p as usize, "{at} choice {k}");
+                        }
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn nth_is_the_kth_set_bit_of_every_mask() {
+        for mask in 0..=u16::MAX {
+            let set = UplinkSet(mask);
+            let members: Vec<usize> = (0..16).filter(|j| mask >> j & 1 == 1).collect();
+            assert_eq!(set.len(), members.len());
+            assert_eq!(set.is_empty(), members.is_empty());
+            assert!(set.iter().eq(members.iter().copied()), "{mask:#b}");
+            for (k, &j) in members.iter().enumerate() {
+                assert_eq!(set.nth(k), j, "{mask:#b} choice {k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "k is below the set's length")]
+    fn nth_refuses_a_choice_past_the_set() {
+        UplinkSet(0b1010).nth(2);
     }
 
     #[test]
@@ -446,12 +520,11 @@ mod tests {
         }
     }
 
-    /// 256 switches: uplink 255 would read as `NO_PORT`, uplink 256 as 0.
-    fn topo_256_switches() -> OperaTopology {
+    fn topo_with_switches(switches: usize) -> OperaTopology {
         OperaTopology::generate(
             OperaParams {
-                racks: 256,
-                uplinks: 256,
+                racks: switches,
+                uplinks: switches,
                 hosts_per_rack: 1,
                 groups: 1,
             },
@@ -459,15 +532,27 @@ mod tests {
         )
     }
 
+    /// 17 switches: uplink 16 has no bit in a 16-bit entry.
     #[test]
-    #[should_panic(expected = "switch count must fit u8")]
-    fn low_latency_tables_refuse_256_switches() {
-        LowLatencyTables::build(&topo_256_switches());
+    #[should_panic(expected = "low-latency entries hold 16 uplinks, not 17")]
+    fn low_latency_tables_refuse_17_switches() {
+        LowLatencyTables::build(&topo_with_switches(17));
     }
 
     #[test]
+    fn low_latency_tables_take_16_switches() {
+        let t = topo_with_switches(16);
+        let tables = LowLatencyTables::build(&t);
+        // One switch reconfigures; the other 15 reach every rack but the
+        // one it would have.
+        assert!(tables.next_hops(0, 0, 1).len() <= 15);
+        assert!((1..16).any(|dst| tables.next_hops(0, 0, dst).iter().any(|j| j == 15)));
+    }
+
+    /// 256 switches: uplink 255 would read as `NO_PORT`, uplink 256 as 0.
+    #[test]
     #[should_panic(expected = "switch count must fit u8")]
     fn bulk_tables_refuse_256_switches() {
-        BulkTables::build(&topo_256_switches());
+        BulkTables::build(&topo_with_switches(256));
     }
 }

@@ -15,12 +15,12 @@
 //! queues a retransmission; anything else lost is recovered by the RTO,
 //! which collapses the window to `min_cwnd`.
 
-use crate::{Actions, RecvBitmap, Transport, TransportTimer};
+use crate::window::{FlowMap, SendWindow, SeqSet};
+use crate::{Actions, Transport, TransportTimer};
 use netsim::fabric::{Fabric, NetEvent};
 use netsim::{FlowId, FlowTracker, Packet, PacketKind, MTU};
 use simkit::engine::EventContext;
 use simkit::SimTime;
-use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// DCTCP tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -54,15 +54,7 @@ impl DctcpParams {
 /// Sender-side per-flow state.
 #[derive(Debug)]
 struct SendFlow {
-    flow: FlowId,
-    src: usize,
-    dst: usize,
-    size: u64,
-    total: u32,
-    next_new: u32,
-    /// Segments NACKed (trim-assisted loss) awaiting retransmission.
-    rtx: VecDeque<u32>,
-    unacked: BTreeSet<u32>,
+    win: SendWindow,
     /// Congestion window, packets (fractional growth).
     cwnd: f64,
     /// DCTCP marked-fraction EWMA.
@@ -71,16 +63,12 @@ struct SendFlow {
     window_acks: u32,
     /// Marked ACKs counted in the current observation window.
     window_marks: u32,
-    last_activity: SimTime,
 }
 
 impl SendFlow {
-    fn done(&self) -> bool {
-        self.next_new >= self.total && self.rtx.is_empty() && self.unacked.is_empty()
-    }
-
-    fn inflight(&self) -> usize {
-        self.unacked.len()
+    /// Emit segments while the congestion window has room.
+    fn pump(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>) {
+        while (self.win.unacked.len() as f64) < self.cwnd && self.win.emit_next(fabric, ctx) {}
     }
 }
 
@@ -92,8 +80,9 @@ pub struct DctcpHost {
     /// NIC port (always 0 for single-homed hosts).
     pub nic_port: usize,
     params: DctcpParams,
-    sending: HashMap<FlowId, SendFlow>,
-    receiving: HashMap<FlowId, RecvBitmap>,
+    sending: FlowMap<SendFlow>,
+    /// Segments received, per flow.
+    receiving: FlowMap<SeqSet>,
 }
 
 impl DctcpHost {
@@ -103,8 +92,8 @@ impl DctcpHost {
             nic,
             nic_port,
             params,
-            sending: HashMap::new(),
-            receiving: HashMap::new(),
+            sending: FlowMap::default(),
+            receiving: FlowMap::default(),
         }
     }
 
@@ -118,37 +107,11 @@ impl DctcpHost {
         self.sending.get(&flow).map(|st| st.cwnd)
     }
 
-    /// Emit segments while the window has room.
-    fn pump(
-        params: &DctcpParams,
-        st: &mut SendFlow,
-        fabric: &mut Fabric,
-        ctx: &mut EventContext<'_, NetEvent>,
-        nic: usize,
-        nic_port: usize,
-    ) {
-        while (st.inflight() as f64) < st.cwnd {
-            let seq = if let Some(seq) = st.rtx.pop_front() {
-                seq
-            } else if st.next_new < st.total {
-                let s = st.next_new;
-                st.next_new += 1;
-                s
-            } else {
-                return;
-            };
-            let size = crate::wire_size(params.mtu, st.size, seq);
-            let pkt = Packet::data(st.flow, st.src, st.dst, seq, size);
-            st.unacked.insert(seq);
-            st.last_activity = ctx.now();
-            fabric.send(ctx, nic, nic_port, pkt);
-        }
-    }
-
     /// Per-window alpha update and multiplicative decrease, applied once
     /// roughly every cwnd ACKs.
     fn roll_window(params: &DctcpParams, st: &mut SendFlow) {
-        if (st.window_acks as f64) < st.cwnd.ceil() {
+        // For a whole number of ACKs this is `< cwnd.ceil()`, exactly.
+        if (st.window_acks as f64) < st.cwnd {
             return;
         }
         let f = st.window_marks as f64 / st.window_acks as f64;
@@ -182,23 +145,22 @@ impl Transport for DctcpHost {
         dst: usize,
         size: u64,
     ) -> Actions {
-        let total = crate::packets_for(self.params.mtu, size);
         let mut st = SendFlow {
-            flow,
-            src: self.nic,
-            dst,
-            size,
-            total,
-            next_new: 0,
-            rtx: VecDeque::new(),
-            unacked: BTreeSet::new(),
+            win: SendWindow::new(
+                flow,
+                self.nic,
+                self.nic_port,
+                dst,
+                size,
+                self.params.mtu,
+                ctx.now(),
+            ),
             cwnd: self.params.init_cwnd as f64,
             alpha: 0.0,
             window_acks: 0,
             window_marks: 0,
-            last_activity: ctx.now(),
         };
-        Self::pump(&self.params, &mut st, fabric, ctx, self.nic, self.nic_port);
+        st.pump(fabric, ctx);
         let mut actions = Actions::default();
         actions
             .timers
@@ -222,12 +184,10 @@ impl Transport for DctcpHost {
             PacketKind::Data { seq, trimmed } => {
                 let flow = pkt.flow;
                 let sender = pkt.src;
-                let total = crate::packets_for(self.params.mtu, tracker.get(flow).size);
-                let st = self
-                    .receiving
-                    .entry(flow)
-                    .or_insert_with(|| RecvBitmap::new(total));
-                if trimmed && !st.complete {
+                let seen = self.receiving.entry(flow).or_insert_with(|| {
+                    SeqSet::new(crate::packets_for(self.params.mtu, tracker.get(flow).size))
+                });
+                if trimmed && !seen.is_full() {
                     // Trim-assisted loss signal (NdpTrim switches): NACK.
                     let nack = Packet::control(flow, self.nic, sender, PacketKind::Nack { seq });
                     fabric.send(ctx, self.nic, self.nic_port, nack);
@@ -237,14 +197,14 @@ impl Transport for DctcpHost {
                 let mut ack = Packet::control(flow, self.nic, sender, PacketKind::Ack { seq });
                 ack.ecn_ce = pkt.ecn_ce;
                 fabric.send(ctx, self.nic, self.nic_port, ack);
-                if !st.complete && st.test_and_set(seq) {
-                    st.complete = tracker.deliver(flow, pkt.payload() as u64, ctx.now());
+                if seen.insert(seq) {
+                    tracker.deliver(flow, pkt.payload() as u64, ctx.now());
                 }
             }
             PacketKind::Ack { seq } => {
                 if let Some(st) = self.sending.get_mut(&pkt.flow) {
-                    st.unacked.remove(&seq);
-                    st.last_activity = ctx.now();
+                    st.win.unacked.remove(seq);
+                    st.win.last_activity = ctx.now();
                     st.window_acks += 1;
                     if pkt.ecn_ce {
                         st.window_marks += 1;
@@ -252,22 +212,20 @@ impl Transport for DctcpHost {
                         st.cwnd += 1.0 / st.cwnd;
                     }
                     Self::roll_window(&self.params, st);
-                    Self::pump(&self.params, st, fabric, ctx, self.nic, self.nic_port);
-                    if st.done() {
+                    st.pump(fabric, ctx);
+                    if st.win.done() {
                         self.sending.remove(&pkt.flow);
                     }
                 }
             }
             PacketKind::Nack { seq } => {
                 if let Some(st) = self.sending.get_mut(&pkt.flow) {
-                    st.last_activity = ctx.now();
-                    st.unacked.remove(&seq);
-                    if !st.rtx.contains(&seq) {
-                        st.rtx.push_back(seq);
-                    }
+                    st.win.last_activity = ctx.now();
+                    st.win.unacked.remove(seq);
+                    st.win.nack(seq);
                     // Loss: halve the window (sharper than a mark).
                     st.cwnd = (st.cwnd / 2.0).max(self.params.min_cwnd as f64);
-                    Self::pump(&self.params, st, fabric, ctx, self.nic, self.nic_port);
+                    st.pump(fabric, ctx);
                 }
             }
             _ => {}
@@ -288,23 +246,13 @@ impl Transport for DctcpHost {
             return actions; // no pacer in DCTCP
         };
         if let Some(st) = self.sending.get_mut(&flow) {
-            let deadline = st.last_activity + self.params.rto;
-            if ctx.now() >= deadline {
-                // Timeout: collapse the window and re-send the oldest
-                // unacked segment.
+            // Timeout: the oldest unacked segment goes out again and the
+            // window collapses.
+            let (next, timed_out) = st.win.check_rto(fabric, ctx, self.params.rto);
+            if timed_out {
                 st.cwnd = self.params.min_cwnd as f64;
-                if let Some(&seq) = st.unacked.iter().next() {
-                    let size = crate::wire_size(self.params.mtu, st.size, seq);
-                    let pkt = Packet::data(st.flow, st.src, st.dst, seq, size);
-                    st.last_activity = ctx.now();
-                    fabric.send(ctx, self.nic, self.nic_port, pkt);
-                }
-                actions
-                    .timers
-                    .push((ctx.now() + self.params.rto, TransportTimer::Rto(flow)));
-            } else {
-                actions.timers.push((deadline, TransportTimer::Rto(flow)));
             }
+            actions.timers.push((next, TransportTimer::Rto(flow)));
         }
         actions
     }

@@ -19,12 +19,12 @@
 //! so the receiver treats it like any out-of-order arrival: dup-ACK now,
 //! recovery by timeout.
 
+use crate::window::FlowMap;
 use crate::{Actions, Transport, TransportTimer};
 use netsim::fabric::{Fabric, NetEvent};
 use netsim::{FlowId, FlowTracker, Packet, PacketKind, MTU};
 use simkit::engine::EventContext;
 use simkit::SimTime;
-use std::collections::HashMap;
 
 /// Go-back-N tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -82,8 +82,8 @@ pub struct GoBackNHost {
     /// NIC port (always 0 for single-homed hosts).
     pub nic_port: usize,
     params: GoBackNParams,
-    sending: HashMap<FlowId, SendFlow>,
-    receiving: HashMap<FlowId, RecvFlow>,
+    sending: FlowMap<SendFlow>,
+    receiving: FlowMap<RecvFlow>,
 }
 
 impl GoBackNHost {
@@ -93,8 +93,8 @@ impl GoBackNHost {
             nic,
             nic_port,
             params,
-            sending: HashMap::new(),
-            receiving: HashMap::new(),
+            sending: FlowMap::default(),
+            receiving: FlowMap::default(),
         }
     }
 
@@ -196,11 +196,10 @@ impl Transport for GoBackNHost {
             PacketKind::Data { seq, trimmed } => {
                 let flow = pkt.flow;
                 let sender = pkt.src;
-                let total = crate::packets_for(self.params.mtu, tracker.get(flow).size);
-                let st = self
-                    .receiving
-                    .entry(flow)
-                    .or_insert_with(|| RecvFlow { expected: 0, total });
+                let st = self.receiving.entry(flow).or_insert_with(|| RecvFlow {
+                    expected: 0,
+                    total: crate::packets_for(self.params.mtu, tracker.get(flow).size),
+                });
                 if !trimmed && seq == st.expected && st.expected < st.total {
                     st.expected += 1;
                     tracker.deliver(flow, pkt.payload() as u64, ctx.now());

@@ -19,6 +19,17 @@
 //! SIGCOMM 2017\]: buffer at the edge until a direct circuit is up, spill
 //! onto two-hop Valiant paths under skew).
 //!
+//! Per-flow state is looked up for every data packet and every ACK, so the
+//! three sequence-number transports keep it in two containers built for
+//! that (private module `window`), and both lean on what a flow id *is*
+//! here: `FlowTracker::register`'s dense counter, a key the program makes
+//! itself. `FlowMap` is a hash map whose hash is one multiply — fit for
+//! such keys, not for keys an outsider could choose — and it is never
+//! iterated, so no result depends on its order (and none on a per-process
+//! `RandomState`). `SeqSet` is a bitmap over a flow's segments `0..total`
+//! with a count: the sender's unacked set and the receiver's seen set,
+//! `total / 8` bytes a flow.
+//!
 //! All hosts are deliberately *topology-free*: they speak in terms of host
 //! NICs and packets, and they cannot schedule timers directly — timer
 //! token encoding is owned by the enclosing network model, so every entry
@@ -29,6 +40,7 @@ pub mod dctcp;
 pub mod go_back_n;
 pub mod ndp;
 pub mod rotorlb;
+mod window;
 
 use netsim::fabric::{Fabric, NetEvent};
 use netsim::packet::HEADER_SIZE;
@@ -155,30 +167,4 @@ pub(crate) fn wire_size(mtu: u32, size: u64, seq: u32) -> u32 {
     let sent = seq as u64 * per;
     let remaining = size.saturating_sub(sent).min(per) as u32;
     HEADER_SIZE + remaining
-}
-
-/// Per-flow receive bitmap shared by the sequence-number transports:
-/// dedupes retransmissions so payload is delivered exactly once.
-#[derive(Debug)]
-pub(crate) struct RecvBitmap {
-    seen: Vec<u64>,
-    /// All payload delivered; further data is stale retransmission.
-    pub complete: bool,
-}
-
-impl RecvBitmap {
-    pub fn new(total: u32) -> Self {
-        RecvBitmap {
-            seen: vec![0; (total as usize).div_ceil(64)],
-            complete: false,
-        }
-    }
-
-    /// True when `seq` had not been seen before (and marks it seen).
-    pub fn test_and_set(&mut self, seq: u32) -> bool {
-        let (w, b) = (seq as usize / 64, seq as usize % 64);
-        let was = self.seen[w] >> b & 1 == 1;
-        self.seen[w] |= 1 << b;
-        !was
-    }
 }

@@ -20,12 +20,13 @@
 //! reacts to packets handed to it via the [`Transport`] trait. Routing
 //! between NICs is the enclosing network model's job.
 
-use crate::{Actions, RecvBitmap, Transport, TransportTimer};
+use crate::window::{FlowMap, SendWindow, SeqSet};
+use crate::{Actions, Transport, TransportTimer};
 use netsim::fabric::{Fabric, NetEvent};
 use netsim::{FlowId, FlowTracker, Packet, PacketKind, MTU};
 use simkit::engine::EventContext;
 use simkit::SimTime;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// NDP tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -69,30 +70,6 @@ impl NdpParams {
     }
 }
 
-/// Sender-side per-flow state.
-#[derive(Debug)]
-struct SendFlow {
-    flow: FlowId,
-    src: usize,
-    dst: usize,
-    size: u64,
-    total: u32,
-    /// Next never-sent segment.
-    next_new: u32,
-    /// Segments NACKed and awaiting retransmission.
-    rtx: VecDeque<u32>,
-    /// Sent but not yet ACKed.
-    unacked: BTreeSet<u32>,
-    /// Time of the last useful event (send/ack/nack/pull).
-    last_activity: SimTime,
-}
-
-impl SendFlow {
-    fn done(&self) -> bool {
-        self.next_new >= self.total && self.rtx.is_empty() && self.unacked.is_empty()
-    }
-}
-
 /// All NDP state for one host (its NIC node id + port).
 #[derive(Debug)]
 pub struct NdpHost {
@@ -101,8 +78,9 @@ pub struct NdpHost {
     /// NIC port (always 0 for single-homed hosts).
     pub nic_port: usize,
     params: NdpParams,
-    sending: HashMap<FlowId, SendFlow>,
-    receiving: HashMap<FlowId, RecvBitmap>,
+    sending: FlowMap<SendWindow>,
+    /// Segments received, per flow.
+    receiving: FlowMap<SeqSet>,
     /// FIFO of pulls awaiting pacing: (flow, sender host NIC).
     pull_queue: VecDeque<(FlowId, usize)>,
     /// Earliest time the pacer may release the next pull.
@@ -118,8 +96,8 @@ impl NdpHost {
             nic,
             nic_port,
             params,
-            sending: HashMap::new(),
-            receiving: HashMap::new(),
+            sending: FlowMap::default(),
+            receiving: FlowMap::default(),
             pull_queue: VecDeque::new(),
             pacer_free_at: SimTime::ZERO,
             pacer_armed: false,
@@ -129,31 +107,6 @@ impl NdpHost {
     /// Tuning parameters.
     pub fn params(&self) -> &NdpParams {
         &self.params
-    }
-
-    /// Send the next pending segment (retransmission first, then new).
-    fn emit_next(
-        params: &NdpParams,
-        st: &mut SendFlow,
-        fabric: &mut Fabric,
-        ctx: &mut EventContext<'_, NetEvent>,
-        nic: usize,
-        nic_port: usize,
-    ) {
-        let seq = if let Some(seq) = st.rtx.pop_front() {
-            seq
-        } else if st.next_new < st.total {
-            let s = st.next_new;
-            st.next_new += 1;
-            s
-        } else {
-            return; // nothing left to clock out
-        };
-        let size = params.wire_size(st.size, seq);
-        let pkt = Packet::data(st.flow, st.src, st.dst, seq, size);
-        st.unacked.insert(seq);
-        st.last_activity = ctx.now();
-        fabric.send(ctx, nic, nic_port, pkt);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -169,12 +122,11 @@ impl NdpHost {
     ) {
         let flow = pkt.flow;
         let sender = pkt.src;
-        let total = self.params.packets_for(tracker.get(flow).size);
-        let st = self
+        let seen = self
             .receiving
             .entry(flow)
-            .or_insert_with(|| RecvBitmap::new(total));
-        if st.complete {
+            .or_insert_with(|| SeqSet::new(self.params.packets_for(tracker.get(flow).size)));
+        if seen.is_full() {
             // Stale retransmission: ack so the sender retires it.
             let ack = Packet::control(flow, self.nic, sender, PacketKind::Ack { seq });
             fabric.send(ctx, self.nic, self.nic_port, ack);
@@ -190,10 +142,9 @@ impl NdpHost {
         // Full data packet.
         let ack = Packet::control(flow, self.nic, sender, PacketKind::Ack { seq });
         fabric.send(ctx, self.nic, self.nic_port, ack);
-        if st.test_and_set(seq) {
+        if seen.insert(seq) {
             let done = tracker.deliver(flow, pkt.payload() as u64, ctx.now());
             if done {
-                st.complete = true;
                 // Drop queued pulls for this flow: the sender needs no
                 // more credit.
                 self.pull_queue.retain(|&(f, _)| f != flow);
@@ -241,21 +192,19 @@ impl Transport for NdpHost {
         dst: usize,
         size: u64,
     ) -> Actions {
-        let total = self.params.packets_for(size);
-        let mut st = SendFlow {
+        let mut st = SendWindow::new(
             flow,
-            src: self.nic,
+            self.nic,
+            self.nic_port,
             dst,
             size,
-            total,
-            next_new: 0,
-            rtx: VecDeque::new(),
-            unacked: BTreeSet::new(),
-            last_activity: ctx.now(),
-        };
-        let burst = total.min(self.params.initial_window);
-        for _ in 0..burst {
-            Self::emit_next(&self.params, &mut st, fabric, ctx, self.nic, self.nic_port);
+            self.params.mtu,
+            ctx.now(),
+        );
+        for _ in 0..self.params.initial_window {
+            if !st.emit_next(fabric, ctx) {
+                break;
+            }
         }
         let mut actions = Actions::default();
         actions
@@ -283,7 +232,7 @@ impl Transport for NdpHost {
             }
             PacketKind::Ack { seq } => {
                 if let Some(st) = self.sending.get_mut(&pkt.flow) {
-                    st.unacked.remove(&seq);
+                    st.unacked.remove(seq);
                     st.last_activity = ctx.now();
                     if st.done() {
                         self.sending.remove(&pkt.flow);
@@ -293,15 +242,13 @@ impl Transport for NdpHost {
             PacketKind::Nack { seq } => {
                 if let Some(st) = self.sending.get_mut(&pkt.flow) {
                     st.last_activity = ctx.now();
-                    if !st.rtx.contains(&seq) {
-                        st.rtx.push_back(seq);
-                    }
+                    st.nack(seq);
                 }
             }
             PacketKind::Pull { .. } => {
                 if let Some(st) = self.sending.get_mut(&pkt.flow) {
                     st.last_activity = ctx.now();
-                    Self::emit_next(&self.params, st, fabric, ctx, self.nic, self.nic_port);
+                    st.emit_next(fabric, ctx);
                     if st.done() {
                         self.sending.remove(&pkt.flow);
                     }
@@ -339,21 +286,8 @@ impl Transport for NdpHost {
             }
             TransportTimer::Rto(flow) => {
                 if let Some(st) = self.sending.get_mut(&flow) {
-                    let deadline = st.last_activity + self.params.rto;
-                    if ctx.now() >= deadline {
-                        // Stalled: re-send the oldest unacked segment.
-                        if let Some(&seq) = st.unacked.iter().next() {
-                            let size = self.params.wire_size(st.size, seq);
-                            let pkt = Packet::data(st.flow, st.src, st.dst, seq, size);
-                            st.last_activity = ctx.now();
-                            fabric.send(ctx, self.nic, self.nic_port, pkt);
-                        }
-                        actions
-                            .timers
-                            .push((ctx.now() + self.params.rto, TransportTimer::Rto(flow)));
-                    } else {
-                        actions.timers.push((deadline, TransportTimer::Rto(flow)));
-                    }
+                    let (next, _) = st.check_rto(fabric, ctx, self.params.rto);
+                    actions.timers.push((next, TransportTimer::Rto(flow)));
                 }
             }
         }
