@@ -151,19 +151,11 @@ impl Backend for SubprocessBackend {
             return Err(exit_error(&job.driver, &output.status, &output.stderr));
         }
 
-        let sdir = jobdir.join(&job.driver).join(expt::output::SHARD_DIR);
-        let mut files: Vec<PathBuf> = fs::read_dir(&sdir)
-            .map_err(|e| {
-                format!(
-                    "{} wrote no shard documents ({}: {e})",
-                    job.driver,
-                    sdir.display()
-                )
-            })?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        files.sort();
+        let dir = jobdir.join(&job.driver);
+        let files = expt::output::shard_docs(&dir).map_err(|e| {
+            let dir = dir.display();
+            format!("{} wrote no shard documents ({dir}: {e})", job.driver)
+        })?;
         let mut docs = Vec::with_capacity(files.len());
         for f in &files {
             docs.push(fs::read_to_string(f).map_err(|e| format!("{}: {e}", f.display()))?);
@@ -172,7 +164,7 @@ impl Backend for SubprocessBackend {
             return Err(format!(
                 "{} exited successfully but wrote no shard documents under {}",
                 job.driver,
-                sdir.display()
+                dir.display()
             ));
         }
         let _ = fs::remove_dir_all(&jobdir);
@@ -314,7 +306,10 @@ mod tests {
         // Merged tables are in canonical sorted-by-name order; the raw
         // run_shard docs are in driver emission order. Match by name.
         for m in merged {
-            let u = unsharded.iter().find(|u| u.table == m.table).unwrap();
+            let u = unsharded
+                .iter()
+                .find(|u| u.table.name == m.table.name)
+                .unwrap();
             assert_eq!(m.to_csv(), u.to_csv());
         }
         // The grouped merge helper agrees with the orchestrator.

@@ -58,15 +58,14 @@ fn offset(ctx: &Ctx) -> Table {
         &["strategy", "disruption"],
         &[("fraction_fully_connected", expt::f as MetricFmt)],
     );
-    out.push_constant(
+    out.extend(ctx.repeat((
         vec![
             Cell::from("offset"),
             Cell::from("none (expander always available)"),
         ],
-        &[offset_up],
-        ctx.replicates(),
-    );
-    out.push_constant(
+        vec![offset_up],
+    )));
+    out.extend(ctx.repeat((
         vec![
             Cell::from("simultaneous"),
             Cell::from(format!(
@@ -75,9 +74,8 @@ fn offset(ctx: &Ctx) -> Table {
                 t.slice()
             )),
         ],
-        &[simultaneous_up],
-        ctx.replicates(),
-    );
+        vec![simultaneous_up],
+    )));
     out.build()
 }
 
@@ -88,7 +86,6 @@ fn uplink_count(ctx: &Ctx) -> Table {
     let us: &[usize] = ctx.by_scale(&[3, 6], &[3, 4, 6, 8], &[3, 4, 6, 8]);
     let racks: usize = ctx.by_scale(48, 96, 96);
     let sweep = Sweep::grid1(us, |u| u);
-    let sref = ctx.sweep_ref(&sweep);
     let per_point = ctx.run(&sweep, |&u, _| {
         let params = OperaParams {
             racks,
@@ -125,11 +122,8 @@ fn uplink_count(ctx: &Ctx) -> Table {
             ("avg_path", expt::f2),
             ("max_path", expt::f2),
         ],
-    )
-    .for_sweep(&sref);
-    for ((key, metrics), &p) in per_point.into_iter().zip(&sref.owned) {
-        out.push_constant_at(p, key, &metrics, ctx.replicates());
-    }
+    );
+    out.sweep_rows(&per_point, |_, row| ctx.repeat(row));
     out.build()
 }
 
@@ -140,7 +134,6 @@ fn threshold(ctx: &Ctx) -> Table {
     let racks: usize = ctx.by_scale(8, 16, 16);
     let cases = [("bulk", 1_000u64), ("low_latency", u64::MAX)];
     let sweep = Sweep::grid1(&cases, |c| c);
-    let sref = ctx.sweep_ref(&sweep);
     let per_point = ctx.run(&sweep, |&(label, bulk_threshold), _| {
         let mut cfg = OperaNetConfig::small_test();
         cfg.params.racks = racks;
@@ -168,11 +161,8 @@ fn threshold(ctx: &Ctx) -> Table {
         "bulk_threshold",
         &["class", "note"],
         &[("fct_ms", expt::f3 as MetricFmt)],
-    )
-    .for_sweep(&sref);
-    for ((key, metrics), &p) in per_point.into_iter().zip(&sref.owned) {
-        out.push_constant_at(p, key, &metrics, ctx.replicates());
-    }
+    );
+    out.sweep_rows(&per_point, |_, row| ctx.repeat(row));
     out.build()
 }
 
@@ -184,7 +174,6 @@ fn threshold(ctx: &Ctx) -> Table {
 fn vlb(ctx: &Ctx) -> Table {
     let racks: usize = ctx.by_scale(8, 16, 16);
     let sweep = Sweep::grid1(&[true, false], |b| b);
-    let sref = ctx.sweep_ref(&sweep);
     let per_point = ctx.run_replicated(&sweep, |&allow, rc| {
         let mut cfg = OperaNetConfig::small_test();
         cfg.params.racks = racks;
@@ -221,12 +210,7 @@ fn vlb(ctx: &Ctx) -> Table {
             ("completion_fraction_at_40ms", expt::f2 as MetricFmt),
             ("avg_bulk_fct_ms", expt::f2),
         ],
-    )
-    .for_sweep(&sref);
-    for (point, &p) in per_point.into_iter().zip(&sref.owned) {
-        for (key, metrics) in point {
-            out.push_at(p, key, &metrics);
-        }
-    }
+    );
+    out.sweep_rows(&per_point, |_, reps| reps);
     out.build()
 }

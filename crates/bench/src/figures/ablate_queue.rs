@@ -27,7 +27,6 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let racks: usize = ctx.by_scale(8, 16, 16);
 
     let sweep = Sweep::grid1(depths_kb, |kb| kb);
-    let sref = ctx.sweep_ref(&sweep);
     let per_point = ctx.run_replicated(&sweep, |&kb, rc| {
         let mut cfg = OperaNetConfig::small_test();
         cfg.params.racks = racks;
@@ -94,12 +93,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("completed", expt::f2),
             ("offered", expt::f2),
         ],
-    )
-    .for_sweep(&sref);
-    for (point, &p) in per_point.into_iter().zip(&sref.owned) {
-        for (key, metrics) in point {
-            out.push_at(p, key, &metrics);
-        }
-    }
+    );
+    out.sweep_rows(&per_point, |_, reps| reps);
     vec![out.build()]
 }

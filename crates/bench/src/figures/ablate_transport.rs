@@ -20,18 +20,11 @@
 //! marks, NDP over PFC never trims. The `completed`/`dropped`/`trimmed`/
 //! `marked` columns make each mechanism's fingerprint visible.
 
-use crate::scenario::{
-    self, policy_of, transport_of, workload_flows, KNOWN_POLICIES, KNOWN_TRANSPORTS,
-};
+use crate::scenario::{self, run_named, KNOWN_POLICIES, KNOWN_TRANSPORTS};
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
-use netsim::fabric::{FabricCounters, QueueConfig};
-use netsim::{FlowTracker, SwitchPolicyKind};
-use opera::opera_net::OperaLogic;
-use opera::static_net::{StaticLogic, StaticNetConfig, StaticTopologyKind};
-use opera::{OperaNetConfig, PacketNet};
-use simkit::{SimRng, SimTime};
-use topo::clos::ClosParams;
-use transport::TransportKind;
+use netsim::fabric::FabricCounters;
+use netsim::FlowTracker;
+use simkit::SimTime;
 
 /// Driver identity.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -39,24 +32,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     title: "Ablation: switch policy x transport matrix (incast + victim workloads)",
 };
 
-/// One point of the matrix sweep.
-type Combo = (
-    &'static str,
-    SwitchPolicyKind,
-    &'static str,
-    TransportKind,
-    &'static str,
-);
-
-/// Every switch policy and every transport the scenario registry names.
-fn policies() -> [(&'static str, SwitchPolicyKind); 4] {
-    KNOWN_POLICIES.map(|name| (name, policy_of(name).expect("a known policy")))
-}
-
-fn transports() -> [(&'static str, TransportKind); 3] {
-    KNOWN_TRANSPORTS.map(|name| (name, transport_of(name).expect("a known transport")))
-}
-
+/// The scenario registry's small instance of each topology family.
 const TOPOLOGIES: [&str; 3] = ["opera", "expander", "clos"];
 
 /// Metrics of one simulated point, aligned with [`METRICS`].
@@ -81,26 +57,6 @@ fn metrics_of(tracker: &FlowTracker, counters: &FabricCounters, victim: bool) ->
     ]
 }
 
-/// One scenario on the network `N` that `cfg` describes, `quiet` adjusting
-/// the built network: the [`metrics_of`] its 40 ms run.
-fn run_scenario<N: PacketNet>(
-    cfg: N::Config,
-    quiet: impl FnOnce(&mut N),
-    scenario: &str,
-    (senders, size): (usize, u64),
-    rng: &mut SimRng,
-) -> Vec<f64> {
-    let flows = workload_flows(scenario, N::hosts(&cfg), senders, size, rng);
-    let mut sim = N::build(cfg, flows);
-    quiet(&mut sim.world.logic);
-    sim.run_until(SimTime::from_ms(40));
-    metrics_of(
-        sim.world.logic.tracker(),
-        &sim.world.fabric.counters,
-        scenario == "victim",
-    )
-}
-
 /// Metric columns of the matrix table.
 const METRICS: [(&str, MetricFmt); 8] = [
     ("completed", expt::f2),
@@ -120,72 +76,44 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let size: u64 = ctx.by_scale(15_000, 30_000, 30_000);
     let racks: usize = ctx.by_scale(8, 8, 16);
 
-    let mut combos: Vec<Combo> = Vec::new();
+    // Every switch policy and every transport the scenario registry
+    // names, on every topology.
+    let mut combos = Vec::new();
     for topo in TOPOLOGIES {
-        for (pl, pk) in policies() {
-            for (tl, tk) in transports() {
-                combos.push((pl, pk, tl, tk, topo));
+        for policy in KNOWN_POLICIES {
+            for transport in KNOWN_TRANSPORTS {
+                combos.push((policy, transport, topo));
             }
         }
     }
     let sweep = Sweep::grid1(&combos, |c| c);
-    let sref = ctx.sweep_ref(&sweep);
 
-    let per_point = ctx.run_replicated(&sweep, |&(pl, pk, tl, tk, topo), rc| {
-        let mut rows = Vec::new();
-        for scenario in ["incast", "victim"] {
+    let per_point = ctx.run_replicated(&sweep, |&(policy, transport, topo), rc| {
+        ["incast", "victim"].map(|scenario| {
             let mut rng = rc.rng_stream(match scenario {
                 "incast" => 5,
                 _ => 6,
             });
-            let key = vec![
-                Cell::from(pl),
-                Cell::from(tl),
-                Cell::from(topo),
-                Cell::from(scenario),
-            ];
-            let queues = QueueConfig::builder().policy(pk).build();
-            let load = (senders, size);
-            let metrics = match topo {
-                "opera" => {
-                    let mut cfg = OperaNetConfig::small_test();
-                    cfg.params.racks = racks;
-                    cfg.bulk_threshold = u64::MAX; // everything low-latency
-                    cfg.queues = queues;
-                    cfg.transport = tk;
-                    let no_hellos = |net: &mut OperaLogic| net.set_hello_enabled(false);
-                    run_scenario(cfg, no_hellos, scenario, load, &mut rng)
-                }
-                _ => {
-                    let mut cfg = StaticNetConfig::small_expander();
-                    if topo == "clos" {
-                        cfg.kind = StaticTopologyKind::FoldedClos(ClosParams {
-                            radix: 4,
-                            oversubscription: 1,
-                        });
-                    }
-                    cfg.queues = queues;
-                    cfg.transport = tk;
-                    run_scenario(cfg, |_: &mut StaticLogic| {}, scenario, load, &mut rng)
-                }
-            };
-            rows.push((key, metrics));
-        }
-        rows
+            let metrics = run_named(
+                (topo, (topo == "opera").then_some(racks)),
+                (policy, transport),
+                (scenario, senders, size),
+                SimTime::from_ms(40),
+                &mut rng,
+                None,
+                |t, c| metrics_of(t, c, scenario == "victim"),
+            )
+            .expect("the matrix uses the registry's own names and no trace");
+            let key = [policy, transport, topo, scenario].map(Cell::from);
+            (key.to_vec(), metrics)
+        })
     });
 
     let mut out = RepTableBuilder::new(
         "matrix",
         &["policy", "transport", "topology", "scenario"],
         &METRICS,
-    )
-    .for_sweep(&sref);
-    for (point, &p) in per_point.into_iter().zip(&sref.owned) {
-        for rep in point {
-            for (key, metrics) in rep {
-                out.push_at(p, key, &metrics);
-            }
-        }
-    }
+    );
+    out.sweep_rows(&per_point, |_, reps| reps.iter().flatten());
     vec![out.build()]
 }

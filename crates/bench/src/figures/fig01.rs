@@ -11,7 +11,7 @@ pub const EXPERIMENT: Experiment = Experiment {
 
 /// Build the figure's tables. The CDFs are closed-form (no seed
 /// dependence), so each workload is integrated once and recorded once
-/// per replicate (push_constant): CIs are exactly zero, columns kept
+/// per replicate (`Ctx::repeat`): CIs are exactly zero, columns kept
 /// for schema uniformity across figures.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
     // Quantile-integration resolution for the byte CDF.
@@ -26,7 +26,6 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         &[Workload::Datamining, Workload::Websearch, Workload::Hadoop],
         |w| w,
     );
-    let sref = ctx.sweep_ref(&sweep);
     let per_workload = ctx.run(&sweep, |&w, _| {
         let d = FlowSizeDist::of(w);
         let total: f64 = (0..n)
@@ -58,8 +57,10 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         "flow_size_cdfs",
         &["workload", "size_bytes"],
         &[("cdf_flows", expt::f as MetricFmt), ("cdf_bytes", expt::f)],
-    )
-    .for_sweep(&sref);
+    );
+    cdfs.sweep_rows(&per_workload, |_, (rows, _)| {
+        rows.iter().flat_map(|row| ctx.repeat(row))
+    });
     let mut summary = RepTableBuilder::new(
         "byte_summary",
         &["workload"],
@@ -67,13 +68,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("mean_bytes", expt::f0 as MetricFmt),
             ("byte_share_above_15mb", expt::f3),
         ],
-    )
-    .for_sweep(&sref);
-    for ((rows, (skey, smetrics)), &p) in per_workload.into_iter().zip(&sref.owned) {
-        for (key, metrics) in rows {
-            cdfs.push_constant_at(p, key, &metrics, ctx.replicates());
-        }
-        summary.push_constant_at(p, skey, &smetrics, ctx.replicates());
-    }
+    );
+    summary.sweep_rows(&per_workload, |_, (_, row)| ctx.repeat(row));
     vec![cdfs.build(), summary.build()]
 }

@@ -37,12 +37,11 @@ fn cdf_rows(label: &str, hist: &[u64]) -> Vec<(Vec<Cell>, Vec<f64>)> {
 }
 
 /// Build the figure's tables. Topology seeds are fixed, so each network
-/// is computed once and recorded once per replicate (push_constant):
+/// is computed once and recorded once per replicate (`Ctx::repeat`):
 /// CIs are exactly zero, columns kept for schema uniformity.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let quick = ctx.quick();
     let sweep = Sweep::grid1(&[Net::Opera, Net::Expander, Net::Clos], |n| n);
-    let sref = ctx.sweep_ref(&sweep);
     let per_net = ctx.run(&sweep, |&net, _| match net {
         Net::Opera => {
             // Aggregate over all slices of the cycle.
@@ -118,12 +117,9 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         "path_length_cdfs",
         &["network", "hops"],
         &[("pdf", expt::f as MetricFmt), ("cdf", expt::f)],
-    )
-    .for_sweep(&sref);
-    for (rows, &p) in per_net.into_iter().zip(&sref.owned) {
-        for (key, metrics) in rows {
-            t.push_constant_at(p, key, &metrics, ctx.replicates());
-        }
-    }
+    );
+    t.sweep_rows(&per_net, |_, rows| {
+        rows.iter().flat_map(|row| ctx.repeat(row))
+    });
     vec![t.build()]
 }

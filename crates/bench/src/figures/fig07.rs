@@ -39,7 +39,6 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     // Every system at a given load sees the same flow arrivals, so the
     // workload seed depends on the (load index, replicate) pair only.
     let sweep = Sweep::grid2(&SYSTEMS, loads, |s, l| (s, l));
-    let sref = ctx.sweep_ref(&sweep);
     let results = ctx.run_replicated(&sweep, |&(system, load), rc| {
         let load_idx = rc.point.index % loads.len();
         let seed = expt::replicate_seed(
@@ -63,5 +62,5 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         }
     });
 
-    fct_tables(&sref, results)
+    fct_tables(&results)
 }

@@ -2,9 +2,8 @@
 //! Opera carries every flow over direct circuits (application bulk
 //! tagging, §3.4); the static networks run NDP with staggered starts.
 
-use crate::figures::Row;
 use crate::{clos_cfg, expander_cfg, opera_cfg};
-use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
+use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Row, Sweep, Table};
 use netsim::FlowTracker;
 use opera::opera_net::OperaLogic;
 use opera::static_net::StaticLogic;
@@ -79,16 +78,12 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let scale = ctx.args.scale;
     let flow_size: u64 = ctx.by_scale(30_000, 100_000, 100_000);
     let horizon = SimTime::from_ms(ctx.by_scale(60, 150, 300));
-    let reps = ctx.replicates();
-
     let sweep = Sweep::grid1(&STATIC_SYSTEMS, |s| s);
-    let sref = ctx.sweep_ref(&sweep);
     let mut series = RepTableBuilder::new(
         "throughput_timeseries",
         &["network", "time_ms"],
         &[("normalized_throughput", expt::f as MetricFmt)],
-    )
-    .for_sweep(&sref);
+    );
     let mut summary = RepTableBuilder::new(
         "completion_summary",
         &["network"],
@@ -98,8 +93,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("p99_fct_ms", expt::f2),
             ("mean_fct_ms", expt::f2),
         ],
-    )
-    .for_sweep(&sref);
+    );
 
     // Opera is seed-independent here (application tags every flow bulk,
     // all start together): one simulation, recorded once per replicate.
@@ -107,12 +101,10 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         let mut cfg = opera_cfg(scale);
         cfg.bulk_threshold = 0;
         let together = |hosts| ScenarioGen::shuffle(hosts, flow_size, SimTime::ZERO);
-        let (rates, hosts, (skey, smetrics)) =
-            shuffle_run::<OperaLogic>("opera", cfg, together, horizon);
-        for (key, metrics) in series_rows("opera", &rates, hosts) {
-            series.push_constant(key, &metrics, reps);
-        }
-        summary.push_constant(skey, &smetrics, reps);
+        let (rates, hosts, row) = shuffle_run::<OperaLogic>("opera", cfg, together, horizon);
+        let rows = series_rows("opera", &rates, hosts);
+        series.extend(rows.iter().flat_map(|row| ctx.repeat(row)));
+        summary.extend(ctx.repeat(row));
     }
 
     // Static networks: staggered random starts, re-drawn per replicate.
@@ -129,30 +121,25 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         shuffle_run::<StaticLogic>(system, cfg, staggered, horizon)
     });
 
-    // Zip owned results with their *global* point index — under
-    // sharding this run sees a subset of STATIC_SYSTEMS, so indexing
-    // the axis by global point (not by result position) is what keeps
-    // each shard's rows labeled with the system it actually simulated.
-    for (point, &p) in results.into_iter().zip(&sref.owned) {
-        let system = STATIC_SYSTEMS[p];
+    series.sweep_rows(&results, |&system, reps| {
         // Replicates stop emitting bins after their last delivery; a
         // replicate that finished early genuinely delivered zero in the
         // later bins, so pad its tail with zeros — otherwise tail-bin
         // means average only the slow replicates and overstate the tail.
-        let times: Vec<SimTime> = point
+        let times: Vec<SimTime> = reps
             .iter()
             .max_by_key(|(s, _, _)| s.len())
             .map(|(s, _, _)| s.iter().map(|&(tm, _)| tm).collect())
             .unwrap_or_default();
-        for (raw, hosts, (skey, smetrics)) in point {
+        reps.iter().flat_map(move |(raw, hosts, _)| {
             let padded: Vec<(SimTime, f64)> = times
                 .iter()
                 .enumerate()
                 .map(|(i, &tm)| (tm, raw.get(i).map_or(0.0, |&(_, v)| v)))
                 .collect();
-            series.extend_at(p, series_rows(system, &padded, hosts));
-            summary.push_at(p, skey, &smetrics);
-        }
-    }
+            series_rows(system, &padded, *hosts)
+        })
+    });
+    summary.sweep_rows(&results, |_, reps| reps.iter().map(|(_, _, row)| row));
     vec![series.build(), summary.build()]
 }

@@ -29,7 +29,6 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let loads: &[f64] = ctx.by_scale(&[0.05], &[0.01, 0.05, 0.10], &[0.01, 0.05, 0.10]);
 
     let sweep = Sweep::grid2(&SYSTEMS, loads, |s, l| (s, l));
-    let sref = ctx.sweep_ref(&sweep);
     let results = ctx.run_replicated(&sweep, |&(system, load), rc| {
         let load_idx = rc.point.index % loads.len();
         let seed = expt::replicate_seed(
@@ -53,5 +52,5 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         }
     });
 
-    fct_tables(&sref, results)
+    fct_tables(&results)
 }

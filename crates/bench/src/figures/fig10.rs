@@ -71,9 +71,8 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
 
     // The flow-level solves are deterministic (fixed topology seeds, no
     // RNG): each load is solved once and recorded once per replicate
-    // (push_constant, zero CI).
+    // (`Ctx::repeat`, zero CI).
     let sweep = Sweep::grid1(ws_loads, |w| w);
-    let sref = ctx.sweep_ref(&sweep);
     let rows = ctx.run(&sweep, |&ws, _| {
         // Opera: low-latency traffic takes `ws` of each host's capacity
         // and pays the expander tax on the slice fabric (avg path ~3.2
@@ -126,10 +125,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("expander", expt::f),
             ("clos", expt::f),
         ],
-    )
-    .for_sweep(&sref);
-    for ((key, metrics), &p) in rows.into_iter().zip(&sref.owned) {
-        t.push_constant_at(p, key, &metrics, ctx.replicates());
-    }
+    );
+    t.sweep_rows(&rows, |_, row| ctx.repeat(row));
     vec![t.build()]
 }

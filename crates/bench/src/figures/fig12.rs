@@ -115,7 +115,6 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     // (workload, α, replicate) — fans out over the runner.
     let alpha_idx: Vec<usize> = (0..alphas.len()).collect();
     let sweep = Sweep::grid2(&[0usize, 1, 2], &alpha_idx, |w, ai| (w, ai));
-    let sref = ctx.sweep_ref(&sweep);
     let rows = ctx.run_replicated(&sweep, |&(wi, ai), rc| {
         let name = &WORKLOADS[wi];
         let alpha = alphas[ai];
@@ -155,11 +154,8 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("expander", expt::f),
             ("clos", expt::f),
         ],
-    )
-    .for_sweep(&sref);
-    for (point, &p) in rows.into_iter().zip(&sref.owned) {
-        sweep_table.extend_at(p, point);
-    }
+    );
+    sweep_table.sweep_rows(&rows, |_, reps| reps);
     // Header metadata the old driver printed as a comment.
     let mut meta = Table::new("config", &["k", "racks", "hosts"]);
     meta.push(vec![
@@ -177,11 +173,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         &["workload", "network"],
         &[("throughput", expt::f as MetricFmt)],
     );
-    reference.push_constant(
-        vec![Cell::from("all_to_all"), Cell::from("opera")],
-        &[o],
-        reps,
-    );
+    reference.extend(ctx.repeat((vec![Cell::from("all_to_all"), Cell::from("opera")], vec![o])));
 
     vec![meta, sweep_table.build(), reference.build()]
 }

@@ -15,7 +15,6 @@ pub const EXPERIMENT: Experiment = Experiment {
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let n: usize = ctx.by_scale(10_000, 100_000, 100_000);
     let sweep = Sweep::from_points(vec![()]);
-    let sref = ctx.sweep_ref(&sweep);
     let results = ctx.run_replicated(&sweep, |_, rc| {
         // Topology seed 7 stays fixed: not every seed yields an 8-rack
         // topology meeting the model's diameter <= 4 premise, so only
@@ -35,12 +34,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         "rtt_cdfs",
         &["series", "percentile"],
         &[("rtt_us", expt::f2 as MetricFmt)],
-    )
-    .for_sweep(&sref);
-    for (point, &p) in results.into_iter().zip(&sref.owned) {
-        for rows in point {
-            t.extend_at(p, rows);
-        }
-    }
+    );
+    t.sweep_rows(&results, |_, reps| reps.iter().flatten());
     vec![t.build()]
 }

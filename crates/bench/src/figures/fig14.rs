@@ -22,7 +22,6 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let t = SliceTiming::paper_default();
 
     let sweep = Sweep::grid1(&ks, |k| k);
-    let sref = ctx.sweep_ref(&sweep);
     let rows = ctx.run(&sweep, |&k, _| {
         let ungrouped = cycle_slices_ungrouped(k);
         let grouped = cycle_slices_grouped(k, 6.min(k / 2));
@@ -44,11 +43,8 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("groups_of_6", expt::f2),
             ("cycle_ms_grouped", expt::f2),
         ],
-    )
-    .for_sweep(&sref);
-    for ((key, metrics), &p) in rows.into_iter().zip(&sref.owned) {
-        cycle.push_constant_at(p, key, &metrics, ctx.replicates());
-    }
+    );
+    cycle.sweep_rows(&rows, |_, row| ctx.repeat(row));
 
     // The k=64-class takeaway: grouped cycle grows ~6x from k=12
     // (paper: "factor of 6"), and the bulk threshold scales accordingly.
@@ -57,15 +53,12 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         &["config"],
         &[("threshold_mb", expt::f0 as MetricFmt)],
     );
-    thresholds.push_constant(
-        vec![Cell::from("k60_grouped")],
-        &[t.bulk_threshold_bytes(cycle_slices_grouped(60, 6), 10.0) as f64 / 1e6],
-        ctx.replicates(),
-    );
-    thresholds.push_constant(
-        vec![Cell::from("k12_ungrouped")],
-        &[t.bulk_threshold_bytes(cycle_slices_ungrouped(12), 10.0) as f64 / 1e6],
-        ctx.replicates(),
-    );
+    for (config, slices) in [
+        ("k60_grouped", cycle_slices_grouped(60, 6)),
+        ("k12_ungrouped", cycle_slices_ungrouped(12)),
+    ] {
+        let mb = t.bulk_threshold_bytes(slices, 10.0) as f64 / 1e6;
+        thresholds.extend(ctx.repeat((vec![Cell::from(config)], vec![mb])));
+    }
     vec![cycle.build(), thresholds.build()]
 }

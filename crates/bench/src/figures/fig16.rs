@@ -32,9 +32,8 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         }
     }
     // Topology seeds are fixed, so each point is computed once and
-    // recorded once per replicate (push_constant, zero CI).
+    // recorded once per replicate (`Ctx::repeat`, zero CI).
     let sweep = Sweep::from_points(points);
-    let sref = ctx.sweep_ref(&sweep);
     let rows = ctx.run(&sweep, |&p, _| match p {
         Point::Opera { k } => {
             let racks = 3 * k * k / 4;
@@ -85,10 +84,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         "path_length_vs_radix",
         &["k", "hosts", "series"],
         &[("avg_path", expt::f3 as MetricFmt), ("max_path", expt::f0)],
-    )
-    .for_sweep(&sref);
-    for ((key, metrics), &pi) in rows.into_iter().zip(&sref.owned) {
-        t.push_constant_at(pi, key, &metrics, ctx.replicates());
-    }
+    );
+    t.sweep_rows(&rows, |_, row| ctx.repeat(row));
     vec![t.build()]
 }

@@ -53,9 +53,8 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
 
     // Everything below is seed-independent (fixed topology seeds), so
     // each point is computed once and recorded once per replicate
-    // (push_constant): zero CI, none of the spectral work repeated.
+    // (`Ctx::repeat`): zero CI, none of the spectral work repeated.
     let sweep = Sweep::from_points(points);
-    let sref = ctx.sweep_ref(&sweep);
     let rows = ctx.run(&sweep, |&p, _| match p {
         Point::OperaSlice(s) => {
             let g = topo.slice(s).graph();
@@ -111,10 +110,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("lambda2", expt::f3),
             ("ramanujan_bound", expt::f3),
         ],
-    )
-    .for_sweep(&sref);
-    for ((key, metrics), &pi) in rows.into_iter().zip(&sref.owned) {
-        t.push_constant_at(pi, key, &metrics, ctx.replicates());
-    }
+    );
+    t.sweep_rows(&rows, |_, row| ctx.repeat(row));
     vec![t.build()]
 }

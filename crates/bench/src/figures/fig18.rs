@@ -20,7 +20,6 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let fracs = fractions(ctx);
 
     let sweep = Sweep::grid2(&KINDS, fracs, |k, f| (k, f));
-    let sref = ctx.sweep_ref(&sweep);
     let rows = ctx.run_replicated(&sweep, |&(kind, frac), rc| {
         let mut rng = rc.rng();
         let fails = sample_failures(&topo, &domain, kind, frac, &mut rng);
@@ -38,10 +37,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("avg_path", expt::f3 as MetricFmt),
             ("worst_path", expt::f2),
         ],
-    )
-    .for_sweep(&sref);
-    for (point, &p) in rows.into_iter().zip(&sref.owned) {
-        t.extend_at(p, point);
-    }
+    );
+    t.sweep_rows(&rows, |_, reps| reps);
     vec![t.build()]
 }

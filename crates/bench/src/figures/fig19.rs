@@ -2,14 +2,78 @@
 //! 3:1 folded Clos under link and switch failures.
 
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
+use simkit::SimRng;
 use topo::clos::{ClosParams, ClosTopology};
 use topo::failures::{analyze_static, clos_link_domain, FailureSet};
+use topo::graph::Graph;
 
 /// Driver identity.
 pub const EXPERIMENT: Experiment = Experiment {
     name: "fig19_clos_failures",
     title: "Figure 19: 3:1 folded Clos under failures",
 };
+
+/// `frac` of `pool`, drawn uniformly: a shuffle of the whole pool, then
+/// its prefix (one RNG draw per element, whatever the fraction).
+fn sample<T: Clone>(pool: &[T], frac: f64, rng: &mut SimRng) -> Vec<T> {
+    let mut all = pool.to_vec();
+    rng.shuffle(&mut all);
+    all.truncate((frac * pool.len() as f64).round() as usize);
+    all
+}
+
+/// The failure sweep Figures 19 and 20 share: connectivity loss and
+/// path stretch among `tors` of a static `graph` as a growing fraction
+/// of its links (drawn from `domain`) or of its `nodes` (the failure
+/// kind the figure names `node_kind`) fails. Failure sets are sampled
+/// per replicate seed, so the CI columns reflect genuine sampling
+/// spread.
+pub(crate) fn static_failure_table(
+    ctx: &Ctx,
+    table: &str,
+    (graph, tors): (&Graph, &[usize]),
+    domain: &[(usize, usize)],
+    (node_kind, nodes): (&'static str, &[usize]),
+) -> Table {
+    let fracs: &[f64] = ctx.by_scale(
+        &[0.05, 0.20],
+        &[0.01, 0.025, 0.05, 0.10, 0.20, 0.40],
+        &[0.01, 0.025, 0.05, 0.10, 0.20, 0.40],
+    );
+    let sweep = Sweep::grid2(&["links", node_kind], fracs, |k, f| (k, f));
+    let rows = ctx.run_replicated(&sweep, |&(kind, frac), rc| {
+        let mut rng = rc.rng();
+        let fails = match kind {
+            "links" => FailureSet {
+                links: sample(domain, frac, &mut rng),
+                ..Default::default()
+            },
+            // `analyze_static` removes a failed node whether it is
+            // listed as a ToR or as a switch.
+            _ => FailureSet {
+                switches: sample(nodes, frac, &mut rng),
+                ..Default::default()
+            },
+        };
+        let r = analyze_static(graph, tors, &fails);
+        (
+            vec![Cell::from(kind), Cell::F64(frac)],
+            vec![r.worst_slice_loss, r.avg_path_len, r.max_path_len as f64],
+        )
+    });
+
+    let mut t = RepTableBuilder::new(
+        table,
+        &["failure_kind", "fraction"],
+        &[
+            ("connectivity_loss", expt::f as MetricFmt),
+            ("avg_path", expt::f3),
+            ("worst_path", expt::f2),
+        ],
+    );
+    t.sweep_rows(&rows, |_, reps| reps);
+    t.build()
+}
 
 /// Build the figure's tables.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
@@ -23,61 +87,14 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     );
     let clos = ClosTopology::generate(params);
     let tors: Vec<usize> = (0..clos.tors()).collect();
-    let domain = clos_link_domain(&clos);
-    let switches = clos.graph().len(); // all switch nodes can fail
-    let fracs: &[f64] = ctx.by_scale(
-        &[0.05, 0.20],
-        &[0.01, 0.025, 0.05, 0.10, 0.20, 0.40],
-        &[0.01, 0.025, 0.05, 0.10, 0.20, 0.40],
-    );
-
-    let kinds = ["links", "switches"];
-    let sweep = Sweep::grid2(&kinds, fracs, |k, f| (k, f));
-    let sref = ctx.sweep_ref(&sweep);
-    let rows = ctx.run_replicated(&sweep, |&(kind, frac), rc| {
-        let mut rng = rc.rng();
-        let fails = match kind {
-            "links" => {
-                let n = (frac * domain.len() as f64).round() as usize;
-                let mut all: Vec<usize> = (0..domain.len()).collect();
-                rng.shuffle(&mut all);
-                FailureSet {
-                    links: all[..n].iter().map(|&i| domain[i]).collect(),
-                    ..Default::default()
-                }
-            }
-            _ => {
-                // Switch failures: sample among non-ToR switches (aggs +
-                // cores), as the paper's ToR failures are separate.
-                let aggs_cores: Vec<usize> = (clos.tors()..switches).collect();
-                let n = (frac * aggs_cores.len() as f64).round() as usize;
-                let mut pool = aggs_cores.clone();
-                rng.shuffle(&mut pool);
-                FailureSet {
-                    switches: pool[..n].to_vec(),
-                    ..Default::default()
-                }
-            }
-        };
-        let r = analyze_static(clos.graph(), &tors, &fails);
-        (
-            vec![Cell::from(kind), Cell::F64(frac)],
-            vec![r.worst_slice_loss, r.avg_path_len, r.max_path_len as f64],
-        )
-    });
-
-    let mut t = RepTableBuilder::new(
+    // Switch failures: sample among non-ToR switches (aggs + cores), as
+    // the paper's ToR failures are separate.
+    let aggs_cores: Vec<usize> = (clos.tors()..clos.graph().len()).collect();
+    vec![static_failure_table(
+        ctx,
         "clos_failures",
-        &["failure_kind", "fraction"],
-        &[
-            ("connectivity_loss", expt::f as MetricFmt),
-            ("avg_path", expt::f3),
-            ("worst_path", expt::f2),
-        ],
-    )
-    .for_sweep(&sref);
-    for (point, &p) in rows.into_iter().zip(&sref.owned) {
-        t.extend_at(p, point);
-    }
-    vec![t.build()]
+        (clos.graph(), &tors),
+        &clos_link_domain(&clos),
+        ("switches", &aggs_cores),
+    )]
 }

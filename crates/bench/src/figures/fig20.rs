@@ -1,9 +1,9 @@
 //! Figure 20 / Appendix E: connectivity loss and path stretch of the
 //! u=7 static expander under link and ToR failures.
 
-use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
+use crate::figures::fig19::static_failure_table;
+use expt::{Ctx, Experiment, Table};
 use topo::expander::{ExpanderParams, ExpanderTopology};
-use topo::failures::{analyze_static, FailureSet};
 
 /// Driver identity.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -11,8 +11,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     title: "Figure 20: u=7 expander under failures",
 };
 
-/// Build the figure's tables. Failure sets are sampled per replicate
-/// seed, so the CI columns reflect genuine sampling spread.
+/// Build the figure's tables.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let params = ctx.by_scale(
         ExpanderParams {
@@ -35,58 +34,11 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             }
         }
     }
-    let fracs: &[f64] = ctx.by_scale(
-        &[0.05, 0.20],
-        &[0.01, 0.025, 0.05, 0.10, 0.20, 0.40],
-        &[0.01, 0.025, 0.05, 0.10, 0.20, 0.40],
-    );
-
-    let kinds = ["links", "tors"];
-    let sweep = Sweep::grid2(&kinds, fracs, |k, f| (k, f));
-    let sref = ctx.sweep_ref(&sweep);
-    let per_point = ctx.run_replicated(&sweep, |&(kind, frac), rc| {
-        let mut rng = rc.rng();
-        let fails = match kind {
-            "links" => {
-                let n = (frac * domain.len() as f64).round() as usize;
-                let mut all: Vec<usize> = (0..domain.len()).collect();
-                rng.shuffle(&mut all);
-                FailureSet {
-                    links: all[..n].iter().map(|&i| domain[i]).collect(),
-                    ..Default::default()
-                }
-            }
-            _ => {
-                let n = (frac * exp.racks() as f64).round() as usize;
-                let mut pool = tors.clone();
-                rng.shuffle(&mut pool);
-                FailureSet {
-                    tors: pool[..n].to_vec(),
-                    ..Default::default()
-                }
-            }
-        };
-        let r = analyze_static(g, &tors, &fails);
-        (
-            vec![Cell::from(kind), Cell::F64(frac)],
-            vec![r.worst_slice_loss, r.avg_path_len, r.max_path_len as f64],
-        )
-    });
-
-    let mut t = RepTableBuilder::new(
+    vec![static_failure_table(
+        ctx,
         "expander_failures",
-        &["failure_kind", "fraction"],
-        &[
-            ("connectivity_loss", expt::f as MetricFmt),
-            ("avg_path", expt::f3),
-            ("worst_path", expt::f2),
-        ],
-    )
-    .for_sweep(&sref);
-    for (point, &p) in per_point.into_iter().zip(&sref.owned) {
-        for (key, metrics) in point {
-            t.push_at(p, key, &metrics);
-        }
-    }
-    vec![t.build()]
+        (g, &tors),
+        &domain,
+        ("tors", &tors),
+    )]
 }

@@ -29,8 +29,8 @@ pub mod table2;
 
 use expt::golden::{bless_driver, compare_driver, Drift, GoldenSpec};
 use expt::{
-    Cell, Ctx, Experiment, ExptArgs, MetricFmt, RepTableBuilder, RunFlags, RunMeta, Scale,
-    SweepRef, Table,
+    Cell, Ctx, Experiment, ExptArgs, MetricFmt, RepTableBuilder, Row, RunFlags, RunMeta, Scale,
+    Swept, Table,
 };
 use netsim::FlowTracker;
 use opera::harness::FctStats;
@@ -140,9 +140,6 @@ pub fn golden_run(
     compare_driver(exp.name, &tables, root, &golden_spec(exp.name), &meta)
 }
 
-/// One replicate's observation of a table row: key cells, metric values.
-pub(crate) type Row = (Vec<Cell>, Vec<f64>);
-
 /// Key columns of the per-size-bin FCT tables (Figures 7 and 9).
 const FCT_KEY_COLUMNS: [&str; 4] = ["system", "load", "size_lo", "size_hi"];
 
@@ -221,19 +218,13 @@ pub(crate) fn fct_point<N: PacketNet>(
 }
 
 /// The `fct_by_size` and `completion` tables of Figures 7 and 9 from
-/// `results[owned point][replicate]`.
-pub(crate) fn fct_tables(sref: &SweepRef, results: Vec<Vec<FctPoint>>) -> Vec<Table> {
-    let mut fct =
-        RepTableBuilder::new("fct_by_size", &FCT_KEY_COLUMNS, &FCT_METRICS).for_sweep(sref);
+/// every owned point's [`FctPoint`] per replicate.
+pub(crate) fn fct_tables<P>(results: &Swept<'_, P, Vec<FctPoint>>) -> Vec<Table> {
+    let mut fct = RepTableBuilder::new("fct_by_size", &FCT_KEY_COLUMNS, &FCT_METRICS);
+    fct.sweep_rows(results, |_, reps| reps.iter().flat_map(|(rows, _)| rows));
     let mut completion =
-        RepTableBuilder::new("completion", &["system", "load"], &COMPLETION_METRICS)
-            .for_sweep(sref);
-    for (point, &p) in results.into_iter().zip(&sref.owned) {
-        for (rows, (ckey, cmetrics)) in point {
-            fct.extend_at(p, rows);
-            completion.push_at(p, ckey, &cmetrics);
-        }
-    }
+        RepTableBuilder::new("completion", &["system", "load"], &COMPLETION_METRICS);
+    completion.sweep_rows(results, |_, reps| reps.iter().map(|(_, row)| row));
     vec![fct.build(), completion.build()]
 }
 

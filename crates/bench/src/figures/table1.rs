@@ -23,12 +23,11 @@ const PAPER: [(u64, f64); 6] = [
 
 /// Build the table. Ruleset sizes are closed-form (no seed dependence),
 /// so each size is computed once and recorded once per replicate
-/// (push_constant): CIs are exactly zero, columns kept for schema
+/// (`Ctx::repeat`): CIs are exactly zero, columns kept for schema
 /// uniformity across figures.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let sizes = table1_rows();
     let sweep = Sweep::grid1(&sizes, |rc| rc);
-    let sref = ctx.sweep_ref(&sweep);
     let per_point = ctx.run(&sweep, |&(racks, uplinks), pt| {
         let r = ruleset_for(racks, uplinks);
         let (paper_entries, paper_util) = PAPER.get(pt.index).copied().unwrap_or((0, 0.0));
@@ -52,10 +51,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             ("paper_entries", expt::f0),
             ("paper_util_pct", expt::f2),
         ],
-    )
-    .for_sweep(&sref);
-    for ((key, metrics), &p) in per_point.into_iter().zip(&sref.owned) {
-        t.push_constant_at(p, key, &metrics, ctx.replicates());
-    }
+    );
+    t.sweep_rows(&per_point, |_, row| ctx.repeat(row));
     vec![t.build()]
 }

@@ -14,7 +14,6 @@ pub const EXPERIMENT: Experiment = Experiment {
 /// dependence), so every replicate observes the same values and the CI
 /// columns are exactly zero — kept for schema uniformity across figures.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
-    let reps = ctx.replicates();
     let s = PortCost::static_port();
     let o = PortCost::opera_port();
     let mut cost = RepTableBuilder::new(
@@ -32,7 +31,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         ("rotor_components", s.rotor_components, o.rotor_components),
         ("total", s.total(), o.total()),
     ] {
-        cost.push_constant(vec![Cell::from(label)], &[sv, ov], reps);
+        cost.extend(ctx.repeat((vec![Cell::from(label)], vec![sv, ov])));
     }
 
     // Appendix A derived quantities at alpha (paper: alpha = 1.3).
@@ -42,21 +41,19 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         &["quantity"],
         &[("value", expt::f3 as MetricFmt)],
     );
-    derived.push_constant(vec![Cell::from("alpha")], &[a], reps);
-    derived.push_constant(
-        vec![Cell::from("cost_equivalent_clos_oversubscription_F")],
-        &[clos_oversubscription(a, 3)],
-        reps,
-    );
-    derived.push_constant(
-        vec![Cell::from("cost_equivalent_clos_hosts_k12")],
-        &[clos_hosts(4.0 / 3.0, 12)],
-        reps,
-    );
-    derived.push_constant(
-        vec![Cell::from("cost_equivalent_expander_uplinks_k12")],
-        &[expander_uplinks(1.4, 12) as f64],
-        reps,
-    );
+    for (quantity, value) in [
+        ("alpha", a),
+        (
+            "cost_equivalent_clos_oversubscription_F",
+            clos_oversubscription(a, 3),
+        ),
+        ("cost_equivalent_clos_hosts_k12", clos_hosts(4.0 / 3.0, 12)),
+        (
+            "cost_equivalent_expander_uplinks_k12",
+            expander_uplinks(1.4, 12) as f64,
+        ),
+    ] {
+        derived.extend(ctx.repeat((vec![Cell::from(quantity)], vec![value])));
+    }
     vec![cost.build(), derived.build()]
 }

@@ -48,7 +48,7 @@ pub const KNOWN_TOPOLOGIES: [&str; 6] = [
 /// Workload names the scenario runner accepts.
 pub const KNOWN_WORKLOADS: [&str; 2] = ["incast", "victim"];
 
-pub(crate) fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
+fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
     Ok(match name {
         "droptail" => SwitchPolicyKind::from(DropTail),
         "ndp_trim" => SwitchPolicyKind::from(NdpTrim),
@@ -62,7 +62,7 @@ pub(crate) fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
     })
 }
 
-pub(crate) fn transport_of(name: &str) -> Result<TransportKind, String> {
+fn transport_of(name: &str) -> Result<TransportKind, String> {
     Ok(match name {
         "ndp" => TransportKind::Ndp(NdpParams::paper_default()),
         "dctcp" => TransportKind::Dctcp(DctcpParams::paper_default()),
@@ -145,12 +145,12 @@ pub fn check_names(sc: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Flow list for a workload (shared with `ablate_transport`): an incast
+/// Flow list for a workload: an incast
 /// of `senders` flows onto host 0 from the upper three quarters of hosts
 /// (never the target's rack, on any topology), plus — for `victim` — one
 /// moderate flow into the target's edge switch, started strictly first
 /// so that after the sorted injection it is always flow id 0.
-pub(crate) fn workload_flows(
+fn workload_flows(
     workload: &str,
     hosts: usize,
     senders: usize,
@@ -244,60 +244,66 @@ pub struct ScenarioReport {
     pub validation: Option<TraceValidation>,
 }
 
-/// Run one sweep point on the network `N` that `cfg` describes; `quiet`
-/// adjusts the built network before the trace sink is attached.
-fn run_point<N: PacketNet>(
-    cfg: N::Config,
-    quiet: impl FnOnce(&mut N),
-    sc: &Scenario,
-    pt: &ScenarioPoint,
-    idx: usize,
+/// One packet run, by name — a scenario point, or a point of
+/// `ablate_transport`'s matrix: resolve the names to a network, offer it
+/// the workload (drawn from `rng`), run it for `duration` under `trace`,
+/// and `read` the result off its flow tracker and fabric counters.
+/// `racks` resizes an Opera topology; the static ones have a fixed size
+/// and callers pass `None` for them (`check_names` refuses anything else).
+pub(crate) fn run_named<T>(
+    (topology, racks): (&str, Option<usize>),
+    (policy, transport): (&str, &str),
+    load: (&str, usize, u64),
+    duration: SimTime,
+    rng: &mut SimRng,
     trace: Option<Box<dyn TraceSink>>,
-) -> Result<PointMetrics, String> {
-    let mut rng = SimRng::new(sc.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let hosts = N::hosts(&cfg);
-    let flows = workload_flows(&sc.workload, hosts, pt.senders, sc.flow_bytes, &mut rng);
-    let mut sim = N::build(cfg, flows);
-    quiet(&mut sim.world.logic);
-    if let Some(sink) = trace {
-        sim.world.fabric.set_trace(sink);
-    }
-    sim.run_until(SimTime::from_ms(sc.duration_ms));
-    let metrics = metrics_of(sim.world.logic.tracker(), &sim.world.fabric.counters);
-    if let Some(mut sink) = sim.world.fabric.take_trace() {
-        sink.finish()?;
-    }
-    Ok(metrics)
-}
-
-/// Resolve a sweep point's names to a network and run it.
-fn run_named_point(
-    sc: &Scenario,
-    pt: &ScenarioPoint,
-    idx: usize,
-    trace: Option<Box<dyn TraceSink>>,
-) -> Result<PointMetrics, String> {
-    let queues = QueueConfig::builder()
-        .policy(policy_of(&pt.policy)?)
-        .build();
-    let transport = transport_of(&pt.transport)?;
-    if let Some(mut cfg) = opera_base(&sc.topology) {
-        if let Some(racks) = sc.racks {
+    read: impl FnOnce(&FlowTracker, &FabricCounters) -> T,
+) -> Result<T, String> {
+    let queues = QueueConfig::builder().policy(policy_of(policy)?).build();
+    let transport = transport_of(transport)?;
+    if let Some(mut cfg) = opera_base(topology) {
+        if let Some(racks) = racks {
             cfg.params.racks = racks;
         }
         cfg.bulk_threshold = u64::MAX; // everything low-latency
         cfg.queues = queues;
         cfg.transport = transport;
         let no_hellos = |net: &mut OperaLogic| net.set_hello_enabled(false);
-        return run_point(cfg, no_hellos, sc, pt, idx, trace);
+        return run_on(cfg, no_hellos, load, duration, rng, trace, read);
     }
-    let base = static_base(&sc.topology).ok_or_else(|| unknown_topology(&sc.topology))?;
+    let base = static_base(topology).ok_or_else(|| unknown_topology(topology))?;
     let cfg = StaticNetConfig {
         queues,
         transport,
         ..base
     };
-    run_point(cfg, |_: &mut StaticLogic| {}, sc, pt, idx, trace)
+    let as_built = |_: &mut StaticLogic| {};
+    run_on(cfg, as_built, load, duration, rng, trace, read)
+}
+
+/// [`run_named`] on the network `N` that `cfg` describes; `quiet`
+/// adjusts the built network before the trace sink is attached.
+fn run_on<N: PacketNet, T>(
+    cfg: N::Config,
+    quiet: impl FnOnce(&mut N),
+    (workload, senders, flow_bytes): (&str, usize, u64),
+    duration: SimTime,
+    rng: &mut SimRng,
+    trace: Option<Box<dyn TraceSink>>,
+    read: impl FnOnce(&FlowTracker, &FabricCounters) -> T,
+) -> Result<T, String> {
+    let flows = workload_flows(workload, N::hosts(&cfg), senders, flow_bytes, rng);
+    let mut sim = N::build(cfg, flows);
+    quiet(&mut sim.world.logic);
+    if let Some(sink) = trace {
+        sim.world.fabric.set_trace(sink);
+    }
+    sim.run_until(duration);
+    let result = read(sim.world.logic.tracker(), &sim.world.fabric.counters);
+    if let Some(mut sink) = sim.world.fabric.take_trace() {
+        sink.finish()?;
+    }
+    Ok(result)
 }
 
 /// Run every point of `sc`, writing outputs under `out_dir` (created if
@@ -329,7 +335,16 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
         } else {
             None
         };
-        let metrics = run_named_point(sc, pt, idx, sink)?;
+        let mut rng = SimRng::new(sc.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let metrics = run_named(
+            (&sc.topology, sc.racks),
+            (&pt.policy, &pt.transport),
+            (&sc.workload, pt.senders, sc.flow_bytes),
+            SimTime::from_ms(sc.duration_ms),
+            &mut rng,
+            sink,
+            metrics_of,
+        )?;
         rows.push((pt.clone(), metrics));
     }
 

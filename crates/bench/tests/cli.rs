@@ -270,6 +270,25 @@ fn deeply_nested_documents_are_errors_not_aborts() {
     assert_eq!(std::fs::read_to_string(&merged).unwrap(), reference);
     let out = run(&["validate", "--out", results.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr_of(&out));
+
+    // Both shards of a table claiming a 10^18-point sweep: a missing
+    // point by name, not a slot allocated per claimed point (exit 101).
+    for i in 0..2 {
+        let shard = format!("fig14_cycle_time_scaling/shards/cycle_time.shard{i}of2.json");
+        let text = std::fs::read_to_string(results.join(&shard)).unwrap();
+        let hostile = text.replace(
+            "\"sweep_points\": 4",
+            "\"sweep_points\": 1000000000000000000",
+        );
+        assert_ne!(hostile, text, "{shard} records another sweep size");
+        std::fs::write(results.join(&shard), hostile).unwrap();
+    }
+    for args in [&["validate", "--out"][..], &["resume"]] {
+        let out = run(&[args, &[results.to_str().unwrap()]].concat());
+        assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(err.contains("cycle_time: missing point index 4"), "{err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

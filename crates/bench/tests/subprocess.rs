@@ -43,12 +43,12 @@ fn subprocess_run_is_byte_identical_to_local() {
     let (s, l) = (&sub_report.drivers[0], &local_report.drivers[0]);
     assert_eq!(s.merged.len(), l.merged.len());
     for (sm, lm) in s.merged.iter().zip(&l.merged) {
-        assert_eq!(sm.table, lm.table);
+        assert_eq!(sm.table.name, lm.table.name);
         assert_eq!(
             sm.to_csv(),
             lm.to_csv(),
             "{DRIVER}/{}: subprocess merge differs from local",
-            sm.table
+            sm.table.name
         );
     }
     // Stronger than CSV equality: the shard documents themselves are

@@ -2,30 +2,32 @@
 //!
 //! The paper's headline results are parameter sweeps (load × workload ×
 //! topology × seed). Every point of such a sweep is an isolated,
-//! deterministic `simkit` run, which makes a full reproduction
-//! embarrassingly parallel. This crate factors the machinery every
-//! `crates/bench` binary used to re-implement by hand:
+//! deterministic `simkit` run, so a full reproduction is embarrassingly
+//! parallel, and its tables merge across shards because every row
+//! carries the sweep point that produced it. That tag is attached here,
+//! where the row is produced; one pipeline carries a table to disk:
 //!
 //! * [`sweep::Sweep`] — a cartesian-grid builder that enumerates sweep
 //!   points in a fixed row-major order,
 //! * [`runner::Runner`] — fans points out over `std::thread::scope`
-//!   workers with deterministic per-point seeding and collects results
-//!   *in sweep order*, so `--threads 8` output is byte-identical to
-//!   `--threads 1`; supports `--shard i/n` point filtering and a
-//!   replicate axis ([`runner::Runner::run_replicated`]),
-//! * [`replicate`] — per-point replicate seeds and the
-//!   [`replicate::RepTableBuilder`] that folds R observations per row
-//!   into `mean`/`ci95` columns,
+//!   workers with deterministic per-point seeding, `--shard i/n` point
+//!   filtering and a replicate axis, and returns the results in sweep
+//!   order, attached to their points ([`runner::Swept`]), so
+//!   `--threads 8` output is byte-identical to `--threads 1`,
+//! * [`replicate::RepTableBuilder`] — folds R observations per row into
+//!   `mean`/`ci95` columns, reading each sweep row's point off the
+//!   [`runner::Swept`] it came from,
+//! * [`table::Table`] — the uniform result model (named columns × typed
+//!   cells, per-row sweep-point provenance),
+//! * [`output`] — the table document ([`TableDoc`]: a [`Table`] plus
+//!   the [`RunMeta`] of its run) in CSV and JSON, the run identity
+//!   ([`RunFlags`]: the one declaration of `(scale, seed, replicates,
+//!   k)`, embedded in every document and compared by one function),
+//!   [`output::result_path`], which places every result file, and the
+//!   self-validating shard merge ([`output::merge_shard_docs`]),
 //! * [`golden`] — committed quick-mode baseline CSVs with provenance
 //!   manifests and the tolerance-aware diff engine behind the tier-1
 //!   golden test,
-//! * [`table::Table`] — the uniform result model (named columns × typed
-//!   cells, per-row sweep-point provenance),
-//! * [`output`] — CSV and JSON table-document writers into
-//!   `results/<figure>/`, the run identity ([`RunFlags`]: the one
-//!   declaration of `(scale, seed, replicates, k)`, embedded in every
-//!   document and compared by one function), plus the self-validating
-//!   shard merge ([`output::merge_shard_docs`]),
 //! * [`orchestrate`] — the driver-level scheduler behind
 //!   `opera orchestrate`: fans `driver × shard` jobs over a worker pool
 //!   (pluggable [`orchestrate::Backend`]), retries failures, and merges
@@ -47,10 +49,29 @@
 //! * [`summary`] — percentile/CI summaries computed once here instead of
 //!   per-binary.
 //!
-//! A figure driver is a declarative definition: an [`Experiment`]
-//! (name + title) and a function `fn(&Ctx) -> Vec<Table>`, registered
-//! in `bench::figures::all()`; `opera run <name>` parses [`ExptArgs`],
-//! builds the tables and hands them to [`emit`].
+//! # Writing a driver
+//!
+//! A figure driver is an [`Experiment`] (name + title) and a function
+//! `fn(&Ctx) -> Vec<Table>`, registered in `bench::figures::all()`;
+//! `opera run <name>` parses [`ExptArgs`], builds the tables and hands
+//! them to [`emit`]. The function runs a sweep and says which rows each
+//! point's results are — under `--shard i/n` it sees its share of the
+//! points and its tables record which, with no code of its own:
+//!
+//! ```
+//! use expt::{f2, Cell, Ctx, MetricFmt, RepTableBuilder, Sweep, Table};
+//!
+//! fn tables(ctx: &Ctx) -> Vec<Table> {
+//!     let sweep = Sweep::grid1(&[0.1, 0.2], |load| load);
+//!     let fcts = ctx.run_replicated(&sweep, |&load, rc| load * (1 + rc.seed % 3) as f64);
+//!     let mut t = RepTableBuilder::new("fct", &["load"], &[("fct_us", f2 as MetricFmt)]);
+//!     t.sweep_rows(&fcts, |&load, reps| {
+//!         reps.iter().map(move |&fct| (vec![Cell::F64(load)], vec![fct]))
+//!     });
+//!     vec![t.build()] // seed-independent rows: `ctx.run` once, then `ctx.repeat(row)`
+//! }
+//! assert_eq!(tables(&Ctx::new(Default::default()))[0].len(), 2);
+//! ```
 
 pub mod cli;
 pub mod golden;
@@ -67,8 +88,8 @@ pub mod table;
 
 pub use cli::{Args, ExptArgs, Scale};
 pub use output::{merge_shard_docs, MergeError, RunFlags, RunMeta, TableDoc};
-pub use replicate::{replicate_seed, MetricFmt, RepCtx, RepTableBuilder};
-pub use runner::{derive_seed, PointCtx, Runner};
+pub use replicate::{replicate_seed, MetricFmt, RepCtx, RepTableBuilder, Row};
+pub use runner::{derive_seed, PointCtx, Runner, Swept};
 pub use summary::{summarize, Summary};
 pub use sweep::{Sweep, SweepRef};
 pub use table::{f, f0, f2, f3, Cell, Table};
@@ -83,7 +104,10 @@ pub struct Experiment {
 }
 
 /// Everything a figure definition needs at run time: the parsed CLI
-/// arguments plus a ready-to-use parallel [`Runner`].
+/// arguments plus a ready-to-use parallel [`Runner`]. [`Ctx::run`] and
+/// [`Ctx::run_replicated`] return the results of the points this run
+/// owns as a [`Swept`], for [`RepTableBuilder::sweep_rows`] to turn
+/// into rows that carry their points.
 #[derive(Debug)]
 pub struct Ctx {
     /// Parsed command-line arguments.
@@ -109,8 +133,9 @@ impl Ctx {
         self.args.scale == Scale::Full
     }
 
-    /// Run a sweep through the parallel runner (ordered results).
-    pub fn run<P, R, F>(&self, sweep: &Sweep<P>, f: F) -> Vec<R>
+    /// Run a sweep through the parallel runner: one result per owned
+    /// point, in sweep order.
+    pub fn run<'s, P, R, F>(&self, sweep: &'s Sweep<P>, f: F) -> Swept<'s, P, R>
     where
         P: Sync,
         R: Send,
@@ -124,28 +149,21 @@ impl Ctx {
         self.args.replicates
     }
 
-    /// The sweep's shape as this runner sees it: total point count plus
-    /// the global indices of the points this runner's shard owns.
-    /// Figure builders zip owned results with `sweep_ref.owned` to
-    /// recover global point indices, and pass the whole [`SweepRef`] to
-    /// `Table::for_sweep` / `RepTableBuilder::for_sweep` so the shard
-    /// merge can validate completeness.
-    pub fn sweep_ref<P>(&self, sweep: &Sweep<P>) -> SweepRef {
-        SweepRef {
-            points: sweep.len(),
-            owned: self.runner.owned_points(sweep.len()),
-        }
-    }
-
-    /// Run a sweep with [`Ctx::replicates`] replicate seeds per point;
-    /// `out[p][r]` is replicate `r` of owned point `p` in sweep order.
-    pub fn run_replicated<P, R, F>(&self, sweep: &Sweep<P>, f: F) -> Vec<Vec<R>>
+    /// Run a sweep with [`Ctx::replicates`] replicate seeds per point:
+    /// per owned point, in sweep order, its results by replicate.
+    pub fn run_replicated<'s, P, R, F>(&self, sweep: &'s Sweep<P>, f: F) -> Swept<'s, P, Vec<R>>
     where
         P: Sync,
         R: Send,
         F: Fn(&P, &RepCtx) -> R + Sync,
     {
         self.runner.run_replicated(sweep, self.args.replicates, f)
+    }
+
+    /// A seed-independent `row` as every replicate would observe it:
+    /// [`Ctx::replicates`] copies of a value computed once (CI exactly 0).
+    pub fn repeat<T: Clone>(&self, row: T) -> impl Iterator<Item = T> {
+        std::iter::repeat_n(row, self.replicates())
     }
 
     /// Pick among three values by scale: quick / default / full.
@@ -238,7 +256,10 @@ pub(crate) mod testutil {
                 t.push_indexed(p, vec![Cell::from(p), Cell::from(sub)]);
             }
         }
-        vec![TableDoc::from_table(&t, &meta(driver, Some(shard)))]
+        vec![TableDoc {
+            meta: meta(driver, Some(shard)),
+            table: t,
+        }]
     }
 
     /// Backend producing [`fake_docs`]: every job fails its first

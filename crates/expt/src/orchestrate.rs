@@ -32,7 +32,7 @@
 //!   [`MergeError::MissingPointIndex`].
 
 use crate::json;
-use crate::output::{self, merge_shard_docs, MergeError, TableDoc};
+use crate::output::{self, merge_shard_docs, result_path, MergeError, ResultFile, TableDoc};
 use crate::Scale;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -461,7 +461,7 @@ impl<B: Backend> Orchestrator<B> {
         // documents back from the filesystem, which cannot preserve it;
         // sorting by table name here makes every substrate merge — and
         // every manifest record — byte-identically.
-        docs.sort_by(|a, b| a.table.cmp(&b.table));
+        docs.sort_by(|a, b| a.table.name.cmp(&b.table.name));
         Ok(docs)
     }
 }
@@ -488,12 +488,12 @@ pub fn merge_driver_docs(
         // only the first copy were taken.
         let mut group: Vec<TableDoc> = Vec::with_capacity(shard_docs.len());
         for (i, docs) in shard_docs.iter().enumerate() {
-            let mut matches = docs.iter().filter(|d| d.table == lead.table);
+            let mut matches = docs.iter().filter(|d| d.table.name == lead.table.name);
             match (matches.next(), matches.next()) {
                 (Some(one), None) => group.push(one.clone()),
                 (found, _) => {
                     return Err(merr(MergeError::SchemaMismatch {
-                        table: lead.table.clone(),
+                        table: lead.table.name.clone(),
                         field: "table",
                         got: if found.is_none() {
                             format!("absent from shard {i}")
@@ -511,10 +511,10 @@ pub fn merge_driver_docs(
     for (i, docs) in shard_docs.iter().enumerate() {
         if let Some(extra) = docs
             .iter()
-            .find(|d| !first.iter().any(|l| l.table == d.table))
+            .find(|d| !first.iter().any(|l| l.table.name == d.table.name))
         {
             return Err(merr(MergeError::SchemaMismatch {
-                table: extra.table.clone(),
+                table: extra.table.name.clone(),
                 field: "table",
                 got: format!("extra table in shard {i}"),
                 want: "absent from shard 0".to_string(),
@@ -559,25 +559,19 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
             driver: driver.clone(),
             error,
         };
-        let sdir = dir.join(output::SHARD_DIR);
         let mut groups: BTreeMap<String, Vec<TableDoc>> = BTreeMap::new();
-        let mut files: Vec<PathBuf> = fs::read_dir(&sdir)
-            .map_err(|e| OrchestrateError::io(&sdir, e))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        files.sort();
+        let files = output::shard_docs(&dir).map_err(|e| OrchestrateError::io(&dir, e))?;
         for path in files {
             let text = fs::read_to_string(&path).map_err(|e| OrchestrateError::io(&path, e))?;
             let doc = TableDoc::parse(&text).map_err(|e| {
                 let context = format!("{}: {e}", path.display());
                 merr(MergeError::Parse { context })
             })?;
-            groups.entry(doc.table.clone()).or_default().push(doc);
+            groups.entry(doc.table.name.clone()).or_default().push(doc);
         }
         for (table, docs) in groups {
             let merged = merge_shard_docs(&docs).map_err(merr)?;
-            let csv_path = dir.join(format!("{table}.csv"));
+            let csv_path = result_path(&dir, &table, ResultFile::Csv);
             let committed =
                 fs::read_to_string(&csv_path).map_err(|e| OrchestrateError::io(&csv_path, e))?;
             if committed != merged.to_csv() {
@@ -591,7 +585,7 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
                 driver: driver.clone(),
                 table,
                 shards: docs.len(),
-                rows: merged.rows.len(),
+                rows: merged.table.len(),
             });
         }
     }

@@ -1,12 +1,14 @@
-//! Result-file writers, the run identity, and the self-validating shard
-//! merge.
+//! The table document, the run identity, where result files go, and
+//! the self-validating shard merge.
 //!
-//! Unsharded runs write `results/<figure>/<table>.csv` and a JSON
-//! *table document* (`<table>.json`) carrying the same rows plus
-//! provenance: the [`RunMeta`] (driver, [`RunFlags`], shard), the
-//! sweep's total point count, the point indices this run executed, and
-//! each row's point index. Sharded runs (`--shard i/n`) write only
-//! their table documents, under `results/<figure>/shards/`.
+//! A [`TableDoc`] is a [`Table`] plus the [`RunMeta`] (driver,
+//! [`RunFlags`], shard) of the run that produced it; its JSON rendering
+//! carries the rows and their provenance: the sweep's total point
+//! count, the point indices this run executed, and each row's point
+//! index. Unsharded runs write `results/<figure>/<table>.csv` and that
+//! document as `<table>.json`; sharded runs (`--shard i/n`) write only
+//! the document, under `results/<figure>/shards/`. [`result_path`] is
+//! the one function that names those files.
 //!
 //! [`RunFlags`] is the one declaration of a run's identity, `(scale,
 //! seed, replicates, k)`. Table documents, `run.json` and golden
@@ -26,6 +28,7 @@
 use crate::json::{self, quoted, Fields};
 use crate::table::{Cell, Table};
 use crate::{ExptArgs, Scale};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -33,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 /// Subdirectory of `results/<figure>/` holding per-shard table
 /// documents.
-pub const SHARD_DIR: &str = "shards";
+pub(crate) const SHARD_DIR: &str = "shards";
 
 /// Format tag written into every table document.
 const DOC_FORMAT: u64 = 1;
@@ -186,104 +189,74 @@ pub(crate) fn list<T>(items: &[T], show: impl Fn(&T) -> String) -> String {
     items.iter().map(show).collect::<Vec<_>>().join(", ")
 }
 
-/// A parsed table document: one table as one (possibly sharded) run
-/// produced it, with full provenance.
+/// A table document: one table as one (possibly sharded) run produced
+/// it, with that run's provenance. Read back from disk, the table's
+/// cells are the rendered strings ([`Cell::Str`]), which render to the
+/// same CSV and JSON bytes as the typed cells they were written from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDoc {
     /// Driver, run flags and shard.
     pub meta: RunMeta,
-    /// Table name.
-    pub table: String,
-    /// Total sweep point count, if the table has sweep rows.
-    pub sweep_points: Option<usize>,
-    /// Point indices this run executed.
-    pub points_run: Vec<usize>,
-    /// Column names.
-    pub columns: Vec<String>,
-    /// Per-row point index, parallel to `rows`.
-    pub row_points: Vec<Option<usize>>,
-    /// Rows of rendered cells.
-    pub rows: Vec<Vec<String>>,
+    /// The table: name, columns, rows and their sweep provenance.
+    pub table: Table,
 }
 
 impl TableDoc {
-    /// Parse a table document from its JSON text.
+    /// Parse a table document from its JSON text. Beyond shape, the
+    /// provenance must be possible: with a sweep size recorded, every
+    /// point named is inside the sweep and `points_run` is strictly
+    /// ascending.
     pub fn parse(text: &str) -> Result<TableDoc, MergeError> {
         json::decode("table document", text, |f| {
             f.format(DOC_FORMAT)?;
-            let doc = TableDoc {
-                meta: RunMeta {
-                    driver: f.req("driver")?,
-                    flags: RunFlags::read(f)?,
-                    shard: f.req("shard")?,
-                },
-                table: f.req("table")?,
+            let meta = RunMeta {
+                driver: f.req("driver")?,
+                flags: RunFlags::read(f)?,
+                shard: f.req("shard")?,
+            };
+            let t = Table {
+                name: f.req("table")?,
                 sweep_points: f.req("sweep_points")?,
                 points_run: f.req("points_run")?,
                 columns: f.req("columns")?,
                 row_points: f.req("row_points")?,
                 rows: f.req("rows")?,
             };
-            let (rows, points, cols) = (doc.rows.len(), doc.row_points.len(), doc.columns.len());
+            let (rows, points, cols) = (t.rows.len(), t.row_points.len(), t.columns.len());
             if rows != points {
                 return Err(f.bad("rows", format!("{rows} row(s) but {points} \"row_points\"")));
             }
-            if let Some(i) = doc.rows.iter().position(|r| r.len() != cols) {
-                let cells = doc.rows[i].len();
+            if let Some(i) = t.rows.iter().position(|r| r.len() != cols) {
+                let cells = t.rows[i].len();
                 return Err(f.bad(
                     &format!("rows[{i}]"),
                     format!("{cells} cell(s), expected {cols}"),
                 ));
             }
-            Ok(doc)
+            if let (Some(n), Some((field, i, p))) = (t.sweep_points, t.point_outside_sweep()) {
+                let what = format!("point {p} outside the {n}-point sweep");
+                return Err(f.bad(&format!("{field}[{i}]"), what));
+            }
+            if let Some(i) = t.points_run.windows(2).position(|w| w[0] >= w[1]) {
+                let (prev, p) = (t.points_run[i], t.points_run[i + 1]);
+                return Err(f.bad(
+                    &format!("points_run[{}]", i + 1),
+                    format!("point {p} after point {prev} (want strictly ascending)"),
+                ));
+            }
+            Ok(TableDoc { meta, table: t })
         })
         .map_err(|context| MergeError::Parse { context })
     }
 
-    /// Build a document directly from a table (what [`table_json`]
-    /// renders).
-    pub fn from_table(t: &Table, meta: &RunMeta) -> TableDoc {
-        TableDoc {
-            meta: meta.clone(),
-            table: t.name.clone(),
-            sweep_points: t.sweep_points,
-            points_run: t.points_run.clone(),
-            columns: t.columns.clone(),
-            row_points: t.row_points.clone(),
-            rows: t
-                .rows
-                .iter()
-                .map(|r| r.iter().map(Cell::to_string).collect())
-                .collect(),
-        }
-    }
-
-    /// Convert back into a [`Table`] (cells become rendered strings —
-    /// the CSV output is unchanged by the round trip).
-    pub fn to_table(&self) -> Table {
-        let columns: Vec<&str> = self.columns.iter().map(String::as_str).collect();
-        let mut t = Table::new(&self.table, &columns);
-        t.sweep_points = self.sweep_points;
-        t.points_run = self.points_run.clone();
-        t.rows = self
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|c| Cell::Str(c.clone())).collect())
-            .collect();
-        t.row_points = self.row_points.clone();
-        t
-    }
-
-    /// Render the document's rows as CSV — by construction the same
-    /// renderer, and therefore the same bytes, as the source table's
-    /// [`Table::to_csv`].
+    /// Render the document's rows as CSV ([`Table::to_csv`]).
     pub fn to_csv(&self) -> String {
-        self.to_table().to_csv()
+        self.table.to_csv()
     }
 
-    /// Render as JSON text.
+    /// Render as JSON text ([`table_json`]).
     pub fn render(&self) -> String {
-        table_json(&self.to_table(), &self.meta)
+        table_json(&self.table, &self.meta)
     }
 }
 
@@ -483,7 +456,7 @@ impl std::error::Error for MergeError {}
 /// to a `--threads 1` unsharded run.
 pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
     let first = docs.first().ok_or(MergeError::NoShards)?;
-    let table = first.table.clone();
+    let table = first.table.name.clone();
 
     // Schema and flag agreement.
     for d in docs {
@@ -496,14 +469,14 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         if d.meta.driver != first.meta.driver {
             return Err(schema("driver", &d.meta.driver, &first.meta.driver));
         }
-        if d.table != first.table {
-            return Err(schema("table", &d.table, &first.table));
+        if d.table.name != first.table.name {
+            return Err(schema("table", &d.table.name, &first.table.name));
         }
-        if d.columns != first.columns {
+        if d.table.columns != first.table.columns {
             return Err(schema(
                 "columns",
-                &d.columns.join(","),
-                &first.columns.join(","),
+                &d.table.columns.join(","),
+                &first.table.columns.join(","),
             ));
         }
         let flag = |flag, got: String, want: String| MergeError::FlagMismatch {
@@ -515,11 +488,11 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         if let Some(d) = d.meta.flags.first_difference(&first.meta.flags) {
             return Err(flag(d.flag, d.got, d.want));
         }
-        if d.sweep_points != first.sweep_points {
+        if d.table.sweep_points != first.table.sweep_points {
             return Err(flag(
                 "sweep_points",
-                format!("{:?}", d.sweep_points),
-                format!("{:?}", first.sweep_points),
+                format!("{:?}", d.table.sweep_points),
+                format!("{:?}", first.table.sweep_points),
             ));
         }
     }
@@ -530,13 +503,12 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
     }
 
     // Shard consistency.
-    let (_, n) = first.meta.shard.ok_or(MergeError::NotSharded {
+    let not_sharded = || MergeError::NotSharded {
         table: table.clone(),
-    })?;
+    };
+    let (_, n) = first.meta.shard.ok_or_else(not_sharded)?;
     for d in docs {
-        let (i, dn) = d.meta.shard.ok_or(MergeError::NotSharded {
-            table: table.clone(),
-        })?;
+        let (i, dn) = d.meta.shard.ok_or_else(not_sharded)?;
         if dn != n {
             return Err(MergeError::ShardCountMismatch {
                 table,
@@ -553,55 +525,63 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         }
     }
 
-    let sweep_points = match first.sweep_points {
-        Some(p) => p,
-        None => {
-            // No sweep behind this table: every shard computed the same
-            // constant rows. Validate identity and pass one through.
-            if docs
-                .iter()
-                .any(|d| d.row_points.iter().any(Option::is_some))
-            {
-                return Err(MergeError::UnknownPointCount { table });
-            }
-            check_constants(&table, docs)?;
-            let mut merged = first.clone();
-            merged.meta.shard = None;
-            return Ok(merged);
+    let unsharded = RunMeta {
+        shard: None,
+        ..first.meta.clone()
+    };
+    let Some(sweep_points) = first.table.sweep_points else {
+        // No sweep behind this table: every shard computed the same
+        // constant rows. Validate identity and pass one through.
+        if docs
+            .iter()
+            .any(|d| d.table.row_points.iter().any(Option::is_some))
+        {
+            return Err(MergeError::UnknownPointCount { table });
         }
+        check_constants(&table, docs)?;
+        return Ok(TableDoc {
+            meta: unsharded,
+            table: first.table.clone(),
+        });
     };
 
     // Point ownership and completeness, from the executed-point lists:
     // a point may produce zero rows, so rows alone cannot prove a shard
-    // ran. `owner[p]` is the doc index that executed point `p`.
-    let mut owner: Vec<Option<usize>> = vec![None; sweep_points];
+    // ran. `owner[p]` is the doc index that executed point `p`; it holds
+    // the points the documents claim, never `sweep_points` slots — that
+    // number is whatever a document says it is.
+    let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
     for (di, d) in docs.iter().enumerate() {
         let shard_i = d.meta.shard.expect("checked above").0;
-        for &p in &d.points_run {
-            if p >= sweep_points || p % n != shard_i {
-                return Err(MergeError::ShardAssignment {
-                    table,
-                    point: p,
-                    shard: shard_i,
-                });
+        let misassigned = |point| MergeError::ShardAssignment {
+            table: table.clone(),
+            point,
+            shard: shard_i,
+        };
+        if let Some((_, _, p)) = d.table.point_outside_sweep() {
+            return Err(misassigned(p));
+        }
+        for &p in &d.table.points_run {
+            if p % n != shard_i {
+                return Err(misassigned(p));
             }
-            if owner[p].is_some() {
+            if owner.insert(p, di).is_some() {
                 return Err(MergeError::DuplicatePointIndex { table, point: p });
             }
-            owner[p] = Some(di);
         }
         // Every row's point must be among the points the shard ran.
-        for p in d.row_points.iter().flatten() {
-            if !d.points_run.contains(p) {
-                return Err(MergeError::ShardAssignment {
-                    table,
-                    point: *p,
-                    shard: shard_i,
-                });
-            }
+        if let Some(&p) =
+            (d.table.row_points.iter().flatten()).find(|&&p| owner.get(&p) != Some(&di))
+        {
+            return Err(misassigned(p));
         }
     }
-    if let Some(p) = owner.iter().position(Option::is_none) {
+    // The claimed points are distinct and ascending, so the first one
+    // that is not its own rank is preceded by an absent point.
+    let absent = (owner.keys().zip(0..))
+        .find_map(|(&p, rank)| (p != rank).then_some(rank))
+        .or((owner.len() < sweep_points).then_some(owner.len()));
+    if let Some(p) = absent {
         return Err(MergeError::MissingPointIndex {
             table,
             point: p,
@@ -613,40 +593,42 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
 
     // Reassemble: constants (validated identical) first, then points in
     // ascending global order, each in its owning shard's emission order.
-    let mut merged = TableDoc {
-        points_run: (0..sweep_points).collect(),
-        row_points: Vec::new(),
+    let mut merged = Table {
+        name: table,
+        columns: first.table.columns.clone(),
         rows: Vec::new(),
-        ..first.clone()
+        row_points: Vec::new(),
+        sweep_points: Some(sweep_points),
+        points_run: (0..sweep_points).collect(),
     };
-    merged.meta.shard = None;
-    for (row, p) in first.rows.iter().zip(&first.row_points) {
-        if p.is_none() {
-            merged.rows.push(row.clone());
-            merged.row_points.push(None);
-        }
+    let constants = rows_at(&first.table, None).map(|row| (None, row));
+    let swept = owner
+        .iter()
+        .flat_map(|(&p, &di)| rows_at(&docs[di].table, Some(p)).map(move |row| (Some(p), row)));
+    for (point, row) in constants.chain(swept) {
+        merged.rows.push(row.clone());
+        merged.row_points.push(point);
     }
-    for (p, di) in owner.iter().enumerate() {
-        let d = &docs[di.expect("completeness checked")];
-        for (row, rp) in d.rows.iter().zip(&d.row_points) {
-            if *rp == Some(p) {
-                merged.rows.push(row.clone());
-                merged.row_points.push(Some(p));
-            }
-        }
-    }
-    Ok(merged)
+    Ok(TableDoc {
+        meta: unsharded,
+        table: merged,
+    })
+}
+
+/// The rows of `t` that sweep point `point` produced (`None`: its
+/// constant rows), in order.
+fn rows_at(t: &Table, point: Option<usize>) -> impl Iterator<Item = &Vec<Cell>> {
+    std::iter::zip(&t.rows, &t.row_points)
+        .filter(move |(_, p)| **p == point)
+        .map(|(row, _)| row)
 }
 
 /// Validate that every document's constant (non-sweep) rows are
 /// identical, in order.
 fn check_constants(table: &str, docs: &[TableDoc]) -> Result<(), MergeError> {
     let constants = |d: &TableDoc| -> Vec<Vec<String>> {
-        d.rows
-            .iter()
-            .zip(&d.row_points)
-            .filter(|(_, p)| p.is_none())
-            .map(|(r, _)| r.clone())
+        rows_at(&d.table, None)
+            .map(|row| row.iter().map(Cell::to_string).collect())
             .collect()
     };
     let want = constants(&docs[0]);
@@ -674,9 +656,40 @@ fn check_constants(table: &str, docs: &[TableDoc]) -> Result<(), MergeError> {
     Ok(())
 }
 
-/// The shard-document filename for table `name` under shard `(i, n)`.
-pub fn shard_file_name(name: &str, shard: (usize, usize)) -> String {
-    format!("{name}.shard{}of{}.json", shard.0, shard.1)
+/// One of a table's result files.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResultFile {
+    /// The CSV. Only an unsharded run or a merge writes one.
+    Csv,
+    /// The table document of an unsharded run or a merge (`None`), or
+    /// of shard `(i, n)`.
+    Doc(Option<(usize, usize)>),
+}
+
+/// Where `file` of table `table` lives under `dir`, its driver's
+/// results directory (`results/<figure>/`): `<table>.csv` and
+/// `<table>.json` beside each other, a shard's document at
+/// `shards/<table>.shard<i>of<n>.json`. The one place the layout of a
+/// results tree is spelt.
+pub fn result_path(dir: &Path, table: &str, file: ResultFile) -> PathBuf {
+    match file {
+        ResultFile::Csv => dir.join(format!("{table}.csv")),
+        ResultFile::Doc(None) => dir.join(format!("{table}.json")),
+        ResultFile::Doc(Some((i, n))) => dir
+            .join(SHARD_DIR)
+            .join(format!("{table}.shard{i}of{n}.json")),
+    }
+}
+
+/// The shard documents under `dir`, a driver's results directory, in
+/// path order.
+pub fn shard_docs(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files: Vec<PathBuf> = fs::read_dir(dir.join(SHARD_DIR))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    Ok(files)
 }
 
 /// Write `contents` to `path` atomically: write `<path>.tmp` in full,
@@ -703,27 +716,16 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 /// killed run never leaves a half-written document behind.
 pub fn write_tables(dir: &Path, tables: &[Table], meta: &RunMeta) -> io::Result<Vec<PathBuf>> {
     let mut paths = Vec::with_capacity(tables.len() * 2);
-    match meta.shard {
-        Some(shard) => {
-            let sdir = dir.join(SHARD_DIR);
-            fs::create_dir_all(&sdir)?;
-            for t in tables {
-                let json = sdir.join(shard_file_name(&t.name, shard));
-                write_atomic(&json, &table_json(t, meta))?;
-                paths.push(json);
-            }
+    for t in tables {
+        let doc = result_path(dir, &t.name, ResultFile::Doc(meta.shard));
+        fs::create_dir_all(doc.parent().expect("a result file has a directory"))?;
+        if meta.shard.is_none() {
+            let csv = result_path(dir, &t.name, ResultFile::Csv);
+            write_atomic(&csv, &t.to_csv())?;
+            paths.push(csv);
         }
-        None => {
-            fs::create_dir_all(dir)?;
-            for t in tables {
-                let csv = dir.join(format!("{}.csv", t.name));
-                write_atomic(&csv, &t.to_csv())?;
-                paths.push(csv);
-                let json = dir.join(format!("{}.json", t.name));
-                write_atomic(&json, &table_json(t, meta))?;
-                paths.push(json);
-            }
-        }
+        write_atomic(&doc, &table_json(t, meta))?;
+        paths.push(doc);
     }
     Ok(paths)
 }
@@ -755,7 +757,10 @@ mod tests {
                         t.push_indexed(p, vec![Cell::from(p), Cell::from(sub)]);
                     }
                 }
-                TableDoc::from_table(&t, &meta(Some((i, 2))))
+                TableDoc {
+                    meta: meta(Some((i, 2))),
+                    table: t,
+                }
             })
             .collect()
     }
@@ -787,10 +792,11 @@ mod tests {
         let m = meta(Some((0, 1)));
         let text = table_json(&t, &m);
         let doc = TableDoc::parse(&text).unwrap();
-        assert_eq!(doc, TableDoc::from_table(&t, &m));
-        // Rendered cells preserve NaN and the CSV rendering exactly.
-        assert_eq!(doc.rows[0][1], "NaN");
+        // Rendered cells preserve NaN and both renderings exactly.
+        assert_eq!(doc.table.rows[0][1], Cell::from("NaN"));
         assert_eq!(doc.to_csv(), t.to_csv());
+        assert_eq!(doc.render(), text);
+        assert_eq!((&doc.meta, &doc.table.points_run), (&m, &t.points_run));
         // render() is parse's inverse.
         assert_eq!(TableDoc::parse(&doc.render()).unwrap(), doc);
     }
@@ -800,7 +806,7 @@ mod tests {
         let merged = merge_shard_docs(&sharded_docs()).unwrap();
         assert_eq!(merged.to_csv(), unsharded_csv());
         assert_eq!(merged.meta.shard, None);
-        assert_eq!(merged.points_run, (0..5).collect::<Vec<_>>());
+        assert_eq!(merged.table.points_run, (0..5).collect::<Vec<_>>());
     }
 
     #[test]
@@ -835,7 +841,7 @@ mod tests {
     #[test]
     fn schema_and_flag_mismatches_are_named() {
         let mut docs = sharded_docs();
-        docs[1].columns[1] = "other".into();
+        docs[1].table.columns[1] = "other".into();
         assert!(matches!(
             merge_shard_docs(&docs).unwrap_err(),
             MergeError::SchemaMismatch {
@@ -857,7 +863,7 @@ mod tests {
             }
         );
         let mut docs = sharded_docs();
-        docs[1].sweep_points = Some(9);
+        docs[1].table.sweep_points = Some(9);
         assert!(matches!(
             merge_shard_docs(&docs).unwrap_err(),
             MergeError::FlagMismatch {
@@ -868,9 +874,9 @@ mod tests {
         // An out-of-range shard index is named as such.
         let mut docs = sharded_docs();
         docs[1].meta.shard = Some((5, 2));
-        docs[1].points_run.clear();
-        docs[1].rows.truncate(1);
-        docs[1].row_points.truncate(1);
+        docs[1].table.points_run.clear();
+        docs[1].table.rows.truncate(1);
+        docs[1].table.row_points.truncate(1);
         assert!(matches!(
             merge_shard_docs(&docs).unwrap_err(),
             MergeError::InvalidShardIndex {
@@ -901,7 +907,7 @@ mod tests {
     fn misassigned_point_and_constant_drift_are_named() {
         let mut docs = sharded_docs();
         // Shard 1 claims point 2 (owned by shard 0).
-        docs[1].points_run.push(2);
+        docs[1].table.points_run.push(2);
         assert_eq!(
             merge_shard_docs(&docs).unwrap_err(),
             MergeError::ShardAssignment {
@@ -911,11 +917,29 @@ mod tests {
             }
         );
         let mut docs = sharded_docs();
-        docs[1].rows[0][0] = "drifted".into();
+        docs[1].table.rows[0][0] = "drifted".into();
         assert!(matches!(
             merge_shard_docs(&docs).unwrap_err(),
             MergeError::ConstantRowMismatch { row: 1, .. }
         ));
+    }
+
+    #[test]
+    fn a_point_outside_the_sweep_is_misassigned_in_memory_too() {
+        // `TableDoc::parse` refuses such a document; one built in memory
+        // meets the same bound in the merge. Point 5 is shard 1's by
+        // `5 % 2`, and fills rank 5, so only the bound can refuse it.
+        let outside = |point| MergeError::ShardAssignment {
+            table: "series".into(),
+            point,
+            shard: 1,
+        };
+        let mut docs = sharded_docs();
+        docs[1].table.points_run.push(5);
+        assert_eq!(merge_shard_docs(&docs).unwrap_err(), outside(5));
+        let mut docs = sharded_docs();
+        *docs[1].table.row_points.last_mut().unwrap() = Some(7);
+        assert_eq!(merge_shard_docs(&docs).unwrap_err(), outside(7));
     }
 
     #[test]
@@ -924,10 +948,10 @@ mod tests {
         // complete; dropping it from points_run is what must fail.
         let mut docs = sharded_docs();
         // Keep the constant row, drop the sweep rows.
-        docs[1].rows.truncate(1);
-        docs[1].row_points.truncate(1);
+        docs[1].table.rows.truncate(1);
+        docs[1].table.row_points.truncate(1);
         assert!(merge_shard_docs(&docs).is_ok());
-        docs[1].points_run.clear();
+        docs[1].table.points_run.clear();
         assert!(matches!(
             merge_shard_docs(&docs).unwrap_err(),
             MergeError::MissingPointIndex { point: 1, .. }
@@ -939,12 +963,18 @@ mod tests {
         let mut t = Table::new("config", &["k"]);
         t.push(vec![Cell::from(12u64)]);
         let docs: Vec<TableDoc> = (0..3)
-            .map(|i| TableDoc::from_table(&t, &meta(Some((i, 3)))))
+            .map(|i| TableDoc {
+                meta: meta(Some((i, 3))),
+                table: t.clone(),
+            })
             .collect();
         let merged = merge_shard_docs(&docs).unwrap();
         assert_eq!(merged.to_csv(), t.to_csv());
         // Single unsharded doc passes through.
-        let solo = TableDoc::from_table(&t, &meta(None));
+        let solo = TableDoc {
+            meta: meta(None),
+            table: t,
+        };
         assert_eq!(merge_shard_docs(std::slice::from_ref(&solo)).unwrap(), solo);
     }
 
@@ -1034,7 +1064,7 @@ mod tests {
         assert_eq!(paths.len(), 2);
         assert_eq!(fs::read_to_string(&paths[0]).unwrap(), "x,y\n1,2\n");
         let doc = TableDoc::parse(&fs::read_to_string(&paths[1]).unwrap()).unwrap();
-        assert_eq!(doc.rows, vec![vec!["1".to_string(), "2".to_string()]]);
+        assert_eq!(doc.table.rows, [[Cell::from("1"), Cell::from("2")]]);
         // Overwrite is idempotent.
         let again = write_tables(&dir, std::slice::from_ref(&t), &meta(None)).unwrap();
         assert_eq!(paths, again);

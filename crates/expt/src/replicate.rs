@@ -10,10 +10,12 @@
 //!   `(base seed, global point index, replicate index)` via the same
 //!   SplitMix64 chain as point seeds, so replicated output keeps the
 //!   harness determinism guarantee: byte-identical for any `--threads`.
-//! * [`RepTableBuilder`] — accumulates one observation row per
+//! * [`RepTableBuilder`] — accumulates one observation [`Row`] per
 //!   `(row key, replicate)` and renders a [`Table`] whose metric columns
 //!   become `<metric>_mean` / `<metric>_ci95` pairs (normal-approximation
-//!   95% interval via [`summarize`]) plus a trailing `reps` count.
+//!   95% interval via [`summarize`]) plus a trailing `reps` count. It
+//!   reads a sweep row's point off the [`Swept`] the runner returned
+//!   ([`RepTableBuilder::sweep_rows`]); no driver attaches one.
 //!
 //! Row keys are matched across replicates by their rendered label cells,
 //! in first-seen order, so replicates may legitimately disagree on which
@@ -22,11 +24,12 @@
 //! many that was. A key pushed fewer than twice renders its `ci95` as
 //! `NaN` — there is no spread to estimate from one observation.
 
-use crate::runner::{derive_seed, PointCtx};
+use crate::runner::{derive_seed, PointCtx, Swept};
 use crate::summary::summarize;
 use crate::sweep::SweepRef;
 use crate::table::{Cell, Table};
 use simkit::SimRng;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Salt mixed into the point seed before deriving replicate seeds, so
@@ -77,6 +80,10 @@ impl PointCtx {
 /// Renders a metric value into its table cell (e.g. [`crate::f2`]).
 pub type MetricFmt = fn(f64) -> Cell;
 
+/// One observation of a table row: its key cells and one value per
+/// metric.
+pub type Row = (Vec<Cell>, Vec<f64>);
+
 /// One builder row: the sweep point that produced it (`None` for
 /// constant rows), its key cells, and one observation series per
 /// metric.
@@ -87,13 +94,14 @@ type RepRow = (Option<usize>, Vec<Cell>, Vec<Vec<f64>>);
 /// so sharded outputs can be merged with validation.
 ///
 /// Rows come in two kinds, mirroring [`Table`]: *sweep* rows
-/// ([`RepTableBuilder::push_at`]) carry the global index of the sweep
-/// point that produced them, *constant* rows ([`RepTableBuilder::push`])
-/// are computed outside any sweep and must precede them. A row key must
-/// always come from the same sweep point — keys are how replicates of a
-/// point find their row, so a key shared *across* points would fold
-/// unrelated observations together (and silently diverge under
-/// sharding); that is rejected at push time.
+/// ([`RepTableBuilder::sweep_rows`]) belong to the sweep point whose
+/// results they were made from, *constant* rows
+/// ([`RepTableBuilder::extend`]) are computed outside any sweep and must
+/// precede them. A row key must always come from the same sweep point —
+/// keys are how replicates of a point find their row, so a key shared
+/// *across* points would fold unrelated observations together (and
+/// silently diverge under sharding); that is rejected when the row is
+/// recorded.
 #[derive(Debug, Clone)]
 pub struct RepTableBuilder {
     name: String,
@@ -121,37 +129,55 @@ impl RepTableBuilder {
         }
     }
 
-    /// Declare the sweep behind this table's indexed rows (see
-    /// `Ctx::sweep_ref`); recorded into the built [`Table`] so the
-    /// shard merge can validate point completeness.
-    pub fn for_sweep(mut self, sweep: &SweepRef) -> Self {
-        self.sweep = Some(sweep.clone());
-        self
-    }
-
-    /// Record one replicate's observation of the constant row
-    /// identified by `key` (a row computed outside any sweep). Rows
-    /// appear in the built table in first-push order.
+    /// Record observations of constant rows (rows computed outside any
+    /// sweep): each replicate's, or `Ctx::repeat` of a closed-form one.
+    /// Rows appear in the built table in first-seen order.
     ///
     /// # Panics
-    /// Panics when `key` or `metrics` have the wrong arity, when `key`
-    /// was first pushed as a sweep row, or when any sweep row was
-    /// already pushed (constant rows must precede sweep rows).
-    pub fn push(&mut self, key: Vec<Cell>, metrics: &[f64]) {
-        self.record(None, key, metrics);
+    /// Panics on an arity mismatch, or when any sweep row was already
+    /// recorded (constant rows must precede sweep rows).
+    pub fn extend<I>(&mut self, rows: I)
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Row>,
+    {
+        for row in rows {
+            self.record(None, row.borrow());
+        }
     }
 
-    /// Record one replicate's observation of the row identified by
-    /// `key`, produced by sweep point `point` (global index).
+    /// Record the table's sweep rows: `rows(point, results)` gives the
+    /// observations one owned point's results amount to, replicate by
+    /// replicate, and each is filed under that point. The built
+    /// [`Table`] records the sweep's size and the points `swept` ran (a
+    /// point may yield no rows, a shard may own no points), which is
+    /// what the shard merge validates completeness against.
     ///
     /// # Panics
-    /// Panics on arity mismatch or when `key` was previously pushed
-    /// with a different point (or as a constant row).
-    pub fn push_at(&mut self, point: usize, key: Vec<Cell>, metrics: &[f64]) {
-        self.record(Some(point), key, metrics);
+    /// Panics on an arity mismatch, on a key seen before under another
+    /// point (or as a constant row), or on a second sweep's rows.
+    pub fn sweep_rows<'a, P, R, I>(
+        &mut self,
+        swept: &'a Swept<'_, P, R>,
+        mut rows: impl FnMut(&'a P, &'a R) -> I,
+    ) where
+        I: IntoIterator,
+        I::Item: Borrow<Row>,
+    {
+        assert!(
+            self.sweep.is_none(),
+            "table {}: sweep rows recorded twice",
+            self.name
+        );
+        self.sweep = Some(swept.sweep.clone());
+        for (&index, results) in std::iter::zip(&swept.sweep.owned, &swept.results) {
+            for row in rows(&swept.points[index], results) {
+                self.record(Some(index), row.borrow());
+            }
+        }
     }
 
-    fn record(&mut self, point: Option<usize>, key: Vec<Cell>, metrics: &[f64]) {
+    fn record(&mut self, point: Option<usize>, (key, metrics): &Row) {
         assert_eq!(
             key.len(),
             self.key_cols.len(),
@@ -186,7 +212,7 @@ impl RepTableBuilder {
                 let i = self.rows.len();
                 self.index.insert(id, i);
                 self.rows
-                    .push((point, key, vec![Vec::new(); self.metrics.len()]));
+                    .push((point, key.clone(), vec![Vec::new(); self.metrics.len()]));
                 i
             }
         };
@@ -198,44 +224,6 @@ impl RepTableBuilder {
         );
         for (series, &v) in self.rows[idx].2.iter_mut().zip(metrics) {
             series.push(v);
-        }
-    }
-
-    /// Record many constant observations (see [`RepTableBuilder::push`]).
-    pub fn extend(&mut self, rows: impl IntoIterator<Item = (Vec<Cell>, Vec<f64>)>) {
-        for (key, metrics) in rows {
-            self.push(key, &metrics);
-        }
-    }
-
-    /// Record many observations from sweep point `point` (see
-    /// [`RepTableBuilder::push_at`]).
-    pub fn extend_at(
-        &mut self,
-        point: usize,
-        rows: impl IntoIterator<Item = (Vec<Cell>, Vec<f64>)>,
-    ) {
-        for (key, metrics) in rows {
-            self.push_at(point, key, &metrics);
-        }
-    }
-
-    /// Record the same constant observation once per replicate — for
-    /// closed-form, seed-independent rows that would be identical under
-    /// every replicate seed (their CI is exactly 0 without
-    /// re-computation).
-    pub fn push_constant(&mut self, key: Vec<Cell>, metrics: &[f64], reps: usize) {
-        for _ in 0..reps {
-            self.push(key.clone(), metrics);
-        }
-    }
-
-    /// [`RepTableBuilder::push_constant`] for a seed-independent row
-    /// that still belongs to sweep point `point` (computed once *per
-    /// point*, not once per replicate).
-    pub fn push_constant_at(&mut self, point: usize, key: Vec<Cell>, metrics: &[f64], reps: usize) {
-        for _ in 0..reps {
-            self.push_at(point, key.clone(), metrics);
         }
     }
 
@@ -251,7 +239,7 @@ impl RepTableBuilder {
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
         let mut t = Table::new(&self.name, &column_refs);
         if let Some(sweep) = &self.sweep {
-            t.set_sweep(sweep);
+            t = t.for_sweep(sweep);
         }
         for (point, key, series) in self.rows {
             let mut row = key;
@@ -275,6 +263,7 @@ impl RepTableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Sweep;
     use crate::table::{f, f2};
 
     #[test]
@@ -307,14 +296,14 @@ mod tests {
             &["system", "load"],
             &[("fct", f2 as MetricFmt), ("done", f)],
         );
-        for rep in 0..3 {
-            b.push(
+        b.extend((0..3).map(|rep| {
+            (
                 vec![Cell::from("opera"), Cell::F64(0.1)],
-                &[10.0 + rep as f64, 1.0],
-            );
-        }
+                vec![10.0 + rep as f64, 1.0],
+            )
+        }));
         // A row only one replicate produced.
-        b.push(vec![Cell::from("clos"), Cell::F64(0.1)], &[5.0, 0.5]);
+        b.extend([(vec![Cell::from("clos"), Cell::F64(0.1)], vec![5.0, 0.5])]);
         let t = b.build();
         assert_eq!(
             t.columns,
@@ -342,10 +331,20 @@ mod tests {
         assert_eq!(t.rows[1][6].to_string(), "1");
     }
 
+    fn ctx(replicates: usize, shard: Option<(usize, usize)>) -> crate::Ctx {
+        crate::Ctx::new(crate::ExptArgs {
+            threads: 1,
+            replicates,
+            shard,
+            ..Default::default()
+        })
+    }
+
     #[test]
-    fn push_constant_yields_zero_ci() {
+    fn repeated_row_yields_zero_ci() {
+        let ctx = ctx(3, None);
         let mut b = RepTableBuilder::new("c", &["q"], &[("v", f as MetricFmt)]);
-        b.push_constant(vec![Cell::from("alpha")], &[1.3], 3);
+        b.extend(ctx.repeat((vec![Cell::from("alpha")], vec![1.3])));
         let t = b.build();
         assert_eq!(t.rows[0][1].to_string(), "1.3000");
         assert_eq!(t.rows[0][2].to_string(), "0.0000");
@@ -353,44 +352,63 @@ mod tests {
     }
 
     #[test]
-    fn builder_tracks_sweep_provenance() {
-        let sweep = SweepRef {
-            points: 4,
-            owned: vec![1, 3],
-        };
-        let mut b = RepTableBuilder::new("p", &["k"], &[("v", f as MetricFmt)]).for_sweep(&sweep);
-        b.push(vec![Cell::from("const")], &[0.0]);
-        for rep in 0..2 {
-            b.push_at(1, vec![Cell::from("one")], &[rep as f64]);
-        }
-        b.push_constant_at(3, vec![Cell::from("three")], &[9.0], 2);
+    fn sweep_rows_carry_their_points() {
+        // Shard 1 of 2 over four points owns points 1 and 3.
+        let ctx = ctx(2, Some((1, 2)));
+        let sweep = Sweep::grid1(&["zero", "one", "two", "three"], |l| l);
+        let swept = ctx.run_replicated(&sweep, |_, rc| rc.rep as f64);
+        let mut b = RepTableBuilder::new("p", &["k"], &[("v", f as MetricFmt)]);
+        b.extend([(vec![Cell::from("const")], vec![0.0])]);
+        b.sweep_rows(&swept, |&label, reps| {
+            let seen = move |&v| if label == "one" { v } else { 9.0 };
+            reps.iter()
+                .map(move |v| (vec![Cell::from(label)], vec![seen(v)]))
+        });
         let t = b.build();
         assert_eq!(t.row_points, [None, Some(1), Some(3)]);
         assert_eq!(t.sweep_points, Some(4));
         assert_eq!(t.points_run, [1, 3]);
+        assert_eq!(t.rows[1][0].to_string(), "one");
+        assert_eq!(t.rows[1][1].to_string(), "0.5000");
+        assert_eq!(t.rows[2][1].to_string(), "9.0000");
         assert_eq!(t.rows[2][3].to_string(), "2"); // reps column
+    }
+
+    #[test]
+    fn a_shard_without_points_still_records_the_sweep() {
+        let ctx = ctx(1, Some((1, 2)));
+        let sweep = Sweep::from_points(vec![()]);
+        let swept = ctx.run(&sweep, |_, _| (vec![Cell::from("only")], vec![1.0]));
+        let mut b = RepTableBuilder::new("p", &["k"], &[("v", f as MetricFmt)]);
+        b.sweep_rows(&swept, |_, row| [row]);
+        let t = b.build();
+        assert!(t.is_empty());
+        assert_eq!((t.sweep_points, &t.points_run[..]), (Some(1), &[][..]));
     }
 
     #[test]
     #[should_panic(expected = "must identify one sweep point")]
     fn key_shared_across_points_rejected() {
+        let sweep = Sweep::from_points(vec![1.0, 2.0]);
+        let swept = ctx(1, None).run(&sweep, |&v, _| v);
         let mut b = RepTableBuilder::new("p", &["k"], &[("v", f as MetricFmt)]);
-        b.push_at(0, vec![Cell::from("same")], &[1.0]);
-        b.push_at(1, vec![Cell::from("same")], &[2.0]);
+        b.sweep_rows(&swept, |_, &v| [(vec![Cell::from("same")], vec![v])]);
     }
 
     #[test]
     #[should_panic(expected = "constant rows must precede")]
     fn constant_after_sweep_row_rejected() {
+        let sweep = Sweep::from_points(vec![1.0]);
+        let swept = ctx(1, None).run(&sweep, |&v, _| v);
         let mut b = RepTableBuilder::new("p", &["k"], &[("v", f as MetricFmt)]);
-        b.push_at(0, vec![Cell::from("a")], &[1.0]);
-        b.push(vec![Cell::from("late const")], &[2.0]);
+        b.sweep_rows(&swept, |_, &v| [(vec![Cell::from("a")], vec![v])]);
+        b.extend([(vec![Cell::from("late const")], vec![2.0])]);
     }
 
     #[test]
     #[should_panic(expected = "row has 1 metrics")]
     fn metric_arity_checked() {
         let mut b = RepTableBuilder::new("x", &["k"], &[("a", f as MetricFmt), ("b", f)]);
-        b.push(vec![Cell::from("k")], &[1.0]);
+        b.extend([(vec![Cell::from("k")], vec![1.0])]);
     }
 }

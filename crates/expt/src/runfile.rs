@@ -30,7 +30,7 @@ use crate::orchestrate::{
     check_owner, merge_driver_docs, plan_jobs, Backend, OrchestrateError, Orchestrator, Plan,
     RunObserver, RunReport, ShardJob,
 };
-use crate::output::{self, RunFlags, TableDoc};
+use crate::output::{self, result_path, ResultFile, RunFlags, TableDoc};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -313,10 +313,10 @@ impl RunWriter {
             .find(|e| e.job == *job)
             .expect("a writer only hears jobs of the plan its manifest was made from");
         if let Ok(docs) = outcome {
-            let sdir = self.out.join(&job.driver).join(output::SHARD_DIR);
+            let dir = self.out.join(&job.driver);
             for doc in docs {
-                let name = output::shard_file_name(&doc.table, job.shard);
-                write(&sdir.join(name), &doc.render())?;
+                let path = result_path(&dir, &doc.table.name, ResultFile::Doc(Some(job.shard)));
+                write(&path, &doc.render())?;
             }
         }
         entry.attempts = attempts;
@@ -324,35 +324,34 @@ impl RunWriter {
             Ok(docs) => (
                 JobStatus::Ok,
                 None,
-                docs.iter().map(|d| d.table.clone()).collect(),
+                docs.iter().map(|d| d.table.name.clone()).collect(),
             ),
             Err(e) => (JobStatus::Failed, Some(e.clone()), Vec::new()),
         };
         write(&self.out.join(RUN_FILE), &st.manifest.render())
     }
 
-    /// Finish the run: write each driver's merged tables
-    /// (`<table>.csv` + unsharded `<table>.json`, atomically), mark the
-    /// manifest complete, and return the merged CSV paths. Surfaces the
-    /// first persistence error any earlier [`RunObserver::job_done`]
-    /// call swallowed.
+    /// Finish the run: write each merged table under its driver's
+    /// directory (`<table>.csv` + unsharded `<table>.json`, atomically),
+    /// mark the manifest complete, and return the merged CSV paths.
+    /// Surfaces the first persistence error any earlier
+    /// [`RunObserver::job_done`] call swallowed.
     fn finish<'a>(
         &self,
-        merged: impl IntoIterator<Item = (&'a str, &'a [TableDoc])>,
+        merged: impl IntoIterator<Item = &'a TableDoc>,
     ) -> Result<Vec<PathBuf>, OrchestrateError> {
         let mut st = self.state.lock().unwrap();
         if let Some(e) = st.error.take() {
             return Err(e);
         }
         let mut csvs = Vec::new();
-        for (driver, docs) in merged {
-            let dir = self.out.join(driver);
-            for doc in docs {
-                let csv = dir.join(format!("{}.csv", doc.table));
-                write(&csv, &doc.to_csv())?;
-                write(&dir.join(format!("{}.json", doc.table)), &doc.render())?;
-                csvs.push(csv);
-            }
+        for doc in merged {
+            let dir = self.out.join(&doc.meta.driver);
+            let csv = result_path(&dir, &doc.table.name, ResultFile::Csv);
+            write(&csv, &doc.to_csv())?;
+            let json = result_path(&dir, &doc.table.name, ResultFile::Doc(None));
+            write(&json, &doc.render())?;
+            csvs.push(csv);
         }
         st.manifest.complete = true;
         write(&self.out.join(RUN_FILE), &st.manifest.render())?;
@@ -388,11 +387,7 @@ pub fn start_run<B: Backend>(
 ) -> Result<(RunReport, Vec<PathBuf>), OrchestrateError> {
     let writer = RunWriter::open(dir, RunManifest::new(plan, backend_name, flags), true)?;
     let report = Orchestrator::new(backend, workers).run_observed(plan, &writer)?;
-    let merged = report
-        .drivers
-        .iter()
-        .map(|r| (&r.driver[..], &r.merged[..]));
-    let csvs = writer.finish(merged)?;
+    let csvs = writer.finish(report.drivers.iter().flat_map(|r| &r.merged))?;
     Ok((report, csvs))
 }
 
@@ -468,7 +463,7 @@ pub fn resume_run<B: Backend>(
         docs_by_job.insert(key, outcome.into_docs(&r.job)?);
     }
 
-    let mut merged = Vec::with_capacity(manifest.plan.drivers.len());
+    let mut merged = Vec::new();
     for driver in &manifest.plan.drivers {
         let shard_docs: Vec<Vec<TableDoc>> = (0..manifest.plan.shards)
             .map(|i| {
@@ -477,9 +472,9 @@ pub fn resume_run<B: Backend>(
                     .expect("manifest job coverage validated on read")
             })
             .collect();
-        merged.push((driver, merge_driver_docs(driver, &shard_docs)?));
+        merged.extend(merge_driver_docs(driver, &shard_docs)?);
     }
-    let csvs = writer.finish(merged.iter().map(|(d, docs)| (&d[..], &docs[..])))?;
+    let csvs = writer.finish(&merged)?;
     Ok(ResumeReport {
         reused,
         rerun,
@@ -500,10 +495,10 @@ fn load_job_docs(
     if entry.tables.is_empty() {
         return Err("no tables recorded for the job".to_string());
     }
-    let sdir = dir.join(&entry.job.driver).join(output::SHARD_DIR);
+    let dir = dir.join(&entry.job.driver);
     let mut docs = Vec::with_capacity(entry.tables.len());
     for table in &entry.tables {
-        let path = sdir.join(output::shard_file_name(table, entry.job.shard));
+        let path = result_path(&dir, table, ResultFile::Doc(Some(entry.job.shard)));
         let text = fs::read_to_string(&path)
             .map_err(|e| format!("missing shard document {}: {e}", path.display()))?;
         let doc = TableDoc::parse(&text)
@@ -514,8 +509,8 @@ fn load_job_docs(
                 path.display()
             )
         })?;
-        if doc.table != *table {
-            let (path, other) = (path.display(), &doc.table);
+        if doc.table.name != *table {
+            let (path, other) = (path.display(), &doc.table.name);
             return Err(format!("shard document {path} holds table {other:?}"));
         }
         if let Some(d) = doc.meta.flags.first_difference(&manifest.flags) {
@@ -636,7 +631,7 @@ mod tests {
         writer.job_done(&job1, 3, &Ok(fake_docs("a", (1, 2))));
         let shard_docs = vec![fake_docs("a", (0, 2)), fake_docs("a", (1, 2))];
         let merged = merge_driver_docs("a", &shard_docs).unwrap();
-        let csvs = writer.finish([("a", &merged[..])]).unwrap();
+        let csvs = writer.finish(&merged).unwrap();
         assert_eq!(csvs.len(), 1);
         assert!(RunManifest::read(&out.join(RUN_FILE)).unwrap().complete);
         assert_eq!(validate_dir(&out).unwrap().len(), 1);

@@ -9,7 +9,7 @@
 //! with `--threads 8` produces byte-identical output to `--threads 1`.
 
 use crate::replicate::RepCtx;
-use crate::sweep::Sweep;
+use crate::sweep::{Sweep, SweepRef};
 use simkit::SimRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -43,6 +43,26 @@ impl PointCtx {
     /// workload, one for failure sampling).
     pub fn rng_stream(&self, stream: u64) -> SimRng {
         SimRng::new(derive_seed(self.seed, stream.wrapping_add(1)))
+    }
+}
+
+/// What a sweep produced, still attached to the points that produced
+/// it: one `R` per point this runner owns. Which global point index a
+/// result belongs to stays inside this type, from which
+/// [`crate::RepTableBuilder::sweep_rows`] takes a table's sweep rows:
+/// a row cannot be tagged with a point other than its own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Swept<'s, P, R> {
+    pub(crate) points: &'s [P],
+    pub(crate) sweep: SweepRef,
+    pub(crate) results: Vec<R>,
+}
+
+impl<'s, P, R> Swept<'s, P, R> {
+    /// `(point, its result)` per owned point, in sweep order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'s P, &R)> {
+        let points = self.points;
+        std::iter::zip(&self.sweep.owned, &self.results).map(move |(&i, r)| (&points[i], r))
     }
 }
 
@@ -100,14 +120,14 @@ impl Runner {
         self.base_seed
     }
 
-    /// Global indices of the sweep points this runner owns, ascending —
-    /// all of `0..n_points` unsharded, every `n`-th under shard `(i,
-    /// n)`. Figure builders zip owned results with this list to tag
-    /// rows with their global point index.
-    pub fn owned_points(&self, n_points: usize) -> Vec<usize> {
-        match self.shard {
-            None => (0..n_points).collect(),
-            Some((i, n)) => (0..n_points).filter(|p| p % n == i).collect(),
+    /// A `points`-point sweep as this runner sees it: the global
+    /// indices it owns, ascending — all of them unsharded, every `n`-th
+    /// under shard `(i, n)`.
+    fn sweep_ref(&self, points: usize) -> SweepRef {
+        let (i, n) = self.shard.unwrap_or((0, 1));
+        SweepRef {
+            points,
+            owned: (i..points).step_by(n).collect(),
         }
     }
 
@@ -121,29 +141,34 @@ impl Runner {
     }
 
     /// Run `f` on every owned point of `sweep`, fanning out over scoped
-    /// threads, and return results in sweep order (restricted to this
-    /// runner's shard when one is set).
+    /// threads, and return the results in sweep order (restricted to
+    /// this runner's shard when one is set), attached to their points.
     ///
     /// A panic in any point aborts the whole run (propagated after all
     /// workers stop claiming new points).
-    pub fn run<P, R, F>(&self, sweep: &Sweep<P>, f: F) -> Vec<R>
+    pub fn run<'s, P, R, F>(&self, sweep: &'s Sweep<P>, f: F) -> Swept<'s, P, R>
     where
         P: Sync,
         R: Send,
         F: Fn(&P, &PointCtx) -> R + Sync,
     {
         let points = sweep.points();
-        let owned = self.owned_points(points.len());
-        self.execute(owned.len(), |slot| {
-            let i = owned[slot];
+        let sweep = self.sweep_ref(points.len());
+        let results = self.execute(sweep.owned.len(), |slot| {
+            let i = sweep.owned[slot];
             f(&points[i], &self.point_ctx(i))
-        })
+        });
+        Swept {
+            points,
+            sweep,
+            results,
+        }
     }
 
     /// Run `f` on every `(owned point, replicate)` pair of `sweep`,
     /// fanning the flattened work list out over scoped threads, and
-    /// return results grouped per point (`out[p][r]` is replicate `r` of
-    /// owned point `p`), in sweep order.
+    /// return each owned point's `reps` results, replicate `r` at index
+    /// `r`, in sweep order.
     ///
     /// Replicate seeds derive from `(base seed, global point index,
     /// replicate index)` only, so — like [`Runner::run`] — the output is
@@ -151,7 +176,12 @@ impl Runner {
     ///
     /// # Panics
     /// Panics when `reps == 0`.
-    pub fn run_replicated<P, R, F>(&self, sweep: &Sweep<P>, reps: usize, f: F) -> Vec<Vec<R>>
+    pub fn run_replicated<'s, P, R, F>(
+        &self,
+        sweep: &'s Sweep<P>,
+        reps: usize,
+        f: F,
+    ) -> Swept<'s, P, Vec<R>>
     where
         P: Sync,
         R: Send,
@@ -159,16 +189,21 @@ impl Runner {
     {
         assert!(reps >= 1, "run_replicated requires at least one replicate");
         let points = sweep.points();
-        let owned = self.owned_points(points.len());
-        let flat = self.execute(owned.len() * reps, |slot| {
-            let i = owned[slot / reps];
+        let sweep = self.sweep_ref(points.len());
+        let flat = self.execute(sweep.owned.len() * reps, |slot| {
+            let i = sweep.owned[slot / reps];
             let rep = slot % reps;
             f(&points[i], &self.point_ctx(i).replicate(rep))
         });
         let mut flat = flat.into_iter();
-        (0..owned.len())
-            .map(|_| (0..reps).map(|_| flat.next().unwrap()).collect())
-            .collect()
+        let results = (0..sweep.owned.len())
+            .map(|_| flat.by_ref().take(reps).collect())
+            .collect();
+        Swept {
+            points,
+            sweep,
+            results,
+        }
     }
 
     /// Claim-loop core shared by [`Runner::run`] and
@@ -245,7 +280,10 @@ mod tests {
             assert_eq!(ctx.index, i);
             i * 10
         });
-        assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<_>>());
+        assert!(out
+            .iter()
+            .map(|(&i, &r)| (i, r))
+            .eq((0..32).map(|i| (i, i * 10))));
     }
 
     #[test]
@@ -274,27 +312,31 @@ mod tests {
     fn empty_sweep() {
         let sweep: Sweep<u32> = Sweep::from_points(vec![]);
         let out = Runner::new(4, 0).run(&sweep, |&x, _| x);
-        assert!(out.is_empty());
+        assert_eq!(out.iter().count(), 0);
     }
 
     #[test]
     fn shards_partition_the_sweep() {
         let sweep = Sweep::grid1(&(0usize..10).collect::<Vec<_>>(), |i| i);
-        let full = Runner::new(2, 7).run(&sweep, |&i, ctx| (i, ctx.seed));
-        let merged: Vec<Vec<(usize, u64)>> = (0..3)
-            .map(|i| {
-                Runner::new(2, 7)
-                    .with_shard(Some((i, 3)))
-                    .run(&sweep, |&p, ctx| (p, ctx.seed))
-            })
-            .collect();
+        let run = |shard| {
+            let swept = Runner::new(2, 7)
+                .with_shard(shard)
+                .run(&sweep, |&p, ctx| (p, ctx.seed));
+            // Each result stays attached to the point that produced it.
+            assert!(swept.iter().all(|(&p, &(ran, _))| p == ran));
+            swept.iter().map(|(_, &r)| r).collect::<Vec<_>>()
+        };
+        let full = run(None);
+        let parts: Vec<Vec<(usize, u64)>> = (0..3).map(|i| run(Some((i, 3)))).collect();
         // Shard i owns points i, i+3, ... with the seeds of the full run.
-        for (i, part) in merged.iter().enumerate() {
+        for (i, part) in parts.iter().enumerate() {
             let expect: Vec<_> = full.iter().copied().skip(i).step_by(3).collect();
             assert_eq!(part, &expect);
         }
-        let total: usize = merged.iter().map(Vec::len).sum();
+        let total: usize = parts.iter().map(Vec::len).sum();
         assert_eq!(total, full.len());
+        // More shards than points: the extra shards own nothing.
+        assert_eq!(run(Some((10, 11))), []);
     }
 
     #[test]
@@ -307,16 +349,19 @@ mod tests {
             );
             (p, rc.rep, rc.seed)
         });
-        assert_eq!(out.len(), 2);
-        for (pi, reps) in out.iter().enumerate() {
+        assert_eq!(out.iter().count(), 2);
+        for (&point, reps) in out.iter() {
             assert_eq!(reps.len(), 3);
             for (r, &(p, rep, _)) in reps.iter().enumerate() {
-                assert_eq!((p, rep), ([10, 20][pi], r));
+                assert_eq!((p, rep), (point, r));
             }
         }
         // All six replicate seeds are pairwise distinct.
-        let seeds: std::collections::HashSet<u64> =
-            out.iter().flatten().map(|&(_, _, s)| s).collect();
+        let seeds: std::collections::HashSet<u64> = out
+            .iter()
+            .flat_map(|(_, reps)| reps)
+            .map(|&(_, _, s)| s)
+            .collect();
         assert_eq!(seeds.len(), 6);
     }
 

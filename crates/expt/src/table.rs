@@ -1,15 +1,20 @@
 //! The uniform result model: named columns × typed cells, with per-row
 //! sweep provenance.
 //!
-//! Every figure's data is one or more [`Table`]s. A table renders to CSV
-//! (the greppable stdout format and the `.csv` artifact); the
-//! machine-readable `.json` artifact is rendered by
-//! [`crate::output::table_json`], which additionally records each row's
-//! **sweep point index** and the run's flags so sharded outputs can be
-//! merged with full validation. Both renderings are pure functions of
-//! the cell values, so output is deterministic.
+//! Every figure's data is one or more [`Table`]s, from the driver that
+//! builds it to the document read back from disk: a
+//! [`crate::output::TableDoc`] is a `Table` plus the run's
+//! [`crate::RunMeta`], and a parsed one holds the rendered cells as
+//! [`Cell::Str`]. A table renders to CSV (the greppable stdout format
+//! and the `.csv` artifact) and, with its meta, to the JSON table
+//! document ([`crate::output::table_json`]), which additionally records
+//! each row's **sweep point index** so sharded outputs can be merged
+//! with full validation. Both renderings are pure functions of the cell
+//! values, so output is deterministic.
 //!
-//! Row provenance follows two rules, enforced at push time:
+//! Drivers do not call the provenance methods below themselves:
+//! [`crate::RepTableBuilder`] does, from the [`crate::Swept`] the runner
+//! returned. Row provenance follows two rules, enforced at push time:
 //!
 //! 1. **Constant rows precede sweep rows.** A *constant* row
 //!    ([`Table::push`]) is computed outside any sweep and is therefore
@@ -21,6 +26,7 @@
 //!    enforcing it keeps the unsharded rendering equal to the canonical
 //!    merge order (constants, then points ascending).
 
+use crate::json::{Bad, FromJson, Json};
 use crate::sweep::SweepRef;
 use std::fmt;
 
@@ -72,6 +78,13 @@ impl fmt::Display for Cell {
     }
 }
 
+/// A cell as a table document holds it: its rendered string.
+impl FromJson for Cell {
+    fn from_json(j: &Json) -> Result<Self, Bad> {
+        String::from_json(j).map(Cell::Str)
+    }
+}
+
 impl From<&str> for Cell {
     fn from(s: &str) -> Self {
         Cell::Str(s.to_string())
@@ -109,7 +122,7 @@ impl From<bool> for Cell {
 }
 
 /// A named table with a fixed column set and per-row sweep provenance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table name: the file stem under `results/<figure>/`.
     pub name: String,
@@ -144,8 +157,7 @@ impl Table {
     }
 
     /// Declare the sweep this table's indexed rows come from: total
-    /// point count plus the points this run owns (see [`SweepRef`],
-    /// built by `Ctx::sweep_ref`).
+    /// point count plus the points this run owns (see [`SweepRef`]).
     pub fn for_sweep(mut self, sweep: &SweepRef) -> Self {
         self.set_sweep(sweep);
         self
@@ -224,6 +236,19 @@ impl Table {
         for r in rows {
             self.push_indexed(point, r);
         }
+    }
+
+    /// The first point this table names that lies outside its sweep, as
+    /// `(field, index, point)` with `field` one of `points_run` /
+    /// `row_points`. `None` when every point is inside, or when no
+    /// sweep size is recorded. The document parser and the shard merge
+    /// both ask here.
+    pub(crate) fn point_outside_sweep(&self) -> Option<(&'static str, usize, usize)> {
+        let n = self.sweep_points?;
+        let run = self.points_run.iter().map(|&p| ("points_run", Some(p)));
+        let rows = self.row_points.iter().map(|&p| ("row_points", p));
+        (run.enumerate().chain(rows.enumerate()))
+            .find_map(|(i, (field, p))| p.filter(|&p| p >= n).map(|p| (field, i, p)))
     }
 
     /// Number of data rows.

@@ -4,7 +4,12 @@
 //!
 //! * No input panics a decoder: every truncation and every
 //!   single-character substitution of a valid document is `Ok` or `Err`.
-//! * `parse(render(x)) == x` over generated values.
+//! * Provenance a table document cannot have (a point outside its
+//!   sweep, points run out of order or twice, a sweep far larger than
+//!   the documents) is a named error from the parser or the merge, in
+//!   memory bounded by the documents.
+//! * `parse(render(x)) == x` over generated values, and
+//!   `render(parse(text)) == text` byte for byte.
 //! * Every decoder rejects an unknown key, at top level and in each
 //!   nested object, naming the key and where it is.
 
@@ -13,7 +18,9 @@ use expt::json::Json;
 use expt::orchestrate::{Plan, PlanFile};
 use expt::runfile::{JobStatus, RunManifest};
 use expt::scenario::{parse_toml, Scenario};
-use expt::{Cell, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc};
+use expt::{
+    merge_shard_docs, Cell, MergeError, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc,
+};
 use proptest::prelude::*;
 
 const FLAGS: RunFlags = RunFlags {
@@ -26,6 +33,10 @@ const FLAGS: RunFlags = RunFlags {
 /// A table document with constant and sweep rows, awkward cells, and
 /// (so that truncation meets multi-byte characters) non-ASCII text.
 fn table_doc(shard: Option<(usize, usize)>) -> String {
+    table_and_meta(shard).render()
+}
+
+fn table_and_meta(shard: Option<(usize, usize)>) -> TableDoc {
     let sweep = SweepRef {
         points: 4,
         owned: match shard {
@@ -43,7 +54,7 @@ fn table_doc(shard: Option<(usize, usize)>) -> String {
         flags: FLAGS,
         shard,
     };
-    TableDoc::from_table(&t, &meta).render()
+    TableDoc { meta, table: t }
 }
 
 fn run_manifest() -> RunManifest {
@@ -183,6 +194,128 @@ fn no_single_character_substitution_panics() {
             }
         }
     }
+}
+
+/// What `TableDoc::parse` says about `text`, which it must reject.
+fn parse_error(text: &str) -> String {
+    match TableDoc::parse(text) {
+        Err(MergeError::Parse { context }) => context,
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn impossible_provenance_is_a_named_parse_error() {
+    // Shard 1 of 2 over four points: it ran points 1 and 3.
+    let good = table_doc(Some((1, 2)));
+    assert!(good.contains("\"points_run\": [1, 3]") && good.contains("[null, 1, 3]"));
+    for (from, to, want) in [
+        (
+            "\"points_run\": [1, 3]",
+            "\"points_run\": [3, 1]",
+            "table document: points_run[1]: point 1 after point 3 (want strictly ascending)",
+        ),
+        (
+            "\"points_run\": [1, 3]",
+            "\"points_run\": [1, 3, 3]",
+            "table document: points_run[2]: point 3 after point 3 (want strictly ascending)",
+        ),
+        (
+            "\"points_run\": [1, 3]",
+            "\"points_run\": [1, 4]",
+            "table document: points_run[1]: point 4 outside the 4-point sweep",
+        ),
+        (
+            "\"points_run\": [1, 3]",
+            "\"points_run\": [1, 18446744073709551615]",
+            "table document: points_run[1]: point 18446744073709551615 outside the 4-point sweep",
+        ),
+        (
+            "[null, 1, 3]",
+            "[null, 1, 1000000000000000000]",
+            "table document: row_points[2]: point 1000000000000000000 outside the 4-point sweep",
+        ),
+        (
+            "\"points_run\": [1, 3]",
+            "\"points_run\": [1, -3]",
+            "table document: points_run[1]: expected a non-negative integer",
+        ),
+        (
+            "\"sweep_points\": 4",
+            "\"sweep_points\": 18446744073709551616",
+            "table document: sweep_points: expected a non-negative integer",
+        ),
+        (
+            "\"sweep_points\": 4",
+            "\"sweep_points\": 1",
+            "table document: points_run[0]: point 1 outside the 1-point sweep",
+        ),
+    ] {
+        assert!(good.contains(from), "fixture lost {from}");
+        assert_eq!(parse_error(&good.replace(from, to)), want);
+    }
+}
+
+/// A sweep far larger than its shard documents is a missing point, found
+/// without a slot per point: 10^18 of them would not fit in memory.
+#[test]
+fn oversized_sweep_is_a_missing_point_not_an_allocation() {
+    for huge in ["4000000000", "1000000000000000000", "18446744073709551615"] {
+        let docs: Vec<TableDoc> = (0..2)
+            .map(|i| {
+                let text = table_doc(Some((i, 2)));
+                let hostile =
+                    text.replace("\"sweep_points\": 4", &format!("\"sweep_points\": {huge}"));
+                TableDoc::parse(&hostile).expect("the points named are inside the sweep")
+            })
+            .collect();
+        let err = merge_shard_docs(&docs).unwrap_err();
+        assert_eq!(
+            err,
+            MergeError::MissingPointIndex {
+                table: "séries".into(),
+                point: 4,
+                expected_shard: 0,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "séries: missing point index 4 (shard 0 dropped?)"
+        );
+    }
+    // One shard alone: the first gap is its sibling's first point.
+    let lone = [TableDoc::parse(&table_doc(Some((1, 2)))).unwrap()];
+    assert!(matches!(
+        merge_shard_docs(&lone).unwrap_err(),
+        MergeError::MissingPointIndex {
+            point: 0,
+            expected_shard: 0,
+            ..
+        }
+    ));
+}
+
+/// What is read back renders to the bytes it was read from — NaN cells,
+/// `u64::MAX`, quoted and non-ASCII text included — and to the CSV of
+/// the typed table it was written from.
+#[test]
+fn parse_then_render_is_byte_exact() {
+    for shard in [None, Some((0, 2)), Some((1, 2)), Some((3, 5))] {
+        let written = table_and_meta(shard);
+        let text = written.render();
+        let read = TableDoc::parse(&text).unwrap();
+        assert_eq!(read.render(), text);
+        assert_eq!(read.to_csv(), written.to_csv());
+        assert_eq!(read.meta, written.meta);
+        assert!(read
+            .table
+            .rows
+            .iter()
+            .flatten()
+            .all(|c| matches!(c, Cell::Str(_))));
+    }
+    let merged = merge_shard_docs(&[0, 1].map(|i| table_and_meta(Some((i, 2))))).unwrap();
+    assert_eq!(merged.render(), table_doc(None));
 }
 
 /// `text` with `"zzz": 1` inserted as the first member of the `nth`
@@ -337,14 +470,27 @@ proptest! {
         shard in (0usize..4, 0usize..5),
         names in prop::collection::vec(0usize..AWKWARD.len(), 3..6),
         cells in prop::collection::vec(0usize..AWKWARD.len(), 0..30),
-        points_run in prop::collection::vec(0usize..1000, 0..8),
-        sweep_points in 0usize..50,
+        steps in prop::collection::vec(1usize..200, 0..8),
+        beyond in 0usize..50,
     ) {
         let columns: Vec<String> = names[2..].iter().map(|&i| awkward(i)).collect();
-        let rows: Vec<Vec<String>> = cells
+        let rows: Vec<Vec<Cell>> = cells
             .chunks_exact(columns.len())
-            .map(|r| r.iter().map(|&i| awkward(i)).collect())
+            .map(|r| r.iter().map(|&i| Cell::Str(awkward(i))).collect())
             .collect();
+        // Points run ascend strictly; `beyond == 0` stands for a table
+        // that records no sweep size, any other value for a sweep that
+        // ends `beyond` points after the last one run.
+        let points_run: Vec<usize> = steps
+            .iter()
+            .scan(0, |next, step| {
+                *next += step;
+                Some(*next - 1)
+            })
+            .collect();
+        let sweep_points = beyond
+            .checked_sub(1)
+            .map(|b| points_run.last().map_or(0, |p| p + 1) + b + rows.len() * 7);
         let doc = TableDoc {
             meta: RunMeta {
                 driver: awkward(names[0]),
@@ -352,24 +498,33 @@ proptest! {
                 // n == 0 stands for an unsharded document.
                 shard: (shard.1 > 0).then_some(shard),
             },
-            table: awkward(names[1]),
-            sweep_points: sweep_points.checked_sub(1),
-            points_run,
-            columns,
-            // Whether a row is a constant row hangs on its first cell.
-            row_points: rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (!r[0].is_empty()).then_some(i * 7))
-                .collect(),
-            rows,
+            table: Table {
+                name: awkward(names[1]),
+                sweep_points,
+                points_run,
+                columns,
+                // Whether a row is a constant row hangs on its first cell.
+                row_points: rows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| (r[0] != Cell::from("")).then_some(i * 7))
+                    .collect(),
+                rows,
+            },
         };
         prop_assert_eq!(TableDoc::parse(&doc.render()).as_ref(), Ok(&doc));
         // Rows (not the header, which `Table::to_csv` leaves unquoted:
         // column names are identifiers in every driver) survive the CSV
         // written beside the document too.
-        let plain = TableDoc { columns: vec!["c".to_string(); doc.columns.len()], ..doc.clone() };
-        prop_assert_eq!(&parse_csv(&plain.to_csv()).unwrap()[1..], &doc.rows[..]);
+        let mut plain = doc.table.clone();
+        plain.columns = vec!["c".to_string(); plain.columns.len()];
+        let rendered: Vec<Vec<String>> = doc
+            .table
+            .rows
+            .iter()
+            .map(|r| r.iter().map(Cell::to_string).collect())
+            .collect();
+        prop_assert_eq!(&parse_csv(&plain.to_csv()).unwrap()[1..], &rendered[..]);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! * [`expander`] — cost-equivalent static expander baselines (u random
 //!   matchings),
 //! * [`clos`] — M:1 over-subscribed three-tier folded-Clos baselines,
-//! * [`rotornet`] — RotorNet schedules (non-hybrid and hybrid),
 //! * [`spectral`] — spectral-gap computation (Appendix D),
 //! * [`failures`] — link/ToR/circuit-switch failure injection and
 //!   connectivity/stretch analysis (§5.5, Appendix E),
@@ -42,7 +41,6 @@ pub mod graph;
 pub mod lifting;
 pub mod matching;
 pub mod opera;
-pub mod rotornet;
 pub mod spectral;
 pub use graph::{Graph, NodeId};
 pub use matching::{factorize_complete, Matching};

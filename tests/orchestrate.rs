@@ -50,7 +50,7 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
             let merged = run
                 .merged
                 .iter()
-                .find(|m| m.table == t.name)
+                .find(|m| m.table.name == t.name)
                 .unwrap_or_else(|| panic!("{}: table {} missing from merge", exp.name, t.name));
             assert_eq!(
                 merged.to_csv(),
@@ -157,7 +157,7 @@ fn retried_jobs_are_bit_deterministic() {
                 da.render(),
                 db.render(),
                 "{DRIVER} shard {shard} table {}: retried document differs from first-try",
-                da.table
+                da.table.name
             );
         }
     }

@@ -309,75 +309,90 @@ proptest! {
         let one = expt::Runner::new(1, base).run_replicated(&sweep, reps, |_, rc| rc.seed);
         let many = expt::Runner::new(threads, base).run_replicated(&sweep, reps, |_, rc| rc.seed);
         prop_assert_eq!(&one, &many);
-        let flat: Vec<u64> = one.into_iter().flatten().collect();
+        let flat: Vec<u64> = one.iter().flat_map(|(_, seeds)| seeds).copied().collect();
         let distinct: std::collections::HashSet<u64> = flat.iter().copied().collect();
         prop_assert_eq!(distinct.len(), flat.len());
     }
 
     /// The JSON shard merge reproduces the unsharded rendering
-    /// byte-for-byte for tables with a *variable number of rows per
-    /// point* (the shape the legacy CSV merge scrambles), through a full
-    /// serialize → parse → merge round trip, for any shard count.
+    /// byte-for-byte, CSV and JSON, for tables with a *variable number
+    /// of rows per point* (the shape the legacy CSV merge scrambles),
+    /// built the way every driver builds them — runner, replicates,
+    /// [`expt::RepTableBuilder::sweep_rows`] — through a full serialize
+    /// → parse → merge round trip, for any shard count.
     #[test]
     fn json_shard_merge_round_trips_multirow_tables(
-        n in 1usize..24,
+        n in 0usize..24,
         shards in 1usize..6,
+        reps in 1usize..4,
         seed in 0u64..500,
     ) {
-        let sweep = expt::Sweep::from_points((0..n).collect::<Vec<_>>());
-        let build = |shard: Option<(usize, usize)>| {
-            let runner = expt::Runner::new(2, seed).with_shard(shard);
-            let sref = expt::SweepRef {
-                points: sweep.len(),
-                owned: runner.owned_points(sweep.len()),
-            };
-            let mut t = expt::Table::new("points", &["i", "sub", "draw"]).for_sweep(&sref);
-            // One constant row, computed identically in every shard.
-            t.push(vec![
-                expt::Cell::from("const"),
-                expt::Cell::from(0u64),
-                expt::Cell::from(seed),
-            ]);
-            let rows = runner.run(&sweep, |&p, ctx| {
-                let mut rng = ctx.rng();
-                // 0..=2 rows depending on the seed: exercises points
-                // with zero rows and points with several.
-                let k = (rng.next_u64() % 3) as usize;
-                (0..k)
-                    .map(|sub| {
-                        vec![
-                            expt::Cell::from(p),
-                            expt::Cell::from(sub),
-                            expt::Cell::from(rng.next_u64()),
-                        ]
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for (point_rows, &p) in rows.into_iter().zip(&sref.owned) {
-                t.extend_indexed(p, point_rows);
-            }
-            let meta = expt::RunMeta {
-                driver: "prop".into(),
-                flags: expt::RunFlags {
-                    scale: expt::Scale::Quick,
-                    seed,
-                    replicates: 1,
-                    k: None,
-                },
-                shard,
-            };
-            (t.to_csv(), expt::output::table_json(&t, &meta))
-        };
-        let (unsharded_csv, _) = build(None);
-        let docs: Vec<expt::TableDoc> = (0..shards)
-            .map(|i| {
-                let (_, json) = build(Some((i, shards)));
-                expt::TableDoc::parse(&json).unwrap()
-            })
-            .collect();
-        let merged = expt::merge_shard_docs(&docs).unwrap();
-        prop_assert_eq!(merged.to_csv(), unsharded_csv);
+        prop_assert_eq!(shard_merge_mismatch(n, shards, reps, seed), None);
     }
+}
+
+/// The same round trip at its edges: an empty sweep, shards that own no
+/// point (five shards, two points), one shard, and — at every size —
+/// point 0 yielding no rows.
+#[test]
+fn shard_merge_round_trips_empty_points_and_empty_shards() {
+    for (n, shards, reps) in [(0, 3, 1), (2, 5, 3), (1, 2, 2), (7, 1, 1), (9, 4, 3)] {
+        assert_eq!(shard_merge_mismatch(n, shards, reps, 11), None);
+    }
+}
+
+/// Build one table over an `n`-point sweep unsharded and as each of
+/// `shards` shards, merge the shards' parsed documents, and say where
+/// the merge differs from the unsharded table (`None`: nowhere).
+fn shard_merge_mismatch(n: usize, shards: usize, reps: usize, seed: u64) -> Option<String> {
+    let sweep = expt::Sweep::from_points((0..n).collect::<Vec<_>>());
+    let build = |shard: Option<(usize, usize)>| {
+        let ctx = expt::Ctx::new(expt::ExptArgs {
+            threads: 2,
+            seed,
+            replicates: reps,
+            shard,
+            ..Default::default()
+        });
+        let mut t = expt::RepTableBuilder::new(
+            "points",
+            &["i", "sub"],
+            &[("draw", expt::f2 as expt::MetricFmt)],
+        );
+        // One constant row, computed identically in every shard.
+        t.extend(ctx.repeat((
+            vec![expt::Cell::from("const"), expt::Cell::from(seed)],
+            vec![0.5],
+        )));
+        // 0..=3 rows per (point, replicate), by the seed: points with no
+        // rows, points with several, and rows only some replicates see.
+        let draws = ctx.run_replicated(&sweep, |&p, rc| {
+            let mut rng = rc.rng();
+            let k = if p == 0 { 0 } else { rng.next_u64() % 4 };
+            (0..k)
+                .map(|_| (rng.next_u64() % 1000) as f64)
+                .collect::<Vec<_>>()
+        });
+        t.sweep_rows(&draws, |&p, reps| {
+            reps.iter().flat_map(move |draws| {
+                let row =
+                    move |(sub, &v)| (vec![expt::Cell::from(p), expt::Cell::from(sub)], vec![v]);
+                draws.iter().enumerate().map(row)
+            })
+        });
+        let t = t.build();
+        let meta = expt::RunMeta::new("prop", &ctx.args);
+        (t.to_csv(), expt::output::table_json(&t, &meta))
+    };
+    let (csv, json) = build(None);
+    let docs: Vec<expt::TableDoc> = (0..shards)
+        .map(|i| expt::TableDoc::parse(&build(Some((i, shards))).1).unwrap())
+        .collect();
+    let merged = expt::merge_shard_docs(&docs).unwrap();
+    if merged.to_csv() != csv {
+        return Some(format!("CSV:\n{}\nwant:\n{csv}", merged.to_csv()));
+    }
+    (merged.render() != json).then(|| format!("JSON:\n{}\nwant:\n{json}", merged.render()))
 }
 
 /// World for the timing-wheel ordering property: logs every pop and,
