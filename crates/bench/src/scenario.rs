@@ -340,7 +340,7 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
             (&sc.topology, sc.racks),
             (&pt.policy, &pt.transport),
             (&sc.workload, pt.senders, sc.flow_bytes),
-            SimTime::from_ms(sc.duration_ms),
+            sc.duration,
             &mut rng,
             sink,
             metrics_of,

@@ -437,6 +437,80 @@ fn run_scenario_bad_racks_is_exit_2_before_running() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Lengths and durations taken from a scenario file are bounded where
+/// they are read: a duration that wraps the nanosecond clock used to run
+/// for 0.45 ms and exit 0 (or panic in a debug build), and sender / rack
+/// counts in the billions used to abort on a failed allocation. Each is
+/// one exit-2 line naming the file and the field, in both spellings.
+#[test]
+fn run_scenario_hostile_lengths_are_exit_2_before_running() {
+    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.toml")).unwrap();
+    let json = |racks: &str, senders: &str, duration_ms: &str| {
+        format!(
+            r#"{{"name": "incast_smoke",
+                "topology": {{"kind": "opera", "racks": {racks}}},
+                "workload": {{"kind": "incast", "senders": {senders}, "flow_kb": 15}},
+                "switch": {{"policy": "ndp_trim"}}, "transport": {{"kind": "ndp"}},
+                "run": {{"duration_ms": {duration_ms}}}}}"#
+        )
+    };
+    let toml = |from: &str, to: &str| {
+        assert!(smoke.contains(from), "incast_smoke.toml changed shape");
+        smoke.replace(from, to)
+    };
+    let dir = scratch("hostile-lengths");
+    for (file, text, field) in [
+        (
+            "wraps.json",
+            json("8", "8", "18446744073710"),
+            "run.duration_ms: too large",
+        ),
+        (
+            "max.toml",
+            toml("duration_ms = 40", "duration_ms = 18446744073709551615"),
+            "run.duration_ms: too large",
+        ),
+        (
+            "senders.json",
+            json("8", "1000000000000", "40"),
+            "workload.senders: 1000000000000 is over",
+        ),
+        (
+            "senders.toml",
+            toml("senders = 8", "senders = [8, 1000000000000]"),
+            "workload.senders: 1000000000000 is over",
+        ),
+        (
+            "racks.json",
+            json("4000000000", "8", "40"),
+            "topology.racks: 4000000000 is over",
+        ),
+        (
+            "racks.toml",
+            toml("racks = 8", "racks = 4000000000"),
+            "topology.racks: 4000000000 is over",
+        ),
+    ] {
+        let sc = dir.join(file);
+        std::fs::write(&sc, text).unwrap();
+        let out = run(&[
+            "run-scenario",
+            sc.to_str().unwrap(),
+            "--out",
+            dir.to_str().unwrap(),
+        ]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{file}: {err}");
+        assert!(
+            err.contains(file) && err.contains("scenario: ") && err.contains(field),
+            "{file}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{file}: not one line: {err}");
+        assert!(!dir.join("incast_smoke").exists(), "{file}: something ran");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn run_scenario_tiny_incast_end_to_end() {
     let dir = scratch("tiny");

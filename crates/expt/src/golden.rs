@@ -103,15 +103,9 @@ impl GoldenManifest {
     }
 }
 
-/// Short commit hash of the working tree, for bless provenance.
-/// `OPERA_COMMIT` overrides (useful in CI); falls back to `git
-/// rev-parse`, then `"unknown"`.
+/// Short commit hash of the working tree, for bless provenance: `git
+/// rev-parse`, else `"unknown"`.
 fn current_commit() -> String {
-    if let Ok(c) = std::env::var("OPERA_COMMIT") {
-        if !c.is_empty() {
-            return c;
-        }
-    }
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -156,15 +150,12 @@ impl Tolerance {
     }
 }
 
-/// Per-driver comparison spec: a default tolerance plus per-column
-/// overrides (matched by exact column name), plus replicate-aware CI
-/// rules keyed on the `RepTableBuilder` column pairs.
+/// Per-driver comparison spec: one tolerance for every column, plus
+/// replicate-aware CI rules keyed on the `RepTableBuilder` column pairs.
 #[derive(Debug, Clone)]
 pub struct GoldenSpec {
-    /// Tolerance for columns without an override.
+    /// Tolerance on every column.
     pub default_tol: Tolerance,
-    /// `(column name, tolerance)` overrides.
-    pub columns: Vec<(String, Tolerance)>,
     /// Replicate-aware rules: for metric `m`, the `<m>_mean` column also
     /// passes when it falls within `factor ×` the **committed** row's
     /// `<m>_ci95` half-width. Statistically-identical output (e.g. a
@@ -181,15 +172,8 @@ impl GoldenSpec {
     pub fn strict() -> Self {
         GoldenSpec {
             default_tol: Tolerance::new(1e-9, 1e-9),
-            columns: Vec::new(),
             ci_metrics: Vec::new(),
         }
-    }
-
-    /// Add a per-column tolerance override.
-    pub fn with_column(mut self, column: &str, tol: Tolerance) -> Self {
-        self.columns.push((column.to_string(), tol));
-        self
     }
 
     /// Accept `<metric>_mean` cells within `factor ×` the committed
@@ -197,15 +181,6 @@ impl GoldenSpec {
     pub fn with_ci_metric(mut self, metric: &str, factor: f64) -> Self {
         self.ci_metrics.push((metric.to_string(), factor));
         self
-    }
-
-    /// The tolerance applying to `column`.
-    pub fn tol_for(&self, column: &str) -> Tolerance {
-        self.columns
-            .iter()
-            .find(|(c, _)| c == column)
-            .map(|&(_, t)| t)
-            .unwrap_or(self.default_tol)
     }
 
     /// The CI rule applying to `column`, as `(ci95 column name, factor)`
@@ -427,7 +402,7 @@ pub fn compare_driver(
             for (ci, column) in t.columns.iter().enumerate() {
                 let got = got_row[ci].to_string();
                 let want = want_row.get(ci).cloned().unwrap_or_default();
-                if !cells_close(&got, &want, spec.tol_for(column)) {
+                if !cells_close(&got, &want, spec.default_tol) {
                     if let Some((ci_idx, factor)) = ci_rules[ci] {
                         if cells_within_ci(&got, &want, want_row.get(ci_idx), factor) {
                             continue;
@@ -627,27 +602,6 @@ mod tests {
         assert_eq!((d.row, d.column.as_deref()), (Some(1), Some("y")));
         assert_eq!((d.got.as_str(), d.want.as_str()), ("0.6000", "0.5000"));
         assert!(d.to_string().contains("drv/series row 1 col y"));
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn per_column_tolerance_overrides() {
-        let root = tmp_root("tol");
-        bless_driver("drv", &[demo_table()], &root, &meta()).unwrap();
-        let mut changed = demo_table();
-        changed.rows[0][2] = Cell::from("0.5004");
-        let loose = GoldenSpec::strict().with_column("y", Tolerance::new(1e-3, 0.0));
-        assert!(
-            compare_driver("drv", &[changed.clone()], &root, &loose, &meta())
-                .unwrap()
-                .is_empty()
-        );
-        assert_eq!(
-            compare_driver("drv", &[changed], &root, &GoldenSpec::strict(), &meta())
-                .unwrap()
-                .len(),
-            1
-        );
         fs::remove_dir_all(&root).unwrap();
     }
 

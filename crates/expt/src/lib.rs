@@ -128,11 +128,6 @@ impl Ctx {
         self.args.scale == Scale::Quick
     }
 
-    /// True at paper scale (`--full`).
-    pub fn full(&self) -> bool {
-        self.args.scale == Scale::Full
-    }
-
     /// Run a sweep through the parallel runner: one result per owned
     /// point, in sweep order.
     pub fn run<'s, P, R, F>(&self, sweep: &'s Sweep<P>, f: F) -> Swept<'s, P, R>

@@ -38,8 +38,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One unit of work: one driver restricted to one shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -398,44 +396,24 @@ impl<B: Backend> Orchestrator<B> {
         retries: usize,
         observer: &dyn RunObserver,
     ) -> Vec<JobOutcome> {
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<JobOutcome>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        let workers = self.workers.min(jobs.len()).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= jobs.len() {
-                        break;
-                    }
-                    let job = &jobs[slot];
-                    let mut outcome = JobOutcome {
-                        attempts: 0,
-                        result: Err("never attempted".into()),
-                    };
-                    for attempt in 1..=retries + 1 {
-                        outcome = JobOutcome {
-                            attempts: attempt,
-                            result: self.attempt(job),
-                        };
-                        if outcome.result.is_ok() {
-                            break;
-                        }
-                    }
-                    observer.job_done(job, outcome.attempts, &outcome.result);
-                    *results[slot].lock().unwrap() = Some(outcome);
-                });
+        crate::runner::claim_slots(self.workers, jobs.len(), |slot| {
+            let job = &jobs[slot];
+            let mut outcome = JobOutcome {
+                attempts: 0,
+                result: Err("never attempted".into()),
+            };
+            for attempt in 1..=retries + 1 {
+                outcome = JobOutcome {
+                    attempts: attempt,
+                    result: self.attempt(job),
+                };
+                if outcome.result.is_ok() {
+                    break;
+                }
             }
-        });
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap()
-                    .expect("every job slot is claimed exactly once")
-            })
-            .collect()
+            observer.job_done(job, outcome.attempts, &outcome.result);
+            outcome
+        })
     }
 
     /// One attempt of one job. The backend call is isolated behind
@@ -597,6 +575,7 @@ mod tests {
     use super::*;
     use crate::runfile::start_run;
     use crate::testutil::{tmp_dir, FakeBackend, QUICK};
+    use std::sync::Mutex;
 
     /// [`crate::testutil::fake_docs`] as a backend returns them.
     fn fake_docs(driver: &str, shard: (usize, usize)) -> Vec<String> {

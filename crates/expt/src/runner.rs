@@ -154,7 +154,7 @@ impl Runner {
     {
         let points = sweep.points();
         let sweep = self.sweep_ref(points.len());
-        let results = self.execute(sweep.owned.len(), |slot| {
+        let results = claim_slots(self.threads, sweep.owned.len(), |slot| {
             let i = sweep.owned[slot];
             f(&points[i], &self.point_ctx(i))
         });
@@ -190,7 +190,7 @@ impl Runner {
         assert!(reps >= 1, "run_replicated requires at least one replicate");
         let points = sweep.points();
         let sweep = self.sweep_ref(points.len());
-        let flat = self.execute(sweep.owned.len() * reps, |slot| {
+        let flat = claim_slots(self.threads, sweep.owned.len() * reps, |slot| {
             let i = sweep.owned[slot / reps];
             let rep = slot % reps;
             f(&points[i], &self.point_ctx(i).replicate(rep))
@@ -205,51 +205,54 @@ impl Runner {
             results,
         }
     }
+}
 
-    /// Claim-loop core shared by [`Runner::run`] and
-    /// [`Runner::run_replicated`]: evaluate `work(0..n)` across scoped
-    /// worker threads and collect results ordered by slot.
-    fn execute<R, W>(&self, n: usize, work: W) -> Vec<R>
-    where
-        R: Send,
-        W: Fn(usize) -> R + Sync,
-    {
-        let workers = self.threads.min(n).max(1);
-        if workers == 1 {
-            return (0..n).map(work).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let work = &work;
-        let next = &next;
-        let mut collected: Vec<(usize, R)> = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, work(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(local) => collected.extend(local),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        collected.sort_unstable_by_key(|&(i, _)| i);
-        debug_assert!(collected.iter().enumerate().all(|(k, &(i, _))| k == i));
-        collected.into_iter().map(|(_, r)| r).collect()
+/// The claim loop under [`Runner::run`], [`Runner::run_replicated`] and
+/// the orchestrator's job pool: evaluate `work(0..n)` on up to `workers`
+/// scoped threads, each claiming the next slot from a shared counter, and
+/// return the results in slot order. A single worker is the calling
+/// thread itself; a panic in `work` is propagated once every worker has
+/// stopped.
+pub(crate) fn claim_slots<R, W>(workers: usize, n: usize, work: W) -> Vec<R>
+where
+    R: Send,
+    W: Fn(usize) -> R + Sync,
+{
+    let workers = workers.min(n).max(1);
+    if workers == 1 {
+        return (0..n).map(work).collect();
     }
+
+    let next = AtomicUsize::new(0);
+    let work = &work;
+    let next = &next;
+    let mut collected: Vec<(usize, R)> = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        local.push((i, work(i)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok(local) => collected.extend(local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    collected.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(collected.iter().enumerate().all(|(k, &(i, _))| k == i));
+    collected.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -284,6 +287,34 @@ mod tests {
             .iter()
             .map(|(&i, &r)| (i, r))
             .eq((0..32).map(|i| (i, i * 10))));
+    }
+
+    /// The shared pool returns slot order whatever the worker count, also
+    /// with more workers than slots and with slot 0 finishing last, and
+    /// hands a panic in `work` to the caller.
+    #[test]
+    fn claim_slots_orders_by_slot_and_propagates_panics() {
+        let n = 7;
+        for workers in [1, 3, n + 5] {
+            let done = AtomicUsize::new(0);
+            let out = claim_slots(workers, n, |i| {
+                // Whenever a second worker exists to run the other slots,
+                // slot 0 waits for all of them.
+                while i == 0 && workers > 1 && done.load(Ordering::SeqCst) < n - 1 {
+                    std::thread::yield_now();
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+                i * i
+            });
+            assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            let caught = std::panic::catch_unwind(|| {
+                claim_slots(workers, n, |i| assert_ne!(i, 4, "slot four"))
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains("slot four"), "{msg}");
+        }
+        assert_eq!(claim_slots(4, 0, |i| i), Vec::<usize>::new());
     }
 
     #[test]

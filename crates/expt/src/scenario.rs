@@ -47,8 +47,21 @@
 //! ```
 
 use crate::json::{Fields, Json, OneOrMany};
+use simkit::{SimTime, NS_PER_MS};
 use std::collections::BTreeMap;
 use std::path::Path;
+
+/// Most concurrent senders a `workload.senders` value may ask for: about
+/// twenty flows per host of the paper's largest network (5 184 hosts),
+/// and a flow list of a few megabytes. Every sender is one flow allocated
+/// before the run starts, so the count must be bounded where it is read.
+pub const MAX_SENDERS: usize = 100_000;
+
+/// Largest `topology.racks` a scenario may ask for: the paper's largest
+/// network (k = 24: 432 racks, 5 184 hosts). A rotor network's per-slice
+/// routing tables grow with racks³ (about 160 MB there), so this count too
+/// is bounded where it is read, before anything is allocated for it.
+pub const MAX_RACKS: usize = 432;
 
 /// Trace output options of a scenario.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -73,9 +86,10 @@ pub struct Scenario {
     pub name: String,
     /// Topology kind (opaque here; resolved by the runner).
     pub topology: String,
-    /// Rack-count override (optional). Opaque here; the runner accepts it
-    /// only on the Opera topologies, as a positive multiple of their
-    /// uplink count, and rejects it on any other.
+    /// Rack-count override (optional), at most [`MAX_RACKS`]. Otherwise
+    /// opaque here; the runner accepts it only on the Opera topologies, as
+    /// a positive multiple of their uplink count, and rejects it on any
+    /// other.
     pub racks: Option<usize>,
     /// Workload kind (`incast` / `victim`; opaque here).
     pub workload: String,
@@ -87,8 +101,9 @@ pub struct Scenario {
     pub policies: Vec<String>,
     /// Transport names — axis.
     pub transports: Vec<String>,
-    /// Simulated run length, milliseconds.
-    pub duration_ms: u64,
+    /// Simulated run length: `run.duration_ms`, checked to fit the
+    /// nanosecond clock.
+    pub duration: SimTime,
     /// Base RNG seed.
     pub seed: u64,
     /// Trace outputs.
@@ -150,16 +165,28 @@ impl Scenario {
             (None, Some(b)) => b,
             (None, None) => return Err(wl.bad("flow_kb", "missing (or give `flow_bytes`)")),
         };
+        let racks = topo.opt::<usize>("racks")?;
+        if let Some(n) = racks.filter(|&n| n > MAX_RACKS) {
+            return Err(topo.bad("racks", format!("{n} is over {MAX_RACKS}")));
+        }
+        let senders = wl.req::<OneOrMany<usize>>("senders")?.0;
+        if let Some(n) = senders.iter().find(|&&n| n > MAX_SENDERS) {
+            return Err(wl.bad("senders", format!("{n} is over {MAX_SENDERS}")));
+        }
+        let duration = (run.req::<u64>("duration_ms")?)
+            .checked_mul(NS_PER_MS)
+            .map(SimTime::from_ns)
+            .ok_or_else(|| run.bad("duration_ms", "too large"))?;
         let sc = Scenario {
             name: top.opt("name")?.unwrap_or_else(|| default_name.to_string()),
             topology: topo.req("kind")?,
-            racks: topo.opt("racks")?,
+            racks,
             workload: wl.req("kind")?,
-            senders: wl.req::<OneOrMany<usize>>("senders")?.0,
+            senders,
             flow_bytes,
             policies: sw.req::<OneOrMany<String>>("policy")?.0,
             transports: tr.req::<OneOrMany<String>>("kind")?.0,
-            duration_ms: run.req("duration_ms")?,
+            duration,
             seed: run.opt("seed")?.unwrap_or(0),
             trace: match &mut trace {
                 None => TraceSpec::default(),
@@ -422,6 +449,50 @@ seed = 3
             err,
             "scenario: workload.kind: missing (keys present: flow_kb, senders)"
         );
+    }
+
+    /// Lengths and durations taken from the file are bounded where they
+    /// are read, in both spellings: a duration that would wrap the
+    /// nanosecond clock, and sender / rack counts that would be allocated
+    /// for, are named errors; the largest legal values parse.
+    #[test]
+    fn hostile_lengths_and_durations_are_named_errors() {
+        let json = |topology: &str, senders: &str, duration_ms: &str| {
+            let text = format!(
+                r#"{{"topology": {{"kind": "opera"{topology}}},
+                    "workload": {{"kind": "incast", "senders": {senders}, "flow_kb": 6}},
+                    "switch": {{"policy": "ndp_trim"}}, "transport": {{"kind": "ndp"}},
+                    "run": {{"duration_ms": {duration_ms}}}}}"#
+            );
+            Scenario::from_doc(&Json::parse(&text).unwrap(), "x")
+        };
+        let toml = |from: &str, to: &str| {
+            assert!(EXAMPLE.contains(from));
+            Scenario::from_doc(&parse_toml(&EXAMPLE.replace(from, to)).unwrap(), "x")
+        };
+        let too_long = "scenario: run.duration_ms: too large";
+        for ms in ["18446744073710", "18446744073709551615"] {
+            assert_eq!(json("", "2", ms).unwrap_err(), too_long);
+            let line = format!("duration_ms = {ms}");
+            assert_eq!(toml("duration_ms = 40", &line).unwrap_err(), too_long);
+        }
+        let longest = json("", "2", "18446744073709").unwrap().duration;
+        assert_eq!(longest.as_ns(), 18_446_744_073_709_000_000);
+
+        let many = "scenario: workload.senders: 1000000000000 is over 100000";
+        assert_eq!(json("", "1000000000000", "5").unwrap_err(), many);
+        assert_eq!(json("", "[2, 1000000000000]", "5").unwrap_err(), many);
+        let line = "senders = [4, 1_000_000_000_000]";
+        assert_eq!(toml("senders = [4, 8]", line).unwrap_err(), many);
+        assert_eq!(json("", "100000", "5").unwrap().senders, [MAX_SENDERS]);
+
+        let wide = "scenario: topology.racks: 4000000000 is over 432";
+        assert_eq!(
+            json(r#", "racks": 4000000000"#, "2", "5").unwrap_err(),
+            wide
+        );
+        assert_eq!(toml("racks = 8", "racks = 4000000000").unwrap_err(), wide);
+        assert_eq!(toml("racks = 8", "racks = 432").unwrap().racks, Some(432));
     }
 
     #[test]

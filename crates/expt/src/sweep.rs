@@ -58,17 +58,6 @@ impl<P> Sweep<P> {
         Sweep { points }
     }
 
-    /// Append one point.
-    pub fn push(&mut self, p: P) {
-        self.points.push(p);
-    }
-
-    /// Append all of another sweep's points after this one's.
-    pub fn chain(mut self, other: Sweep<P>) -> Self {
-        self.points.extend(other.points);
-        self
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -96,15 +85,5 @@ mod tests {
             s.points(),
             &[(1, "a"), (1, "b"), (1, "c"), (2, "a"), (2, "b"), (2, "c")]
         );
-    }
-
-    #[test]
-    fn chain_and_push_preserve_order() {
-        let mut a = Sweep::grid1(&[1, 2], |x| x);
-        a.push(3);
-        let b = Sweep::from_points(vec![4, 5]);
-        let c = a.chain(b);
-        assert_eq!(c.points(), &[1, 2, 3, 4, 5]);
-        assert!(!c.is_empty());
     }
 }

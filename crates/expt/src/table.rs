@@ -37,8 +37,6 @@ pub enum Cell {
     Str(String),
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Float, rendered with shortest round-trip formatting.
     F64(f64),
     /// Boolean.
@@ -71,7 +69,6 @@ impl fmt::Display for Cell {
         match self {
             Cell::Str(s) => out.write_str(s),
             Cell::U64(v) => write!(out, "{v}"),
-            Cell::I64(v) => write!(out, "{v}"),
             Cell::F64(v) => write!(out, "{v}"),
             Cell::Bool(v) => write!(out, "{v}"),
         }
@@ -103,11 +100,6 @@ impl From<u64> for Cell {
 impl From<usize> for Cell {
     fn from(v: usize) -> Self {
         Cell::U64(v as u64)
-    }
-}
-impl From<i64> for Cell {
-    fn from(v: i64) -> Self {
-        Cell::I64(v)
     }
 }
 impl From<f64> for Cell {
@@ -159,14 +151,9 @@ impl Table {
     /// Declare the sweep this table's indexed rows come from: total
     /// point count plus the points this run owns (see [`SweepRef`]).
     pub fn for_sweep(mut self, sweep: &SweepRef) -> Self {
-        self.set_sweep(sweep);
-        self
-    }
-
-    /// In-place form of [`Table::for_sweep`].
-    pub fn set_sweep(&mut self, sweep: &SweepRef) {
         self.sweep_points = Some(sweep.points);
         self.points_run = sweep.owned.clone();
+        self
     }
 
     /// Append a constant row (identical in every shard).
@@ -222,20 +209,6 @@ impl Table {
             row.len(),
             self.columns.len()
         );
-    }
-
-    /// Append many constant rows.
-    pub fn extend(&mut self, rows: impl IntoIterator<Item = Vec<Cell>>) {
-        for r in rows {
-            self.push(r);
-        }
-    }
-
-    /// Append many rows produced by sweep point `point`.
-    pub fn extend_indexed(&mut self, point: usize, rows: impl IntoIterator<Item = Vec<Cell>>) {
-        for r in rows {
-            self.push_indexed(point, r);
-        }
     }
 
     /// The first point this table names that lies outside its sweep, as
@@ -320,7 +293,8 @@ mod tests {
         let mut t = Table::new("demo", &["x"]).for_sweep(&sweep);
         t.push(vec![Cell::from("const")]);
         t.push_indexed(1, vec![Cell::from("a")]);
-        t.extend_indexed(3, vec![vec![Cell::from("b")], vec![Cell::from("c")]]);
+        t.push_indexed(3, vec![Cell::from("b")]);
+        t.push_indexed(3, vec![Cell::from("c")]);
         assert_eq!(t.row_points, [None, Some(1), Some(3), Some(3)]);
         assert_eq!(t.sweep_points, Some(4));
         assert_eq!(t.points_run, [1, 3]);

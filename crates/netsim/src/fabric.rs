@@ -20,11 +20,11 @@
 //! a packet lost on the wire frees its slot at transmission.
 //!
 //! What happens when a packet meets a full (or filling) queue is the
-//! port's [`SwitchPolicy`] — trim, drop, mark, or pause upstream; see
+//! port's [`SwitchPolicyKind`] — trim, drop, mark, or pause upstream; see
 //! [`crate::policy`].
 
 use crate::packet::{Packet, PacketArena, PacketRef, Priority, HEADER_SIZE, MTU, PRIORITY_LEVELS};
-use crate::policy::{QueueView, SwitchPolicy, SwitchPolicyKind, Verdict};
+use crate::policy::{SwitchPolicyKind, Verdict};
 use crate::trace::{PacketMeta, TraceEvent, TraceRecord, TraceSink};
 use simkit::engine::EventContext;
 use simkit::time::serialization_ns;
@@ -70,7 +70,7 @@ impl QueueConfig {
 }
 
 /// Builder for [`QueueConfig`] — capacities compose with a
-/// [`SwitchPolicy`] implementation.
+/// [`SwitchPolicyKind`].
 #[derive(Debug, Clone, Copy)]
 pub struct QueueConfigBuilder {
     cfg: QueueConfig,
@@ -195,13 +195,6 @@ impl Port {
             MTU => self.ser_mtu,
             HEADER_SIZE => self.ser_header,
             _ => self.link.serialize(bytes),
-        }
-    }
-
-    fn view(&self) -> QueueView<'_> {
-        QueueView {
-            queued_bytes: &self.queued_bytes,
-            cap_bytes: &self.cfg.cap_bytes,
         }
     }
 }
@@ -420,7 +413,7 @@ impl Fabric {
 
     /// Enqueue `packet` for transmission out of `node.port`, starting
     /// transmission immediately if the port is idle and unpaused. The
-    /// port's [`SwitchPolicy`] decides the
+    /// port's [`SwitchPolicyKind`] decides the
     /// packet's fate (enqueue / mark / trim / drop) and whether upstream
     /// peers must be paused.
     pub fn send(
@@ -431,7 +424,8 @@ impl Fabric {
         packet: Packet,
     ) -> SendOutcome {
         let p = &self.nodes[node][port];
-        let (packet, outcome, ev) = match p.cfg.policy.admit(p.view(), &packet) {
+        let (queued, caps) = (&p.queued_bytes, &p.cfg.cap_bytes);
+        let (packet, outcome, ev) = match p.cfg.policy.admit(queued, caps, &packet) {
             Verdict::Enqueue => (packet, SendOutcome::Queued, TraceEvent::Enqueue),
             Verdict::Mark => {
                 let mut marked = packet;
@@ -577,7 +571,7 @@ impl Fabric {
     /// congested port (frames arrive after one propagation delay).
     fn check_pause(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
         let p = &self.nodes[node][port];
-        if p.congesting || !p.cfg.policy.should_pause(p.view()) {
+        if p.congesting || !p.cfg.policy.should_pause(&p.queued_bytes) {
             return;
         }
         self.nodes[node][port].congesting = true;
@@ -592,7 +586,7 @@ impl Fabric {
     /// congested port clears.
     fn check_resume(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
         let p = &self.nodes[node][port];
-        if !p.congesting || !p.cfg.policy.should_resume(p.view()) {
+        if !p.congesting || !p.cfg.policy.should_resume(&p.queued_bytes) {
             return;
         }
         self.nodes[node][port].congesting = false;

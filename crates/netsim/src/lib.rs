@@ -14,7 +14,7 @@
 //! * [`packet`] — the packet model (semantic headers, no payload bytes),
 //! * [`fabric`] — nodes, ports, queues, links, wiring (including live
 //!   rewiring for circuit switches), counters, fault injection,
-//! * [`policy`] — the [`policy::SwitchPolicy`] trait and the shipped
+//! * [`policy`] — [`policy::SwitchPolicyKind`], the closed set of
 //!   queueing policies (drop-tail, NDP trim, PFC, ECN marking),
 //! * [`logic`] — the [`logic::NetLogic`] trait and the
 //!   [`logic::NetWorld`] event-loop adapter,
@@ -37,7 +37,7 @@ pub use flows::{FlowClass, FlowId, FlowRecord, FlowTracker};
 pub use logic::{NetLogic, NetWorld};
 pub use packet::{Packet, PacketArena, PacketKind, PacketRef, Priority, HEADER_SIZE, MTU};
 pub use pcapng::{PcapngFile, PcapngSink, PcapngWriter};
-pub use policy::{DropTail, EcnMark, NdpTrim, Pfc, SwitchPolicy, SwitchPolicyKind};
+pub use policy::{DropTail, EcnMark, NdpTrim, Pfc, SwitchPolicyKind};
 pub use trace::{
     JsonlSink, KindTag, MemorySink, MultiSink, PacketMeta, TraceEvent, TraceRecord, TraceSink,
 };

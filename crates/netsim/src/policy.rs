@@ -2,12 +2,13 @@
 //!
 //! The decision the fabric used to hard-code — trim over-capacity NDP data
 //! to headers — is one point in a design space the paper never explores.
-//! [`SwitchPolicy`] makes it pluggable: a policy classifies every packet at
-//! enqueue time ([`SwitchPolicy::admit`]) and, for lossless operation, asks
-//! the fabric to propagate pause/resume frames to upstream peers
-//! ([`SwitchPolicy::should_pause`] / [`SwitchPolicy::should_resume`]).
+//! [`SwitchPolicyKind`] is that space as a closed enum: a policy classifies
+//! every packet at enqueue time ([`SwitchPolicyKind::admit`]) and, for
+//! lossless operation, asks the fabric to propagate pause/resume frames to
+//! upstream peers ([`SwitchPolicyKind::should_pause`] /
+//! [`SwitchPolicyKind::should_resume`]).
 //!
-//! Four implementations ship:
+//! Four policies ship, each a variant carrying its parameters:
 //!
 //! * [`DropTail`] — classic lossy FIFO: full queue drops.
 //! * [`NdpTrim`] — the paper's datapath (§4.2.1) and the default: cut the
@@ -21,34 +22,11 @@
 //!   enqueued above `mark_bytes` of standing queue gets its
 //!   congestion-experienced bit set for the receiver to echo.
 //!
-//! To add a policy: implement [`SwitchPolicy`] on a small `Copy` struct,
-//! add a [`SwitchPolicyKind`] variant wrapping it (ports store configs by
-//! value), and give the variant an arm in the `dispatch!` macro behind
-//! `impl SwitchPolicy for SwitchPolicyKind`.
+//! To add a policy: add a [`SwitchPolicyKind`] variant wrapping a small
+//! `Copy` parameter struct (ports store configs by value), and give it an
+//! arm in each of the three `match`es below.
 
 use crate::packet::{Packet, Priority, HEADER_SIZE, PRIORITY_LEVELS};
-
-/// A port's queue occupancy and capacity, as visible to a policy.
-#[derive(Debug, Clone, Copy)]
-pub struct QueueView<'a> {
-    /// Bytes currently queued per priority level.
-    pub queued_bytes: &'a [u64; PRIORITY_LEVELS],
-    /// Nominal capacity per priority level.
-    pub cap_bytes: &'a [u64; PRIORITY_LEVELS],
-}
-
-impl QueueView<'_> {
-    /// Bytes queued across all priority levels.
-    pub fn total(&self) -> u64 {
-        self.queued_bytes.iter().sum()
-    }
-
-    /// True when `packet` fits its own priority level's queue.
-    pub fn fits(&self, packet: &Packet) -> bool {
-        let lvl = packet.prio as usize;
-        self.queued_bytes[lvl] + packet.size as u64 <= self.cap_bytes[lvl]
-    }
-}
 
 /// A policy's classification of one packet at enqueue time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,64 +41,15 @@ pub enum Verdict {
     Drop,
 }
 
-/// The queueing decision at every output port.
-///
-/// Policies are consulted by [`crate::Fabric::send`] before a packet joins
-/// a queue, and (for PFC) after enqueues/dequeues to drive pause frames.
-pub trait SwitchPolicy: std::fmt::Debug {
-    /// Classify `packet` against the port state `q`.
-    fn admit(&self, q: QueueView<'_>, packet: &Packet) -> Verdict;
-
-    /// After an enqueue left the port in state `q`: should this node pause
-    /// its upstream peers? The fabric latches the answer per port and only
-    /// re-asks after a resume.
-    fn should_pause(&self, _q: QueueView<'_>) -> bool {
-        false
-    }
-
-    /// After a dequeue left a pausing port in state `q`: may the node's
-    /// upstream peers resume?
-    fn should_resume(&self, _q: QueueView<'_>) -> bool {
-        true
-    }
-}
-
 /// Lossy FIFO: a packet that does not fit its queue is dropped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DropTail;
-
-impl SwitchPolicy for DropTail {
-    fn admit(&self, q: QueueView<'_>, packet: &Packet) -> Verdict {
-        if q.fits(packet) {
-            Verdict::Enqueue
-        } else {
-            Verdict::Drop
-        }
-    }
-}
 
 /// The paper's NDP datapath (§4.2.1): over-capacity low-latency data is
 /// trimmed to its header and forwarded at control priority; everything
 /// else drop-tails.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NdpTrim;
-
-impl SwitchPolicy for NdpTrim {
-    fn admit(&self, q: QueueView<'_>, packet: &Packet) -> Verdict {
-        if q.fits(packet) {
-            Verdict::Enqueue
-        } else if packet.prio == Priority::LowLatency && packet.payload() > 0 {
-            let clvl = Priority::Control as usize;
-            if q.queued_bytes[clvl] + HEADER_SIZE as u64 <= q.cap_bytes[clvl] {
-                Verdict::Trim
-            } else {
-                Verdict::Drop
-            }
-        } else {
-            Verdict::Drop
-        }
-    }
-}
 
 /// Priority flow control: lossless hop-by-hop backpressure.
 ///
@@ -149,20 +78,6 @@ impl Pfc {
     }
 }
 
-impl SwitchPolicy for Pfc {
-    fn admit(&self, _q: QueueView<'_>, _packet: &Packet) -> Verdict {
-        Verdict::Enqueue
-    }
-
-    fn should_pause(&self, q: QueueView<'_>) -> bool {
-        q.total() >= self.pause_bytes
-    }
-
-    fn should_resume(&self, q: QueueView<'_>) -> bool {
-        q.total() < self.resume_bytes
-    }
-}
-
 /// Drop-tail with DCTCP-style ECN threshold marking: data enqueued onto a
 /// standing queue of `mark_bytes` or more gets its congestion-experienced
 /// bit set; receivers echo it and senders back off.
@@ -180,25 +95,16 @@ impl EcnMark {
     }
 }
 
-impl SwitchPolicy for EcnMark {
-    fn admit(&self, q: QueueView<'_>, packet: &Packet) -> Verdict {
-        if !q.fits(packet) {
-            Verdict::Drop
-        } else if packet.payload() > 0 && q.queued_bytes[packet.prio as usize] >= self.mark_bytes {
-            Verdict::Mark
-        } else {
-            Verdict::Enqueue
-        }
-    }
-}
-
-/// The closed set of policies a port config can carry by value.
+/// The queueing decision at every output port: the closed set of policies
+/// a port config carries by value.
 ///
 /// Ports store their [`crate::QueueConfig`] inline (configs are `Copy` and
-/// replicated across hundreds of ports), so the policy is an enum of the
-/// concrete implementations rather than a boxed trait object, and the
-/// enum's own [`SwitchPolicy`] impl dispatches by `match`: the three
-/// per-hop policy questions compile to direct, inlinable calls.
+/// replicated across hundreds of ports). [`crate::Fabric::send`] consults
+/// the policy before a packet joins a queue, and (for PFC) after enqueues
+/// and dequeues to drive pause frames; each question is one `match`, so
+/// the per-hop decisions compile to direct, inlinable code. `queued` and
+/// `caps` are the port's bytes queued and nominal capacity per priority
+/// level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchPolicyKind {
     /// [`DropTail`].
@@ -211,32 +117,65 @@ pub enum SwitchPolicyKind {
     EcnMark(EcnMark),
 }
 
-/// Forward one [`SwitchPolicy`] method to the wrapped policy.
-macro_rules! dispatch {
-    ($kind:expr, $p:ident => $call:expr) => {
-        match $kind {
-            SwitchPolicyKind::DropTail($p) => $call,
-            SwitchPolicyKind::NdpTrim($p) => $call,
-            SwitchPolicyKind::Pfc($p) => $call,
-            SwitchPolicyKind::EcnMark($p) => $call,
+impl SwitchPolicyKind {
+    /// Classify `packet` against the port state.
+    #[inline]
+    pub fn admit(
+        &self,
+        queued: &[u64; PRIORITY_LEVELS],
+        caps: &[u64; PRIORITY_LEVELS],
+        packet: &Packet,
+    ) -> Verdict {
+        let lvl = packet.prio as usize;
+        // True when `packet` fits its own priority level's queue.
+        let fits = || queued[lvl] + packet.size as u64 <= caps[lvl];
+        match *self {
+            SwitchPolicyKind::DropTail(_) if fits() => Verdict::Enqueue,
+            SwitchPolicyKind::DropTail(_) => Verdict::Drop,
+            SwitchPolicyKind::NdpTrim(_) if fits() => Verdict::Enqueue,
+            SwitchPolicyKind::NdpTrim(_) => {
+                let clvl = Priority::Control as usize;
+                let trimmable = packet.prio == Priority::LowLatency && packet.payload() > 0;
+                if trimmable && queued[clvl] + HEADER_SIZE as u64 <= caps[clvl] {
+                    Verdict::Trim
+                } else {
+                    Verdict::Drop
+                }
+            }
+            SwitchPolicyKind::Pfc(_) => Verdict::Enqueue,
+            SwitchPolicyKind::EcnMark(_) if !fits() => Verdict::Drop,
+            SwitchPolicyKind::EcnMark(ecn)
+                if packet.payload() > 0 && queued[lvl] >= ecn.mark_bytes =>
+            {
+                Verdict::Mark
+            }
+            SwitchPolicyKind::EcnMark(_) => Verdict::Enqueue,
         }
-    };
-}
-
-impl SwitchPolicy for SwitchPolicyKind {
-    #[inline]
-    fn admit(&self, q: QueueView<'_>, packet: &Packet) -> Verdict {
-        dispatch!(self, p => p.admit(q, packet))
     }
 
+    /// After an enqueue left the port holding `queued`: should this node
+    /// pause its upstream peers? The fabric latches the answer per port
+    /// and only re-asks after a resume.
     #[inline]
-    fn should_pause(&self, q: QueueView<'_>) -> bool {
-        dispatch!(self, p => p.should_pause(q))
+    pub fn should_pause(&self, queued: &[u64; PRIORITY_LEVELS]) -> bool {
+        match *self {
+            SwitchPolicyKind::Pfc(pfc) => queued.iter().sum::<u64>() >= pfc.pause_bytes,
+            SwitchPolicyKind::DropTail(_)
+            | SwitchPolicyKind::NdpTrim(_)
+            | SwitchPolicyKind::EcnMark(_) => false,
+        }
     }
 
+    /// After a dequeue left a pausing port holding `queued`: may the
+    /// node's upstream peers resume?
     #[inline]
-    fn should_resume(&self, q: QueueView<'_>) -> bool {
-        dispatch!(self, p => p.should_resume(q))
+    pub fn should_resume(&self, queued: &[u64; PRIORITY_LEVELS]) -> bool {
+        match *self {
+            SwitchPolicyKind::Pfc(pfc) => queued.iter().sum::<u64>() < pfc.resume_bytes,
+            SwitchPolicyKind::DropTail(_)
+            | SwitchPolicyKind::NdpTrim(_)
+            | SwitchPolicyKind::EcnMark(_) => true,
+        }
     }
 }
 
@@ -275,59 +214,35 @@ mod tests {
     use super::*;
     use crate::packet::{Packet, PacketKind, MTU};
 
-    fn view<'a>(
-        queued: &'a [u64; PRIORITY_LEVELS],
-        caps: &'a [u64; PRIORITY_LEVELS],
-    ) -> QueueView<'a> {
-        QueueView {
-            queued_bytes: queued,
-            cap_bytes: caps,
-        }
-    }
-
     #[test]
     fn drop_tail_drops_at_capacity() {
         let caps = [1_000, 2_000, 3_000];
         let pkt = Packet::data(0, 0, 1, 0, MTU);
-        assert_eq!(
-            DropTail.admit(view(&[0, 0, 0], &caps), &pkt),
-            Verdict::Enqueue
-        );
-        assert_eq!(
-            DropTail.admit(view(&[0, 1_000, 0], &caps), &pkt),
-            Verdict::Drop
-        );
+        let drop_tail = SwitchPolicyKind::from(DropTail);
+        assert_eq!(drop_tail.admit(&[0, 0, 0], &caps, &pkt), Verdict::Enqueue);
+        assert_eq!(drop_tail.admit(&[0, 1_000, 0], &caps, &pkt), Verdict::Drop);
     }
 
     #[test]
     fn ndp_trim_matches_legacy_decision_table() {
         let caps = [12_000, 12_000, 24_000];
         let data = Packet::data(0, 0, 1, 0, MTU);
-        let trim = NdpTrim;
+        let trim = SwitchPolicyKind::from(NdpTrim);
         // Fits: enqueue.
-        assert_eq!(trim.admit(view(&[0, 0, 0], &caps), &data), Verdict::Enqueue);
+        assert_eq!(trim.admit(&[0, 0, 0], &caps, &data), Verdict::Enqueue);
         // Data queue full, control queue open: trim.
-        assert_eq!(
-            trim.admit(view(&[0, 12_000, 0], &caps), &data),
-            Verdict::Trim
-        );
+        assert_eq!(trim.admit(&[0, 12_000, 0], &caps, &data), Verdict::Trim);
         // Both full: drop.
         assert_eq!(
-            trim.admit(view(&[12_000, 12_000, 0], &caps), &data),
+            trim.admit(&[12_000, 12_000, 0], &caps, &data),
             Verdict::Drop
         );
         // Control traffic never trims.
         let ctl = Packet::control(0, 0, 1, PacketKind::Hello);
-        assert_eq!(
-            trim.admit(view(&[12_000, 0, 0], &caps), &ctl),
-            Verdict::Drop
-        );
+        assert_eq!(trim.admit(&[12_000, 0, 0], &caps, &ctl), Verdict::Drop);
         // Bulk never trims.
         let bulk = Packet::bulk(0, 0, 1, 0, MTU);
-        assert_eq!(
-            trim.admit(view(&[0, 0, 24_000], &caps), &bulk),
-            Verdict::Drop
-        );
+        assert_eq!(trim.admit(&[0, 0, 24_000], &caps, &bulk), Verdict::Drop);
         // An already-trimmed header (payload 0) at low-latency would drop,
         // but trimmed headers travel at control priority by construction.
     }
@@ -335,40 +250,31 @@ mod tests {
     #[test]
     fn pfc_never_drops_and_tracks_thresholds() {
         let caps = [12_000, 12_000, 24_000];
-        let pfc = Pfc {
+        let pfc = SwitchPolicyKind::from(Pfc {
             pause_bytes: 10_000,
             resume_bytes: 5_000,
-        };
+        });
         let pkt = Packet::data(0, 0, 1, 0, MTU);
         // Over nominal capacity: still enqueued.
-        assert_eq!(
-            pfc.admit(view(&[0, 50_000, 0], &caps), &pkt),
-            Verdict::Enqueue
-        );
-        assert!(!pfc.should_pause(view(&[0, 9_999, 0], &caps)));
-        assert!(pfc.should_pause(view(&[0, 10_000, 0], &caps)));
-        assert!(!pfc.should_resume(view(&[0, 5_000, 0], &caps)));
-        assert!(pfc.should_resume(view(&[0, 4_999, 0], &caps)));
+        assert_eq!(pfc.admit(&[0, 50_000, 0], &caps, &pkt), Verdict::Enqueue);
+        assert!(!pfc.should_pause(&[0, 9_999, 0]));
+        assert!(pfc.should_pause(&[0, 10_000, 0]));
+        assert!(!pfc.should_resume(&[0, 5_000, 0]));
+        assert!(pfc.should_resume(&[0, 4_999, 0]));
     }
 
     #[test]
     fn ecn_marks_above_threshold_only() {
         let caps = [12_000, 48_000, 24_000];
-        let ecn = EcnMark { mark_bytes: 9_000 };
+        let ecn = SwitchPolicyKind::from(EcnMark { mark_bytes: 9_000 });
         let pkt = Packet::data(0, 0, 1, 0, MTU);
-        assert_eq!(
-            ecn.admit(view(&[0, 8_999, 0], &caps), &pkt),
-            Verdict::Enqueue
-        );
-        assert_eq!(ecn.admit(view(&[0, 9_000, 0], &caps), &pkt), Verdict::Mark);
+        assert_eq!(ecn.admit(&[0, 8_999, 0], &caps, &pkt), Verdict::Enqueue);
+        assert_eq!(ecn.admit(&[0, 9_000, 0], &caps, &pkt), Verdict::Mark);
         // Full queue still drop-tails.
-        assert_eq!(ecn.admit(view(&[0, 47_000, 0], &caps), &pkt), Verdict::Drop);
+        assert_eq!(ecn.admit(&[0, 47_000, 0], &caps, &pkt), Verdict::Drop);
         // Control packets are never marked.
         let ctl = Packet::control(0, 0, 1, PacketKind::Hello);
-        assert_eq!(
-            ecn.admit(view(&[9_000, 9_000, 0], &caps), &ctl),
-            Verdict::Enqueue
-        );
+        assert_eq!(ecn.admit(&[9_000, 9_000, 0], &caps, &ctl), Verdict::Enqueue);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::tokens::{schedule_actions, timer, Token};
 use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig};
-use netsim::{FlowClass, FlowId, FlowTracker, NetLogic, NetWorld, Packet, PacketKind};
+use netsim::{FlowClass, FlowId, FlowTracker, NetLogic, NetWorld, Packet, PacketKind, TraceEvent};
 use simkit::engine::EventContext;
 use simkit::{SimTime, Simulator};
 use transport::{Transport, TransportKind};
@@ -111,7 +111,8 @@ impl Endpoints {
     }
 
     /// A packet reached `host`: RotorLB bulk data is counted as delivered,
-    /// anything else belongs to the host's transport.
+    /// anything else belongs to the host's transport (an ACK is traced
+    /// first, at the host's one NIC port).
     pub(crate) fn on_packet(
         &mut self,
         fabric: &mut Fabric,
@@ -124,12 +125,16 @@ impl Endpoints {
             self.tracker
                 .deliver(packet.flow, packet.payload() as u64, ctx.now());
         } else {
+            if let PacketKind::Ack { .. } = packet.kind {
+                fabric.trace_event(ctx.now(), host, 0, TraceEvent::Ack, Some(&packet));
+            }
             let actions = self.hosts[host].on_packet(fabric, ctx, &mut self.tracker, packet);
             schedule_actions(ctx, host, actions);
         }
     }
 
-    /// A timer the switching layer did not claim: a host's transport timer.
+    /// A timer the switching layer did not claim: a host's transport
+    /// timer, traced before the transport handles it.
     pub(crate) fn on_timer(
         &mut self,
         fabric: &mut Fabric,
@@ -139,6 +144,7 @@ impl Endpoints {
         let Token::Transport(host, which) = token else {
             panic!("unexpected timer {token:?}");
         };
+        fabric.trace_event(ctx.now(), host, 0, TraceEvent::Timer, None);
         let actions = self.hosts[host].on_timer(fabric, ctx, which);
         schedule_actions(ctx, host, actions);
     }

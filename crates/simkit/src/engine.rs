@@ -30,18 +30,13 @@
 //! **FIFO among simultaneous events.** Lists only ever grow at the tail.
 //! A slot receives one cascade batch, in list order, when the cursor
 //! enters the window above it, and direct inserts only once the cursor is
-//! inside that window — after the batch, with later sequence numbers. So
+//! inside that window — after the batch. So
 //! by induction every list is in push order; a level-0 slot holds one
 //! timestamp; and an event scheduled for `now` from inside a handler
 //! appends to the very list being drained. Simultaneous events therefore
 //! fire in the order they were scheduled, exactly as a
 //! `BinaryHeap<(time, seq)>` would pop them
 //! (`timing_wheel_matches_heap_order`; the `goldens/` depend on it).
-//!
-//! **Tokens.** An [`EventToken`] names a node and the sequence number it
-//! held, so [`Simulator::cancel`] clears a flag on the node (reaped when
-//! the wheel reaches it) and a stale token — fired, already cancelled, or
-//! its node reused — is recognised and refused.
 //!
 //! Components do not hold references to each other: a single *world* type
 //! (e.g. `netsim::NetWorld`) owns them all and dispatches events to them,
@@ -70,32 +65,13 @@ const UPPER: usize = 9;
 /// End of the free list.
 const NIL: u32 = u32::MAX;
 
-/// A handle for cancelling a scheduled event, returned by the
-/// `*_cancellable` scheduling methods.
-///
-/// It names the slab node the event was written into and the sequence
-/// number it was given, so it can cancel nothing but that one event:
-/// after the event fired, after a first cancel, or after the node was
-/// reused by a newer event, cancelling returns `false` and changes
-/// nothing. A cancelled event stops counting as pending at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken {
-    index: u32,
-    seq: u64,
-}
-
-/// One slab node: a pending event, a cancelled one still linked into its
-/// slot, or a free node.
+/// One slab node: a pending event or a free node.
 #[derive(Debug)]
 struct Node<E> {
     time: SimTime,
-    seq: u64,
     /// Next node in this slot's list (meaningless in the tail node), or
     /// in the free list.
     next: u32,
-    /// Still to fire: cleared by `pop` and by `cancel`, so it is what
-    /// tells a live token from a stale one.
-    pending: bool,
     event: E,
 }
 
@@ -133,30 +109,13 @@ impl<'a, E: Copy> EventContext<'a, E> {
     /// Panics if `at` is in the past — time travel indicates a logic error
     /// in the caller and must never be silently reordered.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.schedule_at_cancellable(at, event);
-    }
-
-    /// Like [`EventContext::schedule_in`], returning a token that can
-    /// cancel the event while it is still pending.
-    pub fn schedule_in_cancellable(&mut self, delay: SimTime, event: E) -> EventToken {
-        self.queue.push(self.now + delay, event)
-    }
-
-    /// Like [`EventContext::schedule_at`], returning a cancellation token.
-    pub fn schedule_at_cancellable(&mut self, at: SimTime, event: E) -> EventToken {
         assert!(
             at >= self.now,
             "scheduling into the past: now={} at={}",
             self.now,
             at
         );
-        self.queue.push(at, event)
-    }
-
-    /// Cancel a pending event. Returns `true` if `token`'s event was
-    /// still pending and is now cancelled; see [`EventToken`].
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        self.queue.cancel(token)
+        self.queue.push(at, event);
     }
 }
 
@@ -176,9 +135,8 @@ struct EventQueue<E> {
     /// Wheel position (ns): every linked node is at `time >= cursor`, and
     /// the cursor never passes the simulator's clock.
     cursor: u64,
-    /// Pending (non-cancelled) events.
+    /// Pending events.
     live: usize,
-    next_seq: u64,
     peak: usize,
 }
 
@@ -192,7 +150,6 @@ impl<E: Copy> EventQueue<E> {
             l0_summary: 0,
             cursor: 0,
             live: 0,
-            next_seq: 0,
             peak: 0,
         }
     }
@@ -201,14 +158,10 @@ impl<E: Copy> EventQueue<E> {
     /// link it into the wheel. Inlined so the caller builds the event in
     /// place instead of copying it in.
     #[inline(always)]
-    fn push(&mut self, time: SimTime, event: E) -> EventToken {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn push(&mut self, time: SimTime, event: E) {
         let node = Node {
             time,
-            seq,
             next: NIL,
-            pending: true,
             event,
         };
         let index = self.free;
@@ -226,7 +179,6 @@ impl<E: Copy> EventQueue<E> {
         self.link(index, time.as_ns());
         self.live += 1;
         self.peak = self.peak.max(self.live);
-        EventToken { index, seq }
     }
 
     /// Append node `index`, due at `t`, to the list of the slot `t` files
@@ -291,7 +243,6 @@ impl<E: Copy> EventQueue<E> {
                 let node = &mut self.nodes[head as usize];
                 debug_assert_eq!(node.time.as_ns(), t, "level-0 slot holds one timestamp");
                 let event = node.event;
-                let pending = std::mem::replace(&mut node.pending, false);
                 let next = std::mem::replace(&mut node.next, self.free);
                 self.free = head;
                 if head != tail {
@@ -303,12 +254,8 @@ impl<E: Copy> EventQueue<E> {
                         self.l0_summary &= !(1u64 << (slot >> 6));
                     }
                 }
-                if pending {
-                    self.live -= 1;
-                    return Some((SimTime::from_ns(t), event));
-                }
-                // Cancelled: reaped, look again.
-                continue 'scan;
+                self.live -= 1;
+                return Some((SimTime::from_ns(t), event));
             }
             // Level 0 is empty from the cursor on: cascade the next
             // occupied upper slot. Lower levels always hold earlier times
@@ -351,19 +298,6 @@ impl<E: Copy> EventQueue<E> {
             unreachable!("live events but an empty wheel");
         }
         None
-    }
-
-    /// Cancel the pending event behind `token`; `false` when it already
-    /// fired, was already cancelled, or its node now holds another event.
-    fn cancel(&mut self, token: EventToken) -> bool {
-        match self.nodes.get_mut(token.index as usize) {
-            Some(node) if node.seq == token.seq && node.pending => {
-                node.pending = false;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -421,29 +355,13 @@ impl<W: EventHandler> Simulator<W> {
 
     /// Schedule an event at absolute time `at` (must be ≥ now).
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
-        self.schedule_at_cancellable(at, event);
+        assert!(at >= self.now, "scheduling into the past");
+        self.queue.push(at, event);
     }
 
     /// Schedule an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimTime, event: W::Event) {
         self.queue.push(self.now + delay, event);
-    }
-
-    /// Like [`Simulator::schedule_at`], returning a cancellation token.
-    pub fn schedule_at_cancellable(&mut self, at: SimTime, event: W::Event) -> EventToken {
-        assert!(at >= self.now, "scheduling into the past");
-        self.queue.push(at, event)
-    }
-
-    /// Like [`Simulator::schedule_in`], returning a cancellation token.
-    pub fn schedule_in_cancellable(&mut self, delay: SimTime, event: W::Event) -> EventToken {
-        self.queue.push(self.now + delay, event)
-    }
-
-    /// Cancel a pending event. Returns `true` if `token`'s event was
-    /// still pending and is now cancelled; see [`EventToken`].
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        self.queue.cancel(token)
     }
 
     /// Process a single event. Returns `false` if the queue was empty.
@@ -628,76 +546,6 @@ mod tests {
         assert_eq!(sim.events_processed(), 12);
     }
 
-    #[test]
-    fn cancellation_skips_events_and_updates_len() {
-        let mut sim = Simulator::new(Recorder { log: vec![] });
-        sim.schedule_at(SimTime::from_ns(10), 101);
-        let tok = sim.schedule_at_cancellable(SimTime::from_ns(20), 102);
-        sim.schedule_at(SimTime::from_ns(30), 103);
-        assert_eq!(sim.pending(), 3);
-        assert!(sim.cancel(tok));
-        assert!(!sim.cancel(tok), "double-cancel reports false");
-        assert_eq!(sim.pending(), 2);
-        sim.run();
-        let order: Vec<u32> = sim.world.log.iter().map(|&(_, e)| e).collect();
-        assert_eq!(order, vec![101, 103]);
-        assert_eq!(sim.events_processed(), 2, "cancelled event never fires");
-    }
-
-    /// Cancelling the sole remaining event must empty the queue (pop
-    /// returns None without firing the tombstone), and scheduling after
-    /// that works normally.
-    #[test]
-    fn cancel_last_event_then_reschedule() {
-        let mut sim = Simulator::new(Recorder { log: vec![] });
-        let tok = sim.schedule_at_cancellable(SimTime::from_ns(10), 1);
-        sim.cancel(tok);
-        assert_eq!(sim.pending(), 0);
-        sim.run();
-        assert!(sim.world.log.is_empty());
-        sim.schedule_at(SimTime::from_ns(40), 2);
-        sim.run();
-        assert_eq!(sim.world.log, vec![(40, 2)]);
-    }
-
-    /// A token outlives its event harmlessly: once the event has fired,
-    /// been cancelled, or had its node reused, `cancel` refuses and the
-    /// pending count stays right.
-    #[test]
-    fn stale_tokens_are_refused() {
-        let mut sim = Simulator::new(Recorder { log: vec![] });
-        // After fire.
-        let fired = sim.schedule_at_cancellable(SimTime::from_ns(10), 101);
-        sim.schedule_at(SimTime::from_ns(20), 102);
-        sim.run_until(SimTime::from_ns(15));
-        assert!(!sim.cancel(fired), "already fired");
-        assert_eq!(sim.pending(), 1, "a refused cancel must not touch len");
-        // After the node was reused: 101's node is the only free one, so
-        // the next event lands in it.
-        let reuser = sim.schedule_at_cancellable(SimTime::from_ns(30), 103);
-        assert_eq!(reuser.index, fired.index, "slab node recycled");
-        assert!(!sim.cancel(fired), "node now holds a newer event");
-        assert_eq!(sim.pending(), 2);
-        // Double cancel.
-        assert!(sim.cancel(reuser));
-        assert!(!sim.cancel(reuser), "already cancelled");
-        assert_eq!(sim.pending(), 1);
-        sim.run();
-        assert_eq!(sim.world.log, vec![(10, 101), (20, 102)]);
-        assert!(!sim.cancel(reuser), "cancelled, then reaped");
-        // Cancel the sole remaining event, then reschedule.
-        let sole = sim.schedule_at_cancellable(SimTime::from_ns(40), 104);
-        assert!(sim.cancel(sole));
-        assert_eq!(sim.pending(), 0);
-        assert!(!sim.step(), "only a tombstone is left");
-        sim.schedule_at(SimTime::from_ns(35), 105);
-        sim.run();
-        assert_eq!(sim.world.log.last(), Some(&(35, 105)));
-        assert_eq!(sim.events_processed(), 3);
-        // A token from another, longer queue names no node here.
-        assert!(!sim.cancel(EventToken { index: 99, seq: 0 }));
-    }
-
     /// A batch filed three levels up is relinked three times on its way
     /// down (its timestamps have a non-zero digit at every level), with
     /// same-time rivals appended behind it at each stage: everything still
@@ -762,36 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn in_handler_cancellation() {
-        /// Cancels its sibling from inside the handler.
-        struct Canceller {
-            victim: Option<EventToken>,
-            log: Vec<u32>,
-        }
-        impl EventHandler for Canceller {
-            type Event = u32;
-            fn handle_event(&mut self, ev: u32, ctx: &mut EventContext<'_, u32>) {
-                self.log.push(ev);
-                if ev == 1 {
-                    let tok = ctx.schedule_in_cancellable(SimTime::from_ns(50), 99);
-                    self.victim = Some(tok);
-                    ctx.schedule_in(SimTime::from_ns(10), 2);
-                } else if ev == 2 {
-                    let tok = self.victim.take().expect("scheduled by event 1");
-                    assert!(ctx.cancel(tok));
-                }
-            }
-        }
-        let mut sim = Simulator::new(Canceller {
-            victim: None,
-            log: vec![],
-        });
-        sim.schedule_at(SimTime::from_ns(5), 1);
-        sim.run();
-        assert_eq!(sim.world.log, vec![1, 2], "99 was cancelled in flight");
-    }
-
-    #[test]
     fn peak_pending_high_water() {
         let mut sim = Simulator::new(Recorder { log: vec![] });
         for i in 0..50 {
@@ -821,10 +639,10 @@ mod tests {
     }
 
     /// What the packet simulator pays per pending event: a 16-byte,
-    /// 8-aligned event (`netsim::NetEvent`'s shape) makes a 40-byte node.
+    /// 8-aligned event (`netsim::NetEvent`'s shape) makes a 32-byte node.
     #[test]
     fn node_size_is_pinned() {
-        assert!(std::mem::size_of::<Node<[u64; 2]>>() <= 40);
+        assert!(std::mem::size_of::<Node<[u64; 2]>>() <= 32);
         let fixed = std::mem::size_of::<EventQueue<[u64; 2]>>()
             + std::mem::size_of::<Slot>() * (L0_SLOTS + (UPPER << BITS));
         assert!(fixed < 40 * 1024, "fixed tables are {fixed} B");

@@ -20,6 +20,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{EventContext, EventHandler, EventToken, Simulator};
+pub use engine::{EventContext, EventHandler, Simulator};
 pub use rng::SimRng;
 pub use time::{SimTime, NS_PER_MS, NS_PER_SEC, NS_PER_US};

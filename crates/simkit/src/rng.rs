@@ -39,12 +39,6 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derive an independent child stream, e.g. one per component, so
-    /// adding randomness in one module does not perturb another.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        SimRng::new(self.next_u64() ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -200,16 +194,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle changed order");
-    }
-
-    #[test]
-    fn fork_streams_diverge() {
-        let mut root = SimRng::new(1);
-        let mut a = root.fork(1);
-        let mut b = root.fork(2);
-        let xs: Vec<u64> = (0..10).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..10).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
     }
 
     #[test]

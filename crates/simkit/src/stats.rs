@@ -6,8 +6,7 @@
 //!
 //! * [`Samples`] — exact percentiles/CDFs over a stored sample set,
 //! * [`LogHistogram`] — bounded-memory log-spaced histogram for huge runs,
-//! * [`TimeSeries`] — binned byte/packet counters for throughput-vs-time,
-//! * [`Counter`] — simple running totals and means.
+//! * [`TimeSeries`] — binned byte/packet counters for throughput-vs-time.
 
 use crate::time::SimTime;
 
@@ -106,23 +105,6 @@ impl Samples {
     pub fn min(&mut self) -> Option<f64> {
         self.ensure_sorted();
         self.values.first().copied()
-    }
-
-    /// Empirical CDF evaluated at each of `points`: fraction of samples ≤ p.
-    pub fn cdf_at(&mut self, points: &[f64]) -> Vec<f64> {
-        self.ensure_sorted();
-        let n = self.values.len();
-        points
-            .iter()
-            .map(|&p| {
-                let cnt = self.values.partition_point(|&v| v <= p);
-                if n == 0 {
-                    0.0
-                } else {
-                    cnt as f64 / n as f64
-                }
-            })
-            .collect()
     }
 
     /// Full `(value, cumulative fraction)` CDF over distinct sample values.
@@ -234,11 +216,6 @@ impl TimeSeries {
         self.bins[idx] += amount;
     }
 
-    /// Bin width.
-    pub fn bin_width(&self) -> SimTime {
-        self.bin
-    }
-
     /// `(bin start time, total in bin)` pairs.
     pub fn series(&self) -> Vec<(SimTime, f64)> {
         self.bins
@@ -257,41 +234,6 @@ impl TimeSeries {
     /// Sum over all bins.
     pub fn total(&self) -> f64 {
         self.bins.iter().sum()
-    }
-}
-
-/// Running total and mean.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter {
-    sum: f64,
-    n: u64,
-}
-
-impl Counter {
-    /// Fresh counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Add an observation.
-    pub fn add(&mut self, v: f64) {
-        self.sum += v;
-        self.n += 1;
-    }
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-    /// Count of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    /// Mean, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.sum / self.n as f64)
-        }
     }
 }
 
@@ -343,7 +285,6 @@ mod tests {
         assert_eq!(s.mean(), Some(2.0));
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(3.0));
-        assert_eq!(s.cdf_at(&[2.5]), vec![2.0 / 3.0]);
         assert_eq!(s.cdf().len(), 3);
     }
 
@@ -360,7 +301,6 @@ mod tests {
             assert!(w[0].0 < w[1].0);
             assert!(w[0].1 < w[1].1);
         }
-        assert_eq!(s.cdf_at(&[0.0, 2.0, 10.0]), vec![0.0, 0.6, 1.0]);
     }
 
     #[test]
@@ -399,16 +339,5 @@ mod tests {
         assert_eq!(ts.total(), 3500.0);
         let r = ts.rate_per_sec();
         assert!((r[0].1 - 1_500_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn counter_mean() {
-        let mut c = Counter::new();
-        assert_eq!(c.mean(), None);
-        c.add(2.0);
-        c.add(4.0);
-        assert_eq!(c.mean(), Some(3.0));
-        assert_eq!(c.sum(), 6.0);
-        assert_eq!(c.count(), 2);
     }
 }

@@ -43,16 +43,6 @@ impl OperaParams {
         }
     }
 
-    /// The `k = 24` scale point: 432 racks × 12 hosts = 5184 hosts.
-    pub fn example_5184() -> Self {
-        OperaParams {
-            racks: 432,
-            uplinks: 12,
-            hosts_per_rack: 12,
-            groups: 1,
-        }
-    }
-
     /// Derive parameters from a ToR radix `k` (1:1 provisioned: `u = d =
     /// k/2`) and a number of racks.
     pub fn from_radix(k: usize, racks: usize) -> Self {
@@ -297,15 +287,6 @@ impl<'a> SliceView<'a> {
         g
     }
 
-    /// Full physical graph including the reconfiguring switches' circuits.
-    pub fn graph_full(&self) -> Graph {
-        let mut g = Graph::new(self.topo.racks());
-        for sw in 0..self.topo.switches() {
-            self.matching_of(sw).add_to_graph(&mut g, sw);
-        }
-        g
-    }
-
     /// Direct (single-hop) destinations of `rack` this slice, as
     /// `(destination rack, circuit switch)` pairs — the bulk table of §4.3.
     pub fn direct_destinations(&self, rack: NodeId) -> Vec<(NodeId, usize)> {
@@ -491,15 +472,6 @@ mod tests {
         for s in [0usize, 17, 54, 107] {
             assert!(t.slice(s).graph().is_connected());
         }
-    }
-
-    #[test]
-    fn full_graph_includes_reconfiguring_switch() {
-        let t = small();
-        let sv = t.slice(0);
-        let g_full = sv.graph_full();
-        let g_routable = sv.graph();
-        assert!(g_full.edge_count() >= g_routable.edge_count());
     }
 
     #[test]

@@ -122,21 +122,14 @@ impl DctcpHost {
         st.window_acks = 0;
         st.window_marks = 0;
     }
+
+    /// Number of flows currently being sent.
+    pub fn active_sends(&self) -> usize {
+        self.sending.len()
+    }
 }
 
 impl Transport for DctcpHost {
-    fn nic(&self) -> usize {
-        self.nic
-    }
-
-    fn nic_port(&self) -> usize {
-        self.nic_port
-    }
-
-    fn active_sends(&self) -> usize {
-        self.sending.len()
-    }
-
     fn start_flow(
         &mut self,
         fabric: &mut Fabric,
@@ -176,10 +169,6 @@ impl Transport for DctcpHost {
         tracker: &mut FlowTracker,
         pkt: Packet,
     ) -> Actions {
-        if let PacketKind::Ack { .. } = pkt.kind {
-            let (nic, port) = (self.nic, self.nic_port);
-            fabric.trace_event(ctx.now(), nic, port, netsim::TraceEvent::Ack, Some(&pkt));
-        }
         match pkt.kind {
             PacketKind::Data { seq, trimmed } => {
                 let flow = pkt.flow;
@@ -240,8 +229,6 @@ impl Transport for DctcpHost {
         which: TransportTimer,
     ) -> Actions {
         let mut actions = Actions::default();
-        let (nic, port) = (self.nic, self.nic_port);
-        fabric.trace_event(ctx.now(), nic, port, netsim::TraceEvent::Timer, None);
         let TransportTimer::Rto(flow) = which else {
             return actions; // no pacer in DCTCP
         };

@@ -138,21 +138,14 @@ impl GoBackNHost {
             st.last_activity = ctx.now();
         }
     }
+
+    /// Number of flows currently being sent.
+    pub fn active_sends(&self) -> usize {
+        self.sending.len()
+    }
 }
 
 impl Transport for GoBackNHost {
-    fn nic(&self) -> usize {
-        self.nic
-    }
-
-    fn nic_port(&self) -> usize {
-        self.nic_port
-    }
-
-    fn active_sends(&self) -> usize {
-        self.sending.len()
-    }
-
     fn start_flow(
         &mut self,
         fabric: &mut Fabric,
@@ -188,10 +181,6 @@ impl Transport for GoBackNHost {
         tracker: &mut FlowTracker,
         pkt: Packet,
     ) -> Actions {
-        if let PacketKind::Ack { .. } = pkt.kind {
-            let (nic, port) = (self.nic, self.nic_port);
-            fabric.trace_event(ctx.now(), nic, port, netsim::TraceEvent::Ack, Some(&pkt));
-        }
         match pkt.kind {
             PacketKind::Data { seq, trimmed } => {
                 let flow = pkt.flow;
@@ -242,8 +231,6 @@ impl Transport for GoBackNHost {
         which: TransportTimer,
     ) -> Actions {
         let mut actions = Actions::default();
-        let (nic, port) = (self.nic, self.nic_port);
-        fabric.trace_event(ctx.now(), nic, port, netsim::TraceEvent::Timer, None);
         let TransportTimer::Rto(flow) = which else {
             return actions; // no pacer in go-back-N
         };

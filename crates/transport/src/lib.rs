@@ -81,14 +81,10 @@ pub struct Actions {
 /// [`Transport::on_packet`] for every packet that reaches the host's NIC,
 /// and [`Transport::on_timer`] when a timer it scheduled on the host's
 /// behalf fires. Every call may emit packets into the fabric and returns
-/// the timers to arm.
+/// the timers to arm. The `ack` and `timer` trace records of a host are
+/// written by that caller (`opera::net::Endpoints`), so an implementation
+/// knows nothing about tracing.
 pub trait Transport: std::fmt::Debug {
-    /// The host's NIC node id in the fabric.
-    fn nic(&self) -> usize;
-
-    /// The NIC port packets leave through (0 for single-homed hosts).
-    fn nic_port(&self) -> usize;
-
     /// Start sending `flow` (`size` payload bytes) to `dst` (a NIC node
     /// id).
     fn start_flow(
@@ -117,9 +113,6 @@ pub trait Transport: std::fmt::Debug {
         ctx: &mut EventContext<'_, NetEvent>,
         which: TransportTimer,
     ) -> Actions;
-
-    /// Number of flows currently being sent.
-    fn active_sends(&self) -> usize;
 }
 
 /// Which [`Transport`] a network model should instantiate for its hosts,

@@ -168,21 +168,14 @@ impl NdpHost {
             actions.timers.push((at, TransportTimer::PullPacer));
         }
     }
+
+    /// Number of flows currently being sent.
+    pub fn active_sends(&self) -> usize {
+        self.sending.len()
+    }
 }
 
 impl Transport for NdpHost {
-    fn nic(&self) -> usize {
-        self.nic
-    }
-
-    fn nic_port(&self) -> usize {
-        self.nic_port
-    }
-
-    fn active_sends(&self) -> usize {
-        self.sending.len()
-    }
-
     /// Start sending: transmit the initial window immediately (zero-RTT).
     fn start_flow(
         &mut self,
@@ -222,10 +215,6 @@ impl Transport for NdpHost {
         pkt: Packet,
     ) -> Actions {
         let mut actions = Actions::default();
-        if let PacketKind::Ack { .. } = pkt.kind {
-            let (nic, port) = (self.nic, self.nic_port);
-            fabric.trace_event(ctx.now(), nic, port, netsim::TraceEvent::Ack, Some(&pkt));
-        }
         match pkt.kind {
             PacketKind::Data { seq, trimmed } => {
                 self.on_data(fabric, ctx, tracker, pkt, seq, trimmed, &mut actions);
@@ -266,8 +255,6 @@ impl Transport for NdpHost {
         which: TransportTimer,
     ) -> Actions {
         let mut actions = Actions::default();
-        let (nic, port) = (self.nic, self.nic_port);
-        fabric.trace_event(ctx.now(), nic, port, netsim::TraceEvent::Timer, None);
         match which {
             TransportTimer::PullPacer => {
                 self.pacer_armed = false;

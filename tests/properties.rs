@@ -418,44 +418,33 @@ impl simkit::EventHandler for PopLog {
 }
 
 /// The oracle for [`PopLog`]: the old engine's semantics, literally a
-/// `BinaryHeap` keyed by `(time, seq)`. Sequence numbers are consumed per
-/// schedule call, cancelled or not, exactly as the engine consumes them.
+/// `BinaryHeap` keyed by `(time, seq)`, one sequence number per schedule
+/// call.
 #[derive(Default)]
 struct HeapModel {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
     seq: u64,
-    /// Sequence numbers no longer pending: cancelled or fired.
-    gone: std::collections::HashSet<u64>,
     followups: Vec<(u32, u64)>,
     log: Vec<(u64, u32)>,
     now: u64,
 }
 
 impl HeapModel {
-    fn schedule(&mut self, t: u64, id: u32) -> u64 {
+    fn schedule(&mut self, t: u64, id: u32) {
         self.heap.push(std::cmp::Reverse((t, self.seq, id)));
         self.seq += 1;
-        self.seq - 1
-    }
-
-    /// True exactly when `seq` was still pending.
-    fn cancel(&mut self, seq: u64) -> bool {
-        self.gone.insert(seq)
     }
 
     fn pending(&self) -> usize {
-        self.seq as usize - self.gone.len()
+        self.heap.len()
     }
 
     fn run_until(&mut self, until: u64) {
-        while let Some(&std::cmp::Reverse((t, seq, id))) = self.heap.peek() {
+        while let Some(&std::cmp::Reverse((t, _, id))) = self.heap.peek() {
             if t > until {
                 break;
             }
             self.heap.pop();
-            if !self.gone.insert(seq) {
-                continue; // cancelled
-            }
             self.log.push((t, id));
             if id.is_multiple_of(4) {
                 if let Some((nid, delta)) = self.followups.pop() {
@@ -476,12 +465,9 @@ proptest! {
     /// timestamps (crossing every wheel level), timestamps clustered
     /// within ± 4096 ns of window edges at every level, forced equal-time
     /// ties, in-handler follow-ups (a third of them due `now`, all of
-    /// them recycling the node just popped), `run_until` checkpoints with
-    /// scheduling in between (clock ahead of the wheel's cursor), and
-    /// cancellations both at once and later — of events by then cascaded
-    /// into other slots, sitting in upper levels, or already fired (which
-    /// must be refused). The oracle is [`HeapModel`] fed the same
-    /// operation stream.
+    /// them recycling the node just popped) and `run_until` checkpoints
+    /// with scheduling in between (clock ahead of the wheel's cursor). The
+    /// oracle is [`HeapModel`] fed the same operation stream.
     #[test]
     fn timing_wheel_matches_heap_order(
         raw in prop::collection::vec(0u64..(1u64 << 62), 1..48),
@@ -500,8 +486,6 @@ proptest! {
                 times[i] = (edge - 4096 + rng.below(8193)).min((1 << 62) - 1);
             }
         }
-        // 0 = keep, 1 = cancel at once, 2 = cancel at a later checkpoint.
-        let fate: Vec<u64> = times.iter().map(|_| rng.below(8).min(2)).collect();
         let followups: Vec<(u32, u64)> = (0..4 * times.len())
             .map(|j| {
                 let delta = match rng.below(3) {
@@ -519,15 +503,9 @@ proptest! {
 
         let mut model = HeapModel { followups: followups.clone(), ..Default::default() };
         let mut sim = simkit::Simulator::new(PopLog { log: Vec::new(), followups });
-        let mut deferred = Vec::new();
-        for (i, (&t, &fate)) in times.iter().zip(&fate).enumerate() {
-            let seq = model.schedule(t, i as u32);
-            let tok = sim.schedule_at_cancellable(simkit::SimTime::from_ns(t), i as u32);
-            match fate {
-                0 => {}
-                1 => prop_assert_eq!(sim.cancel(tok), model.cancel(seq)),
-                _ => deferred.push((tok, seq)),
-            }
+        for (i, &t) in times.iter().enumerate() {
+            model.schedule(t, i as u32);
+            sim.schedule_at(simkit::SimTime::from_ns(t), i as u32);
         }
         let mut next_id = 5000;
         for until in checkpoints {
@@ -542,13 +520,6 @@ proptest! {
                 sim.schedule_at(simkit::SimTime::from_ns(at), next_id);
                 next_id += 1;
             }
-            // Cancel half of what was set aside: still pending (wherever
-            // the cascades have put it by now) or already fired.
-            for _ in 0..deferred.len().div_ceil(2) {
-                let (tok, seq) = deferred.swap_remove(rng.index(deferred.len()));
-                prop_assert_eq!(sim.cancel(tok), model.cancel(seq));
-                prop_assert!(!sim.cancel(tok), "second cancel must be refused");
-            }
         }
         model.run_until(u64::MAX);
         sim.run();
@@ -556,9 +527,6 @@ proptest! {
         prop_assert_eq!(&sim.world.log, &model.log);
         prop_assert_eq!(sim.pending(), 0);
         prop_assert_eq!(sim.events_processed(), model.log.len() as u64);
-        for (tok, _) in deferred {
-            prop_assert!(!sim.cancel(tok), "everything has fired");
-        }
     }
 }
 
