@@ -146,7 +146,11 @@ fn threshold(ctx: &Ctx) -> Table {
             start: SimTime::ZERO,
         }];
         let mut sim = opera_net::build(cfg, flows);
-        sim.run_until(SimTime::from_ms(100));
+        crate::run_net(
+            &mut sim,
+            SimTime::from_ms(100),
+            format_args!("ablate_design/bulk_threshold/{label}"),
+        );
         let t = sim.world.logic.tracker();
         let fct = t.get(0).fct().map(|x| x.as_ms_f64()).unwrap_or(f64::NAN);
         let note = match label {
@@ -192,7 +196,11 @@ fn vlb(ctx: &Ctx) -> Table {
             }
         }
         let mut sim = opera_net::build(cfg, flows);
-        sim.run_until(SimTime::from_ms(40));
+        crate::run_net(
+            &mut sim,
+            SimTime::from_ms(40),
+            format_args!("ablate_design/vlb_under_skew/{allow}/rep {}", rc.rep),
+        );
         let t = sim.world.logic.tracker();
         let done = t.completed() as f64 / t.len() as f64;
         let s = expt::summarize(

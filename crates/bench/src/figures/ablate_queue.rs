@@ -48,7 +48,11 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         }
         let mut sim = opera_net::build(cfg, flows);
         sim.world.logic.set_hello_enabled(false);
-        sim.run_until(SimTime::from_ms(60));
+        crate::run_net(
+            &mut sim,
+            SimTime::from_ms(60),
+            format_args!("ablate_queue/{kb} KB/rep {}", rc.rep),
+        );
         let t = sim.world.logic.tracker();
         let s = expt::summarize(
             t.flows()

@@ -67,7 +67,11 @@ fn shuffle_run<N: PacketNet>(
         .logic
         .ends_mut()
         .record_throughput(SimTime::from_ms(1));
-    sim.run_until(horizon);
+    crate::run_net(
+        &mut sim,
+        horizon,
+        format_args!("fig08/{label}/{total} flows"),
+    );
     let t = sim.world.logic.tracker();
     let series = t.throughput().expect("recording is on").rate_per_sec();
     (series, hosts, summary_row(label, t, total))

@@ -198,18 +198,22 @@ pub(crate) type FctPoint = (Vec<Row>, Row);
 
 /// One `(system, load)` replicate of Figures 7 and 9 on any network:
 /// Poisson arrivals of `workload` at `load` for `window` over the hosts
-/// `cfg` describes, run to `run_until`.
+/// `cfg` describes, run until drained or else to `horizon`.
 pub(crate) fn fct_point<N: PacketNet>(
     cfg: N::Config,
     workload: Workload,
     (system, load, seed): (&str, f64, u64),
-    (window, run_until): (SimTime, SimTime),
+    (window, horizon): (SimTime, SimTime),
 ) -> FctPoint {
     let flows = PoissonGen::new(FlowSizeDist::of(workload), N::hosts(&cfg), 10.0, load, seed)
         .flows_until(window);
     let offered = flows.len();
     let mut sim = N::build(cfg, flows);
-    sim.run_until(run_until);
+    crate::run_net(
+        &mut sim,
+        horizon,
+        format_args!("fct/{workload:?}/{system}/load {load}/seed {seed}"),
+    );
     let t = sim.world.logic.tracker();
     (
         fct_rows(system, load, t),

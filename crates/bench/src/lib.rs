@@ -29,7 +29,12 @@ pub mod scenario;
 pub mod spot;
 
 use expt::Scale;
-use opera::{OperaNetConfig, StaticNetConfig, StaticTopologyKind};
+use netsim::NetWorld;
+use opera::{OperaNetConfig, PacketNet, StaticNetConfig, StaticTopologyKind};
+use simkit::{SimTime, Simulator};
+use std::collections::BTreeSet;
+use std::fmt;
+use std::sync::Mutex;
 use topo::clos::ClosParams;
 use topo::expander::ExpanderParams;
 use topo::opera::OperaParams;
@@ -97,4 +102,35 @@ pub fn clos_cfg(scale: Scale) -> StaticNetConfig {
         Scale::Default => k(8),
         Scale::Full => StaticNetConfig::paper_clos_648(),
     }
+}
+
+/// Names of this process's [`run_net`] runs that reached their horizon
+/// with every flow complete: something kept the network from ever
+/// draining (ROADMAP 4b's NDP zombie re-arming its RTO, 4e's packets
+/// stranded at a port whose PFC pause a rewire cleared).
+static UNDRAINED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+
+/// How every driver runs a packet network: [`PacketNet::run`], which
+/// stops at the first instant the network has drained, however far off
+/// `horizon` is. A run that finishes its flows and still reaches the
+/// horizon is entered under `name` in [`undrained_runs`].
+pub(crate) fn run_net<N: PacketNet>(
+    sim: &mut Simulator<NetWorld<N>>,
+    horizon: SimTime,
+    name: fmt::Arguments<'_>,
+) {
+    if !N::run(sim, horizon) && sim.world.logic.ends().finished() {
+        UNDRAINED
+            .lock()
+            .expect("no panic while the census is held")
+            .insert(name.to_string());
+    }
+}
+
+/// The census of this process's driver runs, sorted by name: those whose
+/// flows all completed but whose network never drained, and which
+/// therefore ran to their horizon.
+pub fn undrained_runs() -> Vec<String> {
+    let census = UNDRAINED.lock().expect("no panic while the census is held");
+    census.iter().cloned().collect()
 }

@@ -48,7 +48,8 @@ pub const KNOWN_TOPOLOGIES: [&str; 6] = [
 /// Workload names the scenario runner accepts.
 pub const KNOWN_WORKLOADS: [&str; 2] = ["incast", "victim"];
 
-fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
+/// The switch policy a [`KNOWN_POLICIES`] name stands for.
+pub fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
     Ok(match name {
         "droptail" => SwitchPolicyKind::from(DropTail),
         "ndp_trim" => SwitchPolicyKind::from(NdpTrim),
@@ -62,7 +63,8 @@ fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
     })
 }
 
-fn transport_of(name: &str) -> Result<TransportKind, String> {
+/// The transport a [`KNOWN_TRANSPORTS`] name stands for.
+pub fn transport_of(name: &str) -> Result<TransportKind, String> {
     Ok(match name {
         "ndp" => TransportKind::Ndp(NdpParams::paper_default()),
         "dctcp" => TransportKind::Dctcp(DctcpParams::paper_default()),
@@ -252,7 +254,7 @@ pub struct ScenarioReport {
 /// and callers pass `None` for them (`check_names` refuses anything else).
 pub(crate) fn run_named<T>(
     (topology, racks): (&str, Option<usize>),
-    (policy, transport): (&str, &str),
+    (policy, transport_name): (&str, &str),
     load: (&str, usize, u64),
     duration: SimTime,
     rng: &mut SimRng,
@@ -260,7 +262,7 @@ pub(crate) fn run_named<T>(
     read: impl FnOnce(&FlowTracker, &FabricCounters) -> T,
 ) -> Result<T, String> {
     let queues = QueueConfig::builder().policy(policy_of(policy)?).build();
-    let transport = transport_of(transport)?;
+    let transport = transport_of(transport_name)?;
     if let Some(mut cfg) = opera_base(topology) {
         if let Some(racks) = racks {
             cfg.params.racks = racks;
@@ -269,7 +271,8 @@ pub(crate) fn run_named<T>(
         cfg.queues = queues;
         cfg.transport = transport;
         let no_hellos = |net: &mut OperaLogic| net.set_hello_enabled(false);
-        return run_on(cfg, no_hellos, load, duration, rng, trace, read);
+        let names = (topology, policy, transport_name);
+        return run_on(cfg, no_hellos, names, load, duration, rng, trace, read);
     }
     let base = static_base(topology).ok_or_else(|| unknown_topology(topology))?;
     let cfg = StaticNetConfig {
@@ -278,14 +281,19 @@ pub(crate) fn run_named<T>(
         ..base
     };
     let as_built = |_: &mut StaticLogic| {};
-    run_on(cfg, as_built, load, duration, rng, trace, read)
+    let names = (topology, policy, transport_name);
+    run_on(cfg, as_built, names, load, duration, rng, trace, read)
 }
 
 /// [`run_named`] on the network `N` that `cfg` describes; `quiet`
-/// adjusts the built network before the trace sink is attached.
+/// adjusts the built network before the trace sink is attached. An
+/// untraced run ends when the network has drained; a traced one runs all
+/// of `duration`, because what an idle network does is part of its trace.
+#[allow(clippy::too_many_arguments)]
 fn run_on<N: PacketNet, T>(
     cfg: N::Config,
     quiet: impl FnOnce(&mut N),
+    (topology, policy, transport): (&str, &str, &str),
     (workload, senders, flow_bytes): (&str, usize, u64),
     duration: SimTime,
     rng: &mut SimRng,
@@ -297,8 +305,11 @@ fn run_on<N: PacketNet, T>(
     quiet(&mut sim.world.logic);
     if let Some(sink) = trace {
         sim.world.fabric.set_trace(sink);
+        sim.run_until(duration);
+    } else {
+        let name = format_args!("{topology}/{policy}/{transport}/{workload}/{senders} senders");
+        crate::run_net(&mut sim, duration, name);
     }
-    sim.run_until(duration);
     let result = read(sim.world.logic.tracker(), &sim.world.fabric.counters);
     if let Some(mut sink) = sim.world.fabric.take_trace() {
         sink.finish()?;

@@ -83,7 +83,11 @@ fn shuffle_648() -> Table {
     }
     let offered = flows.len();
     let mut sim = opera_net::build(cfg, flows);
-    sim.run_until(SimTime::from_ms(120));
+    crate::run_net(
+        &mut sim,
+        SimTime::from_ms(120),
+        format_args!("spot/shuffle_648"),
+    );
     let t = sim.world.logic.tracker();
     let (mean, p99, max) = fct_summary(t);
     let mut out = Table::new(
@@ -178,7 +182,11 @@ fn websearch_648() -> Table {
             PoissonGen::new(dist, N::hosts(&cfg), 10.0, LOAD, 0).flows_until(SimTime::from_ms(10));
         let offered = flows.len();
         let mut sim = N::build(cfg, flows);
-        sim.run_until(SimTime::from_ms(60));
+        crate::run_net(
+            &mut sim,
+            SimTime::from_ms(60),
+            format_args!("spot/websearch_648/{network}"),
+        );
         let tracker = sim.world.logic.tracker();
         let (mean, p99, _) = fct_summary(tracker);
         vec![

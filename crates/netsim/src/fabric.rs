@@ -689,7 +689,7 @@ mod tests {
         }
     }
 
-    /// An event is 16 bytes, so an engine node carrying one is 40.
+    /// An event is 16 bytes, so an engine node carrying one is 32.
     #[test]
     fn net_event_size_is_pinned() {
         assert!(std::mem::size_of::<NetEvent>() <= 16);

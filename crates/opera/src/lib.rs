@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use opera::{opera_net, OperaNetConfig};
+//! use opera::{opera_net::{self, OperaLogic}, OperaNetConfig, PacketNet};
 //! use simkit::SimTime;
 //! use workloads::FlowSpec;
 //!
@@ -39,9 +39,11 @@
 //! let cfg = OperaNetConfig::small_test();
 //! let flows = vec![FlowSpec { src: 1, dst: 30, size: 20_000, start: SimTime::ZERO }];
 //! let mut sim = opera_net::build(cfg, flows);
-//! sim.run_until(SimTime::from_ms(5));
+//! // Until the network has drained, or else for 5 ms: the flow is done in
+//! // well under 100 µs, its sender's last 2 ms RTO check is what is waited for.
+//! assert!(OperaLogic::run(&mut sim, SimTime::from_ms(5)));
 //! let fct = sim.world.logic.tracker().get(0).fct().expect("flow completed");
-//! assert!(fct < SimTime::from_us(100));
+//! assert!(fct < SimTime::from_us(100) && sim.now() < SimTime::from_ms(3));
 //! ```
 //!
 //! A driver that compares networks is one body over [`PacketNet`]:
@@ -53,7 +55,7 @@
 //! fn events<N: PacketNet>(cfg: N::Config) -> u64 {
 //!     let shuffle = workloads::gen::ScenarioGen::shuffle(N::hosts(&cfg), 9_000, SimTime::ZERO);
 //!     let mut sim = N::build(cfg, shuffle);
-//!     sim.run_until(SimTime::from_ms(20));
+//!     N::run(&mut sim, SimTime::from_ms(20)); // drained, or else 20 ms
 //!     assert!(sim.world.logic.tracker().all_done());
 //!     sim.events_processed()
 //! }

@@ -13,6 +13,23 @@
 //! Node layout, shared: hosts are fabric nodes `0..H`, the ToR of rack `r`
 //! is node `H + r`, and host `h` hangs off down port `h % d` of the ToR of
 //! rack `h / d` (`d` hosts per rack).
+//!
+//! **How long a run lasts.** A driver sizes its horizon for its worst
+//! point, and most points are done long before it. A static network is
+//! then event-free, but an idle Opera never is: every slice the
+//! reconfigured switch's circuits exchange hellos (§3.6.2), about 79 events
+//! per 10 µs slice on a 12-rack network and 751 per 100 µs slice at paper
+//! scale. So drivers run a network with [`PacketNet::run`], which returns
+//! at the first instant the network is [`PacketNet::drained`] and
+//! otherwise at the horizon. Drained is exact, not a guess: every flow injected and
+//! complete, no packet parked in the fabric, and the event queue down to
+//! the network's [`PacketNet::CLOCK_EVENTS`]. From there on the only thing
+//! an Opera network does is reconfigure and say hello, which moves no
+//! flow record and no loss, trim, mark or pause counter; it does go on
+//! counting hellos in `FabricCounters::{queued, delivered}` (and in
+//! `failed_drops` under [`netsim::Fabric::set_random_loss`]) and writing
+//! them to a trace, so a run that wants those, or that times the engine
+//! itself, calls [`Simulator::run_until`].
 
 use crate::tokens::{schedule_actions, timer, Token};
 use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig};
@@ -71,6 +88,12 @@ impl Endpoints {
     /// Per-flow results.
     pub fn tracker(&self) -> &FlowTracker {
         &self.tracker
+    }
+
+    /// True once every flow handed to `build` has been injected and has
+    /// completed: the flow half of [`PacketNet::drained`].
+    pub fn finished(&self) -> bool {
+        self.next_flow == self.flows.len() && self.tracker.all_done()
     }
 
     /// Record delivered payload in bins of `bin` from now on (Figure 8).
@@ -152,10 +175,16 @@ impl Endpoints {
 
 /// A packet-level network a driver can build and run without knowing
 /// which one it is: same hosts, transport and flow arrivals
-/// ([`Endpoints`]), different switching.
+/// ([`Endpoints`]), different switching. [`PacketNet::build`] makes the
+/// simulation and [`PacketNet::run`] runs it until it has drained.
 pub trait PacketNet: NetLogic + Sized {
     /// Everything [`PacketNet::build`] needs besides the flows.
     type Config;
+
+    /// Events the network's own clock has pending at every instant of a
+    /// run, traffic or none: a queue down to this many holds the clock and
+    /// nothing else.
+    const CLOCK_EVENTS: usize;
 
     /// Number of hosts `cfg` describes; flows address hosts `0..hosts`.
     fn hosts(cfg: &Self::Config) -> usize;
@@ -173,5 +202,33 @@ pub trait PacketNet: NetLogic + Sized {
     /// Per-flow results.
     fn tracker(&self) -> &FlowTracker {
         self.ends().tracker()
+    }
+
+    /// True when nothing left in `sim` can change a result: every flow is
+    /// [`Endpoints::finished`], only the clock is pending and no packet is
+    /// parked in the fabric. So there is no packet in flight, no armed
+    /// transport timer, no feeder tick and no hello check to touch a flow
+    /// record, a fabric counter or the throughput series, and no packet
+    /// stranded in a queue for a later hello to push on (a port whose PFC
+    /// pause was cleared by a rewire does not restart on its own).
+    fn drained(sim: &Simulator<NetWorld<Self>>) -> bool {
+        sim.pending() <= Self::CLOCK_EVENTS
+            && sim.world.logic.ends().finished()
+            && sim.world.fabric.parked_packets() == 0
+    }
+
+    /// Run `sim` to the first instant it is [`PacketNet::drained`]
+    /// (`true`, the clock left at that event) or else to `horizon`
+    /// (`false`, as [`Simulator::run_until`] leaves it). The flow tracker
+    /// and the fabric's loss, trim, mark and pause counters read the same
+    /// either way (`tests/drain_differential.rs`); see the module docs for
+    /// what does not.
+    fn run(sim: &mut Simulator<NetWorld<Self>>, horizon: SimTime) -> bool {
+        while !Self::drained(sim) {
+            if !sim.run_until_idle(horizon, Self::CLOCK_EVENTS) {
+                return false;
+            }
+        }
+        true
     }
 }

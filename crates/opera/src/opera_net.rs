@@ -735,6 +735,11 @@ impl NetLogic for OperaLogic {
 
 impl PacketNet for OperaLogic {
     type Config = OperaNetConfig;
+    /// The next slice boundary (before it, the bootstrap timer that arms
+    /// it), in all three [`RotorMode`]s. The go-dark timer is pending only
+    /// for the first ε of a slice, so it is not counted: a second event
+    /// pending in the last `r` is not the clock.
+    const CLOCK_EVENTS: usize = 1;
 
     fn hosts(cfg: &OperaNetConfig) -> usize {
         cfg.hosts()

@@ -89,6 +89,13 @@ pub fn simulate_prototype_seeded(
     let mut quiet = Samples::new();
     let mut with_bulk = Samples::new();
     let slices = topo.slices_per_cycle();
+    // `hops[slice][src][dst]`: ToR hops over that slice's expander.
+    let hops: Vec<Vec<Vec<usize>>> = (0..slices)
+        .map(|s| {
+            let g = topo.slice(s).graph();
+            (0..8).map(|src| g.bfs_distances(src)).collect()
+        })
+        .collect();
 
     for _ in 0..n {
         let src = rng.index(8);
@@ -100,9 +107,7 @@ pub fn simulate_prototype_seeded(
         // sample each direction's slice independently).
         let mut rtt_hops = 0usize;
         for endpoints in [(src, dst), (dst, src)] {
-            let s = rng.index(slices);
-            let g = topo.slice(s).graph();
-            let d = g.bfs_distances(endpoints.0)[endpoints.1];
+            let d = hops[rng.index(slices)][endpoints.0][endpoints.1];
             debug_assert!(d != usize::MAX && d <= 4, "8-rack slice diameter");
             rtt_hops += d;
         }

@@ -238,6 +238,8 @@ impl NetLogic for StaticLogic {
 
 impl PacketNet for StaticLogic {
     type Config = StaticNetConfig;
+    /// Ports are woken by packets: an idle static network has no events.
+    const CLOCK_EVENTS: usize = 0;
 
     fn hosts(cfg: &StaticNetConfig) -> usize {
         cfg.hosts()

@@ -401,6 +401,25 @@ impl<W: EventHandler> Simulator<W> {
         }
     }
 
+    /// [`Simulator::run_until`] that also stops, with the clock at that
+    /// event's time, as soon as an event leaves at most `idle` events
+    /// pending, and then returns `true`; `false` means `until` was reached
+    /// as `run_until` reaches it. At least one due event is processed
+    /// before the queue is looked at, so calling again always makes
+    /// progress. For worlds whose own clock keeps `idle` events pending
+    /// for ever: what is left then is the clock alone.
+    pub fn run_until_idle(&mut self, until: SimTime, idle: usize) -> bool {
+        while self.step_until(until) {
+            if self.queue.live <= idle {
+                return true;
+            }
+        }
+        if self.now < until {
+            self.now = until;
+        }
+        false
+    }
+
     /// Run until at most `max_events` more events have been processed or the
     /// queue empties. Returns the number of events processed by this call.
     pub fn run_events(&mut self, max_events: u64) -> u64 {
@@ -477,6 +496,42 @@ mod tests {
         sim.schedule_at(SimTime::from_ns(50), 2);
         sim.run_until(SimTime::from_ns(50));
         assert_eq!(sim.world.log, vec![(50, 2)]);
+    }
+
+    /// A periodic event (a clock) beside a burst of work: the run stops at
+    /// the event that leaves the clock alone, not at the horizon, and a
+    /// second call processes one tick before it looks again.
+    #[test]
+    fn run_until_idle_stops_when_only_the_clock_is_left() {
+        struct Clock {
+            ticks: u32,
+            work: u32,
+        }
+        impl EventHandler for Clock {
+            type Event = u32;
+            fn handle_event(&mut self, event: u32, ctx: &mut EventContext<'_, u32>) {
+                if event == 0 {
+                    self.ticks += 1;
+                    ctx.schedule_in(SimTime::from_ns(10), 0);
+                } else {
+                    self.work += 1;
+                }
+            }
+        }
+        let mut sim = Simulator::new(Clock { ticks: 0, work: 0 });
+        sim.schedule_at(SimTime::ZERO, 0);
+        sim.schedule_at(SimTime::from_ns(25), 1);
+        sim.schedule_at(SimTime::from_ns(47), 1);
+        let horizon = SimTime::from_ns(1_000);
+        assert!(sim.run_until_idle(horizon, 1));
+        assert_eq!(sim.now(), SimTime::from_ns(47));
+        assert_eq!((sim.world.work, sim.world.ticks, sim.pending()), (2, 5, 1));
+        assert!(sim.run_until_idle(horizon, 1));
+        assert_eq!((sim.now(), sim.world.ticks), (SimTime::from_ns(50), 6));
+        // Never idle enough: the horizon, exactly as `run_until` leaves it.
+        assert!(!sim.run_until_idle(horizon, 0));
+        assert_eq!((sim.now(), sim.pending()), (horizon, 1));
+        assert_eq!(sim.world.ticks, 101);
     }
 
     #[test]

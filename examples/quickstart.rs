@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use opera::{opera_net, OperaNetConfig};
+use opera::opera_net::{self, OperaLogic};
+use opera::{OperaNetConfig, PacketNet};
 use simkit::SimTime;
 use workloads::FlowSpec;
 
@@ -40,7 +41,15 @@ fn main() {
     ];
 
     let mut sim = opera_net::build(cfg, flows);
-    sim.run_until(SimTime::from_ms(100));
+    // Until both flows are done and the network has drained (a rotor
+    // network is never event-free: its switches keep reconfiguring and
+    // exchanging hellos), or else for 100 ms.
+    let drained = OperaLogic::run(&mut sim, SimTime::from_ms(100));
+    println!(
+        "run ended at {} ({})",
+        sim.now(),
+        if drained { "drained" } else { "horizon" }
+    );
 
     let tracker = sim.world.logic.tracker();
     for (i, f) in tracker.flows().iter().enumerate() {

@@ -15,11 +15,11 @@ use workloads::FlowSpec;
 
 const FLOW_SIZE: u64 = 100_000; // 100 KB, Facebook Hadoop's median inter-rack flow
 
-/// Run one shuffle over the hosts of `cfg` for 200 ms and report it.
+/// Run one shuffle over the hosts of `cfg`, for 200 ms at most, and report it.
 fn race<N: PacketNet>(label: &str, cfg: N::Config, shuffle: impl FnOnce(usize) -> Vec<FlowSpec>) {
     let flows = shuffle(N::hosts(&cfg));
     let mut sim = N::build(cfg, flows);
-    sim.run_until(SimTime::from_ms(200));
+    N::run(&mut sim, SimTime::from_ms(200));
     report(label, sim.world.logic.tracker());
 }
 

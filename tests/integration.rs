@@ -25,7 +25,7 @@ fn light_load_avg_fct_us<N: PacketNet>(name: &str, cfg: N::Config) -> f64 {
         .filter(|f| f.size < 400_000)
         .collect();
     let mut sim = N::build(cfg, flows);
-    sim.run_until(SimTime::from_ms(120));
+    N::run(&mut sim, SimTime::from_ms(120));
     let t = sim.world.logic.tracker();
     assert!(t.all_done(), "{name}: {}/{}", t.completed(), t.len());
     avg_fct_us(t)
@@ -75,7 +75,7 @@ fn full_stack_deterministic() {
             });
         }
         let mut sim = opera_net::build(OperaNetConfig::small_test(), flows);
-        sim.run_until(SimTime::from_ms(80));
+        OperaLogic::run(&mut sim, SimTime::from_ms(80));
         sim.world
             .logic
             .tracker()
@@ -130,7 +130,7 @@ fn rotornet_shares_bulk_plane() {
         cfg.mode = mode;
         cfg.bulk_threshold = 0;
         let mut sim = opera_net::build(cfg, shuffle.clone());
-        sim.run_until(SimTime::from_ms(120));
+        OperaLogic::run(&mut sim, SimTime::from_ms(120));
         let t = sim.world.logic.tracker();
         assert!(
             t.all_done(),
@@ -149,7 +149,7 @@ fn delivers_websearch<N: PacketNet>(cfg: N::Config, unrouted: impl FnOnce(&N) ->
     let hosts = N::hosts(&cfg).min(64);
     let mut g = PoissonGen::new(FlowSizeDist::of(Workload::Websearch), hosts, 10.0, 0.03, 9);
     let mut sim = N::build(cfg, g.flows_until(SimTime::from_ms(1)));
-    sim.run_until(SimTime::from_ms(150));
+    N::run(&mut sim, SimTime::from_ms(150));
     let t = sim.world.logic.tracker();
     assert!(t.all_done(), "{}/{}", t.completed(), t.len());
     assert_eq!(unrouted(&sim.world.logic), 0);
@@ -193,7 +193,7 @@ fn ndp_survives_random_loss() {
     }
     let mut sim = opera_net::build(cfg, flows);
     sim.world.fabric.set_random_loss(0.02, 5);
-    sim.run_until(SimTime::from_ms(150));
+    OperaLogic::run(&mut sim, SimTime::from_ms(150));
     let t = sim.world.logic.tracker();
     assert!(
         t.all_done(),

@@ -5,8 +5,8 @@
 //! * packet-level (`netsim`/`transport` via `opera::opera_net`): FCTs
 //!   are non-negative, finite, and no faster than line rate; received
 //!   bytes are conserved (never exceed the flow size, exactly reach it
-//!   on completion); a drained run leaves no packet parked and no
-//!   event pending but the rotor clock;
+//!   on completion); a run stops drained, soon after its last flow,
+//!   with no packet parked and no event pending but the rotor clock;
 //! * fluid-level (`flowsim`): allocated rates are non-negative, never
 //!   exceed the offered demand, and aggregate throughput never exceeds
 //!   what the line rate admits.
@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use simkit::SimTime;
 use topo::clos::ClosParams;
 use topo::opera::{OperaParams, OperaTopology};
+use transport::NdpParams;
 use workloads::dists::{FlowSizeDist, Workload};
 use workloads::gen::PoissonGen;
 use workloads::FlowSpec;
@@ -42,7 +43,7 @@ fn packet_sim_fcts_are_physical() {
         });
     }
     let mut sim = opera::opera_net::build(cfg, flows);
-    sim.run_until(SimTime::from_ms(200));
+    OperaLogic::run(&mut sim, SimTime::from_ms(200));
     let tracker = sim.world.logic.tracker();
     assert!(tracker.completed() > 0, "no flow completed");
     for f in tracker.flows() {
@@ -92,12 +93,16 @@ fn clos() -> StaticNetConfig {
     }
 }
 
-/// The `at_sim_end` check: once every flow has completed and the wires
-/// have drained, no packet is left parked in the fabric's arena (a leak
-/// there would be an `Arrive` nobody delivered, or a loss path that kept
-/// its slot) and the event queue holds nothing but `clock` periodic
-/// events.
-fn drained<N: PacketNet>(name: &str, cfg: N::Config, clock: usize) {
+/// The `at_sim_end` check, on the predicate [`PacketNet::run`] stops on:
+/// once every flow has completed and the wires have drained, no packet is
+/// left parked in the fabric's arena (a leak there would be an `Arrive`
+/// nobody delivered, or a loss path that kept its slot) and the event
+/// queue holds nothing but the network's `CLOCK_EVENTS`. And the predicate
+/// fires when it should: the last thing a finished flow leaves queued is
+/// its sender's final RTO check, so the run ends within one RTO of the
+/// last completion, plus two `slice`s on a rotor network for the hello
+/// exchange in progress; `slice` is zero for a static one.
+fn drained<N: PacketNet>(name: &str, cfg: N::Config, slice: SimTime) {
     let hosts = N::hosts(&cfg);
     let flows = (0..24)
         .map(|i| FlowSpec {
@@ -107,28 +112,40 @@ fn drained<N: PacketNet>(name: &str, cfg: N::Config, clock: usize) {
             size: 3_000 + 47_000 * i as u64,
             // Far enough apart that flows rarely collide: a trimmed NDP
             // flow can leave its sender re-arming an idle RTO for ever
-            // (ROADMAP, correctness), one more pending event each.
+            // (ROADMAP 4b), and such a run never drains.
             start: SimTime::from_ms(i as u64),
         })
         .collect();
     let mut sim = N::build(cfg, flows);
-    // Mid-slice, after the hello exchange and before the switches go
-    // dark: the only events a rotor network has left are the periodic
-    // pair that is its clock (this slice's go-dark timer and the next
-    // slice boundary).
-    sim.run_until(SimTime::from_ms(300) + SimTime::from_us(5));
-    assert!(sim.world.logic.tracker().all_done(), "{name}: not drained");
+    assert!(
+        N::run(&mut sim, SimTime::from_ms(300)),
+        "{name}: ran to the horizon"
+    );
+    assert!(N::drained(&sim), "{name}: stopped undrained");
+    let tracker = sim.world.logic.tracker();
+    assert!(tracker.all_done(), "{name}: not drained");
     assert!(sim.world.fabric.arena_peak_live() > 0);
     assert_eq!(sim.world.fabric.parked_packets(), 0, "{name}: leaked");
-    assert_eq!(sim.pending(), clock, "{name}: non-periodic events left");
+    assert_eq!(
+        sim.pending(),
+        N::CLOCK_EVENTS,
+        "{name}: non-periodic events left"
+    );
+    let last = tracker.flows().iter().filter_map(|f| f.finish).max();
+    let bound = last.expect("flows finished") + NdpParams::paper_default().rto + slice + slice;
+    assert!(
+        sim.now() <= bound,
+        "{name}: drained at {}, last flow finished at {last:?}",
+        sim.now()
+    );
 }
 
 #[test]
 fn drained_runs_leave_nothing_parked() {
-    drained::<OperaLogic>("opera", opera(), 2);
-    drained::<OperaLogic>("hybrid rotornet", hybrid(), 2);
-    drained::<StaticLogic>("expander", expander(), 0);
-    drained::<StaticLogic>("folded clos", clos(), 0);
+    drained::<OperaLogic>("opera", opera(), opera().timing.slice());
+    drained::<OperaLogic>("hybrid rotornet", hybrid(), hybrid().timing.slice());
+    drained::<StaticLogic>("expander", expander(), SimTime::ZERO);
+    drained::<StaticLogic>("folded clos", clos(), SimTime::ZERO);
 }
 
 /// Flows handed to `build` in any order are injected, and so numbered, in
@@ -158,7 +175,7 @@ fn registered_in_start_order<N: PacketNet>(name: &str, cfg: N::Config) {
     );
 
     let mut sim = N::build(cfg, flows);
-    sim.run_until(SimTime::from_ms(20));
+    N::run(&mut sim, SimTime::from_ms(20));
     let t = sim.world.logic.tracker();
     assert_eq!(t.len(), expected.len(), "{name}");
     for (id, want) in expected.iter().enumerate() {

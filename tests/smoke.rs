@@ -3,7 +3,8 @@
 //! thing a new user runs. Kept as a named test (not only a doc-test) so
 //! a failure is visible in plain `cargo test` output and easy to bisect.
 
-use opera::{opera_net, OperaNetConfig};
+use opera::opera_net::{self, OperaLogic};
+use opera::{OperaNetConfig, PacketNet};
 use simkit::SimTime;
 use workloads::FlowSpec;
 
@@ -17,7 +18,10 @@ fn small_test_network_runs_to_completion() {
         start: SimTime::ZERO,
     }];
     let mut sim = opera_net::build(cfg, flows);
-    sim.run_until(SimTime::from_ms(5));
+    assert!(
+        OperaLogic::run(&mut sim, SimTime::from_ms(5)),
+        "network did not drain within 5 ms"
+    );
 
     let tracker = sim.world.logic.tracker();
     assert!(tracker.all_done(), "flow did not complete within 5 ms");
