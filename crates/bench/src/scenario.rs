@@ -17,7 +17,7 @@ use expt::scenario::{Scenario, ScenarioPoint};
 use expt::{f2, Cell, Table};
 use netsim::fabric::{FabricCounters, QueueConfig};
 use netsim::policy::{DropTail, EcnMark, NdpTrim, Pfc};
-use netsim::trace::{JsonlSink, MultiSink, TraceSink};
+use netsim::trace::{JsonlSink, MultiSink, TraceEvent, TraceSink};
 use netsim::{FlowTracker, PcapngSink, SwitchPolicyKind};
 use opera::opera_net::OperaLogic;
 use opera::static_net::{StaticLogic, StaticNetConfig, StaticTopologyKind};
@@ -414,6 +414,8 @@ fn jsonl_tx_counts(path: &Path) -> Result<(u64, LinkCounts), String> {
             .get("event")
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("{} line {}: missing event", path.display(), i + 1))?;
+        let event = TraceEvent::from_name(event)
+            .ok_or_else(|| format!("{} line {}: unknown event {event:?}", path.display(), i + 1))?;
         let node = rec.get("node").and_then(|v| v.as_usize());
         let port = rec.get("port").and_then(|v| v.as_usize());
         let (Some(node), Some(port)) = (node, port) else {
@@ -424,7 +426,7 @@ fn jsonl_tx_counts(path: &Path) -> Result<(u64, LinkCounts), String> {
             ));
         };
         total += 1;
-        if event == "tx" {
+        if event == TraceEvent::Tx {
             *tx.entry((node, port)).or_insert(0) += 1;
         }
     }
@@ -595,6 +597,10 @@ mod tests {
         let err = at_line_3(b"{\"t\":\n");
         assert!(err.starts_with(&prefix), "{err}");
         assert_eq!(at_line_3(b"{\"t\":1}\n"), format!("{prefix}missing event"));
+        assert_eq!(
+            at_line_3(b"{\"t\":1,\"event\":\"bogus\",\"node\":2,\"port\":0}\n"),
+            format!("{prefix}unknown event \"bogus\"")
+        );
 
         std::fs::write(&path, good.repeat(3)).unwrap();
         let (records, tx) = jsonl_tx_counts(&path).unwrap();

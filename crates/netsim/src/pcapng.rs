@@ -55,24 +55,21 @@ const EPB_LEN: usize = 8 + 20 + FRAME_LEN.next_multiple_of(4) + 4;
 /// `by_link` entry of a link without an interface yet.
 const UNREGISTERED: u32 = u32::MAX;
 
+/// Capsule flag bits the writer sets: CE and trimmed.
+const CAPSULE_FLAGS: u8 = 0b11;
+
 /// Inverse of [`KindTag::code`].
-fn kind_of(code: u8) -> KindTag {
-    match code {
-        1 => KindTag::Data,
-        2 => KindTag::Ack,
-        3 => KindTag::Nack,
-        4 => KindTag::Pull,
-        5 => KindTag::Bulk,
-        6 => KindTag::BulkNack,
-        _ => KindTag::Hello,
-    }
+fn kind_of(code: u8) -> Option<KindTag> {
+    KindTag::ALL.into_iter().find(|k| k.code() == code)
 }
 
-fn prio_of(code: u8) -> Priority {
+/// Inverse of `Priority as u8`.
+fn prio_of(code: u8) -> Option<Priority> {
     match code {
-        0 => Priority::Control,
-        1 => Priority::LowLatency,
-        _ => Priority::Bulk,
+        0 => Some(Priority::Control),
+        1 => Some(Priority::LowLatency),
+        2 => Some(Priority::Bulk),
+        _ => None,
     }
 }
 
@@ -387,8 +384,10 @@ fn parse_if_name(name: &str) -> Option<(NodeId, PortId)> {
 /// byte-order magic and version, block length framing (leading ==
 /// trailing, multiple of 4, in bounds), `if_tsresol = 9` on every
 /// interface, EPB interface references in range, capsule magic/version,
-/// and globally monotone (non-decreasing) timestamps — the writer emits
-/// events in simulation order, so any regression means corruption.
+/// capsule kind, priority and flags among those the writer emits (each
+/// refusal names its block's byte offset), and globally monotone
+/// (non-decreasing) timestamps — the writer emits events in simulation
+/// order, so any regression means corruption.
 pub fn read(bytes: &[u8]) -> Result<PcapngFile, String> {
     let mut file = PcapngFile::default();
     let mut off = 0usize;
@@ -483,7 +482,8 @@ pub fn read(bytes: &[u8]) -> Result<PcapngFile, String> {
                         "pcapng: captured length {caplen}, want {FRAME_LEN}"
                     ));
                 }
-                let meta = decode_frame(&body[20..20 + caplen], origlen)?;
+                let meta = decode_frame(&body[20..20 + caplen], origlen)
+                    .map_err(|e| format!("{e} in the block at byte {off}"))?;
                 file.packets.push(PcapngPacket { iface, t_ns, meta });
             }
             other => {
@@ -533,10 +533,13 @@ fn decode_frame(frame: &[u8], origlen: u32) -> Result<PacketMeta, String> {
     if capsule[4] != CAPSULE_VERSION {
         return Err(format!("pcapng: capsule version {}", capsule[4]));
     }
-    let flags = capsule[7];
+    let (kind, prio, flags) = (capsule[5], capsule[6], capsule[7]);
+    if flags & !CAPSULE_FLAGS != 0 {
+        return Err(format!("pcapng: reserved capsule flag bits {flags:#04x}"));
+    }
     let meta = PacketMeta {
-        kind: kind_of(capsule[5]),
-        prio: prio_of(capsule[6]),
+        kind: kind_of(kind).ok_or_else(|| format!("pcapng: unknown capsule kind {kind}"))?,
+        prio: prio_of(prio).ok_or_else(|| format!("pcapng: unknown capsule priority {prio}"))?,
         ce: flags & 1 != 0,
         trimmed: flags & 2 != 0,
         flow: le_u32(&capsule[8..]),
@@ -731,6 +734,49 @@ mod tests {
         assert!(read(&bad).unwrap_err().contains("trailer"));
         // Empty input.
         assert!(read(&[]).unwrap_err().contains("empty"));
+    }
+
+    /// A kind, a priority or a flag bit the writer cannot emit is refused
+    /// by name and block offset, not read as `Hello` / `Bulk` / nothing.
+    #[test]
+    fn reader_rejects_capsule_codes_the_writer_cannot_emit() {
+        let mut w = PcapngWriter::new(Vec::new()).unwrap();
+        w.packet(100, 0, 0, &meta(1, 0)).unwrap();
+        w.packet(200, 0, 0, &meta(1, 1)).unwrap();
+        let good = w.into_inner();
+        let block = good.len() - EPB_LEN; // the second packet's
+        let with = |frame_at: usize, byte: u8| {
+            let mut bad = good.clone();
+            bad[block + 28 + frame_at] = byte;
+            read(&bad)
+        };
+        let at = format!(" in the block at byte {block}");
+        for kind in [0, 8, 0xEE] {
+            let err = with(47, kind).unwrap_err();
+            assert_eq!(err, format!("pcapng: unknown capsule kind {kind}{at}"));
+        }
+        for prio in [3, 0x77] {
+            let err = with(48, prio).unwrap_err();
+            assert_eq!(err, format!("pcapng: unknown capsule priority {prio}{at}"));
+        }
+        for flags in [0x04u8, 0x80, 0xFC, 0xFF] {
+            let err = with(49, flags).unwrap_err();
+            assert_eq!(
+                err,
+                format!("pcapng: reserved capsule flag bits {flags:#04x}{at}")
+            );
+        }
+        // Every code the writer does emit still reads back.
+        for kind in KindTag::ALL {
+            assert_eq!(with(47, kind.code()).unwrap().packets[1].meta.kind, kind);
+        }
+        for prio in [Priority::Control, Priority::LowLatency, Priority::Bulk] {
+            assert_eq!(with(48, prio as u8).unwrap().packets[1].meta.prio, prio);
+        }
+        for flags in 0..=CAPSULE_FLAGS {
+            let m = with(49, flags).unwrap().packets[1].meta;
+            assert_eq!((m.ce, m.trimmed), (flags & 1 != 0, flags & 2 != 0));
+        }
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //! [`MultiSink`] fans one stream out to several sinks, and
 //! [`MemorySink`] buffers records in memory for tests.
 //!
-//! Cost model: [`JsonlSink`] encodes each record into one reused buffer
-//! and hands it, newline included, to its writer in a single `write_all`
-//! — no allocation and no `core::fmt` per record — so give it a `File`
-//! through a `BufWriter` (as [`JsonlSink::create`] does), not bare.
-//! [`jsonl_line`] is that same encoder returning a `String`.
+//! Cost model: [`JsonlSink`] writes each record once, into a fixed
+//! line it owns — keys as constant-length copies, names from padded
+//! tables, integers two digits a step into a place sized by counting the
+//! digits first — and hands the line, newline included, to its writer in
+//! a single `write_all`: no allocation, no `core::fmt` and no `Vec`
+//! growth check per record, 30–40 ns of encoding on the benchmark's host
+//! (README, "The trace encoders"). The writer sees one small write a
+//! record, so give the sink a `File` through a `BufWriter` (as
+//! [`JsonlSink::create`] does), not bare. [`jsonl_line`] is that same
+//! encoder returning a `String`.
 
 use crate::fabric::{NodeId, PortId};
 use crate::packet::{Packet, PacketKind, Priority};
@@ -53,8 +58,26 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// Every event, in discriminant order.
+    pub const ALL: [TraceEvent; 9] = [
+        TraceEvent::Enqueue,
+        TraceEvent::Mark,
+        TraceEvent::Trim,
+        TraceEvent::Drop,
+        TraceEvent::Tx,
+        TraceEvent::Pause,
+        TraceEvent::Resume,
+        TraceEvent::Ack,
+        TraceEvent::Timer,
+    ];
+
+    /// The event whose [`name`](Self::name) is `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<TraceEvent> {
+        Self::ALL.into_iter().find(|e| e.name() == name)
+    }
+
     /// Stable lowercase name used in the JSON-lines encoding.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             TraceEvent::Enqueue => "enqueue",
             TraceEvent::Mark => "mark",
@@ -90,8 +113,19 @@ pub enum KindTag {
 }
 
 impl KindTag {
+    /// Every kind, in code order.
+    pub const ALL: [KindTag; 7] = [
+        KindTag::Data,
+        KindTag::Ack,
+        KindTag::Nack,
+        KindTag::Pull,
+        KindTag::Bulk,
+        KindTag::BulkNack,
+        KindTag::Hello,
+    ];
+
     /// Stable lowercase name used in the JSON-lines encoding.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             KindTag::Data => "data",
             KindTag::Ack => "ack",
@@ -263,12 +297,194 @@ impl TraceSink for MultiSink {
     }
 }
 
+/// A name padded to [`NAME_PAD`] bytes: the encoder copies the fixed
+/// width and advances by `len`.
+#[derive(Clone, Copy)]
+struct Padded {
+    bytes: [u8; NAME_PAD],
+    len: usize,
+}
+
+/// Copy width of a name; the bytes after the longest line's last name
+/// (`","trimmed":false…`) outnumber the padding, so the copy stays inside
+/// [`LINE_MAX`] wherever the name lands.
+const NAME_PAD: usize = 16;
+
+const fn padded(name: &str) -> Padded {
+    let mut bytes = [0; NAME_PAD];
+    let mut i = 0;
+    while i < name.len() {
+        bytes[i] = name.as_bytes()[i];
+        i += 1;
+    }
+    Padded {
+        bytes,
+        len: name.len(),
+    }
+}
+
+/// [`TraceEvent::name`] by discriminant.
+static EVENT_NAMES: [Padded; TraceEvent::ALL.len()] = {
+    let mut names = [padded(""); TraceEvent::ALL.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[TraceEvent::ALL[i] as usize] = padded(TraceEvent::ALL[i].name());
+        i += 1;
+    }
+    names
+};
+
+/// [`KindTag::name`] by [`KindTag::code`] − 1.
+static KIND_NAMES: [Padded; KindTag::ALL.len()] = {
+    let mut names = [padded(""); KindTag::ALL.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[KindTag::ALL[i] as usize - 1] = padded(KindTag::ALL[i].name());
+        i += 1;
+    }
+    names
+};
+
+/// `"00"`, `"01"`, … `"99"`.
+static DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Bytes of the longest line, newline included: 104 of keys and
+/// punctuation, `t` / `node` / `port` / `src` / `dst` at 20 digits, `flow`
+/// / `seq` / `size` at 10, `prio` at one, `enqueue`, `bulk_nack`, `false`
+/// twice, `}` and the newline (`longest_line_fills_the_buffer` builds it).
+const LINE_MAX: usize = 104 + 5 * 20 + 3 * 10 + 1 + 7 + 9 + 2 * 5 + 2;
+
+/// One JSON-lines record, newline included, in a fixed buffer: the one
+/// encoder behind [`JsonlSink`] and [`jsonl_line`]. Every value is an
+/// unsigned integer, a boolean or a fixed ASCII name, so nothing needs
+/// escaping.
+struct Line {
+    bytes: [u8; LINE_MAX],
+    len: usize,
+}
+
+impl Line {
+    fn new() -> Self {
+        Line {
+            bytes: [0; LINE_MAX],
+            len: 0,
+        }
+    }
+
+    fn lit<const N: usize>(&mut self, s: &[u8; N]) {
+        self.bytes[self.len..self.len + N].copy_from_slice(s);
+        self.len += N;
+    }
+
+    fn name(&mut self, name: &Padded) {
+        self.bytes[self.len..self.len + NAME_PAD].copy_from_slice(&name.bytes);
+        self.len += name.len;
+    }
+
+    fn flag(&mut self, v: bool) {
+        if v {
+            self.lit(b"true");
+        } else {
+            self.lit(b"false");
+        }
+    }
+
+    /// Store `pair`, below 100, as two digits at `at`.
+    fn pair(&mut self, at: usize, pair: u32) {
+        let pair = 2 * pair as usize;
+        self.bytes[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+
+    /// `v` in decimal: its digits counted, then stored from the last pair
+    /// back. Inlined, so the cursor stays in a register from key to key.
+    #[inline(always)]
+    fn uint(&mut self, v: u64) {
+        // Times and ids fit 32 bits in any run short of 4.29 simulated
+        // seconds.
+        let Ok(mut v) = u32::try_from(v) else {
+            return self.uint_wide(v);
+        };
+        // `v | 1` has as many digits as `v`, and a logarithm at 0.
+        let end = self.len + (v | 1).ilog10() as usize + 1;
+        let mut at = end;
+        while v >= 100 {
+            at -= 2;
+            self.pair(at, v % 100);
+            v /= 100;
+        }
+        if v >= 10 {
+            self.pair(at - 2, v);
+        } else {
+            self.bytes[at - 1] = b'0' + v as u8;
+        }
+        self.len = end;
+    }
+
+    /// [`uint`](Self::uint) past 32 bits: the eight low digits are four
+    /// pairs, and what is above them is `uint`'s again (`u64::MAX` splits
+    /// twice).
+    #[cold]
+    fn uint_wide(&mut self, v: u64) {
+        self.uint(v / 100_000_000);
+        let mut low = (v % 100_000_000) as u32;
+        self.len += 8;
+        for back in [2, 4, 6, 8] {
+            self.pair(self.len - back, low % 100);
+            low /= 100;
+        }
+    }
+
+    /// Overwrite the line with `rec`'s and return it.
+    fn encode(&mut self, rec: &TraceRecord) -> &[u8] {
+        self.len = 0;
+        self.lit(b"{\"t\":");
+        self.uint(rec.t_ns);
+        self.lit(b",\"event\":\"");
+        self.name(&EVENT_NAMES[rec.event as usize]);
+        self.lit(b"\",\"node\":");
+        self.uint(rec.node as u64);
+        self.lit(b",\"port\":");
+        self.uint(rec.port as u64);
+        if let Some(m) = &rec.packet {
+            self.lit(b",\"flow\":");
+            self.uint(u64::from(m.flow));
+            self.lit(b",\"src\":");
+            self.uint(m.src as u64);
+            self.lit(b",\"dst\":");
+            self.uint(m.dst as u64);
+            self.lit(b",\"seq\":");
+            self.uint(u64::from(m.seq));
+            self.lit(b",\"size\":");
+            self.uint(u64::from(m.size));
+            self.lit(b",\"prio\":");
+            self.uint(m.prio as u64);
+            self.lit(b",\"kind\":\"");
+            self.name(&KIND_NAMES[m.kind as usize - 1]);
+            self.lit(b"\",\"trimmed\":");
+            self.flag(m.trimmed);
+            self.lit(b",\"ce\":");
+            self.flag(m.ce);
+        }
+        self.lit(b"}\n");
+        &self.bytes[..self.len]
+    }
+}
+
 /// JSON-lines sink: one JSON object per record, stable key order, no
 /// external dependencies. The full event stream (every [`TraceEvent`]).
 pub struct JsonlSink<W: Write> {
     out: W,
-    /// The current line, reused from record to record.
-    buf: Vec<u8>,
+    /// The current line, overwritten record by record.
+    line: Line,
     lines: u64,
     error: Option<String>,
 }
@@ -295,7 +511,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         JsonlSink {
             out,
-            buf: Vec::new(),
+            line: Line::new(),
             lines: 0,
             error: None,
         }
@@ -312,69 +528,17 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-/// Append `v` in decimal.
-fn push_uint(buf: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20]; // u64::MAX has 20
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    buf.extend_from_slice(&digits[at..]);
-}
-
-fn push_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.extend_from_slice(if v { b"true" } else { b"false" });
-}
-
-/// Append one record's JSON-lines object (no trailing newline): the one
-/// encoder behind [`JsonlSink`] and [`jsonl_line`]. Every value is an
-/// unsigned integer, a boolean or a fixed ASCII name, so nothing needs
-/// escaping.
-fn push_jsonl(buf: &mut Vec<u8>, rec: &TraceRecord) {
-    buf.extend_from_slice(b"{\"t\":");
-    push_uint(buf, rec.t_ns);
-    buf.extend_from_slice(b",\"event\":\"");
-    buf.extend_from_slice(rec.event.name().as_bytes());
-    buf.extend_from_slice(b"\",\"node\":");
-    push_uint(buf, rec.node as u64);
-    buf.extend_from_slice(b",\"port\":");
-    push_uint(buf, rec.port as u64);
-    if let Some(m) = &rec.packet {
-        buf.extend_from_slice(b",\"flow\":");
-        push_uint(buf, u64::from(m.flow));
-        buf.extend_from_slice(b",\"src\":");
-        push_uint(buf, m.src as u64);
-        buf.extend_from_slice(b",\"dst\":");
-        push_uint(buf, m.dst as u64);
-        buf.extend_from_slice(b",\"seq\":");
-        push_uint(buf, u64::from(m.seq));
-        buf.extend_from_slice(b",\"size\":");
-        push_uint(buf, u64::from(m.size));
-        buf.extend_from_slice(b",\"prio\":");
-        push_uint(buf, m.prio as u64);
-        buf.extend_from_slice(b",\"kind\":\"");
-        buf.extend_from_slice(m.kind.name().as_bytes());
-        buf.extend_from_slice(b"\",\"trimmed\":");
-        push_bool(buf, m.trimmed);
-        buf.extend_from_slice(b",\"ce\":");
-        push_bool(buf, m.ce);
-    }
-    buf.push(b'}');
-}
-
 /// Render one record as its JSON-lines object (no trailing newline).
 /// Key order is part of the format: `t`, `event`, `node`, `port`, then —
 /// for packet events — `flow`, `src`, `dst`, `seq`, `size`, `prio`,
 /// `kind`, `trimmed`, `ce`.
 pub fn jsonl_line(rec: &TraceRecord) -> String {
-    let mut buf = Vec::new();
-    push_jsonl(&mut buf, rec);
-    String::from_utf8(buf).expect("the encoder emits ASCII only")
+    let mut line = Line::new();
+    let object = line
+        .encode(rec)
+        .strip_suffix(b"\n")
+        .expect("a line ends in its newline");
+    String::from_utf8(object.to_vec()).expect("the encoder emits ASCII only")
 }
 
 impl<W: Write> TraceSink for JsonlSink<W> {
@@ -382,10 +546,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        self.buf.clear();
-        push_jsonl(&mut self.buf, rec);
-        self.buf.push(b'\n');
-        if let Err(e) = self.out.write_all(&self.buf) {
+        if let Err(e) = self.out.write_all(self.line.encode(rec)) {
             self.error = Some(format!("trace jsonl write: {e}"));
             return;
         }
@@ -409,8 +570,8 @@ pub(crate) mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
 
-    /// The `format!`-based encoder this module shipped before the
-    /// allocation-free one: the reference [`push_jsonl`] must match.
+    /// The `format!`-based encoder this module first shipped: the
+    /// reference [`Line::encode`] must match.
     fn jsonl_line_oracle(rec: &TraceRecord) -> String {
         let mut s = format!(
             "{{\"t\":{},\"event\":\"{}\",\"node\":{},\"port\":{}",
@@ -461,17 +622,8 @@ pub(crate) mod tests {
     /// Bit-slice three random words into a record: `sel` picks the event,
     /// kind, priority, flags and which fields sit on an [`edge`].
     pub(crate) fn record_of(sel: u64, a: u64, b: u64) -> TraceRecord {
-        use TraceEvent::*;
-        let event = [Enqueue, Mark, Trim, Drop, Tx, Pause, Resume, Ack, Timer][(sel % 9) as usize];
-        let kind = match (sel >> 4) % 7 {
-            0 => KindTag::Data,
-            1 => KindTag::Ack,
-            2 => KindTag::Nack,
-            3 => KindTag::Pull,
-            4 => KindTag::Bulk,
-            5 => KindTag::BulkNack,
-            _ => KindTag::Hello,
-        };
+        let event = TraceEvent::ALL[(sel % 9) as usize];
+        let kind = KindTag::ALL[((sel >> 4) % 7) as usize];
         let prio = match (sel >> 8) % 3 {
             0 => Priority::Control,
             1 => Priority::LowLatency,
@@ -549,10 +701,117 @@ pub(crate) mod tests {
             v = next;
         }
         cases.extend([v - 1, v, v + 1]); // 10^19
+        let mut line = Line::new();
         for n in cases {
-            let mut buf = Vec::new();
-            push_uint(&mut buf, n);
-            assert_eq!(String::from_utf8(buf).unwrap(), n.to_string());
+            line.len = 0;
+            line.uint(n);
+            assert_eq!(&line.bytes[..line.len], n.to_string().as_bytes());
+        }
+    }
+
+    /// Sink and `jsonl_line` both against the `format!` oracle.
+    fn assert_matches_oracle(sink: &mut JsonlSink<Vec<u8>>, rec: &TraceRecord) {
+        let line = jsonl_line_oracle(rec);
+        assert_eq!(jsonl_line(rec), line, "{rec:?}");
+        let before = sink.out.len();
+        sink.record(rec);
+        assert_eq!(
+            &sink.out[before..],
+            format!("{line}\n").as_bytes(),
+            "{rec:?}"
+        );
+    }
+
+    /// Every event × kind × priority × flag pair, with and without a
+    /// packet, over one reused line (so a shorter record follows a longer
+    /// one and must not show its tail).
+    #[test]
+    fn jsonl_encoder_matches_format_oracle_on_the_whole_grid() {
+        let mut sink = JsonlSink::new(Vec::new());
+        let mut n = 0u32;
+        for event in TraceEvent::ALL {
+            for kind in KindTag::ALL {
+                for prio in [Priority::Control, Priority::LowLatency, Priority::Bulk] {
+                    for flags in 0..4 {
+                        n += 1;
+                        let meta = PacketMeta {
+                            flow: n,
+                            src: 3 * n as usize,
+                            dst: 1 << (n % 40),
+                            seq: u32::MAX / n,
+                            size: 64 + n,
+                            prio,
+                            kind,
+                            trimmed: flags & 1 != 0,
+                            ce: flags & 2 != 0,
+                        };
+                        for packet in [Some(meta), None] {
+                            let rec = TraceRecord {
+                                t_ns: u64::from(n) * 1_234_567,
+                                node: n as usize % 108,
+                                port: n as usize % 12,
+                                event,
+                                packet,
+                            };
+                            assert_matches_oracle(&mut sink, &rec);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(sink.lines(), 2 * 9 * 7 * 3 * 4);
+    }
+
+    /// `LINE_MAX` is the longest line and not a byte more: every number
+    /// at its type's maximum (`usize` as wide as `u64`), the longest names,
+    /// both flags `false`.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn longest_line_fills_the_buffer() {
+        let event = TraceEvent::ALL.into_iter().max_by_key(|e| e.name().len());
+        let kind = KindTag::ALL.into_iter().max_by_key(|k| k.name().len());
+        let rec = TraceRecord {
+            t_ns: u64::MAX,
+            node: usize::MAX,
+            port: usize::MAX,
+            event: event.unwrap(),
+            packet: Some(PacketMeta {
+                flow: u32::MAX,
+                src: usize::MAX,
+                dst: usize::MAX,
+                seq: u32::MAX,
+                size: u32::MAX,
+                prio: Priority::Bulk,
+                kind: kind.unwrap(),
+                trimmed: false,
+                ce: false,
+            }),
+        };
+        let line = jsonl_line(&rec);
+        assert_eq!(line, jsonl_line_oracle(&rec));
+        assert_eq!(line.len() + 1, LINE_MAX);
+    }
+
+    /// `ALL` lists every variant in discriminant order, the encoder's
+    /// padded tables hold their names, and the names are the format's:
+    /// pinned here.
+    #[test]
+    fn name_tables_cover_every_variant_in_order() {
+        let events = [
+            "enqueue", "mark", "trim", "drop", "tx", "pause", "resume", "ack", "timer",
+        ];
+        for (i, e) in TraceEvent::ALL.into_iter().enumerate() {
+            assert_eq!((e as usize, e.name()), (i, events[i]));
+            let entry = &EVENT_NAMES[i];
+            assert_eq!(&entry.bytes[..entry.len], e.name().as_bytes());
+            assert_eq!(TraceEvent::from_name(e.name()), Some(e));
+        }
+        assert_eq!(TraceEvent::from_name("bogus"), None);
+        let kinds = ["data", "ack", "nack", "pull", "bulk", "bulk_nack", "hello"];
+        for (i, k) in KindTag::ALL.into_iter().enumerate() {
+            assert_eq!((k.code() as usize, k.name()), (i + 1, kinds[i]));
+            let entry = &KIND_NAMES[i];
+            assert_eq!(&entry.bytes[..entry.len], k.name().as_bytes());
         }
     }
 
