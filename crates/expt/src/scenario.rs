@@ -60,7 +60,11 @@ pub const MAX_SENDERS: usize = 100_000;
 /// Largest `topology.racks` a scenario may ask for: the paper's largest
 /// network (k = 24: 432 racks, 5 184 hosts). A rotor network's per-slice
 /// routing tables grow with racks³ (about 160 MB there), so this count too
-/// is bounded where it is read, before anything is allocated for it.
+/// is bounded where it is read, before anything is allocated for it. At
+/// the bound, a 1 ms `opera run-scenario` on the `opera` topology takes
+/// ≈ 0.8 s on a 2-core Xeon host, nearly all of it building those tables
+/// (≈ 3.4 s while they took one breadth-first search per slice and
+/// destination).
 pub const MAX_RACKS: usize = 432;
 
 /// Trace output options of a scenario.

@@ -74,7 +74,7 @@ pub struct OperaNetConfig {
     /// Allow RotorLB two-hop Valiant indirection.
     pub allow_vlb: bool,
     /// RNG seed (topology generation uses `seed`, routing choice
-    /// `seed + 1`).
+    /// `seed + 1`, both wrapping past `u64::MAX`).
     pub seed: u64,
 }
 
@@ -405,12 +405,12 @@ impl OperaLogic {
         self.recompute_tables();
     }
 
-    /// Rebuild both forwarding tables (the bulk table's circuit rows with
-    /// it) around the known-bad transceivers. Nothing else derived from the
-    /// topology depends on them.
+    /// Rebuild both forwarding tables around the known-bad transceivers:
+    /// the bulk table's circuit rows, and the low-latency table derived
+    /// from them. Nothing else derived from the topology depends on them.
     fn recompute_tables(&mut self) {
-        self.ll_tables = LowLatencyTables::build_with_failures(&self.topo, &self.bad_links);
         self.bulk_tables = BulkTables::build_with_failures(&self.topo, &self.bad_links);
+        self.ll_tables = LowLatencyTables::from_circuits(&self.bulk_tables);
     }
 
     /// Links currently marked bad.
@@ -795,8 +795,8 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
         RotorMode::Opera => OperaTopology::generate_validated(topo_params, cfg.seed, 64).0,
         _ => OperaTopology::generate(topo_params, cfg.seed),
     };
-    let ll_tables = LowLatencyTables::build(&topo);
     let bulk_tables = BulkTables::build(&topo);
+    let ll_tables = LowLatencyTables::from_circuits(&bulk_tables);
     let host_rack = (0..cfg.hosts())
         .map(|h| u16::try_from(h / cfg.params.hosts_per_rack).expect("rack index must fit u16"))
         .collect();
@@ -838,7 +838,7 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
         bulk: (0..cfg.params.racks)
             .map(|r| RackBulk::new(r, cfg.params.racks, cfg.rotorlb))
             .collect(),
-        rng: SimRng::new(cfg.seed + 1),
+        rng: SimRng::new(cfg.seed.wrapping_add(1)),
         slice: 0,
         cycle_slice: 0,
         host_rack,
@@ -1026,6 +1026,17 @@ mod tests {
         };
         assert!(!uses_bad(&sim.world.logic));
         assert!(uses_bad(&build(cfg, vec![]).world.logic));
+        // Both live tables are what a fresh build around the same bad set
+        // gives.
+        let logic = &sim.world.logic;
+        assert_eq!(
+            logic.ll_tables,
+            LowLatencyTables::build_with_failures(&logic.topo, logic.bad_links())
+        );
+        assert_eq!(
+            logic.bulk_tables,
+            BulkTables::build_with_failures(&logic.topo, logic.bad_links())
+        );
         // The network still delivers traffic from/to rack 2.
         drop(sim);
         let mut sim = build(
@@ -1078,6 +1089,19 @@ mod tests {
         sim.run_until(SimTime::from_ms(2));
         assert!(sim.world.logic.bad_links().is_empty());
         assert_eq!(sim.world.logic.counters.links_marked_bad, 0);
+    }
+
+    /// Topology generation tries `seed`, `seed + 1`, … and routing draws
+    /// from `seed + 1`: both wrap instead of overflowing.
+    #[test]
+    fn seed_at_u64_max_builds() {
+        let cfg = OperaNetConfig {
+            seed: u64::MAX,
+            ..OperaNetConfig::small_test()
+        };
+        let mut sim = build(cfg, flows_one(1, 30, 20_000));
+        sim.run_until(SimTime::from_ms(5));
+        assert!(sim.world.logic.tracker().all_done());
     }
 
     #[test]

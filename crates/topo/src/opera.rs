@@ -125,14 +125,15 @@ impl OperaTopology {
     /// Generate a topology and *validate* it: §3.3 notes a random
     /// realization may occasionally lack good properties ("it would be
     /// trivial to generate and test additional realizations at design
-    /// time"). This retries successive seeds until every slice graph is
-    /// connected, returning the topology and the seed that produced it.
+    /// time"). This retries successive seeds (wrapping past `u64::MAX` to
+    /// 0) until every slice graph is connected, returning the topology and
+    /// the seed that produced it.
     ///
     /// # Panics
     /// Panics if no valid realization is found within `max_tries` seeds
     /// (never observed for sane parameters with `max_tries ≥ 16`).
     pub fn generate_validated(params: OperaParams, seed: u64, max_tries: u64) -> (Self, u64) {
-        for s in seed..seed + max_tries {
+        for s in (0..max_tries).map(|i| seed.wrapping_add(i)) {
             let t = Self::generate(params, s);
             let ok = (0..t.slices_per_cycle()).all(|i| t.slice(i).graph().is_connected());
             if ok {
@@ -472,6 +473,18 @@ mod tests {
         for s in [0usize, 17, 54, 107] {
             assert!(t.slice(s).graph().is_connected());
         }
+    }
+
+    #[test]
+    fn validated_seeds_wrap_past_u64_max() {
+        let params = OperaParams {
+            racks: 12,
+            uplinks: 4,
+            hosts_per_rack: 1,
+            groups: 1,
+        };
+        let (_, seed) = OperaTopology::generate_validated(params, u64::MAX - 1, 4);
+        assert!([u64::MAX - 1, u64::MAX, 0, 1].contains(&seed), "{seed}");
     }
 
     #[test]
