@@ -62,6 +62,15 @@ impl FlowTracker {
         Self::default()
     }
 
+    /// Empty tracker with room for `flows` records, so registering that
+    /// many never regrows the registry.
+    pub fn with_capacity(flows: usize) -> Self {
+        FlowTracker {
+            flows: Vec::with_capacity(flows),
+            ..Self::default()
+        }
+    }
+
     /// Enable binned delivered-throughput recording.
     pub fn record_throughput(&mut self, bin: SimTime) {
         self.throughput = Some(TimeSeries::new(bin));

@@ -67,7 +67,7 @@ impl Endpoints {
         }
         Endpoints {
             hosts: (0..hosts).map(|h| transport.make(h, 0)).collect(),
-            tracker: FlowTracker::new(),
+            tracker: FlowTracker::with_capacity(flows.len()),
             flows,
             next_flow: 0,
         }

@@ -13,8 +13,10 @@
 //! A self-pairing contributes no inter-rack circuit: during that slot the
 //! corresponding circuit-switch port is effectively dark for the rack.
 //!
-//! Randomization applies a uniform vertex relabeling to the canonical
-//! schedule, which preserves the disjoint/complete structure.
+//! Randomization relabels the canonical schedule's vertices uniformly and
+//! then Kempe-mixes it ([`kempe_mix`], 20 moves per rack): each move swaps
+//! two matchings' edges along random components of their union, in O(n)
+//! with no allocation, and preserves the disjoint/complete structure.
 
 use crate::graph::{Graph, NodeId};
 use simkit::SimRng;
@@ -148,15 +150,20 @@ pub fn factorize_complete_unmixed(n: usize, rng: &mut SimRng) -> Vec<Matching> {
 /// is a disjoint set of even cycles and paths; each component's edges swap
 /// matchings with probability 1/2. Every move preserves the factorization
 /// invariants exactly.
+///
+/// A move is one pass over the racks in ascending order. The first rack
+/// not yet seen is its component's smallest; the component's coin is drawn
+/// there (components of one rack draw none) and the component is walked
+/// in place, swapping as it goes. `seen` holds the number of the move that
+/// last saw a rack, so it is never cleared. O(n) per move, no allocation.
 pub fn kempe_mix(ms: &mut [Matching], rng: &mut SimRng, steps: usize) {
     let k = ms.len();
     if k < 2 {
         return;
     }
     let n = ms[0].len();
-    let mut visited = vec![false; n];
-    let mut component = Vec::with_capacity(n);
-    for _ in 0..steps {
+    let mut seen = vec![0usize; n];
+    for step in 1..=steps {
         let i = rng.index(k);
         let mut j = rng.index(k - 1);
         if j >= i {
@@ -170,31 +177,54 @@ pub fn kempe_mix(ms: &mut [Matching], rng: &mut SimRng, steps: usize) {
             let (lo, hi) = ms.split_at_mut(i);
             (&mut hi[0].pair, &mut lo[j].pair)
         };
-        visited.iter_mut().for_each(|v| *v = false);
         for start in 0..n {
-            if visited[start] {
+            if seen[start] == step {
                 continue;
             }
-            // Walk the union component containing `start`, alternating
-            // matchings; collect its vertices.
-            component.clear();
-            let mut frontier = vec![start];
-            visited[start] = true;
-            while let Some(v) = frontier.pop() {
-                component.push(v);
-                for w in [a[v], b[v]] {
-                    if !visited[w] {
-                        visited[w] = true;
-                        frontier.push(w);
-                    }
-                }
+            seen[start] = step;
+            let swap = (a[start] != start || b[start] != start) && rng.chance(0.5);
+            // Leave `start` along `a`; unless that closes a cycle, leave it
+            // again along `b` for the rest of the path.
+            if !walk(a, b, start, true, swap, &mut seen, step) {
+                walk(a, b, start, false, swap, &mut seen, step);
             }
-            if component.len() > 1 && rng.chance(0.5) {
-                for &v in &component {
-                    std::mem::swap(&mut a[v], &mut b[v]);
-                }
+            if swap {
+                std::mem::swap(&mut a[start], &mut b[start]);
             }
         }
+    }
+}
+
+/// Walk the union of matchings `a` and `b` from `start`, leaving it along
+/// `a` if `along_a` and along `b` otherwise, then alternating; stop at the
+/// end of a path or back at `start`, and return whether it was `start` (a
+/// cycle). Each rack reached is stamped `step` in `seen` and, if `swap`,
+/// has its two partners swapped once its next hop is read; `start` itself
+/// is left to the caller.
+fn walk(
+    a: &mut [NodeId],
+    b: &mut [NodeId],
+    start: NodeId,
+    mut along_a: bool,
+    swap: bool,
+    seen: &mut [usize],
+    step: usize,
+) -> bool {
+    let mut v = start;
+    loop {
+        let w = if along_a { a[v] } else { b[v] };
+        if swap && v != start {
+            std::mem::swap(&mut a[v], &mut b[v]);
+        }
+        if w == v {
+            return false;
+        }
+        if w == start {
+            return true;
+        }
+        seen[w] = step;
+        v = w;
+        along_a = !along_a;
     }
 }
 
@@ -284,6 +314,108 @@ pub fn validate_factorization(ms: &[Matching], n: usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The move as first written, the oracle for [`kempe_mix`]: collect
+    /// each component of the union with a stack, then swap it whole.
+    fn kempe_mix_collecting(ms: &mut [Matching], rng: &mut SimRng, steps: usize) {
+        let k = ms.len();
+        if k < 2 {
+            return;
+        }
+        let n = ms[0].len();
+        let mut visited = vec![false; n];
+        let mut component = Vec::with_capacity(n);
+        for _ in 0..steps {
+            let i = rng.index(k);
+            let mut j = rng.index(k - 1);
+            if j >= i {
+                j += 1;
+            }
+            let (a, b) = if i < j {
+                let (lo, hi) = ms.split_at_mut(j);
+                (&mut lo[i].pair, &mut hi[0].pair)
+            } else {
+                let (lo, hi) = ms.split_at_mut(i);
+                (&mut hi[0].pair, &mut lo[j].pair)
+            };
+            visited.iter_mut().for_each(|v| *v = false);
+            for start in 0..n {
+                if visited[start] {
+                    continue;
+                }
+                component.clear();
+                let mut frontier = vec![start];
+                visited[start] = true;
+                while let Some(v) = frontier.pop() {
+                    component.push(v);
+                    for w in [a[v], b[v]] {
+                        if !visited[w] {
+                            visited[w] = true;
+                            frontier.push(w);
+                        }
+                    }
+                }
+                if component.len() > 1 && rng.chance(0.5) {
+                    for &v in &component {
+                        std::mem::swap(&mut a[v], &mut b[v]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `k` random matchings on `n` racks that need not be disjoint: some
+    /// racks self-paired, and any two may share a circuit.
+    fn random_matchings(n: usize, k: usize, rng: &mut SimRng) -> Vec<Matching> {
+        (0..k)
+            .map(|_| {
+                let mut order: Vec<NodeId> = (0..n).collect();
+                rng.shuffle(&mut order);
+                let mut pair: Vec<NodeId> = (0..n).collect();
+                for two in order.chunks_exact(2) {
+                    if rng.chance(0.8) {
+                        pair[two[0]] = two[1];
+                        pair[two[1]] = two[0];
+                    }
+                }
+                Matching::new(pair)
+            })
+            .collect()
+    }
+
+    /// The in-place walk against the collecting oracle: same matchings and
+    /// the same next RNG draw, from unmixed and mixed factorizations and
+    /// from overlapping random matchings, odd and even, small and > 64.
+    #[test]
+    fn kempe_mix_equals_collecting_oracle() {
+        let mut draw = SimRng::new(26);
+        for n in [
+            1usize, 2, 3, 4, 5, 6, 7, 8, 12, 15, 24, 63, 64, 65, 108, 130, 131,
+        ] {
+            for input in 0..3 {
+                let mut rng = SimRng::new(draw.next_u64());
+                let ms = match input {
+                    0 => factorize_complete_unmixed(n, &mut rng),
+                    1 => factorize_complete(n, &mut rng),
+                    _ => random_matchings(n, 2 + draw.index(4), &mut rng),
+                };
+                let steps = 3 * n + draw.index(8);
+                let (mut fast, mut slow) = (ms.clone(), ms);
+                let (mut fast_rng, mut slow_rng) = (rng.clone(), rng);
+                kempe_mix(&mut fast, &mut fast_rng, steps);
+                kempe_mix_collecting(&mut slow, &mut slow_rng, steps);
+                assert_eq!(fast, slow, "n={n} input={input}");
+                assert_eq!(
+                    fast_rng.next_u64(),
+                    slow_rng.next_u64(),
+                    "n={n} input={input}"
+                );
+                if input < 2 {
+                    validate_factorization(&fast, n).unwrap();
+                }
+            }
+        }
+    }
 
     #[test]
     fn odd_factorization_complete() {

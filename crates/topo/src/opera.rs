@@ -127,20 +127,48 @@ impl OperaTopology {
     /// trivial to generate and test additional realizations at design
     /// time"). This retries successive seeds (wrapping past `u64::MAX` to
     /// 0) until every slice graph is connected, returning the topology and
-    /// the seed that produced it.
+    /// the seed that produced it. Connectivity is decided on the matchings
+    /// by union-find, not on a built [`Graph`].
     ///
     /// # Panics
     /// Panics if no valid realization is found within `max_tries` seeds
     /// (never observed for sane parameters with `max_tries ≥ 16`).
     pub fn generate_validated(params: OperaParams, seed: u64, max_tries: u64) -> (Self, u64) {
+        let mut roots = Vec::with_capacity(params.racks);
         for s in (0..max_tries).map(|i| seed.wrapping_add(i)) {
             let t = Self::generate(params, s);
-            let ok = (0..t.slices_per_cycle()).all(|i| t.slice(i).graph().is_connected());
-            if ok {
+            if (0..t.slices_per_cycle()).all(|i| t.slice_connected(i, &mut roots)) {
                 return (t, s);
             }
         }
         panic!("no connected Opera realization within {max_tries} seeds of {seed}");
+    }
+
+    /// True when slice `slice`'s routable graph (what [`SliceView::graph`]
+    /// builds) is connected, decided by union-find over the circuits of
+    /// the non-reconfiguring switches; `roots` is scratch space.
+    fn slice_connected(&self, slice: usize, roots: &mut Vec<NodeId>) -> bool {
+        fn root(roots: &mut [NodeId], mut v: NodeId) -> NodeId {
+            while roots[v] != v {
+                roots[v] = roots[roots[v]];
+                v = roots[v];
+            }
+            v
+        }
+        let s = slice % self.slices_per_cycle;
+        roots.clear();
+        roots.extend(0..self.racks());
+        let mut parts = self.racks();
+        for sw in (0..self.switches()).filter(|&sw| self.reconfiguring(s).all(|j| j != sw)) {
+            for (a, b) in self.matching(sw, self.position_at(sw, s)).pairs() {
+                let (ra, rb) = (root(roots, a), root(roots, b));
+                if ra != rb {
+                    roots[ra] = rb;
+                    parts -= 1;
+                }
+            }
+        }
+        parts == 1
     }
 
     /// Parameters used to generate this topology.
@@ -485,6 +513,65 @@ mod tests {
         };
         let (_, seed) = OperaTopology::generate_validated(params, u64::MAX - 1, 4);
         assert!([u64::MAX - 1, u64::MAX, 0, 1].contains(&seed), "{seed}");
+    }
+
+    /// The union-find predicate against the built graph's BFS on every
+    /// slice, across sizes, groupings and seeds, including 12 × 4 at seed
+    /// 10 (disconnected).
+    #[test]
+    fn slice_connected_equals_graph_connectivity() {
+        let mut roots = Vec::new();
+        let mut disconnected = 0;
+        for (racks, uplinks, groups) in [
+            (12, 4, 1),
+            (12, 4, 2),
+            (12, 3, 1),
+            (24, 4, 1),
+            (24, 6, 3),
+            (130, 5, 1),
+        ] {
+            let params = OperaParams {
+                racks,
+                uplinks,
+                hosts_per_rack: 1,
+                groups,
+            };
+            for seed in 0..24 {
+                let t = OperaTopology::generate(params, seed);
+                for s in 0..t.slices_per_cycle() {
+                    let graph = t.slice(s).graph().is_connected();
+                    assert_eq!(
+                        t.slice_connected(s, &mut roots),
+                        graph,
+                        "{params:?} seed {seed} slice {s}"
+                    );
+                    disconnected += usize::from(!graph);
+                }
+            }
+        }
+        assert!(disconnected > 0, "the grid must hold a disconnected slice");
+    }
+
+    /// 12 racks × 4 uplinks is disconnected at seed 10 and connected at 11:
+    /// the retry skips the first and returns the second.
+    #[test]
+    fn validation_skips_a_disconnected_realization() {
+        let params = OperaParams {
+            racks: 12,
+            uplinks: 4,
+            hosts_per_rack: 1,
+            groups: 1,
+        };
+        let bad = OperaTopology::generate(params, 10);
+        let mut roots = Vec::new();
+        let cut: Vec<usize> = (0..bad.slices_per_cycle())
+            .filter(|&s| !bad.slice_connected(s, &mut roots))
+            .collect();
+        assert!(!cut.is_empty(), "seed 10 should be disconnected");
+        for &s in &cut {
+            assert!(!bad.slice(s).graph().is_connected(), "slice {s}");
+        }
+        assert_eq!(OperaTopology::generate_validated(params, 10, 4).1, 11);
     }
 
     #[test]

@@ -36,14 +36,27 @@ pub enum Workload {
 /// A piecewise log-linear flow-size CDF.
 #[derive(Debug, Clone)]
 pub struct FlowSizeDist {
-    /// `(size_bytes, cumulative_fraction)`, strictly increasing in both.
+    /// `(size_bytes, cumulative_fraction)`: sizes strictly increasing,
+    /// fractions non-decreasing.
     points: Vec<(f64, f64)>,
+    /// Mean flow size, bytes: a constant for a named distribution, the
+    /// quantile's integral for one built from points.
+    mean: f64,
 }
 
 impl FlowSizeDist {
     /// Construct from explicit control points. First fraction must be 0,
-    /// last must be 1, sizes and fractions strictly increasing.
+    /// last must be 1, sizes strictly increasing and fractions
+    /// non-decreasing (a flat step is a size no flow has). The mean is
+    /// integrated here, once.
     pub fn from_points(points: Vec<(f64, f64)>) -> Self {
+        let mut d = Self::with_mean(points, f64::NAN);
+        d.mean = d.integrated_mean();
+        d
+    }
+
+    /// `points`, checked, with its mean already known.
+    fn with_mean(points: Vec<(f64, f64)>, mean: f64) -> Self {
         assert!(points.len() >= 2);
         assert_eq!(points[0].1, 0.0, "CDF must start at 0");
         assert_eq!(points.last().unwrap().1, 1.0, "CDF must end at 1");
@@ -51,53 +64,66 @@ impl FlowSizeDist {
             assert!(w[0].0 < w[1].0, "sizes must increase");
             assert!(w[0].1 <= w[1].1, "CDF must be monotone");
         }
-        FlowSizeDist { points }
+        FlowSizeDist { points, mean }
     }
 
-    /// The named distribution.
+    /// The named distribution. Its mean is a constant: the bit pattern
+    /// [`FlowSizeDist::from_points`] integrates from the same points (a
+    /// unit test holds the two equal), so building one costs no
+    /// integration.
     pub fn of(w: Workload) -> Self {
-        match w {
+        let (points, mean_bits) = match w {
             // VL2 Figure: mice dominate flow count; elephants (100MB-1GB)
             // dominate bytes.
-            Workload::Datamining => FlowSizeDist::from_points(vec![
-                (100.0, 0.0),
-                (300.0, 0.25),
-                (1e3, 0.50),
-                (10e3, 0.80),
-                (100e3, 0.90),
-                (1e6, 0.95),
-                (10e6, 0.96),
-                (100e6, 0.98),
-                (1e9, 1.0),
-            ]),
+            Workload::Datamining => (
+                vec![
+                    (100.0, 0.0),
+                    (300.0, 0.25),
+                    (1e3, 0.50),
+                    (10e3, 0.80),
+                    (100e3, 0.90),
+                    (1e6, 0.95),
+                    (10e6, 0.96),
+                    (100e6, 0.98),
+                    (1e9, 1.0),
+                ],
+                0x4160_85f1_106b_d0af,
+            ),
             // DCTCP Figure 2: query + background mix.
-            Workload::Websearch => FlowSizeDist::from_points(vec![
-                (6e3, 0.0),
-                (10e3, 0.15),
-                (20e3, 0.20),
-                (30e3, 0.30),
-                (50e3, 0.40),
-                (80e3, 0.53),
-                (200e3, 0.60),
-                (1e6, 0.70),
-                (2e6, 0.80),
-                (5e6, 0.90),
-                (10e6, 0.98),
-                (15e6, 1.0),
-            ]),
+            Workload::Websearch => (
+                vec![
+                    (6e3, 0.0),
+                    (10e3, 0.15),
+                    (20e3, 0.20),
+                    (30e3, 0.30),
+                    (50e3, 0.40),
+                    (80e3, 0.53),
+                    (200e3, 0.60),
+                    (1e6, 0.70),
+                    (2e6, 0.80),
+                    (5e6, 0.90),
+                    (10e6, 0.98),
+                    (15e6, 1.0),
+                ],
+                0x4134_ead2_4bdf_41a7,
+            ),
             // Facebook Hadoop cluster (inter-rack): median ≈ 100KB.
-            Workload::Hadoop => FlowSizeDist::from_points(vec![
-                (150.0, 0.0),
-                (300.0, 0.1),
-                (1e3, 0.20),
-                (10e3, 0.40),
-                (100e3, 0.55),
-                (300e3, 0.75),
-                (1e6, 0.90),
-                (10e6, 0.99),
-                (100e6, 1.0),
-            ]),
-        }
+            Workload::Hadoop => (
+                vec![
+                    (150.0, 0.0),
+                    (300.0, 0.1),
+                    (1e3, 0.20),
+                    (10e3, 0.40),
+                    (100e3, 0.55),
+                    (300e3, 0.75),
+                    (1e6, 0.90),
+                    (10e6, 0.99),
+                    (100e6, 1.0),
+                ],
+                0x412a_a435_6ad9_fc90,
+            ),
+        };
+        Self::with_mean(points, f64::from_bits(mean_bits))
     }
 
     /// Sample one flow size (bytes).
@@ -145,8 +171,13 @@ impl FlowSizeDist {
         1.0
     }
 
-    /// Mean flow size (bytes), by numeric integration of the quantile.
+    /// Mean flow size (bytes).
     pub fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    /// The mean by numeric integration of the quantile at 20 000 points.
+    fn integrated_mean(&self) -> f64 {
         let n = 20_000;
         (0..n)
             .map(|i| self.quantile((i as f64 + 0.5) / n as f64))
@@ -252,6 +283,32 @@ mod tests {
         assert!(dm > 5e6, "datamining mean {dm}");
         assert!((2e5..6e6).contains(&ws), "websearch mean {ws}");
         assert!((5e4..2e6).contains(&hd), "hadoop mean {hd}");
+    }
+
+    /// Each named mean is the bit pattern the integral gives for the same
+    /// points; on a mismatch the message carries the bits to write.
+    #[test]
+    fn named_means_equal_the_integral() {
+        for w in [Workload::Datamining, Workload::Websearch, Workload::Hadoop] {
+            let named = FlowSizeDist::of(w).mean();
+            let integrated =
+                FlowSizeDist::from_points(FlowSizeDist::of(w).points().to_vec()).mean();
+            assert_eq!(
+                named.to_bits(),
+                integrated.to_bits(),
+                "{w:?}: named mean {named} but the integral is {integrated} = {:#018x}",
+                integrated.to_bits()
+            );
+        }
+    }
+
+    /// A flat step (equal fractions) is accepted: no flow has a size inside it.
+    #[test]
+    fn flat_step_accepted() {
+        let d = FlowSizeDist::from_points(vec![(10.0, 0.0), (20.0, 0.5), (30.0, 0.5), (40.0, 1.0)]);
+        assert!((d.quantile(0.5) - 20.0).abs() < 1e-9);
+        assert!((d.quantile(0.5 + 1e-12) - 30.0).abs() < 1e-3);
+        assert!(d.mean() > 10.0 && d.mean() < 40.0);
     }
 
     #[test]
