@@ -439,9 +439,11 @@ fn run_scenario_bad_racks_is_exit_2_before_running() {
 
 /// Lengths and durations taken from a scenario file are bounded where
 /// they are read: a duration that wraps the nanosecond clock used to run
-/// for 0.45 ms and exit 0 (or panic in a debug build), and sender / rack
-/// counts in the billions used to abort on a failed allocation. Each is
-/// one exit-2 line naming the file and the field, in both spellings.
+/// for 0.45 ms and exit 0 (or panic in a debug build), sender / rack
+/// counts in the billions used to abort on a failed allocation, and a
+/// 6.2 TB flow wrapped its `u32` segment count and ran 0 of 8 flows to
+/// exit 0. Each is one exit-2 line naming the file and the field, in both
+/// spellings.
 #[test]
 fn run_scenario_hostile_lengths_are_exit_2_before_running() {
     let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.toml")).unwrap();
@@ -489,6 +491,16 @@ fn run_scenario_hostile_lengths_are_exit_2_before_running() {
             "racks.toml",
             toml("racks = 8", "racks = 4000000000"),
             "topology.racks: 4000000000 is over",
+        ),
+        (
+            "flow.json",
+            json("8", "8", "1").replace(r#""flow_kb": 15"#, r#""flow_kb": 6200000000"#),
+            "workload.flow_kb: 6200000000 is over",
+        ),
+        (
+            "flow.toml",
+            toml("flow_kb = 15", "flow_bytes = 6200000000000"),
+            "workload.flow_bytes: 6200000000000 is over",
         ),
     ] {
         let sc = dir.join(file);

@@ -67,6 +67,16 @@ pub const MAX_SENDERS: usize = 100_000;
 /// destination).
 pub const MAX_RACKS: usize = 432;
 
+/// Largest per-flow payload a scenario may ask for, in bytes
+/// (`workload.flow_bytes`; `workload.flow_kb` is bounded at a thousandth of
+/// it): ten times the largest flow of the paper's workloads (Figure 1's
+/// 1 GB). A low-latency flow keeps two segment bitmaps, the sender's and
+/// the receiver's, each `segments / 8` bytes and allocated when it starts
+/// (870 kB at the bound, in 1 436-byte segments), and its segment count is
+/// a `u32`: a flow of 6.2 TB would wrap it and run short without a word.
+/// So the size is bounded where it is read.
+pub const MAX_FLOW_BYTES: u64 = 10_000_000_000;
+
 /// Trace output options of a scenario.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSpec {
@@ -99,7 +109,7 @@ pub struct Scenario {
     pub workload: String,
     /// Sender counts — axis (singleton for a scalar field).
     pub senders: Vec<usize>,
-    /// Per-flow payload bytes.
+    /// Per-flow payload bytes, at most [`MAX_FLOW_BYTES`].
     pub flow_bytes: u64,
     /// Switch policy names — axis.
     pub policies: Vec<String>,
@@ -163,9 +173,13 @@ impl Scenario {
             (Some(_), Some(_)) => {
                 return Err(wl.bad("flow_kb", "give `flow_kb` or `flow_bytes`, not both"))
             }
-            (Some(kb), None) => kb
-                .checked_mul(1000)
-                .ok_or_else(|| wl.bad("flow_kb", "too large"))?,
+            (Some(kb), None) if kb > MAX_FLOW_BYTES / 1000 => {
+                return Err(wl.bad("flow_kb", format!("{kb} is over {}", MAX_FLOW_BYTES / 1000)))
+            }
+            (Some(kb), None) => kb * 1000,
+            (None, Some(b)) if b > MAX_FLOW_BYTES => {
+                return Err(wl.bad("flow_bytes", format!("{b} is over {MAX_FLOW_BYTES}")))
+            }
             (None, Some(b)) => b,
             (None, None) => return Err(wl.bad("flow_kb", "missing (or give `flow_bytes`)")),
         };
@@ -497,6 +511,43 @@ seed = 3
         );
         assert_eq!(toml("racks = 8", "racks = 4000000000").unwrap_err(), wide);
         assert_eq!(toml("racks = 8", "racks = 432").unwrap().racks, Some(432));
+    }
+
+    /// A flow size is bounded where it is read, in both fields and both
+    /// spellings: 6.2 TB used to wrap the transports' `u32` segment count
+    /// and run 0 of 8 flows to exit 0. The bound itself parses.
+    #[test]
+    fn hostile_flow_sizes_are_named_errors() {
+        let json = |size: &str| {
+            let text = format!(
+                r#"{{"topology": {{"kind": "opera"}},
+                    "workload": {{"kind": "incast", "senders": 8, {size}}},
+                    "switch": {{"policy": "ndp_trim"}}, "transport": {{"kind": "ndp"}},
+                    "run": {{"duration_ms": 1}}}}"#
+            );
+            Scenario::from_doc(&Json::parse(&text).unwrap(), "x")
+        };
+        let toml = |line: &str| {
+            let text = EXAMPLE.replace("flow_kb = 15", line);
+            Scenario::from_doc(&parse_toml(&text).unwrap(), "x")
+        };
+        let kb = "scenario: workload.flow_kb: 6200000000 is over 10000000";
+        assert_eq!(json(r#""flow_kb": 6200000000"#).unwrap_err(), kb);
+        assert_eq!(toml("flow_kb = 6_200_000_000").unwrap_err(), kb);
+        let wraps = "scenario: workload.flow_kb: 18446744073709551615 is over 10000000";
+        assert_eq!(toml("flow_kb = 18446744073709551615").unwrap_err(), wraps);
+        let bytes = "scenario: workload.flow_bytes: 10000000001 is over 10000000000";
+        assert_eq!(json(r#""flow_bytes": 10000000001"#).unwrap_err(), bytes);
+        assert_eq!(toml("flow_bytes = 10_000_000_001").unwrap_err(), bytes);
+
+        assert_eq!(
+            json(r#""flow_kb": 10000000"#).unwrap().flow_bytes,
+            MAX_FLOW_BYTES
+        );
+        assert_eq!(
+            toml("flow_bytes = 10_000_000_000").unwrap().flow_bytes,
+            MAX_FLOW_BYTES
+        );
     }
 
     #[test]

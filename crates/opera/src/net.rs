@@ -43,10 +43,10 @@ use workloads::FlowSpec;
 pub struct Endpoints {
     hosts: Vec<Box<dyn Transport>>,
     tracker: FlowTracker,
-    /// Flows in start order (ties keep the caller's order), and the next
-    /// one to inject.
-    flows: Vec<FlowSpec>,
-    next_flow: usize,
+    /// Flows still to inject, the next one last: start order reversed
+    /// (ties keep the caller's order). Freed with the last injection, so a
+    /// run whose flows all start at once does not hold its flow list.
+    to_come: Vec<FlowSpec>,
 }
 
 impl Endpoints {
@@ -61,6 +61,7 @@ impl Endpoints {
         mut flows: Vec<FlowSpec>,
     ) -> Self {
         flows.sort_by_key(|f| f.start);
+        flows.reverse();
         for h in 0..hosts {
             let node = fabric.add_node(1, queues, link);
             assert_eq!(node, h, "hosts must be the fabric's first nodes");
@@ -68,8 +69,7 @@ impl Endpoints {
         Endpoints {
             hosts: (0..hosts).map(|h| transport.make(h, 0)).collect(),
             tracker: FlowTracker::with_capacity(flows.len()),
-            flows,
-            next_flow: 0,
+            to_come: flows,
         }
     }
 
@@ -93,7 +93,7 @@ impl Endpoints {
     /// True once every flow handed to `build` has been injected and has
     /// completed: the flow half of [`PacketNet::drained`].
     pub fn finished(&self) -> bool {
-        self.next_flow == self.flows.len() && self.tracker.all_done()
+        self.to_come.is_empty() && self.tracker.all_done()
     }
 
     /// Record delivered payload in bins of `bin` from now on (Figure 8).
@@ -105,9 +105,12 @@ impl Endpoints {
     /// such flow, after arming [`Token::FlowArrival`] for the first that
     /// is still to come. Call until `None`.
     pub(crate) fn next_due(&mut self, ctx: &mut EventContext<'_, NetEvent>) -> Option<FlowSpec> {
-        let spec = *self.flows.get(self.next_flow)?;
+        let spec = *self.to_come.last()?;
         if spec.start <= ctx.now() {
-            self.next_flow += 1;
+            self.to_come.pop();
+            if self.to_come.is_empty() {
+                self.to_come = Vec::new();
+            }
             return Some(spec);
         }
         ctx.schedule_at(spec.start, timer(Token::FlowArrival));
@@ -230,5 +233,46 @@ pub trait PacketNet: NetLogic + Sized {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::opera_net::{OperaLogic, OperaNetConfig};
+    use crate::static_net::{StaticLogic, StaticNetConfig};
+
+    /// A network whose flows all start at t = 0 lets go of its flow list in
+    /// its bootstrap event, and reads as finished and drained exactly when
+    /// it did while it held the list: not before its flows complete, and at
+    /// the first instant after.
+    #[test]
+    fn flows_that_all_start_at_once_are_freed_at_bootstrap() {
+        fn check<N: PacketNet>(cfg: N::Config) {
+            let hosts = N::hosts(&cfg);
+            // Low-latency flows, and on Opera bulk ones too.
+            let flows: Vec<FlowSpec> = (0..6)
+                .map(|i| FlowSpec {
+                    src: i,
+                    dst: hosts - 1 - i,
+                    size: [20_000, 600_000][i % 2],
+                    start: SimTime::ZERO,
+                })
+                .collect();
+            let mut sim = N::build(cfg, flows);
+            assert_eq!(sim.world.logic.ends().to_come.len(), 6);
+            assert!(!sim.world.logic.ends().finished());
+            assert!(sim.step(), "the bootstrap event");
+            let ends = sim.world.logic.ends();
+            assert_eq!(ends.to_come.capacity(), 0, "the flow list is still held");
+            assert_eq!(ends.tracker().len(), 6);
+            assert!(!ends.finished());
+            assert!(!N::drained(&sim));
+            assert!(N::run(&mut sim, SimTime::from_ms(50)));
+            assert!(sim.world.logic.ends().finished());
+            assert_eq!(sim.world.logic.tracker().completed(), 6);
+        }
+        check::<OperaLogic>(OperaNetConfig::small_test());
+        check::<StaticLogic>(StaticNetConfig::small_expander());
     }
 }

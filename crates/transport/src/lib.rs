@@ -150,8 +150,14 @@ pub(crate) fn payload_per_packet(mtu: u32) -> u32 {
 }
 
 /// Number of packets a flow of `size` payload bytes needs at `mtu`.
+///
+/// # Panics
+/// Panics if the count does not fit the `u32` segment numbers (a flow of
+/// about 6.2 TB at the default MTU), rather than counting it modulo 2³².
+/// Flow sizes are bounded far below that where they are read.
 pub(crate) fn packets_for(mtu: u32, size: u64) -> u32 {
-    size.div_ceil(payload_per_packet(mtu) as u64).max(1) as u32
+    u32::try_from(size.div_ceil(payload_per_packet(mtu) as u64).max(1))
+        .expect("a flow's segment count must fit u32")
 }
 
 /// Wire size of segment `seq` of a flow with `size` payload bytes.

@@ -424,6 +424,15 @@ mod tests {
         assert_eq!(p.wire_size(1436, 0), 1500);
         assert_eq!(p.wire_size(1437, 1), HEADER_SIZE + 1);
         assert_eq!(p.packets_for(0), 1, "zero-size flows still send a runt");
+        assert_eq!(p.packets_for(1436 * u32::MAX as u64), u32::MAX);
+    }
+
+    /// A flow with more segments than a `u32` counts is refused, not
+    /// counted modulo 2³² (which ran it short and reported nothing).
+    #[test]
+    #[should_panic(expected = "a flow's segment count must fit u32")]
+    fn a_flow_past_the_segment_count_is_refused() {
+        NdpParams::paper_default().packets_for(1436 * u32::MAX as u64 + 1);
     }
 
     #[test]

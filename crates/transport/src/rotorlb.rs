@@ -28,9 +28,17 @@
 //! is a running sum kept at the five places a queue changes (`enqueue`,
 //! `pop_from_relay`, `pop_direct_at`, `store_relay`, `prepend_direct`), so
 //! [`RackBulk::pending_to`] and [`RackBulk::total_direct_backlog`] are
-//! loads and a feeder tick never walks a queue. The queues are `VecDeque`s
-//! of 24-byte chunks, so returning a packet to the front (the NACK path,
-//! millions of times in a shuffle) moves nothing.
+//! loads and a feeder tick never walks a queue. The queues are `VecDeque`s,
+//! so returning a packet to the front (the NACK path, millions of times in
+//! a shuffle) moves nothing.
+//!
+//! Memory: the queues are the network's edge buffer and the largest thing
+//! a shuffle holds (`opera_shuffle` at seed 0: up to 143 872 chunks at a
+//! slice boundary). A queued chunk is 16 bytes — bytes and sequence number
+//! as `u32`, host ids as `u16`, bytes and hosts checked where they enter —
+//! and a full queue grows by a quarter of its length, not by doubling.
+//! There the queues end at 186 305 slots, 3.0 MB, where 24-byte chunks in
+//! doubling queues took 267 200 slots, 6.4 MB.
 
 use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE, MTU};
 use std::collections::VecDeque;
@@ -82,27 +90,48 @@ pub struct BulkChunk {
     pub next_seq: u32,
 }
 
-/// A queued [`BulkChunk`]: the destination rack is the queue's index and
-/// host ids are stored as `u32` (checked where they enter), so a chunk is
-/// 24 bytes.
+/// A queued [`BulkChunk`]: the destination rack is the queue's index, bytes
+/// and sequence number are `u32` and host ids `u16` (bytes and hosts
+/// checked where they enter), so a chunk is 16 bytes. A chunk never holds
+/// more than its flow's bytes, so what coalesces into it fits too.
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
-    bytes: u64,
     flow: FlowId,
-    src: u32,
-    dst: u32,
+    bytes: u32,
     next_seq: u32,
+    src: u16,
+    dst: u16,
 }
 
 impl Chunk {
     fn new(flow: FlowId, src_host: usize, dst_host: usize, bytes: u64, next_seq: u32) -> Self {
+        let host = |h: usize| {
+            u16::try_from(h).expect("host id must fit u16 (a network of at most 65 536 hosts)")
+        };
         Chunk {
-            bytes,
             flow,
-            src: u32::try_from(src_host).expect("source host id must fit u32"),
-            dst: u32::try_from(dst_host).expect("destination host id must fit u32"),
+            bytes: u32::try_from(bytes)
+                .expect("bulk chunk bytes must fit u32 (a flow of at most 4 294 967 295 B)"),
             next_seq,
+            src: host(src_host),
+            dst: host(dst_host),
         }
+    }
+}
+
+/// How a full queue grows: by a `1 / GROWTH` share of its length, and by at
+/// least `GROWTH` slots, instead of doubling. Queues never shrink, so a
+/// doubled queue may spend up to half its slots empty for the rest of the
+/// run. The trade, measured on `opera_shuffle` at seed 0: its queues end at
+/// 186 305 slots for at most 143 872 live chunks (267 200 when doubling),
+/// and the run makes 79 014 allocations instead of 66 125, one per quarter
+/// step rather than per doubling.
+const GROWTH: usize = 4;
+
+/// Room for one more chunk in `q`, grown by the [`GROWTH`] step if full.
+fn make_room(q: &mut VecDeque<Chunk>) {
+    if q.len() == q.capacity() {
+        q.reserve_exact((q.len() / GROWTH).max(GROWTH));
     }
 }
 
@@ -154,7 +183,9 @@ impl RackBulk {
     /// Queue a new bulk flow (or flow fragment) for transmission.
     pub fn enqueue(&mut self, chunk: BulkChunk) {
         debug_assert_ne!(chunk.dst_rack, self.rack, "bulk to own rack");
-        self.direct[chunk.dst_rack].push_back(Chunk::new(
+        let q = &mut self.direct[chunk.dst_rack];
+        make_room(q);
+        q.push_back(Chunk::new(
             chunk.flow,
             chunk.src_host,
             chunk.dst_host,
@@ -202,10 +233,10 @@ impl RackBulk {
     }
 
     fn emit(params: &RotorLbParams, chunk: &mut Chunk, relay: Option<u32>) -> Packet {
-        let payload = chunk.bytes.min(params.payload_per_packet() as u64) as u32;
+        let payload = chunk.bytes.min(params.payload_per_packet());
         let seq = chunk.next_seq;
         chunk.next_seq += 1;
-        chunk.bytes -= payload as u64;
+        chunk.bytes -= payload;
         Packet {
             flow: chunk.flow,
             src: chunk.src as usize,
@@ -289,8 +320,11 @@ impl RackBulk {
         // Coalesce consecutive packets of one flow into a chunk.
         let q = &mut self.relay[final_dst_rack];
         match q.back_mut() {
-            Some(last) if last.flow == pkt.flow => last.bytes += payload,
-            _ => q.push_back(Chunk::new(pkt.flow, pkt.src, pkt.dst, payload, 0)),
+            Some(last) if last.flow == pkt.flow => last.bytes += pkt.payload(),
+            _ => {
+                make_room(q);
+                q.push_back(Chunk::new(pkt.flow, pkt.src, pkt.dst, payload, 0));
+            }
         }
         true
     }
@@ -317,8 +351,11 @@ impl RackBulk {
         self.total_direct += payload;
         let q = &mut self.direct[dst_rack];
         match q.front_mut() {
-            Some(first) if first.flow == pkt.flow => first.bytes += payload,
-            _ => q.push_front(Chunk::new(pkt.flow, pkt.src, pkt.dst, payload, 0)),
+            Some(first) if first.flow == pkt.flow => first.bytes += pkt.payload(),
+            _ => {
+                make_room(q);
+                q.push_front(Chunk::new(pkt.flow, pkt.src, pkt.dst, payload, 0));
+            }
         }
     }
 }
@@ -685,18 +722,94 @@ mod tests {
     }
 
     #[test]
-    fn queued_chunk_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Chunk>(), 24);
+    fn queued_chunk_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Chunk>(), 16);
+    }
+
+    /// The largest host id and chunk that fit are taken whole: packets
+    /// carry the host ids back out, and a packet that missed its window
+    /// coalesces back into its chunk up to the byte limit.
+    #[test]
+    fn largest_host_id_and_chunk_are_accepted() {
+        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        rb.enqueue(BulkChunk {
+            src_host: 65_535,
+            dst_host: 65_535,
+            ..chunk(1, 2, u32::MAX as u64)
+        });
+        let p = rb.next_packet(2, false).unwrap();
+        assert_eq!((p.src, p.dst, p.payload()), (65_535, 65_535, 1436));
+        assert_eq!(rb.pending_to(2), u32::MAX as u64 - 1436);
+        rb.requeue_with_rack(&p, 2);
+        assert_eq!(rb.pending_to(2), u32::MAX as u64);
+        assert_eq!(rb.direct[2].len(), 1, "coalesced, not a second chunk");
     }
 
     #[test]
-    #[should_panic(expected = "host id must fit u32")]
+    #[should_panic(expected = "host id must fit u16 (a network of at most 65 536 hosts)")]
     fn oversized_host_id_is_refused_at_the_door() {
         let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
         rb.enqueue(BulkChunk {
-            src_host: u32::MAX as usize + 1,
+            src_host: 65_536,
             ..chunk(1, 2, 1000)
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "bulk chunk bytes must fit u32 (a flow of at most 4 294 967 295 B)")]
+    fn oversized_chunk_is_refused_at_the_door() {
+        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        rb.enqueue(chunk(1, 2, u32::MAX as u64 + 1));
+    }
+
+    /// Whatever the order of pushes to either end and pops, no queue's
+    /// capacity is ever more than one [`GROWTH`] step past the longest it
+    /// has been (doubling would allow twice that length). Rounds of mostly
+    /// pushes and mostly pops alternate, so queues grow, drain and regrow.
+    #[test]
+    fn capacity_stays_within_one_growth_step_of_the_longest() {
+        let step = |n: usize| (n / GROWTH).max(GROWTH);
+        let racks = 3;
+        let mut rb = RackBulk::new(0, racks, RotorLbParams::paper_default());
+        let mut rng = simkit::SimRng::new(27);
+        let mut longest = [0usize; 6];
+        let mut flow: FlowId = 0;
+        for round in 0..8 {
+            let pushes_in_four = if round % 2 == 0 { 3 } else { 1 };
+            for _ in 0..4_000 {
+                // A new flow each time, so nothing coalesces and every push
+                // is a new chunk; one-packet chunks, so every pop frees one.
+                // Pops take relay chunks first, so half the pushes go there.
+                flow += 1;
+                let to = 1 + rng.index(racks - 1);
+                let pkt = Packet::bulk(flow, 1, 2, 0, MTU);
+                if rng.below(4) < pushes_in_four {
+                    match rng.below(4) {
+                        0 => rb.enqueue(chunk(flow, to, 1436)),
+                        1 => rb.requeue_with_rack(&pkt, to),
+                        _ => assert!(rb.store_relay(&pkt, to)),
+                    }
+                } else {
+                    rb.next_packet(to, false);
+                }
+                for (i, q) in rb.direct.iter().chain(&rb.relay).enumerate() {
+                    longest[i] = longest[i].max(q.len());
+                    assert!(
+                        q.capacity() <= longest[i] + step(longest[i]),
+                        "queue {i}: capacity {} for a longest of {}",
+                        q.capacity(),
+                        longest[i]
+                    );
+                }
+            }
+        }
+        // Every queue but the two to rack 0 itself went through a dozen
+        // growth steps or more (4, 8, 12, 16, 20, 25, … 112).
+        assert_eq!((longest[0], longest[3]), (0, 0));
+        assert!(
+            [1, 2, 4, 5].iter().all(|&i| longest[i] > 100),
+            "{longest:?}"
+        );
     }
 
     /// A rack other than `rack`, chosen by `bits`.
@@ -712,7 +825,10 @@ mod tests {
         /// every backlog reading agree after every step. The VLB threshold
         /// is two packets and most sizes are whole packets, so VLB fires
         /// and its arg-max sees ties; the relay store holds six packets,
-        /// so it overflows.
+        /// so it overflows. Host ids are drawn from the whole `u16` range,
+        /// and one new flow in eight takes all that is left of its flow's
+        /// `u32` byte budget, so a packet that comes back coalesces up to
+        /// the byte limit.
         #[test]
         fn matches_the_scanning_oracle(
             ops in prop::collection::vec(0u64..u64::MAX, 0..300),
@@ -730,8 +846,13 @@ mod tests {
             // Packets emitted so far and not yet returned (the realistic
             // requeue: a packet that missed its window comes back).
             let mut in_flight: Vec<Packet> = Vec::new();
+            // Bytes each flow may still bring in. A chunk holds no more
+            // than its flow has brought, as in a network, where a flow's
+            // bytes are all it has.
+            let mut budget = [u32::MAX as u64; 8];
             for bits in ops {
                 let flow = ((bits >> 8) & 0x7) as FlowId;
+                let left = &mut budget[flow as usize];
                 let to = other_rack(rack, racks, bits >> 11);
                 // Whole packets seven times in eight, so per-destination
                 // backlogs stay multiples of 1436 and tie often.
@@ -740,15 +861,29 @@ mod tests {
                     0 => 1 + ((bits >> 24) % 2000) as u32,
                     _ => 1436 * packets,
                 };
+                let mixed = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let (src, dst) = ((mixed >> 32) as u16 as usize, (mixed >> 48) as u16 as usize);
+                let packet = |payload: u32| Packet::bulk(flow, src, dst, 0, HEADER_SIZE + payload.min(1436));
                 match bits % 4 {
                     0 => {
                         // New flows go to at most three hot racks and pops
                         // ask for any rack, so circuits to cold racks
                         // carry VLB and level the hot backlogs into ties.
                         let to = other_rack(rack, racks, (bits >> 11) % 3);
-                        let c = chunk(flow, to, payload as u64);
-                        live.enqueue(c);
-                        old.enqueue(c);
+                        let bytes = match (bits >> 21) & 0x7 {
+                            0 => *left,
+                            _ => (payload as u64).min(*left),
+                        };
+                        if bytes > 0 {
+                            *left -= bytes;
+                            let c = BulkChunk {
+                                src_host: src,
+                                dst_host: dst,
+                                ..chunk(flow, to, bytes)
+                            };
+                            live.enqueue(c);
+                            old.enqueue(c);
+                        }
                     }
                     1 => {
                         let vlb = (bits >> 20) & 1 == 1;
@@ -757,27 +892,37 @@ mod tests {
                         in_flight.extend(got);
                     }
                     2 => {
-                        let pkt = Packet::bulk(flow, 100, 200, 0, HEADER_SIZE + payload.min(1436));
-                        prop_assert_eq!(live.store_relay(&pkt, to), old.store_relay(&pkt, to));
+                        let pkt = packet(payload);
+                        if *left >= pkt.payload() as u64 {
+                            *left -= pkt.payload() as u64;
+                            prop_assert_eq!(live.store_relay(&pkt, to), old.store_relay(&pkt, to));
+                        }
                     }
                     _ => {
                         // Either a packet that was really emitted (same
                         // flow as the queue front: the coalesce case) or
                         // a foreign one (a new front chunk), direct or
                         // first-hop VLB (`relay: Some`).
-                        let pkt = match in_flight.pop() {
-                            Some(p) if (bits >> 20) & 1 == 1 => p,
-                            _ => Packet {
-                                kind: PacketKind::BulkData {
-                                    seq: 0,
-                                    relay: ((bits >> 21) & 1 == 1)
-                                        .then(|| other_rack(rack, racks, bits >> 22) as u32),
-                                },
-                                ..Packet::bulk(flow, 100, 200, 0, HEADER_SIZE + payload.min(1436))
-                            },
+                        // A foreign packet brings new bytes of its flow.
+                        let (pkt, brought) = match in_flight.pop() {
+                            Some(p) if (bits >> 20) & 1 == 1 => (p, 0),
+                            _ => {
+                                let p = Packet {
+                                    kind: PacketKind::BulkData {
+                                        seq: 0,
+                                        relay: ((bits >> 21) & 1 == 1)
+                                            .then(|| other_rack(rack, racks, bits >> 22) as u32),
+                                    },
+                                    ..packet(payload)
+                                };
+                                (p, p.payload() as u64)
+                            }
                         };
-                        live.requeue_with_rack(&pkt, to);
-                        old.requeue_with_rack(&pkt, to);
+                        if *left >= brought {
+                            *left -= brought;
+                            live.requeue_with_rack(&pkt, to);
+                            old.requeue_with_rack(&pkt, to);
+                        }
                     }
                 }
                 for r in 0..racks {
