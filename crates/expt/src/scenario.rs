@@ -62,9 +62,9 @@ pub const MAX_SENDERS: usize = 100_000;
 /// routing tables grow with racks³ (about 160 MB there), so this count too
 /// is bounded where it is read, before anything is allocated for it. At
 /// the bound, a 1 ms `opera run-scenario` on the `opera` topology takes
-/// ≈ 0.8 s on a 2-core Xeon host, nearly all of it building those tables
-/// (≈ 3.4 s while they took one breadth-first search per slice and
-/// destination).
+/// ≈ 0.44 s on a 2-core Xeon host, nearly all of it building those tables
+/// from distance rows (≈ 0.68 s with a bit-parallel frontier sweep, ≈ 3.4 s
+/// with one breadth-first search per slice and destination).
 pub const MAX_RACKS: usize = 432;
 
 /// Largest per-flow payload a scenario may ask for, in bytes

@@ -780,7 +780,8 @@ fn pair_switch_table(topo: &OperaTopology) -> Vec<u8> {
 ///
 /// # Panics
 /// Panics if the topology does not fit the compact tables: more than 16
-/// rotor switches or more than 65 536 racks. The simulation panics when a
+/// rotor switches, more than 65 536 racks, or a slice whose shortest route
+/// between two racks is 254 hops or more. The simulation panics when a
 /// bulk flow enters RotorLB's compact queues if it does not fit them: a
 /// bulk flow of more than `u32::MAX` bytes, or a network of more than
 /// 65 536 hosts.

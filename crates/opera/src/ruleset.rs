@@ -13,6 +13,15 @@
 //! 65x100GE's rule capacity as measured with the Capilano compiler; the
 //! utilization column implies a capacity of ≈1.70 M entries, which we use
 //! to reproduce the percentages.
+//!
+//! The built tables ([`crate::tables`]) hold `u − 1` rules fewer per ToR.
+//! The closed form counts `u − 1` bulk rules in every slice, but each rack
+//! is self-paired in exactly one of the `N` matchings (the factorization
+//! covers the diagonal), and that matching is live for `u − 1` slices in
+//! which the rack has one circuit fewer. So every ToR of the paper's
+//! 108-rack network holds 11 556 low-latency + 535 bulk = 12 091 rules, not
+//! Table 1's 12 096; `tests/integration.rs` counts them from the tables.
+//! The Table 1 driver reports the closed form, as the paper does.
 
 /// Tofino 65x100GE rule capacity implied by Table 1 (entries at 100%).
 pub const TOFINO_RULE_CAPACITY: f64 = 1_701_000.0;

@@ -22,21 +22,28 @@
 //! ([`BulkTables::circuits_of`]): a slice's rows *are* its
 //! routable adjacency — reconfiguring switches and bad transceivers are
 //! already left out — so one place decides which circuits exist, and a
-//! rebuild around a failure (§3.6.2) prunes nothing twice. Each slice is
-//! one bit-parallel frontier sweep: every rack keeps a bitset of the
-//! destinations within `k` hops, level `k` ORs in its circuit partners'
-//! level-`(k − 1)` frontiers, and a circuit `v → w` on uplink `j` is a
-//! next hop of `v` toward exactly the destinations new to `v` at level `k`
-//! that were new to `w` at level `k − 1` (`dist[w] + 1 == dist[v]`). A
-//! slice costs O(levels · racks · u · ⌈racks/64⌉) word operations plus one
-//! write per next-hop bit, in three bitset arrays reused across slices.
-//! The whole build, bulk rows included, takes ≈ 10 ms for the paper's 108
-//! racks on a 2-core Xeon host, where one breadth-first search per
-//! `(slice, destination)` — 11 664 of them, each allocating — took 60–70.
+//! rebuild around a failure (§3.6.2) prunes nothing twice. A slice is two
+//! passes over one `racks × racks` matrix of `u8` hop counts reused across
+//! slices. The distance rows: rack `v`'s row starts at 0 toward itself and
+//! unreached (`u8::MAX`) elsewhere, and is relaxed in place against its
+//! circuit partners' rows, `dist[v][d] = min(dist[v][d], dist[w][d] + 1)`,
+//! until a sweep changes nothing. The entries: a circuit `v → w` on uplink
+//! `j` is a next hop of `v` toward `d` exactly when `dist[w][d] + 1 ==
+//! dist[v][d]`, so a next hop is one compare, not a search, and rack `v`'s
+//! entries toward every `d` are one compare per circuit ORed into bit `j`,
+//! each entry stored once. Both passes are branch-free loops over `d`,
+//! which the compiler vectorises. A slice costs O((sweeps + 1) · racks · u ·
+//! racks) byte operations, a sweep count being at most the slice's diameter
+//! plus one. The whole build, bulk rows included, takes ≈ 5 ms for the
+//! paper's 108 racks on a 2-core Xeon host (≈ 9 with a bit-parallel frontier
+//! sweep that wrote each next-hop bit on its own, 60–70 with one
+//! breadth-first search per `(slice, destination)`).
 //!
-//! Everything the slice clock asks is answered by an index too — the bulk
-//! table is laid down at build as one row of `(dst, uplink)` circuits per
-//! `(slice, rack)`, so [`BulkTables::circuits_of`] is a borrowed slice,
+//! The bulk table is laid down at build as one row of `(dst, uplink)`
+//! circuits per `(slice, rack)`, read straight off the live switches'
+//! matchings with bad transceivers as a `racks × switches` flag map, so a
+//! rebuild costs the same with any number of them. What the slice clock
+//! asks is an index: [`BulkTables::circuits_of`] is a borrowed slice,
 //! [`BulkTables::direct_uplink`] a search of at most `u − 1` adjacent
 //! entries, and a slice boundary allocates nothing. Rows are in ascending
 //! `dst`, and that order is load-bearing: feeders are armed in row order,
@@ -118,9 +125,50 @@ fn in_cycle(slice: usize, slices: usize) -> usize {
     }
 }
 
+/// A distance row's entry toward a rack it does not reach.
+const UNREACHED: u8 = u8::MAX;
+
+/// Fill `dist[v * racks + d]` with the hops from rack `v` to rack `d` over
+/// slice `s`'s circuit rows, [`UNREACHED`] where there is no path: each row
+/// relaxed in place, through the scratch `row`, against its circuit
+/// partners' rows until a sweep changes nothing.
+///
+/// # Panics
+/// Panics if some shortest route is 254 hops or more: one hop past it
+/// would read as unreached.
+fn distance_rows(circuits: &BulkTables, s: usize, dist: &mut [u8], row: &mut [u8]) {
+    let racks = circuits.racks;
+    dist.fill(UNREACHED);
+    for v in 0..racks {
+        dist[v * racks + v] = 0;
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for v in 0..racks {
+            row.copy_from_slice(&dist[v * racks..][..racks]);
+            for &(w, _) in circuits.circuits_of(s, v) {
+                let from_w = &dist[w as usize * racks..][..racks];
+                for (d, &dw) in row.iter_mut().zip(from_w) {
+                    *d = (*d).min(dw.saturating_add(1));
+                }
+            }
+            let from_v = &mut dist[v * racks..][..racks];
+            if *from_v != *row {
+                from_v.copy_from_slice(row);
+                changed = true;
+            }
+        }
+    }
+    assert!(
+        !dist.contains(&(UNREACHED - 1)),
+        "slice {s} has a route of 254 hops or more (distance rows hold u8 hop counts)"
+    );
+}
+
 impl LowLatencyTables {
-    /// Build tables for all slices of `topo`: its circuit rows, then one
-    /// frontier sweep per slice over them (module docs).
+    /// Build tables for all slices of `topo`: its circuit rows, then each
+    /// slice's distance rows and entries from them (module docs).
     pub fn build(topo: &OperaTopology) -> Self {
         Self::build_with_failures(topo, &[])
     }
@@ -128,18 +176,21 @@ impl LowLatencyTables {
     /// Build tables routing around failed `(rack, uplink)` transceivers.
     ///
     /// # Panics
-    /// As [`BulkTables::build_with_failures`], and if `topo` has more than
+    /// As [`BulkTables::build_with_failures`]; also if `topo` has more than
     /// 16 rotor switches (an entry is a 16-bit set of uplinks; the paper's
-    /// largest point, k = 24, has 12).
+    /// largest point, k = 24, has 12), or if a slice's shortest route
+    /// between two racks is 254 hops or more (distance rows hold `u8` hop
+    /// counts; a slice of the paper's largest point spans a handful).
     pub fn build_with_failures(topo: &OperaTopology, bad: &[(usize, usize)]) -> Self {
         Self::from_circuits(&BulkTables::build_with_failures(topo, bad))
     }
 
     /// Derive the tables from `circuits`, whose rows are each slice's
-    /// routable adjacency, by one frontier sweep per slice (module docs).
+    /// routable adjacency: each slice's distance rows, then one compare per
+    /// circuit and destination (module docs).
     ///
     /// # Panics
-    /// Panics if the topology has more than 16 rotor switches.
+    /// As [`Self::build_with_failures`], less the bulk rows' limits.
     pub(crate) fn from_circuits(circuits: &BulkTables) -> Self {
         assert!(
             circuits.uplinks <= u16::BITS as usize,
@@ -147,57 +198,31 @@ impl LowLatencyTables {
             circuits.uplinks
         );
         let (racks, slices) = (circuits.racks, circuits.slices);
-        let words = racks.div_ceil(64);
         let mut entries = vec![UplinkSet::default(); slices * racks * racks];
-        // Per rack, `words` words at `rack * words`: the destinations
-        // within the levels swept so far, those first reached at the last
-        // level, and those first reached at this one.
-        let mut reached = vec![0u64; racks * words];
-        let mut last = vec![0u64; racks * words];
-        let mut fresh = vec![0u64; racks * words];
+        // Scratch reused across slices: the distance rows, the row being
+        // relaxed, and one rack's entries toward every destination.
+        let mut dist = vec![UNREACHED; racks * racks];
+        let mut row = vec![UNREACHED; racks];
+        let mut hops = vec![0u16; racks];
         for s in 0..slices {
+            distance_rows(circuits, s, &mut dist, &mut row);
             let slice_entries = &mut entries[s * racks * racks..][..racks * racks];
-            // Level 0: each rack reaches itself.
-            reached.fill(0);
             for v in 0..racks {
-                reached[v * words + v / 64] = 1 << (v % 64);
-            }
-            last.copy_from_slice(&reached);
-            loop {
-                let mut grew = false;
-                for v in 0..racks {
-                    let row = circuits.circuits_of(s, v);
-                    let new = &mut fresh[v * words..][..words];
-                    new.fill(0);
-                    for &(w, _) in row {
-                        for (n, l) in new.iter_mut().zip(&last[w as usize * words..]) {
-                            *n |= l;
-                        }
-                    }
-                    for (n, r) in new.iter_mut().zip(&mut reached[v * words..]) {
-                        *n &= !*r;
-                        *r |= *n;
-                        grew |= *n != 0;
-                    }
-                    // `v → w` steps one closer to the destinations new to
-                    // `v` now that were new to `w` one level before.
-                    for &(w, j) in row {
-                        let partner = &last[w as usize * words..][..words];
-                        for (i, (n, l)) in new.iter().zip(partner).enumerate() {
-                            let mut hits = n & l;
-                            while hits != 0 {
-                                let dst = i * 64 + hits.trailing_zeros() as usize;
-                                // Below 16, checked above.
-                                slice_entries[dst * racks + v].0 |= 1 << j;
-                                hits &= hits - 1;
-                            }
-                        }
+                let from_v = &dist[v * racks..][..racks];
+                hops.fill(0);
+                for &(w, j) in circuits.circuits_of(s, v) {
+                    let from_w = &dist[w as usize * racks..][..racks];
+                    for ((h, &dv), &dw) in hops.iter_mut().zip(from_v).zip(from_w) {
+                        // `j` is below 16, checked above. Where `w` is
+                        // unreached the sum wraps to 0, which is `dv` only
+                        // at `v == d`, and `w`, a circuit partner of `d`,
+                        // reaches it in one hop.
+                        *h |= u16::from(dw.wrapping_add(1) == dv) << j;
                     }
                 }
-                if !grew {
-                    break;
+                for (d, &h) in hops.iter().enumerate() {
+                    slice_entries[d * racks + v] = UplinkSet(h);
                 }
-                std::mem::swap(&mut last, &mut fresh);
             }
         }
         LowLatencyTables {
@@ -223,22 +248,6 @@ impl LowLatencyTables {
     pub fn slices(&self) -> usize {
         self.slices
     }
-
-    /// Total number of installed rules (Table 1 accounting: one rule per
-    /// (slice, dst, cur) entry with at least one hop, counted at one ToR).
-    pub fn rules_per_tor(&self) -> u64 {
-        // Each ToR `cur` stores one rule per (slice, dst); count entries
-        // with at least one choice for rack 0 as the representative.
-        let mut rules = 0;
-        for s in 0..self.slices {
-            for dst in 0..self.racks {
-                if !self.next_hops(s, 0, dst).is_empty() {
-                    rules += 1;
-                }
-            }
-        }
-        rules
-    }
 }
 
 /// Bulk (direct-circuit) table: per `(slice, cur)`, the `(dst, uplink)`
@@ -258,7 +267,7 @@ pub struct BulkTables {
 }
 
 impl BulkTables {
-    /// Build from the slice views.
+    /// Build from the matchings of each slice's live switches.
     pub fn build(topo: &OperaTopology) -> Self {
         Self::build_with_failures(topo, &[])
     }
@@ -270,22 +279,35 @@ impl BulkTables {
     /// racks (uplinks are stored as `u8`, row destinations as `u16`).
     pub fn build_with_failures(topo: &OperaTopology, bad: &[(usize, usize)]) -> Self {
         check_uplinks_fit(topo);
-        let racks = topo.racks();
+        let (racks, switches) = (topo.racks(), topo.switches());
         u16::try_from(racks.saturating_sub(1)).expect("rack index must fit u16");
         let slices = topo.slices_per_cycle();
-        u32::try_from(slices * racks * topo.switches()).expect("circuit count must fit u32");
+        let live = switches - topo.params().groups;
+        u32::try_from(slices * racks * live).expect("circuit count must fit u32");
+        // `failed[rack * switches + uplink]`; a pair naming no transceiver
+        // of `topo` matches no circuit.
+        let mut failed = vec![false; racks * switches];
+        for &(rack, uplink) in bad.iter().filter(|&&(r, j)| r < racks && j < switches) {
+            failed[rack * switches + uplink] = true;
+        }
         let mut rows = Vec::new();
         let mut row_start = Vec::with_capacity(slices * racks + 1);
         row_start.push(0);
+        let mut matchings = Vec::with_capacity(live);
         for s in 0..slices {
-            let view = topo.slice(s);
+            matchings.clear();
+            matchings.extend(
+                (0..switches)
+                    .filter(|&j| topo.reconfiguring(s).all(|r| r != j))
+                    .map(|j| (j, topo.matching(j, topo.position_at(j, s)))),
+            );
             for cur in 0..racks {
                 let row = rows.len();
-                for (dst, sw) in view.direct_destinations(cur) {
-                    if bad.contains(&(cur, sw)) || bad.contains(&(dst, sw)) {
-                        continue;
+                for &(j, m) in &matchings {
+                    let dst = m.partner(cur);
+                    if dst != cur && !failed[cur * switches + j] && !failed[dst * switches + j] {
+                        rows.push((dst as u16, j as u8));
                     }
-                    rows.push((dst as u16, sw as u8));
                 }
                 // A rack pair has one home matching, so destinations are
                 // distinct and the order is total.
@@ -296,7 +318,7 @@ impl BulkTables {
         BulkTables {
             racks,
             slices,
-            uplinks: topo.switches(),
+            uplinks: switches,
             rows,
             row_start,
         }
@@ -323,6 +345,7 @@ impl BulkTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::SimRng;
     use topo::graph::Graph;
     use topo::opera::OperaParams;
 
@@ -430,14 +453,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rules_per_tor_scale() {
-        let t = topo();
-        let tables = LowLatencyTables::build(&t);
-        // 24 slices × 23 destinations = 552 low-latency rules.
-        assert_eq!(tables.rules_per_tor(), 24 * 23);
-    }
-
     /// The test topology with two switches reconfiguring at a time.
     fn topo_two_groups() -> OperaTopology {
         OperaTopology::generate(
@@ -494,8 +509,8 @@ mod tests {
         rows
     }
 
-    /// `racks` racks on 4 uplinks: 64 and 128 fill the sweep's bitset
-    /// words exactly, 68 spills 4 racks into a second word.
+    /// `racks` racks on 4 uplinks: 64 and 128 fill the frontier sweep's
+    /// bitset words exactly, 68 spills 4 racks into a second word.
     fn topo_with_racks(racks: usize) -> OperaTopology {
         OperaTopology::generate(
             OperaParams {
@@ -584,19 +599,18 @@ mod tests {
             let mut circuits = 0;
             // Past the end of the cycle too: a monotone slice is accepted.
             for s in 0..2 * t.slices_per_cycle() + 1 {
+                let g = prune_failed(t.slice(s).graph(), &bad);
                 for cur in 0..t.racks() {
                     let row = tables.circuits_of(s, cur);
-                    // The topology's own answer, less the bad transceivers,
+                    // The slice graph's edges, less the bad transceivers,
                     // in ascending destination.
-                    let mut by_topo: Vec<(u16, u8)> = t
-                        .slice(s)
-                        .direct_destinations(cur)
-                        .into_iter()
-                        .filter(|&(dst, sw)| !bad.contains(&(cur, sw)) && !bad.contains(&(dst, sw)))
-                        .map(|(dst, sw)| (dst as u16, sw as u8))
+                    let mut by_graph: Vec<(u16, u8)> = g
+                        .edges(cur)
+                        .iter()
+                        .map(|e| (e.to as u16, e.port as u8))
                         .collect();
-                    by_topo.sort_unstable();
-                    assert_eq!(row, by_topo, "slice {s} rack {cur}");
+                    by_graph.sort_unstable();
+                    assert_eq!(row, by_graph, "slice {s} rack {cur}");
                     // The per-destination lookup, scanned in the order
                     // feeders are armed.
                     let by_lookup: Vec<(u16, u8)> = (0..t.racks())
@@ -647,5 +661,210 @@ mod tests {
     #[should_panic(expected = "switch count must fit u8")]
     fn bulk_tables_refuse_256_switches() {
         BulkTables::build(&topo_with_switches(256));
+    }
+
+    /// The bulk builder as it was before it read the matchings itself: per
+    /// `(slice, rack)` the slice view's direct destinations, less the
+    /// circuits with a bad transceiver at either end by `bad.contains`.
+    fn bulk_by_slice_view(t: &OperaTopology, bad: &[(usize, usize)]) -> BulkTables {
+        let (racks, slices) = (t.racks(), t.slices_per_cycle());
+        let mut rows = Vec::new();
+        let mut row_start = vec![0];
+        for s in 0..slices {
+            let view = t.slice(s);
+            for cur in 0..racks {
+                let row = rows.len();
+                for sw in (0..t.switches()).filter(|&sw| t.reconfiguring(s).all(|r| r != sw)) {
+                    let dst = view.matching_of(sw).partner(cur);
+                    if dst != cur && !bad.contains(&(cur, sw)) && !bad.contains(&(dst, sw)) {
+                        rows.push((dst as u16, sw as u8));
+                    }
+                }
+                rows[row..].sort_unstable_by_key(|&(dst, _)| dst);
+                row_start.push(rows.len() as u32);
+            }
+        }
+        BulkTables {
+            racks,
+            slices,
+            uplinks: t.switches(),
+            rows,
+            row_start,
+        }
+    }
+
+    /// The low-latency builder before distance rows: one bit-parallel
+    /// frontier sweep per slice. Every rack keeps a bitset of the
+    /// destinations within `k` hops, level `k` ORs in its circuit partners'
+    /// level-`(k − 1)` frontiers, and a circuit `v → w` on uplink `j` gets
+    /// bit `j` toward the destinations new to `v` at level `k` that were
+    /// new to `w` at level `k − 1`, one write per next-hop bit.
+    fn low_latency_by_frontier(circuits: &BulkTables) -> LowLatencyTables {
+        let (racks, slices) = (circuits.racks, circuits.slices);
+        let words = racks.div_ceil(64);
+        let mut entries = vec![UplinkSet::default(); slices * racks * racks];
+        let mut reached = vec![0u64; racks * words];
+        let mut last = vec![0u64; racks * words];
+        let mut fresh = vec![0u64; racks * words];
+        for s in 0..slices {
+            let slice_entries = &mut entries[s * racks * racks..][..racks * racks];
+            reached.fill(0);
+            for v in 0..racks {
+                reached[v * words + v / 64] = 1 << (v % 64);
+            }
+            last.copy_from_slice(&reached);
+            loop {
+                let mut grew = false;
+                for v in 0..racks {
+                    let row = circuits.circuits_of(s, v);
+                    let new = &mut fresh[v * words..][..words];
+                    new.fill(0);
+                    for &(w, _) in row {
+                        for (n, l) in new.iter_mut().zip(&last[w as usize * words..]) {
+                            *n |= l;
+                        }
+                    }
+                    for (n, r) in new.iter_mut().zip(&mut reached[v * words..]) {
+                        *n &= !*r;
+                        *r |= *n;
+                        grew |= *n != 0;
+                    }
+                    for &(w, j) in row {
+                        let partner = &last[w as usize * words..][..words];
+                        for (i, (n, l)) in new.iter().zip(partner).enumerate() {
+                            let mut hits = n & l;
+                            while hits != 0 {
+                                let dst = i * 64 + hits.trailing_zeros() as usize;
+                                slice_entries[dst * racks + v].0 |= 1 << j;
+                                hits &= hits - 1;
+                            }
+                        }
+                    }
+                }
+                if !grew {
+                    break;
+                }
+                std::mem::swap(&mut last, &mut fresh);
+            }
+        }
+        LowLatencyTables {
+            racks,
+            slices,
+            entries,
+        }
+    }
+
+    /// `percent` % of `t`'s `(rack, uplink)` transceivers, drawn at random.
+    fn random_bad(t: &OperaTopology, percent: usize, rng: &mut SimRng) -> Vec<(usize, usize)> {
+        let mut all: Vec<(usize, usize)> = (0..t.racks())
+            .flat_map(|r| (0..t.switches()).map(move |j| (r, j)))
+            .collect();
+        rng.shuffle(&mut all);
+        all.truncate(all.len() * percent / 100);
+        all
+    }
+
+    fn params(racks: usize, uplinks: usize, groups: usize) -> OperaParams {
+        OperaParams {
+            racks,
+            uplinks,
+            hosts_per_rack: 1,
+            groups,
+        }
+    }
+
+    /// Both builders against their originals, table for table: validated
+    /// networks of one and two groups, the paper's, and unvalidated ones
+    /// with disconnected slices, each healthy, with random bad sets of 5,
+    /// 10 and 25 % of the transceivers, with a rack cut off, and with bad
+    /// pairs naming no transceiver.
+    #[test]
+    fn builders_equal_their_originals() {
+        let mut rng = SimRng::new(28);
+        let mut networks: Vec<OperaTopology> =
+            [(24, 4, 1), (48, 4, 1), (68, 4, 1), (108, 6, 2), (72, 12, 3)]
+                .into_iter()
+                .map(|(n, u, g)| OperaTopology::generate_validated(params(n, u, g), 11, 64).0)
+                .collect();
+        let paper = crate::opera_net::OperaNetConfig::paper_648();
+        networks.push(OperaTopology::generate_validated(paper.params, paper.seed, 64).0);
+        let unvalidated = [(12, 4, 1, 10), (24, 4, 2, 11), (12, 3, 1, 5), (24, 6, 3, 2)];
+        networks.extend(
+            unvalidated
+                .into_iter()
+                .map(|(n, u, g, seed)| OperaTopology::generate(params(n, u, g), seed)),
+        );
+        let mut unreached = 0;
+        for t in &networks {
+            let (racks, switches) = (t.racks(), t.switches());
+            let mut bad_sets: Vec<Vec<(usize, usize)>> = [0, 5, 10, 25]
+                .into_iter()
+                .map(|percent| random_bad(t, percent, &mut rng))
+                .collect();
+            bad_sets.push((0..switches).map(|j| (racks / 2, j)).collect());
+            bad_sets.push(vec![(racks, 0), (0, switches), (1, 0)]);
+            for bad in &bad_sets {
+                let what = format!("{:?}, {} bad", t.params(), bad.len());
+                let bulk = BulkTables::build_with_failures(t, bad);
+                assert!(bulk == bulk_by_slice_view(t, bad), "bulk rows: {what}");
+                let tables = LowLatencyTables::from_circuits(&bulk);
+                assert!(tables == low_latency_by_frontier(&bulk), "entries: {what}");
+                if !bad.is_empty() {
+                    continue;
+                }
+                // Unreached is empty: the slice graph's own verdict.
+                for s in 0..t.slices_per_cycle() {
+                    let g = t.slice(s).graph();
+                    for dst in 0..racks {
+                        let dist = g.bfs_distances(dst);
+                        for cur in (0..racks).filter(|&cur| dist[cur] == usize::MAX) {
+                            assert!(tables.next_hops(s, cur, dst).is_empty(), "{what}");
+                            unreached += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(unreached > 0, "the grid must hold a disconnected slice");
+    }
+
+    /// `racks` racks in a line, one slice: rack `v`'s circuits reach
+    /// `v − 1` on uplink 0 and `v + 1` on uplink 1, so the ends are
+    /// `racks − 1` hops apart.
+    fn line(racks: usize) -> BulkTables {
+        let mut rows = Vec::new();
+        let mut row_start = vec![0];
+        for v in 0..racks {
+            if v > 0 {
+                rows.push((v as u16 - 1, 0));
+            }
+            if v + 1 < racks {
+                rows.push((v as u16 + 1, 1));
+            }
+            row_start.push(rows.len() as u32);
+        }
+        BulkTables {
+            racks,
+            slices: 1,
+            uplinks: 2,
+            rows,
+            row_start,
+        }
+    }
+
+    /// 253 hops is the longest route a `u8` distance row holds.
+    #[test]
+    fn distance_rows_hold_a_253_hop_route() {
+        let circuits = line(254);
+        let tables = LowLatencyTables::from_circuits(&circuits);
+        assert!(tables == low_latency_by_frontier(&circuits));
+        assert!(tables.next_hops(0, 0, 253).iter().eq([1]));
+        assert!(tables.next_hops(0, 253, 0).iter().eq([0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 0 has a route of 254 hops or more")]
+    fn distance_rows_refuse_a_254_hop_route() {
+        LowLatencyTables::from_circuits(&line(255));
     }
 }

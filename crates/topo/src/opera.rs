@@ -238,7 +238,6 @@ impl OperaTopology {
         }
         SliceView {
             topo: self,
-            slice: s,
             reconfiguring: reconf,
             current,
         }
@@ -280,23 +279,12 @@ impl OperaTopology {
 #[derive(Debug, Clone)]
 pub struct SliceView<'a> {
     topo: &'a OperaTopology,
-    slice: usize,
     reconfiguring: Vec<usize>,
     /// `current[switch]` = position of the active matching.
     current: Vec<usize>,
 }
 
 impl<'a> SliceView<'a> {
-    /// Slice index within the cycle.
-    pub fn slice(&self) -> usize {
-        self.slice
-    }
-
-    /// Switches excluded from routing this slice.
-    pub fn reconfiguring(&self) -> &[usize] {
-        &self.reconfiguring
-    }
-
     /// The active matching of `switch` this slice (even if reconfiguring —
     /// its circuits are physically up, just not routable for new packets).
     pub fn matching_of(&self, switch: usize) -> &'a Matching {
@@ -314,22 +302,6 @@ impl<'a> SliceView<'a> {
             self.matching_of(sw).add_to_graph(&mut g, sw);
         }
         g
-    }
-
-    /// Direct (single-hop) destinations of `rack` this slice, as
-    /// `(destination rack, circuit switch)` pairs — the bulk table of §4.3.
-    pub fn direct_destinations(&self, rack: NodeId) -> Vec<(NodeId, usize)> {
-        let mut out = Vec::new();
-        for sw in 0..self.topo.switches() {
-            if self.reconfiguring.contains(&sw) {
-                continue;
-            }
-            let m = self.matching_of(sw);
-            if m.is_matched(rack) {
-                out.push((m.partner(rack), sw));
-            }
-        }
-        out
     }
 }
 
@@ -470,22 +442,6 @@ mod tests {
             for r in 0..t.racks() {
                 assert!(g.degree(r) < t.switches());
             }
-        }
-    }
-
-    #[test]
-    fn direct_destinations_consistent_with_graph() {
-        let t = small();
-        let sv = t.slice(5);
-        let g = sv.graph();
-        for r in 0..t.racks() {
-            let direct = sv.direct_destinations(r);
-            let mut from_graph: Vec<(usize, usize)> =
-                g.edges(r).iter().map(|e| (e.to, e.port)).collect();
-            let mut d = direct.clone();
-            d.sort_unstable();
-            from_graph.sort_unstable();
-            assert_eq!(d, from_graph);
         }
     }
 

@@ -230,3 +230,36 @@ fn flow_model_and_packet_sim_agree_on_shuffle_win() {
         "direct {direct:.3} should beat taxed bound {taxed_bound:.3}"
     );
 }
+
+/// Table 1's closed form against the tables every ToR of the paper's
+/// network holds. `ruleset_for` counts `u − 1` bulk rules in each of the
+/// `N` slices; but each rack is self-paired in exactly one of the `N`
+/// matchings, and that matching is live for `u − 1` slices, so every ToR
+/// holds `N · (N − 1)` low-latency rules and `u − 1` fewer bulk ones.
+#[test]
+fn paper_tors_hold_table1_rules_less_their_self_pairing() {
+    use opera::tables::{BulkTables, LowLatencyTables};
+    use topo::opera::OperaTopology;
+
+    let cfg = OperaNetConfig::paper_648();
+    let topo = OperaTopology::generate_validated(cfg.params, cfg.seed, 64).0;
+    let (racks, uplinks, slices) = (topo.racks(), topo.switches(), topo.slices_per_cycle());
+    let bulk = BulkTables::build(&topo);
+    let low_latency = LowLatencyTables::build(&topo);
+    let expected = opera::ruleset_for(racks, uplinks).entries - (uplinks as u64 - 1);
+    assert_eq!(expected, 12_096 - 5);
+    for tor in 0..racks {
+        let ll_rules = (0..slices)
+            .map(|s| {
+                (0..racks)
+                    .filter(|&dst| !low_latency.next_hops(s, tor, dst).is_empty())
+                    .count()
+            })
+            .sum::<usize>();
+        let bulk_rules = (0..slices)
+            .map(|s| bulk.circuits_of(s, tor).len())
+            .sum::<usize>();
+        assert_eq!((ll_rules, bulk_rules), (11_556, 535), "ToR {tor}");
+        assert_eq!((ll_rules + bulk_rules) as u64, expected, "ToR {tor}");
+    }
+}
