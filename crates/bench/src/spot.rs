@@ -115,11 +115,14 @@ fn shuffle_648() -> Table {
 /// Fig12's headline at the paper's `k = 24` radix (5184 hosts): one
 /// flow-level throughput point — the hot-rack workload at α = 1.0 —
 /// through the same Opera duty-cycle model and expander
-/// max-concurrent-flow solve as the figure's full sweep. The quick
+/// max-concurrent-flow solve as the figure's full sweep, plus the
+/// figure's all-to-all reference (`opera_all_to_all`). The quick
 /// goldens only ever solve `k = 8`; this pins the paper-scale solver
 /// path (432-rack Opera, cost-equivalent expander MCF at 60
-/// iterations) nightly. Hot-rack demands are closed-form, so the point
-/// needs no RNG and is exactly reproducible.
+/// iterations) nightly. The hot-rack point never reaches the Valiant
+/// phase's all-pairs routes; the all-to-all reference gives every one
+/// of its 186 192 demands one. Both demand sets are closed-form, so the
+/// point needs no RNG and is exactly reproducible.
 fn fig12_k24() -> Table {
     const K: usize = 24;
     const ALPHA: f64 = 1.0;
@@ -132,6 +135,8 @@ fn fig12_k24() -> Table {
     let opera = OperaTopology::generate(OperaParams::from_radix(K, racks_opera), 5);
     let demands = ScenarioGen::hotrack_demands(d_opera, rate);
     let o = opera_model(&opera, &demands, rate, duty, true).throughput_fraction();
+    let a2a = ScenarioGen::all_to_all_demands(racks_opera, d_opera, rate, 1.0);
+    let o_a2a = opera_model(&opera, &a2a, rate, duty, true).throughput_fraction();
 
     // Cost-equivalent expander at α = 1.0, as fig12 builds it.
     let u = expander_uplinks(ALPHA, K).clamp(3, K - 1);
@@ -155,7 +160,14 @@ fn fig12_k24() -> Table {
     let mut out = Table::new(
         "fig12_k24",
         &[
-            "workload", "alpha", "k", "hosts", "opera", "expander", "clos",
+            "workload",
+            "alpha",
+            "k",
+            "hosts",
+            "opera",
+            "expander",
+            "clos",
+            "opera_all_to_all",
         ],
     );
     out.push(vec![
@@ -166,6 +178,7 @@ fn fig12_k24() -> Table {
         f(o),
         f(e),
         f(c),
+        f(o_a2a),
     ]);
     out
 }

@@ -279,6 +279,32 @@ pub fn clos_throughput(alpha: f64) -> f64 {
     (1.0 / f).min(1.0)
 }
 
+/// The two-hop Valiant route of one unit of `src → dst` rate over an
+/// `n`-rack mesh (link `a·n + b` from rack `a` to rack `b`), spread
+/// uniformly over all intermediates `m ∉ {src, dst}`: both mesh hops of
+/// every intermediate, then the `egress` and `ingress` host links. The
+/// first hops (row `src·n + m`) come before the second (column
+/// `m·n + dst`): no mesh link appears twice in the route, so the order
+/// changes no result bit, and the route folds into at most 7 runs (see
+/// [`crate::solver`]).
+fn valiant_route(
+    n: usize,
+    src: usize,
+    dst: usize,
+    egress: LinkId,
+    ingress: LinkId,
+) -> Vec<(LinkId, f64)> {
+    let mids = || (0..n).filter(move |&m| m != src && m != dst);
+    let hops = mids().count();
+    let w = 1.0 / hops as f64;
+    let mut route = Vec::with_capacity(2 * hops + 2);
+    route.extend(mids().map(|m| (src * n + m, w)));
+    route.extend(mids().map(|m| (m * n + dst, w)));
+    route.push((egress, 1.0));
+    route.push((ingress, 1.0));
+    route
+}
+
 /// Evaluate Opera (or a RotorNet rotor plane) on rack-level demands.
 ///
 /// The cycle-averaged mesh gives every ordered pair `rate·(u−g)/N` of
@@ -337,17 +363,7 @@ pub fn opera_model(
         if leftover <= 1e-12 || n <= 2 {
             continue;
         }
-        // Spread uniformly over all intermediates m ∉ {src, dst}; each
-        // unit of VLB rate loads both mesh hops and both host links.
-        let mids: Vec<usize> = (0..n).filter(|&m| m != dem.src && m != dem.dst).collect();
-        let w = 1.0 / mids.len() as f64;
-        let mut route = Vec::with_capacity(2 * mids.len() + 2);
-        for &m in &mids {
-            route.push((dem.src * n + m, w));
-            route.push((m * n + dem.dst, w));
-        }
-        route.push((egress[dem.src], 1.0));
-        route.push((ingress[dem.dst], 1.0));
+        let route = valiant_route(n, dem.src, dem.dst, egress[dem.src], ingress[dem.dst]);
         let fid = inst2.add_flow(route, leftover);
         vlb_flows.push((i, fid));
     }
@@ -365,19 +381,180 @@ pub fn opera_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::oracle;
+    use simkit::SimRng;
     use topo::expander::{ExpanderParams, ExpanderTopology};
     use topo::opera::OperaParams;
 
+    const OPERA24: OperaParams = OperaParams {
+        racks: 24,
+        uplinks: 4,
+        hosts_per_rack: 4,
+        groups: 1,
+    };
+
     fn opera24() -> OperaTopology {
-        OperaTopology::generate(
-            OperaParams {
-                racks: 24,
-                uplinks: 4,
-                hosts_per_rack: 4,
-                groups: 1,
-            },
-            3,
-        )
+        OperaTopology::generate(OPERA24, 3)
+    }
+
+    /// `opera_model`'s rates as they were before routes became runs: on the
+    /// oracle's entry-list instance, each Valiant route interleaving the
+    /// two hops of every intermediate.
+    fn opera_model_interleaved(
+        topo: &OperaTopology,
+        demands: &[Demand],
+        link_rate: f64,
+        duty: f64,
+        allow_vlb: bool,
+    ) -> Vec<f64> {
+        let n = topo.racks();
+        let u = topo.switches();
+        let g = topo.params().groups;
+        let d = topo.params().hosts_per_rack;
+        let pair_cap = link_rate * duty * (u - g) as f64 / n as f64;
+        let host_cap = d as f64 * link_rate;
+
+        let mut inst = oracle::Instance::default();
+        for _ in 0..n * n {
+            inst.add_link(pair_cap);
+        }
+        let egress: Vec<LinkId> = (0..n).map(|_| inst.add_link(host_cap)).collect();
+        let ingress: Vec<LinkId> = (0..n).map(|_| inst.add_link(host_cap)).collect();
+        for dem in demands {
+            let route = vec![
+                (dem.src * n + dem.dst, 1.0),
+                (egress[dem.src], 1.0),
+                (ingress[dem.dst], 1.0),
+            ];
+            inst.add_flow(route, dem.amount);
+        }
+        let direct_rates = oracle::max_min_rates(&inst);
+        if !allow_vlb {
+            return direct_rates;
+        }
+
+        let residual = inst.residual(&direct_rates);
+        let mut inst2 = oracle::Instance::default();
+        for &cap in &residual {
+            inst2.add_link(cap);
+        }
+        let mut vlb_flows = Vec::new();
+        for (i, dem) in demands.iter().enumerate() {
+            let leftover = (dem.amount - direct_rates[i]).max(0.0);
+            if leftover <= 1e-12 || n <= 2 {
+                continue;
+            }
+            let mids: Vec<usize> = (0..n).filter(|&m| m != dem.src && m != dem.dst).collect();
+            let w = 1.0 / mids.len() as f64;
+            let mut route = Vec::with_capacity(2 * mids.len() + 2);
+            for &m in &mids {
+                route.push((dem.src * n + m, w));
+                route.push((m * n + dem.dst, w));
+            }
+            route.push((egress[dem.src], 1.0));
+            route.push((ingress[dem.dst], 1.0));
+            let fid = inst2.add_flow(route, leftover);
+            vlb_flows.push((i, fid));
+        }
+        let vlb_rates = oracle::max_min_rates(&inst2);
+        let mut rates = direct_rates;
+        for (i, fid) in vlb_flows {
+            rates[i] += vlb_rates[fid];
+        }
+        rates
+    }
+
+    /// Fig12's four demand shapes on `n` racks of `d` hosts at `rate`:
+    /// all-to-all at full host capacity, skew[0.2, 1] and a permutation
+    /// (both drawn from `rng`), and the hot rack.
+    fn demand_sets(n: usize, d: usize, rate: f64, rng: &mut SimRng) -> [Vec<Demand>; 4] {
+        let full = d as f64 * rate;
+        let ring = |ids: &[usize]| -> Vec<Demand> {
+            (0..ids.len())
+                .map(|i| Demand {
+                    src: ids[i],
+                    dst: ids[(i + 1) % ids.len()],
+                    amount: full,
+                })
+                .collect()
+        };
+        let all_to_all = (0..n)
+            .flat_map(|a| {
+                (0..n).filter(move |&b| b != a).map(move |b| Demand {
+                    src: a,
+                    dst: b,
+                    amount: full / (n - 1) as f64,
+                })
+            })
+            .collect();
+        let mut ids: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut ids);
+        let skew = ring(&ids[..(n / 5).max(2)]);
+        rng.shuffle(&mut ids);
+        let permutation = ring(&ids);
+        let hot_rack = vec![Demand {
+            src: 0,
+            dst: 1,
+            amount: full,
+        }];
+        [all_to_all, skew, permutation, hot_rack]
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn opera_model_equals_the_interleaved_oracle() {
+        let rate = 10.0;
+        let mut rng = SimRng::new(29);
+        for params in [
+            OPERA24,
+            OperaParams::from_radix(8, 48),
+            OperaParams::from_radix(12, 108),
+        ] {
+            let topo = OperaTopology::generate(params, 5);
+            let sets = demand_sets(topo.racks(), params.hosts_per_rack, rate, &mut rng);
+            for (name, demands) in ["all-to-all", "skew", "permutation", "hot rack"]
+                .iter()
+                .zip(&sets)
+            {
+                for vlb in [false, true] {
+                    let got = opera_model(&topo, demands, rate, 0.98, vlb).rates;
+                    let want = opera_model_interleaved(&topo, demands, rate, 0.98, vlb);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{} racks, {name}, VLB {vlb}",
+                        topo.racks()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_valiant_route_is_at_most_7_runs() {
+        let mut rng = SimRng::new(7);
+        let mut sizes: Vec<usize> = (3..=16).chain([47, 48, 108, 255, 256, 432]).collect();
+        sizes.extend((0..12).map(|_| 17 + rng.index(416)));
+        let mut longest = 0;
+        for n in sizes {
+            let mut inst = Instance::new();
+            for _ in 0..n * n + 2 * n {
+                inst.add_link(1.0);
+            }
+            let mut pairs = vec![(0, 1), (1, 0), (0, n - 1), (n - 1, 0), (1, n - 2), (2, 2)];
+            pairs.extend((0..40).map(|_| (rng.index(n), rng.index(n))));
+            for (src, dst) in pairs {
+                let route = valiant_route(n, src, dst, n * n + src, n * n + n + dst);
+                let f = inst.add_flow(route, 1.0);
+                let runs = inst.runs_of(f);
+                assert!(runs <= 7, "{n} racks, {src} → {dst}: {runs} runs");
+                longest = longest.max(runs);
+            }
+        }
+        assert_eq!(longest, 7);
     }
 
     #[test]
