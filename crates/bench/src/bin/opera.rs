@@ -4,26 +4,24 @@
 //! * `list` / `run` — the driver registry ([`bench::figures::all`]):
 //!   `run <driver>` builds that driver's tables, prints them as CSV and
 //!   (unless `--no-write`) writes `<out>/<driver>/<table>.{csv,json}`.
-//! * `orchestrate` — schedule `driver × shard` jobs over a worker pool
-//!   (in-process threads, or with `--backend subprocess` one
-//!   `opera run <driver> --shard i/n` child per job, so a crashing
-//!   driver is a retryable job failure), write a `run.json` manifest up
-//!   front, persist each job's shard documents under
-//!   `<out>/<driver>/shards/` the moment the job completes (atomic
-//!   tmp-file + rename), and finally the validated merged tables —
-//!   byte-identical to an unsharded `--threads 1` run (asserted by
-//!   `tests/orchestrate.rs`). A `--plan` file is JSON overriding the
-//!   defaults (any subset of these keys, and no others); explicit flags
-//!   win over the plan:
+//! * `orchestrate` — schedule `driver × shard` jobs over a pool of
+//!   in-process worker threads (a panicking driver is a retryable job
+//!   failure), write a `run.json` manifest up front, persist each job's
+//!   shard documents under `<out>/<driver>/shards/` the moment the job
+//!   completes (atomic tmp-file + rename), and finally the validated
+//!   merged tables — byte-identical to an unsharded `--threads 1` run
+//!   (asserted by `tests/orchestrate.rs`). A `--plan` file is JSON
+//!   overriding the defaults (any subset of these keys, and no others);
+//!   explicit flags win over the plan:
 //!
 //!   ```json
 //!   {"drivers": ["fig08_shuffle_throughput"], "shards": 4, "retries": 1,
-//!    "workers": 2, "scale": "quick", "seed": 0, "replicates": 3,
-//!    "backend": "subprocess"}
+//!    "workers": 2, "scale": "quick", "seed": 0, "replicates": 3}
 //!   ```
 //! * `resume` — re-read the manifest of a killed or failed run, reuse
 //!   every surviving valid shard document, re-run only the missing,
-//!   corrupt or failed jobs, and re-merge.
+//!   corrupt or failed jobs, and re-merge. A driver that aborts the
+//!   process loses only the jobs in flight; `resume` re-runs them.
 //! * `validate` — re-merge the shard documents on disk and fail, naming
 //!   the invariant, on a missing or duplicated point index, mismatched
 //!   schema/flags, or a merged CSV that no longer matches its shards.
@@ -42,11 +40,11 @@
 //!
 //! Exit codes: 0 on success and for `--help`; 2 for a command line that
 //! cannot be run (unknown subcommand, flag, driver, point or scenario
-//! name, a plan or scenario file that does not decode — the message
-//! names the file and the known set); 1 when the work itself failed
+//! name, a plan, scenario or `run.json` file that does not decode — the
+//! message names the file and the known set); 1 when the work itself failed
 //! (drift, a failed job, I/O).
 
-use bench::backend::AnyBackend;
+use bench::backend::LocalBackend;
 use bench::{figures, record, spot};
 use expt::golden::{bless_driver, compare_driver, GoldenSpec};
 use expt::orchestrate::{validate_dir, OrchestrateError, Orchestrator, Plan, PlanFile, RunReport};
@@ -62,9 +60,9 @@ usage: opera list
        opera run <driver> [--quick|--full] [--threads N] [--seed S] [--replicates R]
                  [--shard I/N] [--out DIR] [--no-write] [--k K]
        opera orchestrate [--drivers all|A,B,...] [--shards N] [--workers W] [--retries K]
-                 [--quick|--full] [--seed S] [--replicates R]
-                 [--backend local|subprocess] [--out DIR] [--plan FILE] [--no-write]
-       opera resume [DIR] [--backend local|subprocess] [--workers W]
+                 [--quick|--full] [--seed S] [--replicates R] [--out DIR] [--plan FILE]
+                 [--no-write]
+       opera resume [DIR] [--workers W]
        opera validate [--out DIR]
        opera run-scenario FILE [--out DIR]
        opera golden [--bless] [--threads N] [--driver NAME]...
@@ -200,7 +198,6 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
     let mut scale: Option<Scale> = None;
     let mut seed: Option<u64> = None;
     let mut replicates: Option<usize> = None;
-    let mut backend_arg: Option<String> = None;
     let mut out = PathBuf::from("results");
     let mut no_write = false;
     let mut plan_file = PlanFile::default();
@@ -213,8 +210,7 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
             "--quick" => scale = Some(Scale::Quick),
             "--full" => scale = Some(Scale::Full),
             "--seed" => seed = Some(args.parsed(&a)?),
-            "--replicates" => replicates = Some(args.parsed(&a)?),
-            "--backend" => backend_arg = Some(args.value(&a)?),
+            "--replicates" => replicates = Some(args.replicates(&a)?),
             "--out" => out = PathBuf::from(args.value(&a)?),
             "--no-write" => no_write = true,
             "--plan" => {
@@ -254,13 +250,9 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
         replicates: replicates.or(plan_file.replicates).unwrap_or(3),
         k: None,
     };
-    let backend_name = backend_arg
-        .or(plan_file.backend)
-        .unwrap_or_else(|| "local".to_string());
-    let backend = AnyBackend::from_name(&backend_name, flags)?;
+    let backend = LocalBackend::new(flags);
     println!(
-        "# orchestrating {} driver(s) x {} shard(s), backend={backend_name}, scale={}, seed={}, \
-         replicates={}, retries={}",
+        "# orchestrating {} driver(s) x {} shard(s), scale={}, seed={}, replicates={}, retries={}",
         plan.drivers.len(),
         plan.shards,
         flags.scale,
@@ -278,7 +270,7 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
 
     // Durable run: manifest first, every shard persisted as its job
     // completes, merged CSVs at the end.
-    let run = start_run(&out, &plan, &backend_name, flags, backend, workers);
+    let run = start_run(&out, &plan, flags, backend, workers);
     let (report, csvs) = run.map_err(|e| match e {
         OrchestrateError::Job { .. } | OrchestrateError::Merge { .. } => Exit::Failed(format!(
             "{e}\n# completed shards are persisted under {0}; after fixing the cause, \
@@ -317,18 +309,18 @@ fn print_report(report: &RunReport) {
 
 fn resume(mut args: Args) -> Result<(), Exit> {
     let mut dir: Option<PathBuf> = None;
-    let mut backend_arg: Option<String> = None;
     let mut workers: usize = 0;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--backend" => backend_arg = Some(args.value(&a)?),
             "--workers" => workers = args.parsed(&a)?,
             _ => positional(&mut dir, a)?,
         }
     }
     let dir = dir.unwrap_or_else(|| PathBuf::from("results"));
     let path = dir.join(RUN_FILE);
-    let manifest = RunManifest::read(&path).map_err(failed)?;
+    // Like a plan, a manifest that cannot be read or decoded is exit 2
+    // naming the file.
+    let manifest = RunManifest::read(&path).map_err(|e| Exit::Invalid(e.to_string()))?;
     // A manifest naming no or unknown drivers (hand-edited, or written
     // by a newer binary) must fail by name here, not schedule jobs that
     // all error out — or "resume" to a green zero-job run.
@@ -339,11 +331,9 @@ fn resume(mut args: Args) -> Result<(), Exit> {
         )));
     }
     require_known("driver", &manifest.plan.drivers, &driver_names())?;
-    // Default to the backend the original run used.
-    let backend_name = backend_arg.unwrap_or_else(|| manifest.backend.clone());
-    let backend = AnyBackend::from_name(&backend_name, manifest.flags)?;
+    let backend = LocalBackend::new(manifest.flags);
     println!(
-        "# resuming {} ({} driver(s) x {} shard(s), backend={backend_name}, scale={}, seed={})",
+        "# resuming {} ({} driver(s) x {} shard(s), scale={}, seed={})",
         dir.display(),
         manifest.plan.drivers.len(),
         manifest.plan.shards,

@@ -1,6 +1,7 @@
 //! CLI acceptance tests driving the real `opera` binary: the exit-code
-//! convention, the registry-driven `list` / `run`, name validation in
-//! `orchestrate` / `resume`, and the `run-scenario` subcommand.
+//! convention, the registry-driven `list` / `run` (and its `--shard`
+//! split), name and replicate-count validation in `orchestrate` /
+//! `resume`, and the `run-scenario` subcommand.
 //!
 //! The regression of record: an empty or unknown driver list must be a
 //! hard named error *before any job is scheduled* — never an exit-0 run
@@ -8,6 +9,7 @@
 //! a corrupted manifest and for `run-scenario` with unknown names.
 
 use bench::figures;
+use expt::{merge_shard_docs, TableDoc};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -167,8 +169,8 @@ fn undecodable_plan_is_exit_2_naming_the_file() {
     for (text, want) in [
         (
             r#"{"drivers": ["fig14_cycle_time_scaling"], "shard": 4}"#,
-            "plan: unknown key \"shard\" (known: backend, drivers, replicates, retries, scale, \
-             seed, shards, workers)",
+            "plan: unknown key \"shard\" (known: drivers, replicates, retries, scale, seed, \
+             shards, workers)",
         ),
         (
             r#"{"shards": 2, "shards": 3}"#,
@@ -320,6 +322,176 @@ fn resume_rejects_manifest_with_unknown_driver() {
     let err = stderr_of(&out);
     assert!(err.contains("fig14_cycle_time_scalng"), "{err}");
     assert!(err.contains("known drivers"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `opera run <driver> --shard i/n --out D` writes only its shard
+/// documents, and the two shards of a 2-way split merge to the CSV an
+/// unsharded `opera run` writes, byte for byte.
+#[test]
+fn sharded_runs_write_documents_that_merge_to_the_unsharded_csv() {
+    const DRIVER: &str = "fig14_cycle_time_scaling";
+    let dir = scratch("shard-run");
+    let (sharded, unsharded) = (dir.join("sharded"), dir.join("unsharded"));
+    for shard in ["0/2", "1/2"] {
+        let args = ["run", DRIVER, "--quick", "--shard", shard, "--out"];
+        let out = run(&[&args[..], &[sharded.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "{shard}: {}", stderr_of(&out));
+    }
+    let out = run(&[
+        "run",
+        DRIVER,
+        "--quick",
+        "--out",
+        unsharded.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+
+    let mut written: Vec<PathBuf> = Vec::new();
+    let mut pending = vec![sharded.clone()];
+    while let Some(d) = pending.pop() {
+        for e in std::fs::read_dir(d).unwrap() {
+            let path = e.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                written.push(path.strip_prefix(&sharded).unwrap().to_path_buf());
+            }
+        }
+    }
+    written.sort();
+    let tables = ["bulk_threshold_mb", "cycle_time"];
+    let want: Vec<PathBuf> = tables
+        .iter()
+        .flat_map(|t| (0..2).map(move |i| format!("{DRIVER}/shards/{t}.shard{i}of2.json")))
+        .map(PathBuf::from)
+        .collect();
+    assert_eq!(written, want);
+
+    for t in tables {
+        let docs: Vec<TableDoc> = (0..2)
+            .map(|i| {
+                let path = sharded.join(format!("{DRIVER}/shards/{t}.shard{i}of2.json"));
+                TableDoc::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+            })
+            .collect();
+        let csv = std::fs::read_to_string(unsharded.join(format!("{DRIVER}/{t}.csv"))).unwrap();
+        assert_eq!(merge_shard_docs(&docs).unwrap().to_csv(), csv, "{t}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Zero replicates would run no seed at all: table-only drivers used to
+/// write header-only tables and exit 0. Every input a replicate count
+/// comes from — the `run` and `orchestrate` flags, a plan file, a
+/// `run.json` read by `resume` — is exit 2 naming the field, before
+/// anything runs or is written.
+#[test]
+fn zero_replicates_is_exit_2_from_every_input() {
+    const DRIVER: &str = "fig01_flow_dists";
+    let dir = scratch("zero-replicates");
+    let out = dir.join("results");
+    let plan = dir.join("plan.json");
+    std::fs::write(
+        &plan,
+        format!(r#"{{"drivers": ["{DRIVER}"], "replicates": 0}}"#),
+    )
+    .unwrap();
+    // A real run's manifest, edited to record zero replicates, and its
+    // results removed: a resume that ran anything would recreate them.
+    let resumed = dir.join("resumed");
+    let made = run(&[
+        "orchestrate",
+        "--drivers",
+        DRIVER,
+        "--shards",
+        "1",
+        "--quick",
+        "--out",
+        resumed.to_str().unwrap(),
+    ]);
+    assert!(made.status.success(), "{}", stderr_of(&made));
+    let manifest = resumed.join("run.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let zero = text.replace("\"replicates\": 3", "\"replicates\": 0");
+    assert_ne!(zero, text, "run.json records another replicate count");
+    std::fs::write(&manifest, zero).unwrap();
+    std::fs::remove_dir_all(resumed.join(DRIVER)).unwrap();
+
+    let (out, plan, resumed) = (
+        out.to_str().unwrap(),
+        plan.to_str().unwrap(),
+        resumed.to_str().unwrap(),
+    );
+    for (args, want) in [
+        (
+            &["run", DRIVER, "--quick", "--replicates", "0", "--out", out][..],
+            "--replicates must be at least 1",
+        ),
+        (
+            &[
+                "orchestrate",
+                "--drivers",
+                DRIVER,
+                "--quick",
+                "--replicates",
+                "0",
+                "--out",
+                out,
+            ],
+            "--replicates must be at least 1",
+        ),
+        (
+            &["orchestrate", "--plan", plan, "--quick", "--out", out],
+            "plan: replicates: must be at least 1",
+        ),
+        (
+            &["resume", resumed],
+            "run manifest: replicates: must be at least 1",
+        ),
+    ] {
+        let o = run(args);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {}", stderr_of(&o));
+        assert!(stderr_of(&o).contains(want), "{args:?}: {}", stderr_of(&o));
+        assert!(o.stdout.is_empty(), "{args:?} ran something");
+    }
+    assert!(!Path::new(out).exists());
+    assert!(!Path::new(resumed).join(DRIVER).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A manifest written before `run.json` dropped its backend name
+/// (format 1) is refused by name, not read as a run to resume.
+#[test]
+fn resume_refuses_a_format_1_manifest() {
+    let dir = scratch("format-1");
+    let out = run(&[
+        "orchestrate",
+        "--drivers",
+        "fig14_cycle_time_scaling",
+        "--shards",
+        "1",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let manifest = dir.join("run.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let old = text.replace("\"format\": 2", "\"format\": 1").replacen(
+        '{',
+        "{\n  \"backend\": \"local\",",
+        1,
+    );
+    assert_ne!(old, text, "run.json records another format");
+    std::fs::write(&manifest, old).unwrap();
+    let out = run(&["resume", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("unsupported format 1 (this build reads format 2)"),
+        "{}",
+        stderr_of(&out)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

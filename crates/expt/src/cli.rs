@@ -62,12 +62,29 @@ impl Args {
         v.parse()
             .map_err(|e| format!("{flag}: invalid value {v:?}: {e}"))
     }
+
+    /// The replicate count that must follow `flag`, at least 1 (the rule
+    /// plan files and `run.json` share).
+    pub fn replicates(&mut self, flag: &str) -> Result<usize, String> {
+        check_replicates(self.parsed(flag)?).map_err(|e| format!("{flag} {e}"))
+    }
 }
 
 impl Iterator for Args {
     type Item = String;
     fn next(&mut self) -> Option<String> {
         self.0.next()
+    }
+}
+
+/// The one rule on a replicate count, wherever it is read
+/// (`--replicates`, a plan file, `run.json`): at least one seed per sweep
+/// point. Zero would run no seed and write header-only tables. The `Err`
+/// says what is wrong; the caller names the field.
+pub(crate) fn check_replicates(replicates: usize) -> Result<usize, &'static str> {
+    match replicates {
+        0 => Err("must be at least 1"),
+        n => Ok(n),
     }
 }
 
@@ -165,12 +182,7 @@ impl ExptArgs {
                 "--full" => out.scale = Scale::Full,
                 "--threads" => out.threads = it.parsed(&a)?,
                 "--seed" => out.seed = it.parsed(&a)?,
-                "--replicates" => {
-                    out.replicates = it.parsed(&a)?;
-                    if out.replicates == 0 {
-                        return Err("--replicates must be at least 1".into());
-                    }
-                }
+                "--replicates" => out.replicates = it.replicates(&a)?,
                 "--shard" => out.shard = Some(parse_shard(&it.value(&a)?)?),
                 "--out" => out.out = PathBuf::from(it.value(&a)?),
                 "--no-write" => out.no_write = true,
@@ -257,7 +269,10 @@ mod tests {
         assert!(ExptArgs::parse_from(["--threads"]).is_err());
         assert!(ExptArgs::parse_from(["--threads", "x"]).is_err());
         assert!(ExptArgs::parse_from(["--bogus"]).is_err());
-        assert!(ExptArgs::parse_from(["--replicates", "0"]).is_err());
+        assert_eq!(
+            ExptArgs::parse_from(["--replicates", "0"]).unwrap_err(),
+            "--replicates must be at least 1"
+        );
     }
 
     #[test]

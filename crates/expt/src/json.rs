@@ -14,7 +14,7 @@
 //! asked for. Every error has one shape, `<document>: <path>: <what>`:
 //!
 //! ```text
-//! plan: unknown key "shard" (known: backend, drivers, replicates, ...)
+//! plan: unknown key "shard" (known: drivers, replicates, retries, ...)
 //! run manifest: jobs[3].shard: expected an [i, n] pair
 //! scenario: workload.kind: missing (keys present: flow_kb, senders)
 //! ```

@@ -30,8 +30,8 @@
 //!   golden test,
 //! * [`orchestrate`] — the driver-level scheduler behind
 //!   `opera orchestrate`: fans `driver × shard` jobs over a worker pool
-//!   (pluggable [`orchestrate::Backend`]), retries failures, and merges
-//!   shard documents with point-index validation,
+//!   (each run in process by an [`orchestrate::Backend`]), retries
+//!   failures, and merges shard documents with point-index validation,
 //! * [`runfile`] — durable run state: the `run.json` manifest,
 //!   [`runfile::start_run`], which persists each shard document the
 //!   moment its job completes (atomic tmp-file + rename), and
@@ -275,7 +275,7 @@ pub(crate) mod testutil {
     }
 
     impl Backend for FakeBackend {
-        fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+        fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
             let key = format!("{}:{}", job.driver, job.shard.0);
             let mut calls = self.calls.lock().unwrap();
             let n = calls.entry(key).or_insert(0);
@@ -286,10 +286,7 @@ pub(crate) mod testutil {
             if job.driver == "always-broken" {
                 return Err("permanent failure".into());
             }
-            Ok(fake_docs(&job.driver, job.shard)
-                .iter()
-                .map(TableDoc::render)
-                .collect())
+            Ok(fake_docs(&job.driver, job.shard))
         }
     }
 }

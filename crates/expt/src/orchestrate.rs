@@ -9,16 +9,16 @@
 //!
 //! * a [`Plan`] says which drivers to run, across how many shards, and
 //!   how often to retry a failed shard,
-//! * a [`Backend`] executes one [`ShardJob`] and returns the table
-//!   documents the sharded run wrote — the in-process thread-pool
-//!   backend lives in `bench` (it needs the driver registry), and a
-//!   multi-machine runner can slot in behind the same trait,
+//! * a [`Backend`] executes one [`ShardJob`] in process and returns its
+//!   table documents — the one implementation lives in `bench` (it
+//!   needs the driver registry); tests implement the trait to inject
+//!   failures,
 //! * the [`Orchestrator`] claims jobs across scoped worker threads,
 //!   retries, then merges each driver's shard documents through
 //!   [`crate::output::merge_shard_docs`], so every result set is
 //!   *validated* — every point index present exactly once, schema and
 //!   flags matching — before a merged CSV is rendered. Each job attempt
-//!   is isolated: a panicking backend, or one returning unparseable or
+//!   is isolated: a panicking driver, or a backend returning
 //!   misattributed documents, is a failed *attempt* consuming retry
 //!   budget, never a dead worker thread taking the sweep down,
 //! * a [`RunObserver`] hears each job's final outcome as it completes,
@@ -31,6 +31,7 @@
 //!   prove a dropped shard fails with a named
 //!   [`MergeError::MissingPointIndex`].
 
+use crate::cli::check_replicates;
 use crate::json;
 use crate::output::{self, merge_shard_docs, result_path, MergeError, ResultFile, TableDoc};
 use crate::Scale;
@@ -51,14 +52,14 @@ pub struct ShardJob {
 /// Executes shard jobs. Implementations must be shareable across the
 /// orchestrator's worker threads.
 pub trait Backend: Sync {
-    /// Run one shard job to completion, returning the JSON table
-    /// documents it produced (one per table, in table order). Errors are
-    /// retried up to the orchestrator's retry budget.
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String>;
+    /// Run one shard job to completion, returning the table documents
+    /// it produced (one per table). Errors are retried up to the
+    /// orchestrator's retry budget.
+    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String>;
 }
 
 impl<B: Backend + ?Sized> Backend for &B {
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
         (**self).run_shard(job)
     }
 }
@@ -76,8 +77,7 @@ pub struct Plan {
 
 /// Plan-file overrides (JSON): any subset of
 /// `{"drivers": [...], "shards": N, "retries": N, "workers": N,
-/// "scale": "quick", "seed": S, "replicates": R,
-/// "backend": "local"}`.
+/// "scale": "quick", "seed": S, "replicates": R}`.
 /// Omitted fields keep their CLI/default values; `drivers` omitted (or
 /// `"all"`) means every registered driver.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -94,11 +94,8 @@ pub struct PlanFile {
     pub scale: Option<Scale>,
     /// Base seed.
     pub seed: Option<u64>,
-    /// Replicates per sweep point.
+    /// Replicates per sweep point (at least 1).
     pub replicates: Option<usize>,
-    /// Backend name (`local` / `subprocess`) — interpreted by the
-    /// orchestrate CLI, which owns the backend registry.
-    pub backend: Option<String>,
 }
 
 impl PlanFile {
@@ -121,8 +118,9 @@ impl PlanFile {
                 workers: f.opt("workers")?,
                 scale: f.opt("scale")?,
                 seed: f.opt("seed")?,
-                replicates: f.opt("replicates")?,
-                backend: f.opt("backend")?,
+                replicates: (f.opt("replicates")?)
+                    .map(|n| check_replicates(n).map_err(|e| f.bad("replicates", e)))
+                    .transpose()?,
             })
         })
     }
@@ -134,7 +132,7 @@ pub struct DriverRun {
     /// Driver name.
     pub driver: String,
     /// Shard documents, grouped per shard in shard order
-    /// (`shard_docs[i]` holds shard `i`'s parsed documents).
+    /// (`shard_docs[i]` holds shard `i`'s documents).
     pub shard_docs: Vec<Vec<TableDoc>>,
     /// Validated merged documents, one per table.
     pub merged: Vec<TableDoc>,
@@ -165,8 +163,8 @@ pub enum OrchestrateError {
         /// The last error.
         error: String,
     },
-    /// A backend returned a document that did not parse, or a shard
-    /// merge failed validation.
+    /// A shard document on disk did not parse, or a shard merge failed
+    /// validation.
     Merge {
         /// Driver whose results failed to merge.
         driver: String,
@@ -290,7 +288,7 @@ pub(crate) fn check_owner(doc: &TableDoc, job: &ShardJob) -> Result<(), String> 
 }
 
 /// What a caught panic said, for reporting it as a job error.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -417,28 +415,22 @@ impl<B: Backend> Orchestrator<B> {
     }
 
     /// One attempt of one job. The backend call is isolated behind
-    /// `catch_unwind`, so a panicking backend (or driver) becomes a
-    /// failed attempt consuming retry budget instead of a dead worker
-    /// thread aborting the whole sweep; the returned documents are
-    /// parsed and checked against the job, so unparseable or
-    /// misattributed output — a crashed child's half of a handshake —
-    /// is likewise a retryable per-job failure.
+    /// `catch_unwind`, so a panicking driver becomes a failed attempt
+    /// consuming retry budget instead of a dead worker thread aborting
+    /// the whole sweep; the returned documents are checked against the
+    /// job, so misattributed output is likewise a retryable per-job
+    /// failure.
     fn attempt(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-        let raw =
+        let mut docs =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.backend.run_shard(job)))
-                .map_err(|payload| format!("backend panicked: {}", panic_message(&*payload)))??;
-        let mut docs = Vec::with_capacity(raw.len());
-        for text in &raw {
-            let doc =
-                TableDoc::parse(text).map_err(|e| format!("unparseable table document: {e}"))?;
-            check_owner(&doc, job)?;
-            docs.push(doc);
+                .map_err(|payload| {
+                    format!("{} panicked: {}", job.driver, panic_message(&*payload))
+                })??;
+        for doc in &docs {
+            check_owner(doc, job)?;
         }
-        // Canonicalize table order. The in-process backend sees the
-        // driver's emission order but a subprocess backend reads shard
-        // documents back from the filesystem, which cannot preserve it;
-        // sorting by table name here makes every substrate merge — and
-        // every manifest record — byte-identically.
+        // Canonical table order, whatever order the driver emitted them
+        // in: `run.json`'s table lists and the merged output follow it.
         docs.sort_by(|a, b| a.table.name.cmp(&b.table.name));
         Ok(docs)
     }
@@ -574,16 +566,8 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
 mod tests {
     use super::*;
     use crate::runfile::start_run;
-    use crate::testutil::{tmp_dir, FakeBackend, QUICK};
+    use crate::testutil::{fake_docs, tmp_dir, FakeBackend, QUICK};
     use std::sync::Mutex;
-
-    /// [`crate::testutil::fake_docs`] as a backend returns them.
-    fn fake_docs(driver: &str, shard: (usize, usize)) -> Vec<String> {
-        crate::testutil::fake_docs(driver, shard)
-            .iter()
-            .map(TableDoc::render)
-            .collect()
-    }
 
     fn plan(drivers: &[&str], shards: usize, retries: usize) -> Plan {
         Plan {
@@ -603,7 +587,7 @@ mod tests {
             assert_eq!(run.retried, 0);
             assert_eq!(run.merged.len(), 1);
             // Merged equals what an unsharded run would render.
-            let unsharded = TableDoc::parse(&fake_docs(&run.driver, (0, 1))[0]).unwrap();
+            let unsharded = &fake_docs(&run.driver, (0, 1))[0];
             assert_eq!(run.merged[0].to_csv(), unsharded.to_csv());
         }
     }
@@ -634,7 +618,7 @@ mod tests {
     fn write_then_validate_round_trips_and_detects_drops() {
         let out = tmp_dir("orch-validate");
         let p = plan(&["a"], 3, 0);
-        let (_, csvs) = start_run(&out, &p, "local", QUICK, FakeBackend::default(), 2).unwrap();
+        let (_, csvs) = start_run(&out, &p, QUICK, FakeBackend::default(), 2).unwrap();
         assert_eq!(csvs.len(), 1);
         let validated = validate_dir(&out).unwrap();
         assert_eq!(validated.len(), 1);
@@ -674,7 +658,7 @@ mod tests {
         // validate_dir fail with a shard-count mismatch.
         for shards in [3, 2] {
             let p = plan(&["a"], shards, 0);
-            start_run(&out, &p, "local", QUICK, FakeBackend::default(), 2).unwrap();
+            start_run(&out, &p, QUICK, FakeBackend::default(), 2).unwrap();
         }
         let validated = validate_dir(&out).unwrap();
         assert_eq!(validated.len(), 1);
@@ -684,14 +668,8 @@ mod tests {
 
     #[test]
     fn duplicate_table_within_a_shard_is_rejected() {
-        let docs0: Vec<TableDoc> = fake_docs("a", (0, 2))
-            .iter()
-            .map(|d| TableDoc::parse(d).unwrap())
-            .collect();
-        let docs1: Vec<TableDoc> = fake_docs("a", (1, 2))
-            .iter()
-            .map(|d| TableDoc::parse(d).unwrap())
-            .collect();
+        let docs0 = fake_docs("a", (0, 2));
+        let docs1 = fake_docs("a", (1, 2));
         // Shard 1 returns its table twice (e.g. a retry artifact).
         let doubled = vec![docs0, vec![docs1[0].clone(), docs1[0].clone()]];
         match merge_driver_docs("a", &doubled).unwrap_err() {
@@ -707,7 +685,7 @@ mod tests {
     fn tampered_merged_csv_is_stale() {
         let out = tmp_dir("orch-stale");
         let p = plan(&["a"], 2, 0);
-        let (_, csvs) = start_run(&out, &p, "local", QUICK, FakeBackend::default(), 1).unwrap();
+        let (_, csvs) = start_run(&out, &p, QUICK, FakeBackend::default(), 1).unwrap();
         fs::write(&csvs[0], "point,sub\n9,9\n").unwrap();
         assert!(matches!(
             validate_dir(&out).unwrap_err(),
@@ -727,7 +705,7 @@ mod tests {
     }
 
     impl Backend for PanickyBackend {
-        fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+        fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
             let n = {
                 let mut calls = self.calls.lock().unwrap();
                 let entry = calls
@@ -775,7 +753,7 @@ mod tests {
         assert_eq!(outcomes.len(), 4);
         for o in &outcomes[..2] {
             let err = o.result.as_ref().unwrap_err();
-            assert!(err.contains("backend panicked: deliberate panic"), "{err}");
+            assert!(err.contains("panicky panicked: deliberate panic"), "{err}");
         }
         for o in &outcomes[2..] {
             assert!(o.result.is_ok());
@@ -784,27 +762,7 @@ mod tests {
         match orch.run(&p).unwrap_err() {
             OrchestrateError::Job { job, error, .. } => {
                 assert_eq!(job.driver, "panicky");
-                assert!(error.contains("backend panicked"));
-            }
-            other => panic!("expected Job error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn unparseable_documents_consume_retry_budget() {
-        struct GarbageBackend;
-        impl Backend for GarbageBackend {
-            fn run_shard(&self, _: &ShardJob) -> Result<Vec<String>, String> {
-                Ok(vec!["{ not json".into()])
-            }
-        }
-        let orch = Orchestrator::new(GarbageBackend, 1);
-        match orch.run(&plan(&["a"], 1, 2)).unwrap_err() {
-            OrchestrateError::Job {
-                attempts, error, ..
-            } => {
-                assert_eq!(attempts, 3);
-                assert!(error.contains("unparseable table document"), "{error}");
+                assert!(error.contains("panicky panicked"), "{error}");
             }
             other => panic!("expected Job error, got {other}"),
         }
@@ -817,7 +775,7 @@ mod tests {
         // merge.
         struct WrongDriver;
         impl Backend for WrongDriver {
-            fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+            fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
                 Ok(fake_docs("impostor", job.shard))
             }
         }
@@ -829,7 +787,7 @@ mod tests {
 
         struct WrongShard;
         impl Backend for WrongShard {
-            fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+            fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
                 Ok(fake_docs(&job.driver, (job.shard.0, job.shard.1 + 1)))
             }
         }
@@ -881,7 +839,7 @@ mod tests {
     fn plan_file_parsing() {
         let p = PlanFile::parse(
             r#"{"drivers": ["fig08"], "shards": 4, "retries": 1, "workers": 2,
-                "scale": "quick", "seed": 7, "replicates": 2, "backend": "subprocess"}"#,
+                "scale": "quick", "seed": 7, "replicates": 2}"#,
         )
         .unwrap();
         assert_eq!(p.drivers.as_deref(), Some(&["fig08".to_string()][..]));
@@ -891,8 +849,6 @@ mod tests {
         assert_eq!(p.scale, Some(Scale::Quick));
         assert_eq!(p.seed, Some(7));
         assert_eq!(p.replicates, Some(2));
-        assert_eq!(p.backend.as_deref(), Some("subprocess"));
-        assert!(PlanFile::parse(r#"{"backend": 3}"#).is_err());
         assert_eq!(
             PlanFile::parse(r#"{"drivers": "all"}"#).unwrap().drivers,
             None
@@ -919,6 +875,10 @@ mod tests {
                 r#"{"shards": 2, "shards": 3}"#,
                 "plan: duplicate key \"shards\" at byte 14",
             ),
+            (
+                r#"{"replicates": 0}"#,
+                "plan: replicates: must be at least 1",
+            ),
             ("[1]", "plan: expected an object"),
             ("{", "plan: expected '\"'"),
         ] {
@@ -928,8 +888,8 @@ mod tests {
         // The typo that used to run 2 shards and exit 0.
         assert_eq!(
             PlanFile::parse(r#"{"drivers": ["fig08"], "shard": 4}"#).unwrap_err(),
-            "plan: unknown key \"shard\" (known: backend, drivers, replicates, retries, \
-             scale, seed, shards, workers)"
+            "plan: unknown key \"shard\" (known: drivers, replicates, retries, scale, seed, \
+             shards, workers)"
         );
     }
 }

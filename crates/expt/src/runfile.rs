@@ -25,6 +25,7 @@
 //!   and not the attempt, the resumed merge is byte-identical to an
 //!   uninterrupted run.
 
+use crate::cli::check_replicates;
 use crate::json::{self, Bad, Fields, FromJson, Json};
 use crate::orchestrate::{
     check_owner, merge_driver_docs, plan_jobs, Backend, OrchestrateError, Orchestrator, Plan,
@@ -39,8 +40,9 @@ use std::sync::Mutex;
 /// Manifest filename inside a run directory.
 pub const RUN_FILE: &str = "run.json";
 
-/// Format tag written into every manifest.
-const MANIFEST_FORMAT: u64 = 1;
+/// Format tag written into every manifest. Format 1 also recorded the
+/// backend a run used.
+const MANIFEST_FORMAT: u64 = 2;
 
 /// Lifecycle state of one shard job within a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,17 +96,14 @@ pub struct JobEntry {
 }
 
 /// The durable description of one orchestrated run: plan, run
-/// identity, backend, and per-job status. Serialized as `run.json`.
+/// identity and per-job status. Serialized as `run.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     /// What was planned: drivers in order, shards per driver, retry
     /// budget per shard job.
     pub plan: Plan,
-    /// Backend name the run used (`local` / `subprocess` / ...) — what
-    /// `resume` re-runs with unless overridden.
-    pub backend: String,
     /// The run's identity: what every shard document must carry, and
-    /// what a resuming backend must run under to reproduce the run
+    /// what a resumed job must run under to reproduce the run
     /// bit-for-bit.
     pub flags: RunFlags,
     /// True once the run merged and wrote final CSVs.
@@ -114,12 +113,10 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// A fresh manifest for `plan` run under `backend` with `flags`:
-    /// every job pending.
-    pub fn new(plan: &Plan, backend: &str, flags: RunFlags) -> RunManifest {
+    /// A fresh manifest for `plan` run with `flags`: every job pending.
+    pub fn new(plan: &Plan, flags: RunFlags) -> RunManifest {
         RunManifest {
             plan: plan.clone(),
-            backend: backend.to_string(),
             flags,
             complete: false,
             jobs: plan_jobs(plan)
@@ -154,7 +151,6 @@ impl RunManifest {
         };
         let doc = Json::obj([
             ("format", Json::Num(MANIFEST_FORMAT.to_string())),
-            ("backend", Json::Str(self.backend.clone())),
             ("drivers", strs(&self.plan.drivers)),
             ("shards", num(self.plan.shards)),
             ("retries", num(self.plan.retries)),
@@ -220,10 +216,11 @@ impl RunManifest {
                 format!("{have} job(s) do not cover {drivers} driver(s) × {shards} shard(s)");
             return Err(f.bad("jobs", what));
         }
+        let flags = RunFlags::read(f)?;
+        check_replicates(flags.replicates).map_err(|e| f.bad("replicates", e))?;
         Ok(RunManifest {
             plan,
-            backend: f.req("backend")?,
-            flags: RunFlags::read(f)?,
+            flags,
             complete: f.req("complete")?,
             jobs,
         })
@@ -373,19 +370,17 @@ impl RunObserver for RunWriter {
 /// the all-pending `run.json` (pruning each planned driver's directory
 /// of an earlier run's files), persist every job's shard documents as
 /// the job completes, then write the validated merged tables and mark
-/// the manifest complete. `backend_name` is recorded for
-/// [`resume_run`]'s default. Returns the report and the merged CSV
-/// paths; on a job failure everything that completed stays on disk for
+/// the manifest complete. Returns the report and the merged CSV paths;
+/// on a job failure everything that completed stays on disk for
 /// `resume`.
 pub fn start_run<B: Backend>(
     dir: &Path,
     plan: &Plan,
-    backend_name: &str,
     flags: RunFlags,
     backend: B,
     workers: usize,
 ) -> Result<(RunReport, Vec<PathBuf>), OrchestrateError> {
-    let writer = RunWriter::open(dir, RunManifest::new(plan, backend_name, flags), true)?;
+    let writer = RunWriter::open(dir, RunManifest::new(plan, flags), true)?;
     let report = Orchestrator::new(backend, workers).run_observed(plan, &writer)?;
     let csvs = writer.finish(report.drivers.iter().flat_map(|r| &r.merged))?;
     Ok((report, csvs))
@@ -544,7 +539,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_and_validates() {
-        let mut m = RunManifest::new(&two_shard_plan(&["a", "b"]), "subprocess", QUICK);
+        let mut m = RunManifest::new(&two_shard_plan(&["a", "b"]), QUICK);
         (m.jobs[1].status, m.jobs[1].attempts) = (JobStatus::Ok, 2);
         m.jobs[1].tables = vec!["data".into()];
         (m.jobs[2].status, m.jobs[2].attempts) = (JobStatus::Failed, 3);
@@ -570,10 +565,15 @@ mod tests {
         assert!(RunManifest::parse(&bad_job)
             .unwrap_err()
             .starts_with("run manifest: jobs[2].status: unknown job status \"lost\""));
-        let garbage = m.render().replace("\"format\": 1", "\"format\": 99");
+        let garbage = m.render().replace("\"format\": 2", "\"format\": 99");
         assert!(RunManifest::parse(&garbage)
             .unwrap_err()
             .contains("unsupported format"));
+        let zero = m.render().replace("\"replicates\": 3", "\"replicates\": 0");
+        assert_eq!(
+            RunManifest::parse(&zero).unwrap_err(),
+            "run manifest: replicates: must be at least 1"
+        );
         // Dropping a job breaks drivers × shards coverage.
         let mut short = m.clone();
         short.jobs.pop();
@@ -593,7 +593,7 @@ mod tests {
     fn writer_persists_each_job_as_it_completes() {
         let out = tmp_dir("incremental");
         let plan = two_shard_plan(&["a"]);
-        let manifest = RunManifest::new(&plan, "local", QUICK);
+        let manifest = RunManifest::new(&plan, QUICK);
         let writer = RunWriter::open(&out, manifest, true).unwrap();
 
         // Before any job completes: manifest on disk, all pending.
@@ -621,11 +621,11 @@ mod tests {
             driver: "a".into(),
             shard: (1, 2),
         };
-        writer.job_done(&job1, 2, &Err("child crashed".into()));
+        writer.job_done(&job1, 2, &Err("driver panicked".into()));
         let m = RunManifest::read(&out.join(RUN_FILE)).unwrap();
         assert_eq!(m.jobs[1].status, JobStatus::Failed);
         assert_eq!(m.jobs[1].attempts, 2);
-        assert_eq!(m.jobs[1].error.as_deref(), Some("child crashed"));
+        assert_eq!(m.jobs[1].error.as_deref(), Some("driver panicked"));
 
         // Second attempt path: the job later succeeds; finish merges.
         writer.job_done(&job1, 3, &Ok(fake_docs("a", (1, 2))));
@@ -642,7 +642,7 @@ mod tests {
     fn full_run(tag: &str, drivers: &[&str]) -> PathBuf {
         let out = tmp_dir(tag);
         let plan = two_shard_plan(drivers);
-        start_run(&out, &plan, "local", QUICK, FakeBackend::default(), 2).unwrap();
+        start_run(&out, &plan, QUICK, FakeBackend::default(), 2).unwrap();
         out
     }
 
@@ -692,7 +692,7 @@ mod tests {
         // job 1 pending.
         let out = tmp_dir("killed");
         let plan = two_shard_plan(&["a"]);
-        let writer = RunWriter::open(&out, RunManifest::new(&plan, "local", QUICK), true).unwrap();
+        let writer = RunWriter::open(&out, RunManifest::new(&plan, QUICK), true).unwrap();
         writer.job_done(
             &ShardJob {
                 driver: "a".into(),
@@ -746,7 +746,7 @@ mod tests {
     fn resume_surfaces_a_still_failing_job() {
         struct AlwaysFail(AtomicUsize);
         impl Backend for AlwaysFail {
-            fn run_shard(&self, _: &ShardJob) -> Result<Vec<String>, String> {
+            fn run_shard(&self, _: &ShardJob) -> Result<Vec<TableDoc>, String> {
                 self.0.fetch_add(1, Ordering::Relaxed);
                 Err("still broken".into())
             }

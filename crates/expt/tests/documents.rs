@@ -63,7 +63,7 @@ fn run_manifest() -> RunManifest {
         shards: 2,
         retries: 1,
     };
-    let mut m = RunManifest::new(&plan, "subprocess", FLAGS);
+    let mut m = RunManifest::new(&plan, FLAGS);
     m.jobs[0].status = JobStatus::Ok;
     m.jobs[0].attempts = 2;
     m.jobs[0].tables = vec!["séries".into()];
@@ -81,7 +81,7 @@ fn golden_manifest() -> GoldenManifest {
 }
 
 const PLAN: &str = r#"{"drivers": ["fig08_shuffle_throughput"], "shards": 4, "retries": 1,
- "workers": 2, "scale": "quick", "seed": 7, "replicates": 3, "backend": "subprocess"}"#;
+ "workers": 2, "scale": "quick", "seed": 7, "replicates": 3}"#;
 
 const SCENARIO_TOML: &str = r#"# every section, one axis
 name = "démo"
@@ -342,7 +342,7 @@ fn unknown_and_duplicate_keys_are_rejected_at_every_level() {
         (
             "run.json",
             0,
-            "run manifest: unknown key \"zzz\" (known: backend, complete, ",
+            "run manifest: unknown key \"zzz\" (known: complete, drivers, ",
         ),
         (
             "run.json",
@@ -357,7 +357,7 @@ fn unknown_and_duplicate_keys_are_rejected_at_every_level() {
         (
             "plan",
             0,
-            "plan: unknown key \"zzz\" (known: backend, drivers, ",
+            "plan: unknown key \"zzz\" (known: drivers, replicates, ",
         ),
         (
             "golden manifest",
@@ -540,7 +540,7 @@ proptest! {
             shards,
             retries,
         };
-        let mut m = RunManifest::new(&plan, &awkward(shards + retries), flags_of(flags));
+        let mut m = RunManifest::new(&plan, flags_of(flags));
         m.complete = retries == 1;
         for (e, &(status, attempts, text)) in m.jobs.iter_mut().zip(&jobs) {
             e.status = [JobStatus::Pending, JobStatus::Ok, JobStatus::Failed][status];

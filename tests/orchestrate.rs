@@ -10,7 +10,7 @@ use bench::figures::{self, GOLDEN_FLAGS};
 use expt::orchestrate::{validate_dir, Backend, OrchestrateError, Orchestrator, Plan, ShardJob};
 use expt::output::MergeError;
 use expt::runfile::{resume_run, start_run, RunManifest, RUN_FILE};
-use expt::Table;
+use expt::{Table, TableDoc};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -76,7 +76,7 @@ fn dropped_shard_fails_with_missing_point_index() {
         retries: 0,
     };
     let backend = LocalBackend::new(GOLDEN_FLAGS);
-    start_run(&out, &plan, "local", GOLDEN_FLAGS, backend, 2).unwrap();
+    start_run(&out, &plan, GOLDEN_FLAGS, backend, 2).unwrap();
     assert!(!validate_dir(&out).unwrap().is_empty());
 
     // Injected dropped shard.
@@ -111,7 +111,7 @@ struct FlakyOnce {
 }
 
 impl Backend for FlakyOnce {
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
         let key = format!("{}:{}", job.driver, job.shard.0);
         if self.failed.lock().unwrap().insert(key) {
             return Err("injected transient failure".into());
@@ -174,7 +174,7 @@ struct FailAfter {
 }
 
 impl Backend for FailAfter {
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
         if self.started.fetch_add(1, Ordering::SeqCst) >= self.successes {
             return Err("simulated kill".into());
         }
@@ -199,7 +199,7 @@ impl CountingLocal {
 }
 
 impl Backend for CountingLocal {
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<String>, String> {
+    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
         self.ran
             .lock()
             .unwrap()
@@ -239,7 +239,7 @@ fn interrupted_run_resumes_to_byte_identical_merge() {
         successes: 2,
         started: AtomicUsize::new(0),
     };
-    let err = start_run(&out, &plan, "local", GOLDEN_FLAGS, killed, 1).unwrap_err();
+    let err = start_run(&out, &plan, GOLDEN_FLAGS, killed, 1).unwrap_err();
     assert!(matches!(err, OrchestrateError::Job { .. }));
 
     // The two completed shards are already durable.
