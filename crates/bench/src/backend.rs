@@ -2,9 +2,10 @@
 //! in process, through the [`crate::figures`] registry.
 //!
 //! The [`Backend`] trait is the seam tests use to inject failures; this
-//! is its one production implementation. A driver that aborts the
-//! process loses only the jobs in flight: every finished shard is on
-//! disk, and `opera resume` re-runs the rest.
+//! is its one production implementation. Each job runs once: a failed
+//! job, or the jobs in flight when a driver aborts the process, are
+//! re-run by `opera resume`, while every finished shard is already on
+//! disk.
 
 use crate::figures;
 use expt::orchestrate::{Backend, ShardJob};
@@ -16,7 +17,8 @@ use expt::{Ctx, ExptArgs, RunFlags, RunMeta, TableDoc};
 /// **one worker thread** — parallelism comes from the orchestrator's
 /// job pool, not from nesting thread pools (and the harness guarantees
 /// thread count cannot change output anyway). A panicking driver is
-/// caught by the orchestrator and reported as a failed attempt.
+/// caught by [`expt::orchestrate::run_job`] and reported as a failed
+/// job.
 #[derive(Debug, Clone)]
 pub struct LocalBackend {
     /// The run's identity, shared by every job (shard and threads are
@@ -54,7 +56,7 @@ impl Backend for LocalBackend {
 mod tests {
     use super::*;
     use crate::figures::GOLDEN_FLAGS;
-    use expt::orchestrate::{merge_driver_docs, Orchestrator, Plan};
+    use expt::orchestrate::{merge_driver_docs, run_job};
 
     #[test]
     fn unknown_driver_is_an_error() {
@@ -72,36 +74,25 @@ mod tests {
     fn sharded_fig14_merges_to_the_unsharded_tables() {
         // fig14 is cheap and has both a sweep table and a constant
         // table — a one-driver end-to-end of backend + merge.
+        const DRIVER: &str = "fig14_cycle_time_scaling";
         let b = LocalBackend::new(GOLDEN_FLAGS);
-        let unsharded = b
-            .run_shard(&ShardJob {
-                driver: "fig14_cycle_time_scaling".into(),
-                shard: (0, 1),
-            })
-            .unwrap();
-
-        let orch = Orchestrator::new(b, 2);
-        let report = orch
-            .run(&Plan {
-                drivers: vec!["fig14_cycle_time_scaling".into()],
-                shards: 3,
-                retries: 0,
-            })
-            .unwrap();
-        let merged = &report.drivers[0].merged;
+        let job = |shard| ShardJob {
+            driver: DRIVER.into(),
+            shard,
+        };
+        let unsharded = b.run_shard(&job((0, 1))).unwrap();
+        let shard_docs: Vec<Vec<TableDoc>> =
+            (0..3).map(|i| run_job(&b, &job((i, 3))).unwrap()).collect();
+        let merged = merge_driver_docs(DRIVER, &shard_docs).unwrap();
         assert_eq!(merged.len(), unsharded.len());
         // Merged tables are in canonical sorted-by-name order; the raw
         // run_shard docs are in driver emission order. Match by name.
-        for m in merged {
+        for m in &merged {
             let u = unsharded
                 .iter()
                 .find(|u| u.table.name == m.table.name)
                 .unwrap();
             assert_eq!(m.to_csv(), u.to_csv());
         }
-        // The grouped merge helper agrees with the orchestrator.
-        let regrouped =
-            merge_driver_docs("fig14_cycle_time_scaling", &report.drivers[0].shard_docs).unwrap();
-        assert_eq!(regrouped.len(), merged.len());
     }
 }

@@ -4,24 +4,19 @@
 //! * `list` / `run` — the driver registry ([`bench::figures::all`]):
 //!   `run <driver>` builds that driver's tables, prints them as CSV and
 //!   (unless `--no-write`) writes `<out>/<driver>/<table>.{csv,json}`.
-//! * `orchestrate` — schedule `driver × shard` jobs over a pool of
-//!   in-process worker threads (a panicking driver is a retryable job
-//!   failure), write a `run.json` manifest up front, persist each job's
-//!   shard documents under `<out>/<driver>/shards/` the moment the job
-//!   completes (atomic tmp-file + rename), and finally the validated
+//! * `orchestrate` — run each `driver × shard` job once on a pool of
+//!   in-process worker threads (a panicking driver fails its job, not
+//!   the sweep), write a `run.json` manifest up front, persist each
+//!   job's shard documents under `<out>/<driver>/shards/` the moment the
+//!   job completes (atomic tmp-file + rename), and finally the validated
 //!   merged tables — byte-identical to an unsharded `--threads 1` run
-//!   (asserted by `tests/orchestrate.rs`). A `--plan` file is JSON
-//!   overriding the defaults (any subset of these keys, and no others);
-//!   explicit flags win over the plan:
-//!
-//!   ```json
-//!   {"drivers": ["fig08_shuffle_throughput"], "shards": 4, "retries": 1,
-//!    "workers": 2, "scale": "quick", "seed": 0, "replicates": 3}
-//!   ```
+//!   (asserted by `tests/orchestrate.rs`). A driver named twice or
+//!   `--shards 0` is exit 2 before anything runs.
 //! * `resume` — re-read the manifest of a killed or failed run, reuse
 //!   every surviving valid shard document, re-run only the missing,
-//!   corrupt or failed jobs, and re-merge. A driver that aborts the
-//!   process loses only the jobs in flight; `resume` re-runs them.
+//!   corrupt or failed jobs, and re-merge. A failed job is re-run here,
+//!   once its cause is fixed; a driver that aborts the process loses
+//!   only the jobs in flight, and `resume` re-runs them too.
 //! * `validate` — re-merge the shard documents on disk and fail, naming
 //!   the invariant, on a missing or duplicated point index, mismatched
 //!   schema/flags, or a merged CSV that no longer matches its shards.
@@ -40,14 +35,14 @@
 //!
 //! Exit codes: 0 on success and for `--help`; 2 for a command line that
 //! cannot be run (unknown subcommand, flag, driver, point or scenario
-//! name, a plan, scenario or `run.json` file that does not decode — the
+//! name, a scenario or `run.json` file that does not decode — the
 //! message names the file and the known set); 1 when the work itself failed
 //! (drift, a failed job, I/O).
 
 use bench::backend::LocalBackend;
 use bench::{figures, record, spot};
 use expt::golden::{bless_driver, compare_driver, GoldenSpec};
-use expt::orchestrate::{validate_dir, OrchestrateError, Orchestrator, Plan, PlanFile, RunReport};
+use expt::orchestrate::{validate_dir, OrchestrateError, Plan};
 use expt::runfile::{resume_run, start_run, RunManifest, RUN_FILE};
 use expt::scenario::Scenario;
 use expt::{Args, Ctx, ExptArgs, RunFlags, RunMeta, Scale};
@@ -59,9 +54,8 @@ const USAGE: &str = "\
 usage: opera list
        opera run <driver> [--quick|--full] [--threads N] [--seed S] [--replicates R]
                  [--shard I/N] [--out DIR] [--no-write] [--k K]
-       opera orchestrate [--drivers all|A,B,...] [--shards N] [--workers W] [--retries K]
-                 [--quick|--full] [--seed S] [--replicates R] [--out DIR] [--plan FILE]
-                 [--no-write]
+       opera orchestrate [--drivers all|A,B,...] [--shards N] [--workers W]
+                 [--quick|--full] [--seed S] [--replicates R] [--out DIR]
        opera resume [DIR] [--workers W]
        opera validate [--out DIR]
        opera run-scenario FILE [--out DIR]
@@ -191,86 +185,51 @@ fn run(mut args: Args) -> Result<(), Exit> {
 }
 
 fn orchestrate(mut args: Args) -> Result<(), Exit> {
-    let mut drivers_arg: Option<String> = None;
-    let mut shards: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut retries: Option<usize> = None;
-    let mut scale: Option<Scale> = None;
-    let mut seed: Option<u64> = None;
-    let mut replicates: Option<usize> = None;
+    let mut drivers = "all".to_string();
+    let mut shards = 2;
+    let mut workers = 0;
+    let mut flags = RunFlags {
+        scale: Scale::Default,
+        seed: 0,
+        replicates: 3,
+        k: None,
+    };
     let mut out = PathBuf::from("results");
-    let mut no_write = false;
-    let mut plan_file = PlanFile::default();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--drivers" => drivers_arg = Some(args.value(&a)?),
-            "--shards" => shards = Some(args.parsed(&a)?),
-            "--workers" => workers = Some(args.parsed(&a)?),
-            "--retries" => retries = Some(args.parsed(&a)?),
-            "--quick" => scale = Some(Scale::Quick),
-            "--full" => scale = Some(Scale::Full),
-            "--seed" => seed = Some(args.parsed(&a)?),
-            "--replicates" => replicates = Some(args.replicates(&a)?),
+            "--drivers" => drivers = args.value(&a)?,
+            "--shards" => shards = args.at_least_one(&a)?,
+            "--workers" => workers = args.parsed(&a)?,
+            "--quick" => flags.scale = Scale::Quick,
+            "--full" => flags.scale = Scale::Full,
+            "--seed" => flags.seed = args.parsed(&a)?,
+            "--replicates" => flags.replicates = args.at_least_one(&a)?,
             "--out" => out = PathBuf::from(args.value(&a)?),
-            "--no-write" => no_write = true,
-            "--plan" => {
-                // Like a scenario, a plan that cannot be read or decoded
-                // is exit 2 naming the file, not a usage error.
-                let path = args.value(&a)?;
-                plan_file = std::fs::read_to_string(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|text| PlanFile::parse(&text))
-                    .map_err(|e| Exit::Invalid(format!("{path}: {e}")))?;
-            }
             other => return Err(unknown(other)),
         }
     }
-
-    // Resolution order: defaults < plan file < explicit flags.
     let known = driver_names();
-    let drivers: Vec<String> = match (drivers_arg.as_deref(), plan_file.drivers) {
-        (Some("all"), _) | (None, None) => known.iter().map(|s| s.to_string()).collect(),
-        (Some(s), _) => s.split(',').map(|d| d.trim().to_string()).collect(),
-        (None, Some(list)) => list,
+    let drivers: Vec<String> = match drivers.as_str() {
+        "all" => known.iter().map(|s| s.to_string()).collect(),
+        list => list.split(',').map(|d| d.trim().to_string()).collect(),
     };
-    if drivers.is_empty() {
-        return Err(Exit::Invalid(format!(
-            "empty driver list (from --drivers or the plan file); known drivers: {known:?}"
-        )));
-    }
     require_known("driver", &drivers, &known)?;
-    let plan = Plan {
-        drivers,
-        shards: shards.or(plan_file.shards).unwrap_or(2).max(1),
-        retries: retries.or(plan_file.retries).unwrap_or(1),
-    };
-    let flags = RunFlags {
-        scale: scale.or(plan_file.scale).unwrap_or(Scale::Default),
-        seed: seed.or(plan_file.seed).unwrap_or(0),
-        replicates: replicates.or(plan_file.replicates).unwrap_or(3),
-        k: None,
-    };
-    let backend = LocalBackend::new(flags);
+    let plan = Plan { drivers, shards };
+    if let Some(d) = plan.repeated_driver() {
+        return Err(Exit::Invalid(format!("--drivers names driver {d:?} twice")));
+    }
     println!(
-        "# orchestrating {} driver(s) x {} shard(s), scale={}, seed={}, replicates={}, retries={}",
+        "# orchestrating {} driver(s) x {} shard(s), scale={}, seed={}, replicates={}",
         plan.drivers.len(),
         plan.shards,
         flags.scale,
         flags.seed,
-        flags.replicates,
-        plan.retries
+        flags.replicates
     );
-    let workers = workers.or(plan_file.workers).unwrap_or(0);
-
-    if no_write {
-        let orch = Orchestrator::new(backend, workers);
-        print_report(&orch.run(&plan).map_err(failed)?);
-        return Ok(());
-    }
 
     // Durable run: manifest first, every shard persisted as its job
     // completes, merged CSVs at the end.
-    let run = start_run(&out, &plan, flags, backend, workers);
+    let run = start_run(&out, &plan, flags, LocalBackend::new(flags), workers);
     let (report, csvs) = run.map_err(|e| match e {
         OrchestrateError::Job { .. } | OrchestrateError::Merge { .. } => Exit::Failed(format!(
             "{e}\n# completed shards are persisted under {0}; after fixing the cause, \
@@ -279,32 +238,23 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
         )),
         other => failed(other),
     })?;
-    print_report(&report);
-    for p in csvs {
-        println!("# wrote {}", p.display());
-    }
-    Ok(())
-}
-
-fn print_report(report: &RunReport) {
     for run in &report.drivers {
-        let retried = if run.retried > 0 {
-            format!(" ({} retried attempt(s))", run.retried)
-        } else {
-            String::new()
-        };
         println!(
-            "ok  {} [{} shard(s), {} table(s)]{retried}",
+            "ok  {} [{} shard(s), {} table(s)]",
             run.driver,
             report.shards,
             run.merged.len()
         );
     }
     println!(
-        "# {} job attempt(s) across {} driver(s); every merge validated",
-        report.attempts,
+        "# {} job(s) across {} driver(s); every merge validated",
+        report.drivers.len() * report.shards,
         report.drivers.len()
     );
+    for p in csvs {
+        println!("# wrote {}", p.display());
+    }
+    Ok(())
 }
 
 fn resume(mut args: Args) -> Result<(), Exit> {
@@ -318,8 +268,8 @@ fn resume(mut args: Args) -> Result<(), Exit> {
     }
     let dir = dir.unwrap_or_else(|| PathBuf::from("results"));
     let path = dir.join(RUN_FILE);
-    // Like a plan, a manifest that cannot be read or decoded is exit 2
-    // naming the file.
+    // Like a scenario, a manifest that cannot be read or decoded is
+    // exit 2 naming the file.
     let manifest = RunManifest::read(&path).map_err(|e| Exit::Invalid(e.to_string()))?;
     // A manifest naming no or unknown drivers (hand-edited, or written
     // by a newer binary) must fail by name here, not schedule jobs that
@@ -353,10 +303,9 @@ fn resume(mut args: Args) -> Result<(), Exit> {
         );
     }
     println!(
-        "# {} job(s) reused, {} re-run ({} attempt(s)); every merge validated",
+        "# {} job(s) reused, {} re-run; every merge validated",
         report.reused,
-        report.rerun.len(),
-        report.attempts
+        report.rerun.len()
     );
     for p in &report.csvs {
         println!("# wrote {}", p.display());

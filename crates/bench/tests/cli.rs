@@ -1,6 +1,6 @@
 //! CLI acceptance tests driving the real `opera` binary: the exit-code
 //! convention, the registry-driven `list` / `run` (and its `--shard`
-//! split), name and replicate-count validation in `orchestrate` /
+//! split), name, replicate- and shard-count validation in `orchestrate` /
 //! `resume`, and the `run-scenario` subcommand.
 //!
 //! The regression of record: an empty or unknown driver list must be a
@@ -59,6 +59,9 @@ fn help_is_exit_0_and_bad_command_lines_are_exit_2() {
         &["run"],
         &["run", "fig14_cycle_time_scaling", "--bogus"],
         &["orchestrate", "--shards"],
+        &["orchestrate", "--retries", "1"],
+        &["orchestrate", "--plan", "plan.json"],
+        &["orchestrate", "--no-write"],
         &["validate", "--bogus"],
         &["golden", "--threads", "many"],
         &["spot", "--bogus"],
@@ -119,113 +122,53 @@ fn run_prints_the_registry_drivers_tables() {
     assert_eq!(stdout_of(&out), want);
 }
 
+/// An unknown driver, or one named twice (which used to run it twice,
+/// write each CSV twice and leave a `run.json` that `resume` refused),
+/// is exit 2 naming it before anything runs.
 #[test]
 fn unknown_driver_is_exit_2_with_known_list() {
-    let out = run(&[
-        "orchestrate",
-        "--drivers",
-        "fig99_nonexistent",
-        "--no-write",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    let err = stderr_of(&out);
-    assert!(err.contains("fig99_nonexistent"), "{err}");
-    assert!(err.contains("known drivers"), "{err}");
-}
-
-#[test]
-fn empty_plan_driver_list_is_a_hard_error() {
-    let dir = scratch("empty-plan");
-    let plan = dir.join("plan.json");
-    std::fs::write(&plan, r#"{"drivers": [], "shards": 1}"#).unwrap();
-    let out = run(&[
-        "orchestrate",
-        "--plan",
-        plan.to_str().unwrap(),
-        "--no-write",
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "empty driver list must not exit 0: {}",
-        stderr_of(&out)
-    );
-    assert!(
-        stderr_of(&out).contains("empty driver list"),
-        "{}",
-        stderr_of(&out)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A plan that cannot be read or decoded is an invalid input like a bad
-/// scenario: exit 2 naming the file and what is wrong with it, no usage
-/// dump, nothing run. The first row used to run 2 shards and exit 0, the
-/// second 3.
-#[test]
-fn undecodable_plan_is_exit_2_naming_the_file() {
-    let dir = scratch("bad-plan");
-    let plan = dir.join("plan.json");
-    for (text, want) in [
+    let dir = scratch("bad-drivers");
+    let results = dir.join("results");
+    for (drivers, want) in [
         (
-            r#"{"drivers": ["fig14_cycle_time_scaling"], "shard": 4}"#,
-            "plan: unknown key \"shard\" (known: drivers, replicates, retries, scale, seed, \
-             shards, workers)",
+            "fig99_nonexistent",
+            "\"fig99_nonexistent\"; known drivers: [",
         ),
         (
-            r#"{"shards": 2, "shards": 3}"#,
-            "plan: duplicate key \"shards\" at byte 14",
-        ),
-        (
-            r#"{"scale": "huge"}"#,
-            "plan: scale: unknown scale \"huge\" (want quick/default/full)",
-        ),
-        (
-            r#"["fig14_cycle_time_scaling"]"#,
-            "plan: expected an object",
+            "fig14_cycle_time_scaling,fig01_flow_dists,fig14_cycle_time_scaling",
+            "--drivers names driver \"fig14_cycle_time_scaling\" twice",
         ),
     ] {
-        std::fs::write(&plan, text).unwrap();
-        let out = run(&[
-            "orchestrate",
-            "--plan",
-            plan.to_str().unwrap(),
-            "--quick",
-            "--no-write",
-        ]);
-        assert_eq!(out.status.code(), Some(2), "{text}: {}", stderr_of(&out));
-        assert_eq!(
-            stderr_of(&out),
-            format!("error: {}: {want}\n", plan.display()),
-            "{text}"
-        );
-        assert!(out.stdout.is_empty(), "{text} ran something");
+        let args = ["orchestrate", "--drivers", drivers, "--quick", "--out"];
+        let out = run(&[&args[..], &[results.to_str().unwrap()]].concat());
+        assert_eq!(out.status.code(), Some(2), "{drivers}: {}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(err.contains(want), "{drivers}: {err}");
+        assert!(out.stdout.is_empty() && !results.exists(), "{drivers} ran");
     }
-    let out = run(&["orchestrate", "--plan", "/nonexistent/plan.json"]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    assert!(stderr_of(&out).starts_with("error: /nonexistent/plan.json: "));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Two megabytes of `[` used to overflow the stack of every subcommand
 /// that reads a document (exit 134). Now it is a parse error: `resume`
-/// re-runs exactly the job whose shard document it replaced, the others
-/// report the file.
+/// re-runs exactly the job whose shard document it replaced, and a
+/// manifest or scenario is exit 2 naming the file.
 #[test]
 fn deeply_nested_documents_are_errors_not_aborts() {
     let dir = scratch("deep");
     let deep = "[".repeat(2_000_000);
     let too_deep = "nesting deeper than 64 at byte 64";
 
-    for (name, args) in [
-        ("plan.json", &["orchestrate", "--no-write", "--plan"][..]),
-        ("scenario.json", &["run-scenario"]),
+    let (manifest, scenario) = (dir.join("run.json"), dir.join("scenario.json"));
+    for (file, args) in [
+        (&manifest, ["resume", dir.to_str().unwrap()]),
+        (&scenario, ["run-scenario", scenario.to_str().unwrap()]),
     ] {
-        let file = dir.join(name);
-        std::fs::write(&file, &deep).unwrap();
-        let out = run(&[args, &[file.to_str().unwrap()]].concat());
-        assert_eq!(out.status.code(), Some(2), "{name}: {}", stderr_of(&out));
+        std::fs::write(file, &deep).unwrap();
+        let out = run(&args);
         let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let name = file.to_str().unwrap();
         assert!(err.contains(name) && err.contains(too_deep), "{err}");
     }
 
@@ -294,14 +237,19 @@ fn deeply_nested_documents_are_errors_not_aborts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `run.json` that cannot be read or decoded is exit 2 naming the
+/// file, and one naming no driver or an unknown one is exit 2 naming
+/// that — all before anything runs.
 #[test]
-fn resume_rejects_manifest_with_unknown_driver() {
-    let dir = scratch("resume-unknown");
-    // A quick real run writes a valid manifest...
+fn resume_refuses_an_unreadable_undecodable_or_unrunnable_manifest() {
+    const DRIVER: &str = "fig14_cycle_time_scaling";
+    let dir = scratch("resume-bad-manifest");
+    // A quick real run writes a valid manifest, whose results are then
+    // removed: a resume that ran anything would recreate them.
     let out = run(&[
         "orchestrate",
         "--drivers",
-        "fig14_cycle_time_scaling",
+        DRIVER,
         "--shards",
         "1",
         "--quick",
@@ -309,19 +257,45 @@ fn resume_rejects_manifest_with_unknown_driver() {
         dir.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stderr_of(&out));
-    // ...which we then corrupt to name a driver that does not exist.
+    std::fs::remove_dir_all(dir.join(DRIVER)).unwrap();
     let manifest = dir.join("run.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    std::fs::write(
-        &manifest,
-        text.replace("fig14_cycle_time_scaling", "fig14_cycle_time_scalng"),
-    )
-    .unwrap();
-    let out = run(&["resume", dir.to_str().unwrap()]);
+    let decoding = format!("error: {}: run manifest: ", manifest.display());
+    let empty = r#"{"format": 3, "drivers": [], "shards": 1, "scale": "quick", "seed": 0,
+        "replicates": 3, "k": null, "complete": false, "jobs": []}"#;
+    for (edited, want) in [
+        (
+            text.replace(DRIVER, "fig14_cycle_time_scalng"),
+            "no driver named \"fig14_cycle_time_scalng\"; known drivers: [".to_string(),
+        ),
+        (
+            empty.to_string(),
+            "lists no drivers; nothing to resume".to_string(),
+        ),
+        (
+            text.replacen('{', "{\"seed\": 1, ", 1),
+            format!("{decoding}duplicate key \"seed\" at byte "),
+        ),
+        (format!("[{text}]"), format!("{decoding}expected an object")),
+        (
+            text.replace("\"quick\"", "\"huge\""),
+            format!("{decoding}scale: unknown scale \"huge\" (want quick/default/full)"),
+        ),
+    ] {
+        assert_ne!(edited, text);
+        std::fs::write(&manifest, &edited).unwrap();
+        let out = run(&["resume", dir.to_str().unwrap()]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{edited}: {err}");
+        assert!(err.contains(&want), "{edited}: {err}");
+        assert!(
+            out.stdout.is_empty() && !dir.join(DRIVER).exists(),
+            "{edited} ran"
+        );
+    }
+    let out = run(&["resume", "/nonexistent/run"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    let err = stderr_of(&out);
-    assert!(err.contains("fig14_cycle_time_scalng"), "{err}");
-    assert!(err.contains("known drivers"), "{err}");
+    assert!(stderr_of(&out).starts_with("error: /nonexistent/run/run.json: "));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -383,20 +357,15 @@ fn sharded_runs_write_documents_that_merge_to_the_unsharded_csv() {
 
 /// Zero replicates would run no seed at all: table-only drivers used to
 /// write header-only tables and exit 0. Every input a replicate count
-/// comes from — the `run` and `orchestrate` flags, a plan file, a
-/// `run.json` read by `resume` — is exit 2 naming the field, before
-/// anything runs or is written.
+/// comes from — the `run` and `orchestrate` flags, a `run.json` read by
+/// `resume` — is exit 2 naming the field, before anything runs or is
+/// written. So is `orchestrate --shards 0`, which used to run one shard
+/// and exit 0.
 #[test]
-fn zero_replicates_is_exit_2_from_every_input() {
+fn zero_replicates_or_shards_is_exit_2_from_every_input() {
     const DRIVER: &str = "fig01_flow_dists";
     let dir = scratch("zero-replicates");
     let out = dir.join("results");
-    let plan = dir.join("plan.json");
-    std::fs::write(
-        &plan,
-        format!(r#"{{"drivers": ["{DRIVER}"], "replicates": 0}}"#),
-    )
-    .unwrap();
     // A real run's manifest, edited to record zero replicates, and its
     // results removed: a resume that ran anything would recreate them.
     let resumed = dir.join("resumed");
@@ -418,11 +387,7 @@ fn zero_replicates_is_exit_2_from_every_input() {
     std::fs::write(&manifest, zero).unwrap();
     std::fs::remove_dir_all(resumed.join(DRIVER)).unwrap();
 
-    let (out, plan, resumed) = (
-        out.to_str().unwrap(),
-        plan.to_str().unwrap(),
-        resumed.to_str().unwrap(),
-    );
+    let (out, resumed) = (out.to_str().unwrap(), resumed.to_str().unwrap());
     for (args, want) in [
         (
             &["run", DRIVER, "--quick", "--replicates", "0", "--out", out][..],
@@ -442,8 +407,16 @@ fn zero_replicates_is_exit_2_from_every_input() {
             "--replicates must be at least 1",
         ),
         (
-            &["orchestrate", "--plan", plan, "--quick", "--out", out],
-            "plan: replicates: must be at least 1",
+            &[
+                "orchestrate",
+                "--drivers",
+                DRIVER,
+                "--shards",
+                "0",
+                "--out",
+                out,
+            ],
+            "--shards must be at least 1",
         ),
         (
             &["resume", resumed],
@@ -461,7 +434,8 @@ fn zero_replicates_is_exit_2_from_every_input() {
 }
 
 /// A manifest written before `run.json` dropped its backend name
-/// (format 1) is refused by name, not read as a run to resume.
+/// (format 1), or its retry budget and attempt counts (format 2), is
+/// refused by name, not read as a run to resume.
 #[test]
 fn resume_refuses_a_format_1_manifest() {
     let dir = scratch("format-1");
@@ -478,20 +452,21 @@ fn resume_refuses_a_format_1_manifest() {
     assert!(out.status.success(), "{}", stderr_of(&out));
     let manifest = dir.join("run.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    let old = text.replace("\"format\": 2", "\"format\": 1").replacen(
-        '{',
-        "{\n  \"backend\": \"local\",",
-        1,
-    );
-    assert_ne!(old, text, "run.json records another format");
-    std::fs::write(&manifest, old).unwrap();
-    let out = run(&["resume", dir.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    assert!(
-        stderr_of(&out).contains("unsupported format 1 (this build reads format 2)"),
-        "{}",
-        stderr_of(&out)
-    );
+    for (format, keys) in [
+        (1, "\"backend\": \"local\", \"retries\": 1"),
+        (2, "\"retries\": 1"),
+    ] {
+        let old = text
+            .replace("\"format\": 3", &format!("\"format\": {format}"))
+            .replacen('{', &format!("{{\n  {keys},"), 1);
+        assert!(old.contains(&format!("\"format\": {format}")), "{text}");
+        std::fs::write(&manifest, old).unwrap();
+        let out = run(&["resume", dir.to_str().unwrap()]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "format {format}: {err}");
+        let want = format!("unsupported format {format} (this build reads format 3)");
+        assert!(err.contains(&want), "{err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

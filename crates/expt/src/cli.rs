@@ -63,10 +63,10 @@ impl Args {
             .map_err(|e| format!("{flag}: invalid value {v:?}: {e}"))
     }
 
-    /// The replicate count that must follow `flag`, at least 1 (the rule
-    /// plan files and `run.json` share).
-    pub fn replicates(&mut self, flag: &str) -> Result<usize, String> {
-        check_replicates(self.parsed(flag)?).map_err(|e| format!("{flag} {e}"))
+    /// The count that must follow `flag` (`--replicates`, `--shards`),
+    /// at least 1: the rule `run.json` shares.
+    pub fn at_least_one(&mut self, flag: &str) -> Result<usize, String> {
+        at_least_one(self.parsed(flag)?).map_err(|e| format!("{flag} {e}"))
     }
 }
 
@@ -77,12 +77,13 @@ impl Iterator for Args {
     }
 }
 
-/// The one rule on a replicate count, wherever it is read
-/// (`--replicates`, a plan file, `run.json`): at least one seed per sweep
-/// point. Zero would run no seed and write header-only tables. The `Err`
-/// says what is wrong; the caller names the field.
-pub(crate) fn check_replicates(replicates: usize) -> Result<usize, &'static str> {
-    match replicates {
+/// The one rule on a replicate or shard count, wherever it is read
+/// (`--replicates`, `--shards`, `run.json`): at least one. Zero
+/// replicates would run no seed and write header-only tables; zero
+/// shards would run no job. The `Err` says what is wrong; the caller
+/// names the field.
+pub(crate) fn at_least_one(count: usize) -> Result<usize, &'static str> {
+    match count {
         0 => Err("must be at least 1"),
         n => Ok(n),
     }
@@ -111,7 +112,7 @@ impl fmt::Display for Scale {
 
 impl Scale {
     /// Parse the name [`Scale`] renders to (`quick` / `default` /
-    /// `full`) — the form plan files and run manifests store.
+    /// `full`) — the form table documents and run manifests store.
     pub fn from_name(name: &str) -> Result<Scale, String> {
         match name {
             "quick" => Ok(Scale::Quick),
@@ -182,7 +183,7 @@ impl ExptArgs {
                 "--full" => out.scale = Scale::Full,
                 "--threads" => out.threads = it.parsed(&a)?,
                 "--seed" => out.seed = it.parsed(&a)?,
-                "--replicates" => out.replicates = it.replicates(&a)?,
+                "--replicates" => out.replicates = it.at_least_one(&a)?,
                 "--shard" => out.shard = Some(parse_shard(&it.value(&a)?)?),
                 "--out" => out.out = PathBuf::from(it.value(&a)?),
                 "--no-write" => out.no_write = true,

@@ -8,13 +8,13 @@
 //! error (not last-one-wins) and nesting is bounded by [`MAX_DEPTH`].
 //!
 //! [`Fields`] is the decoder on top of it. Table documents, `run.json`,
-//! plan files, golden manifests and scenarios (TOML is first adapted to
-//! a [`Json`] tree) are each a list of typed field reads against one
+//! golden manifests and scenarios (TOML is first adapted to a [`Json`]
+//! tree) are each a list of typed field reads against one
 //! `Fields`, closed by [`Fields::finish`], which rejects any key never
 //! asked for. Every error has one shape, `<document>: <path>: <what>`:
 //!
 //! ```text
-//! plan: unknown key "shard" (known: drivers, replicates, retries, ...)
+//! run manifest: format: unsupported format 2 (this build reads format 3)
 //! run manifest: jobs[3].shard: expected an [i, n] pair
 //! scenario: workload.kind: missing (keys present: flow_kb, senders)
 //! ```

@@ -28,19 +28,19 @@
 //! * [`golden`] — committed quick-mode baseline CSVs with provenance
 //!   manifests and the tolerance-aware diff engine behind the tier-1
 //!   golden test,
-//! * [`orchestrate`] — the driver-level scheduler behind
-//!   `opera orchestrate`: fans `driver × shard` jobs over a worker pool
-//!   (each run in process by an [`orchestrate::Backend`]), retries
-//!   failures, and merges shard documents with point-index validation,
-//! * [`runfile`] — durable run state: the `run.json` manifest,
-//!   [`runfile::start_run`], which persists each shard document the
-//!   moment its job completes (atomic tmp-file + rename), and
-//!   [`runfile::resume_run`], which re-runs only the missing or corrupt
-//!   shards of an interrupted run,
+//! * [`orchestrate`] — the `driver × shard` jobs behind
+//!   `opera orchestrate`: each run once, in process, by an
+//!   [`orchestrate::Backend`], and each driver's shard documents merged
+//!   with point-index validation,
+//! * [`runfile`] — the one way an orchestrated sweep runs: the `run.json`
+//!   manifest, [`runfile::start_run`], which fans the jobs over a worker
+//!   pool and persists each shard document the moment its job completes
+//!   (atomic tmp-file + rename), and [`runfile::resume_run`], which
+//!   re-runs only the missing, corrupt or failed shards of a run,
 //! * [`scenario`] — declarative TOML/JSON scenario files,
 //! * [`json`] — the offline JSON parser (duplicate keys rejected,
 //!   nesting bounded) and [`json::Fields`], the one strict decoder the
-//!   five documents above are read through: typed field reads, unknown
+//!   four documents above are read through: typed field reads, unknown
 //!   keys rejected, every error `<document>: <path>: <what>`,
 //! * [`cli::ExptArgs`] — the `--quick` / `--threads` / `--out` /
 //!   `--full` / `--seed` / `--replicates` / `--shard` flags shared by
@@ -208,9 +208,7 @@ pub(crate) mod testutil {
 
     use crate::orchestrate::{Backend, ShardJob};
     use crate::{Cell, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc};
-    use std::collections::BTreeMap;
     use std::path::PathBuf;
-    use std::sync::Mutex;
 
     /// The identity every fixture runs under.
     pub(crate) const QUICK: RunFlags = RunFlags {
@@ -257,32 +255,12 @@ pub(crate) mod testutil {
         }]
     }
 
-    /// Backend producing [`fake_docs`]: every job fails its first
-    /// `fail_first` attempts, and the driver `always-broken` every one.
-    #[derive(Default)]
-    pub(crate) struct FakeBackend {
-        fail_first: usize,
-        calls: Mutex<BTreeMap<String, usize>>,
-    }
-
-    impl FakeBackend {
-        pub(crate) fn failing_first(fail_first: usize) -> Self {
-            FakeBackend {
-                fail_first,
-                calls: Mutex::default(),
-            }
-        }
-    }
+    /// Backend producing [`fake_docs`], except that every job of the
+    /// driver `always-broken` fails.
+    pub(crate) struct FakeBackend;
 
     impl Backend for FakeBackend {
         fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-            let key = format!("{}:{}", job.driver, job.shard.0);
-            let mut calls = self.calls.lock().unwrap();
-            let n = calls.entry(key).or_insert(0);
-            *n += 1;
-            if *n <= self.fail_first {
-                return Err(format!("transient failure {n}"));
-            }
             if job.driver == "always-broken" {
                 return Err("permanent failure".into());
             }

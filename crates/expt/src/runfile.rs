@@ -1,37 +1,38 @@
-//! Durable run state: the `run.json` manifest and incremental writers
-//! that make an orchestrated sweep survivable.
+//! Durable run state: the `run.json` manifest, and the one way an
+//! orchestrated sweep runs — [`start_run`], or [`resume_run`] to finish
+//! one — so that a killed run keeps every shard it completed.
 //!
-//! The original orchestrator wrote results *once, at the very end* of a
-//! run — a killed `--full` sweep (paper-scale points take minutes each)
-//! lost every completed shard. This module closes that gap:
+//! A killed `--full` sweep (paper-scale points take minutes each) must
+//! not lose its completed shards, so a run reaches disk job by job:
 //!
 //! * [`RunManifest`] — the plan, the run's identity
 //!   ([`RunFlags`]), and per-job status (pending / ok / failed,
-//!   attempts, persisted tables), serialized as `run.json` in the run
+//!   persisted tables), serialized as `run.json` in the run
 //!   directory and rewritten atomically after every job completion;
 //!   read back, like every document, through [`crate::json::Fields`],
-//! * [`start_run`] — the one way a run reaches disk (the
-//!   `opera orchestrate` body, and what the tests call): manifest
-//!   first, then each job's shard documents written to
-//!   `<out>/<driver>/shards/` *the moment the job completes*, via
+//! * [`start_run`] — the `opera orchestrate` body, and what the tests
+//!   call: manifest first, then every job runs once on a pool of worker
+//!   threads and its shard documents are written to
+//!   `<out>/<driver>/shards/` *the moment it completes*, via
 //!   [`crate::output::write_atomic`] (tmp file + rename) followed by a
 //!   manifest update — so at any kill point the disk holds only
 //!   complete documents plus an accurate account of what finished —
 //!   and finally the merged tables,
 //! * [`resume_run`] — reloads a manifest, re-validates every surviving
 //!   shard document (parse + run identity against the manifest), and
-//!   re-runs *only* the missing, corrupt, or never-completed jobs
+//!   re-runs *only* the missing, corrupt, failed or never-completed jobs
 //!   before re-merging. Because per-point seeds derive from the plan
-//!   and not the attempt, the resumed merge is byte-identical to an
-//!   uninterrupted run.
+//!   and not from when a job ran, the resumed merge is byte-identical
+//!   to an uninterrupted run.
 
-use crate::cli::check_replicates;
+use crate::cli::at_least_one;
 use crate::json::{self, Bad, Fields, FromJson, Json};
 use crate::orchestrate::{
-    check_owner, merge_driver_docs, plan_jobs, Backend, OrchestrateError, Orchestrator, Plan,
-    RunObserver, RunReport, ShardJob,
+    check_owner, merge_driver_docs, plan_jobs, run_job, Backend, DriverRun, OrchestrateError, Plan,
+    RunReport, ShardJob,
 };
 use crate::output::{self, result_path, ResultFile, RunFlags, TableDoc};
+use crate::runner::{claim_slots, worker_count};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -41,8 +42,9 @@ use std::sync::Mutex;
 pub const RUN_FILE: &str = "run.json";
 
 /// Format tag written into every manifest. Format 1 also recorded the
-/// backend a run used.
-const MANIFEST_FORMAT: u64 = 2;
+/// backend a run used; format 2 a retry budget and per-job attempt
+/// counts.
+const MANIFEST_FORMAT: u64 = 3;
 
 /// Lifecycle state of one shard job within a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +53,7 @@ pub enum JobStatus {
     Pending,
     /// Completed; its shard documents are on disk.
     Ok,
-    /// Failed after exhausting the retry budget.
+    /// Failed; its error is recorded.
     Failed,
 }
 
@@ -85,8 +87,6 @@ pub struct JobEntry {
     pub job: ShardJob,
     /// Lifecycle state.
     pub status: JobStatus,
-    /// Attempts made so far (0 while pending).
-    pub attempts: usize,
     /// Last error, for failed jobs.
     pub error: Option<String>,
     /// Table names whose shard documents this job persisted — the
@@ -99,8 +99,7 @@ pub struct JobEntry {
 /// identity and per-job status. Serialized as `run.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
-    /// What was planned: drivers in order, shards per driver, retry
-    /// budget per shard job.
+    /// What was planned: drivers in order, shards per driver.
     pub plan: Plan,
     /// The run's identity: what every shard document must carry, and
     /// what a resumed job must run under to reproduce the run
@@ -124,7 +123,6 @@ impl RunManifest {
                 .map(|job| JobEntry {
                     job,
                     status: JobStatus::Pending,
-                    attempts: 0,
                     error: None,
                     tables: Vec::new(),
                 })
@@ -144,7 +142,6 @@ impl RunManifest {
                     Json::Arr(vec![num(e.job.shard.0), num(e.job.shard.1)]),
                 ),
                 ("status", Json::Str(e.status.name().to_string())),
-                ("attempts", num(e.attempts)),
                 ("error", e.error.clone().map_or(Json::Null, Json::Str)),
                 ("tables", strs(&e.tables)),
             ])
@@ -153,7 +150,6 @@ impl RunManifest {
             ("format", Json::Num(MANIFEST_FORMAT.to_string())),
             ("drivers", strs(&self.plan.drivers)),
             ("shards", num(self.plan.shards)),
-            ("retries", num(self.plan.retries)),
             ("scale", Json::Str(self.flags.scale.to_string())),
             ("seed", Json::Num(self.flags.seed.to_string())),
             ("replicates", num(self.flags.replicates)),
@@ -173,15 +169,9 @@ impl RunManifest {
 
     fn read_fields(f: &mut Fields<'_>) -> Result<RunManifest, String> {
         f.format(MANIFEST_FORMAT)?;
-        let plan = Plan {
-            drivers: f.req("drivers")?,
-            shards: f.req("shards")?,
-            retries: f.req("retries")?,
-        };
-        let shards = plan.shards;
-        if shards == 0 {
-            return Err(f.bad("shards", "must be at least 1"));
-        }
+        let drivers = f.req("drivers")?;
+        let shards = at_least_one(f.req("shards")?).map_err(|e| f.bad("shards", e))?;
+        let plan = Plan { drivers, shards };
         let mut jobs = Vec::new();
         for mut e in f.req_objs("jobs")? {
             jobs.push(JobEntry {
@@ -190,7 +180,6 @@ impl RunManifest {
                     shard: e.req("shard")?,
                 },
                 status: e.req("status")?,
-                attempts: e.req("attempts")?,
                 error: e.opt::<Option<String>>("error")?.flatten(),
                 tables: e.req("tables")?,
             });
@@ -217,7 +206,7 @@ impl RunManifest {
             return Err(f.bad("jobs", what));
         }
         let flags = RunFlags::read(f)?;
-        check_replicates(flags.replicates).map_err(|e| f.bad("replicates", e))?;
+        at_least_one(flags.replicates).map_err(|e| f.bad("replicates", e))?;
         Ok(RunManifest {
             plan,
             flags,
@@ -237,24 +226,20 @@ impl RunManifest {
     }
 }
 
-/// Persists a run incrementally: implements [`RunObserver`] by writing
-/// each completed job's shard documents (atomic tmp-file + rename) and
-/// rewriting `run.json`, then [`RunWriter::finish`] writes the merged
-/// CSVs and marks the run complete. Safe to share across the
-/// orchestrator's worker threads.
+/// Persists a run as it happens: [`RunWriter::run`] runs jobs on a pool
+/// of worker threads and [`RunWriter::record`]s each one the moment it
+/// completes — its shard documents (atomic tmp-file + rename), then
+/// `run.json` — and [`RunWriter::finish`] writes the merged tables and
+/// marks the run complete.
 #[derive(Debug)]
 struct RunWriter {
     out: PathBuf,
-    state: Mutex<WriterState>,
+    manifest: Mutex<RunManifest>,
 }
 
-#[derive(Debug)]
-struct WriterState {
-    manifest: RunManifest,
-    /// First persistence failure, surfaced by `finish` — `job_done`
-    /// cannot return errors through the observer interface.
-    error: Option<OrchestrateError>,
-}
+/// The `expect` message of a [`RunWriter`]'s manifest lock, poisoned
+/// only if a thread panicked while holding it: a bug.
+const POISONED: &str = "a thread panicked while updating the run manifest";
 
 /// [`output::write_atomic`] with the path in the error.
 fn write(path: &Path, text: &str) -> Result<(), OrchestrateError> {
@@ -286,10 +271,7 @@ impl RunWriter {
         write(&out.join(RUN_FILE), &manifest.render())?;
         Ok(RunWriter {
             out: out.to_path_buf(),
-            state: Mutex::new(WriterState {
-                manifest,
-                error: None,
-            }),
+            manifest: Mutex::new(manifest),
         })
     }
 
@@ -298,13 +280,11 @@ impl RunWriter {
     /// claims a document that is not already safely on disk.
     fn record(
         &self,
-        st: &mut WriterState,
         job: &ShardJob,
-        attempts: usize,
         outcome: &Result<Vec<TableDoc>, String>,
     ) -> Result<(), OrchestrateError> {
-        let entry = st
-            .manifest
+        let mut manifest = self.manifest.lock().expect(POISONED);
+        let entry = manifest
             .jobs
             .iter_mut()
             .find(|e| e.job == *job)
@@ -316,7 +296,6 @@ impl RunWriter {
                 write(&path, &doc.render())?;
             }
         }
-        entry.attempts = attempts;
         (entry.status, entry.error, entry.tables) = match outcome {
             Ok(docs) => (
                 JobStatus::Ok,
@@ -325,22 +304,64 @@ impl RunWriter {
             ),
             Err(e) => (JobStatus::Failed, Some(e.clone()), Vec::new()),
         };
-        write(&self.out.join(RUN_FILE), &st.manifest.render())
+        write(&self.out.join(RUN_FILE), &manifest.render())
+    }
+
+    /// Run each of `jobs` once on `workers` threads (0 = one per core),
+    /// recording each as it completes, then merge every planned driver
+    /// from the documents in `done` plus the jobs' and finish the run.
+    /// A failed job does not stop the others — every job runs and is
+    /// persisted whatever the rest do — and is then the error, the first
+    /// in job order.
+    fn run<B: Backend>(
+        &self,
+        backend: B,
+        workers: usize,
+        jobs: &[ShardJob],
+        mut done: BTreeMap<(String, usize), Vec<TableDoc>>,
+    ) -> Result<(RunReport, Vec<PathBuf>), OrchestrateError> {
+        let outcomes = claim_slots(worker_count(workers), jobs.len(), |slot| {
+            let outcome = run_job(&backend, &jobs[slot]);
+            let recorded = self.record(&jobs[slot], &outcome);
+            (outcome, recorded)
+        });
+        for (job, (outcome, recorded)) in jobs.iter().zip(outcomes) {
+            recorded?;
+            let docs = outcome.map_err(|error| OrchestrateError::Job {
+                job: job.clone(),
+                error,
+            })?;
+            done.insert((job.driver.clone(), job.shard.0), docs);
+        }
+
+        let plan = self.manifest.lock().expect(POISONED).plan.clone();
+        let mut drivers = Vec::with_capacity(plan.drivers.len());
+        for driver in plan.drivers {
+            let shard_docs: Vec<Vec<TableDoc>> = (0..plan.shards)
+                .map(|i| {
+                    done.remove(&(driver.clone(), i))
+                        .expect("every planned job was run or reused")
+                })
+                .collect();
+            let merged = merge_driver_docs(&driver, &shard_docs)?;
+            drivers.push(DriverRun { driver, merged });
+        }
+        let csvs = self.finish(drivers.iter().flat_map(|r| &r.merged))?;
+        let report = RunReport {
+            drivers,
+            shards: plan.shards,
+        };
+        Ok((report, csvs))
     }
 
     /// Finish the run: write each merged table under its driver's
     /// directory (`<table>.csv` + unsharded `<table>.json`, atomically),
     /// mark the manifest complete, and return the merged CSV paths.
-    /// Surfaces the first persistence error any earlier
-    /// [`RunObserver::job_done`] call swallowed.
     fn finish<'a>(
         &self,
         merged: impl IntoIterator<Item = &'a TableDoc>,
     ) -> Result<Vec<PathBuf>, OrchestrateError> {
-        let mut st = self.state.lock().unwrap();
-        if let Some(e) = st.error.take() {
-            return Err(e);
-        }
+        let mut manifest = self.manifest.lock().expect(POISONED);
         let mut csvs = Vec::new();
         for doc in merged {
             let dir = self.out.join(&doc.meta.driver);
@@ -350,29 +371,22 @@ impl RunWriter {
             write(&json, &doc.render())?;
             csvs.push(csv);
         }
-        st.manifest.complete = true;
-        write(&self.out.join(RUN_FILE), &st.manifest.render())?;
+        manifest.complete = true;
+        write(&self.out.join(RUN_FILE), &manifest.render())?;
         Ok(csvs)
-    }
-}
-
-impl RunObserver for RunWriter {
-    fn job_done(&self, job: &ShardJob, attempts: usize, outcome: &Result<Vec<TableDoc>, String>) {
-        let mut st = self.state.lock().unwrap();
-        if let Err(e) = self.record(&mut st, job, attempts, outcome) {
-            // Keep the first failure; finish() will surface it.
-            st.error.get_or_insert(e);
-        }
     }
 }
 
 /// Run `plan` durably under `dir` — what `opera orchestrate` does: write
 /// the all-pending `run.json` (pruning each planned driver's directory
-/// of an earlier run's files), persist every job's shard documents as
-/// the job completes, then write the validated merged tables and mark
-/// the manifest complete. Returns the report and the merged CSV paths;
-/// on a job failure everything that completed stays on disk for
-/// `resume`.
+/// of an earlier run's files), run every job once on `workers` threads
+/// (0 = one per core), persisting its shard documents as it completes,
+/// then write the validated merged tables and mark the manifest
+/// complete. Returns the report and the merged CSV paths; on a job
+/// failure everything that completed stays on disk for `resume`.
+///
+/// # Panics
+/// Panics when `plan` names a driver twice.
 pub fn start_run<B: Backend>(
     dir: &Path,
     plan: &Plan,
@@ -380,10 +394,11 @@ pub fn start_run<B: Backend>(
     backend: B,
     workers: usize,
 ) -> Result<(RunReport, Vec<PathBuf>), OrchestrateError> {
+    if let Some(driver) = plan.repeated_driver() {
+        panic!("plan names driver {driver:?} twice");
+    }
     let writer = RunWriter::open(dir, RunManifest::new(plan, flags), true)?;
-    let report = Orchestrator::new(backend, workers).run_observed(plan, &writer)?;
-    let csvs = writer.finish(report.drivers.iter().flat_map(|r| &r.merged))?;
-    Ok((report, csvs))
+    writer.run(backend, workers, &plan_jobs(plan), BTreeMap::new())
 }
 
 /// Why [`resume_run`] decided to re-run one job.
@@ -404,8 +419,6 @@ pub struct ResumeReport {
     pub reused: usize,
     /// Jobs that were re-run, with reasons, in plan order.
     pub rerun: Vec<ResumedJob>,
-    /// Shard-job attempts the resume made (0 if everything was reused).
-    pub attempts: usize,
     /// Merged CSV paths, re-written either way.
     pub csvs: Vec<PathBuf>,
 }
@@ -446,34 +459,12 @@ pub fn resume_run<B: Backend>(
         });
     }
     let reused = docs_by_job.len();
-
-    let writer = RunWriter::open(dir, manifest.clone(), false)?;
     let jobs: Vec<ShardJob> = rerun.iter().map(|r| r.job.clone()).collect();
-    let orch = Orchestrator::new(backend, workers);
-    let outcomes = orch.execute_jobs(&jobs, manifest.plan.retries, &writer);
-    let mut attempts = 0;
-    for (r, outcome) in rerun.iter().zip(outcomes) {
-        attempts += outcome.attempts;
-        let key = (r.job.driver.clone(), r.job.shard.0);
-        docs_by_job.insert(key, outcome.into_docs(&r.job)?);
-    }
-
-    let mut merged = Vec::new();
-    for driver in &manifest.plan.drivers {
-        let shard_docs: Vec<Vec<TableDoc>> = (0..manifest.plan.shards)
-            .map(|i| {
-                docs_by_job
-                    .remove(&(driver.clone(), i))
-                    .expect("manifest job coverage validated on read")
-            })
-            .collect();
-        merged.extend(merge_driver_docs(driver, &shard_docs)?);
-    }
-    let csvs = writer.finish(&merged)?;
+    let writer = RunWriter::open(dir, manifest, false)?;
+    let (_, csvs) = writer.run(backend, workers, &jobs, docs_by_job)?;
     Ok(ResumeReport {
         reused,
         rerun,
-        attempts,
         csvs,
     })
 }
@@ -533,16 +524,15 @@ mod tests {
         Plan {
             drivers: drivers.iter().map(|s| s.to_string()).collect(),
             shards: 2,
-            retries: 0,
         }
     }
 
     #[test]
     fn manifest_round_trips_and_validates() {
         let mut m = RunManifest::new(&two_shard_plan(&["a", "b"]), QUICK);
-        (m.jobs[1].status, m.jobs[1].attempts) = (JobStatus::Ok, 2);
+        m.jobs[1].status = JobStatus::Ok;
         m.jobs[1].tables = vec!["data".into()];
-        (m.jobs[2].status, m.jobs[2].attempts) = (JobStatus::Failed, 3);
+        m.jobs[2].status = JobStatus::Failed;
         m.jobs[2].error = Some("exit status 1".into());
         let parsed = RunManifest::parse(&m.render()).unwrap();
         assert_eq!(parsed, m);
@@ -550,11 +540,18 @@ mod tests {
         assert_eq!(parsed.flags, QUICK);
 
         // Named rejections.
-        assert!(RunManifest::parse("{").is_err());
-        assert_eq!(
-            RunManifest::parse("{}").unwrap_err(),
-            "run manifest: format: missing (keys present: )"
-        );
+        for (text, want) in [
+            ("{", "run manifest: expected '\"'"),
+            ("[1]", "run manifest: expected an object"),
+            ("{}", "run manifest: format: missing (keys present: )"),
+            (
+                r#"{"shards": 2, "shards": 3}"#,
+                "run manifest: duplicate key \"shards\" at byte 14",
+            ),
+        ] {
+            let err = RunManifest::parse(text).unwrap_err();
+            assert!(err.starts_with(want), "{text}: {err}");
+        }
         let huge = m.render().replace("\"quick\"", "\"huge\"");
         assert!(RunManifest::parse(&huge)
             .unwrap_err()
@@ -565,15 +562,17 @@ mod tests {
         assert!(RunManifest::parse(&bad_job)
             .unwrap_err()
             .starts_with("run manifest: jobs[2].status: unknown job status \"lost\""));
-        let garbage = m.render().replace("\"format\": 2", "\"format\": 99");
+        let garbage = m.render().replace("\"format\": 3", "\"format\": 99");
         assert!(RunManifest::parse(&garbage)
             .unwrap_err()
             .contains("unsupported format"));
-        let zero = m.render().replace("\"replicates\": 3", "\"replicates\": 0");
-        assert_eq!(
-            RunManifest::parse(&zero).unwrap_err(),
-            "run manifest: replicates: must be at least 1"
-        );
+        for (field, n) in [("replicates", 3), ("shards", 2)] {
+            let zero = m
+                .render()
+                .replace(&format!("\"{field}\": {n}"), &format!("\"{field}\": 0"));
+            let err = RunManifest::parse(&zero).unwrap_err();
+            assert_eq!(err, format!("run manifest: {field}: must be at least 1"));
+        }
         // Dropping a job breaks drivers × shards coverage.
         let mut short = m.clone();
         short.jobs.pop();
@@ -607,7 +606,7 @@ mod tests {
             driver: "a".into(),
             shard: (0, 2),
         };
-        writer.job_done(&job0, 1, &Ok(fake_docs("a", (0, 2))));
+        writer.record(&job0, &Ok(fake_docs("a", (0, 2)))).unwrap();
         assert!(out.join("a/shards/data.shard0of2.json").is_file());
         assert!(!out.join("a/shards/data.shard1of2.json").exists());
         let m = RunManifest::read(&out.join(RUN_FILE)).unwrap();
@@ -621,14 +620,16 @@ mod tests {
             driver: "a".into(),
             shard: (1, 2),
         };
-        writer.job_done(&job1, 2, &Err("driver panicked".into()));
+        writer
+            .record(&job1, &Err("driver panicked".into()))
+            .unwrap();
         let m = RunManifest::read(&out.join(RUN_FILE)).unwrap();
         assert_eq!(m.jobs[1].status, JobStatus::Failed);
-        assert_eq!(m.jobs[1].attempts, 2);
         assert_eq!(m.jobs[1].error.as_deref(), Some("driver panicked"));
 
-        // Second attempt path: the job later succeeds; finish merges.
-        writer.job_done(&job1, 3, &Ok(fake_docs("a", (1, 2))));
+        // Recorded again as a success (what a resume does), the job
+        // replaces its failure; finish merges.
+        writer.record(&job1, &Ok(fake_docs("a", (1, 2)))).unwrap();
         let shard_docs = vec![fake_docs("a", (0, 2)), fake_docs("a", (1, 2))];
         let merged = merge_driver_docs("a", &shard_docs).unwrap();
         let csvs = writer.finish(&merged).unwrap();
@@ -642,7 +643,7 @@ mod tests {
     fn full_run(tag: &str, drivers: &[&str]) -> PathBuf {
         let out = tmp_dir(tag);
         let plan = two_shard_plan(drivers);
-        start_run(&out, &plan, QUICK, FakeBackend::default(), 2).unwrap();
+        start_run(&out, &plan, QUICK, FakeBackend, 2).unwrap();
         out
     }
 
@@ -657,7 +658,7 @@ mod tests {
         let text = fs::read_to_string(&corrupt).unwrap();
         fs::write(&corrupt, &text[..text.len() / 2]).unwrap();
 
-        let backend = FakeBackend::default();
+        let backend = FakeBackend;
         let report = resume_run(&out, backend, 2).unwrap();
         assert_eq!(report.reused, 2);
         let rerun: Vec<String> = report
@@ -668,7 +669,6 @@ mod tests {
         assert_eq!(rerun, vec!["a:1".to_string(), "b:0".to_string()]);
         assert!(report.rerun[0].reason.contains("missing shard document"));
         assert!(report.rerun[1].reason.contains("corrupt shard document"));
-        assert_eq!(report.attempts, 2);
 
         // The resumed merge is byte-identical and fully valid.
         assert_eq!(
@@ -679,10 +679,9 @@ mod tests {
         assert!(RunManifest::read(&out.join(RUN_FILE)).unwrap().complete);
 
         // Nothing left to do: a second resume reuses everything.
-        let report = resume_run(&out, FakeBackend::default(), 2).unwrap();
+        let report = resume_run(&out, FakeBackend, 2).unwrap();
         assert_eq!(report.reused, 4);
         assert!(report.rerun.is_empty());
-        assert_eq!(report.attempts, 0);
         fs::remove_dir_all(&out).unwrap();
     }
 
@@ -693,17 +692,14 @@ mod tests {
         let out = tmp_dir("killed");
         let plan = two_shard_plan(&["a"]);
         let writer = RunWriter::open(&out, RunManifest::new(&plan, QUICK), true).unwrap();
-        writer.job_done(
-            &ShardJob {
-                driver: "a".into(),
-                shard: (0, 2),
-            },
-            1,
-            &Ok(fake_docs("a", (0, 2))),
-        );
+        let job0 = ShardJob {
+            driver: "a".into(),
+            shard: (0, 2),
+        };
+        writer.record(&job0, &Ok(fake_docs("a", (0, 2)))).unwrap();
         drop(writer); // the "kill": no finish, no job 1
 
-        let backend = FakeBackend::default();
+        let backend = FakeBackend;
         let report = resume_run(&out, backend, 1).unwrap();
         assert_eq!(report.reused, 1);
         assert_eq!(report.rerun.len(), 1);
@@ -722,7 +718,7 @@ mod tests {
         other.meta.flags.seed = 999;
         fs::write(&path, other.render()).unwrap();
 
-        let report = resume_run(&out, FakeBackend::default(), 1).unwrap();
+        let report = resume_run(&out, FakeBackend, 1).unwrap();
         assert_eq!(report.rerun.len(), 1);
         let reason = &report.rerun[0].reason;
         assert!(
@@ -732,7 +728,7 @@ mod tests {
 
         // A document of the right run but the wrong job is named as such.
         fs::write(&path, fake_docs("a", (1, 2))[0].render()).unwrap();
-        let report = resume_run(&out, FakeBackend::default(), 1).unwrap();
+        let report = resume_run(&out, FakeBackend, 1).unwrap();
         assert!(
             report.rerun[0].reason.contains("belongs to another job"),
             "{}",

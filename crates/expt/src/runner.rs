@@ -77,15 +77,8 @@ pub struct Runner {
 impl Runner {
     /// `threads == 0` means one worker per available core.
     pub fn new(threads: usize, base_seed: u64) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
         Runner {
-            threads,
+            threads: worker_count(threads),
             base_seed,
             shard: None,
         }
@@ -204,6 +197,15 @@ impl Runner {
             sweep,
             results,
         }
+    }
+}
+
+/// A worker count as `--threads` and `--workers` give it: 0 means one
+/// per available core.
+pub(crate) fn worker_count(requested: usize) -> usize {
+    match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
 }
 

@@ -1,6 +1,6 @@
-//! Hostile input and round trips for the five documents `expt` reads
-//! back: table documents (sharded and not), `run.json`, plan files,
-//! golden manifests, and scenarios in TOML and JSON form.
+//! Hostile input and round trips for the four documents `expt` reads
+//! back: table documents (sharded and not), `run.json`, golden
+//! manifests, and scenarios in TOML and JSON form.
 //!
 //! * No input panics a decoder: every truncation and every
 //!   single-character substitution of a valid document is `Ok` or `Err`.
@@ -15,7 +15,7 @@
 
 use expt::golden::{parse_csv, GoldenManifest};
 use expt::json::Json;
-use expt::orchestrate::{Plan, PlanFile};
+use expt::orchestrate::Plan;
 use expt::runfile::{JobStatus, RunManifest};
 use expt::scenario::{parse_toml, Scenario};
 use expt::{
@@ -61,11 +61,9 @@ fn run_manifest() -> RunManifest {
     let plan = Plan {
         drivers: vec!["a".into(), "b".into()],
         shards: 2,
-        retries: 1,
     };
     let mut m = RunManifest::new(&plan, FLAGS);
     m.jobs[0].status = JobStatus::Ok;
-    m.jobs[0].attempts = 2;
     m.jobs[0].tables = vec!["séries".into()];
     m.jobs[3].status = JobStatus::Failed;
     m.jobs[3].error = Some("exit status: 1 | \"quoted\"".into());
@@ -79,9 +77,6 @@ fn golden_manifest() -> GoldenManifest {
         tables: vec!["bulk_threshold_mb".into(), "cycle_time".into()],
     }
 }
-
-const PLAN: &str = r#"{"drivers": ["fig08_shuffle_throughput"], "shards": 4, "retries": 1,
- "workers": 2, "scale": "quick", "seed": 7, "replicates": 3}"#;
 
 const SCENARIO_TOML: &str = r#"# every section, one axis
 name = "démo"
@@ -136,7 +131,6 @@ fn documents() -> Vec<(&'static str, String, Decode, bool)> {
             |t| RunManifest::parse(t).map(drop),
             true,
         ),
-        ("plan", PLAN.into(), |t| PlanFile::parse(t).map(drop), true),
         (
             "golden manifest",
             golden_manifest().render(),
@@ -347,17 +341,12 @@ fn unknown_and_duplicate_keys_are_rejected_at_every_level() {
         (
             "run.json",
             1,
-            "run manifest: jobs[0]: unknown key \"zzz\" (known: attempts, ",
+            "run manifest: jobs[0]: unknown key \"zzz\" (known: driver, error, ",
         ),
         (
             "run.json",
             4,
-            "run manifest: jobs[3]: unknown key \"zzz\" (known: attempts, ",
-        ),
-        (
-            "plan",
-            0,
-            "plan: unknown key \"zzz\" (known: drivers, replicates, ",
+            "run manifest: jobs[3]: unknown key \"zzz\" (known: driver, error, ",
         ),
         (
             "golden manifest",
@@ -532,21 +521,19 @@ proptest! {
         flags in (0usize..3, 0u64..u64::MAX, 1usize..9, 0usize..40),
         drivers in 0usize..4,
         shards in 1usize..4,
-        retries in 0usize..3,
+        complete in 0usize..2,
         jobs in prop::collection::vec((0usize..3, 0usize..5, 0usize..AWKWARD.len()), 9..10),
     ) {
         let plan = Plan {
             drivers: (0..drivers).map(|d| format!("{}{d}", awkward(d + 1))).collect(),
             shards,
-            retries,
         };
         let mut m = RunManifest::new(&plan, flags_of(flags));
-        m.complete = retries == 1;
-        for (e, &(status, attempts, text)) in m.jobs.iter_mut().zip(&jobs) {
+        m.complete = complete == 1;
+        for (e, &(status, tables, text)) in m.jobs.iter_mut().zip(&jobs) {
             e.status = [JobStatus::Pending, JobStatus::Ok, JobStatus::Failed][status];
-            e.attempts = attempts;
             e.error = (status == 2).then(|| awkward(text));
-            e.tables = (0..attempts).map(|t| awkward(text + t)).collect();
+            e.tables = (0..tables).map(|t| awkward(text + t)).collect();
         }
         prop_assert_eq!(RunManifest::parse(&m.render()), Ok(m));
     }

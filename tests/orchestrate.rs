@@ -1,17 +1,16 @@
 //! Tier-1 acceptance tests for the sweep orchestrator: merged sharded
 //! output must be byte-identical to unsharded `--threads 1` runs for
 //! **every** driver, an injected dropped shard must fail with the named
-//! missing-point-index error, retried jobs must reproduce their shard
-//! documents bit-for-bit, and an interrupted run must resume to a
-//! byte-identical final merge without re-running completed shards.
+//! missing-point-index error, and an interrupted run must resume to a
+//! byte-identical final merge — re-run jobs reproducing their shard
+//! documents bit for bit — without re-running completed shards.
 
 use bench::backend::LocalBackend;
 use bench::figures::{self, GOLDEN_FLAGS};
-use expt::orchestrate::{validate_dir, Backend, OrchestrateError, Orchestrator, Plan, ShardJob};
+use expt::orchestrate::{validate_dir, Backend, OrchestrateError, Plan, ShardJob};
 use expt::output::MergeError;
 use expt::runfile::{resume_run, start_run, RunManifest, RUN_FILE};
 use expt::{Table, TableDoc};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -24,14 +23,15 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
         .iter()
         .map(|(e, _)| e.name.to_string())
         .collect();
-    let orch = Orchestrator::new(LocalBackend::new(GOLDEN_FLAGS), 2);
-    let report = orch
-        .run(&Plan {
-            drivers: drivers.clone(),
-            shards: 4,
-            retries: 0,
-        })
-        .expect("orchestrated quick run succeeds");
+    let out = std::env::temp_dir().join(format!("orch-identity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let plan = Plan {
+        drivers: drivers.clone(),
+        shards: 4,
+    };
+    let backend = LocalBackend::new(GOLDEN_FLAGS);
+    let (report, _) =
+        start_run(&out, &plan, GOLDEN_FLAGS, backend, 2).expect("orchestrated quick run succeeds");
     assert_eq!(report.drivers.len(), 20);
 
     let serial = figures::golden_ctx(1);
@@ -61,6 +61,7 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
             );
         }
     }
+    std::fs::remove_dir_all(&out).unwrap();
 }
 
 /// Dropping one shard document from a persisted run must fail
@@ -73,7 +74,6 @@ fn dropped_shard_fails_with_missing_point_index() {
     let plan = Plan {
         drivers: vec!["fig11_fault_tolerance".to_string()],
         shards: 3,
-        retries: 0,
     };
     let backend = LocalBackend::new(GOLDEN_FLAGS);
     start_run(&out, &plan, GOLDEN_FLAGS, backend, 2).unwrap();
@@ -103,70 +103,10 @@ fn dropped_shard_fails_with_missing_point_index() {
 
 const DRIVER: &str = "fig14_cycle_time_scaling";
 
-/// Fails every job's *first* attempt, then delegates to the real
-/// in-process backend.
-struct FlakyOnce {
-    inner: LocalBackend,
-    failed: Mutex<HashSet<String>>,
-}
-
-impl Backend for FlakyOnce {
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-        let key = format!("{}:{}", job.driver, job.shard.0);
-        if self.failed.lock().unwrap().insert(key) {
-            return Err("injected transient failure".into());
-        }
-        self.inner.run_shard(job)
-    }
-}
-
-/// Satellite bar: a job that fails once and succeeds on retry must
-/// produce shard documents byte-identical to a first-try success —
-/// per-point seeds derive from the plan, never from the attempt.
-#[test]
-fn retried_jobs_are_bit_deterministic() {
-    let plan = Plan {
-        drivers: vec![DRIVER.to_string()],
-        shards: 2,
-        retries: 1,
-    };
-    let flaky = Orchestrator::new(
-        FlakyOnce {
-            inner: LocalBackend::new(GOLDEN_FLAGS),
-            failed: Mutex::new(HashSet::new()),
-        },
-        2,
-    );
-    let retried = flaky
-        .run(&plan)
-        .expect("retry budget absorbs one failure per job");
-    assert_eq!(retried.drivers[0].retried, 2, "both jobs failed once");
-
-    let clean = Orchestrator::new(LocalBackend::new(GOLDEN_FLAGS), 2)
-        .run(&plan)
-        .unwrap();
-    for (shard, (a, b)) in retried.drivers[0]
-        .shard_docs
-        .iter()
-        .zip(&clean.drivers[0].shard_docs)
-        .enumerate()
-    {
-        assert_eq!(a.len(), b.len());
-        for (da, db) in a.iter().zip(b) {
-            assert_eq!(
-                da.render(),
-                db.render(),
-                "{DRIVER} shard {shard} table {}: retried document differs from first-try",
-                da.table.name
-            );
-        }
-    }
-}
-
 /// Delegates to the real backend for the first `successes` jobs, then
 /// fails everything — simulating a run killed partway through. With
-/// one worker and retries 0, exactly the first `successes` jobs in
-/// plan order complete.
+/// one worker, exactly the first `successes` jobs in plan order
+/// complete.
 struct FailAfter {
     inner: LocalBackend,
     successes: usize,
@@ -220,7 +160,6 @@ fn interrupted_run_resumes_to_byte_identical_merge() {
     let plan = Plan {
         drivers: vec![DRIVER.to_string()],
         shards: 3,
-        retries: 0,
     };
 
     // The reference: what an uninterrupted unsharded --threads 1 run
