@@ -28,7 +28,8 @@
 //!   its tables against `goldens/<driver>/`; `--bless` re-records them
 //!   (byte-idempotent on an unmodified tree).
 //! * `spot` — the nightly paper-scale [`bench::spot`] suite against
-//!   `goldens/full/`.
+//!   `goldens/full/`, with each point's wall time, events, packet-hops
+//!   and peak memory on a `# cost` line.
 //! * `bench-record` — measure the hot-path scenarios and append an
 //!   entry to the append-only `BENCH_hot_paths.json`; `--check` gates
 //!   against the latest committed entry instead and never writes it.
@@ -474,10 +475,11 @@ fn spot_suite(mut args: Args) -> Result<(), Exit> {
             continue;
         }
         eprintln!("# running spot point {name} (paper scale; minutes, not seconds)");
-        let t = build();
-        println!("table,{}", t.name);
-        print!("{}", t.to_csv());
-        tables.push(t);
+        let (point, cost) = spot::measure(build);
+        println!("table,{}", point.table.name);
+        print!("{}", point.table.to_csv());
+        println!("# cost {name}: {cost}");
+        tables.push(point.table);
     }
 
     if bless {

@@ -106,8 +106,9 @@ pub fn clos_cfg(scale: Scale) -> StaticNetConfig {
 
 /// Names of this process's [`run_net`] runs that reached their horizon
 /// with every flow complete: something kept the network from ever
-/// draining (ROADMAP 4b's NDP zombie re-arming its RTO, 4e's packets
-/// stranded at a port whose PFC pause a rewire cleared).
+/// draining (ROADMAP 4b's NDP zombie re-arming its RTO, or packets
+/// stranded at an idle port, as 4e's were before rewired ports were
+/// restarted).
 static UNDRAINED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
 /// How every driver runs a packet network: [`PacketNet::run`], which

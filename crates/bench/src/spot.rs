@@ -2,29 +2,34 @@
 //! the paper's 648-host configurations, recorded under `goldens/full/`.
 //!
 //! The quick-mode goldens exercise every code path but tiny networks;
-//! the figures' *full* sweeps (fig08's all-to-all shuffle, fig09's
-//! Websearch loads) are hours of packet simulation — too slow even for
-//! a nightly job. The spot suite is the tractable middle: the **exact
-//! paper-scale networks** (`Scale::Full`, 648 hosts, 90 µs slices) under
-//! a **bounded spot workload** — a partial shuffle and a short
-//! Websearch window — sized so the whole suite fits a nightly CI
-//! budget. The headline metrics (shuffle completion time, Websearch
-//! p99) regress through the same tolerance-aware golden machinery as
-//! the quick baselines, manifest included:
+//! most of the figures' *full* sweeps (fig09's Websearch loads, fig10,
+//! fig14) are hours of packet simulation — too slow even for a nightly
+//! job. The spot suite is the tractable middle: the **exact paper-scale
+//! networks** (`Scale::Full`, 648 hosts, 90 µs slices) under **bounded
+//! spot workloads** — a partial shuffle and a short Websearch window —
+//! plus the one full figure arm that fits, fig08's Opera shuffle of all
+//! 419 256 flows (tens of seconds). The headline metrics (shuffle
+//! completion time, Websearch p99) regress through the same
+//! tolerance-aware golden machinery as the quick baselines, manifest
+//! included:
 //!
 //! ```text
 //! opera spot            # compare against goldens/full/
 //! opera spot --bless    # re-record (commit the goldens/full/ diff)
 //! ```
+//!
+//! Each point also reports what it cost — wall time, events, packet-hops
+//! and peak resident memory — on `opera spot`'s standard output, not in
+//! its table, so the nightly log records what paper scale costs.
 
 use crate::{clos_cfg, opera_cfg};
 use expt::{f, f2, Cell, Scale, Table};
 use flowsim::{clos_throughput, opera_model, McfSolver};
-use netsim::FlowTracker;
+use netsim::{FlowTracker, NetWorld};
 use opera::opera_net::{self, OperaLogic};
 use opera::static_net::StaticLogic;
 use opera::PacketNet;
-use simkit::SimTime;
+use simkit::{SimTime, Simulator};
 use topo::cost::{expander_racks, expander_uplinks};
 use topo::expander::{ExpanderParams, ExpanderTopology};
 use topo::opera::{OperaParams, OperaTopology};
@@ -36,16 +41,73 @@ use workloads::FlowSpec;
 /// (`goldens/full/`).
 pub const DRIVER: &str = "full";
 
+/// What a spot point built: its table, and the events and packet-hops
+/// (fabric deliveries) of its packet simulations, both zero for a
+/// flow-level point.
+#[derive(Debug)]
+pub struct Spot {
+    /// The point's golden table.
+    pub table: Table,
+    /// Simulator events processed.
+    pub events: u64,
+    /// Packets delivered over a link.
+    pub pkt_hops: u64,
+}
+
+impl Spot {
+    fn new(table: Table) -> Self {
+        Spot {
+            table,
+            events: 0,
+            pkt_hops: 0,
+        }
+    }
+
+    /// Count `sim`'s events and packet-hops toward the point.
+    fn count<N: PacketNet>(&mut self, sim: &Simulator<NetWorld<N>>) {
+        self.events += sim.events_processed();
+        self.pkt_hops += sim.world.fabric.counters.delivered;
+    }
+}
+
 /// One spot point: a named table builder.
-pub type SpotFn = fn() -> Table;
+pub type SpotFn = fn() -> Spot;
 
 /// Every spot point, in suite order: `(table name, builder)`.
 pub fn all() -> Vec<(&'static str, SpotFn)> {
     vec![
         ("shuffle_648", shuffle_648 as SpotFn),
+        ("fig08_opera_648", fig08_opera_648 as SpotFn),
         ("websearch_648", websearch_648 as SpotFn),
         ("fig12_k24", fig12_k24 as SpotFn),
     ]
+}
+
+/// Build one point and say what it cost: wall time, events, packet-hops
+/// and peak resident memory (`VmHWM` from `/proc/self/status`, reset
+/// before the point where the kernel allows it, and otherwise the
+/// process's peak so far).
+pub fn measure(build: SpotFn) -> (Spot, String) {
+    let reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
+    let start = std::time::Instant::now();
+    let spot = build();
+    let wall = start.elapsed().as_secs_f64();
+    let hwm_kb = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            line.split_whitespace().next()?.parse::<u64>().ok()
+        });
+    let peak = match hwm_kb {
+        Some(kb) if reset => format!("VmHWM {:.1} MiB", kb as f64 / 1024.0),
+        Some(kb) => format!("VmHWM {:.1} MiB (process peak)", kb as f64 / 1024.0),
+        None => "VmHWM unknown".to_string(),
+    };
+    let cost = format!(
+        "{wall:.2} s wall, {} events, {} packet-hops, {peak}",
+        spot.events, spot.pkt_hops
+    );
+    (spot, cost)
 }
 
 fn fct_summary(tracker: &FlowTracker) -> (f64, f64, f64) {
@@ -64,30 +126,22 @@ fn fct_summary(tracker: &FlowTracker) -> (f64, f64, f64) {
 /// a partial shuffle — each host sends 100 KB to its next
 /// `SHUFFLE_PEERS` ring neighbors — so the run measures paper-scale
 /// circuit scheduling without fig08's full 648 × 647 flow matrix.
-fn shuffle_648() -> Table {
+fn shuffle_648() -> Spot {
     const SHUFFLE_PEERS: usize = 16;
-    const FLOW_SIZE: u64 = 100_000;
-    let mut cfg = opera_cfg(Scale::Full);
-    cfg.bulk_threshold = 0; // application tags everything bulk (§3.4)
-    let hosts = cfg.hosts();
-    let mut flows = Vec::with_capacity(hosts * SHUFFLE_PEERS);
-    for src in 0..hosts {
-        for k in 1..=SHUFFLE_PEERS {
-            flows.push(FlowSpec {
-                src,
-                dst: (src + k * (hosts / SHUFFLE_PEERS + 1)) % hosts,
-                size: FLOW_SIZE,
-                start: SimTime::ZERO,
-            });
+    let sim = bulk_shuffle("shuffle_648", SimTime::from_ms(120), |hosts| {
+        let mut flows = Vec::with_capacity(hosts * SHUFFLE_PEERS);
+        for src in 0..hosts {
+            for k in 1..=SHUFFLE_PEERS {
+                flows.push(FlowSpec {
+                    src,
+                    dst: (src + k * (hosts / SHUFFLE_PEERS + 1)) % hosts,
+                    size: 100_000,
+                    start: SimTime::ZERO,
+                });
+            }
         }
-    }
-    let offered = flows.len();
-    let mut sim = opera_net::build(cfg, flows);
-    crate::run_net(
-        &mut sim,
-        SimTime::from_ms(120),
-        format_args!("spot/shuffle_648"),
-    );
+        flows
+    });
     let t = sim.world.logic.tracker();
     let (mean, p99, max) = fct_summary(t);
     let mut out = Table::new(
@@ -103,13 +157,71 @@ fn shuffle_648() -> Table {
     );
     out.push(vec![
         Cell::from("opera-648"),
-        Cell::from(offered),
+        Cell::from(t.len()),
         Cell::from(t.completed()),
         f2(max),
         f2(p99),
         f2(mean),
     ]);
-    out
+    let mut spot = Spot::new(out);
+    spot.count(&sim);
+    spot
+}
+
+/// The paper's 648-host Opera network with every flow tagged bulk by the
+/// application (§3.4), run on the flows `flows` draws for its host count,
+/// all starting at once, until drained or `horizon`.
+fn bulk_shuffle(
+    name: &str,
+    horizon: SimTime,
+    flows: impl FnOnce(usize) -> Vec<FlowSpec>,
+) -> opera_net::OperaNet {
+    let mut cfg = opera_cfg(Scale::Full);
+    cfg.bulk_threshold = 0;
+    let flows = flows(cfg.hosts());
+    let mut sim = opera_net::build(cfg, flows);
+    crate::run_net(&mut sim, horizon, format_args!("spot/{name}"));
+    sim
+}
+
+/// Fig08's Opera arm at paper scale, whole: every one of the 648 hosts
+/// sends 100 KB to every other (419 256 flows), all tagged bulk and
+/// starting together, to a 400 ms horizon. The point pins that RotorLB
+/// completes every flow and that no packet is dropped anywhere, and
+/// records the shuffle's completion time and the largest bulk backlog a
+/// ToR's host port held (the last hop takes bulk past its queue cap).
+fn fig08_opera_648() -> Spot {
+    let sim = bulk_shuffle("fig08_opera_648", SimTime::from_ms(400), |hosts| {
+        ScenarioGen::shuffle(hosts, 100_000, SimTime::ZERO)
+    });
+    let t = sim.world.logic.tracker();
+    let (mean, p99, max) = fct_summary(t);
+    let mut out = Table::new(
+        "fig08_opera_648",
+        &[
+            "network",
+            "flows",
+            "completed",
+            "dropped",
+            "downlink_peak_kb",
+            "shuffle_ms",
+            "p99_fct_ms",
+            "mean_fct_ms",
+        ],
+    );
+    out.push(vec![
+        Cell::from("opera-648"),
+        Cell::from(t.len()),
+        Cell::from(t.completed()),
+        Cell::from(sim.world.fabric.counters.dropped as usize),
+        f2(sim.world.logic.counters.bulk_downlink_peak as f64 / 1e3),
+        f2(max),
+        f2(p99),
+        f2(mean),
+    ]);
+    let mut spot = Spot::new(out);
+    spot.count(&sim);
+    spot
 }
 
 /// Fig12's headline at the paper's `k = 24` radix (5184 hosts): one
@@ -123,7 +235,7 @@ fn shuffle_648() -> Table {
 /// phase's all-pairs routes; the all-to-all reference gives every one
 /// of its 186 192 demands one. Both demand sets are closed-form, so the
 /// point needs no RNG and is exactly reproducible.
-fn fig12_k24() -> Table {
+fn fig12_k24() -> Spot {
     const K: usize = 24;
     const ALPHA: f64 = 1.0;
     let rate = 10.0;
@@ -180,16 +292,16 @@ fn fig12_k24() -> Table {
         f(c),
         f(o_a2a),
     ]);
-    out
+    Spot::new(out)
 }
 
 /// Fig09's headline at paper scale: Websearch p99 FCT on the 648-host
 /// Opera network (every flow under the bulk threshold, riding indirect
 /// expander paths) against the cost-equivalent 3:1 folded Clos. The
 /// spot workload is one short Poisson window at 10% load.
-fn websearch_648() -> Table {
+fn websearch_648() -> Spot {
     const LOAD: f64 = 0.10;
-    fn row<N: PacketNet>(network: &str, cfg: N::Config) -> Vec<Cell> {
+    fn row<N: PacketNet>(network: &str, cfg: N::Config, spot: &mut Spot) {
         let dist = FlowSizeDist::of(Workload::Websearch);
         let flows =
             PoissonGen::new(dist, N::hosts(&cfg), 10.0, LOAD, 0).flows_until(SimTime::from_ms(10));
@@ -202,16 +314,17 @@ fn websearch_648() -> Table {
         );
         let tracker = sim.world.logic.tracker();
         let (mean, p99, _) = fct_summary(tracker);
-        vec![
+        spot.table.push(vec![
             Cell::from(network),
             Cell::F64(LOAD),
             Cell::from(offered),
             Cell::from(tracker.completed()),
             f2(p99),
             f2(mean),
-        ]
+        ]);
+        spot.count(&sim);
     }
-    let mut out = Table::new(
+    let table = Table::new(
         "websearch_648",
         &[
             "network",
@@ -222,9 +335,10 @@ fn websearch_648() -> Table {
             "mean_fct_ms",
         ],
     );
+    let mut spot = Spot::new(table);
     let mut opera = opera_cfg(Scale::Full);
     opera.bulk_threshold = 20_000_000; // fig09's premise: all low-latency
-    out.push(row::<OperaLogic>("opera-648", opera));
-    out.push(row::<StaticLogic>("folded-clos-648", clos_cfg(Scale::Full)));
-    out
+    row::<OperaLogic>("opera-648", opera, &mut spot);
+    row::<StaticLogic>("folded-clos-648", clos_cfg(Scale::Full), &mut spot);
+    spot
 }

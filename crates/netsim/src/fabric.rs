@@ -318,7 +318,8 @@ impl Fabric {
     }
 
     /// Disconnect a port pair (both directions). No-op if unwired.
-    /// Unplugging clears any PFC pause on either end.
+    /// Unplugging clears any PFC pause on either end; a port the pause left
+    /// idle with packets queued stays idle until [`Fabric::restart`].
     pub fn disconnect(&mut self, a: NodeId, pa: PortId) {
         if let Some((b, pb)) = self.nodes[a][pa].peer.take() {
             self.nodes[b][pb].peer = None;
@@ -328,7 +329,8 @@ impl Fabric {
     }
 
     /// Atomically repoint `a.pa ↔ b.pb`, detaching any previous peers —
-    /// circuit-switch reconfiguration.
+    /// circuit-switch reconfiguration. Clears a PFC pause as
+    /// [`Fabric::disconnect`] does; [`Fabric::restart`] each end after.
     pub fn rewire(&mut self, a: NodeId, pa: PortId, b: NodeId, pb: PortId) {
         self.disconnect(a, pa);
         self.disconnect(b, pb);
@@ -339,6 +341,12 @@ impl Fabric {
     /// Current peer of a port.
     pub fn peer(&self, node: NodeId, port: PortId) -> Option<(NodeId, PortId)> {
         self.nodes[node][port].peer
+    }
+
+    /// Set one priority level's capacity at one port, bytes, overriding
+    /// the [`QueueConfig`] the port's node was added with.
+    pub fn set_cap(&mut self, node: NodeId, port: PortId, prio: Priority, bytes: u64) {
+        self.nodes[node][port].cfg.cap_bytes[prio as usize] = bytes;
     }
 
     /// Mark a port's link failed (packets sent are lost) — §5.5 fault
@@ -559,9 +567,18 @@ impl Fabric {
             TraceEvent::Resume
         };
         self.trace_event(ctx.now(), node, port, ev, None);
-        let p = &mut self.nodes[node][port];
-        p.paused = paused;
-        if !paused && !p.busy {
+        self.nodes[node][port].paused = paused;
+        self.restart(ctx, node, port);
+    }
+
+    /// Start `node.port`'s next transmission if the port is idle and
+    /// unpaused (a no-op when it has nothing queued): a resume frame's
+    /// work, and a rewired circuit's, since [`Fabric::rewire`] and
+    /// [`Fabric::disconnect`] clear a PFC pause with no event context to
+    /// restart the port in.
+    pub fn restart(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
+        let p = &self.nodes[node][port];
+        if !p.busy && !p.paused {
             self.start_tx(ctx, node, port);
         }
     }

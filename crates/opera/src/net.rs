@@ -212,8 +212,9 @@ pub trait PacketNet: NetLogic + Sized {
     /// parked in the fabric. So there is no packet in flight, no armed
     /// transport timer, no feeder tick and no hello check to touch a flow
     /// record, a fabric counter or the throughput series, and no packet
-    /// stranded in a queue for a later hello to push on (a port whose PFC
-    /// pause was cleared by a rewire does not restart on its own).
+    /// stranded in a queue for a later hello to push on (a rotor network
+    /// restarts each port a rewire unpaused, so none is left idle with
+    /// packets queued).
     fn drained(sim: &Simulator<NetWorld<Self>>) -> bool {
         sim.pending() <= Self::CLOCK_EVENTS
             && sim.world.logic.ends().finished()

@@ -16,7 +16,20 @@
 //!   source hosts at line rate while a direct circuit to the destination
 //!   rack is up (§3.5), stop at a guard time before the circuit's switch
 //!   reconfigures, and requeue anything left in the ToR's bulk queue
-//!   (the NACK path of §4.2.2);
+//!   (the NACK path of §4.2.2). A poll asks RotorLB for a packet only from
+//!   a host whose NIC has room for it: the chunk whose turn it is waits
+//!   otherwise, and nothing is popped and put back;
+//! * a ToR's host ports take bulk past their bulk capacity, so the last
+//!   hop never drops a bulk byte. This keeps §3.4's contract that RotorLB
+//!   offers only what the next hop can take: the contract is with the
+//!   circuit, whose window closes, and every byte that crossed one was
+//!   taken by it. The host link never closes, so what it cannot carry at
+//!   once waits instead of being dropped with no NACK path left to
+//!   return it. The wait is a burst: `u` circuits can bring one host
+//!   `u`× its line rate, but a rack's circuits and host links carry the
+//!   same total. `OperaCounters::bulk_downlink_peak` records the largest
+//!   such backlog (241 KB on `opera_shuffle`, 113 KB on fig08's
+//!   paper-scale shuffle, against a 24 KB bulk queue);
 //! * at each boundary the reconfiguring switch group's circuits go dark
 //!   for the reconfiguration delay `r`, then reconnect in the next
 //!   matching.
@@ -36,7 +49,7 @@ use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet, PacketKind, Pri
 use simkit::engine::EventContext;
 use simkit::{SimRng, SimTime, Simulator};
 use topo::opera::{OperaParams, OperaTopology};
-use transport::{RackBulk, RotorLbParams, TransportKind};
+use transport::{Offer, RackBulk, RotorLbParams, TransportKind};
 use workloads::FlowSpec;
 
 /// Which system the rotor fabric emulates.
@@ -122,7 +135,8 @@ impl OperaNetConfig {
 pub struct OperaCounters {
     /// Low-latency packets dropped for exceeding the hop limit.
     pub hop_limit_drops: u64,
-    /// Bulk packets requeued after missing a transmission window.
+    /// Bulk packets a ToR uplink still held when its window closed,
+    /// returned to RotorLB.
     pub bulk_requeued: u64,
     /// Valiant packets that found the relay store full.
     pub relay_overflow: u64,
@@ -131,9 +145,11 @@ pub struct OperaCounters {
     pub bulk_stragglers: u64,
     /// Transceivers marked bad by the hello protocol.
     pub links_marked_bad: u64,
-    /// Feeder ticks skipped because the source host NIC was full
-    /// (backpressure, not loss).
+    /// Feeder ticks whose chunk's source host NIC was full: the chunk kept
+    /// its bytes and its round-robin turn passed (backpressure, not loss).
     pub nic_backpressure: u64,
+    /// The largest bulk backlog a ToR's host port has held, bytes.
+    pub bulk_downlink_peak: u64,
 }
 
 /// Per-`(rack, uplink)` feeder state.
@@ -291,7 +307,14 @@ impl OperaLogic {
             self.cycle_slice = 0;
         }
         for j in self.topo.reconfiguring(ending) {
-            self.wire_switch(fabric, j, self.topo.position_at(j, self.slice));
+            let position = self.topo.position_at(j, self.slice);
+            self.wire_switch(fabric, j, position);
+            // The rewire cleared any PFC pause on these ports; one left
+            // idle with packets queued goes again now (ROADMAP 4e).
+            for (a, b) in self.topo.matching(j, position).pairs() {
+                fabric.restart(ctx, self.tor_node(a), self.up_port(j));
+                fabric.restart(ctx, self.tor_node(b), self.up_port(j));
+            }
             if self.hello_enabled {
                 self.send_hellos(fabric, ctx, j);
             }
@@ -312,7 +335,7 @@ impl OperaLogic {
                 let drained = fabric.drain_bulk(self.tor_node(rack), self.up_port(j));
                 for pkt in &drained {
                     let dst_rack = self.rack_of(pkt.dst);
-                    self.bulk[rack].requeue_with_rack(pkt, dst_rack);
+                    self.bulk[rack].requeue(pkt, dst_rack);
                     self.counters.bulk_requeued += 1;
                 }
             }
@@ -509,32 +532,35 @@ impl OperaLogic {
         let tor = self.tor_node(rack);
         // Flow control: keep at most ~2 MTUs staged in the uplink's bulk
         // queue and don't overrun the host NIC.
+        let cap = self.cfg.queues.cap_bytes[Priority::Bulk as usize];
         let uplink_space = fabric.queued_bytes_at(tor, self.up_port(uplink), Priority::Bulk)
             + 2 * MTU as u64
-            <= self.cfg.queues.cap_bytes[Priority::Bulk as usize];
+            <= cap;
         if uplink_space {
-            if let Some(pkt) = self.bulk[rack].next_packet(f.circuit_dst, self.cfg.allow_vlb) {
-                if self.rack_of(pkt.src) == rack {
-                    // Poll the source host: it emits the packet now. If
-                    // its NIC staging queue is full (several feeders
-                    // polling one host), put the bytes back and retry.
-                    let nic_full = fabric.queued_bytes_at(pkt.src, 0, Priority::Bulk) + MTU as u64
-                        > self.cfg.queues.cap_bytes[Priority::Bulk as usize];
-                    if nic_full || fabric.send(ctx, pkt.src, 0, pkt) == SendOutcome::Dropped {
+            // Poll a source host only if its NIC staging queue has room
+            // (several feeders poll one host); bytes stored here for relay
+            // ask no host.
+            let host_rack = &self.host_rack;
+            let ready = |h: usize| {
+                host_rack[h] as usize != rack
+                    || fabric.queued_bytes_at(h, 0, Priority::Bulk) + MTU as u64 <= cap
+            };
+            match self.bulk[rack].next_packet(f.circuit_dst, self.cfg.allow_vlb, ready) {
+                Offer::Packet(pkt) if self.rack_of(pkt.src) == rack => {
+                    // The source host emits the packet now.
+                    if fabric.send(ctx, pkt.src, 0, pkt) == SendOutcome::Dropped {
                         let dst_rack = self.rack_of(pkt.dst);
-                        self.bulk[rack].requeue_with_rack(&pkt, dst_rack);
-                        if nic_full {
-                            self.counters.nic_backpressure += 1;
-                        }
+                        self.bulk[rack].requeue(&pkt, dst_rack);
                     }
-                } else {
-                    // Relay bytes stored at this ToR: emit directly.
-                    self.forward_bulk_at_tor(fabric, ctx, rack, pkt);
                 }
-            } else {
-                // Nothing to send this tick; stop — arrivals re-kick.
-                self.feeders[fi].running = false;
-                return;
+                // Relay bytes stored at this ToR: emit directly.
+                Offer::Packet(pkt) => self.forward_bulk_at_tor(fabric, ctx, rack, pkt),
+                Offer::HostBusy => self.counters.nic_backpressure += 1,
+                Offer::Idle => {
+                    // Nothing to send this tick; stop — arrivals re-kick.
+                    self.feeders[fi].running = false;
+                    return;
+                }
             }
         }
         ctx.schedule_in(self.feeder_tick, timer(Token::Feeder(rack, uplink)));
@@ -583,8 +609,15 @@ impl OperaLogic {
         let dst_rack = self.rack_of(packet.dst);
         if dst_rack == rack {
             // Deliver down.
+            let tor = self.tor_node(rack);
             let down = packet.dst - rack * self.cfg.params.hosts_per_rack;
-            fabric.send(ctx, self.tor_node(rack), down, packet);
+            let bulk = packet.prio == Priority::Bulk;
+            fabric.send(ctx, tor, down, packet);
+            if bulk {
+                let backlog = fabric.queued_bytes_at(tor, down, Priority::Bulk);
+                let peak = &mut self.counters.bulk_downlink_peak;
+                *peak = (*peak).max(backlog);
+            }
             return;
         }
         match packet.kind {
@@ -657,7 +690,7 @@ impl OperaLogic {
             });
         if !sent {
             let dst_rack = self.rack_of(packet.dst);
-            self.bulk[rack].requeue_with_rack(&packet, dst_rack);
+            self.bulk[rack].requeue(&packet, dst_rack);
             self.counters.bulk_stragglers += 1;
         }
     }
@@ -683,7 +716,6 @@ impl OperaLogic {
                     dst_host: spec.dst,
                     dst_rack,
                     bytes: spec.size,
-                    next_seq: 0,
                 });
                 self.kick_feeder(ctx, rack, dst_rack);
             }
@@ -821,7 +853,12 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
         + topo.switches()
         + usize::from(cfg.mode == RotorMode::RotorHybrid);
     for _ in 0..cfg.params.racks {
-        fabric.add_node(tor_ports, cfg.queues, cfg.link);
+        let tor = fabric.add_node(tor_ports, cfg.queues, cfg.link);
+        // The last hop takes every bulk byte its circuits bring (module
+        // docs): a bulk byte dropped there would never be sent again.
+        for down in 0..cfg.params.hosts_per_rack {
+            fabric.set_cap(tor, down, Priority::Bulk, u64::MAX);
+        }
     }
     // Hybrid packet core.
     if cfg.mode == RotorMode::RotorHybrid {
@@ -996,6 +1033,35 @@ mod tests {
             t.completed(),
             t.len(),
             sim.world.logic.counters
+        );
+    }
+
+    /// Bulk incast: every host of the other seven racks sends to host 0,
+    /// so rack 0's four circuits deliver to one host at up to 4× its line
+    /// rate. The host port's backlog goes past its 24 KB bulk queue, and
+    /// every byte still arrives: nothing is dropped and every flow ends.
+    #[test]
+    fn bulk_incast_is_lossless_at_the_last_hop() {
+        let mut cfg = OperaNetConfig::small_test();
+        cfg.bulk_threshold = 0;
+        let flows = (4..cfg.hosts())
+            .map(|src| FlowSpec {
+                src,
+                dst: 0,
+                size: 200_000,
+                start: SimTime::ZERO,
+            })
+            .collect();
+        let mut sim = build(cfg, flows);
+        assert!(OperaLogic::run(&mut sim, SimTime::from_ms(50)));
+        let logic = &sim.world.logic;
+        assert!(logic.tracker().all_done());
+        assert_eq!(sim.world.fabric.counters.dropped, 0);
+        let cap = cfg.queues.cap_bytes[Priority::Bulk as usize];
+        assert!(
+            logic.counters.bulk_downlink_peak > cap,
+            "peak {} never passed the {cap} B queue",
+            logic.counters.bulk_downlink_peak
         );
     }
 

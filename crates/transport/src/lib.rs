@@ -51,7 +51,7 @@ use simkit::SimTime;
 pub use dctcp::{DctcpHost, DctcpParams};
 pub use go_back_n::{GoBackNHost, GoBackNParams};
 pub use ndp::{NdpHost, NdpParams};
-pub use rotorlb::{BulkChunk, RackBulk, RotorLbParams};
+pub use rotorlb::{BulkChunk, Offer, RackBulk, RotorLbParams};
 
 /// Timer purposes a [`Transport`] asks its environment to schedule.
 ///

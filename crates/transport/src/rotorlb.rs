@@ -12,7 +12,7 @@
 //! This module is the queueing brain only. The enclosing network model
 //! drives it: on every slice it asks, packet by packet
 //! ([`RackBulk::next_packet`]), what to send on each active circuit, and
-//! returns packets that missed their window ([`RackBulk::requeue_with_rack`], the
+//! returns packets that missed their window ([`RackBulk::requeue`], the
 //! paper's ToR NACK path — we shortcut the NACK's wire round-trip, which
 //! only shifts retried bytes by microseconds).
 //!
@@ -21,24 +21,36 @@
 //! per-rack queues in one `RackBulk` object per rack and charge the
 //! host→ToR hop in the data plane. The queueing discipline and admission
 //! times are the same; only the identity of the RAM holding the bytes
-//! differs.
+//! differs. The poll is honest about the host, though: a chunk whose
+//! source host cannot take a packet now is not popped ([`Offer::HostBusy`]),
+//! so nothing leaves the queue only to be put back.
+//!
+//! One chunk per flow: a direct queue never holds two chunks of one flow.
+//! A packet that comes back merges its bytes into its flow's queued chunk,
+//! or, if the chunk has gone out whole, starts the flow's only chunk again,
+//! and the bytes go out under sequence numbers the flow has not used (see
+//! [`RackBulk::requeue`]). So a requeue is never a one-packet fragment with
+//! a round-robin turn of its own, and a flow's `seq`s never repeat.
 //!
 //! Cost model: every backlog the slice clock reads — bytes per
 //! destination (direct and relay), total direct bytes, total relay bytes —
 //! is a running sum kept at the five places a queue changes (`enqueue`,
-//! `pop_from_relay`, `pop_direct_at`, `store_relay`, `prepend_direct`), so
+//! `pop_from_relay`, `pop_direct_at`, `store_relay`, `requeue`), so
 //! [`RackBulk::pending_to`] and [`RackBulk::total_direct_backlog`] are
-//! loads and a feeder tick never walks a queue. The queues are `VecDeque`s,
-//! so returning a packet to the front (the NACK path, millions of times in
-//! a shuffle) moves nothing.
+//! loads and a feeder tick never walks a queue. A requeue walks its one
+//! destination's queue for the flow's chunk: one compare per flow sharing
+//! the rack pair (16 on `opera_shuffle`, 36 at paper scale).
 //!
 //! Memory: the queues are the network's edge buffer and the largest thing
-//! a shuffle holds (`opera_shuffle` at seed 0: up to 143 872 chunks at a
-//! slice boundary). A queued chunk is 16 bytes — bytes and sequence number
+//! a shuffle holds. A queued chunk is 16 bytes — bytes and sequence number
 //! as `u32`, host ids as `u16`, bytes and hosts checked where they enter —
 //! and a full queue grows by a quarter of its length, not by doubling.
-//! There the queues end at 186 305 slots, 3.0 MB, where 24-byte chunks in
-//! doubling queues took 267 200 slots, 6.4 MB.
+//! With one chunk per flow the queues hold no more chunks than there are
+//! flows with bytes in them: on `opera_shuffle` at seed 0 at most 36 096
+//! live chunks (its cross-rack flows) in 36 096 slots, 0.58 MB, where
+//! requeued one-packet fragments once took them to 143 872 live chunks in
+//! 186 305 slots, 3.0 MB; fig08's paper-scale shuffle peaks at 416 016 in
+//! 439 128 slots.
 
 use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE, MTU};
 use std::collections::VecDeque;
@@ -73,7 +85,7 @@ impl RotorLbParams {
     }
 }
 
-/// A contiguous run of bulk bytes belonging to one flow.
+/// A new bulk flow, queued whole at its source rack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BulkChunk {
     /// Owning flow.
@@ -84,16 +96,14 @@ pub struct BulkChunk {
     pub dst_host: usize,
     /// Destination rack.
     pub dst_rack: usize,
-    /// Payload bytes remaining in this chunk.
+    /// Payload bytes.
     pub bytes: u64,
-    /// Next sequence number to stamp on emitted packets.
-    pub next_seq: u32,
 }
 
 /// A queued [`BulkChunk`]: the destination rack is the queue's index, bytes
 /// and sequence number are `u32` and host ids `u16` (bytes and hosts
 /// checked where they enter), so a chunk is 16 bytes. A chunk never holds
-/// more than its flow's bytes, so what coalesces into it fits too.
+/// more than its flow's bytes, so what merges into it fits too.
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
     flow: FlowId,
@@ -119,13 +129,16 @@ impl Chunk {
     }
 }
 
+/// The first sequence number of a chunk that a returned packet restarts:
+/// a flow's first chunk counts from 0 and stays below it (that would take
+/// 2^31 packets, where a flow of `u32::MAX` bytes is about 3 M), and every
+/// restarted chunk counts on from where the rack's last one stopped.
+const RESTART_SEQ: u32 = 1 << 31;
+
 /// How a full queue grows: by a `1 / GROWTH` share of its length, and by at
 /// least `GROWTH` slots, instead of doubling. Queues never shrink, so a
 /// doubled queue may spend up to half its slots empty for the rest of the
-/// run. The trade, measured on `opera_shuffle` at seed 0: its queues end at
-/// 186 305 slots for at most 143 872 live chunks (267 200 when doubling),
-/// and the run makes 79 014 allocations instead of 66 125, one per quarter
-/// step rather than per doubling.
+/// run.
 const GROWTH: usize = 4;
 
 /// Room for one more chunk in `q`, grown by the [`GROWTH`] step if full.
@@ -135,12 +148,25 @@ fn make_room(q: &mut VecDeque<Chunk>) {
     }
 }
 
+/// What [`RackBulk::next_packet`] offers a circuit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Offer {
+    /// The packet to send.
+    Packet(Packet),
+    /// The chunk whose turn it was belongs to a source host that cannot
+    /// take a packet now: nothing was popped, and the turn passed.
+    HostBusy,
+    /// Nothing useful can ride this circuit.
+    Idle,
+}
+
 /// Per-rack RotorLB state: direct and relay queues.
 #[derive(Debug)]
 pub struct RackBulk {
     rack: usize,
     params: RotorLbParams,
-    /// `direct[r]`: chunks originating here, destined to rack `r`.
+    /// `direct[r]`: chunks originating here, destined to rack `r`, at most
+    /// one per flow.
     direct: Vec<VecDeque<Chunk>>,
     /// `relay[r]`: chunks stored here mid-Valiant, final destination `r`.
     relay: Vec<VecDeque<Chunk>>,
@@ -155,6 +181,9 @@ pub struct RackBulk {
     /// Round-robin cursor so concurrent flows to one rack share the
     /// circuit fairly.
     rr_cursor: usize,
+    /// The first sequence number of the next restarted chunk: at or past
+    /// every one a restarted chunk that has gone out whole had reached.
+    restart_seq: u32,
 }
 
 impl RackBulk {
@@ -172,6 +201,7 @@ impl RackBulk {
             total_direct: 0,
             relay_bytes: 0,
             rr_cursor: 0,
+            restart_seq: RESTART_SEQ,
         }
     }
 
@@ -180,17 +210,23 @@ impl RackBulk {
         self.rack
     }
 
-    /// Queue a new bulk flow (or flow fragment) for transmission.
+    /// Queue a new bulk flow for transmission; its packets count their
+    /// sequence numbers from 0.
     pub fn enqueue(&mut self, chunk: BulkChunk) {
         debug_assert_ne!(chunk.dst_rack, self.rack, "bulk to own rack");
         let q = &mut self.direct[chunk.dst_rack];
+        debug_assert!(
+            q.iter().all(|c| c.flow != chunk.flow),
+            "flow {} enqueued twice",
+            chunk.flow
+        );
         make_room(q);
         q.push_back(Chunk::new(
             chunk.flow,
             chunk.src_host,
             chunk.dst_host,
             chunk.bytes,
-            chunk.next_seq,
+            0,
         ));
         self.direct_bytes[chunk.dst_rack] += chunk.bytes;
         self.total_direct += chunk.bytes;
@@ -217,25 +253,46 @@ impl RackBulk {
     /// traffic for a congested *other* destination, relayed via
     /// `circuit_dst`.
     ///
-    /// Returns `None` when nothing useful can ride this circuit.
-    pub fn next_packet(&mut self, circuit_dst: usize, allow_vlb: bool) -> Option<Packet> {
+    /// A direct or Valiant packet is emitted by its source host, so it is
+    /// popped only if `host_ready(src_host)`; otherwise the offer is
+    /// [`Offer::HostBusy`] and the chunk keeps its bytes (a direct chunk's
+    /// round-robin turn passes). Stored relay bytes are already at this
+    /// rack and ask no host.
+    pub fn next_packet(
+        &mut self,
+        circuit_dst: usize,
+        allow_vlb: bool,
+        host_ready: impl Fn(usize) -> bool,
+    ) -> Offer {
         debug_assert_ne!(circuit_dst, self.rack);
         if let Some(pkt) = self.pop_from_relay(circuit_dst) {
-            return Some(pkt);
+            return Offer::Packet(pkt);
         }
-        if let Some(pkt) = self.pop_from_direct(circuit_dst) {
-            return Some(pkt);
+        let len = self.direct[circuit_dst].len();
+        if len > 0 {
+            // Round-robin across chunks (flows) sharing this circuit.
+            let idx = self.rr_cursor % len;
+            self.rr_cursor = self.rr_cursor.wrapping_add(1);
+            return self.pop_direct_at(circuit_dst, idx, None, host_ready);
         }
         if allow_vlb {
-            return self.pop_for_vlb(circuit_dst);
+            if let Some(dst) = self.vlb_destination(circuit_dst) {
+                return self.pop_direct_at(dst, 0, Some(dst as u32), host_ready);
+            }
         }
-        None
+        Offer::Idle
     }
 
     fn emit(params: &RotorLbParams, chunk: &mut Chunk, relay: Option<u32>) -> Packet {
         let payload = chunk.bytes.min(params.payload_per_packet());
         let seq = chunk.next_seq;
-        chunk.next_seq += 1;
+        chunk.next_seq = seq
+            .checked_add(1)
+            .expect("a rack's restarted chunks used every sequence number");
+        debug_assert!(
+            seq != RESTART_SEQ - 1,
+            "a first chunk reached the restart sequence numbers"
+        );
         chunk.bytes -= payload;
         Packet {
             flow: chunk.flow,
@@ -261,34 +318,34 @@ impl RackBulk {
         Some(pkt)
     }
 
-    /// Emit one packet from chunk `idx` of `direct[dst]`, dropping the
-    /// chunk once it is empty.
-    fn pop_direct_at(&mut self, dst: usize, idx: usize, relay: Option<u32>) -> Option<Packet> {
+    /// Emit one packet from chunk `idx` of `direct[dst]` if its source host
+    /// is ready, dropping the chunk once it is empty.
+    fn pop_direct_at(
+        &mut self,
+        dst: usize,
+        idx: usize,
+        relay: Option<u32>,
+        host_ready: impl Fn(usize) -> bool,
+    ) -> Offer {
         let q = &mut self.direct[dst];
-        let chunk = q.get_mut(idx)?;
+        let chunk = &mut q[idx];
+        if !host_ready(chunk.src as usize) {
+            return Offer::HostBusy;
+        }
         let pkt = Self::emit(&self.params, chunk, relay);
         if chunk.bytes == 0 {
+            // A first chunk's numbers are all below `restart_seq`.
+            self.restart_seq = self.restart_seq.max(chunk.next_seq);
             q.remove(idx);
         }
         self.direct_bytes[dst] -= pkt.payload() as u64;
         self.total_direct -= pkt.payload() as u64;
-        Some(pkt)
+        Offer::Packet(pkt)
     }
 
-    fn pop_from_direct(&mut self, dst: usize) -> Option<Packet> {
-        let len = self.direct[dst].len();
-        if len == 0 {
-            return None;
-        }
-        // Round-robin across chunks (flows) sharing this circuit.
-        let idx = self.rr_cursor % len;
-        self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        self.pop_direct_at(dst, idx, None)
-    }
-
-    /// Pick the most-backlogged other destination over the VLB threshold
-    /// and send one of its packets via `via` (first Valiant hop).
-    fn pop_for_vlb(&mut self, via: usize) -> Option<Packet> {
+    /// The most-backlogged other destination over the VLB threshold, whose
+    /// packets may take a first Valiant hop via `via`.
+    fn vlb_destination(&self, via: usize) -> Option<usize> {
         // No single destination can exceed the threshold unless the sum does.
         if self.total_direct <= self.params.vlb_threshold {
             return None;
@@ -299,10 +356,7 @@ impl RackBulk {
             .enumerate()
             .filter(|&(r, _)| r != via && r != self.rack)
             .max_by_key(|&(_, &b)| b)?;
-        if backlog <= self.params.vlb_threshold {
-            return None;
-        }
-        self.pop_direct_at(dst, 0, Some(dst as u32))
+        (backlog > self.params.vlb_threshold).then_some(dst)
     }
 
     /// Accept a Valiant packet stored at this rack for later relay to its
@@ -329,12 +383,22 @@ impl RackBulk {
         true
     }
 
-    /// Return a packet that missed its transmission window (the ToR
-    /// drained its bulk queue at a reconfiguration, §4.2.2) to the front
-    /// of the appropriate queue. `dst_rack` is the rack of `pkt.dst`
-    /// (known to the caller, which owns the host→rack mapping).
-    pub fn requeue_with_rack(&mut self, pkt: &Packet, dst_rack: usize) {
-        let payload = pkt.payload() as u64;
+    /// Take back a packet that did not make it out: one the ToR drained
+    /// from its bulk queue when the window closed (§4.2.2), a straggler
+    /// that found its circuit gone, or a send a port refused. `dst_rack` is
+    /// the rack of `pkt.dst` (known to the caller, which owns the
+    /// host→rack mapping); a first-hop Valiant packet goes back to its
+    /// final rack's queue.
+    ///
+    /// The bytes merge into the flow's queued chunk, which goes on with the
+    /// sequence numbers it has not used yet. If the flow has no chunk left
+    /// (it all went out), they start its only one, at sequence numbers past
+    /// every restarted chunk this rack has finished: a flow's first chunk
+    /// counts from 0 and stays below 2^31, where restarted ones begin, and
+    /// a flow's chunks follow one another, so no `seq` of the flow is ever
+    /// emitted twice.
+    pub fn requeue(&mut self, pkt: &Packet, dst_rack: usize) {
+        let payload = pkt.payload();
         if payload == 0 {
             return;
         }
@@ -343,18 +407,16 @@ impl RackBulk {
             PacketKind::BulkData { relay: None, .. } => dst_rack,
             _ => return,
         };
-        self.prepend_direct(final_rack, pkt, payload);
-    }
-
-    fn prepend_direct(&mut self, dst_rack: usize, pkt: &Packet, payload: u64) {
-        self.direct_bytes[dst_rack] += payload;
-        self.total_direct += payload;
-        let q = &mut self.direct[dst_rack];
-        match q.front_mut() {
-            Some(first) if first.flow == pkt.flow => first.bytes += pkt.payload(),
-            _ => {
+        self.direct_bytes[final_rack] += payload as u64;
+        self.total_direct += payload as u64;
+        let q = &mut self.direct[final_rack];
+        match q.iter_mut().find(|c| c.flow == pkt.flow) {
+            Some(chunk) => chunk.bytes += payload,
+            None => {
                 make_room(q);
-                q.push_front(Chunk::new(pkt.flow, pkt.src, pkt.dst, payload, 0));
+                let restart =
+                    Chunk::new(pkt.flow, pkt.src, pkt.dst, payload as u64, self.restart_seq);
+                q.push_back(restart);
             }
         }
     }
@@ -363,10 +425,20 @@ impl RackBulk {
 /// The pre-running-sum implementation, kept as the test oracle.
 #[cfg(test)]
 mod oracle {
-    use super::{BulkChunk, RotorLbParams};
-    use netsim::{Packet, PacketKind, HEADER_SIZE};
+    use super::{BulkChunk, Offer, RotorLbParams, RESTART_SEQ};
+    use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE};
 
-    /// `RackBulk` as it was before the running sums: `Vec` queues of public
+    /// A queued chunk, all fields at full width.
+    #[derive(Debug, Clone, Copy)]
+    struct Chunk {
+        flow: FlowId,
+        src_host: usize,
+        dst_host: usize,
+        bytes: u64,
+        next_seq: u32,
+    }
+
+    /// `RackBulk` as it was before the running sums: `Vec` queues of wide
     /// chunks, every backlog a scan. The reference the property test holds the
     /// live implementation to.
     #[derive(Debug)]
@@ -374,14 +446,17 @@ mod oracle {
         rack: usize,
         params: RotorLbParams,
         /// `direct[r]`: chunks originating here, destined to rack `r`.
-        direct: Vec<Vec<BulkChunk>>,
+        direct: Vec<Vec<Chunk>>,
         /// `relay[r]`: chunks stored here mid-Valiant, final destination `r`.
-        relay: Vec<Vec<BulkChunk>>,
+        relay: Vec<Vec<Chunk>>,
         /// Bytes currently stored across all relay queues.
         relay_bytes: u64,
         /// Round-robin cursor so concurrent flows to one rack share the
         /// circuit fairly.
         rr_cursor: usize,
+        /// Sequence numbers every restarted chunk that went out whole
+        /// reached, from which the next restarted chunk counts on.
+        restarted_ends: Vec<u32>,
     }
 
     impl RackBulk {
@@ -394,13 +469,20 @@ mod oracle {
                 relay: vec![Vec::new(); racks],
                 relay_bytes: 0,
                 rr_cursor: 0,
+                restarted_ends: Vec::new(),
             }
         }
 
-        /// Queue a new bulk flow (or flow fragment) for transmission.
-        pub fn enqueue(&mut self, chunk: BulkChunk) {
-            debug_assert_ne!(chunk.dst_rack, self.rack, "bulk to own rack");
-            self.direct[chunk.dst_rack].push(chunk);
+        /// Queue a new bulk flow for transmission.
+        pub fn enqueue(&mut self, c: BulkChunk) {
+            debug_assert_ne!(c.dst_rack, self.rack, "bulk to own rack");
+            self.direct[c.dst_rack].push(Chunk {
+                flow: c.flow,
+                src_host: c.src_host,
+                dst_host: c.dst_host,
+                bytes: c.bytes,
+                next_seq: 0,
+            });
         }
 
         /// Payload bytes queued for rack `r` (direct + stored relay).
@@ -422,28 +504,40 @@ mod oracle {
             self.relay_bytes
         }
 
+        /// The flows of `direct[r]`'s chunks, in queue order.
+        pub fn direct_flows(&self, r: usize) -> Vec<FlowId> {
+            self.direct[r].iter().map(|c| c.flow).collect()
+        }
+
         /// Produce the next bulk packet to send on the active circuit to
         /// `circuit_dst`. Priority: stored relay traffic (it has already paid
         /// one hop), then direct traffic, then — if `allow_vlb` — new Valiant
         /// traffic for a congested *other* destination, relayed via
-        /// `circuit_dst`.
-        ///
-        /// Returns `None` when nothing useful can ride this circuit.
-        pub fn next_packet(&mut self, circuit_dst: usize, allow_vlb: bool) -> Option<Packet> {
+        /// `circuit_dst`. A direct or Valiant chunk whose source host is not
+        /// ready keeps its bytes.
+        pub fn next_packet(
+            &mut self,
+            circuit_dst: usize,
+            allow_vlb: bool,
+            host_ready: impl Fn(usize) -> bool,
+        ) -> Offer {
             debug_assert_ne!(circuit_dst, self.rack);
             if let Some(pkt) = self.pop_from_relay(circuit_dst) {
-                return Some(pkt);
+                return Offer::Packet(pkt);
             }
-            if let Some(pkt) = self.pop_from_direct(circuit_dst) {
-                return Some(pkt);
+            if !self.direct[circuit_dst].is_empty() {
+                // Round-robin across chunks (flows) sharing this circuit.
+                let idx = self.rr_cursor % self.direct[circuit_dst].len();
+                self.rr_cursor = self.rr_cursor.wrapping_add(1);
+                return self.pop_direct(circuit_dst, idx, None, host_ready);
             }
             if allow_vlb {
-                return self.pop_for_vlb(circuit_dst);
+                return self.pop_for_vlb(circuit_dst, host_ready);
             }
-            None
+            Offer::Idle
         }
 
-        fn emit(params: &RotorLbParams, chunk: &mut BulkChunk, relay: Option<u32>) -> Packet {
+        fn emit(params: &RotorLbParams, chunk: &mut Chunk, relay: Option<u32>) -> Packet {
             let payload = chunk.bytes.min(params.payload_per_packet() as u64) as u32;
             let seq = chunk.next_seq;
             chunk.next_seq += 1;
@@ -471,42 +565,44 @@ mod oracle {
             Some(pkt)
         }
 
-        fn pop_from_direct(&mut self, dst: usize) -> Option<Packet> {
-            let q = &mut self.direct[dst];
-            if q.is_empty() {
-                return None;
+        fn pop_direct(
+            &mut self,
+            dst: usize,
+            idx: usize,
+            relay: Option<u32>,
+            host_ready: impl Fn(usize) -> bool,
+        ) -> Offer {
+            let chunk = &mut self.direct[dst][idx];
+            if !host_ready(chunk.src_host) {
+                return Offer::HostBusy;
             }
-            // Round-robin across chunks (flows) sharing this circuit.
-            let idx = self.rr_cursor % q.len();
-            self.rr_cursor = self.rr_cursor.wrapping_add(1);
-            let chunk = &mut q[idx];
-            let pkt = Self::emit(&self.params, chunk, None);
+            let pkt = Self::emit(&self.params, chunk, relay);
             if chunk.bytes == 0 {
-                q.remove(idx);
+                if chunk.next_seq > RESTART_SEQ {
+                    self.restarted_ends.push(chunk.next_seq);
+                }
+                self.direct[dst].remove(idx);
             }
-            Some(pkt)
+            Offer::Packet(pkt)
         }
 
         /// Pick the most-backlogged other destination over the VLB threshold
         /// and send one of its packets via `via` (first Valiant hop).
-        fn pop_for_vlb(&mut self, via: usize) -> Option<Packet> {
-            let (dst, backlog) = self
+        fn pop_for_vlb(&mut self, via: usize, host_ready: impl Fn(usize) -> bool) -> Offer {
+            let Some((dst, backlog)) = self
                 .direct
                 .iter()
                 .enumerate()
                 .filter(|&(r, _)| r != via && r != self.rack)
                 .map(|(r, q)| (r, q.iter().map(|c| c.bytes).sum::<u64>()))
-                .max_by_key(|&(_, b)| b)?;
+                .max_by_key(|&(_, b)| b)
+            else {
+                return Offer::Idle;
+            };
             if backlog <= self.params.vlb_threshold {
-                return None;
+                return Offer::Idle;
             }
-            let q = &mut self.direct[dst];
-            let chunk = q.first_mut()?;
-            let pkt = Self::emit(&self.params, chunk, Some(dst as u32));
-            if chunk.bytes == 0 {
-                q.remove(0);
-            }
-            Some(pkt)
+            self.pop_direct(dst, 0, Some(dst as u32), host_ready)
         }
 
         /// Accept a Valiant packet stored at this rack for later relay to its
@@ -527,22 +623,20 @@ mod oracle {
                     return true;
                 }
             }
-            self.relay[final_dst_rack].push(BulkChunk {
+            self.relay[final_dst_rack].push(Chunk {
                 flow: pkt.flow,
                 src_host: pkt.src,
                 dst_host: pkt.dst,
-                dst_rack: final_dst_rack,
                 bytes: payload,
                 next_seq: 0,
             });
             true
         }
 
-        /// Return a packet that missed its transmission window (the ToR
-        /// drained its bulk queue at a reconfiguration, §4.2.2) to the front
-        /// of the appropriate queue. `dst_rack` is the rack of `pkt.dst`
-        /// (known to the caller, which owns the host→rack mapping).
-        pub fn requeue_with_rack(&mut self, pkt: &Packet, dst_rack: usize) {
+        /// Take back a packet that did not make it out: its bytes join its
+        /// flow's chunk in its final rack's queue, or start a chunk at the
+        /// back, numbered past every restarted chunk that went out whole.
+        pub fn requeue(&mut self, pkt: &Packet, dst_rack: usize) {
             let payload = pkt.payload() as u64;
             if payload == 0 {
                 return;
@@ -552,27 +646,23 @@ mod oracle {
                 PacketKind::BulkData { relay: None, .. } => dst_rack,
                 _ => return,
             };
-            self.prepend_direct(final_rack, pkt, payload);
-        }
-
-        fn prepend_direct(&mut self, dst_rack: usize, pkt: &Packet, payload: u64) {
-            if let Some(first) = self.direct[dst_rack].first_mut() {
-                if first.flow == pkt.flow {
-                    first.bytes += payload;
-                    return;
-                }
+            let q = &mut self.direct[final_rack];
+            if let Some(chunk) = q.iter_mut().find(|c| c.flow == pkt.flow) {
+                chunk.bytes += payload;
+                return;
             }
-            self.direct[dst_rack].insert(
-                0,
-                BulkChunk {
-                    flow: pkt.flow,
-                    src_host: pkt.src,
-                    dst_host: pkt.dst,
-                    dst_rack,
-                    bytes: payload,
-                    next_seq: 0,
-                },
-            );
+            let next_seq = self
+                .restarted_ends
+                .iter()
+                .copied()
+                .fold(RESTART_SEQ, u32::max);
+            q.push(Chunk {
+                flow: pkt.flow,
+                src_host: pkt.src,
+                dst_host: pkt.dst,
+                bytes: payload,
+                next_seq,
+            });
         }
     }
 }
@@ -589,7 +679,15 @@ mod tests {
             dst_host: 200 + flow as usize,
             dst_rack,
             bytes,
-            next_seq: 0,
+        }
+    }
+
+    /// The next packet for `dst` with every source host ready.
+    fn take(rb: &mut RackBulk, dst: usize, vlb: bool) -> Option<Packet> {
+        match rb.next_packet(dst, vlb, |_| true) {
+            Offer::Packet(p) => Some(p),
+            Offer::HostBusy => panic!("every host is ready"),
+            Offer::Idle => None,
         }
     }
 
@@ -598,13 +696,13 @@ mod tests {
         let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
         rb.enqueue(chunk(1, 2, 3000));
         assert_eq!(rb.pending_to(2), 3000);
-        let p1 = rb.next_packet(2, false).unwrap();
+        let p1 = take(&mut rb, 2, false).unwrap();
         assert_eq!(p1.payload(), 1436);
-        let p2 = rb.next_packet(2, false).unwrap();
+        let p2 = take(&mut rb, 2, false).unwrap();
         assert_eq!(p2.payload(), 1436);
-        let p3 = rb.next_packet(2, false).unwrap();
+        let p3 = take(&mut rb, 2, false).unwrap();
         assert_eq!(p3.payload(), 128);
-        assert!(rb.next_packet(2, false).is_none());
+        assert!(take(&mut rb, 2, false).is_none());
         assert_eq!(rb.pending_to(2), 0);
         // Sequence numbers increase.
         let seqs: Vec<u32> = [p1, p2, p3]
@@ -623,7 +721,7 @@ mod tests {
         rb.enqueue(chunk(1, 2, 10_000));
         rb.enqueue(chunk(2, 2, 10_000));
         let flows: Vec<FlowId> = (0..4)
-            .map(|_| rb.next_packet(2, false).unwrap().flow)
+            .map(|_| take(&mut rb, 2, false).unwrap().flow)
             .collect();
         assert!(flows.contains(&1) && flows.contains(&2));
         // strict alternation from the rotating cursor
@@ -636,7 +734,7 @@ mod tests {
         let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
         rb.enqueue(chunk(1, 2, 1000)); // small backlog to rack 2
         assert!(
-            rb.next_packet(3, true).is_none(),
+            take(&mut rb, 3, true).is_none(),
             "small backlogs must wait for their direct circuit"
         );
     }
@@ -645,13 +743,13 @@ mod tests {
     fn vlb_offloads_large_backlog() {
         let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
         rb.enqueue(chunk(1, 2, 5_000_000)); // hot destination
-        let p = rb.next_packet(3, true).unwrap();
+        let p = take(&mut rb, 3, true).unwrap();
         match p.kind {
             PacketKind::BulkData { relay: Some(r), .. } => assert_eq!(r, 2),
             k => panic!("expected VLB packet, got {k:?}"),
         }
         // Without VLB permission nothing flows to rack 3.
-        assert!(rb.next_packet(3, false).is_none());
+        assert!(take(&mut rb, 3, false).is_none());
     }
 
     #[test]
@@ -660,7 +758,7 @@ mod tests {
         // A VLB packet for final rack 3 arrives at intermediate rack 1.
         let mut src = RackBulk::new(0, 4, RotorLbParams::paper_default());
         src.enqueue(chunk(7, 3, 5_000_000));
-        let pkt = src.next_packet(1, true).unwrap();
+        let pkt = take(&mut src, 1, true).unwrap();
         let final_rack = match pkt.kind {
             PacketKind::BulkData { relay: Some(r), .. } => r as usize,
             _ => unreachable!(),
@@ -668,7 +766,7 @@ mod tests {
         assert!(rb_mid.store_relay(&pkt, final_rack));
         assert_eq!(rb_mid.relay_bytes(), pkt.payload() as u64);
         // When rack 1's circuit to rack 3 comes up, relay drains first.
-        let out = rb_mid.next_packet(3, false).unwrap();
+        let out = take(&mut rb_mid, 3, false).unwrap();
         assert_eq!(out.flow, 7);
         match out.kind {
             PacketKind::BulkData { relay, .. } => assert_eq!(relay, None),
@@ -689,20 +787,83 @@ mod tests {
         assert_eq!(rb.relay_bytes(), 0);
     }
 
+    fn seq(p: &Packet) -> u32 {
+        match p.kind {
+            PacketKind::BulkData { seq, .. } => seq,
+            k => panic!("not bulk: {k:?}"),
+        }
+    }
+
+    /// A returned packet's bytes join its flow's queued chunk, which goes
+    /// on numbering where it was: no second chunk, no repeated `seq`.
     #[test]
-    fn requeue_returns_bytes_to_front() {
+    fn requeue_merges_into_the_flows_chunk() {
         let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
         rb.enqueue(chunk(1, 2, 2872)); // 2 packets
-        let p1 = rb.next_packet(2, false).unwrap();
-        assert_eq!(rb.pending_to(2), 1436);
-        rb.requeue_with_rack(&p1, 2);
+        rb.enqueue(chunk(2, 2, 1436));
+        let p1 = take(&mut rb, 2, false).unwrap();
+        assert_eq!((p1.flow, seq(&p1)), (1, 0));
         assert_eq!(rb.pending_to(2), 2872);
-        // Drains fully afterwards.
-        let mut total = 0;
-        while let Some(p) = rb.next_packet(2, false) {
-            total += p.payload() as u64;
+        rb.requeue(&p1, 2);
+        assert_eq!(rb.pending_to(2), 4308);
+        assert_eq!(rb.direct[2].len(), 2, "merged, not a fragment");
+        // Drains fully afterwards, flow 1 under seqs 1 and 2.
+        let out: Vec<(FlowId, u32)> = std::iter::from_fn(|| take(&mut rb, 2, false))
+            .map(|p| (p.flow, seq(&p)))
+            .collect();
+        assert_eq!(out, vec![(2, 0), (1, 1), (1, 2)]);
+    }
+
+    /// A packet of a flow whose chunk has gone out whole starts the flow's
+    /// only chunk again, numbered past anything the flow and the rack's
+    /// finished restarted chunks have used.
+    #[test]
+    fn a_flow_sent_whole_restarts_past_its_used_seqs() {
+        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        rb.enqueue(chunk(1, 2, 2872));
+        rb.enqueue(chunk(2, 3, 1436));
+        let (a, b) = (
+            take(&mut rb, 2, false).unwrap(),
+            take(&mut rb, 2, false).unwrap(),
+        );
+        let c = take(&mut rb, 3, false).unwrap();
+        assert_eq!((seq(&a), seq(&b), seq(&c)), (0, 1, 0));
+        rb.requeue(&b, 2);
+        rb.requeue(&a, 2);
+        rb.requeue(&c, 3);
+        assert_eq!((rb.direct[2].len(), rb.direct[3].len()), (1, 1));
+        // Both restarted chunks start at the restart base; flow 1's goes
+        // out first, so flow 2 is numbered as before and the rack's next
+        // restart starts past flow 1's.
+        let again: Vec<u32> = [2, 2, 3]
+            .map(|dst| seq(&take(&mut rb, dst, false).unwrap()))
+            .into();
+        assert_eq!(again, vec![RESTART_SEQ, RESTART_SEQ + 1, RESTART_SEQ]);
+        rb.requeue(&c, 3);
+        rb.requeue(&a, 2);
+        let last: Vec<u32> = [3, 2]
+            .map(|dst| seq(&take(&mut rb, dst, false).unwrap()))
+            .into();
+        assert_eq!(last, vec![RESTART_SEQ + 2, RESTART_SEQ + 2]);
+    }
+
+    /// A chunk whose source host is busy keeps its bytes and loses its
+    /// turn; the next flow's chunk goes on the next poll.
+    #[test]
+    fn a_busy_host_passes_its_turn() {
+        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        rb.enqueue(chunk(1, 2, 1436));
+        rb.enqueue(chunk(2, 2, 1436));
+        let busy = chunk(1, 2, 0).src_host;
+        assert_eq!(rb.next_packet(2, false, |h| h != busy), Offer::HostBusy);
+        assert_eq!(rb.pending_to(2), 2872);
+        match rb.next_packet(2, false, |h| h != busy) {
+            Offer::Packet(p) => assert_eq!(p.flow, 2),
+            o => panic!("{o:?}"),
         }
-        assert_eq!(total, 2872);
+        assert_eq!(rb.next_packet(2, false, |h| h != busy), Offer::HostBusy);
+        assert_eq!(take(&mut rb, 2, false).map(|p| p.flow), Some(1));
+        assert_eq!(rb.next_packet(2, false, |_| true), Offer::Idle);
     }
 
     #[test]
@@ -717,7 +878,7 @@ mod tests {
             ..Packet::bulk(6, 100, 200, 0, 1500)
         };
         assert!(rb.store_relay(&vlb_pkt, 3));
-        let first = rb.next_packet(3, false).unwrap();
+        let first = take(&mut rb, 3, false).unwrap();
         assert_eq!(first.flow, 6, "stored relay bytes drain before direct");
     }
 
@@ -737,10 +898,10 @@ mod tests {
             dst_host: 65_535,
             ..chunk(1, 2, u32::MAX as u64)
         });
-        let p = rb.next_packet(2, false).unwrap();
+        let p = take(&mut rb, 2, false).unwrap();
         assert_eq!((p.src, p.dst, p.payload()), (65_535, 65_535, 1436));
         assert_eq!(rb.pending_to(2), u32::MAX as u64 - 1436);
-        rb.requeue_with_rack(&p, 2);
+        rb.requeue(&p, 2);
         assert_eq!(rb.pending_to(2), u32::MAX as u64);
         assert_eq!(rb.direct[2].len(), 1, "coalesced, not a second chunk");
     }
@@ -762,7 +923,7 @@ mod tests {
         rb.enqueue(chunk(1, 2, u32::MAX as u64 + 1));
     }
 
-    /// Whatever the order of pushes to either end and pops, no queue's
+    /// Whatever the order of pushes and pops, no queue's
     /// capacity is ever more than one [`GROWTH`] step past the longest it
     /// has been (doubling would allow twice that length). Rounds of mostly
     /// pushes and mostly pops alternate, so queues grow, drain and regrow.
@@ -786,11 +947,11 @@ mod tests {
                 if rng.below(4) < pushes_in_four {
                     match rng.below(4) {
                         0 => rb.enqueue(chunk(flow, to, 1436)),
-                        1 => rb.requeue_with_rack(&pkt, to),
+                        1 => rb.requeue(&pkt, to),
                         _ => assert!(rb.store_relay(&pkt, to)),
                     }
                 } else {
-                    rb.next_packet(to, false);
+                    take(&mut rb, to, false);
                 }
                 for (i, q) in rb.direct.iter().chain(&rb.relay).enumerate() {
                     longest[i] = longest[i].max(q.len());
@@ -821,14 +982,21 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random traffic through the live `RackBulk` and the scanning
-        /// oracle side by side: every emitted packet, every refusal and
-        /// every backlog reading agree after every step. The VLB threshold
-        /// is two packets and most sizes are whole packets, so VLB fires
-        /// and its arg-max sees ties; the relay store holds six packets,
-        /// so it overflows. Host ids are drawn from the whole `u16` range,
-        /// and one new flow in eight takes all that is left of its flow's
-        /// `u32` byte budget, so a packet that comes back coalesces up to
-        /// the byte limit.
+        /// oracle side by side: every offer, every refusal, every backlog
+        /// reading and every queue's flows in order agree after every step.
+        /// Eight direct flows, each queued once to one of three hot racks,
+        /// and eight flows that only pass through the relay store. The VLB
+        /// threshold is two packets and most sizes are whole packets, so
+        /// VLB fires and its arg-max sees ties; the relay store holds six
+        /// packets, so it overflows; one poll in two finds one flow's
+        /// source host busy. Host ids are drawn from the whole `u16`
+        /// range, and one flow in eight takes all of its `u32` byte budget,
+        /// so a packet that comes back merges up to the byte limit. Returned
+        /// packets are ones really emitted (relay ones land in the direct
+        /// queue as a foreign flow's chunk, as at a Valiant intermediate)
+        /// or new bytes of a direct flow. Throughout, a direct queue holds
+        /// at most one chunk per flow, and a direct flow never emits one
+        /// `seq` twice.
         #[test]
         fn matches_the_scanning_oracle(
             ops in prop::collection::vec(0u64..u64::MAX, 0..300),
@@ -843,17 +1011,25 @@ mod tests {
             let rack = rack_bits as usize % racks;
             let mut live = RackBulk::new(rack, racks, params);
             let mut old = oracle::RackBulk::new(rack, racks, params);
-            // Packets emitted so far and not yet returned (the realistic
-            // requeue: a packet that missed its window comes back).
-            let mut in_flight: Vec<Packet> = Vec::new();
+            // Packets emitted so far and not yet returned, with the rack
+            // of the circuit that carried them (the realistic requeue: a
+            // packet that missed its window comes back).
+            let mut in_flight: Vec<(Packet, usize)> = Vec::new();
+            let mut emitted = std::collections::HashSet::new();
+            let mut enqueued = [false; 8];
             // Bytes each flow may still bring in. A chunk holds no more
             // than its flow has brought, as in a network, where a flow's
             // bytes are all it has.
-            let mut budget = [u32::MAX as u64; 8];
+            let mut budget = [u32::MAX as u64; 16];
+            // A direct flow's hosts and hot rack.
+            let hosts = |f: u64| {
+                let mixed = (f + rack_bits * 8).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                ((mixed >> 32) as u16 as usize, (mixed >> 48) as u16 as usize)
+            };
+            let hot = |f: u64| other_rack(rack, racks, f % 3);
             for bits in ops {
-                let flow = ((bits >> 8) & 0x7) as FlowId;
-                let left = &mut budget[flow as usize];
-                let to = other_rack(rack, racks, bits >> 11);
+                let f = (bits >> 8) & 0x7;
+                let (src, dst) = hosts(f);
                 // Whole packets seven times in eight, so per-destination
                 // backlogs stay multiples of 1436 and tie often.
                 let packets = 1 + ((bits >> 16) % 3) as u32;
@@ -861,72 +1037,83 @@ mod tests {
                     0 => 1 + ((bits >> 24) % 2000) as u32,
                     _ => 1436 * packets,
                 };
-                let mixed = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let (src, dst) = ((mixed >> 32) as u16 as usize, (mixed >> 48) as u16 as usize);
-                let packet = |payload: u32| Packet::bulk(flow, src, dst, 0, HEADER_SIZE + payload.min(1436));
                 match bits % 4 {
-                    0 => {
-                        // New flows go to at most three hot racks and pops
-                        // ask for any rack, so circuits to cold racks
-                        // carry VLB and level the hot backlogs into ties.
-                        let to = other_rack(rack, racks, (bits >> 11) % 3);
+                    0 if !enqueued[f as usize] => {
+                        let left = &mut budget[f as usize];
                         let bytes = match (bits >> 21) & 0x7 {
                             0 => *left,
-                            _ => (payload as u64).min(*left),
+                            _ => payload as u64,
                         };
-                        if bytes > 0 {
-                            *left -= bytes;
-                            let c = BulkChunk {
-                                src_host: src,
-                                dst_host: dst,
-                                ..chunk(flow, to, bytes)
-                            };
-                            live.enqueue(c);
-                            old.enqueue(c);
+                        *left -= bytes;
+                        enqueued[f as usize] = true;
+                        let c = BulkChunk {
+                            src_host: src,
+                            dst_host: dst,
+                            ..chunk(f as FlowId, hot(f), bytes)
+                        };
+                        live.enqueue(c);
+                        old.enqueue(c);
+                    }
+                    0 | 1 => {
+                        // Pops ask for any rack, so circuits to cold racks
+                        // carry VLB and level the hot backlogs into ties.
+                        let to = other_rack(rack, racks, bits >> 11);
+                        let vlb = (bits >> 20) & 1 == 1;
+                        let busy = ((bits >> 21) & 1 == 1).then(|| hosts((bits >> 22) & 0x7).0);
+                        let ready = |h: usize| Some(h) != busy;
+                        let got = live.next_packet(to, vlb, ready);
+                        prop_assert_eq!(got, old.next_packet(to, vlb, ready));
+                        if let Offer::Packet(p) = got {
+                            if let (true, PacketKind::BulkData { seq, .. }) = (p.flow < 8, p.kind) {
+                                prop_assert!(emitted.insert((p.flow, seq)), "flow {} seq {} twice", p.flow, seq);
+                            }
+                            in_flight.push((p, to));
                         }
                     }
-                    1 => {
-                        let vlb = (bits >> 20) & 1 == 1;
-                        let got = live.next_packet(to, vlb);
-                        prop_assert_eq!(got, old.next_packet(to, vlb));
-                        in_flight.extend(got);
-                    }
                     2 => {
-                        let pkt = packet(payload);
+                        // A relay flow's packet, stored for its final rack.
+                        let left = &mut budget[8 + f as usize];
+                        let pkt = Packet::bulk(8 + f as FlowId, dst, src, 0, HEADER_SIZE + payload.min(1436));
+                        let to = other_rack(rack, racks, bits >> 11);
                         if *left >= pkt.payload() as u64 {
                             *left -= pkt.payload() as u64;
                             prop_assert_eq!(live.store_relay(&pkt, to), old.store_relay(&pkt, to));
                         }
                     }
                     _ => {
-                        // Either a packet that was really emitted (same
-                        // flow as the queue front: the coalesce case) or
-                        // a foreign one (a new front chunk), direct or
-                        // first-hop VLB (`relay: Some`).
-                        // A foreign packet brings new bytes of its flow.
-                        let (pkt, brought) = match in_flight.pop() {
-                            Some(p) if (bits >> 20) & 1 == 1 => (p, 0),
+                        // Either a packet that was really emitted, or new
+                        // bytes of a direct flow, direct or first-hop VLB
+                        // (`relay: Some`).
+                        let (pkt, to, brought) = match in_flight.pop() {
+                            Some((p, to)) if (bits >> 20) & 1 == 1 => (p, to, 0),
                             _ => {
                                 let p = Packet {
                                     kind: PacketKind::BulkData {
                                         seq: 0,
-                                        relay: ((bits >> 21) & 1 == 1)
-                                            .then(|| other_rack(rack, racks, bits >> 22) as u32),
+                                        relay: ((bits >> 21) & 1 == 1).then(|| hot(f) as u32),
                                     },
-                                    ..packet(payload)
+                                    ..Packet::bulk(f as FlowId, src, dst, 0, HEADER_SIZE + payload.min(1436))
                                 };
-                                (p, p.payload() as u64)
+                                (p, hot(f), p.payload() as u64)
                             }
                         };
-                        if *left >= brought {
+                        let left = &mut budget[pkt.flow as usize];
+                        // A flow's bytes come back only once it is queued.
+                        if *left >= brought && (brought == 0 || enqueued[f as usize]) {
                             *left -= brought;
-                            live.requeue_with_rack(&pkt, to);
-                            old.requeue_with_rack(&pkt, to);
+                            live.requeue(&pkt, to);
+                            old.requeue(&pkt, to);
                         }
                     }
                 }
                 for r in 0..racks {
                     prop_assert_eq!(live.pending_to(r), old.pending_to(r), "pending_to({})", r);
+                    let flows: Vec<FlowId> = live.direct[r].iter().map(|c| c.flow).collect();
+                    prop_assert_eq!(&flows, &old.direct_flows(r), "direct[{}]", r);
+                    let mut distinct = flows.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    prop_assert_eq!(distinct.len(), flows.len(), "two chunks of a flow in direct[{}]", r);
                 }
                 prop_assert_eq!(live.total_direct_backlog(), old.total_direct_backlog());
                 prop_assert_eq!(live.relay_bytes(), old.relay_bytes());

@@ -114,13 +114,15 @@ fn outcome<N: PacketNet>(
 }
 
 /// `seeds` scenarios on each transport × policy of the network `cfg`
-/// builds; `quiet` silences what the network sends of its own accord, and
-/// is `None` for a network that sends nothing to begin with.
+/// builds, of which at least `drained_at_least` must stop early; `quiet`
+/// silences what the network sends of its own accord, and is `None` for a
+/// network that sends nothing to begin with.
 fn differential<N: PacketNet>(
     name: &str,
     cfg: impl Fn(TransportKind, QueueConfig) -> N::Config,
     quiet: Option<fn(&mut N)>,
     seeds: u64,
+    drained_at_least: u64,
 ) {
     let mut drained_runs = 0;
     for (t, transport) in KNOWN_TRANSPORTS.iter().enumerate() {
@@ -162,13 +164,15 @@ fn differential<N: PacketNet>(
             }
         }
     }
-    // The comparison is vacuous if nothing ever stops early. (What keeps a
-    // drawn run from draining is mostly ROADMAP 4a: a bulk byte lost on a
-    // rotor network is never sent again.)
+    // The comparison is vacuous if nothing ever stops early. The bound is
+    // the count measured once the last hop stopped dropping bulk (ROADMAP
+    // 4a); what keeps a drawn rotor run from draining now is a bulk flow
+    // that needs more than `HORIZON` (up to 20 ms on 8 racks), or a bulk
+    // byte the wire corrupted, which RotorLB never sends again.
     let runs = (KNOWN_TRANSPORTS.len() * KNOWN_POLICIES.len()) as u64 * seeds;
     assert!(
-        drained_runs * 3 >= runs,
-        "{name}: only {drained_runs} of {runs} runs drained"
+        drained_runs >= drained_at_least,
+        "{name}: only {drained_runs} of {runs} runs drained, not {drained_at_least}"
     );
 }
 
@@ -189,14 +193,14 @@ fn no_hellos(net: &mut OperaLogic) {
 
 #[test]
 fn opera_drained_equals_horizon() {
-    differential::<OperaLogic>("opera", rotor(RotorMode::Opera, 8), Some(no_hellos), 2);
+    differential::<OperaLogic>("opera", rotor(RotorMode::Opera, 8), Some(no_hellos), 2, 12);
 }
 
 /// Hybrid RotorNet's three rotor uplinks must divide the rack count.
 #[test]
 fn hybrid_rotornet_drained_equals_horizon() {
     let cfg = rotor(RotorMode::RotorHybrid, 12);
-    differential::<OperaLogic>("hybrid rotornet", cfg, Some(no_hellos), 2);
+    differential::<OperaLogic>("hybrid rotornet", cfg, Some(no_hellos), 2, 16);
 }
 
 #[test]
@@ -206,7 +210,7 @@ fn expander_drained_equals_horizon() {
         queues,
         ..StaticNetConfig::small_expander()
     };
-    differential::<StaticLogic>("expander", cfg, None, 4);
+    differential::<StaticLogic>("expander", cfg, None, 4, 37);
 }
 
 #[test]
@@ -220,7 +224,7 @@ fn folded_clos_drained_equals_horizon() {
         queues,
         ..StaticNetConfig::small_expander()
     };
-    differential::<StaticLogic>("folded clos", cfg, None, 4);
+    differential::<StaticLogic>("folded clos", cfg, None, 4, 34);
 }
 
 /// A flow that cannot finish inside the horizon: the run ends there, with

@@ -78,32 +78,20 @@ fn golden_figures_byte_identical() {
 
 /// The census ROADMAP 4b asks for: the quick drivers' packet runs that
 /// complete every flow and still reach their horizon, because something
-/// keeps the network from ever draining. Those are the points whose
-/// goldens a fix to that something can move. None today is 4b's NDP
-/// zombie (a trimmed flow's sender re-arming an idle RTO for ever): both
-/// are `ablate_transport` rows where PFC runs over rotor circuits and a
-/// port whose pause a rewire cleared keeps its queued packets for good
-/// (4 runs: three replicates of the incast, one of the victim). The list
-/// is an upper bound, so a fix may shorten it; a run not on it is a new
-/// leak.
+/// keeps the network from ever draining (4b's NDP zombie re-arming an idle
+/// RTO for ever, or 4e's packets stranded at a port whose PFC pause a
+/// rewire cleared, until the slice clock restarted rewired ports). It is
+/// empty: a run on it is a leak, and the points whose goldens its fix
+/// moves.
 #[test]
 fn zombie_census() {
-    const KNOWN: [&str; 2] = [
-        "opera/pfc/ndp/incast/8 senders",
-        "opera/pfc/ndp/victim/8 senders",
-    ];
     let ctx = figures::golden_ctx(0);
     for (_, build) in figures::all() {
         build(&ctx);
     }
     let census = bench::undrained_runs();
-    let new: Vec<&String> = census
-        .iter()
-        .filter(|run| !KNOWN.contains(&run.as_str()))
-        .collect();
     assert!(
-        new.is_empty(),
-        "runs that completed every flow but never drained, and are not on ROADMAP 4b's list: \
-         {new:#?}"
+        census.is_empty(),
+        "runs that completed every flow but never drained: {census:#?}"
     );
 }

@@ -747,3 +747,69 @@ proptest! {
         prop_assert_eq!(fallback.lambda.to_bits(), cold2.to_bits());
     }
 }
+
+/// Every bulk packet a source host emits, by `(flow, seq)`: one
+/// repeated is a seq emitted twice.
+#[derive(Debug, Default)]
+struct BulkEmissions {
+    hosts: usize,
+    seen: std::collections::HashSet<(u32, u32)>,
+    repeated: Vec<(u32, u32)>,
+}
+
+/// Records host-NIC enqueues of bulk packets into the shared
+/// [`BulkEmissions`].
+#[derive(Debug)]
+struct EmissionSink(std::rc::Rc<std::cell::RefCell<BulkEmissions>>);
+
+impl netsim::TraceSink for EmissionSink {
+    fn record(&mut self, rec: &netsim::TraceRecord) {
+        let mut e = self.0.borrow_mut();
+        let Some(p) = rec.packet else { return };
+        let emitted = rec.event == netsim::TraceEvent::Enqueue
+            && rec.node < e.hosts
+            && p.kind == netsim::trace::KindTag::Bulk;
+        if emitted && !e.seen.insert((p.flow, p.seq)) {
+            e.repeated.push((p.flow, p.seq));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// fig08's quick Opera arm (every flow bulk, all starting at once)
+    /// with its flows injected in a random order: every flow completes, the
+    /// fabric drops nothing, and no flow's source emits one bulk `seq`
+    /// twice, however often RotorLB takes packets back. RotorLB
+    /// debug-asserts that a direct queue never holds two chunks of one
+    /// flow wherever it makes a chunk. (A shuffle this small rarely
+    /// overflows a ToR's host port; `opera_net`'s
+    /// `bulk_incast_is_lossless_at_the_last_hop` is the case that does.)
+    #[test]
+    fn quick_shuffle_completes_in_any_injection_order(seed in 0u64..u64::MAX) {
+        let mut cfg = bench::opera_cfg(expt::Scale::Quick);
+        cfg.bulk_threshold = 0;
+        let mut flows = workloads::gen::ScenarioGen::shuffle(cfg.hosts(), 30_000, simkit::SimTime::ZERO);
+        let mut rng = SimRng::new(seed);
+        for i in (1..flows.len()).rev() {
+            flows.swap(i, rng.index(i + 1));
+        }
+        let offered = flows.len();
+        let emissions = std::rc::Rc::new(std::cell::RefCell::new(BulkEmissions {
+            hosts: cfg.hosts(),
+            ..BulkEmissions::default()
+        }));
+        let mut sim = opera::opera_net::build(cfg, flows);
+        sim.world.fabric.set_trace(Box::new(EmissionSink(std::rc::Rc::clone(&emissions))));
+        use opera::PacketNet;
+        let drained = opera::opera_net::OperaLogic::run(&mut sim, simkit::SimTime::from_ms(60));
+        let t = sim.world.logic.tracker();
+        prop_assert!(drained, "seed {}: {} of {} flows", seed, t.completed(), offered);
+        prop_assert_eq!(t.completed(), offered);
+        prop_assert_eq!(sim.world.fabric.counters.dropped, 0);
+        let e = emissions.borrow();
+        prop_assert!(e.seen.len() > offered, "only {} bulk emissions", e.seen.len());
+        prop_assert!(e.repeated.is_empty(), "seqs emitted twice: {:?}", &e.repeated[..e.repeated.len().min(8)]);
+    }
+}
