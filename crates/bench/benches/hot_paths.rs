@@ -127,18 +127,6 @@ fn bench_solvers(c: &mut Criterion) {
     c.bench_function("mcf_expander_130_20phases_reused", |b| {
         b.iter(|| solver.solve(&tor, &dem, 10.0, 50.0, 20).lambda)
     });
-
-    // Warm-started α-sweep step: the prior point's multiplicative-
-    // weights state seeds the next solve, as fig10/fig12 drive it.
-    let (_, state) = solver.solve_warm(None, &tor, &dem, 10.0, 50.0, 10);
-    c.bench_function("mcf_expander_130_warm_continue_20", |b| {
-        b.iter(|| {
-            solver
-                .solve_warm(Some(&state), &tor, &dem, 10.0, 50.0, 20)
-                .0
-                .lambda
-        })
-    });
 }
 
 fn bench_spectral(c: &mut Criterion) {

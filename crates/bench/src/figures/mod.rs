@@ -76,23 +76,10 @@ pub fn find(name: &str) -> Option<(Experiment, BuildFn)> {
 }
 
 /// The per-driver golden comparison spec ([`expt::golden`]). Every
-/// driver is near-exact today; loosen a column here (not by re-blessing)
-/// when a legitimate cross-platform difference shows up.
-///
-/// `fig12_cost_sweep` opts its throughput metrics into the
-/// replicate-aware CI rule: the driver's expander side may be produced
-/// by warm-started MCF solves (exact today, so this adds no slack in
-/// practice), and the rule keeps "statistically identical" well-defined
-/// — within the committed row's own `_ci95` — should that ever change,
-/// instead of a hand-picked fixed tolerance.
-pub fn golden_spec(driver: &str) -> GoldenSpec {
-    match driver {
-        "fig12_cost_sweep" => GoldenSpec::strict()
-            .with_ci_metric("opera", 1.0)
-            .with_ci_metric("expander", 1.0)
-            .with_ci_metric("throughput", 1.0),
-        _ => GoldenSpec::strict(),
-    }
+/// driver is near-exact; loosen a driver's tolerance here (not by
+/// re-blessing) when a legitimate cross-platform difference shows up.
+pub fn golden_spec(_driver: &str) -> GoldenSpec {
+    GoldenSpec::strict()
 }
 
 /// The committed golden store: `goldens/` at the workspace root.

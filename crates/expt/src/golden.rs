@@ -9,7 +9,7 @@
 //! that moved, which is a far better regression signal than a distant
 //! unit-test failure.
 //!
-//! Comparison is tolerance-aware per column: cells that parse as
+//! Comparison is tolerance-aware per cell: cells that parse as
 //! numbers on both sides are compared with a [`Tolerance`]
 //! (absolute-or-relative, `NaN == NaN`), everything else must match
 //! byte-for-byte. The default [`GoldenSpec::strict`] tolerance (1e-9
@@ -150,21 +150,11 @@ impl Tolerance {
     }
 }
 
-/// Per-driver comparison spec: one tolerance for every column, plus
-/// replicate-aware CI rules keyed on the `RepTableBuilder` column pairs.
+/// Per-driver comparison spec: one tolerance for every column.
 #[derive(Debug, Clone)]
 pub struct GoldenSpec {
     /// Tolerance on every column.
     pub default_tol: Tolerance,
-    /// Replicate-aware rules: for metric `m`, the `<m>_mean` column also
-    /// passes when it falls within `factor ×` the **committed** row's
-    /// `<m>_ci95` half-width. Statistically-identical output (e.g. a
-    /// warm-started solver whose λ moves within its replicate CI) then
-    /// compares clean without loosening the fixed tolerances; anything
-    /// outside the interval is still drift, and rows whose `ci95` is NaN
-    /// (fewer than 2 replicates) or whose table lacks the `ci95` column
-    /// get no slack at all.
-    pub ci_metrics: Vec<(String, f64)>,
 }
 
 impl GoldenSpec {
@@ -172,23 +162,7 @@ impl GoldenSpec {
     pub fn strict() -> Self {
         GoldenSpec {
             default_tol: Tolerance::new(1e-9, 1e-9),
-            ci_metrics: Vec::new(),
         }
-    }
-
-    /// Accept `<metric>_mean` cells within `factor ×` the committed
-    /// row's `<metric>_ci95` (see [`GoldenSpec::ci_metrics`]).
-    pub fn with_ci_metric(mut self, metric: &str, factor: f64) -> Self {
-        self.ci_metrics.push((metric.to_string(), factor));
-        self
-    }
-
-    /// The CI rule applying to `column`, as `(ci95 column name, factor)`
-    /// — `Some` only for a registered metric's `_mean` column.
-    pub fn ci_rule_for(&self, column: &str) -> Option<(String, f64)> {
-        self.ci_metrics.iter().find_map(|(m, factor)| {
-            (column == format!("{m}_mean")).then(|| (format!("{m}_ci95"), *factor))
-        })
     }
 }
 
@@ -288,19 +262,6 @@ fn cells_close(got: &str, want: &str, tol: Tolerance) -> bool {
     }
 }
 
-/// Replicate-aware escape hatch: true when `got` and `want` are numeric
-/// and within `factor ×` the committed `ci` half-width (a finite,
-/// parseable `_ci95` cell from the golden row).
-fn cells_within_ci(got: &str, want: &str, ci: Option<&String>, factor: f64) -> bool {
-    let (Ok(g), Ok(w)) = (got.parse::<f64>(), want.parse::<f64>()) else {
-        return false;
-    };
-    let Some(Ok(ci)) = ci.map(|s| s.parse::<f64>()) else {
-        return false;
-    };
-    ci.is_finite() && (g - w).abs() <= factor * ci
-}
-
 /// Compare a driver's freshly built tables against its committed
 /// goldens. Returns every drift found (empty = clean). IO errors other
 /// than "golden missing" (which is reported as a drift) are returned as
@@ -382,32 +343,11 @@ pub fn compare_driver(
                 format!("{} rows", grows.len()),
             ));
         }
-        // Resolve each column's CI rule once per table: the `_ci95`
-        // column index the committed interval is read from, if any
-        // (header equality was checked above, so fresh and golden
-        // column positions coincide).
-        let ci_rules: Vec<Option<(usize, f64)>> = t
-            .columns
-            .iter()
-            .map(|c| {
-                spec.ci_rule_for(c).and_then(|(ci_col, factor)| {
-                    t.columns
-                        .iter()
-                        .position(|x| *x == ci_col)
-                        .map(|idx| (idx, factor))
-                })
-            })
-            .collect();
         for (ri, (got_row, want_row)) in t.rows.iter().zip(grows).enumerate() {
             for (ci, column) in t.columns.iter().enumerate() {
                 let got = got_row[ci].to_string();
                 let want = want_row.get(ci).cloned().unwrap_or_default();
                 if !cells_close(&got, &want, spec.default_tol) {
-                    if let Some((ci_idx, factor)) = ci_rules[ci] {
-                        if cells_within_ci(&got, &want, want_row.get(ci_idx), factor) {
-                            continue;
-                        }
-                    }
                     drifts.push(Drift {
                         driver: driver.to_string(),
                         table: t.name.clone(),
@@ -602,78 +542,6 @@ mod tests {
         assert_eq!((d.row, d.column.as_deref()), (Some(1), Some("y")));
         assert_eq!((d.got.as_str(), d.want.as_str()), ("0.6000", "0.5000"));
         assert!(d.to_string().contains("drv/series row 1 col y"));
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    fn rep_table(mean: &str, ci95: &str) -> Table {
-        let mut t = Table::new("reps", &["x", "lambda_mean", "lambda_ci95", "reps"]);
-        t.push(vec![
-            Cell::from(1u64),
-            Cell::from(mean),
-            Cell::from(ci95),
-            Cell::from(3u64),
-        ]);
-        t
-    }
-
-    #[test]
-    fn ci_metric_rule_accepts_within_ci_and_catches_beyond() {
-        let root = tmp_root("ci-metric");
-        bless_driver("drv", &[rep_table("0.5000", "0.0300")], &root, &meta()).unwrap();
-        let spec = GoldenSpec::strict().with_ci_metric("lambda", 1.0);
-
-        // Within the committed ±ci95 interval: clean.
-        let within = rep_table("0.5200", "0.0300");
-        assert!(compare_driver("drv", &[within], &root, &spec, &meta())
-            .unwrap()
-            .is_empty());
-        // A deliberate perturbation beyond the interval is still drift,
-        // and strict comparison rejects even the within-CI change.
-        let beyond = rep_table("0.5400", "0.0300");
-        let drifts = compare_driver("drv", &[beyond], &root, &spec, &meta()).unwrap();
-        assert_eq!(drifts.len(), 1);
-        assert_eq!(drifts[0].column.as_deref(), Some("lambda_mean"));
-        let strict = compare_driver(
-            "drv",
-            &[rep_table("0.5200", "0.0300")],
-            &root,
-            &GoldenSpec::strict(),
-            &meta(),
-        )
-        .unwrap();
-        assert_eq!(strict.len(), 1);
-        // The interval is read from the *golden* row: a fresh run can't
-        // widen its own acceptance band by inflating its ci95 cell.
-        let inflated = rep_table("0.5400", "9.0000");
-        let drifts = compare_driver("drv", &[inflated], &root, &spec, &meta()).unwrap();
-        assert!(drifts
-            .iter()
-            .any(|d| d.column.as_deref() == Some("lambda_mean")));
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn ci_metric_rule_gives_no_slack_without_a_usable_interval() {
-        let root = tmp_root("ci-nan");
-        // NaN ci95 (single replicate): no slack.
-        bless_driver("drv", &[rep_table("0.5000", "NaN")], &root, &meta()).unwrap();
-        let spec = GoldenSpec::strict().with_ci_metric("lambda", 1.0);
-        let drifts =
-            compare_driver("drv", &[rep_table("0.5001", "NaN")], &root, &spec, &meta()).unwrap();
-        assert_eq!(drifts.len(), 1);
-        fs::remove_dir_all(&root).unwrap();
-
-        // Table without the ci95 column: the rule is inert, strict
-        // tolerances apply.
-        let root = tmp_root("ci-absent");
-        let bare = |mean: &str| {
-            let mut t = Table::new("bare", &["x", "lambda_mean"]);
-            t.push(vec![Cell::from(1u64), Cell::from(mean)]);
-            t
-        };
-        bless_driver("drv", &[bare("0.5000")], &root, &meta()).unwrap();
-        let drifts = compare_driver("drv", &[bare("0.5200")], &root, &spec, &meta()).unwrap();
-        assert_eq!(drifts.len(), 1);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -33,7 +33,7 @@ pub mod mcf;
 pub mod models;
 pub mod solver;
 
-pub use mcf::{max_concurrent_flow, McfResult, McfSolver, McfState};
+pub use mcf::{max_concurrent_flow, McfResult, McfSolver};
 pub use models::{
     clos_throughput, expander_model, graph_model, opera_model, Demand, ModelResult, Routing,
 };

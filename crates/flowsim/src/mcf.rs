@@ -41,11 +41,9 @@
 //! true decrease-key (`HeapSoa`).
 //! These are *exact* optimizations — the λ bits match the original
 //! implementation, which survives as the property-test oracle in
-//! `tests/properties.rs`. On top of that, [`McfSolver::solve_warm`]
-//! carries edge costs/loads across the repeated solves of a parameter
-//! sweep: when the adjacent sweep point poses the identical problem
-//! (verified by fingerprint) the prior state is continued instead of
-//! re-solved from scratch, and any mismatch falls back to a cold solve.
+//! `tests/properties.rs`. Every solve starts cold; a sweep that poses
+//! the same problem twice reuses the first λ instead (fig12 keys its
+//! expander solves on the uplink count).
 
 use topo::graph::{Csr, Graph};
 
@@ -281,31 +279,6 @@ struct NodeScratch {
     stamp: u32,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(mut h: u64, x: u64) -> u64 {
-    for b in x.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Opaque multiplicative-weights state exported by
-/// [`McfSolver::solve_warm`]: the per-edge costs and loads after some
-/// number of phases, plus a fingerprint of the exact problem (graph
-/// shape, ToR mapping, demand list, link rate) they were computed for.
-/// Feeding it back into a `solve_warm` call for the *same* problem skips
-/// the phases already run; any mismatch is detected and ignored.
-#[derive(Debug, Clone)]
-pub struct McfState {
-    fingerprint: u64,
-    phases: usize,
-    cost: Vec<f64>,
-    load: Vec<f64>,
-}
-
 /// One demand after ToR mapping, in original list order.
 #[derive(Debug, Clone, Copy)]
 struct PlannedDemand {
@@ -324,7 +297,6 @@ struct PlannedDemand {
 #[derive(Debug)]
 pub struct McfSolver {
     csr: Csr,
-    graph_fp: u64,
     /// Out-degree shared by every node, or 0 when degrees differ. The
     /// regular expanders the sweeps solve are degree-uniform, which lets
     /// the relaxation loop run with a compile-time trip count.
@@ -386,8 +358,7 @@ pub struct McfSolver {
     phase_ctr: u64,
     /// `phase_ctr` at the entry to the current [`run_phases`] call.
     /// Each run raises the floor, invalidating every snapshot row at
-    /// once: a new solve may have reset costs (or restored a prior
-    /// state the rows never saw), which would break the rows'
+    /// once: a new solve resets costs, which would break the rows'
     /// lower-bound guarantee.
     snap_floor: u64,
     /// The active query's combined heuristic row
@@ -419,13 +390,6 @@ impl McfSolver {
         let n = csr.nodes();
         let m = csr.edge_count();
         assert!(n < u32::MAX as usize, "node ids must fit u32");
-        let mut fp = fnv_u64(FNV_OFFSET, n as u64);
-        for v in 0..n {
-            fp = fnv_u64(fp, csr.offset(v) as u64);
-            for &t in csr.targets(v) {
-                fp = fnv_u64(fp, u64::from(t));
-            }
-        }
         let deg0 = if n > 0 { csr.targets(0).len() } else { 0 };
         let uniform_deg = if deg0 > 0 && (1..n).all(|v| csr.targets(v).len() == deg0) {
             deg0
@@ -481,7 +445,6 @@ impl McfSolver {
         };
         McfSolver {
             csr,
-            graph_fp: fp,
             uniform_deg,
             rev_off,
             rev_src,
@@ -511,25 +474,6 @@ impl McfSolver {
             span_prev: Vec::new(),
             span_cur: Vec::new(),
         }
-    }
-
-    /// Fingerprint of the full problem instance this solver would run:
-    /// graph shape + ToR mapping + demand list + link rate. `host_cap`
-    /// and `phases` are deliberately excluded — the host-capacity bound
-    /// is applied analytically after the phases, and a prior state with
-    /// fewer phases is exactly continuable to more.
-    fn problem_fp(&self, tor_of_rack: &[usize], demands: &[Demand], link_rate: f64) -> u64 {
-        let mut fp = fnv_u64(self.graph_fp, tor_of_rack.len() as u64);
-        for &t in tor_of_rack {
-            fp = fnv_u64(fp, t as u64);
-        }
-        fp = fnv_u64(fp, demands.len() as u64);
-        for d in demands {
-            fp = fnv_u64(fp, d.src as u64);
-            fp = fnv_u64(fp, d.dst as u64);
-            fp = fnv_u64(fp, d.amount.to_bits());
-        }
-        fnv_u64(fp, link_rate.to_bits())
     }
 
     /// Dijkstra from `s` under the current edge costs, stopping as soon
@@ -814,19 +758,18 @@ impl McfSolver {
         }
     }
 
-    /// Run multiplicative-weights phases `start..phases` over the demand
-    /// plan, iterating source buckets (consecutive runs of demands that
-    /// share a mapped source ToR) in original demand order.
-    fn run_phases(&mut self, link_rate: f64, start: usize, phases: usize) {
+    /// Run `phases` multiplicative-weights phases over the demand plan,
+    /// iterating source buckets (consecutive runs of demands that share
+    /// a mapped source ToR) in original demand order.
+    fn run_phases(&mut self, link_rate: f64, phases: usize) {
         let plan = std::mem::take(&mut self.plan);
-        // No routed paths are known entering the first phase (warm
-        // continuations included) — every span starts empty, meaning
-        // "no bound".
+        // No routed paths are known entering the first phase — every
+        // span starts empty, meaning "no bound".
         self.span_prev.clear();
         self.span_prev.resize(plan.len(), (0, 0));
         self.buf_prev.clear();
         // Raise the snapshot validity floor: rows taken in an earlier
-        // run saw costs that may since have been reset or replaced (see
+        // run saw costs that have since been reset (see
         // `snap_floor`), so every target re-earns its row inside this
         // run. Stray refresh marks from the previous run die with it.
         self.snap_floor = self.phase_ctr;
@@ -835,7 +778,7 @@ impl McfSolver {
                 *p = 0;
             }
         }
-        for _ in start..phases {
+        for _ in 0..phases {
             self.phase_ctr += 1;
             // Rescale the heuristic to this phase's cheapest edge cost
             // (see the `hops_f` field docs — costs only grow inside a
@@ -912,63 +855,8 @@ impl McfSolver {
         host_cap: f64,
         phases: usize,
     ) -> McfResult {
-        self.solve_inner(None, tor_of_rack, demands, link_rate, host_cap, phases)
-            .0
-    }
-
-    /// Like [`solve`](McfSolver::solve), but seeded from `prior` state
-    /// when it fingerprints as the identical problem with no more phases
-    /// than requested: only the missing phases run, and the result is
-    /// bit-identical to the cold solve (well within the 1e-6 contract
-    /// the warm-vs-cold property test asserts). Any mismatch — different
-    /// graph, demands, ToR mapping, link rate, or a prior that already
-    /// ran *more* phases — falls back to a cold solve. Returns the
-    /// result plus the state after `phases`, for chaining across a
-    /// sweep.
-    pub fn solve_warm(
-        &mut self,
-        prior: Option<&McfState>,
-        tor_of_rack: &[usize],
-        demands: &[Demand],
-        link_rate: f64,
-        host_cap: f64,
-        phases: usize,
-    ) -> (McfResult, McfState) {
-        let (result, fingerprint) =
-            self.solve_inner(prior, tor_of_rack, demands, link_rate, host_cap, phases);
-        let state = if self.csr.edge_count() == 0 || demands.is_empty() {
-            // Degenerate instance: nothing ran, so export a state no
-            // later solve can mistake for progress.
-            McfState {
-                fingerprint,
-                phases: usize::MAX,
-                cost: Vec::new(),
-                load: Vec::new(),
-            }
-        } else {
-            McfState {
-                fingerprint,
-                phases,
-                cost: self.cost.clone(),
-                load: self.load.clone(),
-            }
-        };
-        (result, state)
-    }
-
-    fn solve_inner(
-        &mut self,
-        prior: Option<&McfState>,
-        tor_of_rack: &[usize],
-        demands: &[Demand],
-        link_rate: f64,
-        host_cap: f64,
-        phases: usize,
-    ) -> (McfResult, u64) {
-        let m = self.csr.edge_count();
-        let fingerprint = self.problem_fp(tor_of_rack, demands, link_rate);
-        if m == 0 || demands.is_empty() {
-            return (McfResult { lambda: 0.0 }, fingerprint);
+        if self.csr.edge_count() == 0 || demands.is_empty() {
+            return McfResult { lambda: 0.0 };
         }
 
         self.plan.clear();
@@ -983,19 +871,9 @@ impl McfSolver {
             });
         }
 
-        let start = match prior {
-            Some(p) if p.fingerprint == fingerprint && p.phases <= phases => {
-                self.cost.copy_from_slice(&p.cost);
-                self.load.copy_from_slice(&p.load);
-                p.phases
-            }
-            _ => {
-                self.cost.fill(1.0 / link_rate);
-                self.load.fill(0.0);
-                0
-            }
-        };
-        self.run_phases(link_rate, start, phases);
+        self.cost.fill(1.0 / link_rate);
+        self.load.fill(0.0);
+        self.run_phases(link_rate, phases);
 
         // Scale to fit: each demand has routed `phases * amount` total.
         let worst = self
@@ -1025,12 +903,9 @@ impl McfSolver {
                 lambda = lambda.min(host_cap / inn[r]);
             }
         }
-        (
-            McfResult {
-                lambda: lambda.min(1.0),
-            },
-            fingerprint,
-        )
+        McfResult {
+            lambda: lambda.min(1.0),
+        }
     }
 }
 
@@ -1297,45 +1172,12 @@ mod tests {
     }
 
     #[test]
-    fn warm_continuation_matches_cold() {
-        let (t, demands, tor) = expander_and_perm();
-        let mut solver = McfSolver::new(t.graph());
-        let cold = solver.solve(&tor, &demands, 10.0, 40.0, 30);
-        // Split 30 phases as 12 + 18 via warm continuation.
-        let (_, state) = solver.solve_warm(None, &tor, &demands, 10.0, 40.0, 12);
-        let (warm, state30) = solver.solve_warm(Some(&state), &tor, &demands, 10.0, 40.0, 30);
-        assert_eq!(warm.lambda.to_bits(), cold.lambda.to_bits());
-        // Re-solving at the same phase count reuses the state outright.
-        let (again, _) = solver.solve_warm(Some(&state30), &tor, &demands, 10.0, 40.0, 30);
-        assert_eq!(again.lambda.to_bits(), cold.lambda.to_bits());
-    }
-
-    #[test]
-    fn warm_mismatch_falls_back_to_cold() {
-        let (t, demands, tor) = expander_and_perm();
-        let mut solver = McfSolver::new(t.graph());
-        let cold = solver.solve(&tor, &demands, 10.0, 40.0, 20);
-        // Prior from a different demand set: fingerprint mismatch.
-        let other = ScenarioLike::hot(4, 10.0);
-        let (_, foreign) = solver.solve_warm(None, &tor, &other, 10.0, 40.0, 20);
-        let (r, _) = solver.solve_warm(Some(&foreign), &tor, &demands, 10.0, 40.0, 20);
-        assert_eq!(r.lambda.to_bits(), cold.lambda.to_bits());
-        // Prior with MORE phases than requested: also a cold solve.
-        let (_, deep) = solver.solve_warm(None, &tor, &demands, 10.0, 40.0, 25);
-        let (r, _) = solver.solve_warm(Some(&deep), &tor, &demands, 10.0, 40.0, 20);
-        assert_eq!(r.lambda.to_bits(), cold.lambda.to_bits());
-    }
-
-    #[test]
     fn degenerate_instances_are_lambda_zero() {
         let g = Graph::new(2); // no edges
         let mut solver = McfSolver::new(&g);
         let demands = ScenarioLike::hot(1, 10.0);
-        let (r, state) = solver.solve_warm(None, &[0, 1], &demands, 10.0, 10.0, 5);
+        let r = solver.solve(&[0, 1], &demands, 10.0, 10.0, 5);
         assert_eq!(r.lambda, 0.0);
-        // The degenerate state never seeds a later solve.
-        let (r2, _) = solver.solve_warm(Some(&state), &[0, 1], &demands, 10.0, 10.0, 5);
-        assert_eq!(r2.lambda, 0.0);
         let mut g = Graph::new(2);
         g.add_link(0, 1, 0);
         let r = max_concurrent_flow(&g, &[0, 1], &[], 10.0, 10.0, 5);

@@ -318,8 +318,7 @@ impl Fabric {
     }
 
     /// Disconnect a port pair (both directions). No-op if unwired.
-    /// Unplugging clears any PFC pause on either end; a port the pause left
-    /// idle with packets queued stays idle until [`Fabric::restart`].
+    /// Unplugging clears any PFC pause on either end.
     pub fn disconnect(&mut self, a: NodeId, pa: PortId) {
         if let Some((b, pb)) = self.nodes[a][pa].peer.take() {
             self.nodes[b][pb].peer = None;
@@ -329,13 +328,21 @@ impl Fabric {
     }
 
     /// Atomically repoint `a.pa ↔ b.pb`, detaching any previous peers —
-    /// circuit-switch reconfiguration. Clears a PFC pause as
-    /// [`Fabric::disconnect`] does; [`Fabric::restart`] each end after.
-    pub fn rewire(&mut self, a: NodeId, pa: PortId, b: NodeId, pb: PortId) {
+    /// circuit-switch reconfiguration — and restart both ends, so a port a
+    /// cleared PFC pause left idle with packets queued sends to its new peer.
+    pub fn rewire(
+        &mut self,
+        ctx: &mut EventContext<'_, NetEvent>,
+        a: NodeId,
+        pa: PortId,
+        b: NodeId,
+        pb: PortId,
+    ) {
         self.disconnect(a, pa);
         self.disconnect(b, pb);
-        self.nodes[a][pa].peer = Some((b, pb));
-        self.nodes[b][pb].peer = Some((a, pa));
+        self.connect(a, pa, b, pb);
+        self.restart(ctx, a, pa);
+        self.restart(ctx, b, pb);
     }
 
     /// Current peer of a port.
@@ -412,11 +419,6 @@ impl Fabric {
     /// Bytes queued at one priority level.
     pub fn queued_bytes_at(&self, node: NodeId, port: PortId, prio: Priority) -> u64 {
         self.nodes[node][port].queued_bytes[prio as usize]
-    }
-
-    /// True while the port is paused by a downstream PFC pause frame.
-    pub fn is_paused(&self, node: NodeId, port: PortId) -> bool {
-        self.nodes[node][port].paused
     }
 
     /// Enqueue `packet` for transmission out of `node.port`, starting
@@ -572,11 +574,8 @@ impl Fabric {
     }
 
     /// Start `node.port`'s next transmission if the port is idle and
-    /// unpaused (a no-op when it has nothing queued): a resume frame's
-    /// work, and a rewired circuit's, since [`Fabric::rewire`] and
-    /// [`Fabric::disconnect`] clear a PFC pause with no event context to
-    /// restart the port in.
-    pub fn restart(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
+    /// unpaused (a no-op when nothing is queued): after a resume or a rewire.
+    fn restart(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
         let p = &self.nodes[node][port];
         if !p.busy && !p.paused {
             self.start_tx(ctx, node, port);
@@ -895,7 +894,7 @@ mod tests {
                     }
                     NetEvent::PortFree { node, port } => {
                         self.fabric.on_port_free(ctx, node, port);
-                        if self.fabric.is_paused(0, 0) {
+                        if self.fabric.nodes[0][0].paused {
                             self.host_paused_seen = true;
                         }
                     }
@@ -918,7 +917,10 @@ mod tests {
         assert_eq!(w.fabric.counters.trimmed, 0);
         assert!(w.host_paused_seen, "backpressure never reached the host");
         assert!(w.fabric.counters.pause_frames > 0);
-        assert!(!w.fabric.is_paused(0, 0), "resume frees the host at drain");
+        assert!(
+            !w.fabric.nodes[0][0].paused,
+            "resume frees the host at drain"
+        );
     }
 
     #[test]
@@ -938,7 +940,7 @@ mod tests {
                         }
                         1 => {
                             // Rewire node 0 port 0 to node 2.
-                            self.inner.fabric.rewire(0, 0, 2, 0);
+                            self.inner.fabric.rewire(ctx, 0, 0, 2, 0);
                             let pkt = Packet::data(0, 0, 2, 1, MTU);
                             self.inner.fabric.send(ctx, 0, 0, pkt);
                         }
@@ -964,6 +966,55 @@ mod tests {
         assert_eq!(arr[1].1, 2, "second packet to rewired peer");
         // Old peer's port is now unwired.
         assert_eq!(sim.world.inner.fabric.peer(1, 0), None);
+    }
+
+    /// A paused port with packets queued sends them to its new peer once
+    /// rewired: the rewire clears the pause and restarts the transmitter,
+    /// with no other call.
+    #[test]
+    fn rewire_restarts_a_paused_port() {
+        struct PausedWorld {
+            inner: TestWorld,
+        }
+        impl EventHandler for PausedWorld {
+            type Event = NetEvent;
+            fn handle_event(&mut self, ev: NetEvent, ctx: &mut EventContext<'_, NetEvent>) {
+                let fabric = &mut self.inner.fabric;
+                match ev {
+                    NetEvent::Timer { token: 0 } => {
+                        for s in 0..3 {
+                            fabric.send(ctx, 0, 0, Packet::data(0, 0, 2, s, MTU));
+                        }
+                    }
+                    NetEvent::Timer { .. } => {
+                        assert!(fabric.nodes[0][0].paused);
+                        assert_eq!(fabric.queued_bytes(0, 0), 3 * MTU as u64);
+                        fabric.rewire(ctx, 0, 0, 2, 0);
+                    }
+                    ev => self.inner.handle_event(ev, ctx),
+                }
+            }
+        }
+        let cfg = QueueConfig::builder().build();
+        let mut inner = two_nodes(cfg);
+        inner.fabric.add_node(1, cfg, LinkSpec::paper_default());
+        let mut sim = Simulator::new(PausedWorld { inner });
+        let pause = NetEvent::PauseChange {
+            node: 0,
+            port: 0,
+            paused: true,
+        };
+        sim.schedule_at(SimTime::ZERO, pause);
+        sim.schedule_at(SimTime::from_ns(1), NetEvent::Timer { token: 0 });
+        sim.schedule_at(SimTime::from_us(10), NetEvent::Timer { token: 1 });
+        sim.run();
+        let w = &sim.world.inner;
+        let to: Vec<(u64, NodeId)> = w.arrivals.iter().map(|a| (a.0, a.1)).collect();
+        // Back to back from the rewire: 1 200 ns serialization each, plus
+        // 500 ns propagation.
+        assert_eq!(to, [(11_700, 2), (12_900, 2), (14_100, 2)]);
+        assert!(!w.fabric.nodes[0][0].paused);
+        assert_eq!(w.fabric.queued_bytes(0, 0), 0);
     }
 
     /// A packet lost on the wire frees its arena slot at transmission,

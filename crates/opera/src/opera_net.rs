@@ -271,20 +271,6 @@ impl OperaLogic {
     // Wiring
     // ------------------------------------------------------------------
 
-    /// Wire the circuits of switch `j` for the matching at `position`.
-    fn wire_switch(&self, fabric: &mut Fabric, j: usize, position: usize) {
-        let m = self.topo.matching(j, position);
-        for (a, b) in m.pairs() {
-            fabric.rewire(
-                self.tor_node(a),
-                self.up_port(j),
-                self.tor_node(b),
-                self.up_port(j),
-            );
-        }
-        // Self-paired racks' ports stay dark (disconnect happened earlier).
-    }
-
     /// Disconnect all circuits of switch `j`.
     fn dark_switch(&self, fabric: &mut Fabric, j: usize) {
         for rack in 0..self.cfg.params.racks {
@@ -307,13 +293,12 @@ impl OperaLogic {
             self.cycle_slice = 0;
         }
         for j in self.topo.reconfiguring(ending) {
-            let position = self.topo.position_at(j, self.slice);
-            self.wire_switch(fabric, j, position);
-            // The rewire cleared any PFC pause on these ports; one left
-            // idle with packets queued goes again now (ROADMAP 4e).
+            let (position, port) = (self.topo.position_at(j, self.slice), self.up_port(j));
+            // A rewire restarts both ends, so a port a cleared PFC pause
+            // left idle with packets queued goes again now (ROADMAP 4e).
+            // Self-paired racks' ports stay dark.
             for (a, b) in self.topo.matching(j, position).pairs() {
-                fabric.restart(ctx, self.tor_node(a), self.up_port(j));
-                fabric.restart(ctx, self.tor_node(b), self.up_port(j));
+                fabric.rewire(ctx, self.tor_node(a), port, self.tor_node(b), port);
             }
             if self.hello_enabled {
                 self.send_hellos(fabric, ctx, j);
@@ -638,7 +623,8 @@ impl OperaLogic {
                 }
             }
             // A bulk packet transiting its source ToR: direct, or the first
-            // hop of a VLB packet on its way to its intermediate.
+            // hop of a VLB packet (which never reaches an intermediate today,
+            // see `forward_bulk_at_tor`).
             PacketKind::BulkData { .. } => self.forward_bulk_at_tor(fabric, ctx, rack, packet),
             _ => {
                 // Low-latency / control.
@@ -663,11 +649,15 @@ impl OperaLogic {
     }
 
     /// Send a bulk packet out the ToR uplink with a direct circuit to its
-    /// next rack (the VLB intermediate for first-hop relay packets — the
-    /// feeder picked it as the far end of the circuit it was feeding — and
-    /// the destination rack otherwise). If the slice advanced underneath
+    /// next rack: the rack a first-hop relay packet's `relay` names, and
+    /// the destination rack otherwise. If the slice advanced underneath
     /// the packet and that circuit is gone, or its port refuses the packet,
     /// the packet missed its window: requeue locally.
+    ///
+    /// A Valiant packet's `relay` is its *final* rack (`next_packet` tags
+    /// it so), not the intermediate whose circuit the feeder was filling,
+    /// so its first hop never reaches an intermediate: it leaves on a
+    /// direct circuit to the final rack or is requeued (ROADMAP 4h).
     fn forward_bulk_at_tor(
         &mut self,
         fabric: &mut Fabric,
@@ -899,7 +889,10 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
     };
     // Initial wiring: every switch in its slice-0 matching.
     for j in 0..logic.topo.switches() {
-        logic.wire_switch(&mut fabric, j, logic.topo.position_at(j, 0));
+        let port = logic.up_port(j);
+        for (a, b) in logic.topo.matching(j, logic.topo.position_at(j, 0)).pairs() {
+            fabric.connect(logic.tor_node(a), port, logic.tor_node(b), port);
+        }
     }
     NetWorld::new(fabric, logic).into_sim()
 }

@@ -487,9 +487,9 @@ mod tests {
     }
 
     /// The low-latency table as it was stored before the frontier sweep:
-    /// up to 8 uplinks and a count per entry, filled through
-    /// `Graph::next_hops_to`'s per-destination breadth-first search on the
-    /// slice graph less the bad transceivers.
+    /// up to 8 uplinks and a count per entry, filled by a per-destination
+    /// breadth-first search on the slice graph less the bad transceivers
+    /// (each out-edge one hop closer to `dst`, in adjacency order).
     fn rows_by_next_hops_to(t: &OperaTopology, bad: &[(usize, usize)]) -> Vec<([u8; 8], u8)> {
         let racks = t.racks();
         let slices = t.slices_per_cycle();
@@ -497,9 +497,16 @@ mod tests {
         for s in 0..slices {
             let g = prune_failed(t.slice(s).graph(), bad);
             for dst in 0..racks {
-                for (cur, hops) in g.next_hops_to(dst).iter().enumerate() {
+                // Slice graphs are symmetric: distances to `dst` are
+                // distances from it.
+                let dist = g.bfs_distances(dst);
+                for cur in 0..racks {
+                    let hops = g
+                        .edges(cur)
+                        .iter()
+                        .filter(|e| dist[e.to].checked_add(1) == Some(dist[cur]));
                     let (row, count) = &mut rows[(s * racks + dst) * racks + cur];
-                    for (n, e) in hops.iter().take(8).enumerate() {
+                    for (n, e) in hops.take(8).enumerate() {
                         row[n] = u8::try_from(e.port).unwrap();
                         *count = n as u8 + 1;
                     }

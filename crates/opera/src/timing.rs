@@ -69,13 +69,6 @@ impl SliceTiming {
         SimTime::from_ns(self.slice().as_ns() * stride as u64)
     }
 
-    /// Duty cycle: fraction of a switch's period its circuits carry
-    /// traffic (`1 − r / period`).
-    pub fn duty_cycle(&self, stride: usize) -> f64 {
-        let period = self.switch_period(stride).as_ns() as f64;
-        1.0 - self.reconfig.as_ns() as f64 / period
-    }
-
     /// Full cycle time for `slices_per_cycle` slices.
     pub fn cycle(&self, slices_per_cycle: usize) -> SimTime {
         SimTime::from_ns(self.slice().as_ns() * slices_per_cycle as u64)
@@ -113,9 +106,8 @@ mod tests {
     fn paper_constants() {
         let t = SliceTiming::paper_default();
         assert_eq!(t.slice(), SimTime::from_us(100));
-        // k=12: u=6, stride 6 -> 600us period, 98.3% duty.
+        // k=12: u=6, stride 6 -> 600us period.
         assert_eq!(t.switch_period(6), SimTime::from_us(600));
-        assert!((t.duty_cycle(6) - 0.9833).abs() < 1e-3);
         // 108-slice cycle = 10.8ms (paper: 10.7ms with ε a hair under 90).
         let cycle = t.cycle(108);
         assert!((cycle.as_ms_f64() - 10.8).abs() < 0.2);

@@ -185,11 +185,6 @@ impl ClosTopology {
     pub fn aggs_per_pod(&self) -> usize {
         self.aggs_per_pod
     }
-    /// Pod of a ToR.
-    pub fn pod_of_tor(&self, tor: NodeId) -> usize {
-        assert!(tor < self.tors);
-        tor / self.tors_per_pod
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +226,7 @@ mod tests {
         // same pod: 2 hops (ToR-Agg-ToR); cross pod: 4 hops.
         let d = t.graph().bfs_distances(0);
         for (tor, &dist) in d.iter().enumerate().take(t.tors()).skip(1) {
-            let expect = if t.pod_of_tor(tor) == 0 { 2 } else { 4 };
+            let expect = if tor < t.tors_per_pod() { 2 } else { 4 };
             assert_eq!(dist, expect, "tor {tor}");
         }
     }

@@ -142,25 +142,6 @@ impl Graph {
         hist
     }
 
-    /// ECMP next-hop table *toward a destination*: for each node `v`, the
-    /// set of out-edges of `v` that lie on some shortest path to `dst`.
-    /// `table[dst][v]` is empty when `v == dst` or `dst` is unreachable.
-    pub fn next_hops_to(&self, dst: NodeId) -> Vec<Vec<Edge>> {
-        let dist = self.bfs_distances(dst); // distances TO dst == FROM dst (symmetric graphs)
-        let mut table = vec![Vec::new(); self.len()];
-        for v in 0..self.len() {
-            if v == dst || dist[v] == usize::MAX {
-                continue;
-            }
-            for e in &self.adj[v] {
-                if dist[e.to] != usize::MAX && dist[e.to] + 1 == dist[v] {
-                    table[v].push(*e);
-                }
-            }
-        }
-        table
-    }
-
     /// True when every node can reach every other node.
     pub fn is_connected(&self) -> bool {
         if self.is_empty() {
@@ -324,26 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn next_hops_are_shortest() {
-        let g = ring(6);
-        let t = g.next_hops_to(3);
-        // node 0 is distance 3 from node 3; both directions are shortest.
-        assert_eq!(t[0].len(), 2);
-        // node 2 must go to 3 directly.
-        assert_eq!(t[2].len(), 1);
-        assert_eq!(t[2][0].to, 3);
-        // destination has no next hops.
-        assert!(t[3].is_empty());
-    }
-
-    #[test]
     fn multigraph_parallel_edges() {
         let mut g = Graph::new(2);
         g.add_link(0, 1, 0);
         g.add_link(0, 1, 1);
         assert_eq!(g.degree(0), 2);
-        let t = g.next_hops_to(1);
-        assert_eq!(t[0].len(), 2, "both parallel links are shortest paths");
     }
 
     #[test]

@@ -710,42 +710,6 @@ proptest! {
             prop_assert_eq!(again.to_bits(), want.to_bits());
         }
     }
-
-    /// Warm-started solves agree with cold solves: chaining through an
-    /// intermediate state at any split point yields λ within 1e-6 of
-    /// the from-scratch solve (the implementation is in fact exact —
-    /// asserted via bit equality — and falls back to a cold solve on
-    /// any fingerprint mismatch, checked with a perturbed demand set).
-    #[test]
-    fn mcf_warm_matches_cold(
-        n in 2usize..24,
-        links in 1usize..48,
-        ndemands in 1usize..12,
-        phases in 2usize..20,
-        split_frac in 0.0f64..1.0,
-        seed in 0u64..10_000,
-    ) {
-        let (g, tor, demands) = random_mcf_instance(n, links, ndemands, seed);
-        let (link_rate, host_cap) = (10.0, 40.0);
-        let mut solver = flowsim::McfSolver::new(&g);
-        let cold = solver.solve(&tor, &demands, link_rate, host_cap, phases).lambda;
-        let split = ((phases as f64 * split_frac) as usize).min(phases);
-        let (_, state) = solver.solve_warm(
-            None, &tor, &demands, link_rate, host_cap, split);
-        let (warm, _) = solver.solve_warm(
-            Some(&state), &tor, &demands, link_rate, host_cap, phases);
-        prop_assert!((warm.lambda - cold).abs() <= 1e-6,
-            "warm {} vs cold {}", warm.lambda, cold);
-        prop_assert_eq!(warm.lambda.to_bits(), cold.to_bits());
-        // A state from a *different* problem never contaminates the
-        // solve: fingerprint mismatch falls back to cold.
-        let mut perturbed = demands.clone();
-        perturbed[0].amount += 1.0;
-        let (fallback, _) = solver.solve_warm(
-            Some(&state), &tor, &perturbed, link_rate, host_cap, phases);
-        let cold2 = solver.solve(&tor, &perturbed, link_rate, host_cap, phases).lambda;
-        prop_assert_eq!(fallback.lambda.to_bits(), cold2.to_bits());
-    }
 }
 
 /// Every bulk packet a source host emits, by `(flow, seq)`: one
