@@ -4,8 +4,8 @@
 //! The [`Backend`] trait is the seam tests use to inject failures; this
 //! is its one production implementation. Each job runs once: a failed
 //! job, or the jobs in flight when a driver aborts the process, are
-//! re-run by `opera resume`, while every finished shard is already on
-//! disk.
+//! re-run by running the same `opera orchestrate` again, which keeps
+//! every finished shard already on disk.
 
 use crate::figures;
 use expt::orchestrate::{Backend, ShardJob};

@@ -6,20 +6,20 @@
 //!   (unless `--no-write`) writes `<out>/<driver>/<table>.{csv,json}`.
 //! * `orchestrate` — run each `driver × shard` job once on a pool of
 //!   in-process worker threads (a panicking driver fails its job, not
-//!   the sweep), write a `run.json` manifest up front, persist each
-//!   job's shard documents under `<out>/<driver>/shards/` the moment the
-//!   job completes (atomic tmp-file + rename), and finally the validated
-//!   merged tables — byte-identical to an unsharded `--threads 1` run
-//!   (asserted by `tests/orchestrate.rs`). A driver named twice or
-//!   `--shards 0` is exit 2 before anything runs.
-//! * `resume` — re-read the manifest of a killed or failed run, reuse
-//!   every surviving valid shard document, re-run only the missing,
-//!   corrupt or failed jobs, and re-merge. A failed job is re-run here,
-//!   once its cause is fixed; a driver that aborts the process loses
-//!   only the jobs in flight, and `resume` re-runs them too.
+//!   the sweep), commit each job's shard documents under
+//!   `<out>/<driver>/shards/` the moment the job completes (staged, then
+//!   renamed together), and finally the validated merged tables —
+//!   byte-identical to an unsharded `--threads 1` run (asserted by
+//!   `tests/orchestrate.rs`). Into a tree that already holds the run,
+//!   it keeps every job whose documents are whole and re-runs the rest,
+//!   one `rerun` line each: re-running a killed or failed sweep
+//!   finishes it. A driver named twice, `--shards 0`, or a tree holding
+//!   a document of another run (other flags or shard count) is exit 2
+//!   before anything runs.
 //! * `validate` — re-merge the shard documents on disk and fail, naming
 //!   the invariant, on a missing or duplicated point index, mismatched
-//!   schema/flags, or a merged CSV that no longer matches its shards.
+//!   schema/flags, or a merged CSV that no longer matches its shards or
+//!   has none left.
 //! * `run-scenario` — run one declarative scenario file
 //!   ([`expt::scenario`]) through [`bench::scenario::run_scenario`],
 //!   with trace capture and jsonl ↔ pcapng reconciliation when the
@@ -36,15 +36,14 @@
 //!
 //! Exit codes: 0 on success and for `--help`; 2 for a command line that
 //! cannot be run (unknown subcommand, flag, driver, point or scenario
-//! name, a scenario or `run.json` file that does not decode — the
-//! message names the file and the known set); 1 when the work itself failed
-//! (drift, a failed job, I/O).
+//! name, a scenario file that does not decode, an output tree of another
+//! run — the message names the file and the known set or the field); 1
+//! when the work itself failed (drift, a failed job, I/O).
 
 use bench::backend::LocalBackend;
 use bench::{figures, record, spot};
 use expt::golden::{bless_driver, compare_driver, GoldenSpec};
-use expt::orchestrate::{validate_dir, OrchestrateError, Plan};
-use expt::runfile::{resume_run, start_run, RunManifest, RUN_FILE};
+use expt::orchestrate::{start_run, validate_dir, OrchestrateError, Plan};
 use expt::scenario::Scenario;
 use expt::{Args, Ctx, ExptArgs, RunFlags, RunMeta, Scale};
 use std::fmt::Display;
@@ -57,7 +56,6 @@ usage: opera list
                  [--shard I/N] [--out DIR] [--no-write] [--k K]
        opera orchestrate [--drivers all|A,B,...] [--shards N] [--workers W]
                  [--quick|--full] [--seed S] [--replicates R] [--out DIR]
-       opera resume [DIR] [--workers W]
        opera validate [--out DIR]
        opera run-scenario FILE [--out DIR]
        opera golden [--bless] [--threads N] [--driver NAME]...
@@ -92,19 +90,6 @@ fn unknown(arg: &str) -> Exit {
     Exit::Usage(format!("unknown argument: {arg}"))
 }
 
-/// Store the positional argument `arg` in `slot`: anything
-/// dash-prefixed is an unknown flag, a second positional is unexpected.
-fn positional(slot: &mut Option<PathBuf>, arg: String) -> Result<(), Exit> {
-    if arg.starts_with('-') {
-        return Err(unknown(&arg));
-    }
-    if slot.is_some() {
-        return Err(Exit::Usage(format!("unexpected argument: {arg}")));
-    }
-    *slot = Some(PathBuf::from(arg));
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
@@ -116,7 +101,6 @@ fn main() -> ExitCode {
         Some("list") => list(args),
         Some("run") => run(args),
         Some("orchestrate") => orchestrate(args),
-        Some("resume") => resume(args),
         Some("validate") => validate(args),
         Some("run-scenario") => run_scenario(args),
         Some("golden") => golden(args),
@@ -228,74 +212,20 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
         flags.replicates
     );
 
-    // Durable run: manifest first, every shard persisted as its job
-    // completes, merged CSVs at the end.
+    // Durable run: every shard committed as its job completes, merged
+    // CSVs at the end; what `out` already holds of this run is kept.
     let run = start_run(&out, &plan, flags, LocalBackend::new(flags), workers);
     let (report, csvs) = run.map_err(|e| match e {
         OrchestrateError::Job { .. } | OrchestrateError::Merge { .. } => Exit::Failed(format!(
-            "{e}\n# completed shards are persisted under {0}; after fixing the cause, \
-             re-run only the rest with: opera resume {0}",
+            "{e}\n# completed shards are persisted under {}; after fixing the cause, \
+             run the same command again to run only the rest",
+            out.display()
+        )),
+        OrchestrateError::OtherRun { .. } => Exit::Invalid(format!(
+            "{e}\n# a results tree belongs to one run: choose another --out, or remove {}",
             out.display()
         )),
         other => failed(other),
-    })?;
-    for run in &report.drivers {
-        println!(
-            "ok  {} [{} shard(s), {} table(s)]",
-            run.driver,
-            report.shards,
-            run.merged.len()
-        );
-    }
-    println!(
-        "# {} job(s) across {} driver(s); every merge validated",
-        report.drivers.len() * report.shards,
-        report.drivers.len()
-    );
-    for p in csvs {
-        println!("# wrote {}", p.display());
-    }
-    Ok(())
-}
-
-fn resume(mut args: Args) -> Result<(), Exit> {
-    let mut dir: Option<PathBuf> = None;
-    let mut workers: usize = 0;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--workers" => workers = args.parsed(&a)?,
-            _ => positional(&mut dir, a)?,
-        }
-    }
-    let dir = dir.unwrap_or_else(|| PathBuf::from("results"));
-    let path = dir.join(RUN_FILE);
-    // Like a scenario, a manifest that cannot be read or decoded is
-    // exit 2 naming the file.
-    let manifest = RunManifest::read(&path).map_err(|e| Exit::Invalid(e.to_string()))?;
-    // A manifest naming no or unknown drivers (hand-edited, or written
-    // by a newer binary) must fail by name here, not schedule jobs that
-    // all error out — or "resume" to a green zero-job run.
-    if manifest.plan.drivers.is_empty() {
-        return Err(Exit::Invalid(format!(
-            "manifest {} lists no drivers; nothing to resume",
-            path.display()
-        )));
-    }
-    require_known("driver", &manifest.plan.drivers, &driver_names())?;
-    let backend = LocalBackend::new(manifest.flags);
-    println!(
-        "# resuming {} ({} driver(s) x {} shard(s), scale={}, seed={})",
-        dir.display(),
-        manifest.plan.drivers.len(),
-        manifest.plan.shards,
-        manifest.flags.scale,
-        manifest.flags.seed
-    );
-    let report = resume_run(&dir, backend, workers).map_err(|e| {
-        Exit::Failed(format!(
-            "{e}\n# run state under {} is preserved; resume again once the cause is fixed",
-            dir.display()
-        ))
     })?;
     for r in &report.rerun {
         println!(
@@ -303,12 +233,23 @@ fn resume(mut args: Args) -> Result<(), Exit> {
             r.job.driver, r.job.shard.0, r.job.shard.1, r.reason
         );
     }
+    if report.reused > 0 {
+        println!("# kept {} job(s) under {}", report.reused, out.display());
+    }
+    for run in &report.drivers {
+        println!(
+            "ok  {} [{} shard(s), {} table(s)]",
+            run.driver,
+            plan.shards,
+            run.merged.len()
+        );
+    }
     println!(
-        "# {} job(s) reused, {} re-run; every merge validated",
-        report.reused,
-        report.rerun.len()
+        "# {} job(s) across {} driver(s); every merge validated",
+        report.drivers.len() * plan.shards,
+        report.drivers.len()
     );
-    for p in &report.csvs {
+    for p in csvs {
         println!("# wrote {}", p.display());
     }
     Ok(())
@@ -345,7 +286,9 @@ fn run_scenario(mut args: Args) -> Result<(), Exit> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = PathBuf::from(args.value(&a)?),
-            _ => positional(&mut file, a)?,
+            _ if a.starts_with('-') => return Err(unknown(&a)),
+            _ if file.is_some() => return Err(Exit::Usage(format!("unexpected argument: {a}"))),
+            _ => file = Some(PathBuf::from(a)),
         }
     }
     let file = file.ok_or_else(|| Exit::Usage("run-scenario requires a scenario file".into()))?;

@@ -1,12 +1,13 @@
 //! CLI acceptance tests driving the real `opera` binary: the exit-code
 //! convention, the registry-driven `list` / `run` (and its `--shard`
-//! split), name, replicate- and shard-count validation in `orchestrate` /
-//! `resume`, and the `run-scenario` subcommand.
+//! split), name, replicate- and shard-count validation in `orchestrate`,
+//! re-running `orchestrate` over the tree it wrote, and the
+//! `run-scenario` subcommand.
 //!
 //! The regression of record: an empty or unknown driver list must be a
 //! hard named error *before any job is scheduled* — never an exit-0 run
-//! of zero jobs that CI reads as green. Same rule for `resume` against
-//! a corrupted manifest and for `run-scenario` with unknown names.
+//! of zero jobs that CI reads as green. Same rule for `orchestrate` into
+//! a tree of another run and for `run-scenario` with unknown names.
 
 use bench::figures;
 use expt::{merge_shard_docs, TableDoc};
@@ -62,6 +63,7 @@ fn help_is_exit_0_and_bad_command_lines_are_exit_2() {
         &["orchestrate", "--retries", "1"],
         &["orchestrate", "--plan", "plan.json"],
         &["orchestrate", "--no-write"],
+        &["resume"],
         &["validate", "--bogus"],
         &["golden", "--threads", "many"],
         &["spot", "--bogus"],
@@ -122,9 +124,8 @@ fn run_prints_the_registry_drivers_tables() {
     assert_eq!(stdout_of(&out), want);
 }
 
-/// An unknown driver, or one named twice (which used to run it twice,
-/// write each CSV twice and leave a `run.json` that `resume` refused),
-/// is exit 2 naming it before anything runs.
+/// An unknown driver, or one named twice (which used to run it twice
+/// and write each CSV twice), is exit 2 naming it before anything runs.
 #[test]
 fn unknown_driver_is_exit_2_with_known_list() {
     let dir = scratch("bad-drivers");
@@ -150,30 +151,27 @@ fn unknown_driver_is_exit_2_with_known_list() {
 }
 
 /// Two megabytes of `[` used to overflow the stack of every subcommand
-/// that reads a document (exit 134). Now it is a parse error: `resume`
-/// re-runs exactly the job whose shard document it replaced, and a
-/// manifest or scenario is exit 2 naming the file.
+/// that reads a document (exit 134). Now it is a parse error: running
+/// `orchestrate` again re-runs exactly the job whose shard document it
+/// replaced, and a scenario is exit 2 naming the file.
 #[test]
 fn deeply_nested_documents_are_errors_not_aborts() {
     let dir = scratch("deep");
     let deep = "[".repeat(2_000_000);
     let too_deep = "nesting deeper than 64 at byte 64";
 
-    let (manifest, scenario) = (dir.join("run.json"), dir.join("scenario.json"));
-    for (file, args) in [
-        (&manifest, ["resume", dir.to_str().unwrap()]),
-        (&scenario, ["run-scenario", scenario.to_str().unwrap()]),
-    ] {
-        std::fs::write(file, &deep).unwrap();
-        let out = run(&args);
-        let err = stderr_of(&out);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
-        let name = file.to_str().unwrap();
-        assert!(err.contains(name) && err.contains(too_deep), "{err}");
-    }
+    let scenario = dir.join("scenario.json");
+    std::fs::write(&scenario, &deep).unwrap();
+    let out = run(&["run-scenario", scenario.to_str().unwrap()]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains(scenario.to_str().unwrap()) && err.contains(too_deep),
+        "{err}"
+    );
 
     let results = dir.join("results");
-    let orchestrated = run(&[
+    let orchestrate = [
         "orchestrate",
         "--drivers",
         "fig14_cycle_time_scaling",
@@ -182,7 +180,8 @@ fn deeply_nested_documents_are_errors_not_aborts() {
         "--quick",
         "--out",
         results.to_str().unwrap(),
-    ]);
+    ];
+    let orchestrated = run(&orchestrate);
     assert!(
         orchestrated.status.success(),
         "{}",
@@ -197,7 +196,7 @@ fn deeply_nested_documents_are_errors_not_aborts() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
     assert!(stderr_of(&out).contains(too_deep), "{}", stderr_of(&out));
 
-    let out = run(&["resume", results.to_str().unwrap()]);
+    let out = run(&orchestrate);
     assert!(out.status.success(), "{}", stderr_of(&out));
     let reruns: Vec<String> = stdout_of(&out)
         .lines()
@@ -228,74 +227,15 @@ fn deeply_nested_documents_are_errors_not_aborts() {
         assert_ne!(hostile, text, "{shard} records another sweep size");
         std::fs::write(results.join(&shard), hostile).unwrap();
     }
-    for args in [&["validate", "--out"][..], &["resume"]] {
-        let out = run(&[args, &[results.to_str().unwrap()]].concat());
+    for args in [
+        &["validate", "--out", results.to_str().unwrap()][..],
+        &orchestrate,
+    ] {
+        let out = run(args);
         assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
         let err = stderr_of(&out);
         assert!(err.contains("cycle_time: missing point index 4"), "{err}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A `run.json` that cannot be read or decoded is exit 2 naming the
-/// file, and one naming no driver or an unknown one is exit 2 naming
-/// that — all before anything runs.
-#[test]
-fn resume_refuses_an_unreadable_undecodable_or_unrunnable_manifest() {
-    const DRIVER: &str = "fig14_cycle_time_scaling";
-    let dir = scratch("resume-bad-manifest");
-    // A quick real run writes a valid manifest, whose results are then
-    // removed: a resume that ran anything would recreate them.
-    let out = run(&[
-        "orchestrate",
-        "--drivers",
-        DRIVER,
-        "--shards",
-        "1",
-        "--quick",
-        "--out",
-        dir.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    std::fs::remove_dir_all(dir.join(DRIVER)).unwrap();
-    let manifest = dir.join("run.json");
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    let decoding = format!("error: {}: run manifest: ", manifest.display());
-    let empty = r#"{"format": 3, "drivers": [], "shards": 1, "scale": "quick", "seed": 0,
-        "replicates": 3, "k": null, "complete": false, "jobs": []}"#;
-    for (edited, want) in [
-        (
-            text.replace(DRIVER, "fig14_cycle_time_scalng"),
-            "no driver named \"fig14_cycle_time_scalng\"; known drivers: [".to_string(),
-        ),
-        (
-            empty.to_string(),
-            "lists no drivers; nothing to resume".to_string(),
-        ),
-        (
-            text.replacen('{', "{\"seed\": 1, ", 1),
-            format!("{decoding}duplicate key \"seed\" at byte "),
-        ),
-        (format!("[{text}]"), format!("{decoding}expected an object")),
-        (
-            text.replace("\"quick\"", "\"huge\""),
-            format!("{decoding}scale: unknown scale \"huge\" (want quick/default/full)"),
-        ),
-    ] {
-        assert_ne!(edited, text);
-        std::fs::write(&manifest, &edited).unwrap();
-        let out = run(&["resume", dir.to_str().unwrap()]);
-        let err = stderr_of(&out);
-        assert_eq!(out.status.code(), Some(2), "{edited}: {err}");
-        assert!(err.contains(&want), "{edited}: {err}");
-        assert!(
-            out.stdout.is_empty() && !dir.join(DRIVER).exists(),
-            "{edited} ran"
-        );
-    }
-    let out = run(&["resume", "/nonexistent/run"]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    assert!(stderr_of(&out).starts_with("error: /nonexistent/run/run.json: "));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -357,37 +297,15 @@ fn sharded_runs_write_documents_that_merge_to_the_unsharded_csv() {
 
 /// Zero replicates would run no seed at all: table-only drivers used to
 /// write header-only tables and exit 0. Every input a replicate count
-/// comes from — the `run` and `orchestrate` flags, a `run.json` read by
-/// `resume` — is exit 2 naming the field, before anything runs or is
-/// written. So is `orchestrate --shards 0`, which used to run one shard
-/// and exit 0.
+/// comes from — the `run` and `orchestrate` flags — is exit 2 naming the
+/// field, before anything runs or is written. So is
+/// `orchestrate --shards 0`, which used to run one shard and exit 0.
 #[test]
 fn zero_replicates_or_shards_is_exit_2_from_every_input() {
     const DRIVER: &str = "fig01_flow_dists";
     let dir = scratch("zero-replicates");
     let out = dir.join("results");
-    // A real run's manifest, edited to record zero replicates, and its
-    // results removed: a resume that ran anything would recreate them.
-    let resumed = dir.join("resumed");
-    let made = run(&[
-        "orchestrate",
-        "--drivers",
-        DRIVER,
-        "--shards",
-        "1",
-        "--quick",
-        "--out",
-        resumed.to_str().unwrap(),
-    ]);
-    assert!(made.status.success(), "{}", stderr_of(&made));
-    let manifest = resumed.join("run.json");
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    let zero = text.replace("\"replicates\": 3", "\"replicates\": 0");
-    assert_ne!(zero, text, "run.json records another replicate count");
-    std::fs::write(&manifest, zero).unwrap();
-    std::fs::remove_dir_all(resumed.join(DRIVER)).unwrap();
-
-    let (out, resumed) = (out.to_str().unwrap(), resumed.to_str().unwrap());
+    let out = out.to_str().unwrap();
     for (args, want) in [
         (
             &["run", DRIVER, "--quick", "--replicates", "0", "--out", out][..],
@@ -418,10 +336,6 @@ fn zero_replicates_or_shards_is_exit_2_from_every_input() {
             ],
             "--shards must be at least 1",
         ),
-        (
-            &["resume", resumed],
-            "run manifest: replicates: must be at least 1",
-        ),
     ] {
         let o = run(args);
         assert_eq!(o.status.code(), Some(2), "{args:?}: {}", stderr_of(&o));
@@ -429,43 +343,75 @@ fn zero_replicates_or_shards_is_exit_2_from_every_input() {
         assert!(o.stdout.is_empty(), "{args:?} ran something");
     }
     assert!(!Path::new(out).exists());
-    assert!(!Path::new(resumed).join(DRIVER).exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A manifest written before `run.json` dropped its backend name
-/// (format 1), or its retry budget and attempt counts (format 2), is
-/// refused by name, not read as a run to resume.
+/// Every file under `dir`, with its bytes, in path order.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for path in std::fs::read_dir(d).unwrap().map(|e| e.unwrap().path()) {
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                files.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// `orchestrate` into a tree written under other flags, or with another
+/// shard count, is exit 2 naming the field and the file, with every
+/// file of the tree left as it was: a tree belongs to one run, and is
+/// never pruned or overwritten by another.
 #[test]
-fn resume_refuses_a_format_1_manifest() {
-    let dir = scratch("format-1");
-    let out = run(&[
+fn orchestrate_refuses_a_tree_of_another_run() {
+    const DRIVER: &str = "fig14_cycle_time_scaling";
+    let dir = scratch("other-run");
+    let results = dir.join("results");
+    let results = results.to_str().unwrap();
+    let args = [
         "orchestrate",
         "--drivers",
-        "fig14_cycle_time_scaling",
-        "--shards",
-        "1",
+        DRIVER,
         "--quick",
         "--out",
-        dir.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    let manifest = dir.join("run.json");
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    for (format, keys) in [
-        (1, "\"backend\": \"local\", \"retries\": 1"),
-        (2, "\"retries\": 1"),
+        results,
+    ];
+    let made = run(&[&args[..], &["--shards", "2"]].concat());
+    assert!(made.status.success(), "{}", stderr_of(&made));
+    let before = snapshot(Path::new(results));
+    let shard0 = format!("{DRIVER}/shards/bulk_threshold_mb.shard0of2.json");
+    for (extra, want) in [
+        (
+            &["--shards", "2", "--seed", "1"][..],
+            "written under seed `0`; this run has `1`",
+        ),
+        (
+            &["--shards", "3"],
+            "a document of a 2-shard run; this run has --shards 3",
+        ),
     ] {
-        let old = text
-            .replace("\"format\": 3", &format!("\"format\": {format}"))
-            .replacen('{', &format!("{{\n  {keys},"), 1);
-        assert!(old.contains(&format!("\"format\": {format}")), "{text}");
-        std::fs::write(&manifest, old).unwrap();
-        let out = run(&["resume", dir.to_str().unwrap()]);
+        let out = run(&[&args[..], extra].concat());
         let err = stderr_of(&out);
-        assert_eq!(out.status.code(), Some(2), "format {format}: {err}");
-        let want = format!("unsupported format {format} (this build reads format 3)");
-        assert!(err.contains(&want), "{err}");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {err}");
+        assert!(
+            err.contains(want) && err.contains(&shard0),
+            "{extra:?}: {err}"
+        );
+        assert!(out.stdout.starts_with(b"# orchestrating"), "{extra:?}");
+        assert_eq!(
+            stdout_of(&out).lines().count(),
+            1,
+            "{extra:?} ran something"
+        );
+        assert!(
+            snapshot(Path::new(results)) == before,
+            "{extra:?} changed the tree"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

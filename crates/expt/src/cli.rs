@@ -63,10 +63,14 @@ impl Args {
             .map_err(|e| format!("{flag}: invalid value {v:?}: {e}"))
     }
 
-    /// The count that must follow `flag` (`--replicates`, `--shards`),
-    /// at least 1: the rule `run.json` shares.
+    /// The count that must follow `flag` (`--replicates`, `--shards`):
+    /// at least 1. Zero replicates would run no seed and write
+    /// header-only tables; zero shards would run no job.
     pub fn at_least_one(&mut self, flag: &str) -> Result<usize, String> {
-        at_least_one(self.parsed(flag)?).map_err(|e| format!("{flag} {e}"))
+        match self.parsed(flag)? {
+            0 => Err(format!("{flag} must be at least 1")),
+            n => Ok(n),
+        }
     }
 }
 
@@ -74,18 +78,6 @@ impl Iterator for Args {
     type Item = String;
     fn next(&mut self) -> Option<String> {
         self.0.next()
-    }
-}
-
-/// The one rule on a replicate or shard count, wherever it is read
-/// (`--replicates`, `--shards`, `run.json`): at least one. Zero
-/// replicates would run no seed and write header-only tables; zero
-/// shards would run no job. The `Err` says what is wrong; the caller
-/// names the field.
-pub(crate) fn at_least_one(count: usize) -> Result<usize, &'static str> {
-    match count {
-        0 => Err("must be at least 1"),
-        n => Ok(n),
     }
 }
 

@@ -7,15 +7,15 @@
 //! byte-exactly. It is safe on hostile text: a repeated object key is an
 //! error (not last-one-wins) and nesting is bounded by [`MAX_DEPTH`].
 //!
-//! [`Fields`] is the decoder on top of it. Table documents, `run.json`,
-//! golden manifests and scenarios (TOML is first adapted to a [`Json`]
-//! tree) are each a list of typed field reads against one
-//! `Fields`, closed by [`Fields::finish`], which rejects any key never
-//! asked for. Every error has one shape, `<document>: <path>: <what>`:
+//! [`Fields`] is the decoder on top of it. Table documents, golden
+//! manifests and scenarios (TOML is first adapted to a [`Json`] tree)
+//! are each a list of typed field reads against one `Fields`, closed by
+//! [`Fields::finish`], which rejects any key never asked for. Every
+//! error has one shape, `<document>: <path>: <what>`:
 //!
 //! ```text
-//! run manifest: format: unsupported format 2 (this build reads format 3)
-//! run manifest: jobs[3].shard: expected an [i, n] pair
+//! table document: format: unsupported format 2 (this build reads format 1)
+//! table document: shard: expected an [i, n] pair of non-negative integers
 //! scenario: workload.kind: missing (keys present: flow_kb, senders)
 //! ```
 
@@ -620,19 +620,6 @@ impl<'a> Fields<'a> {
         self.opt_obj(key)?.ok_or_else(|| self.missing(key))
     }
 
-    /// The array of objects at `key`, one reader per element.
-    pub fn req_objs(&mut self, key: &'static str) -> Result<Vec<Fields<'a>>, String> {
-        let path = self.child_path(key);
-        self.lookup(key)
-            .ok_or_else(|| self.missing(key))?
-            .as_arr()
-            .ok_or_else(|| self.bad(key, "expected an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, j)| Fields::at(self.doc, format!("{path}[{i}]"), j))
-            .collect()
-    }
-
     /// The document's `"format"` tag, which must be `supported`.
     pub fn format(&mut self, supported: u64) -> Result<(), String> {
         match self.req::<u64>("format")? {
@@ -754,7 +741,7 @@ mod tests {
         let j = Json::parse(
             r#"{"s": "x", "n": 7, "b": true, "nul": null, "pair": [1, 4],
                 "rows": [["a"], ["b", "c"]], "axis": 3, "axes": ["p", "q"],
-                "inner": {"v": 1}, "list": [{"v": 1}, {"v": 2}]}"#,
+                "inner": {"v": 1}}"#,
         )
         .unwrap();
         let mut f = Fields::new("doc", &j).unwrap();
@@ -770,8 +757,6 @@ mod tests {
         let mut inner = f.req_obj("inner").unwrap();
         assert_eq!(inner.req::<usize>("v").unwrap(), 1);
         inner.finish().unwrap();
-        let list = f.req_objs("list").unwrap();
-        assert_eq!(list.len(), 2);
         f.finish().unwrap();
 
         // One error shape: <document>: <path>: <what>.
@@ -783,7 +768,7 @@ mod tests {
             ),
             (
                 f.req::<u64>("gone").map(drop),
-                "doc: gone: missing (keys present: axes, axis, b, inner, list, n, nul, pair, rows, s)",
+                "doc: gone: missing (keys present: axes, axis, b, inner, n, nul, pair, rows, s)",
             ),
             (
                 f.req::<Vec<Vec<u64>>>("rows").map(drop),
@@ -795,10 +780,9 @@ mod tests {
             ),
             (f.req_obj("s").map(drop), "doc: s: expected an object"),
             (
-                f.req_objs("pair").map(drop),
-                "doc: pair[0]: expected an object",
+                inner.format(1),
+                "doc: inner.format: missing (keys present: v)",
             ),
-            (inner.format(1), "doc: inner.format: missing (keys present: v)"),
         ] {
             assert_eq!(got.unwrap_err(), want);
         }
@@ -809,10 +793,10 @@ mod tests {
 
         // A key nothing asked for is named with its place and the known set.
         let mut f = Fields::new("doc", &j).unwrap();
-        let mut one = f.req_objs("list").unwrap().remove(1);
+        let mut one = f.req_obj("inner").unwrap();
         assert_eq!(
             one.finish().unwrap_err(),
-            "doc: list[1]: unknown key \"v\" (known: )"
+            "doc: inner: unknown key \"v\" (known: )"
         );
         one.req::<usize>("v").unwrap();
         one.finish().unwrap();
@@ -820,7 +804,7 @@ mod tests {
         f.req::<String>("s").unwrap();
         assert_eq!(
             f.finish().unwrap_err(),
-            "doc: unknown key \"axes\" (known: list, s)"
+            "doc: unknown key \"axes\" (known: inner, s)"
         );
     }
 

@@ -29,18 +29,15 @@
 //!   manifests and the tolerance-aware diff engine behind the tier-1
 //!   golden test,
 //! * [`orchestrate`] — the `driver × shard` jobs behind
-//!   `opera orchestrate`: each run once, in process, by an
-//!   [`orchestrate::Backend`], and each driver's shard documents merged
-//!   with point-index validation,
-//! * [`runfile`] — the one way an orchestrated sweep runs: the `run.json`
-//!   manifest, [`runfile::start_run`], which fans the jobs over a worker
-//!   pool and persists each shard document the moment its job completes
-//!   (atomic tmp-file + rename), and [`runfile::resume_run`], which
-//!   re-runs only the missing, corrupt or failed shards of a run,
+//!   `opera orchestrate`: [`orchestrate::start_run`] keeps every job
+//!   whose shard documents are already in the output tree, runs each
+//!   other job once, in process, by an [`orchestrate::Backend`] on a
+//!   worker pool, commits its shard documents the moment it completes,
+//!   and merges each driver's documents with point-index validation,
 //! * [`scenario`] — declarative TOML/JSON scenario files,
 //! * [`json`] — the offline JSON parser (duplicate keys rejected,
 //!   nesting bounded) and [`json::Fields`], the one strict decoder the
-//!   four documents above are read through: typed field reads, unknown
+//!   three documents above are read through: typed field reads, unknown
 //!   keys rejected, every error `<document>: <path>: <what>`,
 //! * [`cli::ExptArgs`] — the `--quick` / `--threads` / `--out` /
 //!   `--full` / `--seed` / `--replicates` / `--shard` flags shared by
@@ -79,7 +76,6 @@ pub mod json;
 pub mod orchestrate;
 pub mod output;
 pub mod replicate;
-pub mod runfile;
 pub mod runner;
 pub mod scenario;
 pub mod summary;
@@ -203,8 +199,8 @@ pub fn emit(exp: &Experiment, ctx: &Ctx, tables: &[Table]) -> std::io::Result<()
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    //! Fixtures the unit tests of [`crate::output`],
-    //! [`crate::orchestrate`] and [`crate::runfile`] share.
+    //! Fixtures the unit tests of [`crate::output`] and
+    //! [`crate::orchestrate`] share.
 
     use crate::orchestrate::{Backend, ShardJob};
     use crate::{Cell, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc};

@@ -1,11 +1,12 @@
 //! Driver-level sweep orchestration: the job, plan and backend types
-//! behind `opera orchestrate`, the one attempt a job gets, and the
-//! validated merge of each driver's per-shard table documents.
+//! behind `opera orchestrate`, the one attempt a job gets, the one way
+//! a sweep runs ([`start_run`]), and the validated merge of each
+//! driver's per-shard table documents.
 //!
 //! The per-driver `--shard i/n` flag lets one *driver* split its sweep,
 //! but leaves scheduling and merging to the caller — and a merge of
 //! rendered CSV cannot validate what each shard actually produced. This
-//! module and [`crate::runfile`] are the scheduler:
+//! module is the scheduler:
 //!
 //! * a [`Plan`] says which drivers to run, across how many shards,
 //! * a [`Backend`] executes one [`ShardJob`] in process and returns its
@@ -16,22 +17,31 @@
 //!   backend returning misattributed documents, is a failed *job*, never
 //!   a dead worker thread taking the sweep down. A job is a pure function
 //!   of (driver, shard, flags), so trying it again at once would fail the
-//!   same way; `opera resume` re-runs it once the cause is fixed,
-//! * [`crate::runfile::start_run`] fans the jobs over a worker pool,
-//!   persisting each as it completes, then merges each driver's shard
-//!   documents through [`merge_driver_docs`], so every result set is
-//!   *validated* — every point index present exactly once, schema and
-//!   flags matching — before a merged CSV is rendered,
+//!   same way; re-running the same `opera orchestrate` re-runs it once
+//!   the cause is fixed,
+//! * [`start_run`] keeps every job whose shard documents are already on
+//!   disk, fans the rest over a worker pool, commits each job's
+//!   documents to `<out>/<driver>/shards/` the moment it completes, then
+//!   merges each driver's documents through [`merge_driver_docs`], so
+//!   every result set is *validated* — every point index present exactly
+//!   once, schema and flags matching — before a merged CSV is rendered.
+//!   The results tree is its own record of the run: a killed sweep (a
+//!   `--full` point takes minutes) keeps every job it finished, and
+//!   running the same command again finishes it,
 //! * [`validate_dir`] re-validates a directory such a run wrote (shard
 //!   documents under `shards/`, merged CSV + JSON beside them) from
 //!   disk — the CI merge-validation step, and the hook tests use to
 //!   prove a dropped shard fails with a named
 //!   [`MergeError::MissingPointIndex`].
 
-use crate::output::{self, merge_shard_docs, result_path, MergeError, ResultFile, TableDoc};
+use crate::output::{
+    self, merge_shard_docs, result_path, MergeError, ResultFile, RunFlags, TableDoc,
+};
+use crate::runner::{claim_slots, worker_count};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// One unit of work: one driver restricted to one shard.
@@ -86,13 +96,27 @@ pub struct DriverRun {
     pub merged: Vec<TableDoc>,
 }
 
+/// A planned job that ran although its driver already had documents
+/// on disk, and why its own could not be kept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rerun {
+    /// The job.
+    pub job: ShardJob,
+    /// Why: a missing, corrupt, staged or misattributed shard document,
+    /// named by path.
+    pub reason: String,
+}
+
 /// A completed orchestrated run.
 #[derive(Debug)]
 pub struct RunReport {
     /// Per-driver outcomes, in plan order.
     pub drivers: Vec<DriverRun>,
-    /// Shards per driver.
-    pub shards: usize,
+    /// Jobs whose shard documents were already on disk and were kept.
+    pub reused: usize,
+    /// Jobs re-run over documents that could not be kept, in plan
+    /// order (a driver with no document on disk simply runs).
+    pub rerun: Vec<Rerun>,
 }
 
 /// An orchestration failure.
@@ -122,16 +146,17 @@ pub enum OrchestrateError {
     },
     /// A validated directory disagrees with its shard documents.
     Stale {
-        /// The merged CSV that is out of date.
+        /// The merged CSV that is out of date or has no shard documents.
         path: PathBuf,
         /// What disagreed.
         detail: String,
     },
-    /// A `run.json` manifest is missing, unreadable, or inconsistent.
-    Manifest {
-        /// Manifest path involved.
+    /// The output tree holds a document of another run (other flags or
+    /// shard count); nothing was run or written.
+    OtherRun {
+        /// The document.
         path: PathBuf,
-        /// What was wrong with it.
+        /// Which flag differs, and how.
         detail: String,
     },
 }
@@ -148,10 +173,8 @@ impl fmt::Display for OrchestrateError {
             OrchestrateError::Io { path, error } => {
                 write!(f, "{}: {error}", path.display())
             }
-            OrchestrateError::Stale { path, detail } => {
-                write!(f, "{}: {detail}", path.display())
-            }
-            OrchestrateError::Manifest { path, detail } => {
+            OrchestrateError::Stale { path, detail }
+            | OrchestrateError::OtherRun { path, detail } => {
                 write!(f, "{}: {detail}", path.display())
             }
         }
@@ -220,7 +243,7 @@ pub fn run_job<B: Backend + ?Sized>(backend: &B, job: &ShardJob) -> Result<Vec<T
         check_owner(doc, job)?;
     }
     // Canonical table order, whatever order the driver emitted them
-    // in: `run.json`'s table lists and the merged output follow it.
+    // in: the merged output follows it.
     docs.sort_by(|a, b| a.table.name.cmp(&b.table.name));
     Ok(docs)
 }
@@ -283,6 +306,267 @@ pub fn merge_driver_docs(
     Ok(merged)
 }
 
+/// Run `plan` under `flags` into `out` — what `opera orchestrate`
+/// does — and return the report and the merged CSV paths.
+///
+/// What `out` holds of the plan's drivers is the run to finish: a job
+/// is kept when its shard documents all parse, belong to it and cover
+/// every table its driver's documents name (shard documents and merged
+/// `<table>.json`), with none left staged. Every other job runs once on
+/// `workers` threads (0 = one per core) and commits its documents as it
+/// completes: all are staged as `<path>.tmp`, then renamed into place,
+/// so a job killed mid-commit leaves a staged file and runs again. Then
+/// each driver is merged and written. Per-point seeds derive from the
+/// plan, so a finished re-run merges byte for byte as an uninterrupted
+/// run does.
+///
+/// A document of another run (other flags or shard count) is
+/// [`OrchestrateError::OtherRun`] before anything runs or is written.
+/// A failed job does not stop the others; it is then the error, the
+/// first in job order, and every job that completed stays on disk.
+///
+/// # Panics
+/// Panics when `plan` names a driver twice.
+pub fn start_run<B: Backend>(
+    out: &Path,
+    plan: &Plan,
+    flags: RunFlags,
+    backend: B,
+    workers: usize,
+) -> Result<(RunReport, Vec<PathBuf>), OrchestrateError> {
+    if let Some(driver) = plan.repeated_driver() {
+        panic!("plan names driver {driver:?} twice");
+    }
+    let mut found = BTreeMap::new();
+    for driver in &plan.drivers {
+        let dir = out.join(driver);
+        found.insert(driver.as_str(), Found::scan(&dir, flags, plan.shards)?);
+    }
+    let (mut done, mut jobs, mut rerun) = (BTreeMap::new(), Vec::new(), Vec::new());
+    for job in plan_jobs(plan) {
+        match found.get_mut(job.driver.as_str()).and_then(Option::as_mut) {
+            None => jobs.push(job),
+            Some(found) => match found.take(&job) {
+                Ok(docs) => {
+                    done.insert((job.driver.clone(), job.shard.0), docs);
+                }
+                Err(reason) => {
+                    rerun.push(Rerun {
+                        job: job.clone(),
+                        reason,
+                    });
+                    jobs.push(job);
+                }
+            },
+        }
+    }
+    let reused = done.len();
+
+    for driver in &plan.drivers {
+        let sdir = out.join(driver).join(output::SHARD_DIR);
+        fs::create_dir_all(&sdir).map_err(|e| OrchestrateError::io(&sdir, e))?;
+    }
+    let outcomes = claim_slots(worker_count(workers), jobs.len(), |slot| {
+        let outcome = run_job(&backend, &jobs[slot]);
+        let committed = match &outcome {
+            Ok(docs) => commit(out, &jobs[slot], docs),
+            Err(_) => Ok(()),
+        };
+        (outcome, committed)
+    });
+    for (job, (outcome, committed)) in jobs.iter().zip(outcomes) {
+        committed?;
+        let docs = outcome.map_err(|error| OrchestrateError::Job {
+            job: job.clone(),
+            error,
+        })?;
+        done.insert((job.driver.clone(), job.shard.0), docs);
+    }
+
+    let mut drivers = Vec::with_capacity(plan.drivers.len());
+    for driver in &plan.drivers {
+        let shard_docs: Vec<Vec<TableDoc>> = (0..plan.shards)
+            .map(|i| {
+                done.remove(&(driver.clone(), i))
+                    .expect("every planned job was run or kept")
+            })
+            .collect();
+        let merged = merge_driver_docs(driver, &shard_docs)?;
+        drivers.push(DriverRun {
+            driver: driver.clone(),
+            merged,
+        });
+    }
+    let mut csvs = Vec::new();
+    for doc in drivers.iter().flat_map(|r| &r.merged) {
+        let dir = out.join(&doc.meta.driver);
+        let csv = result_path(&dir, &doc.table.name, ResultFile::Csv);
+        write(&csv, &doc.to_csv())?;
+        let json = result_path(&dir, &doc.table.name, ResultFile::Doc(None));
+        write(&json, &doc.render())?;
+        csvs.push(csv);
+    }
+    let report = RunReport {
+        drivers,
+        reused,
+        rerun,
+    };
+    Ok((report, csvs))
+}
+
+/// [`output::write_atomic`] with the path in the error.
+fn write(path: &Path, text: &str) -> Result<(), OrchestrateError> {
+    output::write_atomic(path, text).map_err(|e| OrchestrateError::io(path, e))
+}
+
+/// Commit `job`'s documents under `out`: each is written to its staged
+/// path ([`output::staged`]) and renamed into place only once every one
+/// is written, so a kill at any point leaves the job's whole set, or a
+/// staged file that marks the job unfinished.
+fn commit(out: &Path, job: &ShardJob, docs: &[TableDoc]) -> Result<(), OrchestrateError> {
+    let dir = out.join(&job.driver);
+    let path = |d: &TableDoc| result_path(&dir, &d.table.name, ResultFile::Doc(Some(job.shard)));
+    for doc in docs {
+        let tmp = output::staged(&path(doc));
+        fs::write(&tmp, doc.render()).map_err(|e| OrchestrateError::io(&tmp, e))?;
+    }
+    for path in docs.iter().map(path) {
+        fs::rename(output::staged(&path), &path).map_err(|e| OrchestrateError::io(&path, e))?;
+    }
+    Ok(())
+}
+
+/// What a planned driver's results directory already holds.
+#[derive(Default)]
+struct Found {
+    /// The directory.
+    dir: PathBuf,
+    /// Every table a document of the driver names.
+    tables: BTreeSet<String>,
+    /// Each shard document by table and shard: parsed, or why it cannot
+    /// be kept (it does not parse, or it is still staged).
+    docs: BTreeMap<(String, usize), Result<TableDoc, String>>,
+}
+
+impl Found {
+    /// Read `dir`, the results directory of a driver planned `shards`
+    /// ways under `flags`: `None` when it holds no document, an error
+    /// when a document belongs to another run.
+    fn scan(dir: &Path, flags: RunFlags, shards: usize) -> Result<Option<Found>, OrchestrateError> {
+        let mut found = Found {
+            dir: dir.to_path_buf(),
+            ..Found::default()
+        };
+        for path in listing(&dir.join(output::SHARD_DIR))? {
+            let Some((table, i, n, staged)) = shard_file(&path) else {
+                continue;
+            };
+            if n != shards {
+                let detail =
+                    format!("a document of a {n}-shard run; this run has --shards {shards}");
+                return Err(OrchestrateError::OtherRun { path, detail });
+            }
+            found.tables.insert(table.clone());
+            let shown = path.display();
+            if staged {
+                let never = format!("staged shard document {shown} was never committed");
+                found.docs.insert((table, i), Err(never));
+            } else {
+                let doc = read_doc(&path, flags)?;
+                let doc = doc.map_err(|e| format!("corrupt shard document {shown}: {e}"));
+                found.docs.entry((table, i)).or_insert(doc);
+            }
+        }
+        for path in listing(dir)? {
+            if let Some(table) = name(&path).strip_suffix(".json") {
+                found.tables.insert(table.to_string());
+                // An unreadable merged document is rewritten by the merge.
+                read_doc(&path, flags)?.ok();
+            }
+        }
+        Ok((!found.tables.is_empty()).then_some(found))
+    }
+
+    /// `job`'s documents, one per table the driver's documents name, if
+    /// each is committed, parses and belongs to the job; else why the
+    /// job runs again.
+    fn take(&mut self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
+        let mut docs = Vec::with_capacity(self.tables.len());
+        for table in &self.tables {
+            let path = result_path(&self.dir, table, ResultFile::Doc(Some(job.shard)));
+            let doc = self
+                .docs
+                .remove(&(table.clone(), job.shard.0))
+                .unwrap_or_else(|| Err(format!("missing shard document {}", path.display())))?;
+            check_owner(&doc, job).map_err(|e| {
+                let path = path.display();
+                format!("shard document {path} belongs to another job: {e}")
+            })?;
+            if doc.table.name != *table {
+                let (path, other) = (path.display(), &doc.table.name);
+                return Err(format!("shard document {path} holds table {other:?}"));
+            }
+            docs.push(doc);
+        }
+        Ok(docs)
+    }
+}
+
+/// The table document at `path`, or why it cannot be read; an error
+/// naming the file and the flag if it was written under flags other
+/// than `flags`.
+fn read_doc(path: &Path, flags: RunFlags) -> Result<Result<TableDoc, String>, OrchestrateError> {
+    let text = fs::read_to_string(path).map_err(|e| e.to_string());
+    let doc = text.and_then(|t| TableDoc::parse(&t).map_err(|e| e.to_string()));
+    match doc
+        .as_ref()
+        .ok()
+        .and_then(|d| d.meta.flags.first_difference(&flags))
+    {
+        None => Ok(doc),
+        Some(d) => Err(OrchestrateError::OtherRun {
+            path: path.to_path_buf(),
+            detail: format!(
+                "a document of another run, written under {} `{}`; this run has `{}`",
+                d.flag, d.got, d.want
+            ),
+        }),
+    }
+}
+
+/// `(table, i, n, staged)` of a shard document's path,
+/// `shards/<table>.shard<i>of<n>.json` with [`output::STAGED`] appended
+/// while it is staged; `None` for any other file.
+fn shard_file(path: &Path) -> Option<(String, usize, usize, bool)> {
+    let name = name(path);
+    let (name, staged) = match name.strip_suffix(output::STAGED) {
+        Some(name) => (name, true),
+        None => (name, false),
+    };
+    let (table, shard) = name.strip_suffix(".json")?.rsplit_once(".shard")?;
+    let (i, n) = shard.split_once("of")?;
+    Some((table.to_string(), i.parse().ok()?, n.parse().ok()?, staged))
+}
+
+/// What is directly under `dir`, in path order; nothing when it does
+/// not exist.
+fn listing(dir: &Path) -> Result<Vec<PathBuf>, OrchestrateError> {
+    let entries = match fs::read_dir(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        entries => entries.map_err(|e| OrchestrateError::io(dir, e))?,
+    };
+    let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+    paths.sort();
+    Ok(paths)
+}
+
+/// The file name of `path`, or `""` when it is not UTF-8.
+fn name(path: &Path) -> &str {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or_default()
+}
+
 /// One validated `(driver, table)` pair from [`validate_dir`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidatedTable {
@@ -299,34 +583,45 @@ pub struct ValidatedTable {
 /// Re-validate an orchestrated results directory from disk: for every
 /// `<dir>/<driver>/shards/*.json`, re-merge the shard documents (full
 /// validation — missing or duplicated point indices fail here) and
-/// check the committed merged CSV matches the re-merge byte-for-byte.
+/// check the committed merged CSV matches the re-merge byte-for-byte,
+/// and that every merged CSV beside them still has shard documents.
 /// Returns the validated tables, or the first failure.
 pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError> {
     let mut validated = Vec::new();
-    let mut driver_dirs: Vec<PathBuf> = fs::read_dir(out)
-        .map_err(|e| OrchestrateError::io(out, e))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.join(output::SHARD_DIR).is_dir())
-        .collect();
-    driver_dirs.sort();
-    for dir in driver_dirs {
-        let driver = dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
+    for dir in listing(out)? {
+        let shards = dir.join(output::SHARD_DIR);
+        if !shards.is_dir() {
+            continue;
+        }
+        let driver = name(&dir).to_string();
         let merr = |error| OrchestrateError::Merge {
             driver: driver.clone(),
             error,
         };
         let mut groups: BTreeMap<String, Vec<TableDoc>> = BTreeMap::new();
-        let files = output::shard_docs(&dir).map_err(|e| OrchestrateError::io(&dir, e))?;
-        for path in files {
+        for path in listing(&shards)?
+            .into_iter()
+            .filter(|p| name(p).ends_with(".json"))
+        {
             let text = fs::read_to_string(&path).map_err(|e| OrchestrateError::io(&path, e))?;
             let doc = TableDoc::parse(&text).map_err(|e| {
                 let context = format!("{}: {e}", path.display());
                 merr(MergeError::Parse { context })
             })?;
             groups.entry(doc.table.name.clone()).or_default().push(doc);
+        }
+        // A merged CSV whose shard documents are all gone merges from
+        // nothing: it cannot be validated, so it is not valid.
+        for path in listing(&dir)? {
+            if name(&path)
+                .strip_suffix(".csv")
+                .is_some_and(|table| !groups.contains_key(table))
+            {
+                return Err(OrchestrateError::Stale {
+                    path,
+                    detail: "merged CSV has no shard documents".to_string(),
+                });
+            }
         }
         for (table, docs) in groups {
             let merged = merge_shard_docs(&docs).map_err(merr)?;
@@ -354,8 +649,8 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runfile::{start_run, JobStatus, RunManifest, RUN_FILE};
     use crate::testutil::{fake_docs, tmp_dir, FakeBackend, QUICK};
+    use std::sync::Mutex;
 
     fn plan(drivers: &[&str], shards: usize) -> Plan {
         Plan {
@@ -390,17 +685,20 @@ mod tests {
             }
             other => panic!("expected Job error, got {other}"),
         }
-        // Every job ran once and `run.json` records each outcome.
-        let m = RunManifest::read(&out.join(RUN_FILE)).unwrap();
-        assert!(!m.complete);
-        for e in &m.jobs {
-            if e.job.driver == "a" {
-                assert_eq!((e.status, e.error.as_deref()), (JobStatus::Ok, None));
-            } else {
-                let failed = (JobStatus::Failed, Some("permanent failure"));
-                assert_eq!((e.status, e.error.as_deref()), failed);
-            }
+        // Every job ran once: the good driver's documents are on disk,
+        // the failed one's are absent, and nothing was merged.
+        for i in 0..2 {
+            assert!(out
+                .join(format!("a/shards/data.shard{i}of2.json"))
+                .is_file());
         }
+        assert_eq!(
+            fs::read_dir(out.join("always-broken/shards"))
+                .unwrap()
+                .count(),
+            0
+        );
+        assert!(!out.join("a/data.csv").exists());
         fs::remove_dir_all(&out).unwrap();
     }
 
@@ -439,18 +737,40 @@ mod tests {
         fs::remove_dir_all(&out).unwrap();
     }
 
-    #[test]
-    fn rewriting_a_run_prunes_stale_shard_docs() {
-        let out = tmp_dir("orch-prune");
-        // A 3-shard run followed by a 2-shard run into the same out dir:
-        // without pruning, the leftover *of3 documents would make
-        // validate_dir fail with a shard-count mismatch.
-        for shards in [3, 2] {
-            start_run(&out, &plan(&["a"], shards), QUICK, FakeBackend, 2).unwrap();
+    /// Every file under `dir`, with its bytes, in path order.
+    fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(d) = pending.pop() {
+            for path in fs::read_dir(d).unwrap().map(|e| e.unwrap().path()) {
+                if path.is_dir() {
+                    pending.push(path);
+                } else {
+                    files.push((path.clone(), fs::read(&path).unwrap()));
+                }
+            }
         }
-        let validated = validate_dir(&out).unwrap();
-        assert_eq!(validated.len(), 1);
-        assert_eq!(validated[0].shards, 2);
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn another_shard_count_is_refused_and_the_tree_is_untouched() {
+        // A 3-shard tree run again with 2 shards used to be pruned
+        // silently. It is now refused, naming --shards and the file,
+        // before anything runs or is written.
+        let out = tmp_dir("orch-shards");
+        start_run(&out, &plan(&["a"], 3), QUICK, FakeBackend, 2).unwrap();
+        let before = snapshot(&out);
+        match start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 2).unwrap_err() {
+            OrchestrateError::OtherRun { path, detail } => {
+                assert!(path.ends_with("a/shards/data.shard0of3.json"), "{path:?}");
+                assert!(detail.contains("this run has --shards 2"), "{detail}");
+            }
+            other => panic!("expected OtherRun, got {other}"),
+        }
+        assert_eq!(snapshot(&out), before);
+        assert_eq!(validate_dir(&out).unwrap()[0].shards, 3);
         fs::remove_dir_all(&out).unwrap();
     }
 
@@ -478,6 +798,25 @@ mod tests {
             validate_dir(&out).unwrap_err(),
             OrchestrateError::Stale { .. }
         ));
+        fs::remove_dir_all(&out).unwrap();
+    }
+
+    #[test]
+    fn orphaned_merged_csv_is_stale() {
+        // Every shard document of one driver's table deleted by hand:
+        // its merged CSV used to pass unvalidated.
+        let out = tmp_dir("orch-orphan");
+        start_run(&out, &plan(&["a", "b"], 2), QUICK, FakeBackend, 2).unwrap();
+        for i in 0..2 {
+            fs::remove_file(out.join(format!("a/shards/data.shard{i}of2.json"))).unwrap();
+        }
+        match validate_dir(&out).unwrap_err() {
+            OrchestrateError::Stale { path, detail } => {
+                assert_eq!(path, out.join("a/data.csv"));
+                assert_eq!(detail, "merged CSV has no shard documents");
+            }
+            other => panic!("expected Stale, got {other}"),
+        }
         fs::remove_dir_all(&out).unwrap();
     }
 
@@ -511,17 +850,12 @@ mod tests {
             }
             other => panic!("expected Job error, got {other}"),
         }
-        let m = RunManifest::read(&out.join(RUN_FILE)).unwrap();
-        for e in &m.jobs {
-            if e.job.driver == "ok" {
-                assert_eq!(e.status, JobStatus::Ok);
-                let doc = format!("ok/shards/data.shard{}of2.json", e.job.shard.0);
-                assert!(out.join(doc).is_file());
-            } else {
-                let error = e.error.as_deref().unwrap_or_default();
-                assert!(error.contains("panicky panicked"), "{error}");
-            }
+        for i in 0..2 {
+            assert!(out
+                .join(format!("ok/shards/data.shard{i}of2.json"))
+                .is_file());
         }
+        assert_eq!(fs::read_dir(out.join("panicky/shards")).unwrap().count(), 0);
         fs::remove_dir_all(&out).unwrap();
     }
 
@@ -547,5 +881,157 @@ mod tests {
         assert!(error.contains("impostor"), "{error}");
         let error = run_job(&WrongShard, job).unwrap_err();
         assert!(error.contains("shard Some((1, 3))"), "{error}");
+    }
+
+    /// [`FakeBackend`] that records the jobs it ran, as `driver:i`.
+    #[derive(Default)]
+    struct Counting(Mutex<Vec<String>>);
+
+    impl Backend for Counting {
+        fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
+            let ran = format!("{}:{}", job.driver, job.shard.0);
+            self.0.lock().unwrap().push(ran);
+            Ok(fake_docs(&job.driver, job.shard))
+        }
+    }
+
+    fn reruns(report: &RunReport) -> Vec<String> {
+        let job = |r: &Rerun| format!("{}:{}", r.job.driver, r.job.shard.0);
+        report.rerun.iter().map(job).collect()
+    }
+
+    #[test]
+    fn a_job_commits_its_documents_together() {
+        let out = tmp_dir("orch-commit");
+        let job = &plan_jobs(&plan(&["a"], 2))[1];
+        let mut docs = fake_docs("a", (1, 2));
+        let mut other = docs[0].clone();
+        other.table.name = "other".into();
+        docs.push(other);
+        fs::create_dir_all(out.join("a/shards")).unwrap();
+        commit(&out, job, &docs).unwrap();
+        let written: Vec<PathBuf> = snapshot(&out).into_iter().map(|(p, _)| p).collect();
+        let want = ["data", "other"].map(|t| out.join(format!("a/shards/{t}.shard1of2.json")));
+        assert_eq!(written, want, "both documents, and no staged file left");
+        fs::remove_dir_all(&out).unwrap();
+    }
+
+    #[test]
+    fn a_rerun_runs_only_missing_and_corrupt_shards() {
+        let out = tmp_dir("orch-rerun");
+        let two = plan(&["a", "b"], 2);
+        start_run(&out, &two, QUICK, FakeBackend, 2).unwrap();
+        let reference = fs::read_to_string(out.join("a/data.csv")).unwrap();
+
+        // Delete one shard document and truncate (corrupt) another.
+        fs::remove_file(out.join("a/shards/data.shard1of2.json")).unwrap();
+        let corrupt = out.join("b/shards/data.shard0of2.json");
+        let text = fs::read_to_string(&corrupt).unwrap();
+        fs::write(&corrupt, &text[..text.len() / 2]).unwrap();
+
+        let backend = Counting::default();
+        let (report, _) = start_run(&out, &two, QUICK, &backend, 2).unwrap();
+        assert_eq!(report.reused, 2);
+        assert_eq!(reruns(&report), ["a:1", "b:0"]);
+        assert_eq!(*backend.0.lock().unwrap(), ["a:1", "b:0"]);
+        assert!(report.rerun[0].reason.contains("missing shard document"));
+        assert!(report.rerun[1].reason.contains("corrupt shard document"));
+
+        // The re-run's merge is byte-identical and fully valid.
+        assert_eq!(
+            fs::read_to_string(out.join("a/data.csv")).unwrap(),
+            reference
+        );
+        assert_eq!(validate_dir(&out).unwrap().len(), 2);
+
+        // Nothing left to do: a third run keeps everything.
+        let (report, _) = start_run(&out, &two, QUICK, FakeBackend, 2).unwrap();
+        assert_eq!(report.reused, 4);
+        assert!(report.rerun.is_empty());
+        fs::remove_dir_all(&out).unwrap();
+    }
+
+    #[test]
+    fn a_rerun_runs_failed_and_unfinished_jobs_without_touching_done_ones() {
+        // A run killed after one of a's two jobs committed.
+        let out = tmp_dir("orch-killed");
+        let job0 = &plan_jobs(&plan(&["a"], 2))[0];
+        fs::create_dir_all(out.join("a/shards")).unwrap();
+        commit(&out, job0, &fake_docs("a", (0, 2))).unwrap();
+        let p = plan(&["a", "always-broken"], 2);
+        // The first try also fails always-broken's jobs, which commit
+        // nothing.
+        let err = start_run(&out, &p, QUICK, FakeBackend, 1).unwrap_err();
+        assert!(matches!(err, OrchestrateError::Job { .. }), "{err}");
+        assert!(out.join("a/shards/data.shard1of2.json").is_file());
+
+        let backend = Counting::default();
+        let (report, _) = start_run(&out, &p, QUICK, &backend, 1).unwrap();
+        assert_eq!(report.reused, 2, "a's two jobs are on disk now");
+        assert!(report.rerun.is_empty(), "always-broken has no document");
+        assert_eq!(
+            *backend.0.lock().unwrap(),
+            ["always-broken:0", "always-broken:1"]
+        );
+        assert_eq!(validate_dir(&out).unwrap().len(), 2);
+        fs::remove_dir_all(&out).unwrap();
+    }
+
+    #[test]
+    fn documents_of_another_run_are_refused() {
+        let out = tmp_dir("orch-drift");
+        start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        // Overwrite shard 0's document with one of a different seed:
+        // it parses, but it is another run's.
+        let path = out.join("a/shards/data.shard0of2.json");
+        let mut other = fake_docs("a", (0, 2)).remove(0);
+        other.meta.flags.seed = 999;
+        fs::write(&path, other.render()).unwrap();
+        let before = snapshot(&out);
+        let err = start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "{}: a document of another run, written under seed `999`; this run has `0`",
+                path.display()
+            )
+        );
+        assert_eq!(snapshot(&out), before, "nothing is run or written");
+
+        // A document of the right run but the wrong job is named as such
+        // and re-run.
+        fs::write(&path, fake_docs("a", (1, 2))[0].render()).unwrap();
+        let (report, _) = start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        assert_eq!(reruns(&report), ["a:0"]);
+        let reason = &report.rerun[0].reason;
+        assert!(reason.contains("belongs to another job"), "{reason}");
+        assert_eq!(validate_dir(&out).unwrap().len(), 1);
+        fs::remove_dir_all(&out).unwrap();
+    }
+
+    #[test]
+    fn a_rerun_surfaces_a_still_failing_job() {
+        struct AlwaysFail;
+        impl Backend for AlwaysFail {
+            fn run_shard(&self, _: &ShardJob) -> Result<Vec<TableDoc>, String> {
+                Err("still broken".into())
+            }
+        }
+        let out = tmp_dir("still-failing");
+        start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        let victim = out.join("a/shards/data.shard1of2.json");
+        fs::remove_file(&victim).unwrap();
+        match start_run(&out, &plan(&["a"], 2), QUICK, AlwaysFail, 1).unwrap_err() {
+            OrchestrateError::Job { job, error } => {
+                assert_eq!(job.shard, (1, 2));
+                assert_eq!(error, "still broken");
+            }
+            other => panic!("expected Job error, got {other}"),
+        }
+        // The job's document stays absent, so the next run re-runs it.
+        assert!(!victim.exists());
+        let (report, _) = start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        assert_eq!(reruns(&report), ["a:1"]);
+        fs::remove_dir_all(&out).unwrap();
     }
 }

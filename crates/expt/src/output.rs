@@ -11,10 +11,10 @@
 //! the one function that names those files.
 //!
 //! [`RunFlags`] is the one declaration of a run's identity, `(scale,
-//! seed, replicates, k)`. Table documents, `run.json` and golden
-//! manifests embed it and read it through `RunFlags::read` (so
-//! `"scale": "huge"` is a parse error), and shard merge, resume and
-//! stale-bless detection all compare it with
+//! seed, replicates, k)`. Table documents and golden manifests embed
+//! it and read it through `RunFlags::read` (so `"scale": "huge"` is a
+//! parse error), and shard merge, the orchestrator's check of an
+//! existing tree and stale-bless detection all compare it with
 //! [`RunFlags::first_difference`].
 //!
 //! [`merge_shard_docs`] reassembles the unsharded table from shard
@@ -681,28 +681,24 @@ pub fn result_path(dir: &Path, table: &str, file: ResultFile) -> PathBuf {
     }
 }
 
-/// The shard documents under `dir`, a driver's results directory, in
-/// path order.
-pub fn shard_docs(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut files: Vec<PathBuf> = fs::read_dir(dir.join(SHARD_DIR))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    Ok(files)
+/// The suffix of a file being written: [`staged`].
+pub(crate) const STAGED: &str = ".tmp";
+
+/// Where `path` is written before it is renamed into place:
+/// `<path>.tmp`, *appended* so a leftover staged file never matches a
+/// `.json` / `.csv` filter, and marks a shard document's job unfinished.
+pub(crate) fn staged(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(STAGED);
+    PathBuf::from(tmp)
 }
 
 /// Write `contents` to `path` atomically: write `<path>.tmp` in full,
-/// then rename over `path`. A reader (or a resumed run) therefore never
+/// then rename over `path`. A reader (or a re-run) therefore never
 /// sees a half-written file — it sees the old contents, the new
-/// contents, or no file at all. The `.tmp` suffix is *appended* (not an
-/// extension swap) so a leftover temp file from a killed process never
-/// matches the `.json` / `.csv` filters of
-/// [`crate::orchestrate::validate_dir`] and resume scans.
+/// contents, or no file at all.
 pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
+    let tmp = staged(path);
     fs::write(&tmp, contents)?;
     fs::rename(&tmp, path)
 }
@@ -979,7 +975,7 @@ mod tests {
     }
 
     /// The one comparison behind the shard merge's `FlagMismatch`, the
-    /// resume identity check and the golden stale-bless drift.
+    /// orchestrator's other-run refusal and the golden stale-bless drift.
     #[test]
     fn flag_differences_are_named_first_to_last() {
         let with = |edit: fn(&mut RunFlags)| {

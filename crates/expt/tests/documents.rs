@@ -1,9 +1,11 @@
-//! Hostile input and round trips for the four documents `expt` reads
-//! back: table documents (sharded and not), `run.json`, golden
-//! manifests, and scenarios in TOML and JSON form.
+//! Hostile input and round trips for the three documents `expt` reads
+//! back: table documents (sharded and not), golden manifests, and
+//! scenarios in TOML and JSON form.
 //!
 //! * No input panics a decoder: every truncation and every
-//!   single-character substitution of a valid document is `Ok` or `Err`.
+//!   single-character substitution of a valid document, arbitrary
+//!   bytes, and a valid document overwritten with arbitrary bytes are
+//!   each `Ok` or `Err`.
 //! * Provenance a table document cannot have (a point outside its
 //!   sweep, points run out of order or twice, a sweep far larger than
 //!   the documents) is a named error from the parser or the merge, in
@@ -15,8 +17,6 @@
 
 use expt::golden::{parse_csv, GoldenManifest};
 use expt::json::Json;
-use expt::orchestrate::Plan;
-use expt::runfile::{JobStatus, RunManifest};
 use expt::scenario::{parse_toml, Scenario};
 use expt::{
     merge_shard_docs, Cell, MergeError, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc,
@@ -55,19 +55,6 @@ fn table_and_meta(shard: Option<(usize, usize)>) -> TableDoc {
         shard,
     };
     TableDoc { meta, table: t }
-}
-
-fn run_manifest() -> RunManifest {
-    let plan = Plan {
-        drivers: vec!["a".into(), "b".into()],
-        shards: 2,
-    };
-    let mut m = RunManifest::new(&plan, FLAGS);
-    m.jobs[0].status = JobStatus::Ok;
-    m.jobs[0].tables = vec!["séries".into()];
-    m.jobs[3].status = JobStatus::Failed;
-    m.jobs[3].error = Some("exit status: 1 | \"quoted\"".into());
-    m
 }
 
 fn golden_manifest() -> GoldenManifest {
@@ -125,12 +112,6 @@ fn documents() -> Vec<(&'static str, String, Decode, bool)> {
             true,
         ),
         ("unsharded table document", table_doc(None), table, true),
-        (
-            "run.json",
-            run_manifest().render(),
-            |t| RunManifest::parse(t).map(drop),
-            true,
-        ),
         (
             "golden manifest",
             golden_manifest().render(),
@@ -334,21 +315,6 @@ fn unknown_and_duplicate_keys_are_rejected_at_every_level() {
             "table document: unknown key \"zzz\" (known: columns, ",
         ),
         (
-            "run.json",
-            0,
-            "run manifest: unknown key \"zzz\" (known: complete, drivers, ",
-        ),
-        (
-            "run.json",
-            1,
-            "run manifest: jobs[0]: unknown key \"zzz\" (known: driver, error, ",
-        ),
-        (
-            "run.json",
-            4,
-            "run manifest: jobs[3]: unknown key \"zzz\" (known: driver, error, ",
-        ),
-        (
             "golden manifest",
             0,
             "golden manifest: unknown key \"zzz\" (known: commit, k, ",
@@ -516,26 +482,23 @@ proptest! {
         prop_assert_eq!(&parse_csv(&plain.to_csv()).unwrap()[1..], &rendered[..]);
     }
 
+    /// Arbitrary bytes, read as text the way a file is, and each valid
+    /// document with arbitrary bytes written over it at arbitrary
+    /// places, never panic a decoder.
     #[test]
-    fn run_manifests_round_trip(
-        flags in (0usize..3, 0u64..u64::MAX, 1usize..9, 0usize..40),
-        drivers in 0usize..4,
-        shards in 1usize..4,
-        complete in 0usize..2,
-        jobs in prop::collection::vec((0usize..3, 0usize..5, 0usize..AWKWARD.len()), 9..10),
+    fn arbitrary_bytes_never_panic_a_decoder(
+        bytes in prop::collection::vec(0u8..255, 0..256),
+        edits in prop::collection::vec((0usize..1 << 16, 0u8..255), 1..16),
     ) {
-        let plan = Plan {
-            drivers: (0..drivers).map(|d| format!("{}{d}", awkward(d + 1))).collect(),
-            shards,
-        };
-        let mut m = RunManifest::new(&plan, flags_of(flags));
-        m.complete = complete == 1;
-        for (e, &(status, tables, text)) in m.jobs.iter_mut().zip(&jobs) {
-            e.status = [JobStatus::Pending, JobStatus::Ok, JobStatus::Failed][status];
-            e.error = (status == 2).then(|| awkward(text));
-            e.tables = (0..tables).map(|t| awkward(text + t)).collect();
+        for (_, text, decode, _) in documents() {
+            let _ = decode(&String::from_utf8_lossy(&bytes));
+            let mut hostile = text.into_bytes();
+            for &(at, byte) in &edits {
+                let at = at % hostile.len();
+                hostile[at] = byte;
+            }
+            let _ = decode(&String::from_utf8_lossy(&hostile));
         }
-        prop_assert_eq!(RunManifest::parse(&m.render()), Ok(m));
     }
 
     #[test]

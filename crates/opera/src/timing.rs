@@ -63,12 +63,6 @@ impl SliceTiming {
         self.epsilon + self.reconfig
     }
 
-    /// Inter-reconfiguration period of a single switch: `stride` slices
-    /// (`stride = u / groups`).
-    pub fn switch_period(&self, stride: usize) -> SimTime {
-        SimTime::from_ns(self.slice().as_ns() * stride as u64)
-    }
-
     /// Full cycle time for `slices_per_cycle` slices.
     pub fn cycle(&self, slices_per_cycle: usize) -> SimTime {
         SimTime::from_ns(self.slice().as_ns() * slices_per_cycle as u64)
@@ -106,8 +100,6 @@ mod tests {
     fn paper_constants() {
         let t = SliceTiming::paper_default();
         assert_eq!(t.slice(), SimTime::from_us(100));
-        // k=12: u=6, stride 6 -> 600us period.
-        assert_eq!(t.switch_period(6), SimTime::from_us(600));
         // 108-slice cycle = 10.8ms (paper: 10.7ms with ε a hair under 90).
         let cycle = t.cycle(108);
         assert!((cycle.as_ms_f64() - 10.8).abs() < 0.2);

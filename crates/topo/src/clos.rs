@@ -74,7 +74,6 @@ pub struct ClosTopology {
     tors: usize,
     aggs: usize,
     cores: usize,
-    tors_per_pod: usize,
     aggs_per_pod: usize,
 }
 
@@ -148,7 +147,6 @@ impl ClosTopology {
             tors,
             aggs,
             cores,
-            tors_per_pod,
             aggs_per_pod,
         }
     }
@@ -176,10 +174,6 @@ impl ClosTopology {
     /// Number of core switches.
     pub fn cores(&self) -> usize {
         self.cores
-    }
-    /// ToRs per pod.
-    pub fn tors_per_pod(&self) -> usize {
-        self.tors_per_pod
     }
     /// Aggs per pod.
     pub fn aggs_per_pod(&self) -> usize {
@@ -222,11 +216,13 @@ mod tests {
 
     #[test]
     fn tor_to_tor_hop_distribution() {
-        let t = ClosTopology::generate(ClosParams::example_648());
-        // same pod: 2 hops (ToR-Agg-ToR); cross pod: 4 hops.
+        let params = ClosParams::example_648();
+        let t = ClosTopology::generate(params);
+        // same pod (k / 2 ToRs): 2 hops (ToR-Agg-ToR); cross pod: 4 hops.
+        let tors_per_pod = params.radix / 2;
         let d = t.graph().bfs_distances(0);
         for (tor, &dist) in d.iter().enumerate().take(t.tors()).skip(1) {
-            let expect = if tor < t.tors_per_pod() { 2 } else { 4 };
+            let expect = if tor < tors_per_pod { 2 } else { 4 };
             assert_eq!(dist, expect, "tor {tor}");
         }
     }

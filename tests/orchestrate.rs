@@ -1,15 +1,16 @@
 //! Tier-1 acceptance tests for the sweep orchestrator: merged sharded
 //! output must be byte-identical to unsharded `--threads 1` runs for
 //! **every** driver, an injected dropped shard must fail with the named
-//! missing-point-index error, and an interrupted run must resume to a
-//! byte-identical final merge — re-run jobs reproducing their shard
-//! documents bit for bit — without re-running completed shards.
+//! missing-point-index error, and running an interrupted run again must
+//! finish it to a byte-identical final merge — re-run jobs reproducing
+//! their shard documents bit for bit — without re-running completed
+//! shards, whatever the interruption left: a missing, corrupt or staged
+//! shard document, or a hand-deleted table document.
 
 use bench::backend::LocalBackend;
 use bench::figures::{self, GOLDEN_FLAGS};
-use expt::orchestrate::{validate_dir, Backend, OrchestrateError, Plan, ShardJob};
+use expt::orchestrate::{start_run, validate_dir, Backend, OrchestrateError, Plan, ShardJob};
 use expt::output::MergeError;
-use expt::runfile::{resume_run, start_run, RunManifest, RUN_FILE};
 use expt::{Table, TableDoc};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -122,7 +123,7 @@ impl Backend for FailAfter {
     }
 }
 
-/// Records which jobs it actually ran — the proof that resume does not
+/// Records which jobs it actually ran — the proof that a re-run does not
 /// re-run completed shards.
 struct CountingLocal {
     inner: LocalBackend,
@@ -148,28 +149,59 @@ impl Backend for CountingLocal {
     }
 }
 
-/// Satellite bar: kill a 3-shard run after 2 shards persist, `resume`,
-/// and the merged CSV is byte-identical to an uninterrupted run — with
-/// the completed shards *not* re-run. Then corrupt one persisted shard
-/// document and resume again: the corruption is detected and only that
-/// shard re-runs.
+/// The tables fig14 renders in an uninterrupted unsharded `--threads 1`
+/// run.
+fn reference() -> Vec<Table> {
+    let (_, build) = figures::find(DRIVER).unwrap();
+    build(&figures::golden_ctx(1))
+}
+
+/// Every merged CSV under `out` equals the uninterrupted reference's.
+fn assert_merged_as(out: &std::path::Path, reference: &[Table]) {
+    for t in reference {
+        let csv =
+            std::fs::read_to_string(out.join(DRIVER).join(format!("{}.csv", t.name))).unwrap();
+        assert_eq!(
+            csv,
+            t.to_csv(),
+            "{}: re-run merge differs from uninterrupted --threads 1 run",
+            t.name
+        );
+    }
+}
+
+/// Run `plan` into `out` again, returning the jobs that ran as
+/// `driver:i` and the report's re-run reasons in plan order.
+fn rerun(out: &std::path::Path, plan: &Plan) -> (Vec<String>, Vec<(usize, String)>) {
+    let backend = CountingLocal::new();
+    let (report, _) = start_run(out, plan, GOLDEN_FLAGS, &backend, 2).unwrap();
+    let reasons = report
+        .rerun
+        .iter()
+        .map(|r| (r.job.shard.0, r.reason.clone()));
+    let ran = backend.ran.into_inner().unwrap();
+    (ran, reasons.collect())
+}
+
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let out = std::env::temp_dir().join(format!("orch-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    out
+}
+
+/// Kill a 3-shard run after 2 shards persist, run it
+/// again, and the merged CSV is byte-identical to an uninterrupted
+/// run — with the completed shards *not* re-run. Then corrupt one
+/// persisted shard document and run again: the corruption is detected
+/// and only that shard re-runs.
 #[test]
 fn interrupted_run_resumes_to_byte_identical_merge() {
-    let out = std::env::temp_dir().join(format!("orch-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&out);
+    let out = fresh_dir("resume");
     let plan = Plan {
         drivers: vec![DRIVER.to_string()],
         shards: 3,
     };
-
-    // The reference: what an uninterrupted unsharded --threads 1 run
-    // renders.
-    let serial = figures::golden_ctx(1);
-    let (_, build) = figures::all()
-        .into_iter()
-        .find(|(e, _)| e.name == DRIVER)
-        .unwrap();
-    let reference: Vec<Table> = build(&serial);
+    let reference = reference();
 
     // Interrupted run: one worker, jobs in plan order, killed after 2
     // of 3 shards.
@@ -192,60 +224,109 @@ fn interrupted_run_resumes_to_byte_identical_merge() {
             );
         }
     }
-    let manifest = RunManifest::read(&out.join(RUN_FILE)).unwrap();
-    assert!(!manifest.complete);
+    assert!(!out.join(DRIVER).join("cycle_time.csv").exists());
 
-    // Resume: only shard 2 runs; the merge is byte-identical to the
-    // uninterrupted reference.
-    let backend = CountingLocal::new();
-    let report = resume_run(&out, &backend, 2).unwrap();
-    assert_eq!(report.reused, 2);
-    assert_eq!(report.rerun.len(), 1);
-    assert_eq!(report.rerun[0].job.shard, (2, 3));
+    // The same run again: only shard 2 runs; the merge is
+    // byte-identical to the uninterrupted reference.
+    let (ran, reasons) = rerun(&out, &plan);
     assert_eq!(
-        backend.ran.lock().unwrap().as_slice(),
+        ran,
         [format!("{DRIVER}:2")],
-        "resume must not re-run completed shards"
+        "a re-run must not re-run completed shards"
     );
-    for t in &reference {
-        let csv =
-            std::fs::read_to_string(out.join(DRIVER).join(format!("{}.csv", t.name))).unwrap();
-        assert_eq!(
-            csv,
-            t.to_csv(),
-            "{}: resumed merge differs from uninterrupted --threads 1 run",
-            t.name
-        );
-    }
+    assert_eq!(reasons.len(), 1);
+    assert_eq!(reasons[0].0, 2);
+    assert_merged_as(&out, &reference);
     assert!(!validate_dir(&out).unwrap().is_empty());
-    assert!(RunManifest::read(&out.join(RUN_FILE)).unwrap().complete);
 
-    // Corrupt (truncate) one persisted shard document: resume must
+    // Corrupt (truncate) one persisted shard document: a re-run must
     // detect it, re-run exactly that shard, and restore identical
     // bytes.
     let victim = out.join(DRIVER).join("shards/cycle_time.shard1of3.json");
     let text = std::fs::read_to_string(&victim).unwrap();
     std::fs::write(&victim, &text[..text.len() / 2]).unwrap();
-    let backend = CountingLocal::new();
-    let report = resume_run(&out, &backend, 2).unwrap();
-    assert_eq!(report.reused, 2);
-    assert_eq!(report.rerun.len(), 1);
-    assert_eq!(report.rerun[0].job.shard, (1, 3));
+    let (ran, reasons) = rerun(&out, &plan);
     assert_eq!(
-        backend.ran.lock().unwrap().as_slice(),
+        ran,
         [format!("{DRIVER}:1")],
         "only the corrupt shard re-runs"
     );
+    assert_eq!(reasons.len(), 1);
+    assert!(reasons[0].1.contains("corrupt"), "{}", reasons[0].1);
+    assert_eq!(std::fs::read_to_string(&victim).unwrap(), text);
+    assert_merged_as(&out, &reference);
+    std::fs::remove_dir_all(&out).unwrap();
+}
+
+/// A 1-shard run's job has no sibling shard to name its tables, so the
+/// merged `<table>.json` does: a table document deleted by hand re-runs
+/// the job.
+#[test]
+fn a_hand_deleted_table_document_reruns_its_job() {
+    let out = fresh_dir("deleted-table");
+    let plan = Plan {
+        drivers: vec![DRIVER.to_string()],
+        shards: 1,
+    };
+    start_run(
+        &out,
+        &plan,
+        GOLDEN_FLAGS,
+        LocalBackend::new(GOLDEN_FLAGS),
+        1,
+    )
+    .unwrap();
+    let victim = out.join(DRIVER).join("shards/cycle_time.shard0of1.json");
+    let text = std::fs::read_to_string(&victim).unwrap();
+    std::fs::remove_file(&victim).unwrap();
+
+    let (ran, reasons) = rerun(&out, &plan);
+    assert_eq!(ran, [format!("{DRIVER}:0")]);
+    assert_eq!(reasons.len(), 1);
+    let reason = &reasons[0].1;
     assert!(
-        report.rerun[0].reason.contains("corrupt"),
-        "{}",
-        report.rerun[0].reason
+        reason.starts_with("missing shard document") && reason.contains("cycle_time.shard0of1"),
+        "{reason}"
     );
     assert_eq!(std::fs::read_to_string(&victim).unwrap(), text);
-    for t in &reference {
-        let csv =
-            std::fs::read_to_string(out.join(DRIVER).join(format!("{}.csv", t.name))).unwrap();
-        assert_eq!(csv, t.to_csv());
-    }
+    assert_merged_as(&out, &reference());
+    std::fs::remove_dir_all(&out).unwrap();
+}
+
+/// A job killed between committing its two documents leaves one renamed
+/// into place and the other still staged as `.tmp`: the job re-runs,
+/// and the staged file is replaced by its committed document.
+#[test]
+fn a_job_left_with_a_staged_document_reruns() {
+    let out = fresh_dir("staged");
+    let plan = Plan {
+        drivers: vec![DRIVER.to_string()],
+        shards: 2,
+    };
+    start_run(
+        &out,
+        &plan,
+        GOLDEN_FLAGS,
+        LocalBackend::new(GOLDEN_FLAGS),
+        1,
+    )
+    .unwrap();
+    let shards = out.join(DRIVER).join("shards");
+    let doc = shards.join("cycle_time.shard1of2.json");
+    let staged = shards.join("cycle_time.shard1of2.json.tmp");
+    let text = std::fs::read_to_string(&doc).unwrap();
+    std::fs::rename(&doc, &staged).unwrap();
+
+    let (ran, reasons) = rerun(&out, &plan);
+    assert_eq!(ran, [format!("{DRIVER}:1")]);
+    assert_eq!(reasons.len(), 1);
+    let reason = &reasons[0].1;
+    assert!(
+        reason.starts_with("staged shard document") && reason.contains("shard1of2.json.tmp"),
+        "{reason}"
+    );
+    assert_eq!(std::fs::read_to_string(&doc).unwrap(), text);
+    assert!(!staged.exists());
+    assert_merged_as(&out, &reference());
     std::fs::remove_dir_all(&out).unwrap();
 }
