@@ -20,10 +20,10 @@
 //!   the invariant, on a missing or duplicated point index, mismatched
 //!   schema/flags, or a merged CSV that no longer matches its shards or
 //!   has none left.
-//! * `run-scenario` — run one declarative scenario file
-//!   ([`expt::scenario`]) through [`bench::scenario::run_scenario`],
-//!   with trace capture and jsonl ↔ pcapng reconciliation when the
-//!   scenario requests traces.
+//! * `run-scenario` — decode one declarative scenario file
+//!   ([`bench::scenario::Scenario::load`]) and run it through
+//!   [`bench::scenario::run_scenario`], with trace capture and jsonl ↔
+//!   pcapng reconciliation when the scenario requests traces.
 //! * `golden` — run every driver in the canonical quick mode and diff
 //!   its tables against `goldens/<driver>/`; `--bless` re-records them
 //!   (byte-idempotent on an unmodified tree).
@@ -41,10 +41,10 @@
 //! when the work itself failed (drift, a failed job, I/O).
 
 use bench::backend::LocalBackend;
+use bench::scenario::Scenario;
 use bench::{figures, record, spot};
 use expt::golden::{bless_driver, compare_driver, GoldenSpec};
 use expt::orchestrate::{start_run, validate_dir, OrchestrateError, Plan};
-use expt::scenario::Scenario;
 use expt::{Args, Ctx, ExptArgs, RunFlags, RunMeta, Scale};
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -292,23 +292,17 @@ fn run_scenario(mut args: Args) -> Result<(), Exit> {
         }
     }
     let file = file.ok_or_else(|| Exit::Usage("run-scenario requires a scenario file".into()))?;
-    // Unreadable files and unknown keys or topology / policy /
-    // transport names are exit 2, before any simulation starts.
+    // An unreadable file, an unknown key or name, or a value out of
+    // bounds is exit 2, before any simulation starts.
     let sc = Scenario::load(&file).map_err(Exit::Invalid)?;
-    bench::scenario::check_names(&sc)
-        .map_err(|e| Exit::Invalid(format!("{}: {e}", file.display())))?;
     let report = bench::scenario::run_scenario(&sc, &out.join(&sc.name)).map_err(failed)?;
-    println!(
-        "# scenario {} ({} point(s))",
-        report.name,
-        report.rows.len()
-    );
-    for (pt, m) in &report.rows {
+    println!("# scenario {} ({} point(s))", sc.name, sc.points.len());
+    for (pt, m) in sc.points.iter().zip(&report.metrics) {
         println!(
             "{}/{} senders={}: {}/{} flows, avg_fct={:.1}us p99={:.1}us \
              dropped={} trimmed={} marked={}",
-            pt.policy,
-            pt.transport,
+            pt.policy.0,
+            pt.transport.0,
             pt.senders,
             m.completed,
             m.offered,

@@ -20,7 +20,7 @@
 //! marks, NDP over PFC never trims. The `completed`/`dropped`/`trimmed`/
 //! `marked` columns make each mechanism's fingerprint visible.
 
-use crate::scenario::{self, run_named, KNOWN_POLICIES, KNOWN_TRANSPORTS};
+use crate::scenario::{self, run_point, ScenarioPoint, Topology, Workload};
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
 use netsim::fabric::FabricCounters;
 use netsim::FlowTracker;
@@ -31,9 +31,6 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "ablate_transport",
     title: "Ablation: switch policy x transport matrix (incast + victim workloads)",
 };
-
-/// The scenario registry's small instance of each topology family.
-const TOPOLOGIES: [&str; 3] = ["opera", "expander", "clos"];
 
 /// Metrics of one simulated point, aligned with [`METRICS`].
 fn metrics_of(tracker: &FlowTracker, counters: &FabricCounters, victim: bool) -> Vec<f64> {
@@ -76,35 +73,43 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let size: u64 = ctx.by_scale(15_000, 30_000, 30_000);
     let racks: usize = ctx.by_scale(8, 8, 16);
 
-    // Every switch policy and every transport the scenario registry
-    // names, on every topology.
+    // Every switch policy and every transport of the scenario
+    // vocabulary, on its small instance of each topology family.
     let mut combos = Vec::new();
-    for topo in TOPOLOGIES {
-        for policy in KNOWN_POLICIES {
-            for transport in KNOWN_TRANSPORTS {
-                combos.push((policy, transport, topo));
+    for (name, mut topology) in scenario::topologies() {
+        if !["opera", "expander", "clos"].contains(&name) {
+            continue;
+        }
+        if let Topology::Rotor(cfg) = &mut topology {
+            cfg.params.racks = racks;
+        }
+        for policy in scenario::policies() {
+            for transport in scenario::transports() {
+                combos.push((policy, transport, (name, topology.clone())));
             }
         }
     }
     let sweep = Sweep::grid1(&combos, |c| c);
 
-    let per_point = ctx.run_replicated(&sweep, |&(policy, transport, topo), rc| {
-        ["incast", "victim"].map(|scenario| {
-            let mut rng = rc.rng_stream(match scenario {
-                "incast" => 5,
-                _ => 6,
+    let per_point = ctx.run_replicated(&sweep, |(policy, transport, topology), rc| {
+        scenario::workloads().map(|workload| {
+            let mut rng = rc.rng_stream(match workload.1 {
+                Workload::Incast => 5,
+                Workload::Victim => 6,
             });
-            let metrics = run_named(
-                (topo, (topo == "opera").then_some(racks)),
-                (policy, transport),
-                (scenario, senders, size),
-                SimTime::from_ms(40),
-                &mut rng,
-                None,
-                |t, c| metrics_of(t, c, scenario == "victim"),
-            )
-            .expect("the matrix uses the registry's own names and no trace");
-            let key = [policy, transport, topo, scenario].map(Cell::from);
+            let pt = ScenarioPoint {
+                topology: topology.clone(),
+                policy: *policy,
+                transport: *transport,
+                workload,
+                senders,
+                flow_bytes: size,
+                duration: SimTime::from_ms(40),
+            };
+            let victim = workload.1 == Workload::Victim;
+            let metrics = run_point(&pt, &mut rng, None, |t, c| metrics_of(t, c, victim))
+                .expect("an untraced run cannot fail");
+            let key = [policy.0, transport.0, topology.0, workload.0].map(Cell::from);
             (key.to_vec(), metrics)
         })
     });

@@ -1,19 +1,32 @@
-//! Run declarative scenario files ([`expt::scenario`]) against the
-//! simulator, with optional trace capture and trace reconciliation.
+//! Declarative scenario files — experiments as data, not code — decoded
+//! once, into simulator types, and run, with optional trace capture and
+//! trace reconciliation.
 //!
-//! `expt` parses scenario files but treats topology / policy /
-//! transport names as opaque strings; this module is the registry that
-//! maps those names onto concrete config types (with named errors
-//! listing the known values), builds the network, runs every sweep
-//! point, and writes a metrics CSV. When the scenario requests traces,
-//! the fabric gets a [`netsim::MultiSink`] fanning out to a JSON-lines
-//! sink and a pcapng sink, and after the run the two outputs are
-//! reconciled: the pcapng is re-read with the validating reader and its
-//! per-link packet counts must equal the JSON-lines `tx` record counts,
-//! link for link.
+//! A scenario file describes one simulation setup — topology, workload,
+//! switch policy, transport, run length and trace outputs — in TOML or
+//! JSON. Both forms become one [`Json`] tree ([`parse_toml`] is the TOML
+//! adapter) and are read by the harness's one strict decoder,
+//! [`expt::json::Fields`]: an unknown table or key is a named error, so a
+//! typo'd `policiy` cannot silently select a default. Each name is looked
+//! up where it is read, in its vocabulary ([`topologies`], [`workloads()`],
+//! [`policies`], [`transports`]: one table each, which
+//! `ablate_transport` and the drain differential read too), so an unknown
+//! name is an error of the same shape that lists the known ones. The axis
+//! fields (`switch.policy`, `transport.kind`, `workload.senders`) take a
+//! scalar *or* an array, and the decoder expands their cartesian product
+//! into the scenario's [`ScenarioPoint`]s, exactly like the figure drivers.
+//!
+//! The schema, with every field, is in `scenarios/README.md`.
+//!
+//! [`run_scenario`] runs every point and writes a metrics CSV. When the
+//! scenario requests traces, the fabric gets a [`netsim::MultiSink`]
+//! fanning out to a JSON-lines sink and a pcapng sink, and after the run
+//! the two outputs are reconciled: the pcapng is re-read with the
+//! validating reader and its per-link packet counts must equal the
+//! JSON-lines `tx` record counts, link for link.
 
+use expt::json::{parse_toml, Fields, Json, OneOrMany};
 use expt::output::write_atomic;
-use expt::scenario::{Scenario, ScenarioPoint};
 use expt::{f2, Cell, Table};
 use netsim::fabric::{FabricCounters, QueueConfig};
 use netsim::policy::{DropTail, EcnMark, NdpTrim, Pfc};
@@ -23,7 +36,7 @@ use opera::opera_net::OperaLogic;
 use opera::static_net::{StaticLogic, StaticNetConfig, StaticTopologyKind};
 use opera::{OperaNetConfig, PacketNet};
 use simkit::stats::Samples;
-use simkit::{SimRng, SimTime};
+use simkit::{SimRng, SimTime, NS_PER_MS};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -32,147 +45,349 @@ use topo::clos::ClosParams;
 use transport::{DctcpParams, GoBackNParams, NdpParams, TransportKind};
 use workloads::FlowSpec;
 
-/// Switch policy names the scenario runner accepts.
-pub const KNOWN_POLICIES: [&str; 4] = ["droptail", "ndp_trim", "pfc", "ecn"];
-/// Transport names the scenario runner accepts.
-pub const KNOWN_TRANSPORTS: [&str; 3] = ["ndp", "dctcp", "gbn"];
-/// Topology names the scenario runner accepts.
-pub const KNOWN_TOPOLOGIES: [&str; 6] = [
-    "opera",
-    "opera_paper",
-    "expander",
-    "expander_paper",
-    "clos",
-    "clos_paper",
-];
-/// Workload names the scenario runner accepts.
-pub const KNOWN_WORKLOADS: [&str; 2] = ["incast", "victim"];
+/// Most concurrent senders a `workload.senders` value may ask for: about
+/// twenty flows per host of the paper's largest network (5 184 hosts),
+/// and a flow list of a few megabytes. Every sender is one flow allocated
+/// before the run starts, so the count must be bounded where it is read.
+pub const MAX_SENDERS: usize = 100_000;
 
-/// The switch policy a [`KNOWN_POLICIES`] name stands for.
-pub fn policy_of(name: &str) -> Result<SwitchPolicyKind, String> {
-    Ok(match name {
-        "droptail" => SwitchPolicyKind::from(DropTail),
-        "ndp_trim" => SwitchPolicyKind::from(NdpTrim),
-        "pfc" => SwitchPolicyKind::from(Pfc::paper_default()),
-        "ecn" => SwitchPolicyKind::from(EcnMark::paper_default()),
-        other => {
-            return Err(format!(
-                "unknown switch policy {other:?}; known policies: {KNOWN_POLICIES:?}"
-            ))
-        }
-    })
+/// Largest `topology.racks` a scenario may ask for: the paper's largest
+/// network (k = 24: 432 racks, 5 184 hosts). A rotor network's per-slice
+/// routing tables grow with racks³ (about 160 MB there), so this count too
+/// is bounded where it is read, before anything is allocated for it. At
+/// the bound, a 1 ms `opera run-scenario` on the `opera` topology takes
+/// ≈ 0.44 s on a 2-core Xeon host, nearly all of it building those tables
+/// from distance rows (≈ 0.68 s with a bit-parallel frontier sweep, ≈ 3.4 s
+/// with one breadth-first search per slice and destination).
+pub const MAX_RACKS: usize = 432;
+
+/// Largest per-flow payload a scenario may ask for, in bytes
+/// (`workload.flow_bytes`; `workload.flow_kb` is bounded at a thousandth of
+/// it): ten times the largest flow of the paper's workloads (Figure 1's
+/// 1 GB). A low-latency flow keeps two segment bitmaps, the sender's and
+/// the receiver's, each `segments / 8` bytes and allocated when it starts
+/// (870 kB at the bound, in 1 436-byte segments), and its segment count is
+/// a `u32`: a flow of 6.2 TB would wrap it and run short without a word.
+/// So the size is bounded where it is read.
+pub const MAX_FLOW_BYTES: u64 = 10_000_000_000;
+
+/// A vocabulary entry: a name a scenario may use, and what it stands for.
+pub type Named<T> = (&'static str, T);
+
+/// What a `topology.kind` stands for.
+#[derive(Debug, Clone)]
+pub enum Topology {
+    /// A rotor network, which `topology.racks` may resize.
+    Rotor(OperaNetConfig),
+    /// A static network of fixed size.
+    Static(StaticNetConfig),
 }
 
-/// The transport a [`KNOWN_TRANSPORTS`] name stands for.
-pub fn transport_of(name: &str) -> Result<TransportKind, String> {
-    Ok(match name {
-        "ndp" => TransportKind::Ndp(NdpParams::paper_default()),
-        "dctcp" => TransportKind::Dctcp(DctcpParams::paper_default()),
-        "gbn" => TransportKind::GoBackN(GoBackNParams::paper_default()),
-        other => {
-            return Err(format!(
-                "unknown transport {other:?}; known transports: {KNOWN_TRANSPORTS:?}"
-            ))
-        }
-    })
-}
-
-fn unknown_topology(name: &str) -> String {
-    format!("unknown topology {name:?}; known topologies: {KNOWN_TOPOLOGIES:?}")
-}
-
-/// The rotor network an Opera topology name stands for (`None` for the
-/// static topologies); `topology.racks` resizes it.
-fn opera_base(topology: &str) -> Option<OperaNetConfig> {
-    match topology {
-        "opera" => Some(OperaNetConfig::small_test()),
-        "opera_paper" => Some(OperaNetConfig::paper_648()),
-        _ => None,
-    }
-}
-
-/// The fixed-size network a static topology name stands for.
-fn static_base(topology: &str) -> Option<StaticNetConfig> {
-    match topology {
-        "expander" => Some(StaticNetConfig::small_expander()),
-        "expander_paper" => Some(StaticNetConfig::paper_expander_650()),
-        "clos" => Some(StaticNetConfig {
-            kind: StaticTopologyKind::FoldedClos(ClosParams {
-                radix: 4,
-                oversubscription: 1,
-            }),
-            ..StaticNetConfig::small_expander()
+/// The `topology.kind` vocabulary, in registry order.
+pub fn topologies() -> [Named<Topology>; 6] {
+    use Topology::{Rotor, Static};
+    let clos = StaticNetConfig {
+        kind: StaticTopologyKind::FoldedClos(ClosParams {
+            radix: 4,
+            oversubscription: 1,
         }),
-        "clos_paper" => Some(StaticNetConfig::paper_clos_648()),
-        _ => None,
+        ..StaticNetConfig::small_expander()
+    };
+    [
+        ("opera", Rotor(OperaNetConfig::small_test())),
+        ("opera_paper", Rotor(OperaNetConfig::paper_648())),
+        ("expander", Static(StaticNetConfig::small_expander())),
+        (
+            "expander_paper",
+            Static(StaticNetConfig::paper_expander_650()),
+        ),
+        ("clos", Static(clos)),
+        ("clos_paper", Static(StaticNetConfig::paper_clos_648())),
+    ]
+}
+
+/// What a `workload.kind` stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// `senders` flows onto host 0 from the upper three quarters of hosts
+    /// (never the target's rack, on any topology).
+    Incast,
+    /// The incast, plus one moderate flow into the target's edge switch,
+    /// started strictly first so that after the sorted injection it is
+    /// always flow id 0.
+    Victim,
+}
+
+/// The `workload.kind` vocabulary.
+pub fn workloads() -> [Named<Workload>; 2] {
+    [("incast", Workload::Incast), ("victim", Workload::Victim)]
+}
+
+/// The `switch.policy` vocabulary.
+pub fn policies() -> [Named<SwitchPolicyKind>; 4] {
+    [
+        ("droptail", DropTail.into()),
+        ("ndp_trim", NdpTrim.into()),
+        ("pfc", Pfc::paper_default().into()),
+        ("ecn", EcnMark::paper_default().into()),
+    ]
+}
+
+/// The `transport.kind` vocabulary.
+pub fn transports() -> [Named<TransportKind>; 3] {
+    use TransportKind::{Dctcp, GoBackN, Ndp};
+    [
+        ("ndp", Ndp(NdpParams::paper_default())),
+        ("dctcp", Dctcp(DctcpParams::paper_default())),
+        ("gbn", GoBackN(GoBackNParams::paper_default())),
+    ]
+}
+
+/// The entry of `vocab` called `name`, or the error about field `key` of
+/// `fields` that names it and lists the known names.
+fn resolve<T, const N: usize>(
+    fields: &Fields<'_>,
+    key: &str,
+    (what, plural): (&str, &str),
+    vocab: [Named<T>; N],
+    name: &str,
+) -> Result<Named<T>, String> {
+    let known = vocab.each_ref().map(|e| e.0);
+    vocab.into_iter().find(|e| e.0 == name).ok_or_else(|| {
+        fields.bad(
+            key,
+            format!("unknown {what} {name:?}; known {plural}: {known:?}"),
+        )
+    })
+}
+
+/// Field `key` of `fields`, an axis of names, each resolved in `vocab`.
+fn axis<T, const N: usize>(
+    fields: &mut Fields<'_>,
+    key: &'static str,
+    kind: (&str, &str),
+    vocab: fn() -> [Named<T>; N],
+) -> Result<Vec<Named<T>>, String> {
+    let names = fields.req::<OneOrMany<String>>(key)?.0;
+    names
+        .iter()
+        .map(|name| resolve(fields, key, kind, vocab(), name))
+        .collect()
+}
+
+/// Field `key`, which may be absent, and when present must be a plain
+/// file name: not empty, `.` or `..`, and without `/` or `\`. A scenario
+/// names files in the run's output directory, never beside or above it.
+fn file_name(fields: &mut Fields<'_>, key: &'static str) -> Result<Option<String>, String> {
+    let Some(value) = fields.opt::<String>(key)? else {
+        return Ok(None);
+    };
+    if matches!(value.as_str(), "" | "." | "..") || value.contains(['/', '\\']) {
+        return Err(fields.bad(key, format!("{value:?} is not a plain file name")));
+    }
+    Ok(Some(value))
+}
+
+/// Trace output options of a scenario.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TraceSpec {
+    /// JSON-lines event trace file name, in the run's output dir.
+    pub jsonl: Option<String>,
+    /// pcapng capture file name, in the run's output dir.
+    pub pcapng: Option<String>,
+}
+
+impl TraceSpec {
+    /// True when any trace output is requested.
+    pub fn enabled(&self) -> bool {
+        self.jsonl.is_some() || self.pcapng.is_some()
     }
 }
 
-/// Validate every name a scenario references against the registries, and
-/// `topology.racks` against the topology it resizes, before anything is
-/// built or scheduled.
-pub fn check_names(sc: &Scenario) -> Result<(), String> {
-    if !KNOWN_TOPOLOGIES.contains(&sc.topology.as_str()) {
-        return Err(unknown_topology(&sc.topology));
+/// A decoded scenario file: every name resolved, every bound checked.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// Scenario name (defaults to the file stem).
+    pub name: String,
+    /// The cartesian product of the axes, policy-major and senders
+    /// fastest (the figure drivers' order).
+    pub points: Vec<ScenarioPoint>,
+    /// Base RNG seed.
+    pub seed: u64,
+    /// Trace outputs.
+    pub trace: TraceSpec,
+}
+
+/// The document kind every scenario error starts with.
+const DOC: &str = "scenario";
+
+/// One packet run: a point of a scenario's sweep, or of
+/// `ablate_transport`'s matrix.
+#[derive(Debug, Clone)]
+pub struct ScenarioPoint {
+    /// The network, resized by `topology.racks` when the file has one.
+    pub topology: Named<Topology>,
+    /// Switch policy.
+    pub policy: Named<SwitchPolicyKind>,
+    /// Transport.
+    pub transport: Named<TransportKind>,
+    /// Workload kind.
+    pub workload: Named<Workload>,
+    /// Concurrent senders.
+    pub senders: usize,
+    /// Per-flow payload bytes, at most [`MAX_FLOW_BYTES`].
+    pub flow_bytes: u64,
+    /// Simulated run length: `run.duration_ms`, checked to fit the
+    /// nanosecond clock.
+    pub duration: SimTime,
+}
+
+impl Scenario {
+    /// Load a scenario from `path`, dispatching on the `.toml` / `.json`
+    /// extension.
+    pub fn load(path: &Path) -> Result<Scenario, String> {
+        let named = |e: String| format!("{}: {e}", path.display());
+        let text = std::fs::read_to_string(path).map_err(|e| named(e.to_string()))?;
+        let stem = path
+            .file_stem()
+            .map(|s| s.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "scenario".into());
+        let doc = match path.extension().and_then(|e| e.to_str()) {
+            Some("toml") => parse_toml(&text),
+            Some("json") => Json::parse(&text),
+            other => Err(format!(
+                "unsupported extension {other:?} (want .toml or .json)"
+            )),
+        }
+        .map_err(|e| named(format!("{DOC}: {e}")))?;
+        Scenario::from_doc(&doc, &stem).map_err(named)
     }
-    if let Some(racks) = sc.racks {
-        let Some(base) = opera_base(&sc.topology) else {
-            return Err(format!(
-                "topology.racks is accepted only by topologies \"opera\" and \"opera_paper\"; \
-                 {:?} has a fixed size",
-                sc.topology
-            ));
+
+    /// Decode a scenario from a parsed document tree (the common TOML/JSON
+    /// path). `default_name` is used when the file has no `name` key.
+    pub fn from_doc(doc: &Json, default_name: &str) -> Result<Scenario, String> {
+        let mut top = Fields::new(DOC, doc)?;
+        let mut topo = top.req_obj("topology")?;
+        let mut wl = top.req_obj("workload")?;
+        let mut sw = top.req_obj("switch")?;
+        let mut tr = top.req_obj("transport")?;
+        let mut run = top.req_obj("run")?;
+        let mut trace = top.opt_obj("trace")?;
+        let kind: String = topo.req("kind")?;
+        let names = ("topology", "topologies");
+        let mut topology = resolve(&topo, "kind", names, topologies(), &kind)?;
+        if let Some(racks) = topo.opt::<usize>("racks")? {
+            if racks > MAX_RACKS {
+                return Err(topo.bad("racks", format!("{racks} is over {MAX_RACKS}")));
+            }
+            let (name, Topology::Rotor(cfg)) = &mut topology else {
+                let what = format!(
+                    "accepted only by topologies \"opera\" and \"opera_paper\"; {:?} has a \
+                     fixed size",
+                    topology.0
+                );
+                return Err(topo.bad("racks", what));
+            };
+            let uplinks = cfg.params.uplinks;
+            if racks == 0 || racks % uplinks != 0 {
+                let what = format!(
+                    "{racks} is not a positive multiple of the {uplinks} uplinks of topology \
+                     {name:?}"
+                );
+                return Err(topo.bad("racks", what));
+            }
+            cfg.params.racks = racks;
+        }
+        let kind: String = wl.req("kind")?;
+        let workload = resolve(&wl, "kind", ("workload", "workloads"), workloads(), &kind)?;
+        let senders = wl.req::<OneOrMany<usize>>("senders")?.0;
+        if let Some(n) = senders.iter().find(|&&n| n > MAX_SENDERS) {
+            return Err(wl.bad("senders", format!("{n} is over {MAX_SENDERS}")));
+        }
+        if workload.1 == Workload::Incast && senders.contains(&0) {
+            return Err(wl.bad("senders", "0 senders offer no flow on workload \"incast\""));
+        }
+        let flow_bytes = match (wl.opt::<u64>("flow_kb")?, wl.opt::<u64>("flow_bytes")?) {
+            (Some(_), Some(_)) => {
+                return Err(wl.bad("flow_kb", "give `flow_kb` or `flow_bytes`, not both"))
+            }
+            (Some(kb), None) if kb > MAX_FLOW_BYTES / 1000 => {
+                return Err(wl.bad("flow_kb", format!("{kb} is over {}", MAX_FLOW_BYTES / 1000)))
+            }
+            (Some(kb), None) => kb * 1000,
+            (None, Some(b)) if b > MAX_FLOW_BYTES => {
+                return Err(wl.bad("flow_bytes", format!("{b} is over {MAX_FLOW_BYTES}")))
+            }
+            (None, Some(b)) => b,
+            (None, None) => return Err(wl.bad("flow_kb", "missing (or give `flow_bytes`)")),
         };
-        let uplinks = base.params.uplinks;
-        if racks == 0 || racks % uplinks != 0 {
+        let duration = (run.req::<u64>("duration_ms")?)
+            .checked_mul(NS_PER_MS)
+            .map(SimTime::from_ns)
+            .ok_or_else(|| run.bad("duration_ms", "too large"))?;
+        let policies = axis(&mut sw, "policy", ("switch policy", "policies"), policies)?;
+        let transports = axis(&mut tr, "kind", ("transport", "transports"), transports)?;
+        let name = file_name(&mut top, "name")?.unwrap_or_else(|| default_name.to_string());
+        let traces = match &mut trace {
+            None => TraceSpec::default(),
+            Some(t) => TraceSpec {
+                jsonl: file_name(t, "jsonl")?,
+                pcapng: file_name(t, "pcapng")?,
+            },
+        };
+        let points = policies.len() * transports.len() * senders.len();
+        let seed = run.opt("seed")?.unwrap_or(0);
+        for table in [top, topo, wl, sw, tr, run].iter().chain(&trace) {
+            table.finish()?;
+        }
+        if traces.enabled() && points != 1 {
             return Err(format!(
-                "topology.racks = {racks}: must be a positive multiple of the {uplinks} uplinks \
-                 of topology {:?}",
-                sc.topology
+                "{DOC}: trace: tracing requires a single-point scenario, but the axes expand \
+                 to {points} points (make `switch.policy`, `transport.kind`, and \
+                 `workload.senders` scalars)"
             ));
         }
+        let mut sc = Scenario {
+            name,
+            points: Vec::with_capacity(points),
+            seed,
+            trace: traces,
+        };
+        for &policy in &policies {
+            for &transport in &transports {
+                for &senders in &senders {
+                    sc.points.push(ScenarioPoint {
+                        topology: topology.clone(),
+                        policy,
+                        transport,
+                        workload,
+                        senders,
+                        flow_bytes,
+                        duration,
+                    });
+                }
+            }
+        }
+        Ok(sc)
     }
-    if !KNOWN_WORKLOADS.contains(&sc.workload.as_str()) {
-        return Err(format!(
-            "unknown workload {:?}; known workloads: {KNOWN_WORKLOADS:?}",
-            sc.workload
-        ));
-    }
-    for p in &sc.policies {
-        policy_of(p)?;
-    }
-    for t in &sc.transports {
-        transport_of(t)?;
-    }
-    Ok(())
 }
 
-/// Flow list for a workload: an incast
-/// of `senders` flows onto host 0 from the upper three quarters of hosts
-/// (never the target's rack, on any topology), plus — for `victim` — one
-/// moderate flow into the target's edge switch, started strictly first
-/// so that after the sorted injection it is always flow id 0.
-fn workload_flows(
-    workload: &str,
-    hosts: usize,
-    senders: usize,
-    size: u64,
-    rng: &mut SimRng,
-) -> Vec<FlowSpec> {
+/// The flows `pt` offers a network of `hosts` hosts (see [`Workload`]).
+fn workload_flows(pt: &ScenarioPoint, hosts: usize, rng: &mut SimRng) -> Vec<FlowSpec> {
     let mut flows = Vec::new();
-    if workload == "victim" {
+    if pt.workload.1 == Workload::Victim {
         flows.push(FlowSpec {
             src: hosts / 2,
             dst: 1,
-            size: 2 * size,
+            size: 2 * pt.flow_bytes,
             start: SimTime::ZERO,
         });
     }
-    for _ in 0..senders {
+    for _ in 0..pt.senders {
         flows.push(FlowSpec {
             src: hosts / 4 + rng.index(hosts - hosts / 4),
             dst: 0,
-            size,
+            size: pt.flow_bytes,
             start: SimTime::from_us(1 + rng.below(20)),
         });
     }
@@ -232,10 +447,8 @@ pub struct TraceValidation {
 /// Report of one scenario run.
 #[derive(Debug)]
 pub struct ScenarioReport {
-    /// Scenario name.
-    pub name: String,
-    /// Metrics per sweep point, in sweep order.
-    pub rows: Vec<(ScenarioPoint, PointMetrics)>,
+    /// Metrics of each of the scenario's points, in its order.
+    pub metrics: Vec<PointMetrics>,
     /// Metrics CSV path.
     pub csv: PathBuf,
     /// JSON-lines trace, when requested.
@@ -246,69 +459,60 @@ pub struct ScenarioReport {
     pub validation: Option<TraceValidation>,
 }
 
-/// One packet run, by name — a scenario point, or a point of
-/// `ablate_transport`'s matrix: resolve the names to a network, offer it
-/// the workload (drawn from `rng`), run it for `duration` under `trace`,
-/// and `read` the result off its flow tracker and fabric counters.
-/// `racks` resizes an Opera topology; the static ones have a fixed size
-/// and callers pass `None` for them (`check_names` refuses anything else).
-pub(crate) fn run_named<T>(
-    (topology, racks): (&str, Option<usize>),
-    (policy, transport_name): (&str, &str),
-    load: (&str, usize, u64),
-    duration: SimTime,
+/// Run `pt`: build its network, offer it the workload (drawn from
+/// `rng`), run it under `trace`, and `read` the result off its flow
+/// tracker and fabric counters.
+pub(crate) fn run_point<T>(
+    pt: &ScenarioPoint,
     rng: &mut SimRng,
     trace: Option<Box<dyn TraceSink>>,
     read: impl FnOnce(&FlowTracker, &FabricCounters) -> T,
 ) -> Result<T, String> {
-    let queues = QueueConfig::builder().policy(policy_of(policy)?).build();
-    let transport = transport_of(transport_name)?;
-    if let Some(mut cfg) = opera_base(topology) {
-        if let Some(racks) = racks {
-            cfg.params.racks = racks;
+    let queues = QueueConfig::builder().policy(pt.policy.1).build();
+    match pt.topology.1.clone() {
+        Topology::Rotor(mut cfg) => {
+            cfg.bulk_threshold = u64::MAX; // everything low-latency
+            cfg.queues = queues;
+            cfg.transport = pt.transport.1;
+            let no_hellos = |net: &mut OperaLogic| net.set_hello_enabled(false);
+            run_on(cfg, no_hellos, pt, rng, trace, read)
         }
-        cfg.bulk_threshold = u64::MAX; // everything low-latency
-        cfg.queues = queues;
-        cfg.transport = transport;
-        let no_hellos = |net: &mut OperaLogic| net.set_hello_enabled(false);
-        let names = (topology, policy, transport_name);
-        return run_on(cfg, no_hellos, names, load, duration, rng, trace, read);
+        Topology::Static(base) => {
+            let cfg = StaticNetConfig {
+                queues,
+                transport: pt.transport.1,
+                ..base
+            };
+            run_on(cfg, |_: &mut StaticLogic| {}, pt, rng, trace, read)
+        }
     }
-    let base = static_base(topology).ok_or_else(|| unknown_topology(topology))?;
-    let cfg = StaticNetConfig {
-        queues,
-        transport,
-        ..base
-    };
-    let as_built = |_: &mut StaticLogic| {};
-    let names = (topology, policy, transport_name);
-    run_on(cfg, as_built, names, load, duration, rng, trace, read)
 }
 
-/// [`run_named`] on the network `N` that `cfg` describes; `quiet`
+/// [`run_point`] on the network `N` that `cfg` describes; `quiet`
 /// adjusts the built network before the trace sink is attached. An
 /// untraced run ends when the network has drained; a traced one runs all
-/// of `duration`, because what an idle network does is part of its trace.
-#[allow(clippy::too_many_arguments)]
+/// of `pt.duration`, because what an idle network does is part of its
+/// trace.
 fn run_on<N: PacketNet, T>(
     cfg: N::Config,
     quiet: impl FnOnce(&mut N),
-    (topology, policy, transport): (&str, &str, &str),
-    (workload, senders, flow_bytes): (&str, usize, u64),
-    duration: SimTime,
+    pt: &ScenarioPoint,
     rng: &mut SimRng,
     trace: Option<Box<dyn TraceSink>>,
     read: impl FnOnce(&FlowTracker, &FabricCounters) -> T,
 ) -> Result<T, String> {
-    let flows = workload_flows(workload, N::hosts(&cfg), senders, flow_bytes, rng);
+    let flows = workload_flows(pt, N::hosts(&cfg), rng);
     let mut sim = N::build(cfg, flows);
     quiet(&mut sim.world.logic);
     if let Some(sink) = trace {
         sim.world.fabric.set_trace(sink);
-        sim.run_until(duration);
+        sim.run_until(pt.duration);
     } else {
-        let name = format_args!("{topology}/{policy}/{transport}/{workload}/{senders} senders");
-        crate::run_net(&mut sim, duration, name);
+        let name = format_args!(
+            "{}/{}/{}/{}/{} senders",
+            pt.topology.0, pt.policy.0, pt.transport.0, pt.workload.0, pt.senders
+        );
+        crate::run_net(&mut sim, pt.duration, name);
     }
     let result = read(sim.world.logic.tracker(), &sim.world.fabric.counters);
     if let Some(mut sink) = sim.world.fabric.take_trace() {
@@ -318,20 +522,16 @@ fn run_on<N: PacketNet, T>(
 }
 
 /// Run every point of `sc`, writing outputs under `out_dir` (created if
-/// missing). Fails with a named error before any simulation starts if
-/// the scenario references unknown topology / workload / policy /
-/// transport names.
+/// missing).
 pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, String> {
-    check_names(sc)?;
     std::fs::create_dir_all(out_dir)
         .map_err(|e| format!("scenario out dir {}: {e}", out_dir.display()))?;
 
     let trace_jsonl = sc.trace.jsonl.as_ref().map(|f| out_dir.join(f));
     let trace_pcapng = sc.trace.pcapng.as_ref().map(|f| out_dir.join(f));
 
-    let points = sc.points();
-    let mut rows = Vec::with_capacity(points.len());
-    for (idx, pt) in points.iter().enumerate() {
+    let mut metrics = Vec::with_capacity(sc.points.len());
+    for (idx, pt) in sc.points.iter().enumerate() {
         // Tracing is only legal on single-point scenarios (enforced at
         // parse time), so the sink construction runs at most once.
         let sink: Option<Box<dyn TraceSink>> = if sc.trace.enabled() {
@@ -347,28 +547,18 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
             None
         };
         let mut rng = SimRng::new(sc.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let metrics = run_named(
-            (&sc.topology, sc.racks),
-            (&pt.policy, &pt.transport),
-            (&sc.workload, pt.senders, sc.flow_bytes),
-            sc.duration,
-            &mut rng,
-            sink,
-            metrics_of,
-        )?;
-        rows.push((pt.clone(), metrics));
+        metrics.push(run_point(pt, &mut rng, sink, metrics_of)?);
     }
 
     let csv = out_dir.join(format!("{}.csv", sc.name));
-    write_csv(&csv, &rows)?;
+    write_csv(&csv, &sc.points, &metrics)?;
 
     let validation = match (&trace_jsonl, &trace_pcapng) {
         (Some(j), Some(p)) => Some(reconcile_traces(j, p)?),
         _ => None,
     };
     Ok(ScenarioReport {
-        name: sc.name.clone(),
-        rows,
+        metrics,
         csv,
         trace_jsonl,
         trace_pcapng,
@@ -376,14 +566,18 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
     })
 }
 
-fn write_csv(path: &Path, rows: &[(ScenarioPoint, PointMetrics)]) -> Result<(), String> {
+fn write_csv(
+    path: &Path,
+    points: &[ScenarioPoint],
+    metrics: &[PointMetrics],
+) -> Result<(), String> {
     let header =
         "policy,transport,senders,completed,offered,avg_fct_us,p99_fct_us,dropped,trimmed,marked";
     let mut t = Table::new("scenario", &header.split(',').collect::<Vec<_>>());
-    for (pt, m) in rows {
+    for (pt, m) in points.iter().zip(metrics) {
         t.push(vec![
-            Cell::from(pt.policy.as_str()),
-            Cell::from(pt.transport.as_str()),
+            Cell::from(pt.policy.0),
+            Cell::from(pt.transport.0),
             Cell::from(pt.senders),
             Cell::from(m.completed),
             Cell::from(m.offered),
@@ -407,23 +601,15 @@ fn jsonl_tx_counts(path: &Path) -> Result<(u64, LinkCounts), String> {
     let mut total = 0u64;
     let mut tx = LinkCounts::new();
     for (i, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| format!("{} line {}: {e}", path.display(), i + 1))?;
-        let rec = expt::json::Json::parse(&line)
-            .map_err(|e| format!("{} line {}: {e}", path.display(), i + 1))?;
-        let event = rec
-            .get("event")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("{} line {}: missing event", path.display(), i + 1))?;
+        let at = |e: &dyn std::fmt::Display| format!("{} line {}: {e}", path.display(), i + 1);
+        let rec = Json::parse(&line.map_err(|e| at(&e))?).map_err(|e| at(&e))?;
+        let event = rec.get("event").and_then(Json::as_str);
+        let event = event.ok_or_else(|| at(&"missing event"))?;
         let event = TraceEvent::from_name(event)
-            .ok_or_else(|| format!("{} line {}: unknown event {event:?}", path.display(), i + 1))?;
-        let node = rec.get("node").and_then(|v| v.as_usize());
-        let port = rec.get("port").and_then(|v| v.as_usize());
-        let (Some(node), Some(port)) = (node, port) else {
-            return Err(format!(
-                "{} line {}: missing node/port",
-                path.display(),
-                i + 1
-            ));
+            .ok_or_else(|| at(&format_args!("unknown event {event:?}")))?;
+        let field = |key| rec.get(key).and_then(Json::as_usize);
+        let (Some(node), Some(port)) = (field("node"), field("port")) else {
+            return Err(at(&"missing node/port"));
         };
         total += 1;
         if event == TraceEvent::Tx {
@@ -441,34 +627,25 @@ pub fn reconcile_traces(jsonl: &Path, pcapng: &Path) -> Result<TraceValidation, 
     let bytes = std::fs::read(pcapng).map_err(|e| format!("{}: {e}", pcapng.display()))?;
     let capture = netsim::pcapng::read(&bytes).map_err(|e| format!("{}: {e}", pcapng.display()))?;
 
-    let counts = capture.counts_per_link();
-    let mut cap = LinkCounts::new();
-    for (i, (node, port, _)) in capture.ifaces.iter().enumerate() {
-        if counts[i] > 0 {
-            cap.insert((*node, *port), counts[i]);
-        }
-    }
-    if tx != cap {
-        for (link, n) in &tx {
-            let got = cap.get(link).copied().unwrap_or(0);
-            if got != *n {
-                return Err(format!(
-                    "trace reconciliation failed at link n{}.p{}: jsonl has {n} tx record(s), \
-                     pcapng has {got} packet(s)",
-                    link.0, link.1
-                ));
-            }
-        }
-        for (link, n) in &cap {
-            if !tx.contains_key(link) {
-                return Err(format!(
-                    "trace reconciliation failed at link n{}.p{}: pcapng has {n} packet(s), \
-                     jsonl has none",
-                    link.0, link.1
-                ));
-            }
-        }
-        return Err("trace reconciliation failed (count maps differ)".into());
+    let links = capture.ifaces.iter().zip(capture.counts_per_link());
+    let cap: LinkCounts = links
+        .filter(|&(_, n)| n > 0)
+        .map(|(&(node, port, _), n)| ((node, port), n))
+        .collect();
+    let count = |counts: &LinkCounts, link| counts.get(link).copied().unwrap_or(0);
+    if let Some(link) = tx
+        .keys()
+        .chain(cap.keys())
+        .find(|l| count(&tx, l) != count(&cap, l))
+    {
+        return Err(format!(
+            "trace reconciliation failed at link n{}.p{}: jsonl has {} tx record(s), pcapng \
+             has {} packet(s)",
+            link.0,
+            link.1,
+            count(&tx, link),
+            count(&cap, link)
+        ));
     }
     let jsonl_tx: u64 = tx.values().sum();
     Ok(TraceValidation {
@@ -482,10 +659,13 @@ pub fn reconcile_traces(jsonl: &Path, pcapng: &Path) -> Result<TraceValidation, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expt::json::Json;
-    use expt::scenario::Scenario;
 
-    fn tiny(topology: &str, policy: &str, transport: &str, trace: bool) -> Scenario {
+    fn decode(
+        topology: &str,
+        policy: &str,
+        transport: &str,
+        trace: bool,
+    ) -> Result<Scenario, String> {
         let trace_part = if trace {
             r#","trace": {"jsonl": "t.jsonl", "pcapng": "t.pcapng"}"#
         } else {
@@ -499,7 +679,11 @@ mod tests {
                 "transport": {{"kind": "{transport}"}},
                 "run": {{"duration_ms": 5, "seed": 1}}{trace_part}}}"#
         );
-        Scenario::from_doc(&Json::parse(&json).unwrap(), "t").unwrap()
+        Scenario::from_doc(&Json::parse(&json).unwrap(), "t")
+    }
+
+    fn tiny(topology: &str, policy: &str, transport: &str, trace: bool) -> Scenario {
+        decode(topology, policy, transport, trace).unwrap()
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -508,28 +692,276 @@ mod tests {
         d
     }
 
+    const EXAMPLE: &str = r#"
+# A scenario with every section.
+name = "demo"
+
+[topology]
+kind = "opera"
+racks = 8
+
+[workload]
+kind = "incast"
+senders = [4, 8]   # axis
+flow_kb = 15
+
+[switch]
+policy = ["ndp_trim", "droptail"]
+
+[transport]
+kind = "ndp"
+
+[run]
+duration_ms = 40
+seed = 3
+"#;
+
+    fn toml(from: &str, to: &str) -> Result<Scenario, String> {
+        assert!(EXAMPLE.contains(from), "EXAMPLE lost {from}");
+        Scenario::from_doc(&parse_toml(&EXAMPLE.replace(from, to)).unwrap(), "x")
+    }
+
+    fn racks(sc: &Scenario) -> Option<usize> {
+        match &sc.points[0].topology.1 {
+            Topology::Rotor(cfg) => Some(cfg.params.racks),
+            Topology::Static(_) => None,
+        }
+    }
+
     #[test]
-    fn unknown_names_fail_before_running() {
-        let sc = tiny("atlantis", "ndp_trim", "ndp", false);
-        let err = run_scenario(&sc, &tmp("topo")).unwrap_err();
-        assert!(
-            err.contains("atlantis") && err.contains("known topologies"),
-            "{err}"
+    fn toml_example_parses_and_sweeps() {
+        let sc = toml("racks = 8", "racks = 16").unwrap();
+        assert_eq!(sc.name, "demo");
+        assert_eq!((sc.points[0].topology.0, racks(&sc)), ("opera", Some(16)));
+        assert_eq!(sc.points[0].flow_bytes, 15_000);
+        assert_eq!(sc.seed, 3);
+        assert_eq!(sc.points.len(), 4);
+        let pts = &sc.points;
+        assert_eq!((pts[0].policy.0, pts[0].senders), ("ndp_trim", 4));
+        assert_eq!((pts[3].policy.0, pts[3].senders), ("droptail", 8));
+        assert!(!sc.trace.enabled());
+    }
+
+    #[test]
+    fn json_form_parses_identically() {
+        let json = r#"{
+            "name": "demo",
+            "topology": {"kind": "expander"},
+            "workload": {"kind": "victim", "senders": 8, "flow_bytes": 30000},
+            "switch": {"policy": "pfc"},
+            "transport": {"kind": "gbn"},
+            "run": {"duration_ms": 10, "seed": 1},
+            "trace": {"jsonl": "t.jsonl", "pcapng": "t.pcapng"}
+        }"#;
+        let sc = Scenario::from_doc(&Json::parse(json).unwrap(), "x").unwrap();
+        assert_eq!((sc.points[0].topology.0, racks(&sc)), ("expander", None));
+        assert_eq!(sc.points[0].flow_bytes, 30_000);
+        assert_eq!(sc.trace.jsonl.as_deref(), Some("t.jsonl"));
+        assert!(sc.trace.enabled());
+        assert_eq!(sc.points.len(), 1);
+    }
+
+    #[test]
+    fn unknown_keys_are_named_errors() {
+        let err = toml("[switch]", "[snitch]").unwrap_err();
+        assert!(err.contains("snitch"), "{err}");
+        let err = toml("racks = 8", "rakcs = 8").unwrap_err();
+        assert!(err.contains("rakcs"), "{err}");
+    }
+
+    #[test]
+    fn missing_required_fields_are_errors() {
+        assert_eq!(
+            toml("kind = \"incast\"", "").unwrap_err(),
+            "scenario: workload.kind: missing (keys present: flow_kb, senders)"
+        );
+    }
+
+    /// An unknown name is a decode error of the shared shape, naming the
+    /// field and every name its vocabulary knows.
+    #[test]
+    fn unknown_names_are_decode_errors() {
+        assert_eq!(
+            decode("atlantis", "ndp_trim", "ndp", false).unwrap_err(),
+            "scenario: topology.kind: unknown topology \"atlantis\"; known topologies: \
+             [\"opera\", \"opera_paper\", \"expander\", \"expander_paper\", \"clos\", \"clos_paper\"]"
+        );
+        assert_eq!(
+            decode("expander", "redlight", "ndp", false).unwrap_err(),
+            "scenario: switch.policy: unknown switch policy \"redlight\"; known policies: \
+             [\"droptail\", \"ndp_trim\", \"pfc\", \"ecn\"]"
+        );
+        assert_eq!(
+            decode("expander", "ndp_trim", "smtp", false).unwrap_err(),
+            "scenario: transport.kind: unknown transport \"smtp\"; known transports: \
+             [\"ndp\", \"dctcp\", \"gbn\"]"
+        );
+        assert_eq!(
+            toml("kind = \"incast\"", "kind = \"flood\"").unwrap_err(),
+            "scenario: workload.kind: unknown workload \"flood\"; known workloads: \
+             [\"incast\", \"victim\"]"
+        );
+        let err = toml("\"droptail\"]", "\"droptail\", \"red\"]").unwrap_err();
+        assert!(err.starts_with("scenario: switch.policy: unknown switch policy \"red\""));
+    }
+
+    /// `topology.racks` resizes a rotor network to a positive multiple of
+    /// its uplinks, and is an error on any other topology.
+    #[test]
+    fn racks_are_checked_against_their_topology() {
+        let not_a_multiple = "scenario: topology.racks: 6 is not a positive multiple of the 4 \
+                              uplinks of topology \"opera\"";
+        assert_eq!(toml("racks = 8", "racks = 6").unwrap_err(), not_a_multiple);
+        let err = toml("racks = 8", "racks = 0").unwrap_err();
+        assert!(err.contains("0 is not a positive multiple"), "{err}");
+        assert_eq!(
+            toml("kind = \"opera\"", "kind = \"clos\"").unwrap_err(),
+            "scenario: topology.racks: accepted only by topologies \"opera\" and \
+             \"opera_paper\"; \"clos\" has a fixed size"
+        );
+    }
+
+    /// The name and the trace files are file names inside the run's
+    /// output dir: a path that leaves it (`../esc` used to write one and
+    /// two levels above `--out`) is an error naming the field.
+    #[test]
+    fn only_plain_file_names_are_accepted() {
+        let json = |name: &str, trace: &str| {
+            let text = format!(
+                r#"{{"name": {name:?}, "topology": {{"kind": "expander"}},
+                    "workload": {{"kind": "incast", "senders": 2, "flow_kb": 6}},
+                    "switch": {{"policy": "ndp_trim"}}, "transport": {{"kind": "ndp"}},
+                    "run": {{"duration_ms": 5}}, "trace": {{{trace}}}}}"#
+            );
+            Scenario::from_doc(&Json::parse(&text).unwrap(), "x")
+        };
+        for bad in [
+            "../esc", "..", ".", "", "/tmp/esc", "a/b", "a\\b", "sub/", "c:\\x",
+        ] {
+            let err = json(bad, "").unwrap_err();
+            assert_eq!(
+                err,
+                format!("scenario: name: {bad:?} is not a plain file name")
+            );
+            for key in ["jsonl", "pcapng"] {
+                let err = json("t", &format!("{key:?}: {bad:?}")).unwrap_err();
+                let want = format!("scenario: trace.{key}: {bad:?} is not a plain file name");
+                assert_eq!(err, want);
+            }
+        }
+        for good in ["esc", ".esc", "esc..", "a b"] {
+            let sc = json(good, &format!(r#""jsonl": {good:?}"#)).unwrap();
+            assert_eq!(
+                (sc.name.as_str(), sc.trace.jsonl.as_deref()),
+                (good, Some(good))
+            );
+        }
+    }
+
+    /// An incast of 0 senders offers no flow at all; a victim run of 0
+    /// senders still offers the victim flow.
+    #[test]
+    fn an_incast_of_no_senders_is_an_error() {
+        let err = "scenario: workload.senders: 0 senders offer no flow on workload \"incast\"";
+        assert_eq!(
+            toml("senders = [4, 8]", "senders = [4, 0]").unwrap_err(),
+            err
+        );
+        assert_eq!(toml("senders = [4, 8]", "senders = 0").unwrap_err(), err);
+        let victim = toml(
+            "kind = \"incast\"\nsenders = [4, 8]",
+            "kind = \"victim\"\nsenders = 0",
+        );
+        assert_eq!(victim.unwrap().points[0].senders, 0);
+    }
+
+    /// Lengths and durations taken from the file are bounded where they
+    /// are read, in both spellings: a duration that would wrap the
+    /// nanosecond clock, and sender / rack counts that would be allocated
+    /// for, are named errors; the largest legal values parse.
+    #[test]
+    fn hostile_lengths_and_durations_are_named_errors() {
+        let json = |topology: &str, senders: &str, duration_ms: &str| {
+            let text = format!(
+                r#"{{"topology": {{"kind": "opera"{topology}}},
+                    "workload": {{"kind": "incast", "senders": {senders}, "flow_kb": 6}},
+                    "switch": {{"policy": "ndp_trim"}}, "transport": {{"kind": "ndp"}},
+                    "run": {{"duration_ms": {duration_ms}}}}}"#
+            );
+            Scenario::from_doc(&Json::parse(&text).unwrap(), "x")
+        };
+        let too_long = "scenario: run.duration_ms: too large";
+        for ms in ["18446744073710", "18446744073709551615"] {
+            assert_eq!(json("", "2", ms).unwrap_err(), too_long);
+            let line = format!("duration_ms = {ms}");
+            assert_eq!(toml("duration_ms = 40", &line).unwrap_err(), too_long);
+        }
+        let longest = json("", "2", "18446744073709").unwrap().points[0].duration;
+        assert_eq!(longest.as_ns(), 18_446_744_073_709_000_000);
+
+        let many = "scenario: workload.senders: 1000000000000 is over 100000";
+        assert_eq!(json("", "1000000000000", "5").unwrap_err(), many);
+        assert_eq!(json("", "[2, 1000000000000]", "5").unwrap_err(), many);
+        let line = "senders = [4, 1_000_000_000_000]";
+        assert_eq!(toml("senders = [4, 8]", line).unwrap_err(), many);
+        assert_eq!(
+            json("", "100000", "5").unwrap().points[0].senders,
+            MAX_SENDERS
         );
 
-        let sc = tiny("expander", "redlight", "ndp", false);
-        let err = run_scenario(&sc, &tmp("pol")).unwrap_err();
-        assert!(
-            err.contains("redlight") && err.contains("known policies"),
-            "{err}"
+        let wide = "scenario: topology.racks: 4000000000 is over 432";
+        assert_eq!(
+            json(r#", "racks": 4000000000"#, "2", "5").unwrap_err(),
+            wide
         );
+        assert_eq!(toml("racks = 8", "racks = 4000000000").unwrap_err(), wide);
+        assert_eq!(racks(&toml("racks = 8", "racks = 432").unwrap()), Some(432));
+    }
 
-        let sc = tiny("expander", "ndp_trim", "smtp", false);
-        let err = run_scenario(&sc, &tmp("tr")).unwrap_err();
-        assert!(
-            err.contains("smtp") && err.contains("known transports"),
-            "{err}"
+    /// A flow size is bounded where it is read, in both fields and both
+    /// spellings: 6.2 TB used to wrap the transports' `u32` segment count
+    /// and run 0 of 8 flows to exit 0. The bound itself parses.
+    #[test]
+    fn hostile_flow_sizes_are_named_errors() {
+        let json = |size: &str| {
+            let text = format!(
+                r#"{{"topology": {{"kind": "opera"}},
+                    "workload": {{"kind": "incast", "senders": 8, {size}}},
+                    "switch": {{"policy": "ndp_trim"}}, "transport": {{"kind": "ndp"}},
+                    "run": {{"duration_ms": 1}}}}"#
+            );
+            Scenario::from_doc(&Json::parse(&text).unwrap(), "x")
+        };
+        let kb = "scenario: workload.flow_kb: 6200000000 is over 10000000";
+        assert_eq!(json(r#""flow_kb": 6200000000"#).unwrap_err(), kb);
+        assert_eq!(
+            toml("flow_kb = 15", "flow_kb = 6_200_000_000").unwrap_err(),
+            kb
         );
+        let wraps = "scenario: workload.flow_kb: 18446744073709551615 is over 10000000";
+        let line = "flow_kb = 18446744073709551615";
+        assert_eq!(toml("flow_kb = 15", line).unwrap_err(), wraps);
+        let bytes = "scenario: workload.flow_bytes: 10000000001 is over 10000000000";
+        assert_eq!(json(r#""flow_bytes": 10000000001"#).unwrap_err(), bytes);
+        let line = "flow_bytes = 10_000_000_001";
+        assert_eq!(toml("flow_kb = 15", line).unwrap_err(), bytes);
+
+        assert_eq!(
+            json(r#""flow_kb": 10000000"#).unwrap().points[0].flow_bytes,
+            MAX_FLOW_BYTES
+        );
+        let line = "flow_bytes = 10_000_000_000";
+        assert_eq!(
+            toml("flow_kb = 15", line).unwrap().points[0].flow_bytes,
+            MAX_FLOW_BYTES
+        );
+    }
+
+    #[test]
+    fn tracing_rejects_multi_point_scenarios() {
+        let text = format!("{EXAMPLE}\n[trace]\njsonl = \"t.jsonl\"\n");
+        let err = Scenario::from_doc(&parse_toml(&text).unwrap(), "x").unwrap_err();
+        assert!(err.contains("single-point"), "{err}");
     }
 
     #[test]
@@ -539,8 +971,8 @@ mod tests {
         let dir = tmp("recon");
         let plain = run_scenario(&tiny("expander", "ndp_trim", "ndp", false), &dir).unwrap();
         let traced = run_scenario(&tiny("expander", "ndp_trim", "ndp", true), &dir).unwrap();
-        assert_eq!(plain.rows.len(), 1);
-        let (p, t) = (&plain.rows[0].1, &traced.rows[0].1);
+        assert_eq!(plain.metrics.len(), 1);
+        let (p, t) = (&plain.metrics[0], &traced.metrics[0]);
         assert_eq!(p.completed, t.completed);
         assert_eq!(p.avg_fct_us, t.avg_fct_us);
         assert_eq!(p.trimmed, t.trimmed);

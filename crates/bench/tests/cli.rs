@@ -616,6 +616,99 @@ fn run_scenario_hostile_lengths_are_exit_2_before_running() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A scenario names files inside `--out`, never beside or above it:
+/// `"name": "../esc"` and `"trace": {"jsonl": "../../esc2.jsonl"}` used
+/// to write one and two levels above `--out` and exit 0. Each is one
+/// exit-2 line naming the file and the field, and nothing is written.
+#[test]
+fn run_scenario_paths_outside_out_are_exit_2() {
+    let dir = scratch("escape");
+    let json = |name: &str, jsonl: &str| {
+        format!(
+            r#"{{"name": "{name}", "topology": {{"kind": "expander"}},
+                "workload": {{"kind": "incast", "senders": 2, "flow_kb": 6}},
+                "switch": {{"policy": "ndp_trim"}}, "transport": {{"kind": "ndp"}},
+                "run": {{"duration_ms": 5}}, "trace": {{"jsonl": "{jsonl}"}}}}"#
+        )
+    };
+    for (file, text, field) in [
+        ("name.json", json("../esc", "../../esc2.jsonl"), "name"),
+        ("jsonl.json", json("esc", "../../esc2.jsonl"), "trace.jsonl"),
+        (
+            "absolute.json",
+            json("esc", "/tmp/esc2.jsonl"),
+            "trace.jsonl",
+        ),
+    ] {
+        let sc = dir.join(file);
+        std::fs::write(&sc, text).unwrap();
+        let out = dir.join("o1/deep");
+        let out = run(&[
+            "run-scenario",
+            sc.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{file}: {err}");
+        let want = format!("{file}: scenario: {field}: ");
+        assert!(
+            err.contains(&want) && err.contains("is not a plain file name"),
+            "{file}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{file}: not one line: {err}");
+        assert!(!dir.join("o1").exists(), "{file}: something was written");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An incast of 0 senders offers no flow: exit 2 naming
+/// `workload.senders` (it used to print `0/0 flows` and exit 0), as
+/// `--replicates 0` is. A victim run of 0 senders still offers its victim
+/// flow, and runs.
+#[test]
+fn run_scenario_incast_of_no_senders_is_exit_2() {
+    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.toml")).unwrap();
+    assert!(
+        smoke.contains("senders = 8"),
+        "incast_smoke.toml changed shape"
+    );
+    let dir = scratch("no-senders");
+    let sc = dir.join("none.toml");
+    std::fs::write(&sc, smoke.replace("senders = 8", "senders = 0")).unwrap();
+    let out = run(&[
+        "run-scenario",
+        sc.to_str().unwrap(),
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("none.toml: scenario: workload.senders: "),
+        "{err}"
+    );
+    assert!(!dir.join("incast_smoke").exists(), "something ran");
+
+    let victim = smoke
+        .replace("kind = \"incast\"", "kind = \"victim\"")
+        .replace("senders = 8", "senders = 0");
+    std::fs::write(&sc, victim).unwrap();
+    let out = run(&[
+        "run-scenario",
+        sc.to_str().unwrap(),
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert!(
+        stdout_of(&out).contains(" 1/1 flows"),
+        "{}",
+        stdout_of(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn run_scenario_tiny_incast_end_to_end() {
     let dir = scratch("tiny");

@@ -34,11 +34,12 @@
 //!   other job once, in process, by an [`orchestrate::Backend`] on a
 //!   worker pool, commits its shard documents the moment it completes,
 //!   and merges each driver's documents with point-index validation,
-//! * [`scenario`] — declarative TOML/JSON scenario files,
 //! * [`json`] — the offline JSON parser (duplicate keys rejected,
-//!   nesting bounded) and [`json::Fields`], the one strict decoder the
-//!   three documents above are read through: typed field reads, unknown
-//!   keys rejected, every error `<document>: <path>: <what>`,
+//!   nesting bounded), the TOML adapter [`json::parse_toml`], and
+//!   [`json::Fields`], the one strict decoder table documents, golden
+//!   manifests and scenario files (`bench::scenario`) are read through:
+//!   typed field reads, unknown keys rejected, every error
+//!   `<document>: <path>: <what>`,
 //! * [`cli::ExptArgs`] — the `--quick` / `--threads` / `--out` /
 //!   `--full` / `--seed` / `--replicates` / `--shard` flags shared by
 //!   all drivers, read through the [`cli::Args`] cursor every `opera`
@@ -77,7 +78,6 @@ pub mod orchestrate;
 pub mod output;
 pub mod replicate;
 pub mod runner;
-pub mod scenario;
 pub mod summary;
 pub mod sweep;
 pub mod table;

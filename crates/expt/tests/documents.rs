@@ -1,6 +1,6 @@
-//! Hostile input and round trips for the three documents `expt` reads
-//! back: table documents (sharded and not), golden manifests, and
-//! scenarios in TOML and JSON form.
+//! Hostile input and round trips for the two documents `expt` reads
+//! back: table documents (sharded and not) and golden manifests. (The
+//! third, scenario files, is `bench::scenario`'s, and so are its cases.)
 //!
 //! * No input panics a decoder: every truncation and every
 //!   single-character substitution of a valid document, arbitrary
@@ -16,8 +16,6 @@
 //!   nested object, naming the key and where it is.
 
 use expt::golden::{parse_csv, GoldenManifest};
-use expt::json::Json;
-use expt::scenario::{parse_toml, Scenario};
 use expt::{
     merge_shard_docs, Cell, MergeError, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc,
 };
@@ -65,91 +63,35 @@ fn golden_manifest() -> GoldenManifest {
     }
 }
 
-const SCENARIO_TOML: &str = r#"# every section, one axis
-name = "démo"
-
-[topology]
-kind = "opera"
-racks = 8
-
-[workload]
-kind = "incast"
-senders = [4, 8]
-flow_kb = 15
-
-[switch]
-policy = "ndp_trim"
-
-[transport]
-kind = "ndp"
-
-[run]
-duration_ms = 40
-seed = 3
-"#;
-
-const SCENARIO_JSON: &str = r#"{
-  "name": "démo",
-  "topology": {"kind": "expander"},
-  "workload": {"kind": "victim", "senders": 8, "flow_bytes": 30000},
-  "switch": {"policy": ["pfc", "ecn"]},
-  "transport": {"kind": "gbn"},
-  "run": {"duration_ms": 10, "seed": 1},
-  "trace": {}
-}"#;
-
 type Decode = fn(&str) -> Result<(), String>;
 
-/// Every document kind: a name, one valid instance, its decoder, and
-/// whether it is JSON (an object that must be closed to be valid).
-fn documents() -> Vec<(&'static str, String, Decode, bool)> {
+/// Every document kind: a name, one valid instance and its decoder.
+fn documents() -> Vec<(&'static str, String, Decode)> {
     let table: Decode = |t| TableDoc::parse(t).map(drop).map_err(|e| e.to_string());
     vec![
-        (
-            "sharded table document",
-            table_doc(Some((1, 2))),
-            table,
-            true,
-        ),
-        ("unsharded table document", table_doc(None), table, true),
-        (
-            "golden manifest",
-            golden_manifest().render(),
-            |t| GoldenManifest::parse(t).map(drop),
-            true,
-        ),
-        (
-            "scenario (JSON)",
-            SCENARIO_JSON.into(),
-            |t| Scenario::from_doc(&Json::parse(t)?, "x").map(drop),
-            true,
-        ),
-        (
-            "scenario (TOML)",
-            SCENARIO_TOML.into(),
-            |t| Scenario::from_doc(&parse_toml(t)?, "x").map(drop),
-            false,
-        ),
+        ("sharded table document", table_doc(Some((1, 2))), table),
+        ("unsharded table document", table_doc(None), table),
+        ("golden manifest", golden_manifest().render(), |t| {
+            GoldenManifest::parse(t).map(drop)
+        }),
     ]
 }
 
 #[test]
 fn valid_instances_decode() {
-    for (name, text, decode, _) in documents() {
+    for (name, text, decode) in documents() {
         decode(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
 #[test]
 fn no_truncation_panics_and_an_unclosed_document_is_an_error() {
-    for (name, text, decode, json) in documents() {
+    for (name, text, decode) in documents() {
         let closing = text.rfind('}').unwrap_or(0);
         for (i, _) in text.char_indices() {
-            let result = decode(&text[..i]);
-            // A TOML prefix can be a complete scenario; a JSON object
-            // without its closing brace cannot be anything.
+            // A JSON object without its closing brace cannot be anything.
             assert!(
-                !(json && i <= closing && result.is_ok()),
+                !(i <= closing && decode(&text[..i]).is_ok()),
                 "{name}: accepted when cut at byte {i}"
             );
         }
@@ -158,7 +100,7 @@ fn no_truncation_panics_and_an_unclosed_document_is_an_error() {
 
 #[test]
 fn no_single_character_substitution_panics() {
-    for (_, text, decode, _) in documents() {
+    for (_, text, decode) in documents() {
         for (i, original) in text.char_indices() {
             for sub in ['{', '}', '[', ']', '"', ',', ':', '0', '\\', 'é'] {
                 if sub != original {
@@ -319,60 +261,15 @@ fn unknown_and_duplicate_keys_are_rejected_at_every_level() {
             0,
             "golden manifest: unknown key \"zzz\" (known: commit, k, ",
         ),
-        (
-            "scenario (JSON)",
-            0,
-            "scenario: unknown key \"zzz\" (known: name, run, switch, ",
-        ),
-        (
-            "scenario (JSON)",
-            1,
-            "scenario: topology: unknown key \"zzz\" (known: kind, racks)",
-        ),
-        (
-            "scenario (JSON)",
-            2,
-            "scenario: workload: unknown key \"zzz\" (known: flow_bytes, flow_kb, kind, senders)",
-        ),
-        (
-            "scenario (JSON)",
-            3,
-            "scenario: switch: unknown key \"zzz\" (known: policy)",
-        ),
-        (
-            "scenario (JSON)",
-            4,
-            "scenario: transport: unknown key \"zzz\" (known: kind)",
-        ),
-        (
-            "scenario (JSON)",
-            5,
-            "scenario: run: unknown key \"zzz\" (known: duration_ms, seed)",
-        ),
-        (
-            "scenario (JSON)",
-            6,
-            "scenario: trace: unknown key \"zzz\" (known: jsonl, pcapng)",
-        ),
-        (
-            "scenario (TOML)",
-            0,
-            "scenario: topology: unknown key \"zzz\" (known: kind, racks)",
-        ),
     ];
     let docs = documents();
     for (name, nth, want) in cases {
-        let (_, text, decode, json) = docs.iter().find(|d| d.0 == name).expect(name);
-        let hostile = if *json {
-            with_stray_key(text, nth)
-        } else {
-            text.replace("racks = 8", "racks = 8\nzzz = 1")
-        };
-        let err = decode(&hostile).expect_err(name);
+        let (_, text, decode) = docs.iter().find(|d| d.0 == name).expect(name);
+        let err = decode(&with_stray_key(text, nth)).expect_err(name);
         assert!(err.starts_with(want), "{name} object {nth}: {err}");
     }
     // A second copy of a key that *is* known never reaches a decoder.
-    for (name, text, decode, _) in docs.iter().filter(|d| d.3) {
+    for (name, text, decode) in &docs {
         let start = text.find('"').expect("has a key");
         let end = start + 1 + text[start + 1..].find('"').expect("key closes");
         let key = &text[start..=end];
@@ -490,7 +387,7 @@ proptest! {
         bytes in prop::collection::vec(0u8..255, 0..256),
         edits in prop::collection::vec((0usize..1 << 16, 0u8..255), 1..16),
     ) {
-        for (_, text, decode, _) in documents() {
+        for (_, text, decode) in documents() {
             let _ = decode(&String::from_utf8_lossy(&bytes));
             let mut hostile = text.into_bytes();
             for &(at, byte) in &edits {

@@ -5,15 +5,16 @@
 //! same flow records and the same fabric counters behind.
 //!
 //! The scenarios cover the four packet networks (Opera, hybrid RotorNet,
-//! static expander, folded Clos) × every registered transport × every
-//! registered switch policy, 0 to 24 flows with sizes on both sides of
-//! Opera's bulk threshold, with and without random loss, with and without
-//! the rotor's hello protocol. What an idle rotor network keeps doing for
-//! the rest of the horizon is exchange hellos, so on a network that sends
-//! them `queued`, `delivered` and (under random loss) `failed_drops` are
-//! compared as *at most* the full run's; everything else is exact.
+//! static expander, folded Clos) × every transport × every switch policy
+//! of the scenario vocabulary (`bench::scenario`), 0 to 24 flows with
+//! sizes on both sides of Opera's bulk threshold, with and without random
+//! loss, with and without the rotor's hello protocol. What an idle rotor
+//! network keeps doing for the rest of the horizon is exchange hellos, so
+//! on a network that sends them `queued`, `delivered` and (under random
+//! loss) `failed_drops` are compared as *at most* the full run's;
+//! everything else is exact.
 
-use bench::scenario::{policy_of, transport_of, KNOWN_POLICIES, KNOWN_TRANSPORTS};
+use bench::scenario::{policies, transports};
 use netsim::fabric::QueueConfig;
 use opera::opera_net::OperaLogic;
 use opera::static_net::StaticLogic;
@@ -125,15 +126,10 @@ fn differential<N: PacketNet>(
     drained_at_least: u64,
 ) {
     let mut drained_runs = 0;
-    for (t, transport) in KNOWN_TRANSPORTS.iter().enumerate() {
-        for (p, policy) in KNOWN_POLICIES.iter().enumerate() {
+    for (t, (transport, kind)) in transports().into_iter().enumerate() {
+        for (p, (policy, switch)) in policies().into_iter().enumerate() {
             for seed in 0..seeds {
-                let build = || {
-                    let queues = QueueConfig::builder()
-                        .policy(policy_of(policy).expect("registered"))
-                        .build();
-                    cfg(transport_of(transport).expect("registered"), queues)
-                };
+                let build = || cfg(kind, QueueConfig::builder().policy(switch).build());
                 let mut rng = SimRng::new(seed << 8 | (t as u64) << 4 | p as u64);
                 let case = draw(&mut rng, N::hosts(&build()));
                 let tag = format!(
@@ -169,7 +165,7 @@ fn differential<N: PacketNet>(
     // 4a); what keeps a drawn rotor run from draining now is a bulk flow
     // that needs more than `HORIZON` (up to 20 ms on 8 racks), or a bulk
     // byte the wire corrupted, which RotorLB never sends again.
-    let runs = (KNOWN_TRANSPORTS.len() * KNOWN_POLICIES.len()) as u64 * seeds;
+    let runs = (transports().len() * policies().len()) as u64 * seeds;
     assert!(
         drained_runs >= drained_at_least,
         "{name}: only {drained_runs} of {runs} runs drained, not {drained_at_least}"

@@ -9,6 +9,9 @@
 //! *intended* change, re-bless with
 //! `OPERA_BLESS=1 cargo test -q --test trace_scenarios` and commit the
 //! diff alongside, exactly like the figure goldens.
+//!
+//! Every committed scenario file also decodes, without being run: the
+//! paper-scale one otherwise runs only nightly.
 
 use std::path::{Path, PathBuf};
 
@@ -24,8 +27,35 @@ fn bless() -> bool {
 }
 
 #[test]
+fn every_committed_scenario_decodes() {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(repo_root().join("scenarios"))
+        .expect("scenarios/ is committed")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "toml" || e == "json"))
+        .collect();
+    files.sort();
+    let names: Vec<String> = files
+        .iter()
+        .map(|p| {
+            bench::scenario::Scenario::load(p)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .name
+        })
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "incast_smoke",
+            "paper_incast_648",
+            "policy_matrix",
+            "tiny_incast"
+        ]
+    );
+}
+
+#[test]
 fn tiny_incast_trace_matches_golden() {
-    let sc = expt::scenario::Scenario::load(&repo_root().join("scenarios/tiny_incast.toml"))
+    let sc = bench::scenario::Scenario::load(&repo_root().join("scenarios/tiny_incast.toml"))
         .expect("parse committed scenario");
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-golden");
     let _ = std::fs::remove_dir_all(&out);
@@ -113,7 +143,7 @@ fn block_start(capture: &[u8], at: usize) -> usize {
 /// trace table stripped yields identical metrics rows.
 #[test]
 fn tracing_does_not_perturb_metrics() {
-    let mut sc = expt::scenario::Scenario::load(&repo_root().join("scenarios/tiny_incast.toml"))
+    let mut sc = bench::scenario::Scenario::load(&repo_root().join("scenarios/tiny_incast.toml"))
         .expect("parse committed scenario");
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-perturb");
     let _ = std::fs::remove_dir_all(&out);
