@@ -350,7 +350,7 @@ fn golden(mut args: Args) -> Result<(), Exit> {
         if !only.is_empty() && !only.iter().any(|n| n == exp.name) {
             continue;
         }
-        let drifts = figures::golden_run(&exp, build, &ctx, &root, bless)
+        let drifts = figures::golden_run(&exp, &build(&ctx), &ctx, &root, bless)
             .map_err(|e| Exit::Failed(format!("{}: {e}", exp.name)))?;
         if bless {
             println!("blessed {}", exp.name);

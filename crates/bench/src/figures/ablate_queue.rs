@@ -65,7 +65,6 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         let eps = SliceTiming::derive(
             5,
             kb * 1000 + 12_000,
-            1500,
             10.0,
             SimTime::from_ns(500),
             SimTime::from_us(10),

@@ -107,24 +107,23 @@ pub fn golden_ctx(threads: usize) -> Ctx {
     })
 }
 
-/// Build one driver's tables under `ctx` and diff them against its
-/// committed goldens (or re-record them when `bless` is set; a bless
-/// returns no drifts). This is the shared engine behind the tier-1
-/// `golden_figures` test and `opera golden`.
+/// Diff one driver's `tables`, built under `ctx`, against its committed
+/// goldens (or re-record them when `bless` is set; a bless returns no
+/// drifts). This is the shared engine behind the tier-1 `golden_figures`
+/// test and `opera golden`.
 pub fn golden_run(
     exp: &Experiment,
-    build: BuildFn,
+    tables: &[Table],
     ctx: &Ctx,
     root: &Path,
     bless: bool,
 ) -> io::Result<Vec<Drift>> {
-    let tables = build(ctx);
     let meta = RunMeta::new(exp.name, &ctx.args);
     if bless {
-        bless_driver(exp.name, &tables, root, &meta)?;
+        bless_driver(exp.name, tables, root, &meta)?;
         return Ok(Vec::new());
     }
-    compare_driver(exp.name, &tables, root, &golden_spec(exp.name), &meta)
+    compare_driver(exp.name, tables, root, &golden_spec(exp.name), &meta)
 }
 
 /// Key columns of the per-size-bin FCT tables (Figures 7 and 9).

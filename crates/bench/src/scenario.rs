@@ -42,7 +42,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use topo::clos::ClosParams;
-use transport::{DctcpParams, GoBackNParams, NdpParams, TransportKind};
+use transport::{DctcpParams, TransportKind};
 use workloads::FlowSpec;
 
 /// Most concurrent senders a `workload.senders` value may ask for: about
@@ -50,6 +50,13 @@ use workloads::FlowSpec;
 /// and a flow list of a few megabytes. Every sender is one flow allocated
 /// before the run starts, so the count must be bounded where it is read.
 pub const MAX_SENDERS: usize = 100_000;
+
+/// Most points a scenario's sweep may expand to: every policy and
+/// transport pair (12) over more than 800 sender counts. The axes are
+/// arrays whose lengths only the file bounds, and their product is the
+/// length of the point list allocated before the first run, so the
+/// product is bounded where it is read.
+pub const MAX_POINTS: usize = 10_000;
 
 /// Largest `topology.racks` a scenario may ask for: the paper's largest
 /// network (k = 24: 432 racks, 5 184 hosts). A rotor network's per-slice
@@ -137,9 +144,9 @@ pub fn policies() -> [Named<SwitchPolicyKind>; 4] {
 pub fn transports() -> [Named<TransportKind>; 3] {
     use TransportKind::{Dctcp, GoBackN, Ndp};
     [
-        ("ndp", Ndp(NdpParams::paper_default())),
+        ("ndp", Ndp),
         ("dctcp", Dctcp(DctcpParams::paper_default())),
-        ("gbn", GoBackN(GoBackNParams::paper_default())),
+        ("gbn", GoBackN),
     ]
 }
 
@@ -335,7 +342,19 @@ impl Scenario {
                 pcapng: file_name(t, "pcapng")?,
             },
         };
-        let points = policies.len() * transports.len() * senders.len();
+        let points = [transports.len(), senders.len()]
+            .into_iter()
+            .try_fold(policies.len(), usize::checked_mul)
+            .filter(|&n| n <= MAX_POINTS)
+            .ok_or_else(|| {
+                format!(
+                    "{DOC}: the axes `switch.policy` × `transport.kind` × `workload.senders` \
+                     ({} × {} × {}) expand to over {MAX_POINTS} points",
+                    policies.len(),
+                    transports.len(),
+                    senders.len()
+                )
+            })?;
         let seed = run.opt("seed")?.unwrap_or(0);
         for table in [top, topo, wl, sw, tr, run].iter().chain(&trace) {
             table.finish()?;
@@ -916,6 +935,40 @@ seed = 3
         );
         assert_eq!(toml("racks = 8", "racks = 4000000000").unwrap_err(), wide);
         assert_eq!(racks(&toml("racks = 8", "racks = 432").unwrap()), Some(432));
+    }
+
+    /// A sweep is the product of three axes whose lengths only the file
+    /// bounds: 1 000 × 1 000 × 1 000 points used to ask for a 360 GB point
+    /// list and abort (exit 134). Past `MAX_POINTS` it is a named error;
+    /// the bound itself parses.
+    #[test]
+    fn a_sweep_past_the_point_bound_is_a_named_error() {
+        let json = |policies: usize, transports: usize, senders: usize| {
+            let axis = |name: &str, n: usize| format!("[{}]", vec![name; n].join(", "));
+            let text = format!(
+                r#"{{"topology": {{"kind": "opera"}},
+                    "workload": {{"kind": "incast", "senders": {}, "flow_kb": 6}},
+                    "switch": {{"policy": {}}}, "transport": {{"kind": {}}},
+                    "run": {{"duration_ms": 1}}}}"#,
+                axis("2", senders),
+                axis(r#""ndp_trim""#, policies),
+                axis(r#""ndp""#, transports),
+            );
+            Scenario::from_doc(&Json::parse(&text).unwrap(), "x")
+        };
+        let over = |n: (usize, usize, usize)| {
+            format!(
+                "scenario: the axes `switch.policy` × `transport.kind` × `workload.senders` \
+                 ({} × {} × {}) expand to over 10000 points",
+                n.0, n.1, n.2
+            )
+        };
+        assert_eq!(
+            json(1000, 1000, 1000).unwrap_err(),
+            over((1000, 1000, 1000))
+        );
+        assert_eq!(json(2, 1, 5001).unwrap_err(), over((2, 1, 5001)));
+        assert_eq!(json(2, 1, 5000).unwrap().points.len(), MAX_POINTS);
     }
 
     /// A flow size is bounded where it is read, in both fields and both

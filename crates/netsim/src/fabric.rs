@@ -83,12 +83,6 @@ impl QueueConfigBuilder {
         self
     }
 
-    /// Set one priority level's capacity, bytes.
-    pub fn cap(mut self, prio: Priority, bytes: u64) -> Self {
-        self.cfg.cap_bytes[prio as usize] = bytes;
-        self
-    }
-
     /// Effectively unbounded lossless queues (host NIC staging,
     /// debugging): every capacity maxed, plain drop-tail (which can then
     /// never fire).

@@ -75,7 +75,7 @@ pub struct OperaNetConfig {
     pub link: LinkSpec,
     /// Queue configuration for every port.
     pub queues: QueueConfig,
-    /// Low-latency transport (sender kind + parameters).
+    /// Low-latency transport.
     pub transport: TransportKind,
     /// RotorLB parameters.
     pub rotorlb: RotorLbParams,
@@ -189,8 +189,6 @@ pub struct OperaLogic {
     feeders: Vec<Feeder>,
     /// Counters.
     pub counters: OperaCounters,
-    /// Maximum ToR-to-ToR hops before a packet is declared looping.
-    hop_limit: u8,
     /// `(rack, uplink)` transceivers marked bad by the hello protocol
     /// (§3.6.2); routing tables exclude their circuits.
     bad_links: Vec<(usize, usize)>,
@@ -203,6 +201,9 @@ pub struct OperaLogic {
 /// Hello messages sent per circuit end at each reconfiguration (§3.6.2's
 /// "short sequence"; the link is marked bad only when all are lost).
 pub const HELLO_BURST: usize = 3;
+
+/// Maximum ToR-to-ToR hops before a packet is declared looping.
+const HOP_LIMIT: u8 = 32;
 
 /// Complete simulated network: fabric + logic in a simulator.
 pub type OperaNet = Simulator<NetWorld<OperaLogic>>;
@@ -633,7 +634,7 @@ impl OperaLogic {
                     return;
                 }
                 packet.hops += 1;
-                if packet.hops > self.hop_limit {
+                if packet.hops > HOP_LIMIT {
                     self.counters.hop_limit_drops += 1;
                     return;
                 }
@@ -878,7 +879,6 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
         window_guard: SimTime::from_ns(4 * mtu_ns + 2 * cfg.link.delay.as_ns()),
         feeders: vec![Feeder::default(); cfg.params.racks * topo.switches()],
         counters: OperaCounters::default(),
-        hop_limit: 32,
         bad_links: Vec::new(),
         hello_pending: vec![false; cfg.params.racks * topo.switches()],
         hello_enabled: true,

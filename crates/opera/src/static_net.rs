@@ -45,7 +45,7 @@ pub struct StaticNetConfig {
     pub link: LinkSpec,
     /// Queue configuration (trimming on).
     pub queues: QueueConfig,
-    /// Low-latency transport (sender kind + parameters).
+    /// Low-latency transport.
     pub transport: TransportKind,
     /// Seed for topology + routing randomness.
     pub seed: u64,

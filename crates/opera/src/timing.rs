@@ -9,6 +9,7 @@
 //! inter-reconfiguration period is `u` slices (≈ 6ε), the duty cycle is
 //! ~98%, and a full cycle of a 108-rack network is ~10.8 ms.
 
+use netsim::MTU;
 use simkit::time::serialization_ns;
 use simkit::SimTime;
 
@@ -23,18 +24,17 @@ pub struct SliceTiming {
 
 impl SliceTiming {
     /// Derive ε from first principles: at each of `worst_hops` hops a
-    /// packet may wait behind `queue_bytes` of traffic, serialize an MTU,
-    /// and cross `prop` of fiber.
+    /// packet may wait behind `queue_bytes` of traffic, serialize an
+    /// [`MTU`], and cross `prop` of fiber.
     pub fn derive(
         worst_hops: usize,
         queue_bytes: u64,
-        mtu: u32,
         gbps: f64,
         prop: SimTime,
         reconfig: SimTime,
     ) -> Self {
         let per_hop =
-            serialization_ns(queue_bytes, gbps) + serialization_ns(mtu as u64, gbps) + prop.as_ns();
+            serialization_ns(queue_bytes, gbps) + serialization_ns(MTU as u64, gbps) + prop.as_ns();
         SliceTiming {
             epsilon: SimTime::from_ns(per_hop * worst_hops as u64),
             reconfig,
@@ -110,14 +110,7 @@ mod tests {
 
     #[test]
     fn derived_epsilon_close_to_paper() {
-        let t = SliceTiming::derive(
-            5,
-            24_000,
-            1500,
-            10.0,
-            SimTime::from_ns(500),
-            SimTime::from_us(10),
-        );
+        let t = SliceTiming::derive(5, 24_000, 10.0, SimTime::from_ns(500), SimTime::from_us(10));
         // 5 * (19.2us + 1.2us + 0.5us) = 104.5us; the paper rounds down to
         // 90us (their queues drain concurrently with serialization).
         let eps_us = t.epsilon.as_us_f64();

@@ -18,15 +18,13 @@
 use crate::window::{FlowMap, SendWindow, SeqSet};
 use crate::{Actions, Transport, TransportTimer};
 use netsim::fabric::{Fabric, NetEvent};
-use netsim::{FlowId, FlowTracker, Packet, PacketKind, MTU};
+use netsim::{FlowId, FlowTracker, Packet, PacketKind};
 use simkit::engine::EventContext;
 use simkit::SimTime;
 
 /// DCTCP tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DctcpParams {
-    /// Wire MTU (data packet size cap), bytes.
-    pub mtu: u32,
     /// Initial congestion window, packets.
     pub init_cwnd: u32,
     /// Floor of the congestion window, packets.
@@ -38,11 +36,10 @@ pub struct DctcpParams {
 }
 
 impl DctcpParams {
-    /// Defaults matched to the NDP configuration: 1500 B MTU, 8-packet
-    /// initial window, `g = 1/16` (the DCTCP paper's choice), 2 ms RTO.
+    /// Defaults matched to the NDP configuration: 8-packet initial
+    /// window, `g = 1/16` (the DCTCP paper's choice), 2 ms RTO.
     pub fn paper_default() -> Self {
         DctcpParams {
-            mtu: MTU,
             init_cwnd: 8,
             min_cwnd: 1,
             gain: 1.0 / 16.0,
@@ -97,11 +94,6 @@ impl DctcpHost {
         }
     }
 
-    /// Tuning parameters.
-    pub fn params(&self) -> &DctcpParams {
-        &self.params
-    }
-
     /// Current congestion window of `flow`, packets (tests/introspection).
     pub fn cwnd(&self, flow: FlowId) -> Option<f64> {
         self.sending.get(&flow).map(|st| st.cwnd)
@@ -139,15 +131,7 @@ impl Transport for DctcpHost {
         size: u64,
     ) -> Actions {
         let mut st = SendFlow {
-            win: SendWindow::new(
-                flow,
-                self.nic,
-                self.nic_port,
-                dst,
-                size,
-                self.params.mtu,
-                ctx.now(),
-            ),
+            win: SendWindow::new(flow, self.nic, self.nic_port, dst, size, ctx.now()),
             cwnd: self.params.init_cwnd as f64,
             alpha: 0.0,
             window_acks: 0,
@@ -173,9 +157,10 @@ impl Transport for DctcpHost {
             PacketKind::Data { seq, trimmed } => {
                 let flow = pkt.flow;
                 let sender = pkt.src;
-                let seen = self.receiving.entry(flow).or_insert_with(|| {
-                    SeqSet::new(crate::packets_for(self.params.mtu, tracker.get(flow).size))
-                });
+                let seen = self
+                    .receiving
+                    .entry(flow)
+                    .or_insert_with(|| SeqSet::new(crate::packets_for(tracker.get(flow).size)));
                 if trimmed && !seen.is_full() {
                     // Trim-assisted loss signal (NdpTrim switches): NACK.
                     let nack = Packet::control(flow, self.nic, sender, PacketKind::Nack { seq });

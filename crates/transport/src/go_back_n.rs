@@ -4,7 +4,7 @@
 //! transport for lossy `DropTail` switches (and trivially correct under
 //! lossless `Pfc`):
 //!
-//! * The sender keeps at most `window` segments between `base` (oldest
+//! * The sender keeps at most [`WINDOW`] segments between `base` (oldest
 //!   unacknowledged) and `next` in flight.
 //! * The receiver accepts only the in-order segment it `expected`; every
 //!   data arrival — in-order, duplicate, or out-of-order — is answered
@@ -22,33 +22,17 @@
 use crate::window::FlowMap;
 use crate::{Actions, Transport, TransportTimer};
 use netsim::fabric::{Fabric, NetEvent};
-use netsim::{FlowId, FlowTracker, Packet, PacketKind, MTU};
+use netsim::{FlowId, FlowTracker, Packet, PacketKind};
 use simkit::engine::EventContext;
 use simkit::SimTime;
 
-/// Go-back-N tuning parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GoBackNParams {
-    /// Wire MTU (data packet size cap), bytes.
-    pub mtu: u32,
-    /// Sliding window, packets.
-    pub window: u32,
-    /// Retransmission timeout (the only loss recovery).
-    pub rto: SimTime,
-}
+/// Sliding window, packets: NDP's initial window, so both start a flow
+/// with one switch data queue's worth.
+pub const WINDOW: u32 = 8;
 
-impl GoBackNParams {
-    /// Defaults matched to the NDP configuration: 1500 B MTU, 8-packet
-    /// window; a 1 ms RTO (tighter than NDP's safety-net 2 ms, because
-    /// here the timeout is the *primary* recovery mechanism).
-    pub fn paper_default() -> Self {
-        GoBackNParams {
-            mtu: MTU,
-            window: 8,
-            rto: SimTime::from_ms(1),
-        }
-    }
-}
+/// Retransmission timeout: 1 ms, tighter than NDP's 2 ms safety net,
+/// because here the timeout is the only loss recovery.
+pub const RTO: SimTime = SimTime::from_ms(1);
 
 /// Sender-side per-flow state.
 #[derive(Debug)]
@@ -81,26 +65,19 @@ pub struct GoBackNHost {
     pub nic: usize,
     /// NIC port (always 0 for single-homed hosts).
     pub nic_port: usize,
-    params: GoBackNParams,
     sending: FlowMap<SendFlow>,
     receiving: FlowMap<RecvFlow>,
 }
 
 impl GoBackNHost {
     /// A fresh go-back-N host for NIC `nic`.
-    pub fn new(nic: usize, nic_port: usize, params: GoBackNParams) -> Self {
+    pub fn new(nic: usize, nic_port: usize) -> Self {
         GoBackNHost {
             nic,
             nic_port,
-            params,
             sending: FlowMap::default(),
             receiving: FlowMap::default(),
         }
-    }
-
-    /// Tuning parameters.
-    pub fn params(&self) -> &GoBackNParams {
-        &self.params
     }
 
     /// The sender window base of `flow` (tests/introspection).
@@ -110,7 +87,6 @@ impl GoBackNHost {
 
     /// Emit a copy of segment `seq`.
     fn emit(
-        params: &GoBackNParams,
         st: &SendFlow,
         fabric: &mut Fabric,
         ctx: &mut EventContext<'_, NetEvent>,
@@ -118,22 +94,21 @@ impl GoBackNHost {
         nic_port: usize,
         seq: u32,
     ) {
-        let size = crate::wire_size(params.mtu, st.size, seq);
+        let size = crate::wire_size(st.size, seq);
         let pkt = Packet::data(st.flow, st.src, st.dst, seq, size);
         fabric.send(ctx, nic, nic_port, pkt);
     }
 
     /// Send new segments while the window has room.
     fn fill_window(
-        params: &GoBackNParams,
         st: &mut SendFlow,
         fabric: &mut Fabric,
         ctx: &mut EventContext<'_, NetEvent>,
         nic: usize,
         nic_port: usize,
     ) {
-        while st.next < st.total && st.next < st.base + params.window {
-            Self::emit(params, st, fabric, ctx, nic, nic_port, st.next);
+        while st.next < st.total && st.next < st.base + WINDOW {
+            Self::emit(st, fabric, ctx, nic, nic_port, st.next);
             st.next += 1;
             st.last_activity = ctx.now();
         }
@@ -154,7 +129,7 @@ impl Transport for GoBackNHost {
         dst: usize,
         size: u64,
     ) -> Actions {
-        let total = crate::packets_for(self.params.mtu, size);
+        let total = crate::packets_for(size);
         let mut st = SendFlow {
             flow,
             src: self.nic,
@@ -165,11 +140,11 @@ impl Transport for GoBackNHost {
             next: 0,
             last_activity: ctx.now(),
         };
-        Self::fill_window(&self.params, &mut st, fabric, ctx, self.nic, self.nic_port);
+        Self::fill_window(&mut st, fabric, ctx, self.nic, self.nic_port);
         let mut actions = Actions::default();
         actions
             .timers
-            .push((ctx.now() + self.params.rto, TransportTimer::Rto(flow)));
+            .push((ctx.now() + RTO, TransportTimer::Rto(flow)));
         self.sending.insert(flow, st);
         actions
     }
@@ -187,7 +162,7 @@ impl Transport for GoBackNHost {
                 let sender = pkt.src;
                 let st = self.receiving.entry(flow).or_insert_with(|| RecvFlow {
                     expected: 0,
-                    total: crate::packets_for(self.params.mtu, tracker.get(flow).size),
+                    total: crate::packets_for(tracker.get(flow).size),
                 });
                 if !trimmed && seq == st.expected && st.expected < st.total {
                     st.expected += 1;
@@ -207,14 +182,7 @@ impl Transport for GoBackNHost {
                         if st.base >= st.total {
                             self.sending.remove(&pkt.flow);
                         } else {
-                            Self::fill_window(
-                                &self.params,
-                                st,
-                                fabric,
-                                ctx,
-                                self.nic,
-                                self.nic_port,
-                            );
+                            Self::fill_window(st, fabric, ctx, self.nic, self.nic_port);
                         }
                     }
                 }
@@ -235,16 +203,16 @@ impl Transport for GoBackNHost {
             return actions; // no pacer in go-back-N
         };
         if let Some(st) = self.sending.get_mut(&flow) {
-            let deadline = st.last_activity + self.params.rto;
+            let deadline = st.last_activity + RTO;
             if ctx.now() >= deadline {
                 // Go back N: re-send the whole outstanding window.
                 for seq in st.base..st.next {
-                    Self::emit(&self.params, st, fabric, ctx, self.nic, self.nic_port, seq);
+                    Self::emit(st, fabric, ctx, self.nic, self.nic_port, seq);
                 }
                 st.last_activity = ctx.now();
                 actions
                     .timers
-                    .push((ctx.now() + self.params.rto, TransportTimer::Rto(flow)));
+                    .push((ctx.now() + RTO, TransportTimer::Rto(flow)));
             } else {
                 actions.timers.push((deadline, TransportTimer::Rto(flow)));
             }
@@ -328,10 +296,7 @@ mod tests {
             fabric.set_random_loss(loss, 11);
         }
         let logic = TwoHost {
-            hosts: vec![
-                GoBackNHost::new(a, 0, GoBackNParams::paper_default()),
-                GoBackNHost::new(b, 0, GoBackNParams::paper_default()),
-            ],
+            hosts: vec![GoBackNHost::new(a, 0), GoBackNHost::new(b, 0)],
             tracker: FlowTracker::new(),
             flow_size,
         };
@@ -349,7 +314,7 @@ mod tests {
         assert_eq!(sim.world.logic.hosts[0].active_sends(), 0);
         // Exactly `total` data packets delivered: no spurious
         // retransmissions without loss.
-        let total = crate::packets_for(MTU, 100_000) as u64;
+        let total = crate::packets_for(100_000) as u64;
         // data + one ack per data packet.
         assert_eq!(sim.world.fabric.counters.delivered, 2 * total);
     }
@@ -383,7 +348,7 @@ mod tests {
                         // Out of order: seq 1 first (dup-ACK 0), then 0
                         // (ACK 1), then 1 again (ACK 2).
                         for seq in [1, 0, 1] {
-                            let size = crate::wire_size(MTU, 2_500, seq);
+                            let size = crate::wire_size(2_500, seq);
                             let pkt = Packet::data(self.id, 0, 1, seq, size);
                             self.host
                                 .on_packet(&mut self.fabric, ctx, &mut self.tracker, pkt);
@@ -409,7 +374,7 @@ mod tests {
         let id = tracker.register(0, 1, 2_500, FlowClass::LowLatency, SimTime::ZERO);
         let mut sim = Simulator::new(World {
             fabric,
-            host: GoBackNHost::new(1, 0, GoBackNParams::paper_default()),
+            host: GoBackNHost::new(1, 0),
             tracker,
             acks: vec![],
             id,
@@ -472,7 +437,7 @@ mod tests {
         );
         let mut sim = Simulator::new(World {
             fabric,
-            host: GoBackNHost::new(0, 0, GoBackNParams::paper_default()),
+            host: GoBackNHost::new(0, 0),
             tracker: FlowTracker::new(),
         });
         sim.schedule_at(SimTime::ZERO, NetEvent::Timer { token: 0 });

@@ -19,6 +19,11 @@
 //! SIGCOMM 2017\]: buffer at the edge until a direct circuit is up, spill
 //! onto two-hop Valiant paths under skew).
 //!
+//! Every transport sends [`netsim::MTU`]-sized packets. NDP's and
+//! go-back-N's tuning is the paper's (§4.2.1), fixed as constants in their
+//! modules; only DCTCP ([`DctcpParams`]) and RotorLB ([`RotorLbParams`])
+//! keep settable values.
+//!
 //! Per-flow state is looked up for every data packet and every ACK, so the
 //! three sequence-number transports keep it in two containers built for
 //! that (private module `window`), and both lean on what a flow id *is*
@@ -44,13 +49,13 @@ mod window;
 
 use netsim::fabric::{Fabric, NetEvent};
 use netsim::packet::HEADER_SIZE;
-use netsim::{FlowId, FlowTracker, Packet};
+use netsim::{FlowId, FlowTracker, Packet, MTU};
 use simkit::engine::EventContext;
 use simkit::SimTime;
 
 pub use dctcp::{DctcpHost, DctcpParams};
-pub use go_back_n::{GoBackNHost, GoBackNParams};
-pub use ndp::{NdpHost, NdpParams};
+pub use go_back_n::GoBackNHost;
+pub use ndp::NdpHost;
 pub use rotorlb::{BulkChunk, Offer, RackBulk, RotorLbParams};
 
 /// Timer purposes a [`Transport`] asks its environment to schedule.
@@ -115,54 +120,52 @@ pub trait Transport: std::fmt::Debug {
     ) -> Actions;
 }
 
-/// Which [`Transport`] a network model should instantiate for its hosts,
-/// with the transport's parameters. `Copy` so experiment configs that
+/// Which [`Transport`] a network model should instantiate for its hosts;
+/// DCTCP's carries its [`DctcpParams`]. `Copy` so experiment configs that
 /// embed it stay `Copy`.
 #[derive(Debug, Clone, Copy)]
 pub enum TransportKind {
     /// NDP (the paper's transport). Pairs with `NdpTrim` switches.
-    Ndp(NdpParams),
+    Ndp,
     /// DCTCP-style ECN-echo sender. Pairs with `EcnMark` switches.
     Dctcp(DctcpParams),
     /// Go-back-N. Baseline for lossy `DropTail` / lossless `Pfc` switches.
-    GoBackN(GoBackNParams),
+    GoBackN,
 }
 
 impl TransportKind {
-    /// The paper's configuration: NDP with default parameters.
+    /// The paper's configuration: NDP.
     pub fn paper_default() -> Self {
-        TransportKind::Ndp(NdpParams::paper_default())
+        TransportKind::Ndp
     }
 
     /// Instantiate a host of this kind on NIC `nic`, port `nic_port`.
     pub fn make(&self, nic: usize, nic_port: usize) -> Box<dyn Transport> {
         match *self {
-            TransportKind::Ndp(p) => Box::new(NdpHost::new(nic, nic_port, p)),
+            TransportKind::Ndp => Box::new(NdpHost::new(nic, nic_port)),
             TransportKind::Dctcp(p) => Box::new(DctcpHost::new(nic, nic_port, p)),
-            TransportKind::GoBackN(p) => Box::new(GoBackNHost::new(nic, nic_port, p)),
+            TransportKind::GoBackN => Box::new(GoBackNHost::new(nic, nic_port)),
         }
     }
 }
 
-/// Payload bytes carried by a full packet of `mtu` wire bytes.
-pub(crate) fn payload_per_packet(mtu: u32) -> u32 {
-    mtu - HEADER_SIZE
-}
+/// Payload bytes carried by a full packet of [`MTU`] wire bytes.
+pub(crate) const PAYLOAD_PER_PACKET: u32 = MTU - HEADER_SIZE;
 
-/// Number of packets a flow of `size` payload bytes needs at `mtu`.
+/// Number of packets a flow of `size` payload bytes needs.
 ///
 /// # Panics
 /// Panics if the count does not fit the `u32` segment numbers (a flow of
-/// about 6.2 TB at the default MTU), rather than counting it modulo 2³².
-/// Flow sizes are bounded far below that where they are read.
-pub(crate) fn packets_for(mtu: u32, size: u64) -> u32 {
-    u32::try_from(size.div_ceil(payload_per_packet(mtu) as u64).max(1))
+/// about 6.2 TB), rather than counting it modulo 2³². Flow sizes are
+/// bounded far below that where they are read.
+pub(crate) fn packets_for(size: u64) -> u32 {
+    u32::try_from(size.div_ceil(PAYLOAD_PER_PACKET as u64).max(1))
         .expect("a flow's segment count must fit u32")
 }
 
 /// Wire size of segment `seq` of a flow with `size` payload bytes.
-pub(crate) fn wire_size(mtu: u32, size: u64, seq: u32) -> u32 {
-    let per = payload_per_packet(mtu) as u64;
+pub(crate) fn wire_size(size: u64, seq: u32) -> u32 {
+    let per = PAYLOAD_PER_PACKET as u64;
     let sent = seq as u64 * per;
     let remaining = size.saturating_sub(sent).min(per) as u32;
     HEADER_SIZE + remaining

@@ -23,52 +23,22 @@
 use crate::window::{FlowMap, SendWindow, SeqSet};
 use crate::{Actions, Transport, TransportTimer};
 use netsim::fabric::{Fabric, NetEvent};
-use netsim::{FlowId, FlowTracker, Packet, PacketKind, MTU};
+use netsim::{FlowId, FlowTracker, Packet, PacketKind};
 use simkit::engine::EventContext;
 use simkit::SimTime;
 use std::collections::VecDeque;
 
-/// NDP tuning parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct NdpParams {
-    /// Wire MTU (data packet size cap), bytes.
-    pub mtu: u32,
-    /// Initial window, packets (sent before any pull arrives).
-    pub initial_window: u32,
-    /// Interval between pulls released by the receiver pacer; should equal
-    /// one MTU serialization time at the host link rate.
-    pub pull_interval: SimTime,
-    /// Retransmission timeout (safety net; normal recovery is NACK/pull).
-    pub rto: SimTime,
-}
+/// Initial window, packets, sent before any pull arrives (zero-RTT): 8
+/// full packets, 12 KB, one switch data queue.
+pub const INITIAL_WINDOW: u32 = 8;
 
-impl NdpParams {
-    /// Paper defaults for 10 Gb/s hosts: 1500 B MTU, 8-packet window
-    /// (12 KB, one switch data queue), 1.2 µs pulls, 2 ms RTO.
-    pub fn paper_default() -> Self {
-        NdpParams {
-            mtu: MTU,
-            initial_window: 8,
-            pull_interval: SimTime::from_ns(1200),
-            rto: SimTime::from_ms(2),
-        }
-    }
+/// Interval between pulls released by the receiver pacer: one
+/// [`netsim::MTU`] serialization time on a 10 Gb/s host link.
+pub const PULL_INTERVAL: SimTime = SimTime::from_ns(1200);
 
-    /// Payload bytes carried by a full packet.
-    pub fn payload_per_packet(&self) -> u32 {
-        crate::payload_per_packet(self.mtu)
-    }
-
-    /// Number of packets a flow of `size` payload bytes needs.
-    pub fn packets_for(&self, size: u64) -> u32 {
-        crate::packets_for(self.mtu, size)
-    }
-
-    /// Wire size of segment `seq` of a flow with `size` payload bytes.
-    pub fn wire_size(&self, size: u64, seq: u32) -> u32 {
-        crate::wire_size(self.mtu, size, seq)
-    }
-}
+/// Retransmission timeout: a safety net, since normal recovery is by
+/// NACK and pull.
+pub const RTO: SimTime = SimTime::from_ms(2);
 
 /// All NDP state for one host (its NIC node id + port).
 #[derive(Debug)]
@@ -77,7 +47,6 @@ pub struct NdpHost {
     pub nic: usize,
     /// NIC port (always 0 for single-homed hosts).
     pub nic_port: usize,
-    params: NdpParams,
     sending: FlowMap<SendWindow>,
     /// Segments received, per flow.
     receiving: FlowMap<SeqSet>,
@@ -91,22 +60,16 @@ pub struct NdpHost {
 
 impl NdpHost {
     /// A fresh NDP host for NIC `nic`.
-    pub fn new(nic: usize, nic_port: usize, params: NdpParams) -> Self {
+    pub fn new(nic: usize, nic_port: usize) -> Self {
         NdpHost {
             nic,
             nic_port,
-            params,
             sending: FlowMap::default(),
             receiving: FlowMap::default(),
             pull_queue: VecDeque::new(),
             pacer_free_at: SimTime::ZERO,
             pacer_armed: false,
         }
-    }
-
-    /// Tuning parameters.
-    pub fn params(&self) -> &NdpParams {
-        &self.params
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -125,7 +88,7 @@ impl NdpHost {
         let seen = self
             .receiving
             .entry(flow)
-            .or_insert_with(|| SeqSet::new(self.params.packets_for(tracker.get(flow).size)));
+            .or_insert_with(|| SeqSet::new(crate::packets_for(tracker.get(flow).size)));
         if seen.is_full() {
             // Stale retransmission: ack so the sender retires it.
             let ack = Packet::control(flow, self.nic, sender, PacketKind::Ack { seq });
@@ -185,16 +148,8 @@ impl Transport for NdpHost {
         dst: usize,
         size: u64,
     ) -> Actions {
-        let mut st = SendWindow::new(
-            flow,
-            self.nic,
-            self.nic_port,
-            dst,
-            size,
-            self.params.mtu,
-            ctx.now(),
-        );
-        for _ in 0..self.params.initial_window {
+        let mut st = SendWindow::new(flow, self.nic, self.nic_port, dst, size, ctx.now());
+        for _ in 0..INITIAL_WINDOW {
             if !st.emit_next(fabric, ctx) {
                 break;
             }
@@ -202,7 +157,7 @@ impl Transport for NdpHost {
         let mut actions = Actions::default();
         actions
             .timers
-            .push((ctx.now() + self.params.rto, TransportTimer::Rto(flow)));
+            .push((ctx.now() + RTO, TransportTimer::Rto(flow)));
         self.sending.insert(flow, st);
         actions
     }
@@ -262,7 +217,7 @@ impl Transport for NdpHost {
                     let pull =
                         Packet::control(flow, self.nic, sender, PacketKind::Pull { count: 1 });
                     fabric.send(ctx, self.nic, self.nic_port, pull);
-                    self.pacer_free_at = ctx.now() + self.params.pull_interval;
+                    self.pacer_free_at = ctx.now() + PULL_INTERVAL;
                     if !self.pull_queue.is_empty() {
                         self.pacer_armed = true;
                         actions
@@ -273,7 +228,7 @@ impl Transport for NdpHost {
             }
             TransportTimer::Rto(flow) => {
                 if let Some(st) = self.sending.get_mut(&flow) {
-                    let (next, _) = st.check_rto(fabric, ctx, self.params.rto);
+                    let (next, _) = st.check_rto(fabric, ctx, RTO);
                     actions.timers.push((next, TransportTimer::Rto(flow)));
                 }
             }
@@ -368,10 +323,7 @@ mod tests {
         let b = fabric.add_node(1, cfg, LinkSpec::paper_default());
         fabric.connect(a, 0, b, 0);
         let logic = TwoHostLogic {
-            hosts: vec![
-                NdpHost::new(a, 0, NdpParams::paper_default()),
-                NdpHost::new(b, 0, NdpParams::paper_default()),
-            ],
+            hosts: vec![NdpHost::new(a, 0), NdpHost::new(b, 0)],
             tracker: FlowTracker::new(),
             started: false,
             flow_size,
@@ -416,15 +368,15 @@ mod tests {
 
     #[test]
     fn wire_size_math() {
-        let p = NdpParams::paper_default();
-        assert_eq!(p.payload_per_packet(), 1436);
-        assert_eq!(p.packets_for(1436), 1);
-        assert_eq!(p.packets_for(1437), 2);
-        assert_eq!(p.packets_for(1), 1);
-        assert_eq!(p.wire_size(1436, 0), 1500);
-        assert_eq!(p.wire_size(1437, 1), HEADER_SIZE + 1);
-        assert_eq!(p.packets_for(0), 1, "zero-size flows still send a runt");
-        assert_eq!(p.packets_for(1436 * u32::MAX as u64), u32::MAX);
+        use crate::{packets_for, wire_size, PAYLOAD_PER_PACKET};
+        assert_eq!(PAYLOAD_PER_PACKET, 1436);
+        assert_eq!(packets_for(1436), 1);
+        assert_eq!(packets_for(1437), 2);
+        assert_eq!(packets_for(1), 1);
+        assert_eq!(wire_size(1436, 0), 1500);
+        assert_eq!(wire_size(1437, 1), HEADER_SIZE + 1);
+        assert_eq!(packets_for(0), 1, "zero-size flows still send a runt");
+        assert_eq!(packets_for(1436 * u32::MAX as u64), u32::MAX);
     }
 
     /// A flow with more segments than a `u32` counts is refused, not
@@ -432,7 +384,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "a flow's segment count must fit u32")]
     fn a_flow_past_the_segment_count_is_refused() {
-        NdpParams::paper_default().packets_for(1436 * u32::MAX as u64 + 1);
+        crate::packets_for(1436 * u32::MAX as u64 + 1);
     }
 
     #[test]
@@ -443,11 +395,11 @@ mod tests {
         let mut fabric = Fabric::new();
         let cfg = QueueConfig::builder().build();
         let hub = fabric.add_node(4, cfg, LinkSpec::paper_default());
-        let mut hosts = vec![NdpHost::new(hub, 0, NdpParams::paper_default())]; // placeholder for node 0
+        let mut hosts = vec![NdpHost::new(hub, 0)]; // placeholder for node 0
         for i in 0..4 {
             let h = fabric.add_node(1, cfg, LinkSpec::paper_default());
             fabric.connect(h, 0, hub, i);
-            hosts.push(NdpHost::new(h, 0, NdpParams::paper_default()));
+            hosts.push(NdpHost::new(h, 0));
         }
 
         struct Incast {

@@ -52,14 +52,13 @@
 //! 186 305 slots, 3.0 MB; fig08's paper-scale shuffle peaks at 416 016 in
 //! 439 128 slots.
 
-use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE, MTU};
+use crate::PAYLOAD_PER_PACKET;
+use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE};
 use std::collections::VecDeque;
 
-/// RotorLB tuning.
+/// RotorLB tuning. Bulk packets are [`netsim::MTU`]-sized like every other.
 #[derive(Debug, Clone, Copy)]
 pub struct RotorLbParams {
-    /// Wire MTU for bulk packets.
-    pub mtu: u32,
     /// Maximum bytes of two-hop (Valiant) traffic stored at this rack for
     /// later relay.
     pub relay_capacity: u64,
@@ -70,18 +69,12 @@ pub struct RotorLbParams {
 }
 
 impl RotorLbParams {
-    /// Defaults: 1500 B MTU, 50 MB relay store, VLB beyond 1 MB backlog.
+    /// Defaults: 50 MB relay store, VLB beyond 1 MB backlog.
     pub fn paper_default() -> Self {
         RotorLbParams {
-            mtu: MTU,
             relay_capacity: 50_000_000,
             vlb_threshold: 1_000_000,
         }
-    }
-
-    /// Payload bytes per full bulk packet.
-    pub fn payload_per_packet(&self) -> u32 {
-        self.mtu - HEADER_SIZE
     }
 }
 
@@ -205,11 +198,6 @@ impl RackBulk {
         }
     }
 
-    /// This rack's index.
-    pub fn rack(&self) -> usize {
-        self.rack
-    }
-
     /// Queue a new bulk flow for transmission; its packets count their
     /// sequence numbers from 0.
     pub fn enqueue(&mut self, chunk: BulkChunk) {
@@ -283,8 +271,8 @@ impl RackBulk {
         Offer::Idle
     }
 
-    fn emit(params: &RotorLbParams, chunk: &mut Chunk, relay: Option<u32>) -> Packet {
-        let payload = chunk.bytes.min(params.payload_per_packet());
+    fn emit(chunk: &mut Chunk, relay: Option<u32>) -> Packet {
+        let payload = chunk.bytes.min(PAYLOAD_PER_PACKET);
         let seq = chunk.next_seq;
         chunk.next_seq = seq
             .checked_add(1)
@@ -309,7 +297,7 @@ impl RackBulk {
     fn pop_from_relay(&mut self, dst: usize) -> Option<Packet> {
         let q = &mut self.relay[dst];
         let chunk = q.front_mut()?;
-        let pkt = Self::emit(&self.params, chunk, None);
+        let pkt = Self::emit(chunk, None);
         if chunk.bytes == 0 {
             q.pop_front();
         }
@@ -332,7 +320,7 @@ impl RackBulk {
         if !host_ready(chunk.src as usize) {
             return Offer::HostBusy;
         }
-        let pkt = Self::emit(&self.params, chunk, relay);
+        let pkt = Self::emit(chunk, relay);
         if chunk.bytes == 0 {
             // A first chunk's numbers are all below `restart_seq`.
             self.restart_seq = self.restart_seq.max(chunk.next_seq);
@@ -426,6 +414,7 @@ impl RackBulk {
 #[cfg(test)]
 mod oracle {
     use super::{BulkChunk, Offer, RotorLbParams, RESTART_SEQ};
+    use crate::PAYLOAD_PER_PACKET;
     use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE};
 
     /// A queued chunk, all fields at full width.
@@ -537,8 +526,8 @@ mod oracle {
             Offer::Idle
         }
 
-        fn emit(params: &RotorLbParams, chunk: &mut Chunk, relay: Option<u32>) -> Packet {
-            let payload = chunk.bytes.min(params.payload_per_packet() as u64) as u32;
+        fn emit(chunk: &mut Chunk, relay: Option<u32>) -> Packet {
+            let payload = chunk.bytes.min(PAYLOAD_PER_PACKET as u64) as u32;
             let seq = chunk.next_seq;
             chunk.next_seq += 1;
             chunk.bytes -= payload as u64;
@@ -557,7 +546,7 @@ mod oracle {
         fn pop_from_relay(&mut self, dst: usize) -> Option<Packet> {
             let q = &mut self.relay[dst];
             let chunk = q.first_mut()?;
-            let pkt = Self::emit(&self.params, chunk, None);
+            let pkt = Self::emit(chunk, None);
             self.relay_bytes -= pkt.payload() as u64;
             if chunk.bytes == 0 {
                 q.remove(0);
@@ -576,7 +565,7 @@ mod oracle {
             if !host_ready(chunk.src_host) {
                 return Offer::HostBusy;
             }
-            let pkt = Self::emit(&self.params, chunk, relay);
+            let pkt = Self::emit(chunk, relay);
             if chunk.bytes == 0 {
                 if chunk.next_seq > RESTART_SEQ {
                     self.restarted_ends.push(chunk.next_seq);
@@ -670,6 +659,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::MTU;
     use proptest::prelude::*;
 
     fn chunk(flow: FlowId, dst_rack: usize, bytes: u64) -> BulkChunk {
@@ -1006,7 +996,6 @@ mod tests {
             let params = RotorLbParams {
                 relay_capacity: 6 * 1436,
                 vlb_threshold: 2 * 1436,
-                ..RotorLbParams::paper_default()
             };
             let rack = rack_bits as usize % racks;
             let mut live = RackBulk::new(rack, racks, params);

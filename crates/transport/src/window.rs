@@ -136,7 +136,6 @@ pub(crate) struct SendWindow {
     nic_port: usize,
     dst: usize,
     size: u64,
-    mtu: u32,
     total: u32,
     /// Next never-sent segment.
     next_new: u32,
@@ -150,24 +149,22 @@ pub(crate) struct SendWindow {
 
 impl SendWindow {
     /// Nothing sent yet of `flow`: `size` payload bytes from NIC `src`
-    /// (out of `nic_port`) to `dst`, in packets of `mtu` wire bytes.
+    /// (out of `nic_port`) to `dst`.
     pub fn new(
         flow: FlowId,
         src: usize,
         nic_port: usize,
         dst: usize,
         size: u64,
-        mtu: u32,
         now: SimTime,
     ) -> Self {
-        let total = packets_for(mtu, size);
+        let total = packets_for(size);
         SendWindow {
             flow,
             src,
             nic_port,
             dst,
             size,
-            mtu,
             total,
             next_new: 0,
             rtx: VecDeque::new(),
@@ -189,7 +186,7 @@ impl SendWindow {
     }
 
     fn send(&self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>, seq: u32) {
-        let size = wire_size(self.mtu, self.size, seq);
+        let size = wire_size(self.size, seq);
         let pkt = Packet::data(self.flow, self.src, self.dst, seq, size);
         fabric.send(ctx, self.src, self.nic_port, pkt);
     }

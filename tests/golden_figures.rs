@@ -15,21 +15,48 @@
 
 use bench::figures;
 
-#[test]
-fn golden_figures() {
-    let bless = matches!(
+use std::sync::OnceLock;
+
+use expt::{Experiment, Table};
+
+/// Every driver's quick-mode tables, built once per test binary: the
+/// three tests below read the same build, so tier-1 pays for each
+/// driver once. Whichever test comes first builds; the others wait.
+fn built() -> &'static [(Experiment, Vec<Table>)] {
+    static BUILT: OnceLock<Vec<(Experiment, Vec<Table>)>> = OnceLock::new();
+    BUILT.get_or_init(|| {
+        let ctx = figures::golden_ctx(0);
+        figures::all()
+            .into_iter()
+            .map(|(exp, build)| {
+                let tables = build(&ctx);
+                (exp, tables)
+            })
+            .collect()
+    })
+}
+
+fn blessing() -> bool {
+    matches!(
         std::env::var("OPERA_BLESS").ok().as_deref(),
         Some("1") | Some("true")
-    );
+    )
+}
+
+/// The tolerance-aware cell diff against the committed goldens
+/// (`compare_driver`, manifest provenance included), which names the
+/// driver, table, row and column that moved. Under `OPERA_BLESS=1` it
+/// rewrites the goldens instead.
+#[test]
+fn golden_figures() {
+    let bless = blessing();
     let root = figures::golden_root();
     let ctx = figures::golden_ctx(0);
     let mut failures: Vec<String> = Vec::new();
-    for (exp, build) in figures::all() {
-        let drifts = figures::golden_run(&exp, build, &ctx, &root, bless)
+    for (exp, tables) in built() {
+        let drifts = figures::golden_run(exp, tables, &ctx, &root, bless)
             .unwrap_or_else(|e| panic!("{}: golden IO error: {e}", exp.name));
-        for d in drifts {
-            failures.push(d.to_string());
-        }
+        failures.extend(drifts.iter().map(ToString::to_string));
     }
     assert!(
         failures.is_empty(),
@@ -50,17 +77,13 @@ fn golden_figures() {
 /// itself (column order, float formatting, line endings).
 #[test]
 fn golden_figures_byte_identical() {
-    if matches!(
-        std::env::var("OPERA_BLESS").ok().as_deref(),
-        Some("1") | Some("true")
-    ) {
+    if blessing() {
         return; // a bless rewrites the files; identity is vacuous
     }
     let root = figures::golden_root();
-    let ctx = figures::golden_ctx(0);
     let mut failures: Vec<String> = Vec::new();
-    for (exp, build) in figures::all() {
-        for table in build(&ctx) {
+    for (exp, tables) in built() {
+        for table in tables {
             let path = root.join(exp.name).join(format!("{}.csv", table.name));
             let committed = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("{}: read {}: {e}", exp.name, path.display()));
@@ -85,10 +108,7 @@ fn golden_figures_byte_identical() {
 /// moves.
 #[test]
 fn zombie_census() {
-    let ctx = figures::golden_ctx(0);
-    for (_, build) in figures::all() {
-        build(&ctx);
-    }
+    built();
     let census = bench::undrained_runs();
     assert!(
         census.is_empty(),

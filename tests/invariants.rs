@@ -18,7 +18,6 @@ use proptest::prelude::*;
 use simkit::SimTime;
 use topo::clos::ClosParams;
 use topo::opera::{OperaParams, OperaTopology};
-use transport::NdpParams;
 use workloads::dists::{FlowSizeDist, Workload};
 use workloads::gen::PoissonGen;
 use workloads::FlowSpec;
@@ -132,7 +131,7 @@ fn drained<N: PacketNet>(name: &str, cfg: N::Config, slice: SimTime) {
         "{name}: non-periodic events left"
     );
     let last = tracker.flows().iter().filter_map(|f| f.finish).max();
-    let bound = last.expect("flows finished") + NdpParams::paper_default().rto + slice + slice;
+    let bound = last.expect("flows finished") + transport::ndp::RTO + slice + slice;
     assert!(
         sim.now() <= bound,
         "{name}: drained at {}, last flow finished at {last:?}",

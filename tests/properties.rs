@@ -118,7 +118,7 @@ proptest! {
         use netsim::{NetLogic, NetWorld, FlowTracker, Packet};
         use simkit::engine::EventContext;
         use simkit::{SimTime, Simulator};
-        use transport::{NdpHost, NdpParams, Transport, TransportTimer};
+        use transport::{NdpHost, Transport, TransportTimer};
 
         struct Pair {
             hosts: Vec<NdpHost>,
@@ -175,8 +175,8 @@ proptest! {
         let _ = seed;
         let logic = Pair {
             hosts: vec![
-                NdpHost::new(a, 0, NdpParams::paper_default()),
-                NdpHost::new(b, 0, NdpParams::paper_default()),
+                NdpHost::new(a, 0),
+                NdpHost::new(b, 0),
             ],
             tracker: FlowTracker::new(),
             size,

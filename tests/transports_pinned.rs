@@ -17,7 +17,7 @@ use opera::opera_net::OperaLogic;
 use opera::static_net::StaticLogic;
 use opera::{OperaNetConfig, PacketNet, StaticNetConfig};
 use simkit::SimTime;
-use transport::{DctcpParams, GoBackNParams, NdpParams, TransportKind};
+use transport::{DctcpParams, TransportKind};
 use workloads::dists::{FlowSizeDist, Workload};
 use workloads::gen::PoissonGen;
 use workloads::FlowSpec;
@@ -83,12 +83,9 @@ fn run<N: PacketNet>(cfg: N::Config) -> Pin {
 
 fn transports() -> [(&'static str, TransportKind); 3] {
     [
-        ("ndp", TransportKind::Ndp(NdpParams::paper_default())),
+        ("ndp", TransportKind::Ndp),
         ("dctcp", TransportKind::Dctcp(DctcpParams::paper_default())),
-        (
-            "go_back_n",
-            TransportKind::GoBackN(GoBackNParams::paper_default()),
-        ),
+        ("go_back_n", TransportKind::GoBackN),
     ]
 }
 
