@@ -13,39 +13,49 @@
 //! figures' shapes.
 //!
 //! The solver is the hot path of every cost-comparison sweep (one solve
-//! per `(workload, α, replicate)` point, each running one Dijkstra per
-//! demand per phase), so [`McfSolver`] keeps all per-solve state in
-//! reusable buffers: CSR adjacency built once per graph, generation-
-//! stamped distance scratch (no O(n) clears between Dijkstras), and
-//! recycled heap storage. Three cuts shrink each search itself:
-//! a *goal-directed* (A\*-style) key order steered by a hop-count
-//! heuristic sharpened with adaptively refreshed per-target snapshots
-//! of exact reverse distances (costs only grow inside a run, so a
-//! snapshot keeps lower-bounding later queries — see
+//! per `(workload, α, replicate)` point, each running one shortest-path
+//! search per demand per phase), so [`McfSolver`] keeps all per-solve
+//! state in reusable buffers: fixed-width adjacency rows built once
+//! per graph, generation-stamped distance scratch (no O(n) clears
+//! between searches), and recycled heap storage. Two cuts shrink each search
+//! itself, on every graph: a *goal-directed* (A\*-style) key order
+//! steered by a hop-count heuristic sharpened with adaptively refreshed
+//! per-target snapshots of exact reverse distances (costs only grow
+//! inside a run, so a snapshot keeps lower-bounding later queries — see
 //! [`McfSolver::hsnap`](McfSolver)), with margin-padded filter/trust
-//! thresholds that keep the
-//! result exact under floating-point rounding (see `FILTER_MARGIN`);
-//! a target-bound prune seeded from the *previous phase's* routed path
-//! for the same demand, re-priced at current costs (the phase plan
-//! repeats, so last phase's path is a valid upper bound from the first
-//! relaxation on); and an early exit at the target's pop in the
-//! non-uniform-degree fallback.
+//! thresholds that keep the result exact under floating-point rounding
+//! (see `FILTER_MARGIN`); and a target-bound prune seeded from the
+//! *previous phase's* routed path for the same demand, re-priced at
+//! current costs (the phase plan repeats, so last phase's path is a
+//! valid upper bound from the first relaxation on).
 //! The priority queue is freed from replicating the reference
-//! implementation's tie pop-order entirely: final Dijkstra distances are
+//! implementation's tie pop-order: final Dijkstra distances are
 //! order-independent (each is a min over root-to-node path sums, summed
 //! in the same association order), and the reference's predecessor
-//! choice is itself a pure function of those distances (see
-//! `McfSolver::walk_path`), so the routed path is reconstructed
-//! afterwards instead of recorded during the run. That admits a flat
-//! struct-of-arrays indexed d-ary heap on bare `f64`-bit keys with
-//! true decrease-key (`HeapSoa`).
+//! choice is, but for absorbed costs (below), a pure function of those
+//! distances (see `McfSolver::walk_final_distances`), so the routed
+//! path is reconstructed afterwards instead of recorded during the run.
+//! That admits a flat struct-of-arrays indexed d-ary heap on bare
+//! `f64`-bit keys with true decrease-key (`HeapSoa`).
+//!
+//! **Absorbed costs.** Multiplicative weights can spread edge costs so
+//! far apart that a distance absorbs a small cost whole (`d + c == d`).
+//! A node reached only that way has no strictly-closer predecessor: the
+//! reference records one at the same distance, and queues the node only
+//! once that predecessor pops, so its equal-distance ties no longer pop
+//! larger node first. The walk cannot choose differently from the
+//! reference without stepping onto such a node, and it stops there; that
+//! one demand's path is then re-solved in the reference's own order
+//! (`McfSolver::path_in_reference_order`). Every other demand keeps the
+//! fast path.
+//!
 //! These are *exact* optimizations — the λ bits match the original
 //! implementation, which survives as the property-test oracle in
 //! `tests/properties.rs`. Every solve starts cold; a sweep that poses
 //! the same problem twice reuses the first λ instead (fig12 keys its
 //! expander solves on the uplink count).
 
-use topo::graph::{Csr, Graph};
+use topo::graph::Graph;
 
 use crate::models::Demand;
 
@@ -115,13 +125,10 @@ struct Prune {
 impl Prune {
     #[inline(always)]
     fn new(bound: f64) -> Self {
+        // An infinite bound scales to an infinite threshold.
         Prune {
             b: bound,
-            tf: if bound.is_finite() {
-                bound * FILTER_MARGIN
-            } else {
-                f64::INFINITY
-            },
+            tf: bound * FILTER_MARGIN,
         }
     }
 
@@ -198,20 +205,12 @@ impl HeapSoa {
         self.sift_up(i, key, node);
     }
 
-    /// Lower `node`'s key in place (it must be queued with a larger
-    /// key).
-    #[inline(always)]
-    fn decrease(&mut self, node: u32, key: u64) {
-        let i = self.pos[node as usize];
-        debug_assert!(i != SETTLED, "decrease-key on a settled node");
-        self.sift_up(i as usize, key, node);
-    }
-
-    /// Decrease-key that also accepts a node popped earlier this
-    /// generation: an improvement after settling (possible only under
-    /// the goal-directed key order, where rounding can locally bend the
-    /// heuristic's consistency) re-queues the node — label-correcting —
-    /// so its out-edges are re-relaxed from the better distance.
+    /// Lower `node`'s key in place, or re-queue it if it was popped
+    /// earlier this generation: an improvement after settling (possible
+    /// only under the goal-directed key order, where rounding can
+    /// locally bend the heuristic's consistency) re-queues the node —
+    /// label-correcting — so its out-edges are re-relaxed from the
+    /// better distance.
     #[inline(always)]
     fn update(&mut self, node: u32, key: u64) {
         let i = self.pos[node as usize];
@@ -289,18 +288,21 @@ struct PlannedDemand {
 
 /// A reusable Garg–Könemann solver bound to one graph.
 ///
-/// Construction flattens the adjacency into CSR form once; every
+/// Construction lays the adjacency out in fixed-width rows once; every
 /// [`solve`](McfSolver::solve) after that runs allocation-free in steady
 /// state (the scratch vectors, heap storage, and cost/load arrays are
 /// recycled). The free function [`max_concurrent_flow`] remains as the
 /// one-shot convenience wrapper.
 #[derive(Debug)]
 pub struct McfSolver {
-    csr: Csr,
-    /// Out-degree shared by every node, or 0 when degrees differ. The
-    /// regular expanders the sweeps solve are degree-uniform, which lets
-    /// the relaxation loop run with a compile-time trip count.
-    uniform_deg: usize,
+    /// Out-edge rows of one width: node `v`'s out-edges fill `targets`
+    /// slots `v * stride..` in adjacency-list order, and a slot's index
+    /// is its edge id in `cost` and `load`. `stride` is the largest
+    /// out-degree rounded up to whole [`LANES`] chunks, so every chunk
+    /// the relaxation reads is full. A padding slot targets node 0 at
+    /// cost `INFINITY`, which no prune threshold admits.
+    stride: usize,
+    targets: Vec<u32>,
     /// Reverse adjacency (`rev_off[v]..rev_off[v + 1]` indexes the
     /// in-edges of `v` as parallel `rev_src`/`rev_eid` entries, in
     /// ascending-eid order) — the path walk reads predecessors from
@@ -315,8 +317,7 @@ pub struct McfSolver {
     /// (`u16::MAX` = unreachable), built once per graph by BFS over the
     /// reverse adjacency. Feeds the goal-directed search's admissible
     /// heuristic `h(u) = hops(u, t) × cmin` where `cmin` lower-bounds
-    /// every edge cost (see `hops_f`). Built only for degree-uniform
-    /// graphs (the fallback search runs plain Dijkstra).
+    /// every edge cost (see `hops_f`).
     hops: Vec<u16>,
     /// `hops` scaled to actual cost units (`h(u) = hops(u, t) × cmin`,
     /// `INFINITY` = unreachable), same row-major layout. `cmin` is the
@@ -363,8 +364,8 @@ pub struct McfSolver {
     snap_floor: u64,
     /// The active query's combined heuristic row
     /// (`max(hops_f[t], hsnap[t])` per node, or just `hops_f[t]` while
-    /// `t` has no trusted snapshot), filled by `dijkstra_deg` and
-    /// read back by `walk_path` — the walk's trust test must use
+    /// `t` has no trusted snapshot), filled by `dijkstra_to` and read
+    /// back by `walk_final_distances` — the walk's trust test must use
     /// exactly the key function the search ran under.
     h_cur: Vec<f64>,
     cost: Vec<f64>,
@@ -384,68 +385,63 @@ pub struct McfSolver {
 }
 
 impl McfSolver {
-    /// Build a solver for `g`, flattening its adjacency once.
+    /// Build a solver for `g`, laying out its adjacency once.
     pub fn new(g: &Graph) -> Self {
-        let csr = Csr::from_graph(g);
-        let n = csr.nodes();
-        let m = csr.edge_count();
-        assert!(n < u32::MAX as usize, "node ids must fit u32");
-        let deg0 = if n > 0 { csr.targets(0).len() } else { 0 };
-        let uniform_deg = if deg0 > 0 && (1..n).all(|v| csr.targets(v).len() == deg0) {
-            deg0
-        } else {
-            0
-        };
+        let n = g.len();
+        let width = (0..n).map(|v| g.degree(v)).max().unwrap_or(0);
+        let stride = width.next_multiple_of(LANES);
+        assert!(n * stride < u32::MAX as usize, "edge slots must fit u32");
+        let mut targets = vec![0u32; n * stride];
         // Reverse adjacency by counting sort; iterating eids in
         // ascending order keeps each in-edge run eid-sorted, which the
         // path walk's tie-break relies on.
         let mut indeg = vec![0u32; n + 1];
-        for eid in 0..m {
-            indeg[csr.to(eid) + 1] += 1;
+        for u in 0..n {
+            for (i, e) in g.edges(u).iter().enumerate() {
+                targets[u * stride + i] = e.to as u32;
+                indeg[e.to + 1] += 1;
+            }
         }
         for v in 0..n {
             indeg[v + 1] += indeg[v];
         }
         let rev_off = indeg;
         let mut cursor = rev_off.clone();
+        let m = g.edge_count();
         let mut rev_src = vec![0u32; m];
         let mut rev_eid = vec![0u32; m];
-        for eid in 0..m {
-            let v = csr.to(eid);
-            let slot = cursor[v] as usize;
-            cursor[v] += 1;
-            rev_src[slot] = csr.from(eid) as u32;
-            rev_eid[slot] = eid as u32;
+        for u in 0..n {
+            for (i, e) in g.edges(u).iter().enumerate() {
+                let slot = cursor[e.to] as usize;
+                cursor[e.to] += 1;
+                rev_src[slot] = u as u32;
+                rev_eid[slot] = (u * stride + i) as u32;
+            }
         }
         // Hop distances to every target (BFS over reverse edges), for
         // the goal-directed search heuristic.
-        let hops = if uniform_deg != 0 {
-            let mut hops = vec![u16::MAX; n * n];
-            let mut queue = std::collections::VecDeque::new();
-            for t in 0..n {
-                let row = &mut hops[t * n..(t + 1) * n];
-                row[t] = 0;
-                queue.clear();
-                queue.push_back(t as u32);
-                while let Some(v) = queue.pop_front() {
-                    let v = v as usize;
-                    let d = row[v] + 1;
-                    for &src in &rev_src[rev_off[v] as usize..rev_off[v + 1] as usize] {
-                        let u = src as usize;
-                        if row[u] == u16::MAX {
-                            row[u] = d;
-                            queue.push_back(u as u32);
-                        }
+        let mut hops = vec![u16::MAX; n * n];
+        let mut queue = std::collections::VecDeque::new();
+        for t in 0..n {
+            let row = &mut hops[t * n..(t + 1) * n];
+            row[t] = 0;
+            queue.clear();
+            queue.push_back(t as u32);
+            while let Some(v) = queue.pop_front() {
+                let v = v as usize;
+                let d = row[v] + 1;
+                for &src in &rev_src[rev_off[v] as usize..rev_off[v + 1] as usize] {
+                    let u = src as usize;
+                    if row[u] == u16::MAX {
+                        row[u] = d;
+                        queue.push_back(u as u32);
                     }
                 }
             }
-            hops
-        } else {
-            Vec::new()
-        };
+        }
         McfSolver {
-            csr,
-            uniform_deg,
+            stride,
+            targets,
             rev_off,
             rev_src,
             rev_eid,
@@ -458,16 +454,16 @@ impl McfSolver {
             ],
             gen: 0,
             heap: HeapSoa::with_nodes(n),
-            hops_f: vec![0.0; hops.len()],
+            hops_f: vec![0.0; n * n],
             hops_f_scale: f64::NAN,
-            hsnap: vec![0.0; hops.len()],
-            hsnap_phase: vec![0; if hops.is_empty() { 0 } else { n }],
+            hsnap: vec![0.0; n * n],
+            hsnap_phase: vec![0; n],
             phase_ctr: 0,
             snap_floor: 0,
-            h_cur: vec![0.0; if hops.is_empty() { 0 } else { n }],
+            h_cur: vec![0.0; n],
             hops,
-            cost: vec![0.0; m],
-            load: vec![0.0; m],
+            cost: vec![f64::INFINITY; n * stride],
+            load: vec![0.0; n * stride],
             plan: Vec::new(),
             buf_prev: Vec::new(),
             buf_cur: Vec::new(),
@@ -476,74 +472,18 @@ impl McfSolver {
         }
     }
 
-    /// Dijkstra from `s` under the current edge costs, stopping as soon
-    /// as `t` pops (its distance is final then — costs are non-negative,
-    /// so a popped node is never re-improved). Returns whether `t` is
-    /// reachable; on `true`, every node with distance below `dist[t]`
-    /// holds its final (bit-exact) distance in `scratch`, which is all
-    /// [`walk_path`](McfSolver::walk_path) needs.
+    /// Goal-directed search from `s` toward `t` under the current edge
+    /// costs; returns whether `t` is reachable. On `true`, every node the
+    /// path walk trusts holds its final (bit-exact) distance in `scratch`.
     ///
-    /// Two goal-directed cuts keep this exact while skipping most of the
-    /// frontier beyond the target:
-    ///
-    /// * early exit — pop order is non-decreasing, so everything still
-    ///   queued when `t` pops would pop at or after `t` and can only
-    ///   write `dist` entries at or above `dist[t]`, which the walk
-    ///   never reads;
-    /// * target-bound pruning — edge costs here are strictly positive
-    ///   (`1/link_rate` grown multiplicatively), so every node on the
-    ///   `s → t` path other than `t` has distance *strictly below*
-    ///   `dist[t]`; a relaxation with `nd >=` the current tentative
-    ///   `dist[t]` can neither improve `t` nor lie on the path, and a
-    ///   node's *final* (minimal) offer always passes the filter —
-    ///   dropping the rest changes nothing the walk reads.
-    ///
-    /// `bound` is an upper bound on `dist[t]` (`INFINITY` when none is
-    /// known).
+    /// Heap keys are `g + h` (tentative distance plus the heuristic row
+    /// `h_cur`), steering the search toward `t`. It drains until the heap
+    /// minimum clears the margin-padded filter threshold, a target-bound
+    /// prune armed by `bound` (an upper bound on `dist[t]`, `INFINITY`
+    /// when none is known): costs are strictly positive, so an offer past
+    /// it can neither improve `t` nor lie on its path, and pop order is
+    /// irrelevant to the result.
     fn dijkstra_to(&mut self, s: usize, t: usize, bound: f64) -> bool {
-        // Dispatch on the graph's uniform out-degree so the common
-        // sweep shapes run the whole pop loop with a compile-time trip
-        // count (and `v * D` row offsets, skipping the offsets array);
-        // every arm runs the identical search.
-        match self.uniform_deg {
-            3 => self.dijkstra_deg::<3>(s, t, bound),
-            7 => self.dijkstra_deg::<7>(s, t, bound),
-            12 => self.dijkstra_deg::<12>(s, t, bound),
-            _ => self.dijkstra_any(s, t, bound),
-        }
-    }
-
-    /// Start a new search generation and seed the heap with `s` under
-    /// `key` (its goal-directed key `0 + h(s)`, or 0 for the fallback).
-    #[inline(always)]
-    fn begin_search(&mut self, s: usize, key: u64) -> u32 {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            for node in &mut self.scratch {
-                node.stamp = 0;
-            }
-            self.gen = 1;
-        }
-        let gen = self.gen;
-        self.heap.clear();
-        self.scratch[s].dist = 0.0;
-        self.scratch[s].stamp = gen;
-        self.heap.push(key, s as u32);
-        gen
-    }
-
-    /// Goal-directed pop loop monomorphized over the uniform
-    /// out-degree `D`: heap keys are `g + h` (tentative distance plus
-    /// hop-count heuristic), steering the search down the corridor
-    /// toward `t` instead of flooding the whole cost ball. The search
-    /// never early-exits on `t`'s pop — it drains until the heap's
-    /// minimum key clears the margin-padded filter threshold, at which
-    /// point no remaining entry can improve anything the walk reads
-    /// (every surviving offer's true completion cost exceeds the bound
-    /// by more than the worst-case rounding). Pop order is thereby
-    /// irrelevant to the result; the heuristic only sets how little
-    /// gets explored.
-    fn dijkstra_deg<const D: usize>(&mut self, s: usize, t: usize, bound: f64) -> bool {
         let n = self.scratch.len();
         let base = t * n;
         if self.hops[base + s] == u16::MAX {
@@ -570,26 +510,24 @@ impl McfSolver {
             self.h_cur.copy_from_slice(&self.hops_f[base..base + n]);
         }
         let gen = self.begin_search(s, self.h_cur[s].to_bits());
-        let to_flat = self.csr.targets_flat();
         let mut pr = Prune::new(bound);
         let mut pops = 0u32;
         while let Some((kb, vn)) = self.heap.pop() {
-            let fv = f64::from_bits(kb);
-            if fv >= pr.tf {
+            if f64::from_bits(kb) >= pr.tf {
                 break; // heap min beyond the filter: nothing left matters
             }
             pops += 1;
             let v = vn as usize;
             let dv = self.scratch[v].dist;
             debug_assert_eq!(kb, (dv + self.h_cur[v]).to_bits());
-            relax_deg::<D>(
-                to_flat,
-                &self.cost,
+            let row = v * self.stride..(v + 1) * self.stride;
+            relax(
+                &self.targets[row.clone()],
+                &self.cost[row],
                 &self.h_cur,
                 &mut self.scratch,
                 &mut self.heap,
                 gen,
-                v,
                 dv,
                 t,
                 &mut pr,
@@ -598,8 +536,28 @@ impl McfSolver {
         if pops > SNAP_STALE_POPS {
             self.hsnap_phase[t] = SNAP_MARK;
         }
-        debug_assert!(self.scratch[t].stamp == gen);
-        true
+        // Costs so large they overflow leave `t` unreached, as the
+        // reference's infinite `dist[t]` does.
+        self.scratch[t].stamp == gen
+    }
+
+    /// Start a new search generation and seed the heap with `s` under
+    /// `key`.
+    #[inline(always)]
+    fn begin_search(&mut self, s: usize, key: u64) -> u32 {
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            for node in &mut self.scratch {
+                node.stamp = 0;
+            }
+            self.gen = 1;
+        }
+        let gen = self.gen;
+        self.heap.clear();
+        self.scratch[s].dist = 0.0;
+        self.scratch[s].stamp = gen;
+        self.heap.push(key, s as u32);
+        gen
     }
 
     /// Refresh target `t`'s snapshot heuristic row: one plain reverse
@@ -625,7 +583,7 @@ impl McfSolver {
                     self.heap.push(nd.to_bits(), u as u32);
                 } else if nd < node.dist {
                     node.dist = nd;
-                    self.heap.decrease(u as u32, nd.to_bits());
+                    self.heap.update(u as u32, nd.to_bits());
                 }
             }
         }
@@ -642,83 +600,53 @@ impl McfSolver {
         self.hsnap_phase[t] = self.phase_ctr;
     }
 
-    /// Fallback pop loop for graphs without a uniform out-degree: plain
-    /// Dijkstra (zero heuristic) with the early exit at `t`'s pop and
-    /// the target-bound prune.
-    fn dijkstra_any(&mut self, s: usize, t: usize, bound: f64) -> bool {
-        let gen = self.begin_search(s, 0);
-        let mut best_t = if bound.is_finite() {
-            // next_up: the bound is a positive finite sum of positive
-            // costs, and `dist[t] <= bound` holds bit-exactly (the
-            // bound is summed in this search's own accumulation
-            // order), so pruning `nd >= next_up(bound)` — i.e.
-            // `nd > bound` — never drops `t`'s final offer.
-            f64::from_bits(bound.to_bits() + 1)
-        } else {
-            f64::INFINITY
-        };
-        while let Some((kb, vn)) = self.heap.pop() {
-            let v = vn as usize;
-            debug_assert_eq!(kb, self.scratch[v].dist.to_bits());
-            if v == t {
-                return true;
-            }
-            let dv = f64::from_bits(kb);
-            let off = self.csr.offset(v);
-            let tgts = self.csr.targets(v);
-            relax_row(
-                tgts,
-                &self.cost[off..off + tgts.len()],
-                &mut self.scratch,
-                &mut self.heap,
-                gen,
-                dv,
-                t,
-                &mut best_t,
-            );
+    /// Route `amount` on the reference's `s → t` path: append its edge
+    /// ids to `buf_cur` in t→s order, then apply the `load`/`cost`
+    /// update of each.
+    ///
+    /// The path comes from the final distances the search left
+    /// (`walk_final_distances`) unless that walk meets an absorbed cost
+    /// (see the module docs); then it comes from
+    /// [`path_in_reference_order`](McfSolver::path_in_reference_order).
+    fn walk_path(&mut self, s: usize, t: usize, amount: f64, link_rate: f64) {
+        let start = self.buf_cur.len();
+        if !self.walk_final_distances(s, t) {
+            self.buf_cur.truncate(start);
+            self.path_in_reference_order(s, t);
         }
-        false
+        for &eid in &self.buf_cur[start..] {
+            let eid = eid as usize;
+            self.load[eid] += amount;
+            self.cost[eid] *= 1.0 + EPS * amount / link_rate;
+        }
     }
 
-    /// Walk the routed `s → t` path from final distances alone, applying
-    /// `load`/`cost` updates per traversed directed edge.
+    /// Walk the routed `s → t` path back from `t` over final distances
+    /// alone, appending each edge to `buf_cur`. Returns `false`, with a
+    /// partial path appended, at a node without a strictly-closer
+    /// predecessor.
     ///
     /// The reference implementation records `prev[v]` during the run:
     /// the first relaxation that reaches `v`'s final distance wins
     /// (later equal offers fail its strict `<` test). All relaxations
     /// come from settled nodes, so that winner is the earliest-*popped*
     /// in-neighbor `u` with `dist[u] + cost[u→v] == dist[v]` (bit-exact
-    /// f64, same rounding as the run) — under the reference pop order
-    /// this is the achiever with minimal `(dist bits, then larger node
-    /// index)`, parallel edges resolving to the lowest eid. That makes
-    /// the recorded path a pure function of the final distances, which
-    /// is what lets the queue drop tie discipline entirely.
-    ///
-    /// Every candidate read is settled: an achiever has
-    /// `dist[u] < dist[v] <= dist[t]`, and when `t` pops, any node with
-    /// a tentative distance below `dist[t]` has already popped with its
-    /// final value; a still-queued node's tentative value is
-    /// `>= dist[t]` and fails the `du >= dv` guard.
-    /// Also appends the traversed edge ids to `buf_cur` (in t→s order;
-    /// order is irrelevant to the cost-sum bound they feed).
-    fn walk_path(&mut self, s: usize, t: usize, amount: f64, link_rate: f64) {
+    /// f64, same rounding as the run): the one with the smallest
+    /// distance bits, parallel edges resolving to the lowest eid. Among
+    /// equal distance bits the reference pops the larger node first,
+    /// since every such node was queued before the first of them popped
+    /// — unless it was reached over an absorbed cost, which stops the
+    /// walk (see the module docs). So the recorded path is a pure
+    /// function of the final distances, which is what lets the queue
+    /// drop tie discipline entirely.
+    fn walk_final_distances(&mut self, s: usize, t: usize) -> bool {
         let gen = self.gen;
         // Trust threshold of the goal-directed search: a candidate's
         // stored distance is provably final only when its key clears
         // `dist(t) × TRUST_MARGIN` (see [`FILTER_MARGIN`]); anything
-        // beyond is provably not an achiever. Zero heuristic (fallback
-        // search) reduces this to the `du >= dv` guard below.
+        // beyond is provably not an achiever. `h_cur` still holds the
+        // row `dijkstra_to` just searched `t` under.
         let trust = self.scratch[t].dist * TRUST_MARGIN;
-        // The goal-directed search's own heuristic row — `h_cur` still
-        // holds the combined row `dijkstra_deg` just searched `t`
-        // under. (Empty slice = zero heuristic, for the fallback
-        // search: the trust test degenerates to the plain-Dijkstra
-        // `du >= dv` guard.)
-        let h_row: &[f64] = if self.uniform_deg != 0 {
-            &self.h_cur
-        } else {
-            &[]
-        };
         let mut v = t;
         while v != s {
             let dv = self.scratch[v].dist;
@@ -734,7 +662,7 @@ impl McfSolver {
                     continue;
                 }
                 let du = node.dist;
-                if du >= dv || du + h_row.get(u).copied().unwrap_or(0.0) > trust {
+                if du >= dv || du + self.h_cur[u] > trust {
                     continue;
                 }
                 let eid = self.rev_eid[i] as usize;
@@ -750,11 +678,53 @@ impl McfSolver {
                     }
                 }
             }
-            debug_assert!(best_eid != usize::MAX, "no shortest-path predecessor");
-            self.load[best_eid] += amount;
-            self.cost[best_eid] *= 1.0 + EPS * amount / link_rate;
+            if best_eid == usize::MAX {
+                return false;
+            }
             self.buf_cur.push(best_eid as u32);
             v = best_u;
+        }
+        true
+    }
+
+    /// The reference's own `s → t` search, for the rare demand whose
+    /// path crosses an absorbed cost: a `BinaryHeap` of
+    /// `(Reverse(dist bits), node)` with lazy deletion, recording each
+    /// node's predecessor edge on every strict improvement, stopped at
+    /// `t`'s pop (its predecessor chain is final then). Appends the
+    /// path's edge ids to `buf_cur` in t→s order.
+    fn path_in_reference_order(&mut self, s: usize, t: usize) {
+        use std::cmp::Reverse;
+        let n = self.scratch.len();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev = vec![usize::MAX; n];
+        let mut heap = std::collections::BinaryHeap::new();
+        dist[s] = 0.0;
+        heap.push((Reverse(0f64.to_bits()), s));
+        while let Some((Reverse(kb), v)) = heap.pop() {
+            let dv = f64::from_bits(kb);
+            if dv > dist[v] {
+                continue;
+            }
+            if v == t {
+                break;
+            }
+            let row = v * self.stride;
+            for (i, &to) in self.targets[row..row + self.stride].iter().enumerate() {
+                let (to, eid) = (to as usize, row + i);
+                let nd = dv + self.cost[eid];
+                if nd < dist[to] {
+                    dist[to] = nd;
+                    prev[to] = eid;
+                    heap.push((Reverse(nd.to_bits()), to));
+                }
+            }
+        }
+        let mut v = t;
+        while v != s {
+            let eid = prev[v];
+            self.buf_cur.push(eid as u32);
+            v = eid / self.stride;
         }
     }
 
@@ -828,7 +798,8 @@ impl McfSolver {
                             .rev()
                             .fold(0.0f64, |acc, &eid| acc + self.cost[eid as usize])
                     };
-                    if !self.dijkstra_to(s, t, bound) {
+                    // A demand inside one ToR routes nothing.
+                    if s == t || !self.dijkstra_to(s, t, bound) {
                         continue;
                     }
                     let span_start = self.buf_cur.len() as u32;
@@ -855,7 +826,7 @@ impl McfSolver {
         host_cap: f64,
         phases: usize,
     ) -> McfResult {
-        if self.csr.edge_count() == 0 || demands.is_empty() {
+        if self.rev_eid.is_empty() || demands.is_empty() {
             return McfResult { lambda: 0.0 };
         }
 
@@ -871,7 +842,10 @@ impl McfSolver {
             });
         }
 
-        self.cost.fill(1.0 / link_rate);
+        // Real edges only: padding slots keep their `INFINITY`.
+        for &eid in &self.rev_eid {
+            self.cost[eid as usize] = 1.0 / link_rate;
+        }
         self.load.fill(0.0);
         self.run_phases(link_rate, phases);
 
@@ -909,98 +883,57 @@ impl McfSolver {
     }
 }
 
-/// Relax `v`'s out-edges with a compile-time trip count `D` (the
-/// graph's uniform out-degree): the fixed-size reborrows let the
-/// candidate distances and the prune mask compute branchlessly with no
-/// per-edge bounds checks, then only surviving lanes touch scratch and
-/// heap. The mask is evaluated against `best_t` once up front; a
-/// mid-row `best_t` tightening leaves a *superset* of the survivors,
-/// which is equally exact — pruned entries never reach the walk.
+/// Edges per relaxation chunk: a row is relaxed a chunk at a time, so
+/// the prune mask (one bit per edge) computes branchlessly over a
+/// compile-time width and only surviving edges touch scratch and heap.
+const LANES: usize = 8;
+
+/// Relax one node's out-edge row (`tgts`, with their `costs`, padding
+/// included) from its settled distance `dv`. Each chunk's mask is
+/// evaluated against the prune threshold once up front; a mid-chunk
+/// tightening leaves a *superset* of the survivors, which is equally
+/// exact — pruned entries never reach the walk.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn relax_deg<const D: usize>(
-    to_flat: &[u32],
-    cost: &[f64],
+fn relax(
+    tgts: &[u32],
+    costs: &[f64],
     h_row: &[f64],
     scratch: &mut [NodeScratch],
     heap: &mut HeapSoa,
     gen: u32,
-    v: usize,
     dv: f64,
     t: usize,
     pr: &mut Prune,
 ) {
-    // Degree-uniform CSR rows start at `v * D` — no offsets-array load.
-    let off = v * D;
-    let tgts: &[u32; D] = to_flat[off..off + D].try_into().expect("uniform degree");
-    let costs: &[f64; D] = cost[off..off + D].try_into().expect("uniform degree");
-    let mut nds = [0.0f64; D];
-    let mut fs = [0.0f64; D];
-    let mut mask = 0u32;
-    for i in 0..D {
-        nds[i] = dv + costs[i];
-        fs[i] = nds[i] + h_row[tgts[i] as usize];
-        // Strict `<`: an infinite key (target cut off from `t`) never
-        // survives, even under an infinite threshold.
-        mask |= u32::from(fs[i] < pr.tf) << i;
-    }
-    while mask != 0 {
-        let i = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        let to = tgts[i] as usize;
-        let nd = nds[i];
-        let node = &mut scratch[to];
-        if node.stamp != gen {
-            node.stamp = gen;
-            node.dist = nd;
-            heap.push(fs[i].to_bits(), to as u32);
-        } else if nd < node.dist {
-            node.dist = nd;
-            heap.update(to as u32, fs[i].to_bits());
-        } else {
-            continue;
+    for (tgts, costs) in tgts.chunks_exact(LANES).zip(costs.chunks_exact(LANES)) {
+        let mut mask = 0u32;
+        for (i, (&to, &c)) in tgts.iter().zip(costs).enumerate() {
+            // Strict `<`: an infinite key (a padding slot, or a target
+            // cut off from `t`) never survives, even under an infinite
+            // threshold.
+            mask |= u32::from(dv + c + h_row[to as usize] < pr.tf) << i;
         }
-        if to == t {
-            pr.tighten(nd);
-        }
-    }
-}
-
-/// Dynamic-degree relaxation behind the fallback dispatch arm; same
-/// goal-directed cuts as [`relax_deg`] (see
-/// [`McfSolver::dijkstra_to`]): the `nd >= best_t` prune and the early
-/// exit in the caller's pop loop.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn relax_row(
-    tgts: &[u32],
-    costs: &[f64],
-    scratch: &mut [NodeScratch],
-    heap: &mut HeapSoa,
-    gen: u32,
-    dv: f64,
-    t: usize,
-    best_t: &mut f64,
-) {
-    for i in 0..tgts.len() {
-        let to = tgts[i] as usize;
-        let nd = dv + costs[i];
-        if nd >= *best_t {
-            continue; // can't improve t nor sit on its path
-        }
-        let node = &mut scratch[to];
-        if node.stamp != gen {
-            node.stamp = gen;
-            node.dist = nd;
-            heap.push(nd.to_bits(), to as u32);
-        } else if nd < node.dist {
-            node.dist = nd;
-            heap.decrease(to as u32, nd.to_bits());
-        } else {
-            continue;
-        }
-        if to == t {
-            *best_t = nd;
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let to = tgts[i] as usize;
+            let nd = dv + costs[i];
+            let key = (nd + h_row[to]).to_bits();
+            let node = &mut scratch[to];
+            if node.stamp != gen {
+                node.stamp = gen;
+                node.dist = nd;
+                heap.push(key, to as u32);
+            } else if nd < node.dist {
+                node.dist = nd;
+                heap.update(to as u32, key);
+            } else {
+                continue;
+            }
+            if to == t {
+                pr.tighten(nd);
+            }
         }
     }
 }

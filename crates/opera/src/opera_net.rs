@@ -41,7 +41,7 @@
 //! separate ideal packet core attached to one uplink per ToR (+33% cost).
 
 use crate::net::{Endpoints, PacketNet};
-use crate::tables::{BulkTables, LowLatencyTables, NO_PORT};
+use crate::tables::{BulkTables, LowLatencyTables};
 use crate::timing::SliceTiming;
 use crate::tokens::{decode, timer, Token};
 use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig, SendOutcome};
@@ -178,9 +178,6 @@ pub struct OperaLogic {
     cycle_slice: usize,
     /// Host → rack.
     host_rack: Vec<u16>,
-    /// `[a * racks + b]` → the switch whose matchings hold the circuit
-    /// `a ↔ b` (`NO_PORT` on the diagonal): which uplink a hello came in on.
-    pair_switch: Vec<u8>,
     /// Feeder polling period: one MTU at line rate.
     feeder_tick: SimTime,
     /// Window-close guard before a reconfiguration: long enough to drain
@@ -582,16 +579,6 @@ impl OperaLogic {
         rack: usize,
         mut packet: Packet,
     ) {
-        if let PacketKind::Hello = packet.kind {
-            // Addressed ToR-to-ToR over one circuit; recover the uplink
-            // from the sender's matching home.
-            let peer_rack = packet.src - self.tor_node(0);
-            let sw = self.pair_switch[rack * self.cfg.params.racks + peer_rack];
-            if sw != NO_PORT {
-                self.on_hello(rack, sw as usize);
-            }
-            return;
-        }
         let dst_rack = self.rack_of(packet.dst);
         if dst_rack == rack {
             // Deliver down.
@@ -720,14 +707,20 @@ impl NetLogic for OperaLogic {
         fabric: &mut Fabric,
         ctx: &mut EventContext<'_, NetEvent>,
         node: usize,
-        _port: usize,
+        port: usize,
         packet: Packet,
     ) {
         if node < self.ends.hosts() {
             self.ends.on_packet(fabric, ctx, node, packet);
         } else if self.is_tor(node) {
             let rack = node - self.tor_node(0);
-            self.on_tor_arrive(fabric, ctx, rack, packet);
+            if let PacketKind::Hello = packet.kind {
+                // Sent over one circuit, whose two ends share the uplink
+                // `up_port(j)`: the arrival port names the switch.
+                self.on_hello(rack, port - self.cfg.params.hosts_per_rack);
+            } else {
+                self.on_tor_arrive(fabric, ctx, rack, packet);
+            }
         } else if self.is_core(node) {
             // Ideal packet core: one port per rack.
             let dst_rack = self.rack_of(packet.dst);
@@ -776,27 +769,6 @@ impl PacketNet for OperaLogic {
     fn ends_mut(&mut self) -> &mut Endpoints {
         &mut self.ends
     }
-}
-
-/// `[a * racks + b]` → the switch whose matchings hold the circuit between
-/// racks `a` and `b`, [`NO_PORT`] for `a == b`: `locate_pair` for every
-/// pair at once, filled from the matchings themselves.
-fn pair_switch_table(topo: &OperaTopology) -> Vec<u8> {
-    let racks = topo.racks();
-    let mut table = vec![NO_PORT; racks * racks];
-    for sw in 0..topo.switches() {
-        let sw8 = u8::try_from(sw)
-            .ok()
-            .filter(|&sw8| sw8 != NO_PORT)
-            .expect("switch index must fit u8 below NO_PORT");
-        for pos in 0..topo.matchings_per_switch() {
-            for (a, b) in topo.matching(sw, pos).pairs() {
-                table[a * racks + b] = sw8;
-                table[b * racks + a] = sw8;
-            }
-        }
-    }
-    table
 }
 
 /// Build a ready-to-run Opera/RotorNet simulation with `flows` to inject.
@@ -874,7 +846,6 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
         slice: 0,
         cycle_slice: 0,
         host_rack,
-        pair_switch: pair_switch_table(&topo),
         feeder_tick: SimTime::from_ns(mtu_ns),
         window_guard: SimTime::from_ns(4 * mtu_ns + 2 * cfg.link.delay.as_ns()),
         feeders: vec![Feeder::default(); cfg.params.racks * topo.switches()],
@@ -1119,30 +1090,6 @@ mod tests {
             "flow stuck after failure: {:?}",
             sim.world.logic.tracker().get(0)
         );
-    }
-
-    #[test]
-    fn pair_switch_table_equals_locate_pair() {
-        for groups in [1, 2] {
-            let params = OperaParams {
-                racks: 24,
-                uplinks: 4,
-                hosts_per_rack: 4,
-                groups,
-            };
-            let topo = OperaTopology::generate(params, 11);
-            let table = pair_switch_table(&topo);
-            for a in 0..topo.racks() {
-                for b in 0..topo.racks() {
-                    let sw = table[a * topo.racks() + b];
-                    assert_eq!(
-                        (sw != NO_PORT).then_some(sw as usize),
-                        topo.locate_pair(a, b).map(|(sw, _)| sw),
-                        "pair ({a},{b})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -152,83 +152,6 @@ impl Graph {
     }
 }
 
-/// Compressed-sparse-row view of a [`Graph`]'s adjacency.
-///
-/// All edges live in one flat array ordered exactly as the per-node
-/// adjacency lists enumerate them, so the flat edge id `offset(v) + i`
-/// names `graph.edges(v)[i]`. Shortest-path inner loops index this
-/// layout instead of chasing one heap allocation per node, and per-edge
-/// state arrays (costs, loads) share the same id space.
-#[derive(Debug, Clone)]
-pub struct Csr {
-    /// `offsets[v]..offsets[v + 1]` is the edge-id range of node `v`.
-    offsets: Vec<usize>,
-    /// Destination node per flat edge id.
-    to: Vec<u32>,
-    /// Source node per flat edge id (reverse lookup for path walks).
-    from: Vec<u32>,
-}
-
-impl Csr {
-    /// Flatten `g`'s adjacency lists, preserving their edge order.
-    pub fn from_graph(g: &Graph) -> Self {
-        let n = g.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut to = Vec::with_capacity(g.edge_count());
-        let mut from = Vec::with_capacity(g.edge_count());
-        offsets.push(0);
-        for v in 0..n {
-            for e in g.edges(v) {
-                to.push(e.to as u32);
-                from.push(v as u32);
-            }
-            offsets.push(to.len());
-        }
-        Csr { offsets, to, from }
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total directed edge count (the flat edge-id space).
-    pub fn edge_count(&self) -> usize {
-        self.to.len()
-    }
-
-    /// First flat edge id of `v`'s out-edges (`graph.edges(v)[i]` is edge
-    /// `offset(v) + i`).
-    pub fn offset(&self, v: NodeId) -> usize {
-        self.offsets[v]
-    }
-
-    /// Destination nodes of `v`'s out-edges, in adjacency-list order.
-    pub fn targets(&self, v: NodeId) -> &[u32] {
-        &self.to[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// The flat target array over all nodes; `targets(v)` is the
-    /// `offset(v)..offset(v + 1)` window of this slice. Callers that
-    /// already know a node's offset (e.g. degree-uniform graphs, where
-    /// it is `v * degree`) can slice directly and skip the offset
-    /// loads.
-    #[inline(always)]
-    pub fn targets_flat(&self) -> &[u32] {
-        &self.to
-    }
-
-    /// Source node of flat edge `eid`.
-    pub fn from(&self, eid: usize) -> NodeId {
-        self.from[eid] as NodeId
-    }
-
-    /// Destination node of flat edge `eid`.
-    pub fn to(&self, eid: usize) -> NodeId {
-        self.to[eid] as NodeId
-    }
-}
-
 /// Summary of all-pairs shortest-path lengths.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathStats {
@@ -318,40 +241,5 @@ mod tests {
         assert!(g.is_connected());
         assert!(g.is_empty());
         assert_eq!(g.path_length_stats().total_pairs, 0);
-    }
-
-    #[test]
-    fn csr_matches_adjacency_order() {
-        let mut g = Graph::new(3);
-        g.add_link(0, 1, 0);
-        g.add_link(0, 2, 1);
-        g.add_edge(1, 2, 0);
-        let csr = Csr::from_graph(&g);
-        assert_eq!(csr.nodes(), 3);
-        assert_eq!(csr.edge_count(), g.edge_count());
-        for v in 0..g.len() {
-            let off = csr.offset(v);
-            let targets = csr.targets(v);
-            assert_eq!(targets.len(), g.degree(v));
-            for (i, e) in g.edges(v).iter().enumerate() {
-                let eid = off + i;
-                assert_eq!(csr.to(eid), e.to);
-                assert_eq!(csr.from(eid), v);
-                assert_eq!(targets[i] as usize, e.to);
-            }
-        }
-    }
-
-    #[test]
-    fn csr_empty_and_isolated_nodes() {
-        let csr = Csr::from_graph(&Graph::new(0));
-        assert_eq!(csr.nodes(), 0);
-        assert_eq!(csr.edge_count(), 0);
-        let mut g = Graph::new(4); // node 2 isolated
-        g.add_edge(0, 1, 0);
-        g.add_edge(3, 1, 0);
-        let csr = Csr::from_graph(&g);
-        assert!(csr.targets(2).is_empty());
-        assert_eq!(csr.targets(3), &[1]);
     }
 }

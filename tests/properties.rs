@@ -638,9 +638,7 @@ mod reference_mcf {
 
 /// A random MCF instance: multigraph (mixed full-duplex links and
 /// one-way edges, possibly disconnected), a random rack→ToR mapping,
-/// and a demand list that includes self-demands and zero amounts (both
-/// skipped by the solver's routing loop but counted by its host-cap
-/// bound).
+/// and a demand list from [`random_demands`].
 fn random_mcf_instance(
     n: usize,
     links: usize,
@@ -664,7 +662,15 @@ fn random_mcf_instance(
     let tor: Vec<usize> = (0..n)
         .map(|r| if rng.chance(0.85) { r } else { rng.index(n) })
         .collect();
-    let demands: Vec<flowsim::models::Demand> = (0..ndemands)
+    let demands = random_demands(&mut rng, n, ndemands);
+    (g, tor, demands)
+}
+
+/// `ndemands` random demands over `n` racks, including self-demands
+/// and zero amounts (both skipped by the solver's routing loop but
+/// counted by its host-cap bound).
+fn random_demands(rng: &mut SimRng, n: usize, ndemands: usize) -> Vec<flowsim::models::Demand> {
+    (0..ndemands)
         .map(|_| {
             let src = rng.index(n);
             let dst = if rng.chance(0.1) { src } else { rng.index(n) };
@@ -675,18 +681,61 @@ fn random_mcf_instance(
             };
             flowsim::models::Demand { src, dst, amount }
         })
-        .collect();
-    (g, tor, demands)
+        .collect()
+}
+
+/// Solve one instance with the reference and with `McfSolver` (one-shot
+/// and twice on one reused instance, which must not leak state between
+/// solves); `None` when every λ matches the reference bit for bit.
+fn mcf_mismatch(
+    g: &topo::graph::Graph,
+    tor: &[usize],
+    demands: &[flowsim::models::Demand],
+    link_rate: f64,
+    host_cap: f64,
+    phases: usize,
+) -> Option<String> {
+    let want = reference_mcf::max_concurrent_flow(g, tor, demands, link_rate, host_cap, phases);
+    let got = flowsim::max_concurrent_flow(g, tor, demands, link_rate, host_cap, phases).lambda;
+    if got.to_bits() != want.to_bits() {
+        return Some(format!("one-shot: got {got} want {want}"));
+    }
+    let mut solver = flowsim::McfSolver::new(g);
+    for _ in 0..2 {
+        let again = solver
+            .solve(tor, demands, link_rate, host_cap, phases)
+            .lambda;
+        if again.to_bits() != want.to_bits() {
+            return Some(format!("reused solver: got {again} want {want}"));
+        }
+    }
+    None
+}
+
+/// [`mcf_mismatch`] on a [`random_mcf_instance`], with the link rate
+/// and host capacity drawn from the seed.
+fn random_mcf_mismatch(
+    n: usize,
+    links: usize,
+    ndemands: usize,
+    phases: usize,
+    seed: u64,
+) -> Option<String> {
+    let (g, tor, demands) = random_mcf_instance(n, links, ndemands, seed);
+    let link_rate = if seed.is_multiple_of(2) { 10.0 } else { 2.5 };
+    let host_cap = 1.0 + (seed % 97) as f64;
+    mcf_mismatch(&g, &tor, &demands, link_rate, host_cap, phases)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The rewritten `McfSolver` (CSR adjacency, generation-stamped
-    /// scratch, early-exit Dijkstra, source-bucketed iteration) produces
-    /// λ **bit-identical** to the seed implementation over random
-    /// graphs and demand sets — including reused solver instances, which
-    /// must not leak state between solves.
+    /// The rewritten `McfSolver` (fixed-width adjacency rows,
+    /// generation-stamped scratch, goal-directed search, paths walked
+    /// from final distances) produces λ **bit-identical** to the seed
+    /// implementation over random graphs and demand sets, and over a
+    /// random expander of the kind the cost sweeps solve (3–16 uplinks,
+    /// so every degree the figures use).
     #[test]
     fn mcf_matches_reference(
         n in 2usize..28,
@@ -694,22 +743,30 @@ proptest! {
         ndemands in 1usize..16,
         phases in 1usize..24,
         seed in 0u64..10_000,
+        uplinks in 3usize..17,
     ) {
-        let (g, tor, demands) = random_mcf_instance(n, links, ndemands, seed);
-        let link_rate = if seed % 2 == 0 { 10.0 } else { 2.5 };
+        prop_assert_eq!(random_mcf_mismatch(n, links, ndemands, phases, seed), None);
+        let mut rng = SimRng::new(seed);
+        let racks = 2 * (uplinks + rng.index(8));
+        let exp = topo::expander::ExpanderTopology::generate(
+            topo::expander::ExpanderParams { racks, uplinks, hosts_per_rack: 1 },
+            seed,
+        );
+        let demands = random_demands(&mut rng, racks, ndemands);
+        let tor: Vec<usize> = (0..racks).collect();
         let host_cap = 1.0 + (seed % 97) as f64;
-        let want = reference_mcf::max_concurrent_flow(
-            &g, &tor, &demands, link_rate, host_cap, phases);
-        let got = flowsim::max_concurrent_flow(
-            &g, &tor, &demands, link_rate, host_cap, phases).lambda;
-        prop_assert_eq!(got.to_bits(), want.to_bits(), "got {} want {}", got, want);
-        // A reused solver instance reproduces the same bits.
-        let mut solver = flowsim::McfSolver::new(&g);
-        for _ in 0..2 {
-            let again = solver.solve(&tor, &demands, link_rate, host_cap, phases).lambda;
-            prop_assert_eq!(again.to_bits(), want.to_bits());
-        }
+        prop_assert_eq!(mcf_mismatch(exp.graph(), &tor, &demands, 10.0, host_cap, phases), None);
     }
+}
+
+/// Multiplicative weights can spread edge costs so far apart that a
+/// path's distance absorbs an edge's cost (`d + c == d`); the reference
+/// then records a predecessor at the same distance, which a walk over
+/// strictly-closer predecessors cannot find. The smallest such instance
+/// among the property test's draws.
+#[test]
+fn mcf_matches_reference_across_an_absorbed_cost() {
+    assert_eq!(random_mcf_mismatch(25, 16, 14, 20, 3431), None);
 }
 
 /// Every bulk packet a source host emits, by `(flow, seq)`: one
