@@ -104,27 +104,53 @@ pub fn clos_cfg(scale: Scale) -> StaticNetConfig {
     }
 }
 
-/// Names of this process's [`run_net`] runs that reached their horizon
-/// with every flow complete: something kept the network from ever
-/// draining (ROADMAP 4b's NDP zombie re-arming its RTO, or packets
-/// stranded at an idle port, as 4e's were before rewired ports were
-/// restarted).
-static UNDRAINED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+/// What this process's [`run_net`] runs left behind, by run name.
+struct Census {
+    /// Runs that reached their horizon with every flow complete: something
+    /// kept the network from ever draining (ROADMAP 4b's NDP zombie
+    /// re-arming its RTO, or packets stranded at an idle port, as 4e's were
+    /// before rewired ports were restarted).
+    undrained: BTreeSet<String>,
+    /// Runs whose packet ledger ([`PacketNet::ledger`]) did not balance,
+    /// with what it found.
+    unbalanced: Vec<(String, String)>,
+    /// Runs that lost packets into dark circuits (ROADMAP 4i), with how
+    /// many. Replicates share a name, so a name is entered once per run.
+    dark_drops: Vec<(String, u64)>,
+}
+
+static CENSUS: Mutex<Census> = Mutex::new(Census {
+    undrained: BTreeSet::new(),
+    unbalanced: Vec::new(),
+    dark_drops: Vec::new(),
+});
+
+fn census() -> std::sync::MutexGuard<'static, Census> {
+    CENSUS.lock().expect("no panic while the census is held")
+}
 
 /// How every driver runs a packet network: [`PacketNet::run`], which
 /// stops at the first instant the network has drained, however far off
-/// `horizon` is. A run that finishes its flows and still reaches the
-/// horizon is entered under `name` in [`undrained_runs`].
+/// `horizon` is. The run is then entered under `name` in
+/// [`undrained_runs`] if it finished its flows and still reached the
+/// horizon, in [`unbalanced_runs`] if its packet ledger does not balance,
+/// and in [`dark_drop_runs`] if it lost a packet into a dark circuit.
 pub(crate) fn run_net<N: PacketNet>(
     sim: &mut Simulator<NetWorld<N>>,
     horizon: SimTime,
     name: fmt::Arguments<'_>,
 ) {
-    if !N::run(sim, horizon) && sim.world.logic.ends().finished() {
-        UNDRAINED
-            .lock()
-            .expect("no panic while the census is held")
-            .insert(name.to_string());
+    let drained = N::run(sim, horizon);
+    let mut census = census();
+    if !drained && sim.world.logic.ends().finished() {
+        census.undrained.insert(name.to_string());
+    }
+    if let Err(imbalance) = N::ledger(sim) {
+        census.unbalanced.push((name.to_string(), imbalance));
+    }
+    let dark = sim.world.fabric.counters.dark_drops;
+    if dark > 0 {
+        census.dark_drops.push((name.to_string(), dark));
     }
 }
 
@@ -132,6 +158,22 @@ pub(crate) fn run_net<N: PacketNet>(
 /// flows all completed but whose network never drained, and which
 /// therefore ran to their horizon.
 pub fn undrained_runs() -> Vec<String> {
-    let census = UNDRAINED.lock().expect("no panic while the census is held");
-    census.iter().cloned().collect()
+    census().undrained.iter().cloned().collect()
+}
+
+/// This process's driver runs whose packet ledger did not balance, sorted
+/// by name, each with what its ledger found.
+pub fn unbalanced_runs() -> Vec<(String, String)> {
+    let mut runs = census().unbalanced.clone();
+    runs.sort();
+    runs
+}
+
+/// This process's driver runs that lost packets into dark circuits
+/// (ROADMAP 4i), sorted, each with its `dark_drops`; a name appears once
+/// per run that bears it.
+pub fn dark_drop_runs() -> Vec<(String, u64)> {
+    let mut runs = census().dark_drops.clone();
+    runs.sort();
+    runs
 }

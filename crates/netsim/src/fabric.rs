@@ -2,10 +2,13 @@
 //!
 //! Every node (host NIC or switch) owns a set of output ports. A port has
 //! one strict-priority queue per [`Priority`] level, a link specification
-//! (rate + propagation delay), and a peer — the `(node, port)` at the other
-//! end of the cable. Peers can be *rewired at run time*, which is how
-//! circuit-switch reconfiguration is modeled: a rotor switch is not a
-//! simulated node, it is a time-varying wiring of ToR uplink ports.
+//! (rate + propagation delay), and one [`LinkState`]: wired to a peer (the
+//! `(node, port)` at the other end of the cable) or dark, failed or not,
+//! paused or not. [`Fabric::connect`] wires ports at build time; after that
+//! [`Fabric::set_link`] is the one way a link state changes: a rotor circuit
+//! rewiring or going dark (a rotor switch is not a simulated node, it is a
+//! time-varying wiring of ToR uplink ports), a PFC frame, or a transceiver
+//! failing or healing, the last two as a [`NetEvent::LinkChange`].
 //!
 //! Transmission is store-and-forward: dequeuing a packet occupies the port
 //! for `size/rate` (serialization), and the packet arrives at the peer
@@ -18,6 +21,7 @@
 //! and read once, by [`Fabric::deliver`] when its [`NetEvent::Arrive`]
 //! fires; queues and events carry its 4-byte [`PacketRef`] in between, and
 //! a packet lost on the wire frees its slot at transmission.
+//! [`Fabric::ledger`] accounts for every packet written.
 //!
 //! What happens when a packet meets a full (or filling) queue is the
 //! port's [`SwitchPolicyKind`] — trim, drop, mark, or pause upstream; see
@@ -140,6 +144,44 @@ pub enum SendOutcome {
     Dropped,
 }
 
+/// A port's link: wired to a peer or dark, failed or not, paused or not.
+/// Whether the transmitter is busy, and whether the port's own queues are
+/// pausing its upstream peers, are the port's, not the link's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkState {
+    /// The `(node, port)` at the other end of the cable; `None` while dark.
+    /// A dark port still transmits, and loses what it sends.
+    pub peer: Option<(NodeId, PortId)>,
+    /// The transceiver is broken: what the port sends is lost (§5.5).
+    pub failed: bool,
+    /// A downstream peer sent a PFC pause frame: no dequeues until resume.
+    pub paused: bool,
+}
+
+/// A change to one port's [`LinkState`], made by [`Fabric::set_link`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkChange {
+    /// Wire the port to `(node, port)`, unplugging both from earlier peers
+    /// (circuit reconfiguration). Clears every pause it touches and restarts
+    /// both ends, so a port left idle with packets queued sends again.
+    Wire(NodeId, PortId),
+    /// Unplug the port and its peer (a circuit going dark), clearing both
+    /// ends' pauses. Neither end restarts.
+    Dark,
+    /// A change an event can carry.
+    Signal(LinkSignal),
+}
+
+/// The [`LinkChange`]s a [`NetEvent::LinkChange`] carries: those that name
+/// no peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkSignal {
+    /// A PFC pause (`true`) or resume frame: traced, and the port restarts.
+    Paused(bool),
+    /// The transceiver fails (`true`) or is repaired; nothing restarts.
+    Failed(bool),
+}
+
 #[derive(Debug)]
 struct Port {
     /// Slab handles into [`Fabric::arena`]; the packet bodies stay put
@@ -151,11 +193,8 @@ struct Port {
     /// `link.serialize` of the two sizes nearly every packet has.
     ser_mtu: SimTime,
     ser_header: SimTime,
-    peer: Option<(NodeId, PortId)>,
+    state: LinkState,
     busy: bool,
-    failed: bool,
-    /// A downstream peer sent a PFC pause frame: no dequeues until resume.
-    paused: bool,
     /// This port's queues crossed its policy's pause threshold and count
     /// toward the owning node's congested-port total.
     congesting: bool,
@@ -170,10 +209,8 @@ impl Port {
             link,
             ser_mtu: link.serialize(MTU),
             ser_header: link.serialize(HEADER_SIZE),
-            peer: None,
+            state: LinkState::default(),
             busy: false,
-            failed: false,
-            paused: false,
             congesting: false,
         }
     }
@@ -237,16 +274,17 @@ pub enum NetEvent {
         /// The now-idle port.
         port: u32,
     },
-    /// A PFC pause or resume frame reached `node`'s `port` (sent by the
-    /// port's downstream peer; modeled out-of-band so pause frames cannot
-    /// be stuck behind the very queues they exist to relieve).
-    PauseChange {
-        /// Node whose port is being paused/resumed.
+    /// A change to `node`'s `port`'s link: a PFC frame from its downstream
+    /// peer (out-of-band, so it cannot be stuck behind the very queues it
+    /// exists to relieve), or a scheduled fault. Handled by
+    /// [`Fabric::set_link`].
+    LinkChange {
+        /// Node whose port changes.
         node: u32,
-        /// The paused/resumed port.
+        /// The changing port.
         port: u32,
-        /// True to pause, false to resume.
-        paused: bool,
+        /// What changes.
+        change: LinkSignal,
     },
     /// Logic-defined timer.
     Timer {
@@ -269,6 +307,8 @@ pub struct Fabric {
     /// Packets sitting in port queues now, and the most there ever were.
     queued_now: usize,
     queued_peak: usize,
+    /// Bulk packets [`Fabric::drain_bulk`] handed back.
+    drained: u64,
     /// Aggregate counters.
     pub counters: FabricCounters,
     /// Random per-packet loss: `(probability, rng)`. Applied to every
@@ -299,49 +339,59 @@ impl Fabric {
         id
     }
 
-    /// Connect `a.pa ↔ b.pb` (both directions). Panics if either port is
-    /// already wired — use [`Fabric::rewire`] for circuit reconfiguration.
+    /// Connect `a.pa ↔ b.pb` (both directions) at build time. Panics if
+    /// either port is already wired — a run rewires with [`Fabric::set_link`].
     pub fn connect(&mut self, a: NodeId, pa: PortId, b: NodeId, pb: PortId) {
-        assert!(self.nodes[a][pa].peer.is_none(), "port {a}.{pa} wired");
-        assert!(self.nodes[b][pb].peer.is_none(), "port {b}.{pb} wired");
-        self.nodes[a][pa].peer = Some((b, pb));
-        self.nodes[b][pb].peer = Some((a, pa));
-        // A pause frame from a previous wiring no longer binds.
-        self.nodes[a][pa].paused = false;
-        self.nodes[b][pb].paused = false;
-    }
-
-    /// Disconnect a port pair (both directions). No-op if unwired.
-    /// Unplugging clears any PFC pause on either end.
-    pub fn disconnect(&mut self, a: NodeId, pa: PortId) {
-        if let Some((b, pb)) = self.nodes[a][pa].peer.take() {
-            self.nodes[b][pb].peer = None;
-            self.nodes[b][pb].paused = false;
+        for (n, p, peer) in [(a, pa, (b, pb)), (b, pb, (a, pa))] {
+            let state = &mut self.nodes[n][p].state;
+            assert!(state.peer.is_none(), "port {n}.{p} wired");
+            // A pause frame from a previous wiring no longer binds.
+            (state.peer, state.paused) = (Some(peer), false);
         }
-        self.nodes[a][pa].paused = false;
     }
 
-    /// Atomically repoint `a.pa ↔ b.pb`, detaching any previous peers —
-    /// circuit-switch reconfiguration — and restart both ends, so a port a
-    /// cleared PFC pause left idle with packets queued sends to its new peer.
-    pub fn rewire(
+    /// Change `node.port`'s [`LinkState`], the one way it changes after
+    /// build; [`LinkChange`] and [`LinkSignal`] give the side effects.
+    pub fn set_link(
         &mut self,
         ctx: &mut EventContext<'_, NetEvent>,
-        a: NodeId,
-        pa: PortId,
-        b: NodeId,
-        pb: PortId,
+        node: NodeId,
+        port: PortId,
+        change: LinkChange,
     ) {
-        self.disconnect(a, pa);
-        self.disconnect(b, pb);
-        self.connect(a, pa, b, pb);
-        self.restart(ctx, a, pa);
-        self.restart(ctx, b, pb);
+        let state = &mut self.nodes[node][port].state;
+        match change {
+            LinkChange::Wire(b, pb) => {
+                self.unplug(node, port);
+                self.unplug(b, pb);
+                self.connect(node, port, b, pb);
+                self.restart(ctx, node, port);
+                self.restart(ctx, b, pb);
+            }
+            LinkChange::Dark => self.unplug(node, port),
+            LinkChange::Signal(LinkSignal::Failed(failed)) => state.failed = failed,
+            LinkChange::Signal(LinkSignal::Paused(paused)) => {
+                state.paused = paused;
+                let ev = [TraceEvent::Resume, TraceEvent::Pause][usize::from(paused)];
+                self.trace_event(ctx.now(), node, port, ev, None);
+                self.restart(ctx, node, port);
+            }
+        }
     }
 
-    /// Current peer of a port.
-    pub fn peer(&self, node: NodeId, port: PortId) -> Option<(NodeId, PortId)> {
-        self.nodes[node][port].peer
+    /// Unplug `node.port` and its peer, if any, clearing both ends' pauses.
+    fn unplug(&mut self, node: NodeId, port: PortId) {
+        let state = &mut self.nodes[node][port].state;
+        state.paused = false;
+        if let Some((b, pb)) = state.peer.take() {
+            let far = &mut self.nodes[b][pb].state;
+            (far.peer, far.paused) = (None, false);
+        }
+    }
+
+    /// A port's link state.
+    pub fn link(&self, node: NodeId, port: PortId) -> LinkState {
+        self.nodes[node][port].state
     }
 
     /// Set one priority level's capacity at one port, bytes, overriding
@@ -350,22 +400,12 @@ impl Fabric {
         self.nodes[node][port].cfg.cap_bytes[prio as usize] = bytes;
     }
 
-    /// Mark a port's link failed (packets sent are lost) — §5.5 fault
-    /// injection.
-    pub fn set_failed(&mut self, node: NodeId, port: PortId, failed: bool) {
-        self.nodes[node][port].failed = failed;
-    }
-
     /// Enable uniform random packet loss with probability `p` on every
     /// transmission (transient corruption; end-to-end recovery is the
     /// transports' job). `p = 0` disables.
     pub fn set_random_loss(&mut self, p: f64, seed: u64) {
         assert!((0.0..=1.0).contains(&p));
-        self.loss = if p > 0.0 {
-            Some((p, simkit::SimRng::new(seed)))
-        } else {
-            None
-        };
+        self.loss = (p > 0.0).then(|| (p, simkit::SimRng::new(seed)));
     }
 
     /// Install an event trace sink ([`crate::trace`]). Tracing is pure
@@ -454,7 +494,7 @@ impl Fabric {
         let p = &mut self.nodes[node][port];
         p.queues[lvl].push_back(r);
         p.queued_bytes[lvl] += size;
-        let idle = !p.busy && !p.paused;
+        let idle = !p.busy && !p.state.paused;
         match outcome {
             SendOutcome::Trimmed => self.counters.trimmed += 1,
             _ => self.counters.queued += 1,
@@ -479,7 +519,7 @@ impl Fabric {
             ..
         } = self;
         let p = &mut nodes[node][port];
-        debug_assert!(!p.busy && !p.paused);
+        debug_assert!(!p.busy && !p.state.paused);
         let Some(lvl) = (0..PRIORITY_LEVELS).find(|&l| !p.queues[l].is_empty()) else {
             return;
         };
@@ -502,12 +542,9 @@ impl Fabric {
             port: port as u32,
         };
         ctx.schedule_in(ser, free);
-        let corrupted = match loss {
-            Some((p, rng)) => rng.chance(*p),
-            None => false,
-        };
-        match p.peer {
-            Some((pn, pp)) if !corrupted && !p.failed => {
+        let corrupted = loss.as_mut().is_some_and(|(p, rng)| rng.chance(*p));
+        match p.state.peer {
+            Some((pn, pp)) if !corrupted && !p.state.failed => {
                 counters.delivered += 1;
                 let arrive = NetEvent::Arrive {
                     node: pn as u32,
@@ -542,36 +579,16 @@ impl Fabric {
         let p = &mut self.nodes[node][port];
         debug_assert!(p.busy);
         p.busy = false;
-        if !p.paused {
+        if !p.state.paused {
             self.start_tx(ctx, node, port);
         }
-    }
-
-    /// Handle a [`NetEvent::PauseChange`] (ids as the event carries
-    /// them): a downstream PFC pause/resume frame arrived at `node.port`.
-    pub fn on_pause_change(
-        &mut self,
-        ctx: &mut EventContext<'_, NetEvent>,
-        node: u32,
-        port: u32,
-        paused: bool,
-    ) {
-        let (node, port) = (node as usize, port as usize);
-        let ev = if paused {
-            TraceEvent::Pause
-        } else {
-            TraceEvent::Resume
-        };
-        self.trace_event(ctx.now(), node, port, ev, None);
-        self.nodes[node][port].paused = paused;
-        self.restart(ctx, node, port);
     }
 
     /// Start `node.port`'s next transmission if the port is idle and
     /// unpaused (a no-op when nothing is queued): after a resume or a rewire.
     fn restart(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, port: PortId) {
         let p = &self.nodes[node][port];
-        if !p.busy && !p.paused {
+        if !p.busy && !p.state.paused {
             self.start_tx(ctx, node, port);
         }
     }
@@ -609,19 +626,14 @@ impl Fabric {
     /// Send a pause (or resume) frame to the peer of every wired port of
     /// `node`.
     fn signal_peers(&mut self, ctx: &mut EventContext<'_, NetEvent>, node: NodeId, paused: bool) {
+        let change = LinkSignal::Paused(paused);
         for q in &self.nodes[node] {
-            if let Some((pn, pp)) = q.peer {
+            if let Some((pn, pp)) = q.state.peer {
                 if paused {
                     self.counters.pause_frames += 1;
                 }
-                ctx.schedule_in(
-                    q.link.delay,
-                    NetEvent::PauseChange {
-                        node: pn as u32,
-                        port: pp as u32,
-                        paused,
-                    },
-                );
+                let (node, port) = (pn as u32, pp as u32);
+                ctx.schedule_in(q.link.delay, NetEvent::LinkChange { node, port, change });
             }
         }
     }
@@ -638,6 +650,7 @@ impl Fabric {
         let lvl = Priority::Bulk as usize;
         p.queued_bytes[lvl] = 0;
         self.queued_now -= p.queues[lvl].len();
+        self.drained += p.queues[lvl].len() as u64;
         p.queues[lvl].drain(..).map(|r| arena.take(r)).collect()
     }
 
@@ -653,6 +666,28 @@ impl Fabric {
     pub fn parked_packets(&self) -> usize {
         self.arena.live()
     }
+
+    /// The packet ledger: every packet written into the arena was delivered
+    /// (counted at transmission, so in flight too), lost dark or failed,
+    /// drained back to RotorLB, or is still queued.
+    pub fn ledger(&self) -> Result<(), Imbalance> {
+        let c = &self.counters;
+        let gone = [c.delivered, c.dark_drops, c.failed_drops, self.drained];
+        let counted = gone.iter().sum::<u64>() + self.queued_now as u64;
+        let written = self.arena.allocated();
+        (counted == written)
+            .then_some(())
+            .ok_or(Imbalance { written, counted })
+    }
+}
+
+/// Packets [`Fabric::ledger`] cannot account for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Imbalance {
+    /// Packets written into the arena.
+    pub written: u64,
+    /// Delivered, lost dark or failed, drained, and still queued.
+    pub counted: u64,
 }
 
 #[cfg(test)]
@@ -680,8 +715,10 @@ mod tests {
                 NetEvent::PortFree { node, port } => {
                     self.fabric.on_port_free(ctx, node, port);
                 }
-                NetEvent::PauseChange { node, port, paused } => {
-                    self.fabric.on_pause_change(ctx, node, port, paused);
+                NetEvent::LinkChange { node, port, change } => {
+                    let (node, port) = (node as usize, port as usize);
+                    let change = LinkChange::Signal(change);
+                    self.fabric.set_link(ctx, node, port, change);
                 }
                 NetEvent::Timer { .. } => {}
             }
@@ -888,12 +925,14 @@ mod tests {
                     }
                     NetEvent::PortFree { node, port } => {
                         self.fabric.on_port_free(ctx, node, port);
-                        if self.fabric.nodes[0][0].paused {
+                        if self.fabric.link(0, 0).paused {
                             self.host_paused_seen = true;
                         }
                     }
-                    NetEvent::PauseChange { node, port, paused } => {
-                        self.fabric.on_pause_change(ctx, node, port, paused);
+                    NetEvent::LinkChange { node, port, change } => {
+                        let (node, port) = (node as usize, port as usize);
+                        let change = LinkChange::Signal(change);
+                        self.fabric.set_link(ctx, node, port, change);
                     }
                 }
             }
@@ -912,7 +951,7 @@ mod tests {
         assert!(w.host_paused_seen, "backpressure never reached the host");
         assert!(w.fabric.counters.pause_frames > 0);
         assert!(
-            !w.fabric.nodes[0][0].paused,
+            !w.fabric.link(0, 0).paused,
             "resume frees the host at drain"
         );
     }
@@ -934,7 +973,8 @@ mod tests {
                         }
                         1 => {
                             // Rewire node 0 port 0 to node 2.
-                            self.inner.fabric.rewire(ctx, 0, 0, 2, 0);
+                            let to_2 = LinkChange::Wire(2, 0);
+                            self.inner.fabric.set_link(ctx, 0, 0, to_2);
                             let pkt = Packet::data(0, 0, 2, 1, MTU);
                             self.inner.fabric.send(ctx, 0, 0, pkt);
                         }
@@ -959,7 +999,7 @@ mod tests {
         assert_eq!(arr[0].1, 1, "first packet to original peer");
         assert_eq!(arr[1].1, 2, "second packet to rewired peer");
         // Old peer's port is now unwired.
-        assert_eq!(sim.world.inner.fabric.peer(1, 0), None);
+        assert_eq!(sim.world.inner.fabric.link(1, 0).peer, None);
     }
 
     /// A paused port with packets queued sends them to its new peer once
@@ -981,9 +1021,9 @@ mod tests {
                         }
                     }
                     NetEvent::Timer { .. } => {
-                        assert!(fabric.nodes[0][0].paused);
+                        assert!(fabric.link(0, 0).paused);
                         assert_eq!(fabric.queued_bytes(0, 0), 3 * MTU as u64);
-                        fabric.rewire(ctx, 0, 0, 2, 0);
+                        fabric.set_link(ctx, 0, 0, LinkChange::Wire(2, 0));
                     }
                     ev => self.inner.handle_event(ev, ctx),
                 }
@@ -993,10 +1033,10 @@ mod tests {
         let mut inner = two_nodes(cfg);
         inner.fabric.add_node(1, cfg, LinkSpec::paper_default());
         let mut sim = Simulator::new(PausedWorld { inner });
-        let pause = NetEvent::PauseChange {
+        let pause = NetEvent::LinkChange {
             node: 0,
             port: 0,
-            paused: true,
+            change: LinkSignal::Paused(true),
         };
         sim.schedule_at(SimTime::ZERO, pause);
         sim.schedule_at(SimTime::from_ns(1), NetEvent::Timer { token: 0 });
@@ -1007,15 +1047,16 @@ mod tests {
         // Back to back from the rewire: 1 200 ns serialization each, plus
         // 500 ns propagation.
         assert_eq!(to, [(11_700, 2), (12_900, 2), (14_100, 2)]);
-        assert!(!w.fabric.nodes[0][0].paused);
+        assert!(!w.fabric.link(0, 0).paused);
         assert_eq!(w.fabric.queued_bytes(0, 0), 0);
     }
 
     /// A packet lost on the wire frees its arena slot at transmission,
     /// whichever way it is lost: sustained sending into a dark port, a
-    /// failed link or a fully corrupting one never grows the slab past
-    /// what one tick queues (the first of its four goes straight onto
-    /// the wire), and parks nothing once drained.
+    /// failed link (failed by a scheduled [`NetEvent::LinkChange`]) or a
+    /// fully corrupting one never grows the slab past what one tick queues
+    /// (the first of its four goes straight onto the wire), parks nothing
+    /// once drained, and leaves the ledger balanced.
     #[test]
     fn lost_on_the_wire_frees_slots() {
         let cfg = QueueConfig::builder().build();
@@ -1027,11 +1068,7 @@ mod tests {
                 arrivals: vec![],
             }
         };
-        let failed = || {
-            let mut w = two_nodes(cfg);
-            w.fabric.set_failed(0, 0, true);
-            w
-        };
+        let failed = || two_nodes(cfg);
         let corrupting = || {
             let mut w = two_nodes(cfg);
             w.fabric.set_random_loss(1.0, 7);
@@ -1048,6 +1085,14 @@ mod tests {
                 burst: (0..64).map(|s| Packet::data(0, 0, 1, s, MTU)).collect(),
                 per_tick: 4,
             });
+            if name == "failed" {
+                let fail = NetEvent::LinkChange {
+                    node: 0,
+                    port: 0,
+                    change: LinkSignal::Failed(true),
+                };
+                sim.schedule_at(SimTime::ZERO, fail);
+            }
             for tick in 0..16 {
                 sim.schedule_at(SimTime::from_us(10 * tick), NetEvent::Timer { token: 0 });
             }
@@ -1064,7 +1109,52 @@ mod tests {
             assert_eq!(w.fabric.parked_packets(), 0, "{name}");
             assert_eq!(w.fabric.arena.slab_len(), 3, "{name}: slots freed at tx");
             assert_eq!(w.fabric.arena_peak_live(), 3, "{name}");
+            assert_eq!(w.fabric.ledger(), Ok(()), "{name}");
         }
+    }
+
+    /// Each [`LinkChange`] through the one mutation path, on one cable: a
+    /// failed port loses what it sends until it heals, and going dark
+    /// unplugs both ends, after which the port still transmits and counts
+    /// what it loses as dark.
+    #[test]
+    fn set_link_fails_heals_and_darkens() {
+        struct StepWorld {
+            inner: TestWorld,
+        }
+        impl EventHandler for StepWorld {
+            type Event = NetEvent;
+            fn handle_event(&mut self, ev: NetEvent, ctx: &mut EventContext<'_, NetEvent>) {
+                let fabric = &mut self.inner.fabric;
+                let change: LinkChange = match ev {
+                    NetEvent::Timer { token: 0 } => LinkChange::Signal(LinkSignal::Failed(true)),
+                    NetEvent::Timer { token: 1 } => LinkChange::Signal(LinkSignal::Failed(false)),
+                    NetEvent::Timer { token: 2 } => LinkChange::Dark,
+                    NetEvent::Timer { .. } => {
+                        fabric.send(ctx, 0, 0, Packet::data(0, 0, 1, 0, MTU));
+                        return;
+                    }
+                    ev => return self.inner.handle_event(ev, ctx),
+                };
+                fabric.set_link(ctx, 0, 0, change);
+            }
+        }
+        let mut sim = Simulator::new(StepWorld {
+            inner: two_nodes(QueueConfig::builder().build()),
+        });
+        // Fail, send; heal, send; go dark, send.
+        for (us, token) in [(0, 0), (1, 3), (10, 1), (11, 3), (20, 2), (21, 3)] {
+            sim.schedule_at(SimTime::from_us(us), NetEvent::Timer { token });
+        }
+        sim.run();
+        let w = &sim.world.inner;
+        let c = w.fabric.counters;
+        assert_eq!((c.failed_drops, c.delivered, c.dark_drops), (1, 1, 1));
+        assert_eq!(w.arrivals.len(), 1);
+        assert_eq!(w.arrivals[0].0, 12_700, "the healed port's packet");
+        assert_eq!(w.fabric.link(0, 0), LinkState::default());
+        assert_eq!(w.fabric.link(1, 0), LinkState::default());
+        assert_eq!(w.fabric.ledger(), Ok(()));
     }
 
     #[test]
@@ -1206,5 +1296,6 @@ mod tests {
         assert_eq!(sim.world.fabric.queued_bytes(0, 0), 0);
         assert_eq!(sim.world.fabric.parked_packets(), 0);
         assert_eq!(sim.world.fabric.arena_peak_live(), 4);
+        assert_eq!(sim.world.fabric.ledger(), Ok(()), "drained packets count");
     }
 }

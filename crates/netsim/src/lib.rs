@@ -12,8 +12,9 @@
 //! isolation.
 //!
 //! * [`packet`] — the packet model (semantic headers, no payload bytes),
-//! * [`fabric`] — nodes, ports, queues, links, wiring (including live
-//!   rewiring for circuit switches), counters, fault injection,
+//! * [`fabric`] — nodes, ports, queues, links, and each port's one link
+//!   state with its one mutation path (circuit rewiring, PFC pauses,
+//!   failures), counters and the packet ledger,
 //! * [`policy`] — [`policy::SwitchPolicyKind`], the closed set of
 //!   queueing policies (drop-tail, NDP trim, PFC, ECN marking),
 //! * [`logic`] — the [`logic::NetLogic`] trait and the
@@ -32,7 +33,10 @@ pub mod pcapng;
 pub mod policy;
 pub mod trace;
 
-pub use fabric::{Fabric, LinkSpec, NetEvent, NodeId, PortId, QueueConfig, SendOutcome};
+pub use fabric::{
+    Fabric, LinkChange, LinkSignal, LinkSpec, LinkState, NetEvent, NodeId, PortId, QueueConfig,
+    SendOutcome,
+};
 pub use flows::{FlowClass, FlowId, FlowRecord, FlowTracker};
 pub use logic::{NetLogic, NetWorld};
 pub use packet::{Packet, PacketArena, PacketKind, PacketRef, Priority, HEADER_SIZE, MTU};

@@ -5,7 +5,7 @@
 //! the two into a [`simkit::EventHandler`] so a `simkit::Simulator` can
 //! drive the whole network.
 
-use crate::fabric::{Fabric, NetEvent, NodeId, PortId};
+use crate::fabric::{Fabric, LinkChange, NetEvent, NodeId, PortId};
 use crate::packet::Packet;
 use simkit::engine::{EventContext, EventHandler};
 use simkit::{SimTime, Simulator};
@@ -62,8 +62,10 @@ impl<L: NetLogic> EventHandler for NetWorld<L> {
             NetEvent::PortFree { node, port } => {
                 self.fabric.on_port_free(ctx, node, port);
             }
-            NetEvent::PauseChange { node, port, paused } => {
-                self.fabric.on_pause_change(ctx, node, port, paused);
+            NetEvent::LinkChange { node, port, change } => {
+                let change = LinkChange::Signal(change);
+                self.fabric
+                    .set_link(ctx, node as usize, port as usize, change);
             }
             NetEvent::Timer { token } => {
                 self.logic.on_timer(&mut self.fabric, ctx, token);

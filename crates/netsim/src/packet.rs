@@ -93,6 +93,8 @@ pub struct PacketRef(u32);
 pub struct PacketArena {
     slots: Vec<Option<Packet>>,
     free: Vec<u32>,
+    /// Packets ever parked.
+    allocated: u64,
 }
 
 impl PacketArena {
@@ -103,6 +105,7 @@ impl PacketArena {
 
     /// Park a packet, returning its slab handle.
     pub fn alloc(&mut self, packet: Packet) -> PacketRef {
+        self.allocated += 1;
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(packet);
@@ -136,6 +139,11 @@ impl PacketArena {
     /// Packets currently parked.
     pub fn live(&self) -> usize {
         self.slots.len() - self.free.len()
+    }
+
+    /// Packets ever parked, however many have been released since.
+    pub fn allocated(&self) -> u64 {
+        self.allocated
     }
 
     /// Slots ever created: the high-water mark of simultaneously parked

@@ -221,6 +221,18 @@ pub trait PacketNet: NetLogic + Sized {
             && sim.world.fabric.parked_packets() == 0
     }
 
+    /// The packet ledger of a run, wherever it stopped (ROADMAP 10): the
+    /// fabric accounts for every packet it wrote ([`Fabric::ledger`]), and
+    /// no flow received more than its size.
+    fn ledger(sim: &Simulator<NetWorld<Self>>) -> Result<(), String> {
+        sim.world.fabric.ledger().map_err(|e| format!("{e:?}"))?;
+        let mut flows = sim.world.logic.tracker().flows().iter().enumerate();
+        match flows.find(|(_, f)| f.received > f.size) {
+            Some((id, f)) => Err(format!("flow {id} received {} of {} B", f.received, f.size)),
+            None => Ok(()),
+        }
+    }
+
     /// Run `sim` to the first instant it is [`PacketNet::drained`]
     /// (`true`, the clock left at that event) or else to `horizon`
     /// (`false`, as [`Simulator::run_until`] leaves it). The flow tracker

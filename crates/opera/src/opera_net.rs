@@ -6,7 +6,7 @@
 //! RotorNet mode, one additional ideal packet-core node. Rotor circuit
 //! switches are *not* nodes: a circuit is a direct wire between two ToR
 //! uplink ports, rewired at reconfiguration times (see
-//! [`netsim::Fabric::rewire`]).
+//! [`netsim::Fabric::set_link`]).
 //!
 //! Per slice (§3, §4):
 //! * low-latency packets are routed hop-by-hop over the current expander
@@ -14,11 +14,12 @@
 //!   shortest-path uplinks per packet;
 //! * bulk packets are admitted by per-`(rack, uplink)` *feeders* that poll
 //!   source hosts at line rate while a direct circuit to the destination
-//!   rack is up (§3.5), stop at a guard time before the circuit's switch
-//!   reconfigures, and requeue anything left in the ToR's bulk queue
-//!   (the NACK path of §4.2.2). A poll asks RotorLB for a packet only from
-//!   a host whose NIC has room for it: the chunk whose turn it is waits
-//!   otherwise, and nothing is popped and put back;
+//!   rack is up (§3.5), stop at the end of the slice (a slice's circuits
+//!   never use a switch that reconfigures in it), and requeue anything
+//!   left in the ToR's bulk queue when the switch goes dark (the NACK path
+//!   of §4.2.2). A poll asks RotorLB for a packet only from a host whose
+//!   NIC has room for it: the chunk whose turn it is waits otherwise, and
+//!   nothing is popped and put back;
 //! * a ToR's host ports take bulk past their bulk capacity, so the last
 //!   hop never drops a bulk byte. This keeps §3.4's contract that RotorLB
 //!   offers only what the next hop can take: the contract is with the
@@ -44,7 +45,7 @@ use crate::net::{Endpoints, PacketNet};
 use crate::tables::{BulkTables, LowLatencyTables};
 use crate::timing::SliceTiming;
 use crate::tokens::{decode, timer, Token};
-use netsim::fabric::{Fabric, LinkSpec, NetEvent, QueueConfig, SendOutcome};
+use netsim::fabric::{Fabric, LinkChange, LinkSpec, NetEvent, QueueConfig, SendOutcome};
 use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet, PacketKind, Priority, MTU};
 use simkit::engine::EventContext;
 use simkit::{SimRng, SimTime, Simulator};
@@ -180,9 +181,6 @@ pub struct OperaLogic {
     host_rack: Vec<u16>,
     /// Feeder polling period: one MTU at line rate.
     feeder_tick: SimTime,
-    /// Window-close guard before a reconfiguration: long enough to drain
-    /// the bulk queue and the host→ToR leg.
-    window_guard: SimTime,
     feeders: Vec<Feeder>,
     /// Counters.
     pub counters: OperaCounters,
@@ -237,21 +235,14 @@ impl OperaLogic {
         rack * self.rotor_uplinks() + uplink
     }
 
-    /// Classify a flow by mode and size.
+    /// Classify a flow by mode and size. Non-hybrid RotorNet's every flow
+    /// is bulk from the transport's point of view; hybrid RotorNet splits
+    /// like Opera, and its low-latency class rides the packet core.
     fn classify(&self, size: u64) -> FlowClass {
-        match self.cfg.mode {
-            // Non-hybrid RotorNet: every flow is bulk from the transport's
-            // point of view.
-            RotorMode::RotorNonHybrid => FlowClass::Bulk,
-            // Hybrid RotorNet splits like Opera; its low-latency class
-            // rides the packet core.
-            RotorMode::Opera | RotorMode::RotorHybrid => {
-                if size >= self.cfg.bulk_threshold {
-                    FlowClass::Bulk
-                } else {
-                    FlowClass::LowLatency
-                }
-            }
+        if self.cfg.mode == RotorMode::RotorNonHybrid || size >= self.cfg.bulk_threshold {
+            FlowClass::Bulk
+        } else {
+            FlowClass::LowLatency
         }
     }
 
@@ -263,17 +254,6 @@ impl OperaLogic {
     /// The generated topology (for analysis alongside the simulation).
     pub fn topology(&self) -> &OperaTopology {
         &self.topo
-    }
-
-    // ------------------------------------------------------------------
-    // Wiring
-    // ------------------------------------------------------------------
-
-    /// Disconnect all circuits of switch `j`.
-    fn dark_switch(&self, fabric: &mut Fabric, j: usize) {
-        for rack in 0..self.cfg.params.racks {
-            fabric.disconnect(self.tor_node(rack), self.up_port(j));
-        }
     }
 
     // ------------------------------------------------------------------
@@ -296,7 +276,8 @@ impl OperaLogic {
             // left idle with packets queued goes again now (ROADMAP 4e).
             // Self-paired racks' ports stay dark.
             for (a, b) in self.topo.matching(j, position).pairs() {
-                fabric.rewire(ctx, self.tor_node(a), port, self.tor_node(b), port);
+                let wire = LinkChange::Wire(self.tor_node(b), port);
+                fabric.set_link(ctx, self.tor_node(a), port, wire);
             }
             if self.hello_enabled {
                 self.send_hellos(fabric, ctx, j);
@@ -309,20 +290,20 @@ impl OperaLogic {
         ctx.schedule_in(self.cfg.timing.slice(), timer(Token::SliceBoundary));
     }
 
-    /// ε into the slice: the impending switches stop carrying traffic and
+    /// ε into the slice: the impending switches' circuits go dark and
     /// begin reconfiguring. Bulk still staged at their uplinks missed the
     /// window — the §4.2.2 NACK path returns it to the RotorLB queues.
-    fn on_dark(&mut self, fabric: &mut Fabric) {
+    fn on_dark(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>) {
         for j in self.topo.reconfiguring(self.slice) {
             for rack in 0..self.cfg.params.racks {
-                let drained = fabric.drain_bulk(self.tor_node(rack), self.up_port(j));
-                for pkt in &drained {
+                let (tor, port) = (self.tor_node(rack), self.up_port(j));
+                for pkt in &fabric.drain_bulk(tor, port) {
                     let dst_rack = self.rack_of(pkt.dst);
                     self.bulk[rack].requeue(pkt, dst_rack);
                     self.counters.bulk_requeued += 1;
                 }
+                fabric.set_link(ctx, tor, port, LinkChange::Dark);
             }
-            self.dark_switch(fabric, j);
         }
     }
 
@@ -335,7 +316,8 @@ impl OperaLogic {
     /// the hello timeout, else marks the partner's transceiver bad and
     /// recomputes routes around it.
     fn send_hellos(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>, j: usize) {
-        let timeout = ctx.now() + self.hello_timeout();
+        // A few circuit RTTs, far below ε.
+        let timeout = ctx.now() + SimTime::from_ns(self.cfg.timing.epsilon.as_ns() / 4);
         let (tor0, port) = (self.tor_node(0), self.up_port(j));
         let m = self.topo.matching(j, self.topo.position_at(j, self.slice));
         for (a, b) in m.pairs() {
@@ -362,14 +344,8 @@ impl OperaLogic {
     /// The rack at the far end of `rack`'s circuit through `uplink` this
     /// slice (`rack` itself when it is self-paired).
     fn partner(&self, rack: usize, uplink: usize) -> usize {
-        self.topo
-            .matching(uplink, self.topo.position_at(uplink, self.slice))
-            .partner(rack)
-    }
-
-    /// Hello timeout: a few circuit RTTs, far below ε.
-    fn hello_timeout(&self) -> SimTime {
-        SimTime::from_ns(self.cfg.timing.epsilon.as_ns() / 4)
+        let position = self.topo.position_at(uplink, self.slice);
+        self.topo.matching(uplink, position).partner(rack)
     }
 
     /// A hello arrived at `rack` via `uplink`: the circuit (and the
@@ -432,19 +408,17 @@ impl OperaLogic {
     }
 
     /// Fabric address `(node, port)` of a rack's rotor uplink — the handle
-    /// experiments use to inject transceiver failures
-    /// (`fabric.set_failed(node, port, true)`).
+    /// experiments use to inject transceiver failures (a scheduled
+    /// [`NetEvent::LinkChange`] carrying [`netsim::LinkSignal::Failed`]).
     pub fn uplink_addr(&self, rack: usize, uplink: usize) -> (usize, usize) {
         (self.tor_node(rack), self.up_port(uplink))
     }
 
     /// Does rack `r` have anything useful to put on a circuit to `dst`?
     fn has_bulk_work(&self, rack: usize, dst: usize) -> bool {
-        if self.bulk[rack].pending_to(dst) > 0 {
-            return true;
-        }
-        self.cfg.allow_vlb
-            && self.bulk[rack].total_direct_backlog() > self.cfg.rotorlb.vlb_threshold
+        let (bulk, vlb_threshold) = (&self.bulk[rack], self.cfg.rotorlb.vlb_threshold);
+        bulk.pending_to(dst) > 0
+            || self.cfg.allow_vlb && bulk.total_direct_backlog() > vlb_threshold
     }
 
     /// Start the `(rack, uplink)` feeder, whose circuit reaches `dst`, if it
@@ -467,32 +441,21 @@ impl OperaLogic {
     /// in the bulk table's row order (by value, so the caller can arm
     /// feeders while it walks the row).
     fn circuit(&self, rack: usize, i: usize) -> Option<(usize, usize)> {
-        let &(dst, uplink) = self
-            .bulk_tables
-            .circuits_of(self.cycle_slice, rack)
-            .get(i)?;
-        Some((dst as usize, uplink as usize))
+        let row = self.bulk_tables.circuits_of(self.cycle_slice, rack);
+        row.get(i)
+            .map(|&(dst, uplink)| (dst as usize, uplink as usize))
     }
 
-    /// (Re)arm feeders for every active circuit of the current slice.
+    /// (Re)arm feeders for every active circuit of the current slice; each
+    /// closes at the next boundary.
     fn start_feeders(&mut self, ctx: &mut EventContext<'_, NetEvent>) {
-        let stride = self.rotor_uplinks() / self.cfg.params.groups;
-        let phase = self.cycle_slice % stride;
-        // Window: circuits of switch j close early only in the slice right
-        // before j reconfigures — early enough that staged bulk drains
-        // before the circuit goes dark at ε.
-        let closes_early = ctx.now() + self.cfg.timing.epsilon.saturating_sub(self.window_guard);
-        let closes_at_boundary = ctx.now() + self.cfg.timing.slice();
+        let closes = ctx.now() + self.cfg.timing.slice();
         for rack in 0..self.cfg.params.racks {
             let mut i = 0;
             while let Some((dst, uplink)) = self.circuit(rack, i) {
                 i += 1;
                 let fi = self.feeder_idx(rack, uplink);
-                self.feeders[fi].deadline = if uplink % stride == phase {
-                    closes_early
-                } else {
-                    closes_at_boundary
-                };
+                self.feeders[fi].deadline = closes;
                 self.feeders[fi].circuit_dst = dst;
                 self.arm_feeder(ctx, rack, uplink, dst);
             }
@@ -552,10 +515,8 @@ impl OperaLogic {
     /// Bytes for `dst_rack` were just queued at `rack`: kick the feeder
     /// that can move them, if a circuit is up.
     fn kick_feeder(&mut self, ctx: &mut EventContext<'_, NetEvent>, rack: usize, dst_rack: usize) {
-        let direct = self
-            .bulk_tables
-            .direct_uplink(self.cycle_slice, rack, dst_rack);
-        if let Some(uplink) = direct {
+        let slice = self.cycle_slice;
+        if let Some(uplink) = self.bulk_tables.direct_uplink(slice, rack, dst_rack) {
             self.arm_feeder(ctx, rack, uplink, dst_rack);
         } else if self.cfg.allow_vlb {
             // No direct circuit this slice: VLB can still move the bytes
@@ -741,7 +702,7 @@ impl NetLogic for OperaLogic {
         match decode(token) {
             Token::FlowArrival => self.admit_due_flows(fabric, ctx),
             Token::SliceBoundary => self.on_slice_boundary(fabric, ctx),
-            Token::Dark => self.on_dark(fabric),
+            Token::Dark => self.on_dark(fabric, ctx),
             Token::Feeder(rack, uplink) => self.on_feeder(fabric, ctx, rack, uplink),
             Token::HelloCheck(rack, uplink) => self.on_hello_check(rack, uplink),
             host_timer => self.ends.on_timer(fabric, ctx, host_timer),
@@ -799,7 +760,6 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
     let host_rack = (0..cfg.hosts())
         .map(|h| u16::try_from(h / cfg.params.hosts_per_rack).expect("rack index must fit u16"))
         .collect();
-    let mtu_ns = cfg.link.serialize(MTU).as_ns();
 
     let mut fabric = Fabric::new();
     let hosts_total = cfg.hosts();
@@ -846,8 +806,7 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
         slice: 0,
         cycle_slice: 0,
         host_rack,
-        feeder_tick: SimTime::from_ns(mtu_ns),
-        window_guard: SimTime::from_ns(4 * mtu_ns + 2 * cfg.link.delay.as_ns()),
+        feeder_tick: cfg.link.serialize(MTU),
         feeders: vec![Feeder::default(); cfg.params.racks * topo.switches()],
         counters: OperaCounters::default(),
         bad_links: Vec::new(),
@@ -1029,14 +988,22 @@ mod tests {
         );
     }
 
+    /// Fail `rack`'s transceiver on `uplink` at time zero, through the
+    /// fabric's one link-change path.
+    fn fail_uplink(sim: &mut OperaNet, rack: usize, uplink: usize) {
+        let (node, port) = sim.world.logic.uplink_addr(rack, uplink);
+        let change = netsim::LinkSignal::Failed(true);
+        let (node, port) = (node as u32, port as u32);
+        sim.schedule_at(SimTime::ZERO, NetEvent::LinkChange { node, port, change });
+    }
+
     #[test]
     fn hello_protocol_detects_and_routes_around_failure() {
         let cfg = OperaNetConfig::small_test();
         let mut sim = build(cfg, vec![]);
         // Kill rack 2's transceiver on uplink 1 (both data and hellos it
         // transmits are lost; its partners' hello checks will trip).
-        let (node, port) = sim.world.logic.uplink_addr(2, 1);
-        sim.world.fabric.set_failed(node, port, true);
+        fail_uplink(&mut sim, 2, 1);
         // Within two cycles (2 x 8 slices x 10 us) detection completes.
         sim.run_until(SimTime::from_us(200));
         assert!(
@@ -1082,8 +1049,7 @@ mod tests {
                 start: SimTime::from_us(200),
             }],
         );
-        let (node, port) = sim.world.logic.uplink_addr(2, 1);
-        sim.world.fabric.set_failed(node, port, true);
+        fail_uplink(&mut sim, 2, 1);
         sim.run_until(SimTime::from_ms(10));
         assert!(
             sim.world.logic.tracker().all_done(),

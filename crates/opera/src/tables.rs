@@ -439,6 +439,33 @@ mod tests {
         }
     }
 
+    /// The premise the feeders rely on to let every fed circuit run to the
+    /// slice boundary: no circuit of slice `s` uses a switch that goes dark
+    /// in `s`, on the test network, on two groups reconfiguring together
+    /// and at the paper's 108 racks.
+    #[test]
+    fn no_circuit_uses_a_reconfiguring_switch() {
+        let opera = |params: OperaParams| OperaTopology::generate(params, 1);
+        for t in [
+            opera(crate::OperaNetConfig::small_test().params),
+            topo_two_groups(),
+            opera(crate::OperaNetConfig::paper_648().params),
+        ] {
+            let tables = BulkTables::build(&t);
+            for s in 0..t.slices_per_cycle() {
+                for cur in 0..t.racks() {
+                    for &(dst, uplink) in tables.circuits_of(s, cur) {
+                        assert!(
+                            t.reconfiguring(s).all(|j| j != uplink as usize),
+                            "{:?}, slice {s}: {cur} → {dst} over switch {uplink}",
+                            t.params()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn circuits_count_per_slice() {
         let t = topo();

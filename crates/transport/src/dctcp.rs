@@ -408,8 +408,10 @@ mod tests {
                         self.probe.host_acks.push(self.fabric.deliver(packet))
                     }
                     NetEvent::PortFree { node, port } => self.fabric.on_port_free(ctx, node, port),
-                    NetEvent::PauseChange { node, port, paused } => {
-                        self.fabric.on_pause_change(ctx, node, port, paused)
+                    NetEvent::LinkChange { node, port, change } => {
+                        let (node, port) = (node as usize, port as usize);
+                        let change = netsim::LinkChange::Signal(change);
+                        self.fabric.set_link(ctx, node, port, change)
                     }
                 }
             }

@@ -360,8 +360,10 @@ mod tests {
                         }
                     }
                     NetEvent::PortFree { node, port } => self.fabric.on_port_free(ctx, node, port),
-                    NetEvent::PauseChange { node, port, paused } => {
-                        self.fabric.on_pause_change(ctx, node, port, paused)
+                    NetEvent::LinkChange { node, port, change } => {
+                        let (node, port) = (node as usize, port as usize);
+                        let change = netsim::LinkChange::Signal(change);
+                        self.fabric.set_link(ctx, node, port, change)
                     }
                 }
             }
@@ -425,7 +427,7 @@ mod tests {
                     }
                     NetEvent::PortFree { node, port } => self.fabric.on_port_free(ctx, node, port),
                     NetEvent::Arrive { .. } => panic!("dark port delivers nothing"),
-                    NetEvent::PauseChange { .. } => {}
+                    NetEvent::LinkChange { .. } => {}
                 }
             }
         }

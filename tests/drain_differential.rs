@@ -12,7 +12,8 @@
 //! network keeps doing for the rest of the horizon is exchange hellos, so
 //! on a network that sends them `queued`, `delivered` and (under random
 //! loss) `failed_drops` are compared as *at most* the full run's;
-//! everything else is exact.
+//! everything else is exact. Both runs must also balance their packet
+//! ledger ([`PacketNet::ledger`]).
 
 use bench::scenario::{policies, transports};
 use netsim::fabric::QueueConfig;
@@ -38,6 +39,8 @@ struct Outcome {
     exact: [u64; 5],
     /// `queued`, `delivered`, `failed_drops`: what a hello also moves.
     hello_borne: [u64; 3],
+    /// The run's packet ledger.
+    ledger: Result<(), String>,
 }
 
 /// One drawn scenario; the network it runs on is the caller's.
@@ -110,6 +113,7 @@ fn outcome<N: PacketNet>(
             c.pause_frames,
         ],
         hello_borne: [c.queued, c.delivered, c.failed_drops],
+        ledger: N::ledger(&sim),
     };
     (drained, sim.now(), outcome)
 }
@@ -141,6 +145,8 @@ fn differential<N: PacketNet>(
                 let (_, end, full) = outcome::<N>(build(), &case, quiet, false);
                 let (drained, stop, early) = outcome::<N>(build(), &case, quiet, true);
                 assert_eq!(end, HORIZON, "{tag}");
+                assert_eq!(full.ledger, Ok(()), "{tag}");
+                assert_eq!(early.ledger, Ok(()), "{tag}");
                 assert_eq!(early.flows, full.flows, "{tag}");
                 assert_eq!(early.exact, full.exact, "{tag}");
                 if quiet.is_none() || !case.hellos {

@@ -115,3 +115,45 @@ fn zombie_census() {
         "runs that completed every flow but never drained: {census:#?}"
     );
 }
+
+/// ROADMAP 10's packet ledger over every quick packet run: each fabric
+/// accounts for every packet it wrote (delivered, lost dark or failed,
+/// drained back to RotorLB, or still queued), and no flow received more
+/// than its size. A run on the list names the ledger's finding.
+#[test]
+fn ledger_census() {
+    built();
+    let census = bench::unbalanced_runs();
+    assert!(
+        census.is_empty(),
+        "runs whose packet ledger does not balance: {census:#?}"
+    );
+}
+
+/// ROADMAP 4i as a known failure that may only shrink: the quick packet
+/// runs that lose low-latency packets into dark circuits are exactly the
+/// runs `tests/dark_drop_runs.txt` lists, a name once per run that bears
+/// it (replicates share a name). A run that joins fails here; a run a fix
+/// takes off must be deleted from the file.
+#[test]
+fn dark_drop_runs_are_the_committed_list() {
+    built();
+    let mut committed: Vec<&str> = include_str!("dark_drop_runs.txt")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let mut joined = Vec::new();
+    for (run, dark_drops) in bench::dark_drop_runs() {
+        match committed.iter().position(|&c| c == run) {
+            Some(i) => {
+                committed.swap_remove(i);
+            }
+            None => joined.push((run, dark_drops)),
+        }
+    }
+    assert!(
+        joined.is_empty() && committed.is_empty(),
+        "runs that now drop into dark circuits, with their dark_drops: {joined:#?}\n\
+         runs that no longer do (delete them from tests/dark_drop_runs.txt): {committed:#?}"
+    );
+}
