@@ -1,7 +1,7 @@
 //! Experiment drivers: run a network on a workload, collect the statistics
 //! the paper's figures report.
 
-use netsim::{FlowClass, FlowTracker};
+use netsim::{FlowClass, FlowId, FlowTracker};
 use simkit::stats::Samples;
 use simkit::SimTime;
 
@@ -105,9 +105,9 @@ impl ExperimentResult {
         let mut ll = Samples::new();
         let mut bulk = Samples::new();
         let mut last = SimTime::ZERO;
-        for f in tracker.flows() {
+        for (id, f) in tracker.flows().iter().enumerate() {
             if let Some(t) = f.fct() {
-                match f.class {
+                match tracker.class(id as FlowId) {
                     FlowClass::LowLatency => ll.push(t.as_us_f64()),
                     FlowClass::Bulk => bulk.push(t.as_us_f64()),
                 }

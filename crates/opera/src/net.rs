@@ -223,14 +223,15 @@ pub trait PacketNet: NetLogic + Sized {
 
     /// The packet ledger of a run, wherever it stopped (ROADMAP 10): the
     /// fabric accounts for every packet it wrote ([`Fabric::ledger`]), and
-    /// no flow received more than its size.
+    /// every flow's record agrees with itself ([`FlowTracker::ledger`]:
+    /// no more than its size received, finished exactly when all of it
+    /// was).
     fn ledger(sim: &Simulator<NetWorld<Self>>) -> Result<(), String> {
         sim.world.fabric.ledger().map_err(|e| format!("{e:?}"))?;
-        let mut flows = sim.world.logic.tracker().flows().iter().enumerate();
-        match flows.find(|(_, f)| f.received > f.size) {
-            Some((id, f)) => Err(format!("flow {id} received {} of {} B", f.received, f.size)),
-            None => Ok(()),
-        }
+        let tracker = sim.world.logic.tracker();
+        tracker
+            .ledger()
+            .map_err(|id| format!("flow {id}: {:?}", tracker.get(id)))
     }
 
     /// Run `sim` to the first instant it is [`PacketNet::drained`]

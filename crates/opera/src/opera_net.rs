@@ -144,6 +144,10 @@ pub struct OperaCounters {
     /// Bulk packets that arrived at a ToR with no usable circuit and were
     /// locally requeued.
     pub bulk_stragglers: u64,
+    /// Valiant packets at their source ToR for their first hop, whether
+    /// they left on a circuit or were requeued as stragglers. So with none,
+    /// every straggler was a direct packet.
+    pub valiant_first_hops: u64,
     /// Transceivers marked bad by the hello protocol.
     pub links_marked_bad: u64,
     /// Feeder ticks whose chunk's source host NIC was full: the chunk kept
@@ -616,6 +620,7 @@ impl OperaLogic {
     ) {
         let next_rack = match packet.kind {
             PacketKind::BulkData { relay: Some(r), .. } if self.rack_of(packet.src) == rack => {
+                self.counters.valiant_first_hops += 1;
                 r as usize
             }
             _ => self.rack_of(packet.dst),

@@ -56,7 +56,7 @@ fn main() {
         println!(
             "flow {i}: {:>9} bytes, class {:?}, FCT = {}",
             f.size,
-            f.class,
+            tracker.class(i as u32),
             f.fct()
                 .map(|t| t.to_string())
                 .unwrap_or_else(|| "unfinished".into()),

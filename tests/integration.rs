@@ -263,3 +263,45 @@ fn paper_tors_hold_table1_rules_less_their_self_pairing() {
         assert_eq!((ll_rules + bulk_rules) as u64, expected, "ToR {tor}");
     }
 }
+
+/// ROADMAP 17's premise, measured: RotorLB's two-hop Valiant indirection
+/// never fires on a uniform shuffle, so its stragglers are all direct
+/// packets that reached their ToR after the slice advanced; it fires on
+/// `ablate_design`'s hot-rack drain (`vlb_under_skew`) with VLB on, and
+/// never with VLB off.
+#[test]
+fn valiant_hops_only_under_skew_with_vlb_on() {
+    let mut cfg = OperaNetConfig::small_test();
+    cfg.bulk_threshold = 0;
+    let shuffle = ScenarioGen::shuffle(cfg.hosts(), 100_000, SimTime::ZERO);
+    let mut sim = opera_net::build(cfg, shuffle);
+    assert!(
+        OperaLogic::run(&mut sim, SimTime::from_ms(100)),
+        "shuffle undrained"
+    );
+    let c = sim.world.logic.counters;
+    assert_eq!(c.valiant_first_hops, 0, "a uniform shuffle went Valiant");
+    assert!(c.bulk_stragglers > 0, "no straggler to speak for");
+
+    // Rack 0's four hosts send 1 MB to each host of rack 1.
+    let skew = |allow_vlb| {
+        let mut cfg = OperaNetConfig::small_test();
+        cfg.allow_vlb = allow_vlb;
+        cfg.bulk_threshold = 0;
+        let mut rng = SimRng::new(4);
+        let flows = (0..16)
+            .map(|i| FlowSpec {
+                src: i / 4,
+                dst: 4 + i % 4,
+                size: 1_000_000,
+                start: SimTime::from_us(rng.below(100)),
+            })
+            .collect();
+        let mut sim = opera_net::build(cfg, flows);
+        OperaLogic::run(&mut sim, SimTime::from_ms(40));
+        sim.world.logic.counters.valiant_first_hops
+    };
+    let (on, off) = (skew(true), skew(false));
+    assert!(on > 0, "VLB on sent no Valiant packet under skew");
+    assert_eq!(off, 0, "VLB off sent Valiant packets");
+}
