@@ -43,7 +43,6 @@
 use bench::backend::LocalBackend;
 use bench::scenario::Scenario;
 use bench::{figures, record, spot};
-use expt::golden::{bless_driver, compare_driver, GoldenSpec};
 use expt::orchestrate::{start_run, validate_dir, OrchestrateError, Plan};
 use expt::{Args, Ctx, ExptArgs, RunFlags, RunMeta, Scale};
 use std::fmt::Display;
@@ -350,7 +349,8 @@ fn golden(mut args: Args) -> Result<(), Exit> {
         if !only.is_empty() && !only.iter().any(|n| n == exp.name) {
             continue;
         }
-        let drifts = figures::golden_run(&exp, &build(&ctx), &ctx, &root, bless)
+        let meta = RunMeta::new(exp.name, &ctx.args);
+        let drifts = figures::golden_run(&build(&ctx), &meta, &root, bless)
             .map_err(|e| Exit::Failed(format!("{}: {e}", exp.name)))?;
         if bless {
             println!("blessed {}", exp.name);
@@ -419,19 +419,17 @@ fn spot_suite(mut args: Args) -> Result<(), Exit> {
         tables.push(point.table);
     }
 
+    let drifts = figures::golden_run(&tables, &meta, &root, bless)
+        .map_err(|e| Exit::Failed(format!("{}: {e}", spot::DRIVER)))?;
     if bless {
-        let written = bless_driver(spot::DRIVER, &tables, &root, &meta)
-            .map_err(|e| Exit::Failed(format!("bless: {e}")))?;
-        for p in written {
-            println!("# blessed {}", p.display());
+        for t in &tables {
+            let path = root.join(spot::DRIVER).join(format!("{}.csv", t.name));
+            println!("# blessed {}", path.display());
         }
         return Ok(());
     }
-
-    // Partial runs still compare cell-for-cell; skip the whole-suite
-    // manifest/stale checks only when --point restricted the run.
-    let drifts = compare_driver(spot::DRIVER, &tables, &root, &GoldenSpec::strict(), &meta)
-        .map_err(|e| Exit::Failed(format!("compare: {e}")))?;
+    // A run restricted by --point still compares its tables; it skips
+    // only the whole-suite stale-file and manifest checks.
     let drifts: Vec<_> = drifts
         .into_iter()
         .filter(|d| only.is_empty() || tables.iter().any(|t| t.name == d.table) || d.table == "*")

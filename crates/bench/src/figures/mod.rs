@@ -75,11 +75,12 @@ pub fn find(name: &str) -> Option<(Experiment, BuildFn)> {
     all().into_iter().find(|(e, _)| e.name == name)
 }
 
-/// The per-driver golden comparison spec ([`expt::golden`]). Every
-/// driver is near-exact; loosen a driver's tolerance here (not by
-/// re-blessing) when a legitimate cross-platform difference shows up.
+/// The golden comparison spec of a driver: the same empty
+/// [`GoldenSpec`] for every driver, since every golden is compared byte
+/// for byte. It stays only because the benchmark passes its value to
+/// [`compare_driver`] (ROADMAP 8b deletes both).
 pub fn golden_spec(_driver: &str) -> GoldenSpec {
-    GoldenSpec::strict()
+    GoldenSpec
 }
 
 /// The committed golden store: `goldens/` at the workspace root.
@@ -107,23 +108,23 @@ pub fn golden_ctx(threads: usize) -> Ctx {
     })
 }
 
-/// Diff one driver's `tables`, built under `ctx`, against its committed
-/// goldens (or re-record them when `bless` is set; a bless returns no
-/// drifts). This is the shared engine behind the tier-1 `golden_figures`
-/// test and `opera golden`.
+/// Diff the `tables` of the run `meta` describes against the goldens
+/// under `root/<meta.driver>/`, byte for byte (or re-record them when
+/// `bless` is set; a bless returns no drifts). This is the one engine
+/// behind the tier-1 `golden_figures` test, `opera golden` and
+/// `opera spot`.
 pub fn golden_run(
-    exp: &Experiment,
     tables: &[Table],
-    ctx: &Ctx,
+    meta: &RunMeta,
     root: &Path,
     bless: bool,
 ) -> io::Result<Vec<Drift>> {
-    let meta = RunMeta::new(exp.name, &ctx.args);
+    let driver = &meta.driver;
     if bless {
-        bless_driver(exp.name, tables, root, &meta)?;
+        bless_driver(driver, tables, root, meta)?;
         return Ok(Vec::new());
     }
-    compare_driver(exp.name, tables, root, &golden_spec(exp.name), &meta)
+    compare_driver(driver, tables, root, &golden_spec(driver), meta)
 }
 
 /// Key columns of the per-size-bin FCT tables (Figures 7 and 9).

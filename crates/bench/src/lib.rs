@@ -32,7 +32,7 @@ use expt::Scale;
 use netsim::NetWorld;
 use opera::{OperaNetConfig, PacketNet, StaticNetConfig, StaticTopologyKind};
 use simkit::{SimTime, Simulator};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Mutex;
 use topo::clos::ClosParams;
@@ -104,6 +104,26 @@ pub fn clos_cfg(scale: Scale) -> StaticNetConfig {
     }
 }
 
+/// One packet run of a driver: its name and every counter of its fabric
+/// and its network logic, by name ([`PacketNet::counters`]).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RunRecord {
+    /// The run's name; replicates share it.
+    pub name: String,
+    /// The run's counters as it ended.
+    pub counters: Vec<(&'static str, u64)>,
+}
+
+impl RunRecord {
+    /// The counter called `name`, if this run's network has one.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+}
+
 /// What this process's [`run_net`] runs left behind, by run name.
 struct Census {
     /// Runs that reached their horizon with every flow complete: something
@@ -114,15 +134,16 @@ struct Census {
     /// Runs whose packet ledger ([`PacketNet::ledger`]) did not balance,
     /// with what it found.
     unbalanced: Vec<(String, String)>,
-    /// Runs that lost packets into dark circuits (ROADMAP 4i), with how
-    /// many. Replicates share a name, so a name is entered once per run.
-    dark_drops: Vec<(String, u64)>,
+    /// Every run's record, with how many runs left it. Runs are
+    /// deterministic, so a process that builds the drivers again (the
+    /// benchmark's repeated passes) adds counts, not records.
+    runs: BTreeMap<RunRecord, usize>,
 }
 
 static CENSUS: Mutex<Census> = Mutex::new(Census {
     undrained: BTreeSet::new(),
     unbalanced: Vec::new(),
-    dark_drops: Vec::new(),
+    runs: BTreeMap::new(),
 });
 
 fn census() -> std::sync::MutexGuard<'static, Census> {
@@ -131,27 +152,40 @@ fn census() -> std::sync::MutexGuard<'static, Census> {
 
 /// How every driver runs a packet network: [`PacketNet::run`], which
 /// stops at the first instant the network has drained, however far off
-/// `horizon` is. The run is then entered under `name` in
-/// [`undrained_runs`] if it finished its flows and still reached the
-/// horizon, in [`unbalanced_runs`] if its packet ledger does not balance,
-/// and in [`dark_drop_runs`] if it lost a packet into a dark circuit.
+/// `horizon` is. The run is then entered under `name` in [`run_records`],
+/// in [`undrained_runs`] if it finished its flows and still reached the
+/// horizon, and in [`unbalanced_runs`] if its packet ledger does not
+/// balance.
 pub(crate) fn run_net<N: PacketNet>(
     sim: &mut Simulator<NetWorld<N>>,
     horizon: SimTime,
     name: fmt::Arguments<'_>,
 ) {
     let drained = N::run(sim, horizon);
+    let name = name.to_string();
     let mut census = census();
     if !drained && sim.world.logic.ends().finished() {
-        census.undrained.insert(name.to_string());
+        census.undrained.insert(name.clone());
     }
     if let Err(imbalance) = N::ledger(sim) {
-        census.unbalanced.push((name.to_string(), imbalance));
+        census.unbalanced.push((name.clone(), imbalance));
     }
-    let dark = sim.world.fabric.counters.dark_drops;
-    if dark > 0 {
-        census.dark_drops.push((name.to_string(), dark));
-    }
+    let record = RunRecord {
+        name,
+        counters: N::counters(sim),
+    };
+    *census.runs.entry(record).or_default() += 1;
+}
+
+/// The record of every packet run of this process's drivers, sorted, a
+/// record once per run that left it (ROADMAP 18's counter census).
+pub fn run_records() -> Vec<RunRecord> {
+    let census = census();
+    census
+        .runs
+        .iter()
+        .flat_map(|(r, &n)| vec![r.clone(); n])
+        .collect()
 }
 
 /// The census of this process's driver runs, sorted by name: those whose
@@ -173,7 +207,13 @@ pub fn unbalanced_runs() -> Vec<(String, String)> {
 /// (ROADMAP 4i), sorted, each with its `dark_drops`; a name appears once
 /// per run that bears it.
 pub fn dark_drop_runs() -> Vec<(String, u64)> {
-    let mut runs = census().dark_drops.clone();
+    let mut runs: Vec<(String, u64)> = run_records()
+        .into_iter()
+        .filter_map(|r| match r.counter("dark_drops") {
+            Some(d) if d > 0 => Some((r.name, d)),
+            _ => None,
+        })
+        .collect();
     runs.sort();
     runs
 }

@@ -9,9 +9,9 @@
 //! spot workloads** — a partial shuffle and a short Websearch window —
 //! plus the one full figure arm that fits, fig08's Opera shuffle of all
 //! 419 256 flows (tens of seconds). The headline metrics (shuffle
-//! completion time, Websearch p99) regress through the same
-//! tolerance-aware golden machinery as the quick baselines, manifest
-//! included:
+//! completion time, Websearch p99) regress through the same byte-exact
+//! golden comparison as the quick baselines (`figures::golden_run`),
+//! manifest included:
 //!
 //! ```text
 //! opera spot            # compare against goldens/full/

@@ -1,25 +1,20 @@
-//! Golden-baseline store and tolerance-aware diff engine.
+//! Golden-baseline store and its byte-exact comparison.
 //!
-//! A *golden* is a committed quick-mode CSV under
-//! `goldens/<driver>/<table>.csv`: the blessed output of one figure
-//! table. Because the harness is deterministic (fixed quick grids, fixed
-//! base seed, thread-invariant collection), any drift between a fresh
-//! run and its golden is a behavioral change in some simulation layer —
-//! and the [`Drift`] report names the driver, table, row, and column
-//! that moved, which is a far better regression signal than a distant
-//! unit-test failure.
-//!
-//! Comparison is tolerance-aware per cell: cells that parse as
-//! numbers on both sides are compared with a [`Tolerance`]
-//! (absolute-or-relative, `NaN == NaN`), everything else must match
-//! byte-for-byte. The default [`GoldenSpec::strict`] tolerance (1e-9
-//! abs/rel) is effectively exact for the formatted decimals the figure
-//! tables emit while still absorbing cross-platform `libm` jitter in
-//! shortest-round-trip floats.
+//! A *golden* is a committed CSV under `goldens/<driver>/<table>.csv`:
+//! the blessed output of one figure table. Because the harness is
+//! deterministic (fixed quick grids, fixed base seed, thread-invariant
+//! collection), a fresh run's [`Table::to_csv`] must equal its golden
+//! byte for byte, and any difference is a behavioural change in some
+//! simulation layer, or in how a table is rendered. A table that differs
+//! is one [`Drift`], which names the first place it parts from its
+//! golden: the row and column with both cells, or the header or
+//! row-count change. That is a far better regression signal than a
+//! distant unit-test failure.
 //!
 //! Regenerate goldens by running the comparison path with blessing
 //! enabled (`OPERA_BLESS=1` for the tier-1 test, `--bless` for
-//! `opera golden`); on an unmodified tree a bless is byte-idempotent.
+//! `opera golden` and `opera spot`); on an unmodified tree a bless is
+//! byte-idempotent.
 
 use crate::json::{self, quoted};
 use crate::output::{list, RunFlags, RunMeta};
@@ -117,60 +112,13 @@ fn current_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Absolute/relative tolerance for one numeric comparison. Two values
-/// are close when `|a - b| <= abs` **or** `|a - b| <= rel * max(|a|,
-/// |b|)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Absolute slack.
-    pub abs: f64,
-    /// Relative slack (fraction of the larger magnitude).
-    pub rel: f64,
-}
-
-impl Tolerance {
-    /// Byte-exact numeric comparison (still `NaN == NaN`).
-    pub const EXACT: Tolerance = Tolerance { abs: 0.0, rel: 0.0 };
-
-    /// A tolerance with the given absolute and relative slack.
-    pub fn new(abs: f64, rel: f64) -> Self {
-        Tolerance { abs, rel }
-    }
-
-    /// True when `got` and `want` agree within this tolerance.
-    pub fn close(&self, got: f64, want: f64) -> bool {
-        if got.is_nan() && want.is_nan() {
-            return true;
-        }
-        if got == want {
-            return true; // covers equal infinities and exact matches
-        }
-        let d = (got - want).abs();
-        d <= self.abs || d <= self.rel * got.abs().max(want.abs())
-    }
-}
-
-/// Per-driver comparison spec: one tolerance for every column.
-#[derive(Debug, Clone)]
-pub struct GoldenSpec {
-    /// Tolerance on every column.
-    pub default_tol: Tolerance,
-}
-
-impl GoldenSpec {
-    /// Near-exact comparison: 1e-9 absolute/relative on every column.
-    pub fn strict() -> Self {
-        GoldenSpec {
-            default_tol: Tolerance::new(1e-9, 1e-9),
-        }
-    }
-}
-
-impl Default for GoldenSpec {
-    fn default() -> Self {
-        GoldenSpec::strict()
-    }
-}
+/// The argument [`compare_driver`] still takes, with nothing in it: a
+/// golden is compared byte for byte, so there is nothing to specify. It
+/// stays because the benchmark passes `bench::figures::golden_spec`'s
+/// value to [`compare_driver`], whose signature its import seam pins;
+/// ROADMAP 8b deletes both.
+#[derive(Debug, Clone, Copy)]
+pub struct GoldenSpec;
 
 /// One observed divergence from a golden.
 #[derive(Debug, Clone)]
@@ -253,24 +201,65 @@ pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, String> {
     Ok(rows)
 }
 
-/// True when two rendered cells agree: numerically within `tol` when
-/// both parse as floats, byte-equal otherwise.
-fn cells_close(got: &str, want: &str, tol: Tolerance) -> bool {
-    match (got.parse::<f64>(), want.parse::<f64>()) {
-        (Ok(g), Ok(w)) => tol.close(g, w),
-        _ => got == want,
+/// Fill in `d`, the drift of a table whose CSV `got` differs from its
+/// golden `want`, with where the two first part: the header if it
+/// changed (an empty golden has none), else the first differing row with
+/// its first differing column and both cells, else the row count. When
+/// every cell agrees, only the bytes between them differ (line endings,
+/// quoting), and `d` names the first differing line. An error is a golden
+/// that does not parse.
+fn first_difference(d: &mut Drift, got: &str, want: &str) -> Result<(), String> {
+    let golden = parse_csv(want)?;
+    let fresh = parse_csv(got).expect("a table's own CSV parses");
+    let (head, rows) = fresh.split_first().expect("a table's CSV has a header");
+    let no_header = Vec::new();
+    let ghead = golden.first().unwrap_or(&no_header);
+    let grows = golden.get(1..).unwrap_or_default();
+    if head != ghead {
+        d.note = "column set changed".into();
+        (d.got, d.want) = (head.join(","), ghead.join(","));
+    } else if let Some(r) = rows.iter().zip(grows).position(|(a, b)| a != b) {
+        let (a, b) = (&rows[r], &grows[r]);
+        let c = first_index(a, b);
+        d.row = Some(r + 1);
+        d.column = Some(head.get(c).map_or(format!("#{}", c + 1), Clone::clone));
+        d.got = a.get(c).cloned().unwrap_or_default();
+        d.want = b.get(c).cloned().unwrap_or_default();
+        if a.len() != b.len() {
+            d.note = format!("{} cells, golden {}", a.len(), b.len());
+        }
+    } else if rows.len() != grows.len() {
+        d.note = "row count changed".into();
+        d.got = format!("{} rows", rows.len());
+        d.want = format!("{} rows", grows.len());
+    } else {
+        let (g, w): (Vec<_>, Vec<_>) = (got.split('\n').collect(), want.split('\n').collect());
+        let l = first_index(&g, &w);
+        d.note = format!("line {}: every cell agrees, the bytes do not", l + 1);
+        d.got = format!("{:?}", g.get(l).copied().unwrap_or_default());
+        d.want = format!("{:?}", w.get(l).copied().unwrap_or_default());
     }
+    Ok(())
+}
+
+/// The first index at which `a` and `b` differ; they must differ.
+fn first_index<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+    (0..)
+        .find(|&i| a.get(i) != b.get(i))
+        .expect("the two differ")
 }
 
 /// Compare a driver's freshly built tables against its committed
-/// goldens. Returns every drift found (empty = clean). IO errors other
-/// than "golden missing" (which is reported as a drift) are returned as
-/// errors.
+/// goldens, byte for byte. Returns every drift found (empty = clean):
+/// one per table that differs, naming where it first parts, and one
+/// per missing or stale golden file and stale manifest field. IO errors
+/// other than "golden missing" (which is reported as a drift) are
+/// returned as errors.
 pub fn compare_driver(
     driver: &str,
     tables: &[Table],
     golden_root: &Path,
-    spec: &GoldenSpec,
+    _spec: &GoldenSpec,
     meta: &RunMeta,
 ) -> io::Result<Vec<Drift>> {
     let dir = golden_root.join(driver);
@@ -295,7 +284,7 @@ pub fn compare_driver(
     let mut drifts = Vec::new();
     for t in tables {
         let path = dir.join(format!("{}.csv", t.name));
-        let text = match fs::read_to_string(&path) {
+        let want = match fs::read_to_string(&path) {
             Ok(s) => s,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 drifts.push(drift(
@@ -308,57 +297,16 @@ pub fn compare_driver(
             }
             Err(e) => return Err(e),
         };
-        let golden = parse_csv(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: malformed golden CSV: {e}", path.display()),
-            )
-        })?;
-        let (ghead, grows) = match golden.split_first() {
-            Some((h, r)) => (h.clone(), r),
-            None => {
-                drifts.push(drift(
-                    &t.name,
-                    "golden file is empty",
-                    t.to_csv(),
-                    String::new(),
-                ));
-                continue;
-            }
-        };
-        if ghead != t.columns {
-            drifts.push(drift(
-                &t.name,
-                "column set changed",
-                t.columns.join(","),
-                ghead.join(","),
-            ));
-            continue;
-        }
-        if grows.len() != t.rows.len() {
-            drifts.push(drift(
-                &t.name,
-                "row count changed",
-                format!("{} rows", t.rows.len()),
-                format!("{} rows", grows.len()),
-            ));
-        }
-        for (ri, (got_row, want_row)) in t.rows.iter().zip(grows).enumerate() {
-            for (ci, column) in t.columns.iter().enumerate() {
-                let got = got_row[ci].to_string();
-                let want = want_row.get(ci).cloned().unwrap_or_default();
-                if !cells_close(&got, &want, spec.default_tol) {
-                    drifts.push(Drift {
-                        driver: driver.to_string(),
-                        table: t.name.clone(),
-                        row: Some(ri + 1),
-                        column: Some(column.clone()),
-                        got,
-                        want,
-                        note: String::new(),
-                    });
-                }
-            }
+        let got = t.to_csv();
+        if got != want {
+            let mut d = drift(&t.name, "", String::new(), String::new());
+            first_difference(&mut d, &got, &want).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: malformed golden CSV: {e}", path.display()),
+                )
+            })?;
+            drifts.push(d);
         }
     }
 
@@ -484,19 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_semantics() {
-        let t = Tolerance::new(0.01, 0.0);
-        assert!(t.close(1.0, 1.005));
-        assert!(!t.close(1.0, 1.05));
-        let r = Tolerance::new(0.0, 0.01);
-        assert!(r.close(100.0, 100.5));
-        assert!(!r.close(100.0, 102.0));
-        assert!(Tolerance::EXACT.close(f64::NAN, f64::NAN));
-        assert!(Tolerance::EXACT.close(2.5, 2.5));
-        assert!(!Tolerance::EXACT.close(2.5, 2.5000001));
-    }
-
-    #[test]
     fn csv_round_trip_with_quoting() {
         let t = demo_table();
         let parsed = parse_csv(&t.to_csv()).unwrap();
@@ -518,11 +453,9 @@ mod tests {
         let first = bless_driver("drv", &t, &root, &meta()).unwrap();
         assert_eq!(first.len(), 1);
         let before = fs::read_to_string(&first[0]).unwrap();
-        assert!(
-            compare_driver("drv", &t, &root, &GoldenSpec::strict(), &meta())
-                .unwrap()
-                .is_empty()
-        );
+        assert!(compare_driver("drv", &t, &root, &GoldenSpec, &meta())
+            .unwrap()
+            .is_empty());
         // Re-bless on an unmodified table is byte-idempotent.
         bless_driver("drv", &t, &root, &meta()).unwrap();
         assert_eq!(fs::read_to_string(&first[0]).unwrap(), before);
@@ -535,13 +468,51 @@ mod tests {
         bless_driver("drv", &[demo_table()], &root, &meta()).unwrap();
         let mut changed = demo_table();
         changed.rows[0][2] = Cell::from("0.6000");
-        let drifts =
-            compare_driver("drv", &[changed], &root, &GoldenSpec::strict(), &meta()).unwrap();
+        let drifts = compare_driver("drv", &[changed], &root, &GoldenSpec, &meta()).unwrap();
         assert_eq!(drifts.len(), 1);
         let d = &drifts[0];
         assert_eq!((d.row, d.column.as_deref()), (Some(1), Some("y")));
         assert_eq!((d.got.as_str(), d.want.as_str()), ("0.6000", "0.5000"));
         assert!(d.to_string().contains("drv/series row 1 col y"));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Two goldens a numeric comparison read as equal: a row with an
+    /// extra trailing cell, and a cell spelled as an equal number. Each
+    /// is one drift that names the row, the column and both cells. A
+    /// golden whose cells all agree and whose bytes do not names a line.
+    #[test]
+    fn an_altered_golden_is_one_drift_at_its_first_difference() {
+        let root = tmp_root("bytes");
+        let path = bless_driver("drv", &[demo_table()], &root, &meta()).unwrap()[0].clone();
+        let blessed = fs::read_to_string(&path).unwrap();
+        let drift = |golden: String| {
+            fs::write(&path, golden).unwrap();
+            let drifts = compare_driver("drv", &[demo_table()], &root, &GoldenSpec, &meta());
+            let mut drifts = drifts.unwrap();
+            assert_eq!(drifts.len(), 1, "{drifts:?}");
+            let d = drifts.remove(0);
+            (d.row, d.column, d.got, d.want, d.note)
+        };
+        let col = |s: &str| Some(s.to_string());
+        let (row, column, got, want, note) =
+            drift(blessed.replacen("0.5000\n", "0.5000,EXTRA\n", 1));
+        assert_eq!(
+            (row, column, got, want),
+            (Some(1), col("#4"), "".into(), "EXTRA".into())
+        );
+        assert_eq!(note, "3 cells, golden 4");
+        let (row, column, got, want, _) = drift(blessed.replacen("0.5000\n", "0.5\n", 1));
+        assert_eq!(
+            (row, column, got, want),
+            (Some(1), col("y"), "0.5000".into(), "0.5".into())
+        );
+        // Every cell agrees and the bytes do not: a CRLF line ending.
+        let (row, _, _, _, note) = drift(blessed.replacen('\n', "\r\n", 1));
+        assert_eq!(
+            (row, note.as_str()),
+            (None, "line 1: every cell agrees, the bytes do not")
+        );
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -553,31 +524,23 @@ mod tests {
         // Missing golden file (plus the manifest's table list no longer
         // matching the blessed set).
         let extra = Table::new("extra", &["a"]);
-        let drifts = compare_driver(
-            "drv",
-            &[demo_table(), extra],
-            &root,
-            &GoldenSpec::strict(),
-            &meta(),
-        )
-        .unwrap();
+        let drifts =
+            compare_driver("drv", &[demo_table(), extra], &root, &GoldenSpec, &meta()).unwrap();
         assert_eq!(drifts.len(), 2);
         assert!(drifts[0].note.contains("missing"));
         assert!(drifts[1].note.contains("manifest tables"));
         // Stale golden file.
-        let drifts = compare_driver("drv", &[], &root, &GoldenSpec::strict(), &meta()).unwrap();
+        let drifts = compare_driver("drv", &[], &root, &GoldenSpec, &meta()).unwrap();
         assert!(drifts.iter().any(|d| d.note.contains("stale golden")));
         // Row-count change.
         let mut short = demo_table();
         short.rows.pop();
-        let drifts =
-            compare_driver("drv", &[short], &root, &GoldenSpec::strict(), &meta()).unwrap();
+        let drifts = compare_driver("drv", &[short], &root, &GoldenSpec, &meta()).unwrap();
         assert!(drifts.iter().any(|d| d.note.contains("row count")));
         // Column rename.
         let mut renamed = demo_table();
         renamed.columns[2] = "z".into();
-        let drifts =
-            compare_driver("drv", &[renamed], &root, &GoldenSpec::strict(), &meta()).unwrap();
+        let drifts = compare_driver("drv", &[renamed], &root, &GoldenSpec, &meta()).unwrap();
         assert!(drifts.iter().any(|d| d.note.contains("column set")));
         fs::remove_dir_all(&root).unwrap();
     }
@@ -585,14 +548,7 @@ mod tests {
     #[test]
     fn missing_directory_is_reported() {
         let root = tmp_root("nodir");
-        let drifts = compare_driver(
-            "ghost",
-            &[demo_table()],
-            &root,
-            &GoldenSpec::strict(),
-            &meta(),
-        )
-        .unwrap();
+        let drifts = compare_driver("ghost", &[demo_table()], &root, &GoldenSpec, &meta()).unwrap();
         assert_eq!(drifts.len(), 1);
         assert!(drifts[0].note.contains("no golden directory"));
     }
@@ -610,8 +566,7 @@ mod tests {
         // Same tables compared under different flags: stale bless.
         let mut other = meta();
         other.flags.replicates = 5;
-        let drifts =
-            compare_driver("drv", &[demo_table()], &root, &GoldenSpec::strict(), &other).unwrap();
+        let drifts = compare_driver("drv", &[demo_table()], &root, &GoldenSpec, &other).unwrap();
         assert_eq!(drifts.len(), 1);
         assert!(drifts[0].note.contains("manifest replicates"));
         assert_eq!(
@@ -623,15 +578,9 @@ mod tests {
         // and the field, not a pass and not a drift.
         let mpath = root.join("drv").join(GoldenManifest::FILE);
         fs::write(&mpath, text.replace("\"quick\"", "\"huge\"")).unwrap();
-        let err = compare_driver(
-            "drv",
-            &[demo_table()],
-            &root,
-            &GoldenSpec::strict(),
-            &meta(),
-        )
-        .unwrap_err()
-        .to_string();
+        let err = compare_driver("drv", &[demo_table()], &root, &GoldenSpec, &meta())
+            .unwrap_err()
+            .to_string();
         assert!(
             err.contains("manifest.json: golden manifest: scale: unknown scale \"huge\""),
             "{err}"
@@ -639,14 +588,7 @@ mod tests {
 
         // Deleting the manifest is detectable drift, not a pass.
         fs::remove_file(root.join("drv").join(GoldenManifest::FILE)).unwrap();
-        let drifts = compare_driver(
-            "drv",
-            &[demo_table()],
-            &root,
-            &GoldenSpec::strict(),
-            &meta(),
-        )
-        .unwrap();
+        let drifts = compare_driver("drv", &[demo_table()], &root, &GoldenSpec, &meta()).unwrap();
         assert_eq!(drifts.len(), 1);
         assert!(drifts[0].note.contains("manifest missing"));
         fs::remove_dir_all(&root).unwrap();

@@ -25,9 +25,10 @@
 //!   k)`, embedded in every document and compared by one function),
 //!   [`output::result_path`], which places every result file, and the
 //!   self-validating shard merge ([`output::merge_shard_docs`]),
-//! * [`golden`] — committed quick-mode baseline CSVs with provenance
-//!   manifests and the tolerance-aware diff engine behind the tier-1
-//!   golden test,
+//! * [`golden`] — committed baseline CSVs with provenance manifests, and
+//!   the byte-exact comparison behind the tier-1 golden test,
+//!   `opera golden` and `opera spot`, which names where a table first
+//!   parts from its golden,
 //! * [`orchestrate`] — the `driver × shard` jobs behind
 //!   `opera orchestrate`: [`orchestrate::start_run`] keeps every job
 //!   whose shard documents are already in the output tree, runs each

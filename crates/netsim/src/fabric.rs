@@ -251,6 +251,32 @@ pub struct FabricCounters {
     pub pause_frames: u64,
 }
 
+impl FabricCounters {
+    /// Every counter with its field name, in declaration order.
+    pub fn named(&self) -> [(&'static str, u64); 8] {
+        let FabricCounters {
+            queued,
+            trimmed,
+            dropped,
+            dark_drops,
+            failed_drops,
+            delivered,
+            ecn_marked,
+            pause_frames,
+        } = *self;
+        [
+            ("queued", queued),
+            ("trimmed", trimmed),
+            ("dropped", dropped),
+            ("dark_drops", dark_drops),
+            ("failed_drops", failed_drops),
+            ("delivered", delivered),
+            ("ecn_marked", ecn_marked),
+            ("pause_frames", pause_frames),
+        ]
+    }
+}
+
 /// Events routed through the simulator for the fabric/logic pair.
 ///
 /// Sixteen bytes: node and port ids travel as `u32` (the fabric refuses

@@ -202,6 +202,10 @@ pub trait PacketNet: NetLogic + Sized {
     /// The host layer, to switch on [`Endpoints::record_throughput`].
     fn ends_mut(&mut self) -> &mut Endpoints;
 
+    /// Every counter of a run by name, wherever it stopped: the fabric's
+    /// ([`netsim::fabric::FabricCounters::named`]), then the network's own.
+    fn counters(sim: &Simulator<NetWorld<Self>>) -> Vec<(&'static str, u64)>;
+
     /// Per-flow results.
     fn tracker(&self) -> &FlowTracker {
         self.ends().tracker()

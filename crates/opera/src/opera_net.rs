@@ -157,6 +157,32 @@ pub struct OperaCounters {
     pub bulk_downlink_peak: u64,
 }
 
+impl OperaCounters {
+    /// Every counter with its field name, in declaration order.
+    pub fn named(&self) -> [(&'static str, u64); 8] {
+        let OperaCounters {
+            hop_limit_drops,
+            bulk_requeued,
+            relay_overflow,
+            bulk_stragglers,
+            valiant_first_hops,
+            links_marked_bad,
+            nic_backpressure,
+            bulk_downlink_peak,
+        } = *self;
+        [
+            ("hop_limit_drops", hop_limit_drops),
+            ("bulk_requeued", bulk_requeued),
+            ("relay_overflow", relay_overflow),
+            ("bulk_stragglers", bulk_stragglers),
+            ("valiant_first_hops", valiant_first_hops),
+            ("links_marked_bad", links_marked_bad),
+            ("nic_backpressure", nic_backpressure),
+            ("bulk_downlink_peak", bulk_downlink_peak),
+        ]
+    }
+}
+
 /// Per-`(rack, uplink)` feeder state.
 #[derive(Debug, Clone, Copy, Default)]
 struct Feeder {
@@ -734,6 +760,10 @@ impl PacketNet for OperaLogic {
     }
     fn ends_mut(&mut self) -> &mut Endpoints {
         &mut self.ends
+    }
+    fn counters(sim: &OperaNet) -> Vec<(&'static str, u64)> {
+        let (fabric, logic) = (&sim.world.fabric, &sim.world.logic);
+        [fabric.counters.named(), logic.counters.named()].concat()
     }
 }
 

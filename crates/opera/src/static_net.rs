@@ -253,6 +253,11 @@ impl PacketNet for StaticLogic {
     fn ends_mut(&mut self) -> &mut Endpoints {
         &mut self.ends
     }
+    fn counters(sim: &StaticNet) -> Vec<(&'static str, u64)> {
+        let mut counters = sim.world.fabric.counters.named().to_vec();
+        counters.push(("routing_drops", sim.world.logic.routing_drops));
+        counters
+    }
 }
 
 /// Build a static network simulation with `flows` to inject.

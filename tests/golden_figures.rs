@@ -17,10 +17,10 @@ use bench::figures;
 
 use std::sync::OnceLock;
 
-use expt::{Experiment, Table};
+use expt::{Experiment, RunMeta, Table};
 
 /// Every driver's quick-mode tables, built once per test binary: the
-/// three tests below read the same build, so tier-1 pays for each
+/// tests below read the same build, so tier-1 pays for each
 /// driver once. Whichever test comes first builds; the others wait.
 fn built() -> &'static [(Experiment, Vec<Table>)] {
     static BUILT: OnceLock<Vec<(Experiment, Vec<Table>)>> = OnceLock::new();
@@ -43,10 +43,14 @@ fn blessing() -> bool {
     )
 }
 
-/// The tolerance-aware cell diff against the committed goldens
-/// (`compare_driver`, manifest provenance included), which names the
-/// driver, table, row and column that moved. Under `OPERA_BLESS=1` it
-/// rewrites the goldens instead.
+/// Every driver's fresh quick-mode tables against the committed goldens,
+/// byte for byte (`figures::golden_run`, manifest provenance included):
+/// a table that differs is one drift naming the row and column where it
+/// first parts from its golden, or its header or row-count change. Byte
+/// equality pins the CSV rendering too (column order, float formatting,
+/// line endings), and it is the contract the timing-wheel scheduler
+/// upholds: equal-time events fire in schedule order, so no cell moves.
+/// Under `OPERA_BLESS=1` it rewrites the goldens instead.
 #[test]
 fn golden_figures() {
     let bless = blessing();
@@ -54,7 +58,8 @@ fn golden_figures() {
     let ctx = figures::golden_ctx(0);
     let mut failures: Vec<String> = Vec::new();
     for (exp, tables) in built() {
-        let drifts = figures::golden_run(exp, tables, &ctx, &root, bless)
+        let meta = RunMeta::new(exp.name, &ctx.args);
+        let drifts = figures::golden_run(tables, &meta, &root, bless)
             .unwrap_or_else(|e| panic!("{}: golden IO error: {e}", exp.name));
         failures.extend(drifts.iter().map(ToString::to_string));
     }
@@ -65,37 +70,6 @@ fn golden_figures() {
          and commit the goldens/ diff.",
         failures.len(),
         failures.join("\n  ")
-    );
-}
-
-/// Byte-identity companion to [`golden_figures`]: every driver's fresh
-/// quick-mode CSV rendering must equal the committed golden file
-/// *byte-for-byte*, not just within the tolerance-aware cell diff. This
-/// is the contract the timing-wheel scheduler must uphold — equal-time
-/// events fire in schedule order, so replacing the event queue moves no
-/// cell anywhere — and byte equality also pins the CSV rendering
-/// itself (column order, float formatting, line endings).
-#[test]
-fn golden_figures_byte_identical() {
-    if blessing() {
-        return; // a bless rewrites the files; identity is vacuous
-    }
-    let root = figures::golden_root();
-    let mut failures: Vec<String> = Vec::new();
-    for (exp, tables) in built() {
-        for table in tables {
-            let path = root.join(exp.name).join(format!("{}.csv", table.name));
-            let committed = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("{}: read {}: {e}", exp.name, path.display()));
-            if table.to_csv() != committed {
-                failures.push(format!("{}/{}", exp.name, table.name));
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "fresh CSV differs byte-for-byte from committed golden for: {}",
-        failures.join(", ")
     );
 }
 
@@ -127,6 +101,46 @@ fn ledger_census() {
     assert!(
         census.is_empty(),
         "runs whose packet ledger does not balance: {census:#?}"
+    );
+}
+
+/// ROADMAP 18's counter census over every quick packet run: each counter
+/// `tests/counter_census.txt` names reads 0 on every run whose network has
+/// it (`zero`), or more than 0 on at least one run (`some`). A mechanism
+/// that stops working, or one that starts to fire where it never should,
+/// fails here even when no golden moves.
+#[test]
+fn counter_census() {
+    built();
+    let runs = bench::run_records();
+    let mut wrong = Vec::new();
+    let expected = include_str!("counter_census.txt").lines();
+    for line in expected.filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let fields: Vec<&str> = line.split(" | ").map(str::trim).collect();
+        let [counter, expect, _why] = fields[..] else {
+            panic!("three fields: {line}");
+        };
+        let read: Vec<(&str, u64)> = runs
+            .iter()
+            .filter_map(|r| Some((r.name.as_str(), r.counter(counter)?)))
+            .collect();
+        assert!(!read.is_empty(), "{counter}: no run's network counts it");
+        match expect {
+            "zero" => wrong.extend(
+                read.iter()
+                    .filter(|&&(_, v)| v > 0)
+                    .map(|(run, v)| format!("{counter} = {v} on {run}")),
+            ),
+            "some" if read.iter().all(|&(_, v)| v == 0) => {
+                wrong.push(format!("{counter} is 0 on all {} runs", read.len()))
+            }
+            "some" => {}
+            other => panic!("{line}: `{other}` is neither `zero` nor `some`"),
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "counters off tests/counter_census.txt: {wrong:#?}"
     );
 }
 

@@ -23,9 +23,8 @@ use std::time::{Duration, Instant};
 
 /// Tests that compare a run against a committed recording: they kill a
 /// mutant by noticing that something moved, not what.
-const PINS: [&str; 5] = [
+const PINS: [&str; 4] = [
     "golden_figures::golden_figures",
-    "golden_figures::golden_figures_byte_identical",
     "golden_figures::dark_drop_runs_are_the_committed_list",
     "transports_pinned::three_transports_reproduce_the_parent_commit",
     "trace_scenarios::tiny_incast_trace_matches_golden",
