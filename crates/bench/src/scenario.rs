@@ -60,7 +60,8 @@ pub const MAX_POINTS: usize = 10_000;
 
 /// Largest `topology.racks` a scenario may ask for: the paper's largest
 /// network (k = 24: 432 racks, 5 184 hosts). A rotor network's per-slice
-/// routing tables grow with racks³ (about 160 MB there), so this count too
+/// routing tables grow with racks³ (about 80 MB there on the 4-uplink
+/// `opera` topology, one byte a low-latency entry), so this count too
 /// is bounded where it is read, before anything is allocated for it. At
 /// the bound, a 1 ms `opera run-scenario` on the `opera` topology takes
 /// ≈ 0.44 s on a 2-core Xeon host, nearly all of it building those tables

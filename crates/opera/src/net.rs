@@ -44,8 +44,10 @@ pub struct Endpoints {
     hosts: Vec<Box<dyn Transport>>,
     tracker: FlowTracker,
     /// Flows still to inject, the next one last: start order reversed
-    /// (ties keep the caller's order). Freed with the last injection, so a
-    /// run whose flows all start at once does not hold its flow list.
+    /// (ties keep the caller's order). Given back as it is consumed: shrunk
+    /// to its length whenever that is half its capacity, and freed with the
+    /// last injection, so a run whose flows all start at once holds no more
+    /// of its flow list than it has still to register.
     to_come: Vec<FlowSpec>,
 }
 
@@ -108,8 +110,8 @@ impl Endpoints {
         let spec = *self.to_come.last()?;
         if spec.start <= ctx.now() {
             self.to_come.pop();
-            if self.to_come.is_empty() {
-                self.to_come = Vec::new();
+            if self.to_come.len() <= self.to_come.capacity() / 2 {
+                self.to_come.shrink_to_fit();
             }
             return Some(spec);
         }

@@ -8,10 +8,13 @@
 //! Tables are precomputed at build time (Opera fixes its schedule at
 //! design time; §3.3) and stored flat.
 //!
-//! Cost model: a low-latency entry is one 16-bit word per `(slice, dst
-//! rack, current rack)` — 2 bytes where an uplink list took 9, 2.5 MB for
-//! the paper's 108 × 108 racks × 108 slices — with bit `j` set when rotor
-//! uplink `j` lies on a shortest path ([`UplinkSet`]). A ToR draws its
+//! Cost model: a low-latency entry is a bit set per `(slice, dst rack,
+//! current rack)`, bit `j` set when rotor uplink `j` lies on a shortest
+//! path ([`UplinkSet`]), stored in ⌈switches / 8⌉ bytes: one byte plane for
+//! uplinks 0–7 always, and a second for uplinks 8–15 only on a network of 9
+//! to 16 rotor switches. The paper's 6 switches take one byte an entry
+//! where an uplink list took 9, 1.26 MB for its 108 × 108 racks × 108
+//! slices (2.52 MB as 16-bit words). A ToR draws its
 //! ECMP choice as "the k-th member, k uniform", so the order of members
 //! decides which uplink a given RNG draw picks: ascending uplink is the
 //! order the entries always had (a slice graph gives each rack at most
@@ -110,8 +113,12 @@ impl UplinkSet {
 pub struct LowLatencyTables {
     racks: usize,
     slices: usize,
-    /// `[(slice * racks + dst) * racks + cur]` → the entry's uplinks.
-    entries: Vec<UplinkSet>,
+    /// `[(slice * racks + dst) * racks + cur]` → the entry's uplinks 0–7,
+    /// bit `j` for uplink `j`.
+    low: Vec<u8>,
+    /// The same index → the entry's uplinks 8–15, bit `j` for uplink
+    /// `8 + j`; empty on a network of at most 8 rotor switches.
+    high: Vec<u8>,
 }
 
 /// A monotone slice counter taken into the cycle. The slice clock already
@@ -177,8 +184,9 @@ impl LowLatencyTables {
     ///
     /// # Panics
     /// As [`BulkTables::build_with_failures`]; also if `topo` has more than
-    /// 16 rotor switches (an entry is a 16-bit set of uplinks; the paper's
-    /// largest point, k = 24, has 12), or if a slice's shortest route
+    /// 16 rotor switches (an entry is at most two byte planes, a 16-bit set
+    /// of uplinks; the paper's 648-host network has 6, its largest point,
+    /// k = 24, has 12 and so two planes), or if a slice's shortest route
     /// between two racks is 254 hops or more (distance rows hold `u8` hop
     /// counts; a slice of the paper's largest point spans a handful).
     pub fn build_with_failures(topo: &OperaTopology, bad: &[(usize, usize)]) -> Self {
@@ -198,7 +206,8 @@ impl LowLatencyTables {
             circuits.uplinks
         );
         let (racks, slices) = (circuits.racks, circuits.slices);
-        let mut entries = vec![UplinkSet::default(); slices * racks * racks];
+        let mut low = vec![0; slices * racks * racks];
+        let mut high = vec![0; if circuits.uplinks > 8 { low.len() } else { 0 }];
         // Scratch reused across slices: the distance rows, the row being
         // relaxed, and one rack's entries toward every destination.
         let mut dist = vec![UNREACHED; racks * racks];
@@ -206,7 +215,7 @@ impl LowLatencyTables {
         let mut hops = vec![0u16; racks];
         for s in 0..slices {
             distance_rows(circuits, s, &mut dist, &mut row);
-            let slice_entries = &mut entries[s * racks * racks..][..racks * racks];
+            let first = s * racks * racks;
             for v in 0..racks {
                 let from_v = &dist[v * racks..][..racks];
                 hops.fill(0);
@@ -220,15 +229,19 @@ impl LowLatencyTables {
                         *h |= u16::from(dw.wrapping_add(1) == dv) << j;
                     }
                 }
-                for (d, &h) in hops.iter().enumerate() {
-                    slice_entries[d * racks + v] = UplinkSet(h);
+                for (d, [lo, hi]) in hops.iter().map(|h| h.to_le_bytes()).enumerate() {
+                    low[first + d * racks + v] = lo;
+                    if let Some(e) = high.get_mut(first + d * racks + v) {
+                        *e = hi;
+                    }
                 }
             }
         }
         LowLatencyTables {
             racks,
             slices,
-            entries,
+            low,
+            high,
         }
     }
 
@@ -236,7 +249,11 @@ impl LowLatencyTables {
     /// Empty when `cur == dst` or `dst` is unreachable this slice.
     #[inline]
     pub fn next_hops(&self, slice: usize, cur: usize, dst: usize) -> UplinkSet {
-        self.entries[(in_cycle(slice, self.slices) * self.racks + dst) * self.racks + cur]
+        let i = (in_cycle(slice, self.slices) * self.racks + dst) * self.racks + cur;
+        UplinkSet(u16::from_le_bytes([
+            self.low[i],
+            self.high.get(i).copied().unwrap_or(0),
+        ]))
     }
 
     /// Number of racks.
@@ -732,8 +749,10 @@ mod tests {
     /// destinations within `k` hops, level `k` ORs in its circuit partners'
     /// level-`(k − 1)` frontiers, and a circuit `v → w` on uplink `j` gets
     /// bit `j` toward the destinations new to `v` at level `k` that were
-    /// new to `w` at level `k − 1`, one write per next-hop bit.
-    fn low_latency_by_frontier(circuits: &BulkTables) -> LowLatencyTables {
+    /// new to `w` at level `k − 1`, one write per next-hop bit. Its entries
+    /// are 16-bit words, `[(slice * racks + dst) * racks + cur]`, as the
+    /// table stored them before its byte planes.
+    fn low_latency_by_frontier(circuits: &BulkTables) -> Vec<UplinkSet> {
         let (racks, slices) = (circuits.racks, circuits.slices);
         let words = racks.div_ceil(64);
         let mut entries = vec![UplinkSet::default(); slices * racks * racks];
@@ -781,10 +800,34 @@ mod tests {
                 std::mem::swap(&mut last, &mut fresh);
             }
         }
-        LowLatencyTables {
-            racks,
-            slices,
-            entries,
+        entries
+    }
+
+    /// `tables` reads, through [`LowLatencyTables::next_hops`], every entry
+    /// of `words` (laid out as [`low_latency_by_frontier`]'s), and holds a
+    /// second byte plane exactly when its network has more than 8 uplinks.
+    fn assert_entries_equal(
+        tables: &LowLatencyTables,
+        circuits: &BulkTables,
+        words: &[UplinkSet],
+        what: &str,
+    ) {
+        let (racks, slices) = (tables.racks, tables.slices);
+        assert_eq!(words.len(), slices * racks * racks, "{what}");
+        assert_eq!(tables.low.len(), words.len(), "{what}");
+        let planes = if circuits.uplinks > 8 { 2 } else { 1 };
+        assert_eq!(tables.high.len(), (planes - 1) * words.len(), "{what}");
+        for s in 0..slices {
+            for dst in 0..racks {
+                for cur in 0..racks {
+                    let want = words[(s * racks + dst) * racks + cur];
+                    assert_eq!(
+                        tables.next_hops(s, cur, dst),
+                        want,
+                        "{what}, slice {s}: {cur} → {dst}"
+                    );
+                }
+            }
         }
     }
 
@@ -842,7 +885,7 @@ mod tests {
                 let bulk = BulkTables::build_with_failures(t, bad);
                 assert!(bulk == bulk_by_slice_view(t, bad), "bulk rows: {what}");
                 let tables = LowLatencyTables::from_circuits(&bulk);
-                assert!(tables == low_latency_by_frontier(&bulk), "entries: {what}");
+                assert_entries_equal(&tables, &bulk, &low_latency_by_frontier(&bulk), &what);
                 if !bad.is_empty() {
                     continue;
                 }
@@ -891,7 +934,12 @@ mod tests {
     fn distance_rows_hold_a_253_hop_route() {
         let circuits = line(254);
         let tables = LowLatencyTables::from_circuits(&circuits);
-        assert!(tables == low_latency_by_frontier(&circuits));
+        assert_entries_equal(
+            &tables,
+            &circuits,
+            &low_latency_by_frontier(&circuits),
+            "line",
+        );
         assert!(tables.next_hops(0, 0, 253).iter().eq([1]));
         assert!(tables.next_hops(0, 253, 0).iter().eq([0]));
     }

@@ -51,6 +51,16 @@
 //! requeued one-packet fragments once took them to 143 872 live chunks in
 //! 186 305 slots, 3.0 MB; fig08's paper-scale shuffle peaks at 416 016 in
 //! 439 128 slots.
+//!
+//! What a rack holds per destination — a 32-byte `VecDeque` and an 8-byte
+//! sum, once for direct and once for relay chunks — is allocated by the
+//! first chunk of its kind: the direct half by the rack's first
+//! [`RackBulk::enqueue`] or [`RackBulk::requeue`], the relay half by its
+//! first [`RackBulk::store_relay`] that keeps its packet, and every reader
+//! takes a half not yet allocated as empty. That is 80 bytes per (rack,
+//! destination), 0.93 MB on the paper's 108 racks, which a run without
+//! bulk flows never allocates and a uniform shuffle, which sends nothing
+//! Valiant, allocates half of.
 
 use crate::PAYLOAD_PER_PACKET;
 use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE};
@@ -153,24 +163,60 @@ pub enum Offer {
     Idle,
 }
 
+/// A queue toward every destination rack and its payload bytes, allocated
+/// by the first chunk queued: until then every queue reads as empty.
+#[derive(Debug, Default)]
+struct Queues {
+    /// `chunks[r]`: the chunks bound for rack `r`; empty before allocation.
+    chunks: Vec<VecDeque<Chunk>>,
+    /// `bytes[r]`: payload bytes queued in `chunks[r]`; empty before
+    /// allocation.
+    bytes: Vec<u64>,
+    /// Sum of `bytes`.
+    total: u64,
+}
+
+impl Queues {
+    /// Give each of `racks` racks its queue and byte sum, unless done.
+    fn allocate(&mut self, racks: usize) {
+        if self.chunks.is_empty() {
+            self.chunks = vec![VecDeque::new(); racks];
+            self.bytes = vec![0; racks];
+        }
+    }
+
+    /// Payload bytes queued for rack `r`.
+    fn bytes_to(&self, r: usize) -> u64 {
+        if self.bytes.is_empty() {
+            0
+        } else {
+            self.bytes[r]
+        }
+    }
+
+    /// Chunks queued for rack `r`.
+    fn len(&self, r: usize) -> usize {
+        if self.chunks.is_empty() {
+            0
+        } else {
+            self.chunks[r].len()
+        }
+    }
+}
+
 /// Per-rack RotorLB state: direct and relay queues.
 #[derive(Debug)]
 pub struct RackBulk {
     rack: usize,
+    /// Racks in the network: the length of each allocated [`Queues`].
+    racks: usize,
     params: RotorLbParams,
-    /// `direct[r]`: chunks originating here, destined to rack `r`, at most
-    /// one per flow.
-    direct: Vec<VecDeque<Chunk>>,
-    /// `relay[r]`: chunks stored here mid-Valiant, final destination `r`.
-    relay: Vec<VecDeque<Chunk>>,
-    /// `direct_bytes[r]`: payload bytes queued in `direct[r]`.
-    direct_bytes: Vec<u64>,
-    /// `relay_bytes_to[r]`: payload bytes queued in `relay[r]`.
-    relay_bytes_to: Vec<u64>,
-    /// Sum of `direct_bytes`.
-    total_direct: u64,
-    /// Sum of `relay_bytes_to`.
-    relay_bytes: u64,
+    /// Chunks originating here, by destination rack, at most one per flow;
+    /// allocated by the first [`RackBulk::enqueue`] or [`RackBulk::requeue`].
+    direct: Queues,
+    /// Chunks stored here mid-Valiant, by final destination rack; allocated
+    /// by the first [`RackBulk::store_relay`] that keeps its packet.
+    relay: Queues,
     /// Round-robin cursor so concurrent flows to one rack share the
     /// circuit fairly.
     rr_cursor: usize,
@@ -186,13 +232,10 @@ impl RackBulk {
         u32::try_from(racks).expect("rack count must fit u32");
         RackBulk {
             rack,
+            racks,
             params,
-            direct: vec![VecDeque::new(); racks],
-            relay: vec![VecDeque::new(); racks],
-            direct_bytes: vec![0; racks],
-            relay_bytes_to: vec![0; racks],
-            total_direct: 0,
-            relay_bytes: 0,
+            direct: Queues::default(),
+            relay: Queues::default(),
             rr_cursor: 0,
             restart_seq: RESTART_SEQ,
         }
@@ -202,7 +245,8 @@ impl RackBulk {
     /// sequence numbers from 0.
     pub fn enqueue(&mut self, chunk: BulkChunk) {
         debug_assert_ne!(chunk.dst_rack, self.rack, "bulk to own rack");
-        let q = &mut self.direct[chunk.dst_rack];
+        self.direct.allocate(self.racks);
+        let q = &mut self.direct.chunks[chunk.dst_rack];
         debug_assert!(
             q.iter().all(|c| c.flow != chunk.flow),
             "flow {} enqueued twice",
@@ -216,23 +260,23 @@ impl RackBulk {
             chunk.bytes,
             0,
         ));
-        self.direct_bytes[chunk.dst_rack] += chunk.bytes;
-        self.total_direct += chunk.bytes;
+        self.direct.bytes[chunk.dst_rack] += chunk.bytes;
+        self.direct.total += chunk.bytes;
     }
 
     /// Payload bytes queued for rack `r` (direct + stored relay).
     pub fn pending_to(&self, r: usize) -> u64 {
-        self.direct_bytes[r] + self.relay_bytes_to[r]
+        self.direct.bytes_to(r) + self.relay.bytes_to(r)
     }
 
     /// Total direct backlog across all destinations.
     pub fn total_direct_backlog(&self) -> u64 {
-        self.total_direct
+        self.direct.total
     }
 
     /// Bytes stored for relay.
     pub fn relay_bytes(&self) -> u64 {
-        self.relay_bytes
+        self.relay.total
     }
 
     /// Produce the next bulk packet to send on the active circuit to
@@ -256,7 +300,7 @@ impl RackBulk {
         if let Some(pkt) = self.pop_from_relay(circuit_dst) {
             return Offer::Packet(pkt);
         }
-        let len = self.direct[circuit_dst].len();
+        let len = self.direct.len(circuit_dst);
         if len > 0 {
             // Round-robin across chunks (flows) sharing this circuit.
             let idx = self.rr_cursor % len;
@@ -295,14 +339,17 @@ impl RackBulk {
     }
 
     fn pop_from_relay(&mut self, dst: usize) -> Option<Packet> {
-        let q = &mut self.relay[dst];
+        if self.relay.len(dst) == 0 {
+            return None;
+        }
+        let q = &mut self.relay.chunks[dst];
         let chunk = q.front_mut()?;
         let pkt = Self::emit(chunk, None);
         if chunk.bytes == 0 {
             q.pop_front();
         }
-        self.relay_bytes_to[dst] -= pkt.payload() as u64;
-        self.relay_bytes -= pkt.payload() as u64;
+        self.relay.bytes[dst] -= pkt.payload() as u64;
+        self.relay.total -= pkt.payload() as u64;
         Some(pkt)
     }
 
@@ -315,7 +362,7 @@ impl RackBulk {
         relay: Option<u32>,
         host_ready: impl Fn(usize) -> bool,
     ) -> Offer {
-        let q = &mut self.direct[dst];
+        let q = &mut self.direct.chunks[dst];
         let chunk = &mut q[idx];
         if !host_ready(chunk.src as usize) {
             return Offer::HostBusy;
@@ -326,20 +373,22 @@ impl RackBulk {
             self.restart_seq = self.restart_seq.max(chunk.next_seq);
             q.remove(idx);
         }
-        self.direct_bytes[dst] -= pkt.payload() as u64;
-        self.total_direct -= pkt.payload() as u64;
+        self.direct.bytes[dst] -= pkt.payload() as u64;
+        self.direct.total -= pkt.payload() as u64;
         Offer::Packet(pkt)
     }
 
     /// The most-backlogged other destination over the VLB threshold, whose
     /// packets may take a first Valiant hop via `via`.
     fn vlb_destination(&self, via: usize) -> Option<usize> {
-        // No single destination can exceed the threshold unless the sum does.
-        if self.total_direct <= self.params.vlb_threshold {
+        // No single destination can exceed the threshold unless the sum
+        // does, and an unallocated `direct` sums to 0.
+        if self.direct.total <= self.params.vlb_threshold {
             return None;
         }
         let (dst, &backlog) = self
-            .direct_bytes
+            .direct
+            .bytes
             .iter()
             .enumerate()
             .filter(|&(r, _)| r != via && r != self.rack)
@@ -354,13 +403,14 @@ impl RackBulk {
     /// requeues at the *source*.
     pub fn store_relay(&mut self, pkt: &Packet, final_dst_rack: usize) -> bool {
         let payload = pkt.payload() as u64;
-        if self.relay_bytes + payload > self.params.relay_capacity {
+        if self.relay.total + payload > self.params.relay_capacity {
             return false;
         }
-        self.relay_bytes += payload;
-        self.relay_bytes_to[final_dst_rack] += payload;
+        self.relay.allocate(self.racks);
+        self.relay.total += payload;
+        self.relay.bytes[final_dst_rack] += payload;
         // Coalesce consecutive packets of one flow into a chunk.
-        let q = &mut self.relay[final_dst_rack];
+        let q = &mut self.relay.chunks[final_dst_rack];
         match q.back_mut() {
             Some(last) if last.flow == pkt.flow => last.bytes += pkt.payload(),
             _ => {
@@ -395,9 +445,10 @@ impl RackBulk {
             PacketKind::BulkData { relay: None, .. } => dst_rack,
             _ => return,
         };
-        self.direct_bytes[final_rack] += payload as u64;
-        self.total_direct += payload as u64;
-        let q = &mut self.direct[final_rack];
+        self.direct.allocate(self.racks);
+        self.direct.bytes[final_rack] += payload as u64;
+        self.direct.total += payload as u64;
+        let q = &mut self.direct.chunks[final_rack];
         match q.iter_mut().find(|c| c.flow == pkt.flow) {
             Some(chunk) => chunk.bytes += payload,
             None => {
@@ -796,7 +847,7 @@ mod tests {
         assert_eq!(rb.pending_to(2), 2872);
         rb.requeue(&p1, 2);
         assert_eq!(rb.pending_to(2), 4308);
-        assert_eq!(rb.direct[2].len(), 2, "merged, not a fragment");
+        assert_eq!(rb.direct.len(2), 2, "merged, not a fragment");
         // Drains fully afterwards, flow 1 under seqs 1 and 2.
         let out: Vec<(FlowId, u32)> = std::iter::from_fn(|| take(&mut rb, 2, false))
             .map(|p| (p.flow, seq(&p)))
@@ -821,7 +872,7 @@ mod tests {
         rb.requeue(&b, 2);
         rb.requeue(&a, 2);
         rb.requeue(&c, 3);
-        assert_eq!((rb.direct[2].len(), rb.direct[3].len()), (1, 1));
+        assert_eq!((rb.direct.len(2), rb.direct.len(3)), (1, 1));
         // Both restarted chunks start at the restart base; flow 1's goes
         // out first, so flow 2 is numbered as before and the rack's next
         // restart starts past flow 1's.
@@ -872,6 +923,74 @@ mod tests {
         assert_eq!(first.flow, 6, "stored relay bytes drain before direct");
     }
 
+    /// A rack that never queues holds nothing per destination, whatever it
+    /// is asked and whatever store it refuses; one whose first call is a
+    /// `requeue` or a `store_relay` allocates that half alone, and answers
+    /// `pending_to` and `next_packet` as the eager oracle does.
+    #[test]
+    fn per_destination_state_waits_for_the_first_chunk() {
+        let racks = 108;
+        let params = RotorLbParams {
+            relay_capacity: 1000,
+            ..RotorLbParams::paper_default()
+        };
+        let mut idle = RackBulk::new(0, racks, params);
+        for r in 1..racks {
+            assert_eq!(idle.pending_to(r), 0);
+            assert_eq!(idle.next_packet(r, true, |_| true), Offer::Idle);
+        }
+        assert!(!idle.store_relay(&Packet::bulk(9, 100, 200, 0, MTU), 3));
+        assert_eq!((idle.total_direct_backlog(), idle.relay_bytes()), (0, 0));
+        let held = [&idle.direct, &idle.relay].map(|q| q.chunks.capacity() + q.bytes.capacity());
+        assert_eq!(held, [0, 0], "slots held per destination");
+
+        let params = RotorLbParams::paper_default();
+        let first_hop = |relay| Packet {
+            kind: PacketKind::BulkData { seq: 4, relay },
+            ..Packet::bulk(7, 100, 200, 0, MTU)
+        };
+        // A direct packet and a first-hop Valiant one requeued, and a
+        // packet stored for relay.
+        let cases = [
+            (true, first_hop(None)),
+            (true, first_hop(Some(3))),
+            (false, first_hop(None)),
+        ];
+        for (requeue, pkt) in cases {
+            let mut live = RackBulk::new(1, racks, params);
+            let mut old = oracle::RackBulk::new(1, racks, params);
+            if requeue {
+                live.requeue(&pkt, 2);
+                old.requeue(&pkt, 2);
+            } else {
+                assert!(live.store_relay(&pkt, 3) && old.store_relay(&pkt, 3));
+            }
+            let allocated = (
+                !live.direct.chunks.is_empty(),
+                !live.relay.chunks.is_empty(),
+            );
+            assert_eq!(allocated, (requeue, !requeue), "{:?}", pkt.kind);
+            loop {
+                for r in 0..racks {
+                    assert_eq!(live.pending_to(r), old.pending_to(r), "pending_to({r})");
+                }
+                assert_eq!(live.total_direct_backlog(), old.total_direct_backlog());
+                assert_eq!(live.relay_bytes(), old.relay_bytes());
+                let offers: Vec<Offer> = (0..racks)
+                    .filter(|&r| r != 1)
+                    .map(|r| {
+                        let got = live.next_packet(r, true, |_| true);
+                        assert_eq!(got, old.next_packet(r, true, |_| true), "rack {r}");
+                        got
+                    })
+                    .collect();
+                if offers.iter().all(|o| *o == Offer::Idle) {
+                    break;
+                }
+            }
+        }
+    }
+
     #[test]
     fn queued_chunk_is_16_bytes() {
         assert_eq!(std::mem::size_of::<Chunk>(), 16);
@@ -893,7 +1012,7 @@ mod tests {
         assert_eq!(rb.pending_to(2), u32::MAX as u64 - 1436);
         rb.requeue(&p, 2);
         assert_eq!(rb.pending_to(2), u32::MAX as u64);
-        assert_eq!(rb.direct[2].len(), 1, "coalesced, not a second chunk");
+        assert_eq!(rb.direct.len(2), 1, "coalesced, not a second chunk");
     }
 
     #[test]
@@ -943,7 +1062,11 @@ mod tests {
                 } else {
                     take(&mut rb, to, false);
                 }
-                for (i, q) in rb.direct.iter().chain(&rb.relay).enumerate() {
+                // Queue `i`: direct to rack `i`, relay to rack `i - racks`;
+                // an unallocated half has none to check.
+                let direct = rb.direct.chunks.iter().enumerate();
+                let relay = rb.relay.chunks.iter().enumerate();
+                for (i, q) in direct.chain(relay.map(|(r, q)| (racks + r, q))) {
                     longest[i] = longest[i].max(q.len());
                     assert!(
                         q.capacity() <= longest[i] + step(longest[i]),
@@ -1097,7 +1220,7 @@ mod tests {
                 }
                 for r in 0..racks {
                     prop_assert_eq!(live.pending_to(r), old.pending_to(r), "pending_to({})", r);
-                    let flows: Vec<FlowId> = live.direct[r].iter().map(|c| c.flow).collect();
+                    let flows: Vec<FlowId> = live.direct.chunks.get(r).into_iter().flatten().map(|c| c.flow).collect();
                     prop_assert_eq!(&flows, &old.direct_flows(r), "direct[{}]", r);
                     let mut distinct = flows.clone();
                     distinct.sort_unstable();

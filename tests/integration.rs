@@ -26,6 +26,7 @@ fn light_load_avg_fct_us<N: PacketNet>(name: &str, cfg: N::Config) -> f64 {
         .collect();
     let mut sim = N::build(cfg, flows);
     N::run(&mut sim, SimTime::from_ms(120));
+    assert_eq!(N::ledger(&sim), Ok(()), "{name}");
     let t = sim.world.logic.tracker();
     assert!(t.all_done(), "{name}: {}/{}", t.completed(), t.len());
     avg_fct_us(t)
@@ -76,6 +77,7 @@ fn full_stack_deterministic() {
         }
         let mut sim = opera_net::build(OperaNetConfig::small_test(), flows);
         OperaLogic::run(&mut sim, SimTime::from_ms(80));
+        assert_eq!(OperaLogic::ledger(&sim), Ok(()), "deterministic run");
         sim.world
             .logic
             .tracker()
@@ -106,6 +108,7 @@ fn bulk_traffic_is_tax_free() {
     // Meter only data-plane packets: silence the hello protocol.
     sim.world.logic.set_hello_enabled(false);
     sim.run_until(SimTime::from_ms(60));
+    assert_eq!(OperaLogic::ledger(&sim), Ok(()), "one bulk flow");
     let t = sim.world.logic.tracker();
     assert!(t.all_done());
     // Each data packet is delivered: host->ToR, ToR->ToR (possibly 2 for
@@ -131,6 +134,7 @@ fn rotornet_shares_bulk_plane() {
         cfg.bulk_threshold = 0;
         let mut sim = opera_net::build(cfg, shuffle.clone());
         OperaLogic::run(&mut sim, SimTime::from_ms(120));
+        assert_eq!(OperaLogic::ledger(&sim), Ok(()), "{mode:?}");
         let t = sim.world.logic.tracker();
         assert!(
             t.all_done(),
@@ -142,17 +146,18 @@ fn rotornet_shares_bulk_plane() {
     }
 }
 
-/// A Websearch-style flow mix among the first 64 hosts of any network
+/// A Websearch-style flow mix among the first 64 hosts of network `name`
 /// completes, and `unrouted` (the network's own count of packets it had
 /// no route for) stays zero.
-fn delivers_websearch<N: PacketNet>(cfg: N::Config, unrouted: impl FnOnce(&N) -> u64) {
+fn delivers_websearch<N: PacketNet>(name: &str, cfg: N::Config, unrouted: impl FnOnce(&N) -> u64) {
     let hosts = N::hosts(&cfg).min(64);
     let mut g = PoissonGen::new(FlowSizeDist::of(Workload::Websearch), hosts, 10.0, 0.03, 9);
     let mut sim = N::build(cfg, g.flows_until(SimTime::from_ms(1)));
     N::run(&mut sim, SimTime::from_ms(150));
+    assert_eq!(N::ledger(&sim), Ok(()), "{name}");
     let t = sim.world.logic.tracker();
-    assert!(t.all_done(), "{}/{}", t.completed(), t.len());
-    assert_eq!(unrouted(&sim.world.logic), 0);
+    assert!(t.all_done(), "{name}: {}/{}", t.completed(), t.len());
+    assert_eq!(unrouted(&sim.world.logic), 0, "{name}");
 }
 
 /// Clos, expander, and Opera all deliver a Websearch-style flow mix with
@@ -161,12 +166,14 @@ fn delivers_websearch<N: PacketNet>(cfg: N::Config, unrouted: impl FnOnce(&N) ->
 fn no_unexplained_loss_across_networks() {
     let mut cfg = OperaNetConfig::small_test();
     cfg.bulk_threshold = u64::MAX;
-    delivers_websearch(cfg, |net: &OperaLogic| net.counters.hop_limit_drops);
-    for cfg in [
-        StaticNetConfig::small_expander(),
-        StaticNetConfig::paper_clos_648(),
+    delivers_websearch("opera", cfg, |net: &OperaLogic| {
+        net.counters.hop_limit_drops
+    });
+    for (name, cfg) in [
+        ("expander", StaticNetConfig::small_expander()),
+        ("folded clos", StaticNetConfig::paper_clos_648()),
     ] {
-        delivers_websearch(cfg, |net: &StaticLogic| net.routing_drops);
+        delivers_websearch(name, cfg, |net: &StaticLogic| net.routing_drops);
     }
 }
 
@@ -194,6 +201,7 @@ fn ndp_survives_random_loss() {
     let mut sim = opera_net::build(cfg, flows);
     sim.world.fabric.set_random_loss(0.02, 5);
     OperaLogic::run(&mut sim, SimTime::from_ms(150));
+    assert_eq!(OperaLogic::ledger(&sim), Ok(()), "2 % random loss");
     let t = sim.world.logic.tracker();
     assert!(
         t.all_done(),
@@ -264,6 +272,74 @@ fn paper_tors_hold_table1_rules_less_their_self_pairing() {
     }
 }
 
+/// k = 24's 12 rotor uplinks on a smaller network: every low-latency entry
+/// is exactly the set of uplinks whose circuit leads one hop closer to the
+/// destination on its slice's graph, so uplinks 8–11 are read back as well
+/// as 0–7.
+#[test]
+fn twelve_uplink_tables_are_the_shortest_path_hops() {
+    use opera::tables::LowLatencyTables;
+    use topo::opera::{OperaParams, OperaTopology};
+
+    let params = OperaParams {
+        racks: 72,
+        uplinks: 12,
+        hosts_per_rack: 1,
+        groups: 3,
+    };
+    let topo = OperaTopology::generate_validated(params, 11, 64).0;
+    let tables = LowLatencyTables::build(&topo);
+    let mut high = 0;
+    for s in 0..topo.slices_per_cycle() {
+        let g = topo.slice(s).graph();
+        for dst in 0..topo.racks() {
+            let dist = g.bfs_distances(dst);
+            for cur in 0..topo.racks() {
+                let mut hops: Vec<usize> = g
+                    .edges(cur)
+                    .iter()
+                    .filter(|e| dist[e.to].checked_add(1) == Some(dist[cur]))
+                    .map(|e| e.port)
+                    .collect();
+                hops.sort_unstable();
+                let got: Vec<usize> = tables.next_hops(s, cur, dst).iter().collect();
+                assert_eq!(got, hops, "slice {s}: {cur} → {dst}");
+                high += hops.iter().filter(|&&j| j >= 8).count();
+            }
+        }
+    }
+    assert!(high > 0, "no shortest path leaves on uplinks 8–11");
+}
+
+/// A Valiant intermediate with no bulk of its own (ROADMAP 17's relay):
+/// the packet it stores goes out toward its final rack, and when that
+/// packet misses its window the intermediate takes it back into its own
+/// direct queue, whose state the take-back allocates, and sends it again.
+#[test]
+fn a_relaying_rack_takes_back_a_relayed_packet() {
+    use transport::rotorlb::{Offer, RackBulk, RotorLbParams};
+
+    let mut mid = RackBulk::new(1, 4, RotorLbParams::paper_default());
+    let relayed = netsim::Packet::bulk(7, 0, 12, 0, netsim::MTU);
+    let bytes = relayed.payload() as u64;
+    assert!(mid.store_relay(&relayed, 3));
+    assert_eq!((mid.pending_to(3), mid.relay_bytes()), (bytes, bytes));
+    let Offer::Packet(out) = mid.next_packet(3, false, |_| true) else {
+        panic!("the stored packet is not offered to its final rack");
+    };
+    assert_eq!((mid.pending_to(3), mid.relay_bytes()), (0, 0));
+    mid.requeue(&out, 3);
+    assert_eq!(
+        (mid.pending_to(3), mid.total_direct_backlog()),
+        (bytes, bytes)
+    );
+    let Offer::Packet(again) = mid.next_packet(3, false, |_| true) else {
+        panic!("the packet taken back is not offered again");
+    };
+    assert_eq!((again.flow, again.payload()), (out.flow, out.payload()));
+    assert_eq!(mid.next_packet(3, true, |_| true), Offer::Idle);
+}
+
 /// ROADMAP 17's premise, measured: RotorLB's two-hop Valiant indirection
 /// never fires on a uniform shuffle, so its stragglers are all direct
 /// packets that reached their ToR after the slice advanced; it fires on
@@ -279,6 +355,7 @@ fn valiant_hops_only_under_skew_with_vlb_on() {
         OperaLogic::run(&mut sim, SimTime::from_ms(100)),
         "shuffle undrained"
     );
+    assert_eq!(OperaLogic::ledger(&sim), Ok(()), "uniform shuffle");
     let c = sim.world.logic.counters;
     assert_eq!(c.valiant_first_hops, 0, "a uniform shuffle went Valiant");
     assert!(c.bulk_stragglers > 0, "no straggler to speak for");
@@ -299,6 +376,8 @@ fn valiant_hops_only_under_skew_with_vlb_on() {
             .collect();
         let mut sim = opera_net::build(cfg, flows);
         OperaLogic::run(&mut sim, SimTime::from_ms(40));
+        let vlb = if allow_vlb { "on" } else { "off" };
+        assert_eq!(OperaLogic::ledger(&sim), Ok(()), "skew, VLB {vlb}");
         sim.world.logic.counters.valiant_first_hops
     };
     let (on, off) = (skew(true), skew(false));

@@ -43,6 +43,7 @@ fn packet_sim_fcts_are_physical() {
     }
     let mut sim = opera::opera_net::build(cfg, flows);
     OperaLogic::run(&mut sim, SimTime::from_ms(200));
+    assert_eq!(OperaLogic::ledger(&sim), Ok(()), "websearch at 20 % load");
     let tracker = sim.world.logic.tracker();
     assert!(tracker.completed() > 0, "no flow completed");
     for f in tracker.flows() {
@@ -121,6 +122,7 @@ fn drained<N: PacketNet>(name: &str, cfg: N::Config, slice: SimTime) {
         "{name}: ran to the horizon"
     );
     assert!(N::drained(&sim), "{name}: stopped undrained");
+    assert_eq!(N::ledger(&sim), Ok(()), "{name}");
     let tracker = sim.world.logic.tracker();
     assert!(tracker.all_done(), "{name}: not drained");
     assert!(sim.world.fabric.arena_peak_live() > 0);
@@ -175,6 +177,7 @@ fn registered_in_start_order<N: PacketNet>(name: &str, cfg: N::Config) {
 
     let mut sim = N::build(cfg, flows);
     N::run(&mut sim, SimTime::from_ms(20));
+    assert_eq!(N::ledger(&sim), Ok(()), "{name}");
     // A record keeps no hosts; the sizes are distinct, so (size, start)
     // names the flow.
     let t = sim.world.logic.tracker();
