@@ -12,6 +12,7 @@
 
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
 use opera::{opera_net, OperaNetConfig, SliceTiming};
+use simkit::stats::summarize;
 use simkit::SimTime;
 use topo::opera::{OperaParams, OperaTopology};
 use workloads::FlowSpec;
@@ -203,7 +204,7 @@ fn vlb(ctx: &Ctx) -> Table {
         );
         let t = sim.world.logic.tracker();
         let done = t.completed() as f64 / t.len() as f64;
-        let s = expt::summarize(
+        let s = summarize(
             t.flows()
                 .iter()
                 .filter_map(|f| f.fct())

@@ -11,6 +11,7 @@ use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
 use netsim::fabric::QueueConfig;
 use opera::timing::SliceTiming;
 use opera::{opera_net, OperaNetConfig};
+use simkit::stats::summarize;
 use simkit::SimTime;
 use workloads::FlowSpec;
 
@@ -54,7 +55,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             format_args!("ablate_queue/{kb} KB/rep {}", rc.rep),
         );
         let t = sim.world.logic.tracker();
-        let s = expt::summarize(
+        let s = summarize(
             t.flows()
                 .iter()
                 .filter_map(|f| f.fct())

@@ -8,6 +8,7 @@ use netsim::FlowTracker;
 use opera::opera_net::OperaLogic;
 use opera::static_net::StaticLogic;
 use opera::PacketNet;
+use simkit::stats::summarize;
 use simkit::SimTime;
 use workloads::gen::ScenarioGen;
 use workloads::FlowSpec;
@@ -43,7 +44,7 @@ fn summary_row(label: &str, tracker: &FlowTracker, offered: usize) -> Row {
         .iter()
         .filter_map(|f| f.fct())
         .map(|x| x.as_ms_f64());
-    let s = expt::summarize(fcts);
+    let s = summarize(fcts);
     (
         vec![Cell::from(label)],
         vec![tracker.completed() as f64, offered as f64, s.p99, s.mean],

@@ -37,7 +37,7 @@ pub(crate) fn failure_params(ctx: &Ctx) -> OperaParams {
     )
 }
 
-/// Failure fractions for the given scale.
+/// Failure fractions for the given scale, shared by Figures 11 and 18–20.
 pub(crate) fn fractions(ctx: &Ctx) -> &'static [f64] {
     ctx.by_scale(
         &[0.05, 0.20],

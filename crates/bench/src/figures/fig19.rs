@@ -1,6 +1,7 @@
 //! Figure 19 / Appendix E: connectivity loss and path stretch of the
 //! 3:1 folded Clos under link and switch failures.
 
+use crate::figures::fig11::fractions;
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
 use simkit::SimRng;
 use topo::clos::{ClosParams, ClosTopology};
@@ -35,12 +36,7 @@ pub(crate) fn static_failure_table(
     domain: &[(usize, usize)],
     (node_kind, nodes): (&'static str, &[usize]),
 ) -> Table {
-    let fracs: &[f64] = ctx.by_scale(
-        &[0.05, 0.20],
-        &[0.01, 0.025, 0.05, 0.10, 0.20, 0.40],
-        &[0.01, 0.025, 0.05, 0.10, 0.20, 0.40],
-    );
-    let sweep = Sweep::grid2(&["links", node_kind], fracs, |k, f| (k, f));
+    let sweep = Sweep::grid2(&["links", node_kind], fractions(ctx), |k, f| (k, f));
     let rows = ctx.run_replicated(&sweep, |&(kind, frac), rc| {
         let mut rng = rc.rng();
         let fails = match kind {

@@ -35,7 +35,7 @@ use netsim::{FlowTracker, PcapngSink, SwitchPolicyKind};
 use opera::opera_net::OperaLogic;
 use opera::static_net::{StaticLogic, StaticNetConfig, StaticTopologyKind};
 use opera::{OperaNetConfig, PacketNet};
-use simkit::stats::Samples;
+use simkit::stats::summarize;
 use simkit::{SimRng, SimTime, NS_PER_MS};
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -423,7 +423,7 @@ pub struct PointMetrics {
     pub offered: usize,
     /// Mean flow-completion time, µs (0 when nothing completed).
     pub avg_fct_us: f64,
-    /// 99th-percentile FCT, µs.
+    /// 99th-percentile FCT, µs (0 when nothing completed).
     pub p99_fct_us: f64,
     /// Packets dropped at full queues.
     pub dropped: u64,
@@ -434,17 +434,14 @@ pub struct PointMetrics {
 }
 
 pub(crate) fn metrics_of(tracker: &FlowTracker, counters: &FabricCounters) -> PointMetrics {
-    let mut fcts = Samples::new();
-    for f in tracker.flows() {
-        if let Some(t) = f.fct() {
-            fcts.push(t.as_us_f64());
-        }
-    }
+    let fcts = tracker.flows().iter().filter_map(|f| f.fct());
+    let fcts = summarize(fcts.map(|t| t.as_us_f64()));
+    let or_zero = |v: f64| if fcts.count == 0 { 0.0 } else { v };
     PointMetrics {
         completed: tracker.completed(),
         offered: tracker.len(),
-        avg_fct_us: fcts.mean().unwrap_or(0.0),
-        p99_fct_us: fcts.quantile(0.99).unwrap_or(0.0),
+        avg_fct_us: or_zero(fcts.mean),
+        p99_fct_us: or_zero(fcts.p99),
         dropped: counters.dropped,
         trimmed: counters.trimmed,
         marked: counters.ecn_marked,

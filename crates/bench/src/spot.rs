@@ -29,6 +29,7 @@ use netsim::{FlowTracker, NetWorld};
 use opera::opera_net::{self, OperaLogic};
 use opera::static_net::StaticLogic;
 use opera::PacketNet;
+use simkit::stats::summarize;
 use simkit::{SimTime, Simulator};
 use topo::cost::{expander_racks, expander_uplinks};
 use topo::expander::{ExpanderParams, ExpanderTopology};
@@ -111,7 +112,7 @@ pub fn measure(build: SpotFn) -> (Spot, String) {
 }
 
 fn fct_summary(tracker: &FlowTracker) -> (f64, f64, f64) {
-    let s = expt::summarize(
+    let s = summarize(
         tracker
             .flows()
             .iter()

@@ -44,9 +44,7 @@
 //! * [`cli::ExptArgs`] — the `--quick` / `--threads` / `--out` /
 //!   `--full` / `--seed` / `--replicates` / `--shard` flags shared by
 //!   all drivers, read through the [`cli::Args`] cursor every `opera`
-//!   subcommand uses,
-//! * [`summary`] — percentile/CI summaries computed once here instead of
-//!   per-binary.
+//!   subcommand uses.
 //!
 //! # Writing a driver
 //!
@@ -79,7 +77,6 @@ pub mod orchestrate;
 pub mod output;
 pub mod replicate;
 pub mod runner;
-pub mod summary;
 pub mod sweep;
 pub mod table;
 
@@ -87,7 +84,6 @@ pub use cli::{Args, ExptArgs, Scale};
 pub use output::{merge_shard_docs, MergeError, RunFlags, RunMeta, TableDoc};
 pub use replicate::{replicate_seed, MetricFmt, RepCtx, RepTableBuilder, Row};
 pub use runner::{derive_seed, PointCtx, Runner, Swept};
-pub use summary::{summarize, Summary};
 pub use sweep::{Sweep, SweepRef};
 pub use table::{f, f0, f2, f3, Cell, Table};
 

@@ -25,9 +25,9 @@
 //! `NaN` — there is no spread to estimate from one observation.
 
 use crate::runner::{derive_seed, PointCtx, Swept};
-use crate::summary::summarize;
 use crate::sweep::SweepRef;
 use crate::table::{Cell, Table};
+use simkit::stats::summarize;
 use simkit::SimRng;
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -248,7 +248,7 @@ impl RepTableBuilder {
                 let s = summarize(vals.iter().copied());
                 reps = reps.max(s.count);
                 row.push(fmt(s.mean));
-                row.push(fmt(if s.count < 2 { f64::NAN } else { s.ci95 }));
+                row.push(fmt(s.ci95));
             }
             row.push(Cell::from(reps));
             match point {

@@ -34,31 +34,36 @@ pub struct FctStats {
 
 impl FctStats {
     /// Bin completed flows by size with the given edges (must be
-    /// ascending; bins are `[e[i], e[i+1])`).
+    /// ascending; bins are `[e[i], e[i+1])`), in one pass over the
+    /// tracker: each bin's samples keep the tracker's order.
     pub fn from_tracker(tracker: &FlowTracker, edges: &[u64]) -> Self {
-        let mut bins = Vec::new();
-        for w in edges.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            let mut samples = Samples::new();
-            let mut unfinished = 0;
-            for f in tracker.flows() {
-                if f.size >= lo && f.size < hi {
-                    match f.fct() {
-                        Some(t) => samples.push(t.as_us_f64()),
-                        None => unfinished += 1,
-                    }
-                }
+        let mut binned = vec![(Samples::new(), 0); edges.len().saturating_sub(1)];
+        for f in tracker.flows() {
+            // The last edge ≤ size opens the flow's bin, unless it is the
+            // last edge or there is none.
+            let above = edges.partition_point(|&e| e <= f.size);
+            let Some((samples, unfinished)) = above.checked_sub(1).and_then(|b| binned.get_mut(b))
+            else {
+                continue;
+            };
+            match f.fct() {
+                Some(t) => samples.push(t.as_us_f64()),
+                None => *unfinished += 1,
             }
-            bins.push(FctBin {
-                lo,
-                hi,
+        }
+        let bins = edges
+            .windows(2)
+            .zip(binned)
+            .map(|(w, (mut samples, unfinished))| FctBin {
+                lo: w[0],
+                hi: w[1],
                 count: samples.len(),
                 unfinished,
                 avg_us: samples.mean().unwrap_or(f64::NAN),
                 p99_us: samples.quantile(0.99).unwrap_or(f64::NAN),
                 p50_us: samples.quantile(0.5).unwrap_or(f64::NAN),
-            });
-        }
+            })
+            .collect();
         FctStats { bins }
     }
 
@@ -153,6 +158,10 @@ mod tests {
             (5_500, Some(40)),
             (2_000_000, Some(1000)),
             (900, None),
+            // An inner edge opens its bin; the last edge is in none.
+            (10_000, Some(3000)),
+            (10_000_000, Some(9)),
+            (10_000_000, None),
         ]);
         let stats = FctStats::from_tracker(&t, &[0, 1_000, 10_000, 10_000_000]);
         assert_eq!(stats.bins.len(), 3);
@@ -160,7 +169,10 @@ mod tests {
         assert_eq!(stats.bins[0].unfinished, 1);
         assert_eq!(stats.bins[1].count, 2);
         assert_eq!(stats.bins[1].avg_us, 30.0);
-        assert_eq!(stats.bins[2].count, 1);
+        assert_eq!(stats.bins[2].count, 2);
+        assert_eq!(stats.bins[2].unfinished, 0);
+        assert_eq!(stats.bins[2].avg_us, 2000.0);
+        assert_eq!((stats.bins[2].lo, stats.bins[2].hi), (10_000, 10_000_000));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`engine`] — the event queue and scheduler ([`engine::Simulator`]) with
 //!   deterministic FIFO tie-breaking for simultaneous events,
 //! * [`rng`] — a small, seedable, reproducible random-number generator,
-//! * [`stats`] — streaming statistics (histograms, percentile estimation,
-//!   time-weighted averages) used by every experiment harness.
+//! * [`stats`] — the statistics every experiment harness reports: exact
+//!   quantiles over stored samples, the count / mean / 95% CI / p99 / max
+//!   [`stats::Summary`], and binned time series.
 //!
 //! Determinism is a design requirement: two runs with the same seed produce
 //! bit-identical event orderings, which the integration tests assert.

@@ -1,33 +1,33 @@
-//! Streaming statistics for experiment harnesses.
+//! Statistics for experiment harnesses.
 //!
-//! Everything the paper reports is a percentile (99th-percentile FCT), a CDF
-//! (path lengths, RTTs), or a time series (delivered throughput). This module
-//! provides the corresponding accumulators:
+//! What the paper reports is a percentile or a mean over flow completion
+//! times (99th-percentile FCT by flow size, Figures 7 and 9) or a time
+//! series (delivered throughput, Figure 8). This module provides:
 //!
-//! * [`Samples`] — exact percentiles/CDFs over a stored sample set,
-//! * [`LogHistogram`] — bounded-memory log-spaced histogram for huge runs,
+//! * [`Samples`] — exact quantiles, mean and maximum over a stored
+//!   sample set,
+//! * [`summarize`] — a set of observations as the [`Summary`] every
+//!   driver reports (count, mean, 95% CI, 99th percentile, maximum),
 //! * [`TimeSeries`] — binned byte/packet counters for throughput-vs-time.
 
 use crate::time::SimTime;
 
-/// Exact sample set with percentile and CDF queries.
+/// Exact sample set with quantile queries.
 ///
 /// Stores every sample; suitable for up to tens of millions of points.
 ///
 /// **NaN policy:** a NaN observation carries no ordering information,
-/// so it is counted ([`Samples::nan_count`]) but excluded from the
-/// stored set — [`Samples::len`], quantiles, mean, min/max and the CDFs
-/// are computed over the non-NaN observations only, and a set fed
-/// nothing but NaN behaves as empty (`None` summaries). One degenerate
-/// FCT sample therefore degrades one statistic instead of aborting the
-/// whole driver run. The sort itself uses [`f64::total_cmp`] as a
-/// second line of defense: even a NaN that somehow reached `values`
-/// could not panic the comparator.
+/// so it is dropped at [`Samples::push`]: [`Samples::len`], quantiles,
+/// mean and maximum are computed over the non-NaN observations only,
+/// and a set fed nothing but NaN behaves as empty (`None` summaries).
+/// One degenerate FCT sample therefore degrades one statistic instead
+/// of aborting the whole driver run. The sort itself uses
+/// [`f64::total_cmp`] as a second line of defense: even a NaN that
+/// somehow reached `values` could not panic the comparator.
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<f64>,
     sorted: bool,
-    nan_seen: usize,
 }
 
 impl Samples {
@@ -36,11 +36,10 @@ impl Samples {
         Self::default()
     }
 
-    /// Add one observation. NaN observations are counted separately and
-    /// excluded from every statistic (see the type-level NaN policy).
+    /// Add one observation; a NaN is dropped (see the type-level NaN
+    /// policy).
     pub fn push(&mut self, v: f64) {
         if v.is_nan() {
-            self.nan_seen += 1;
             return;
         }
         self.values.push(v);
@@ -50,11 +49,6 @@ impl Samples {
     /// Number of retained (non-NaN) observations.
     pub fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Number of NaN observations dropped at ingestion.
-    pub fn nan_count(&self) -> usize {
-        self.nan_seen
     }
 
     /// True if no (non-NaN) observations recorded.
@@ -81,12 +75,8 @@ impl Samples {
         Some(self.values[rank - 1])
     }
 
-    /// Convenience: 99th percentile.
-    pub fn p99(&mut self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
-    /// Arithmetic mean, `None` when empty.
+    /// Arithmetic mean, summed in observation order until the first
+    /// quantile or maximum sorts the set; `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         if self.values.is_empty() {
             None
@@ -100,95 +90,58 @@ impl Samples {
         self.ensure_sorted();
         self.values.last().copied()
     }
-
-    /// Minimum value.
-    pub fn min(&mut self) -> Option<f64> {
-        self.ensure_sorted();
-        self.values.first().copied()
-    }
-
-    /// Full `(value, cumulative fraction)` CDF over distinct sample values.
-    pub fn cdf(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        let n = self.values.len();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let v = self.values[i];
-            let mut j = i + 1;
-            while j < n && self.values[j] == v {
-                j += 1;
-            }
-            out.push((v, j as f64 / n as f64));
-            i = j;
-        }
-        out
-    }
 }
 
-/// Log-spaced histogram: constant memory, ~`buckets_per_decade` relative
-/// resolution. Used when a run would produce too many samples to store.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    min_value: f64,
-    buckets_per_decade: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    total: u64,
+/// Summary statistics over a set of scalar observations.
+#[derive(Debug, Clone, Copy)]
+pub struct Summary {
+    /// Non-NaN observation count.
+    pub count: usize,
+    /// Arithmetic mean, in observation order (NaN when empty).
+    pub mean: f64,
+    /// Half-width of the normal-approximation 95% CI on the mean
+    /// (NaN when `count < 2`). A NaN observation, left out of `count`,
+    /// is in the sums behind it, and the variance's clamp at 0 turns
+    /// their NaN into a CI of 0.
+    pub ci95: f64,
+    /// 99th percentile (NaN when empty).
+    pub p99: f64,
+    /// Maximum (NaN when empty).
+    pub max: f64,
 }
 
-impl LogHistogram {
-    /// Histogram covering `[min_value, ∞)` with the given resolution.
-    pub fn new(min_value: f64, buckets_per_decade: usize, decades: usize) -> Self {
-        LogHistogram {
-            min_value,
-            buckets_per_decade: buckets_per_decade as f64,
-            counts: vec![0; buckets_per_decade * decades + 1],
-            underflow: 0,
-            total: 0,
-        }
+/// Summarize observations: the mean and percentiles of their
+/// [`Samples`], the CI from their running sum and sum of squares. The
+/// store is sized once, from the iterator's upper size hint (its lower
+/// one when it has none), instead of growing by doubling.
+pub fn summarize(values: impl IntoIterator<Item = f64>) -> Summary {
+    let values = values.into_iter();
+    let (lower, upper) = values.size_hint();
+    let mut s = Samples {
+        values: Vec::with_capacity(upper.unwrap_or(lower)),
+        sorted: false,
+    };
+    let mut sum = 0.0;
+    let mut sum_sq = 0.0;
+    for v in values {
+        s.push(v);
+        sum += v;
+        sum_sq += v * v;
     }
-
-    fn bucket_of(&self, v: f64) -> Option<usize> {
-        if v < self.min_value {
-            return None;
-        }
-        let b = ((v / self.min_value).log10() * self.buckets_per_decade) as usize;
-        Some(b.min(self.counts.len() - 1))
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, v: f64) {
-        self.total += 1;
-        match self.bucket_of(v) {
-            Some(b) => self.counts[b] += 1,
-            None => self.underflow += 1,
-        }
-    }
-
-    /// Number recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate `q`-quantile (upper bucket edge), `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q * self.total as f64).ceil() as u64;
-        let mut cum = self.underflow;
-        if cum >= target {
-            return Some(self.min_value);
-        }
-        for (b, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                let edge = self.min_value * 10f64.powf((b as f64 + 1.0) / self.buckets_per_decade);
-                return Some(edge);
-            }
-        }
-        Some(f64::INFINITY)
+    let n = s.len();
+    let mean = s.mean().unwrap_or(f64::NAN);
+    let ci95 = if n >= 2 {
+        let var = (sum_sq - sum * sum / n as f64) / (n as f64 - 1.0);
+        1.96 * var.max(0.0).sqrt() / (n as f64).sqrt()
+    } else {
+        f64::NAN
+    };
+    Summary {
+        count: n,
+        mean,
+        ci95,
+        p99: s.quantile(0.99).unwrap_or(f64::NAN),
+        max: s.max().unwrap_or(f64::NAN),
     }
 }
 
@@ -230,11 +183,6 @@ impl TimeSeries {
         let w = self.bin.as_secs_f64();
         self.series().into_iter().map(|(t, v)| (t, v / w)).collect()
     }
-
-    /// Sum over all bins.
-    pub fn total(&self) -> f64 {
-        self.bins.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -248,10 +196,9 @@ mod tests {
             s.push(v as f64);
         }
         assert_eq!(s.quantile(0.5), Some(50.0));
-        assert_eq!(s.p99(), Some(99.0));
+        assert_eq!(s.quantile(0.99), Some(99.0));
         assert_eq!(s.quantile(1.0), Some(100.0));
         assert_eq!(s.quantile(0.0), Some(1.0));
-        assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(100.0));
         assert_eq!(s.mean(), Some(50.5));
     }
@@ -272,58 +219,51 @@ mod tests {
         let mut s = Samples::new();
         s.push(f64::NAN);
         assert!(s.is_empty());
-        assert_eq!(s.nan_count(), 1);
         assert_eq!(s.quantile(0.5), None);
         assert_eq!(s.mean(), None);
         for v in [2.0, f64::NAN, 1.0, 3.0] {
             s.push(v);
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.nan_count(), 2);
         assert_eq!(s.quantile(0.5), Some(2.0));
-        assert_eq!(s.p99(), Some(3.0));
+        assert_eq!(s.quantile(0.99), Some(3.0));
         assert_eq!(s.mean(), Some(2.0));
-        assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(3.0));
-        assert_eq!(s.cdf().len(), 3);
     }
 
     #[test]
-    fn cdf_monotone_and_complete() {
-        let mut s = Samples::new();
-        for v in [3.0, 1.0, 2.0, 2.0, 5.0] {
-            s.push(v);
-        }
-        let cdf = s.cdf();
-        assert_eq!(cdf.len(), 4); // distinct values
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
+    fn summary_of_nothing_is_nan() {
+        let s = summarize(std::iter::empty());
+        assert_eq!(s.count, 0);
+        assert!(s.mean.is_nan() && s.ci95.is_nan() && s.p99.is_nan() && s.max.is_nan());
     }
 
     #[test]
-    fn log_histogram_percentile_close() {
-        let mut h = LogHistogram::new(1.0, 100, 9);
-        for v in 1..=10_000 {
-            h.record(v as f64);
-        }
-        let p99 = h.quantile(0.99).unwrap();
-        let exact = 9900.0;
-        assert!(
-            (p99 / exact - 1.0).abs() < 0.05,
-            "p99 {p99} vs exact {exact}"
-        );
-        assert_eq!(h.total(), 10_000);
+    fn summary_stats() {
+        let s = summarize((1..=100).map(|i| i as f64));
+        assert_eq!(s.count, 100);
+        assert_eq!(s.mean, 50.5);
+        assert_eq!(s.p99, 99.0);
+        assert_eq!(s.max, 100.0);
+        // The sample standard deviation of 1..=100 is 29.011491975882016.
+        assert!((s.ci95 - 1.96 * 29.011491975882016 / 10.0).abs() < 1e-9);
     }
 
     #[test]
-    fn log_histogram_underflow() {
-        let mut h = LogHistogram::new(10.0, 10, 3);
-        h.record(1.0);
-        h.record(5.0);
-        assert_eq!(h.quantile(0.5), Some(10.0));
+    fn summary_of_one_sample_has_no_ci() {
+        let s = summarize([7.0]);
+        assert_eq!(s.count, 1);
+        assert_eq!(s.mean, 7.0);
+        assert!(s.ci95.is_nan());
+    }
+
+    #[test]
+    fn summary_mean_is_in_observation_order() {
+        // Summed after the sort, these would read 0 (-1e16 absorbs
+        // both ones); in observation order 1e16 + -1e16 cancels first.
+        let s = summarize([1e16, -1e16, 1.0, 1.0, f64::NAN]);
+        assert_eq!(s.count, 4);
+        assert_eq!(s.mean, 0.5);
     }
 
     #[test]
@@ -336,7 +276,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].1, 1500.0);
         assert_eq!(s[1].1, 2000.0);
-        assert_eq!(ts.total(), 3500.0);
         let r = ts.rate_per_sec();
         assert!((r[0].1 - 1_500_000.0).abs() < 1e-6);
     }
