@@ -64,9 +64,11 @@ pub const MAX_POINTS: usize = 10_000;
 /// `opera` topology, one byte a low-latency entry), so this count too
 /// is bounded where it is read, before anything is allocated for it. At
 /// the bound, a 1 ms `opera run-scenario` on the `opera` topology takes
-/// ≈ 0.44 s on a 2-core Xeon host, nearly all of it building those tables
-/// from distance rows (≈ 0.68 s with a bit-parallel frontier sweep, ≈ 3.4 s
-/// with one breadth-first search per slice and destination).
+/// ≈ 0.35 s on a 2-core Xeon host, most of it building those tables from
+/// distance rows a slice per core at a time (≈ 0.47 s on one core in the
+/// same runs; ≈ 0.68 s with a bit-parallel frontier sweep and ≈ 3.4 s with
+/// one breadth-first search per slice and destination, both on one core in
+/// earlier runs).
 pub const MAX_RACKS: usize = 432;
 
 /// Largest per-flow payload a scenario may ask for, in bytes

@@ -9,8 +9,10 @@
 //!
 //! * [`sweep::Sweep`] — a cartesian-grid builder that enumerates sweep
 //!   points in a fixed row-major order,
-//! * [`runner::Runner`] — fans points out over `std::thread::scope`
-//!   workers with deterministic per-point seeding, `--shard i/n` point
+//! * [`runner::Runner`] — fans points out over the claim loop that
+//!   lives in `simkit` ([`simkit::pool::claim_slots`], also the
+//!   orchestrator's job pool and the routing-table build's) with
+//!   deterministic per-point seeding, `--shard i/n` point
 //!   filtering and a replicate axis, and returns the results in sweep
 //!   order, attached to their points ([`runner::Swept`]), so
 //!   `--threads 8` output is byte-identical to `--threads 1`,

@@ -37,7 +37,8 @@
 use crate::output::{
     self, merge_shard_docs, result_path, MergeError, ResultFile, RunFlags, TableDoc,
 };
-use crate::runner::{claim_slots, worker_count};
+use crate::runner::worker_count;
+use simkit::pool::claim_slots;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;

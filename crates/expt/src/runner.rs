@@ -3,15 +3,16 @@
 //!
 //! Each sweep point is an isolated simulation: its only inputs are the
 //! point parameters and a seed derived from `(base_seed, point index)`.
-//! Workers claim points from a shared atomic counter, so scheduling is
+//! Workers claim points from a shared atomic counter
+//! ([`simkit::pool::claim_slots`]), so scheduling is
 //! nondeterministic — but results are keyed by point index and returned
 //! in sweep order, and no RNG state is shared across points. Hence a run
 //! with `--threads 8` produces byte-identical output to `--threads 1`.
 
 use crate::replicate::RepCtx;
 use crate::sweep::{Sweep, SweepRef};
+use simkit::pool::{self, claim_slots};
 use simkit::SimRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Mix a base seed and a point index into an independent 64-bit seed
 /// (SplitMix64 finalizer over a golden-ratio index stride).
@@ -204,57 +205,9 @@ impl Runner {
 /// per available core.
 pub(crate) fn worker_count(requested: usize) -> usize {
     match requested {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        0 => pool::cores(),
         n => n,
     }
-}
-
-/// The claim loop under [`Runner::run`], [`Runner::run_replicated`] and
-/// the orchestrator's job pool: evaluate `work(0..n)` on up to `workers`
-/// scoped threads, each claiming the next slot from a shared counter, and
-/// return the results in slot order. A single worker is the calling
-/// thread itself; a panic in `work` is propagated once every worker has
-/// stopped.
-pub(crate) fn claim_slots<R, W>(workers: usize, n: usize, work: W) -> Vec<R>
-where
-    R: Send,
-    W: Fn(usize) -> R + Sync,
-{
-    let workers = workers.min(n).max(1);
-    if workers == 1 {
-        return (0..n).map(work).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let work = &work;
-    let next = &next;
-    let mut collected: Vec<(usize, R)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, work(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => collected.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    collected.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert!(collected.iter().enumerate().all(|(k, &(i, _))| k == i));
-    collected.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -289,34 +242,6 @@ mod tests {
             .iter()
             .map(|(&i, &r)| (i, r))
             .eq((0..32).map(|i| (i, i * 10))));
-    }
-
-    /// The shared pool returns slot order whatever the worker count, also
-    /// with more workers than slots and with slot 0 finishing last, and
-    /// hands a panic in `work` to the caller.
-    #[test]
-    fn claim_slots_orders_by_slot_and_propagates_panics() {
-        let n = 7;
-        for workers in [1, 3, n + 5] {
-            let done = AtomicUsize::new(0);
-            let out = claim_slots(workers, n, |i| {
-                // Whenever a second worker exists to run the other slots,
-                // slot 0 waits for all of them.
-                while i == 0 && workers > 1 && done.load(Ordering::SeqCst) < n - 1 {
-                    std::thread::yield_now();
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-                i * i
-            });
-            assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>());
-            let caught = std::panic::catch_unwind(|| {
-                claim_slots(workers, n, |i| assert_ne!(i, 4, "slot four"))
-            });
-            let payload = caught.expect_err("the panic must reach the caller");
-            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
-            assert!(msg.contains("slot four"), "{msg}");
-        }
-        assert_eq!(claim_slots(4, 0, |i| i), Vec::<usize>::new());
     }
 
     #[test]

@@ -37,10 +37,22 @@
 //! each entry stored once. Both passes are branch-free loops over `d`,
 //! which the compiler vectorises. A slice costs O((sweeps + 1) · racks · u ·
 //! racks) byte operations, a sweep count being at most the slice's diameter
-//! plus one. The whole build, bulk rows included, takes ≈ 5 ms for the
-//! paper's 108 racks on a 2-core Xeon host (≈ 9 with a bit-parallel frontier
-//! sweep that wrote each next-hop bit on its own, 60–70 with one
-//! breadth-first search per `(slice, destination)`).
+//! plus one.
+//!
+//! Slices share nothing but the circuit rows they read, so each is one slot
+//! of [`simkit::pool::claim_slots`], writing its own byte plane(s) of the
+//! table, split off before the workers start; a worker reuses one scratch
+//! set (the distance rows, ≈ 12 KB at 108 racks) across the slices it
+//! claims. A table of 2¹⁷ entries or more is built on every available
+//! core, the calling thread one of them, a smaller one (the quick and
+//! default networks, 12 and 48 racks) on the calling thread alone; the
+//! bytes are the same on any worker count. The whole build, bulk rows
+//! included, takes 4.3–4.5 ms (minimum of 200 builds) and 6.1–6.4 ms
+//! (median) for the paper's 108 racks on both cores of a 2-core Xeon host,
+//! against 5.8–6.2 and 10.1–10.2 ms on one core in the same runs. The serial
+//! build read ≈ 5 ms on a quieter host, against ≈ 9 with a bit-parallel
+//! frontier sweep that wrote each next-hop bit on its own and 60–70 with
+//! one breadth-first search per `(slice, destination)`.
 //!
 //! The bulk table is laid down at build as one row of `(dst, uplink)`
 //! circuits per `(slice, rack)`, read straight off the live switches'
@@ -53,7 +65,23 @@
 //! so it is the order of same-instant feeder events and hence of every
 //! packet they emit.
 
+use simkit::pool;
+use std::sync::Mutex;
 use topo::opera::OperaTopology;
+
+/// The fewest entries (slices × racks²) a low-latency table is built on
+/// more than one thread for: the size at which a two-worker build starts
+/// to pay. A build follows single-threaded work (flow and topology
+/// generation, or the event loop for a rebuild), so it was measured after
+/// 20 ms of one busy thread, median of 30–100 builds on a 2-core Xeon
+/// host, serial against two workers: 32 racks (32 768 entries) 0.30–0.34
+/// against 0.44–0.53 ms, 40 racks (64 000) 0.64–0.65 against 0.62–0.65,
+/// 48 racks (110 592) 0.96–1.09 against 0.81–1.02, 52 racks (140 608)
+/// 1.28–1.30 against 0.93–0.95, 64 racks (262 144) 1.46–1.75 against
+/// 1.11–1.14. So the quick and default tables (12 and 48 racks) stay on
+/// the calling thread, and the 108-rack and 432-rack ones go to every
+/// core.
+const PARALLEL_ENTRIES: usize = 1 << 17;
 
 /// Sentinel: no uplink.
 pub const NO_PORT: u8 = u8::MAX;
@@ -173,6 +201,59 @@ fn distance_rows(circuits: &BulkTables, s: usize, dist: &mut [u8], row: &mut [u8
     );
 }
 
+/// What one worker reuses across the slices it builds: the distance rows,
+/// the row being relaxed, and one rack's entries toward every destination.
+struct Scratch {
+    dist: Vec<u8>,
+    row: Vec<u8>,
+    hops: Vec<u16>,
+}
+
+impl Scratch {
+    fn new(racks: usize) -> Self {
+        Scratch {
+            dist: vec![UNREACHED; racks * racks],
+            row: vec![UNREACHED; racks],
+            hops: vec![0; racks],
+        }
+    }
+}
+
+/// Slice `s`'s entries into its planes, `low[dst * racks + cur]` and the
+/// same index of `high` when it is not empty: its distance rows, then one
+/// compare per circuit and destination.
+fn slice_entries(
+    circuits: &BulkTables,
+    s: usize,
+    scratch: &mut Scratch,
+    low: &mut [u8],
+    high: &mut [u8],
+) {
+    let racks = circuits.racks;
+    let Scratch { dist, row, hops } = scratch;
+    distance_rows(circuits, s, dist, row);
+    for v in 0..racks {
+        let from_v = &dist[v * racks..][..racks];
+        hops.fill(0);
+        for &(w, j) in circuits.circuits_of(s, v) {
+            let from_w = &dist[w as usize * racks..][..racks];
+            for ((h, &dv), &dw) in hops.iter_mut().zip(from_v).zip(from_w) {
+                // `j` is below 16, checked by the builder. Where `w` is
+                // unreached the sum wraps to 0, which is `dv` only at
+                // `v == d`, and `w`, a circuit partner of `d`, reaches it
+                // in one hop.
+                *h |= u16::from(dw.wrapping_add(1) == dv) << j;
+            }
+        }
+        for (d, [lo, hi]) in hops.iter().map(|h| h.to_le_bytes()).enumerate() {
+            low[d * racks + v] = lo;
+            if let Some(e) = high.get_mut(d * racks + v) {
+                *e = hi;
+            }
+        }
+    }
+}
+
 impl LowLatencyTables {
     /// Build tables for all slices of `topo`: its circuit rows, then each
     /// slice's distance rows and entries from them (module docs).
@@ -195,47 +276,58 @@ impl LowLatencyTables {
 
     /// Derive the tables from `circuits`, whose rows are each slice's
     /// routable adjacency: each slice's distance rows, then one compare per
-    /// circuit and destination (module docs).
+    /// circuit and destination (module docs). A table of at least
+    /// [`PARALLEL_ENTRIES`] entries is built on every available core.
     ///
     /// # Panics
     /// As [`Self::build_with_failures`], less the bulk rows' limits.
     pub(crate) fn from_circuits(circuits: &BulkTables) -> Self {
+        let entries = circuits.slices * circuits.racks * circuits.racks;
+        let workers = if entries >= PARALLEL_ENTRIES {
+            pool::cores()
+        } else {
+            1
+        };
+        Self::from_circuits_on(circuits, workers)
+    }
+
+    /// [`Self::from_circuits`] on up to `workers` threads: one
+    /// [`pool::claim_slots`] slot per slice, each writing the slice's own
+    /// byte plane(s), split off beforehand. Every worker count gives the
+    /// same bytes.
+    pub(crate) fn from_circuits_on(circuits: &BulkTables, workers: usize) -> Self {
         assert!(
             circuits.uplinks <= u16::BITS as usize,
             "low-latency entries hold 16 uplinks, not {}",
             circuits.uplinks
         );
         let (racks, slices) = (circuits.racks, circuits.slices);
-        let mut low = vec![0; slices * racks * racks];
+        let plane = racks * racks;
+        let mut low = vec![0; slices * plane];
         let mut high = vec![0; if circuits.uplinks > 8 { low.len() } else { 0 }];
-        // Scratch reused across slices: the distance rows, the row being
-        // relaxed, and one rack's entries toward every destination.
-        let mut dist = vec![UNREACHED; racks * racks];
-        let mut row = vec![UNREACHED; racks];
-        let mut hops = vec![0u16; racks];
-        for s in 0..slices {
-            distance_rows(circuits, s, &mut dist, &mut row);
-            let first = s * racks * racks;
-            for v in 0..racks {
-                let from_v = &dist[v * racks..][..racks];
-                hops.fill(0);
-                for &(w, j) in circuits.circuits_of(s, v) {
-                    let from_w = &dist[w as usize * racks..][..racks];
-                    for ((h, &dv), &dw) in hops.iter_mut().zip(from_v).zip(from_w) {
-                        // `j` is below 16, checked above. Where `w` is
-                        // unreached the sum wraps to 0, which is `dv` only
-                        // at `v == d`, and `w`, a circuit partner of `d`,
-                        // reaches it in one hop.
-                        *h |= u16::from(dw.wrapping_add(1) == dv) << j;
-                    }
-                }
-                for (d, [lo, hi]) in hops.iter().map(|h| h.to_le_bytes()).enumerate() {
-                    low[first + d * racks + v] = lo;
-                    if let Some(e) = high.get_mut(first + d * racks + v) {
-                        *e = hi;
-                    }
-                }
-            }
+        {
+            // Slice `s`'s planes, `[s * racks² ..][.. racks²]` of `low` and
+            // of `high` (empty without a second plane), each locked by
+            // slot `s` alone.
+            let mut highs = high.chunks_mut(plane);
+            let planes: Vec<Mutex<(&mut [u8], &mut [u8])>> = low
+                .chunks_mut(plane)
+                .map(|lo| Mutex::new((lo, highs.next().unwrap_or_default())))
+                .collect();
+            // A scratch set per worker, taken for a slice and put back
+            // after it; allocated here, so that a worker allocates nothing.
+            let spare: Vec<Scratch> = (0..workers.min(slices).max(1))
+                .map(|_| Scratch::new(racks))
+                .collect();
+            let spare = Mutex::new(spare);
+            pool::claim_slots(workers, slices, |s| {
+                let spared = spare.lock().unwrap().pop();
+                let mut scratch = spared.expect("a scratch set per worker");
+                let mut planes = planes[s].lock().unwrap();
+                let (low, high) = &mut *planes;
+                slice_entries(circuits, s, &mut scratch, low, high);
+                spare.lock().unwrap().push(scratch);
+            });
         }
         LowLatencyTables {
             racks,
@@ -944,9 +1036,69 @@ mod tests {
         assert!(tables.next_hops(0, 253, 0).iter().eq([0]));
     }
 
+    /// Also from inside a worker: slice 1 of three is the 255-rack line,
+    /// the others the same line closed into a ring (127 hops across).
     #[test]
     #[should_panic(expected = "slice 0 has a route of 254 hops or more")]
     fn distance_rows_refuse_a_254_hop_route() {
-        LowLatencyTables::from_circuits(&line(255));
+        let line = line(255);
+        let mut rows = Vec::new();
+        let mut row_start = vec![0];
+        for s in 0..3 {
+            for v in 0..255 {
+                let ends = [(v == 0, 254), (v == 254, 0)];
+                let closing = ends.into_iter().filter(|&(end, _)| end && s != 1);
+                let row = rows.len();
+                rows.extend(line.circuits_of(0, v));
+                rows.extend(closing.map(|(_, w)| (w, 2)));
+                rows[row..].sort_unstable_by_key(|&(dst, _)| dst);
+                row_start.push(rows.len() as u32);
+            }
+        }
+        let circuits = BulkTables {
+            slices: 3,
+            uplinks: 3,
+            rows,
+            row_start,
+            ..line
+        };
+        for workers in [2, 3] {
+            let caught =
+                std::panic::catch_unwind(|| LowLatencyTables::from_circuits_on(&circuits, workers));
+            let payload = caught.expect_err("the panic must reach the caller");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                msg.contains("slice 1 has a route of 254 hops or more"),
+                "{workers} workers: {msg}"
+            );
+        }
+        LowLatencyTables::from_circuits(&line);
+    }
+
+    /// The tables are the same bytes on any number of workers, also more
+    /// than there are slices: the paper's 108 racks, a network of two byte
+    /// planes and one with bad transceivers.
+    #[test]
+    fn tables_are_the_same_on_any_worker_count() {
+        let paper = crate::opera_net::OperaNetConfig::paper_648();
+        let paper = OperaTopology::generate_validated(paper.params, paper.seed, 64).0;
+        let two_planes = OperaTopology::generate_validated(params(72, 12, 3), 11, 64).0;
+        let bad = random_bad(&two_planes, 10, &mut SimRng::new(46));
+        for bulk in [
+            BulkTables::build(&paper),
+            BulkTables::build(&two_planes),
+            BulkTables::build_with_failures(&two_planes, &bad),
+        ] {
+            let serial = LowLatencyTables::from_circuits_on(&bulk, 1);
+            assert_eq!(serial.high.is_empty(), bulk.uplinks <= 8);
+            for workers in [2, 3, bulk.slices + 1] {
+                let parallel = LowLatencyTables::from_circuits_on(&bulk, workers);
+                assert!(
+                    parallel == serial,
+                    "{} racks on {workers} workers",
+                    bulk.racks
+                );
+            }
+        }
     }
 }

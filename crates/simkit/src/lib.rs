@@ -8,6 +8,8 @@
 //!   duration arithmetic,
 //! * [`engine`] — the event queue and scheduler ([`engine::Simulator`]) with
 //!   deterministic FIFO tie-breaking for simultaneous events,
+//! * [`pool`] — the workspace's one worker pool, [`pool::claim_slots`]: numbered
+//!   slots on scoped threads, results in slot order,
 //! * [`rng`] — a small, seedable, reproducible random-number generator,
 //! * [`stats`] — the statistics every experiment harness reports: exact
 //!   quantiles over stored samples, the count / mean / 95% CI / p99 / max
@@ -17,6 +19,7 @@
 //! bit-identical event orderings, which the integration tests assert.
 
 pub mod engine;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;

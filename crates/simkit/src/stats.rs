@@ -70,9 +70,7 @@ impl Samples {
             return None;
         }
         self.ensure_sorted();
-        let n = self.values.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.values[rank - 1])
+        Some(self.values[nearest_rank(q, self.values.len()) - 1])
     }
 
     /// Arithmetic mean, summed in observation order until the first
@@ -92,6 +90,12 @@ impl Samples {
     }
 }
 
+/// The 1-based rank of the `q`-quantile of `n ≥ 1` sorted observations by
+/// nearest rank: ⌈q · n⌉, at least 1 and at most `n`.
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n)
+}
+
 /// Summary statistics over a set of scalar observations.
 #[derive(Debug, Clone, Copy)]
 pub struct Summary {
@@ -99,10 +103,8 @@ pub struct Summary {
     pub count: usize,
     /// Arithmetic mean, in observation order (NaN when empty).
     pub mean: f64,
-    /// Half-width of the normal-approximation 95% CI on the mean
-    /// (NaN when `count < 2`). A NaN observation, left out of `count`,
-    /// is in the sums behind it, and the variance's clamp at 0 turns
-    /// their NaN into a CI of 0.
+    /// Half-width of the normal-approximation 95% CI on the mean, over
+    /// the same non-NaN observations as `count` (NaN when `count < 2`).
     pub ci95: f64,
     /// 99th percentile (NaN when empty).
     pub p99: f64,
@@ -111,7 +113,8 @@ pub struct Summary {
 }
 
 /// Summarize observations: the mean and percentiles of their
-/// [`Samples`], the CI from their running sum and sum of squares. The
+/// [`Samples`], the CI from their running sum and sum of squares, a NaN
+/// left out of all of them (the [`Samples`] NaN policy). The
 /// store is sized once, from the iterator's upper size hint (its lower
 /// one when it has none), instead of growing by doubling.
 pub fn summarize(values: impl IntoIterator<Item = f64>) -> Summary {
@@ -123,7 +126,7 @@ pub fn summarize(values: impl IntoIterator<Item = f64>) -> Summary {
     };
     let mut sum = 0.0;
     let mut sum_sq = 0.0;
-    for v in values {
+    for v in values.filter(|v| !v.is_nan()) {
         s.push(v);
         sum += v;
         sum_sq += v * v;
@@ -264,6 +267,20 @@ mod tests {
         let s = summarize([1e16, -1e16, 1.0, 1.0, f64::NAN]);
         assert_eq!(s.count, 4);
         assert_eq!(s.mean, 0.5);
+    }
+
+    /// A NaN is left out of the CI as it is out of `count`: the CI of
+    /// `[1, NaN, 3]` is the CI of `[1, 3]`, not 0.
+    #[test]
+    fn summary_ci_leaves_out_nan() {
+        let with_nan = summarize([1.0, f64::NAN, 3.0]);
+        let without = summarize([1.0, 3.0]);
+        assert_eq!(with_nan.count, 2);
+        assert_eq!(with_nan.ci95.to_bits(), without.ci95.to_bits());
+        assert!(with_nan.ci95 > 0.0);
+        let all_nan = summarize([f64::NAN, f64::NAN, f64::NAN]);
+        assert_eq!(all_nan.count, 0);
+        assert!(all_nan.mean.is_nan() && all_nan.ci95.is_nan());
     }
 
     #[test]

@@ -311,6 +311,112 @@ fn twelve_uplink_tables_are_the_shortest_path_hops() {
     assert!(high > 0, "no shortest path leaves on uplinks 8–11");
 }
 
+/// ROADMAP 23 (a), the ε premise (§4.1, Appendix B): a low-latency packet
+/// sent at a slice's start arrives before the slice's circuits change, so
+/// ε covers the longest path the built tables route in any slice. A hop is
+/// priced as the repo derives ε (`SliceTiming::derive`): a full queue of
+/// every priority the packet waits behind, one MTU and the link's
+/// propagation. The configurations where ε falls short are
+/// `KNOWN_SHORT_EPSILON`, a list that may only shrink: a listed
+/// configuration that holds fails too, so a fix deletes its line.
+#[test]
+fn epsilon_covers_the_longest_low_latency_path() {
+    use netsim::Priority;
+    use opera::tables::LowLatencyTables;
+    use opera::SliceTiming;
+    use topo::opera::{OperaParams, OperaTopology};
+
+    /// The paper's rounding: its ε is 90 µs where this derivation gives its
+    /// five hops 104.5 µs (`opera::timing`'s `derived_epsilon_close_to_paper`
+    /// says why), so ε may be 90 / 104.5 of the derived delay.
+    const PAPER_ROUNDING: (u64, u64) = (900, 1045);
+    const KNOWN_SHORT_EPSILON: [&str; 4] = ["small_test", "quick", "default", "mini_opera"];
+
+    let mini = |racks| OperaParams {
+        racks,
+        uplinks: 4,
+        hosts_per_rack: 4,
+        groups: 1,
+    };
+    let small = OperaNetConfig::small_test();
+    let configs = [
+        ("small_test", small),
+        // `bench::opera_cfg`'s quick and default scales.
+        (
+            "quick",
+            OperaNetConfig {
+                params: mini(12),
+                ..small
+            },
+        ),
+        (
+            "default",
+            OperaNetConfig {
+                params: mini(48),
+                bulk_threshold: 1_500_000,
+                ..small
+            },
+        ),
+        ("paper_648", OperaNetConfig::paper_648()),
+        // The benchmark's mini Opera (`benchmark/src/packet.rs`).
+        (
+            "mini_opera",
+            OperaNetConfig {
+                params: mini(48),
+                timing: SliceTiming::fast_sim(),
+                ..small
+            },
+        ),
+    ];
+    let mut short = Vec::new();
+    for (name, cfg) in configs {
+        let topo = OperaTopology::generate_validated(cfg.params, cfg.seed, 64).0;
+        let (racks, slices) = (topo.racks(), topo.slices_per_cycle());
+        let tables = LowLatencyTables::build(&topo);
+        let mut longest = 0;
+        for s in 0..slices {
+            let view = topo.slice(s);
+            for (src, dst) in (0..racks).flat_map(|a| (0..racks).map(move |b| (a, b))) {
+                let (mut cur, mut hops) = (src, 0);
+                while cur != dst {
+                    let Some(uplink) = tables.next_hops(s, cur, dst).iter().next() else {
+                        panic!("{name}, slice {s}: no next hop {cur} → {dst}")
+                    };
+                    cur = view.matching_of(uplink).partner(cur);
+                    hops += 1;
+                    assert!(hops < racks, "{name}, slice {s}: {src} → {dst} loops");
+                }
+                longest = longest.max(hops);
+            }
+        }
+        let waits_behind = cfg.queues.cap_bytes[..=Priority::LowLatency as usize]
+            .iter()
+            .sum();
+        let derived = SliceTiming::derive(
+            longest,
+            waits_behind,
+            cfg.link.gbps,
+            cfg.link.delay,
+            cfg.timing.reconfig,
+        )
+        .epsilon;
+        let (num, den) = PAPER_ROUNDING;
+        let holds = cfg.timing.epsilon.as_ns() * den >= derived.as_ns() * num;
+        eprintln!(
+            "{name}: {longest} hops, derived {derived}, ε {}: {}",
+            cfg.timing.epsilon,
+            if holds { "holds" } else { "short" }
+        );
+        if !holds {
+            short.push(name);
+        }
+    }
+    assert_eq!(
+        short, KNOWN_SHORT_EPSILON,
+        "configurations whose ε is short"
+    );
+}
+
 /// A Valiant intermediate with no bulk of its own (ROADMAP 17's relay):
 /// the packet it stores goes out toward its final rack, and when that
 /// packet misses its window the intermediate takes it back into its own
