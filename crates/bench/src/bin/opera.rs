@@ -23,13 +23,15 @@
 //! * `run-scenario` — decode one declarative scenario file
 //!   ([`bench::scenario::Scenario::load`]) and run it through
 //!   [`bench::scenario::run_scenario`], with trace capture and jsonl ↔
-//!   pcapng reconciliation when the scenario requests traces.
+//!   pcapng reconciliation when the scenario requests traces; every
+//!   point's run is then held to the counter census ([`bench::judge`]).
 //! * `golden` — run every driver in the canonical quick mode and diff
 //!   its tables against `goldens/<driver>/`; `--bless` re-records them
 //!   (byte-idempotent on an unmodified tree).
 //! * `spot` — the nightly paper-scale [`bench::spot`] suite against
 //!   `goldens/full/`, with each point's wall time, events, packet-hops
-//!   and peak memory on a `# cost` line.
+//!   and peak memory on a `# cost` line, and every run held to the
+//!   counter census ([`bench::judge`]).
 //! * `bench-record` — measure the hot-path scenarios and append an
 //!   entry to the append-only `BENCH_hot_paths.json`; `--check` gates
 //!   against the latest committed entry instead and never writes it.
@@ -38,7 +40,8 @@
 //! cannot be run (unknown subcommand, flag, driver, point or scenario
 //! name, a scenario file that does not decode, an output tree of another
 //! run — the message names the file and the known set or the field); 1
-//! when the work itself failed (drift, a failed job, I/O).
+//! when the work itself failed (drift, a census finding not in
+//! `tests/known_failures.txt`, a failed job, I/O).
 
 use bench::backend::LocalBackend;
 use bench::scenario::Scenario;
@@ -296,7 +299,8 @@ fn run_scenario(mut args: Args) -> Result<(), Exit> {
     let sc = Scenario::load(&file).map_err(Exit::Invalid)?;
     let report = bench::scenario::run_scenario(&sc, &out.join(&sc.name)).map_err(failed)?;
     println!("# scenario {} ({} point(s))", sc.name, sc.points.len());
-    for (pt, m) in sc.points.iter().zip(&report.metrics) {
+    for (pt, (m, r)) in sc.points.iter().zip(&report.results) {
+        let counter = |name| r.counter(name).unwrap_or(0);
         println!(
             "{}/{} senders={}: {}/{} flows, avg_fct={:.1}us p99={:.1}us \
              dropped={} trimmed={} marked={}",
@@ -307,9 +311,9 @@ fn run_scenario(mut args: Args) -> Result<(), Exit> {
             m.offered,
             m.avg_fct_us,
             m.p99_fct_us,
-            m.dropped,
-            m.trimmed,
-            m.marked
+            counter("dropped"),
+            counter("trimmed"),
+            counter("ecn_marked")
         );
     }
     let written = [
@@ -326,7 +330,7 @@ fn run_scenario(mut args: Args) -> Result<(), Exit> {
             v.pcapng_packets, v.links, v.jsonl_records
         );
     }
-    Ok(())
+    bench::judge(&bench::run_records()).map_err(Exit::Failed)
 }
 
 fn golden(mut args: Args) -> Result<(), Exit> {
@@ -412,12 +416,13 @@ fn spot_suite(mut args: Args) -> Result<(), Exit> {
             continue;
         }
         eprintln!("# running spot point {name} (paper scale; minutes, not seconds)");
-        let (point, cost) = spot::measure(build);
-        println!("table,{}", point.table.name);
-        print!("{}", point.table.to_csv());
+        let (table, cost) = spot::measure(name, build);
+        println!("table,{}", table.name);
+        print!("{}", table.to_csv());
         println!("# cost {name}: {cost}");
-        tables.push(point.table);
+        tables.push(table);
     }
+    bench::judge(&bench::run_records()).map_err(Exit::Failed)?;
 
     let drifts = figures::golden_run(&tables, &meta, &root, bless)
         .map_err(|e| Exit::Failed(format!("{}: {e}", spot::DRIVER)))?;

@@ -12,7 +12,6 @@
 
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
 use opera::{opera_net, OperaNetConfig, SliceTiming};
-use simkit::stats::summarize;
 use simkit::SimTime;
 use topo::opera::{OperaParams, OperaTopology};
 use workloads::FlowSpec;
@@ -204,12 +203,7 @@ fn vlb(ctx: &Ctx) -> Table {
         );
         let t = sim.world.logic.tracker();
         let done = t.completed() as f64 / t.len() as f64;
-        let s = summarize(
-            t.flows()
-                .iter()
-                .filter_map(|f| f.fct())
-                .map(|x| x.as_ms_f64()),
-        );
+        let s = crate::fct_stats(t, SimTime::as_ms_f64);
         (vec![Cell::from(allow)], vec![done, s.mean])
     });
     let mut out = RepTableBuilder::new(

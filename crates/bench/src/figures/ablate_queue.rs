@@ -11,7 +11,6 @@ use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
 use netsim::fabric::QueueConfig;
 use opera::timing::SliceTiming;
 use opera::{opera_net, OperaNetConfig};
-use simkit::stats::summarize;
 use simkit::SimTime;
 use workloads::FlowSpec;
 
@@ -55,12 +54,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
             format_args!("ablate_queue/{kb} KB/rep {}", rc.rep),
         );
         let t = sim.world.logic.tracker();
-        let s = summarize(
-            t.flows()
-                .iter()
-                .filter_map(|f| f.fct())
-                .map(|x| x.as_us_f64()),
-        );
+        let s = crate::fct_stats(t, SimTime::as_us_f64);
         // The ε this queue depth forces at paper parameters (5 hops,
         // 10G, 500ns propagation), per §4.1's derivation.
         let eps = SliceTiming::derive(

@@ -21,8 +21,8 @@
 //! `marked` columns make each mechanism's fingerprint visible.
 
 use crate::scenario::{self, run_point, ScenarioPoint, Topology, Workload};
+use crate::RunRecord;
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
-use netsim::fabric::FabricCounters;
 use netsim::FlowTracker;
 use simkit::SimTime;
 
@@ -33,8 +33,9 @@ pub const EXPERIMENT: Experiment = Experiment {
 };
 
 /// Metrics of one simulated point, aligned with [`METRICS`].
-fn metrics_of(tracker: &FlowTracker, counters: &FabricCounters, victim: bool) -> Vec<f64> {
-    let m = scenario::metrics_of(tracker, counters);
+fn metrics_of(tracker: &FlowTracker, run: &RunRecord, victim: bool) -> Vec<f64> {
+    let m = scenario::metrics_of(tracker);
+    let counter = |name| run.counter(name).unwrap_or(0) as f64;
     let victim_fct = if victim {
         tracker.get(0).fct().map(|t| t.as_us_f64())
     } else {
@@ -48,9 +49,9 @@ fn metrics_of(tracker: &FlowTracker, counters: &FabricCounters, victim: bool) ->
         m.avg_fct_us,
         m.p99_fct_us,
         victim_fct.unwrap_or(0.0),
-        m.dropped as f64,
-        m.trimmed as f64,
-        m.marked as f64,
+        counter("dropped"),
+        counter("trimmed"),
+        counter("ecn_marked"),
     ]
 }
 
@@ -107,7 +108,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
                 duration: SimTime::from_ms(40),
             };
             let victim = workload.1 == Workload::Victim;
-            let metrics = run_point(&pt, &mut rng, None, |t, c| metrics_of(t, c, victim))
+            let metrics = run_point(&pt, &mut rng, None, |t, r| metrics_of(t, &r, victim))
                 .expect("an untraced run cannot fail");
             let key = [policy.0, transport.0, topology.0, workload.0].map(Cell::from);
             (key.to_vec(), metrics)

@@ -8,7 +8,6 @@ use netsim::FlowTracker;
 use opera::opera_net::OperaLogic;
 use opera::static_net::StaticLogic;
 use opera::PacketNet;
-use simkit::stats::summarize;
 use simkit::SimTime;
 use workloads::gen::ScenarioGen;
 use workloads::FlowSpec;
@@ -39,12 +38,7 @@ fn series_rows(label: &str, series: &[(SimTime, f64)], hosts: usize) -> Vec<Row>
 }
 
 fn summary_row(label: &str, tracker: &FlowTracker, offered: usize) -> Row {
-    let fcts = tracker
-        .flows()
-        .iter()
-        .filter_map(|f| f.fct())
-        .map(|x| x.as_ms_f64());
-    let s = summarize(fcts);
+    let s = crate::fct_stats(tracker, SimTime::as_ms_f64);
     (
         vec![Cell::from(label)],
         vec![tracker.completed() as f64, offered as f64, s.p99, s.mean],

@@ -29,10 +29,11 @@ pub mod scenario;
 pub mod spot;
 
 use expt::Scale;
-use netsim::NetWorld;
+use netsim::{FlowTracker, NetWorld};
 use opera::{OperaNetConfig, PacketNet, StaticNetConfig, StaticTopologyKind};
+use simkit::stats::{summarize, Summary};
 use simkit::{SimTime, Simulator};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
 use topo::clos::ClosParams;
@@ -104,14 +105,24 @@ pub fn clos_cfg(scale: Scale) -> StaticNetConfig {
     }
 }
 
-/// One packet run of a driver: its name and every counter of its fabric
-/// and its network logic, by name ([`PacketNet::counters`]).
+/// One packet run: its name, its counters, how it stopped and its packet
+/// ledger, all deterministic, so runs that leave equal records are one
+/// record (see [`run_records`]). Wall time and memory are not in it; they
+/// are measured around whatever makes the runs ([`spot::measure`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RunRecord {
     /// The run's name; replicates share it.
     pub name: String,
-    /// The run's counters as it ended.
+    /// Every counter as the run ended, by name: `events` (simulator
+    /// events processed), then [`PacketNet::counters`], whose `delivered`
+    /// is the run's packet-hops.
     pub counters: Vec<(&'static str, u64)>,
+    /// Every flow was injected and completed ([`opera::net::Endpoints::finished`]).
+    pub finished: bool,
+    /// The network drained before the horizon ([`PacketNet::run`]).
+    pub drained: bool,
+    /// What [`PacketNet::ledger`] found, if the ledger did not balance.
+    pub ledger: Result<(), String>,
 }
 
 impl RunRecord {
@@ -124,96 +135,213 @@ impl RunRecord {
     }
 }
 
-/// What this process's [`run_net`] runs left behind, by run name.
-struct Census {
-    /// Runs that reached their horizon with every flow complete: something
-    /// kept the network from ever draining (ROADMAP 4b's NDP zombie
-    /// re-arming its RTO, or packets stranded at an idle port, as 4e's were
-    /// before rewired ports were restarted).
-    undrained: BTreeSet<String>,
-    /// Runs whose packet ledger ([`PacketNet::ledger`]) did not balance,
-    /// with what it found.
-    unbalanced: Vec<(String, String)>,
-    /// Every run's record, with how many runs left it. Runs are
-    /// deterministic, so a process that builds the drivers again (the
-    /// benchmark's repeated passes) adds counts, not records.
-    runs: BTreeMap<RunRecord, usize>,
-}
+/// Every record [`run_net`] made in this process, with how many runs left
+/// it: a process that builds the drivers again (the benchmark's repeated
+/// passes) adds counts, not records.
+static RUNS: Mutex<BTreeMap<RunRecord, usize>> = Mutex::new(BTreeMap::new());
 
-static CENSUS: Mutex<Census> = Mutex::new(Census {
-    undrained: BTreeSet::new(),
-    unbalanced: Vec::new(),
-    runs: BTreeMap::new(),
-});
-
-fn census() -> std::sync::MutexGuard<'static, Census> {
-    CENSUS.lock().expect("no panic while the census is held")
-}
-
-/// How every driver runs a packet network: [`PacketNet::run`], which
-/// stops at the first instant the network has drained, however far off
-/// `horizon` is. The run is then entered under `name` in [`run_records`],
-/// in [`undrained_runs`] if it finished its flows and still reached the
-/// horizon, and in [`unbalanced_runs`] if its packet ledger does not
-/// balance.
-pub(crate) fn run_net<N: PacketNet>(
+/// How every packet network of the harness is run and recorded:
+/// [`PacketNet::run`], which stops at the first instant the network has
+/// drained, however far off `horizon` is, and for a network with a trace
+/// sink then [`Simulator::run_until`] `horizon` (what an idle network does
+/// is part of its trace; the events are the same up to the drain). The
+/// run's record is entered under `name` in [`run_records`] and returned.
+pub fn run_net<N: PacketNet>(
     sim: &mut Simulator<NetWorld<N>>,
     horizon: SimTime,
     name: fmt::Arguments<'_>,
-) {
+) -> RunRecord {
     let drained = N::run(sim, horizon);
-    let name = name.to_string();
-    let mut census = census();
-    if !drained && sim.world.logic.ends().finished() {
-        census.undrained.insert(name.clone());
-    }
-    if let Err(imbalance) = N::ledger(sim) {
-        census.unbalanced.push((name.clone(), imbalance));
+    if sim.world.fabric.tracing() {
+        sim.run_until(horizon);
     }
     let record = RunRecord {
-        name,
-        counters: N::counters(sim),
+        name: name.to_string(),
+        counters: [("events", sim.events_processed())]
+            .into_iter()
+            .chain(N::counters(sim))
+            .collect(),
+        finished: sim.world.logic.ends().finished(),
+        drained,
+        ledger: N::ledger(sim),
     };
-    *census.runs.entry(record).or_default() += 1;
+    let mut runs = RUNS.lock().expect("no panic while the records are held");
+    *runs.entry(record.clone()).or_default() += 1;
+    record
 }
 
-/// The record of every packet run of this process's drivers, sorted, a
-/// record once per run that left it (ROADMAP 18's counter census).
+/// The record of every packet run of this process, sorted, a record once
+/// per run that left it.
 pub fn run_records() -> Vec<RunRecord> {
-    let census = census();
-    census
-        .runs
-        .iter()
-        .flat_map(|(r, &n)| vec![r.clone(); n])
+    let runs = RUNS.lock().expect("no panic while the records are held");
+    runs.iter().flat_map(|(r, &n)| vec![r.clone(); n]).collect()
+}
+
+/// [`summarize`] of the completion times of `tracker`'s finished flows,
+/// each read by `unit` (`SimTime::as_us_f64`, `as_ms_f64`).
+pub(crate) fn fct_stats(tracker: &FlowTracker, unit: fn(SimTime) -> f64) -> Summary {
+    summarize(tracker.flows().iter().filter_map(|f| f.fct()).map(unit))
+}
+
+/// `tests/counter_census.txt`, the census every packet run is held to.
+pub const COUNTER_CENSUS: &str = include_str!("../../../tests/counter_census.txt");
+
+/// Hold `runs` to `census`, the text of a counter census (the format is
+/// `tests/counter_census.txt`'s header), and name each way one is off it
+/// as `<run>: <counter or check>: <what was read>`. Every run is held to
+/// the `zero` rows, its ledger and having drained if it finished every
+/// flow. With `whole_suite` the runs are also held together (run `*`) to
+/// the `some` rows and to every row covering a run, which only the whole
+/// quick suite can meet.
+pub fn census(census: &str, runs: &[RunRecord], whole_suite: bool) -> Vec<String> {
+    let mut found = Vec::new();
+    for r in runs {
+        if let Err(e) = &r.ledger {
+            found.push(format!("{}: ledger: {e}", r.name));
+        }
+        if r.finished && !r.drained {
+            let read = "every flow completed and the network never drained";
+            found.push(format!("{}: drained: {read}", r.name));
+        }
+    }
+    for line in census
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        let fields: Vec<&str> = line.split(" | ").map(str::trim).collect();
+        let (counter, expect, scope) = match fields[..] {
+            [counter, expect, _why] => (counter, expect, ""),
+            [counter, expect, _why, scope] => (counter, expect, scope),
+            _ => panic!("{line}: three or four fields"),
+        };
+        let read: Vec<(&str, u64)> = runs
+            .iter()
+            .filter(|r| r.name.contains(scope))
+            .filter_map(|r| Some((r.name.as_str(), r.counter(counter)?)))
+            .collect();
+        let above = read.iter().filter(|&&(_, v)| v > 0);
+        match expect {
+            "zero" => {
+                found.extend(above.map(|(run, v)| format!("{run}: {counter}: {v}, off `{line}`")))
+            }
+            "some" if whole_suite && !read.is_empty() && above.count() == 0 => found.push(format!(
+                "*: {counter}: 0 on all {} runs, off `{line}`",
+                read.len()
+            )),
+            "some" => {}
+            other => panic!("{line}: `{other}` is neither `zero` nor `some`"),
+        }
+        if whole_suite && read.is_empty() {
+            found.push(format!("*: {counter}: no run `{line}` covers counts it"));
+        }
+    }
+    found
+}
+
+/// `tests/known_failures.txt`: `(check, run)` once per run that bears a
+/// finding the repo knows of and has not fixed yet.
+pub fn known_failures() -> Vec<(&'static str, &'static str)> {
+    include_str!("../../../tests/known_failures.txt")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|l| l.split_once(" | "))
         .collect()
 }
 
-/// The census of this process's driver runs, sorted by name: those whose
-/// flows all completed but whose network never drained, and which
-/// therefore ran to their horizon.
-pub fn undrained_runs() -> Vec<String> {
-    census().undrained.iter().cloned().collect()
+/// True when `finding` (from [`census`]) is the known failure `(check, run)`.
+pub fn is_known(finding: &str, (check, run): (&str, &str)) -> bool {
+    finding.starts_with(&format!("{run}: {check}: "))
 }
 
-/// This process's driver runs whose packet ledger did not balance, sorted
-/// by name, each with what its ledger found.
-pub fn unbalanced_runs() -> Vec<(String, String)> {
-    let mut runs = census().unbalanced.clone();
-    runs.sort();
-    runs
+/// Hold `runs` to `tests/counter_census.txt` ([`census`], run by run) less
+/// [`known_failures`]: `Err` names every other finding.
+pub fn judge(runs: &[RunRecord]) -> Result<(), String> {
+    let known = known_failures();
+    let mut off = census(COUNTER_CENSUS, runs, false);
+    off.retain(|f| !known.iter().any(|&k| is_known(f, k)));
+    match off.len() {
+        0 => Ok(()),
+        n => Err(format!(
+            "{n} finding(s) off tests/counter_census.txt:\n  {}",
+            off.join("\n  ")
+        )),
+    }
 }
 
-/// This process's driver runs that lost packets into dark circuits
-/// (ROADMAP 4i), sorted, each with its `dark_drops`; a name appears once
-/// per run that bears it.
-pub fn dark_drop_runs() -> Vec<(String, u64)> {
-    let mut runs: Vec<(String, u64)> = run_records()
-        .into_iter()
-        .filter_map(|r| match r.counter("dark_drops") {
-            Some(d) if d > 0 => Some((r.name, d)),
-            _ => None,
-        })
-        .collect();
-    runs.sort();
-    runs
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(name: &str, counters: &[(&'static str, u64)]) -> RunRecord {
+        RunRecord {
+            name: name.into(),
+            counters: counters.to_vec(),
+            finished: true,
+            drained: true,
+            ledger: Ok(()),
+        }
+    }
+
+    /// Every kind of finding comes out of [`census`] naming its run and
+    /// its counter or check, and a clean suite has none.
+    #[test]
+    fn census_names_every_finding() {
+        let rows = "# a comment\n\
+                    lost | zero | nothing is lost\n\
+                    paused | zero | only pfc pauses | /pfc/\n\
+                    trimmed | some | ndp trims\n";
+        let clean = [
+            run("a/pfc/1", &[("lost", 0), ("paused", 0), ("trimmed", 1)]),
+            run("a/ndp/1", &[("lost", 0), ("paused", 5), ("trimmed", 0)]),
+        ];
+        assert_eq!(census(rows, &clean, true), Vec::<String>::new());
+
+        let mut undrained = run("b/pfc/2", &[("lost", 3), ("paused", 2), ("trimmed", 0)]);
+        undrained.drained = false;
+        let mut unbalanced = run("c/ndp/3", &[("lost", 0), ("trimmed", 0)]);
+        unbalanced.ledger = Err("flow 7: received 9 of 8".into());
+        let mut unfinished = run("d/ndp/4", &[("lost", 0), ("trimmed", 0)]);
+        (unfinished.finished, unfinished.drained) = (false, false);
+        let found = census(rows, &[undrained, unbalanced, unfinished], true);
+        let named: Vec<&str> = found
+            .iter()
+            .filter_map(|f| f.rsplit_once(": "))
+            .map(|(named, _)| named)
+            .collect();
+        assert_eq!(
+            named,
+            [
+                "b/pfc/2: drained",
+                "c/ndp/3: ledger: flow 7",
+                "b/pfc/2: lost",
+                "b/pfc/2: paused",
+                "*: trimmed",
+            ],
+            "{found:#?}"
+        );
+        // Run by run, a `some` row is no finding; a row no run covers
+        // neither.
+        let one = [run("e/ndp/5", &[("lost", 0)])];
+        assert_eq!(census(rows, &one, false), Vec::<String>::new());
+        let uncovered = census(rows, &one, true);
+        assert!(
+            uncovered[0].starts_with("*: paused: no run"),
+            "{uncovered:?}"
+        );
+        assert!(
+            uncovered[1].starts_with("*: trimmed: no run"),
+            "{uncovered:?}"
+        );
+        assert_eq!(uncovered.len(), 2);
+    }
+
+    /// [`judge`] excuses exactly the known failures.
+    #[test]
+    fn judge_excuses_known_failures() {
+        let (check, known) = known_failures()[0];
+        assert_eq!(check, "dark_drops");
+        assert_eq!(judge(&[run(known, &[("dark_drops", 4)])]), Ok(()));
+        let err = judge(&[run("spot/new", &[("dark_drops", 4)])]).unwrap_err();
+        assert!(err.contains("spot/new: dark_drops: 4"), "{err}");
+    }
 }

@@ -25,17 +25,17 @@
 //! validating reader and its per-link packet counts must equal the
 //! JSON-lines `tx` record counts, link for link.
 
+use crate::RunRecord;
 use expt::json::{parse_toml, Fields, Json, OneOrMany};
 use expt::output::write_atomic;
 use expt::{f2, Cell, Table};
-use netsim::fabric::{FabricCounters, QueueConfig};
+use netsim::fabric::QueueConfig;
 use netsim::policy::{DropTail, EcnMark, NdpTrim, Pfc};
 use netsim::trace::{JsonlSink, MultiSink, TraceEvent, TraceSink};
 use netsim::{FlowTracker, PcapngSink, SwitchPolicyKind};
 use opera::opera_net::OperaLogic;
 use opera::static_net::{StaticLogic, StaticNetConfig, StaticTopologyKind};
 use opera::{OperaNetConfig, PacketNet};
-use simkit::stats::summarize;
 use simkit::{SimRng, SimTime, NS_PER_MS};
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -64,11 +64,8 @@ pub const MAX_POINTS: usize = 10_000;
 /// `opera` topology, one byte a low-latency entry), so this count too
 /// is bounded where it is read, before anything is allocated for it. At
 /// the bound, a 1 ms `opera run-scenario` on the `opera` topology takes
-/// ≈ 0.35 s on a 2-core Xeon host, most of it building those tables from
-/// distance rows a slice per core at a time (≈ 0.47 s on one core in the
-/// same runs; ≈ 0.68 s with a bit-parallel frontier sweep and ≈ 3.4 s with
-/// one breadth-first search per slice and destination, both on one core in
-/// earlier runs).
+/// ≈ 0.35 s on a 2-core Xeon host, most of it building those tables a
+/// slice per core at a time.
 pub const MAX_RACKS: usize = 432;
 
 /// Largest per-flow payload a scenario may ask for, in bytes
@@ -427,26 +424,16 @@ pub struct PointMetrics {
     pub avg_fct_us: f64,
     /// 99th-percentile FCT, µs (0 when nothing completed).
     pub p99_fct_us: f64,
-    /// Packets dropped at full queues.
-    pub dropped: u64,
-    /// Packets trimmed to headers.
-    pub trimmed: u64,
-    /// Packets ECN-marked.
-    pub marked: u64,
 }
 
-pub(crate) fn metrics_of(tracker: &FlowTracker, counters: &FabricCounters) -> PointMetrics {
-    let fcts = tracker.flows().iter().filter_map(|f| f.fct());
-    let fcts = summarize(fcts.map(|t| t.as_us_f64()));
+pub(crate) fn metrics_of(tracker: &FlowTracker) -> PointMetrics {
+    let fcts = crate::fct_stats(tracker, SimTime::as_us_f64);
     let or_zero = |v: f64| if fcts.count == 0 { 0.0 } else { v };
     PointMetrics {
         completed: tracker.completed(),
         offered: tracker.len(),
         avg_fct_us: or_zero(fcts.mean),
         p99_fct_us: or_zero(fcts.p99),
-        dropped: counters.dropped,
-        trimmed: counters.trimmed,
-        marked: counters.ecn_marked,
     }
 }
 
@@ -466,8 +453,9 @@ pub struct TraceValidation {
 /// Report of one scenario run.
 #[derive(Debug)]
 pub struct ScenarioReport {
-    /// Metrics of each of the scenario's points, in its order.
-    pub metrics: Vec<PointMetrics>,
+    /// Metrics and the run's record of each of the scenario's points, in
+    /// its order.
+    pub results: Vec<(PointMetrics, RunRecord)>,
     /// Metrics CSV path.
     pub csv: PathBuf,
     /// JSON-lines trace, when requested.
@@ -479,13 +467,13 @@ pub struct ScenarioReport {
 }
 
 /// Run `pt`: build its network, offer it the workload (drawn from
-/// `rng`), run it under `trace`, and `read` the result off its flow
-/// tracker and fabric counters.
+/// `rng`), run it under `trace` through [`crate::run_net`], and `read` the
+/// result off its flow tracker and the run's record.
 pub(crate) fn run_point<T>(
     pt: &ScenarioPoint,
     rng: &mut SimRng,
     trace: Option<Box<dyn TraceSink>>,
-    read: impl FnOnce(&FlowTracker, &FabricCounters) -> T,
+    read: impl FnOnce(&FlowTracker, RunRecord) -> T,
 ) -> Result<T, String> {
     let queues = QueueConfig::builder().policy(pt.policy.1).build();
     match pt.topology.1.clone() {
@@ -508,32 +496,27 @@ pub(crate) fn run_point<T>(
 }
 
 /// [`run_point`] on the network `N` that `cfg` describes; `quiet`
-/// adjusts the built network before the trace sink is attached. An
-/// untraced run ends when the network has drained; a traced one runs all
-/// of `pt.duration`, because what an idle network does is part of its
-/// trace.
+/// adjusts the built network before the trace sink is attached.
 fn run_on<N: PacketNet, T>(
     cfg: N::Config,
     quiet: impl FnOnce(&mut N),
     pt: &ScenarioPoint,
     rng: &mut SimRng,
     trace: Option<Box<dyn TraceSink>>,
-    read: impl FnOnce(&FlowTracker, &FabricCounters) -> T,
+    read: impl FnOnce(&FlowTracker, RunRecord) -> T,
 ) -> Result<T, String> {
     let flows = workload_flows(pt, N::hosts(&cfg), rng);
     let mut sim = N::build(cfg, flows);
     quiet(&mut sim.world.logic);
     if let Some(sink) = trace {
         sim.world.fabric.set_trace(sink);
-        sim.run_until(pt.duration);
-    } else {
-        let name = format_args!(
-            "{}/{}/{}/{}/{} senders",
-            pt.topology.0, pt.policy.0, pt.transport.0, pt.workload.0, pt.senders
-        );
-        crate::run_net(&mut sim, pt.duration, name);
     }
-    let result = read(sim.world.logic.tracker(), &sim.world.fabric.counters);
+    let name = format_args!(
+        "{}/{}/{}/{}/{} senders",
+        pt.topology.0, pt.policy.0, pt.transport.0, pt.workload.0, pt.senders
+    );
+    let record = crate::run_net(&mut sim, pt.duration, name);
+    let result = read(sim.world.logic.tracker(), record);
     if let Some(mut sink) = sim.world.fabric.take_trace() {
         sink.finish()?;
     }
@@ -549,7 +532,7 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
     let trace_jsonl = sc.trace.jsonl.as_ref().map(|f| out_dir.join(f));
     let trace_pcapng = sc.trace.pcapng.as_ref().map(|f| out_dir.join(f));
 
-    let mut metrics = Vec::with_capacity(sc.points.len());
+    let mut results = Vec::with_capacity(sc.points.len());
     for (idx, pt) in sc.points.iter().enumerate() {
         // Tracing is only legal on single-point scenarios (enforced at
         // parse time), so the sink construction runs at most once.
@@ -566,18 +549,18 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
             None
         };
         let mut rng = SimRng::new(sc.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        metrics.push(run_point(pt, &mut rng, sink, metrics_of)?);
+        results.push(run_point(pt, &mut rng, sink, |t, r| (metrics_of(t), r))?);
     }
 
     let csv = out_dir.join(format!("{}.csv", sc.name));
-    write_csv(&csv, &sc.points, &metrics)?;
+    write_csv(&csv, &sc.points, &results)?;
 
     let validation = match (&trace_jsonl, &trace_pcapng) {
         (Some(j), Some(p)) => Some(reconcile_traces(j, p)?),
         _ => None,
     };
     Ok(ScenarioReport {
-        metrics,
+        results,
         csv,
         trace_jsonl,
         trace_pcapng,
@@ -588,12 +571,13 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
 fn write_csv(
     path: &Path,
     points: &[ScenarioPoint],
-    metrics: &[PointMetrics],
+    results: &[(PointMetrics, RunRecord)],
 ) -> Result<(), String> {
     let header =
         "policy,transport,senders,completed,offered,avg_fct_us,p99_fct_us,dropped,trimmed,marked";
     let mut t = Table::new("scenario", &header.split(',').collect::<Vec<_>>());
-    for (pt, m) in points.iter().zip(metrics) {
+    for (pt, (m, r)) in points.iter().zip(results) {
+        let counter = |name| Cell::from(r.counter(name).unwrap_or(0));
         t.push(vec![
             Cell::from(pt.policy.0),
             Cell::from(pt.transport.0),
@@ -602,9 +586,9 @@ fn write_csv(
             Cell::from(m.offered),
             f2(m.avg_fct_us),
             f2(m.p99_fct_us),
-            Cell::from(m.dropped),
-            Cell::from(m.trimmed),
-            Cell::from(m.marked),
+            counter("dropped"),
+            counter("trimmed"),
+            counter("ecn_marked"),
         ]);
     }
     write_atomic(path, &t.to_csv()).map_err(|e| format!("{}: {e}", path.display()))
@@ -1024,11 +1008,11 @@ seed = 3
         let dir = tmp("recon");
         let plain = run_scenario(&tiny("expander", "ndp_trim", "ndp", false), &dir).unwrap();
         let traced = run_scenario(&tiny("expander", "ndp_trim", "ndp", true), &dir).unwrap();
-        assert_eq!(plain.metrics.len(), 1);
-        let (p, t) = (&plain.metrics[0], &traced.metrics[0]);
+        assert_eq!(plain.results.len(), 1);
+        let ((p, pr), (t, tr)) = (&plain.results[0], &traced.results[0]);
         assert_eq!(p.completed, t.completed);
         assert_eq!(p.avg_fct_us, t.avg_fct_us);
-        assert_eq!(p.trimmed, t.trimmed);
+        assert_eq!(pr.counter("trimmed"), tr.counter("trimmed"));
         assert!(t.completed == 2, "incast should complete: {t:?}");
 
         let v = traced.validation.expect("validation ran");

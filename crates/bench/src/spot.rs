@@ -20,17 +20,20 @@
 //!
 //! Each point also reports what it cost — wall time, events, packet-hops
 //! and peak resident memory — on `opera spot`'s standard output, not in
-//! its table, so the nightly log records what paper scale costs.
+//! its table, so the nightly log records what paper scale costs. Its
+//! packet runs go through [`crate::run_net`], and `opera spot` holds
+//! their records to the counter census ([`crate::judge`]): a finding not
+//! in `tests/known_failures.txt` fails it as a drift does.
 
 use crate::{clos_cfg, opera_cfg};
 use expt::{f, f2, Cell, Scale, Table};
 use flowsim::{clos_throughput, opera_model, McfSolver};
-use netsim::{FlowTracker, NetWorld};
+use netsim::FlowTracker;
 use opera::opera_net::{self, OperaLogic};
 use opera::static_net::StaticLogic;
 use opera::PacketNet;
 use simkit::stats::nearest_rank;
-use simkit::{SimTime, Simulator};
+use simkit::SimTime;
 use topo::cost::{expander_racks, expander_uplinks};
 use topo::expander::{ExpanderParams, ExpanderTopology};
 use topo::opera::{OperaParams, OperaTopology};
@@ -42,37 +45,8 @@ use workloads::FlowSpec;
 /// (`goldens/full/`).
 pub const DRIVER: &str = "full";
 
-/// What a spot point built: its table, and the events and packet-hops
-/// (fabric deliveries) of its packet simulations, both zero for a
-/// flow-level point.
-#[derive(Debug)]
-pub struct Spot {
-    /// The point's golden table.
-    pub table: Table,
-    /// Simulator events processed.
-    pub events: u64,
-    /// Packets delivered over a link.
-    pub pkt_hops: u64,
-}
-
-impl Spot {
-    fn new(table: Table) -> Self {
-        Spot {
-            table,
-            events: 0,
-            pkt_hops: 0,
-        }
-    }
-
-    /// Count `sim`'s events and packet-hops toward the point.
-    fn count<N: PacketNet>(&mut self, sim: &Simulator<NetWorld<N>>) {
-        self.events += sim.events_processed();
-        self.pkt_hops += sim.world.fabric.counters.delivered;
-    }
-}
-
 /// One spot point: a named table builder.
-pub type SpotFn = fn() -> Spot;
+pub type SpotFn = fn() -> Table;
 
 /// Every spot point, in suite order: `(table name, builder)`.
 pub fn all() -> Vec<(&'static str, SpotFn)> {
@@ -84,14 +58,15 @@ pub fn all() -> Vec<(&'static str, SpotFn)> {
     ]
 }
 
-/// Build one point and say what it cost: wall time, events, packet-hops
-/// and peak resident memory (`VmHWM` from `/proc/self/status`, reset
-/// before the point where the kernel allows it, and otherwise the
-/// process's peak so far).
-pub fn measure(build: SpotFn) -> (Spot, String) {
+/// Build the point called `name` and say what it cost: wall time, then
+/// the events and packet-hops (`delivered`) its runs' records sum to
+/// (runs are named `spot/<point>…`), then peak resident memory (`VmHWM`
+/// from `/proc/self/status`, reset before the point where the kernel
+/// allows it, and otherwise the process's peak so far).
+pub fn measure(name: &str, build: SpotFn) -> (Table, String) {
     let reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
     let start = std::time::Instant::now();
-    let spot = build();
+    let table = build();
     let wall = start.elapsed().as_secs_f64();
     let hwm_kb = std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -104,11 +79,17 @@ pub fn measure(build: SpotFn) -> (Spot, String) {
         Some(kb) => format!("VmHWM {:.1} MiB (process peak)", kb as f64 / 1024.0),
         None => "VmHWM unknown".to_string(),
     };
+    let runs = crate::run_records();
+    let ours = runs
+        .iter()
+        .filter(|r| r.name.starts_with(&format!("spot/{name}")));
+    let sum = |counter| ours.clone().filter_map(|r| r.counter(counter)).sum::<u64>();
     let cost = format!(
         "{wall:.2} s wall, {} events, {} packet-hops, {peak}",
-        spot.events, spot.pkt_hops
+        sum("events"),
+        sum("delivered")
     );
-    (spot, cost)
+    (table, cost)
 }
 
 /// Mean, nearest-rank 99th percentile and maximum of the tracker's FCTs,
@@ -143,9 +124,9 @@ fn fct_summary(tracker: &FlowTracker) -> (f64, f64, f64) {
 /// a partial shuffle — each host sends 100 KB to its next
 /// `SHUFFLE_PEERS` ring neighbors — so the run measures paper-scale
 /// circuit scheduling without fig08's full 648 × 647 flow matrix.
-fn shuffle_648() -> Spot {
+fn shuffle_648() -> Table {
     const SHUFFLE_PEERS: usize = 16;
-    let sim = bulk_shuffle("shuffle_648", SimTime::from_ms(120), |hosts| {
+    let flows = |hosts| {
         let mut flows = Vec::with_capacity(hosts * SHUFFLE_PEERS);
         for src in 0..hosts {
             for k in 1..=SHUFFLE_PEERS {
@@ -158,47 +139,53 @@ fn shuffle_648() -> Spot {
             }
         }
         flows
-    });
-    let t = sim.world.logic.tracker();
-    let (mean, p99, max) = fct_summary(t);
-    let mut out = Table::new(
+    };
+    bulk_shuffle(
         "shuffle_648",
-        &[
-            "network",
-            "flows",
-            "completed",
-            "shuffle_ms",
-            "p99_fct_ms",
-            "mean_fct_ms",
-        ],
-    );
-    out.push(vec![
-        Cell::from("opera-648"),
-        Cell::from(t.len()),
-        Cell::from(t.completed()),
-        f2(max),
-        f2(p99),
-        f2(mean),
-    ]);
-    let mut spot = Spot::new(out);
-    spot.count(&sim);
-    spot
+        SimTime::from_ms(120),
+        flows,
+        (&[], |_| vec![]),
+    )
 }
+
+/// The columns a shuffle table has beside the ones every one has, and
+/// how to read them off the run.
+type Extra = (
+    &'static [&'static str],
+    fn(&opera_net::OperaNet) -> Vec<Cell>,
+);
 
 /// The paper's 648-host Opera network with every flow tagged bulk by the
 /// application (§3.4), run on the flows `flows` draws for its host count,
-/// all starting at once, until drained or `horizon`.
+/// all starting at once, until drained or `horizon`, as the one-row table
+/// `name`: flows, completions, the `extra` columns, and the FCTs.
 fn bulk_shuffle(
     name: &str,
     horizon: SimTime,
     flows: impl FnOnce(usize) -> Vec<FlowSpec>,
-) -> opera_net::OperaNet {
+    (extra, read): Extra,
+) -> Table {
     let mut cfg = opera_cfg(Scale::Full);
     cfg.bulk_threshold = 0;
     let flows = flows(cfg.hosts());
     let mut sim = opera_net::build(cfg, flows);
     crate::run_net(&mut sim, horizon, format_args!("spot/{name}"));
-    sim
+    let t = sim.world.logic.tracker();
+    let (mean, p99, max) = fct_summary(t);
+    let fcts = ["shuffle_ms", "p99_fct_ms", "mean_fct_ms"];
+    let mut out = Table::new(
+        name,
+        &[&["network", "flows", "completed"], extra, &fcts].concat(),
+    );
+    let mut row = vec![
+        Cell::from("opera-648"),
+        Cell::from(t.len()),
+        Cell::from(t.completed()),
+    ];
+    row.extend(read(&sim));
+    row.extend([f2(max), f2(p99), f2(mean)]);
+    out.push(row);
+    out
 }
 
 /// Fig08's Opera arm at paper scale, whole: every one of the 648 hosts
@@ -207,38 +194,15 @@ fn bulk_shuffle(
 /// completes every flow and that no packet is dropped anywhere, and
 /// records the shuffle's completion time and the largest bulk backlog a
 /// ToR's host port held (the last hop takes bulk past its queue cap).
-fn fig08_opera_648() -> Spot {
-    let sim = bulk_shuffle("fig08_opera_648", SimTime::from_ms(400), |hosts| {
-        ScenarioGen::shuffle(hosts, 100_000, SimTime::ZERO)
+fn fig08_opera_648() -> Table {
+    let flows = |hosts| ScenarioGen::shuffle(hosts, 100_000, SimTime::ZERO);
+    let extra: Extra = (&["dropped", "downlink_peak_kb"], |sim| {
+        vec![
+            Cell::from(sim.world.fabric.counters.dropped as usize),
+            f2(sim.world.logic.counters.bulk_downlink_peak as f64 / 1e3),
+        ]
     });
-    let t = sim.world.logic.tracker();
-    let (mean, p99, max) = fct_summary(t);
-    let mut out = Table::new(
-        "fig08_opera_648",
-        &[
-            "network",
-            "flows",
-            "completed",
-            "dropped",
-            "downlink_peak_kb",
-            "shuffle_ms",
-            "p99_fct_ms",
-            "mean_fct_ms",
-        ],
-    );
-    out.push(vec![
-        Cell::from("opera-648"),
-        Cell::from(t.len()),
-        Cell::from(t.completed()),
-        Cell::from(sim.world.fabric.counters.dropped as usize),
-        f2(sim.world.logic.counters.bulk_downlink_peak as f64 / 1e3),
-        f2(max),
-        f2(p99),
-        f2(mean),
-    ]);
-    let mut spot = Spot::new(out);
-    spot.count(&sim);
-    spot
+    bulk_shuffle("fig08_opera_648", SimTime::from_ms(400), flows, extra)
 }
 
 /// Fig12's headline at the paper's `k = 24` radix (5184 hosts): one
@@ -252,7 +216,7 @@ fn fig08_opera_648() -> Spot {
 /// phase's all-pairs routes; the all-to-all reference gives every one
 /// of its 186 192 demands one. Both demand sets are closed-form, so the
 /// point needs no RNG and is exactly reproducible.
-fn fig12_k24() -> Spot {
+fn fig12_k24() -> Table {
     const K: usize = 24;
     const ALPHA: f64 = 1.0;
     let rate = 10.0;
@@ -309,16 +273,16 @@ fn fig12_k24() -> Spot {
         f(c),
         f(o_a2a),
     ]);
-    Spot::new(out)
+    out
 }
 
 /// Fig09's headline at paper scale: Websearch p99 FCT on the 648-host
 /// Opera network (every flow under the bulk threshold, riding indirect
 /// expander paths) against the cost-equivalent 3:1 folded Clos. The
 /// spot workload is one short Poisson window at 10% load.
-fn websearch_648() -> Spot {
+fn websearch_648() -> Table {
     const LOAD: f64 = 0.10;
-    fn row<N: PacketNet>(network: &str, cfg: N::Config, spot: &mut Spot) {
+    fn row<N: PacketNet>(network: &str, cfg: N::Config, table: &mut Table) {
         let dist = FlowSizeDist::of(Workload::Websearch);
         let flows =
             PoissonGen::new(dist, N::hosts(&cfg), 10.0, LOAD, 0).flows_until(SimTime::from_ms(10));
@@ -331,7 +295,7 @@ fn websearch_648() -> Spot {
         );
         let tracker = sim.world.logic.tracker();
         let (mean, p99, _) = fct_summary(tracker);
-        spot.table.push(vec![
+        table.push(vec![
             Cell::from(network),
             Cell::F64(LOAD),
             Cell::from(offered),
@@ -339,9 +303,8 @@ fn websearch_648() -> Spot {
             f2(p99),
             f2(mean),
         ]);
-        spot.count(&sim);
     }
-    let table = Table::new(
+    let mut table = Table::new(
         "websearch_648",
         &[
             "network",
@@ -352,12 +315,11 @@ fn websearch_648() -> Spot {
             "mean_fct_ms",
         ],
     );
-    let mut spot = Spot::new(table);
     let mut opera = opera_cfg(Scale::Full);
     opera.bulk_threshold = 20_000_000; // fig09's premise: all low-latency
-    row::<OperaLogic>("opera-648", opera, &mut spot);
-    row::<StaticLogic>("folded-clos-648", clos_cfg(Scale::Full), &mut spot);
-    spot
+    row::<OperaLogic>("opera-648", opera, &mut table);
+    row::<StaticLogic>("folded-clos-648", clos_cfg(Scale::Full), &mut table);
+    table
 }
 
 #[cfg(test)]

@@ -441,6 +441,11 @@ impl Fabric {
         self.trace = Some(sink);
     }
 
+    /// True while a trace sink is installed.
+    pub fn tracing(&self) -> bool {
+        self.trace.is_some()
+    }
+
     /// Remove and return the trace sink (call its
     /// [`TraceSink::finish`] to flush).
     pub fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {

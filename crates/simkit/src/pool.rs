@@ -7,7 +7,7 @@
 //! returns the results in slot order. Which worker ran which slot is never
 //! visible in the result, so any worker count gives the same output.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The cores this process may run on; 1 when the platform cannot say.
 pub fn cores() -> usize {
@@ -18,17 +18,29 @@ pub fn cores() -> usize {
 /// one of them, each claiming the next slot from a shared counter, and
 /// return the results in slot order. The caller starts on the slots while
 /// the other workers start, so a worker that is slow to be scheduled
-/// leaves its share to the rest. A panic in `work` is propagated, with its
-/// payload, once every worker has stopped.
+/// leaves its share to the rest. A panic in `work` stops the claiming:
+/// each other worker finishes at most the slot it is running, and the
+/// panic is propagated, with its payload, once every worker has stopped.
 pub fn claim_slots<R, W>(workers: usize, n: usize, work: W) -> Vec<R>
 where
     R: Send,
     W: Fn(usize) -> R + Sync,
 {
+    /// Sets the stop when dropped by a panic's unwinding.
+    struct StopOnUnwind<'a>(&'a AtomicBool);
+    impl Drop for StopOnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+    }
     let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
     let claim = || {
+        let _stop_on_unwind = StopOnUnwind(&stop);
         let mut local = Vec::new();
-        loop {
+        while !stop.load(Ordering::Relaxed) {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
@@ -83,5 +95,27 @@ mod tests {
             assert!(msg.contains("slot four"), "{msg}");
         }
         assert_eq!(claim_slots(4, 0, |i| i), Vec::<usize>::new());
+    }
+
+    /// After a slot panics, no worker claims another slot: of many slow
+    /// slots, only those claimed before the panic unwound start (the panic
+    /// hook runs first, and may take tens of milliseconds to print a
+    /// backtrace), and the panic's payload still reaches the caller.
+    #[test]
+    fn a_panic_stops_the_claiming() {
+        let (workers, n) = (4, 1_000);
+        let started = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(|| {
+            claim_slots(workers, n, |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                assert_ne!(i, 0, "slot zero");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("slot zero"), "{msg}");
+        let started = started.into_inner();
+        assert!(started < n / 4, "{started} of {n} slots started");
     }
 }

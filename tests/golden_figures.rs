@@ -13,27 +13,113 @@
 //! opera -- golden --bless`) and commit the `goldens/` diff alongside
 //! the change. Blessing an unmodified tree is byte-idempotent.
 
-use bench::figures;
-
+use bench::{figures, run_net, run_records};
+use netsim::{EcnMark, JsonlSink, MultiSink, PcapngSink, PcapngWriter, QueueConfig};
+use opera::opera_net::{self, OperaNetConfig};
+use opera::static_net::{self, StaticNetConfig, StaticTopologyKind};
+use opera::timing::SliceTiming;
+use simkit::SimTime;
 use std::sync::OnceLock;
+use topo::expander::ExpanderParams;
+use topo::opera::OperaParams;
+use transport::{DctcpParams, TransportKind};
+use workloads::dists::{FlowSizeDist, Workload};
+use workloads::gen::{PoissonGen, ScenarioGen};
 
 use expt::{Experiment, RunMeta, Table};
 
-/// Every driver's quick-mode tables, built once per test binary: the
-/// tests below read the same build, so tier-1 pays for each
-/// driver once. Whichever test comes first builds; the others wait.
+/// Every driver's quick-mode tables, built once per test binary, and the
+/// benchmark [`mirror`] run once: the tests below read the same build and
+/// the same [`run_records`], so tier-1 pays for each driver once.
+/// Whichever test comes first builds; the others wait.
 fn built() -> &'static [(Experiment, Vec<Table>)] {
     static BUILT: OnceLock<Vec<(Experiment, Vec<Table>)>> = OnceLock::new();
     BUILT.get_or_init(|| {
         let ctx = figures::golden_ctx(0);
-        figures::all()
+        let built = figures::all()
             .into_iter()
             .map(|(exp, build)| {
                 let tables = build(&ctx);
                 (exp, tables)
             })
-            .collect()
+            .collect();
+        mirror();
+        built
     })
+}
+
+/// The benchmark's five packet workloads (`benchmark/src/packet.rs`,
+/// seed 0), written out again so that the census judges the networks
+/// they run: mini Opera (48 racks × 4 hosts, u = 4, `fast_sim` slices)
+/// with every Websearch flow low-latency, untraced and traced into
+/// discarding sinks, and with an all-to-all shuffle all bulk; the 64-rack
+/// DCTCP expander; and `paper_648` Websearch. Their horizons are cut to
+/// what a debug build runs in seconds, so most stop at the horizon.
+fn mirror() {
+    let mini_opera = |bulk_threshold| OperaNetConfig {
+        params: OperaParams {
+            racks: 48,
+            uplinks: 4,
+            hosts_per_rack: 4,
+            groups: 1,
+        },
+        timing: SliceTiming::fast_sim(),
+        bulk_threshold,
+        ..OperaNetConfig::small_test()
+    };
+    let expander = StaticNetConfig {
+        kind: StaticTopologyKind::Expander(ExpanderParams {
+            racks: 64,
+            uplinks: 5,
+            hosts_per_rack: 3,
+        }),
+        queues: QueueConfig::builder()
+            .policy(EcnMark::paper_default())
+            .build(),
+        transport: TransportKind::Dctcp(DctcpParams::paper_default()),
+        ..StaticNetConfig::small_expander()
+    };
+    let websearch = |hosts, load, until| {
+        PoissonGen::new(FlowSizeDist::of(Workload::Websearch), hosts, 10.0, load, 0)
+            .flows_until(until)
+    };
+    let ms = SimTime::from_ms;
+    simkit::pool::claim_slots(simkit::pool::cores(), 5, |i| {
+        match i {
+            0 => {
+                let cfg = mini_opera(20_000_000);
+                let mut sim = opera_net::build(cfg, websearch(cfg.hosts(), 0.10, ms(40)));
+                run_net(&mut sim, ms(4), format_args!("mirror/opera_websearch"))
+            }
+            1 => {
+                let cfg = mini_opera(20_000_000);
+                let mut sim = opera_net::build(cfg, websearch(cfg.hosts(), 0.10, ms(4)));
+                let sinks = MultiSink::new()
+                    .with(Box::new(JsonlSink::new(std::io::sink())))
+                    .with(Box::new(PcapngSink::new(
+                        PcapngWriter::new(std::io::sink()).expect("a sink takes any write"),
+                    )));
+                sim.world.fabric.set_trace(Box::new(sinks));
+                run_net(&mut sim, ms(2), format_args!("mirror/traced_websearch"))
+            }
+            2 => {
+                let cfg = mini_opera(0);
+                let flows = ScenarioGen::shuffle(cfg.hosts(), 100_000, SimTime::ZERO);
+                let mut sim = opera_net::build(cfg, flows);
+                run_net(&mut sim, ms(1), format_args!("mirror/opera_shuffle"))
+            }
+            3 => {
+                let hosts = 64 * 3;
+                let mut sim = static_net::build(expander.clone(), websearch(hosts, 0.25, ms(40)));
+                run_net(&mut sim, ms(4), format_args!("mirror/expander_dctcp"))
+            }
+            _ => {
+                let cfg = OperaNetConfig::paper_648();
+                let mut sim = opera_net::build(cfg, websearch(cfg.hosts(), 0.25, ms(6)));
+                run_net(&mut sim, ms(2), format_args!("mirror/paper648_websearch"))
+            }
+        };
+    });
 }
 
 fn blessing() -> bool {
@@ -73,108 +159,110 @@ fn golden_figures() {
     );
 }
 
-/// The census ROADMAP 4b asks for: the quick drivers' packet runs that
-/// complete every flow and still reach their horizon, because something
-/// keeps the network from ever draining (4b's NDP zombie re-arming an idle
-/// RTO for ever, or 4e's packets stranded at a port whose PFC pause a
-/// rewire cleared, until the slice clock restarted rewired ports). It is
-/// empty: a run on it is a leak, and the points whose goldens its fix
-/// moves.
+/// The census ROADMAP 4b asks for: the packet runs that complete every
+/// flow and still reach their horizon, because something keeps the
+/// network from ever draining (4b's NDP zombie re-arming an idle RTO for
+/// ever, or 4e's packets stranded at a port whose PFC pause a rewire
+/// cleared, until the slice clock restarted rewired ports). It is empty: a
+/// run on it is a leak, and the points whose goldens its fix moves.
 #[test]
 fn zombie_census() {
     built();
-    let census = bench::undrained_runs();
+    let census: Vec<String> = run_records()
+        .into_iter()
+        .filter(|r| r.finished && !r.drained)
+        .map(|r| r.name)
+        .collect();
     assert!(
         census.is_empty(),
         "runs that completed every flow but never drained: {census:#?}"
     );
 }
 
-/// ROADMAP 10's packet ledger over every quick packet run: each fabric
-/// accounts for every packet it wrote (delivered, lost dark or failed,
-/// drained back to RotorLB, or still queued), and no flow received more
-/// than its size. A run on the list names the ledger's finding.
+/// ROADMAP 10's packet ledger over every packet run: each fabric accounts
+/// for every packet it wrote (delivered, lost dark or failed, drained back
+/// to RotorLB, or still queued), and no flow received more than its size.
+/// A run on the list names the ledger's finding.
 #[test]
 fn ledger_census() {
     built();
-    let census = bench::unbalanced_runs();
+    let census: Vec<(String, String)> = run_records()
+        .into_iter()
+        .filter_map(|r| Some((r.name, r.ledger.err()?)))
+        .collect();
     assert!(
         census.is_empty(),
         "runs whose packet ledger does not balance: {census:#?}"
     );
 }
 
-/// ROADMAP 18's counter census over every quick packet run: each counter
-/// `tests/counter_census.txt` names reads 0 on every run whose network has
-/// it (`zero`), or more than 0 on at least one run (`some`). A row with a
-/// fourth field holds only the runs whose name contains it, and at least
-/// one must. A mechanism that stops working, or one that starts to fire
-/// where it never should, fails here even when no golden moves.
+/// The findings of `found` that `known` (`(check, run)`, a line once per
+/// run that bears it) does not list, and the lines of `known` left over.
+fn against_known<'a>(
+    found: Vec<String>,
+    mut known: Vec<(&'a str, &'a str)>,
+) -> (Vec<String>, Vec<(&'a str, &'a str)>) {
+    let mut joined = Vec::new();
+    for f in found {
+        match known.iter().position(|&k| bench::is_known(&f, k)) {
+            Some(i) => {
+                known.swap_remove(i);
+            }
+            None => joined.push(f),
+        }
+    }
+    (joined, known)
+}
+
+/// ROADMAP 18's counter census over every packet run of this binary, the
+/// quick drivers' and the benchmark [`mirror`]'s, as one suite
+/// ([`bench::census`]): each counter `tests/counter_census.txt` names
+/// reads 0 on every run whose network has it (`zero`), or more than 0 on
+/// at least one run (`some`); a row with a fourth field holds only the
+/// runs whose name contains it, and at least one must. The findings are
+/// exactly the lines of `tests/known_failures.txt` for these runs, which
+/// may only shrink. A mechanism
+/// that stops working, or one that starts to fire where it never should,
+/// fails here even when no golden moves.
 #[test]
 fn counter_census() {
     built();
-    let runs = bench::run_records();
-    let mut wrong = Vec::new();
-    let expected = include_str!("counter_census.txt").lines();
-    for line in expected.filter(|l| !l.is_empty() && !l.starts_with('#')) {
-        let fields: Vec<&str> = line.split(" | ").map(str::trim).collect();
-        let (counter, expect, scope) = match fields[..] {
-            [counter, expect, _why] => (counter, expect, ""),
-            [counter, expect, _why, scope] => (counter, expect, scope),
-            _ => panic!("three or four fields: {line}"),
-        };
-        let read: Vec<(&str, u64)> = runs
-            .iter()
-            .filter(|r| r.name.contains(scope))
-            .filter_map(|r| Some((r.name.as_str(), r.counter(counter)?)))
-            .collect();
-        assert!(
-            !read.is_empty(),
-            "{line}: no run it covers counts {counter}"
-        );
-        match expect {
-            "zero" => wrong.extend(
-                read.iter()
-                    .filter(|&&(_, v)| v > 0)
-                    .map(|(run, v)| format!("{counter} = {v} on {run}")),
-            ),
-            "some" if read.iter().all(|&(_, v)| v == 0) => {
-                wrong.push(format!("{line}: 0 on all {} runs", read.len()))
-            }
-            "some" => {}
-            other => panic!("{line}: `{other}` is neither `zero` nor `some`"),
-        }
-    }
+    let runs = run_records();
+    let found = bench::census(bench::COUNTER_CENSUS, &runs, true);
+    // Lines for runs this binary does not make (`spot/…`) are held by
+    // the command that makes them.
+    let mut known = bench::known_failures();
+    known.retain(|&(_, run)| runs.iter().any(|r| r.name == run));
+    let (joined, fixed) = against_known(found, known);
     assert!(
-        wrong.is_empty(),
-        "counters off tests/counter_census.txt: {wrong:#?}"
+        joined.is_empty() && fixed.is_empty(),
+        "findings not in tests/known_failures.txt: {joined:#?}\n\
+         known failures no run bears any more (delete them from \
+         tests/known_failures.txt): {fixed:#?}"
     );
 }
 
-/// ROADMAP 4i as a known failure that may only shrink: the quick packet
-/// runs that lose low-latency packets into dark circuits are exactly the
-/// runs `tests/dark_drop_runs.txt` lists, a name once per run that bears
-/// it (replicates share a name). A run that joins fails here; a run a fix
-/// takes off must be deleted from the file.
+/// ROADMAP 4i as a known failure that may only shrink: the packet runs
+/// that lose low-latency packets into dark circuits are exactly the
+/// `dark_drops` lines of `tests/known_failures.txt`, a line once per run
+/// that bears it (replicates share a name). A run that joins fails here; a
+/// run a fix takes off must be deleted from the file.
 #[test]
 fn dark_drop_runs_are_the_committed_list() {
     built();
-    let mut committed: Vec<&str> = include_str!("dark_drop_runs.txt")
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    let found = run_records()
+        .into_iter()
+        .filter_map(|r| {
+            let dark_drops = r.counter("dark_drops").filter(|&d| d > 0)?;
+            Some(format!("{}: dark_drops: {dark_drops}", r.name))
+        })
         .collect();
-    let mut joined = Vec::new();
-    for (run, dark_drops) in bench::dark_drop_runs() {
-        match committed.iter().position(|&c| c == run) {
-            Some(i) => {
-                committed.swap_remove(i);
-            }
-            None => joined.push((run, dark_drops)),
-        }
-    }
+    let mut known = bench::known_failures();
+    known.retain(|&(check, _)| check == "dark_drops");
+    let (joined, fixed) = against_known(found, known);
     assert!(
-        joined.is_empty() && committed.is_empty(),
+        joined.is_empty() && fixed.is_empty(),
         "runs that now drop into dark circuits, with their dark_drops: {joined:#?}\n\
-         runs that no longer do (delete them from tests/dark_drop_runs.txt): {committed:#?}"
+         runs that no longer do (delete them from tests/known_failures.txt): {fixed:#?}"
     );
 }
