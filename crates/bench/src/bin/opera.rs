@@ -24,7 +24,11 @@
 //!   ([`bench::scenario::Scenario::load`]) and run it through
 //!   [`bench::scenario::run_scenario`], with trace capture and jsonl ↔
 //!   pcapng reconciliation when the scenario requests traces; every
-//!   point's run is then held to the counter census ([`bench::judge`]).
+//!   point's run, named `scenario/<name>/<topology>/<policy>/…`, is then
+//!   held to the counter census ([`bench::judge`]). A point that
+//!   completes every flow must also drain by `run.duration_ms`, so give
+//!   it at least an RTT past its last completion, or the final ACKs
+//!   still in flight read as a `drained` finding.
 //! * `golden` — run every driver in the canonical quick mode and diff
 //!   its tables against `goldens/<driver>/`; `--bless` re-records them
 //!   (byte-idempotent on an unmodified tree).
@@ -330,7 +334,14 @@ fn run_scenario(mut args: Args) -> Result<(), Exit> {
             v.pcapng_packets, v.links, v.jsonl_records
         );
     }
-    bench::judge(&bench::run_records()).map_err(Exit::Failed)
+    judge()
+}
+
+/// Hold every packet run of this process to the counter census, run by
+/// run, less the known failures of those runs ([`bench::judge`]).
+fn judge() -> Result<(), Exit> {
+    let runs = bench::run_records();
+    bench::judge(bench::COUNTER_CENSUS, bench::known_failures(), &runs, false).map_err(Exit::Failed)
 }
 
 fn golden(mut args: Args) -> Result<(), Exit> {
@@ -422,7 +433,7 @@ fn spot_suite(mut args: Args) -> Result<(), Exit> {
         println!("# cost {name}: {cost}");
         tables.push(table);
     }
-    bench::judge(&bench::run_records()).map_err(Exit::Failed)?;
+    judge()?;
 
     let drifts = figures::golden_run(&tables, &meta, &root, bless)
         .map_err(|e| Exit::Failed(format!("{}: {e}", spot::DRIVER)))?;

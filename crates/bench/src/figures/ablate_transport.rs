@@ -108,7 +108,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
                 duration: SimTime::from_ms(40),
             };
             let victim = workload.1 == Workload::Victim;
-            let metrics = run_point(&pt, &mut rng, None, |t, r| metrics_of(t, &r, victim))
+            let metrics = run_point(&pt, "", &mut rng, None, |t, r| metrics_of(t, &r, victim))
                 .expect("an untraced run cannot fail");
             let key = [policy.0, transport.0, topology.0, workload.0].map(Cell::from);
             (key.to_vec(), metrics)

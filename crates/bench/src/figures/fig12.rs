@@ -7,11 +7,11 @@
 //! `--k K` to select the radix explicitly; otherwise quick mode uses
 //! `k = 8`, the default `k = 12`, and `--full` the paper's `k = 24`.
 
+use crate::cost_equivalent_expander;
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
 use flowsim::models::Demand;
 use flowsim::{clos_throughput, max_concurrent_flow, opera_model};
-use topo::cost::{expander_racks, expander_uplinks};
-use topo::expander::{ExpanderParams, ExpanderTopology};
+use topo::expander::ExpanderTopology;
 use topo::opera::{OperaParams, OperaTopology};
 use workloads::gen::ScenarioGen;
 
@@ -66,22 +66,9 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     // The cost-equivalent expander depends only on α (topology seed 7
     // is fixed), so build one instance per α instead of regenerating it
     // per (workload, α, replicate) inside the sweep closure.
-    let expanders: Vec<(usize, usize, ExpanderTopology)> = alphas
+    let expanders: Vec<ExpanderTopology> = alphas
         .iter()
-        .map(|&alpha| {
-            let u = expander_uplinks(alpha, k).clamp(3, k - 1);
-            let de = k - u;
-            let racks_e = expander_racks(hosts, k, u);
-            let exp = ExpanderTopology::generate(
-                ExpanderParams {
-                    racks: racks_e,
-                    uplinks: u,
-                    hosts_per_rack: de,
-                },
-                7,
-            );
-            (u, de, exp)
-        })
+        .map(|&alpha| cost_equivalent_expander(alpha, k, hosts, 7))
         .collect();
 
     // Hot-rack demands are closed-form (no RNG, replicate-independent)
@@ -91,16 +78,17 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
     let mut solved: Vec<(usize, f64)> = Vec::new();
     let hot_lambda: Vec<f64> = expanders
         .iter()
-        .map(|(u, de, exp)| {
-            if let Some(&(_, lambda)) = solved.iter().find(|(v, _)| v == u) {
+        .map(|exp| {
+            let (u, de) = (exp.params().uplinks, exp.params().hosts_per_rack);
+            if let Some(&(_, lambda)) = solved.iter().find(|&&(v, _)| v == u) {
                 return lambda;
             }
-            let demands = ScenarioGen::hotrack_demands(*de, rate);
+            let demands = ScenarioGen::hotrack_demands(de, rate);
             let tor: Vec<usize> = (0..exp.racks()).collect();
-            let cap = *de as f64 * rate;
+            let cap = de as f64 * rate;
             let lambda =
                 max_concurrent_flow(exp.graph(), &tor, &demands, rate, cap, mcf_iters).lambda;
-            solved.push((*u, lambda));
+            solved.push((u, lambda));
             lambda
         })
         .collect();
@@ -113,8 +101,8 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         let name = &WORKLOADS[wi];
         let alpha = alphas[ai];
         let o = &opera_side[wi][rc.rep];
-        let (_, de, exp) = &expanders[ai];
-        let de = *de;
+        let exp = &expanders[ai];
+        let de = exp.params().hosts_per_rack;
         let racks_e = exp.racks();
         let e = if *name == "hotrack" {
             hot_lambda[ai]

@@ -2,8 +2,6 @@
 //! expanders at several cost points α (Appendix C).
 
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
-use topo::cost::{expander_racks, expander_uplinks};
-use topo::expander::{ExpanderParams, ExpanderTopology};
 use topo::opera::{OperaParams, OperaTopology};
 
 /// Driver identity.
@@ -58,16 +56,7 @@ pub fn tables(ctx: &Ctx) -> Vec<Table> {
         Point::Expander { k, alpha } => {
             let racks = 3 * k * k / 4;
             let hosts = racks * k / 2;
-            let u = expander_uplinks(alpha, k).clamp(3, k - 1);
-            let r = expander_racks(hosts, k, u);
-            let e = ExpanderTopology::generate(
-                ExpanderParams {
-                    racks: r,
-                    uplinks: u,
-                    hosts_per_rack: k - u,
-                },
-                3,
-            );
+            let e = crate::cost_equivalent_expander(alpha, k, hosts, 3);
             let st = e.graph().path_length_stats();
             (
                 vec![

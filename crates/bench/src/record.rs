@@ -29,11 +29,9 @@ use simkit::engine::{EventContext, EventHandler, Simulator};
 use simkit::{SimRng, SimTime};
 use std::io;
 use std::path::Path;
-use topo::cost::{expander_racks, expander_uplinks};
 use topo::expander::{ExpanderParams, ExpanderTopology};
 use workloads::dists::{FlowSizeDist, Workload};
 use workloads::gen::{PoissonGen, ScenarioGen};
-use workloads::FlowSpec;
 
 /// Default trajectory file, at the workspace root next to `goldens/`.
 pub const DEFAULT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hot_paths.json");
@@ -134,18 +132,7 @@ fn fig08_shuffle_slice(full: bool) -> ScenarioResult {
         (opera_cfg(Scale::Quick), 4, SimTime::from_ms(20), 3)
     };
     cfg.bulk_threshold = 0; // application tags everything bulk (§3.4)
-    let hosts = cfg.hosts();
-    let mut flows = Vec::with_capacity(hosts * peers);
-    for src in 0..hosts {
-        for k in 1..=peers {
-            flows.push(FlowSpec {
-                src,
-                dst: (src + k * (hosts / peers + 1)) % hosts,
-                size: 100_000,
-                start: SimTime::ZERO,
-            });
-        }
-    }
+    let flows = crate::ring_shuffle(cfg.hosts(), peers);
     measure_net("fig08_shuffle_slice", samples, horizon, move || {
         opera::opera_net::build(cfg, flows.clone())
     })
@@ -241,18 +228,9 @@ fn mcf_sweep_warm(full: bool) -> ScenarioResult {
     let points: Vec<(usize, usize, ExpanderTopology)> = alphas
         .iter()
         .map(|&alpha| {
-            let u = expander_uplinks(alpha, k).clamp(3, k - 1);
-            let de = k - u;
-            let racks_e = expander_racks(hosts, k, u);
-            let exp = ExpanderTopology::generate(
-                ExpanderParams {
-                    racks: racks_e,
-                    uplinks: u,
-                    hosts_per_rack: de,
-                },
-                7,
-            );
-            (u, de, exp)
+            let exp = crate::cost_equivalent_expander(alpha, k, hosts, 7);
+            let p = exp.params();
+            (p.uplinks, p.hosts_per_rack, exp)
         })
         .collect();
     let demand_sets: Vec<(Vec<flowsim::models::Demand>, Vec<usize>, f64)> = points

@@ -468,9 +468,11 @@ pub struct ScenarioReport {
 
 /// Run `pt`: build its network, offer it the workload (drawn from
 /// `rng`), run it under `trace` through [`crate::run_net`], and `read` the
-/// result off its flow tracker and the run's record.
+/// result off its flow tracker and the run's record. The run is named
+/// `<scope><topology>/<policy>/<transport>/<workload>/<n> senders`.
 pub(crate) fn run_point<T>(
     pt: &ScenarioPoint,
+    scope: &str,
     rng: &mut SimRng,
     trace: Option<Box<dyn TraceSink>>,
     read: impl FnOnce(&FlowTracker, RunRecord) -> T,
@@ -482,7 +484,7 @@ pub(crate) fn run_point<T>(
             cfg.queues = queues;
             cfg.transport = pt.transport.1;
             let no_hellos = |net: &mut OperaLogic| net.set_hello_enabled(false);
-            run_on(cfg, no_hellos, pt, rng, trace, read)
+            run_on(cfg, no_hellos, pt, scope, rng, trace, read)
         }
         Topology::Static(base) => {
             let cfg = StaticNetConfig {
@@ -490,7 +492,7 @@ pub(crate) fn run_point<T>(
                 transport: pt.transport.1,
                 ..base
             };
-            run_on(cfg, |_: &mut StaticLogic| {}, pt, rng, trace, read)
+            run_on(cfg, |_: &mut StaticLogic| {}, pt, scope, rng, trace, read)
         }
     }
 }
@@ -501,6 +503,7 @@ fn run_on<N: PacketNet, T>(
     cfg: N::Config,
     quiet: impl FnOnce(&mut N),
     pt: &ScenarioPoint,
+    scope: &str,
     rng: &mut SimRng,
     trace: Option<Box<dyn TraceSink>>,
     read: impl FnOnce(&FlowTracker, RunRecord) -> T,
@@ -512,7 +515,7 @@ fn run_on<N: PacketNet, T>(
         sim.world.fabric.set_trace(sink);
     }
     let name = format_args!(
-        "{}/{}/{}/{}/{} senders",
+        "{scope}{}/{}/{}/{}/{} senders",
         pt.topology.0, pt.policy.0, pt.transport.0, pt.workload.0, pt.senders
     );
     let record = crate::run_net(&mut sim, pt.duration, name);
@@ -532,6 +535,9 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
     let trace_jsonl = sc.trace.jsonl.as_ref().map(|f| out_dir.join(f));
     let trace_pcapng = sc.trace.pcapng.as_ref().map(|f| out_dir.join(f));
 
+    // Named under the scenario, so no known failure of another run
+    // excuses one of its points.
+    let scope = format!("scenario/{}/", sc.name);
     let mut results = Vec::with_capacity(sc.points.len());
     for (idx, pt) in sc.points.iter().enumerate() {
         // Tracing is only legal on single-point scenarios (enforced at
@@ -549,7 +555,9 @@ pub fn run_scenario(sc: &Scenario, out_dir: &Path) -> Result<ScenarioReport, Str
             None
         };
         let mut rng = SimRng::new(sc.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        results.push(run_point(pt, &mut rng, sink, |t, r| (metrics_of(t), r))?);
+        results.push(run_point(pt, &scope, &mut rng, sink, |t, r| {
+            (metrics_of(t), r)
+        })?);
     }
 
     let csv = out_dir.join(format!("{}.csv", sc.name));

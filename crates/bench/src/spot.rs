@@ -23,7 +23,8 @@
 //! its table, so the nightly log records what paper scale costs. Its
 //! packet runs go through [`crate::run_net`], and `opera spot` holds
 //! their records to the counter census ([`crate::judge`]): a finding not
-//! in `tests/known_failures.txt` fails it as a drift does.
+//! in `tests/known_failures.txt`, or a line there for a spot run that no
+//! finding uses any more, fails it as a drift does.
 
 use crate::{clos_cfg, opera_cfg};
 use expt::{f, f2, Cell, Scale, Table};
@@ -34,8 +35,6 @@ use opera::static_net::StaticLogic;
 use opera::PacketNet;
 use simkit::stats::nearest_rank;
 use simkit::SimTime;
-use topo::cost::{expander_racks, expander_uplinks};
-use topo::expander::{ExpanderParams, ExpanderTopology};
 use topo::opera::{OperaParams, OperaTopology};
 use workloads::dists::{FlowSizeDist, Workload};
 use workloads::gen::{PoissonGen, ScenarioGen};
@@ -126,20 +125,7 @@ fn fct_summary(tracker: &FlowTracker) -> (f64, f64, f64) {
 /// circuit scheduling without fig08's full 648 × 647 flow matrix.
 fn shuffle_648() -> Table {
     const SHUFFLE_PEERS: usize = 16;
-    let flows = |hosts| {
-        let mut flows = Vec::with_capacity(hosts * SHUFFLE_PEERS);
-        for src in 0..hosts {
-            for k in 1..=SHUFFLE_PEERS {
-                flows.push(FlowSpec {
-                    src,
-                    dst: (src + k * (hosts / SHUFFLE_PEERS + 1)) % hosts,
-                    size: 100_000,
-                    start: SimTime::ZERO,
-                });
-            }
-        }
-        flows
-    };
+    let flows = |hosts| crate::ring_shuffle(hosts, SHUFFLE_PEERS);
     bulk_shuffle(
         "shuffle_648",
         SimTime::from_ms(120),
@@ -232,19 +218,10 @@ fn fig12_k24() -> Table {
     let o_a2a = opera_model(&opera, &a2a, rate, duty, true).throughput_fraction();
 
     // Cost-equivalent expander at α = 1.0, as fig12 builds it.
-    let u = expander_uplinks(ALPHA, K).clamp(3, K - 1);
-    let de = K - u;
-    let racks_e = expander_racks(hosts, K, u);
-    let exp = ExpanderTopology::generate(
-        ExpanderParams {
-            racks: racks_e,
-            uplinks: u,
-            hosts_per_rack: de,
-        },
-        7,
-    );
+    let exp = crate::cost_equivalent_expander(ALPHA, K, hosts, 7);
+    let de = exp.params().hosts_per_rack;
     let demands_e = ScenarioGen::hotrack_demands(de, rate);
-    let tor: Vec<usize> = (0..racks_e).collect();
+    let tor: Vec<usize> = (0..exp.racks()).collect();
     let e = McfSolver::new(exp.graph())
         .solve(&tor, &demands_e, rate, de as f64 * rate, 60)
         .lambda;

@@ -196,27 +196,9 @@ fn ledger_census() {
     );
 }
 
-/// The findings of `found` that `known` (`(check, run)`, a line once per
-/// run that bears it) does not list, and the lines of `known` left over.
-fn against_known<'a>(
-    found: Vec<String>,
-    mut known: Vec<(&'a str, &'a str)>,
-) -> (Vec<String>, Vec<(&'a str, &'a str)>) {
-    let mut joined = Vec::new();
-    for f in found {
-        match known.iter().position(|&k| bench::is_known(&f, k)) {
-            Some(i) => {
-                known.swap_remove(i);
-            }
-            None => joined.push(f),
-        }
-    }
-    (joined, known)
-}
-
 /// ROADMAP 18's counter census over every packet run of this binary, the
 /// quick drivers' and the benchmark [`mirror`]'s, as one suite
-/// ([`bench::census`]): each counter `tests/counter_census.txt` names
+/// ([`bench::judge`]): each counter `tests/counter_census.txt` names
 /// reads 0 on every run whose network has it (`zero`), or more than 0 on
 /// at least one run (`some`); a row with a fourth field holds only the
 /// runs whose name contains it, and at least one must. The findings are
@@ -227,19 +209,11 @@ fn against_known<'a>(
 #[test]
 fn counter_census() {
     built();
-    let runs = run_records();
-    let found = bench::census(bench::COUNTER_CENSUS, &runs, true);
     // Lines for runs this binary does not make (`spot/…`) are held by
     // the command that makes them.
-    let mut known = bench::known_failures();
-    known.retain(|&(_, run)| runs.iter().any(|r| r.name == run));
-    let (joined, fixed) = against_known(found, known);
-    assert!(
-        joined.is_empty() && fixed.is_empty(),
-        "findings not in tests/known_failures.txt: {joined:#?}\n\
-         known failures no run bears any more (delete them from \
-         tests/known_failures.txt): {fixed:#?}"
-    );
+    let runs = run_records();
+    bench::judge(bench::COUNTER_CENSUS, bench::known_failures(), &runs, true)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// ROADMAP 4i as a known failure that may only shrink: the packet runs
@@ -259,10 +233,10 @@ fn dark_drop_runs_are_the_committed_list() {
         .collect();
     let mut known = bench::known_failures();
     known.retain(|&(check, _)| check == "dark_drops");
-    let (joined, fixed) = against_known(found, known);
+    let off = bench::against_known(found, known);
     assert!(
-        joined.is_empty() && fixed.is_empty(),
-        "runs that now drop into dark circuits, with their dark_drops: {joined:#?}\n\
-         runs that no longer do (delete them from tests/known_failures.txt): {fixed:#?}"
+        off.is_empty(),
+        "runs that now drop into dark circuits, with their dark_drops, and runs \
+         that no longer do: {off:#?}"
     );
 }
