@@ -3,10 +3,9 @@
 //! trace reconciliation.
 //!
 //! A scenario file describes one simulation setup — topology, workload,
-//! switch policy, transport, run length and trace outputs — in TOML or
-//! JSON. Both forms become one [`Json`] tree ([`parse_toml`] is the TOML
-//! adapter) and are read by the harness's one strict decoder,
-//! [`expt::json::Fields`]: an unknown table or key is a named error, so a
+//! switch policy, transport, run length and trace outputs — as a JSON
+//! document, read by the harness's one strict decoder,
+//! [`expt::json::Fields`]: an unknown object or key is a named error, so a
 //! typo'd `policiy` cannot silently select a default. Each name is looked
 //! up where it is read, in its vocabulary ([`topologies`], [`workloads()`],
 //! [`policies`], [`transports`]: one table each, which
@@ -26,7 +25,7 @@
 //! JSON-lines `tx` record counts, link for link.
 
 use crate::RunRecord;
-use expt::json::{parse_toml, Fields, Json, OneOrMany};
+use expt::json::{Fields, Json, OneOrMany};
 use expt::output::write_atomic;
 use expt::{f2, Cell, Table};
 use netsim::fabric::QueueConfig;
@@ -69,13 +68,13 @@ pub const MAX_POINTS: usize = 10_000;
 pub const MAX_RACKS: usize = 432;
 
 /// Largest per-flow payload a scenario may ask for, in bytes
-/// (`workload.flow_bytes`; `workload.flow_kb` is bounded at a thousandth of
-/// it): ten times the largest flow of the paper's workloads (Figure 1's
-/// 1 GB). A low-latency flow keeps two segment bitmaps, the sender's and
-/// the receiver's, each `segments / 8` bytes and allocated when it starts
-/// (870 kB at the bound, in 1 436-byte segments), and its segment count is
-/// a `u32`: a flow of 6.2 TB would wrap it and run short without a word.
-/// So the size is bounded where it is read.
+/// (`workload.flow_kb` is bounded at a thousandth of it): ten times the
+/// largest flow of the paper's workloads (Figure 1's 1 GB). A low-latency
+/// flow keeps two segment bitmaps, the sender's and the receiver's, each
+/// `segments / 8` bytes and allocated when it starts (870 kB at the bound,
+/// in 1 436-byte segments), and its segment count is a `u32`: a flow of
+/// 6.2 TB would wrap it and run short without a word. So the size is
+/// bounded where it is read.
 pub const MAX_FLOW_BYTES: u64 = 10_000_000_000;
 
 /// A vocabulary entry: a name a scenario may use, and what it stands for.
@@ -250,28 +249,26 @@ pub struct ScenarioPoint {
 }
 
 impl Scenario {
-    /// Load a scenario from `path`, dispatching on the `.toml` / `.json`
-    /// extension.
+    /// Load a scenario from `path`, a `.json` file.
     pub fn load(path: &Path) -> Result<Scenario, String> {
         let named = |e: String| format!("{}: {e}", path.display());
+        let extension = path.extension().and_then(|e| e.to_str());
+        if extension != Some("json") {
+            return Err(named(format!(
+                "{DOC}: unsupported extension {extension:?} (want .json)"
+            )));
+        }
         let text = std::fs::read_to_string(path).map_err(|e| named(e.to_string()))?;
         let stem = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "scenario".into());
-        let doc = match path.extension().and_then(|e| e.to_str()) {
-            Some("toml") => parse_toml(&text),
-            Some("json") => Json::parse(&text),
-            other => Err(format!(
-                "unsupported extension {other:?} (want .toml or .json)"
-            )),
-        }
-        .map_err(|e| named(format!("{DOC}: {e}")))?;
+        let doc = Json::parse(&text).map_err(|e| named(format!("{DOC}: {e}")))?;
         Scenario::from_doc(&doc, &stem).map_err(named)
     }
 
-    /// Decode a scenario from a parsed document tree (the common TOML/JSON
-    /// path). `default_name` is used when the file has no `name` key.
+    /// Decode a scenario from a parsed document tree. `default_name` is
+    /// used when the file has no `name` key.
     pub fn from_doc(doc: &Json, default_name: &str) -> Result<Scenario, String> {
         let mut top = Fields::new(DOC, doc)?;
         let mut topo = top.req_obj("topology")?;
@@ -314,20 +311,11 @@ impl Scenario {
         if workload.1 == Workload::Incast && senders.contains(&0) {
             return Err(wl.bad("senders", "0 senders offer no flow on workload \"incast\""));
         }
-        let flow_bytes = match (wl.opt::<u64>("flow_kb")?, wl.opt::<u64>("flow_bytes")?) {
-            (Some(_), Some(_)) => {
-                return Err(wl.bad("flow_kb", "give `flow_kb` or `flow_bytes`, not both"))
-            }
-            (Some(kb), None) if kb > MAX_FLOW_BYTES / 1000 => {
-                return Err(wl.bad("flow_kb", format!("{kb} is over {}", MAX_FLOW_BYTES / 1000)))
-            }
-            (Some(kb), None) => kb * 1000,
-            (None, Some(b)) if b > MAX_FLOW_BYTES => {
-                return Err(wl.bad("flow_bytes", format!("{b} is over {MAX_FLOW_BYTES}")))
-            }
-            (None, Some(b)) => b,
-            (None, None) => return Err(wl.bad("flow_kb", "missing (or give `flow_bytes`)")),
-        };
+        let flow_kb: u64 = wl.req("flow_kb")?;
+        if flow_kb > MAX_FLOW_BYTES / 1000 {
+            let what = format!("{flow_kb} is over {}", MAX_FLOW_BYTES / 1000);
+            return Err(wl.bad("flow_kb", what));
+        }
         let duration = (run.req::<u64>("duration_ms")?)
             .checked_mul(NS_PER_MS)
             .map(SimTime::from_ns)
@@ -381,7 +369,7 @@ impl Scenario {
                         transport,
                         workload,
                         senders,
-                        flow_bytes,
+                        flow_bytes: flow_kb * 1000,
                         duration,
                     });
                 }
@@ -703,33 +691,20 @@ mod tests {
         d
     }
 
-    const EXAMPLE: &str = r#"
-# A scenario with every section.
-name = "demo"
+    /// A scenario with every section but `trace`, two axes of two.
+    const SWEEP: &str = r#"{
+        "name": "demo",
+        "topology": {"kind": "opera", "racks": 8},
+        "workload": {"kind": "incast", "senders": [4, 8], "flow_kb": 15},
+        "switch": {"policy": ["ndp_trim", "droptail"]},
+        "transport": {"kind": "ndp"},
+        "run": {"duration_ms": 40, "seed": 3}
+    }"#;
 
-[topology]
-kind = "opera"
-racks = 8
-
-[workload]
-kind = "incast"
-senders = [4, 8]   # axis
-flow_kb = 15
-
-[switch]
-policy = ["ndp_trim", "droptail"]
-
-[transport]
-kind = "ndp"
-
-[run]
-duration_ms = 40
-seed = 3
-"#;
-
-    fn toml(from: &str, to: &str) -> Result<Scenario, String> {
-        assert!(EXAMPLE.contains(from), "EXAMPLE lost {from}");
-        Scenario::from_doc(&parse_toml(&EXAMPLE.replace(from, to)).unwrap(), "x")
+    /// [`SWEEP`] with `from` replaced by `to`, decoded.
+    fn sweep(from: &str, to: &str) -> Result<Scenario, String> {
+        assert!(SWEEP.contains(from), "SWEEP lost {from}");
+        Scenario::from_doc(&Json::parse(&SWEEP.replace(from, to)).unwrap(), "x")
     }
 
     fn racks(sc: &Scenario) -> Option<usize> {
@@ -740,8 +715,8 @@ seed = 3
     }
 
     #[test]
-    fn toml_example_parses_and_sweeps() {
-        let sc = toml("racks = 8", "racks = 16").unwrap();
+    fn a_sweep_parses_in_driver_order() {
+        let sc = sweep(r#""racks": 8"#, r#""racks": 16"#).unwrap();
         assert_eq!(sc.name, "demo");
         assert_eq!((sc.points[0].topology.0, racks(&sc)), ("opera", Some(16)));
         assert_eq!(sc.points[0].flow_bytes, 15_000);
@@ -754,11 +729,11 @@ seed = 3
     }
 
     #[test]
-    fn json_form_parses_identically() {
+    fn a_traced_single_point_parses() {
         let json = r#"{
             "name": "demo",
             "topology": {"kind": "expander"},
-            "workload": {"kind": "victim", "senders": 8, "flow_bytes": 30000},
+            "workload": {"kind": "victim", "senders": 8, "flow_kb": 30},
             "switch": {"policy": "pfc"},
             "transport": {"kind": "gbn"},
             "run": {"duration_ms": 10, "seed": 1},
@@ -774,16 +749,16 @@ seed = 3
 
     #[test]
     fn unknown_keys_are_named_errors() {
-        let err = toml("[switch]", "[snitch]").unwrap_err();
+        let err = sweep(r#""switch""#, r#""snitch""#).unwrap_err();
         assert!(err.contains("snitch"), "{err}");
-        let err = toml("racks = 8", "rakcs = 8").unwrap_err();
+        let err = sweep(r#""racks""#, r#""rakcs""#).unwrap_err();
         assert!(err.contains("rakcs"), "{err}");
     }
 
     #[test]
     fn missing_required_fields_are_errors() {
         assert_eq!(
-            toml("kind = \"incast\"", "").unwrap_err(),
+            sweep(r#""kind": "incast", "#, "").unwrap_err(),
             "scenario: workload.kind: missing (keys present: flow_kb, senders)"
         );
     }
@@ -808,11 +783,11 @@ seed = 3
              [\"ndp\", \"dctcp\", \"gbn\"]"
         );
         assert_eq!(
-            toml("kind = \"incast\"", "kind = \"flood\"").unwrap_err(),
+            sweep(r#""incast""#, r#""flood""#).unwrap_err(),
             "scenario: workload.kind: unknown workload \"flood\"; known workloads: \
              [\"incast\", \"victim\"]"
         );
-        let err = toml("\"droptail\"]", "\"droptail\", \"red\"]").unwrap_err();
+        let err = sweep(r#""droptail"]"#, r#""droptail", "red"]"#).unwrap_err();
         assert!(err.starts_with("scenario: switch.policy: unknown switch policy \"red\""));
     }
 
@@ -822,11 +797,12 @@ seed = 3
     fn racks_are_checked_against_their_topology() {
         let not_a_multiple = "scenario: topology.racks: 6 is not a positive multiple of the 4 \
                               uplinks of topology \"opera\"";
-        assert_eq!(toml("racks = 8", "racks = 6").unwrap_err(), not_a_multiple);
-        let err = toml("racks = 8", "racks = 0").unwrap_err();
+        let racks_to = |n: &str| sweep(r#""racks": 8"#, &format!(r#""racks": {n}"#));
+        assert_eq!(racks_to("6").unwrap_err(), not_a_multiple);
+        let err = racks_to("0").unwrap_err();
         assert!(err.contains("0 is not a positive multiple"), "{err}");
         assert_eq!(
-            toml("kind = \"opera\"", "kind = \"clos\"").unwrap_err(),
+            sweep(r#""opera""#, r#""clos""#).unwrap_err(),
             "scenario: topology.racks: accepted only by topologies \"opera\" and \
              \"opera_paper\"; \"clos\" has a fixed size"
         );
@@ -874,22 +850,19 @@ seed = 3
     #[test]
     fn an_incast_of_no_senders_is_an_error() {
         let err = "scenario: workload.senders: 0 senders offer no flow on workload \"incast\"";
-        assert_eq!(
-            toml("senders = [4, 8]", "senders = [4, 0]").unwrap_err(),
-            err
-        );
-        assert_eq!(toml("senders = [4, 8]", "senders = 0").unwrap_err(), err);
-        let victim = toml(
-            "kind = \"incast\"\nsenders = [4, 8]",
-            "kind = \"victim\"\nsenders = 0",
+        assert_eq!(sweep("[4, 8]", "[4, 0]").unwrap_err(), err);
+        assert_eq!(sweep("[4, 8]", "0").unwrap_err(), err);
+        let victim = sweep(
+            r#""incast", "senders": [4, 8]"#,
+            r#""victim", "senders": 0"#,
         );
         assert_eq!(victim.unwrap().points[0].senders, 0);
     }
 
     /// Lengths and durations taken from the file are bounded where they
-    /// are read, in both spellings: a duration that would wrap the
-    /// nanosecond clock, and sender / rack counts that would be allocated
-    /// for, are named errors; the largest legal values parse.
+    /// are read: a duration that would wrap the nanosecond clock, and
+    /// sender / rack counts that would be allocated for, are named errors;
+    /// the largest legal values parse.
     #[test]
     fn hostile_lengths_and_durations_are_named_errors() {
         let json = |topology: &str, senders: &str, duration_ms: &str| {
@@ -904,8 +877,6 @@ seed = 3
         let too_long = "scenario: run.duration_ms: too large";
         for ms in ["18446744073710", "18446744073709551615"] {
             assert_eq!(json("", "2", ms).unwrap_err(), too_long);
-            let line = format!("duration_ms = {ms}");
-            assert_eq!(toml("duration_ms = 40", &line).unwrap_err(), too_long);
         }
         let longest = json("", "2", "18446744073709").unwrap().points[0].duration;
         assert_eq!(longest.as_ns(), 18_446_744_073_709_000_000);
@@ -913,8 +884,6 @@ seed = 3
         let many = "scenario: workload.senders: 1000000000000 is over 100000";
         assert_eq!(json("", "1000000000000", "5").unwrap_err(), many);
         assert_eq!(json("", "[2, 1000000000000]", "5").unwrap_err(), many);
-        let line = "senders = [4, 1_000_000_000_000]";
-        assert_eq!(toml("senders = [4, 8]", line).unwrap_err(), many);
         assert_eq!(
             json("", "100000", "5").unwrap().points[0].senders,
             MAX_SENDERS
@@ -925,8 +894,8 @@ seed = 3
             json(r#", "racks": 4000000000"#, "2", "5").unwrap_err(),
             wide
         );
-        assert_eq!(toml("racks = 8", "racks = 4000000000").unwrap_err(), wide);
-        assert_eq!(racks(&toml("racks = 8", "racks = 432").unwrap()), Some(432));
+        let most = json(r#", "racks": 432"#, "2", "5").unwrap();
+        assert_eq!(racks(&most), Some(MAX_RACKS));
     }
 
     /// A sweep is the product of three axes whose lengths only the file
@@ -963,9 +932,9 @@ seed = 3
         assert_eq!(json(2, 1, 5000).unwrap().points.len(), MAX_POINTS);
     }
 
-    /// A flow size is bounded where it is read, in both fields and both
-    /// spellings: 6.2 TB used to wrap the transports' `u32` segment count
-    /// and run 0 of 8 flows to exit 0. The bound itself parses.
+    /// A flow size is bounded where it is read: 6.2 TB used to wrap the
+    /// transports' `u32` segment count and run 0 of 8 flows to exit 0. The
+    /// bound itself parses, and `flow_kb` is the one way to give a size.
     #[test]
     fn hostile_flow_sizes_are_named_errors() {
         let json = |size: &str| {
@@ -979,33 +948,23 @@ seed = 3
         };
         let kb = "scenario: workload.flow_kb: 6200000000 is over 10000000";
         assert_eq!(json(r#""flow_kb": 6200000000"#).unwrap_err(), kb);
-        assert_eq!(
-            toml("flow_kb = 15", "flow_kb = 6_200_000_000").unwrap_err(),
-            kb
-        );
         let wraps = "scenario: workload.flow_kb: 18446744073709551615 is over 10000000";
-        let line = "flow_kb = 18446744073709551615";
-        assert_eq!(toml("flow_kb = 15", line).unwrap_err(), wraps);
-        let bytes = "scenario: workload.flow_bytes: 10000000001 is over 10000000000";
-        assert_eq!(json(r#""flow_bytes": 10000000001"#).unwrap_err(), bytes);
-        let line = "flow_bytes = 10_000_000_001";
-        assert_eq!(toml("flow_kb = 15", line).unwrap_err(), bytes);
-
+        let max = r#""flow_kb": 18446744073709551615"#;
+        assert_eq!(json(max).unwrap_err(), wraps);
         assert_eq!(
             json(r#""flow_kb": 10000000"#).unwrap().points[0].flow_bytes,
             MAX_FLOW_BYTES
         );
-        let line = "flow_bytes = 10_000_000_000";
-        assert_eq!(
-            toml("flow_kb = 15", line).unwrap().points[0].flow_bytes,
-            MAX_FLOW_BYTES
-        );
+        let alias = "scenario: workload: unknown key \"flow_bytes\" (known: flow_kb, kind, \
+                     senders)";
+        let both = r#""flow_kb": 15, "flow_bytes": 15000"#;
+        assert_eq!(json(both).unwrap_err(), alias);
     }
 
     #[test]
     fn tracing_rejects_multi_point_scenarios() {
-        let text = format!("{EXAMPLE}\n[trace]\njsonl = \"t.jsonl\"\n");
-        let err = Scenario::from_doc(&parse_toml(&text).unwrap(), "x").unwrap_err();
+        let traced = r#""trace": {"jsonl": "t.jsonl"}, "run""#;
+        let err = sweep(r#""run""#, traced).unwrap_err();
         assert!(err.contains("single-point"), "{err}");
     }
 

@@ -418,26 +418,55 @@ fn orchestrate_refuses_a_tree_of_another_run() {
 
 #[test]
 fn run_scenario_missing_file_is_exit_2() {
-    let out = run(&["run-scenario", "/nonexistent/never.toml"]);
+    let out = run(&["run-scenario", "/nonexistent/never.json"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
     assert!(
-        stderr_of(&out).contains("never.toml"),
+        stderr_of(&out).contains("never.json"),
         "{}",
         stderr_of(&out)
     );
 }
 
+/// JSON is the one scenario syntax: a file of any other extension is one
+/// exit-2 line naming it and `.json`, before it is read, and nothing is
+/// written.
+#[test]
+fn run_scenario_of_another_extension_is_exit_2() {
+    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.json")).unwrap();
+    let dir = scratch("extension");
+    for file in ["smoke.toml", "smoke.JSON", "smoke"] {
+        let sc = dir.join(file);
+        std::fs::write(&sc, &smoke).unwrap();
+        let out = dir.join("out");
+        let out = run(&[
+            "run-scenario",
+            sc.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{file}: {err}");
+        assert!(
+            err.contains(file) && err.contains("want .json"),
+            "{file}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{file}: not one line: {err}");
+        assert!(out.stdout.is_empty(), "{file} ran something");
+        assert!(!dir.join("out").exists(), "{file}: something was written");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn run_scenario_unknown_policy_is_exit_2_before_running() {
     let dir = scratch("bad-policy");
-    let sc = dir.join("bad.toml");
+    let sc = dir.join("bad.json");
     std::fs::write(
         &sc,
-        "[topology]\nkind = \"expander\"\n\
-         [workload]\nkind = \"incast\"\nsenders = 2\nflow_kb = 6\n\
-         [switch]\npolicy = \"redlight\"\n\
-         [transport]\nkind = \"ndp\"\n\
-         [run]\nduration_ms = 5\nseed = 1\n",
+        r#"{"topology": {"kind": "expander"},
+            "workload": {"kind": "incast", "senders": 2, "flow_kb": 6},
+            "switch": {"policy": "redlight"}, "transport": {"kind": "ndp"},
+            "run": {"duration_ms": 5, "seed": 1}}"#,
     )
     .unwrap();
     let out = run(&[
@@ -460,14 +489,13 @@ fn run_scenario_unknown_policy_is_exit_2_before_running() {
 #[test]
 fn run_scenario_unknown_key_is_exit_2() {
     let dir = scratch("bad-key");
-    let sc = dir.join("typo.toml");
+    let sc = dir.join("typo.json");
     std::fs::write(
         &sc,
-        "[topology]\nkind = \"expander\"\n\
-         [workload]\nkind = \"incast\"\nsenders = 2\nflow_kb = 6\n\
-         [switch]\npoliciy = \"ndp_trim\"\n\
-         [transport]\nkind = \"ndp\"\n\
-         [run]\nduration_ms = 5\nseed = 1\n",
+        r#"{"topology": {"kind": "expander"},
+            "workload": {"kind": "incast", "senders": 2, "flow_kb": 6},
+            "switch": {"policiy": "ndp_trim"}, "transport": {"kind": "ndp"},
+            "run": {"duration_ms": 5, "seed": 1}}"#,
     )
     .unwrap();
     let out = run(&[
@@ -487,30 +515,30 @@ fn run_scenario_unknown_key_is_exit_2() {
 /// (it used to run the 8-rack expander and exit 0), are exit-2 errors.
 #[test]
 fn run_scenario_bad_racks_is_exit_2_before_running() {
-    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.toml")).unwrap();
+    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.json")).unwrap();
     let dir = scratch("bad-racks");
     for (tag, from, to, explains) in [
         (
             "seven",
-            "racks = 8",
-            "racks = 7",
+            r#""racks": 8"#,
+            r#""racks": 7"#,
             "multiple of the 4 uplinks",
         ),
         (
             "zero",
-            "racks = 8",
-            "racks = 0",
+            r#""racks": 8"#,
+            r#""racks": 0"#,
             "multiple of the 4 uplinks",
         ),
         (
             "fixed",
-            "kind = \"opera\"\nracks = 8",
-            "kind = \"expander\"\nracks = 16",
+            r#""kind": "opera", "racks": 8"#,
+            r#""kind": "expander", "racks": 16"#,
             "\"opera\" and \"opera_paper\"",
         ),
     ] {
-        assert!(smoke.contains(from), "incast_smoke.toml changed shape");
-        let sc = dir.join(format!("{tag}.toml"));
+        assert!(smoke.contains(from), "incast_smoke.json changed shape");
+        let sc = dir.join(format!("{tag}.json"));
         std::fs::write(&sc, smoke.replace(from, to)).unwrap();
         let out = run(&[
             "run-scenario",
@@ -535,11 +563,11 @@ fn run_scenario_bad_racks_is_exit_2_before_running() {
 /// for 0.45 ms and exit 0 (or panic in a debug build), sender / rack
 /// counts in the billions used to abort on a failed allocation, and a
 /// 6.2 TB flow wrapped its `u32` segment count and ran 0 of 8 flows to
-/// exit 0. Each is one exit-2 line naming the file and the field, in both
-/// spellings.
+/// exit 0. Each is one exit-2 line naming the file and the field, whether
+/// it is far past its bound or one past it.
 #[test]
 fn run_scenario_hostile_lengths_are_exit_2_before_running() {
-    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.toml")).unwrap();
+    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.json")).unwrap();
     let json = |racks: &str, senders: &str, duration_ms: &str| {
         format!(
             r#"{{"name": "incast_smoke",
@@ -549,8 +577,8 @@ fn run_scenario_hostile_lengths_are_exit_2_before_running() {
                 "run": {{"duration_ms": {duration_ms}}}}}"#
         )
     };
-    let toml = |from: &str, to: &str| {
-        assert!(smoke.contains(from), "incast_smoke.toml changed shape");
+    let edit = |from: &str, to: &str| {
+        assert!(smoke.contains(from), "incast_smoke.json changed shape");
         smoke.replace(from, to)
     };
     let dir = scratch("hostile-lengths");
@@ -561,8 +589,11 @@ fn run_scenario_hostile_lengths_are_exit_2_before_running() {
             "run.duration_ms: too large",
         ),
         (
-            "max.toml",
-            toml("duration_ms = 40", "duration_ms = 18446744073709551615"),
+            "max.json",
+            edit(
+                r#""duration_ms": 40"#,
+                r#""duration_ms": 18446744073709551615"#,
+            ),
             "run.duration_ms: too large",
         ),
         (
@@ -571,8 +602,8 @@ fn run_scenario_hostile_lengths_are_exit_2_before_running() {
             "workload.senders: 1000000000000 is over",
         ),
         (
-            "senders.toml",
-            toml("senders = 8", "senders = [8, 1000000000000]"),
+            "senders_axis.json",
+            edit(r#""senders": 8"#, r#""senders": [8, 1000000000000]"#),
             "workload.senders: 1000000000000 is over",
         ),
         (
@@ -581,9 +612,9 @@ fn run_scenario_hostile_lengths_are_exit_2_before_running() {
             "topology.racks: 4000000000 is over",
         ),
         (
-            "racks.toml",
-            toml("racks = 8", "racks = 4000000000"),
-            "topology.racks: 4000000000 is over",
+            "racks_433.json",
+            edit(r#""racks": 8"#, r#""racks": 433"#),
+            "topology.racks: 433 is over",
         ),
         (
             "flow.json",
@@ -591,9 +622,9 @@ fn run_scenario_hostile_lengths_are_exit_2_before_running() {
             "workload.flow_kb: 6200000000 is over",
         ),
         (
-            "flow.toml",
-            toml("flow_kb = 15", "flow_bytes = 6200000000000"),
-            "workload.flow_bytes: 6200000000000 is over",
+            "flow_bound.json",
+            edit(r#""flow_kb": 15"#, r#""flow_kb": 10000001"#),
+            "workload.flow_kb: 10000001 is over",
         ),
     ] {
         let sc = dir.join(file);
@@ -668,14 +699,12 @@ fn run_scenario_paths_outside_out_are_exit_2() {
 /// flow, and runs.
 #[test]
 fn run_scenario_incast_of_no_senders_is_exit_2() {
-    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.toml")).unwrap();
-    assert!(
-        smoke.contains("senders = 8"),
-        "incast_smoke.toml changed shape"
-    );
+    let smoke = std::fs::read_to_string(scenarios_dir().join("incast_smoke.json")).unwrap();
+    let (eight, none) = (r#""senders": 8"#, r#""senders": 0"#);
+    assert!(smoke.contains(eight), "incast_smoke.json changed shape");
     let dir = scratch("no-senders");
-    let sc = dir.join("none.toml");
-    std::fs::write(&sc, smoke.replace("senders = 8", "senders = 0")).unwrap();
+    let sc = dir.join("none.json");
+    std::fs::write(&sc, smoke.replace(eight, none)).unwrap();
     let out = run(&[
         "run-scenario",
         sc.to_str().unwrap(),
@@ -685,14 +714,14 @@ fn run_scenario_incast_of_no_senders_is_exit_2() {
     let err = stderr_of(&out);
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(
-        err.contains("none.toml: scenario: workload.senders: "),
+        err.contains("none.json: scenario: workload.senders: "),
         "{err}"
     );
     assert!(!dir.join("incast_smoke").exists(), "something ran");
 
     let victim = smoke
-        .replace("kind = \"incast\"", "kind = \"victim\"")
-        .replace("senders = 8", "senders = 0");
+        .replace(r#""kind": "incast""#, r#""kind": "victim""#)
+        .replace(eight, none);
     std::fs::write(&sc, victim).unwrap();
     let out = run(&[
         "run-scenario",
@@ -712,7 +741,7 @@ fn run_scenario_incast_of_no_senders_is_exit_2() {
 #[test]
 fn run_scenario_tiny_incast_end_to_end() {
     let dir = scratch("tiny");
-    let sc = scenarios_dir().join("tiny_incast.toml");
+    let sc = scenarios_dir().join("tiny_incast.json");
     let out = run(&[
         "run-scenario",
         sc.to_str().unwrap(),

@@ -8,10 +8,9 @@
 //! error (not last-one-wins) and nesting is bounded by [`MAX_DEPTH`].
 //!
 //! [`Fields`] is the decoder on top of it. Table documents, golden
-//! manifests and scenarios (`bench::scenario`; TOML is first adapted to
-//! a [`Json`] tree by [`parse_toml`]) are each a list of typed field
-//! reads against one `Fields`, closed by
-//! [`Fields::finish`], which rejects any key never asked for. Every
+//! manifests and scenarios (`bench::scenario`) are each a list of typed
+//! field reads against one `Fields`, closed by [`Fields::finish`], which
+//! rejects any key never asked for. Every
 //! error has one shape, `<document>: <path>: <what>`:
 //!
 //! ```text
@@ -411,138 +410,6 @@ impl Parser<'_> {
         }
         Ok(Json::Num(text.to_string()))
     }
-}
-
-/// Parse the TOML subset scenario files use into a [`Json`] tree:
-/// comments, one level of `[table]` headers, and `key = value` pairs
-/// where a value is a string, integer, float, boolean, or a flat array
-/// of those. Duplicate keys and tables are errors.
-pub fn parse_toml(text: &str) -> Result<Json, String> {
-    let mut top: BTreeMap<String, Json> = BTreeMap::new();
-    let mut current: Option<String> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[') {
-            let name = header
-                .strip_suffix(']')
-                .ok_or_else(|| format!("line {lineno}: unterminated table header"))?
-                .trim();
-            if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                return Err(format!("line {lineno}: bad table name {name:?}"));
-            }
-            if top.contains_key(name) {
-                return Err(format!("line {lineno}: duplicate table [{name}]"));
-            }
-            top.insert(name.to_string(), Json::Obj(BTreeMap::new()));
-            current = Some(name.to_string());
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-        let key = key.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Err(format!("line {lineno}: bad key {key:?}"));
-        }
-        let value = toml_value(value.trim(), lineno)?;
-        let target = match &current {
-            None => &mut top,
-            Some(t) => match top.get_mut(t) {
-                Some(Json::Obj(m)) => m,
-                _ => unreachable!("tables are always objects"),
-            },
-        };
-        if target.insert(key.to_string(), value).is_some() {
-            return Err(format!("line {lineno}: duplicate key {key:?}"));
-        }
-    }
-    Ok(Json::Obj(top))
-}
-
-/// Drop a `#`-comment, respecting quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn toml_value(s: &str, lineno: usize) -> Result<Json, String> {
-    if s.is_empty() {
-        return Err(format!("line {lineno}: missing value"));
-    }
-    if let Some(body) = s.strip_prefix('[') {
-        let body = body
-            .strip_suffix(']')
-            .ok_or_else(|| format!("line {lineno}: unterminated array"))?
-            .trim();
-        if body.is_empty() {
-            return Ok(Json::Arr(Vec::new()));
-        }
-        return split_toml_items(body)
-            .map_err(|e| format!("line {lineno}: {e}"))?
-            .into_iter()
-            .map(|item| toml_scalar(item.trim(), lineno))
-            .collect::<Result<Vec<_>, _>>()
-            .map(Json::Arr);
-    }
-    toml_scalar(s, lineno)
-}
-
-/// Split a flat array body on commas, respecting quoted strings.
-fn split_toml_items(body: &str) -> Result<Vec<&str>, String> {
-    let mut items = Vec::new();
-    let mut start = 0;
-    let mut in_str = false;
-    for (i, c) in body.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            ',' if !in_str => {
-                items.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if in_str {
-        return Err("unterminated string in array".into());
-    }
-    items.push(&body[start..]);
-    Ok(items)
-}
-
-fn toml_scalar(s: &str, lineno: usize) -> Result<Json, String> {
-    if let Some(body) = s.strip_prefix('"') {
-        let body = body
-            .strip_suffix('"')
-            .ok_or_else(|| format!("line {lineno}: unterminated string"))?;
-        if body.contains('"') || body.contains('\\') {
-            return Err(format!(
-                "line {lineno}: escapes/embedded quotes unsupported in {s:?}"
-            ));
-        }
-        return Ok(Json::Str(body.to_string()));
-    }
-    match s {
-        "true" => return Ok(Json::Bool(true)),
-        "false" => return Ok(Json::Bool(false)),
-        _ => {}
-    }
-    // Integer or float literal; underscores allowed TOML-style.
-    let cleaned: String = s.chars().filter(|&c| c != '_').collect();
-    if cleaned.parse::<i64>().is_ok() || cleaned.parse::<f64>().is_ok() {
-        return Ok(Json::Num(cleaned));
-    }
-    Err(format!("line {lineno}: unrecognized value {s:?}"))
 }
 
 /// `s` escaped and quoted as a JSON string.
@@ -969,23 +836,5 @@ mod tests {
                 .as_u64(),
             Some(2)
         );
-    }
-
-    #[test]
-    fn toml_parser_rejects_malformed_input() {
-        assert!(parse_toml("[unclosed\n").is_err());
-        assert!(parse_toml("key\n").is_err());
-        assert!(parse_toml("k = \"unterminated\n").is_err());
-        assert!(parse_toml("k = [1, 2\n").is_err());
-        assert!(parse_toml("k = 1\nk = 2\n").is_err());
-        assert!(parse_toml("[a]\n[a]\n").is_err());
-        assert!(parse_toml("k = nope\n").is_err());
-    }
-
-    #[test]
-    fn toml_comments_and_underscores() {
-        let doc = parse_toml("x = 1_000 # one thousand\ns = \"a # b\"\n").unwrap();
-        assert_eq!(doc.get("x").unwrap().as_u64(), Some(1000));
-        assert_eq!(doc.get("s").unwrap().as_str(), Some("a # b"));
     }
 }

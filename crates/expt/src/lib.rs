@@ -38,11 +38,10 @@
 //!   worker pool, commits its shard documents the moment it completes,
 //!   and merges each driver's documents with point-index validation,
 //! * [`json`] — the offline JSON parser (duplicate keys rejected,
-//!   nesting bounded), the TOML adapter [`json::parse_toml`], and
-//!   [`json::Fields`], the one strict decoder table documents, golden
-//!   manifests and scenario files (`bench::scenario`) are read through:
-//!   typed field reads, unknown keys rejected, every error
-//!   `<document>: <path>: <what>`,
+//!   nesting bounded) and [`json::Fields`], the one strict decoder
+//!   table documents, golden manifests and scenario files
+//!   (`bench::scenario`) are read through: typed field reads, unknown
+//!   keys rejected, every error `<document>: <path>: <what>`,
 //! * [`cli::ExptArgs`] — the `--quick` / `--threads` / `--out` /
 //!   `--full` / `--seed` / `--replicates` / `--shard` flags shared by
 //!   all drivers, read through the [`cli::Args`] cursor every `opera`

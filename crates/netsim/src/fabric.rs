@@ -333,7 +333,7 @@ pub struct Fabric {
     /// Packets sitting in port queues now, and the most there ever were.
     queued_now: usize,
     queued_peak: usize,
-    /// Bulk packets [`Fabric::drain_bulk`] handed back.
+    /// Packets [`Fabric::drain`] handed back.
     drained: u64,
     /// Aggregate counters.
     pub counters: FabricCounters,
@@ -669,20 +669,29 @@ impl Fabric {
         }
     }
 
-    /// Drop every queued bulk packet at a port, returning them — used by
-    /// the RotorLB NACK path when a transmission window closes (§4.2.2).
-    ///
-    /// Note: this path does not emit PFC resumes (it has no event
-    /// context); [`crate::policy::Pfc`] is intended for the low-latency
-    /// datapath, not RotorLB bulk staging.
-    pub fn drain_bulk(&mut self, node: NodeId, port: PortId) -> Vec<Packet> {
+    /// Take every packet queued at `node.port` at priority `prio` out of
+    /// the fabric, in FIFO order, and hand them back to the logic: bulk to
+    /// RotorLB's NACK path when its transmission window closes (§4.2.2),
+    /// low-latency and control packets for a fresh lookup when their
+    /// circuit goes dark (§3.5). A packet already on the wire stays. A
+    /// pausing port whose queues fall below its resume threshold resumes
+    /// its upstream peers, as after a dequeue.
+    pub fn drain(
+        &mut self,
+        ctx: &mut EventContext<'_, NetEvent>,
+        node: NodeId,
+        port: PortId,
+        prio: Priority,
+    ) -> Vec<Packet> {
         let Fabric { nodes, arena, .. } = self;
         let p = &mut nodes[node][port];
-        let lvl = Priority::Bulk as usize;
+        let lvl = prio as usize;
         p.queued_bytes[lvl] = 0;
         self.queued_now -= p.queues[lvl].len();
         self.drained += p.queues[lvl].len() as u64;
-        p.queues[lvl].drain(..).map(|r| arena.take(r)).collect()
+        let packets = p.queues[lvl].drain(..).map(|r| arena.take(r)).collect();
+        self.check_resume(ctx, node, port);
+        packets
     }
 
     /// High-water mark of simultaneously queued packets across the whole
@@ -700,7 +709,7 @@ impl Fabric {
 
     /// The packet ledger: every packet written into the arena was delivered
     /// (counted at transmission, so in flight too), lost dark or failed,
-    /// drained back to RotorLB, or is still queued.
+    /// drained back to the logic, or is still queued.
     pub fn ledger(&self) -> Result<(), Imbalance> {
         let c = &self.counters;
         let gone = [c.delivered, c.dark_drops, c.failed_drops, self.drained];
@@ -1287,13 +1296,26 @@ mod tests {
         fabric.take_trace().expect("sink still installed");
     }
 
+    /// `drain` takes a port's queued packets of one priority out of the
+    /// fabric: their slots are freed, the one on the wire stays parked until
+    /// it is delivered, the ledger counts them, and a PFC port it empties
+    /// resumes the peers its queue paused.
     #[test]
-    fn drain_bulk_returns_packets() {
+    fn drain_returns_packets_and_resumes_upstream() {
+        let pfc = QueueConfig::builder()
+            .unbounded()
+            .policy(Pfc {
+                pause_bytes: 3 * MTU as u64,
+                resume_bytes: MTU as u64,
+            })
+            .build();
+        // Node 1 sends out its port 1 to node 2; node 0 is upstream of it.
         let mut fabric = Fabric::new();
-        let cfg = QueueConfig::builder().unbounded().build();
-        let a = fabric.add_node(1, cfg, LinkSpec::paper_default());
-        let b = fabric.add_node(1, cfg, LinkSpec::paper_default());
-        fabric.connect(a, 0, b, 0);
+        for ports in [1, 2, 1] {
+            fabric.add_node(ports, pfc, LinkSpec::paper_default());
+        }
+        fabric.connect(0, 0, 1, 0);
+        fabric.connect(1, 1, 2, 0);
         struct DrainWorld {
             fabric: Fabric,
             drained: usize,
@@ -1304,29 +1326,40 @@ mod tests {
                 match ev {
                     NetEvent::Timer { token: 0 } => {
                         for s in 0..5 {
-                            self.fabric.send(ctx, 0, 0, Packet::bulk(0, 0, 1, s, MTU));
+                            self.fabric.send(ctx, 1, 1, Packet::bulk(0, 1, 2, s, MTU));
                         }
-                        // One is serializing; four are queued. Drain them:
-                        // their slots are freed, the one on the wire stays
-                        // parked until it is delivered.
-                        self.drained = self.fabric.drain_bulk(0, 0).len();
+                        // One is serializing; four are queued, past the
+                        // pause threshold. Drain them.
+                        assert!(self.fabric.nodes[1][1].congesting);
+                        self.drained = self.fabric.drain(ctx, 1, 1, Priority::Bulk).len();
                         assert_eq!(self.fabric.parked_packets(), 1);
                     }
                     NetEvent::PortFree { node, port } => self.fabric.on_port_free(ctx, node, port),
                     NetEvent::Arrive { packet, .. } => {
                         self.fabric.deliver(packet);
                     }
-                    _ => {}
+                    NetEvent::LinkChange { node, port, change } => {
+                        let (node, port) = (node as usize, port as usize);
+                        self.fabric
+                            .set_link(ctx, node, port, LinkChange::Signal(change));
+                    }
+                    NetEvent::Timer { .. } => {}
                 }
             }
         }
         let mut sim = Simulator::new(DrainWorld { fabric, drained: 0 });
         sim.schedule_at(SimTime::ZERO, NetEvent::Timer { token: 0 });
         sim.run();
+        let fabric = &sim.world.fabric;
         assert_eq!(sim.world.drained, 4);
-        assert_eq!(sim.world.fabric.queued_bytes(0, 0), 0);
-        assert_eq!(sim.world.fabric.parked_packets(), 0);
-        assert_eq!(sim.world.fabric.arena_peak_live(), 4);
-        assert_eq!(sim.world.fabric.ledger(), Ok(()), "drained packets count");
+        assert_eq!(fabric.queued_bytes(1, 1), 0);
+        assert_eq!(fabric.parked_packets(), 0);
+        assert_eq!(fabric.arena_peak_live(), 4);
+        assert_eq!(fabric.ledger(), Ok(()), "drained packets count");
+        assert!(fabric.counters.pause_frames > 0);
+        assert!(
+            !fabric.link(0, 0).paused,
+            "the drain resumed the upstream peer"
+        );
     }
 }

@@ -33,7 +33,10 @@
 //!   paper-scale shuffle, against a 24 KB bulk queue);
 //! * at each boundary the reconfiguring switch group's circuits go dark
 //!   for the reconfiguration delay `r`, then reconnect in the next
-//!   matching.
+//!   matching. Nothing queued at their uplinks is sent into them: bulk
+//!   returns to RotorLB, and a low-latency or control packet is looked up
+//!   again at its ToR in the current slice's table, which routes around
+//!   the group (§3.5; `OperaCounters::relookups`).
 //!
 //! Modes (§5): [`RotorMode::Opera`] classifies flows by size threshold;
 //! [`RotorMode::RotorNonHybrid`] sends *everything* through RotorLB
@@ -139,6 +142,10 @@ pub struct OperaCounters {
     /// Bulk packets a ToR uplink still held when its window closed,
     /// returned to RotorLB.
     pub bulk_requeued: u64,
+    /// Low-latency and control packets a ToR uplink still held when its
+    /// circuit went dark, looked up again at that ToR in the current
+    /// slice's table.
+    pub relookups: u64,
     /// Valiant packets that found the relay store full.
     pub relay_overflow: u64,
     /// Bulk packets that arrived at a ToR with no usable circuit and were
@@ -159,10 +166,11 @@ pub struct OperaCounters {
 
 impl OperaCounters {
     /// Every counter with its field name, in declaration order.
-    pub fn named(&self) -> [(&'static str, u64); 8] {
+    pub fn named(&self) -> [(&'static str, u64); 9] {
         let OperaCounters {
             hop_limit_drops,
             bulk_requeued,
+            relookups,
             relay_overflow,
             bulk_stragglers,
             valiant_first_hops,
@@ -173,6 +181,7 @@ impl OperaCounters {
         [
             ("hop_limit_drops", hop_limit_drops),
             ("bulk_requeued", bulk_requeued),
+            ("relookups", relookups),
             ("relay_overflow", relay_overflow),
             ("bulk_stragglers", bulk_stragglers),
             ("valiant_first_hops", valiant_first_hops),
@@ -321,16 +330,29 @@ impl OperaLogic {
     }
 
     /// ε into the slice: the impending switches' circuits go dark and
-    /// begin reconfiguring. Bulk still staged at their uplinks missed the
-    /// window — the §4.2.2 NACK path returns it to the RotorLB queues.
+    /// begin reconfiguring, and nothing still queued at their uplinks is
+    /// sent into them. Bulk staged there missed the window — the §4.2.2
+    /// NACK path returns it to the RotorLB queues. Low-latency and control
+    /// packets go back to their ToR for a fresh lookup in the current
+    /// slice's table, which routes around the reconfiguring switches: no
+    /// packet is sent into a circuit that is reconfiguring (§3.5). A hello
+    /// probes only the circuit it was queued for, and goes with it.
     fn on_dark(&mut self, fabric: &mut Fabric, ctx: &mut EventContext<'_, NetEvent>) {
         for j in self.topo.reconfiguring(self.slice) {
             for rack in 0..self.cfg.params.racks {
                 let (tor, port) = (self.tor_node(rack), self.up_port(j));
-                for pkt in &fabric.drain_bulk(tor, port) {
+                for pkt in &fabric.drain(ctx, tor, port, Priority::Bulk) {
                     let dst_rack = self.rack_of(pkt.dst);
                     self.bulk[rack].requeue(pkt, dst_rack);
                     self.counters.bulk_requeued += 1;
+                }
+                for prio in [Priority::Control, Priority::LowLatency] {
+                    for pkt in fabric.drain(ctx, tor, port, prio) {
+                        if pkt.kind != PacketKind::Hello {
+                            self.counters.relookups += 1;
+                            self.route_low_latency(fabric, ctx, rack, pkt);
+                        }
+                    }
                 }
                 fabric.set_link(ctx, tor, port, LinkChange::Dark);
             }
@@ -616,15 +638,29 @@ impl OperaLogic {
                     self.counters.hop_limit_drops += 1;
                     return;
                 }
-                let hops = self.ll_tables.next_hops(self.cycle_slice, rack, dst_rack);
-                if hops.is_empty() {
-                    self.counters.hop_limit_drops += 1;
-                    return;
-                }
-                let choice = hops.nth(self.rng.index(hops.len()));
-                fabric.send(ctx, self.tor_node(rack), self.up_port(choice), packet);
+                self.route_low_latency(fabric, ctx, rack, packet);
             }
         }
+    }
+
+    /// Send a low-latency or control packet at `rack`'s ToR out one of the
+    /// shortest-path uplinks the current slice's table gives toward its
+    /// destination rack, chosen uniformly.
+    fn route_low_latency(
+        &mut self,
+        fabric: &mut Fabric,
+        ctx: &mut EventContext<'_, NetEvent>,
+        rack: usize,
+        packet: Packet,
+    ) {
+        let dst_rack = self.rack_of(packet.dst);
+        let hops = self.ll_tables.next_hops(self.cycle_slice, rack, dst_rack);
+        if hops.is_empty() {
+            self.counters.hop_limit_drops += 1;
+            return;
+        }
+        let choice = hops.nth(self.rng.index(hops.len()));
+        fabric.send(ctx, self.tor_node(rack), self.up_port(choice), packet);
     }
 
     /// Send a bulk packet out the ToR uplink with a direct circuit to its
@@ -763,7 +799,7 @@ impl PacketNet for OperaLogic {
     }
     fn counters(sim: &OperaNet) -> Vec<(&'static str, u64)> {
         let (fabric, logic) = (&sim.world.fabric, &sim.world.logic);
-        [fabric.counters.named(), logic.counters.named()].concat()
+        [&fabric.counters.named()[..], &logic.counters.named()].concat()
     }
 }
 

@@ -181,7 +181,7 @@ fn zombie_census() {
 
 /// ROADMAP 10's packet ledger over every packet run: each fabric accounts
 /// for every packet it wrote (delivered, lost dark or failed, drained back
-/// to RotorLB, or still queued), and no flow received more than its size.
+/// to the logic, or still queued), and no flow received more than its size.
 /// A run on the list names the ledger's finding.
 #[test]
 fn ledger_census() {
@@ -216,11 +216,12 @@ fn counter_census() {
         .unwrap_or_else(|e| panic!("{e}"));
 }
 
-/// ROADMAP 4i as a known failure that may only shrink: the packet runs
-/// that lose low-latency packets into dark circuits are exactly the
-/// `dark_drops` lines of `tests/known_failures.txt`, a line once per run
-/// that bears it (replicates share a name). A run that joins fails here; a
-/// run a fix takes off must be deleted from the file.
+/// ROADMAP 4i / 23 as a known failure that may only shrink, and has: the
+/// packet runs that lose packets into dark circuits are exactly the
+/// `dark_drops` lines of `tests/known_failures.txt` (a line once per run
+/// that bears it; replicates share a name), and there are none since
+/// `OperaLogic::on_dark` hands every queued packet back (§3.5). A run that
+/// joins fails here.
 #[test]
 fn dark_drop_runs_are_the_committed_list() {
     built();

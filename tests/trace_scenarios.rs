@@ -1,5 +1,5 @@
 //! Golden trace regression: the JSON-lines trace and the pcapng capture
-//! of the committed `scenarios/tiny_incast.toml` scenario must match the
+//! of the committed `scenarios/tiny_incast.json` scenario must match the
 //! blessed files under `goldens/traces/tiny_incast/` byte-for-byte.
 //!
 //! The trace is a total ordering of every per-link event in the run —
@@ -11,7 +11,8 @@
 //! diff alongside, exactly like the figure goldens.
 //!
 //! Every committed scenario file also decodes, without being run: the
-//! paper-scale one otherwise runs only nightly.
+//! paper-scale one otherwise runs only nightly. `scenarios/` holds its
+//! README and JSON files, nothing else: JSON is the one scenario syntax.
 
 use std::path::{Path, PathBuf};
 
@@ -31,9 +32,17 @@ fn every_committed_scenario_decodes() {
     let mut files: Vec<PathBuf> = std::fs::read_dir(repo_root().join("scenarios"))
         .expect("scenarios/ is committed")
         .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "toml" || e == "json"))
+        .filter(|p| !p.ends_with("README.md"))
         .collect();
     files.sort();
+    let stray: Vec<&PathBuf> = files
+        .iter()
+        .filter(|p| p.extension().is_none_or(|e| e != "json"))
+        .collect();
+    assert!(
+        stray.is_empty(),
+        "scenarios/ holds non-JSON files: {stray:?}"
+    );
     let names: Vec<String> = files
         .iter()
         .map(|p| {
@@ -55,7 +64,7 @@ fn every_committed_scenario_decodes() {
 
 #[test]
 fn tiny_incast_trace_matches_golden() {
-    let sc = bench::scenario::Scenario::load(&repo_root().join("scenarios/tiny_incast.toml"))
+    let sc = bench::scenario::Scenario::load(&repo_root().join("scenarios/tiny_incast.json"))
         .expect("parse committed scenario");
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-golden");
     let _ = std::fs::remove_dir_all(&out);
@@ -143,7 +152,7 @@ fn block_start(capture: &[u8], at: usize) -> usize {
 /// trace table stripped yields identical metrics rows.
 #[test]
 fn tracing_does_not_perturb_metrics() {
-    let mut sc = bench::scenario::Scenario::load(&repo_root().join("scenarios/tiny_incast.toml"))
+    let mut sc = bench::scenario::Scenario::load(&repo_root().join("scenarios/tiny_incast.json"))
         .expect("parse committed scenario");
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-perturb");
     let _ = std::fs::remove_dir_all(&out);

@@ -3,8 +3,10 @@
 //! event count, the fabric counters and the sorted flow completion times
 //! that commit `7fa3e65` produced — recorded there, before the transports'
 //! per-flow containers were replaced, so a change to a transport's
-//! lookup structures that moves one packet shows here. (The quick goldens
-//! see the three transports only through `ablate_transport`'s aggregates.)
+//! lookup structures that moves one packet shows here. The Opera runs are
+//! re-recorded once, for the declared forwarding change `pinned` names.
+//! (The quick goldens see the three transports only through
+//! `ablate_transport`'s aggregates.)
 //!
 //! The load is one fixed 40-flow Websearch draw (sizes capped at 2 MB so
 //! the runs stay short) with every destination folded onto four hosts,
@@ -102,21 +104,24 @@ fn expander(transport: TransportKind) -> Pin {
     run::<StaticLogic>(cfg)
 }
 
-/// The values commit `7fa3e65` produces. `failed_drops` (fifth counter)
-/// is the random loss; NDP on Opera finishes 39 of its 40 flows inside the
-/// horizon (a sender whose window has decayed to nothing under loss is
-/// clocked by its 2 ms timeout alone), every other run all 40.
+/// The values commit `7fa3e65` produces, except on Opera: there they are
+/// re-recorded since a circuit going dark hands its uplinks' queued
+/// low-latency and control packets back to the ToR (§3.5), which took the
+/// 15, 8 and 1 dark drops out of the NDP, DCTCP and go-back-N runs.
+/// `failed_drops` (fifth counter) is the random loss; every run finishes
+/// all 40 flows inside the horizon (NDP on Opera finished 39 while it lost
+/// packets into dark circuits).
 fn pinned(net: &str, transport: &str) -> Pin {
     match (net, transport) {
         ("opera", "ndp") => Pin {
-            events: 2532156,
-            counters: [1074954, 660, 0, 15, 2166, 1073417, 0, 0],
+            events: 2554542,
+            counters: [1085584, 852, 0, 0, 2185, 1084220, 0, 0],
             fcts_ns: vec![
-                10847, 17020, 20390, 27872, 56319, 57055, 61835, 108232, 122245, 152973, 181816,
-                239392, 303909, 1180852, 2060951, 2119355, 2259138, 2423491, 2463454, 4623616,
-                5199851, 13823790, 16207469, 18789478, 19097657, 20679118, 23235815, 24684527,
-                33219495, 43098346, 43595431, 45932433, 49649471, 50912497, 53353102, 64364490,
-                65269531, 68847711, 68977323,
+                10847, 17020, 20390, 40732, 51741, 51881, 56404, 57055, 107028, 113329, 155100,
+                167806, 179114, 181396, 201260, 219790, 392757, 604340, 3315375, 9050987, 11044845,
+                16594150, 17796288, 21206122, 22336495, 24761691, 25079706, 27316095, 31914597,
+                32086051, 38760215, 38882884, 41968387, 47035059, 47236314, 53489251, 56275238,
+                57423217, 64732776, 84058971,
             ],
         },
         ("expander", "ndp") => Pin {
@@ -131,14 +136,14 @@ fn pinned(net: &str, transport: &str) -> Pin {
             ],
         },
         ("opera", "dctcp") => Pin {
-            events: 2368255,
-            counters: [1004197, 592, 0, 8, 2032, 1002733, 0, 0],
+            events: 2368916,
+            counters: [1004462, 673, 0, 0, 2033, 1003082, 0, 0],
             fcts_ns: vec![
-                10847, 15848, 20026, 24572, 27928, 27972, 39904, 42319, 53144, 62951, 76378, 83872,
-                122141, 210857, 658104, 2206279, 4121378, 4133454, 4563054, 7391122, 9506286,
-                10483951, 14329326, 15817869, 17937749, 21144243, 24101774, 26611471, 27009477,
-                29851947, 30034519, 39008461, 42561437, 42741960, 45152098, 48625265, 48631019,
-                54608175, 58750108, 60875747,
+                10847, 15848, 20026, 30312, 35616, 39083, 42186, 47581, 53144, 53659, 65844, 82069,
+                145164, 192385, 321683, 2187059, 2342153, 4187299, 4651642, 11810415, 12592635,
+                13290654, 19252002, 19397705, 19857456, 21680665, 23735855, 24319740, 30161846,
+                30751853, 32980701, 34163754, 36409882, 36923200, 40567251, 40745300, 46630371,
+                47204727, 55137741, 62657861,
             ],
         },
         ("expander", "dctcp") => Pin {
@@ -153,14 +158,14 @@ fn pinned(net: &str, transport: &str) -> Pin {
             ],
         },
         ("opera", "go_back_n") => Pin {
-            events: 2520641,
-            counters: [1079548, 574, 0, 1, 2175, 1077930, 0, 0],
+            events: 2521972,
+            counters: [1080126, 633, 0, 0, 2177, 1078563, 0, 0],
             fcts_ns: vec![
                 10101, 11020, 19558, 22832, 37372, 1019216, 1025277, 2028930, 2040030, 2054967,
-                2057448, 2089261, 3067588, 3107379, 3107536, 3110971, 4115765, 7281999, 8260215,
-                22852553, 23583931, 29016958, 29112749, 38107836, 40310062, 41073678, 43262920,
-                50664515, 53947203, 55768154, 67361154, 70438085, 76734651, 83674956, 84682645,
-                85928045, 90491797, 90999750, 92887687, 110158611,
+                2057448, 2089261, 3067588, 3107379, 3107536, 3110971, 4117499, 7289979, 8298179,
+                21937090, 22785096, 24573718, 26921796, 33125805, 42192566, 42317278, 48222055,
+                51907455, 63936167, 67067759, 68067535, 77756511, 79668776, 80623737, 85866094,
+                87848612, 90920373, 92971287, 99134985, 104046193,
             ],
         },
         ("expander", "go_back_n") => Pin {
