@@ -5,21 +5,25 @@
 //!   `run <driver>` builds that driver's tables, prints them as CSV and
 //!   (unless `--no-write`) writes `<out>/<driver>/<table>.{csv,json}`.
 //! * `orchestrate` — run each `driver × shard` job once on a pool of
-//!   in-process worker threads (a panicking driver fails its job, not
-//!   the sweep), commit each job's shard documents under
-//!   `<out>/<driver>/shards/` the moment the job completes (staged, then
-//!   renamed together), and finally the validated merged tables —
+//!   in-process worker threads, each calling [`bench::figures::build`]
+//!   (a panicking driver fails its job, not the sweep), commit each
+//!   job's shard documents under `<out>/<driver>/shards/` the moment the
+//!   job completes, and finally the validated merged tables —
 //!   byte-identical to an unsharded `--threads 1` run (asserted by
-//!   `tests/orchestrate.rs`). Into a tree that already holds the run,
+//!   `tests/orchestrate.rs`). Every file is written as `run` writes
+//!   its own (`expt::output::write_tables`: a call's files staged, then
+//!   renamed together), so shard documents `run --shard i/n` wrote on
+//!   other machines, gathered into one tree, are kept and merged. Into a tree that already holds the run,
 //!   it keeps every job whose documents are whole and re-runs the rest,
 //!   one `rerun` line each: re-running a killed or failed sweep
 //!   finishes it. A driver named twice, `--shards 0`, or a tree holding
 //!   a document of another run (other flags or shard count) is exit 2
 //!   before anything runs.
-//! * `validate` — re-merge the shard documents on disk and fail, naming
-//!   the invariant, on a missing or duplicated point index, mismatched
-//!   schema/flags, or a merged CSV that no longer matches its shards or
-//!   has none left.
+//! * `validate` — re-merge the shard documents on disk through the
+//!   orchestrator's merge and fail, naming the invariant, on a missing or
+//!   duplicated point index or shard document, a document under another
+//!   job's file name, mismatched schema/flags, or a merged CSV that no
+//!   longer matches its shards or has none left.
 //! * `run-scenario` — decode one declarative scenario file
 //!   ([`bench::scenario::Scenario::load`]) and run it through
 //!   [`bench::scenario::run_scenario`], with trace capture and jsonl ↔
@@ -47,7 +51,6 @@
 //! when the work itself failed (drift, a census finding not in
 //! `tests/known_failures.txt`, a failed job, I/O).
 
-use bench::backend::LocalBackend;
 use bench::scenario::Scenario;
 use bench::{figures, record, spot};
 use expt::orchestrate::{start_run, validate_dir, OrchestrateError, Plan};
@@ -220,7 +223,7 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
 
     // Durable run: every shard committed as its job completes, merged
     // CSVs at the end; what `out` already holds of this run is kept.
-    let run = start_run(&out, &plan, flags, LocalBackend::new(flags), workers);
+    let run = start_run(&out, &plan, flags, figures::build, workers);
     let (report, csvs) = run.map_err(|e| match e {
         OrchestrateError::Job { .. } | OrchestrateError::Merge { .. } => Exit::Failed(format!(
             "{e}\n# completed shards are persisted under {}; after fixing the cause, \

@@ -75,6 +75,14 @@ pub fn find(name: &str) -> Option<(Experiment, BuildFn)> {
     all().into_iter().find(|(e, _)| e.name == name)
 }
 
+/// The tables of the driver named `driver` under `ctx`: the table
+/// builder `opera orchestrate` hands every job
+/// (`expt::orchestrate::start_run`).
+pub fn build(driver: &str, ctx: &Ctx) -> Result<Vec<Table>, String> {
+    let (_, build) = find(driver).ok_or_else(|| format!("unknown driver {driver:?}"))?;
+    Ok(build(ctx))
+}
+
 /// The golden comparison spec of a driver: the same empty
 /// [`GoldenSpec`] for every driver, since every golden is compared byte
 /// for byte. It stays only because the benchmark passes its value to

@@ -5,7 +5,8 @@
 //! the [`expt`] harness: a declarative definition in [`figures`],
 //! registered in [`figures::all`] and run by the one binary,
 //! `opera run <driver>` (`src/bin/opera.rs`, which also fronts
-//! [`backend`], [`scenario`], [`spot`] and [`record`]). All drivers
+//! [`scenario`], [`spot`] and [`record`], and `opera orchestrate`,
+//! which hands [`figures::build`] to `expt::orchestrate::start_run`). All drivers
 //! accept the shared `--quick` / `--full` / `--threads` / `--seed` /
 //! `--out` flags:
 //!
@@ -22,7 +23,6 @@
 //! driver that runs more than one of them does so through one body
 //! generic over [`opera::PacketNet`].
 
-pub mod backend;
 pub mod figures;
 pub mod record;
 pub mod scenario;

@@ -26,7 +26,6 @@
 
 use crate::RunRecord;
 use expt::json::{Fields, Json, OneOrMany};
-use expt::output::write_atomic;
 use expt::{f2, Cell, Table};
 use netsim::fabric::QueueConfig;
 use netsim::policy::{DropTail, EcnMark, NdpTrim, Pfc};
@@ -587,7 +586,10 @@ fn write_csv(
             counter("ecn_marked"),
         ]);
     }
-    write_atomic(path, &t.to_csv()).map_err(|e| format!("{}: {e}", path.display()))
+    // Staged, then renamed: never a half-written CSV.
+    let tmp = path.with_extension("csv.tmp");
+    let written = std::fs::write(&tmp, t.to_csv()).and_then(|()| std::fs::rename(&tmp, path));
+    written.map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Per-link `tx` counts keyed by `(node, port)`.

@@ -10,9 +10,11 @@
 //! a tree of another run and for `run-scenario` with unknown names.
 
 use bench::figures;
-use expt::{merge_shard_docs, TableDoc};
+use expt::orchestrate::{start_run, Plan};
+use expt::{merge_shard_docs, Ctx, TableDoc};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("opera-cli-{tag}-{}", std::process::id()));
@@ -247,11 +249,7 @@ fn sharded_runs_write_documents_that_merge_to_the_unsharded_csv() {
     const DRIVER: &str = "fig14_cycle_time_scaling";
     let dir = scratch("shard-run");
     let (sharded, unsharded) = (dir.join("sharded"), dir.join("unsharded"));
-    for shard in ["0/2", "1/2"] {
-        let args = ["run", DRIVER, "--quick", "--shard", shard, "--out"];
-        let out = run(&[&args[..], &[sharded.to_str().unwrap()]].concat());
-        assert!(out.status.success(), "{shard}: {}", stderr_of(&out));
-    }
+    run_both_shards(DRIVER, &sharded);
     let out = run(&[
         "run",
         DRIVER,
@@ -291,6 +289,86 @@ fn sharded_runs_write_documents_that_merge_to_the_unsharded_csv() {
             .collect();
         let csv = std::fs::read_to_string(unsharded.join(format!("{DRIVER}/{t}.csv"))).unwrap();
         assert_eq!(merge_shard_docs(&docs).unwrap().to_csv(), csv, "{t}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `opera run <driver> --quick --shard i/2` for both shards into `out`,
+/// as two machines would, each writing only its own shard documents.
+fn run_both_shards(driver: &str, out: &Path) {
+    for shard in ["0/2", "1/2"] {
+        let args = ["run", driver, "--quick", "--shard", shard, "--out"];
+        let done = run(&[&args[..], &[out.to_str().unwrap()]].concat());
+        assert!(done.status.success(), "{shard}: {}", stderr_of(&done));
+    }
+}
+
+/// The files under `dir`'s `shards/`, by name, with their bytes.
+fn shard_documents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut docs: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("shards"))
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    docs.sort();
+    docs
+}
+
+/// One writer: the shard documents `opera run --shard i/2` writes are
+/// the orchestrator's, byte for byte.
+#[test]
+fn sharded_run_documents_equal_the_orchestrators() {
+    const DRIVER: &str = "fig14_cycle_time_scaling";
+    let dir = scratch("shard-equal");
+    let (sharded, orchestrated) = (dir.join("sharded"), dir.join("orchestrated"));
+    run_both_shards(DRIVER, &sharded);
+    let args = [
+        "orchestrate",
+        "--drivers",
+        DRIVER,
+        "--shards",
+        "2",
+        "--quick",
+    ];
+    let out = run(&[&args[..], &["--out", orchestrated.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let docs = shard_documents(&sharded.join(DRIVER));
+    assert_eq!(docs.len(), 4);
+    assert_eq!(docs, shard_documents(&orchestrated.join(DRIVER)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shard documents written by `opera run --shard i/n` on other machines
+/// and gathered into one tree are a finished run to `start_run`: it
+/// runs no job, leaves them as they are, and merges them to the CSVs an
+/// unsharded run renders.
+#[test]
+fn start_run_keeps_and_merges_gathered_shard_runs() {
+    const DRIVER: &str = "fig14_cycle_time_scaling";
+    let dir = scratch("shard-gather");
+    run_both_shards(DRIVER, &dir);
+    let before = shard_documents(&dir.join(DRIVER));
+    let plan = Plan {
+        drivers: vec![DRIVER.to_string()],
+        shards: 2,
+    };
+    let ran = AtomicUsize::new(0);
+    let build = |driver: &str, ctx: &Ctx| {
+        ran.fetch_add(1, Ordering::SeqCst);
+        figures::build(driver, ctx)
+    };
+    let (report, csvs) = start_run(&dir, &plan, figures::GOLDEN_FLAGS, build, 1).unwrap();
+    assert_eq!((ran.into_inner(), report.reused), (0, 2));
+    assert!(report.rerun.is_empty(), "{:?}", report.rerun);
+    assert_eq!(shard_documents(&dir.join(DRIVER)), before);
+    let unsharded = figures::build(DRIVER, &figures::golden_ctx(1)).unwrap();
+    assert_eq!(csvs.len(), unsharded.len());
+    for t in &unsharded {
+        let csv = std::fs::read_to_string(dir.join(format!("{DRIVER}/{}.csv", t.name))).unwrap();
+        assert_eq!(csv, t.to_csv(), "{}", t.name);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

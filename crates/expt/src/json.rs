@@ -1,11 +1,15 @@
 //! Minimal JSON reader, and the one strict decoder every document of
 //! this crate is read through.
 //!
-//! The workspace builds offline (no serde). [`Json::parse`] covers full
-//! JSON syntax with one twist: numbers keep their **raw literal text**
-//! ([`Json::Num`]), so 64-bit seeds and rendered cell values round-trip
-//! byte-exactly. It is safe on hostile text: a repeated object key is an
-//! error (not last-one-wins) and nesting is bounded by [`MAX_DEPTH`].
+//! The workspace builds offline (no serde). [`Json::parse`] reads JSON
+//! syntax (RFC 8259) and nothing else, with one twist: numbers keep
+//! their **raw literal text** ([`Json::Num`]), so 64-bit seeds and
+//! rendered cell values round-trip byte-exactly. Text outside the
+//! grammar — a number such as `01`, `1.`, `-.5` or `1e`, a `\u` escape
+//! that is not four hex digits, a raw control character in a string —
+//! is an error naming its byte offset. It is safe on hostile text: a
+//! repeated object key is an error (not last-one-wins) and nesting is
+//! bounded by [`MAX_DEPTH`].
 //!
 //! [`Fields`] is the decoder on top of it. Table documents, golden
 //! manifests and scenarios (`bench::scenario`) are each a list of typed
@@ -354,6 +358,12 @@ impl Parser<'_> {
                         other => return Err(format!("bad escape \\{}", other as char)),
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "unescaped control character {b:#04x} in string at byte {}",
+                        self.pos
+                    ))
+                }
                 Some(_) => {
                     // Consume one UTF-8 character (input is a &str, so
                     // boundaries are valid).
@@ -371,44 +381,58 @@ impl Parser<'_> {
         }
     }
 
+    /// The four hex digits of a `\u` escape, as a code point. Exactly
+    /// four: `u32::from_str_radix` alone would also take a sign.
     fn hex4(&mut self) -> Result<u32, String> {
-        let hex = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or("truncated \\u escape")?;
+        let at = self.pos;
+        let hex = (self.bytes.get(at..at + 4))
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| format!("\\u escape without four hex digits at byte {at}"))?;
         self.pos += 4;
-        u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
-            .map_err(|e| e.to_string())
+        let digit = |b: &u8| (*b as char).to_digit(16).expect("checked hex digit");
+        Ok(hex.iter().fold(0, |cp, b| cp * 16 + digit(b)))
     }
 
+    /// A number as JSON spells one: `-`, then `0` or a digit string not
+    /// starting with `0`, then optionally `.` and digits, then
+    /// optionally `e` or `E`, a sign and digits.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b"-");
+        let int = self.pos;
+        self.digits("number without a digit")?;
+        if self.bytes[int] == b'0' && self.pos > int + 1 {
+            return Err(format!("number with a leading zero at byte {int}"));
         }
+        if self.eat(b".") {
+            self.digits("number without a digit after '.'")?;
+        }
+        if self.eat(b"eE") {
+            self.eat(b"+-");
+            self.digits("number without an exponent digit")?;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        Ok(Json::Num(text.to_string()))
+    }
+
+    /// Skip the next byte if it is one of `any`; whether it was.
+    fn eat(&mut self, any: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|b| any.contains(&b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Skip one or more digits; `Err` naming `what` and the byte where
+    /// the first digit was wanted when there is none.
+    fn digits(&mut self, what: &str) -> Result<(), String> {
+        let at = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        if self.pos == at {
+            return Err(format!("{what} at byte {at}"));
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        if text.is_empty() || text == "-" {
-            return Err(format!("malformed number at byte {start}"));
-        }
-        Ok(Json::Num(text.to_string()))
+        Ok(())
     }
 }
 
@@ -713,6 +737,84 @@ mod tests {
         assert!(Json::parse(r#""\ud800\u0041""#).is_err());
         // A well-formed pair still decodes.
         assert_eq!(Json::parse(r#""😀""#).unwrap().as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn a_u_escape_is_four_hex_digits() {
+        // `u32::from_str_radix` takes a leading `+`: "+041" read as 'A'.
+        assert_eq!(
+            Json::parse(r#""\u+041""#).unwrap_err(),
+            "\\u escape without four hex digits at byte 3"
+        );
+        assert_eq!(
+            Json::parse(r#"["\u00e"]"#).unwrap_err(),
+            "\\u escape without four hex digits at byte 4"
+        );
+        assert_eq!(
+            Json::parse(r#""\u0041\u00E9""#).unwrap().as_str(),
+            Some("Aé")
+        );
+    }
+
+    #[test]
+    fn a_leading_zero_is_not_a_number() {
+        assert_eq!(
+            Json::parse("[1, 01]").unwrap_err(),
+            "number with a leading zero at byte 4"
+        );
+        assert_eq!(
+            Json::parse("-00").unwrap_err(),
+            "number with a leading zero at byte 1"
+        );
+        for ok in ["0", "-0", "0.5", "10", "0e1"] {
+            assert_eq!(Json::parse(ok).unwrap(), Json::Num(ok.into()), "{ok}");
+        }
+    }
+
+    #[test]
+    fn a_fraction_needs_a_digit_after_the_point() {
+        assert_eq!(
+            Json::parse("{\"x\": 1.}").unwrap_err(),
+            "number without a digit after '.' at byte 8"
+        );
+        assert_eq!(
+            Json::parse("1.e5").unwrap_err(),
+            "number without a digit after '.' at byte 2"
+        );
+    }
+
+    #[test]
+    fn a_number_needs_a_digit_before_the_point() {
+        assert_eq!(
+            Json::parse("-.5").unwrap_err(),
+            "number without a digit at byte 1"
+        );
+        assert_eq!(
+            Json::parse("-").unwrap_err(),
+            "number without a digit at byte 1"
+        );
+    }
+
+    #[test]
+    fn an_exponent_needs_a_digit() {
+        assert_eq!(
+            Json::parse("1e").unwrap_err(),
+            "number without an exponent digit at byte 2"
+        );
+        assert_eq!(
+            Json::parse("[2E+]").unwrap_err(),
+            "number without an exponent digit at byte 4"
+        );
+        assert_eq!(Json::parse("-1.5e-3").unwrap(), Json::Num("-1.5e-3".into()));
+    }
+
+    #[test]
+    fn a_raw_control_character_in_a_string_is_an_error() {
+        assert_eq!(
+            Json::parse("[\"a\tb\"]").unwrap_err(),
+            "unescaped control character 0x09 in string at byte 3"
+        );
+        assert_eq!(Json::parse(r#""a\tb""#).unwrap().as_str(), Some("a\tb"));
     }
 
     #[test]

@@ -34,9 +34,12 @@
 //! * [`orchestrate`] — the `driver × shard` jobs behind
 //!   `opera orchestrate`: [`orchestrate::start_run`] keeps every job
 //!   whose shard documents are already in the output tree, runs each
-//!   other job once, in process, by an [`orchestrate::Backend`] on a
-//!   worker pool, commits its shard documents the moment it completes,
-//!   and merges each driver's documents with point-index validation,
+//!   other job once, in process, through the table builder it is
+//!   given, on a worker pool, commits its shard documents the moment it
+//!   completes, and merges each driver's documents with point-index
+//!   validation through [`orchestrate::merge_driver_docs`], the merge
+//!   [`orchestrate::validate_dir`] re-runs from disk. Every result file
+//!   of a tree is written by [`output::write_tables`],
 //! * [`json`] — the offline JSON parser (duplicate keys rejected,
 //!   nesting bounded) and [`json::Fields`], the one strict decoder
 //!   table documents, golden manifests and scenario files
@@ -200,8 +203,7 @@ pub(crate) mod testutil {
     //! Fixtures the unit tests of [`crate::output`] and
     //! [`crate::orchestrate`] share.
 
-    use crate::orchestrate::{Backend, ShardJob};
-    use crate::{Cell, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc};
+    use crate::{Cell, Ctx, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc};
     use std::path::PathBuf;
 
     /// The identity every fixture runs under.
@@ -228,9 +230,10 @@ pub(crate) mod testutil {
         }
     }
 
-    /// A deterministic fake driver's one table, `data`: a 6-point
-    /// sweep, 2 rows per point, one constant row.
-    pub(crate) fn fake_docs(driver: &str, shard: (usize, usize)) -> Vec<TableDoc> {
+    /// A deterministic fake driver's one table, `data`, as shard
+    /// `shard` computes it: a 6-point sweep, 2 rows per point, one
+    /// constant row.
+    pub(crate) fn fake_table(shard: (usize, usize)) -> Table {
         let points = 6usize;
         let sweep = SweepRef {
             points,
@@ -243,22 +246,24 @@ pub(crate) mod testutil {
                 t.push_indexed(p, vec![Cell::from(p), Cell::from(sub)]);
             }
         }
+        t
+    }
+
+    /// [`fake_table`] as `driver`'s document of `shard`.
+    pub(crate) fn fake_docs(driver: &str, shard: (usize, usize)) -> Vec<TableDoc> {
         vec![TableDoc {
             meta: meta(driver, Some(shard)),
-            table: t,
+            table: fake_table(shard),
         }]
     }
 
-    /// Backend producing [`fake_docs`], except that every job of the
-    /// driver `always-broken` fails.
-    pub(crate) struct FakeBackend;
-
-    impl Backend for FakeBackend {
-        fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-            if job.driver == "always-broken" {
-                return Err("permanent failure".into());
-            }
-            Ok(fake_docs(&job.driver, job.shard))
+    /// The table builder of the orchestrator's tests: [`fake_table`],
+    /// except that every job of the driver `always-broken` fails.
+    pub(crate) fn fake_build(driver: &str, ctx: &Ctx) -> Result<Vec<Table>, String> {
+        if driver == "always-broken" {
+            return Err("permanent failure".into());
         }
+        let shard = ctx.args.shard.expect("a job's context has its shard");
+        Ok(vec![fake_table(shard)])
     }
 }

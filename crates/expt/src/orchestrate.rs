@@ -1,43 +1,36 @@
-//! Driver-level sweep orchestration: the job, plan and backend types
-//! behind `opera orchestrate`, the one attempt a job gets, the one way
-//! a sweep runs ([`start_run`]), and the validated merge of each
-//! driver's per-shard table documents.
+//! Driver-level sweep orchestration: the `driver × shard` jobs behind
+//! `opera orchestrate`, and the one reader and merge of the shard
+//! documents in a results tree.
 //!
-//! The per-driver `--shard i/n` flag lets one *driver* split its sweep,
-//! but leaves scheduling and merging to the caller — and a merge of
-//! rendered CSV cannot validate what each shard actually produced. This
-//! module is the scheduler:
-//!
-//! * a [`Plan`] says which drivers to run, across how many shards,
-//! * a [`Backend`] executes one [`ShardJob`] in process and returns its
-//!   table documents — the one implementation lives in `bench` (it
-//!   needs the driver registry); tests implement the trait to inject
-//!   failures,
-//! * [`run_job`] runs one job once, isolated: a panicking driver, or a
-//!   backend returning misattributed documents, is a failed *job*, never
-//!   a dead worker thread taking the sweep down. A job is a pure function
-//!   of (driver, shard, flags), so trying it again at once would fail the
-//!   same way; re-running the same `opera orchestrate` re-runs it once
-//!   the cause is fixed,
-//! * [`start_run`] keeps every job whose shard documents are already on
-//!   disk, fans the rest over a worker pool, commits each job's
-//!   documents to `<out>/<driver>/shards/` the moment it completes, then
-//!   merges each driver's documents through [`merge_driver_docs`], so
-//!   every result set is *validated* — every point index present exactly
-//!   once, schema and flags matching — before a merged CSV is rendered.
-//!   The results tree is its own record of the run: a killed sweep (a
-//!   `--full` point takes minutes) keeps every job it finished, and
-//!   running the same command again finishes it,
-//! * [`validate_dir`] re-validates a directory such a run wrote (shard
-//!   documents under `shards/`, merged CSV + JSON beside them) from
-//!   disk — the CI merge-validation step, and the hook tests use to
-//!   prove a dropped shard fails with a named
-//!   [`MergeError::MissingPointIndex`].
+//! * [`start_run`] runs a [`Plan`]: it keeps every job whose shard
+//!   documents are already on disk and runs the rest once each on a
+//!   worker pool, through the table builder it is given — a closure from
+//!   driver name and [`Ctx`] to tables (`bench` passes its driver
+//!   registry; tests pass fakes that fail, panic or count). `expt`
+//!   builds each job's context (its shard, one thread, no writes) and
+//!   stamps its [`RunMeta`], so a job cannot hand back another job's
+//!   documents. A panicking driver is a failed *job*, never a dead
+//!   worker thread; a job is a pure function of (driver, shard, flags),
+//!   so it is not retried at once, and re-running the same command
+//!   re-runs it once the cause is fixed. Each job's documents are
+//!   committed the moment it completes, then each driver's documents are
+//!   merged through [`merge_driver_docs`] — every point index and every
+//!   shard present exactly once, schema and flags matching — and
+//!   written. Every file goes through [`output::write_tables`]. The tree
+//!   is the run's only record: a killed sweep keeps every job it
+//!   finished, and shard documents `opera run --shard i/n` wrote on other
+//!   machines are jobs finished too.
+//! * [`validate_dir`] re-validates such a tree from disk, reading its
+//!   shard documents as [`start_run`] does and merging them through the
+//!   same [`merge_driver_docs`]: CI's merge-validation step, and the
+//!   hook tests use to prove a dropped shard is a named
+//!   [`MergeError::MissingPointIndex`] or [`MergeError::MissingShard`].
 
 use crate::output::{
     self, merge_shard_docs, result_path, MergeError, ResultFile, RunFlags, TableDoc,
 };
 use crate::runner::worker_count;
+use crate::{Ctx, ExptArgs, RunMeta, Table};
 use simkit::pool::claim_slots;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -52,20 +45,6 @@ pub struct ShardJob {
     pub driver: String,
     /// The `(i, n)` shard this job runs.
     pub shard: (usize, usize),
-}
-
-/// Executes shard jobs. Implementations must be shareable across the
-/// worker threads of a run.
-pub trait Backend: Sync {
-    /// Run one shard job to completion, returning the table documents
-    /// it produced (one per table). An error fails the job.
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String>;
-}
-
-impl<B: Backend + ?Sized> Backend for &B {
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-        (**self).run_shard(job)
-    }
 }
 
 /// What to run: the driver list and the shard count.
@@ -93,8 +72,8 @@ impl Plan {
 pub struct DriverRun {
     /// Driver name.
     pub driver: String,
-    /// Validated merged documents, one per table.
-    pub merged: Vec<TableDoc>,
+    /// Validated merged tables, in table-name order.
+    pub merged: Vec<Table>,
 }
 
 /// A planned job that ran although its driver already had documents
@@ -186,25 +165,12 @@ impl std::error::Error for OrchestrateError {}
 
 impl OrchestrateError {
     /// A filesystem failure at `path`.
-    pub(crate) fn io(path: &Path, e: std::io::Error) -> OrchestrateError {
+    fn io(path: &Path, e: std::io::Error) -> OrchestrateError {
         OrchestrateError::Io {
             path: path.to_path_buf(),
             error: e.to_string(),
         }
     }
-}
-
-/// `Err` unless `doc` is a document of `job`: a backend, or a results
-/// directory, handing back some other job's document must fail that
-/// job, not poison the merge.
-pub(crate) fn check_owner(doc: &TableDoc, job: &ShardJob) -> Result<(), String> {
-    if doc.meta.driver == job.driver && doc.meta.shard == Some(job.shard) {
-        return Ok(());
-    }
-    Err(format!(
-        "document of driver {:?} shard {:?} where driver {:?} shard {:?} was expected",
-        doc.meta.driver, doc.meta.shard, job.driver, job.shard
-    ))
 }
 
 /// What a caught panic said, for reporting it as a job error.
@@ -216,110 +182,86 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("no panic message")
 }
 
-/// The `driver × shard` job list of a plan, driver-major in plan order.
-pub fn plan_jobs(plan: &Plan) -> Vec<ShardJob> {
-    plan.drivers
-        .iter()
-        .flat_map(|d| {
-            (0..plan.shards).map(move |i| ShardJob {
-                driver: d.clone(),
-                shard: (i, plan.shards),
-            })
-        })
-        .collect()
+/// Run `job` once under `flags` and commit its shard documents under
+/// `out` (all of them, or none). Its context runs on **one thread**:
+/// parallelism comes from the job pool, and thread count cannot change
+/// output anyway. `build` runs behind `catch_unwind`, so a panicking
+/// driver fails the job, not the sweep. The documents come back in
+/// table-name order.
+fn run_job<F>(
+    out: &Path,
+    build: &F,
+    flags: RunFlags,
+    job: &ShardJob,
+) -> Result<Vec<TableDoc>, OrchestrateError>
+where
+    F: Fn(&str, &Ctx) -> Result<Vec<Table>, String>,
+{
+    let ctx = Ctx::new(ExptArgs {
+        shard: Some(job.shard),
+        threads: 1,
+        no_write: true,
+        ..flags.expt_args()
+    });
+    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(&job.driver, &ctx)))
+        .unwrap_or_else(|payload| {
+            Err(format!(
+                "{} panicked: {}",
+                job.driver,
+                panic_message(&*payload)
+            ))
+        });
+    let mut tables = built.map_err(|error| OrchestrateError::Job {
+        job: job.clone(),
+        error,
+    })?;
+    tables.sort_by(|a, b| a.name.cmp(&b.name));
+    let meta = RunMeta::new(&job.driver, &ctx.args);
+    let dir = out.join(&job.driver);
+    output::write_tables(&dir, &tables, &meta).map_err(|e| OrchestrateError::io(&dir, e))?;
+    let docs = tables.into_iter().map(|table| TableDoc {
+        meta: meta.clone(),
+        table,
+    });
+    Ok(docs.collect())
 }
 
-/// Run `job` once on `backend`. The backend call is isolated behind
-/// `catch_unwind`, so a panicking driver becomes a failed job instead of
-/// a dead worker thread aborting the whole sweep; the returned documents
-/// are checked against the job, so misattributed output fails the job
-/// too. On success the documents are in canonical (table name) order.
-pub fn run_job<B: Backend + ?Sized>(backend: &B, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-    let mut docs =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.run_shard(job)))
-            .map_err(|payload| {
-                format!("{} panicked: {}", job.driver, panic_message(&*payload))
-            })??;
-    for doc in &docs {
-        check_owner(doc, job)?;
-    }
-    // Canonical table order, whatever order the driver emitted them
-    // in: the merged output follows it.
-    docs.sort_by(|a, b| a.table.name.cmp(&b.table.name));
-    Ok(docs)
-}
-
-/// Group one driver's per-shard documents by table and merge each group
-/// with validation. Tables are ordered as shard 0 produced them; every
-/// shard must produce the same table set.
+/// Merge one driver's shard documents table by table through
+/// [`merge_shard_docs`], in table-name order: the one merge behind
+/// [`start_run`] and [`validate_dir`]. A table a shard did not produce
+/// is that table merge's [`MergeError::MissingPointIndex`] or
+/// [`MergeError::MissingShard`]; one it produced twice, its
+/// [`MergeError::DuplicatePointIndex`] or [`MergeError::DuplicateShard`].
 pub fn merge_driver_docs(
     driver: &str,
-    shard_docs: &[Vec<TableDoc>],
+    docs: Vec<TableDoc>,
 ) -> Result<Vec<TableDoc>, OrchestrateError> {
-    let merr = |error| OrchestrateError::Merge {
-        driver: driver.to_string(),
-        error,
-    };
-    let first = shard_docs
-        .first()
-        .ok_or_else(|| merr(MergeError::NoShards))?;
-    let mut merged = Vec::with_capacity(first.len());
-    for lead in first {
-        // Every shard must produce the table exactly once: a missing
-        // copy is a short shard; a duplicate (from a buggy backend)
-        // could silently shadow drifted rows if only the first copy
-        // were taken.
-        let mut group: Vec<TableDoc> = Vec::with_capacity(shard_docs.len());
-        for (i, docs) in shard_docs.iter().enumerate() {
-            let mut matches = docs.iter().filter(|d| d.table.name == lead.table.name);
-            match (matches.next(), matches.next()) {
-                (Some(one), None) => group.push(one.clone()),
-                (found, _) => {
-                    return Err(merr(MergeError::SchemaMismatch {
-                        table: lead.table.name.clone(),
-                        field: "table",
-                        got: if found.is_none() {
-                            format!("absent from shard {i}")
-                        } else {
-                            format!("duplicated in shard {i}")
-                        },
-                        want: "exactly one document per shard".to_string(),
-                    }));
-                }
-            }
-        }
-        merged.push(merge_shard_docs(&group).map_err(merr)?);
+    let mut tables: BTreeMap<String, Vec<TableDoc>> = BTreeMap::new();
+    for doc in docs {
+        tables.entry(doc.table.name.clone()).or_default().push(doc);
     }
-    // A shard producing extra tables is drift too.
-    for (i, docs) in shard_docs.iter().enumerate() {
-        if let Some(extra) = docs
-            .iter()
-            .find(|d| !first.iter().any(|l| l.table.name == d.table.name))
-        {
-            return Err(merr(MergeError::SchemaMismatch {
-                table: extra.table.name.clone(),
-                field: "table",
-                got: format!("extra table in shard {i}"),
-                want: "absent from shard 0".to_string(),
-            }));
-        }
-    }
-    Ok(merged)
+    let merged = tables.into_values().map(|group| {
+        merge_shard_docs(&group).map_err(|error| OrchestrateError::Merge {
+            driver: driver.to_string(),
+            error,
+        })
+    });
+    merged.collect()
 }
 
 /// Run `plan` under `flags` into `out` — what `opera orchestrate`
-/// does — and return the report and the merged CSV paths.
+/// does — building each job's tables with `build`, and return the
+/// report and the merged CSV paths.
 ///
 /// What `out` holds of the plan's drivers is the run to finish: a job
 /// is kept when its shard documents all parse, belong to it and cover
 /// every table its driver's documents name (shard documents and merged
 /// `<table>.json`), with none left staged. Every other job runs once on
 /// `workers` threads (0 = one per core) and commits its documents as it
-/// completes: all are staged as `<path>.tmp`, then renamed into place,
-/// so a job killed mid-commit leaves a staged file and runs again. Then
-/// each driver is merged and written. Per-point seeds derive from the
-/// plan, so a finished re-run merges byte for byte as an uninterrupted
-/// run does.
+/// completes, so a job killed mid-commit leaves a staged file and runs
+/// again. Then each driver is merged and written. Per-point seeds
+/// derive from the plan, so a finished re-run merges byte for byte as
+/// an uninterrupted run does.
 ///
 /// A document of another run (other flags or shard count) is
 /// [`OrchestrateError::OtherRun`] before anything runs or is written.
@@ -328,84 +270,80 @@ pub fn merge_driver_docs(
 ///
 /// # Panics
 /// Panics when `plan` names a driver twice.
-pub fn start_run<B: Backend>(
+pub fn start_run<F>(
     out: &Path,
     plan: &Plan,
     flags: RunFlags,
-    backend: B,
+    build: F,
     workers: usize,
-) -> Result<(RunReport, Vec<PathBuf>), OrchestrateError> {
+) -> Result<(RunReport, Vec<PathBuf>), OrchestrateError>
+where
+    F: Fn(&str, &Ctx) -> Result<Vec<Table>, String> + Sync,
+{
     if let Some(driver) = plan.repeated_driver() {
         panic!("plan names driver {driver:?} twice");
     }
-    let mut found = BTreeMap::new();
-    for driver in &plan.drivers {
-        let dir = out.join(driver);
-        found.insert(driver.as_str(), Found::scan(&dir, flags, plan.shards)?);
-    }
+    // Every driver's tree is read, and a document of another run
+    // refused, before anything runs.
     let (mut done, mut jobs, mut rerun) = (BTreeMap::new(), Vec::new(), Vec::new());
-    for job in plan_jobs(plan) {
-        match found.get_mut(job.driver.as_str()).and_then(Option::as_mut) {
-            None => jobs.push(job),
-            Some(found) => match found.take(&job) {
-                Ok(docs) => {
-                    done.insert((job.driver.clone(), job.shard.0), docs);
+    for driver in &plan.drivers {
+        let mut found = Found::scan(&out.join(driver), flags, plan.shards)?;
+        for i in 0..plan.shards {
+            let job = ShardJob {
+                driver: driver.clone(),
+                shard: (i, plan.shards),
+            };
+            match found.as_mut().map(|found| found.take(&job)) {
+                None => jobs.push(job),
+                Some(Ok(docs)) => {
+                    done.insert((job.driver, i), docs);
                 }
-                Err(reason) => {
+                Some(Err(reason)) => {
                     rerun.push(Rerun {
                         job: job.clone(),
                         reason,
                     });
                     jobs.push(job);
                 }
-            },
+            }
         }
     }
     let reused = done.len();
 
-    for driver in &plan.drivers {
-        let sdir = out.join(driver).join(output::SHARD_DIR);
-        fs::create_dir_all(&sdir).map_err(|e| OrchestrateError::io(&sdir, e))?;
-    }
     let outcomes = claim_slots(worker_count(workers), jobs.len(), |slot| {
-        let outcome = run_job(&backend, &jobs[slot]);
-        let committed = match &outcome {
-            Ok(docs) => commit(out, &jobs[slot], docs),
-            Err(_) => Ok(()),
-        };
-        (outcome, committed)
+        run_job(out, &build, flags, &jobs[slot])
     });
-    for (job, (outcome, committed)) in jobs.iter().zip(outcomes) {
-        committed?;
-        let docs = outcome.map_err(|error| OrchestrateError::Job {
-            job: job.clone(),
-            error,
-        })?;
-        done.insert((job.driver.clone(), job.shard.0), docs);
+    for (job, docs) in jobs.iter().zip(outcomes) {
+        done.insert((job.driver.clone(), job.shard.0), docs?);
     }
 
     let mut drivers = Vec::with_capacity(plan.drivers.len());
     for driver in &plan.drivers {
-        let shard_docs: Vec<Vec<TableDoc>> = (0..plan.shards)
-            .map(|i| {
-                done.remove(&(driver.clone(), i))
-                    .expect("every planned job was run or kept")
-            })
-            .collect();
-        let merged = merge_driver_docs(driver, &shard_docs)?;
+        let docs = (0..plan.shards).flat_map(|i| {
+            done.remove(&(driver.clone(), i))
+                .expect("every planned job was run or kept")
+        });
+        let merged = merge_driver_docs(driver, docs.collect())?;
         drivers.push(DriverRun {
             driver: driver.clone(),
-            merged,
+            merged: merged.into_iter().map(|d| d.table).collect(),
         });
     }
     let mut csvs = Vec::new();
-    for doc in drivers.iter().flat_map(|r| &r.merged) {
-        let dir = out.join(&doc.meta.driver);
-        let csv = result_path(&dir, &doc.table.name, ResultFile::Csv);
-        write(&csv, &doc.to_csv())?;
-        let json = result_path(&dir, &doc.table.name, ResultFile::Doc(None));
-        write(&json, &doc.render())?;
-        csvs.push(csv);
+    for run in &drivers {
+        let dir = out.join(&run.driver);
+        let meta = RunMeta {
+            driver: run.driver.clone(),
+            flags,
+            shard: None,
+        };
+        let written = output::write_tables(&dir, &run.merged, &meta)
+            .map_err(|e| OrchestrateError::io(&dir, e))?;
+        csvs.extend(
+            written
+                .into_iter()
+                .filter(|p| p.extension().is_some_and(|e| e == "csv")),
+        );
     }
     let report = RunReport {
         drivers,
@@ -415,26 +353,40 @@ pub fn start_run<B: Backend>(
     Ok((report, csvs))
 }
 
-/// [`output::write_atomic`] with the path in the error.
-fn write(path: &Path, text: &str) -> Result<(), OrchestrateError> {
-    output::write_atomic(path, text).map_err(|e| OrchestrateError::io(path, e))
+/// One file under a driver's `shards/`: its table and `(i, n)` shard as
+/// its name spells them ([`result_path`]), whether it is still staged,
+/// and its document, or why it cannot be kept.
+struct ShardFile {
+    path: PathBuf,
+    table: String,
+    shard: (usize, usize),
+    staged: bool,
+    doc: Result<TableDoc, String>,
 }
 
-/// Commit `job`'s documents under `out`: each is written to its staged
-/// path ([`output::staged`]) and renamed into place only once every one
-/// is written, so a kill at any point leaves the job's whole set, or a
-/// staged file that marks the job unfinished.
-fn commit(out: &Path, job: &ShardJob, docs: &[TableDoc]) -> Result<(), OrchestrateError> {
-    let dir = out.join(&job.driver);
-    let path = |d: &TableDoc| result_path(&dir, &d.table.name, ResultFile::Doc(Some(job.shard)));
-    for doc in docs {
-        let tmp = output::staged(&path(doc));
-        fs::write(&tmp, doc.render()).map_err(|e| OrchestrateError::io(&tmp, e))?;
+/// Every shard document under `dir`, a driver's results directory, in
+/// path order: the one reader of shard documents, behind both
+/// [`start_run`] and [`validate_dir`]. Other files are skipped.
+fn shard_files(dir: &Path) -> Result<Vec<ShardFile>, OrchestrateError> {
+    let mut files = Vec::new();
+    for path in listing(&dir.join(output::SHARD_DIR))? {
+        let Some((table, i, n, staged)) = shard_file(&path) else {
+            continue;
+        };
+        let shown = path.display();
+        let doc = match staged {
+            true => Err(format!("staged shard document {shown} was never committed")),
+            false => read(&path).map_err(|e| format!("corrupt shard document {shown}: {e}")),
+        };
+        files.push(ShardFile {
+            table,
+            shard: (i, n),
+            staged,
+            doc,
+            path,
+        });
     }
-    for path in docs.iter().map(path) {
-        fs::rename(output::staged(&path), &path).map_err(|e| OrchestrateError::io(&path, e))?;
-    }
-    Ok(())
+    Ok(files)
 }
 
 /// What a planned driver's results directory already holds.
@@ -458,31 +410,31 @@ impl Found {
             dir: dir.to_path_buf(),
             ..Found::default()
         };
-        for path in listing(&dir.join(output::SHARD_DIR))? {
-            let Some((table, i, n, staged)) = shard_file(&path) else {
-                continue;
-            };
+        for file in shard_files(dir)? {
+            let n = file.shard.1;
             if n != shards {
                 let detail =
                     format!("a document of a {n}-shard run; this run has --shards {shards}");
-                return Err(OrchestrateError::OtherRun { path, detail });
+                return Err(OrchestrateError::OtherRun {
+                    path: file.path,
+                    detail,
+                });
             }
-            found.tables.insert(table.clone());
-            let shown = path.display();
-            if staged {
-                let never = format!("staged shard document {shown} was never committed");
-                found.docs.insert((table, i), Err(never));
-            } else {
-                let doc = read_doc(&path, flags)?;
-                let doc = doc.map_err(|e| format!("corrupt shard document {shown}: {e}"));
-                found.docs.entry((table, i)).or_insert(doc);
+            if let Ok(doc) = &file.doc {
+                other_run(&file.path, doc, flags)?;
             }
+            found.tables.insert(file.table.clone());
+            // A staged file follows its committed one in path order,
+            // and marks the job unfinished.
+            found.docs.insert((file.table, file.shard.0), file.doc);
         }
         for path in listing(dir)? {
             if let Some(table) = name(&path).strip_suffix(".json") {
                 found.tables.insert(table.to_string());
                 // An unreadable merged document is rewritten by the merge.
-                read_doc(&path, flags)?.ok();
+                if let Ok(doc) = read(&path) {
+                    other_run(&path, &doc, flags)?;
+                }
             }
         }
         Ok((!found.tables.is_empty()).then_some(found))
@@ -499,32 +451,43 @@ impl Found {
                 .docs
                 .remove(&(table.clone(), job.shard.0))
                 .unwrap_or_else(|| Err(format!("missing shard document {}", path.display())))?;
-            check_owner(&doc, job).map_err(|e| {
-                let path = path.display();
-                format!("shard document {path} belongs to another job: {e}")
-            })?;
-            if doc.table.name != *table {
-                let (path, other) = (path.display(), &doc.table.name);
-                return Err(format!("shard document {path} holds table {other:?}"));
-            }
+            check_file(&doc, &path, table, job)?;
             docs.push(doc);
         }
         Ok(docs)
     }
 }
 
-/// The table document at `path`, or why it cannot be read; an error
-/// naming the file and the flag if it was written under flags other
-/// than `flags`.
-fn read_doc(path: &Path, flags: RunFlags) -> Result<Result<TableDoc, String>, OrchestrateError> {
-    let text = fs::read_to_string(path).map_err(|e| e.to_string());
-    let doc = text.and_then(|t| TableDoc::parse(&t).map_err(|e| e.to_string()));
-    match doc
-        .as_ref()
-        .ok()
-        .and_then(|d| d.meta.flags.first_difference(&flags))
-    {
-        None => Ok(doc),
+/// `Err` naming `path` unless `doc`, read from it, is `job`'s document
+/// of `table`, as the file's name says: a document under another job's
+/// name must not poison the merge.
+fn check_file(doc: &TableDoc, path: &Path, table: &str, job: &ShardJob) -> Result<(), String> {
+    let (path, meta) = (path.display(), &doc.meta);
+    if meta.driver != job.driver || meta.shard != Some(job.shard) {
+        return Err(format!(
+            "shard document {path} belongs to another job: document of driver {:?} shard {:?} \
+             where driver {:?} shard {:?} was expected",
+            meta.driver, meta.shard, job.driver, job.shard
+        ));
+    }
+    if doc.table.name != table {
+        let other = &doc.table.name;
+        return Err(format!("shard document {path} holds table {other:?}"));
+    }
+    Ok(())
+}
+
+/// The table document at `path`, or why it cannot be read.
+fn read(path: &Path) -> Result<TableDoc, String> {
+    let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
+    TableDoc::parse(&text).map_err(|e| e.to_string())
+}
+
+/// [`OrchestrateError::OtherRun`] naming `path` and the flag if `doc`
+/// was written under flags other than `flags`.
+fn other_run(path: &Path, doc: &TableDoc, flags: RunFlags) -> Result<(), OrchestrateError> {
+    match doc.meta.flags.first_difference(&flags) {
+        None => Ok(()),
         Some(d) => Err(OrchestrateError::OtherRun {
             path: path.to_path_buf(),
             detail: format!(
@@ -582,41 +545,42 @@ pub struct ValidatedTable {
 }
 
 /// Re-validate an orchestrated results directory from disk: for every
-/// `<dir>/<driver>/shards/*.json`, re-merge the shard documents (full
-/// validation — missing or duplicated point indices fail here) and
-/// check the committed merged CSV matches the re-merge byte-for-byte,
-/// and that every merged CSV beside them still has shard documents.
-/// Returns the validated tables, or the first failure.
+/// `<dir>/<driver>/shards/`, read the committed shard documents as
+/// [`start_run`] does — each must parse and be the document its file
+/// name says — and re-merge them through [`merge_driver_docs`] (full
+/// validation: a missing or duplicated point index or shard fails
+/// here); check each committed merged CSV matches its re-merge
+/// byte-for-byte, and that every merged CSV beside them still has shard
+/// documents. Returns the validated tables, or the first failure.
 pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError> {
     let mut validated = Vec::new();
     for dir in listing(out)? {
-        let shards = dir.join(output::SHARD_DIR);
-        if !shards.is_dir() {
+        if !dir.join(output::SHARD_DIR).is_dir() {
             continue;
         }
         let driver = name(&dir).to_string();
-        let merr = |error| OrchestrateError::Merge {
-            driver: driver.clone(),
-            error,
-        };
-        let mut groups: BTreeMap<String, Vec<TableDoc>> = BTreeMap::new();
-        for path in listing(&shards)?
-            .into_iter()
-            .filter(|p| name(p).ends_with(".json"))
-        {
-            let text = fs::read_to_string(&path).map_err(|e| OrchestrateError::io(&path, e))?;
-            let doc = TableDoc::parse(&text).map_err(|e| {
-                let context = format!("{}: {e}", path.display());
-                merr(MergeError::Parse { context })
-            })?;
-            groups.entry(doc.table.name.clone()).or_default().push(doc);
+        let mut docs = Vec::new();
+        let mut shards: BTreeMap<String, usize> = BTreeMap::new();
+        for file in shard_files(&dir)?.into_iter().filter(|f| !f.staged) {
+            let job = ShardJob {
+                driver: driver.clone(),
+                shard: file.shard,
+            };
+            let doc = (file.doc)
+                .and_then(|doc| check_file(&doc, &file.path, &file.table, &job).map(|()| doc))
+                .map_err(|context| OrchestrateError::Merge {
+                    driver: driver.clone(),
+                    error: MergeError::Parse { context },
+                })?;
+            *shards.entry(file.table).or_default() += 1;
+            docs.push(doc);
         }
         // A merged CSV whose shard documents are all gone merges from
         // nothing: it cannot be validated, so it is not valid.
         for path in listing(&dir)? {
             if name(&path)
                 .strip_suffix(".csv")
-                .is_some_and(|table| !groups.contains_key(table))
+                .is_some_and(|table| !shards.contains_key(table))
             {
                 return Err(OrchestrateError::Stale {
                     path,
@@ -624,8 +588,8 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
                 });
             }
         }
-        for (table, docs) in groups {
-            let merged = merge_shard_docs(&docs).map_err(merr)?;
+        let merged = merge_driver_docs(&driver, docs)?;
+        for (merged, (table, shards)) in merged.iter().zip(shards) {
             let csv_path = result_path(&dir, &table, ResultFile::Csv);
             let committed =
                 fs::read_to_string(&csv_path).map_err(|e| OrchestrateError::io(&csv_path, e))?;
@@ -639,7 +603,7 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
             validated.push(ValidatedTable {
                 driver: driver.clone(),
                 table,
-                shards: docs.len(),
+                shards,
                 rows: merged.table.len(),
             });
         }
@@ -650,7 +614,7 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{fake_docs, tmp_dir, FakeBackend, QUICK};
+    use crate::testutil::{fake_build, fake_docs, fake_table, meta, tmp_dir, QUICK};
     use std::sync::Mutex;
 
     fn plan(drivers: &[&str], shards: usize) -> Plan {
@@ -663,7 +627,7 @@ mod tests {
     #[test]
     fn orchestrates_and_merges_across_workers() {
         let out = tmp_dir("orch-merge");
-        let (report, csvs) = start_run(&out, &plan(&["a", "b"], 3), QUICK, FakeBackend, 3).unwrap();
+        let (report, csvs) = start_run(&out, &plan(&["a", "b"], 3), QUICK, fake_build, 3).unwrap();
         assert_eq!(report.drivers.len(), 2);
         assert_eq!(csvs.len(), 2);
         for run in &report.drivers {
@@ -679,7 +643,7 @@ mod tests {
     fn a_failed_job_fails_the_run_by_name_and_the_rest_persist() {
         let out = tmp_dir("orch-failed");
         let p = plan(&["a", "always-broken"], 2);
-        match start_run(&out, &p, QUICK, FakeBackend, 2).unwrap_err() {
+        match start_run(&out, &p, QUICK, fake_build, 2).unwrap_err() {
             OrchestrateError::Job { job, error } => {
                 assert_eq!(job.driver, "always-broken");
                 assert_eq!(error, "permanent failure");
@@ -693,12 +657,7 @@ mod tests {
                 .join(format!("a/shards/data.shard{i}of2.json"))
                 .is_file());
         }
-        assert_eq!(
-            fs::read_dir(out.join("always-broken/shards"))
-                .unwrap()
-                .count(),
-            0
-        );
+        assert!(!out.join("always-broken").exists());
         assert!(!out.join("a/data.csv").exists());
         fs::remove_dir_all(&out).unwrap();
     }
@@ -706,7 +665,7 @@ mod tests {
     #[test]
     fn write_then_validate_round_trips_and_detects_drops() {
         let out = tmp_dir("orch-validate");
-        let (_, csvs) = start_run(&out, &plan(&["a"], 3), QUICK, FakeBackend, 2).unwrap();
+        let (_, csvs) = start_run(&out, &plan(&["a"], 3), QUICK, fake_build, 2).unwrap();
         assert_eq!(csvs.len(), 1);
         let validated = validate_dir(&out).unwrap();
         assert_eq!(validated.len(), 1);
@@ -723,10 +682,22 @@ mod tests {
             other => panic!("expected MissingPointIndex, got {other}"),
         }
 
-        // Duplicated shard: copying a shard in as another shard's file
-        // fails as a duplicate point index.
+        // A shard's document copied in as another shard's file is
+        // named by the file; under a second name of its own shard it is
+        // a duplicate point index.
         let text = fs::read_to_string(out.join("a/shards/data.shard0of3.json")).unwrap();
         fs::write(out.join("a/shards/data.shard1of3.json"), &text).unwrap();
+        let err = validate_dir(&out).unwrap_err().to_string();
+        assert!(
+            err.contains("data.shard1of3.json belongs to another job"),
+            "{err}"
+        );
+        fs::write(
+            out.join("a/shards/data.shard1of3.json"),
+            fake_docs("a", (1, 3))[0].render(),
+        )
+        .unwrap();
+        fs::write(out.join("a/shards/data.shard00of3.json"), &text).unwrap();
         fs::write(out.join("a/shards/data.extra.json"), &text).unwrap();
         match validate_dir(&out).unwrap_err() {
             OrchestrateError::Merge {
@@ -761,9 +732,9 @@ mod tests {
         // silently. It is now refused, naming --shards and the file,
         // before anything runs or is written.
         let out = tmp_dir("orch-shards");
-        start_run(&out, &plan(&["a"], 3), QUICK, FakeBackend, 2).unwrap();
+        start_run(&out, &plan(&["a"], 3), QUICK, fake_build, 2).unwrap();
         let before = snapshot(&out);
-        match start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 2).unwrap_err() {
+        match start_run(&out, &plan(&["a"], 2), QUICK, fake_build, 2).unwrap_err() {
             OrchestrateError::OtherRun { path, detail } => {
                 assert!(path.ends_with("a/shards/data.shard0of3.json"), "{path:?}");
                 assert!(detail.contains("this run has --shards 2"), "{detail}");
@@ -776,24 +747,42 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_table_within_a_shard_is_rejected() {
-        let docs0 = fake_docs("a", (0, 2));
-        let docs1 = fake_docs("a", (1, 2));
-        // Shard 1 returns its table twice (a buggy backend).
-        let doubled = vec![docs0, vec![docs1[0].clone(), docs1[0].clone()]];
-        match merge_driver_docs("a", &doubled).unwrap_err() {
+    fn a_table_missing_or_doubled_in_a_shard_is_named() {
+        // The shards that produced the sweep table `data`, and those
+        // that produced the constant table `config`.
+        let merged = |data: &[usize], config: &[usize]| {
+            let mut docs: Vec<TableDoc> = (data.iter())
+                .map(|&i| fake_docs("a", (i, 2)).remove(0))
+                .collect();
+            let mut table = Table::new("config", &["k"]);
+            table.push(vec![crate::Cell::from(12u64)]);
+            docs.extend(config.iter().map(|&i| TableDoc {
+                meta: meta("a", Some((i, 2))),
+                table: table.clone(),
+            }));
+            merge_driver_docs("a", docs)
+        };
+        assert_eq!(merged(&[0, 1], &[1, 0]).unwrap().len(), 2);
+        match merged(&[0, 1, 1], &[0, 1]).unwrap_err() {
             OrchestrateError::Merge {
-                error: MergeError::SchemaMismatch { got, .. },
+                error: MergeError::DuplicatePointIndex { table, point },
                 ..
-            } => assert!(got.contains("duplicated in shard 1")),
-            other => panic!("expected SchemaMismatch, got {other}"),
+            } => assert_eq!((table.as_str(), point), ("data", 1)),
+            other => panic!("expected DuplicatePointIndex, got {other}"),
+        }
+        match merged(&[0, 1], &[0]).unwrap_err() {
+            OrchestrateError::Merge {
+                error: MergeError::MissingShard { table, shard },
+                ..
+            } => assert_eq!((table.as_str(), shard), ("config", 1)),
+            other => panic!("expected MissingShard, got {other}"),
         }
     }
 
     #[test]
     fn tampered_merged_csv_is_stale() {
         let out = tmp_dir("orch-stale");
-        let (_, csvs) = start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        let (_, csvs) = start_run(&out, &plan(&["a"], 2), QUICK, fake_build, 1).unwrap();
         fs::write(&csvs[0], "point,sub\n9,9\n").unwrap();
         assert!(matches!(
             validate_dir(&out).unwrap_err(),
@@ -807,7 +796,7 @@ mod tests {
         // Every shard document of one driver's table deleted by hand:
         // its merged CSV used to pass unvalidated.
         let out = tmp_dir("orch-orphan");
-        start_run(&out, &plan(&["a", "b"], 2), QUICK, FakeBackend, 2).unwrap();
+        start_run(&out, &plan(&["a", "b"], 2), QUICK, fake_build, 2).unwrap();
         for i in 0..2 {
             fs::remove_file(out.join(format!("a/shards/data.shard{i}of2.json"))).unwrap();
         }
@@ -821,19 +810,6 @@ mod tests {
         fs::remove_dir_all(&out).unwrap();
     }
 
-    /// Panics on every job of the driver named `"panicky"`; everything
-    /// else succeeds.
-    struct PanickyBackend;
-
-    impl Backend for PanickyBackend {
-        fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-            if job.driver == "panicky" {
-                panic!("deliberate panic in shard {}", job.shard.0);
-            }
-            Ok(fake_docs(&job.driver, job.shard))
-        }
-    }
-
     #[test]
     fn backend_panic_does_not_take_down_other_jobs() {
         // Regression: a panicking worker used to propagate through the
@@ -841,7 +817,14 @@ mod tests {
         // per-job failure and every other job still completes.
         let out = tmp_dir("orch-panic");
         let p = plan(&["panicky", "ok"], 2);
-        match start_run(&out, &p, QUICK, PanickyBackend, 2).unwrap_err() {
+        // Panics on every job of the driver named `"panicky"`.
+        let panicky = |driver: &str, ctx: &Ctx| {
+            if driver == "panicky" {
+                panic!("deliberate panic in shard {:?}", ctx.args.shard);
+            }
+            fake_build(driver, ctx)
+        };
+        match start_run(&out, &p, QUICK, panicky, 2).unwrap_err() {
             OrchestrateError::Job { job, error } => {
                 assert_eq!(job.driver, "panicky");
                 assert!(
@@ -856,43 +839,19 @@ mod tests {
                 .join(format!("ok/shards/data.shard{i}of2.json"))
                 .is_file());
         }
-        assert_eq!(fs::read_dir(out.join("panicky/shards")).unwrap().count(), 0);
+        assert!(!out.join("panicky").exists());
         fs::remove_dir_all(&out).unwrap();
     }
 
-    #[test]
-    fn misattributed_documents_are_job_failures() {
-        // A backend shipping back some *other* job's documents (wrong
-        // driver or wrong shard) must fail that job, not poison the
-        // merge.
-        struct WrongDriver;
-        impl Backend for WrongDriver {
-            fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-                Ok(fake_docs("impostor", job.shard))
-            }
-        }
-        struct WrongShard;
-        impl Backend for WrongShard {
-            fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-                Ok(fake_docs(&job.driver, (job.shard.0, job.shard.1 + 1)))
-            }
-        }
-        let job = &plan_jobs(&plan(&["a"], 2))[1];
-        let error = run_job(&WrongDriver, job).unwrap_err();
-        assert!(error.contains("impostor"), "{error}");
-        let error = run_job(&WrongShard, job).unwrap_err();
-        assert!(error.contains("shard Some((1, 3))"), "{error}");
-    }
-
-    /// [`FakeBackend`] that records the jobs it ran, as `driver:i`.
-    #[derive(Default)]
-    struct Counting(Mutex<Vec<String>>);
-
-    impl Backend for Counting {
-        fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-            let ran = format!("{}:{}", job.driver, job.shard.0);
-            self.0.lock().unwrap().push(ran);
-            Ok(fake_docs(&job.driver, job.shard))
+    /// A table builder that never fails and records each job it ran,
+    /// as `driver:i`, in `ran`.
+    fn counting(
+        ran: &Mutex<Vec<String>>,
+    ) -> impl Fn(&str, &Ctx) -> Result<Vec<Table>, String> + Sync + '_ {
+        move |driver, ctx| {
+            let shard = ctx.args.shard.expect("a job's context has its shard");
+            ran.lock().unwrap().push(format!("{driver}:{}", shard.0));
+            Ok(vec![fake_table(shard)])
         }
     }
 
@@ -902,26 +861,10 @@ mod tests {
     }
 
     #[test]
-    fn a_job_commits_its_documents_together() {
-        let out = tmp_dir("orch-commit");
-        let job = &plan_jobs(&plan(&["a"], 2))[1];
-        let mut docs = fake_docs("a", (1, 2));
-        let mut other = docs[0].clone();
-        other.table.name = "other".into();
-        docs.push(other);
-        fs::create_dir_all(out.join("a/shards")).unwrap();
-        commit(&out, job, &docs).unwrap();
-        let written: Vec<PathBuf> = snapshot(&out).into_iter().map(|(p, _)| p).collect();
-        let want = ["data", "other"].map(|t| out.join(format!("a/shards/{t}.shard1of2.json")));
-        assert_eq!(written, want, "both documents, and no staged file left");
-        fs::remove_dir_all(&out).unwrap();
-    }
-
-    #[test]
     fn a_rerun_runs_only_missing_and_corrupt_shards() {
         let out = tmp_dir("orch-rerun");
         let two = plan(&["a", "b"], 2);
-        start_run(&out, &two, QUICK, FakeBackend, 2).unwrap();
+        start_run(&out, &two, QUICK, fake_build, 2).unwrap();
         let reference = fs::read_to_string(out.join("a/data.csv")).unwrap();
 
         // Delete one shard document and truncate (corrupt) another.
@@ -930,12 +873,12 @@ mod tests {
         let text = fs::read_to_string(&corrupt).unwrap();
         fs::write(&corrupt, &text[..text.len() / 2]).unwrap();
 
-        let backend = Counting::default();
-        let (report, _) = start_run(&out, &two, QUICK, &backend, 2).unwrap();
+        let ran = Mutex::default();
+        let (report, _) = start_run(&out, &two, QUICK, counting(&ran), 2).unwrap();
         assert_eq!(report.reused, 2);
         assert_eq!(reruns(&report), ["a:1", "b:0"]);
         // Two workers: either job may start first.
-        let mut ran = backend.0.lock().unwrap().clone();
+        let mut ran = ran.into_inner().unwrap();
         ran.sort();
         assert_eq!(ran, ["a:1", "b:0"]);
         assert!(report.rerun[0].reason.contains("missing shard document"));
@@ -949,7 +892,7 @@ mod tests {
         assert_eq!(validate_dir(&out).unwrap().len(), 2);
 
         // Nothing left to do: a third run keeps everything.
-        let (report, _) = start_run(&out, &two, QUICK, FakeBackend, 2).unwrap();
+        let (report, _) = start_run(&out, &two, QUICK, fake_build, 2).unwrap();
         assert_eq!(report.reused, 4);
         assert!(report.rerun.is_empty());
         fs::remove_dir_all(&out).unwrap();
@@ -959,22 +902,21 @@ mod tests {
     fn a_rerun_runs_failed_and_unfinished_jobs_without_touching_done_ones() {
         // A run killed after one of a's two jobs committed.
         let out = tmp_dir("orch-killed");
-        let job0 = &plan_jobs(&plan(&["a"], 2))[0];
-        fs::create_dir_all(out.join("a/shards")).unwrap();
-        commit(&out, job0, &fake_docs("a", (0, 2))).unwrap();
+        let tables = [fake_table((0, 2))];
+        output::write_tables(&out.join("a"), &tables, &meta("a", Some((0, 2)))).unwrap();
         let p = plan(&["a", "always-broken"], 2);
         // The first try also fails always-broken's jobs, which commit
         // nothing.
-        let err = start_run(&out, &p, QUICK, FakeBackend, 1).unwrap_err();
+        let err = start_run(&out, &p, QUICK, fake_build, 1).unwrap_err();
         assert!(matches!(err, OrchestrateError::Job { .. }), "{err}");
         assert!(out.join("a/shards/data.shard1of2.json").is_file());
 
-        let backend = Counting::default();
-        let (report, _) = start_run(&out, &p, QUICK, &backend, 1).unwrap();
+        let ran = Mutex::default();
+        let (report, _) = start_run(&out, &p, QUICK, counting(&ran), 1).unwrap();
         assert_eq!(report.reused, 2, "a's two jobs are on disk now");
         assert!(report.rerun.is_empty(), "always-broken has no document");
         assert_eq!(
-            *backend.0.lock().unwrap(),
+            ran.into_inner().unwrap(),
             ["always-broken:0", "always-broken:1"]
         );
         assert_eq!(validate_dir(&out).unwrap().len(), 2);
@@ -984,7 +926,7 @@ mod tests {
     #[test]
     fn documents_of_another_run_are_refused() {
         let out = tmp_dir("orch-drift");
-        start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        start_run(&out, &plan(&["a"], 2), QUICK, fake_build, 1).unwrap();
         // Overwrite shard 0's document with one of a different seed:
         // it parses, but it is another run's.
         let path = out.join("a/shards/data.shard0of2.json");
@@ -992,7 +934,7 @@ mod tests {
         other.meta.flags.seed = 999;
         fs::write(&path, other.render()).unwrap();
         let before = snapshot(&out);
-        let err = start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap_err();
+        let err = start_run(&out, &plan(&["a"], 2), QUICK, fake_build, 1).unwrap_err();
         assert_eq!(
             err.to_string(),
             format!(
@@ -1005,7 +947,7 @@ mod tests {
         // A document of the right run but the wrong job is named as such
         // and re-run.
         fs::write(&path, fake_docs("a", (1, 2))[0].render()).unwrap();
-        let (report, _) = start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        let (report, _) = start_run(&out, &plan(&["a"], 2), QUICK, fake_build, 1).unwrap();
         assert_eq!(reruns(&report), ["a:0"]);
         let reason = &report.rerun[0].reason;
         assert!(reason.contains("belongs to another job"), "{reason}");
@@ -1015,17 +957,12 @@ mod tests {
 
     #[test]
     fn a_rerun_surfaces_a_still_failing_job() {
-        struct AlwaysFail;
-        impl Backend for AlwaysFail {
-            fn run_shard(&self, _: &ShardJob) -> Result<Vec<TableDoc>, String> {
-                Err("still broken".into())
-            }
-        }
         let out = tmp_dir("still-failing");
-        start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        start_run(&out, &plan(&["a"], 2), QUICK, fake_build, 1).unwrap();
         let victim = out.join("a/shards/data.shard1of2.json");
         fs::remove_file(&victim).unwrap();
-        match start_run(&out, &plan(&["a"], 2), QUICK, AlwaysFail, 1).unwrap_err() {
+        let always_fail = |_: &str, _: &Ctx| Err("still broken".to_string());
+        match start_run(&out, &plan(&["a"], 2), QUICK, always_fail, 1).unwrap_err() {
             OrchestrateError::Job { job, error } => {
                 assert_eq!(job.shard, (1, 2));
                 assert_eq!(error, "still broken");
@@ -1034,7 +971,7 @@ mod tests {
         }
         // The job's document stays absent, so the next run re-runs it.
         assert!(!victim.exists());
-        let (report, _) = start_run(&out, &plan(&["a"], 2), QUICK, FakeBackend, 1).unwrap();
+        let (report, _) = start_run(&out, &plan(&["a"], 2), QUICK, fake_build, 1).unwrap();
         assert_eq!(reruns(&report), ["a:1"]);
         fs::remove_dir_all(&out).unwrap();
     }

@@ -28,7 +28,7 @@
 use crate::json::{self, quoted, Fields};
 use crate::table::{Cell, Table};
 use crate::{ExptArgs, Scale};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -351,6 +351,21 @@ pub enum MergeError {
         /// The duplicated point.
         point: usize,
     },
+    /// No document of shard `shard` was given (every shard computes
+    /// every table): it was dropped or never ran.
+    MissingShard {
+        /// Table being merged.
+        table: String,
+        /// The absent shard index.
+        shard: usize,
+    },
+    /// More than one document of shard `shard` was given.
+    DuplicateShard {
+        /// Table being merged.
+        table: String,
+        /// The repeated shard index.
+        shard: usize,
+    },
     /// Constant (non-sweep) rows differ between shards.
     ConstantRowMismatch {
         /// Table being merged.
@@ -427,6 +442,13 @@ impl fmt::Display for MergeError {
                 f,
                 "{table}: duplicate point index {point} across shards (shard submitted twice?)"
             ),
+            MergeError::MissingShard { table, shard } => {
+                write!(f, "{table}: missing shard {shard} (its document dropped?)")
+            }
+            MergeError::DuplicateShard { table, shard } => write!(
+                f,
+                "{table}: shard {shard} has more than one document (submitted twice?)"
+            ),
             MergeError::ConstantRowMismatch {
                 table,
                 row,
@@ -449,7 +471,10 @@ impl std::error::Error for MergeError {}
 /// ownership (`point % n == i`), completeness (**every point index
 /// present exactly once across shards** — a dropped shard surfaces as
 /// [`MergeError::MissingPointIndex`], a duplicated one as
-/// [`MergeError::DuplicatePointIndex`]), and constant-row identity.
+/// [`MergeError::DuplicatePointIndex`]), one document of every shard
+/// `0..n` (a dropped document of a constant table, or of a shard that
+/// owns no point, is [`MergeError::MissingShard`]), and constant-row
+/// identity.
 /// The merged row order is the canonical unsharded order: constant rows
 /// first, then sweep rows by ascending point index, each point's rows
 /// in its shard's emission order — so the merged CSV is byte-identical
@@ -538,6 +563,7 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         {
             return Err(MergeError::UnknownPointCount { table });
         }
+        check_shards(&table, docs, n)?;
         check_constants(&table, docs)?;
         return Ok(TableDoc {
             meta: unsharded,
@@ -589,6 +615,7 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         });
     }
 
+    check_shards(&table, docs, n)?;
     check_constants(&table, docs)?;
 
     // Reassemble: constants (validated identical) first, then points in
@@ -621,6 +648,24 @@ fn rows_at(t: &Table, point: Option<usize>) -> impl Iterator<Item = &Vec<Cell>> 
     std::iter::zip(&t.rows, &t.row_points)
         .filter(move |(_, p)| **p == point)
         .map(|(row, _)| row)
+}
+
+/// Validate that `docs`, each of a shard `i < n`, hold every shard
+/// exactly once.
+fn check_shards(table: &str, docs: &[TableDoc], n: usize) -> Result<(), MergeError> {
+    let (mut seen, table) = (BTreeSet::new(), table.to_string());
+    for d in docs {
+        let shard = d.meta.shard.expect("checked sharded").0;
+        if !seen.insert(shard) {
+            return Err(MergeError::DuplicateShard { table, shard });
+        }
+    }
+    // The first absent shard is at most `docs.len()`: `n` is whatever a
+    // document says it is, and nothing here is sized by it.
+    match (0..n).find(|i| !seen.contains(i)) {
+        Some(shard) => Err(MergeError::MissingShard { table, shard }),
+        None => Ok(()),
+    }
 }
 
 /// Validate that every document's constant (non-sweep) rows are
@@ -693,35 +738,32 @@ pub(crate) fn staged(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// Write `contents` to `path` atomically: write `<path>.tmp` in full,
-/// then rename over `path`. A reader (or a re-run) therefore never
-/// sees a half-written file — it sees the old contents, the new
-/// contents, or no file at all.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = staged(path);
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
-}
-
 /// Write every table's result files under `dir`, creating directories
-/// as needed. Unsharded runs write `<table>.csv` plus the `<table>.json`
-/// table document; sharded runs write only
+/// as needed: the one writer of a results tree (`opera run`, and every
+/// file `opera orchestrate` writes). Unsharded runs write `<table>.csv`
+/// plus the `<table>.json` table document; sharded runs write only
 /// `shards/<table>.shard<i>of<n>.json`, ready for [`merge_shard_docs`].
-/// Returns the written paths in table order. Every file is written
-/// atomically ([`write_atomic`]), so re-runs are idempotent and a
-/// killed run never leaves a half-written document behind.
+/// Returns the written paths in table order. A call commits all its
+/// files or none: each is first written in full to `<path>.tmp`, then
+/// all are renamed into place, so a killed run leaves no half-written
+/// file, and a staged one marks the write unfinished.
 pub fn write_tables(dir: &Path, tables: &[Table], meta: &RunMeta) -> io::Result<Vec<PathBuf>> {
     let mut paths = Vec::with_capacity(tables.len() * 2);
     for t in tables {
         let doc = result_path(dir, &t.name, ResultFile::Doc(meta.shard));
-        fs::create_dir_all(doc.parent().expect("a result file has a directory"))?;
+        if paths.is_empty() {
+            fs::create_dir_all(doc.parent().expect("a result file has a directory"))?;
+        }
         if meta.shard.is_none() {
             let csv = result_path(dir, &t.name, ResultFile::Csv);
-            write_atomic(&csv, &t.to_csv())?;
+            fs::write(staged(&csv), t.to_csv())?;
             paths.push(csv);
         }
-        write_atomic(&doc, &table_json(t, meta))?;
+        fs::write(staged(&doc), table_json(t, meta))?;
         paths.push(doc);
+    }
+    for path in &paths {
+        fs::rename(staged(path), path)?;
     }
     Ok(paths)
 }
@@ -974,6 +1016,58 @@ mod tests {
         assert_eq!(merge_shard_docs(std::slice::from_ref(&solo)).unwrap(), solo);
     }
 
+    #[test]
+    fn every_shard_of_a_table_must_be_there_once() {
+        // A constant table's rows are the same in every shard, so
+        // nothing but the shard indices shows a dropped document.
+        let mut t = Table::new("config", &["k"]);
+        t.push(vec![Cell::from(12u64)]);
+        let doc = |i| TableDoc {
+            meta: meta(Some((i, 3))),
+            table: t.clone(),
+        };
+        let missing = |shard| MergeError::MissingShard {
+            table: "config".into(),
+            shard,
+        };
+        assert_eq!(merge_shard_docs(&[doc(0), doc(2)]).unwrap_err(), missing(1));
+        assert_eq!(merge_shard_docs(&[doc(1), doc(0)]).unwrap_err(), missing(2));
+        assert_eq!(
+            merge_shard_docs(&[doc(2), doc(1), doc(1)]).unwrap_err(),
+            MergeError::DuplicateShard {
+                table: "config".into(),
+                shard: 1,
+            }
+        );
+        let err = merge_shard_docs(&[doc(1), doc(2)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "config: missing shard 0 (its document dropped?)"
+        );
+        // A sweep table's shard that owns no point (5 points over 6
+        // shards) leaves no point index to miss.
+        let sweep_doc = |i| {
+            let owned: Vec<usize> = (0..5).filter(|p| p % 6 == i).collect();
+            let sweep = SweepRef { points: 5, owned };
+            let mut t = Table::new("series", &["p"]).for_sweep(&sweep);
+            for &p in &sweep.owned {
+                t.push_indexed(p, vec![Cell::from(p)]);
+            }
+            TableDoc {
+                meta: meta(Some((i, 6))),
+                table: t,
+            }
+        };
+        let docs: Vec<TableDoc> = (0..5).map(sweep_doc).collect();
+        assert_eq!(
+            merge_shard_docs(&docs).unwrap_err(),
+            MergeError::MissingShard {
+                table: "series".into(),
+                shard: 5,
+            }
+        );
+    }
+
     /// The one comparison behind the shard merge's `FlagMismatch`, the
     /// orchestrator's other-run refusal and the golden stale-bless drift.
     #[test]
@@ -1070,5 +1164,36 @@ mod tests {
         assert!(spaths[0].ends_with("shards/series.shard1of4.json"));
         assert!(spaths[0].exists());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_call_commits_all_its_files_or_none() {
+        let dir = tmp_dir("write-commit");
+        let table = |name: &str| {
+            let mut t = Table::new(name, &["x"]);
+            t.push(vec![Cell::from(1u64)]);
+            t
+        };
+        let both = [table("a"), table("b")];
+        write_tables(&dir, &both, &meta(Some((1, 2)))).unwrap();
+        let mut written: Vec<String> = fs::read_dir(dir.join(SHARD_DIR))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        written.sort();
+        assert_eq!(
+            written,
+            ["a.shard1of2.json", "b.shard1of2.json"],
+            "no staged file left"
+        );
+        // A second table that cannot be written: the first is left
+        // staged, and nothing is renamed into place.
+        let other = tmp_dir("write-none");
+        let err = write_tables(&other, &[table("a"), table("no/dir")], &meta(None));
+        assert!(err.is_err());
+        assert!(!other.join("a.csv").exists() && !other.join("a.json").exists());
+        assert!(staged(&other.join("a.json")).exists());
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&other).unwrap();
     }
 }

@@ -14,6 +14,8 @@
 //!   `render(parse(text)) == text` byte for byte.
 //! * Every decoder rejects an unknown key, at top level and in each
 //!   nested object, naming the key and where it is.
+//! * Every JSON file the repository commits parses: the parser's
+//!   strictness rejects no document it is meant to read.
 
 use expt::golden::{parse_csv, GoldenManifest};
 use expt::{
@@ -410,5 +412,42 @@ proptest! {
             tables: tables.iter().map(|&i| awkward(i)).collect(),
         };
         prop_assert_eq!(GoldenManifest::parse(&m.render()), Ok(m));
+    }
+}
+
+/// Every `*.json` under `dir`, recursively with `deep`.
+fn json_files(dir: &std::path::Path, deep: bool, found: &mut Vec<std::path::PathBuf>) {
+    for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+        if path.is_dir() && deep {
+            json_files(&path, deep, found);
+        } else if path.extension().is_some_and(|e| e == "json") {
+            found.push(path);
+        }
+    }
+}
+
+/// The committed JSON documents — `BENCH_*.json` and `BENCHMARK.json` at
+/// the root, every golden `manifest.json` and every scenario — parse
+/// under the strict grammar.
+#[test]
+fn every_committed_json_document_parses() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut found = Vec::new();
+    json_files(&root, false, &mut found);
+    json_files(&root.join("goldens"), true, &mut found);
+    json_files(&root.join("scenarios"), false, &mut found);
+    let named = |file: &str| found.iter().any(|p| p.ends_with(file));
+    for file in [
+        "BENCH_repo.json",
+        "BENCH_hot_paths.json",
+        "full/manifest.json",
+    ] {
+        assert!(named(file), "{file} not found under {}", root.display());
+    }
+    for path in &found {
+        let text = std::fs::read_to_string(path).unwrap();
+        if let Err(e) = expt::json::Json::parse(&text) {
+            panic!("{}: {e}", path.display());
+        }
     }
 }

@@ -7,11 +7,10 @@
 //! shards, whatever the interruption left: a missing, corrupt or staged
 //! shard document, or a hand-deleted table document.
 
-use bench::backend::LocalBackend;
 use bench::figures::{self, GOLDEN_FLAGS};
-use expt::orchestrate::{start_run, validate_dir, Backend, OrchestrateError, Plan, ShardJob};
+use expt::orchestrate::{start_run, validate_dir, OrchestrateError, Plan};
 use expt::output::MergeError;
-use expt::{Table, TableDoc};
+use expt::{Ctx, Table};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -30,9 +29,8 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
         drivers: drivers.clone(),
         shards: 4,
     };
-    let backend = LocalBackend::new(GOLDEN_FLAGS);
-    let (report, _) =
-        start_run(&out, &plan, GOLDEN_FLAGS, backend, 2).expect("orchestrated quick run succeeds");
+    let (report, _) = start_run(&out, &plan, GOLDEN_FLAGS, figures::build, 2)
+        .expect("orchestrated quick run succeeds");
     assert_eq!(report.drivers.len(), 20);
 
     let serial = figures::golden_ctx(1);
@@ -51,7 +49,7 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
             let merged = run
                 .merged
                 .iter()
-                .find(|m| m.table.name == t.name)
+                .find(|m| m.name == t.name)
                 .unwrap_or_else(|| panic!("{}: table {} missing from merge", exp.name, t.name));
             assert_eq!(
                 merged.to_csv(),
@@ -76,8 +74,7 @@ fn dropped_shard_fails_with_missing_point_index() {
         drivers: vec!["fig11_fault_tolerance".to_string()],
         shards: 3,
     };
-    let backend = LocalBackend::new(GOLDEN_FLAGS);
-    start_run(&out, &plan, GOLDEN_FLAGS, backend, 2).unwrap();
+    start_run(&out, &plan, GOLDEN_FLAGS, figures::build, 2).unwrap();
     assert!(!validate_dir(&out).unwrap().is_empty());
 
     // Injected dropped shard.
@@ -104,48 +101,32 @@ fn dropped_shard_fails_with_missing_point_index() {
 
 const DRIVER: &str = "fig14_cycle_time_scaling";
 
-/// Delegates to the real backend for the first `successes` jobs, then
-/// fails everything — simulating a run killed partway through. With
-/// one worker, exactly the first `successes` jobs in plan order
+/// The driver registry's builder for the first `successes` jobs, then
+/// a failure for everything — simulating a run killed partway through.
+/// With one worker, exactly the first `successes` jobs in plan order
 /// complete.
-struct FailAfter {
-    inner: LocalBackend,
+fn fail_after(
     successes: usize,
-    started: AtomicUsize,
-}
-
-impl Backend for FailAfter {
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-        if self.started.fetch_add(1, Ordering::SeqCst) >= self.successes {
+    started: &AtomicUsize,
+) -> impl Fn(&str, &Ctx) -> Result<Vec<Table>, String> + Sync + '_ {
+    move |driver, ctx| {
+        if started.fetch_add(1, Ordering::SeqCst) >= successes {
             return Err("simulated kill".into());
         }
-        self.inner.run_shard(job)
+        figures::build(driver, ctx)
     }
 }
 
-/// Records which jobs it actually ran — the proof that a re-run does not
-/// re-run completed shards.
-struct CountingLocal {
-    inner: LocalBackend,
-    ran: Mutex<Vec<String>>,
-}
-
-impl CountingLocal {
-    fn new() -> Self {
-        CountingLocal {
-            inner: LocalBackend::new(GOLDEN_FLAGS),
-            ran: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl Backend for CountingLocal {
-    fn run_shard(&self, job: &ShardJob) -> Result<Vec<TableDoc>, String> {
-        self.ran
-            .lock()
-            .unwrap()
-            .push(format!("{}:{}", job.driver, job.shard.0));
-        self.inner.run_shard(job)
+/// The driver registry's builder, recording which jobs it actually ran
+/// as `driver:i` — the proof that a re-run does not re-run completed
+/// shards.
+fn counting(
+    ran: &Mutex<Vec<String>>,
+) -> impl Fn(&str, &Ctx) -> Result<Vec<Table>, String> + Sync + '_ {
+    move |driver, ctx| {
+        let (i, _) = ctx.args.shard.expect("a job's context has its shard");
+        ran.lock().unwrap().push(format!("{driver}:{i}"));
+        figures::build(driver, ctx)
     }
 }
 
@@ -173,20 +154,43 @@ fn assert_merged_as(out: &std::path::Path, reference: &[Table]) {
 /// Run `plan` into `out` again, returning the jobs that ran as
 /// `driver:i` and the report's re-run reasons in plan order.
 fn rerun(out: &std::path::Path, plan: &Plan) -> (Vec<String>, Vec<(usize, String)>) {
-    let backend = CountingLocal::new();
-    let (report, _) = start_run(out, plan, GOLDEN_FLAGS, &backend, 2).unwrap();
+    let ran = Mutex::default();
+    let (report, _) = start_run(out, plan, GOLDEN_FLAGS, counting(&ran), 2).unwrap();
     let reasons = report
         .rerun
         .iter()
         .map(|r| (r.job.shard.0, r.reason.clone()));
-    let ran = backend.ran.into_inner().unwrap();
-    (ran, reasons.collect())
+    (ran.into_inner().unwrap(), reasons.collect())
 }
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
     let out = std::env::temp_dir().join(format!("orch-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
     out
+}
+
+/// fig14 has both a sweep table and a constant table: a 3-way split,
+/// each job a closure over the driver registry, merges to the tables
+/// of one unsharded run.
+#[test]
+fn sharded_fig14_merges_to_the_unsharded_tables() {
+    let out = fresh_dir("fig14-3");
+    let plan = Plan {
+        drivers: vec![DRIVER.to_string()],
+        shards: 3,
+    };
+    let build = |driver: &str, ctx: &Ctx| figures::build(driver, ctx);
+    let (report, _) = start_run(&out, &plan, GOLDEN_FLAGS, build, 2).unwrap();
+    let mut reference = reference();
+    reference.sort_by(|a, b| a.name.cmp(&b.name));
+    let rendered = |tables: &[Table]| -> Vec<(String, String)> {
+        tables
+            .iter()
+            .map(|t| (t.name.clone(), t.to_csv()))
+            .collect()
+    };
+    assert_eq!(rendered(&report.drivers[0].merged), rendered(&reference));
+    std::fs::remove_dir_all(&out).unwrap();
 }
 
 /// Kill a 3-shard run after 2 shards persist, run it
@@ -205,11 +209,8 @@ fn interrupted_run_resumes_to_byte_identical_merge() {
 
     // Interrupted run: one worker, jobs in plan order, killed after 2
     // of 3 shards.
-    let killed = FailAfter {
-        inner: LocalBackend::new(GOLDEN_FLAGS),
-        successes: 2,
-        started: AtomicUsize::new(0),
-    };
+    let started = AtomicUsize::new(0);
+    let killed = fail_after(2, &started);
     let err = start_run(&out, &plan, GOLDEN_FLAGS, killed, 1).unwrap_err();
     assert!(matches!(err, OrchestrateError::Job { .. }));
 
@@ -268,14 +269,7 @@ fn a_hand_deleted_table_document_reruns_its_job() {
         drivers: vec![DRIVER.to_string()],
         shards: 1,
     };
-    start_run(
-        &out,
-        &plan,
-        GOLDEN_FLAGS,
-        LocalBackend::new(GOLDEN_FLAGS),
-        1,
-    )
-    .unwrap();
+    start_run(&out, &plan, GOLDEN_FLAGS, figures::build, 1).unwrap();
     let victim = out.join(DRIVER).join("shards/cycle_time.shard0of1.json");
     let text = std::fs::read_to_string(&victim).unwrap();
     std::fs::remove_file(&victim).unwrap();
@@ -303,14 +297,7 @@ fn a_job_left_with_a_staged_document_reruns() {
         drivers: vec![DRIVER.to_string()],
         shards: 2,
     };
-    start_run(
-        &out,
-        &plan,
-        GOLDEN_FLAGS,
-        LocalBackend::new(GOLDEN_FLAGS),
-        1,
-    )
-    .unwrap();
+    start_run(&out, &plan, GOLDEN_FLAGS, figures::build, 1).unwrap();
     let shards = out.join(DRIVER).join("shards");
     let doc = shards.join("cycle_time.shard1of2.json");
     let staged = shards.join("cycle_time.shard1of2.json.tmp");
