@@ -235,13 +235,14 @@ where
 pub fn merge_driver_docs(
     driver: &str,
     docs: Vec<TableDoc>,
-) -> Result<Vec<TableDoc>, OrchestrateError> {
+) -> Result<Vec<Table>, OrchestrateError> {
     let mut tables: BTreeMap<String, Vec<TableDoc>> = BTreeMap::new();
     for doc in docs {
         tables.entry(doc.table.name.clone()).or_default().push(doc);
     }
     let merged = tables.into_values().map(|group| {
-        merge_shard_docs(&group).map_err(|error| OrchestrateError::Merge {
+        let merged = merge_shard_docs(&group).map(|doc| doc.table);
+        merged.map_err(|error| OrchestrateError::Merge {
             driver: driver.to_string(),
             error,
         })
@@ -323,10 +324,9 @@ where
             done.remove(&(driver.clone(), i))
                 .expect("every planned job was run or kept")
         });
-        let merged = merge_driver_docs(driver, docs.collect())?;
         drivers.push(DriverRun {
             driver: driver.clone(),
-            merged: merged.into_iter().map(|d| d.table).collect(),
+            merged: merge_driver_docs(driver, docs.collect())?,
         });
     }
     let mut csvs = Vec::new();
@@ -368,25 +368,8 @@ struct ShardFile {
 /// path order: the one reader of shard documents, behind both
 /// [`start_run`] and [`validate_dir`]. Other files are skipped.
 fn shard_files(dir: &Path) -> Result<Vec<ShardFile>, OrchestrateError> {
-    let mut files = Vec::new();
-    for path in listing(&dir.join(output::SHARD_DIR))? {
-        let Some((table, i, n, staged)) = shard_file(&path) else {
-            continue;
-        };
-        let shown = path.display();
-        let doc = match staged {
-            true => Err(format!("staged shard document {shown} was never committed")),
-            false => read(&path).map_err(|e| format!("corrupt shard document {shown}: {e}")),
-        };
-        files.push(ShardFile {
-            table,
-            shard: (i, n),
-            staged,
-            doc,
-            path,
-        });
-    }
-    Ok(files)
+    let files = listing(&dir.join(output::SHARD_DIR))?.into_iter();
+    Ok(files.filter_map(shard_file).collect())
 }
 
 /// What a planned driver's results directory already holds.
@@ -498,18 +481,30 @@ fn other_run(path: &Path, doc: &TableDoc, flags: RunFlags) -> Result<(), Orchest
     }
 }
 
-/// `(table, i, n, staged)` of a shard document's path,
+/// The shard document at `path`, named
 /// `shards/<table>.shard<i>of<n>.json` with [`output::STAGED`] appended
 /// while it is staged; `None` for any other file.
-fn shard_file(path: &Path) -> Option<(String, usize, usize, bool)> {
-    let name = name(path);
+fn shard_file(path: PathBuf) -> Option<ShardFile> {
+    let name = name(&path);
     let (name, staged) = match name.strip_suffix(output::STAGED) {
         Some(name) => (name, true),
         None => (name, false),
     };
     let (table, shard) = name.strip_suffix(".json")?.rsplit_once(".shard")?;
     let (i, n) = shard.split_once("of")?;
-    Some((table.to_string(), i.parse().ok()?, n.parse().ok()?, staged))
+    let (table, shard) = (table.to_string(), (i.parse().ok()?, n.parse().ok()?));
+    let shown = path.display();
+    let doc = match staged {
+        true => Err(format!("staged shard document {shown} was never committed")),
+        false => read(&path).map_err(|e| format!("corrupt shard document {shown}: {e}")),
+    };
+    Some(ShardFile {
+        table,
+        shard,
+        staged,
+        doc,
+        path,
+    })
 }
 
 /// What is directly under `dir`, in path order; nothing when it does
@@ -604,7 +599,7 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
                 driver: driver.clone(),
                 table,
                 shards,
-                rows: merged.table.len(),
+                rows: merged.len(),
             });
         }
     }
