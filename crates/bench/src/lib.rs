@@ -49,6 +49,12 @@ use workloads::FlowSpec;
 ///   count must divide the rack count;
 /// * default — 48 racks × 4 hosts, u = 4;
 /// * full — the paper's 648 hosts.
+///
+/// Quick and default keep `SliceTiming::fast_sim` (ε = 9 µs), short of
+/// their 7- and 9-hop longest paths (§4.1; `KNOWN_SHORT_EPSILON` in
+/// `tests/integration.rs`), so their Opera results lie outside ε's
+/// premise. A derived ε fits, but with its longer slices the quick
+/// all-to-all drops bulk packets at ToR uplinks (ROADMAP 23 (b)).
 pub fn opera_cfg(scale: Scale) -> OperaNetConfig {
     let mini = |racks| OperaParams {
         racks,

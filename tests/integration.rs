@@ -341,22 +341,9 @@ fn epsilon_covers_the_longest_low_latency_path() {
     let small = OperaNetConfig::small_test();
     let configs = [
         ("small_test", small),
-        // `bench::opera_cfg`'s quick and default scales.
-        (
-            "quick",
-            OperaNetConfig {
-                params: mini(12),
-                ..small
-            },
-        ),
-        (
-            "default",
-            OperaNetConfig {
-                params: mini(48),
-                bulk_threshold: 1_500_000,
-                ..small
-            },
-        ),
+        // `bench::opera_cfg`'s quick and default scales, read from it.
+        ("quick", bench::opera_cfg(expt::Scale::Quick)),
+        ("default", bench::opera_cfg(expt::Scale::Default)),
         ("paper_648", OperaNetConfig::paper_648()),
         // The benchmark's mini Opera (`benchmark/src/packet.rs`).
         (
