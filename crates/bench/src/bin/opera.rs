@@ -22,8 +22,8 @@
 //! * `validate` — re-merge the shard documents on disk through the
 //!   orchestrator's merge and fail, naming the invariant, on a missing or
 //!   duplicated point index or shard document, a document under another
-//!   job's file name, mismatched schema/flags, or a merged CSV that no
-//!   longer matches its shards or has none left.
+//!   job's file name, mismatched schema/flags, or a merged CSV or
+//!   `<table>.json` that no longer matches its shards (or has none left).
 //! * `run-scenario` — decode one declarative scenario file
 //!   ([`bench::scenario::Scenario::load`]) and run it through
 //!   [`bench::scenario::run_scenario`], with trace capture and jsonl ↔

@@ -235,14 +235,13 @@ where
 pub fn merge_driver_docs(
     driver: &str,
     docs: Vec<TableDoc>,
-) -> Result<Vec<Table>, OrchestrateError> {
+) -> Result<Vec<TableDoc>, OrchestrateError> {
     let mut tables: BTreeMap<String, Vec<TableDoc>> = BTreeMap::new();
     for doc in docs {
         tables.entry(doc.table.name.clone()).or_default().push(doc);
     }
     let merged = tables.into_values().map(|group| {
-        let merged = merge_shard_docs(&group).map(|doc| doc.table);
-        merged.map_err(|error| OrchestrateError::Merge {
+        merge_shard_docs(&group).map_err(|error| OrchestrateError::Merge {
             driver: driver.to_string(),
             error,
         })
@@ -326,7 +325,9 @@ where
         });
         drivers.push(DriverRun {
             driver: driver.clone(),
-            merged: merge_driver_docs(driver, docs.collect())?,
+            merged: (merge_driver_docs(driver, docs.collect())?.into_iter())
+                .map(|doc| doc.table)
+                .collect(),
         });
     }
     let mut csvs = Vec::new();
@@ -544,9 +545,10 @@ pub struct ValidatedTable {
 /// [`start_run`] does — each must parse and be the document its file
 /// name says — and re-merge them through [`merge_driver_docs`] (full
 /// validation: a missing or duplicated point index or shard fails
-/// here); check each committed merged CSV matches its re-merge
-/// byte-for-byte, and that every merged CSV beside them still has shard
-/// documents. Returns the validated tables, or the first failure.
+/// here); check each committed merged CSV and `<table>.json` matches
+/// its re-merge byte-for-byte, and that every merged CSV beside them
+/// still has shard documents. Returns the validated tables, or the
+/// first failure.
 pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError> {
     let mut validated = Vec::new();
     for dir in listing(out)? {
@@ -585,21 +587,24 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
         }
         let merged = merge_driver_docs(&driver, docs)?;
         for (merged, (table, shards)) in merged.iter().zip(shards) {
-            let csv_path = result_path(&dir, &table, ResultFile::Csv);
-            let committed =
-                fs::read_to_string(&csv_path).map_err(|e| OrchestrateError::io(&csv_path, e))?;
-            if committed != merged.to_csv() {
-                return Err(OrchestrateError::Stale {
-                    path: csv_path,
-                    detail: "merged CSV does not match a re-merge of its shard documents"
-                        .to_string(),
-                });
+            // The merged CSV and table document, as the merge renders them.
+            for (file, text) in [
+                (ResultFile::Csv, merged.to_csv()),
+                (ResultFile::Doc(None), merged.render()),
+            ] {
+                let path = result_path(&dir, &table, file);
+                let committed =
+                    fs::read_to_string(&path).map_err(|e| OrchestrateError::io(&path, e))?;
+                if committed != text {
+                    let detail = "does not match a re-merge of its shard documents".to_string();
+                    return Err(OrchestrateError::Stale { path, detail });
+                }
             }
             validated.push(ValidatedTable {
                 driver: driver.clone(),
                 table,
                 shards,
-                rows: merged.len(),
+                rows: merged.table.len(),
             });
         }
     }
@@ -775,14 +780,23 @@ mod tests {
     }
 
     #[test]
-    fn tampered_merged_csv_is_stale() {
+    fn tampered_merged_files_are_stale() {
         let out = tmp_dir("orch-stale");
         let (_, csvs) = start_run(&out, &plan(&["a"], 2), QUICK, fake_build, 1).unwrap();
+        let csv = fs::read_to_string(&csvs[0]).unwrap();
         fs::write(&csvs[0], "point,sub\n9,9\n").unwrap();
-        assert!(matches!(
-            validate_dir(&out).unwrap_err(),
-            OrchestrateError::Stale { .. }
-        ));
+        let stale = |want: &str| match validate_dir(&out).unwrap_err() {
+            OrchestrateError::Stale { path, .. } => assert!(path.ends_with(want), "{path:?}"),
+            other => panic!("expected Stale, got {other}"),
+        };
+        stale("a/data.csv");
+        // A merged table document of another run used to pass, though
+        // `start_run` refuses the tree for it.
+        fs::write(&csvs[0], csv).unwrap();
+        let json = out.join("a/data.json");
+        let text = fs::read_to_string(&json).unwrap();
+        fs::write(&json, text.replace("\"seed\": 0", "\"seed\": 7")).unwrap();
+        stale("a/data.json");
         fs::remove_dir_all(&out).unwrap();
     }
 
