@@ -40,9 +40,6 @@
 //!   `goldens/full/`, with each point's wall time, events, packet-hops
 //!   and peak memory on a `# cost` line, and every run held to the
 //!   counter census ([`bench::judge`]).
-//! * `bench-record` — measure the hot-path scenarios and append an
-//!   entry to the append-only `BENCH_hot_paths.json`; `--check` gates
-//!   against the latest committed entry instead and never writes it.
 //!
 //! Exit codes: 0 on success and for `--help`; 2 for a command line that
 //! cannot be run (unknown subcommand, flag, driver, point or scenario
@@ -52,7 +49,7 @@
 //! `tests/known_failures.txt`, a failed job, I/O).
 
 use bench::scenario::Scenario;
-use bench::{figures, record, spot};
+use bench::{figures, spot};
 use expt::orchestrate::{start_run, validate_dir, OrchestrateError, Plan};
 use expt::{Args, Ctx, ExptArgs, RunFlags, RunMeta, Scale};
 use std::fmt::Display;
@@ -69,8 +66,6 @@ usage: opera list
        opera run-scenario FILE [--out DIR]
        opera golden [--bless] [--threads N] [--driver NAME]...
        opera spot [--bless] [--point NAME]...
-       opera bench-record [--quick|--full] [--check] [--out PATH] [--fresh-out PATH]
-                 [--threshold FRACTION]
 ";
 
 /// Why a subcommand did not succeed.
@@ -114,7 +109,6 @@ fn main() -> ExitCode {
         Some("run-scenario") => run_scenario(args),
         Some("golden") => golden(args),
         Some("spot") => spot_suite(args),
-        Some("bench-record") => bench_record(args),
         Some(other) => Err(Exit::Usage(format!("unknown subcommand: {other}"))),
         None => Err(Exit::Usage("a subcommand is required".into())),
     };
@@ -466,94 +460,4 @@ fn spot_suite(mut args: Args) -> Result<(), Exit> {
         drifts.len(),
         spot::DRIVER
     )))
-}
-
-/// `HEAD`'s short hash, with `-dirty` appended when tracked files differ
-/// from it — an entry recorded before its change is committed must not
-/// read as a measurement of the parent.
-fn git_rev() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-    };
-    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
-        return "unknown".into();
-    };
-    match git(&["status", "--porcelain", "--untracked-files=no"]) {
-        Some(changes) if !changes.is_empty() => rev + "-dirty",
-        _ => rev,
-    }
-}
-
-fn bench_record(mut args: Args) -> Result<(), Exit> {
-    let mut full = false;
-    let mut check = false;
-    let mut out = PathBuf::from(record::DEFAULT_PATH);
-    let mut fresh_out: Option<PathBuf> = None;
-    let mut threshold = record::DEFAULT_THRESHOLD;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--full" => full = true,
-            "--quick" => full = false,
-            "--check" => check = true,
-            "--out" => out = PathBuf::from(args.value(&a)?),
-            "--fresh-out" => fresh_out = Some(PathBuf::from(args.value(&a)?)),
-            "--threshold" => threshold = args.parsed(&a)?,
-            other => return Err(unknown(other)),
-        }
-    }
-    let mode = if full { "full" } else { "quick" };
-    eprintln!(
-        "bench-record: engine={} mode={mode}",
-        simkit::engine::ENGINE_NAME
-    );
-    let results = record::run_all(full);
-    for r in &results {
-        println!(
-            "{:<24} {:>12.0} events/sec  ({} events, wall median {:.3} ms, σ {:.3} ms, \
-             peak pending {})",
-            r.name,
-            r.events_per_sec,
-            r.events,
-            r.wall.median.as_secs_f64() * 1e3,
-            r.wall.stddev.as_secs_f64() * 1e3,
-            r.peak_pending,
-        );
-    }
-
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let entry = record::entry(&results, mode, now, &git_rev());
-    if let Some(fresh) = &fresh_out {
-        std::fs::write(fresh, entry.render() + "\n")
-            .map_err(|e| Exit::Failed(format!("writing {}: {e}", fresh.display())))?;
-    }
-
-    if check {
-        let doc = record::load(&out)
-            .map_err(|e| Exit::Failed(format!("loading {}: {e}", out.display())))?;
-        let failures = record::check(&doc, &results, mode, threshold);
-        if !failures.is_empty() {
-            return Err(Exit::Failed(format!(
-                "bench-record gate FAILED:\n  {}",
-                failures.join("\n  ")
-            )));
-        }
-        println!(
-            "bench-record: gate PASSED against {} (threshold {:.0}%)",
-            out.display(),
-            threshold * 100.0
-        );
-        return Ok(());
-    }
-
-    record::append(&out, entry)
-        .map_err(|e| Exit::Failed(format!("appending to {}: {e}", out.display())))?;
-    println!("bench-record: appended {mode} entry to {}", out.display());
-    Ok(())
 }

@@ -5,7 +5,7 @@
 //! the [`expt`] harness: a declarative definition in [`figures`],
 //! registered in [`figures::all`] and run by the one binary,
 //! `opera run <driver>` (`src/bin/opera.rs`, which also fronts
-//! [`scenario`], [`spot`] and [`record`], and `opera orchestrate`,
+//! [`scenario`] and [`spot`], and `opera orchestrate`,
 //! which hands [`figures::build`] to `expt::orchestrate::start_run`). All drivers
 //! accept the shared `--quick` / `--full` / `--threads` / `--seed` /
 //! `--out` flags:
@@ -24,7 +24,6 @@
 //! generic over [`opera::PacketNet`].
 
 pub mod figures;
-pub mod record;
 pub mod scenario;
 pub mod spot;
 

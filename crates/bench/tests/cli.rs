@@ -69,7 +69,6 @@ fn help_is_exit_0_and_bad_command_lines_are_exit_2() {
         &["validate", "--bogus"],
         &["golden", "--threads", "many"],
         &["spot", "--bogus"],
-        &["bench-record", "--bogus"],
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

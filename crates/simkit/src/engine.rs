@@ -37,18 +37,17 @@
 //! fire in the order they were scheduled, exactly as a
 //! `BinaryHeap<(time, seq)>` would pop them
 //! (`timing_wheel_matches_heap_order`; the `goldens/` depend on it).
+//! [`Simulator::step_shuffled`] is the test-only way round that order: it
+//! fires a uniformly drawn one of the earliest instant's events, so a
+//! result that depends on the tie-break shows up as a difference.
 //!
 //! Components do not hold references to each other: a single *world* type
 //! (e.g. `netsim::NetWorld`) owns them all and dispatches events to them,
 //! scheduling follow-ups through [`EventContext`] — no `Rc<RefCell<..>>`
 //! aliasing, a few bit operations per event, no dynamic dispatch.
 
+use crate::rng::SimRng;
 use crate::time::SimTime;
-
-/// Name of the scheduler implementation behind [`Simulator`], recorded
-/// into `BENCH_hot_paths.json` entries so the perf trajectory says which
-/// engine produced each number.
-pub const ENGINE_NAME: &str = "slab_wheel";
 
 /// Bits of the level-0 digit: 4096 one-nanosecond slots.
 const L0_BITS: u32 = 12;
@@ -299,6 +298,34 @@ impl<E: Copy> EventQueue<E> {
         }
         None
     }
+
+    /// The earliest event, as `pop_until(u64::MAX)` returns it, but drawn
+    /// uniformly from every event due at that instant: the rest of them
+    /// are the level-0 slot it came from, which holds one timestamp. The
+    /// draw swaps payloads, so the slot's list keeps its shape.
+    fn pop_shuffled(&mut self, rng: &mut SimRng) -> Option<(SimTime, E)> {
+        let (time, first) = self.pop_until(u64::MAX)?;
+        let slot = (time.as_ns() & (L0_SLOTS as u64 - 1)) as usize;
+        if self.occupied[slot >> 6] & (1 << (slot & 63)) == 0 {
+            return Some((time, first));
+        }
+        let Slot { head, tail } = self.slots[slot];
+        let (mut ties, mut index) = (1, head);
+        while index != tail {
+            index = self.nodes[index as usize].next;
+            ties += 1;
+        }
+        let pick = rng.index(ties + 1);
+        if pick == ties {
+            return Some((time, first));
+        }
+        index = head;
+        for _ in 0..pick {
+            index = self.nodes[index as usize].next;
+        }
+        let node = &mut self.nodes[index as usize];
+        Some((time, std::mem::replace(&mut node.event, first)))
+    }
 }
 
 /// A world owns every simulated component and dispatches events to them.
@@ -380,6 +407,25 @@ impl<W: EventHandler> Simulator<W> {
         self.processed += 1;
         let mut ctx = EventContext {
             now: self.now,
+            queue: &mut self.queue,
+        };
+        self.world.handle_event(event, &mut ctx);
+        true
+    }
+
+    /// [`Simulator::step`] with the tie-break drawn from `rng`: of the
+    /// events due at the earliest pending instant, a uniformly chosen one
+    /// fires, not the first scheduled. For tests that hold a result
+    /// independent of the order of simultaneous events; `step` and the
+    /// `run*` loops never draw.
+    pub fn step_shuffled(&mut self, rng: &mut SimRng) -> bool {
+        let Some((time, event)) = self.queue.pop_shuffled(rng) else {
+            return false;
+        };
+        self.now = time;
+        self.processed += 1;
+        let mut ctx = EventContext {
+            now: time,
             queue: &mut self.queue,
         };
         self.world.handle_event(event, &mut ctx);
@@ -475,6 +521,35 @@ mod tests {
         sim.run();
         let order: Vec<u32> = sim.world.log.iter().map(|&(_, e)| e).collect();
         assert_eq!(order, (100..200).collect::<Vec<_>>());
+    }
+
+    /// Shuffled steps keep time order and fire every event once, and each
+    /// of an instant's ties comes first about equally often.
+    #[test]
+    fn shuffled_steps_draw_among_ties_only() {
+        let mut rng = SimRng::new(9);
+        let mut first = [0u32; 4];
+        for _ in 0..4_000 {
+            let mut sim = Simulator::new(Recorder { log: vec![] });
+            sim.schedule_at(SimTime::from_ns(5_000), 1);
+            for e in [2, 3, 4] {
+                sim.schedule_at(SimTime::from_ns(5_000), e);
+            }
+            sim.schedule_at(SimTime::from_ns(9_000), 5);
+            while sim.step_shuffled(&mut rng) {}
+            let log = &sim.world.log;
+            assert_eq!(log.len(), 7);
+            assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "{log:?}");
+            let mut events: Vec<u32> = log.iter().map(|&(_, e)| e).collect();
+            events.sort_unstable();
+            assert_eq!(events, [1, 2, 3, 4, 5, 10, 11]);
+            assert_eq!(log[6], (9_000, 5));
+            first[log[0].1 as usize - 1] += 1;
+        }
+        assert!(
+            first.iter().all(|&n| (900..1_100).contains(&n)),
+            "{first:?}"
+        );
     }
 
     #[test]

@@ -5,11 +5,8 @@
 //! [`SimRng`], a thin wrapper over a fixed, explicitly-seeded generator so
 //! that every experiment is reproducible from its printed seed.
 //!
-//! The core generator is `xoshiro256**`-style, implemented locally to keep
-//! streams stable regardless of `rand` version bumps. `SimRng` also
-//! implements [`rand::RngCore`] so it can drive `rand` distributions.
-
-use rand::RngCore;
+//! The core generator is `xoshiro256**`-style, implemented locally so
+//! that its streams depend on nothing outside this crate.
 
 /// SplitMix64: used to expand a 64-bit seed into generator state.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -115,30 +112,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,17 +174,6 @@ mod tests {
         let mut r = SimRng::new(5);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn fill_bytes_deterministic() {
-        let mut a = SimRng::new(3);
-        let mut b = SimRng::new(3);
-        let mut ba = [0u8; 13];
-        let mut bb = [0u8; 13];
-        a.fill_bytes(&mut ba);
-        b.fill_bytes(&mut bb);
-        assert_eq!(ba, bb);
     }
 
     #[test]

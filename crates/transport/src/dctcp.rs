@@ -224,7 +224,9 @@ impl Transport for DctcpHost {
             if timed_out {
                 st.cwnd = self.params.min_cwnd as f64;
             }
-            actions.timers.push((next, TransportTimer::Rto(flow)));
+            actions
+                .timers
+                .extend(next.map(|at| (at, TransportTimer::Rto(flow))));
         }
         actions
     }

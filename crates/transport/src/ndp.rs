@@ -195,6 +195,8 @@ impl Transport for NdpHost {
                     st.emit_next(fabric, ctx);
                     if st.done() {
                         self.sending.remove(&pkt.flow);
+                    } else if let Some(at) = st.rearm(ctx.now(), RTO) {
+                        actions.timers.push((at, TransportTimer::Rto(pkt.flow)));
                     }
                 }
             }
@@ -228,8 +230,9 @@ impl Transport for NdpHost {
             }
             TransportTimer::Rto(flow) => {
                 if let Some(st) = self.sending.get_mut(&flow) {
-                    let (next, _) = st.check_rto(fabric, ctx, RTO);
-                    actions.timers.push((next, TransportTimer::Rto(flow)));
+                    if let (Some(next), _) = st.check_rto(fabric, ctx, RTO) {
+                        actions.timers.push((next, TransportTimer::Rto(flow)));
+                    }
                 }
             }
         }
@@ -296,6 +299,15 @@ mod tests {
             ctx: &mut EventContext<'_, NetEvent>,
             token: u64,
         ) {
+            if let Some(kind) = [STALE_NACK, LATE_PULL]
+                .into_iter()
+                .find(|&(t, _)| t == token)
+            {
+                // Host 1 sends host 0 a packet of flow 0 the test scripts.
+                let (a, b) = (self.hosts[1].nic, self.hosts[0].nic);
+                fabric.send(ctx, a, 0, Packet::control(0, a, b, kind.1));
+                return;
+            }
             if token == u64::MAX {
                 if !self.started {
                     self.started = true;
@@ -317,7 +329,11 @@ mod tests {
         }
     }
 
-    fn run_two_host(flow_size: u64, cfg: QueueConfig) -> Simulator<NetWorld<TwoHostLogic>> {
+    /// Timer tokens on which host 1 sends host 0 a NACK or a pull of flow 0.
+    const STALE_NACK: (u64, PacketKind) = (u64::MAX - 1, PacketKind::Nack { seq: 0 });
+    const LATE_PULL: (u64, PacketKind) = (u64::MAX - 2, PacketKind::Pull { count: 1 });
+
+    fn two_host(flow_size: u64, cfg: QueueConfig) -> Simulator<NetWorld<TwoHostLogic>> {
         let mut fabric = Fabric::new();
         let a = fabric.add_node(1, cfg, LinkSpec::paper_default());
         let b = fabric.add_node(1, cfg, LinkSpec::paper_default());
@@ -330,8 +346,57 @@ mod tests {
         };
         let mut sim = Simulator::new(NetWorld::new(fabric, logic));
         sim.schedule_at(SimTime::ZERO, NetEvent::Timer { token: u64::MAX });
+        sim
+    }
+
+    fn run_two_host(flow_size: u64, cfg: QueueConfig) -> Simulator<NetWorld<TwoHostLogic>> {
+        let mut sim = two_host(flow_size, cfg);
         sim.run_until(SimTime::from_ms(100));
         sim
+    }
+
+    /// A sender left with a stale NACK once its flow is acknowledged
+    /// (ROADMAP 4b) stops checking its RTO. A late pull that sends the
+    /// stale segment again arms the check once more, so the copy a failed
+    /// link loses is sent again `RTO` after the pull, as the checks the
+    /// sender used to repeat for ever would have sent it.
+    #[test]
+    fn a_stale_nack_holds_no_rto_until_a_pull_sends_again() {
+        let mut sim = two_host(1000, QueueConfig::builder().build());
+        let at = |us| SimTime::from_us(us);
+        let script = |token: (u64, PacketKind)| NetEvent::Timer { token: token.0 };
+        let link = |failed| NetEvent::LinkChange {
+            node: 0,
+            port: 0,
+            change: netsim::LinkSignal::Failed(failed),
+        };
+        // The NACK reaches host 0 at 651 ns, before the ACK of its one
+        // segment (at ≈ 1.9 µs).
+        sim.schedule_at(SimTime::from_ns(100), script(STALE_NACK));
+        sim.run_until(at(2_500));
+        let sends =
+            |sim: &Simulator<NetWorld<TwoHostLogic>>| sim.world.logic.hosts[0].active_sends();
+        assert!(sim.world.logic.tracker.all_done());
+        assert_eq!(sends(&sim), 1, "the stale NACK keeps the sender");
+        assert_eq!(
+            sim.pending(),
+            0,
+            "its RTO checked once, at 2 ms, and stopped"
+        );
+        sim.schedule_at(at(2_600), link(true));
+        sim.schedule_at(at(3_000), script(LATE_PULL));
+        sim.schedule_at(at(4_000), link(false));
+        sim.run_until(at(5_000));
+        assert_eq!(sim.world.fabric.counters.failed_drops, 1);
+        assert_eq!(
+            sends(&sim),
+            1,
+            "the lost copy is not sent again before the RTO"
+        );
+        sim.run_until(at(5_010));
+        assert_eq!(sends(&sim), 0, "sent again at 5.0006 ms and acknowledged");
+        sim.run_until(at(10_000));
+        assert_eq!(sim.pending(), 0, "the last check finds no sender and stops");
     }
 
     #[test]

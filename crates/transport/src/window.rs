@@ -145,6 +145,8 @@ pub(crate) struct SendWindow {
     pub unacked: SeqSet,
     /// Time of the last useful event (send/ack/nack/pull).
     pub last_activity: SimTime,
+    /// An RTO check is pending ([`SendWindow::check_rto`], [`SendWindow::rearm`]).
+    rto_armed: bool,
 }
 
 impl SendWindow {
@@ -170,6 +172,7 @@ impl SendWindow {
             rtx: VecDeque::new(),
             unacked: SeqSet::new(total),
             last_activity: now,
+            rto_armed: true,
         }
     }
 
@@ -210,22 +213,43 @@ impl SendWindow {
 
     /// The retransmission-timeout check: after `rto` without activity the
     /// flow has stalled, and the oldest unacked segment is sent again.
-    /// Returns when to check next and whether the flow had stalled.
+    /// Returns when to check next and whether the flow had stalled; no
+    /// next check once every segment is sent and acknowledged, where a
+    /// check could send nothing. Such a sender is not `done` only when
+    /// NDP holds a stale NACK for a segment acknowledged since; a pull
+    /// may still send it again, and [`SendWindow::rearm`] then arms the
+    /// check for it. (DCTCP takes a NACKed segment out of `unacked` and
+    /// sends it again at once, so its senders are `done` before this.)
     pub fn check_rto(
         &mut self,
         fabric: &mut Fabric,
         ctx: &mut EventContext<'_, NetEvent>,
         rto: SimTime,
-    ) -> (SimTime, bool) {
+    ) -> (Option<SimTime>, bool) {
+        if self.next_new >= self.total && self.unacked.is_empty() {
+            self.rto_armed = false;
+            return (None, false);
+        }
         let deadline = self.last_activity + rto;
         if ctx.now() < deadline {
-            return (deadline, false);
+            return (Some(deadline), false);
         }
         if let Some(seq) = self.unacked.first() {
             self.last_activity = ctx.now();
             self.send(fabric, ctx, seq);
         }
-        (ctx.now() + rto, true)
+        (Some(ctx.now() + rto), true)
+    }
+
+    /// When to check the RTO after a send, if [`SendWindow::check_rto`]
+    /// had stopped arming checks: `rto` after it, where the checks it
+    /// stopped would have found the segment stalled.
+    pub fn rearm(&mut self, now: SimTime, rto: SimTime) -> Option<SimTime> {
+        if self.rto_armed || self.unacked.is_empty() {
+            return None;
+        }
+        self.rto_armed = true;
+        Some(now + rto)
     }
 }
 

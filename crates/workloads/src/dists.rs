@@ -19,7 +19,6 @@
 //! evaluation needs is that Datamining is byte-dominated by >15 MB flows,
 //! Websearch byte-dominated by <15 MB flows, and Hadoop by ~100 KB flows.
 
-use rand::distributions::{Distribution, Uniform};
 use simkit::SimRng;
 
 /// One of the paper's named workloads.
@@ -128,8 +127,7 @@ impl FlowSizeDist {
 
     /// Sample one flow size (bytes).
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        let u = Uniform::new(0.0, 1.0).sample(rng);
-        self.quantile(u).round().max(1.0) as u64
+        self.quantile(rng.f64()).round().max(1.0) as u64
     }
 
     /// Inverse CDF at `u ∈ [0,1]`, interpolating linearly in log-size.

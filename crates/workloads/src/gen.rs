@@ -5,7 +5,6 @@
 
 use crate::dists::FlowSizeDist;
 use flowsim::Demand;
-use rand::distributions::{Distribution, Uniform};
 use simkit::{SimRng, SimTime};
 
 /// One flow to inject.
@@ -119,11 +118,11 @@ impl ScenarioGen {
         window: SimTime,
         rng: &mut SimRng,
     ) -> Vec<FlowSpec> {
-        let stagger = Uniform::new(0u64, window.as_ns().max(1));
+        let window = window.as_ns().max(1);
         Self::shuffle(hosts, size, SimTime::ZERO)
             .into_iter()
             .map(|mut f| {
-                f.start = SimTime::from_ns(stagger.sample(rng));
+                f.start = SimTime::from_ns(rng.below(window));
                 f
             })
             .collect()

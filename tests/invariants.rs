@@ -110,10 +110,10 @@ fn drained<N: PacketNet>(name: &str, cfg: N::Config, slice: SimTime) {
             dst: (i + hosts / 2 + i / hosts) % hosts,
             // The largest cross Opera's bulk threshold.
             size: 3_000 + 47_000 * i as u64,
-            // Far enough apart that flows rarely collide: a trimmed NDP
-            // flow can leave its sender re-arming an idle RTO for ever
-            // (ROADMAP 4b), and such a run never drains.
-            start: SimTime::from_ms(i as u64),
+            // Close enough that flows collide and NDP trims: a sender
+            // left with a stale NACK once its flow is acknowledged must
+            // not re-arm its RTO for ever (ROADMAP 4b).
+            start: SimTime::from_us(3 * i as u64),
         })
         .collect();
     let mut sim = N::build(cfg, flows);

@@ -9,7 +9,8 @@ use netsim::{
     KindTag, LinkSignal, MemorySink, NetEvent, PacketMeta, TraceEvent, TraceRecord, TraceSink,
 };
 use opera::opera_net::{self, OperaLogic};
-use opera::{OperaNetConfig, PacketNet};
+use opera::static_net::{self, StaticLogic};
+use opera::{OperaNetConfig, PacketNet, StaticNetConfig};
 use simkit::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -109,4 +110,42 @@ fn a_failed_transceiver_is_found_and_routed_around() {
         "the failure bit nothing"
     );
     assert_eq!(sim.world.fabric.ledger(), Ok(()));
+}
+
+/// NDP's retransmission timeout, read off one recovery (ROADMAP 20): a
+/// one-packet flow loses its only data packet (its sender's link is
+/// failed for the first transmission, then healed), the RTO sends it
+/// again `ndp::RTO` = 2 ms after the start, and it completes one delivery
+/// later: two hops of 1 352 ns, host to ToR to host.
+#[test]
+fn a_lost_packet_is_sent_again_after_the_rto() {
+    let fct = |lose_it: bool| {
+        let flow = FlowSpec {
+            src: 0,
+            dst: 1,
+            size: 1_000,
+            start: SimTime::from_us(1),
+        };
+        let mut sim = static_net::build(StaticNetConfig::small_expander(), vec![flow]);
+        let link = |failed| NetEvent::LinkChange {
+            node: 0,
+            port: 0,
+            change: LinkSignal::Failed(failed),
+        };
+        if lose_it {
+            sim.schedule_at(SimTime::ZERO, link(true));
+            sim.schedule_at(SimTime::from_us(500), link(false));
+        }
+        assert!(StaticLogic::run(&mut sim, SimTime::from_ms(10)));
+        let lost = sim.world.fabric.counters.failed_drops;
+        assert_eq!(lost, u64::from(lose_it));
+        sim.world
+            .logic
+            .tracker()
+            .get(0)
+            .fct()
+            .expect("the flow completes")
+    };
+    assert_eq!(fct(false), SimTime::from_ns(2 * 1_352));
+    assert_eq!(fct(true), SimTime::from_ms(2) + fct(false));
 }
