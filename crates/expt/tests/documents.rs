@@ -21,7 +21,7 @@ use expt::golden::{parse_csv, GoldenManifest};
 use expt::{
     merge_shard_docs, Cell, MergeError, RunFlags, RunMeta, Scale, SweepRef, Table, TableDoc,
 };
-use proptest::prelude::*;
+use simkit::cases::{self, Draw};
 
 const FLAGS: RunFlags = RunFlags {
     scale: Scale::Quick,
@@ -315,104 +315,140 @@ fn flags_of((scale, seed, replicates, k): (usize, u64, usize, usize)) -> RunFlag
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn table_documents_round_trip() {
+    let draw = |d: &mut Draw| {
+        (
+            (
+                d.usize(0..3),
+                d.u64(0..u64::MAX),
+                d.usize(1..9),
+                d.usize(0..40),
+            ),
+            (d.usize(0..4), d.usize(0..5)),
+            d.vec(3..6, |d| d.usize(0..AWKWARD.len())),
+            d.vec(0..30, |d| d.usize(0..AWKWARD.len())),
+            d.vec(0..8, |d| d.usize(1..200)),
+            d.usize(0..50),
+        )
+    };
+    cases::check(
+        "table_documents_round_trip",
+        64,
+        draw,
+        |(flags, shard, names, cells, steps, beyond)| {
+            let columns: Vec<String> = names[2..].iter().map(|&i| awkward(i)).collect();
+            let rows: Vec<Vec<Cell>> = cells
+                .chunks_exact(columns.len())
+                .map(|r| r.iter().map(|&i| Cell::Str(awkward(i))).collect())
+                .collect();
+            // Points run ascend strictly; `beyond == 0` stands for a table
+            // that records no sweep size, any other value for a sweep that
+            // ends `beyond` points after the last one run.
+            let points_run: Vec<usize> = steps
+                .iter()
+                .scan(0, |next, step| {
+                    *next += step;
+                    Some(*next - 1)
+                })
+                .collect();
+            let sweep_points = beyond
+                .checked_sub(1)
+                .map(|b| points_run.last().map_or(0, |p| p + 1) + b + rows.len() * 7);
+            let doc = TableDoc {
+                meta: RunMeta {
+                    driver: awkward(names[0]),
+                    flags: flags_of(flags),
+                    // n == 0 stands for an unsharded document.
+                    shard: (shard.1 > 0).then_some(shard),
+                },
+                table: Table {
+                    name: awkward(names[1]),
+                    sweep_points,
+                    points_run,
+                    columns,
+                    // Whether a row is a constant row hangs on its first cell.
+                    row_points: rows
+                        .iter()
+                        .enumerate()
+                        .map(|(i, r)| (r[0] != Cell::from("")).then_some(i * 7))
+                        .collect(),
+                    rows,
+                },
+            };
+            assert_eq!(TableDoc::parse(&doc.render()).as_ref(), Ok(&doc));
+            // Rows (not the header, which `Table::to_csv` leaves unquoted:
+            // column names are identifiers in every driver) survive the CSV
+            // written beside the document too.
+            let mut plain = doc.table.clone();
+            plain.columns = vec!["c".to_string(); plain.columns.len()];
+            let rendered: Vec<Vec<String>> = doc
+                .table
+                .rows
+                .iter()
+                .map(|r| r.iter().map(Cell::to_string).collect())
+                .collect();
+            assert_eq!(&parse_csv(&plain.to_csv()).unwrap()[1..], &rendered[..]);
+        },
+    );
+}
 
-    #[test]
-    fn table_documents_round_trip(
-        flags in (0usize..3, 0u64..u64::MAX, 1usize..9, 0usize..40),
-        shard in (0usize..4, 0usize..5),
-        names in prop::collection::vec(0usize..AWKWARD.len(), 3..6),
-        cells in prop::collection::vec(0usize..AWKWARD.len(), 0..30),
-        steps in prop::collection::vec(1usize..200, 0..8),
-        beyond in 0usize..50,
-    ) {
-        let columns: Vec<String> = names[2..].iter().map(|&i| awkward(i)).collect();
-        let rows: Vec<Vec<Cell>> = cells
-            .chunks_exact(columns.len())
-            .map(|r| r.iter().map(|&i| Cell::Str(awkward(i))).collect())
-            .collect();
-        // Points run ascend strictly; `beyond == 0` stands for a table
-        // that records no sweep size, any other value for a sweep that
-        // ends `beyond` points after the last one run.
-        let points_run: Vec<usize> = steps
-            .iter()
-            .scan(0, |next, step| {
-                *next += step;
-                Some(*next - 1)
-            })
-            .collect();
-        let sweep_points = beyond
-            .checked_sub(1)
-            .map(|b| points_run.last().map_or(0, |p| p + 1) + b + rows.len() * 7);
-        let doc = TableDoc {
-            meta: RunMeta {
-                driver: awkward(names[0]),
-                flags: flags_of(flags),
-                // n == 0 stands for an unsharded document.
-                shard: (shard.1 > 0).then_some(shard),
-            },
-            table: Table {
-                name: awkward(names[1]),
-                sweep_points,
-                points_run,
-                columns,
-                // Whether a row is a constant row hangs on its first cell.
-                row_points: rows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r[0] != Cell::from("")).then_some(i * 7))
-                    .collect(),
-                rows,
-            },
-        };
-        prop_assert_eq!(TableDoc::parse(&doc.render()).as_ref(), Ok(&doc));
-        // Rows (not the header, which `Table::to_csv` leaves unquoted:
-        // column names are identifiers in every driver) survive the CSV
-        // written beside the document too.
-        let mut plain = doc.table.clone();
-        plain.columns = vec!["c".to_string(); plain.columns.len()];
-        let rendered: Vec<Vec<String>> = doc
-            .table
-            .rows
-            .iter()
-            .map(|r| r.iter().map(Cell::to_string).collect())
-            .collect();
-        prop_assert_eq!(&parse_csv(&plain.to_csv()).unwrap()[1..], &rendered[..]);
-    }
-
-    /// Arbitrary bytes, read as text the way a file is, and each valid
-    /// document with arbitrary bytes written over it at arbitrary
-    /// places, never panic a decoder.
-    #[test]
-    fn arbitrary_bytes_never_panic_a_decoder(
-        bytes in prop::collection::vec(0u8..255, 0..256),
-        edits in prop::collection::vec((0usize..1 << 16, 0u8..255), 1..16),
-    ) {
-        for (_, text, decode) in documents() {
-            let _ = decode(&String::from_utf8_lossy(&bytes));
-            let mut hostile = text.into_bytes();
-            for &(at, byte) in &edits {
-                let at = at % hostile.len();
-                hostile[at] = byte;
+/// Arbitrary bytes (all 256 values), read as text the way a file is,
+/// and each valid document with arbitrary bytes written over it at
+/// arbitrary places, never panic a decoder.
+#[test]
+fn arbitrary_bytes_never_panic_a_decoder() {
+    let draw = |d: &mut Draw| {
+        (
+            d.vec(0..256, |d| d.u64(0..256) as u8),
+            d.vec(1..16, |d| (d.usize(0..1 << 16), d.u64(0..256) as u8)),
+        )
+    };
+    cases::check(
+        "arbitrary_bytes_never_panic_a_decoder",
+        64,
+        draw,
+        |(bytes, edits)| {
+            for (_, text, decode) in documents() {
+                let _ = decode(&String::from_utf8_lossy(&bytes));
+                let mut hostile = text.into_bytes();
+                for &(at, byte) in &edits {
+                    let at = at % hostile.len();
+                    hostile[at] = byte;
+                }
+                let _ = decode(&String::from_utf8_lossy(&hostile));
             }
-            let _ = decode(&String::from_utf8_lossy(&hostile));
-        }
-    }
+        },
+    );
+}
 
-    #[test]
-    fn golden_manifests_round_trip(
-        flags in (0usize..3, 0u64..u64::MAX, 1usize..9, 0usize..40),
-        commit in 0usize..AWKWARD.len(),
-        tables in prop::collection::vec(0usize..AWKWARD.len(), 0..6),
-    ) {
-        let m = GoldenManifest {
-            commit: awkward(commit),
-            flags: flags_of(flags),
-            tables: tables.iter().map(|&i| awkward(i)).collect(),
-        };
-        prop_assert_eq!(GoldenManifest::parse(&m.render()), Ok(m));
-    }
+#[test]
+fn golden_manifests_round_trip() {
+    let draw = |d: &mut Draw| {
+        (
+            (
+                d.usize(0..3),
+                d.u64(0..u64::MAX),
+                d.usize(1..9),
+                d.usize(0..40),
+            ),
+            d.usize(0..AWKWARD.len()),
+            d.vec(0..6, |d| d.usize(0..AWKWARD.len())),
+        )
+    };
+    cases::check(
+        "golden_manifests_round_trip",
+        64,
+        draw,
+        |(flags, commit, tables)| {
+            let m = GoldenManifest {
+                commit: awkward(commit),
+                flags: flags_of(flags),
+                tables: tables.iter().map(|&i| awkward(i)).collect(),
+            };
+            assert_eq!(GoldenManifest::parse(&m.render()), Ok(m));
+        },
+    );
 }
 
 /// Every `*.json` under `dir`, recursively with `deep`.

@@ -486,6 +486,17 @@ impl Fabric {
         self.nodes[node][port].queued_bytes[prio as usize]
     }
 
+    /// Whether `node.port`'s policy would drop `packet` now ([`Verdict::Drop`]),
+    /// asked without side effects: a sender that can keep the packet asks
+    /// before it [`send`](Self::send)s.
+    pub fn refuses(&self, node: NodeId, port: PortId, packet: &Packet) -> bool {
+        let p = &self.nodes[node][port];
+        p.cfg
+            .policy
+            .admit(&p.queued_bytes, &p.cfg.cap_bytes, packet)
+            == Verdict::Drop
+    }
+
     /// Enqueue `packet` for transmission out of `node.port`, starting
     /// transmission immediately if the port is idle and unpaused. The
     /// port's [`SwitchPolicyKind`] decides the

@@ -563,7 +563,7 @@ mod tests {
     use crate::packet::Packet;
     use crate::trace::tests::{record_of, CountingWriter};
     use crate::trace::PacketMeta;
-    use proptest::prelude::*;
+    use simkit::cases::{self, Draw};
 
     fn meta(flow: u32, seq: u32) -> PacketMeta {
         PacketMeta::of(&Packet::data(flow, 3, 9, seq, 1500))
@@ -645,29 +645,29 @@ mod tests {
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Every block the single-array encoder writes equals the
-        /// `Vec`-building encoder's, and interface ids follow order of
-        /// first transmission (checked against a linear scan).
-        #[test]
-        fn epb_encoder_matches_vec_oracle(
-            words in prop::collection::vec(0u64..u64::MAX, 3..150),
-        ) {
+    /// Every block the single-array encoder writes equals the
+    /// `Vec`-building encoder's, and interface ids follow order of
+    /// first transmission (checked against a linear scan).
+    #[test]
+    fn epb_encoder_matches_vec_oracle() {
+        let draw = |d: &mut Draw| d.vec(3..150, |d| d.u64(0..u64::MAX));
+        cases::check("epb_encoder_matches_vec_oracle", 64, draw, |words| {
             let mut w = PcapngWriter::new(Vec::new()).unwrap();
             let mut links: Vec<(NodeId, PortId)> = Vec::new();
             for (t_ns, node, port, meta) in packets_of(&words) {
-                let iface = links.iter().position(|&l| l == (node, port)).unwrap_or_else(|| {
-                    links.push((node, port));
-                    links.len() - 1
-                });
+                let iface = links
+                    .iter()
+                    .position(|&l| l == (node, port))
+                    .unwrap_or_else(|| {
+                        links.push((node, port));
+                        links.len() - 1
+                    });
                 w.packet(t_ns, node, port, &meta).unwrap();
                 let block = &w.out[w.out.len() - EPB_LEN..];
-                prop_assert_eq!(block, &epb_oracle(iface as u32, t_ns, &meta)[..]);
+                assert_eq!(block, &epb_oracle(iface as u32, t_ns, &meta)[..]);
             }
-            prop_assert_eq!(w.ifaces as usize, links.len());
-        }
+            assert_eq!(w.ifaces as usize, links.len());
+        });
     }
 
     #[test]

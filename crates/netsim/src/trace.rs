@@ -566,7 +566,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use simkit::cases::{self, Draw};
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -667,29 +667,26 @@ pub(crate) mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The reused-buffer encoder emits exactly the bytes the
-        /// `format!` encoder did, from the sink and from `jsonl_line`.
-        #[test]
-        fn jsonl_encoder_matches_format_oracle(
-            words in prop::collection::vec(0u64..u64::MAX, 3..150),
-        ) {
+    /// The reused-buffer encoder emits exactly the bytes the
+    /// `format!` encoder did, from the sink and from `jsonl_line`.
+    #[test]
+    fn jsonl_encoder_matches_format_oracle() {
+        let draw = |d: &mut Draw| d.vec(3..150, |d| d.u64(0..u64::MAX));
+        cases::check("jsonl_encoder_matches_format_oracle", 64, draw, |words| {
             let mut sink = JsonlSink::new(Vec::new());
             let mut expect = String::new();
             for w in words.chunks_exact(3) {
                 let rec = record_of(w[0], w[1], w[2]);
                 let line = jsonl_line_oracle(&rec);
-                prop_assert_eq!(&jsonl_line(&rec), &line);
+                assert_eq!(&jsonl_line(&rec), &line);
                 sink.record(&rec);
                 expect.push_str(&line);
                 expect.push('\n');
             }
             sink.finish().unwrap();
-            prop_assert_eq!(sink.lines(), (words.len() / 3) as u64);
-            prop_assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), expect);
-        }
+            assert_eq!(sink.lines(), (words.len() / 3) as u64);
+            assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), expect);
+        });
     }
 
     #[test]

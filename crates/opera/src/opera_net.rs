@@ -666,8 +666,9 @@ impl OperaLogic {
     /// Send a bulk packet out the ToR uplink with a direct circuit to its
     /// next rack: the rack a first-hop relay packet's `relay` names, and
     /// the destination rack otherwise. If the slice advanced underneath
-    /// the packet and that circuit is gone, or its port refuses the packet,
-    /// the packet missed its window: requeue locally.
+    /// the packet and that circuit is gone, or its port would refuse the
+    /// packet (asked before sending, so the fabric drops nothing), the
+    /// packet missed its window: requeue locally.
     ///
     /// A Valiant packet's `relay` is its *final* rack (`next_packet` tags
     /// it so), not the intermediate whose circuit the feeder was filling,
@@ -687,17 +688,19 @@ impl OperaLogic {
             }
             _ => self.rack_of(packet.dst),
         };
-        let sent = self
+        let tor = self.tor_node(rack);
+        let port = self
             .bulk_tables
-            .direct_uplink(self.cycle_slice, rack, next_rack)
-            .is_some_and(|u| {
-                fabric.send(ctx, self.tor_node(rack), self.up_port(u), packet)
-                    != SendOutcome::Dropped
-            });
-        if !sent {
-            let dst_rack = self.rack_of(packet.dst);
-            self.bulk[rack].requeue(&packet, dst_rack);
-            self.counters.bulk_stragglers += 1;
+            .direct_uplink(self.cycle_slice, rack, next_rack);
+        match port.map(|u| self.up_port(u)) {
+            Some(port) if !fabric.refuses(tor, port, &packet) => {
+                fabric.send(ctx, tor, port, packet);
+            }
+            _ => {
+                let dst_rack = self.rack_of(packet.dst);
+                self.bulk[rack].requeue(&packet, dst_rack);
+                self.counters.bulk_stragglers += 1;
+            }
         }
     }
 

@@ -11,6 +11,8 @@
 //! * [`pool`] — the workspace's one worker pool, [`pool::claim_slots`]: numbered
 //!   slots on scoped threads, results in slot order,
 //! * [`rng`] — a small, seedable, reproducible random-number generator,
+//! * [`cases`] — the seeded, shrinking case runner every property and
+//!   differential test draws its inputs from,
 //! * [`stats`] — the statistics every experiment harness reports: exact
 //!   quantiles over stored samples, the count / mean / 95% CI / p99 / max
 //!   [`stats::Summary`], and binned time series.
@@ -18,6 +20,7 @@
 //! Determinism is a design requirement: two runs with the same seed produce
 //! bit-identical event orderings, which the integration tests assert.
 
+pub mod cases;
 pub mod engine;
 pub mod pool;
 pub mod rng;

@@ -64,13 +64,14 @@ impl SimRng {
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");
-        // Rejection-free for our purposes: 128-bit multiply, retry on the
-        // biased low region.
+        // 128-bit multiply, retry on the biased low region: a low word
+        // below `2^64 mod bound`. Any low word at or above `bound` is past
+        // it, which spares the division on almost every draw.
         loop {
             let x = self.next_u64();
             let m = (x as u128) * (bound as u128);
             let lo = m as u64;
-            if lo >= bound || lo >= lo.wrapping_neg() % bound {
+            if lo >= bound || lo >= bound.wrapping_neg() % bound {
                 return (m >> 64) as u64;
             }
         }
@@ -146,6 +147,19 @@ mod tests {
             seen[x as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues hit");
+    }
+
+    /// The rejection threshold is `2^64 mod bound`: with a bound near
+    /// `2^64` almost every draw lands in the low word's tested region,
+    /// and the upper half of the range must still come up half the time.
+    #[test]
+    fn below_a_huge_bound_reaches_the_upper_half() {
+        let mut r = SimRng::new(7);
+        let upper = (0..10_000).filter(|_| r.below(u64::MAX) >= 1 << 63).count();
+        assert!(
+            (4_500..5_500).contains(&upper),
+            "{upper} of 10 000 at or above 2^63"
+        );
     }
 
     #[test]

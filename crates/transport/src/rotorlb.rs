@@ -711,7 +711,7 @@ mod oracle {
 mod tests {
     use super::*;
     use netsim::MTU;
-    use proptest::prelude::*;
+    use simkit::cases::{self, Draw};
 
     fn chunk(flow: FlowId, dst_rack: usize, bytes: u64) -> BulkChunk {
         BulkChunk {
@@ -1091,145 +1091,182 @@ mod tests {
         (rack + 1 + bits as usize % (racks - 1)) % racks
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Random traffic through the live `RackBulk` and the scanning
-        /// oracle side by side: every offer, every refusal, every backlog
-        /// reading and every queue's flows in order agree after every step.
-        /// Eight direct flows, each queued once to one of three hot racks,
-        /// and eight flows that only pass through the relay store. The VLB
-        /// threshold is two packets and most sizes are whole packets, so
-        /// VLB fires and its arg-max sees ties; the relay store holds six
-        /// packets, so it overflows; one poll in two finds one flow's
-        /// source host busy. Host ids are drawn from the whole `u16`
-        /// range, and one flow in eight takes all of its `u32` byte budget,
-        /// so a packet that comes back merges up to the byte limit. Returned
-        /// packets are ones really emitted (relay ones land in the direct
-        /// queue as a foreign flow's chunk, as at a Valiant intermediate)
-        /// or new bytes of a direct flow. Throughout, a direct queue holds
-        /// at most one chunk per flow, and a direct flow never emits one
-        /// `seq` twice.
-        #[test]
-        fn matches_the_scanning_oracle(
-            ops in prop::collection::vec(0u64..u64::MAX, 0..300),
-            racks in 2usize..7,
-            rack_bits in 0u64..6,
-        ) {
-            let params = RotorLbParams {
-                relay_capacity: 6 * 1436,
-                vlb_threshold: 2 * 1436,
-            };
-            let rack = rack_bits as usize % racks;
-            let mut live = RackBulk::new(rack, racks, params);
-            let mut old = oracle::RackBulk::new(rack, racks, params);
-            // Packets emitted so far and not yet returned, with the rack
-            // of the circuit that carried them (the realistic requeue: a
-            // packet that missed its window comes back).
-            let mut in_flight: Vec<(Packet, usize)> = Vec::new();
-            let mut emitted = std::collections::HashSet::new();
-            let mut enqueued = [false; 8];
-            // Bytes each flow may still bring in. A chunk holds no more
-            // than its flow has brought, as in a network, where a flow's
-            // bytes are all it has.
-            let mut budget = [u32::MAX as u64; 16];
-            // A direct flow's hosts and hot rack.
-            let hosts = |f: u64| {
-                let mixed = (f + rack_bits * 8).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                ((mixed >> 32) as u16 as usize, (mixed >> 48) as u16 as usize)
-            };
-            let hot = |f: u64| other_rack(rack, racks, f % 3);
-            for bits in ops {
-                let f = (bits >> 8) & 0x7;
-                let (src, dst) = hosts(f);
-                // Whole packets seven times in eight, so per-destination
-                // backlogs stay multiples of 1436 and tie often.
-                let packets = 1 + ((bits >> 16) % 3) as u32;
-                let payload = match (bits >> 18) & 0x7 {
-                    0 => 1 + ((bits >> 24) % 2000) as u32,
-                    _ => 1436 * packets,
+    /// Random traffic through the live `RackBulk` and the scanning
+    /// oracle side by side: every offer, every refusal, every backlog
+    /// reading and every queue's flows in order agree after every step.
+    /// Eight direct flows, each queued once to one of three hot racks,
+    /// and eight flows that only pass through the relay store. The VLB
+    /// threshold is two packets and most sizes are whole packets, so
+    /// VLB fires and its arg-max sees ties; the relay store holds six
+    /// packets, so it overflows; one poll in two finds one flow's
+    /// source host busy. Host ids are drawn from the whole `u16`
+    /// range, and one flow in eight takes all of its `u32` byte budget,
+    /// so a packet that comes back merges up to the byte limit. Returned
+    /// packets are ones really emitted (relay ones land in the direct
+    /// queue as a foreign flow's chunk, as at a Valiant intermediate)
+    /// or new bytes of a direct flow. Throughout, a direct queue holds
+    /// at most one chunk per flow, and a direct flow never emits one
+    /// `seq` twice.
+    #[test]
+    fn matches_the_scanning_oracle() {
+        let draw = |d: &mut Draw| {
+            (
+                d.vec(0..300, |d| d.u64(0..u64::MAX)),
+                d.usize(2..7),
+                d.u64(0..6),
+            )
+        };
+        cases::check(
+            "matches_the_scanning_oracle",
+            64,
+            draw,
+            |(ops, racks, rack_bits)| {
+                let params = RotorLbParams {
+                    relay_capacity: 6 * 1436,
+                    vlb_threshold: 2 * 1436,
                 };
-                match bits % 4 {
-                    0 if !enqueued[f as usize] => {
-                        let left = &mut budget[f as usize];
-                        let bytes = match (bits >> 21) & 0x7 {
-                            0 => *left,
-                            _ => payload as u64,
-                        };
-                        *left -= bytes;
-                        enqueued[f as usize] = true;
-                        let c = BulkChunk {
-                            src_host: src,
-                            dst_host: dst,
-                            ..chunk(f as FlowId, hot(f), bytes)
-                        };
-                        live.enqueue(c);
-                        old.enqueue(c);
-                    }
-                    0 | 1 => {
-                        // Pops ask for any rack, so circuits to cold racks
-                        // carry VLB and level the hot backlogs into ties.
-                        let to = other_rack(rack, racks, bits >> 11);
-                        let vlb = (bits >> 20) & 1 == 1;
-                        let busy = ((bits >> 21) & 1 == 1).then(|| hosts((bits >> 22) & 0x7).0);
-                        let ready = |h: usize| Some(h) != busy;
-                        let got = live.next_packet(to, vlb, ready);
-                        prop_assert_eq!(got, old.next_packet(to, vlb, ready));
-                        if let Offer::Packet(p) = got {
-                            if let (true, PacketKind::BulkData { seq, .. }) = (p.flow < 8, p.kind) {
-                                prop_assert!(emitted.insert((p.flow, seq)), "flow {} seq {} twice", p.flow, seq);
+                let rack = rack_bits as usize % racks;
+                let mut live = RackBulk::new(rack, racks, params);
+                let mut old = oracle::RackBulk::new(rack, racks, params);
+                // Packets emitted so far and not yet returned, with the rack
+                // of the circuit that carried them (the realistic requeue: a
+                // packet that missed its window comes back).
+                let mut in_flight: Vec<(Packet, usize)> = Vec::new();
+                let mut emitted = std::collections::HashSet::new();
+                let mut enqueued = [false; 8];
+                // Bytes each flow may still bring in. A chunk holds no more
+                // than its flow has brought, as in a network, where a flow's
+                // bytes are all it has.
+                let mut budget = [u32::MAX as u64; 16];
+                // A direct flow's hosts and hot rack.
+                let hosts = |f: u64| {
+                    let mixed = (f + rack_bits * 8).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    ((mixed >> 32) as u16 as usize, (mixed >> 48) as u16 as usize)
+                };
+                let hot = |f: u64| other_rack(rack, racks, f % 3);
+                for bits in ops {
+                    let f = (bits >> 8) & 0x7;
+                    let (src, dst) = hosts(f);
+                    // Whole packets seven times in eight, so per-destination
+                    // backlogs stay multiples of 1436 and tie often.
+                    let packets = 1 + ((bits >> 16) % 3) as u32;
+                    let payload = match (bits >> 18) & 0x7 {
+                        0 => 1 + ((bits >> 24) % 2000) as u32,
+                        _ => 1436 * packets,
+                    };
+                    match bits % 4 {
+                        0 if !enqueued[f as usize] => {
+                            let left = &mut budget[f as usize];
+                            let bytes = match (bits >> 21) & 0x7 {
+                                0 => *left,
+                                _ => payload as u64,
+                            };
+                            *left -= bytes;
+                            enqueued[f as usize] = true;
+                            let c = BulkChunk {
+                                src_host: src,
+                                dst_host: dst,
+                                ..chunk(f as FlowId, hot(f), bytes)
+                            };
+                            live.enqueue(c);
+                            old.enqueue(c);
+                        }
+                        0 | 1 => {
+                            // Pops ask for any rack, so circuits to cold racks
+                            // carry VLB and level the hot backlogs into ties.
+                            let to = other_rack(rack, racks, bits >> 11);
+                            let vlb = (bits >> 20) & 1 == 1;
+                            let busy = ((bits >> 21) & 1 == 1).then(|| hosts((bits >> 22) & 0x7).0);
+                            let ready = |h: usize| Some(h) != busy;
+                            let got = live.next_packet(to, vlb, ready);
+                            assert_eq!(got, old.next_packet(to, vlb, ready));
+                            if let Offer::Packet(p) = got {
+                                if let (true, PacketKind::BulkData { seq, .. }) =
+                                    (p.flow < 8, p.kind)
+                                {
+                                    assert!(
+                                        emitted.insert((p.flow, seq)),
+                                        "flow {} seq {} twice",
+                                        p.flow,
+                                        seq
+                                    );
+                                }
+                                in_flight.push((p, to));
                             }
-                            in_flight.push((p, to));
                         }
-                    }
-                    2 => {
-                        // A relay flow's packet, stored for its final rack.
-                        let left = &mut budget[8 + f as usize];
-                        let pkt = Packet::bulk(8 + f as FlowId, dst, src, 0, HEADER_SIZE + payload.min(1436));
-                        let to = other_rack(rack, racks, bits >> 11);
-                        if *left >= pkt.payload() as u64 {
-                            *left -= pkt.payload() as u64;
-                            prop_assert_eq!(live.store_relay(&pkt, to), old.store_relay(&pkt, to));
-                        }
-                    }
-                    _ => {
-                        // Either a packet that was really emitted, or new
-                        // bytes of a direct flow, direct or first-hop VLB
-                        // (`relay: Some`).
-                        let (pkt, to, brought) = match in_flight.pop() {
-                            Some((p, to)) if (bits >> 20) & 1 == 1 => (p, to, 0),
-                            _ => {
-                                let p = Packet {
-                                    kind: PacketKind::BulkData {
-                                        seq: 0,
-                                        relay: ((bits >> 21) & 1 == 1).then(|| hot(f) as u32),
-                                    },
-                                    ..Packet::bulk(f as FlowId, src, dst, 0, HEADER_SIZE + payload.min(1436))
-                                };
-                                (p, hot(f), p.payload() as u64)
+                        2 => {
+                            // A relay flow's packet, stored for its final rack.
+                            let left = &mut budget[8 + f as usize];
+                            let pkt = Packet::bulk(
+                                8 + f as FlowId,
+                                dst,
+                                src,
+                                0,
+                                HEADER_SIZE + payload.min(1436),
+                            );
+                            let to = other_rack(rack, racks, bits >> 11);
+                            if *left >= pkt.payload() as u64 {
+                                *left -= pkt.payload() as u64;
+                                assert_eq!(live.store_relay(&pkt, to), old.store_relay(&pkt, to));
                             }
-                        };
-                        let left = &mut budget[pkt.flow as usize];
-                        // A flow's bytes come back only once it is queued.
-                        if *left >= brought && (brought == 0 || enqueued[f as usize]) {
-                            *left -= brought;
-                            live.requeue(&pkt, to);
-                            old.requeue(&pkt, to);
+                        }
+                        _ => {
+                            // Either a packet that was really emitted, or new
+                            // bytes of a direct flow, direct or first-hop VLB
+                            // (`relay: Some`).
+                            let (pkt, to, brought) = match in_flight.pop() {
+                                Some((p, to)) if (bits >> 20) & 1 == 1 => (p, to, 0),
+                                _ => {
+                                    let p = Packet {
+                                        kind: PacketKind::BulkData {
+                                            seq: 0,
+                                            relay: ((bits >> 21) & 1 == 1).then(|| hot(f) as u32),
+                                        },
+                                        ..Packet::bulk(
+                                            f as FlowId,
+                                            src,
+                                            dst,
+                                            0,
+                                            HEADER_SIZE + payload.min(1436),
+                                        )
+                                    };
+                                    (p, hot(f), p.payload() as u64)
+                                }
+                            };
+                            let left = &mut budget[pkt.flow as usize];
+                            // A flow's bytes come back only once it is queued.
+                            if *left >= brought && (brought == 0 || enqueued[f as usize]) {
+                                *left -= brought;
+                                live.requeue(&pkt, to);
+                                old.requeue(&pkt, to);
+                            }
                         }
                     }
+                    for r in 0..racks {
+                        assert_eq!(live.pending_to(r), old.pending_to(r), "pending_to({})", r);
+                        let flows: Vec<FlowId> = live
+                            .direct
+                            .chunks
+                            .get(r)
+                            .into_iter()
+                            .flatten()
+                            .map(|c| c.flow)
+                            .collect();
+                        assert_eq!(&flows, &old.direct_flows(r), "direct[{}]", r);
+                        let mut distinct = flows.clone();
+                        distinct.sort_unstable();
+                        distinct.dedup();
+                        assert_eq!(
+                            distinct.len(),
+                            flows.len(),
+                            "two chunks of a flow in direct[{}]",
+                            r
+                        );
+                    }
+                    assert_eq!(live.total_direct_backlog(), old.total_direct_backlog());
+                    assert_eq!(live.relay_bytes(), old.relay_bytes());
                 }
-                for r in 0..racks {
-                    prop_assert_eq!(live.pending_to(r), old.pending_to(r), "pending_to({})", r);
-                    let flows: Vec<FlowId> = live.direct.chunks.get(r).into_iter().flatten().map(|c| c.flow).collect();
-                    prop_assert_eq!(&flows, &old.direct_flows(r), "direct[{}]", r);
-                    let mut distinct = flows.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    prop_assert_eq!(distinct.len(), flows.len(), "two chunks of a flow in direct[{}]", r);
-                }
-                prop_assert_eq!(live.total_direct_backlog(), old.total_direct_backlog());
-                prop_assert_eq!(live.relay_bytes(), old.relay_bytes());
-            }
-        }
+            },
+        );
     }
 }

@@ -256,7 +256,7 @@ impl SendWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use simkit::cases::{self, Draw};
     use std::collections::BTreeSet;
     use std::hash::BuildHasher;
 
@@ -286,50 +286,50 @@ mod tests {
         spreads_over_buckets((0..10_000).map(|i| 7 + 192 * i));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// `SeqSet` against the `BTreeSet<u32>` it replaced, under the
-        /// same random operations: `insert` of a segment, `remove` of
-        /// anything (absent and out-of-range numbers included), with
-        /// `len`, `is_empty`, `is_full` and `first` compared after each.
-        #[test]
-        fn seq_set_equals_a_btree_set(
-            which in 0usize..5,
-            seed in 0u64..1_000_000,
-            ops in 1usize..400,
-        ) {
-            let total = [1u32, 63, 64, 65, 20_891][which];
-            let mut rng = simkit::SimRng::new(seed);
-            let mut set = SeqSet::new(total);
-            let mut oracle = BTreeSet::new();
-            // Keep the action inside a window so that inserts and removes
-            // meet, and slide it so every word is visited.
-            let span = total.min(1 + rng.below(200) as u32);
-            for _ in 0..ops {
-                let base = rng.below(u64::from(total - span) + 1) as u32;
-                let seq = base + rng.below(u64::from(span)) as u32;
-                match rng.below(5) {
-                    0 | 1 => prop_assert_eq!(set.insert(seq), oracle.insert(seq)),
-                    2 | 3 => prop_assert_eq!(set.remove(seq), oracle.remove(&seq)),
-                    _ => {
-                        let beyond = total + rng.below(130) as u32;
-                        prop_assert!(!set.remove(beyond));
-                        prop_assert!(!set.remove(u32::MAX));
+    /// `SeqSet` against the `BTreeSet<u32>` it replaced, under the
+    /// same random operations: `insert` of a segment, `remove` of
+    /// anything (absent and out-of-range numbers included), with
+    /// `len`, `is_empty`, `is_full` and `first` compared after each.
+    #[test]
+    fn seq_set_equals_a_btree_set() {
+        let draw = |d: &mut Draw| (d.usize(0..5), d.u64(0..1_000_000), d.usize(1..400));
+        cases::check(
+            "seq_set_equals_a_btree_set",
+            64,
+            draw,
+            |(which, seed, ops)| {
+                let total = [1u32, 63, 64, 65, 20_891][which];
+                let mut rng = simkit::SimRng::new(seed);
+                let mut set = SeqSet::new(total);
+                let mut oracle = BTreeSet::new();
+                // Keep the action inside a window so that inserts and removes
+                // meet, and slide it so every word is visited.
+                let span = total.min(1 + rng.below(200) as u32);
+                for _ in 0..ops {
+                    let base = rng.below(u64::from(total - span) + 1) as u32;
+                    let seq = base + rng.below(u64::from(span)) as u32;
+                    match rng.below(5) {
+                        0 | 1 => assert_eq!(set.insert(seq), oracle.insert(seq)),
+                        2 | 3 => assert_eq!(set.remove(seq), oracle.remove(&seq)),
+                        _ => {
+                            let beyond = total + rng.below(130) as u32;
+                            assert!(!set.remove(beyond));
+                            assert!(!set.remove(u32::MAX));
+                        }
                     }
+                    assert_eq!(set.len(), oracle.len());
+                    assert_eq!(set.is_empty(), oracle.is_empty());
+                    assert_eq!(set.is_full(), oracle.len() == total as usize);
+                    assert_eq!(set.first(), oracle.iter().next().copied());
                 }
-                prop_assert_eq!(set.len(), oracle.len());
-                prop_assert_eq!(set.is_empty(), oracle.is_empty());
-                prop_assert_eq!(set.is_full(), oracle.len() == total as usize);
-                prop_assert_eq!(set.first(), oracle.iter().next().copied());
-            }
-            // Drain from the bottom, so `first` has to move up each time.
-            while let Some(bottom) = oracle.pop_first() {
-                prop_assert!(set.remove(bottom));
-                prop_assert_eq!(set.first(), oracle.iter().next().copied());
-            }
-            prop_assert!(set.is_empty());
-        }
+                // Drain from the bottom, so `first` has to move up each time.
+                while let Some(bottom) = oracle.pop_first() {
+                    assert!(set.remove(bottom));
+                    assert_eq!(set.first(), oracle.iter().next().copied());
+                }
+                assert!(set.is_empty());
+            },
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Stopping a drained network is unobservable, shown differentially: a
-//! seeded generator of small scenarios, each run twice on the same network,
+//! Stopping a drained network is unobservable, shown differentially: small
+//! scenarios drawn through `simkit::cases::run` (a failing one is printed
+//! with its seed, minimised), each run twice on the same network,
 //! once by [`PacketNet::run`] (which returns when the network has drained)
 //! and once by `Simulator::run_until` to the same horizon, must leave the
 //! same flow records and the same fabric counters behind.
@@ -27,6 +28,7 @@ use netsim::NetWorld;
 use opera::opera_net::OperaLogic;
 use opera::static_net::StaticLogic;
 use opera::{OperaNetConfig, PacketNet, RotorMode, StaticNetConfig, StaticTopologyKind};
+use simkit::cases::{self, Draw};
 use simkit::{SimRng, SimTime, Simulator};
 use std::collections::BTreeSet;
 use topo::clos::ClosParams;
@@ -59,6 +61,7 @@ struct Outcome {
 }
 
 /// One drawn scenario; the network it runs on is the caller's.
+#[derive(Debug)]
 struct Case {
     flows: Vec<FlowSpec>,
     loss: Option<(f64, u64)>,
@@ -66,29 +69,25 @@ struct Case {
     hellos: bool,
 }
 
-fn draw(rng: &mut SimRng, hosts: usize) -> Case {
-    let flows = (0..rng.index(25))
-        .map(|_| {
-            let src = rng.index(hosts);
+fn draw(d: &mut Draw, hosts: usize) -> Case {
+    let chance = |d: &mut Draw, p: f64| d.f64(0.0..1.0) < p;
+    Case {
+        flows: d.vec(0..25, |d| {
+            let src = d.usize(0..hosts);
             FlowSpec {
                 src,
-                dst: (src + 1 + rng.index(hosts - 1)) % hosts,
+                dst: (src + 1 + d.usize(0..hosts - 1)) % hosts,
                 // One in six straddles `small_test`'s 500 KB bulk threshold.
-                size: if rng.chance(0.17) {
-                    400_000 + rng.below(200_000)
+                size: if chance(d, 0.17) {
+                    400_000 + d.u64(0..200_000)
                 } else {
-                    1 + rng.below(60_000)
+                    1 + d.u64(0..60_000)
                 },
-                start: SimTime::from_us(rng.below(1_000)),
+                start: SimTime::from_us(d.u64(0..1_000)),
             }
-        })
-        .collect();
-    Case {
-        flows,
-        loss: rng
-            .chance(0.5)
-            .then(|| (0.0005 + 0.002 * rng.f64(), rng.below(1 << 32))),
-        hellos: rng.chance(0.5),
+        }),
+        loss: chance(d, 0.5).then(|| (0.0005 + 0.002 * d.f64(0.0..1.0), d.u64(0..1 << 32))),
+        hellos: chance(d, 0.5),
     }
 }
 
@@ -151,44 +150,47 @@ fn differential<N: PacketNet>(
         for (p, (policy, switch)) in policies().into_iter().enumerate() {
             for seed in 0..seeds {
                 let build = || cfg(kind, QueueConfig::builder().policy(switch).build());
-                let mut rng = SimRng::new(seed << 8 | (t as u64) << 4 | p as u64);
-                let case = draw(&mut rng, N::hosts(&build()));
-                let tag = format!(
-                    "{name}/{transport}/{policy}/seed {seed}: {} flows, loss {:?}, hellos {}",
-                    case.flows.len(),
-                    case.loss,
-                    case.hellos
-                );
-                let to_horizon = |sim: &mut Simulator<NetWorld<N>>| {
-                    sim.run_until(HORIZON);
-                    false
-                };
-                let (_, end, full) = outcome::<N>(build(), &case, quiet, to_horizon);
-                let (drained, stop, early) = outcome::<N>(build(), &case, quiet, drain::<N>);
-                assert_eq!(end, HORIZON, "{tag}");
-                assert_eq!(full.ledger, Ok(()), "{tag}");
-                assert_eq!(early.ledger, Ok(()), "{tag}");
-                assert_eq!(early.flows, full.flows, "{tag}");
-                assert_eq!(early.exact, full.exact, "{tag}");
-                if quiet.is_none() || !case.hellos {
-                    assert_eq!(early.hello_borne, full.hello_borne, "{tag}");
-                } else {
-                    for (e, f) in early.hello_borne.iter().zip(full.hello_borne) {
-                        assert!(*e <= f, "{tag}: {early:?} vs {full:?}");
+                let hosts = N::hosts(&build());
+                let scenario = format!("{name}/{transport}/{policy}/seed {seed}");
+                let case_seed = seed << 8 | (t as u64) << 4 | p as u64;
+                let check = |case: Case| {
+                    let tag = format!(
+                        "{scenario}: {} flows, loss {:?}, hellos {}",
+                        case.flows.len(),
+                        case.loss,
+                        case.hellos
+                    );
+                    let to_horizon = |sim: &mut Simulator<NetWorld<N>>| {
+                        sim.run_until(HORIZON);
+                        false
+                    };
+                    let (_, end, full) = outcome::<N>(build(), &case, quiet, to_horizon);
+                    let (drained, stop, early) = outcome::<N>(build(), &case, quiet, drain::<N>);
+                    assert_eq!(end, HORIZON, "{tag}");
+                    assert_eq!(full.ledger, Ok(()), "{tag}");
+                    assert_eq!(early.ledger, Ok(()), "{tag}");
+                    assert_eq!(early.flows, full.flows, "{tag}");
+                    assert_eq!(early.exact, full.exact, "{tag}");
+                    if quiet.is_none() || !case.hellos {
+                        assert_eq!(early.hello_borne, full.hello_borne, "{tag}");
+                    } else {
+                        for (e, f) in early.hello_borne.iter().zip(full.hello_borne) {
+                            assert!(*e <= f, "{tag}: {early:?} vs {full:?}");
+                        }
                     }
-                }
-                let unfinished = full.flows.iter().any(|f| f.2.is_none());
-                if case.flows.is_empty() {
-                    assert!(drained && stop == SimTime::ZERO, "{tag}: stopped at {stop}");
-                } else if unfinished {
-                    assert!(!drained && stop == HORIZON, "{tag}: stopped at {stop}");
-                }
-                drained_runs += u64::from(drained);
-                if seed == 0 {
-                    let scenario = format!("{name}/{transport}/{policy}/seed 0");
-                    let fifo = (drained, &early);
-                    ties_off.extend(tie_shuffled(&scenario, build, &case, quiet, fifo));
-                }
+                    let unfinished = full.flows.iter().any(|f| f.2.is_none());
+                    if case.flows.is_empty() {
+                        assert!(drained && stop == SimTime::ZERO, "{tag}: stopped at {stop}");
+                    } else if unfinished {
+                        assert!(!drained && stop == HORIZON, "{tag}: stopped at {stop}");
+                    }
+                    drained_runs += u64::from(drained);
+                    if seed == 0 {
+                        let fifo = (drained, &early);
+                        ties_off.extend(tie_shuffled(&scenario, build, &case, quiet, fifo));
+                    }
+                };
+                cases::run(&scenario, case_seed, |d| draw(d, hosts), check);
             }
         }
     }

@@ -14,7 +14,7 @@
 use opera::opera_net::OperaLogic;
 use opera::static_net::StaticLogic;
 use opera::{OperaNetConfig, PacketNet, RotorMode, StaticNetConfig, StaticTopologyKind};
-use proptest::prelude::*;
+use simkit::cases::{self, Draw};
 use simkit::SimTime;
 use topo::clos::ClosParams;
 use topo::opera::{OperaParams, OperaTopology};
@@ -200,90 +200,104 @@ fn shuffled_flows_are_registered_in_start_order() {
     registered_in_start_order::<StaticLogic>("folded clos", clos());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Fluid allocations are conservative for arbitrary demand matrices:
-    /// every demand gets a non-negative rate no larger than it asked
-    /// for, and nothing is created out of thin air in aggregate.
-    #[test]
-    fn fluid_model_conserves_flow(
-        nflows in 1usize..24,
-        racks_mult in 2usize..5,
-        amount in 0.5f64..40.0,
-        seed in 0u64..500,
-    ) {
-        let u = 4;
-        let params = OperaParams {
-            racks: u * racks_mult,
-            uplinks: u,
-            hosts_per_rack: 2,
-            groups: 1,
-        };
-        let topo = OperaTopology::generate(params, seed);
-        let mut rng = simkit::SimRng::new(seed ^ 0xF00D);
-        let n = topo.racks();
-        let demands: Vec<flowsim::Demand> = (0..nflows)
-            .map(|_| {
-                let src = rng.index(n);
-                let dst = (src + 1 + rng.index(n - 1)) % n;
-                flowsim::Demand { src, dst, amount }
-            })
-            .collect();
-        for allow_vlb in [false, true] {
-            let r = flowsim::opera_model(&topo, &demands, GBPS, 1.0, allow_vlb);
-            prop_assert_eq!(r.rates.len(), demands.len());
-            let mut delivered = 0.0;
-            let mut offered = 0.0;
-            for (rate, d) in r.rates.iter().zip(&demands) {
-                prop_assert!(rate.is_finite() && *rate >= 0.0, "negative rate {rate}");
-                prop_assert!(*rate <= d.amount + 1e-9, "rate {rate} > demand {}", d.amount);
-                delivered += rate;
-                offered += d.amount;
+/// Fluid allocations are conservative for arbitrary demand matrices:
+/// every demand gets a non-negative rate no larger than it asked
+/// for, and nothing is created out of thin air in aggregate.
+#[test]
+fn fluid_model_conserves_flow() {
+    let draw = |d: &mut Draw| {
+        (
+            d.usize(1..24),
+            d.usize(2..5),
+            d.f64(0.5..40.0),
+            d.u64(0..500),
+        )
+    };
+    cases::check(
+        "fluid_model_conserves_flow",
+        16,
+        draw,
+        |(nflows, racks_mult, amount, seed)| {
+            let u = 4;
+            let params = OperaParams {
+                racks: u * racks_mult,
+                uplinks: u,
+                hosts_per_rack: 2,
+                groups: 1,
+            };
+            let topo = OperaTopology::generate(params, seed);
+            let mut rng = simkit::SimRng::new(seed ^ 0xF00D);
+            let n = topo.racks();
+            let demands: Vec<flowsim::Demand> = (0..nflows)
+                .map(|_| {
+                    let src = rng.index(n);
+                    let dst = (src + 1 + rng.index(n - 1)) % n;
+                    flowsim::Demand { src, dst, amount }
+                })
+                .collect();
+            for allow_vlb in [false, true] {
+                let r = flowsim::opera_model(&topo, &demands, GBPS, 1.0, allow_vlb);
+                assert_eq!(r.rates.len(), demands.len());
+                let mut delivered = 0.0;
+                let mut offered = 0.0;
+                for (rate, d) in r.rates.iter().zip(&demands) {
+                    assert!(rate.is_finite() && *rate >= 0.0, "negative rate {rate}");
+                    assert!(
+                        *rate <= d.amount + 1e-9,
+                        "rate {rate} > demand {}",
+                        d.amount
+                    );
+                    delivered += rate;
+                    offered += d.amount;
+                }
+                // Aggregate conservation and the line-rate ceiling: each
+                // rack's hosts inject at most hosts_per_rack * line rate.
+                assert!(delivered <= offered + 1e-9);
+                assert!(r.throughput_fraction() <= 1.0 + 1e-9);
+                assert!(delivered <= (n * 2) as f64 * GBPS + 1e-9);
             }
-            // Aggregate conservation and the line-rate ceiling: each
-            // rack's hosts inject at most hosts_per_rack * line rate.
-            prop_assert!(delivered <= offered + 1e-9);
-            prop_assert!(r.throughput_fraction() <= 1.0 + 1e-9);
-            prop_assert!(delivered <= (n * 2) as f64 * GBPS + 1e-9);
-        }
-    }
+        },
+    );
+}
 
-    /// The same conservation bounds hold for the static-network models
-    /// (ECMP / disjoint-path routing on the expander graph).
-    #[test]
-    fn static_model_respects_line_rate(
-        nflows in 1usize..16,
-        amount in 0.5f64..30.0,
-        seed in 0u64..500,
-    ) {
-        use topo::expander::{ExpanderParams, ExpanderTopology};
-        let exp = ExpanderTopology::generate(
-            ExpanderParams {
-                racks: 16,
-                uplinks: 4,
-                hosts_per_rack: 3,
-            },
-            seed,
-        );
-        let mut rng = simkit::SimRng::new(seed ^ 0xBEEF);
-        let n = exp.racks();
-        let demands: Vec<flowsim::Demand> = (0..nflows)
-            .map(|_| {
-                let src = rng.index(n);
-                let dst = (src + 1 + rng.index(n - 1)) % n;
-                flowsim::Demand { src, dst, amount }
-            })
-            .collect();
-        let tors: Vec<usize> = (0..n).collect();
-        let r = flowsim::expander_model(exp.graph(), &tors, &demands, GBPS, 3.0 * GBPS);
-        let delivered: f64 = r.rates.iter().sum();
-        let offered: f64 = demands.iter().map(|d| d.amount).sum();
-        for (rate, d) in r.rates.iter().zip(&demands) {
-            prop_assert!(rate.is_finite() && *rate >= 0.0);
-            prop_assert!(*rate <= d.amount + 1e-9);
-        }
-        prop_assert!(delivered <= offered + 1e-9);
-        prop_assert!(r.min_fraction() >= 0.0 && r.min_fraction() <= 1.0 + 1e-9);
-    }
+/// The same conservation bounds hold for the static-network models
+/// (ECMP / disjoint-path routing on the expander graph).
+#[test]
+fn static_model_respects_line_rate() {
+    let draw = |d: &mut Draw| (d.usize(1..16), d.f64(0.5..30.0), d.u64(0..500));
+    cases::check(
+        "static_model_respects_line_rate",
+        16,
+        draw,
+        |(nflows, amount, seed)| {
+            use topo::expander::{ExpanderParams, ExpanderTopology};
+            let exp = ExpanderTopology::generate(
+                ExpanderParams {
+                    racks: 16,
+                    uplinks: 4,
+                    hosts_per_rack: 3,
+                },
+                seed,
+            );
+            let mut rng = simkit::SimRng::new(seed ^ 0xBEEF);
+            let n = exp.racks();
+            let demands: Vec<flowsim::Demand> = (0..nflows)
+                .map(|_| {
+                    let src = rng.index(n);
+                    let dst = (src + 1 + rng.index(n - 1)) % n;
+                    flowsim::Demand { src, dst, amount }
+                })
+                .collect();
+            let tors: Vec<usize> = (0..n).collect();
+            let r = flowsim::expander_model(exp.graph(), &tors, &demands, GBPS, 3.0 * GBPS);
+            let delivered: f64 = r.rates.iter().sum();
+            let offered: f64 = demands.iter().map(|d| d.amount).sum();
+            for (rate, d) in r.rates.iter().zip(&demands) {
+                assert!(rate.is_finite() && *rate >= 0.0);
+                assert!(*rate <= d.amount + 1e-9);
+            }
+            assert!(delivered <= offered + 1e-9);
+            assert!(r.min_fraction() >= 0.0 && r.min_fraction() <= 1.0 + 1e-9);
+        },
+    );
 }

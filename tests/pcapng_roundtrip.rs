@@ -16,7 +16,7 @@ use expt::json::Json;
 use netsim::pcapng::{self, PcapngWriter};
 use netsim::trace::{jsonl_line, KindTag, PacketMeta, TraceEvent, TraceRecord};
 use netsim::Priority;
-use proptest::prelude::*;
+use simkit::cases::{self, Draw};
 
 fn kind_of(bits: u64) -> KindTag {
     match bits % 7 {
@@ -60,96 +60,118 @@ fn packet_of(bits: u64, links: usize) -> (usize, u64, PacketMeta) {
     (link, dt, meta)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Write a random stream (random links, kinds, flags, sizes; strictly
+/// monotone timestamps straddling 2^32 ns), read it back, and check
+/// every field — plus the zero-packet links, which must still appear
+/// as interfaces with a zero count.
+#[test]
+fn writer_reader_roundtrip() {
+    let draw = |d: &mut Draw| {
+        (
+            d.vec(0..200, |d| d.u64(0..u64::MAX)),
+            d.usize(1..12),
+            d.usize(0..4),
+            d.u64(0..200_000),
+            d.usize(0..2),
+        )
+    };
+    cases::check(
+        "writer_reader_roundtrip",
+        48,
+        draw,
+        |(stream, links, idle_links, start_lo, near_boundary)| {
+            let mut w = PcapngWriter::new(Vec::new()).unwrap();
+            for i in 0..links + idle_links {
+                // node = link index, port = low 2 bits, mirroring real ids.
+                let iface = w.register_link(i, i & 0x3).unwrap();
+                assert_eq!(iface as usize, i);
+            }
 
-    /// Write a random stream (random links, kinds, flags, sizes; strictly
-    /// monotone timestamps straddling 2^32 ns), read it back, and check
-    /// every field — plus the zero-packet links, which must still appear
-    /// as interfaces with a zero count.
-    #[test]
-    fn writer_reader_roundtrip(
-        stream in prop::collection::vec(0u64..u64::MAX, 0..200),
-        links in 1usize..12,
-        idle_links in 0usize..4,
-        start_lo in 0u64..200_000,
-        near_boundary in 0usize..2,
-    ) {
-        let mut w = PcapngWriter::new(Vec::new()).unwrap();
-        for i in 0..links + idle_links {
-            // node = link index, port = low 2 bits, mirroring real ids.
-            let iface = w.register_link(i, i & 0x3).unwrap();
-            prop_assert_eq!(iface as usize, i);
-        }
+            // Start just below 2^32 ns when asked, so streams cross the
+            // low-word wraparound mid-capture.
+            let mut t = if near_boundary == 1 {
+                (1u64 << 32) - start_lo.min(1 << 20)
+            } else {
+                start_lo
+            };
+            let mut expect = Vec::new();
+            for &bits in &stream {
+                let (link, dt, meta) = packet_of(bits, links);
+                w.packet(t, link, link & 0x3, &meta).unwrap();
+                expect.push((t, link as u32, meta));
+                t += 1 + dt; // strictly monotone
+            }
+            w.finish().unwrap();
+            let bytes = w.into_inner();
 
-        // Start just below 2^32 ns when asked, so streams cross the
-        // low-word wraparound mid-capture.
-        let mut t = if near_boundary == 1 {
-            (1u64 << 32) - start_lo.min(1 << 20)
-        } else {
-            start_lo
-        };
-        let mut expect = Vec::new();
-        for &bits in &stream {
-            let (link, dt, meta) = packet_of(bits, links);
-            w.packet(t, link, link & 0x3, &meta).unwrap();
-            expect.push((t, link as u32, meta));
-            t += 1 + dt; // strictly monotone
-        }
-        w.finish().unwrap();
-        let bytes = w.into_inner();
+            let file =
+                pcapng::read(&bytes).unwrap_or_else(|e| panic!("reader rejected own writer: {e}"));
+            assert_eq!(file.ifaces.len(), links + idle_links);
+            for (i, (node, port, name)) in file.ifaces.iter().enumerate() {
+                assert_eq!(*node, i);
+                assert_eq!(*port, i & 0x3);
+                assert_eq!(name.as_str(), &format!("n{i}.p{}", i & 0x3));
+            }
+            assert_eq!(file.packets.len(), expect.len());
+            for (got, (t, iface, meta)) in file.packets.iter().zip(&expect) {
+                assert_eq!(got.t_ns, *t);
+                assert_eq!(got.iface, *iface);
+                assert_eq!(got.meta.flow, meta.flow);
+                assert_eq!(got.meta.src, meta.src);
+                assert_eq!(got.meta.dst, meta.dst);
+                assert_eq!(got.meta.seq, meta.seq);
+                assert_eq!(got.meta.size, meta.size);
+                assert_eq!(got.meta.prio, meta.prio);
+                assert_eq!(got.meta.kind, meta.kind);
+                assert_eq!(got.meta.trimmed, meta.trimmed);
+                assert_eq!(got.meta.ce, meta.ce);
+            }
 
-        let file = pcapng::read(&bytes).unwrap_or_else(|e| panic!("reader rejected own writer: {e}"));
-        prop_assert_eq!(file.ifaces.len(), links + idle_links);
-        for (i, (node, port, name)) in file.ifaces.iter().enumerate() {
-            prop_assert_eq!(*node, i);
-            prop_assert_eq!(*port, i & 0x3);
-            prop_assert_eq!(name.as_str(), &format!("n{i}.p{}", i & 0x3));
-        }
-        prop_assert_eq!(file.packets.len(), expect.len());
-        for (got, (t, iface, meta)) in file.packets.iter().zip(&expect) {
-            prop_assert_eq!(got.t_ns, *t);
-            prop_assert_eq!(got.iface, *iface);
-            prop_assert_eq!(got.meta.flow, meta.flow);
-            prop_assert_eq!(got.meta.src, meta.src);
-            prop_assert_eq!(got.meta.dst, meta.dst);
-            prop_assert_eq!(got.meta.seq, meta.seq);
-            prop_assert_eq!(got.meta.size, meta.size);
-            prop_assert_eq!(got.meta.prio, meta.prio);
-            prop_assert_eq!(got.meta.kind, meta.kind);
-            prop_assert_eq!(got.meta.trimmed, meta.trimmed);
-            prop_assert_eq!(got.meta.ce, meta.ce);
-        }
+            // Per-link counts: idle links report zero, busy links match.
+            let counts = file.counts_per_link();
+            for &idle in counts.iter().skip(links).take(idle_links) {
+                assert_eq!(idle, 0);
+            }
+            let per_link: Vec<u64> = (0..links)
+                .map(|l| expect.iter().filter(|(_, i, _)| *i as usize == l).count() as u64)
+                .collect();
+            assert_eq!(&counts[..links], &per_link[..]);
+        },
+    );
+}
 
-        // Per-link counts: idle links report zero, busy links match.
-        let counts = file.counts_per_link();
-        for &idle in counts.iter().skip(links).take(idle_links) {
-            prop_assert_eq!(idle, 0);
-        }
-        let per_link: Vec<u64> = (0..links)
-            .map(|l| expect.iter().filter(|(_, i, _)| *i as usize == l).count() as u64)
-            .collect();
-        prop_assert_eq!(&counts[..links], &per_link[..]);
-    }
-
-    /// Flipping any single byte of the SHB byte-order magic or version
-    /// words makes the reader fail with an error, never a wrong parse.
-    /// (Bytes 16..24, the section length, are legitimately ignored: the
-    /// writer emits the "unknown length" sentinel.)
-    #[test]
-    fn header_corruption_is_rejected(offset in 8usize..16, delta in 1u32..256) {
-        let mut w = PcapngWriter::new(Vec::new()).unwrap();
-        w.register_link(0, 0).unwrap();
-        let meta = PacketMeta {
-            flow: 1, src: 0, dst: 1, seq: 0, size: 100,
-            prio: Priority::LowLatency, kind: KindTag::Data, trimmed: false, ce: false,
-        };
-        w.packet(5, 0, 0, &meta).unwrap();
-        w.finish().unwrap();
-        let mut bytes = w.into_inner();
-        bytes[offset] = bytes[offset].wrapping_add(delta as u8);
-        prop_assert!(pcapng::read(&bytes).is_err());
-    }
+/// Flipping any single byte of the SHB byte-order magic or version
+/// words makes the reader fail with an error, never a wrong parse.
+/// (Bytes 16..24, the section length, are legitimately ignored: the
+/// writer emits the "unknown length" sentinel.)
+#[test]
+fn header_corruption_is_rejected() {
+    let draw = |d: &mut Draw| (d.usize(8..16), d.u64(1..256) as u32);
+    cases::check(
+        "header_corruption_is_rejected",
+        48,
+        draw,
+        |(offset, delta)| {
+            let mut w = PcapngWriter::new(Vec::new()).unwrap();
+            w.register_link(0, 0).unwrap();
+            let meta = PacketMeta {
+                flow: 1,
+                src: 0,
+                dst: 1,
+                seq: 0,
+                size: 100,
+                prio: Priority::LowLatency,
+                kind: KindTag::Data,
+                trimmed: false,
+                ce: false,
+            };
+            w.packet(5, 0, 0, &meta).unwrap();
+            w.finish().unwrap();
+            let mut bytes = w.into_inner();
+            bytes[offset] = bytes[offset].wrapping_add(delta as u8);
+            assert!(pcapng::read(&bytes).is_err());
+        },
+    );
 }
 
 /// `read` must answer with a capture or a named error.
@@ -212,72 +234,83 @@ fn edge(sel: u64, raw: u64) -> u64 {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Arbitrary bytes — bare, and behind a valid section header so the
+/// block walk is reached — are a capture or a named error.
+#[test]
+fn reader_never_panics_on_arbitrary_bytes() {
+    let draw = |d: &mut Draw| (d.vec(0..64, |d| d.u64(0..u64::MAX)), d.usize(0..8));
+    cases::check(
+        "reader_never_panics_on_arbitrary_bytes",
+        64,
+        draw,
+        |(words, cut)| {
+            let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            bytes.truncate(bytes.len().saturating_sub(cut));
+            assert_named(pcapng::read(&bytes), "arbitrary bytes");
+            let mut framed = PcapngWriter::new(Vec::new()).unwrap().into_inner();
+            framed.extend_from_slice(&bytes);
+            assert_named(
+                pcapng::read(&framed),
+                "arbitrary bytes after a section header",
+            );
+        },
+    );
+}
 
-    /// Arbitrary bytes — bare, and behind a valid section header so the
-    /// block walk is reached — are a capture or a named error.
-    #[test]
-    fn reader_never_panics_on_arbitrary_bytes(
-        words in prop::collection::vec(0u64..u64::MAX, 0..64),
-        cut in 0usize..8,
-    ) {
-        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        bytes.truncate(bytes.len().saturating_sub(cut));
-        assert_named(pcapng::read(&bytes), "arbitrary bytes");
-        let mut framed = PcapngWriter::new(Vec::new()).unwrap().into_inner();
-        framed.extend_from_slice(&bytes);
-        assert_named(pcapng::read(&framed), "arbitrary bytes after a section header");
-    }
-
-    /// A JSON-lines record is valid JSON holding exactly the fields it
-    /// was written from, for every event, kind, priority and flag, with
-    /// ids and times on digit-count and integer-width boundaries.
-    #[test]
-    fn jsonl_line_parses_back_to_its_record(
-        sel in 0u64..u64::MAX,
-        a in 0u64..u64::MAX,
-        b in 0u64..u64::MAX,
-    ) {
-        use TraceEvent::*;
-        let event = [Enqueue, Mark, Trim, Drop, Tx, Pause, Resume, Ack, Timer][(sel % 9) as usize];
-        let meta = PacketMeta {
-            flow: edge(sel >> 16, a >> 32) as u32,
-            src: edge(sel >> 20, a) as usize,
-            dst: edge(sel >> 24, b) as usize,
-            seq: edge(sel >> 28, b >> 32) as u32,
-            size: edge(sel >> 32, a >> 16) as u32,
-            prio: prio_of(sel >> 8),
-            kind: kind_of(sel >> 4),
-            trimmed: (sel >> 10) & 1 == 1,
-            ce: (sel >> 11) & 1 == 1,
-        };
-        let rec = TraceRecord {
-            t_ns: edge(sel >> 36, a ^ b),
-            node: edge(sel >> 40, a.rotate_left(17)) as usize,
-            port: edge(sel >> 44, b.rotate_left(29)) as usize,
-            event,
-            packet: ((sel >> 12) & 3 != 0).then_some(meta),
-        };
-        let line = jsonl_line(&rec);
-        let doc = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
-        let uint = |key: &str| doc.get(key).and_then(Json::as_u64);
-        prop_assert_eq!(uint("t"), Some(rec.t_ns));
-        prop_assert_eq!(doc.get("event").and_then(Json::as_str), Some(event.name()));
-        prop_assert_eq!(uint("node"), Some(rec.node as u64));
-        prop_assert_eq!(uint("port"), Some(rec.port as u64));
-        let Json::Obj(members) = &doc else { panic!("{line}: not an object") };
-        prop_assert_eq!(members.len(), if rec.packet.is_some() { 13 } else { 4 });
-        if let Some(m) = rec.packet {
-            prop_assert_eq!(uint("flow"), Some(u64::from(m.flow)));
-            prop_assert_eq!(uint("src"), Some(m.src as u64));
-            prop_assert_eq!(uint("dst"), Some(m.dst as u64));
-            prop_assert_eq!(uint("seq"), Some(u64::from(m.seq)));
-            prop_assert_eq!(uint("size"), Some(u64::from(m.size)));
-            prop_assert_eq!(uint("prio"), Some(m.prio as u64));
-            prop_assert_eq!(doc.get("kind").and_then(Json::as_str), Some(m.kind.name()));
-            prop_assert_eq!(doc.get("trimmed").and_then(Json::as_bool), Some(m.trimmed));
-            prop_assert_eq!(doc.get("ce").and_then(Json::as_bool), Some(m.ce));
-        }
-    }
+/// A JSON-lines record is valid JSON holding exactly the fields it
+/// was written from, for every event, kind, priority and flag, with
+/// ids and times on digit-count and integer-width boundaries.
+#[test]
+fn jsonl_line_parses_back_to_its_record() {
+    let draw = |d: &mut Draw| (d.u64(0..u64::MAX), d.u64(0..u64::MAX), d.u64(0..u64::MAX));
+    cases::check(
+        "jsonl_line_parses_back_to_its_record",
+        64,
+        draw,
+        |(sel, a, b)| {
+            use TraceEvent::*;
+            let event =
+                [Enqueue, Mark, Trim, Drop, Tx, Pause, Resume, Ack, Timer][(sel % 9) as usize];
+            let meta = PacketMeta {
+                flow: edge(sel >> 16, a >> 32) as u32,
+                src: edge(sel >> 20, a) as usize,
+                dst: edge(sel >> 24, b) as usize,
+                seq: edge(sel >> 28, b >> 32) as u32,
+                size: edge(sel >> 32, a >> 16) as u32,
+                prio: prio_of(sel >> 8),
+                kind: kind_of(sel >> 4),
+                trimmed: (sel >> 10) & 1 == 1,
+                ce: (sel >> 11) & 1 == 1,
+            };
+            let rec = TraceRecord {
+                t_ns: edge(sel >> 36, a ^ b),
+                node: edge(sel >> 40, a.rotate_left(17)) as usize,
+                port: edge(sel >> 44, b.rotate_left(29)) as usize,
+                event,
+                packet: ((sel >> 12) & 3 != 0).then_some(meta),
+            };
+            let line = jsonl_line(&rec);
+            let doc = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let uint = |key: &str| doc.get(key).and_then(Json::as_u64);
+            assert_eq!(uint("t"), Some(rec.t_ns));
+            assert_eq!(doc.get("event").and_then(Json::as_str), Some(event.name()));
+            assert_eq!(uint("node"), Some(rec.node as u64));
+            assert_eq!(uint("port"), Some(rec.port as u64));
+            let Json::Obj(members) = &doc else {
+                panic!("{line}: not an object")
+            };
+            assert_eq!(members.len(), if rec.packet.is_some() { 13 } else { 4 });
+            if let Some(m) = rec.packet {
+                assert_eq!(uint("flow"), Some(u64::from(m.flow)));
+                assert_eq!(uint("src"), Some(m.src as u64));
+                assert_eq!(uint("dst"), Some(m.dst as u64));
+                assert_eq!(uint("seq"), Some(u64::from(m.seq)));
+                assert_eq!(uint("size"), Some(u64::from(m.size)));
+                assert_eq!(uint("prio"), Some(m.prio as u64));
+                assert_eq!(doc.get("kind").and_then(Json::as_str), Some(m.kind.name()));
+                assert_eq!(doc.get("trimmed").and_then(Json::as_bool), Some(m.trimmed));
+                assert_eq!(doc.get("ce").and_then(Json::as_bool), Some(m.ce));
+            }
+        },
+    );
 }

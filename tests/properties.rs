@@ -1,75 +1,90 @@
-//! Property-based tests (proptest) on the core invariants the design
+//! Property-based tests (`simkit::cases`) on the core invariants the design
 //! rests on: factorization completeness, slice-schedule correctness,
 //! solver feasibility, transport delivery, and statistics sanity.
 
-use proptest::prelude::*;
+use simkit::cases::{self, Draw};
 use simkit::stats::Samples;
-use simkit::SimRng;
+use simkit::{SimRng, SimTime};
 use topo::matching::{factorize_complete, validate_factorization};
 use topo::opera::{OperaParams, OperaTopology};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random factorizations are complete and disjoint for any rack count.
-    #[test]
-    fn factorization_invariants(n in 2usize..80, seed in 0u64..1000) {
+/// Random factorizations are complete and disjoint for any rack count.
+#[test]
+fn factorization_invariants() {
+    let draw = |d: &mut Draw| (d.usize(2..80), d.u64(0..1000));
+    cases::check("factorization_invariants", 24, draw, |(n, seed)| {
         let mut rng = SimRng::new(seed);
         let ms = factorize_complete(n, &mut rng);
-        prop_assert!(validate_factorization(&ms, n).is_ok());
-    }
+        assert!(validate_factorization(&ms, n).is_ok());
+    });
+}
 
-    /// The slice schedule visits every matching of every switch exactly
-    /// once per cycle, for arbitrary (divisible) parameters.
-    #[test]
-    fn schedule_visits_everything(
-        u in 2usize..6,
-        mult in 2usize..8,
-        groups_pow in 0usize..2,
-        seed in 0u64..500,
-    ) {
-        let groups = if u % 2 == 0 && groups_pow == 1 { 2 } else { 1 };
+/// The slice schedule visits every matching of every switch exactly
+/// once per cycle, for arbitrary (divisible) parameters.
+#[test]
+fn schedule_visits_everything() {
+    let draw = |d: &mut Draw| (d.usize(2..6), d.usize(2..8), d.usize(0..2), d.u64(0..500));
+    cases::check(
+        "schedule_visits_everything",
+        24,
+        draw,
+        |(u, mult, groups_pow, seed)| {
+            let groups = if u % 2 == 0 && groups_pow == 1 { 2 } else { 1 };
+            let params = OperaParams {
+                racks: u * mult,
+                uplinks: u,
+                hosts_per_rack: 2,
+                groups,
+            };
+            let topo = OperaTopology::generate(params, seed);
+            for j in 0..topo.switches() {
+                let mut seen = vec![0usize; topo.matchings_per_switch()];
+                for s in 0..topo.slices_per_cycle() {
+                    seen[topo.position_at(j, s)] += 1;
+                }
+                // Every matching appears, equally often.
+                let expect = topo.slices_per_cycle() / topo.matchings_per_switch();
+                assert!(seen.iter().all(|&c| c == expect));
+            }
+        },
+    );
+}
+
+/// Every rack pair gets at least one usable direct slice per cycle.
+#[test]
+fn direct_circuits_complete() {
+    let draw = |d: &mut Draw| (d.usize(2..6), d.u64(0..200));
+    cases::check("direct_circuits_complete", 24, draw, |(mult, seed)| {
+        let u = 4;
         let params = OperaParams {
             racks: u * mult,
             uplinks: u,
             hosts_per_rack: 2,
-            groups,
+            groups: 1,
         };
-        let topo = OperaTopology::generate(params, seed);
-        for j in 0..topo.switches() {
-            let mut seen = vec![0usize; topo.matchings_per_switch()];
-            for s in 0..topo.slices_per_cycle() {
-                seen[topo.position_at(j, s)] += 1;
-            }
-            // Every matching appears, equally often.
-            let expect = topo.slices_per_cycle() / topo.matchings_per_switch();
-            prop_assert!(seen.iter().all(|&c| c == expect));
-        }
-    }
-
-    /// Every rack pair gets at least one usable direct slice per cycle.
-    #[test]
-    fn direct_circuits_complete(mult in 2usize..6, seed in 0u64..200) {
-        let u = 4;
-        let params = OperaParams { racks: u * mult, uplinks: u, hosts_per_rack: 2, groups: 1 };
         let topo = OperaTopology::generate(params, seed);
         for a in 0..topo.racks() {
             for b in 0..topo.racks() {
                 if a != b {
-                    prop_assert!(!topo.direct_slices(a, b).is_empty());
+                    assert!(!topo.direct_slices(a, b).is_empty());
                 }
             }
         }
-    }
+    });
+}
 
-    /// Max-min allocations never violate capacities and are Pareto
-    /// efficient on the bottleneck.
-    #[test]
-    fn max_min_feasible(
-        caps in prop::collection::vec(1.0f64..100.0, 2..8),
-        nflows in 2usize..10,
-        seed in 0u64..1000,
-    ) {
+/// Max-min allocations never violate capacities and are Pareto
+/// efficient on the bottleneck.
+#[test]
+fn max_min_feasible() {
+    let draw = |d: &mut Draw| {
+        (
+            d.vec(2..8, |d| d.f64(1.0..100.0)),
+            d.usize(2..10),
+            d.u64(0..1000),
+        )
+    };
+    cases::check("max_min_feasible", 24, draw, |(caps, nflows, seed)| {
         let mut rng = SimRng::new(seed);
         let mut inst = flowsim::Instance::new();
         for &c in &caps {
@@ -87,18 +102,21 @@ proptest! {
         let rem = inst.residual(&rates);
         // Feasible:
         for (l, &r) in rem.iter().enumerate() {
-            prop_assert!(r >= -1e-6, "link {l} oversubscribed by {r}");
+            assert!(r >= -1e-6, "link {l} oversubscribed by {r}");
         }
         // Non-trivial: at least one link saturated (flows exist).
-        prop_assert!(rem.iter().any(|&r| r < 1e-6));
+        assert!(rem.iter().any(|&r| r < 1e-6));
         // All rates positive.
-        prop_assert!(rates.iter().all(|&x| x > 0.0));
-    }
+        assert!(rates.iter().all(|&x| x > 0.0));
+    });
+}
 
-    /// Quantiles of a sample set are always actual sample values and
-    /// ordered in q.
-    #[test]
-    fn quantiles_ordered(values in prop::collection::vec(-1e6f64..1e6, 1..200)) {
+/// Quantiles of a sample set are always actual sample values and
+/// ordered in q.
+#[test]
+fn quantiles_ordered() {
+    let draw = |d: &mut Draw| d.vec(1..200, |d| d.f64(-1e6..1e6));
+    cases::check("quantiles_ordered", 24, draw, |values| {
         let mut s = Samples::new();
         for &v in &values {
             s.push(v);
@@ -106,16 +124,19 @@ proptest! {
         let q25 = s.quantile(0.25).unwrap();
         let q50 = s.quantile(0.5).unwrap();
         let q99 = s.quantile(0.99).unwrap();
-        prop_assert!(q25 <= q50 && q50 <= q99);
-        prop_assert!(values.contains(&q50));
-    }
+        assert!(q25 <= q50 && q50 <= q99);
+        assert!(values.contains(&q50));
+    });
+}
 
-    /// NDP delivers flows of arbitrary size between two hosts with exact
-    /// byte accounting.
-    #[test]
-    fn ndp_delivers_any_size(size in 1u64..3_000_000, seed in 0u64..100) {
+/// NDP delivers flows of arbitrary size between two hosts with exact
+/// byte accounting.
+#[test]
+fn ndp_delivers_any_size() {
+    let draw = |d: &mut Draw| (d.u64(1..3_000_000), d.u64(0..100));
+    cases::check("ndp_delivers_any_size", 24, draw, |(size, seed)| {
         use netsim::fabric::{Fabric, LinkSpec, QueueConfig};
-        use netsim::{NetLogic, NetWorld, FlowTracker, Packet};
+        use netsim::{FlowTracker, NetLogic, NetWorld, Packet};
         use simkit::engine::EventContext;
         use simkit::{SimTime, Simulator};
         use transport::{NdpHost, Transport, TransportTimer};
@@ -127,8 +148,12 @@ proptest! {
             started: bool,
         }
         impl Pair {
-            fn apply(&mut self, host: usize, actions: transport::Actions,
-                     ctx: &mut EventContext<'_, netsim::NetEvent>) {
+            fn apply(
+                &mut self,
+                host: usize,
+                actions: transport::Actions,
+                ctx: &mut EventContext<'_, netsim::NetEvent>,
+            ) {
                 for (at, which) in actions.timers {
                     let token = match which {
                         TransportTimer::PullPacer => (host as u64) << 32,
@@ -139,19 +164,33 @@ proptest! {
             }
         }
         impl NetLogic for Pair {
-            fn on_arrive(&mut self, fabric: &mut Fabric,
-                         ctx: &mut EventContext<'_, netsim::NetEvent>,
-                         node: usize, _port: usize, packet: Packet) {
+            fn on_arrive(
+                &mut self,
+                fabric: &mut Fabric,
+                ctx: &mut EventContext<'_, netsim::NetEvent>,
+                node: usize,
+                _port: usize,
+                packet: Packet,
+            ) {
                 let a = self.hosts[node].on_packet(fabric, ctx, &mut self.tracker, packet);
                 self.apply(node, a, ctx);
             }
-            fn on_timer(&mut self, fabric: &mut Fabric,
-                        ctx: &mut EventContext<'_, netsim::NetEvent>, token: u64) {
+            fn on_timer(
+                &mut self,
+                fabric: &mut Fabric,
+                ctx: &mut EventContext<'_, netsim::NetEvent>,
+                token: u64,
+            ) {
                 if token == 0 {
                     if !self.started {
                         self.started = true;
-                        let id = self.tracker.register(0, 1, self.size,
-                            netsim::FlowClass::LowLatency, ctx.now());
+                        let id = self.tracker.register(
+                            0,
+                            1,
+                            self.size,
+                            netsim::FlowClass::LowLatency,
+                            ctx.now(),
+                        );
                         let a = self.hosts[0].start_flow(fabric, ctx, id, 1, self.size);
                         self.apply(0, a, ctx);
                     }
@@ -174,10 +213,7 @@ proptest! {
         fabric.connect(a, 0, b, 0);
         let _ = seed;
         let logic = Pair {
-            hosts: vec![
-                NdpHost::new(a, 0),
-                NdpHost::new(b, 0),
-            ],
+            hosts: vec![NdpHost::new(a, 0), NdpHost::new(b, 0)],
             tracker: FlowTracker::new(),
             size,
             started: false,
@@ -185,150 +221,188 @@ proptest! {
         let mut sim = Simulator::new(NetWorld::new(fabric, logic));
         sim.schedule_at(SimTime::ZERO, netsim::NetEvent::Timer { token: 0 });
         sim.run_until(SimTime::from_ms(50));
-        prop_assert!(sim.world.logic.tracker.all_done());
-        prop_assert!(sim.world.logic.tracker.get(0).received >= size);
-    }
+        assert!(sim.world.logic.tracker.all_done());
+        assert!(sim.world.logic.tracker.get(0).received >= size);
+    });
+}
 
-    /// PFC switches are lossless by construction: a randomized incast
-    /// blasted through one switch with shallow pause thresholds loses no
-    /// packet to any queue — every offered payload byte reaches the sink
-    /// (byte conservation), with zero drops and zero trims.
-    #[test]
-    fn pfc_never_drops_under_incast(
-        senders in 2usize..8,
-        per_sender in 1u32..32,
-        payload in 200u32..1400,
-        seed in 0u64..1000,
-    ) {
-        use netsim::fabric::{Fabric, LinkSpec, QueueConfig};
-        use netsim::policy::Pfc;
-        use netsim::{NetLogic, NetWorld, Packet};
-        use simkit::engine::EventContext;
-        use simkit::SimTime;
+/// PFC switches are lossless by construction: a randomized incast
+/// blasted through one switch with shallow pause thresholds loses no
+/// packet to any queue — every offered payload byte reaches the sink
+/// (byte conservation), with zero drops and zero trims.
+#[test]
+fn pfc_never_drops_under_incast() {
+    let draw = |d: &mut Draw| {
+        (
+            d.usize(2..8),
+            d.u64(1..32) as u32,
+            d.u64(200..1400) as u32,
+            d.u64(0..1000),
+        )
+    };
+    cases::check(
+        "pfc_never_drops_under_incast",
+        24,
+        draw,
+        |(senders, per_sender, payload, seed)| {
+            use netsim::fabric::{Fabric, LinkSpec, QueueConfig};
+            use netsim::policy::Pfc;
+            use netsim::{NetLogic, NetWorld, Packet};
+            use simkit::engine::EventContext;
+            use simkit::SimTime;
 
-        struct Incast {
-            senders: usize,
-            per_sender: u32,
-            payload: u32,
-            switch: usize,
-            sink: usize,
-            received: u64,
-        }
-        impl NetLogic for Incast {
-            fn on_arrive(&mut self, fabric: &mut Fabric,
-                         ctx: &mut EventContext<'_, netsim::NetEvent>,
-                         node: usize, _port: usize, packet: Packet) {
-                if node == self.switch {
-                    // One downlink: the last port faces the sink.
-                    fabric.send(ctx, self.switch, self.senders, packet);
-                } else {
-                    assert_eq!(node, self.sink);
-                    self.received += packet.payload() as u64;
-                }
+            struct Incast {
+                senders: usize,
+                per_sender: u32,
+                payload: u32,
+                switch: usize,
+                sink: usize,
+                received: u64,
             }
-            fn on_timer(&mut self, fabric: &mut Fabric,
-                        ctx: &mut EventContext<'_, netsim::NetEvent>, token: u64) {
-                if token != 0 {
-                    return;
+            impl NetLogic for Incast {
+                fn on_arrive(
+                    &mut self,
+                    fabric: &mut Fabric,
+                    ctx: &mut EventContext<'_, netsim::NetEvent>,
+                    node: usize,
+                    _port: usize,
+                    packet: Packet,
+                ) {
+                    if node == self.switch {
+                        // One downlink: the last port faces the sink.
+                        fabric.send(ctx, self.switch, self.senders, packet);
+                    } else {
+                        assert_eq!(node, self.sink);
+                        self.received += packet.payload() as u64;
+                    }
                 }
-                for s in 0..self.senders {
-                    for seq in 0..self.per_sender {
-                        let size = netsim::HEADER_SIZE + self.payload;
-                        let pkt = Packet::data(s as u32, s, self.sink, seq, size);
-                        fabric.send(ctx, s, 0, pkt);
+                fn on_timer(
+                    &mut self,
+                    fabric: &mut Fabric,
+                    ctx: &mut EventContext<'_, netsim::NetEvent>,
+                    token: u64,
+                ) {
+                    if token != 0 {
+                        return;
+                    }
+                    for s in 0..self.senders {
+                        for seq in 0..self.per_sender {
+                            let size = netsim::HEADER_SIZE + self.payload;
+                            let pkt = Packet::data(s as u32, s, self.sink, seq, size);
+                            fabric.send(ctx, s, 0, pkt);
+                        }
                     }
                 }
             }
-        }
 
-        // Shallow queues + shallow pause threshold: incast pressure far
-        // exceeds what any single queue could absorb without pausing.
-        let cfg = QueueConfig::builder()
-            .caps([12_000, 12_000, 24_000])
-            .policy(Pfc { pause_bytes: 6_000, resume_bytes: 3_000 })
-            .build();
-        let mut fabric = Fabric::new();
-        for _ in 0..senders {
-            fabric.add_node(1, cfg, LinkSpec::paper_default());
-        }
-        let switch = fabric.add_node(senders + 1, cfg, LinkSpec::paper_default());
-        let sink = fabric.add_node(1, cfg, LinkSpec::paper_default());
-        for s in 0..senders {
-            fabric.connect(s, 0, switch, s);
-        }
-        fabric.connect(switch, senders, sink, 0);
-        let _ = seed;
-        let logic = Incast { senders, per_sender, payload, switch, sink, received: 0 };
-        let mut sim = NetWorld::new(fabric, logic).into_sim();
-        sim.run_until(SimTime::from_ms(100));
+            // Shallow queues + shallow pause threshold: incast pressure far
+            // exceeds what any single queue could absorb without pausing.
+            let cfg = QueueConfig::builder()
+                .caps([12_000, 12_000, 24_000])
+                .policy(Pfc {
+                    pause_bytes: 6_000,
+                    resume_bytes: 3_000,
+                })
+                .build();
+            let mut fabric = Fabric::new();
+            for _ in 0..senders {
+                fabric.add_node(1, cfg, LinkSpec::paper_default());
+            }
+            let switch = fabric.add_node(senders + 1, cfg, LinkSpec::paper_default());
+            let sink = fabric.add_node(1, cfg, LinkSpec::paper_default());
+            for s in 0..senders {
+                fabric.connect(s, 0, switch, s);
+            }
+            fabric.connect(switch, senders, sink, 0);
+            let _ = seed;
+            let logic = Incast {
+                senders,
+                per_sender,
+                payload,
+                switch,
+                sink,
+                received: 0,
+            };
+            let mut sim = NetWorld::new(fabric, logic).into_sim();
+            sim.run_until(SimTime::from_ms(100));
 
-        let offered = senders as u64 * per_sender as u64 * payload as u64;
-        prop_assert_eq!(sim.world.logic.received, offered,
-            "byte conservation violated");
-        let c = &sim.world.fabric.counters;
-        prop_assert_eq!(c.dropped, 0);
-        prop_assert_eq!(c.trimmed, 0);
-        prop_assert_eq!(c.dark_drops, 0);
-    }
+            let offered = senders as u64 * per_sender as u64 * payload as u64;
+            assert_eq!(
+                sim.world.logic.received, offered,
+                "byte conservation violated"
+            );
+            let c = &sim.world.fabric.counters;
+            assert_eq!(c.dropped, 0);
+            assert_eq!(c.trimmed, 0);
+            assert_eq!(c.dark_drops, 0);
+        },
+    );
 }
 
 // Harness properties: the experiment runner's determinism contract
 // (ordered collection, thread-invariance, seed derivation) that every
 // committed golden baseline rests on.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// Sweep results are a pure function of (sweep, base seed): worker
+/// count and completion order are invisible. Per-point sleeps derived
+/// from the seed scramble which worker finishes first.
+#[test]
+fn runner_order_is_permutation_invariant() {
+    let draw = |d: &mut Draw| (d.usize(1..40), d.usize(2..9), d.u64(0..1000));
+    cases::check(
+        "runner_order_is_permutation_invariant",
+        16,
+        draw,
+        |(n, threads, seed)| {
+            let sweep = expt::Sweep::from_points((0..n).collect::<Vec<_>>());
+            let serial = expt::Runner::new(1, seed).run(&sweep, |&p, ctx| (p, ctx.seed));
+            let jittered = expt::Runner::new(threads, seed).run(&sweep, |&p, ctx| {
+                std::thread::sleep(std::time::Duration::from_micros(ctx.seed % 200));
+                (p, ctx.seed)
+            });
+            assert_eq!(serial, jittered);
+        },
+    );
+}
 
-    /// Sweep results are a pure function of (sweep, base seed): worker
-    /// count and completion order are invisible. Per-point sleeps derived
-    /// from the seed scramble which worker finishes first.
-    #[test]
-    fn runner_order_is_permutation_invariant(
-        n in 1usize..40,
-        threads in 2usize..9,
-        seed in 0u64..1000,
-    ) {
-        let sweep = expt::Sweep::from_points((0..n).collect::<Vec<_>>());
-        let serial = expt::Runner::new(1, seed).run(&sweep, |&p, ctx| (p, ctx.seed));
-        let jittered = expt::Runner::new(threads, seed).run(&sweep, |&p, ctx| {
-            std::thread::sleep(std::time::Duration::from_micros(ctx.seed % 200));
-            (p, ctx.seed)
-        });
-        prop_assert_eq!(serial, jittered);
-    }
+/// Replicate seeds are pairwise distinct across every (point, rep)
+/// pair and identical for any worker count.
+#[test]
+fn replicate_seeds_distinct_and_thread_stable() {
+    let draw = |d: &mut Draw| (d.usize(1..20), d.usize(1..6), d.u64(0..1000), d.usize(2..9));
+    cases::check(
+        "replicate_seeds_distinct_and_thread_stable",
+        16,
+        draw,
+        |(n, reps, base, threads)| {
+            let sweep = expt::Sweep::from_points((0..n).collect::<Vec<_>>());
+            let one = expt::Runner::new(1, base).run_replicated(&sweep, reps, |_, rc| rc.seed);
+            let many =
+                expt::Runner::new(threads, base).run_replicated(&sweep, reps, |_, rc| rc.seed);
+            assert_eq!(&one, &many);
+            let flat: Vec<u64> = one.iter().flat_map(|(_, seeds)| seeds).copied().collect();
+            let distinct: std::collections::HashSet<u64> = flat.iter().copied().collect();
+            assert_eq!(distinct.len(), flat.len());
+        },
+    );
+}
 
-    /// Replicate seeds are pairwise distinct across every (point, rep)
-    /// pair and identical for any worker count.
-    #[test]
-    fn replicate_seeds_distinct_and_thread_stable(
-        n in 1usize..20,
-        reps in 1usize..6,
-        base in 0u64..1000,
-        threads in 2usize..9,
-    ) {
-        let sweep = expt::Sweep::from_points((0..n).collect::<Vec<_>>());
-        let one = expt::Runner::new(1, base).run_replicated(&sweep, reps, |_, rc| rc.seed);
-        let many = expt::Runner::new(threads, base).run_replicated(&sweep, reps, |_, rc| rc.seed);
-        prop_assert_eq!(&one, &many);
-        let flat: Vec<u64> = one.iter().flat_map(|(_, seeds)| seeds).copied().collect();
-        let distinct: std::collections::HashSet<u64> = flat.iter().copied().collect();
-        prop_assert_eq!(distinct.len(), flat.len());
-    }
-
-    /// The JSON shard merge reproduces the unsharded rendering
-    /// byte-for-byte, CSV and JSON, for tables with a *variable number
-    /// of rows per point* (the shape the legacy CSV merge scrambles),
-    /// built the way every driver builds them — runner, replicates,
-    /// [`expt::RepTableBuilder::sweep_rows`] — through a full serialize
-    /// → parse → merge round trip, for any shard count.
-    #[test]
-    fn json_shard_merge_round_trips_multirow_tables(
-        n in 0usize..24,
-        shards in 1usize..6,
-        reps in 1usize..4,
-        seed in 0u64..500,
-    ) {
-        prop_assert_eq!(shard_merge_mismatch(n, shards, reps, seed), None);
-    }
+/// The JSON shard merge reproduces the unsharded rendering
+/// byte-for-byte, CSV and JSON, for tables with a *variable number
+/// of rows per point* (the shape the legacy CSV merge scrambles),
+/// built the way every driver builds them — runner, replicates,
+/// [`expt::RepTableBuilder::sweep_rows`] — through a full serialize
+/// → parse → merge round trip, for any shard count.
+#[test]
+fn json_shard_merge_round_trips_multirow_tables() {
+    let draw = |d: &mut Draw| (d.usize(0..24), d.usize(1..6), d.usize(1..4), d.u64(0..500));
+    cases::check(
+        "json_shard_merge_round_trips_multirow_tables",
+        16,
+        draw,
+        |(n, shards, reps, seed)| {
+            assert_eq!(shard_merge_mismatch(n, shards, reps, seed), None);
+        },
+    );
 }
 
 /// The same round trip at its edges: an empty sweep, shards that own no
@@ -456,78 +530,85 @@ impl HeapModel {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The timing-wheel scheduler pops events in exactly the order the
-    /// old binary-heap engine did: ascending `(time, seq)`, FIFO for
-    /// equal timestamps. The schedule mixes near and far-future
-    /// timestamps (crossing every wheel level), timestamps clustered
-    /// within ± 4096 ns of window edges at every level, forced equal-time
-    /// ties, in-handler follow-ups (a third of them due `now`, all of
-    /// them recycling the node just popped) and `run_until` checkpoints
-    /// with scheduling in between (clock ahead of the wheel's cursor). The
-    /// oracle is [`HeapModel`] fed the same operation stream.
-    #[test]
-    fn timing_wheel_matches_heap_order(
-        raw in prop::collection::vec(0u64..(1u64 << 62), 1..48),
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = SimRng::new(seed);
-        let mut times = raw.clone();
-        for i in 0..times.len() {
-            if i > 0 && rng.chance(0.3) {
-                // Force equal-time ties so FIFO tie-breaking is hit.
-                times[i] = times[rng.index(i)];
-            } else if rng.chance(0.4) {
-                // Cluster around a window edge of a random level.
-                let grain = 1u64 << (12 + 6 * rng.index(9));
-                let edge = (times[i] / grain).max(1) * grain;
-                times[i] = (edge - 4096 + rng.below(8193)).min((1 << 62) - 1);
+/// The timing-wheel scheduler pops events in exactly the order the
+/// old binary-heap engine did: ascending `(time, seq)`, FIFO for
+/// equal timestamps. The schedule mixes near and far-future
+/// timestamps (crossing every wheel level), timestamps clustered
+/// within ± 4096 ns of window edges at every level, forced equal-time
+/// ties, in-handler follow-ups (a third of them due `now`, all of
+/// them recycling the node just popped) and `run_until` checkpoints
+/// with scheduling in between (clock ahead of the wheel's cursor). The
+/// oracle is [`HeapModel`] fed the same operation stream.
+#[test]
+fn timing_wheel_matches_heap_order() {
+    let draw = |d: &mut Draw| (d.vec(1..48, |d| d.u64(0..(1u64 << 62))), d.u64(0..10_000));
+    cases::check(
+        "timing_wheel_matches_heap_order",
+        256,
+        draw,
+        |(raw, seed)| {
+            let mut rng = SimRng::new(seed);
+            let mut times = raw.clone();
+            for i in 0..times.len() {
+                if i > 0 && rng.chance(0.3) {
+                    // Force equal-time ties so FIFO tie-breaking is hit.
+                    times[i] = times[rng.index(i)];
+                } else if rng.chance(0.4) {
+                    // Cluster around a window edge of a random level.
+                    let grain = 1u64 << (12 + 6 * rng.index(9));
+                    let edge = (times[i] / grain).max(1) * grain;
+                    times[i] = (edge - 4096 + rng.below(8193)).min((1 << 62) - 1);
+                }
             }
-        }
-        let followups: Vec<(u32, u64)> = (0..4 * times.len())
-            .map(|j| {
-                let delta = match rng.below(3) {
-                    0 => 0,
-                    1 => rng.below(8192),
-                    _ => rng.next_u64() % (1 << 20),
-                };
-                (1000 + j as u32, delta)
-            })
-            .collect();
-        let mut checkpoints: Vec<u64> = (0..rng.index(5))
-            .map(|_| (times[rng.index(times.len())] + rng.below(3)).saturating_sub(1))
-            .collect();
-        checkpoints.sort_unstable();
+            let followups: Vec<(u32, u64)> = (0..4 * times.len())
+                .map(|j| {
+                    let delta = match rng.below(3) {
+                        0 => 0,
+                        1 => rng.below(8192),
+                        _ => rng.next_u64() % (1 << 20),
+                    };
+                    (1000 + j as u32, delta)
+                })
+                .collect();
+            let mut checkpoints: Vec<u64> = (0..rng.index(5))
+                .map(|_| (times[rng.index(times.len())] + rng.below(3)).saturating_sub(1))
+                .collect();
+            checkpoints.sort_unstable();
 
-        let mut model = HeapModel { followups: followups.clone(), ..Default::default() };
-        let mut sim = simkit::Simulator::new(PopLog { log: Vec::new(), followups });
-        for (i, &t) in times.iter().enumerate() {
-            model.schedule(t, i as u32);
-            sim.schedule_at(simkit::SimTime::from_ns(t), i as u32);
-        }
-        let mut next_id = 5000;
-        for until in checkpoints {
-            model.run_until(until);
-            sim.run_until(simkit::SimTime::from_ns(until));
-            prop_assert_eq!(sim.now().as_ns(), model.now);
-            prop_assert_eq!(sim.pending(), model.pending());
-            // Between calls the clock may be ahead of the wheel's cursor.
-            for _ in 0..rng.index(4) {
-                let at = model.now + [0, rng.below(8192), rng.below(1 << 30)][rng.index(3)];
-                model.schedule(at, next_id);
-                sim.schedule_at(simkit::SimTime::from_ns(at), next_id);
-                next_id += 1;
+            let mut model = HeapModel {
+                followups: followups.clone(),
+                ..Default::default()
+            };
+            let mut sim = simkit::Simulator::new(PopLog {
+                log: Vec::new(),
+                followups,
+            });
+            for (i, &t) in times.iter().enumerate() {
+                model.schedule(t, i as u32);
+                sim.schedule_at(simkit::SimTime::from_ns(t), i as u32);
             }
-        }
-        model.run_until(u64::MAX);
-        sim.run();
+            let mut next_id = 5000;
+            for until in checkpoints {
+                model.run_until(until);
+                sim.run_until(simkit::SimTime::from_ns(until));
+                assert_eq!(sim.now().as_ns(), model.now);
+                assert_eq!(sim.pending(), model.pending());
+                // Between calls the clock may be ahead of the wheel's cursor.
+                for _ in 0..rng.index(4) {
+                    let at = model.now + [0, rng.below(8192), rng.below(1 << 30)][rng.index(3)];
+                    model.schedule(at, next_id);
+                    sim.schedule_at(simkit::SimTime::from_ns(at), next_id);
+                    next_id += 1;
+                }
+            }
+            model.run_until(u64::MAX);
+            sim.run();
 
-        prop_assert_eq!(&sim.world.log, &model.log);
-        prop_assert_eq!(sim.pending(), 0);
-        prop_assert_eq!(sim.events_processed(), model.log.len() as u64);
-    }
+            assert_eq!(&sim.world.log, &model.log);
+            assert_eq!(sim.pending(), 0);
+            assert_eq!(sim.events_processed(), model.log.len() as u64);
+        },
+    );
 }
 
 /// The seed max-concurrent-flow implementation, kept verbatim as the
@@ -727,36 +808,49 @@ fn random_mcf_mismatch(
     mcf_mismatch(&g, &tor, &demands, link_rate, host_cap, phases)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The rewritten `McfSolver` (fixed-width adjacency rows,
-    /// generation-stamped scratch, goal-directed search, paths walked
-    /// from final distances) produces λ **bit-identical** to the seed
-    /// implementation over random graphs and demand sets, and over a
-    /// random expander of the kind the cost sweeps solve (3–16 uplinks,
-    /// so every degree the figures use).
-    #[test]
-    fn mcf_matches_reference(
-        n in 2usize..28,
-        links in 1usize..64,
-        ndemands in 1usize..16,
-        phases in 1usize..24,
-        seed in 0u64..10_000,
-        uplinks in 3usize..17,
-    ) {
-        prop_assert_eq!(random_mcf_mismatch(n, links, ndemands, phases, seed), None);
-        let mut rng = SimRng::new(seed);
-        let racks = 2 * (uplinks + rng.index(8));
-        let exp = topo::expander::ExpanderTopology::generate(
-            topo::expander::ExpanderParams { racks, uplinks, hosts_per_rack: 1 },
-            seed,
-        );
-        let demands = random_demands(&mut rng, racks, ndemands);
-        let tor: Vec<usize> = (0..racks).collect();
-        let host_cap = 1.0 + (seed % 97) as f64;
-        prop_assert_eq!(mcf_mismatch(exp.graph(), &tor, &demands, 10.0, host_cap, phases), None);
-    }
+/// The rewritten `McfSolver` (fixed-width adjacency rows,
+/// generation-stamped scratch, goal-directed search, paths walked
+/// from final distances) produces λ **bit-identical** to the seed
+/// implementation over random graphs and demand sets, and over a
+/// random expander of the kind the cost sweeps solve (3–16 uplinks,
+/// so every degree the figures use).
+#[test]
+fn mcf_matches_reference() {
+    let draw = |d: &mut Draw| {
+        (
+            d.usize(2..28),
+            d.usize(1..64),
+            d.usize(1..16),
+            d.usize(1..24),
+            d.u64(0..10_000),
+            d.usize(3..17),
+        )
+    };
+    cases::check(
+        "mcf_matches_reference",
+        64,
+        draw,
+        |(n, links, ndemands, phases, seed, uplinks)| {
+            assert_eq!(random_mcf_mismatch(n, links, ndemands, phases, seed), None);
+            let mut rng = SimRng::new(seed);
+            let racks = 2 * (uplinks + rng.index(8));
+            let exp = topo::expander::ExpanderTopology::generate(
+                topo::expander::ExpanderParams {
+                    racks,
+                    uplinks,
+                    hosts_per_rack: 1,
+                },
+                seed,
+            );
+            let demands = random_demands(&mut rng, racks, ndemands);
+            let tor: Vec<usize> = (0..racks).collect();
+            let host_cap = 1.0 + (seed % 97) as f64;
+            assert_eq!(
+                mcf_mismatch(exp.graph(), &tor, &demands, 10.0, host_cap, phases),
+                None
+            );
+        },
+    );
 }
 
 /// Multiplicative weights can spread edge costs so far apart that a
@@ -796,41 +890,72 @@ impl netsim::TraceSink for EmissionSink {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// fig08's quick Opera arm (every flow bulk, all starting at once)
+/// with its flows injected in a random order: every flow completes, the
+/// fabric drops nothing, and no flow's source emits one bulk `seq`
+/// twice, however often RotorLB takes packets back. RotorLB
+/// debug-asserts that a direct queue never holds two chunks of one
+/// flow wherever it makes a chunk. (A shuffle this small rarely
+/// overflows a ToR's host port; `opera_net`'s
+/// `bulk_incast_is_lossless_at_the_last_hop` is the case that does.)
+/// Each order runs twice: on quick Opera's `fast_sim` timing, and on the
+/// ε derived for it (126 µs, r = 14 µs), whose long slices let a ToR's
+/// feeders fill an uplink's bulk queue, so a ToR must not offer bulk to
+/// a port that would refuse it.
+#[test]
+fn quick_shuffle_completes_in_any_injection_order() {
+    let draw = |d: &mut Draw| d.u64(0..u64::MAX);
+    cases::check(
+        "quick_shuffle_completes_in_any_injection_order",
+        16,
+        draw,
+        |seed| {
+            let mut cfg = bench::opera_cfg(expt::Scale::Quick);
+            cfg.bulk_threshold = 0;
+            shuffle_completes(cfg, seed);
+            cfg.timing = opera::SliceTiming {
+                epsilon: SimTime::from_us(126),
+                reconfig: SimTime::from_us(14),
+            };
+            shuffle_completes(cfg, seed);
+        },
+    );
+}
 
-    /// fig08's quick Opera arm (every flow bulk, all starting at once)
-    /// with its flows injected in a random order: every flow completes, the
-    /// fabric drops nothing, and no flow's source emits one bulk `seq`
-    /// twice, however often RotorLB takes packets back. RotorLB
-    /// debug-asserts that a direct queue never holds two chunks of one
-    /// flow wherever it makes a chunk. (A shuffle this small rarely
-    /// overflows a ToR's host port; `opera_net`'s
-    /// `bulk_incast_is_lossless_at_the_last_hop` is the case that does.)
-    #[test]
-    fn quick_shuffle_completes_in_any_injection_order(seed in 0u64..u64::MAX) {
-        let mut cfg = bench::opera_cfg(expt::Scale::Quick);
-        cfg.bulk_threshold = 0;
-        let mut flows = workloads::gen::ScenarioGen::shuffle(cfg.hosts(), 30_000, simkit::SimTime::ZERO);
-        let mut rng = SimRng::new(seed);
-        for i in (1..flows.len()).rev() {
-            flows.swap(i, rng.index(i + 1));
-        }
-        let offered = flows.len();
-        let emissions = std::rc::Rc::new(std::cell::RefCell::new(BulkEmissions {
-            hosts: cfg.hosts(),
-            ..BulkEmissions::default()
-        }));
-        let mut sim = opera::opera_net::build(cfg, flows);
-        sim.world.fabric.set_trace(Box::new(EmissionSink(std::rc::Rc::clone(&emissions))));
-        use opera::PacketNet;
-        let drained = opera::opera_net::OperaLogic::run(&mut sim, simkit::SimTime::from_ms(60));
-        let t = sim.world.logic.tracker();
-        prop_assert!(drained, "seed {}: {} of {} flows", seed, t.completed(), offered);
-        prop_assert_eq!(t.completed(), offered);
-        prop_assert_eq!(sim.world.fabric.counters.dropped, 0);
-        let e = emissions.borrow();
-        prop_assert!(e.seen.len() > offered, "only {} bulk emissions", e.seen.len());
-        prop_assert!(e.repeated.is_empty(), "seqs emitted twice: {:?}", &e.repeated[..e.repeated.len().min(8)]);
+/// The all-bulk shuffle on `cfg` with its flows in the order `seed`
+/// draws, checked as [`quick_shuffle_completes_in_any_injection_order`]
+/// says.
+fn shuffle_completes(cfg: opera::OperaNetConfig, seed: u64) {
+    let mut flows = workloads::gen::ScenarioGen::shuffle(cfg.hosts(), 30_000, SimTime::ZERO);
+    let mut rng = SimRng::new(seed);
+    for i in (1..flows.len()).rev() {
+        flows.swap(i, rng.index(i + 1));
     }
+    let offered = flows.len();
+    let emissions = std::rc::Rc::new(std::cell::RefCell::new(BulkEmissions {
+        hosts: cfg.hosts(),
+        ..BulkEmissions::default()
+    }));
+    let epsilon = cfg.timing.epsilon;
+    let mut sim = opera::opera_net::build(cfg, flows);
+    let sink = EmissionSink(std::rc::Rc::clone(&emissions));
+    sim.world.fabric.set_trace(Box::new(sink));
+    use opera::PacketNet;
+    let drained = opera::opera_net::OperaLogic::run(&mut sim, SimTime::from_ms(60));
+    let t = sim.world.logic.tracker();
+    let run = format!("seed {seed}, epsilon {epsilon}");
+    assert!(drained, "{run}: {} of {offered} flows", t.completed());
+    assert_eq!(t.completed(), offered, "{run}");
+    assert_eq!(sim.world.fabric.counters.dropped, 0, "{run}");
+    let e = emissions.borrow();
+    assert!(
+        e.seen.len() > offered,
+        "{run}: only {} bulk emissions",
+        e.seen.len()
+    );
+    let twice = &e.repeated[..e.repeated.len().min(8)];
+    assert!(
+        e.repeated.is_empty(),
+        "{run}: seqs emitted twice: {twice:?}"
+    );
 }
