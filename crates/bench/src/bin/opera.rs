@@ -202,17 +202,11 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
         list => list.split(',').map(|d| d.trim().to_string()).collect(),
     };
     require_known("driver", &drivers, &known)?;
-    let plan = Plan { drivers, shards };
-    if let Some(d) = plan.repeated_driver() {
-        return Err(Exit::Invalid(format!("--drivers names driver {d:?} twice")));
-    }
+    let count = drivers.len();
+    let plan = Plan::new(drivers, shards).map_err(Exit::Invalid)?;
     println!(
         "# orchestrating {} driver(s) x {} shard(s), scale={}, seed={}, replicates={}",
-        plan.drivers.len(),
-        plan.shards,
-        flags.scale,
-        flags.seed,
-        flags.replicates
+        count, shards, flags.scale, flags.seed, flags.replicates
     );
 
     // Durable run: every shard committed as its job completes, merged
@@ -243,13 +237,13 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
         println!(
             "ok  {} [{} shard(s), {} table(s)]",
             run.driver,
-            plan.shards,
+            shards,
             run.merged.len()
         );
     }
     println!(
         "# {} job(s) across {} driver(s); every merge validated",
-        report.drivers.len() * plan.shards,
+        report.drivers.len() * shards,
         report.drivers.len()
     );
     for p in csvs {

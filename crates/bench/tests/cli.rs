@@ -350,10 +350,7 @@ fn start_run_keeps_and_merges_gathered_shard_runs() {
     let dir = scratch("shard-gather");
     run_both_shards(DRIVER, &dir);
     let before = shard_documents(&dir.join(DRIVER));
-    let plan = Plan {
-        drivers: vec![DRIVER.to_string()],
-        shards: 2,
-    };
+    let plan = Plan::new(vec![DRIVER.to_string()], 2).unwrap();
     let ran = AtomicUsize::new(0);
     let build = |driver: &str, ctx: &Ctx| {
         ran.fetch_add(1, Ordering::SeqCst);

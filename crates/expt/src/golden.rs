@@ -18,7 +18,7 @@
 
 use crate::json::{self, quoted};
 use crate::output::{list, RunFlags, RunMeta};
-use crate::table::Table;
+use crate::table::{Cell, Table};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -201,17 +201,19 @@ pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, String> {
     Ok(rows)
 }
 
-/// Fill in `d`, the drift of a table whose CSV `got` differs from its
+/// Fill in `d`, the drift of table `t`, whose CSV `got` differs from its
 /// golden `want`, with where the two first part: the header if it
 /// changed (an empty golden has none), else the first differing row with
 /// its first differing column and both cells, else the row count. When
 /// every cell agrees, only the bytes between them differ (line endings,
 /// quoting), and `d` names the first differing line. An error is a golden
 /// that does not parse.
-fn first_difference(d: &mut Drift, got: &str, want: &str) -> Result<(), String> {
+fn first_difference(d: &mut Drift, t: &Table, got: &str, want: &str) -> Result<(), String> {
     let golden = parse_csv(want)?;
-    let fresh = parse_csv(got).expect("a table's own CSV parses");
-    let (head, rows) = fresh.split_first().expect("a table's CSV has a header");
+    let head = &t.columns;
+    let rows: Vec<Vec<String>> = (t.rows.iter())
+        .map(|row| row.iter().map(Cell::to_string).collect())
+        .collect();
     let no_header = Vec::new();
     let ghead = golden.first().unwrap_or(&no_header);
     let grows = golden.get(1..).unwrap_or_default();
@@ -242,11 +244,10 @@ fn first_difference(d: &mut Drift, got: &str, want: &str) -> Result<(), String> 
     Ok(())
 }
 
-/// The first index at which `a` and `b` differ; they must differ.
+/// The first index at which `a` and `b` differ, else the shorter length.
 fn first_index<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    (0..)
-        .find(|&i| a.get(i) != b.get(i))
-        .expect("the two differ")
+    let differs = std::iter::zip(a, b).position(|(x, y)| x != y);
+    differs.unwrap_or(a.len().min(b.len()))
 }
 
 /// Compare a driver's freshly built tables against its committed
@@ -300,7 +301,7 @@ pub fn compare_driver(
         let got = t.to_csv();
         if got != want {
             let mut d = drift(&t.name, "", String::new(), String::new());
-            first_difference(&mut d, &got, &want).map_err(|e| {
+            first_difference(&mut d, t, &got, &want).map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("{}: malformed golden CSV: {e}", path.display()),

@@ -65,11 +65,6 @@ impl Json {
         Ok(v)
     }
 
-    /// An object of the given members.
-    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
-        Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
-    }
-
     /// Object member lookup.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -131,9 +126,9 @@ impl Json {
 
     /// Render back to JSON text, pretty-printed with two-space indents
     /// and sorted object keys. Numbers are emitted as their raw literal
-    /// text, so `parse → render → parse` is lossless — the property the
-    /// append-only `BENCH_*.json` trajectory relies on when it rewrites
-    /// the document with one more entry.
+    /// text, so `parse → render → parse` is lossless: the benchmark's
+    /// `compare` renders two entries' exact counts this way to see
+    /// whether they are equal.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);
@@ -146,46 +141,40 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(n),
             Json::Str(s) => out.push_str(&quoted(s)),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
+            Json::Arr(items) => render_list(out, indent, "[]", items.iter().map(|v| (None, v))),
             Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&quoted(k));
-                    out.push_str(": ");
-                    v.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
+                let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
+                render_list(out, indent, "{}", members)
             }
         }
     }
+}
+
+/// The items of an array or object (`brackets` `"[]"` or `"{}"`), each
+/// with its key in an object, one per line at `indent + 1`.
+fn render_list<'a>(
+    out: &mut String,
+    indent: usize,
+    brackets: &str,
+    items: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    let empty = items.len() == 0;
+    for (i, (key, v)) in items.enumerate() {
+        out.push_str(if i > 0 { ",\n" } else { "\n" });
+        out.push_str(&"  ".repeat(indent + 1));
+        if let Some(k) = key {
+            out.push_str(&quoted(k));
+            out.push_str(": ");
+        }
+        v.render_into(out, indent + 1);
+    }
+    if !empty {
+        out.push('\n');
+        out.push_str(&"  ".repeat(indent));
+    }
+    out.push_str(close);
 }
 
 struct Parser<'a> {
@@ -333,27 +322,19 @@ impl Parser<'_> {
                         b'r' => s.push('\r'),
                         b't' => s.push('\t'),
                         b'u' => {
-                            let cp = self.hex4()?;
+                            let mut cp = self.hex4()?;
                             // Surrogate pair: our writer never emits
-                            // them, but decode defensively.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if (0xDC00..0xE000).contains(&lo) {
-                                        char::from_u32(
-                                            0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00),
-                                        )
-                                    } else {
-                                        None // high surrogate not followed by a low one
-                                    }
-                                } else {
-                                    None
+                            // them, but decode defensively. A surrogate
+                            // left unpaired is no `char`.
+                            let high = (0xD800..0xDC00).contains(&cp);
+                            if high && self.bytes[self.pos..].starts_with(b"\\u") {
+                                self.pos += 2;
+                                let lo = self.hex4()?;
+                                if (0xDC00..0xE000).contains(&lo) {
+                                    cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                 }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            s.push(c.ok_or("invalid \\u escape")?);
+                            }
+                            s.push(char::from_u32(cp).ok_or("invalid \\u escape")?);
                         }
                         other => return Err(format!("bad escape \\{}", other as char)),
                     }
@@ -382,15 +363,16 @@ impl Parser<'_> {
     }
 
     /// The four hex digits of a `\u` escape, as a code point. Exactly
-    /// four: `u32::from_str_radix` alone would also take a sign.
+    /// four, each a hex digit: `u32::from_str_radix` would also take a
+    /// sign.
     fn hex4(&mut self) -> Result<u32, String> {
         let at = self.pos;
-        let hex = (self.bytes.get(at..at + 4))
-            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+        let digit = |cp: u32, &b: &u8| Some(cp * 16 + char::from(b).to_digit(16)?);
+        let cp = (self.bytes.get(at..at + 4))
+            .and_then(|hex| hex.iter().try_fold(0, digit))
             .ok_or_else(|| format!("\\u escape without four hex digits at byte {at}"))?;
         self.pos += 4;
-        let digit = |b: &u8| (*b as char).to_digit(16).expect("checked hex digit");
-        Ok(hex.iter().fold(0, |cp, b| cp * 16 + digit(b)))
+        Ok(cp)
     }
 
     /// A number as JSON spells one: `-`, then `0` or a digit string not
@@ -411,8 +393,8 @@ impl Parser<'_> {
             self.eat(b"+-");
             self.digits("number without an exponent digit")?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        Ok(Json::Num(text.to_string()))
+        let text = self.bytes[start..self.pos].iter().map(|&b| char::from(b));
+        Ok(Json::Num(text.collect()))
     }
 
     /// Skip the next byte if it is one of `any`; whether it was.
@@ -735,8 +717,11 @@ mod tests {
         assert!(Json::parse(r#""\ud800""#).is_err());
         assert!(Json::parse(r#""\ud800A""#).is_err());
         assert!(Json::parse(r#""\ud800\u0041""#).is_err());
+        assert!(Json::parse(r#""\udc00""#).is_err());
         // A well-formed pair still decodes.
         assert_eq!(Json::parse(r#""😀""#).unwrap().as_str(), Some("😀"));
+        let pair = Json::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(pair.as_str(), Some("😀"));
     }
 
     #[test]
@@ -922,6 +907,12 @@ mod tests {
         assert!(rendered.contains("18446744073709551615"));
         // Rendering is idempotent once pretty-printed.
         assert_eq!(Json::parse(&rendered).unwrap().render(), rendered);
+        // Two-space indents, one item a line, sorted keys, empty
+        // containers inline.
+        let nested = Json::parse(r#"{"o": {}, "n": [[1], {"k": [2]}], "e": []}"#).unwrap();
+        let want = "{\n  \"e\": [],\n  \"n\": [\n    [\n      1\n    ],\n    {\n      \
+                    \"k\": [\n        2\n      ]\n    }\n  ],\n  \"o\": {}\n}";
+        assert_eq!(nested.render(), want);
     }
 
     #[test]

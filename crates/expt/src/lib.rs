@@ -74,6 +74,19 @@
 //! assert_eq!(tables(&Ctx::new(Default::default()))[0].len(), 2);
 //! ```
 
+// The harness reads files from outside the program: every failure is a
+// named error, and every invariant is held by a type, so nothing here
+// may abort.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod cli;
 pub mod golden;
 pub mod json;

@@ -47,23 +47,27 @@ pub struct ShardJob {
     pub shard: (usize, usize),
 }
 
-/// What to run: the driver list and the shard count.
+/// What to run: the driver list, each driver named once, and the shard
+/// count, at least 1. [`Plan::new`] is the only way to build one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
-    /// Drivers to run, in order, each named once.
-    pub drivers: Vec<String>,
-    /// Shards per driver (1 = unsharded).
-    pub shards: usize,
+    drivers: Vec<String>,
+    shards: usize,
 }
 
 impl Plan {
-    /// The first driver the plan names a second time, if any.
-    pub fn repeated_driver(&self) -> Option<&str> {
+    /// The plan running `drivers`, in order, each in `shards` shards
+    /// (1 = unsharded). A driver named twice or 0 shards is refused, in
+    /// the words of the `opera orchestrate` flag that sets it.
+    pub fn new(drivers: Vec<String>, shards: usize) -> Result<Plan, String> {
+        if shards == 0 {
+            return Err("--shards must be at least 1".to_string());
+        }
         let mut seen = BTreeSet::new();
-        self.drivers
-            .iter()
-            .find(|d| !seen.insert(d.as_str()))
-            .map(String::as_str)
+        if let Some(d) = drivers.iter().find(|d| !seen.insert(d.as_str())) {
+            return Err(format!("--drivers names driver {d:?} twice"));
+        }
+        Ok(Plan { drivers, shards })
     }
 }
 
@@ -267,9 +271,6 @@ pub fn merge_driver_docs(
 /// [`OrchestrateError::OtherRun`] before anything runs or is written.
 /// A failed job does not stop the others; it is then the error, the
 /// first in job order, and every job that completed stays on disk.
-///
-/// # Panics
-/// Panics when `plan` names a driver twice.
 pub fn start_run<F>(
     out: &Path,
     plan: &Plan,
@@ -280,12 +281,9 @@ pub fn start_run<F>(
 where
     F: Fn(&str, &Ctx) -> Result<Vec<Table>, String> + Sync,
 {
-    if let Some(driver) = plan.repeated_driver() {
-        panic!("plan names driver {driver:?} twice");
-    }
     // Every driver's tree is read, and a document of another run
     // refused, before anything runs.
-    let (mut done, mut jobs, mut rerun) = (BTreeMap::new(), Vec::new(), Vec::new());
+    let (mut jobs, mut rerun) = (Vec::new(), Vec::new());
     for driver in &plan.drivers {
         let mut found = Found::scan(&out.join(driver), flags, plan.shards)?;
         for i in 0..plan.shards {
@@ -293,39 +291,36 @@ where
                 driver: driver.clone(),
                 shard: (i, plan.shards),
             };
-            match found.as_mut().map(|found| found.take(&job)) {
-                None => jobs.push(job),
-                Some(Ok(docs)) => {
-                    done.insert((job.driver, i), docs);
-                }
-                Some(Err(reason)) => {
-                    rerun.push(Rerun {
-                        job: job.clone(),
-                        reason,
-                    });
-                    jobs.push(job);
-                }
-            }
+            // The job's documents when they are kept, else `None`.
+            let kept = found.as_mut().map(|found| found.take(&job)).transpose();
+            let kept = kept.unwrap_or_else(|reason| {
+                rerun.push(Rerun {
+                    job: job.clone(),
+                    reason,
+                });
+                None
+            });
+            jobs.push((job, kept));
         }
     }
-    let reused = done.len();
+    let reused = jobs.iter().filter(|(_, kept)| kept.is_some()).count();
 
+    // Every job's documents in plan order, so each driver's are its next
+    // `shards` entries; the first failed job is the error.
     let outcomes = claim_slots(worker_count(workers), jobs.len(), |slot| {
-        run_job(out, &build, flags, &jobs[slot])
+        match &jobs[slot] {
+            (_, Some(kept)) => Ok(kept.clone()),
+            (job, None) => run_job(out, &build, flags, job),
+        }
     });
-    for (job, docs) in jobs.iter().zip(outcomes) {
-        done.insert((job.driver.clone(), job.shard.0), docs?);
-    }
-
+    let done: Vec<Vec<TableDoc>> = outcomes.into_iter().collect::<Result<_, _>>()?;
+    let mut done = done.into_iter();
     let mut drivers = Vec::with_capacity(plan.drivers.len());
     for driver in &plan.drivers {
-        let docs = (0..plan.shards).flat_map(|i| {
-            done.remove(&(driver.clone(), i))
-                .expect("every planned job was run or kept")
-        });
+        let docs = done.by_ref().take(plan.shards).flatten().collect();
         drivers.push(DriverRun {
             driver: driver.clone(),
-            merged: (merge_driver_docs(driver, docs.collect())?.into_iter())
+            merged: (merge_driver_docs(driver, docs)?.into_iter())
                 .map(|doc| doc.table)
                 .collect(),
         });
@@ -618,10 +613,17 @@ mod tests {
     use std::sync::Mutex;
 
     fn plan(drivers: &[&str], shards: usize) -> Plan {
-        Plan {
-            drivers: drivers.iter().map(|s| s.to_string()).collect(),
-            shards,
-        }
+        Plan::new(drivers.iter().map(|s| s.to_string()).collect(), shards).unwrap()
+    }
+
+    #[test]
+    fn a_plan_names_each_driver_once_and_has_a_shard() {
+        let drivers = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
+        let err = Plan::new(drivers(&["a", "b", "a"]), 2).unwrap_err();
+        assert_eq!(err, "--drivers names driver \"a\" twice");
+        let err = Plan::new(drivers(&["a"]), 0).unwrap_err();
+        assert_eq!(err, "--shards must be at least 1");
+        assert!(Plan::new(drivers(&["b", "a"]), 3).is_ok());
     }
 
     #[test]

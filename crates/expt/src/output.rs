@@ -527,11 +527,12 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         return Ok(first.clone());
     }
 
-    // Shard consistency.
+    // Shard consistency; `shards[di]` is document `di`'s shard index.
     let not_sharded = || MergeError::NotSharded {
         table: table.clone(),
     };
     let (_, n) = first.meta.shard.ok_or_else(not_sharded)?;
+    let mut shards = Vec::with_capacity(docs.len());
     for d in docs {
         let (i, dn) = d.meta.shard.ok_or_else(not_sharded)?;
         if dn != n {
@@ -548,6 +549,7 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
                 count: n,
             });
         }
+        shards.push(i);
     }
 
     let unsharded = RunMeta {
@@ -563,7 +565,7 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         {
             return Err(MergeError::UnknownPointCount { table });
         }
-        check_shards(&table, docs, n)?;
+        check_shards(&table, &shards, n)?;
         check_constants(&table, docs)?;
         return Ok(TableDoc {
             meta: unsharded,
@@ -577,8 +579,7 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
     // the points the documents claim, never `sweep_points` slots — that
     // number is whatever a document says it is.
     let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
-    for (di, d) in docs.iter().enumerate() {
-        let shard_i = d.meta.shard.expect("checked above").0;
+    for (di, (d, &shard_i)) in docs.iter().zip(&shards).enumerate() {
         let misassigned = |point| MergeError::ShardAssignment {
             table: table.clone(),
             point,
@@ -615,7 +616,7 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         });
     }
 
-    check_shards(&table, docs, n)?;
+    check_shards(&table, &shards, n)?;
     check_constants(&table, docs)?;
 
     // Reassemble: constants (validated identical) first, then points in
@@ -650,17 +651,16 @@ fn rows_at(t: &Table, point: Option<usize>) -> impl Iterator<Item = &Vec<Cell>> 
         .map(|(row, _)| row)
 }
 
-/// Validate that `docs`, each of a shard `i < n`, hold every shard
-/// exactly once.
-fn check_shards(table: &str, docs: &[TableDoc], n: usize) -> Result<(), MergeError> {
+/// Validate that `shards`, the documents' shard indices, each `< n`,
+/// hold every shard exactly once.
+fn check_shards(table: &str, shards: &[usize], n: usize) -> Result<(), MergeError> {
     let (mut seen, table) = (BTreeSet::new(), table.to_string());
-    for d in docs {
-        let shard = d.meta.shard.expect("checked sharded").0;
+    for &shard in shards {
         if !seen.insert(shard) {
             return Err(MergeError::DuplicateShard { table, shard });
         }
     }
-    // The first absent shard is at most `docs.len()`: `n` is whatever a
+    // The first absent shard is at most `shards.len()`: `n` is whatever a
     // document says it is, and nothing here is sized by it.
     match (0..n).find(|i| !seen.contains(i)) {
         Some(shard) => Err(MergeError::MissingShard { table, shard }),
@@ -717,12 +717,19 @@ pub enum ResultFile {
 /// `shards/<table>.shard<i>of<n>.json`. The one place the layout of a
 /// results tree is spelt.
 pub fn result_path(dir: &Path, table: &str, file: ResultFile) -> PathBuf {
+    let name = match file {
+        ResultFile::Csv => format!("{table}.csv"),
+        ResultFile::Doc(None) => format!("{table}.json"),
+        ResultFile::Doc(Some((i, n))) => format!("{table}.shard{i}of{n}.json"),
+    };
+    result_dir(dir, file).join(name)
+}
+
+/// The directory under `dir` that [`result_path`] places `file` in.
+fn result_dir(dir: &Path, file: ResultFile) -> PathBuf {
     match file {
-        ResultFile::Csv => dir.join(format!("{table}.csv")),
-        ResultFile::Doc(None) => dir.join(format!("{table}.json")),
-        ResultFile::Doc(Some((i, n))) => dir
-            .join(SHARD_DIR)
-            .join(format!("{table}.shard{i}of{n}.json")),
+        ResultFile::Doc(Some(_)) => dir.join(SHARD_DIR),
+        ResultFile::Csv | ResultFile::Doc(None) => dir.to_path_buf(),
     }
 }
 
@@ -748,12 +755,12 @@ pub(crate) fn staged(path: &Path) -> PathBuf {
 /// all are renamed into place, so a killed run leaves no half-written
 /// file, and a staged one marks the write unfinished.
 pub fn write_tables(dir: &Path, tables: &[Table], meta: &RunMeta) -> io::Result<Vec<PathBuf>> {
+    if !tables.is_empty() {
+        fs::create_dir_all(result_dir(dir, ResultFile::Doc(meta.shard)))?;
+    }
     let mut paths = Vec::with_capacity(tables.len() * 2);
     for t in tables {
         let doc = result_path(dir, &t.name, ResultFile::Doc(meta.shard));
-        if paths.is_empty() {
-            fs::create_dir_all(doc.parent().expect("a result file has a directory"))?;
-        }
         if meta.shard.is_none() {
             let csv = result_path(dir, &t.name, ResultFile::Csv);
             fs::write(staged(&csv), t.to_csv())?;

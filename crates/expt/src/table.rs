@@ -234,23 +234,19 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Render as CSV (header line + one line per row, `\n` terminated).
+    /// Render as CSV (header line + one line per row, `\n` terminated,
+    /// header and data fields quoted alike).
     /// Provenance is metadata, not data: it appears in the JSON artifact
     /// only, so sharded and unsharded runs render identical CSV rows.
     pub fn to_csv(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&self.columns.join(","));
-        s.push('\n');
+        let line = |fields: Vec<String>| fields.join(",") + "\n";
+        let mut s = line(self.columns.iter().map(|c| csv_escape(c)).collect());
         for row in &self.rows {
-            let mut first = true;
-            for cell in row {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str(&csv_escape(&cell.to_string()));
-            }
-            s.push('\n');
+            s += &line(
+                row.iter()
+                    .map(|cell| csv_escape(&cell.to_string()))
+                    .collect(),
+            );
         }
         s
     }
@@ -275,6 +271,16 @@ mod tests {
         t.push(vec![Cell::from("x,y"), Cell::from(3u64), f(0.5)]);
         t.push(vec![Cell::from("plain"), Cell::from(4u64), Cell::F64(1.25)]);
         assert_eq!(t.to_csv(), "a,b,c\n\"x,y\",3,0.5000\nplain,4,1.25\n");
+    }
+
+    #[test]
+    fn a_header_is_quoted_as_its_cells_are() {
+        let mut t = Table::new("demo", &["a\"b", "c,d"]);
+        t.push(vec![Cell::from(1u64), Cell::from(3u64)]);
+        let csv = t.to_csv();
+        assert_eq!(csv, "\"a\"\"b\",\"c,d\"\n1,3\n");
+        let parsed = crate::golden::parse_csv(&csv).unwrap();
+        assert_eq!(parsed, [vec!["a\"b", "c,d"], vec!["1", "3"]]);
     }
 
     #[test]

@@ -25,10 +25,7 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
         .collect();
     let out = std::env::temp_dir().join(format!("orch-identity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
-    let plan = Plan {
-        drivers: drivers.clone(),
-        shards: 4,
-    };
+    let plan = Plan::new(drivers.clone(), 4).unwrap();
     let (report, _) = start_run(&out, &plan, GOLDEN_FLAGS, figures::build, 2)
         .expect("orchestrated quick run succeeds");
     assert_eq!(report.drivers.len(), 20);
@@ -70,10 +67,7 @@ fn orchestrated_4_shard_quick_run_matches_unsharded_threads_1() {
 fn dropped_shard_fails_with_missing_point_index() {
     let out = std::env::temp_dir().join(format!("orch-accept-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
-    let plan = Plan {
-        drivers: vec!["fig11_fault_tolerance".to_string()],
-        shards: 3,
-    };
+    let plan = Plan::new(vec!["fig11_fault_tolerance".to_string()], 3).unwrap();
     start_run(&out, &plan, GOLDEN_FLAGS, figures::build, 2).unwrap();
     assert!(!validate_dir(&out).unwrap().is_empty());
 
@@ -175,10 +169,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn sharded_fig14_merges_to_the_unsharded_tables() {
     let out = fresh_dir("fig14-3");
-    let plan = Plan {
-        drivers: vec![DRIVER.to_string()],
-        shards: 3,
-    };
+    let plan = Plan::new(vec![DRIVER.to_string()], 3).unwrap();
     let build = |driver: &str, ctx: &Ctx| figures::build(driver, ctx);
     let (report, _) = start_run(&out, &plan, GOLDEN_FLAGS, build, 2).unwrap();
     let mut reference = reference();
@@ -201,10 +192,7 @@ fn sharded_fig14_merges_to_the_unsharded_tables() {
 #[test]
 fn interrupted_run_resumes_to_byte_identical_merge() {
     let out = fresh_dir("resume");
-    let plan = Plan {
-        drivers: vec![DRIVER.to_string()],
-        shards: 3,
-    };
+    let plan = Plan::new(vec![DRIVER.to_string()], 3).unwrap();
     let reference = reference();
 
     // Interrupted run: one worker, jobs in plan order, killed after 2
@@ -265,10 +253,7 @@ fn interrupted_run_resumes_to_byte_identical_merge() {
 #[test]
 fn a_hand_deleted_table_document_reruns_its_job() {
     let out = fresh_dir("deleted-table");
-    let plan = Plan {
-        drivers: vec![DRIVER.to_string()],
-        shards: 1,
-    };
+    let plan = Plan::new(vec![DRIVER.to_string()], 1).unwrap();
     start_run(&out, &plan, GOLDEN_FLAGS, figures::build, 1).unwrap();
     let victim = out.join(DRIVER).join("shards/cycle_time.shard0of1.json");
     let text = std::fs::read_to_string(&victim).unwrap();
@@ -293,10 +278,7 @@ fn a_hand_deleted_table_document_reruns_its_job() {
 #[test]
 fn a_job_left_with_a_staged_document_reruns() {
     let out = fresh_dir("staged");
-    let plan = Plan {
-        drivers: vec![DRIVER.to_string()],
-        shards: 2,
-    };
+    let plan = Plan::new(vec![DRIVER.to_string()], 2).unwrap();
     start_run(&out, &plan, GOLDEN_FLAGS, figures::build, 1).unwrap();
     let shards = out.join(DRIVER).join("shards");
     let doc = shards.join("cycle_time.shard1of2.json");
