@@ -330,7 +330,7 @@ fn epsilon_covers_the_longest_low_latency_path() {
     /// five hops 104.5 µs (`opera::timing`'s `derived_epsilon_close_to_paper`
     /// says why), so ε may be 90 / 104.5 of the derived delay.
     const PAPER_ROUNDING: (u64, u64) = (900, 1045);
-    const KNOWN_SHORT_EPSILON: [&str; 4] = ["small_test", "quick", "default", "mini_opera"];
+    const KNOWN_SHORT_EPSILON: [&str; 2] = ["small_test", "mini_opera"];
 
     let mini = |racks| OperaParams {
         racks,

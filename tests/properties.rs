@@ -898,10 +898,11 @@ impl netsim::TraceSink for EmissionSink {
 /// flow wherever it makes a chunk. (A shuffle this small rarely
 /// overflows a ToR's host port; `opera_net`'s
 /// `bulk_incast_is_lossless_at_the_last_hop` is the case that does.)
-/// Each order runs twice: on quick Opera's `fast_sim` timing, and on the
-/// ε derived for it (126 µs, r = 14 µs), whose long slices let a ToR's
-/// feeders fill an uplink's bulk queue, so a ToR must not offer bulk to
-/// a port that would refuse it.
+/// Each order runs twice: on `fast_sim` timing (`small_test`'s and the
+/// benchmark's mini Opera's), and on the ε derived for quick Opera
+/// (126 µs, r = 14 µs), whose long slices let a ToR's feeders fill an
+/// uplink's bulk queue, so a ToR must not offer bulk to a port that
+/// would refuse it.
 #[test]
 fn quick_shuffle_completes_in_any_injection_order() {
     let draw = |d: &mut Draw| d.u64(0..u64::MAX);
@@ -912,6 +913,7 @@ fn quick_shuffle_completes_in_any_injection_order() {
         |seed| {
             let mut cfg = bench::opera_cfg(expt::Scale::Quick);
             cfg.bulk_threshold = 0;
+            cfg.timing = opera::SliceTiming::fast_sim();
             shuffle_completes(cfg, seed);
             cfg.timing = opera::SliceTiming {
                 epsilon: SimTime::from_us(126),
