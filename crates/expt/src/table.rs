@@ -242,19 +242,17 @@ impl Table {
         let line = |fields: Vec<String>| fields.join(",") + "\n";
         let mut s = line(self.columns.iter().map(|c| csv_escape(c)).collect());
         for row in &self.rows {
-            s += &line(
-                row.iter()
-                    .map(|cell| csv_escape(&cell.to_string()))
-                    .collect(),
-            );
+            let cells = row.iter().map(|cell| csv_escape(&cell.to_string()));
+            s += &line(cells.collect());
         }
         s
     }
 }
 
-/// Quote a CSV field when it contains separators or quotes.
+/// Quote a CSV field when it contains separators, quotes or line ends
+/// (a reader drops an unquoted `\r` as CRLF mangling).
 pub(crate) fn csv_escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
+    if field.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
         field.to_string()
@@ -274,13 +272,13 @@ mod tests {
     }
 
     #[test]
-    fn a_header_is_quoted_as_its_cells_are() {
+    fn a_header_and_its_cells_read_back_as_written() {
         let mut t = Table::new("demo", &["a\"b", "c,d"]);
-        t.push(vec![Cell::from(1u64), Cell::from(3u64)]);
+        t.push(vec![Cell::from(1u64), Cell::from("x\ry")]);
         let csv = t.to_csv();
-        assert_eq!(csv, "\"a\"\"b\",\"c,d\"\n1,3\n");
+        assert_eq!(csv, "\"a\"\"b\",\"c,d\"\n1,\"x\ry\"\n");
         let parsed = crate::golden::parse_csv(&csv).unwrap();
-        assert_eq!(parsed, [vec!["a\"b", "c,d"], vec!["1", "3"]]);
+        assert_eq!(parsed, [vec!["a\"b", "c,d"], vec!["1", "x\ry"]]);
     }
 
     #[test]
