@@ -98,7 +98,7 @@ pub mod sweep;
 pub mod table;
 
 pub use cli::{Args, ExptArgs, Scale};
-pub use output::{merge_shard_docs, MergeError, RunFlags, RunMeta, TableDoc};
+pub use output::{merge_shard_docs, RunFlags, RunMeta, TableDoc};
 pub use replicate::{replicate_seed, MetricFmt, RepCtx, RepTableBuilder, Row};
 pub use runner::{derive_seed, PointCtx, Runner, Swept};
 pub use sweep::{Sweep, SweepRef};

@@ -23,12 +23,10 @@
 //! * [`validate_dir`] re-validates such a tree from disk, reading its
 //!   shard documents as [`start_run`] does and merging them through the
 //!   same [`merge_driver_docs`]: CI's merge-validation step, and the
-//!   hook tests use to prove a dropped shard is a named
-//!   [`MergeError::MissingPointIndex`] or [`MergeError::MissingShard`].
+//!   hook tests use to prove a dropped shard is named: a `missing point
+//!   index` or a `missing shard`.
 
-use crate::output::{
-    self, merge_shard_docs, result_path, MergeError, ResultFile, RunFlags, TableDoc,
-};
+use crate::output::{self, merge_shard_docs, result_path, ResultFile, RunFlags, TableDoc};
 use crate::runner::worker_count;
 use crate::{Ctx, ExptArgs, RunMeta, Table};
 use simkit::pool::claim_slots;
@@ -118,8 +116,9 @@ pub enum OrchestrateError {
     Merge {
         /// Driver whose results failed to merge.
         driver: String,
-        /// The underlying merge error.
-        error: MergeError,
+        /// What did not parse, or which invariant the merge found
+        /// broken ([`merge_shard_docs`]).
+        error: String,
     },
     /// Filesystem failure while persisting or validating a run.
     Io {
@@ -233,9 +232,9 @@ where
 /// Merge one driver's shard documents table by table through
 /// [`merge_shard_docs`], in table-name order: the one merge behind
 /// [`start_run`] and [`validate_dir`]. A table a shard did not produce
-/// is that table merge's [`MergeError::MissingPointIndex`] or
-/// [`MergeError::MissingShard`]; one it produced twice, its
-/// [`MergeError::DuplicatePointIndex`] or [`MergeError::DuplicateShard`].
+/// is that table merge's `missing point index` or `missing shard`; one
+/// it produced twice, its `duplicate point index` or `shard … has more
+/// than one document`.
 pub fn merge_driver_docs(
     driver: &str,
     docs: Vec<TableDoc>,
@@ -459,7 +458,7 @@ fn check_file(doc: &TableDoc, path: &Path, table: &str, job: &ShardJob) -> Resul
 /// The table document at `path`, or why it cannot be read.
 fn read(path: &Path) -> Result<TableDoc, String> {
     let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
-    TableDoc::parse(&text).map_err(|e| e.to_string())
+    TableDoc::parse(&text)
 }
 
 /// [`OrchestrateError::OtherRun`] naming `path` and the flag if `doc`
@@ -560,9 +559,9 @@ pub fn validate_dir(out: &Path) -> Result<Vec<ValidatedTable>, OrchestrateError>
             };
             let doc = (file.doc)
                 .and_then(|doc| check_file(&doc, &file.path, &file.table, &job).map(|()| doc))
-                .map_err(|context| OrchestrateError::Merge {
+                .map_err(|error| OrchestrateError::Merge {
                     driver: driver.clone(),
-                    error: MergeError::Parse { context },
+                    error,
                 })?;
             *shards.entry(file.table).or_default() += 1;
             docs.push(doc);
@@ -677,11 +676,11 @@ mod tests {
         // with the named missing-point-index error.
         fs::remove_file(out.join("a/shards/data.shard1of3.json")).unwrap();
         match validate_dir(&out).unwrap_err() {
-            OrchestrateError::Merge {
-                error: MergeError::MissingPointIndex { point, .. },
-                ..
-            } => assert_eq!(point, 1),
-            other => panic!("expected MissingPointIndex, got {other}"),
+            OrchestrateError::Merge { driver, error } => assert_eq!(
+                (driver.as_str(), error.as_str()),
+                ("a", "data: missing point index 1 (shard 1 dropped?)")
+            ),
+            other => panic!("expected a merge refusal, got {other}"),
         }
 
         // A shard's document copied in as another shard's file is
@@ -702,11 +701,11 @@ mod tests {
         fs::write(out.join("a/shards/data.shard00of3.json"), &text).unwrap();
         fs::write(out.join("a/shards/data.extra.json"), &text).unwrap();
         match validate_dir(&out).unwrap_err() {
-            OrchestrateError::Merge {
-                error: MergeError::DuplicatePointIndex { point, .. },
-                ..
-            } => assert_eq!(point, 0),
-            other => panic!("expected DuplicatePointIndex, got {other}"),
+            OrchestrateError::Merge { error, .. } => assert_eq!(
+                error,
+                "data: duplicate point index 0 across shards (shard submitted twice?)"
+            ),
+            other => panic!("expected a merge refusal, got {other}"),
         }
         fs::remove_dir_all(&out).unwrap();
     }
@@ -765,20 +764,14 @@ mod tests {
             merge_driver_docs("a", docs)
         };
         assert_eq!(merged(&[0, 1], &[1, 0]).unwrap().len(), 2);
-        match merged(&[0, 1, 1], &[0, 1]).unwrap_err() {
-            OrchestrateError::Merge {
-                error: MergeError::DuplicatePointIndex { table, point },
-                ..
-            } => assert_eq!((table.as_str(), point), ("data", 1)),
-            other => panic!("expected DuplicatePointIndex, got {other}"),
-        }
-        match merged(&[0, 1], &[0]).unwrap_err() {
-            OrchestrateError::Merge {
-                error: MergeError::MissingShard { table, shard },
-                ..
-            } => assert_eq!((table.as_str(), shard), ("config", 1)),
-            other => panic!("expected MissingShard, got {other}"),
-        }
+        assert_eq!(
+            merged(&[0, 1, 1], &[0, 1]).unwrap_err().to_string(),
+            "a: data: duplicate point index 1 across shards (shard submitted twice?)"
+        );
+        assert_eq!(
+            merged(&[0, 1], &[0]).unwrap_err().to_string(),
+            "a: config: missing shard 1 (its document dropped?)"
+        );
     }
 
     #[test]

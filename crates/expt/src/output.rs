@@ -21,15 +21,14 @@
 //! documents and *validates* what used to be a caller contract: every
 //! point index present exactly once across shards, no duplicates, no
 //! point in the wrong shard, matching schema and flags, and identical
-//! constant rows. Each failure mode is a distinct [`MergeError`]
-//! variant, so a dropped or duplicated shard is named, not scrambled
-//! into the output.
+//! constant rows. Each failure is one message naming the table and the
+//! broken invariant, so a dropped or duplicated shard is named, not
+//! scrambled into the output.
 
 use crate::json::{self, quoted, Fields};
 use crate::table::{Cell, Table};
 use crate::{ExptArgs, Scale};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -206,7 +205,7 @@ impl TableDoc {
     /// provenance must be possible: with a sweep size recorded, every
     /// point named is inside the sweep and `points_run` is strictly
     /// ascending.
-    pub fn parse(text: &str) -> Result<TableDoc, MergeError> {
+    pub fn parse(text: &str) -> Result<TableDoc, String> {
         json::decode("table document", text, |f| {
             f.format(DOC_FORMAT)?;
             let meta = RunMeta {
@@ -246,7 +245,6 @@ impl TableDoc {
             }
             Ok(TableDoc { meta, table: t })
         })
-        .map_err(|context| MergeError::Parse { context })
     }
 
     /// Render the document's rows as CSV ([`Table::to_csv`]).
@@ -260,265 +258,59 @@ impl TableDoc {
     }
 }
 
-/// A validation failure while merging shard documents. Every failure
-/// mode the merge guards against is a distinct variant, so CI and tests
-/// can assert on *which* invariant broke.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MergeError {
-    /// No shard documents were given.
-    NoShards,
-    /// A document failed to parse or was structurally invalid.
-    Parse {
-        /// What was malformed.
-        context: String,
-    },
-    /// Documents disagree on driver, table name, or column set.
-    SchemaMismatch {
-        /// Table being merged.
-        table: String,
-        /// Which part of the schema disagreed.
-        field: &'static str,
-        /// Value in the offending document.
-        got: String,
-        /// Value in the first document.
-        want: String,
-    },
-    /// Documents disagree on a run flag (scale / seed / replicates /
-    /// sweep size): they come from different runs and must not merge.
-    FlagMismatch {
-        /// Table being merged.
-        table: String,
-        /// Which flag disagreed.
-        flag: &'static str,
-        /// Value in the offending document.
-        got: String,
-        /// Value in the first document.
-        want: String,
-    },
-    /// A multi-document merge contained an unsharded document.
-    NotSharded {
-        /// Table being merged.
-        table: String,
-    },
-    /// Documents disagree on the shard count `n`.
-    ShardCountMismatch {
-        /// Table being merged.
-        table: String,
-        /// `n` in the offending document.
-        got: usize,
-        /// `n` in the first document.
-        want: usize,
-    },
-    /// A document claims shard index `i >= n`.
-    InvalidShardIndex {
-        /// Table being merged.
-        table: String,
-        /// The out-of-range shard index.
-        shard: usize,
-        /// The declared shard count.
-        count: usize,
-    },
-    /// A table has sweep rows but no recorded sweep point count.
-    UnknownPointCount {
-        /// Table being merged.
-        table: String,
-    },
-    /// A document claims a point its shard does not own (`point % n !=
-    /// i`), or reports a row for a point it never ran.
-    ShardAssignment {
-        /// Table being merged.
-        table: String,
-        /// The misassigned point.
-        point: usize,
-        /// The shard index that claimed it.
-        shard: usize,
-    },
-    /// A sweep point index is present in no shard — a shard was dropped
-    /// or never ran.
-    MissingPointIndex {
-        /// Table being merged.
-        table: String,
-        /// The absent point.
-        point: usize,
-        /// The shard index that should have produced it.
-        expected_shard: usize,
-    },
-    /// A sweep point index is present in more than one shard — a shard
-    /// was duplicated.
-    DuplicatePointIndex {
-        /// Table being merged.
-        table: String,
-        /// The duplicated point.
-        point: usize,
-    },
-    /// No document of shard `shard` was given (every shard computes
-    /// every table): it was dropped or never ran.
-    MissingShard {
-        /// Table being merged.
-        table: String,
-        /// The absent shard index.
-        shard: usize,
-    },
-    /// More than one document of shard `shard` was given.
-    DuplicateShard {
-        /// Table being merged.
-        table: String,
-        /// The repeated shard index.
-        shard: usize,
-    },
-    /// Constant (non-sweep) rows differ between shards.
-    ConstantRowMismatch {
-        /// Table being merged.
-        table: String,
-        /// 1-based constant-row number (0 when the counts differ).
-        row: usize,
-        /// Rendered row in the offending document.
-        got: String,
-        /// Rendered row in the first document.
-        want: String,
-    },
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::NoShards => write!(f, "no shard documents to merge"),
-            MergeError::Parse { context } => write!(f, "{context}"),
-            MergeError::SchemaMismatch {
-                table,
-                field,
-                got,
-                want,
-            } => write!(
-                f,
-                "{table}: shard schema mismatch on {field}: got `{got}` want `{want}`"
-            ),
-            MergeError::FlagMismatch {
-                table,
-                flag,
-                got,
-                want,
-            } => write!(
-                f,
-                "{table}: shard flag mismatch on {flag}: got `{got}` want `{want}` \
-                 (shards must come from one run configuration)"
-            ),
-            MergeError::NotSharded { table } => {
-                write!(f, "{table}: unsharded document in a multi-shard merge")
-            }
-            MergeError::ShardCountMismatch { table, got, want } => write!(
-                f,
-                "{table}: shard count mismatch: got {got}-way shard, want {want}-way"
-            ),
-            MergeError::InvalidShardIndex {
-                table,
-                shard,
-                count,
-            } => write!(
-                f,
-                "{table}: invalid shard index {shard} for a {count}-way sharding"
-            ),
-            MergeError::UnknownPointCount { table } => write!(
-                f,
-                "{table}: sweep rows present but no sweep point count recorded"
-            ),
-            MergeError::ShardAssignment {
-                table,
-                point,
-                shard,
-            } => write!(
-                f,
-                "{table}: point index {point} claimed by shard {shard}, which does not own it"
-            ),
-            MergeError::MissingPointIndex {
-                table,
-                point,
-                expected_shard,
-            } => write!(
-                f,
-                "{table}: missing point index {point} (shard {expected_shard} dropped?)"
-            ),
-            MergeError::DuplicatePointIndex { table, point } => write!(
-                f,
-                "{table}: duplicate point index {point} across shards (shard submitted twice?)"
-            ),
-            MergeError::MissingShard { table, shard } => {
-                write!(f, "{table}: missing shard {shard} (its document dropped?)")
-            }
-            MergeError::DuplicateShard { table, shard } => write!(
-                f,
-                "{table}: shard {shard} has more than one document (submitted twice?)"
-            ),
-            MergeError::ConstantRowMismatch {
-                table,
-                row,
-                got,
-                want,
-            } => write!(
-                f,
-                "{table}: constant row {row} differs between shards: got `{got}` want `{want}`"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// Merge shard documents of one table back into the unsharded document.
+/// Merge shard documents of one table back into the unsharded document,
+/// or refuse them with one message, `<table>: <invariant>`, naming what
+/// broke with both values where there are two.
 ///
 /// Validates, in order: schema (driver / table / columns), run flags
 /// (scale / seed / replicates / sweep size), shard consistency, point
 /// ownership (`point % n == i`), completeness (**every point index
 /// present exactly once across shards** — a dropped shard surfaces as
-/// [`MergeError::MissingPointIndex`], a duplicated one as
-/// [`MergeError::DuplicatePointIndex`]), one document of every shard
-/// `0..n` (a dropped document of a constant table, or of a shard that
-/// owns no point, is [`MergeError::MissingShard`]), and constant-row
-/// identity.
+/// `missing point index`, a duplicated one as `duplicate point index`),
+/// one document of every shard `0..n` (a dropped document of a constant
+/// table, or of a shard that owns no point, is `missing shard`), and
+/// constant-row identity.
 /// The merged row order is the canonical unsharded order: constant rows
 /// first, then sweep rows by ascending point index, each point's rows
 /// in its shard's emission order — so the merged CSV is byte-identical
 /// to a `--threads 1` unsharded run.
-pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
-    let first = docs.first().ok_or(MergeError::NoShards)?;
-    let table = first.table.name.clone();
+pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, String> {
+    let first = docs.first().ok_or("no shard documents to merge")?;
+    merge(first, docs).map_err(|what| format!("{}: {what}", first.table.name))
+}
 
+/// [`merge_shard_docs`] of `docs`, `first` among them: a refusal names
+/// the invariant, and the caller the table.
+fn merge(first: &TableDoc, docs: &[TableDoc]) -> Result<TableDoc, String> {
     // Schema and flag agreement.
     for d in docs {
-        let schema = |field, got: &str, want: &str| MergeError::SchemaMismatch {
-            table: table.clone(),
-            field,
-            got: got.to_string(),
-            want: want.to_string(),
+        let schema = |field, got: &str, want: &str| {
+            Err(format!(
+                "shard schema mismatch on {field}: got `{got}` want `{want}`"
+            ))
         };
         if d.meta.driver != first.meta.driver {
-            return Err(schema("driver", &d.meta.driver, &first.meta.driver));
+            return schema("driver", &d.meta.driver, &first.meta.driver);
         }
         if d.table.name != first.table.name {
-            return Err(schema("table", &d.table.name, &first.table.name));
+            return schema("table", &d.table.name, &first.table.name);
         }
         if d.table.columns != first.table.columns {
-            return Err(schema(
-                "columns",
-                &d.table.columns.join(","),
-                &first.table.columns.join(","),
-            ));
+            let (got, want) = (d.table.columns.join(","), first.table.columns.join(","));
+            return schema("columns", &got, &want);
         }
-        let flag = |flag, got: String, want: String| MergeError::FlagMismatch {
-            table: table.clone(),
-            flag,
-            got,
-            want,
+        let flag = |flag, got: String, want: String| {
+            Err(format!(
+                "shard flag mismatch on {flag}: got `{got}` want `{want}` \
+                 (shards must come from one run configuration)"
+            ))
         };
         if let Some(d) = d.meta.flags.first_difference(&first.meta.flags) {
-            return Err(flag(d.flag, d.got, d.want));
+            return flag(d.flag, d.got, d.want);
         }
         if d.table.sweep_points != first.table.sweep_points {
-            return Err(flag(
-                "sweep_points",
-                format!("{:?}", d.table.sweep_points),
-                format!("{:?}", first.table.sweep_points),
-            ));
+            let shown = |t: &Table| format!("{:?}", t.sweep_points);
+            return flag("sweep_points", shown(&d.table), shown(&first.table));
         }
     }
 
@@ -528,26 +320,18 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
     }
 
     // Shard consistency; `shards[di]` is document `di`'s shard index.
-    let not_sharded = || MergeError::NotSharded {
-        table: table.clone(),
-    };
-    let (_, n) = first.meta.shard.ok_or_else(not_sharded)?;
+    let not_sharded = "unsharded document in a multi-shard merge";
+    let (_, n) = first.meta.shard.ok_or(not_sharded)?;
     let mut shards = Vec::with_capacity(docs.len());
     for d in docs {
-        let (i, dn) = d.meta.shard.ok_or_else(not_sharded)?;
+        let (i, dn) = d.meta.shard.ok_or(not_sharded)?;
         if dn != n {
-            return Err(MergeError::ShardCountMismatch {
-                table,
-                got: dn,
-                want: n,
-            });
+            return Err(format!(
+                "shard count mismatch: got {dn}-way shard, want {n}-way"
+            ));
         }
         if i >= n {
-            return Err(MergeError::InvalidShardIndex {
-                table,
-                shard: i,
-                count: n,
-            });
+            return Err(format!("invalid shard index {i} for a {n}-way sharding"));
         }
         shards.push(i);
     }
@@ -563,10 +347,10 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
             .iter()
             .any(|d| d.table.row_points.iter().any(Option::is_some))
         {
-            return Err(MergeError::UnknownPointCount { table });
+            return Err("sweep rows present but no sweep point count recorded".into());
         }
-        check_shards(&table, &shards, n)?;
-        check_constants(&table, docs)?;
+        check_shards(&shards, n)?;
+        check_constants(docs)?;
         return Ok(TableDoc {
             meta: unsharded,
             table: first.table.clone(),
@@ -579,28 +363,30 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
     // the points the documents claim, never `sweep_points` slots — that
     // number is whatever a document says it is.
     let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
-    for (di, (d, &shard_i)) in docs.iter().zip(&shards).enumerate() {
-        let misassigned = |point| MergeError::ShardAssignment {
-            table: table.clone(),
-            point,
-            shard: shard_i,
+    for (di, (d, &shard)) in docs.iter().zip(&shards).enumerate() {
+        let misassigned = |p| {
+            Err(format!(
+                "point index {p} claimed by shard {shard}, which does not own it"
+            ))
         };
         if let Some((_, _, p)) = d.table.point_outside_sweep() {
-            return Err(misassigned(p));
+            return misassigned(p);
         }
         for &p in &d.table.points_run {
-            if p % n != shard_i {
-                return Err(misassigned(p));
+            if p % n != shard {
+                return misassigned(p);
             }
             if owner.insert(p, di).is_some() {
-                return Err(MergeError::DuplicatePointIndex { table, point: p });
+                return Err(format!(
+                    "duplicate point index {p} across shards (shard submitted twice?)"
+                ));
             }
         }
         // Every row's point must be among the points the shard ran.
         if let Some(&p) =
             (d.table.row_points.iter().flatten()).find(|&&p| owner.get(&p) != Some(&di))
         {
-            return Err(misassigned(p));
+            return misassigned(p);
         }
     }
     // The claimed points are distinct and ascending, so the first one
@@ -609,20 +395,17 @@ pub fn merge_shard_docs(docs: &[TableDoc]) -> Result<TableDoc, MergeError> {
         .find_map(|(&p, rank)| (p != rank).then_some(rank))
         .or((owner.len() < sweep_points).then_some(owner.len()));
     if let Some(p) = absent {
-        return Err(MergeError::MissingPointIndex {
-            table,
-            point: p,
-            expected_shard: p % n,
-        });
+        let shard = p % n;
+        return Err(format!("missing point index {p} (shard {shard} dropped?)"));
     }
 
-    check_shards(&table, &shards, n)?;
-    check_constants(&table, docs)?;
+    check_shards(&shards, n)?;
+    check_constants(docs)?;
 
     // Reassemble: constants (validated identical) first, then points in
     // ascending global order, each in its owning shard's emission order.
     let mut merged = Table {
-        name: table,
+        name: first.table.name.clone(),
         columns: first.table.columns.clone(),
         rows: Vec::new(),
         row_points: Vec::new(),
@@ -653,49 +436,43 @@ fn rows_at(t: &Table, point: Option<usize>) -> impl Iterator<Item = &Vec<Cell>> 
 
 /// Validate that `shards`, the documents' shard indices, each `< n`,
 /// hold every shard exactly once.
-fn check_shards(table: &str, shards: &[usize], n: usize) -> Result<(), MergeError> {
-    let (mut seen, table) = (BTreeSet::new(), table.to_string());
-    for &shard in shards {
-        if !seen.insert(shard) {
-            return Err(MergeError::DuplicateShard { table, shard });
-        }
+fn check_shards(shards: &[usize], n: usize) -> Result<(), String> {
+    let mut seen = BTreeSet::new();
+    if let Some(shard) = shards.iter().find(|&&i| !seen.insert(i)) {
+        return Err(format!(
+            "shard {shard} has more than one document (submitted twice?)"
+        ));
     }
     // The first absent shard is at most `shards.len()`: `n` is whatever a
     // document says it is, and nothing here is sized by it.
     match (0..n).find(|i| !seen.contains(i)) {
-        Some(shard) => Err(MergeError::MissingShard { table, shard }),
+        Some(shard) => Err(format!("missing shard {shard} (its document dropped?)")),
         None => Ok(()),
     }
 }
 
 /// Validate that every document's constant (non-sweep) rows are
-/// identical, in order.
-fn check_constants(table: &str, docs: &[TableDoc]) -> Result<(), MergeError> {
+/// identical, in order, cell by cell.
+fn check_constants(docs: &[TableDoc]) -> Result<(), String> {
     let constants = |d: &TableDoc| -> Vec<Vec<String>> {
         rows_at(&d.table, None)
             .map(|row| row.iter().map(Cell::to_string).collect())
             .collect()
     };
+    let differs = |row, got: String, want: String| {
+        Err(format!(
+            "constant row {row} differs between shards: got `{got}` want `{want}`"
+        ))
+    };
     let want = constants(&docs[0]);
     for d in &docs[1..] {
         let got = constants(d);
         if got.len() != want.len() {
-            return Err(MergeError::ConstantRowMismatch {
-                table: table.to_string(),
-                row: 0,
-                got: format!("{} constant row(s)", got.len()),
-                want: format!("{} constant row(s)", want.len()),
-            });
+            let count = |rows: &[Vec<String>]| format!("{} constant row(s)", rows.len());
+            return differs(0, count(&got), count(&want));
         }
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            if g != w {
-                return Err(MergeError::ConstantRowMismatch {
-                    table: table.to_string(),
-                    row: i + 1,
-                    got: g.join(","),
-                    want: w.join(","),
-                });
-            }
+        if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+            return differs(i + 1, got[i].join(","), want[i].join(","));
         }
     }
     Ok(())
@@ -857,116 +634,122 @@ mod tests {
     #[test]
     fn dropped_shard_is_a_missing_point_index() {
         let docs = sharded_docs();
-        let err = merge_shard_docs(&docs[..1]).unwrap_err();
         assert_eq!(
-            err,
-            MergeError::MissingPointIndex {
-                table: "series".into(),
-                point: 1,
-                expected_shard: 1,
-            }
+            merge_shard_docs(&docs[..1]).unwrap_err(),
+            "series: missing point index 1 (shard 1 dropped?)"
         );
-        assert!(err.to_string().contains("missing point index 1"));
     }
 
     #[test]
     fn duplicated_shard_is_a_duplicate_point_index() {
         let docs = sharded_docs();
         let dup = vec![docs[0].clone(), docs[1].clone(), docs[0].clone()];
-        let err = merge_shard_docs(&dup).unwrap_err();
         assert_eq!(
-            err,
-            MergeError::DuplicatePointIndex {
-                table: "series".into(),
-                point: 0,
-            }
+            merge_shard_docs(&dup).unwrap_err(),
+            "series: duplicate point index 0 across shards (shard submitted twice?)"
+        );
+    }
+
+    /// `sharded_docs` with `edit` applied to its second document, merged.
+    fn refusal(edit: impl FnOnce(&mut TableDoc)) -> String {
+        let mut docs = sharded_docs();
+        edit(&mut docs[1]);
+        merge_shard_docs(&docs).unwrap_err()
+    }
+
+    #[test]
+    fn nothing_to_merge_is_named() {
+        assert_eq!(
+            merge_shard_docs(&[]).unwrap_err(),
+            "no shard documents to merge"
         );
     }
 
     #[test]
     fn schema_and_flag_mismatches_are_named() {
-        let mut docs = sharded_docs();
-        docs[1].table.columns[1] = "other".into();
-        assert!(matches!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::SchemaMismatch {
-                field: "columns",
-                ..
-            }
-        ));
+        assert_eq!(
+            refusal(|d| d.meta.driver = "other".into()),
+            "series: shard schema mismatch on driver: got `other` want `drv`"
+        );
+        assert_eq!(
+            refusal(|d| d.table.name = "other".into()),
+            "series: shard schema mismatch on table: got `other` want `series`"
+        );
+        assert_eq!(
+            refusal(|d| d.table.columns[1] = "other".into()),
+            "series: shard schema mismatch on columns: got `p,other` want `p,sub`"
+        );
         // Shards of different runs must not merge; which flags count is
         // `flag_differences_are_named_first_to_last`.
-        let mut docs = sharded_docs();
-        docs[1].meta.flags.seed = 7;
         assert_eq!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::FlagMismatch {
-                table: "series".into(),
-                flag: "seed",
-                got: "7".into(),
-                want: "0".into(),
-            }
+            refusal(|d| d.meta.flags.seed = 7),
+            "series: shard flag mismatch on seed: got `7` want `0` \
+             (shards must come from one run configuration)"
         );
-        let mut docs = sharded_docs();
-        docs[1].table.sweep_points = Some(9);
-        assert!(matches!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::FlagMismatch {
-                flag: "sweep_points",
-                ..
-            }
-        ));
+        assert_eq!(
+            refusal(|d| d.table.sweep_points = Some(9)),
+            "series: shard flag mismatch on sweep_points: got `Some(9)` want `Some(5)` \
+             (shards must come from one run configuration)"
+        );
         // An out-of-range shard index is named as such.
-        let mut docs = sharded_docs();
-        docs[1].meta.shard = Some((5, 2));
-        docs[1].table.points_run.clear();
-        docs[1].table.rows.truncate(1);
-        docs[1].table.row_points.truncate(1);
-        assert!(matches!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::InvalidShardIndex {
-                shard: 5,
-                count: 2,
-                ..
-            }
-        ));
-        let mut docs = sharded_docs();
-        docs[1].meta.shard = None;
-        assert!(matches!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::NotSharded { .. }
-        ));
-        let mut docs = sharded_docs();
-        docs[1].meta.shard = Some((1, 3));
-        assert!(matches!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::ShardCountMismatch {
-                got: 3,
-                want: 2,
-                ..
-            }
-        ));
+        assert_eq!(
+            refusal(|d| {
+                d.meta.shard = Some((5, 2));
+                d.table.points_run.clear();
+                d.table.rows.truncate(1);
+                d.table.row_points.truncate(1);
+            }),
+            "series: invalid shard index 5 for a 2-way sharding"
+        );
+        assert_eq!(
+            refusal(|d| d.meta.shard = None),
+            "series: unsharded document in a multi-shard merge"
+        );
+        assert_eq!(
+            refusal(|d| d.meta.shard = Some((1, 3))),
+            "series: shard count mismatch: got 3-way shard, want 2-way"
+        );
     }
 
     #[test]
     fn misassigned_point_and_constant_drift_are_named() {
-        let mut docs = sharded_docs();
         // Shard 1 claims point 2 (owned by shard 0).
-        docs[1].table.points_run.push(2);
         assert_eq!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::ShardAssignment {
-                table: "series".into(),
-                point: 2,
-                shard: 1,
-            }
+            refusal(|d| d.table.points_run.push(2)),
+            "series: point index 2 claimed by shard 1, which does not own it"
         );
-        let mut docs = sharded_docs();
-        docs[1].table.rows[0][0] = "drifted".into();
-        assert!(matches!(
-            merge_shard_docs(&docs).unwrap_err(),
-            MergeError::ConstantRowMismatch { row: 1, .. }
-        ));
+        // Cell by cell: `const,0` split differently is still a drift.
+        assert_eq!(
+            refusal(|d| d.table.rows[0] = vec![Cell::from("const,0"), Cell::from("")]),
+            "series: constant row 1 differs between shards: got `const,0,` want `const,0`"
+        );
+        assert_eq!(
+            refusal(|d| {
+                d.table
+                    .rows
+                    .insert(0, vec![Cell::from("x"), Cell::from("y")]);
+                d.table.row_points.insert(0, None);
+            }),
+            "series: constant row 0 differs between shards: \
+             got `2 constant row(s)` want `1 constant row(s)`"
+        );
+    }
+
+    #[test]
+    fn a_joined_row_that_reads_the_same_is_still_a_drift() {
+        // `a,b | c` and `a | b,c` join to the same text; the cells differ.
+        let doc = |i, cells: [&str; 2]| {
+            let mut t = Table::new("config", &["x", "y"]);
+            t.push(cells.iter().map(|&c| Cell::from(c)).collect());
+            TableDoc {
+                meta: meta(Some((i, 2))),
+                table: t,
+            }
+        };
+        assert_eq!(
+            merge_shard_docs(&[doc(0, ["a,b", "c"]), doc(1, ["a", "b,c"])]).unwrap_err(),
+            "config: constant row 1 differs between shards: got `a,b,c` want `a,b,c`"
+        );
     }
 
     #[test]
@@ -974,17 +757,11 @@ mod tests {
         // `TableDoc::parse` refuses such a document; one built in memory
         // meets the same bound in the merge. Point 5 is shard 1's by
         // `5 % 2`, and fills rank 5, so only the bound can refuse it.
-        let outside = |point| MergeError::ShardAssignment {
-            table: "series".into(),
-            point,
-            shard: 1,
-        };
-        let mut docs = sharded_docs();
-        docs[1].table.points_run.push(5);
-        assert_eq!(merge_shard_docs(&docs).unwrap_err(), outside(5));
-        let mut docs = sharded_docs();
-        *docs[1].table.row_points.last_mut().unwrap() = Some(7);
-        assert_eq!(merge_shard_docs(&docs).unwrap_err(), outside(7));
+        let outside =
+            |p| format!("series: point index {p} claimed by shard 1, which does not own it");
+        assert_eq!(refusal(|d| d.table.points_run.push(5)), outside(5));
+        let row_at_7 = |d: &mut TableDoc| *d.table.row_points.last_mut().unwrap() = Some(7);
+        assert_eq!(refusal(row_at_7), outside(7));
     }
 
     #[test]
@@ -997,59 +774,60 @@ mod tests {
         docs[1].table.row_points.truncate(1);
         assert!(merge_shard_docs(&docs).is_ok());
         docs[1].table.points_run.clear();
-        assert!(matches!(
+        assert_eq!(
             merge_shard_docs(&docs).unwrap_err(),
-            MergeError::MissingPointIndex { point: 1, .. }
-        ));
+            "series: missing point index 1 (shard 1 dropped?)"
+        );
+    }
+
+    /// Shard `i` of 3 of a constant table, `config`.
+    fn config_doc(i: usize) -> TableDoc {
+        let mut t = Table::new("config", &["k"]);
+        t.push(vec![Cell::from(12u64)]);
+        TableDoc {
+            meta: meta(Some((i, 3))),
+            table: t,
+        }
     }
 
     #[test]
     fn constant_tables_merge_by_identity() {
-        let mut t = Table::new("config", &["k"]);
-        t.push(vec![Cell::from(12u64)]);
-        let docs: Vec<TableDoc> = (0..3)
-            .map(|i| TableDoc {
-                meta: meta(Some((i, 3))),
-                table: t.clone(),
-            })
-            .collect();
+        let docs: Vec<TableDoc> = (0..3).map(config_doc).collect();
         let merged = merge_shard_docs(&docs).unwrap();
-        assert_eq!(merged.to_csv(), t.to_csv());
+        assert_eq!(merged.to_csv(), docs[0].to_csv());
         // Single unsharded doc passes through.
         let solo = TableDoc {
             meta: meta(None),
-            table: t,
+            ..config_doc(0)
         };
         assert_eq!(merge_shard_docs(std::slice::from_ref(&solo)).unwrap(), solo);
+    }
+
+    #[test]
+    fn a_constant_table_with_a_sweep_row_is_refused() {
+        // No sweep size recorded, yet a row names a point: nothing can
+        // place that row, so the merge refuses rather than guess.
+        let mut docs: Vec<TableDoc> = (0..3).map(config_doc).collect();
+        docs[2].table.rows.push(vec![Cell::from(13u64)]);
+        docs[2].table.row_points.push(Some(0));
+        assert_eq!(
+            merge_shard_docs(&docs).unwrap_err(),
+            "config: sweep rows present but no sweep point count recorded"
+        );
     }
 
     #[test]
     fn every_shard_of_a_table_must_be_there_once() {
         // A constant table's rows are the same in every shard, so
         // nothing but the shard indices shows a dropped document.
-        let mut t = Table::new("config", &["k"]);
-        t.push(vec![Cell::from(12u64)]);
-        let doc = |i| TableDoc {
-            meta: meta(Some((i, 3))),
-            table: t.clone(),
-        };
-        let missing = |shard| MergeError::MissingShard {
-            table: "config".into(),
-            shard,
-        };
+        let doc = config_doc;
+        let missing = |shard| format!("config: missing shard {shard} (its document dropped?)");
         assert_eq!(merge_shard_docs(&[doc(0), doc(2)]).unwrap_err(), missing(1));
         assert_eq!(merge_shard_docs(&[doc(1), doc(0)]).unwrap_err(), missing(2));
+        assert_eq!(merge_shard_docs(&[doc(1), doc(2)]).unwrap_err(), missing(0));
         assert_eq!(
             merge_shard_docs(&[doc(2), doc(1), doc(1)]).unwrap_err(),
-            MergeError::DuplicateShard {
-                table: "config".into(),
-                shard: 1,
-            }
-        );
-        let err = merge_shard_docs(&[doc(1), doc(2)]).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "config: missing shard 0 (its document dropped?)"
+            "config: shard 1 has more than one document (submitted twice?)"
         );
         // A sweep table's shard that owns no point (5 points over 6
         // shards) leaves no point index to miss.
@@ -1068,10 +846,7 @@ mod tests {
         let docs: Vec<TableDoc> = (0..5).map(sweep_doc).collect();
         assert_eq!(
             merge_shard_docs(&docs).unwrap_err(),
-            MergeError::MissingShard {
-                table: "series".into(),
-                shard: 5,
-            }
+            "series: missing shard 5 (its document dropped?)"
         );
     }
 
@@ -1124,10 +899,7 @@ mod tests {
     #[test]
     fn parse_errors_name_document_path_and_problem() {
         let good = sharded_docs()[0].render();
-        let err = |text: String| match TableDoc::parse(&text).unwrap_err() {
-            MergeError::Parse { context } => context,
-            other => panic!("expected Parse, got {other}"),
-        };
+        let err = |text: String| TableDoc::parse(&text).unwrap_err();
         assert_eq!(
             err(good.replace("\"quick\"", "\"huge\"")),
             "table document: scale: unknown scale \"huge\" (want quick/default/full)"
