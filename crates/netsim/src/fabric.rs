@@ -132,18 +132,6 @@ impl LinkSpec {
     }
 }
 
-/// Result of [`Fabric::send`], so callers can react to loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// Packet queued (or already transmitting), possibly ECN-marked.
-    Queued,
-    /// Data queue was full; packet trimmed to a header and queued at
-    /// control priority.
-    Trimmed,
-    /// Dropped: queue full (and trimming not applicable/also full).
-    Dropped,
-}
-
 /// A port's link: wired to a peer or dark, failed or not, paused or not.
 /// Whether the transmitter is busy, and whether the port's own queues are
 /// pausing its upstream peers, are the port's, not the link's.
@@ -501,29 +489,30 @@ impl Fabric {
     /// transmission immediately if the port is idle and unpaused. The
     /// port's [`SwitchPolicyKind`] decides the
     /// packet's fate (enqueue / mark / trim / drop) and whether upstream
-    /// peers must be paused.
+    /// peers must be paused. A dropped packet has left the network: a
+    /// sender that would keep it asks [`refuses`](Self::refuses) first.
     pub fn send(
         &mut self,
         ctx: &mut EventContext<'_, NetEvent>,
         node: NodeId,
         port: PortId,
         packet: Packet,
-    ) -> SendOutcome {
+    ) {
         let p = &self.nodes[node][port];
         let (queued, caps) = (&p.queued_bytes, &p.cfg.cap_bytes);
-        let (packet, outcome, ev) = match p.cfg.policy.admit(queued, caps, &packet) {
-            Verdict::Enqueue => (packet, SendOutcome::Queued, TraceEvent::Enqueue),
+        let (packet, ev) = match p.cfg.policy.admit(queued, caps, &packet) {
+            Verdict::Enqueue => (packet, TraceEvent::Enqueue),
             Verdict::Mark => {
                 let mut marked = packet;
                 marked.ecn_ce = true;
                 self.counters.ecn_marked += 1;
-                (marked, SendOutcome::Queued, TraceEvent::Mark)
+                (marked, TraceEvent::Mark)
             }
-            Verdict::Trim => (packet.trim(), SendOutcome::Trimmed, TraceEvent::Trim),
+            Verdict::Trim => (packet.trim(), TraceEvent::Trim),
             Verdict::Drop => {
                 self.counters.dropped += 1;
                 self.trace_event(ctx.now(), node, port, TraceEvent::Drop, Some(&packet));
-                return SendOutcome::Dropped;
+                return;
             }
         };
         self.trace_event(ctx.now(), node, port, ev, Some(&packet));
@@ -537,15 +526,14 @@ impl Fabric {
         p.queues[lvl].push_back(r);
         p.queued_bytes[lvl] += size;
         let idle = !p.busy && !p.state.paused;
-        match outcome {
-            SendOutcome::Trimmed => self.counters.trimmed += 1,
+        match ev {
+            TraceEvent::Trim => self.counters.trimmed += 1,
             _ => self.counters.queued += 1,
         }
         if idle {
             self.start_tx(ctx, node, port);
         }
         self.check_pause(ctx, node, port);
-        outcome
     }
 
     /// Dequeue the highest-priority packet, if any, and put it on the wire:

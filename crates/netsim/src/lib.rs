@@ -35,7 +35,6 @@ pub mod trace;
 
 pub use fabric::{
     Fabric, LinkChange, LinkSignal, LinkSpec, LinkState, NetEvent, NodeId, PortId, QueueConfig,
-    SendOutcome,
 };
 pub use flows::{FlowClass, FlowId, FlowRecord, FlowTracker};
 pub use logic::{NetLogic, NetWorld};

@@ -48,7 +48,7 @@ use crate::net::{Endpoints, PacketNet};
 use crate::tables::{BulkTables, LowLatencyTables};
 use crate::timing::SliceTiming;
 use crate::tokens::{decode, timer, Token};
-use netsim::fabric::{Fabric, LinkChange, LinkSpec, NetEvent, QueueConfig, SendOutcome};
+use netsim::fabric::{Fabric, LinkChange, LinkSpec, NetEvent, QueueConfig};
 use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet, PacketKind, Priority, MTU};
 use simkit::engine::EventContext;
 use simkit::{SimRng, SimTime, Simulator};
@@ -545,11 +545,11 @@ impl OperaLogic {
             };
             match self.bulk[rack].next_packet(f.circuit_dst, self.cfg.allow_vlb, ready) {
                 Offer::Packet(pkt) if self.rack_of(pkt.src) == rack => {
-                    // The source host emits the packet now.
-                    if fabric.send(ctx, pkt.src, 0, pkt) == SendOutcome::Dropped {
-                        let dst_rack = self.rack_of(pkt.dst);
-                        self.bulk[rack].requeue(&pkt, dst_rack);
-                    }
+                    // The source host emits the packet now. `ready` polled
+                    // it only with an MTU of room, which every policy
+                    // admits, so its NIC keeps the packet.
+                    debug_assert!(!fabric.refuses(pkt.src, 0, &pkt));
+                    fabric.send(ctx, pkt.src, 0, pkt);
                 }
                 // Relay bytes stored at this ToR: emit directly.
                 Offer::Packet(pkt) => self.forward_bulk_at_tor(fabric, ctx, rack, pkt),
