@@ -59,7 +59,7 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage: opera list
        opera run <driver> [--quick|--full] [--threads N] [--seed S] [--replicates R]
-                 [--shard I/N] [--out DIR] [--no-write] [--k K]
+                 [--shard I/N] [--out DIR] [--no-write]
        opera orchestrate [--drivers all|A,B,...] [--shards N] [--workers W]
                  [--quick|--full] [--seed S] [--replicates R] [--out DIR]
        opera validate [--out DIR]
@@ -180,7 +180,6 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
         scale: Scale::Default,
         seed: 0,
         replicates: 3,
-        k: None,
     };
     let mut out = PathBuf::from("results");
     while let Some(a) = args.next() {
@@ -407,7 +406,6 @@ fn spot_suite(mut args: Args) -> Result<(), Exit> {
             scale: Scale::Full,
             seed: 0,
             replicates: 1,
-            k: None,
         },
         shard: None,
     };

@@ -3,9 +3,9 @@
 //! workloads at ToR radix `k`, flow-level.
 //!
 //! Figure 12 is `k = 24` (5184 hosts), Figure 15 the `k = 12` (648-host)
-//! version the paper's Appendix C shows to scale identically. Pass
-//! `--k K` to select the radix explicitly; otherwise quick mode uses
-//! `k = 8`, the default `k = 12`, and `--full` the paper's `k = 24`.
+//! version the paper's Appendix C shows to scale identically: the
+//! default scale runs `k = 12`, `--full` the paper's `k = 24`, and
+//! quick mode `k = 8`.
 
 use crate::cost_equivalent_expander;
 use expt::{Cell, Ctx, Experiment, MetricFmt, RepTableBuilder, Sweep, Table};
@@ -25,7 +25,7 @@ const WORKLOADS: [&str; 3] = ["hotrack", "skew02", "permutation"];
 
 /// Build the figure's tables.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
-    let k = ctx.args.k.unwrap_or_else(|| ctx.by_scale(8, 12, 24));
+    let k = ctx.by_scale(8, 12, 24);
     let rate = 10.0;
     let duty = 0.98;
     let d_opera = k / 2;

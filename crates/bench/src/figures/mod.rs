@@ -102,7 +102,6 @@ pub const GOLDEN_FLAGS: RunFlags = RunFlags {
     scale: Scale::Quick,
     seed: 0,
     replicates: 3,
-    k: None,
 };
 
 /// The canonical context of a golden run: [`GOLDEN_FLAGS`], no result

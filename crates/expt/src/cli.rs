@@ -17,8 +17,7 @@
 //!   point-index validation) by [`crate::output::merge_shard_docs`] or
 //!   `opera orchestrate`,
 //! * `--out DIR` — results root (default `results/`),
-//! * `--no-write` — print CSV to stdout only,
-//! * `--k K` — ToR radix override where the driver supports it.
+//! * `--no-write` — print CSV to stdout only.
 
 use crate::json::{Bad, FromJson, Json};
 use std::fmt;
@@ -138,8 +137,6 @@ pub struct ExptArgs {
     pub out: PathBuf,
     /// Skip writing result files.
     pub no_write: bool,
-    /// Optional ToR-radix override (`--k`).
-    pub k: Option<usize>,
 }
 
 impl Default for ExptArgs {
@@ -152,7 +149,6 @@ impl Default for ExptArgs {
             shard: None,
             out: PathBuf::from("results"),
             no_write: false,
-            k: None,
         }
     }
 }
@@ -179,7 +175,6 @@ impl ExptArgs {
                 "--shard" => out.shard = Some(parse_shard(&it.value(&a)?)?),
                 "--out" => out.out = PathBuf::from(it.value(&a)?),
                 "--no-write" => out.no_write = true,
-                "--k" => out.k = Some(it.parsed(&a)?),
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
@@ -217,7 +212,6 @@ mod tests {
         assert_eq!(a.shard, None);
         assert_eq!(a.out, PathBuf::from("results"));
         assert!(!a.no_write);
-        assert_eq!(a.k, None);
     }
 
     #[test]
@@ -235,8 +229,6 @@ mod tests {
             "--out",
             "tmp/r",
             "--no-write",
-            "--k",
-            "12",
         ])
         .unwrap();
         assert_eq!(a.scale, Scale::Quick);
@@ -246,7 +238,6 @@ mod tests {
         assert_eq!(a.shard, Some((1, 4)));
         assert_eq!(a.out, PathBuf::from("tmp/r"));
         assert!(a.no_write);
-        assert_eq!(a.k, Some(12));
     }
 
     #[test]

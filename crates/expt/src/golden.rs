@@ -36,8 +36,7 @@ pub struct GoldenManifest {
     /// `git rev-parse --short HEAD` of the tree the bless ran on
     /// (`unknown` outside a git checkout).
     pub commit: String,
-    /// The identity of the blessing run (`"k"` is written only when
-    /// set; no committed golden sets it).
+    /// The identity of the blessing run.
     pub flags: RunFlags,
     /// Blessed table names, sorted.
     pub tables: Vec<String>,
@@ -74,12 +73,10 @@ impl GoldenManifest {
             scale,
             seed,
             replicates,
-            k,
         } = self.flags;
-        let k = k.map_or(String::new(), |k| format!(",\n  \"k\": {k}"));
         format!(
             "{{\n  \"commit\": {},\n  \"scale\": {},\n  \"seed\": {seed},\n  \
-             \"replicates\": {replicates}{k},\n  \"tables\": [{}]\n}}\n",
+             \"replicates\": {replicates},\n  \"tables\": [{}]\n}}\n",
             quoted(&self.commit),
             quoted(&scale.to_string()),
             list(&self.tables, |t| quoted(t)),

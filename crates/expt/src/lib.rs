@@ -23,8 +23,9 @@
 //!   cells, per-row sweep-point provenance),
 //! * [`output`] — the table document ([`TableDoc`]: a [`Table`] plus
 //!   the [`RunMeta`] of its run) in CSV and JSON, the run identity
-//!   ([`RunFlags`]: the one declaration of `(scale, seed, replicates,
-//!   k)`, embedded in every document and compared by one function),
+//!   ([`RunFlags`]: the one declaration of `(scale, seed,
+//!   replicates)`, embedded in every document and compared by one
+//!   function),
 //!   [`output::result_path`], which places every result file, and the
 //!   self-validating shard merge ([`output::merge_shard_docs`]),
 //! * [`golden`] — committed baseline CSVs with provenance manifests, and
@@ -224,7 +225,6 @@ pub(crate) mod testutil {
         scale: Scale::Quick,
         seed: 0,
         replicates: 3,
-        k: None,
     };
 
     /// A fresh (removed if present, not created) per-process scratch

@@ -11,7 +11,7 @@
 //! the one function that names those files.
 //!
 //! [`RunFlags`] is the one declaration of a run's identity, `(scale,
-//! seed, replicates, k)`. Table documents and golden manifests embed
+//! seed, replicates)`. Table documents and golden manifests embed
 //! it and read it through `RunFlags::read` (so `"scale": "huge"` is a
 //! parse error), and shard merge, the orchestrator's check of an
 //! existing tree and stale-bless detection all compare it with
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 pub(crate) const SHARD_DIR: &str = "shards";
 
 /// Format tag written into every table document.
-const DOC_FORMAT: u64 = 1;
+const DOC_FORMAT: u64 = 2;
 
 /// The identity of a run: the flags that decide *what* it computes.
 /// Two documents belong to the same run exactly when these agree.
@@ -50,9 +50,6 @@ pub struct RunFlags {
     pub seed: u64,
     /// Replicates per sweep point.
     pub replicates: usize,
-    /// The `--k` ToR-radix override, where the driver supports one
-    /// (different `k` means a different topology).
-    pub k: Option<usize>,
 }
 
 /// One flag on which two [`RunFlags`] disagree.
@@ -73,7 +70,6 @@ impl RunFlags {
             scale: args.scale,
             seed: args.seed,
             replicates: args.replicates,
-            k: args.k,
         }
     }
 
@@ -84,19 +80,16 @@ impl RunFlags {
             scale: self.scale,
             seed: self.seed,
             replicates: self.replicates,
-            k: self.k,
             ..ExptArgs::default()
         }
     }
 
-    /// Read the four flag fields of a document (`k` may be `null` or
-    /// absent).
+    /// Read the three flag fields of a document.
     pub(crate) fn read(f: &mut Fields<'_>) -> Result<RunFlags, String> {
         Ok(RunFlags {
             scale: f.req("scale")?,
             seed: f.req("seed")?,
             replicates: f.req("replicates")?,
-            k: f.opt::<Option<usize>>("k")?.flatten(),
         })
     }
 
@@ -107,7 +100,6 @@ impl RunFlags {
                 ("scale", f.scale.to_string()),
                 ("seed", f.seed.to_string()),
                 ("replicates", f.replicates.to_string()),
-                ("k", format!("{:?}", f.k)),
             ]
         };
         std::iter::zip(shown(self), shown(want))
@@ -153,7 +145,6 @@ pub fn table_json(t: &Table, meta: &RunMeta) -> String {
     s += &format!(",\n  \"scale\": {}", quoted(&meta.flags.scale.to_string()));
     s += &format!(",\n  \"seed\": {}", meta.flags.seed);
     s += &format!(",\n  \"replicates\": {}", meta.flags.replicates);
-    s += &format!(",\n  \"k\": {}", opt(meta.flags.k));
     match meta.shard {
         Some((i, n)) => s += &format!(",\n  \"shard\": [{i}, {n}]"),
         None => s += ",\n  \"shard\": null",
@@ -869,13 +860,12 @@ mod tests {
                 "0",
             ),
             (with(|f| f.replicates = 5), "replicates", "5", "3"),
-            (with(|f| f.k = Some(24)), "k", "Some(24)", "None"),
-            // Several differ: the first in (scale, seed, replicates, k)
+            // Several differ: the first in (scale, seed, replicates)
             // order is the one named.
             (
                 with(|f| {
                     f.seed = 7;
-                    f.k = Some(12);
+                    f.replicates = 12;
                 }),
                 "seed",
                 "7",
@@ -891,7 +881,7 @@ mod tests {
         // The round trip through the CLI type is lossless.
         let odd = with(|f| {
             f.scale = Scale::Default;
-            f.k = Some(8);
+            f.replicates = 8;
         });
         assert_eq!(RunFlags::of(&odd.expt_args()), odd);
     }
@@ -905,8 +895,8 @@ mod tests {
             "table document: scale: unknown scale \"huge\" (want quick/default/full)"
         );
         assert_eq!(
-            err(good.replace("\"format\": 1", "\"format\": 2")),
-            "table document: format: unsupported format 2 (this build reads format 1)"
+            err(good.replace("\"format\": 2", "\"format\": 1")),
+            "table document: format: unsupported format 1 (this build reads format 2)"
         );
         assert_eq!(
             err(good.replace("[\"0\", \"1\"]", "[\"0\", 1]")),
@@ -918,7 +908,7 @@ mod tests {
         );
         assert_eq!(
             err(good.replace("\"seed\": 0,", "")),
-            "table document: seed: missing (keys present: columns, driver, format, k, \
+            "table document: seed: missing (keys present: columns, driver, format, \
              points_run, replicates, row_points, rows, scale, shard, sweep_points, table)"
         );
         assert_eq!(err("[]".into()), "table document: expected an object");

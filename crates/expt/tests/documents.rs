@@ -25,7 +25,6 @@ const FLAGS: RunFlags = RunFlags {
     scale: Scale::Quick,
     seed: 18_446_744_073_709_551_557,
     replicates: 3,
-    k: Some(12),
 };
 
 /// A table document with constant and sweep rows, awkward cells, and
@@ -58,7 +57,7 @@ fn table_and_meta(shard: Option<(usize, usize)>) -> TableDoc {
 fn golden_manifest() -> GoldenManifest {
     GoldenManifest {
         commit: "ab3e1af".into(),
-        flags: RunFlags { k: None, ..FLAGS },
+        flags: FLAGS,
         tables: vec!["bulk_threshold_mb".into(), "cycle_time".into()],
     }
 }
@@ -246,7 +245,7 @@ fn unknown_and_duplicate_keys_are_rejected_at_every_level() {
         (
             "golden manifest",
             0,
-            "golden manifest: unknown key \"zzz\" (known: commit, k, ",
+            "golden manifest: unknown key \"zzz\" (known: commit, replicates, ",
         ),
     ];
     let docs = documents();
@@ -290,13 +289,12 @@ fn awkward(i: usize) -> String {
     AWKWARD[i % AWKWARD.len()].to_string()
 }
 
-/// Flags from four draws; `k == 0` stands for "not set".
-fn flags_of((scale, seed, replicates, k): (usize, u64, usize, usize)) -> RunFlags {
+/// Flags from three draws.
+fn flags_of((scale, seed, replicates): (usize, u64, usize)) -> RunFlags {
     RunFlags {
         scale: [Scale::Quick, Scale::Default, Scale::Full][scale],
         seed,
         replicates,
-        k: k.checked_sub(1),
     }
 }
 
@@ -304,12 +302,7 @@ fn flags_of((scale, seed, replicates, k): (usize, u64, usize, usize)) -> RunFlag
 fn table_documents_round_trip() {
     let draw = |d: &mut Draw| {
         (
-            (
-                d.usize(0..3),
-                d.u64(0..u64::MAX),
-                d.usize(1..9),
-                d.usize(0..40),
-            ),
+            (d.usize(0..3), d.u64(0..u64::MAX), d.usize(1..9)),
             (d.usize(0..4), d.usize(0..5)),
             d.vec(3..6, |d| d.usize(0..AWKWARD.len())),
             d.vec(0..30, |d| d.usize(0..AWKWARD.len())),
@@ -405,12 +398,7 @@ fn arbitrary_bytes_never_panic_a_decoder() {
 fn golden_manifests_round_trip() {
     let draw = |d: &mut Draw| {
         (
-            (
-                d.usize(0..3),
-                d.u64(0..u64::MAX),
-                d.usize(1..9),
-                d.usize(0..40),
-            ),
+            (d.usize(0..3), d.u64(0..u64::MAX), d.usize(1..9)),
             d.usize(0..AWKWARD.len()),
             d.vec(0..6, |d| d.usize(0..AWKWARD.len())),
         )
