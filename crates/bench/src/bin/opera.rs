@@ -176,21 +176,19 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
     let mut drivers = "all".to_string();
     let mut shards = 2;
     let mut workers = 0;
-    let mut flags = RunFlags {
-        scale: Scale::Default,
-        seed: 0,
-        replicates: 3,
-    };
+    let mut flags = RunFlags::of(&ExptArgs::default());
     let mut out = PathBuf::from("results");
     while let Some(a) = args.next() {
+        if flags.take_arg(&a, &mut args)? {
+            continue;
+        }
+        // `run`'s --threads, --shard and --no-write are unknown here: a
+        // job runs on one thread, the plan decides its shard, and every
+        // job is written.
         match a.as_str() {
             "--drivers" => drivers = args.value(&a)?,
             "--shards" => shards = args.at_least_one(&a)?,
             "--workers" => workers = args.parsed(&a)?,
-            "--quick" => flags.scale = Scale::Quick,
-            "--full" => flags.scale = Scale::Full,
-            "--seed" => flags.seed = args.parsed(&a)?,
-            "--replicates" => flags.replicates = args.at_least_one(&a)?,
             "--out" => out = PathBuf::from(args.value(&a)?),
             other => return Err(unknown(other)),
         }

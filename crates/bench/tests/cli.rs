@@ -65,6 +65,8 @@ fn help_is_exit_0_and_bad_command_lines_are_exit_2() {
         &["orchestrate", "--retries", "1"],
         &["orchestrate", "--plan", "plan.json"],
         &["orchestrate", "--no-write"],
+        &["orchestrate", "--threads", "1"],
+        &["orchestrate", "--shard", "0/2"],
         &["resume"],
         &["validate", "--bogus"],
         &["golden", "--threads", "many"],
@@ -417,6 +419,35 @@ fn zero_replicates_or_shards_is_exit_2_from_every_input() {
         assert!(o.stdout.is_empty(), "{args:?} ran something");
     }
     assert!(!Path::new(out).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `run` and `orchestrate` read the run-identity flags through one
+/// parser, so `--quick` beats `--full` in both, in either order;
+/// `orchestrate` used to take whichever came last.
+#[test]
+fn quick_beats_full_in_run_and_orchestrate() {
+    let dir = scratch("quick-full");
+    let out = dir.to_str().unwrap();
+    let orchestrate = |scale: [&str; 2]| {
+        let args = ["orchestrate", "--drivers", "fig14_cycle_time_scaling"];
+        let o = run(&[&args[..], &scale, &["--shards", "1", "--out", out]].concat());
+        assert!(o.status.success(), "{scale:?}: {}", stderr_of(&o));
+        let _ = std::fs::remove_dir_all(dir.join("fig14_cycle_time_scaling"));
+        stdout_of(&o).lines().next().unwrap_or_default().to_string()
+    };
+    let quick = "# orchestrating 1 driver(s) x 1 shard(s), scale=quick, seed=0, replicates=3";
+    assert_eq!(orchestrate(["--quick", "--full"]), quick);
+    assert_eq!(orchestrate(["--full", "--quick"]), quick);
+    let o = run(&[
+        "run",
+        "fig14_cycle_time_scaling",
+        "--full",
+        "--quick",
+        "--no-write",
+    ]);
+    assert!(o.status.success(), "{}", stderr_of(&o));
+    assert!(stdout_of(&o).contains("# mode=quick "), "{}", stdout_of(&o));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -20,6 +20,7 @@
 //! * `--no-write` — print CSV to stdout only.
 
 use crate::json::{Bad, FromJson, Json};
+use crate::RunFlags;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -163,25 +164,21 @@ impl ExptArgs {
         S: Into<String>,
     {
         let mut out = ExptArgs::default();
-        let mut quick = false;
+        let mut flags = RunFlags::of(&out);
         let mut it = Args::new(args);
         while let Some(a) = it.next() {
+            if flags.take_arg(&a, &mut it)? {
+                continue;
+            }
             match a.as_str() {
-                "--quick" => quick = true,
-                "--full" => out.scale = Scale::Full,
                 "--threads" => out.threads = it.parsed(&a)?,
-                "--seed" => out.seed = it.parsed(&a)?,
-                "--replicates" => out.replicates = it.at_least_one(&a)?,
                 "--shard" => out.shard = Some(parse_shard(&it.value(&a)?)?),
                 "--out" => out.out = PathBuf::from(it.value(&a)?),
                 "--no-write" => out.no_write = true,
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
-        if quick {
-            // Quick beats full: CI passes --quick unconditionally.
-            out.scale = Scale::Quick;
-        }
+        (out.scale, out.seed, out.replicates) = (flags.scale, flags.seed, flags.replicates);
         Ok(out)
     }
 }
@@ -242,8 +239,9 @@ mod tests {
 
     #[test]
     fn quick_beats_full() {
-        let a = ExptArgs::parse_from(["--quick", "--full"]).unwrap();
-        assert_eq!(a.scale, Scale::Quick);
+        for order in [["--quick", "--full"], ["--full", "--quick"]] {
+            assert_eq!(ExptArgs::parse_from(order).unwrap().scale, Scale::Quick);
+        }
         let a = ExptArgs::parse_from(["--full"]).unwrap();
         assert_eq!(a.scale, Scale::Full);
     }

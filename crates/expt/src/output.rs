@@ -11,9 +11,10 @@
 //! the one function that names those files.
 //!
 //! [`RunFlags`] is the one declaration of a run's identity, `(scale,
-//! seed, replicates)`. Table documents and golden manifests embed
-//! it and read it through `RunFlags::read` (so `"scale": "huge"` is a
-//! parse error), and shard merge, the orchestrator's check of an
+//! seed, replicates)`. Both `opera run` and `opera orchestrate` read it
+//! from a command line through [`RunFlags::take_arg`]; table documents
+//! and golden manifests embed it and read it through `RunFlags::read`
+//! (so `"scale": "huge"` is a parse error), and shard merge, the orchestrator's check of an
 //! existing tree and stale-bless detection all compare it with
 //! [`RunFlags::first_difference`].
 //!
@@ -27,7 +28,7 @@
 
 use crate::json::{self, quoted, Fields};
 use crate::table::{Cell, Table};
-use crate::{ExptArgs, Scale};
+use crate::{Args, ExptArgs, Scale};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -71,6 +72,24 @@ impl RunFlags {
             seed: args.seed,
             replicates: args.replicates,
         }
+    }
+
+    /// Read `arg`, just taken from `args`, into `self` if it is one of
+    /// the identity's flags — `--quick`, `--full`, `--seed S`,
+    /// `--replicates R` — and say whether it was: the one reader of
+    /// those flags, for `opera run` and `opera orchestrate` alike.
+    /// `--quick` beats `--full` in either order (CI passes `--quick`
+    /// unconditionally).
+    pub fn take_arg(&mut self, arg: &str, args: &mut Args) -> Result<bool, String> {
+        match arg {
+            "--quick" => self.scale = Scale::Quick,
+            "--full" if self.scale != Scale::Quick => self.scale = Scale::Full,
+            "--full" => {}
+            "--seed" => self.seed = args.parsed(arg)?,
+            "--replicates" => self.replicates = args.at_least_one(arg)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Driver arguments that reproduce this run bit-for-bit (everything
