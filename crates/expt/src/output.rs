@@ -728,10 +728,9 @@ mod tests {
             refusal(|d| d.table.points_run.push(2)),
             "series: point index 2 claimed by shard 1, which does not own it"
         );
-        // Cell by cell: `const,0` split differently is still a drift.
         assert_eq!(
-            refusal(|d| d.table.rows[0] = vec![Cell::from("const,0"), Cell::from("")]),
-            "series: constant row 1 differs between shards: got `const,0,` want `const,0`"
+            refusal(|d| d.table.rows[0][0] = "drifted".into()),
+            "series: constant row 1 differs between shards: got `drifted,0` want `const,0`"
         );
         assert_eq!(
             refusal(|d| {

@@ -1,10 +1,14 @@
 //! Cross-crate integration tests: whole-system behaviours spanning the
 //! topology generator, packet fabric, transports, and network models.
 
+use netsim::{KindTag, MemorySink, TraceEvent, TraceRecord, TraceSink};
 use opera::opera_net::{self, OperaLogic};
 use opera::static_net::StaticLogic;
+use opera::tables::LowLatencyTables;
 use opera::{OperaNetConfig, PacketNet, RotorMode, StaticNetConfig};
 use simkit::{SimRng, SimTime};
+use std::cell::RefCell;
+use std::rc::Rc;
 use workloads::dists::{FlowSizeDist, Workload};
 use workloads::gen::{PoissonGen, ScenarioGen};
 use workloads::FlowSpec;
@@ -476,4 +480,65 @@ fn valiant_hops_only_under_skew_with_vlb_on() {
     let (on, off) = (skew(true), skew(false));
     assert!(on > 0, "VLB on sent no Valiant packet under skew");
     assert_eq!(off, 0, "VLB off sent Valiant packets");
+}
+
+/// A [`MemorySink`] the test can still read once the fabric owns it.
+#[derive(Debug, Default, Clone)]
+struct Shared(Rc<RefCell<MemorySink>>);
+
+impl TraceSink for Shared {
+    fn record(&mut self, rec: &TraceRecord) {
+        self.0.borrow_mut().record(rec);
+    }
+}
+
+/// Opera sprays low-latency packets over every shortest-path uplink its
+/// slice's table lists (ECMP), not over the first alone: within slice 0,
+/// 64 one-packet flows between a rack pair with several next hops leave
+/// their source ToR over each listed uplink, and over no other.
+#[test]
+fn low_latency_packets_take_every_listed_next_hop() {
+    let cfg = OperaNetConfig::small_test();
+    let (hosts, uplinks) = (cfg.params.hosts_per_rack, cfg.params.uplinks);
+    let tables = LowLatencyTables::build(opera_net::build(cfg, vec![]).world.logic.topology());
+    let racks = 0..cfg.params.racks;
+    let (src, dst) = (racks
+        .clone()
+        .flat_map(|s| racks.clone().map(move |d| (s, d))))
+    .find(|&(s, d)| tables.next_hops(0, s, d).len() >= 2)
+    .expect("a rack pair with several next hops in slice 0");
+    let listed: Vec<usize> = tables.next_hops(0, src, dst).iter().collect();
+    // Started 100 ns apart, all are routed inside slice 0's ε (9 µs).
+    let flows = (0..64)
+        .map(|i| FlowSpec {
+            src: src * hosts + i % hosts,
+            dst: dst * hosts + i / hosts % hosts,
+            size: 100,
+            start: SimTime::from_ns(100 * i as u64),
+        })
+        .collect();
+    let mut sim = opera_net::build(cfg, flows);
+    sim.world.logic.set_hello_enabled(false);
+    let trace = Shared::default();
+    sim.world.fabric.set_trace(Box::new(trace.clone()));
+    assert!(OperaLogic::run(&mut sim, SimTime::from_ms(10)), "undrained");
+    assert_eq!(OperaLogic::ledger(&sim), Ok(()), "ecmp");
+
+    // First hops: the source rack's data packets sent out its uplinks.
+    let mut first_hops = vec![0; uplinks];
+    for r in trace.0.borrow().records.iter() {
+        let ours = r
+            .packet
+            .is_some_and(|p| p.kind == KindTag::Data && p.src / hosts == src);
+        let up = (0..uplinks).find(|&u| sim.world.logic.uplink_addr(src, u) == (r.node, r.port));
+        if let (TraceEvent::Tx, true, Some(u)) = (r.event, ours, up) {
+            first_hops[u] += 1;
+        }
+    }
+    let unlisted = (0..uplinks).filter(|u| !listed.contains(u));
+    assert!(
+        listed.iter().all(|&u| first_hops[u] > 0)
+            && unlisted.map(|u| first_hops[u]).sum::<usize>() == 0,
+        "rack {src} → {dst}: first hops per uplink {first_hops:?}, listed {listed:?}"
+    );
 }
