@@ -176,8 +176,8 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
     let mut drivers = "all".to_string();
     let mut shards = 2;
     let mut workers = 0;
-    let mut flags = RunFlags::of(&ExptArgs::default());
-    let mut out = PathBuf::from("results");
+    let defaults = ExptArgs::default();
+    let (mut flags, mut out) = (defaults.flags, defaults.out);
     while let Some(a) = args.next() {
         if flags.take_arg(&a, &mut args)? {
             continue;
@@ -250,7 +250,7 @@ fn orchestrate(mut args: Args) -> Result<(), Exit> {
 }
 
 fn validate(mut args: Args) -> Result<(), Exit> {
-    let mut out = PathBuf::from("results");
+    let mut out = ExptArgs::default().out;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = PathBuf::from(args.value(&a)?),
@@ -276,7 +276,7 @@ fn validate(mut args: Args) -> Result<(), Exit> {
 
 fn run_scenario(mut args: Args) -> Result<(), Exit> {
     let mut file: Option<PathBuf> = None;
-    let mut out = PathBuf::from("results/scenarios");
+    let mut out = ExptArgs::default().out.join("scenarios");
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = PathBuf::from(args.value(&a)?),
@@ -402,8 +402,8 @@ fn spot_suite(mut args: Args) -> Result<(), Exit> {
         driver: spot::DRIVER.to_string(),
         flags: RunFlags {
             scale: Scale::Full,
-            seed: 0,
             replicates: 1,
+            ..RunFlags::default()
         },
         shard: None,
     };

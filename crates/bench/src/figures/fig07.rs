@@ -28,7 +28,7 @@ const SYSTEMS: [&str; 5] = [
 
 /// Build the figure's tables.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
-    let scale = ctx.args.scale;
+    let scale = ctx.args.flags.scale;
     let times = ctx.by_scale(
         (SimTime::from_ms(4), SimTime::from_ms(120)),
         (SimTime::from_ms(40), SimTime::from_ms(600)),

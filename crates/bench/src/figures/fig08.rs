@@ -74,7 +74,7 @@ fn shuffle_run<N: PacketNet>(
 
 /// Build the figure's tables.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
-    let scale = ctx.args.scale;
+    let scale = ctx.args.flags.scale;
     let flow_size: u64 = ctx.by_scale(30_000, 100_000, 100_000);
     let horizon = SimTime::from_ms(ctx.by_scale(60, 150, 300));
     let sweep = Sweep::grid1(&STATIC_SYSTEMS, |s| s);

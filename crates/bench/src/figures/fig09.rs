@@ -20,7 +20,7 @@ const SYSTEMS: [&str; 3] = ["opera", "expander", "folded-clos"];
 
 /// Build the figure's tables.
 pub fn tables(ctx: &Ctx) -> Vec<Table> {
-    let scale = ctx.args.scale;
+    let scale = ctx.args.flags.scale;
     let times = ctx.by_scale(
         (SimTime::from_ms(2), SimTime::from_ms(80)),
         (SimTime::from_ms(6), SimTime::from_ms(200)),

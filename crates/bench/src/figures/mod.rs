@@ -105,13 +105,13 @@ pub const GOLDEN_FLAGS: RunFlags = RunFlags {
 };
 
 /// The canonical context of a golden run: [`GOLDEN_FLAGS`], no result
-/// files. Thread count is free — the harness guarantees it cannot
-/// affect output.
+/// files, any thread count (the harness keeps it from affecting output).
 pub fn golden_ctx(threads: usize) -> Ctx {
     Ctx::new(ExptArgs {
+        flags: GOLDEN_FLAGS,
         threads,
         no_write: true,
-        ..GOLDEN_FLAGS.expt_args()
+        ..ExptArgs::default()
     })
 }
 

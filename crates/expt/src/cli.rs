@@ -121,17 +121,14 @@ impl FromJson for Scale {
     }
 }
 
-/// Parsed arguments for one driver invocation.
+/// Parsed arguments for one driver invocation: the run's identity and
+/// how this invocation runs and writes it.
 #[derive(Debug, Clone)]
 pub struct ExptArgs {
-    /// Selected scale (quick wins over full if both are given).
-    pub scale: Scale,
+    /// The run's identity: scale, base seed and replicates.
+    pub flags: RunFlags,
     /// Worker threads; `0` means one per available core.
     pub threads: usize,
-    /// Base seed all per-point seeds derive from.
-    pub seed: u64,
-    /// Replicate seeds per sweep point (at least 1).
-    pub replicates: usize,
     /// Optional `(i, n)` shard: run only points with `index % n == i`.
     pub shard: Option<(usize, usize)>,
     /// Results root directory.
@@ -143,10 +140,8 @@ pub struct ExptArgs {
 impl Default for ExptArgs {
     fn default() -> Self {
         ExptArgs {
-            scale: Scale::Default,
+            flags: RunFlags::default(),
             threads: 0,
-            seed: 0,
-            replicates: 3,
             shard: None,
             out: PathBuf::from("results"),
             no_write: false,
@@ -164,10 +159,9 @@ impl ExptArgs {
         S: Into<String>,
     {
         let mut out = ExptArgs::default();
-        let mut flags = RunFlags::of(&out);
         let mut it = Args::new(args);
         while let Some(a) = it.next() {
-            if flags.take_arg(&a, &mut it)? {
+            if out.flags.take_arg(&a, &mut it)? {
                 continue;
             }
             match a.as_str() {
@@ -178,7 +172,6 @@ impl ExptArgs {
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
-        (out.scale, out.seed, out.replicates) = (flags.scale, flags.seed, flags.replicates);
         Ok(out)
     }
 }
@@ -202,10 +195,15 @@ mod tests {
     #[test]
     fn defaults() {
         let a = ExptArgs::parse_from(Vec::<String>::new()).unwrap();
-        assert_eq!(a.scale, Scale::Default);
+        assert_eq!(
+            a.flags,
+            RunFlags {
+                scale: Scale::Default,
+                seed: 0,
+                replicates: 3,
+            }
+        );
         assert_eq!(a.threads, 0);
-        assert_eq!(a.seed, 0);
-        assert_eq!(a.replicates, 3);
         assert_eq!(a.shard, None);
         assert_eq!(a.out, PathBuf::from("results"));
         assert!(!a.no_write);
@@ -228,10 +226,15 @@ mod tests {
             "--no-write",
         ])
         .unwrap();
-        assert_eq!(a.scale, Scale::Quick);
+        assert_eq!(
+            a.flags,
+            RunFlags {
+                scale: Scale::Quick,
+                seed: 42,
+                replicates: 5,
+            }
+        );
         assert_eq!(a.threads, 8);
-        assert_eq!(a.seed, 42);
-        assert_eq!(a.replicates, 5);
         assert_eq!(a.shard, Some((1, 4)));
         assert_eq!(a.out, PathBuf::from("tmp/r"));
         assert!(a.no_write);
@@ -240,10 +243,11 @@ mod tests {
     #[test]
     fn quick_beats_full() {
         for order in [["--quick", "--full"], ["--full", "--quick"]] {
-            assert_eq!(ExptArgs::parse_from(order).unwrap().scale, Scale::Quick);
+            let a = ExptArgs::parse_from(order).unwrap();
+            assert_eq!(a.flags.scale, Scale::Quick);
         }
         let a = ExptArgs::parse_from(["--full"]).unwrap();
-        assert_eq!(a.scale, Scale::Full);
+        assert_eq!(a.flags.scale, Scale::Full);
     }
 
     #[test]

@@ -130,13 +130,13 @@ pub struct Ctx {
 impl Ctx {
     /// Build a context from parsed arguments.
     pub fn new(args: ExptArgs) -> Self {
-        let runner = Runner::new(args.threads, args.seed).with_shard(args.shard);
+        let runner = Runner::new(args.threads, args.flags.seed).with_shard(args.shard);
         Ctx { args, runner }
     }
 
     /// True in `--quick` smoke mode (tiny grids, fixed seed).
     pub fn quick(&self) -> bool {
-        self.args.scale == Scale::Quick
+        self.args.flags.scale == Scale::Quick
     }
 
     /// Run a sweep through the parallel runner: one result per owned
@@ -152,7 +152,7 @@ impl Ctx {
 
     /// Replicate seeds per sweep point (`--replicates`, at least 1).
     pub fn replicates(&self) -> usize {
-        self.args.replicates
+        self.args.flags.replicates
     }
 
     /// Run a sweep with [`Ctx::replicates`] replicate seeds per point:
@@ -163,7 +163,7 @@ impl Ctx {
         R: Send,
         F: Fn(&P, &RepCtx) -> R + Sync,
     {
-        self.runner.run_replicated(sweep, self.args.replicates, f)
+        self.runner.run_replicated(sweep, self.replicates(), f)
     }
 
     /// A seed-independent `row` as every replicate would observe it:
@@ -174,7 +174,7 @@ impl Ctx {
 
     /// Pick among three values by scale: quick / default / full.
     pub fn by_scale<T>(&self, quick: T, default: T, full: T) -> T {
-        match self.args.scale {
+        match self.args.flags.scale {
             Scale::Quick => quick,
             Scale::Default => default,
             Scale::Full => full,
@@ -192,10 +192,10 @@ pub fn emit(exp: &Experiment, ctx: &Ctx, tables: &[Table]) -> std::io::Result<()
     };
     println!(
         "# mode={} threads={} seed={} replicates={}{shard}",
-        ctx.args.scale,
+        ctx.args.flags.scale,
         ctx.runner.threads(),
-        ctx.args.seed,
-        ctx.args.replicates
+        ctx.args.flags.seed,
+        ctx.args.flags.replicates
     );
     for t in tables {
         println!("table,{}", t.name);

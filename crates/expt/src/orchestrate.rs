@@ -201,10 +201,11 @@ where
     F: Fn(&str, &Ctx) -> Result<Vec<Table>, String>,
 {
     let ctx = Ctx::new(ExptArgs {
-        shard: Some(job.shard),
+        flags,
         threads: 1,
+        shard: Some(job.shard),
         no_write: true,
-        ..flags.expt_args()
+        ..ExptArgs::default()
     });
     let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(&job.driver, &ctx)))
         .unwrap_or_else(|payload| {

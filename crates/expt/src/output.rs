@@ -11,8 +11,9 @@
 //! the one function that names those files.
 //!
 //! [`RunFlags`] is the one declaration of a run's identity, `(scale,
-//! seed, replicates)`. Both `opera run` and `opera orchestrate` read it
-//! from a command line through [`RunFlags::take_arg`]; table documents
+//! seed, replicates)`, with its defaults; [`ExptArgs`] carries it. Both
+//! `opera run` and `opera orchestrate` read it from a command line
+//! through [`RunFlags::take_arg`]; table documents
 //! and golden manifests embed it and read it through `RunFlags::read`
 //! (so `"scale": "huge"` is a parse error), and shard merge, the orchestrator's check of an
 //! existing tree and stale-bless detection all compare it with
@@ -64,16 +65,19 @@ pub struct FlagDiff {
     pub want: String,
 }
 
-impl RunFlags {
-    /// The identity of a run started with `args`.
-    pub fn of(args: &ExptArgs) -> RunFlags {
+/// The identity of a run given no identity flag: default scale, base
+/// seed 0, 3 replicates per sweep point.
+impl Default for RunFlags {
+    fn default() -> Self {
         RunFlags {
-            scale: args.scale,
-            seed: args.seed,
-            replicates: args.replicates,
+            scale: Scale::Default,
+            seed: 0,
+            replicates: 3,
         }
     }
+}
 
+impl RunFlags {
     /// Read `arg`, just taken from `args`, into `self` if it is one of
     /// the identity's flags — `--quick`, `--full`, `--seed S`,
     /// `--replicates R` — and say whether it was: the one reader of
@@ -90,17 +94,6 @@ impl RunFlags {
             _ => return Ok(false),
         }
         Ok(true)
-    }
-
-    /// Driver arguments that reproduce this run bit-for-bit (everything
-    /// outside the identity keeps its default).
-    pub fn expt_args(&self) -> ExptArgs {
-        ExptArgs {
-            scale: self.scale,
-            seed: self.seed,
-            replicates: self.replicates,
-            ..ExptArgs::default()
-        }
     }
 
     /// Read the three flag fields of a document.
@@ -144,7 +137,7 @@ impl RunMeta {
     pub fn new(driver: &str, args: &ExptArgs) -> Self {
         RunMeta {
             driver: driver.to_string(),
-            flags: RunFlags::of(args),
+            flags: args.flags,
             shard: args.shard,
         }
     }
@@ -896,12 +889,6 @@ mod tests {
                 (flag, got_v, want_v)
             );
         }
-        // The round trip through the CLI type is lossless.
-        let odd = with(|f| {
-            f.scale = Scale::Default;
-            f.replicates = 8;
-        });
-        assert_eq!(RunFlags::of(&odd.expt_args()), odd);
     }
 
     #[test]

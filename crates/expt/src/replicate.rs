@@ -333,8 +333,11 @@ mod tests {
 
     fn ctx(replicates: usize, shard: Option<(usize, usize)>) -> crate::Ctx {
         crate::Ctx::new(crate::ExptArgs {
+            flags: crate::RunFlags {
+                replicates,
+                ..Default::default()
+            },
             threads: 1,
-            replicates,
             shard,
             ..Default::default()
         })

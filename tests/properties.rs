@@ -422,9 +422,12 @@ fn shard_merge_mismatch(n: usize, shards: usize, reps: usize, seed: u64) -> Opti
     let sweep = expt::Sweep::from_points((0..n).collect::<Vec<_>>());
     let build = |shard: Option<(usize, usize)>| {
         let ctx = expt::Ctx::new(expt::ExptArgs {
+            flags: expt::RunFlags {
+                seed,
+                replicates: reps,
+                ..Default::default()
+            },
             threads: 2,
-            seed,
-            replicates: reps,
             shard,
             ..Default::default()
         });
