@@ -11,7 +11,7 @@
 
 use bench::figures;
 use expt::orchestrate::{start_run, Plan};
-use expt::{merge_shard_docs, Ctx, TableDoc};
+use expt::{merge_shard_docs, Ctx, RunFlags, Scale, TableDoc};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -448,6 +448,66 @@ fn quick_beats_full_in_run_and_orchestrate() {
     ]);
     assert!(o.status.success(), "{}", stderr_of(&o));
     assert!(stdout_of(&o).contains("# mode=quick "), "{}", stdout_of(&o));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The identity given on the command line is the identity every table
+/// document records, from `run` and `orchestrate` alike: the flags pass
+/// from the parser to `RunMeta` through `ExptArgs` untouched.
+#[test]
+fn the_identity_on_the_command_line_is_the_documents() {
+    let dir = scratch("identity");
+    let driver = "fig14_cycle_time_scaling";
+    let given = ["--quick", "--seed", "7", "--replicates", "2"];
+    let want = RunFlags {
+        scale: Scale::Quick,
+        seed: 7,
+        replicates: 2,
+    };
+    let docs_under = |dir: &Path| -> Vec<TableDoc> {
+        let mut docs: Vec<TableDoc> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "json"))
+            .map(|p| TableDoc::parse(&std::fs::read_to_string(&p).unwrap()).unwrap())
+            .collect();
+        docs.sort_by(|a, b| a.table.name.cmp(&b.table.name));
+        docs
+    };
+
+    let ran = dir.join("run");
+    let o = run(&[
+        &["run", driver][..],
+        &given,
+        &["--out", ran.to_str().unwrap()],
+    ]
+    .concat());
+    assert!(o.status.success(), "{}", stderr_of(&o));
+    let header = stdout_of(&o).lines().nth(1).unwrap_or_default().to_string();
+    assert!(header.starts_with("# mode=quick threads="), "{header}");
+    assert!(header.ends_with(" seed=7 replicates=2"), "{header}");
+    let docs = docs_under(&ran.join(driver));
+    assert_eq!(docs.len(), 2, "one document per table");
+    for doc in &docs {
+        assert_eq!(
+            (doc.meta.flags, doc.meta.shard),
+            (want, None),
+            "{}",
+            doc.table.name
+        );
+    }
+
+    let planned = dir.join("orchestrate");
+    let args = ["orchestrate", "--drivers", driver, "--shards", "2"];
+    let o = run(&[&args[..], &given, &["--out", planned.to_str().unwrap()]].concat());
+    assert!(o.status.success(), "{}", stderr_of(&o));
+    let shards = docs_under(&planned.join(driver).join("shards"));
+    assert_eq!(shards.len(), 4, "two tables x two shards");
+    for doc in &shards {
+        assert_eq!(doc.meta.flags, want, "{}", doc.table.name);
+    }
+    // The merged documents carry the identity too, and equal `run`'s.
+    assert_eq!(docs_under(&planned.join(driver)), docs);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
