@@ -53,7 +53,8 @@ use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet, PacketKind, Pri
 use simkit::engine::EventContext;
 use simkit::{SimRng, SimTime, Simulator};
 use topo::opera::{OperaParams, OperaTopology};
-use transport::{Offer, RackBulk, RotorLbParams, TransportKind};
+use transport::rotorlb::VLB_THRESHOLD;
+use transport::{Offer, RackBulk, TransportKind};
 use workloads::FlowSpec;
 
 /// Which system the rotor fabric emulates.
@@ -81,8 +82,6 @@ pub struct OperaNetConfig {
     pub queues: QueueConfig,
     /// Low-latency transport.
     pub transport: TransportKind,
-    /// RotorLB parameters.
-    pub rotorlb: RotorLbParams,
     /// Flows of at least this many bytes are bulk (§4.1; ignored by the
     /// RotorNet modes, which classify everything as bulk for transport).
     pub bulk_threshold: u64,
@@ -110,7 +109,6 @@ impl OperaNetConfig {
             link: LinkSpec::paper_default(),
             queues: QueueConfig::builder().build(),
             transport: TransportKind::paper_default(),
-            rotorlb: RotorLbParams::paper_default(),
             bulk_threshold: 500_000,
             mode: RotorMode::Opera,
             allow_vlb: true,
@@ -468,9 +466,9 @@ impl OperaLogic {
 
     /// Does rack `r` have anything useful to put on a circuit to `dst`?
     fn has_bulk_work(&self, rack: usize, dst: usize) -> bool {
-        let (bulk, vlb_threshold) = (&self.bulk[rack], self.cfg.rotorlb.vlb_threshold);
+        let bulk = &self.bulk[rack];
         bulk.pending_to(dst) > 0
-            || self.cfg.allow_vlb && bulk.total_direct_backlog() > vlb_threshold
+            || self.cfg.allow_vlb && bulk.total_direct_backlog() > VLB_THRESHOLD
     }
 
     /// Start the `(rack, uplink)` feeder, whose circuit reaches `dst`, if it
@@ -874,7 +872,7 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
     let logic = OperaLogic {
         ends,
         bulk: (0..cfg.params.racks)
-            .map(|r| RackBulk::new(r, cfg.params.racks, cfg.rotorlb))
+            .map(|r| RackBulk::new(r, cfg.params.racks))
             .collect(),
         rng: SimRng::new(cfg.seed.wrapping_add(1)),
         slice: 0,

@@ -21,8 +21,8 @@
 //!
 //! Every transport sends [`netsim::MTU`]-sized packets. NDP's and
 //! go-back-N's tuning is the paper's (§4.2.1), fixed as constants in their
-//! modules; only DCTCP ([`DctcpParams`]) and RotorLB ([`RotorLbParams`])
-//! keep settable values.
+//! modules, as RotorLB's relay store and Valiant threshold are in
+//! [`rotorlb`]; only DCTCP ([`DctcpParams`]) keeps settable values.
 //!
 //! Per-flow state is looked up for every data packet and every ACK, so the
 //! three sequence-number transports keep it in two containers built for
@@ -56,7 +56,7 @@ use simkit::SimTime;
 pub use dctcp::{DctcpHost, DctcpParams};
 pub use go_back_n::GoBackNHost;
 pub use ndp::NdpHost;
-pub use rotorlb::{BulkChunk, Offer, RackBulk, RotorLbParams};
+pub use rotorlb::{BulkChunk, Offer, RackBulk};
 
 /// Timer purposes a [`Transport`] asks its environment to schedule.
 ///

@@ -66,27 +66,14 @@ use crate::PAYLOAD_PER_PACKET;
 use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE};
 use std::collections::VecDeque;
 
-/// RotorLB tuning. Bulk packets are [`netsim::MTU`]-sized like every other.
-#[derive(Debug, Clone, Copy)]
-pub struct RotorLbParams {
-    /// Maximum bytes of two-hop (Valiant) traffic stored at this rack for
-    /// later relay.
-    pub relay_capacity: u64,
-    /// Only offer a destination's backlog to Valiant indirection beyond
-    /// this many queued bytes (direct circuits will serve small backlogs
-    /// within a cycle anyway).
-    pub vlb_threshold: u64,
-}
+/// Maximum payload bytes of two-hop (Valiant) traffic a rack stores for
+/// later relay: 50 MB.
+pub const RELAY_CAPACITY: u64 = 50_000_000;
 
-impl RotorLbParams {
-    /// Defaults: 50 MB relay store, VLB beyond 1 MB backlog.
-    pub fn paper_default() -> Self {
-        RotorLbParams {
-            relay_capacity: 50_000_000,
-            vlb_threshold: 1_000_000,
-        }
-    }
-}
+/// A destination's backlog is offered to Valiant indirection only beyond
+/// this many queued payload bytes, 1 MB: direct circuits serve smaller
+/// backlogs within a cycle anyway.
+pub const VLB_THRESHOLD: u64 = 1_000_000;
 
 /// A new bulk flow, queued whole at its source rack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +197,6 @@ pub struct RackBulk {
     rack: usize,
     /// Racks in the network: the length of each allocated [`Queues`].
     racks: usize,
-    params: RotorLbParams,
     /// Chunks originating here, by destination rack, at most one per flow;
     /// allocated by the first [`RackBulk::enqueue`] or [`RackBulk::requeue`].
     direct: Queues,
@@ -227,13 +213,12 @@ pub struct RackBulk {
 
 impl RackBulk {
     /// Fresh state for `rack` in a network of `racks` racks.
-    pub fn new(rack: usize, racks: usize, params: RotorLbParams) -> Self {
+    pub fn new(rack: usize, racks: usize) -> Self {
         // A VLB packet names its final rack in a `u32` header field.
         u32::try_from(racks).expect("rack count must fit u32");
         RackBulk {
             rack,
             racks,
-            params,
             direct: Queues::default(),
             relay: Queues::default(),
             rr_cursor: 0,
@@ -383,7 +368,7 @@ impl RackBulk {
     fn vlb_destination(&self, via: usize) -> Option<usize> {
         // No single destination can exceed the threshold unless the sum
         // does, and an unallocated `direct` sums to 0.
-        if self.direct.total <= self.params.vlb_threshold {
+        if self.direct.total <= VLB_THRESHOLD {
             return None;
         }
         let (dst, &backlog) = self
@@ -393,7 +378,7 @@ impl RackBulk {
             .enumerate()
             .filter(|&(r, _)| r != via && r != self.rack)
             .max_by_key(|&(_, &b)| b)?;
-        (backlog > self.params.vlb_threshold).then_some(dst)
+        (backlog > VLB_THRESHOLD).then_some(dst)
     }
 
     /// Accept a Valiant packet stored at this rack for later relay to its
@@ -403,7 +388,7 @@ impl RackBulk {
     /// requeues at the *source*.
     pub fn store_relay(&mut self, pkt: &Packet, final_dst_rack: usize) -> bool {
         let payload = pkt.payload() as u64;
-        if self.relay.total + payload > self.params.relay_capacity {
+        if self.relay.total + payload > RELAY_CAPACITY {
             return false;
         }
         self.relay.allocate(self.racks);
@@ -464,7 +449,7 @@ impl RackBulk {
 /// The pre-running-sum implementation, kept as the test oracle.
 #[cfg(test)]
 mod oracle {
-    use super::{BulkChunk, Offer, RotorLbParams, RESTART_SEQ};
+    use super::{BulkChunk, Offer, RELAY_CAPACITY, RESTART_SEQ, VLB_THRESHOLD};
     use crate::PAYLOAD_PER_PACKET;
     use netsim::{FlowId, Packet, PacketKind, HEADER_SIZE};
 
@@ -484,7 +469,6 @@ mod oracle {
     #[derive(Debug)]
     pub struct RackBulk {
         rack: usize,
-        params: RotorLbParams,
         /// `direct[r]`: chunks originating here, destined to rack `r`.
         direct: Vec<Vec<Chunk>>,
         /// `relay[r]`: chunks stored here mid-Valiant, final destination `r`.
@@ -501,10 +485,9 @@ mod oracle {
 
     impl RackBulk {
         /// Fresh state for `rack` in a network of `racks` racks.
-        pub fn new(rack: usize, racks: usize, params: RotorLbParams) -> Self {
+        pub fn new(rack: usize, racks: usize) -> Self {
             RackBulk {
                 rack,
-                params,
                 direct: vec![Vec::new(); racks],
                 relay: vec![Vec::new(); racks],
                 relay_bytes: 0,
@@ -639,7 +622,7 @@ mod oracle {
             else {
                 return Offer::Idle;
             };
-            if backlog <= self.params.vlb_threshold {
+            if backlog <= VLB_THRESHOLD {
                 return Offer::Idle;
             }
             self.pop_direct(dst, 0, Some(dst as u32), host_ready)
@@ -652,7 +635,7 @@ mod oracle {
         /// requeues at the *source*.
         pub fn store_relay(&mut self, pkt: &Packet, final_dst_rack: usize) -> bool {
             let payload = pkt.payload() as u64;
-            if self.relay_bytes + payload > self.params.relay_capacity {
+            if self.relay_bytes + payload > RELAY_CAPACITY {
                 return false;
             }
             self.relay_bytes += payload;
@@ -734,7 +717,7 @@ mod tests {
 
     #[test]
     fn direct_drain_order_and_sizes() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(chunk(1, 2, 3000));
         assert_eq!(rb.pending_to(2), 3000);
         let p1 = take(&mut rb, 2, false).unwrap();
@@ -758,7 +741,7 @@ mod tests {
 
     #[test]
     fn round_robin_between_flows() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(chunk(1, 2, 10_000));
         rb.enqueue(chunk(2, 2, 10_000));
         let flows: Vec<FlowId> = (0..4)
@@ -772,7 +755,7 @@ mod tests {
 
     #[test]
     fn no_vlb_below_threshold() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(chunk(1, 2, 1000)); // small backlog to rack 2
         assert!(
             take(&mut rb, 3, true).is_none(),
@@ -782,7 +765,7 @@ mod tests {
 
     #[test]
     fn vlb_offloads_large_backlog() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(chunk(1, 2, 5_000_000)); // hot destination
         let p = take(&mut rb, 3, true).unwrap();
         match p.kind {
@@ -795,9 +778,9 @@ mod tests {
 
     #[test]
     fn relay_store_and_forward() {
-        let mut rb_mid = RackBulk::new(1, 4, RotorLbParams::paper_default());
+        let mut rb_mid = RackBulk::new(1, 4);
         // A VLB packet for final rack 3 arrives at intermediate rack 1.
-        let mut src = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut src = RackBulk::new(0, 4);
         src.enqueue(chunk(7, 3, 5_000_000));
         let pkt = take(&mut src, 1, true).unwrap();
         let final_rack = match pkt.kind {
@@ -816,16 +799,26 @@ mod tests {
         assert_eq!(rb_mid.relay_bytes(), 0);
     }
 
+    /// The relay store takes packets until the next would pass
+    /// [`RELAY_CAPACITY`]: 34 818 full ones, then a 1 352-byte one that
+    /// fills it to the byte, and then not one byte more.
     #[test]
     fn relay_capacity_enforced() {
-        let params = RotorLbParams {
-            relay_capacity: 1000,
-            ..RotorLbParams::paper_default()
-        };
-        let mut rb = RackBulk::new(1, 4, params);
-        let pkt = Packet::bulk(9, 100, 200, 0, 1500);
-        assert!(!rb.store_relay(&pkt, 3), "1436B > 1000B capacity");
-        assert_eq!(rb.relay_bytes(), 0);
+        let mut rb = RackBulk::new(1, 4);
+        let full = Packet::bulk(9, 100, 200, 0, MTU);
+        let mut stored = 0u64;
+        while rb.store_relay(&full, 3) {
+            stored += 1;
+        }
+        assert_eq!(stored, RELAY_CAPACITY / PAYLOAD_PER_PACKET as u64);
+        assert_eq!((stored, rb.relay_bytes()), (34_818, 49_998_648));
+        let rest = (RELAY_CAPACITY - rb.relay_bytes()) as u32;
+        let last = |payload| Packet::bulk(9, 100, 200, 0, HEADER_SIZE + payload);
+        assert!(!rb.store_relay(&last(rest + 1), 3), "one byte over");
+        assert!(rb.store_relay(&last(rest), 3), "the last {rest} bytes");
+        assert_eq!(rb.relay_bytes(), RELAY_CAPACITY);
+        assert!(!rb.store_relay(&last(1), 3), "a full store takes nothing");
+        assert_eq!(rb.pending_to(3), RELAY_CAPACITY);
     }
 
     fn seq(p: &Packet) -> u32 {
@@ -839,7 +832,7 @@ mod tests {
     /// on numbering where it was: no second chunk, no repeated `seq`.
     #[test]
     fn requeue_merges_into_the_flows_chunk() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(chunk(1, 2, 2872)); // 2 packets
         rb.enqueue(chunk(2, 2, 1436));
         let p1 = take(&mut rb, 2, false).unwrap();
@@ -860,7 +853,7 @@ mod tests {
     /// finished restarted chunks have used.
     #[test]
     fn a_flow_sent_whole_restarts_past_its_used_seqs() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(chunk(1, 2, 2872));
         rb.enqueue(chunk(2, 3, 1436));
         let (a, b) = (
@@ -892,7 +885,7 @@ mod tests {
     /// turn; the next flow's chunk goes on the next poll.
     #[test]
     fn a_busy_host_passes_its_turn() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(chunk(1, 2, 1436));
         rb.enqueue(chunk(2, 2, 1436));
         let busy = chunk(1, 2, 0).src_host;
@@ -909,7 +902,7 @@ mod tests {
 
     #[test]
     fn relay_priority_over_direct() {
-        let mut rb = RackBulk::new(1, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(1, 4);
         rb.enqueue(chunk(5, 3, 1436));
         let vlb_pkt = Packet {
             kind: PacketKind::BulkData {
@@ -924,27 +917,21 @@ mod tests {
     }
 
     /// A rack that never queues holds nothing per destination, whatever it
-    /// is asked and whatever store it refuses; one whose first call is a
+    /// is asked; one whose first call is a
     /// `requeue` or a `store_relay` allocates that half alone, and answers
     /// `pending_to` and `next_packet` as the eager oracle does.
     #[test]
     fn per_destination_state_waits_for_the_first_chunk() {
         let racks = 108;
-        let params = RotorLbParams {
-            relay_capacity: 1000,
-            ..RotorLbParams::paper_default()
-        };
-        let mut idle = RackBulk::new(0, racks, params);
+        let mut idle = RackBulk::new(0, racks);
         for r in 1..racks {
             assert_eq!(idle.pending_to(r), 0);
             assert_eq!(idle.next_packet(r, true, |_| true), Offer::Idle);
         }
-        assert!(!idle.store_relay(&Packet::bulk(9, 100, 200, 0, MTU), 3));
         assert_eq!((idle.total_direct_backlog(), idle.relay_bytes()), (0, 0));
         let held = [&idle.direct, &idle.relay].map(|q| q.chunks.capacity() + q.bytes.capacity());
         assert_eq!(held, [0, 0], "slots held per destination");
 
-        let params = RotorLbParams::paper_default();
         let first_hop = |relay| Packet {
             kind: PacketKind::BulkData { seq: 4, relay },
             ..Packet::bulk(7, 100, 200, 0, MTU)
@@ -957,8 +944,8 @@ mod tests {
             (false, first_hop(None)),
         ];
         for (requeue, pkt) in cases {
-            let mut live = RackBulk::new(1, racks, params);
-            let mut old = oracle::RackBulk::new(1, racks, params);
+            let mut live = RackBulk::new(1, racks);
+            let mut old = oracle::RackBulk::new(1, racks);
             if requeue {
                 live.requeue(&pkt, 2);
                 old.requeue(&pkt, 2);
@@ -1001,7 +988,7 @@ mod tests {
     /// coalesces back into its chunk up to the byte limit.
     #[test]
     fn largest_host_id_and_chunk_are_accepted() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(BulkChunk {
             src_host: 65_535,
             dst_host: 65_535,
@@ -1018,7 +1005,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "host id must fit u16 (a network of at most 65 536 hosts)")]
     fn oversized_host_id_is_refused_at_the_door() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(BulkChunk {
             src_host: 65_536,
             ..chunk(1, 2, 1000)
@@ -1028,7 +1015,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bulk chunk bytes must fit u32 (a flow of at most 4 294 967 295 B)")]
     fn oversized_chunk_is_refused_at_the_door() {
-        let mut rb = RackBulk::new(0, 4, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, 4);
         rb.enqueue(chunk(1, 2, u32::MAX as u64 + 1));
     }
 
@@ -1040,7 +1027,7 @@ mod tests {
     fn capacity_stays_within_one_growth_step_of_the_longest() {
         let step = |n: usize| (n / GROWTH).max(GROWTH);
         let racks = 3;
-        let mut rb = RackBulk::new(0, racks, RotorLbParams::paper_default());
+        let mut rb = RackBulk::new(0, racks);
         let mut rng = simkit::SimRng::new(27);
         let mut longest = [0usize; 6];
         let mut flow: FlowId = 0;
@@ -1095,10 +1082,12 @@ mod tests {
     /// oracle side by side: every offer, every refusal, every backlog
     /// reading and every queue's flows in order agree after every step.
     /// Eight direct flows, each queued once to one of three hot racks,
-    /// and eight flows that only pass through the relay store. The VLB
-    /// threshold is two packets and most sizes are whole packets, so
-    /// VLB fires and its arg-max sees ties; the relay store holds six
-    /// packets, so it overflows; one poll in two finds one flow's
+    /// and eight flows that only pass through the relay store. A direct
+    /// flow is mostly one packet short of [`VLB_THRESHOLD`] plus whole
+    /// packets, so VLB fires and stops within a few packets and its
+    /// arg-max sees ties; one relay store in sixteen is preceded by full
+    /// packets up to six packets short of [`RELAY_CAPACITY`], so the
+    /// store overflows; one poll in two finds one flow's
     /// source host busy. Host ids are drawn from the whole `u16`
     /// range, and one flow in eight takes all of its `u32` byte budget,
     /// so a packet that comes back merges up to the byte limit. Returned
@@ -1121,13 +1110,9 @@ mod tests {
             64,
             draw,
             |(ops, racks, rack_bits)| {
-                let params = RotorLbParams {
-                    relay_capacity: 6 * 1436,
-                    vlb_threshold: 2 * 1436,
-                };
                 let rack = rack_bits as usize % racks;
-                let mut live = RackBulk::new(rack, racks, params);
-                let mut old = oracle::RackBulk::new(rack, racks, params);
+                let mut live = RackBulk::new(rack, racks);
+                let mut old = oracle::RackBulk::new(rack, racks);
                 // Packets emitted so far and not yet returned, with the rack
                 // of the circuit that carried them (the realistic requeue: a
                 // packet that missed its window comes back).
@@ -1159,7 +1144,7 @@ mod tests {
                             let left = &mut budget[f as usize];
                             let bytes = match (bits >> 21) & 0x7 {
                                 0 => *left,
-                                _ => payload as u64,
+                                _ => VLB_THRESHOLD - 1436 + payload as u64,
                             };
                             *left -= bytes;
                             enqueued[f as usize] = true;
@@ -1205,6 +1190,14 @@ mod tests {
                                 HEADER_SIZE + payload.min(1436),
                             );
                             let to = other_rack(rack, racks, bits >> 11);
+                            if (bits >> 24) & 0xF == 0 {
+                                let full = Packet::bulk(8 + f as FlowId, dst, src, 0, MTU);
+                                while live.relay_bytes() + 7 * 1436 <= RELAY_CAPACITY {
+                                    *left -= 1436;
+                                    assert!(live.store_relay(&full, to));
+                                    assert!(old.store_relay(&full, to));
+                                }
+                            }
                             if *left >= pkt.payload() as u64 {
                                 *left -= pkt.payload() as u64;
                                 assert_eq!(live.store_relay(&pkt, to), old.store_relay(&pkt, to));

@@ -414,9 +414,9 @@ fn epsilon_covers_the_longest_low_latency_path() {
 /// direct queue, whose state the take-back allocates, and sends it again.
 #[test]
 fn a_relaying_rack_takes_back_a_relayed_packet() {
-    use transport::rotorlb::{Offer, RackBulk, RotorLbParams};
+    use transport::rotorlb::{Offer, RackBulk};
 
-    let mut mid = RackBulk::new(1, 4, RotorLbParams::paper_default());
+    let mut mid = RackBulk::new(1, 4);
     let relayed = netsim::Packet::bulk(7, 0, 12, 0, netsim::MTU);
     let bytes = relayed.payload() as u64;
     assert!(mid.store_relay(&relayed, 3));
