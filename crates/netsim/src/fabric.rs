@@ -706,6 +706,11 @@ impl Fabric {
         self.arena.live()
     }
 
+    /// The packets [`Fabric::parked_packets`] counts.
+    pub fn parked(&self) -> impl Iterator<Item = &Packet> {
+        self.arena.parked()
+    }
+
     /// The packet ledger: every packet written into the arena was delivered
     /// (counted at transmission, so in flight too), lost dark or failed,
     /// drained back to the logic, or is still queued.

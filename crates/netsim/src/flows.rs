@@ -176,12 +176,32 @@ impl FlowTracker {
 
     /// The flows' books: no flow received more than its size, a finished
     /// flow received exactly its size, and a flow that received its size
-    /// is finished. The error is the first flow that breaks one.
+    /// is finished; once [`FlowTracker::all_done`] holds (as at a drained
+    /// stop), every flow received exactly its size. The error is the
+    /// first flow that breaks one.
     pub fn ledger(&self) -> Result<(), FlowId> {
-        let broken =
-            |f: &FlowRecord| f.received > f.size || f.finish.is_some() != (f.received == f.size);
+        let all_done = self.all_done();
+        let broken = |f: &FlowRecord| {
+            f.received > f.size
+                || f.finish.is_some() != (f.received == f.size)
+                || all_done && f.received != f.size
+        };
         match self.flows.iter().position(broken) {
             Some(id) => Err(id as FlowId),
+            None => Ok(()),
+        }
+    }
+
+    /// The acknowledgements' books: no flow has more payload bytes
+    /// acknowledged to its sender than its receiver received. `acked`
+    /// is `(flow, bytes acknowledged)` per flow a sender still holds. The
+    /// error is the entry of the lowest flow that breaks it.
+    pub fn acked_ledger(&self, acked: &[(FlowId, u64)]) -> Result<(), (FlowId, u64)> {
+        let over = acked
+            .iter()
+            .filter(|&&(flow, bytes)| bytes > self.flows[flow as usize].received);
+        match over.min() {
+            Some(&entry) => Err(entry),
             None => Ok(()),
         }
     }
@@ -291,6 +311,25 @@ mod tests {
         let mut t = half_done();
         t.flows[0].received = 1001;
         assert_eq!(t.ledger(), Err(0));
+    }
+
+    /// A completed count that runs ahead of the records: `all_done`, and
+    /// so a drained stop, would be read with a flow still short.
+    #[test]
+    fn ledger_fails_a_short_flow_once_all_are_counted_done() {
+        let mut t = half_done();
+        t.completed = 2;
+        assert!(t.all_done());
+        assert_eq!(t.ledger(), Err(1));
+    }
+
+    #[test]
+    fn acked_ledger_fails_a_flow_acknowledged_past_its_receipt() {
+        let t = half_done();
+        let fine = [(1, 500), (0, 1000)];
+        assert_eq!(t.acked_ledger(&fine), Ok(()));
+        assert_eq!(t.acked_ledger(&[(0, 1000), (1, 501)]), Err((1, 501)));
+        assert_eq!(t.acked_ledger(&[(1, 1436), (0, 1001)]), Err((0, 1001)));
     }
 
     #[test]

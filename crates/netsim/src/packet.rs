@@ -136,6 +136,11 @@ impl PacketArena {
         packet
     }
 
+    /// Every packet parked now, in slot order.
+    pub fn parked(&self) -> impl Iterator<Item = &Packet> {
+        self.slots.iter().flatten()
+    }
+
     /// Packets currently parked.
     pub fn live(&self) -> usize {
         self.slots.len() - self.free.len()

@@ -92,6 +92,12 @@ impl Endpoints {
         &self.tracker
     }
 
+    /// `(flow, payload bytes acknowledged)` of every flow a host's
+    /// transport is still sending ([`Transport::acked`]).
+    pub fn acked(&self) -> Vec<(FlowId, u64)> {
+        self.hosts.iter().flat_map(|h| h.acked()).collect()
+    }
+
     /// True once every flow handed to `build` has been injected and has
     /// completed: the flow half of [`PacketNet::drained`].
     pub fn finished(&self) -> bool {
@@ -227,17 +233,20 @@ pub trait PacketNet: NetLogic + Sized {
             && sim.world.fabric.parked_packets() == 0
     }
 
-    /// The packet ledger of a run, wherever it stopped (ROADMAP 10): the
-    /// fabric accounts for every packet it wrote ([`Fabric::ledger`]), and
+    /// The packet ledger of a run, wherever it stopped (ROADMAP 10, 27):
+    /// the fabric accounts for every packet it wrote ([`Fabric::ledger`]);
     /// every flow's record agrees with itself ([`FlowTracker::ledger`]:
     /// no more than its size received, finished exactly when all of it
-    /// was).
+    /// was, and all of it received at a drained stop); and no sender has
+    /// more of its flow acknowledged than the receiver received
+    /// ([`FlowTracker::acked_ledger`]).
     fn ledger(sim: &Simulator<NetWorld<Self>>) -> Result<(), String> {
         sim.world.fabric.ledger().map_err(|e| format!("{e:?}"))?;
-        let tracker = sim.world.logic.tracker();
-        tracker
-            .ledger()
-            .map_err(|id| format!("flow {id}: {:?}", tracker.get(id)))
+        let (ends, tracker) = (sim.world.logic.ends(), sim.world.logic.tracker());
+        let flow = |id| format!("flow {id}: {:?}", tracker.get(id));
+        tracker.ledger().map_err(flow)?;
+        (tracker.acked_ledger(&ends.acked()))
+            .map_err(|(id, bytes)| format!("{}: {bytes} bytes acknowledged", flow(id)))
     }
 
     /// Run `sim` to the first instant it is [`PacketNet::drained`]

@@ -221,6 +221,8 @@ pub struct OperaLogic {
     feeders: Vec<Feeder>,
     /// Counters.
     pub counters: OperaCounters,
+    /// Payload bytes handed to RotorLB and not yet delivered to a host.
+    bulk_outstanding: u64,
     /// `(rack, uplink)` transceivers marked bad by the hello protocol
     /// (§3.6.2); routing tables exclude their circuits.
     bad_links: Vec<(usize, usize)>,
@@ -286,6 +288,21 @@ impl OperaLogic {
     /// Access the flow tracker (results).
     pub fn tracker(&self) -> &FlowTracker {
         self.ends.tracker()
+    }
+
+    /// Bulk payload bytes handed to RotorLB that are neither delivered,
+    /// queued in a rack's RotorLB, nor in a packet `fabric` holds: bytes
+    /// the fabric lost, which nothing sends again (ROADMAP 27). Bytes
+    /// counted twice over would underflow it.
+    pub fn bulk_lost_bytes(&self, fabric: &Fabric) -> u64 {
+        let queued: u64 = (self.bulk.iter())
+            .map(|b| b.total_direct_backlog() + b.relay_bytes())
+            .sum();
+        let parked: u64 = (fabric.parked())
+            .filter(|p| matches!(p.kind, PacketKind::BulkData { .. }))
+            .map(|p| p.payload() as u64)
+            .sum();
+        self.bulk_outstanding - queued - parked
     }
 
     /// The generated topology (for analysis alongside the simulation).
@@ -717,6 +734,7 @@ impl OperaLogic {
                 self.ends.start_flow(fabric, ctx, spec, class);
             } else {
                 let flow = self.ends.register(spec, class, ctx.now());
+                self.bulk_outstanding += spec.size;
                 self.bulk[rack].enqueue(transport::BulkChunk {
                     flow,
                     src_host: spec.src,
@@ -740,6 +758,9 @@ impl NetLogic for OperaLogic {
         packet: Packet,
     ) {
         if node < self.ends.hosts() {
+            if let PacketKind::BulkData { .. } = packet.kind {
+                self.bulk_outstanding -= packet.payload() as u64;
+            }
             self.ends.on_packet(fabric, ctx, node, packet);
         } else if self.is_tor(node) {
             let rack = node - self.tor_node(0);
@@ -798,9 +819,12 @@ impl PacketNet for OperaLogic {
     fn ends_mut(&mut self) -> &mut Endpoints {
         &mut self.ends
     }
+    /// The fabric's counters, [`OperaCounters`], then
+    /// [`OperaLogic::bulk_lost_bytes`].
     fn counters(sim: &OperaNet) -> Vec<(&'static str, u64)> {
         let (fabric, logic) = (&sim.world.fabric, &sim.world.logic);
-        [&fabric.counters.named()[..], &logic.counters.named()].concat()
+        let lost = [("bulk_lost_bytes", logic.bulk_lost_bytes(fabric))];
+        [&fabric.counters.named()[..], &logic.counters.named(), &lost].concat()
     }
 }
 
@@ -881,6 +905,7 @@ pub fn build(cfg: OperaNetConfig, flows: Vec<FlowSpec>) -> OperaNet {
         feeder_tick: cfg.link.serialize(MTU),
         feeders: vec![Feeder::default(); cfg.params.racks * topo.switches()],
         counters: OperaCounters::default(),
+        bulk_outstanding: 0,
         bad_links: Vec::new(),
         hello_pending: vec![false; cfg.params.racks * topo.switches()],
         hello_enabled: true,
@@ -1058,6 +1083,44 @@ mod tests {
             "peak {} never passed the {cap} B queue",
             logic.counters.bulk_downlink_peak
         );
+    }
+
+    /// RotorLB's byte books at every stop: each bulk byte it was handed
+    /// is delivered, queued in a rack's RotorLB or in a packet the fabric
+    /// holds. Under random loss the bytes of the bulk packets the fabric
+    /// drops are the ones left unplaced, and nothing sends them again.
+    #[test]
+    fn bulk_lost_bytes_are_what_the_fabric_dropped() {
+        let mut cfg = OperaNetConfig::small_test();
+        cfg.bulk_threshold = 0;
+        let hosts = cfg.hosts();
+        let flows: Vec<FlowSpec> = (0..hosts)
+            .map(|src| FlowSpec {
+                src,
+                dst: (src + 4) % hosts,
+                size: 100_000,
+                start: SimTime::ZERO,
+            })
+            .collect();
+        let lost = |sim: &OperaNet| sim.world.logic.bulk_lost_bytes(&sim.world.fabric);
+        let mut sim = build(cfg, flows.clone());
+        for us in [50, 200, 800] {
+            sim.run_until(SimTime::from_us(us));
+            assert!(sim.world.fabric.parked_packets() > 0, "mid-run at {us} us");
+            assert_eq!(lost(&sim), 0, "at {us} us");
+        }
+        assert!(OperaLogic::run(&mut sim, SimTime::from_ms(50)));
+        assert_eq!(lost(&sim), 0);
+
+        let mut sim = build(cfg, flows);
+        sim.world.fabric.set_random_loss(0.01, 7);
+        OperaLogic::run(&mut sim, SimTime::from_ms(50));
+        let short: u64 = (sim.world.logic.tracker().flows().iter())
+            .map(|f| f.size - f.received)
+            .sum();
+        assert!(sim.world.fabric.counters.failed_drops > 0);
+        assert!(lost(&sim) > 0, "nothing lost under 1 % loss");
+        assert_eq!(lost(&sim), short, "quiet at the horizon, so short = lost");
     }
 
     /// Fail `rack`'s transceiver on `uplink` at time zero, through the

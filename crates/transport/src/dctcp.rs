@@ -230,6 +230,13 @@ impl Transport for DctcpHost {
         }
         actions
     }
+
+    fn acked(&self) -> Vec<(FlowId, u64)> {
+        self.sending
+            .iter()
+            .map(|(&flow, st)| (flow, st.win.acked_bytes()))
+            .collect()
+    }
 }
 
 #[cfg(test)]

