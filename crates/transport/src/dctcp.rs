@@ -177,7 +177,7 @@ impl Transport for DctcpHost {
             }
             PacketKind::Ack { seq } => {
                 if let Some(st) = self.sending.get_mut(&pkt.flow) {
-                    st.win.unacked.remove(seq);
+                    st.win.ack(seq);
                     st.win.last_activity = ctx.now();
                     st.window_acks += 1;
                     if pkt.ecn_ce {

@@ -176,7 +176,7 @@ impl Transport for NdpHost {
             }
             PacketKind::Ack { seq } => {
                 if let Some(st) = self.sending.get_mut(&pkt.flow) {
-                    st.unacked.remove(seq);
+                    st.ack(seq);
                     st.last_activity = ctx.now();
                     if st.done() {
                         self.sending.remove(&pkt.flow);
@@ -340,6 +340,10 @@ mod tests {
     const STALE_NACK: (u64, PacketKind) = (u64::MAX - 1, PacketKind::Nack { seq: 0 });
     const LATE_PULL: (u64, PacketKind) = (u64::MAX - 2, PacketKind::Pull { count: 1 });
 
+    /// When host 1 sends the NACK of segment 0 for it to reach host 0
+    /// between the ACKs of a two-segment flow's segments.
+    const NACK_AFTER_ACK_NS: u64 = 1_800;
+
     fn two_host(flow_size: u64, cfg: QueueConfig) -> Simulator<NetWorld<TwoHostLogic>> {
         let mut fabric = Fabric::new();
         let a = fabric.add_node(1, cfg, LinkSpec::paper_default());
@@ -362,27 +366,56 @@ mod tests {
         sim
     }
 
-    /// A sender left with a stale NACK once its flow is acknowledged
-    /// (ROADMAP 4b) stops checking its RTO. A late pull that sends the
-    /// stale segment again arms the check once more, so the copy a failed
-    /// link loses is sent again `RTO` after the pull, as the checks the
-    /// sender used to repeat for ever would have sent it.
+    fn sends(sim: &Simulator<NetWorld<TwoHostLogic>>) -> usize {
+        sim.world.logic.hosts[0].active_sends()
+    }
+
+    fn script(token: (u64, PacketKind)) -> NetEvent {
+        NetEvent::Timer { token: token.0 }
+    }
+
+    /// A NACK that reaches the sender before the ACK of its segment
+    /// (ROADMAP 4j): the ACK drops the resend the NACK queued, so the
+    /// sender retires with its flow and a late pull sends nothing.
     #[test]
-    fn a_stale_nack_holds_no_rto_until_a_pull_sends_again() {
+    fn an_ack_drops_the_resend_its_nack_queued() {
         let mut sim = two_host(1000, QueueConfig::builder().build());
         let at = |us| SimTime::from_us(us);
-        let script = |token: (u64, PacketKind)| NetEvent::Timer { token: token.0 };
+        // The NACK reaches host 0 at 651 ns, before the ACK of its one
+        // segment (at ≈ 1.9 µs).
+        sim.schedule_at(SimTime::from_ns(100), script(STALE_NACK));
+        sim.run_until(at(1));
+        assert_eq!(sends(&sim), 1, "NACKed, not yet acknowledged");
+        sim.run_until(at(2_500));
+        assert!(sim.world.logic.tracker.all_done());
+        assert_eq!(sends(&sim), 0, "the ACK retires the sender");
+        assert_eq!(sim.pending(), 0, "its RTO checked once, at 2 ms");
+        let queued = sim.world.fabric.counters.queued;
+        sim.schedule_at(at(3_000), script(LATE_PULL));
+        sim.run_until(at(5_000));
+        let queued = sim.world.fabric.counters.queued - queued;
+        assert_eq!(queued, 1, "the pull, and no segment sent again");
+    }
+
+    /// A NACK that reaches the sender after its segment's ACK is still
+    /// stale once the rest of the flow is acknowledged (ROADMAP 4b): the
+    /// sender stops checking its RTO. A late pull that sends the stale
+    /// segment again arms the check once more, so the copy a failed link
+    /// loses is sent again `RTO` after the pull, as the checks the sender
+    /// used to repeat for ever would have sent it.
+    #[test]
+    fn a_nack_after_its_ack_holds_no_rto_until_a_pull_sends_again() {
+        let mut sim = two_host(2000, QueueConfig::builder().build());
+        let at = |us| SimTime::from_us(us);
         let link = |failed| NetEvent::LinkChange {
             node: 0,
             port: 0,
             change: netsim::LinkSignal::Failed(failed),
         };
-        // The NACK reaches host 0 at 651 ns, before the ACK of its one
-        // segment (at ≈ 1.9 µs).
-        sim.schedule_at(SimTime::from_ns(100), script(STALE_NACK));
+        // Segment 0's ACK reaches host 0 first, then the NACK, then
+        // segment 1's ACK.
+        sim.schedule_at(SimTime::from_ns(NACK_AFTER_ACK_NS), script(STALE_NACK));
         sim.run_until(at(2_500));
-        let sends =
-            |sim: &Simulator<NetWorld<TwoHostLogic>>| sim.world.logic.hosts[0].active_sends();
         assert!(sim.world.logic.tracker.all_done());
         assert_eq!(sends(&sim), 1, "the stale NACK keeps the sender");
         assert_eq!(

@@ -204,6 +204,13 @@ impl SendWindow {
             - (pending as u64 * PAYLOAD_PER_PACKET as u64 - short)
     }
 
+    /// `seq` was acknowledged: it is neither outstanding nor to be sent
+    /// again, though a NACK of another copy queued it.
+    pub fn ack(&mut self, seq: u32) {
+        self.unacked.remove(seq);
+        self.rtx.retain(|&s| s != seq);
+    }
+
     /// Queue `seq` for retransmission (once, however often it is NACKed).
     pub fn nack(&mut self, seq: u32) {
         if !self.rtx.contains(&seq) {
@@ -239,10 +246,11 @@ impl SendWindow {
     /// Returns when to check next and whether the flow had stalled; no
     /// next check once every segment is sent and acknowledged, where a
     /// check could send nothing. Such a sender is not `done` only when
-    /// NDP holds a stale NACK for a segment acknowledged since; a pull
-    /// may still send it again, and [`SendWindow::rearm`] then arms the
-    /// check for it. (DCTCP takes a NACKed segment out of `unacked` and
-    /// sends it again at once, so its senders are `done` before this.)
+    /// NDP holds a stale NACK, one that arrived after its segment's ACK
+    /// ([`SendWindow::ack`] drops one that came before); a pull may still
+    /// send it again, and [`SendWindow::rearm`] then arms the check for
+    /// it. (DCTCP takes a NACKed segment out of `unacked` and sends it
+    /// again at once, so its senders are `done` before this.)
     pub fn check_rto(
         &mut self,
         fabric: &mut Fabric,
