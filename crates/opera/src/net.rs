@@ -245,7 +245,8 @@ pub trait PacketNet: NetLogic + Sized {
         let (ends, tracker) = (sim.world.logic.ends(), sim.world.logic.tracker());
         let flow = |id| format!("flow {id}: {:?}", tracker.get(id));
         tracker.ledger().map_err(flow)?;
-        (tracker.acked_ledger(&ends.acked()))
+        tracker
+            .acked_ledger(&ends.acked())
             .map_err(|(id, bytes)| format!("{}: {bytes} bytes acknowledged", flow(id)))
     }
 

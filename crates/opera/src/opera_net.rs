@@ -295,10 +295,13 @@ impl OperaLogic {
     /// the fabric lost, which nothing sends again (ROADMAP 27). Bytes
     /// counted twice over would underflow it.
     pub fn bulk_lost_bytes(&self, fabric: &Fabric) -> u64 {
-        let queued: u64 = (self.bulk.iter())
+        let queued: u64 = self
+            .bulk
+            .iter()
             .map(|b| b.total_direct_backlog() + b.relay_bytes())
             .sum();
-        let parked: u64 = (fabric.parked())
+        let parked: u64 = fabric
+            .parked()
             .filter(|p| matches!(p.kind, PacketKind::BulkData { .. }))
             .map(|p| p.payload() as u64)
             .sum();
@@ -1115,9 +1118,8 @@ mod tests {
         let mut sim = build(cfg, flows);
         sim.world.fabric.set_random_loss(0.01, 7);
         OperaLogic::run(&mut sim, SimTime::from_ms(50));
-        let short: u64 = (sim.world.logic.tracker().flows().iter())
-            .map(|f| f.size - f.received)
-            .sum();
+        let flows = sim.world.logic.tracker().flows();
+        let short: u64 = flows.iter().map(|f| f.size - f.received).sum();
         assert!(sim.world.fabric.counters.failed_drops > 0);
         assert!(lost(&sim) > 0, "nothing lost under 1 % loss");
         assert_eq!(lost(&sim), short, "quiet at the horizon, so short = lost");
