@@ -292,8 +292,9 @@ impl OperaLogic {
 
     /// Bulk payload bytes handed to RotorLB that are neither delivered,
     /// queued in a rack's RotorLB, nor in a packet `fabric` holds: bytes
-    /// the fabric lost, which nothing sends again (ROADMAP 27). Bytes
-    /// counted twice over would underflow it.
+    /// the fabric lost, or a relay store refused (`relay_overflow`), which
+    /// nothing sends again (ROADMAP 27). Bytes counted twice over would
+    /// underflow it.
     pub fn bulk_lost_bytes(&self, fabric: &Fabric) -> u64 {
         let queued: u64 = self
             .bulk
@@ -822,7 +823,7 @@ impl PacketNet for OperaLogic {
     fn ends_mut(&mut self) -> &mut Endpoints {
         &mut self.ends
     }
-    /// The fabric's counters, [`OperaCounters`], then
+    /// The fabric's counters, then [`OperaCounters`], then
     /// [`OperaLogic::bulk_lost_bytes`].
     fn counters(sim: &OperaNet) -> Vec<(&'static str, u64)> {
         let (fabric, logic) = (&sim.world.fabric, &sim.world.logic);

@@ -917,7 +917,7 @@ mod tests {
     }
 
     /// A rack that never queues holds nothing per destination, whatever it
-    /// is asked; one whose first call is a
+    /// is asked and whatever store it refuses; one whose first call is a
     /// `requeue` or a `store_relay` allocates that half alone, and answers
     /// `pending_to` and `next_packet` as the eager oracle does.
     #[test]
@@ -928,6 +928,8 @@ mod tests {
             assert_eq!(idle.pending_to(r), 0);
             assert_eq!(idle.next_packet(r, true, |_| true), Offer::Idle);
         }
+        let oversized = Packet::bulk(9, 100, 200, 0, HEADER_SIZE + RELAY_CAPACITY as u32 + 1);
+        assert!(!idle.store_relay(&oversized, 3));
         assert_eq!((idle.total_direct_backlog(), idle.relay_bytes()), (0, 0));
         let held = [&idle.direct, &idle.relay].map(|q| q.chunks.capacity() + q.bytes.capacity());
         assert_eq!(held, [0, 0], "slots held per destination");
@@ -1083,12 +1085,13 @@ mod tests {
     /// reading and every queue's flows in order agree after every step.
     /// Eight direct flows, each queued once to one of three hot racks,
     /// and eight flows that only pass through the relay store. A direct
-    /// flow is mostly one packet short of [`VLB_THRESHOLD`] plus whole
-    /// packets, so VLB fires and stops within a few packets and its
-    /// arg-max sees ties; one relay store in sixteen is preceded by full
-    /// packets up to six packets short of [`RELAY_CAPACITY`], so the
-    /// store overflows; one poll in two finds one flow's
-    /// source host busy. Host ids are drawn from the whole `u16`
+    /// chunk is mostly one to three packets, so it drains, is removed and
+    /// its flow's later bytes restart; one in eight is one packet short of
+    /// [`VLB_THRESHOLD`] plus whole packets, so VLB fires and stops within
+    /// a few packets and its arg-max sees ties. One relay store in sixteen
+    /// is preceded by full packets up to six packets short of
+    /// [`RELAY_CAPACITY`], so the store overflows; one poll in two finds
+    /// one flow's source host busy. Host ids are drawn from the whole `u16`
     /// range, and one flow in eight takes all of its `u32` byte budget,
     /// so a packet that comes back merges up to the byte limit. Returned
     /// packets are ones really emitted (relay ones land in the direct
@@ -1144,7 +1147,8 @@ mod tests {
                             let left = &mut budget[f as usize];
                             let bytes = match (bits >> 21) & 0x7 {
                                 0 => *left,
-                                _ => VLB_THRESHOLD - 1436 + payload as u64,
+                                1 => VLB_THRESHOLD - 1436 + payload as u64,
+                                _ => payload as u64,
                             };
                             *left -= bytes;
                             enqueued[f as usize] = true;

@@ -7,9 +7,9 @@
 //! both are an index and a word, not a hash of bytes or a tree walk — see
 //! the crate docs for what that assumes about flow ids.
 
-use crate::{bytes_before, packets_for, wire_size, PAYLOAD_PER_PACKET};
+use crate::{packets_for, wire_size};
 use netsim::fabric::{Fabric, NetEvent};
-use netsim::{FlowId, Packet};
+use netsim::{FlowId, Packet, HEADER_SIZE};
 use simkit::engine::EventContext;
 use simkit::SimTime;
 use std::collections::{HashMap, VecDeque};
@@ -190,18 +190,10 @@ impl SendWindow {
     /// below the next new one that are neither unacknowledged nor queued
     /// to be sent again.
     pub fn acked_bytes(&self) -> u64 {
-        let again = self.rtx.iter().filter(|&&s| !self.unacked.contains(s));
-        let pending = self.unacked.len() + again.count();
-        let last = self.total - 1;
-        let last_pending = self.unacked.contains(last) || self.rtx.contains(&last);
-        // Every pending segment is a full one but perhaps the flow's last.
-        let short = if last_pending {
-            PAYLOAD_PER_PACKET as u64 - (self.size - bytes_before(self.size, last))
-        } else {
-            0
-        };
-        bytes_before(self.size, self.next_new)
-            - (pending as u64 * PAYLOAD_PER_PACKET as u64 - short)
+        (0..self.next_new)
+            .filter(|&s| !self.unacked.contains(s) && !self.rtx.contains(&s))
+            .map(|s| (wire_size(self.size, s) - HEADER_SIZE) as u64)
+            .sum()
     }
 
     /// `seq` was acknowledged: it is neither outstanding nor to be sent
